@@ -8,7 +8,8 @@
 //!   allocations per op for both.
 //! - `memtable_rotate`: flush-style full drain of a filled table.
 //! - `block_scan`: borrowing entry access vs copying every entry to owned
-//!   `Vec`s the way the merge cursors used to.
+//!   `Vec`s the way the merge cursors used to, over a block in the layout
+//!   the store writes (`VarBlockBuilder` / `Block::decode_v3`).
 //! - `rank_select`: the one-word rank fast path and broadword select vs
 //!   the word-loop rank and bit-by-bit in-word select they replaced.
 //!
@@ -23,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use criterion::{black_box, take_results, Criterion};
-use proteus_lsm::block::{Block, BlockBuilder};
+use proteus_lsm::block::{Block, VarBlockBuilder};
 use proteus_lsm::memtable::MemTable;
 use proteus_succinct::{BitVec, RankedBits, SelectIndex};
 
@@ -173,7 +174,7 @@ fn memtable_allocs_per_op() -> (f64, f64) {
 // -------------------------------------------------------------- block scan
 
 fn build_block() -> Block {
-    let mut builder = BlockBuilder::new(KEY_W);
+    let mut builder = VarBlockBuilder::new();
     let value = patterned_value();
     let mut s = 0xB10Cu64;
     for i in 0..N_BLOCK {
@@ -185,7 +186,7 @@ fn build_block() -> Block {
         builder.add(&k, v);
     }
     let (disk, _, _) = builder.finish();
-    Block::decode(&disk, KEY_W, true).expect("bench block decodes")
+    Block::decode_v3(&disk).expect("bench block decodes")
 }
 
 fn bench_block_scan(c: &mut Criterion) {

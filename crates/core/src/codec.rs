@@ -9,19 +9,18 @@
 //! 7         1     reserved (0)
 //! 8         8     payload length (little-endian u64)
 //! 16        n     kind-specific payload
-//! 16+n      4     v2 only: training-fingerprint length f (little-endian
-//!                 u32; 0 = no fingerprint)
-//! 20+n      f     v2 only: fingerprint bytes ([`crate::QuerySketch`] wire
-//!                 form — the prefix histogram of the sample queries the
-//!                 filter was trained on)
+//! 16+n      4     training-fingerprint length f (little-endian u32;
+//!                 0 = no fingerprint)
+//! 20+n      f     fingerprint bytes ([`crate::QuerySketch`] wire form —
+//!                 the prefix histogram of the sample queries the filter
+//!                 was trained on)
 //! (end−4)   4     CRC-32 over every preceding byte
 //! ```
 //!
-//! Version 1 (the PR-2 format) is the same envelope without the
-//! fingerprint section; v1 bytes still decode, with a "no fingerprint"
-//! default — the adaptive lifecycle simply has no training distribution to
-//! compare against for such filters and falls back to observed-FPR
-//! triggers alone.
+//! Version 2 is the only envelope this build decodes. Version 1 (the same
+//! envelope without the fingerprint section) could only ride in the
+//! legacy SST generations the store no longer opens; such bytes fail with
+//! [`CodecError::UnsupportedVersion`] like any other unknown version.
 //!
 //! [`seal`] / [`seal_with_fingerprint`] build the envelope; [`unseal`]
 //! verifies magic, version, length and checksum and hands back an
@@ -38,13 +37,9 @@ pub use proteus_succinct::codec::{crc32, ByteReader, CodecError, WireWrite};
 /// Leading magic of every serialized filter ("Proteus Range Filter Codec").
 pub const FILTER_MAGIC: [u8; 4] = *b"PRFC";
 
-/// Current envelope format version. Bump on any incompatible payload or
-/// envelope change; decoders reject versions they do not know but keep
-/// decoding every older version listed in [`MIN_FORMAT_VERSION`]..=current.
+/// The envelope format version. Bump on any incompatible payload or
+/// envelope change; decoders reject every version but this one.
 pub const FORMAT_VERSION: u16 = 2;
-
-/// Oldest envelope version this build still decodes.
-pub const MIN_FORMAT_VERSION: u16 = 1;
 
 /// Envelope bytes before the payload.
 pub const HEADER_LEN: usize = 16;
@@ -99,18 +94,15 @@ impl FilterKind {
 
 /// A verified envelope: the raw kind tag (not [`FilterKind`], so callers
 /// can treat unknown tags as graceful degradation rather than corruption),
-/// the kind-specific payload, and the optional v2 training fingerprint.
+/// the kind-specific payload, and the optional training fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unsealed<'a> {
-    /// Envelope format version the bytes were written with (1 or 2).
-    pub version: u16,
     /// Raw filter-kind tag.
     pub tag: u8,
     /// Kind-specific payload bytes.
     pub payload: &'a [u8],
-    /// Training-fingerprint bytes, when present (v2 envelopes with a
-    /// non-empty fingerprint section). v1 envelopes always decode to
-    /// `None` — the "no fingerprint" default.
+    /// Training-fingerprint bytes, when the fingerprint section is
+    /// non-empty.
     pub fingerprint: Option<&'a [u8]>,
 }
 
@@ -151,22 +143,7 @@ fn seal_parts(tag: u8, payload: &[u8], fingerprint: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Build a version-1 envelope (no fingerprint section) — kept so the
-/// v1→v2 compatibility tests can fabricate genuine v1 bytes.
-pub fn seal_v1(kind: FilterKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    out.extend_from_slice(&FILTER_MAGIC);
-    out.put_u16(1);
-    out.put_u8(kind.tag());
-    out.put_u8(0);
-    out.put_u64(payload.len() as u64);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.put_u32(crc);
-    out
-}
-
-/// Verify an envelope (any supported version) and return its parts.
+/// Verify an envelope and return its parts.
 pub fn unseal(bytes: &[u8]) -> Result<Unsealed<'_>, CodecError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.take(4)?;
@@ -174,26 +151,22 @@ pub fn unseal(bytes: &[u8]) -> Result<Unsealed<'_>, CodecError> {
         return Err(CodecError::BadMagic);
     }
     let version = r.u16()?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let tag = r.u8()?;
     let _reserved = r.u8()?;
     let payload_len = r.len_for(1)?;
     let payload = r.take(payload_len)?;
-    let fingerprint = if version >= 2 {
-        let f_len = r.u32()? as usize;
-        let f = r.take(f_len)?;
-        (!f.is_empty()).then_some(f)
-    } else {
-        None
-    };
+    let f_len = r.u32()? as usize;
+    let f = r.take(f_len)?;
+    let fingerprint = (!f.is_empty()).then_some(f);
     let stored_crc = r.u32()?;
     r.finish()?;
     if crc32(&bytes[..bytes.len() - 4]) != stored_crc {
         return Err(CodecError::ChecksumMismatch);
     }
-    Ok(Unsealed { version, tag, payload, fingerprint })
+    Ok(Unsealed { tag, payload, fingerprint })
 }
 
 #[cfg(test)]
@@ -211,12 +184,6 @@ mod tests {
         assert_eq!(sealed[..4], FILTER_MAGIC);
         assert_eq!(u16::from_le_bytes([sealed[4], sealed[5]]), FORMAT_VERSION);
         assert_eq!(FORMAT_VERSION, 2);
-        // The compatibility floor: v1 envelopes must keep decoding for as
-        // long as MIN_FORMAT_VERSION says they do.
-        assert_eq!(MIN_FORMAT_VERSION, 1);
-        let v1 = seal_v1(FilterKind::NoFilter, &[]);
-        assert_eq!(u16::from_le_bytes([v1[4], v1[5]]), MIN_FORMAT_VERSION);
-        assert!(unseal(&v1).is_ok());
     }
 
     #[test]
@@ -225,7 +192,6 @@ mod tests {
         let sealed = seal(FilterKind::Proteus, payload);
         assert_eq!(sealed.len(), envelope_len(payload.len(), 0));
         let u = unseal(&sealed).unwrap();
-        assert_eq!(u.version, FORMAT_VERSION);
         assert_eq!(u.tag, FilterKind::Proteus as u8);
         assert_eq!(u.payload, payload);
         assert_eq!(u.fingerprint, None);
@@ -240,26 +206,6 @@ mod tests {
         let u = unseal(&sealed).unwrap();
         assert_eq!(u.payload, payload);
         assert_eq!(u.fingerprint, Some(fp.as_slice()));
-    }
-
-    #[test]
-    fn v1_envelopes_still_decode_without_fingerprint() {
-        let payload = b"legacy v1 payload";
-        let sealed = seal_v1(FilterKind::TwoPbf, payload);
-        let u = unseal(&sealed).unwrap();
-        assert_eq!(u.version, 1);
-        assert_eq!(u.tag, FilterKind::TwoPbf as u8);
-        assert_eq!(u.payload, payload);
-        assert_eq!(u.fingerprint, None, "v1 must default to no fingerprint");
-        // v1 corruption and truncation still fail.
-        for cut in 0..sealed.len() {
-            assert!(unseal(&sealed[..cut]).is_err(), "cut {cut}");
-        }
-        for i in 0..sealed.len() {
-            let mut bad = sealed.clone();
-            bad[i] ^= 0x10;
-            assert!(unseal(&bad).is_err(), "flip at byte {i}");
-        }
     }
 
     #[test]
@@ -295,9 +241,9 @@ mod tests {
         let mut sealed = seal(FilterKind::NoFilter, &[]);
         sealed[0] = b'X';
         assert_eq!(unseal(&sealed).unwrap_err(), CodecError::BadMagic);
-        // Versions outside [MIN_FORMAT_VERSION, FORMAT_VERSION] are
-        // rejected before the checksum so the error names the real problem.
-        for bad_version in [0u8, FORMAT_VERSION as u8 + 1] {
+        // Every other version — the retired v1 included — is rejected
+        // before the checksum so the error names the real problem.
+        for bad_version in [0u8, 1, FORMAT_VERSION as u8 + 1] {
             let mut sealed = seal(FilterKind::NoFilter, &[]);
             sealed[4] = bad_version;
             assert_eq!(

@@ -33,10 +33,10 @@ pub struct DecodedFilter {
     /// filter was replaced by [`NoFilter`] (callers surface this through a
     /// stats counter).
     pub degraded: bool,
-    /// The training fingerprint persisted next to the filter (codec v2) —
-    /// the prefix histogram of the sample queries it was trained on. `None`
-    /// for v1 envelopes and for filters encoded without one; drift
-    /// detection then falls back to observed-FPR triggers alone.
+    /// The training fingerprint persisted next to the filter — the prefix
+    /// histogram of the sample queries it was trained on. `None` for
+    /// filters encoded without one; drift detection then falls back to
+    /// observed-FPR triggers alone.
     pub fingerprint: Option<QuerySketch>,
 }
 
@@ -92,8 +92,7 @@ impl FilterCodec {
         Ok(seal_with_fingerprint(kind, &payload, &fingerprint.encode()))
     }
 
-    /// Decode an envelope produced by [`FilterCodec::encode`] (either
-    /// supported envelope version).
+    /// Decode an envelope produced by [`FilterCodec::encode`].
     pub fn decode(bytes: &[u8]) -> Result<DecodedFilter, CodecError> {
         let u = unseal(bytes)?;
         let fingerprint = match u.fingerprint {

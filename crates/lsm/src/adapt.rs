@@ -14,8 +14,8 @@
 //!      once `adapt_min_probes` probes accumulate, an empirical FPR above
 //!      `adapt_fpr_threshold` flags the file.
 //!   2. *Distribution drift*: each filter block persists a
-//!      [`QuerySketch`] fingerprint of the sample it was trained on
-//!      (codec v2). The live sample queue, sketched over the same anchors
+//!      [`QuerySketch`] fingerprint of the sample it was trained on.
+//!      The live sample queue, sketched over the same anchors
 //!      (the file's key range), is compared by total-variation distance;
 //!      divergence above `adapt_divergence_threshold` flags the file
 //!      *before* the FPR damage fully materializes.
@@ -222,7 +222,7 @@ mod tests {
         }
         // The rewritten file reopens cold with the retrained filter and
         // fingerprint (no retraining on the recovery path).
-        let reopened = SstReader::open(dir.join("00000001.sst"), 1, 8).unwrap();
+        let reopened = SstReader::open(dir.join("00000001.sst"), 1).unwrap();
         let fresh = Stats::default();
         let g = reopened.filter(&fresh).expect("persisted retrained filter");
         assert_eq!(g.size_bits(), f.size_bits());

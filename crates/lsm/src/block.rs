@@ -1,31 +1,27 @@
 //! Data block format.
 //!
-//! A block holds a run of sorted entries. Three entry layouts exist,
-//! selected by the containing SST file's format version (the block
-//! itself carries no version byte):
+//! A block holds a run of sorted entries in the one layout `PRSSTv3`
+//! files use (the block itself carries no version byte):
 //!
 //! ```text
-//! v1 (PRSSTv1, read-only): [u32 n] ([key(w)][u32 value_len][value])*
-//! v2 (PRSSTv2, read-only): [u32 n] ([key(w)][u8 flags][u32 value_len][value])*
-//! v3 (PRSSTv3):            [u32 n] ([u16 shared][u16 non_shared][u8 flags]
-//!                                   [u32 value_len][key_suffix][value])*
+//! [u32 n] ([u16 shared][u16 non_shared][u8 flags]
+//!          [u32 value_len][key_suffix][value])*
 //! ```
 //!
-//! v1/v2 keys are fixed-width (`w` comes from the SST footer). v3 keys
-//! are variable-length with restart-point prefix compression: an entry
-//! records how many leading bytes it shares with the previous key
+//! Keys are variable-length with restart-point prefix compression: an
+//! entry records how many leading bytes it shares with the previous key
 //! (`shared`) and stores only the remaining `non_shared` suffix. Every
 //! [`RESTART_INTERVAL`]-th entry is a *restart point* and must encode
 //! `shared = 0` (a full key), bounding how far a corrupt prefix chain
 //! can propagate. The decoder materializes every full key eagerly, so
-//! lookups binary-search exactly as they do for fixed-width layouts.
+//! lookups are a plain binary search over decoded spans.
 //!
-//! The `flags` byte (v2 and v3) currently defines bit 0: `1` marks the
-//! entry as a *tombstone* (a persisted delete; it must carry a
-//! zero-length value). All other bits are reserved and must be zero — a
-//! nonzero reserved bit, a tombstone with a value, a zero-length v3 key,
-//! a `shared` run longer than the previous key, or out-of-order keys are
-//! reported as corruption, never decoded loosely.
+//! The `flags` byte currently defines bit 0: `1` marks the entry as a
+//! *tombstone* (a persisted delete; it must carry a zero-length value).
+//! All other bits are reserved and must be zero — a nonzero reserved
+//! bit, a tombstone with a value, a zero-length key, a `shared` run
+//! longer than the previous key, or out-of-order keys are reported as
+//! corruption, never decoded loosely.
 //!
 //! On disk a block is prefixed by `[u8 codec][u32 raw_len][u32 stored_len]`
 //! where codec 0 = raw, 1 = zero-RLE ([`crate::compress`]). Decoding
@@ -65,7 +61,7 @@ fn put_len_u32(buf: &mut Vec<u8>, len: usize) {
     buf.extend_from_slice(&(len as u32).to_le_bytes());
 }
 
-/// Append a length as a little-endian `u16` wire field (v3 key spans).
+/// Append a length as a little-endian `u16` wire field (key spans).
 /// Key lengths are bounded well below 64 KiB; debug builds assert.
 #[inline]
 fn put_len_u16(buf: &mut Vec<u8>, len: usize) {
@@ -74,74 +70,14 @@ fn put_len_u16(buf: &mut Vec<u8>, len: usize) {
     buf.extend_from_slice(&(len as u16).to_le_bytes());
 }
 
-/// Entry flag bit marking a tombstone (v2 and v3 layouts).
+/// Entry flag bit marking a tombstone.
 pub const FLAG_TOMBSTONE: u8 = 1;
 
-/// Every this-many v3 entries, the builder emits a full key
+/// Every this-many entries, the builder emits a full key
 /// (`shared = 0`) and the decoder enforces it.
 pub const RESTART_INTERVAL: usize = 16;
 
-/// Builder for one fixed-width data block (the v2 entry layout; v1 is
-/// only ever read, never written). Kept for the v2 golden fixtures and
-/// tests — production writes go through [`VarBlockBuilder`].
-#[derive(Debug)]
-pub struct BlockBuilder {
-    width: usize,
-    buf: Vec<u8>,
-    n: u32,
-    first_key: Option<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
-}
-
-impl BlockBuilder {
-    /// Start an empty block for `width`-byte keys.
-    pub fn new(width: usize) -> Self {
-        BlockBuilder { width, buf: vec![0u8; 4], n: 0, first_key: None, last_key: None }
-    }
-
-    /// Append an entry (keys must arrive in order; the builder does not
-    /// re-sort). `Some` is a live value, `None` a tombstone.
-    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) {
-        debug_assert_eq!(key.len(), self.width);
-        if self.first_key.is_none() {
-            self.first_key = Some(key.to_vec());
-        }
-        self.last_key = Some(key.to_vec());
-        self.buf.extend_from_slice(key);
-        match value {
-            Some(v) => {
-                self.buf.push(0);
-                put_len_u32(&mut self.buf, v.len());
-                self.buf.extend_from_slice(v);
-            }
-            None => {
-                self.buf.push(FLAG_TOMBSTONE);
-                self.buf.extend_from_slice(&0u32.to_le_bytes());
-            }
-        }
-        self.n += 1;
-    }
-
-    /// True before the first entry is added.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Current uncompressed payload size.
-    pub fn raw_len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Finish the block: returns `(disk bytes, first_key, last_key)`.
-    pub fn finish(mut self) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-        assert!(self.n > 0, "empty block");
-        self.buf[..4].copy_from_slice(&self.n.to_le_bytes());
-        // lint: allow(no-panic): the assert above guarantees at least one entry
-        (to_disk(self.buf), self.first_key.unwrap(), self.last_key.unwrap())
-    }
-}
-
-/// Builder for one v3 data block: variable-length keys with
+/// Builder for one data block: variable-length keys with
 /// restart-point prefix compression.
 #[derive(Debug)]
 pub struct VarBlockBuilder {
@@ -236,7 +172,7 @@ fn to_disk(raw: Vec<u8>) -> Vec<u8> {
     disk
 }
 
-/// One materialized v3 entry: spans into `Block::keybuf` / `Block::data`.
+/// One materialized entry: spans into `Block::keybuf` / `Block::data`.
 #[derive(Debug, Clone, Copy)]
 struct VarEntry {
     key_off: u32,
@@ -246,21 +182,14 @@ struct VarEntry {
     tombstone: bool,
 }
 
-/// Which entry layout a decoded block uses, plus its lookup structures.
-#[derive(Debug, Clone)]
-enum Layout {
-    /// v1/v2: fixed-width keys at computed offsets into `data`.
-    Fixed { width: usize, has_flags: bool, offsets: Vec<u32> },
-    /// v3: variable-length keys, materialized into `keybuf`.
-    Var { keybuf: Vec<u8>, entries: Vec<VarEntry> },
-}
-
 /// A decoded, searchable block.
 #[derive(Debug, Clone)]
 pub struct Block {
-    /// Decoded payload.
+    /// Decoded payload (values are served from here).
     data: Vec<u8>,
-    layout: Layout,
+    /// Every full key, materialized by resolving the prefix chain.
+    keybuf: Vec<u8>,
+    entries: Vec<VarEntry>,
 }
 
 fn corrupt(what: &str) -> Error {
@@ -294,53 +223,7 @@ fn decode_disk(disk: &[u8]) -> Result<Vec<u8>> {
 }
 
 impl Block {
-    /// Decode a fixed-width (v1/v2) block from disk bytes (including the
-    /// codec header). `has_flags` selects the entry layout: `true` for
-    /// SST format v2, `false` for the flag-less v1 layout. Malformed
-    /// bytes — truncation, an unknown codec, a reserved flag bit, a
-    /// tombstone carrying a value, or any length that escapes the buffer
-    /// — yield [`Error::Corruption`].
-    pub fn decode(disk: &[u8], width: usize, has_flags: bool) -> Result<Block> {
-        let data = decode_disk(disk)?;
-        if data.len() < 4 {
-            return Err(corrupt("missing entry count"));
-        }
-        let n = le_u32_at(&data, 0).ok_or_else(|| corrupt("missing entry count"))? as usize;
-        let head = if has_flags { width + 5 } else { width + 4 };
-        let mut offsets = Vec::with_capacity(n);
-        let mut pos = 4usize;
-        for _ in 0..n {
-            if pos + head > data.len() {
-                return Err(corrupt("entry overruns the block"));
-            }
-            offsets.push(to_u32(pos, "entry offset exceeds u32")?);
-            let vlen_off = if has_flags {
-                let flags = data[pos + width];
-                if flags & !FLAG_TOMBSTONE != 0 {
-                    return Err(corrupt(&format!("reserved entry flag bits set ({flags:#04x})")));
-                }
-                pos + width + 1
-            } else {
-                pos + width
-            };
-            let vlen = le_u32_at(&data, vlen_off)
-                .ok_or_else(|| corrupt("entry overruns the block"))?
-                as usize;
-            if has_flags && data[pos + width] & FLAG_TOMBSTONE != 0 && vlen != 0 {
-                return Err(corrupt("tombstone entry carries a value"));
-            }
-            pos = vlen_off + 4 + vlen;
-            if pos > data.len() {
-                return Err(corrupt("value overruns the block"));
-            }
-        }
-        if pos != data.len() {
-            return Err(corrupt("trailing bytes after the last entry"));
-        }
-        Ok(Block { data, layout: Layout::Fixed { width, has_flags, offsets } })
-    }
-
-    /// Decode a v3 (variable-length key) block from disk bytes. Every
+    /// Decode a block from disk bytes (including the codec header). Every
     /// full key is materialized eagerly by resolving the prefix chain;
     /// a `shared` run longer than the previous key, a non-restart chain
     /// crossing a restart point, a zero-length key, out-of-order keys,
@@ -410,7 +293,7 @@ impl Block {
         if pos != data.len() {
             return Err(corrupt("trailing bytes after the last entry"));
         }
-        Ok(Block { data, layout: Layout::Var { keybuf, entries } })
+        Ok(Block { data, keybuf, entries })
     }
 
     /// On-disk size of the block starting at `disk` (header + payload).
@@ -424,62 +307,30 @@ impl Block {
 
     /// Number of entries in the block.
     pub fn len(&self) -> usize {
-        match &self.layout {
-            Layout::Fixed { offsets, .. } => offsets.len(),
-            Layout::Var { entries, .. } => entries.len(),
-        }
+        self.entries.len()
     }
 
-    /// True for a block with no entries (never written by the builders).
+    /// True for a block with no entries (never written by the builder).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// The `i`-th key (entries are sorted ascending).
     pub fn key(&self, i: usize) -> &[u8] {
-        match &self.layout {
-            Layout::Fixed { width, offsets, .. } => {
-                let off = offsets[i] as usize;
-                &self.data[off..off + width]
-            }
-            Layout::Var { keybuf, entries } => {
-                let e = entries[i];
-                &keybuf[e.key_off as usize..(e.key_off + e.key_len) as usize]
-            }
-        }
+        let e = self.entries[i];
+        &self.keybuf[e.key_off as usize..(e.key_off + e.key_len) as usize]
     }
 
-    /// Is the `i`-th entry a tombstone? Always `false` for v1 blocks.
+    /// Is the `i`-th entry a tombstone?
     pub fn is_tombstone(&self, i: usize) -> bool {
-        match &self.layout {
-            Layout::Fixed { width, has_flags, offsets } => {
-                if !has_flags {
-                    return false;
-                }
-                let off = offsets[i] as usize;
-                self.data[off + width] & FLAG_TOMBSTONE != 0
-            }
-            Layout::Var { entries, .. } => entries[i].tombstone,
-        }
+        self.entries[i].tombstone
     }
 
     /// The `i`-th value (empty for a tombstone; use [`Block::entry`] to
     /// tell an empty value from a delete).
     pub fn value(&self, i: usize) -> &[u8] {
-        match &self.layout {
-            Layout::Fixed { width, has_flags, offsets } => {
-                let off = offsets[i] as usize;
-                let vlen_off = if *has_flags { off + width + 1 } else { off + width };
-                // lint: allow(no-panic): entry spans were validated at decode time
-                let vlen = u32::from_le_bytes(self.data[vlen_off..vlen_off + 4].try_into().unwrap())
-                    as usize;
-                &self.data[vlen_off + 4..vlen_off + 4 + vlen]
-            }
-            Layout::Var { entries, .. } => {
-                let e = entries[i];
-                &self.data[e.val_off as usize..(e.val_off + e.val_len) as usize]
-            }
-        }
+        let e = self.entries[i];
+        &self.data[e.val_off as usize..(e.val_off + e.val_len) as usize]
     }
 
     /// The `i`-th entry as `(key, Some(value) | None)` where `None` marks
@@ -506,12 +357,7 @@ impl Block {
 
     /// Approximate decoded memory footprint (for the block cache budget).
     pub fn mem_bytes(&self) -> usize {
-        match &self.layout {
-            Layout::Fixed { offsets, .. } => self.data.len() + offsets.len() * 4,
-            Layout::Var { keybuf, entries } => {
-                self.data.len() + keybuf.len() + entries.len() * std::mem::size_of::<VarEntry>()
-            }
-        }
+        self.data.len() + self.keybuf.len() + self.entries.len() * std::mem::size_of::<VarEntry>()
     }
 }
 
@@ -520,7 +366,7 @@ mod tests {
     use super::*;
 
     fn sample_block() -> (Vec<u8>, Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let mut b = BlockBuilder::new(8);
+        let mut b = VarBlockBuilder::new();
         let keys: Vec<Vec<u8>> = (0..50u64).map(|i| (i * 7).to_be_bytes().to_vec()).collect();
         let vals: Vec<Vec<u8>> = (0..50u64)
             .map(|i| {
@@ -538,25 +384,10 @@ mod tests {
         (disk, keys, vals)
     }
 
-    /// Encode a v1-layout block (no flag byte) for the compat tests.
-    fn v1_block(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
-        let mut raw = (entries.len() as u32).to_le_bytes().to_vec();
-        for (k, v) in entries {
-            raw.extend_from_slice(k);
-            raw.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            raw.extend_from_slice(v);
-        }
-        let mut disk = vec![0u8];
-        disk.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-        disk.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-        disk.extend_from_slice(&raw);
-        disk
-    }
-
     #[test]
     fn roundtrip() {
         let (disk, keys, vals) = sample_block();
-        let block = Block::decode(&disk, 8, true).unwrap();
+        let block = Block::decode_v3(&disk).unwrap();
         assert_eq!(block.len(), 50);
         for i in 0..50 {
             assert_eq!(block.key(i), &keys[i][..]);
@@ -567,34 +398,19 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_roundtrip() {
-        let mut b = BlockBuilder::new(4);
+    fn tombstones_and_empty_values_are_distinguishable() {
+        let mut b = VarBlockBuilder::new();
         b.add(&[0, 0, 0, 1], Some(b"alive"));
         b.add(&[0, 0, 0, 2], None);
         b.add(&[0, 0, 0, 3], Some(b""));
         let (disk, _, _) = b.finish();
-        let block = Block::decode(&disk, 4, true).unwrap();
+        let block = Block::decode_v3(&disk).unwrap();
         assert_eq!(block.entry(0), (&[0, 0, 0, 1][..], Some(&b"alive"[..])));
         assert_eq!(block.entry(1), (&[0, 0, 0, 2][..], None));
         assert!(block.is_tombstone(1));
         // An empty value is alive: distinguishable from a tombstone.
         assert_eq!(block.entry(2), (&[0, 0, 0, 3][..], Some(&b""[..])));
         assert!(!block.is_tombstone(2));
-    }
-
-    #[test]
-    fn v1_layout_decodes_without_flags() {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> =
-            (0..10u32).map(|i| (i.to_be_bytes().to_vec(), vec![i as u8; 3])).collect();
-        let disk = v1_block(&entries);
-        let block = Block::decode(&disk, 4, false).unwrap();
-        assert_eq!(block.len(), 10);
-        for (i, (k, v)) in entries.iter().enumerate() {
-            assert_eq!(block.entry(i), (&k[..], Some(&v[..])));
-            assert!(!block.is_tombstone(i));
-        }
-        // The same bytes under the v2 layout are rejected, not misread.
-        assert!(Block::decode(&disk, 4, true).is_err());
     }
 
     #[test]
@@ -610,70 +426,12 @@ mod tests {
     #[test]
     fn lower_bound_search() {
         let (disk, _, _) = sample_block();
-        let block = Block::decode(&disk, 8, true).unwrap();
+        let block = Block::decode_v3(&disk).unwrap();
         assert_eq!(block.lower_bound(&0u64.to_be_bytes()), 0);
         assert_eq!(block.lower_bound(&7u64.to_be_bytes()), 1);
         assert_eq!(block.lower_bound(&8u64.to_be_bytes()), 2);
         assert_eq!(block.lower_bound(&343u64.to_be_bytes()), 49);
         assert_eq!(block.lower_bound(&344u64.to_be_bytes()), 50);
-    }
-
-    #[test]
-    fn empty_values_supported() {
-        let mut b = BlockBuilder::new(4);
-        b.add(&[0, 0, 0, 1], Some(b""));
-        b.add(&[0, 0, 0, 2], Some(b"x"));
-        let (disk, _, _) = b.finish();
-        let block = Block::decode(&disk, 4, true).unwrap();
-        assert_eq!(block.value(0), b"");
-        assert_eq!(block.value(1), b"x");
-    }
-
-    #[test]
-    fn corrupt_flag_bytes_and_truncations_are_errors_not_panics() {
-        // Raw (incompressible) values so entry offsets are predictable.
-        let mut b = BlockBuilder::new(4);
-        let vals: Vec<Vec<u8>> =
-            (0..4u32).map(|i| (0..16).map(|j| (i * 31 + j * 7 + 1) as u8).collect()).collect();
-        for (i, v) in vals.iter().enumerate() {
-            b.add(&(i as u32).to_be_bytes(), Some(v));
-        }
-        let (disk, _, _) = b.finish();
-        assert_eq!(disk[0], 0, "this block must be stored raw");
-
-        // Reserved flag bits set → corruption.
-        let flag_off = 9 + 4 + 4; // header + n + first key
-        let mut bad = disk.clone();
-        bad[flag_off] = 0x82;
-        assert!(matches!(Block::decode(&bad, 4, true), Err(Error::Corruption(_))));
-        // Tombstone with a value → corruption.
-        let mut bad = disk.clone();
-        bad[flag_off] = FLAG_TOMBSTONE;
-        assert!(matches!(Block::decode(&bad, 4, true), Err(Error::Corruption(_))));
-        // Truncations anywhere must error, never panic.
-        for cut in 0..disk.len() {
-            assert!(Block::decode(&disk[..cut], 4, true).is_err(), "cut {cut}");
-        }
-        // disk_len on a truncated header is corruption, not a panic; with
-        // the header intact it still reports the full on-disk size.
-        for cut in 0..9 {
-            assert!(
-                matches!(Block::disk_len(&disk[..cut]), Err(Error::Corruption(_))),
-                "cut {cut}"
-            );
-        }
-        for cut in 9..=disk.len() {
-            assert_eq!(Block::disk_len(&disk[..cut]).unwrap(), disk.len(), "cut {cut}");
-        }
-        // Unknown codec byte.
-        let mut bad = disk.clone();
-        bad[0] = 9;
-        assert!(Block::decode(&bad, 4, true).is_err());
-        // Oversized value length.
-        let mut bad = disk;
-        let vlen_off = flag_off + 1;
-        bad[vlen_off..vlen_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Block::decode(&bad, 4, true).is_err());
     }
 
     /// Shared-prefix string keys of wildly different lengths, exercising
@@ -769,6 +527,21 @@ mod tests {
         for cut in 0..disk.len() {
             assert!(Block::decode_v3(&disk[..cut]).is_err(), "cut {cut}");
         }
+        // disk_len on a truncated header is corruption, not a panic; with
+        // the header intact it still reports the full on-disk size.
+        for cut in 0..9 {
+            assert!(
+                matches!(Block::disk_len(&disk[..cut]), Err(Error::Corruption(_))),
+                "cut {cut}"
+            );
+        }
+        for cut in 9..=disk.len() {
+            assert_eq!(Block::disk_len(&disk[..cut]).unwrap(), disk.len(), "cut {cut}");
+        }
+        // Unknown codec byte.
+        let mut bad = disk.clone();
+        bad[0] = 9;
+        assert!(Block::decode_v3(&bad).is_err());
         // First entry header starts at payload offset 4 → disk offset 13.
         let e0 = 9 + 4;
         // Reserved flag bits.

@@ -250,15 +250,15 @@ impl ShardedBlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockBuilder;
+    use crate::block::VarBlockBuilder;
 
     fn make_block(tag: u64, entries: usize) -> Arc<Block> {
-        let mut b = BlockBuilder::new(8);
+        let mut b = VarBlockBuilder::new();
         for i in 0..entries {
             b.add(&((tag << 32) + i as u64).to_be_bytes(), Some(&[1u8; 64]));
         }
         let (disk, _, _) = b.finish();
-        Arc::new(Block::decode(&disk, 8, true).unwrap())
+        Arc::new(Block::decode_v3(&disk).unwrap())
     }
 
     #[test]

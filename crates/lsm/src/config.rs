@@ -1,11 +1,9 @@
 //! Database configuration: [`DbConfig`] and its validating builder.
 //!
-//! v2 of the API constructs configurations through [`DbConfig::builder`],
-//! which validates every knob before a [`crate::Db`] ever sees it; the
-//! same validation runs again inside [`crate::Db::open`], so a hand-rolled
-//! struct literal cannot smuggle a nonsensical value past the boundary.
-//! Direct field access is deprecated and kept only so pre-v2 callers keep
-//! compiling.
+//! Configurations are constructed through [`DbConfig::builder`], which
+//! validates every knob before a [`crate::Db`] ever sees it, and read
+//! through the getters; the fields themselves are private. The same
+//! validation runs again inside [`crate::Db::open`] as the boundary check.
 
 use crate::error::{Error, Result};
 use std::time::Duration;
@@ -50,84 +48,63 @@ pub enum SyncMode {
 /// # Ok::<(), proteus_lsm::Error>(())
 /// ```
 ///
-/// The public fields are deprecated: they predate the builder and stay
-/// only for source compatibility. [`crate::Db::open`] validates the
-/// configuration either way, so an invalid hand-built struct fails the
-/// open with [`Error::Config`] instead of misbehaving later.
+/// [`crate::Db::open`] validates whatever configuration it is handed, so
+/// an invalid one fails the open with [`Error::Config`] instead of
+/// misbehaving later.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
     /// Canonical filter-training width in bytes: keys are NUL-padded (or
     /// truncated) to this width before feeding a range filter (§7.1's
     /// string canonicalization). Keys themselves are variable-length; see
     /// `max_key_bytes` for the accepted key lengths.
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub key_width: usize,
+    key_width: usize,
     /// Largest accepted key length in bytes (keys are arbitrary non-empty
     /// byte strings up to this limit).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub max_key_bytes: usize,
+    max_key_bytes: usize,
     /// MemTable rotation threshold (write_buffer_size).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub memtable_bytes: usize,
+    memtable_bytes: usize,
     /// Immutable MemTables allowed to queue before writers stall
     /// (max_write_buffer_number - 1).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub max_immutable_memtables: usize,
+    max_immutable_memtables: usize,
     /// Data block size (RocksDB default 4 KiB).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub block_bytes: usize,
+    block_bytes: usize,
     /// Target SST file size when splitting compaction output.
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub sst_target_bytes: u64,
+    sst_target_bytes: u64,
     /// L0 file count triggering compaction into L1.
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub l0_compaction_trigger: usize,
+    l0_compaction_trigger: usize,
     /// Total size target of L1 (max_bytes_for_level_base).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub level_base_bytes: u64,
+    level_base_bytes: u64,
     /// Per-level size multiplier.
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub level_size_ratio: u64,
+    level_size_ratio: u64,
     /// Filter memory budget per key.
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub bits_per_key: f64,
+    bits_per_key: f64,
     /// Block cache capacity.
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub block_cache_bytes: usize,
+    block_cache_bytes: usize,
     /// Sample query queue capacity (§6.1: 20K).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub queue_capacity: usize,
+    queue_capacity: usize,
     /// Record every n-th executed empty query (§6.1: 100).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub sample_every: u64,
+    sample_every: u64,
     /// Run the adaptive filter lifecycle: a third background worker that
     /// monitors per-SST observed FPR and sample-distribution drift and
     /// re-trains filters in place (see the [`crate::adapt`] module docs).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub adapt_enabled: bool,
+    adapt_enabled: bool,
     /// Observed per-file FPR above this flags the file for re-training
     /// (only after `adapt_min_probes` probes).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub adapt_fpr_threshold: f64,
+    adapt_fpr_threshold: f64,
     /// Minimum filter probes against a file before its observed FPR is
     /// trusted (Chernoff-style: too few probes is noise).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub adapt_min_probes: u64,
+    adapt_min_probes: u64,
     /// How often the adapter wakes to scan for flagged files.
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub adapt_interval: Duration,
+    adapt_interval: Duration,
     /// Total-variation distance between a filter's training fingerprint
     /// and the live sample distribution above which the file is flagged
     /// even before its observed FPR degrades.
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub adapt_divergence_threshold: f64,
+    adapt_divergence_threshold: f64,
     /// When the write-ahead log syncs (durability vs latency; see
     /// [`SyncMode`]).
-    #[deprecated(note = "construct configurations via DbConfig::builder()")]
-    pub sync_mode: SyncMode,
+    sync_mode: SyncMode,
 }
 
-#[allow(deprecated)] // the defaults initialize the deprecated fields
 impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
@@ -165,9 +142,8 @@ impl DbConfig {
         DbConfigBuilder { cfg: self.clone() }
     }
 
-    /// Check every knob; [`crate::Db::open`] runs this on whatever it is
-    /// handed, built or hand-rolled.
-    #[allow(deprecated)]
+    /// Check every knob; [`DbConfigBuilder::build`] and [`crate::Db::open`]
+    /// both run this.
     pub fn validate(&self) -> Result<()> {
         fn bad(what: &str) -> Result<()> {
             Err(Error::config(what.to_string()))
@@ -237,14 +213,13 @@ impl DbConfig {
 macro_rules! getter {
     ($(#[$doc:meta])* $name:ident: $ty:ty) => {
         $(#[$doc])*
-        #[allow(deprecated)]
         pub fn $name(&self) -> $ty {
             self.$name
         }
     };
 }
 
-/// Non-deprecated read access (the deprecated public fields predate these).
+/// Read access to every knob.
 impl DbConfig {
     getter!(
         /// Canonical filter-training width in bytes (not a key length
@@ -338,7 +313,6 @@ pub struct DbConfigBuilder {
 macro_rules! setter {
     ($(#[$doc:meta])* $name:ident: $ty:ty) => {
         $(#[$doc])*
-        #[allow(deprecated)]
         pub fn $name(mut self, v: $ty) -> Self {
             self.cfg.$name = v;
             self
@@ -446,20 +420,14 @@ mod tests {
             .sample_every(7)
             .build()
             .unwrap();
-        #[allow(deprecated)]
-        {
-            assert_eq!(cfg.key_width, 16);
-            assert_eq!(cfg.memtable_bytes, 64 << 10);
-            assert_eq!(cfg.bits_per_key, 14.0);
-            assert_eq!(cfg.sample_every, 7);
-        }
+        assert_eq!(cfg.key_width(), 16);
+        assert_eq!(cfg.memtable_bytes(), 64 << 10);
+        assert_eq!(cfg.bits_per_key(), 14.0);
+        assert_eq!(cfg.sample_every(), 7);
         // Deriving a variant keeps the base values.
         let derived = cfg.to_builder().bits_per_key(8.0).build().unwrap();
-        #[allow(deprecated)]
-        {
-            assert_eq!(derived.key_width, 16);
-            assert_eq!(derived.bits_per_key, 8.0);
-        }
+        assert_eq!(derived.key_width(), 16);
+        assert_eq!(derived.bits_per_key(), 8.0);
     }
 
     #[test]
@@ -491,6 +459,17 @@ mod tests {
         ] {
             assert!(matches!(res, Err(Error::Config(_))), "{tag} must be rejected");
         }
+    }
+
+    #[test]
+    fn open_revalidates_a_config_that_bypassed_the_builder() {
+        // Only this module can build a `DbConfig` without `build()`; the
+        // boundary check inside `Db::open` must still catch it.
+        let broken = DbConfig { level_size_ratio: 0, ..Default::default() };
+        let dir = std::env::temp_dir().join(format!("proteus-cfg-bad-{}", std::process::id()));
+        let opened = crate::Db::open(&dir, broken, std::sync::Arc::new(crate::NoFilterFactory));
+        assert!(matches!(opened, Err(Error::Config(_))));
+        assert!(!dir.exists(), "a rejected open must not create the directory");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! [`Db::delete`] and atomic [`Db::write`] batches; the read surface is
 //! [`Db::get`], [`Db::range`] (an ordered, deduplicated, tombstone-aware
 //! merge iterator) and [`Db::seek`], which is a thin emptiness wrapper
-//! around the same merge. Deletes are first-class: a tombstone entry
+//! around the same merge — all three implemented by the one layer walk
+//! in [`crate::read`]; this module holds the handle, recovery, the write
+//! path and the background workers. Deletes are first-class: a tombstone entry
 //! shadows every older version of its key through MemTables, SSTs,
 //! compaction and recovery, and is only dropped once a compaction output
 //! lands at the bottom of the tree, where nothing older can remain.
@@ -87,17 +89,16 @@
 //! expose a half-edited version.
 
 use crate::batch::WriteBatch;
-use crate::block::Block;
 use crate::cache::ShardedBlockCache;
 use crate::error::{Error, Result};
 use crate::filter_hook::FilterFactory;
-use crate::iter::RangeIter;
 use crate::memtable::MemTable;
 use crate::query_queue::QueryQueue;
+use crate::read::RangeIter;
 use crate::sst::{SstReader, SstScanner, SstWriter};
 use crate::stats::Stats;
 use crate::wal::{self, Wal};
-use proteus_core::key::{pad_key, u64_key};
+use proteus_core::key::u64_key;
 use proteus_core::sync::{
     rank, Condvar, LockObserver, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
@@ -176,15 +177,15 @@ enum CompactionJob {
 /// Shared state behind the public handle; owned by the caller-facing
 /// [`Db`] and by both background worker threads.
 pub(crate) struct DbInner {
-    cfg: DbConfig,
+    pub(crate) cfg: DbConfig,
     dir: PathBuf,
     mem: RwLock<MemState>,
     wal: Wal,
     manifest: RwLock<Arc<Version>>,
     next_sst_id: AtomicU64,
     factory: Arc<dyn FilterFactory>,
-    queue: QueryQueue,
-    cache: ShardedBlockCache,
+    pub(crate) queue: QueryQueue,
+    pub(crate) cache: ShardedBlockCache,
     pub(crate) stats: Arc<Stats>,
     gate: Mutex<Coord>,
     /// Wakes the flusher (rotation, shutdown).
@@ -237,56 +238,12 @@ pub(crate) struct DbInner {
 /// # Ok::<(), proteus_lsm::Error>(())
 /// ```
 pub struct Db {
-    inner: Arc<DbInner>,
+    pub(crate) inner: Arc<DbInner>,
     workers: Vec<JoinHandle<()>>,
 }
 
 fn bg_error(msg: &str) -> Error {
     Error::Io(std::io::Error::other(format!("background worker failed: {msg}")))
-}
-
-/// Smallest valid key strictly greater than `key` in the
-/// variable-length byte-string order, if one exists within
-/// `max_key_bytes` (used to normalize `Bound::Excluded` lower bounds).
-/// Below the length cap the successor is simply `key ++ 0x00`; at the
-/// cap it is the big-endian increment, and an all-`0xFF` key at the cap
-/// has no successor.
-fn key_successor(key: &[u8], max_key_bytes: usize) -> Option<Vec<u8>> {
-    let mut k = key.to_vec();
-    if k.len() < max_key_bytes {
-        k.push(0x00);
-        return Some(k);
-    }
-    for b in k.iter_mut().rev() {
-        if *b < 0xFF {
-            *b += 1;
-            return Some(k);
-        }
-        *b = 0;
-    }
-    None
-}
-
-/// Largest valid key strictly smaller than `key` in the
-/// variable-length byte-string order, if one exists (normalizes
-/// `Bound::Excluded` upper bounds). A key ending in `0x00` shrinks to
-/// its prefix; otherwise the last byte decrements and the key extends
-/// with `0xFF` to the length cap. The single-byte key `[0x00]` has no
-/// valid (non-empty) predecessor.
-fn key_predecessor(key: &[u8], max_key_bytes: usize) -> Option<Vec<u8>> {
-    let mut k = key.to_vec();
-    if k.last() == Some(&0x00) {
-        k.pop();
-        if k.is_empty() {
-            return None;
-        }
-        return Some(k);
-    }
-    if let Some(b) = k.last_mut() {
-        *b -= 1;
-    }
-    k.resize(max_key_bytes, 0xFF);
-    Some(k)
 }
 
 impl Db {
@@ -295,15 +252,14 @@ impl Db {
     /// validated first ([`Error::Config`] on a bad knob).
     ///
     /// A directory that already holds SST files is *recovered*: every
-    /// `NNNNNNNN.sst` is reopened through its footer (`PRSSTv3`, plus
-    /// read-only legacy `PRSSTv2`/`PRSSTv1` files), the level manifest is
-    /// rebuilt
-    /// from the per-file level tags, and persisted filters are reloaded
-    /// (lazily, on first probe) instead of retrained. Tombstones persist
-    /// like any other entry, so a delete never un-deletes across a
-    /// reopen. A corrupt footer or index fails the open with
-    /// [`Error::Corruption`]; a corrupt filter block only degrades that
-    /// file to unfiltered probes.
+    /// `NNNNNNNN.sst` is reopened through its `PRSSTv3` footer, the level
+    /// manifest is rebuilt from the per-file level tags, and persisted
+    /// filters are reloaded (lazily, on first probe) instead of
+    /// retrained. Tombstones persist like any other entry, so a delete
+    /// never un-deletes across a reopen. A corrupt footer or index — or a
+    /// file of any other format generation — fails the open with
+    /// [`Error::Corruption`], leaving the directory untouched; a corrupt
+    /// filter block only degrades that file to unfiltered probes.
     ///
     /// Surviving WAL segments are replayed (oldest generation first) into
     /// the recovered MemTable, so every write acked before a crash is
@@ -325,7 +281,7 @@ impl Db {
         let queue = QueryQueue::new(cfg.queue_capacity(), cfg.sample_every());
         let cache = ShardedBlockCache::new(cfg.block_cache_bytes());
         let stats = Arc::new(Stats::default());
-        let (levels, next_sst_id) = Self::recover_levels(&dir, cfg.key_width(), &stats)?;
+        let (levels, next_sst_id) = Self::recover_levels(&dir, &stats)?;
         // WAL recovery: merge every surviving segment, oldest generation
         // first, into the starting MemTable. Segment ids share the SST id
         // allocator, so id order is generation order; replaying a stale
@@ -423,19 +379,21 @@ impl Db {
     /// footers. Returns the levels plus the next free SST id.
     fn recover_levels(
         dir: &std::path::Path,
-        key_width: usize,
         stats: &Stats,
     ) -> Result<(Vec<Vec<Arc<SstReader>>>, u64)> {
         let mut recovered: Vec<Arc<SstReader>> = Vec::new();
+        let mut stragglers: Vec<PathBuf> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
             if let Some(stem) = name.strip_suffix(".sst.tmp") {
                 // A crash mid-write left an unfinished SST (writers stream
                 // into `NNNNNNNN.sst.tmp` and rename on completion):
-                // discard it. Only our own naming pattern is touched.
+                // discard it — once every real SST has opened, so a
+                // refused directory is left exactly as it was. Only our
+                // own naming pattern is touched.
                 if stem.parse::<u64>().is_ok() {
-                    let _ = std::fs::remove_file(&path);
+                    stragglers.push(path);
                 }
                 continue;
             }
@@ -447,7 +405,10 @@ impl Db {
             else {
                 continue; // foreign file; not one of ours
             };
-            recovered.push(Arc::new(SstReader::open(&path, id, key_width)?));
+            recovered.push(Arc::new(SstReader::open(&path, id)?));
+        }
+        for path in stragglers {
+            let _ = std::fs::remove_file(path);
         }
         if recovered.is_empty() {
             return Ok((vec![Vec::new()], 1));
@@ -612,8 +573,11 @@ impl Db {
         K: AsRef<[u8]>,
         R: RangeBounds<K>,
     {
+        // Validate first, like `get`/`seek`: a scan rejected for a bad
+        // bound never started.
+        let bounds = self.inner.resolve_bounds(range)?;
         self.inner.stats.range_scans.inc();
-        match self.inner.resolve_bounds(range)? {
+        match bounds {
             Some((lo, hi)) => RangeIter::new(&self.inner, lo, hi),
             None => Ok(RangeIter::empty()),
         }
@@ -887,7 +851,7 @@ impl DbInner {
 
     /// Reject keys the store cannot represent: zero-length keys and any
     /// key longer than the configured `max_key_bytes` limit.
-    fn check_key(&self, key: &[u8]) -> Result<()> {
+    pub(crate) fn check_key(&self, key: &[u8]) -> Result<()> {
         if key.is_empty() {
             return Err(Error::config("zero-length keys are not valid"));
         }
@@ -899,45 +863,6 @@ impl DbInner {
             )));
         }
         Ok(())
-    }
-
-    /// Normalize arbitrary `RangeBounds` into inclusive canonical keys.
-    /// `Ok(None)` means the range is provably empty (inverted, or an
-    /// excluded bound fell off the key space).
-    fn resolve_bounds<K: AsRef<[u8]>>(
-        &self,
-        range: impl RangeBounds<K>,
-    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        let max = self.cfg.max_key_bytes();
-        let lo = match range.start_bound() {
-            Bound::Unbounded => vec![0x00],
-            Bound::Included(k) => {
-                self.check_key(k.as_ref())?;
-                k.as_ref().to_vec()
-            }
-            Bound::Excluded(k) => {
-                self.check_key(k.as_ref())?;
-                match key_successor(k.as_ref(), max) {
-                    Some(s) => s,
-                    None => return Ok(None),
-                }
-            }
-        };
-        let hi = match range.end_bound() {
-            Bound::Unbounded => vec![0xFFu8; max],
-            Bound::Included(k) => {
-                self.check_key(k.as_ref())?;
-                k.as_ref().to_vec()
-            }
-            Bound::Excluded(k) => {
-                self.check_key(k.as_ref())?;
-                match key_predecessor(k.as_ref(), max) {
-                    Some(p) => p,
-                    None => return Ok(None),
-                }
-            }
-        };
-        Ok((lo <= hi).then_some((lo, hi)))
     }
 
     /// Freeze the active MemTable onto the immutable queue if non-empty,
@@ -1017,194 +942,6 @@ impl DbInner {
             }
         }
         Ok(())
-    }
-
-    /// Probe `sst`'s filter for `[lo, hi]` (clamped to the file's key
-    /// range — the filter only describes this file's keys). `None` means
-    /// the filter proved the range empty for this file (true negative
-    /// recorded; skip it). `Some(real)` admits the file; `real` says
-    /// whether an actual filter passed (false for filterless/degraded
-    /// files), which decides false-positive accounting.
-    pub(crate) fn filter_admits(&self, sst: &SstReader, lo: &[u8], hi: &[u8]) -> Option<bool> {
-        let flo = if lo < sst.min_key.as_slice() { sst.min_key.as_slice() } else { lo };
-        let fhi = if hi > sst.max_key.as_slice() { sst.max_key.as_slice() } else { hi };
-        match sst.filter(&self.stats) {
-            Some(filter) => {
-                // The filter was trained on keys canonicalized to the
-                // file's fixed training width (NUL-pad + truncate, which
-                // is order-preserving), so probes must be canonicalized
-                // the same way — padding both bounds keeps the no-false-
-                // negative guarantee for the raw range.
-                let flo = pad_key(flo, sst.filter_width());
-                let fhi = pad_key(fhi, sst.filter_width());
-                if filter.may_contain_range(&flo, &fhi) {
-                    Some(true)
-                } else {
-                    self.stats.filter_negatives.inc();
-                    sst.record_probe(false);
-                    self.stats.observed_tn.inc();
-                    None
-                }
-            }
-            None => Some(false),
-        }
-    }
-
-    /// Read block `b` of `sst` through the sharded cache.
-    pub(crate) fn cached_block(&self, sst: &Arc<SstReader>, b: usize) -> Result<Arc<Block>> {
-        let id = (sst.id, b as u32);
-        if let Some(block) = self.cache.get(id) {
-            self.stats.cache_hits.inc();
-            return Ok(block);
-        }
-        let block = Arc::new(sst.read_block(b, &self.stats)?);
-        // Don't cache blocks of a compaction-retired file (we may be
-        // reading it through an older snapshot): dead entries would squat
-        // on cache budget forever since SST ids are never reused. The
-        // double-check undoes an insert that raced with the retire+purge.
-        if !sst.is_retired() {
-            self.cache.insert(id, Arc::clone(&block));
-            if sst.is_retired() {
-                self.cache.remove(id);
-            }
-        }
-        Ok(block)
-    }
-
-    /// The §6.1 closed `Seek`, as an emptiness wrapper over the merge
-    /// iterator: build the filter-admitted merge over `[lo, hi]` and ask
-    /// for its first live entry. A fast path answers from the MemTables
-    /// alone when they hold a live, unshadowed key in range — the hot
-    /// path for recently written data, with no snapshot clone, no filter
-    /// probes and no block I/O.
-    fn seek(&self, lo: &[u8], hi: &[u8]) -> Result<bool> {
-        self.check_key(lo)?;
-        self.check_key(hi)?;
-        self.stats.seeks.inc();
-        if lo > hi {
-            // An inverted range is empty by definition: no I/O, no error,
-            // and no sample offer (it is not a meaningful empty query).
-            self.stats.seeks_filtered.inc();
-            return Ok(false);
-        }
-        // MemTable fast path: walk the layers newest-first; a live record
-        // whose key no newer layer tombstoned settles the answer as true
-        // (MemTables are newer than every SST, so nothing can shadow it).
-        // Only tombstone keys need tracking — a newer *live* record would
-        // have answered already.
-        {
-            let mem = self.mem_read()?;
-            let mut dead: std::collections::BTreeSet<Vec<u8>> = std::collections::BTreeSet::new();
-            let layers =
-                std::iter::once(&mem.active).chain(mem.imms.iter().rev().map(|i| i.mem.as_ref()));
-            for layer in layers {
-                for (k, v) in layer.range_iter(lo, hi) {
-                    if v.is_some() {
-                        if !dead.contains(k) {
-                            self.stats.seeks_found.inc();
-                            self.stats.seeks_memtable.inc();
-                            return Ok(true);
-                        }
-                    } else {
-                        dead.insert(k.to_vec());
-                    }
-                }
-            }
-        }
-        let mut it = RangeIter::new(self, lo.to_vec(), hi.to_vec())?;
-        match it.next() {
-            Some(Ok(_)) => {
-                self.stats.seeks_found.inc();
-                if it.first_from_memtable {
-                    self.stats.seeks_memtable.inc();
-                }
-                Ok(true)
-            }
-            Some(Err(e)) => Err(e),
-            None => {
-                if !it.io_paid {
-                    self.stats.seeks_filtered.inc();
-                }
-                // Truly-executed empty query: feed the sample queue
-                // (§6.1). Seeks answered from a MemTable never reach this
-                // point — only queries the store executed and found empty
-                // are offered. The gauge is only refreshed when the queue
-                // recorded the query, so the 1-in-`sample_every` common
-                // case stays mutex-free for readers.
-                self.stats.sample_offers.inc();
-                if self.queue.offer(lo, hi) {
-                    self.stats.sampled_queries.set(self.queue.len() as u64);
-                }
-                Ok(false)
-            }
-        }
-    }
-
-    /// Exact-key read; see [`Db::get`].
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.check_key(key)?;
-        self.stats.gets.inc();
-        // 1. MemTables, newest first. Any record — live or tombstone —
-        //    settles the answer: it shadows everything older.
-        {
-            let mem = self.mem_read()?;
-            if let Some(v) = mem.active.get(key) {
-                return Ok(v.map(<[u8]>::to_vec));
-            }
-            for imm in mem.imms.iter().rev() {
-                if let Some(v) = imm.mem.get(key) {
-                    return Ok(v.map(<[u8]>::to_vec));
-                }
-            }
-        }
-        // 2. SSTs: L0 newest first (overlapping), then at most one file
-        //    per deeper (disjoint) level.
-        let version = self.version();
-        for sst in version.levels[0].iter().rev() {
-            if let Some(v) = self.get_in_sst(sst, key)? {
-                return Ok(v);
-            }
-        }
-        for level in &version.levels[1..] {
-            let i = level.partition_point(|s| s.max_key.as_slice() < key);
-            if let Some(sst) = level.get(i) {
-                if sst.min_key.as_slice() <= key {
-                    if let Some(v) = self.get_in_sst(sst, key)? {
-                        return Ok(v);
-                    }
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// Point-probe one SST. Outer `None` = the file has no record of the
-    /// key (keep looking in older layers); `Some(None)` = tombstone
-    /// (definitive: the key is deleted); `Some(Some(v))` = live value.
-    fn get_in_sst(&self, sst: &Arc<SstReader>, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
-        if !sst.overlaps(key, key) {
-            return Ok(None);
-        }
-        let Some(real_filter) = self.filter_admits(sst, key, key) else {
-            return Ok(None); // filter-proven absent; true negative recorded
-        };
-        let b = sst.first_candidate_block(key);
-        if b < sst.n_blocks() && sst.block_meta(b).first_key.as_slice() <= key {
-            let block = self.cached_block(sst, b)?;
-            let i = block.lower_bound(key);
-            if i < block.len() && block.key(i) == key {
-                self.stats.filter_true_positives.inc();
-                let (_, v) = block.entry(i);
-                return Ok(Some(v.map(<[u8]>::to_vec)));
-            }
-        }
-        // The filter admitted a key the file does not hold.
-        self.stats.filter_false_positives.inc();
-        if real_filter {
-            sst.record_probe(true);
-            self.stats.observed_fp.inc();
-        }
-        Ok(None)
     }
 
     /// Record a background failure and wake every waiter so barriers and

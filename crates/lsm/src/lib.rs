@@ -23,9 +23,10 @@
 //!   leader/follower group commit and a configurable [`SyncMode`]
 //!   (Always / Interval / Off), replayed by [`Db::open`] so every acked
 //!   write survives a crash — see the [`wal`] module docs;
-//! * the modified closed-`Seek` read path: all overlapping filters are
-//!   probed first and only positive files pay index + block I/O — `seek`
-//!   itself is a thin emptiness wrapper over the range merge;
+//! * one read path ([`read`]) behind `get`, `seek` and `range`: every
+//!   overlapping file's filter is probed first and only positive files
+//!   pay index + block I/O — `seek` itself is a thin emptiness wrapper
+//!   over the range merge;
 //! * a sharded LRU block cache and full (atomic) I/O statistics.
 //!
 //! Documented substitutions versus real RocksDB: one flusher + one
@@ -43,9 +44,9 @@ pub mod config;
 pub mod db;
 pub mod error;
 pub mod filter_hook;
-pub mod iter;
 pub mod memtable;
 pub mod query_queue;
+pub mod read;
 pub mod sst;
 pub mod stats;
 pub mod wal;
@@ -56,8 +57,8 @@ pub use config::{DbConfig, DbConfigBuilder, SyncMode};
 pub use db::Db;
 pub use error::{Error, Result};
 pub use filter_hook::{FilterFactory, NoFilter, NoFilterFactory, ProteusFactory};
-pub use iter::RangeIter;
 pub use query_queue::QueryQueue;
+pub use read::RangeIter;
 pub use stats::{Stats, StatsSnapshot};
 
 #[cfg(test)]
@@ -486,6 +487,10 @@ mod db_tests {
         assert!(is_config(db.range(empty..=empty).map(drop)), "empty key range bound");
         let big: &[u8] = &oversized;
         assert!(is_config(db.range(big..=big).map(drop)), "oversized range bound");
+        // Rejected reads never started: like `gets`/`seeks`, `range_scans`
+        // counts validated scans only.
+        let s = db.stats().snapshot();
+        assert_eq!((s.gets, s.seeks, s.range_scans), (0, 0, 0));
         // Short keys are legal now — any non-empty byte string within the
         // limit round-trips.
         db.put(b"short", b"v").unwrap();
@@ -507,26 +512,6 @@ mod db_tests {
         let bad = DbConfig::builder().max_key_bytes(0).build();
         assert!(matches!(bad, Err(crate::Error::Config(_))));
         drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_struct_literal_config_still_opens() {
-        // Pre-v2 callers construct DbConfig by struct literal; the fields
-        // are deprecated but must keep working (validated at open).
-        let dir = tmpdir("legacy-cfg");
-        let cfg = DbConfig { bits_per_key: 9.0, ..Default::default() };
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
-        db.put_u64(5, b"v").unwrap();
-        assert!(db.seek_u64(0, 10).unwrap());
-        drop(db);
-        // ... while a nonsense literal is now caught at open.
-        let broken = DbConfig { level_size_ratio: 0, ..Default::default() };
-        assert!(matches!(
-            Db::open(tmpdir("legacy-bad"), broken, Arc::new(NoFilterFactory)),
-            Err(crate::Error::Config(_))
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,0 +1,733 @@
+//! The read path: which layers a read over `[lo, hi]` visits, in what
+//! order, and how each filter probe's outcome is counted — one decision,
+//! made here, for [`crate::Db::get`], [`crate::Db::seek`] and
+//! [`crate::Db::range`] alike.
+//!
+//! Every read walks the layers that can hold a version of a key in
+//! recency order:
+//!
+//! 1. the active MemTable,
+//! 2. the immutable (rotated) MemTables, newest first,
+//! 3. the SSTs `Version::candidates` yields: L0 newest first, then one
+//!    binary-searched run per deeper, disjoint level, shallowest first.
+//!
+//! Each candidate SST is admitted through its range filter first
+//! (`admit`); a filter negative skips the file without I/O,
+//! which is what makes reads over a cold, provably-empty region cheap
+//! (§6.1). An admitted file hands back a `Probe` that is settled once
+//! the read knows whether the file held anything in range —
+//! `Probe::settle` is the only place the filter ledgers (`filter_*`,
+//! `observed_*`, the per-SST probe window) move.
+//!
+//! Two consumers share that walk. `get` is the *point* consumer: the first
+//! layer with any record of the key — live or tombstone — settles the
+//! answer, so older layers are never probed. [`RangeIter`] is the *cursor*
+//! consumer: a k-way merge over all layers, and `seek` is its first
+//! `next()` plus the §6.1 sample-queue offer.
+//!
+//! MemTable entries in range are snapshotted (cloned) at construction
+//! under a short read lock; SST levels come from the `Arc`-swapped
+//! `Version` snapshot, so iteration itself holds no lock at all.
+//!
+//! Admitted SSTs are read *lazily*: each starts as a pending heap entry
+//! keyed by the smallest key it could contribute (`max(lo, min_key)`)
+//! and only pays its first block read when the merge actually reaches
+//! that position. A `seek` that is satisfied early therefore never
+//! touches the files behind its first hit — and those files accumulate
+//! no false-positive evidence for a probe whose I/O was never paid.
+//!
+//! SST positions flow through the merge *zero-copy*: a heap item holds
+//! an `(Arc<Block>, index)` cursor and compares by the key slice
+//! borrowed from the decoded block. Bytes are materialized only for the
+//! entry actually yielded — shadowed duplicates and suppressed
+//! tombstones cost no allocation at all. When a single source survives
+//! admission the merge skips the shadow-key bookkeeping (one source never
+//! yields duplicates).
+//!
+//! Shadowing: for equal keys the source with the lower rank (newer layer)
+//! wins; older duplicates are skipped. A winning tombstone suppresses the
+//! key entirely — the iterator yields *live* entries only, sorted and
+//! deduplicated.
+//!
+//! Errors: an I/O or corruption failure is reported once and ends the
+//! iteration. A failure while *refilling* a source never discards an
+//! entry the merge had already determined — the entry is yielded first
+//! and the error surfaces on the following `next()` call.
+
+use crate::block::Block;
+use crate::db::{DbInner, Version};
+use crate::error::{Error, Result};
+use crate::sst::{Entry, SstReader};
+use crate::stats::Stats;
+use proteus_core::key::pad_key;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::ops::{Bound, RangeBounds};
+use std::sync::Arc;
+
+impl Version {
+    /// Every SST that can hold a key in `[lo, hi]`, newest layer first:
+    /// the overlapping L0 files in reverse flush order, then for each
+    /// deeper (sorted, disjoint) level the run of files the range touches,
+    /// found by binary search. For a point range that is at most one file
+    /// per deeper level.
+    pub(crate) fn candidates<'v>(
+        &'v self,
+        lo: &'v [u8],
+        hi: &'v [u8],
+    ) -> impl Iterator<Item = &'v Arc<SstReader>> + 'v {
+        let (l0, deeper) = match self.levels.split_first() {
+            Some((l0, deeper)) => (l0.as_slice(), deeper),
+            None => (&[][..], &[][..]),
+        };
+        l0.iter().rev().filter(move |s| s.overlaps(lo, hi)).chain(deeper.iter().flat_map(
+            move |level| {
+                let start = level.partition_point(|s| s.max_key.as_slice() < lo);
+                level[start..].iter().take_while(move |s| s.min_key.as_slice() <= hi)
+            },
+        ))
+    }
+}
+
+/// One filter probe awaiting its outcome: what the file's filter said
+/// about a range, to be settled once the read knows what the file held.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe {
+    /// Did the filter (or the absence of one) let the read through?
+    passed: bool,
+    /// Did an actual filter answer? False for filterless/degraded files,
+    /// whose "positives" say nothing about any filter's quality.
+    real: bool,
+}
+
+impl Probe {
+    /// Record the probe's outcome — the single site that moves the filter
+    /// ledgers. `found` says whether the file held any entry in the probed
+    /// range (a tombstone counts: the file had to be read to see it).
+    ///
+    /// * found → true positive;
+    /// * passed but nothing there → false positive: the read paid I/O
+    ///   for nothing;
+    /// * not passed → negative: the filter proved the range empty.
+    ///
+    /// Only real filters feed the observed-FPR evidence (store-wide
+    /// `observed_*` and the per-SST window the adapter reads).
+    fn settle(self, stats: &Stats, sst: &SstReader, found: bool) {
+        if found {
+            stats.filter_true_positives.inc();
+            return;
+        }
+        if self.passed {
+            stats.filter_false_positives.inc();
+        } else {
+            stats.filter_negatives.inc();
+        }
+        if self.real {
+            sst.record_probe(self.passed);
+            if self.passed {
+                stats.observed_fp.inc();
+            } else {
+                stats.observed_tn.inc();
+            }
+        }
+    }
+}
+
+/// Smallest valid key strictly greater than `key` in the
+/// variable-length byte-string order, if one exists within
+/// `max_key_bytes` (used to normalize `Bound::Excluded` lower bounds).
+/// Below the length cap the successor is simply `key ++ 0x00`; at the
+/// cap it is the big-endian increment, and an all-`0xFF` key at the cap
+/// has no successor.
+fn key_successor(key: &[u8], max_key_bytes: usize) -> Option<Vec<u8>> {
+    let mut k = key.to_vec();
+    if k.len() < max_key_bytes {
+        k.push(0x00);
+        return Some(k);
+    }
+    for b in k.iter_mut().rev() {
+        if *b < 0xFF {
+            *b += 1;
+            return Some(k);
+        }
+        *b = 0;
+    }
+    None
+}
+
+/// Largest valid key strictly smaller than `key` in the
+/// variable-length byte-string order, if one exists (normalizes
+/// `Bound::Excluded` upper bounds). A key ending in `0x00` shrinks to
+/// its prefix; otherwise the last byte decrements and the key extends
+/// with `0xFF` to the length cap. The single-byte key `[0x00]` has no
+/// valid (non-empty) predecessor.
+fn key_predecessor(key: &[u8], max_key_bytes: usize) -> Option<Vec<u8>> {
+    let mut k = key.to_vec();
+    if k.last() == Some(&0x00) {
+        k.pop();
+        if k.is_empty() {
+            return None;
+        }
+        return Some(k);
+    }
+    if let Some(b) = k.last_mut() {
+        *b -= 1;
+    }
+    k.resize(max_key_bytes, 0xFF);
+    Some(k)
+}
+
+impl DbInner {
+    /// Normalize arbitrary `RangeBounds` into inclusive canonical keys.
+    /// `Ok(None)` means the range is provably empty (inverted, or an
+    /// excluded bound fell off the key space).
+    pub(crate) fn resolve_bounds<K: AsRef<[u8]>>(
+        &self,
+        range: impl RangeBounds<K>,
+    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        let max = self.cfg.max_key_bytes();
+        let lo = match range.start_bound() {
+            Bound::Unbounded => vec![0x00],
+            Bound::Included(k) => {
+                self.check_key(k.as_ref())?;
+                k.as_ref().to_vec()
+            }
+            Bound::Excluded(k) => {
+                self.check_key(k.as_ref())?;
+                match key_successor(k.as_ref(), max) {
+                    Some(s) => s,
+                    None => return Ok(None),
+                }
+            }
+        };
+        let hi = match range.end_bound() {
+            Bound::Unbounded => vec![0xFFu8; max],
+            Bound::Included(k) => {
+                self.check_key(k.as_ref())?;
+                k.as_ref().to_vec()
+            }
+            Bound::Excluded(k) => {
+                self.check_key(k.as_ref())?;
+                match key_predecessor(k.as_ref(), max) {
+                    Some(p) => p,
+                    None => return Ok(None),
+                }
+            }
+        };
+        Ok((lo <= hi).then_some((lo, hi)))
+    }
+
+    /// Probe `sst`'s filter for `[lo, hi]` (clamped to the file's key
+    /// range — the filter only describes this file's keys). `None` means
+    /// the filter proved the range empty for this file (settled as a
+    /// negative; skip it). `Some(probe)` admits the file; the caller
+    /// settles the probe once it knows whether the file held anything.
+    fn admit(&self, sst: &SstReader, lo: &[u8], hi: &[u8]) -> Option<Probe> {
+        let probe = match sst.filter(&self.stats) {
+            Some(filter) => {
+                let flo = if lo < sst.min_key.as_slice() { sst.min_key.as_slice() } else { lo };
+                let fhi = if hi > sst.max_key.as_slice() { sst.max_key.as_slice() } else { hi };
+                // The filter was trained on keys canonicalized to the
+                // file's fixed training width (NUL-pad + truncate, which
+                // is order-preserving), so probes must be canonicalized
+                // the same way — padding both bounds keeps the no-false-
+                // negative guarantee for the raw range.
+                let flo = pad_key(flo, sst.filter_width());
+                let fhi = pad_key(fhi, sst.filter_width());
+                Probe { passed: filter.may_contain_range(&flo, &fhi), real: true }
+            }
+            None => Probe { passed: true, real: false },
+        };
+        if probe.passed {
+            Some(probe)
+        } else {
+            probe.settle(&self.stats, sst, false);
+            None
+        }
+    }
+
+    /// Read block `b` of `sst` through the sharded cache.
+    fn cached_block(&self, sst: &Arc<SstReader>, b: usize) -> Result<Arc<Block>> {
+        let id = (sst.id, b as u32);
+        if let Some(block) = self.cache.get(id) {
+            self.stats.cache_hits.inc();
+            return Ok(block);
+        }
+        let block = Arc::new(sst.read_block(b, &self.stats)?);
+        // Don't cache blocks of a compaction-retired file (we may be
+        // reading it through an older snapshot): dead entries would squat
+        // on cache budget forever since SST ids are never reused. The
+        // double-check undoes an insert that raced with the retire+purge.
+        if !sst.is_retired() {
+            self.cache.insert(id, Arc::clone(&block));
+            if sst.is_retired() {
+                self.cache.remove(id);
+            }
+        }
+        Ok(block)
+    }
+
+    /// Exact-key read; see [`crate::Db::get`]. The point consumer of the
+    /// layer walk: any record — live or tombstone — settles the answer,
+    /// because it shadows everything older.
+    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.check_key(key)?;
+        self.stats.gets.inc();
+        {
+            let mem = self.mem_read()?;
+            if let Some(v) = mem.active.get(key) {
+                return Ok(v.map(<[u8]>::to_vec));
+            }
+            for imm in mem.imms.iter().rev() {
+                if let Some(v) = imm.mem.get(key) {
+                    return Ok(v.map(<[u8]>::to_vec));
+                }
+            }
+        }
+        let version = self.version();
+        for sst in version.candidates(key, key) {
+            let Some(probe) = self.admit(sst, key, key) else { continue };
+            let record = self.find_in_sst(sst, key)?;
+            probe.settle(&self.stats, sst, record.is_some());
+            if let Some(value) = record {
+                return Ok(value);
+            }
+        }
+        Ok(None)
+    }
+
+    /// `sst`'s record of `key`: outer `None` = the file has none (keep
+    /// looking in older layers); `Some(None)` = tombstone; `Some(Some(v))`
+    /// = live value.
+    fn find_in_sst(&self, sst: &Arc<SstReader>, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
+        let b = sst.first_candidate_block(key);
+        if b < sst.n_blocks() && sst.block_meta(b).first_key.as_slice() <= key {
+            let block = self.cached_block(sst, b)?;
+            let i = block.lower_bound(key);
+            if i < block.len() && block.key(i) == key {
+                return Ok(Some(block.entry(i).1.map(<[u8]>::to_vec)));
+            }
+        }
+        Ok(None)
+    }
+
+    /// The §6.1 closed `Seek`; see [`crate::Db::seek`]. Builds the
+    /// filter-admitted merge over `[lo, hi]`, asks for its first live
+    /// entry, and offers an executed-empty query to the sample queue.
+    pub(crate) fn seek(&self, lo: &[u8], hi: &[u8]) -> Result<bool> {
+        self.check_key(lo)?;
+        self.check_key(hi)?;
+        self.stats.seeks.inc();
+        if lo > hi {
+            // An inverted range is empty by definition: no I/O, no error,
+            // and no sample offer (it is not a meaningful empty query).
+            self.stats.seeks_filtered.inc();
+            return Ok(false);
+        }
+        let mut it = RangeIter::new(self, lo.to_vec(), hi.to_vec())?;
+        match it.next() {
+            Some(Ok(_)) => {
+                self.stats.seeks_found.inc();
+                if it.first_from_memtable == Some(true) {
+                    self.stats.seeks_memtable.inc();
+                }
+                Ok(true)
+            }
+            Some(Err(e)) => Err(e),
+            None => {
+                if !it.io_paid {
+                    self.stats.seeks_filtered.inc();
+                }
+                // Truly-executed empty query: feed the sample queue
+                // (§6.1). The gauge is only refreshed when the queue
+                // recorded the query, so the 1-in-`sample_every` common
+                // case stays mutex-free for readers.
+                self.stats.sample_offers.inc();
+                if self.queue.offer(lo, hi) {
+                    self.stats.sampled_queries.set(self.queue.len() as u64);
+                }
+                Ok(false)
+            }
+        }
+    }
+}
+
+/// One merge position: the source's rank (recency; lower = newer) plus
+/// where its current entry lives.
+struct HeapItem {
+    rank: usize,
+    pos: Pos,
+}
+
+/// Where a heap item's entry lives. Only `Mem` owns its bytes (the
+/// MemTable snapshot already materialized them); an SST entry stays a
+/// borrowed position inside its decoded block until it is yielded.
+enum Pos {
+    /// A snapshotted MemTable entry.
+    Mem(Vec<u8>, Option<Vec<u8>>),
+    /// An SST source whose first block has not been read yet; the key is
+    /// a lower bound on whatever the file will contribute.
+    Pending(Vec<u8>),
+    /// A cursor into a decoded block held alive by its `Arc`.
+    Block(Arc<Block>, u32),
+}
+
+impl HeapItem {
+    fn key(&self) -> &[u8] {
+        match &self.pos {
+            Pos::Mem(k, _) => k,
+            Pos::Pending(k) => k,
+            Pos::Block(b, i) => b.key(*i as usize),
+        }
+    }
+}
+
+impl PartialEq for HeapItem {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for HeapItem {}
+
+impl PartialOrd for HeapItem {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HeapItem {
+    /// Inverted so `BinaryHeap` (a max-heap) pops the smallest
+    /// `(key, rank)` first: ascending keys, newest layer on ties.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(self.key()).then_with(|| other.rank.cmp(&self.rank))
+    }
+}
+
+/// An ordered iterator over the live entries in a closed key range; see
+/// the [module docs](self) and [`crate::Db::range`].
+///
+/// Yields `Result<(key, value)>`: an I/O or corruption error ends the
+/// iteration after being reported once.
+pub struct RangeIter<'a> {
+    heap: BinaryHeap<HeapItem>,
+    sources: Vec<Source<'a>>,
+    /// Ranks below this are MemTable sources.
+    n_mem: usize,
+    last_key: Option<Vec<u8>>,
+    /// Did any SST get past its filter (i.e. could block I/O be paid)?
+    io_paid: bool,
+    /// Was the first *live* entry supplied by a MemTable? `None` until
+    /// one is yielded.
+    first_from_memtable: Option<bool>,
+    /// A refill failure held back so the already-determined entry could
+    /// be yielded first; surfaced by the next `next()` call.
+    deferred_error: Option<Error>,
+    failed: bool,
+}
+
+enum Source<'a> {
+    Mem(std::vec::IntoIter<Entry>),
+    Sst(BoundedScan<'a>),
+}
+
+impl Source<'_> {
+    /// The source's next entry as an un-materialized heap position.
+    fn next_pos(&mut self) -> Result<Option<Pos>> {
+        match self {
+            Source::Mem(it) => Ok(it.next().map(|(k, v)| Pos::Mem(k, v))),
+            Source::Sst(scan) => Ok(scan.next_pos()?.map(|(b, i)| Pos::Block(b, i))),
+        }
+    }
+}
+
+/// A forward scan over one admitted SST clamped to `[lo, hi]`, reading
+/// blocks through the shared cache.
+struct BoundedScan<'a> {
+    db: &'a DbInner,
+    sst: Arc<SstReader>,
+    /// The filter probe that admitted this file, settled when the scan's
+    /// head is first read.
+    probe: Probe,
+    hi: Vec<u8>,
+    /// Lower bound still to be applied to the first block read.
+    pending_lo: Option<Vec<u8>>,
+    block_idx: usize,
+    entry_idx: usize,
+    block: Option<Arc<Block>>,
+}
+
+impl BoundedScan<'_> {
+    /// Advance to the next in-range entry and return its position
+    /// without copying any bytes. The returned `Arc` keeps the block
+    /// alive independently of the scan moving on to later blocks.
+    fn next_pos(&mut self) -> Result<Option<(Arc<Block>, u32)>> {
+        loop {
+            let block = match &self.block {
+                Some(block) => block,
+                None => {
+                    if self.block_idx >= self.sst.n_blocks()
+                        || self.sst.block_meta(self.block_idx).first_key > self.hi
+                    {
+                        return Ok(None);
+                    }
+                    let block = self.db.cached_block(&self.sst, self.block_idx)?;
+                    self.entry_idx = match self.pending_lo.take() {
+                        Some(lo) => block.lower_bound(&lo),
+                        None => 0,
+                    };
+                    self.block.insert(block)
+                }
+            };
+            if self.entry_idx < block.len() {
+                let i = self.entry_idx;
+                if block.key(i) > self.hi.as_slice() {
+                    return Ok(None);
+                }
+                self.entry_idx += 1;
+                return Ok(Some((Arc::clone(block), i as u32)));
+            }
+            self.block = None;
+            self.block_idx += 1;
+        }
+    }
+}
+
+impl<'a> RangeIter<'a> {
+    /// An iterator that yields nothing (inverted or empty-by-bounds
+    /// ranges).
+    pub(crate) fn empty() -> RangeIter<'a> {
+        RangeIter {
+            heap: BinaryHeap::new(),
+            sources: Vec::new(),
+            n_mem: 0,
+            last_key: None,
+            io_paid: false,
+            first_from_memtable: None,
+            deferred_error: None,
+            failed: false,
+        }
+    }
+
+    /// Build the merge over `[lo, hi]` (both inclusive, `lo <= hi`).
+    /// Probes every candidate SST's filter here (in-memory, settling the
+    /// negatives) but defers all block I/O: admitted files enter the heap
+    /// as pending entries and are read only when the merge reaches them.
+    pub(crate) fn new(db: &'a DbInner, lo: Vec<u8>, hi: Vec<u8>) -> Result<RangeIter<'a>> {
+        debug_assert!(lo <= hi);
+        let mut it = RangeIter::empty();
+
+        // 1. MemTables, newest first, snapshotted under a short read lock.
+        {
+            let mem = db.mem_read()?;
+            let layers = mem.imms.iter().rev().map(|imm| imm.mem.as_ref());
+            for layer in std::iter::once(&mem.active).chain(layers) {
+                let mut src = layer.range_entries(&lo, &hi).into_iter();
+                if let Some((k, v)) = src.next() {
+                    it.heap.push(HeapItem { rank: it.sources.len(), pos: Pos::Mem(k, v) });
+                    it.sources.push(Source::Mem(src));
+                }
+            }
+        }
+        it.n_mem = it.sources.len();
+
+        // 2. The admitted SST candidates of the manifest snapshot.
+        let version = db.version();
+        for sst in version.candidates(&lo, &hi) {
+            let Some(probe) = db.admit(sst, &lo, &hi) else {
+                continue; // proven empty
+            };
+            it.io_paid = true;
+            // The smallest key this file could contribute: its entries in
+            // range all sit at or above max(lo, min_key), so a pending
+            // heap entry at that key materializes exactly when the merge
+            // could need the file — and never sooner.
+            let est = if sst.min_key.as_slice() > lo.as_slice() {
+                sst.min_key.clone()
+            } else {
+                lo.clone()
+            };
+            let rank = it.sources.len();
+            it.heap.push(HeapItem { rank, pos: Pos::Pending(est) });
+            it.sources.push(Source::Sst(BoundedScan {
+                db,
+                sst: Arc::clone(sst),
+                probe,
+                hi: hi.clone(),
+                pending_lo: Some(lo.clone()),
+                block_idx: sst.first_candidate_block(&lo),
+                entry_idx: 0,
+                block: None,
+            }));
+        }
+        Ok(it)
+    }
+
+    /// Read a pending SST source's head — its first block I/O — and settle
+    /// the probe that admitted it: contributing anything in range is a
+    /// true positive, nothing a false positive.
+    fn materialize(&mut self, rank: usize) -> Result<()> {
+        let Source::Sst(scan) = &mut self.sources[rank] else { unreachable!("pending mem source") };
+        let head = scan.next_pos()?;
+        scan.probe.settle(&scan.db.stats, &scan.sst, head.is_some());
+        if let Some((block, i)) = head {
+            self.heap.push(HeapItem { rank, pos: Pos::Block(block, i) });
+        }
+        Ok(())
+    }
+}
+
+impl Iterator for RangeIter<'_> {
+    type Item = Result<(Vec<u8>, Vec<u8>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        // With a single surviving source no key can ever repeat, so the
+        // shadow-key bookkeeping (and its per-key clone) is skipped
+        // entirely — the borrowing fast path for one-layer stores.
+        let single_source = self.sources.len() == 1;
+        loop {
+            if let Some(e) = self.deferred_error.take() {
+                self.failed = true;
+                return Some(Err(e));
+            }
+            let HeapItem { rank, pos } = self.heap.pop()?;
+            if let Pos::Pending(_) = pos {
+                // First touch of this SST: read its head. No entry has
+                // been determined yet, so an error surfaces directly.
+                if let Err(e) = self.materialize(rank) {
+                    self.failed = true;
+                    return Some(Err(e));
+                }
+                continue;
+            }
+            // Refill the heap from the source that just advanced. A
+            // failure here must not discard the entry we already hold:
+            // defer it and let this iteration finish first.
+            match self.sources[rank].next_pos() {
+                Ok(Some(pos)) => self.heap.push(HeapItem { rank, pos }),
+                Ok(None) => {}
+                Err(e) => self.deferred_error = Some(e),
+            }
+            // Shadowing: a key equal to the last one handled is an older
+            // version (the newest popped first by rank). Nothing is
+            // copied for a shadowed or tombstone position.
+            if !single_source {
+                let key = match &pos {
+                    Pos::Mem(k, _) => k.as_slice(),
+                    Pos::Block(b, i) => b.key(*i as usize),
+                    Pos::Pending(_) => unreachable!("handled above"),
+                };
+                if self.last_key.as_deref() == Some(key) {
+                    continue;
+                }
+                match &mut self.last_key {
+                    // Reuse the allocation when the buffer fits.
+                    Some(buf) => {
+                        buf.clear();
+                        buf.extend_from_slice(key);
+                    }
+                    none => *none = Some(key.to_vec()),
+                }
+            }
+            // Materialize only what is actually yielded: a suppressed
+            // tombstone costs nothing.
+            let (key, value) = match pos {
+                Pos::Mem(k, Some(v)) => (k, v),
+                Pos::Mem(_, None) => continue,
+                Pos::Block(b, i) => {
+                    let i = i as usize;
+                    if b.is_tombstone(i) {
+                        continue;
+                    }
+                    (b.key(i).to_vec(), b.value(i).to_vec())
+                }
+                Pos::Pending(_) => unreachable!("handled above"),
+            };
+            self.first_from_memtable.get_or_insert(rank < self.n_mem);
+            return Some(Ok((key, value)));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Db, DbConfig, ProteusFactory};
+    use proteus_core::key::u64_key;
+    use std::sync::Arc;
+
+    /// Everything a filter probe can move, plus the I/O it can cause:
+    /// the five store-wide ledgers and `blocks_read`, then every SST's own
+    /// probe window (file order is stable: nothing compacts mid-test).
+    fn ledger(db: &Db) -> Vec<u64> {
+        let s = db.stats().snapshot();
+        let mut ledger = vec![
+            s.filter_negatives,
+            s.filter_false_positives,
+            s.filter_true_positives,
+            s.observed_fp,
+            s.observed_tn,
+            s.blocks_read,
+        ];
+        ledger.extend(db.inner.version().levels.iter().flatten().map(|f| f.observed_probes()));
+        ledger
+    }
+
+    fn delta(before: &[u64], after: &[u64]) -> Vec<u64> {
+        after.iter().zip(before).map(|(a, b)| a - b).collect()
+    }
+
+    #[test]
+    fn get_seek_and_range_settle_an_absent_key_identically() {
+        let dir = std::env::temp_dir().join(format!("proteus-probe-ledger-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No block cache: every admitted probe pays its block read, so
+        // `blocks_read` is comparable across the three operations.
+        let cfg = DbConfig::builder()
+            .memtable_bytes(16 << 10)
+            .sst_target_bytes(32 << 10)
+            .level_base_bytes(64 << 10)
+            .block_cache_bytes(0)
+            .build()
+            .unwrap();
+        let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
+        let key = |i: u64| (i * 2_654_435_761 % (1 << 24)) << 20;
+        for i in 0..12_000u64 {
+            db.put_u64(key(i), &[i as u8; 100]).unwrap();
+        }
+        db.flush_and_settle().unwrap();
+        // One more flush leaves an L0 file on top of the settled levels.
+        for i in 12_000..12_100u64 {
+            db.put_u64(key(i), &[i as u8; 100]).unwrap();
+        }
+        db.flush().unwrap();
+        let counts = db.level_file_counts();
+        assert!(counts[0] >= 1 && counts.iter().filter(|&&n| n > 0).count() >= 3, "{counts:?}");
+
+        let (mut negatives, mut false_positives) = (0, 0);
+        for i in 0..400u64 {
+            // Absent keys: right next to a stored key (shares every prefix
+            // a filter could keep — the false-positive case) and in the
+            // middle of a gap (the negative case).
+            let k = u64_key(key(i * 29) + if i % 2 == 0 { 1 } else { 1 << 19 });
+            let l0 = ledger(&db);
+            assert_eq!(db.get(&k).unwrap(), None);
+            let l1 = ledger(&db);
+            assert!(!db.seek(&k, &k).unwrap());
+            let l2 = ledger(&db);
+            assert_eq!(db.range(&k[..]..=&k[..]).unwrap().count(), 0);
+            let l3 = ledger(&db);
+            let by_get = delta(&l0, &l1);
+            assert_eq!(by_get, delta(&l1, &l2), "get vs seek, key {k:?}");
+            assert_eq!(by_get, delta(&l2, &l3), "get vs range, key {k:?}");
+            assert_eq!(by_get[2], 0, "an absent key has no true positive");
+            negatives += by_get[0];
+            false_positives += by_get[1];
+        }
+        assert!(negatives > 0 && false_positives > 0, "{negatives} neg, {false_positives} fp");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -6,7 +6,7 @@
 //! ## On-disk layout (format v3, magic `PRSSTv3`)
 //!
 //! ```text
-//! [data block]*                      (crate::block v3 layout: var-len keys,
+//! [data block]*                      (crate::block layout: var-len keys,
 //!                                    restart-point prefix compression)
 //! [index block]                      u32 n, then n × (u16 first_len, first,
 //!                                    u16 last_len, last, u64 offset,
@@ -15,29 +15,26 @@
 //! [footer: 64 bytes]
 //!    0  u64 index_off    32 u64 n_entries
 //!    8  u64 index_len    40 u32 level
-//!   16  u64 filter_off   44 u32 filter key width (v1/v2: fixed key width)
-//!   24  u64 filter_len   48 u16 format version
-//!                        50 u32 n_tombstones   (v2+; zero in v1 files)
+//!   16  u64 filter_off   44 u32 filter key width
+//!   24  u64 filter_len   48 u16 format version (3)
+//!                        50 u32 n_tombstones
 //!                        54 2×u8 zero padding
 //!                        56 8×u8 magic "PRSSTv3\0"
 //! ```
 //!
-//! v3 keys are arbitrary non-empty byte strings up to the store's
-//! `max_key_bytes`. The footer's width field no longer constrains them:
-//! it records the *canonical filter-training width* — every key is
+//! Keys are arbitrary non-empty byte strings up to the store's
+//! `max_key_bytes`. The footer's width field does not constrain them: it
+//! records the *canonical filter-training width* — every key is
 //! NUL-padded (or truncated) to this width before feeding the filter,
 //! which keeps probes monotone and false-negative-free (§7.1's string
-//! canonicalization). v3 files are therefore self-describing: the reader
-//! ignores the caller's expected width for them. The index block
-//! length-prefixes its boundary keys.
+//! canonicalization). Files are therefore self-describing. The index
+//! block length-prefixes its boundary keys.
 //!
-//! Legacy formats still *open* read-only. Format v2 (`PRSSTv2`) used
-//! fixed-width keys (the footer width is the exact key length, enforced
-//! at open), a flat index (`first_key`/`last_key` at exactly `width`
-//! bytes each) and per-entry flag bytes. Format v1 (`PRSSTv1`) predates
-//! tombstones on top of that: no flag byte, bytes 50..56 of the footer
-//! zero. The first compaction that touches a v1/v2 file replaces it with
-//! a v3 output. The writer always emits v3.
+//! `PRSSTv3` is the only generation this build reads or writes. A file
+//! carrying the magic of the fixed-width `PRSSTv1`/`PRSSTv2` layouts that
+//! preceded it (or any other) fails [`SstReader::open`] with
+//! [`Error::Corruption`] naming the unsupported format, and `Db::open`
+//! fails with it, touching nothing.
 //!
 //! The footer records which LSM level the file belongs to, so `Db::open`
 //! can rebuild the level manifest from nothing but the directory listing.
@@ -71,17 +68,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// SST format version the writer emits.
+/// The one SST format version this build writes and reads.
 pub const SST_FORMAT_VERSION: u16 = 3;
 
-/// Trailing magic of every v3 SST file.
+/// Trailing magic of every SST file.
 pub const SST_MAGIC_V3: [u8; 8] = *b"PRSSTv3\0";
-
-/// Trailing magic of legacy v2 files (read-only compatibility).
-pub const SST_MAGIC: [u8; 8] = *b"PRSSTv2\0";
-
-/// Trailing magic of legacy v1 files (read-only compatibility).
-pub const SST_MAGIC_V1: [u8; 8] = *b"PRSSTv1\0";
 
 /// Fixed footer size in bytes.
 pub const SST_FOOTER_LEN: u64 = 64;
@@ -121,9 +112,7 @@ fn le_u64(buf: &[u8], o: usize, path: &Path) -> Result<u64> {
 }
 
 /// Serialize the fixed 64-byte footer (shared by the writer and the
-/// adaptive filter-block rewrite). `version` selects the magic, so a
-/// rewritten v1 file keeps its v1 footer and block layout.
-#[allow(clippy::too_many_arguments)] // mirrors the fixed binary layout 1:1
+/// adaptive filter-block rewrite).
 fn encode_footer(
     index_off: u64,
     index_len: u64,
@@ -132,7 +121,6 @@ fn encode_footer(
     n_tombstones: u64,
     level: u32,
     width: usize,
-    version: u16,
 ) -> Result<[u8; SST_FOOTER_LEN as usize]> {
     let mut f = [0u8; SST_FOOTER_LEN as usize];
     f[0..8].copy_from_slice(&index_off.to_le_bytes());
@@ -142,18 +130,14 @@ fn encode_footer(
     f[32..40].copy_from_slice(&n_entries.to_le_bytes());
     f[40..44].copy_from_slice(&level.to_le_bytes());
     f[44..48].copy_from_slice(&(width as u32).to_le_bytes());
-    f[48..50].copy_from_slice(&version.to_le_bytes());
-    if version >= 2 {
-        // The footer field is u32; a file with 2^32 tombstones is far
-        // beyond any real SST, but a silent wrap would corrupt the count,
-        // so the impossible case fails loudly instead.
-        let n = u32::try_from(n_tombstones)
-            .map_err(|_| Error::corruption("more than u32::MAX tombstones in one SST"))?;
-        f[50..54].copy_from_slice(&n.to_le_bytes());
-        f[56..64].copy_from_slice(if version >= 3 { &SST_MAGIC_V3 } else { &SST_MAGIC });
-    } else {
-        f[56..64].copy_from_slice(&SST_MAGIC_V1);
-    }
+    f[48..50].copy_from_slice(&SST_FORMAT_VERSION.to_le_bytes());
+    // The footer field is u32; a file with 2^32 tombstones is far beyond
+    // any real SST, but a silent wrap would corrupt the count, so the
+    // impossible case fails loudly instead.
+    let n = u32::try_from(n_tombstones)
+        .map_err(|_| Error::corruption("more than u32::MAX tombstones in one SST"))?;
+    f[50..54].copy_from_slice(&n.to_le_bytes());
+    f[56..64].copy_from_slice(&SST_MAGIC_V3);
     Ok(f)
 }
 
@@ -191,9 +175,10 @@ pub struct SstReader {
     /// filled from `pending_filter_bytes` on first probe after recovery.
     filter: OnceLock<Option<Box<dyn RangeFilter>>>,
     /// Fingerprint of the sample-query distribution the filter was trained
-    /// on (codec v2). Set at build time for fresh files, recovered from the
-    /// filter block on first decode; `None` for v1 blocks and filterless
-    /// files — drift detection then relies on observed FPR alone.
+    /// on. Set at build time for fresh files, recovered from the filter
+    /// block on first decode; `None` for filterless files and filters
+    /// trained on an empty sample — drift detection then relies on
+    /// observed FPR alone.
     fingerprint: Mutex<Option<QuerySketch>>,
     /// Filter probes against this file that answered positive for a range
     /// holding none of its keys (per-file false-positive evidence).
@@ -210,8 +195,6 @@ pub struct SstReader {
     /// holding an older version snapshot may still probe it, but must not
     /// (re-)populate the block cache for it (see `Db`'s read path).
     retired: AtomicBool,
-    /// On-disk format version (1 or 2); selects the block entry layout.
-    pub format_version: u16,
     /// LSM level this file was written for (from the footer on reopen).
     pub level: u32,
     /// Smallest key in the file.
@@ -220,8 +203,7 @@ pub struct SstReader {
     pub max_key: Vec<u8>,
     /// Number of key-value entries, tombstones included.
     pub n_entries: u64,
-    /// Number of tombstone entries among `n_entries` (0 for v1 files,
-    /// whose format predates deletes).
+    /// Number of tombstone entries among `n_entries`.
     pub n_tombstones: u64,
     /// Bytes of the data section (excludes index, filter block, footer);
     /// the quantity level-size compaction triggers are measured in.
@@ -232,7 +214,6 @@ impl std::fmt::Debug for SstReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SstReader")
             .field("id", &self.id)
-            .field("v", &self.format_version)
             .field("level", &self.level)
             .field("entries", &self.n_entries)
             .field("tombstones", &self.n_tombstones)
@@ -244,9 +225,8 @@ impl std::fmt::Debug for SstReader {
 impl SstReader {
     /// Reopen a persisted SST: read the footer, validate magic/version/
     /// geometry, and load the block index and the (still-encoded) filter
-    /// block. The filter itself is decoded lazily on first probe. Both
-    /// format versions open; v1 files simply decode every entry as live.
-    pub fn open(path: impl Into<PathBuf>, id: u64, expected_width: usize) -> Result<SstReader> {
+    /// block. The filter itself is decoded lazily on first probe.
+    pub fn open(path: impl Into<PathBuf>, id: u64) -> Result<SstReader> {
         let path = path.into();
         let file = File::open(&path)?;
         let file_len = file.metadata()?.len();
@@ -255,21 +235,18 @@ impl SstReader {
         }
         let mut footer = [0u8; SST_FOOTER_LEN as usize];
         file.read_exact_at(&mut footer, file_len - SST_FOOTER_LEN)?;
-        let version = le_u16(&footer, 48, &path)?;
-        if footer[56..64] == SST_MAGIC_V3 {
-            if version != 3 {
-                return Err(bad(&path, "v3 magic with a non-3 format version"));
+        let magic = &footer[56..64];
+        if magic != SST_MAGIC_V3 {
+            // Another generation of this format family is named, so the
+            // operator learns it is an unsupported file, not bit rot.
+            if magic.starts_with(&SST_MAGIC_V3[..6]) {
+                let name = String::from_utf8_lossy(&magic[..7]);
+                return Err(bad(&path, &format!("unsupported SST format {name} (only PRSSTv3)")));
             }
-        } else if footer[56..64] == SST_MAGIC {
-            if version != 2 {
-                return Err(bad(&path, "v2 magic with a non-2 format version"));
-            }
-        } else if footer[56..64] == SST_MAGIC_V1 {
-            if version != 1 {
-                return Err(bad(&path, "v1 magic with a non-1 format version"));
-            }
-        } else {
             return Err(bad(&path, "bad SST magic"));
+        }
+        if le_u16(&footer, 48, &path)? != SST_FORMAT_VERSION {
+            return Err(bad(&path, "v3 magic with a non-3 format version"));
         }
         let index_off = le_u64(&footer, 0, &path)?;
         let index_len = le_u64(&footer, 8, &path)?;
@@ -278,15 +255,7 @@ impl SstReader {
         let n_entries = le_u64(&footer, 32, &path)?;
         let level = le_u32(&footer, 40, &path)?;
         let width = le_u32(&footer, 44, &path)? as usize;
-        let n_tombstones = if version >= 2 { le_u32(&footer, 50, &path)? as u64 } else { 0 };
-        // v1/v2 keys are fixed-width: the footer width must match the
-        // store's configured width exactly. v3 files are self-describing
-        // (the footer width is only the filter-training width), so the
-        // caller's expectation does not constrain them — a store can open
-        // files trained at any canonical width.
-        if version < 3 && width != expected_width {
-            return Err(bad(&path, "key width mismatch"));
-        }
+        let n_tombstones = le_u32(&footer, 50, &path)? as u64;
         if width == 0 || width > 64 {
             return Err(bad(&path, "implausible filter key width"));
         }
@@ -322,59 +291,36 @@ impl SstReader {
         }
         let mut index = Vec::with_capacity(n_blocks.min(body.len()));
         let mut pos = 4usize;
-        if version >= 3 {
-            // v3 index: length-prefixed boundary keys per block.
-            let read_key = |pos: &mut usize| -> Result<Vec<u8>> {
-                let lo = *pos;
-                if lo + 2 > body.len() {
-                    return Err(bad(&path, "index entry overruns the block"));
-                }
-                let len = le_u16(body, lo, &path)? as usize;
-                if len == 0 || lo + 2 + len > body.len() {
-                    return Err(bad(&path, "index key length out of bounds"));
-                }
-                *pos = lo + 2 + len;
-                Ok(body[lo + 2..lo + 2 + len].to_vec())
-            };
-            for _ in 0..n_blocks {
-                let first_key = read_key(&mut pos)?;
-                let last_key = read_key(&mut pos)?;
-                if pos + 12 > body.len() {
-                    return Err(bad(&path, "index entry overruns the block"));
-                }
-                let offset = le_u64(body, pos, &path)?;
-                let len = le_u32(body, pos + 8, &path)?;
-                pos += 12;
-                if first_key > last_key
-                    || offset.checked_add(len as u64).is_none_or(|e| e > index_off)
-                {
-                    return Err(bad(&path, "index entry out of bounds"));
-                }
-                index.push(BlockMeta { first_key, last_key, offset, len });
+        // Length-prefixed boundary keys per block.
+        let read_key = |pos: &mut usize| -> Result<Vec<u8>> {
+            let lo = *pos;
+            if lo + 2 > body.len() {
+                return Err(bad(&path, "index entry overruns the block"));
             }
-            if pos != body.len() {
-                return Err(bad(&path, "index block length mismatch"));
+            let len = le_u16(body, lo, &path)? as usize;
+            if len == 0 || lo + 2 + len > body.len() {
+                return Err(bad(&path, "index key length out of bounds"));
             }
-        } else {
-            // v1/v2 index: fixed-width boundary keys per block.
-            let entry_len = 2 * width + 12;
-            if body.len() != 4 + n_blocks * entry_len {
-                return Err(bad(&path, "index block length mismatch"));
+            *pos = lo + 2 + len;
+            Ok(body[lo + 2..lo + 2 + len].to_vec())
+        };
+        for _ in 0..n_blocks {
+            let first_key = read_key(&mut pos)?;
+            let last_key = read_key(&mut pos)?;
+            if pos + 12 > body.len() {
+                return Err(bad(&path, "index entry overruns the block"));
             }
-            for _ in 0..n_blocks {
-                let first_key = body[pos..pos + width].to_vec();
-                let last_key = body[pos + width..pos + 2 * width].to_vec();
-                pos += 2 * width;
-                let offset = le_u64(body, pos, &path)?;
-                let len = le_u32(body, pos + 8, &path)?;
-                pos += 12;
-                if first_key > last_key
-                    || offset.checked_add(len as u64).is_none_or(|e| e > index_off)
-                {
-                    return Err(bad(&path, "index entry out of bounds"));
-                }
-                index.push(BlockMeta { first_key, last_key, offset, len });
+            let offset = le_u64(body, pos, &path)?;
+            let len = le_u32(body, pos + 8, &path)?;
+            pos += 12;
+            if first_key > last_key || offset.checked_add(len as u64).is_none_or(|e| e > index_off)
+            {
+                return Err(bad(&path, "index entry out of bounds"));
             }
+            index.push(BlockMeta { first_key, last_key, offset, len });
+        }
+        if pos != body.len() {
+            return Err(bad(&path, "index block length mismatch"));
         }
         let (min_key, max_key) = match (index.first(), index.last()) {
             (Some(f), Some(l)) => (f.first_key.clone(), l.last_key.clone()),
@@ -399,7 +345,6 @@ impl SstReader {
             probe_tn: AtomicU64::new(0),
             retrain_count: 0,
             retired: AtomicBool::new(false),
-            format_version: version,
             level,
             min_key,
             max_key,
@@ -415,8 +360,7 @@ impl SstReader {
     }
 
     /// The canonical filter-training width: probes against this file's
-    /// filter must be NUL-padded/truncated to this many bytes (for v1/v2
-    /// files it is also the exact key width).
+    /// filter must be NUL-padded/truncated to this many bytes.
     pub fn filter_width(&self) -> usize {
         self.width
     }
@@ -461,7 +405,7 @@ impl SstReader {
     }
 
     /// The training fingerprint of this file's filter, if one is known
-    /// (decoded from a codec-v2 filter block or set at build time).
+    /// (decoded from the filter block or set at build time).
     pub fn training_fingerprint(&self) -> Option<QuerySketch> {
         self.fingerprint.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
@@ -506,10 +450,8 @@ impl SstReader {
     /// writer: data + index are copied from the live file, the new filter
     /// block and footer are appended, the file is synced and renamed over
     /// the original, and the directory is synced — so a crash at any point
-    /// leaves either the old or the new filter, never a torn file. The
-    /// footer keeps the file's original format version (a v1 file stays
-    /// v1: its data blocks are untouched and must keep decoding with the
-    /// v1 entry layout). Readers holding this reader keep serving from the
+    /// leaves either the old or the new filter, never a torn file.
+    /// Readers holding this reader keep serving from the
     /// old inode; the returned replacement reader (same id, fresh probe
     /// counters, the new filter pre-installed) is what the caller swaps
     /// into the manifest.
@@ -537,7 +479,6 @@ impl SstReader {
             self.n_tombstones,
             self.level,
             self.width,
-            self.format_version,
         )?;
         let dir = self.path.parent().unwrap_or(Path::new("."));
         let tmp_path = dir.join(format!("{:08}.sst.tmp", self.id));
@@ -567,7 +508,6 @@ impl SstReader {
             probe_tn: AtomicU64::new(0),
             retrain_count: self.retrain_count + 1,
             retired: AtomicBool::new(false),
-            format_version: self.format_version,
             level: self.level,
             min_key: self.min_key.clone(),
             max_key: self.max_key.clone(),
@@ -614,12 +554,7 @@ impl SstReader {
         self.file.read_exact_at(&mut buf, meta.offset)?;
         stats.blocks_read.inc();
         stats.bytes_read.add(meta.len as u64);
-        let decoded = if self.format_version >= 3 {
-            Block::decode_v3(&buf)
-        } else {
-            Block::decode(&buf, self.width, self.format_version >= 2)
-        };
-        decoded.map_err(|e| match e {
+        Block::decode_v3(&buf).map_err(|e| match e {
             Error::Corruption(d) => {
                 Error::corruption(format!("{}: block {i}: {d}", self.path.display()))
             }
@@ -645,9 +580,8 @@ impl SstReader {
     }
 }
 
-/// Streaming SST writer: feed sorted entries, get a reader back. Always
-/// emits format v3 (variable-length keys, entry flags, tombstone
-/// support). `width` is the canonical filter-training width, not a key
+/// Streaming SST writer: feed sorted entries, get a reader back (format
+/// v3: variable-length keys, entry flags, tombstone support). `width` is the canonical filter-training width, not a key
 /// length constraint: keys of any non-zero length are accepted, and each
 /// is NUL-padded/truncated to `width` bytes before feeding the filter.
 ///
@@ -830,7 +764,7 @@ impl SstWriter {
 
         // The training fingerprint: where (relative to this file's key
         // range) the sample queries the filter was trained on landed. It
-        // rides along in the codec-v2 filter block so drift detection
+        // rides along in the filter block so drift detection
         // survives a crash/reopen. The samples are canonical-width keys,
         // so the file's boundary keys are canonicalized the same way.
         let sketch = QuerySketch::from_queries(
@@ -864,7 +798,6 @@ impl SstWriter {
             self.n_tombstones,
             self.level,
             self.width,
-            SST_FORMAT_VERSION,
         )?;
         self.file.write_all(&footer)?;
         self.file.sync_all()?;
@@ -898,7 +831,6 @@ impl SstWriter {
             probe_tn: AtomicU64::new(0),
             retrain_count: 0,
             retired: AtomicBool::new(false),
-            format_version: SST_FORMAT_VERSION,
             level: self.level,
             min_key,
             max_key,
@@ -929,16 +861,15 @@ impl SstScanner {
     /// Next `(key, Some(value) | None)` entry, `Ok(None)` at the end.
     pub fn try_next(&mut self) -> Result<Option<Entry>> {
         loop {
-            if self.block.is_none() {
-                if self.block_idx >= self.sst.n_blocks() {
-                    return Ok(None);
+            let block = match &self.block {
+                Some(block) => block,
+                None => {
+                    if self.block_idx >= self.sst.n_blocks() {
+                        return Ok(None);
+                    }
+                    self.entry_idx = 0;
+                    self.block.insert(self.sst.read_block(self.block_idx, &self.stats)?)
                 }
-                self.block = Some(self.sst.read_block(self.block_idx, &self.stats)?);
-                self.entry_idx = 0;
-            }
-            let Some(block) = self.block.as_ref() else {
-                // Unreachable: the branch above always fills `self.block`.
-                return Ok(None);
             };
             if self.entry_idx < block.len() {
                 let (k, v) = block.entry(self.entry_idx);
@@ -979,8 +910,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let written = write_sample(&dir, 3, 2, 5_000);
         let stats = Stats::default();
-        let reopened = SstReader::open(dir.join("00000003.sst"), 3, 8).unwrap();
-        assert_eq!(reopened.format_version, SST_FORMAT_VERSION);
+        let reopened = SstReader::open(dir.join("00000003.sst"), 3).unwrap();
         assert_eq!(reopened.level, 2);
         assert_eq!(reopened.n_entries, written.n_entries);
         assert_eq!(reopened.n_tombstones, 0);
@@ -1026,7 +956,7 @@ mod tests {
         assert_eq!(written.n_entries, 1_000);
         assert_eq!(written.n_tombstones, 334);
 
-        let reopened = SstReader::open(dir.join("00000005.sst"), 5, 8).unwrap();
+        let reopened = SstReader::open(dir.join("00000005.sst"), 5).unwrap();
         assert_eq!(reopened.n_tombstones, 334);
         // Tombstone keys must pass the filter: skipping a file that holds
         // a delete would resurrect the key from a deeper level.
@@ -1061,7 +991,7 @@ mod tests {
         bytes[filter_off + 20] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let stats = Stats::default();
-        let reopened = SstReader::open(&path, 1, 8).unwrap();
+        let reopened = SstReader::open(&path, 1).unwrap();
         assert!(reopened.filter(&stats).is_none(), "corrupt filter must degrade");
         assert_eq!(stats.filters_degraded.get(), 1);
         assert_eq!(stats.filters_loaded.get(), 0);
@@ -1078,7 +1008,7 @@ mod tests {
         // Truncations anywhere in the meta section fail to open.
         for cut in [orig.len() - 1, orig.len() - SST_FOOTER_LEN as usize - 3, 10] {
             std::fs::write(&path, &orig[..cut]).unwrap();
-            assert!(SstReader::open(&path, 1, 8).is_err(), "cut {cut}");
+            assert!(SstReader::open(&path, 1).is_err(), "cut {cut}");
         }
         // Index corruption is caught by the index CRC.
         let flen = orig.len();
@@ -1086,19 +1016,15 @@ mod tests {
         let mut bad = orig.clone();
         bad[index_off + 6] ^= 1;
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(SstReader::open(&path, 1, 8), Err(Error::Corruption(_))));
-        // A magic/version mismatch (v2 magic, version byte clobbered).
+        assert!(matches!(SstReader::open(&path, 1), Err(Error::Corruption(_))));
+        // A magic/version mismatch (version byte clobbered).
         let mut bad = orig.clone();
         bad[flen - 16] = 7; // footer offset 48: format version low byte
         std::fs::write(&path, &bad).unwrap();
-        assert!(SstReader::open(&path, 1, 8).is_err());
-        // v3 files are self-describing: the caller's expected width is
-        // only a constraint for fixed-width v1/v2 files, so a fresh file
-        // opens under any expected width (its filter width rides in the
-        // footer).
+        assert!(SstReader::open(&path, 1).is_err());
+        // Files are self-describing: the filter width rides in the footer.
         std::fs::write(&path, &orig).unwrap();
-        let reopened = SstReader::open(&path, 1, 16).unwrap();
-        assert_eq!(reopened.filter_width(), 8);
+        assert_eq!(SstReader::open(&path, 1).unwrap().filter_width(), 8);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1128,11 +1054,10 @@ mod tests {
             }
         }
         let written = w.finish(&ProteusFactory::default(), &queue, 10.0, &stats).unwrap();
-        assert_eq!(written.format_version, 3);
         assert_eq!(written.min_key, keys[0]);
         assert_eq!(written.max_key, *keys.last().unwrap());
 
-        let reopened = SstReader::open(dir.join("00000009.sst"), 9, 8).unwrap();
+        let reopened = SstReader::open(dir.join("00000009.sst"), 9).unwrap();
         assert_eq!(reopened.filter_width(), 8);
         assert_eq!(reopened.n_entries, keys.len() as u64);
         assert_eq!(reopened.min_key, written.min_key);

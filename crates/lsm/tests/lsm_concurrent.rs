@@ -352,7 +352,7 @@ fn concurrent_lazy_filter_decode_is_once() {
     }
     w.finish(&ProteusFactory::default(), &queue, 12.0, &stats).unwrap();
 
-    let reopened = SstReader::open(dir.join("00000001.sst"), 1, 8).unwrap();
+    let reopened = SstReader::open(dir.join("00000001.sst"), 1).unwrap();
     assert!(!reopened.filter_ready(), "decode must be lazy before first probe");
     let probe_stats = Stats::default();
     let n = 16;

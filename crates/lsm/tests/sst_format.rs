@@ -1,19 +1,21 @@
-//! On-disk format compatibility: committed `PRSSTv1` and `PRSSTv2` golden
-//! files (the fixed-width legacy formats) must keep opening read-only
-//! under the v3 reader, and the current `PRSSTv3` layout — length-prefixed
+//! On-disk format contract: the one `PRSSTv3` layout — length-prefixed
 //! keys with restart-point prefix compression — is pinned by a byte-exact
-//! golden of its own plus truncation/bit-flip sweeps that must fail
-//! *loudly* (typed corruption, never a panic or a silent misread).
+//! golden plus truncation/bit-flip sweeps that must fail *loudly* (typed
+//! corruption, never a panic or a silent misread). The committed
+//! `PRSSTv1` and `PRSSTv2` goldens (the fixed-width generations no build
+//! reads any more) must be *rejected* the same way: a typed
+//! `Error::Corruption` naming the unsupported format, from `SstReader`
+//! and from `Db::open`, which must leave the directory untouched.
 //!
 //! The golden fixtures are committed under `tests/fixtures/{v1,v2,v3}/`
 //! and are byte-exact: each pins its format forever, hand-encoded
-//! independently of the writer (which only emits v3). Regenerate
+//! independently of the writer. Regenerate
 //! deliberately with
 //! `PROTEUS_REGEN_FIXTURES=1 cargo test -p proteus-lsm --test sst_format`.
 
 use proteus_core::codec::crc32;
 use proteus_core::key::u64_key;
-use proteus_lsm::sst::{SstReader, SstScanner, SstWriter, SST_FORMAT_VERSION};
+use proteus_lsm::sst::{SstReader, SstScanner, SstWriter, SST_FORMAT_VERSION, SST_MAGIC_V3};
 use proteus_lsm::{Db, DbConfig, Error, NoFilterFactory, QueryQueue, Stats};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -143,83 +145,67 @@ fn committed_golden_bytes_match_the_generator() {
     assert_eq!(load_fixture(GOLDEN_V3, encode_v3_golden), encode_v3_golden(), "v3 drifted");
 }
 
+/// Every legacy golden, with the file name `Db::open` would recover it by.
+fn legacy_goldens() -> [(&'static str, Vec<u8>, &'static str); 2] {
+    [
+        ("PRSSTv1", load_fixture(GOLDEN_V1, encode_v1_golden), "00000001.sst"),
+        ("PRSSTv2", load_fixture(GOLDEN_V2, encode_v2_golden), "00000002.sst"),
+    ]
+}
+
 #[test]
-fn v1_golden_opens_readonly_under_the_v3_reader() {
-    let bytes = load_fixture(GOLDEN_V1, encode_v1_golden);
-    let dir = tmpdir("v1-open");
-    let path = dir.join("00000001.sst");
-    std::fs::write(&path, &bytes).unwrap();
-
-    let sst = SstReader::open(&path, 1, 8).unwrap();
-    assert_eq!(sst.format_version, 1);
-    assert_eq!(sst.level, 1);
-    assert_eq!(sst.n_entries, N_KEYS);
-    assert_eq!(sst.n_tombstones, 0, "v1 predates tombstones");
-    assert_eq!(sst.min_key, v1_key(0));
-    assert_eq!(sst.max_key, v1_key(N_KEYS - 1));
-    let stats = Stats::default();
-    assert!(sst.filter(&stats).is_none(), "golden carries no filter block");
-
-    // Every entry decodes with the flag-less v1 layout, all live.
-    let mut scan = SstScanner::new(Arc::new(sst), Arc::new(Stats::default()));
-    let mut i = 0u64;
-    while let Some((k, v)) = scan.try_next().unwrap() {
-        assert_eq!(k, v1_key(i));
-        assert_eq!(v.as_deref(), Some(v1_value(i).as_slice()), "entry {i} must be live");
-        i += 1;
+fn legacy_goldens_are_rejected_with_a_typed_error_naming_the_format() {
+    let dir = tmpdir("legacy-open");
+    for (format, bytes, name) in legacy_goldens() {
+        let path = dir.join(name);
+        std::fs::write(&path, &bytes).unwrap();
+        match SstReader::open(&path, 1) {
+            Err(Error::Corruption(msg)) => {
+                assert!(msg.contains("unsupported SST format"), "{format}: {msg}");
+                assert!(msg.contains(format), "{format} must be named: {msg}");
+            }
+            other => panic!("{format} golden must fail open with Corruption, got {other:?}"),
+        }
+        // Truncations of a legacy file are typed errors too, never panics.
+        for cut in (0..bytes.len()).step_by(5) {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(SstReader::open(&path, 1).is_err(), "{format} cut {cut}");
+        }
     }
-    assert_eq!(i, N_KEYS);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn db_recovers_v1_files_and_serves_reads_over_them() {
-    let bytes = load_fixture(GOLDEN_V1, encode_v1_golden);
-    let dir = tmpdir("v1-db");
-    std::fs::write(dir.join("00000001.sst"), &bytes).unwrap();
-
-    let cfg = DbConfig::builder()
-        .memtable_bytes(16 << 10)
-        .sst_target_bytes(32 << 10)
-        .l0_compaction_trigger(1)
-        .level_base_bytes(32 << 10)
-        .build()
-        .unwrap();
-    let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
-    assert_eq!(db.stats().ssts_recovered.get(), 1);
-    // The full read surface works over the legacy file.
-    assert_eq!(db.get_u64(7).unwrap().as_deref(), Some(v1_value(1).as_slice()));
-    assert!(db.seek_u64(0, 10).unwrap());
-    assert!(!db.seek_u64(1, 6).unwrap());
-    let live = db.range_u64(0..=70).unwrap().count();
-    assert_eq!(live, 11); // keys 0,7,...,70
-                          // ...and so do writes layered on top: a delete shadows a v1 entry.
-    db.delete_u64(7).unwrap();
-    assert_eq!(db.get_u64(7).unwrap(), None, "tombstone must shadow the v1 entry");
-    for i in 0..N_KEYS {
-        db.put_u64(1_000_000 + i, &[i as u8; 32]).unwrap();
-    }
-    db.flush_and_settle().unwrap();
-    // Compaction consumed the v1 input and re-wrote everything as v3;
-    // the deleted key stays dead, every other v1 key survives.
-    assert_eq!(db.get_u64(7).unwrap(), None);
-    for i in (0..N_KEYS).step_by(37) {
-        if i != 1 {
-            assert!(db.seek_u64(i * 7, i * 7).unwrap(), "v1 key {i} lost in compaction");
+fn db_open_refuses_a_directory_holding_a_legacy_file_and_deletes_nothing() {
+    for (format, bytes, name) in legacy_goldens() {
+        let dir = tmpdir(&format!("legacy-db-{format}"));
+        // A current-format neighbour, a crash straggler (which a
+        // successful open would discard) and a foreign file ride along:
+        // the failed open must leave all four exactly as they were.
+        let neighbour = write_v3_with_writer(&dir);
+        std::fs::write(dir.join(name), &bytes).unwrap();
+        std::fs::write(dir.join("00000077.sst.tmp"), b"unfinished").unwrap();
+        std::fs::write(dir.join("notes.txt"), b"not ours").unwrap();
+        let listing = |dir: &Path| {
+            let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        let before = listing(&dir);
+        assert_eq!(before.len(), 4);
+        match Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)) {
+            Err(Error::Corruption(msg)) => assert!(msg.contains(format), "{msg}"),
+            Err(other) => panic!("{format}: expected Corruption, got {other:?}"),
+            Ok(_) => panic!("{format}: Db::open must refuse a legacy file"),
         }
+        assert_eq!(listing(&dir), before, "{format}: a refused open must touch nothing");
+        assert!(neighbour.exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    drop(db);
-    // All surviving files are v3 now (the v1 golden was compacted away).
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) != Some("sst") {
-            continue;
-        }
-        let id: u64 = path.file_stem().unwrap().to_str().unwrap().parse().unwrap();
-        let sst = SstReader::open(&path, id, 8).unwrap();
-        assert_eq!(sst.format_version, SST_FORMAT_VERSION, "{path:?} should be v3");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -294,75 +280,6 @@ fn encode_v2_golden() -> Vec<u8> {
         b"PRSSTv2\0",
     ));
     file
-}
-
-#[test]
-fn v2_golden_opens_readonly_under_the_v3_reader() {
-    let bytes = load_fixture(GOLDEN_V2, encode_v2_golden);
-    let dir = tmpdir("v2-open");
-    let path = dir.join("00000002.sst");
-    std::fs::write(&path, &bytes).unwrap();
-
-    // v2 files are fixed-width: the expected width is enforced exactly.
-    assert!(SstReader::open(&path, 2, 16).is_err(), "width mismatch must fail");
-    let sst = SstReader::open(&path, 2, 8).unwrap();
-    assert_eq!(sst.format_version, 2);
-    assert_eq!(sst.n_entries, N_V2);
-    assert_eq!(sst.n_tombstones, 5);
-    assert_eq!(sst.min_key, u64_key(V2_KEY_BASE));
-    assert_eq!(sst.max_key, u64_key(V2_KEY_BASE + N_V2 - 1));
-
-    // Entries decode with the flag-byte layout; tombstones come out None.
-    let mut scan = SstScanner::new(Arc::new(sst), Arc::new(Stats::default()));
-    let mut i = 0u64;
-    while let Some((k, v)) = scan.try_next().unwrap() {
-        assert_eq!(k, u64_key(V2_KEY_BASE + i));
-        if v2_tombstone(i) {
-            assert_eq!(v, None, "entry {i} must be a tombstone");
-        } else {
-            assert_eq!(v.as_deref(), Some(v2_value(i).as_slice()), "entry {i} must be live");
-        }
-        i += 1;
-    }
-    assert_eq!(i, N_V2);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn v2_entry_flag_corruption_is_typed_not_silent() {
-    let dir = tmpdir("flag-corrupt");
-    let path = dir.join("00000009.sst");
-    let orig = encode_v2_golden();
-    std::fs::write(&path, &orig).unwrap();
-    assert_eq!(orig[0], 0, "first block must be stored raw for this sweep");
-
-    // First entry of the first block: [9B block header][4B n][8B key][flag].
-    let flag_off = 9 + 4 + 8;
-    for bad_flag in [0x02u8, 0x80, 0xFF, 0x03] {
-        let mut bytes = orig.clone();
-        bytes[flag_off] = bad_flag;
-        std::fs::write(&path, &bytes).unwrap();
-        let sst = SstReader::open(&path, 9, 8).unwrap(); // footer is fine
-        let err = sst.read_block(0, &Stats::default());
-        assert!(
-            matches!(err, Err(Error::Corruption(_))),
-            "flag {bad_flag:#04x} must be typed corruption, got {err:?}"
-        );
-    }
-    // Tombstone flag on an entry that carries a value: also corruption.
-    let mut bytes = orig.clone();
-    bytes[flag_off] = 1;
-    std::fs::write(&path, &bytes).unwrap();
-    let sst = SstReader::open(&path, 9, 8).unwrap();
-    assert!(matches!(sst.read_block(0, &Stats::default()), Err(Error::Corruption(_))));
-
-    // The same corruption surfaces through the Db as a typed error on the
-    // affected read path (never a panic, never a silent wrong answer).
-    let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
-    assert!(matches!(db.get_u64(V2_KEY_BASE), Err(Error::Corruption(_))));
-    assert!(matches!(db.seek_u64(V2_KEY_BASE, V2_KEY_BASE + 5), Err(Error::Corruption(_))));
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -488,19 +405,13 @@ fn v3_golden_decodes_byte_exactly_and_is_self_describing() {
     std::fs::write(&path, &bytes).unwrap();
     let entries = v3_entries();
 
-    let sst = SstReader::open(&path, 3, 8).unwrap();
-    assert_eq!(sst.format_version, 3);
+    let sst = SstReader::open(&path, 3).unwrap();
     assert_eq!(sst.level, 1);
     assert_eq!(sst.n_entries, entries.len() as u64);
     assert_eq!(sst.n_tombstones, entries.iter().filter(|(_, v)| v.is_none()).count() as u64);
     assert_eq!(sst.min_key, entries[0].0);
     assert_eq!(sst.max_key, entries.last().unwrap().0);
     assert_eq!(sst.filter_width(), 8);
-
-    // v3 files are self-describing: the caller's expected width is ignored
-    // (it only constrains fixed-width v1/v2 files).
-    let wide = SstReader::open(&path, 3, 32).unwrap();
-    assert_eq!(wide.filter_width(), 8);
 
     // Every prefix-compressed entry reconstructs its raw key byte-exactly,
     // tombstones included, in order.
@@ -531,7 +442,7 @@ fn v3_entry_corruption_is_typed_not_silent() {
         let mut bytes = orig.clone();
         mutate(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
-        let sst = SstReader::open(&path, 3, 8).unwrap(); // footer is fine
+        let sst = SstReader::open(&path, 3).unwrap(); // footer is fine
         let err = sst.read_block(0, &Stats::default());
         assert!(matches!(err, Err(Error::Corruption(_))), "{what}: got {err:?}");
     };
@@ -552,6 +463,14 @@ fn v3_entry_corruption_is_typed_not_silent() {
     for bad_flag in [0x02u8, 0x80, 0xFF, 0x01] {
         corrupt(&|b| b[entry(0) + 4] = bad_flag, "bad flag byte");
     }
+
+    // The same corruption surfaces through the Db as a typed error on the
+    // affected read path (never a panic, never a silent wrong answer).
+    let first_key = entries[0].0.clone();
+    let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+    assert!(matches!(db.get(&first_key), Err(Error::Corruption(_))));
+    assert!(matches!(db.seek(&first_key, &entries[5].0), Err(Error::Corruption(_))));
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -565,7 +484,7 @@ fn v3_golden_truncation_sweep_never_panics() {
     // block read — always typed, never a panic.
     for cut in (0..orig.len()).step_by(3) {
         std::fs::write(&path, &orig[..cut]).unwrap();
-        if let Ok(sst) = SstReader::open(&path, 3, 8) {
+        if let Ok(sst) = SstReader::open(&path, 3) {
             let mut scan = SstScanner::new(Arc::new(sst), Arc::new(Stats::default()));
             while let Ok(Some(_)) = scan.try_next() {}
         }
@@ -597,7 +516,7 @@ fn writer_output_truncation_sweep_never_panics() {
     let orig = std::fs::read(&path).unwrap();
     for cut in (0..orig.len()).step_by(7) {
         std::fs::write(&path, &orig[..cut]).unwrap();
-        if let Ok(sst) = SstReader::open(&path, 9, 8) {
+        if let Ok(sst) = SstReader::open(&path, 9) {
             let mut scan = SstScanner::new(Arc::new(sst), Arc::new(Stats::default()));
             while let Ok(Some(_)) = scan.try_next() {}
         }
@@ -607,17 +526,18 @@ fn writer_output_truncation_sweep_never_panics() {
 
 #[test]
 fn golden_fixtures_end_with_pinned_magics() {
-    use proteus_lsm::sst::{SST_MAGIC, SST_MAGIC_V1, SST_MAGIC_V3};
-    // The last 8 bytes of every footer are the format magic; each generation
-    // is pinned here against its committed fixture so any accidental edit to
-    // the exported constants (or the footer layout) breaks a golden test.
+    // The last 8 bytes of every footer are the format magic. The current
+    // generation's exported constant is pinned against its committed
+    // fixture; the retired generations keep their literal magics here —
+    // the only place they still appear — so the rejection tests above
+    // provably run against genuine legacy files.
     let v1 = load_fixture(GOLDEN_V1, encode_v1_golden);
     let v2 = load_fixture(GOLDEN_V2, encode_v2_golden);
     let v3 = load_fixture(GOLDEN_V3, encode_v3_golden);
-    assert_eq!(&v1[v1.len() - 8..], &SST_MAGIC_V1, "v1 magic drifted");
-    assert_eq!(&v2[v2.len() - 8..], &SST_MAGIC, "v2 magic drifted");
+    assert_eq!(&v1[v1.len() - 8..], b"PRSSTv1\0", "v1 fixture drifted");
+    assert_eq!(&v2[v2.len() - 8..], b"PRSSTv2\0", "v2 fixture drifted");
     assert_eq!(&v3[v3.len() - 8..], &SST_MAGIC_V3, "v3 magic drifted");
-    assert_eq!(SST_MAGIC_V1, *b"PRSSTv1\0");
-    assert_eq!(SST_MAGIC, *b"PRSSTv2\0");
     assert_eq!(SST_MAGIC_V3, *b"PRSSTv3\0");
+    assert_eq!(SST_FORMAT_VERSION, 3);
+    assert_eq!(u16::from_le_bytes([v3[v3.len() - 16], v3[v3.len() - 15]]), SST_FORMAT_VERSION);
 }

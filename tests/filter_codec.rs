@@ -6,10 +6,10 @@
 //!   drift. To regenerate after an *intentional* format change (which must
 //!   also bump `FORMAT_VERSION`), run:
 //!   `PROTEUS_REGEN_FIXTURES=1 cargo test --test filter_codec`.
-//! * **v1 compatibility** — the PR-2 era fixtures under
-//!   `tests/fixtures/v1/` are frozen forever (never regenerated): every
-//!   one must keep decoding into a working filter, with the codec-v2
-//!   training fingerprint defaulting to "none".
+//! * **v1 rejection** — the PR-2 era fixtures under `tests/fixtures/v1/`
+//!   (never regenerated) carry the retired envelope version 1, which
+//!   could only ride in SST generations the store no longer opens: every
+//!   one must fail decode with `CodecError::UnsupportedVersion(1)`.
 //! * **Fuzz-style robustness** — decoding arbitrary bytes, truncations at
 //!   every prefix length, and single-byte corruptions of valid encodings
 //!   must return `Err(CodecError)`: never a panic, never a filter that
@@ -168,21 +168,20 @@ fn v2_fingerprint_fixture_roundtrips_sketch() {
 }
 
 #[test]
-fn golden_v1_fixtures_still_decode_with_no_fingerprint() {
+fn golden_v1_fixtures_are_rejected_as_an_unsupported_version() {
     // The v1 fixtures are frozen history: bytes written by the PR-2 codec.
-    // They are never regenerated — a build that cannot decode them has
-    // broken compatibility with every database on disk.
+    // Envelope v1 is retired together with the SST generations that could
+    // carry it; its bytes must be named as such, never misread or panicked
+    // on — intact, truncated or corrupted.
+    use proteus::core::CodecError;
     let dir = fixture_dir("v1");
-    for (name, filter) in fixtures() {
+    for (name, _) in fixtures() {
         let golden = std::fs::read(dir.join(name))
             .unwrap_or_else(|e| panic!("missing frozen v1 fixture {name} ({e})"));
-        let decoded = FilterCodec::decode(&golden)
-            .unwrap_or_else(|e| panic!("v1 fixture {name} no longer decodes: {e:?}"));
-        assert!(!decoded.degraded, "{name}");
-        assert!(decoded.fingerprint.is_none(), "{name}: v1 must default to no fingerprint");
-        assert_eq!(decoded.filter.name(), filter.name(), "{name}");
-        assert_eq!(decoded.filter.size_bits(), filter.size_bits(), "{name}");
-        // And the v1 bytes remain corruption-proof under the v2 decoder.
+        assert!(
+            matches!(FilterCodec::decode(&golden), Err(CodecError::UnsupportedVersion(1))),
+            "{name}: a v1 envelope must be rejected by version"
+        );
         for cut in 0..golden.len() {
             assert!(FilterCodec::decode(&golden[..cut]).is_err(), "{name} cut {cut}");
         }
