@@ -89,8 +89,9 @@ pub trait RangeFilter: Send + Sync {
     /// stable wire tag plus the kind-specific payload (no envelope — the
     /// caller seals it with magic, version and checksum; see
     /// [`codec::seal`]). `None` means the filter has no persistent form
-    /// (e.g. ARF): its SST gets no filter block, and after a reopen that
-    /// file serves unfiltered probes (recovery never retrains filters).
+    /// (e.g. [`CountingProteus`]): its SST gets no filter block, and after
+    /// a reopen that file serves unfiltered probes (recovery never
+    /// retrains filters).
     fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
         None
     }

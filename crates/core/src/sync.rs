@@ -9,12 +9,14 @@
 //!
 //! In debug builds (`cfg(debug_assertions)`) or with the `lock-doctor`
 //! feature enabled, the wrappers are instrumented: each thread keeps a
-//! stack of the locks it holds, a global acquisition-order graph collects
-//! first-witness call sites for every observed rank pair, and any rank
-//! inversion or order-graph cycle panics with **both** acquisition sites
-//! named (the one being taken and the one already held). Hold and
-//! contention nanoseconds are reported through a per-lock
-//! [`LockObserver`], which the LSM store wires into its `Stats` counters.
+//! stack of the locks it holds, and any rank inversion panics — before
+//! blocking — with **both** acquisition sites named (the one being taken
+//! and the one already held). The rank check is the whole deadlock
+//! argument: every permitted nesting strictly descends in level, so the
+//! acquisition order across all threads is acyclic by construction and
+//! needs no global bookkeeping. Hold and contention nanoseconds are
+//! reported through a per-lock [`LockObserver`], which the LSM store
+//! wires into its `Stats` counters.
 //!
 //! In release builds without the feature the wrappers are transparent
 //! newtypes around `std::sync` with no extra state, no `Drop` glue and no
@@ -50,7 +52,7 @@ impl Rank {
         self.level
     }
 
-    /// Human-readable name used in panic messages and the order graph.
+    /// Human-readable name used in panic messages.
     pub const fn name(&self) -> &'static str {
         self.name
     }
@@ -113,12 +115,11 @@ pub const fn doctor_enabled() -> bool {
 mod imp {
     use super::{LockObserver, Rank};
     use std::cell::RefCell;
-    use std::collections::HashMap;
     use std::fmt;
     use std::mem::ManuallyDrop;
     use std::ops::{Deref, DerefMut};
     use std::panic::Location;
-    use std::sync::{Arc, LockResult, OnceLock, PoisonError, TryLockError, WaitTimeoutResult};
+    use std::sync::{Arc, LockResult, PoisonError, TryLockError, WaitTimeoutResult};
     use std::time::{Duration, Instant};
 
     #[derive(Clone, Copy)]
@@ -131,75 +132,6 @@ mod imp {
 
     thread_local! {
         static HELD: RefCell<(u64, Vec<Held>)> = const { RefCell::new((0, Vec::new())) };
-    }
-
-    /// First-witness sites for one observed acquisition edge
-    /// `from` → `to` ("a thread holding `from` acquired `to`").
-    struct Edge {
-        from_site: &'static Location<'static>,
-        to_site: &'static Location<'static>,
-    }
-
-    /// `graph[a][b]` exists iff some thread acquired `b` while holding
-    /// `a`. With the strict rank check active a cycle can only appear if
-    /// two locks share a level; the graph check catches that case (and
-    /// any future relaxation of the rank rule) with real witnesses.
-    type Graph = HashMap<&'static str, HashMap<&'static str, Edge>>;
-
-    fn graph() -> &'static std::sync::Mutex<Graph> {
-        static GRAPH: OnceLock<std::sync::Mutex<Graph>> = OnceLock::new();
-        GRAPH.get_or_init(|| std::sync::Mutex::new(HashMap::new()))
-    }
-
-    fn find_path(g: &Graph, from: &'static str, to: &'static str) -> Option<Vec<&'static str>> {
-        let mut stack = vec![vec![from]];
-        let mut seen = vec![from];
-        while let Some(path) = stack.pop() {
-            let last = path[path.len() - 1];
-            if last == to {
-                return Some(path);
-            }
-            if let Some(nexts) = g.get(last) {
-                for &n in nexts.keys() {
-                    if !seen.contains(&n) {
-                        seen.push(n);
-                        let mut p = path.clone();
-                        p.push(n);
-                        stack.push(p);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Record `held → new` in the global order graph, then fail if the
-    /// graph now contains a cycle through the new edge.
-    fn record_edge(held: &Held, rank: Rank, site: &'static Location<'static>) {
-        let mut g = graph().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        g.entry(held.name)
-            .or_default()
-            .entry(rank.name())
-            .or_insert(Edge { from_site: held.site, to_site: site });
-        if let Some(path) = find_path(&g, rank.name(), held.name) {
-            let witness = &g[held.name][rank.name()];
-            let mut cycle = path.join(" -> ");
-            cycle.push_str(" -> ");
-            cycle.push_str(rank.name());
-            // lint: allow(no-panic): the doctor reports violations by panicking
-            panic!(
-                "lock-doctor: acquisition-order cycle: {cycle}; closing edge \
-                 `{held_name}` (held, acquired at {held_site}) -> `{new_name}` \
-                 (acquiring at {new_site}); first witness for that edge: \
-                 {w_from} -> {w_to}",
-                held_name = held.name,
-                held_site = held.site,
-                new_name = rank.name(),
-                new_site = site,
-                w_from = witness.from_site,
-                w_to = witness.to_site,
-            );
-        }
     }
 
     /// The acquisition check: every held lock must outrank the new one.
@@ -226,11 +158,6 @@ mod imp {
                         held_site = lowest.site,
                     );
                 }
-            }
-            if let Some(top) = held.1.last() {
-                let top = *top;
-                drop(held);
-                record_edge(&top, rank, site);
             }
         });
     }

@@ -68,7 +68,7 @@ impl FilterCodec {
     /// Encode `filter` into a self-describing envelope (no training
     /// fingerprint).
     ///
-    /// Filters without a persistent form (e.g. ARF) yield
+    /// Filters without a persistent form (e.g. `CountingProteus`) yield
     /// [`CodecError::Unsupported`]; the SST writer treats that as "no
     /// filter block" rather than an I/O failure.
     pub fn encode(filter: &dyn RangeFilter) -> Result<Vec<u8>, CodecError> {

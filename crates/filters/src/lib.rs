@@ -18,12 +18,10 @@
 
 #![warn(missing_docs)]
 
-pub mod arf;
 pub mod codec;
 pub mod rosetta;
 pub mod surf;
 
-pub use arf::Arf;
 pub use codec::{DecodedFilter, FilterCodec};
 pub use rosetta::{Rosetta, RosettaOptions};
 pub use surf::{Surf, SurfSuffix};

@@ -14,9 +14,10 @@
 //!      once `adapt_min_probes` probes accumulate, an empirical FPR above
 //!      `adapt_fpr_threshold` flags the file.
 //!   2. *Distribution drift*: each filter block persists a
-//!      [`QuerySketch`] fingerprint of the sample it was trained on.
-//!      The live sample queue, sketched over the same anchors
-//!      (the file's key range), is compared by total-variation distance;
+//!      [`proteus_core::QuerySketch`] fingerprint of the sample it was
+//!      trained on. The live sample queue, sketched over the same anchors
+//!      (the file's canonicalized key range — [`SstReader::sketch`]), is
+//!      compared by total-variation distance;
 //!      divergence above `adapt_divergence_threshold` flags the file
 //!      *before* the FPR damage fully materializes.
 //! * **What to do** — [`retrain`] re-runs the factory (for Proteus, the
@@ -24,19 +25,25 @@
 //!   and a fresh queue snapshot, then atomically rewrites only the filter
 //!   block + footer ([`SstReader::with_new_filter`]): data blocks are
 //!   untouched, readers are never blocked, and a crash leaves either the
-//!   old or the new filter — both of which reopen cleanly.
+//!   old or the new filter — both of which reopen cleanly. Which keys
+//!   feed the filter, at what width, and which anchors fingerprint the
+//!   samples is not decided here: re-training runs the SST writer's own
+//!   key feed (`sst::FilterKeys`), so a re-trained filter can
+//!   never cover less than the one it replaces.
 //!
-//! The third background worker (`Db`'s *adapter*, next to the flusher and
-//! compactor) runs these every `adapt_interval`; `Db::adapt_now` runs one
-//! pass synchronously for deterministic tests and experiments.
+//! `pass` strings the two together over every live file and publishes the
+//! replacement readers. The third background worker (`Db`'s *adapter*,
+//! next to the flusher and compactor) runs it every `adapt_interval`;
+//! `Db::adapt_now` runs one pass synchronously for deterministic tests
+//! and experiments.
 
-use crate::db::DbConfig;
-use crate::error::Result;
-use crate::sst::{SstReader, SstScanner};
+use crate::db::{DbConfig, DbInner};
+use crate::error::{Error, Result};
+use crate::query_queue::QueryQueue;
+use crate::sst::SstReader;
 use crate::stats::Stats;
 use crate::FilterFactory;
-use proteus_core::keyset::KeySet;
-use proteus_core::{QuerySketch, SampleQueries};
+use proteus_core::SampleQueries;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,8 +83,7 @@ pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, live: &SampleQueries) -> Opt
     }
     if live.len() >= MIN_DRIFT_SAMPLES {
         if let Some(trained) = sst.training_fingerprint() {
-            let live_sketch = QuerySketch::from_queries(live.iter(), &sst.min_key, &sst.max_key);
-            if trained.divergence(&live_sketch) > cfg.adapt_divergence_threshold() {
+            if trained.divergence(&sst.sketch(live)) > cfg.adapt_divergence_threshold() {
                 return Some(FlagReason::Drift);
             }
         }
@@ -85,45 +91,101 @@ pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, live: &SampleQueries) -> Opt
     None
 }
 
-/// Re-train one SST's filter: scan its keys, re-run the factory's design
-/// search over a fresh sample snapshot, and atomically rewrite the filter
-/// block. Returns the replacement reader (same id, new filter, fresh
-/// observation window) for the caller to swap into the manifest.
+/// Re-train one SST's filter: collect the file's filter keys, re-run the
+/// factory's design search over a fresh snapshot of the sample queue, and
+/// atomically rewrite the filter block. Returns the replacement reader
+/// (same id, new filter, fresh observation window) for the caller to swap
+/// into the manifest.
 pub fn retrain(
     sst: &Arc<SstReader>,
     factory: &dyn FilterFactory,
-    live: &SampleQueries,
+    queue: &QueryQueue,
     bits_per_key: f64,
-    stats: &Arc<Stats>,
+    stats: &Stats,
 ) -> Result<SstReader> {
     let t0 = Instant::now();
-    let width = live.width();
-    let mut keys = Vec::with_capacity(sst.n_entries as usize * width);
-    let mut scan = SstScanner::new(Arc::clone(sst), Arc::clone(stats));
-    // Every entry key feeds the new filter, tombstones included: a
-    // filter that answered "empty" for a range holding only a tombstone
-    // would make the read path skip this file, miss the delete, and
-    // resurrect an older version of the key from a deeper level.
-    while let Some((k, _)) = scan.try_next()? {
-        keys.extend_from_slice(&k);
-    }
-    let keyset = KeySet::from_sorted_canonical(keys, width);
-    let mut samples = live.clone();
-    samples.retain_empty(&keyset);
-    let m_bits = (bits_per_key * keyset.len() as f64) as u64;
-    let filter = factory.build(&keyset, &samples, m_bits.max(1));
-    let sketch = QuerySketch::from_queries(samples.iter(), &sst.min_key, &sst.max_key);
+    let keys = sst.filter_keys(stats)?;
+    let (filter, sketch) = keys.train(&sst.min_key, &sst.max_key, factory, queue, bits_per_key);
     let new_reader = sst.with_new_filter(filter, sketch, stats)?;
     stats.retrain_ns.add(t0.elapsed().as_nanos() as u64);
     stats.filters_retrained.inc();
     Ok(new_reader)
 }
 
+/// One full adaptive pass over `db`: flag, re-train, publish; returns the
+/// number of filters re-trained. Serialized by `adapt_lock` so a
+/// background pass and an explicit `adapt_now` never rewrite the same file
+/// concurrently.
+pub(crate) fn pass(db: &DbInner) -> Result<usize> {
+    let _guard = db.adapt_lock.lock().map_err(|_| Error::Poisoned("adapt lock"))?;
+    let live = db.queue.snapshot(db.cfg.key_width());
+    let version = db.version();
+    let mut flagged: Vec<Arc<SstReader>> = Vec::new();
+    for level in &version.levels {
+        for sst in level {
+            if sst.is_retired() {
+                continue;
+            }
+            if flag_reason(sst, &db.cfg, &live).is_some() {
+                db.stats.drift_flags.inc();
+                flagged.push(Arc::clone(sst));
+            }
+        }
+    }
+    let mut retrained = 0usize;
+    for sst in flagged {
+        // Re-training every flagged file can take a while right after
+        // a shift (every live SST flags at once); re-check shutdown
+        // between files so dropping the Db joins within one retrain,
+        // like the compactor re-checks between jobs.
+        if db.shutting_down()? {
+            break;
+        }
+        if sst.is_retired() {
+            // Compaction consumed the file while this pass was
+            // running; its merged successor got a fresh filter anyway.
+            continue;
+        }
+        let new = Arc::new(retrain(
+            &sst,
+            db.factory.as_ref(),
+            &db.queue,
+            db.cfg.bits_per_key(),
+            &db.stats,
+        )?);
+        // Publish: swap the replacement reader into whatever level the
+        // file now sits in. Readers holding older versions keep the old
+        // reader (same data; the old filter is merely stale, never
+        // wrong — filters have no false negatives for the file's keys).
+        let mut replaced = false;
+        db.edit_manifest(|v| {
+            for level in &mut v.levels {
+                for slot in level.iter_mut() {
+                    if slot.id == new.id {
+                        *slot = Arc::clone(&new);
+                        replaced = true;
+                    }
+                }
+            }
+        });
+        if replaced {
+            retrained += 1;
+        } else {
+            // A compaction retired the file between our retired-check
+            // and the manifest edit. The rewrite's rename may have
+            // resurrected the path after the compactor unlinked it;
+            // drop it again — the data lives on in the compaction
+            // outputs.
+            new.delete_file();
+        }
+    }
+    Ok(retrained)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter_hook::ProteusFactory;
-    use crate::query_queue::QueryQueue;
     use crate::sst::SstWriter;
     use proteus_core::key::u64_key;
     use std::path::PathBuf;
@@ -207,7 +269,10 @@ mod tests {
         let dir = tmpdir("retrain");
         let (sst, stats) = build_sst(&dir, &queries(0, 300));
         let old_bits = sst.filter(&stats).unwrap().size_bits();
-        let shifted = SampleQueries::from_u64(&queries(10_000u64 << 24, 300));
+        let shifted = QueryQueue::new(20_000, 1);
+        for (lo, hi) in queries(10_000u64 << 24, 300) {
+            shifted.offer(&u64_key(lo), &u64_key(hi));
+        }
         let new_reader = retrain(&sst, &ProteusFactory::default(), &shifted, 12.0, &stats).unwrap();
         assert_eq!(stats.filters_retrained.get(), 1);
         assert!(stats.retrain_ns.get() > 0);

@@ -1,0 +1,276 @@
+//! Compaction: which files to fold next (the picking policy, a pure
+//! function of a manifest snapshot) and the fold itself — the read path's
+//! [`Merge`] over uncached cursors, plus the two decisions that are
+//! compaction's own: tombstones are dropped once the output lands at the
+//! bottom of the tree, and the output is split into files of
+//! `sst_target_bytes`. The compactor thread's loop (when to look, how to
+//! settle) stays in [`crate::db`].
+
+use crate::config::DbConfig;
+use crate::db::{DbInner, Version};
+use crate::error::Result;
+use crate::read::Merge;
+use crate::sst::{SstCursor, SstReader, SstWriter};
+use std::sync::Arc;
+
+/// A compaction the policy decided on, with its inputs pinned from a
+/// manifest snapshot (only the compactor removes files from any level,
+/// so pinned inputs cannot disappear before the edit is applied).
+#[derive(Debug)]
+pub(crate) enum CompactionJob {
+    /// Merge all (snapshot) L0 files plus overlapping L1 files into L1.
+    L0 { inputs_new: Vec<Arc<SstReader>>, inputs_old: Vec<Arc<SstReader>> },
+    /// Push one file from `level` into `level + 1`.
+    Level { level: usize, input: Arc<SstReader>, inputs_old: Vec<Arc<SstReader>> },
+}
+
+/// Size target of `level` (≥ 1): `level_base_bytes` at L1, growing by
+/// `level_size_ratio` per level.
+fn level_target(cfg: &DbConfig, level: usize) -> u64 {
+    cfg.level_base_bytes() * cfg.level_size_ratio().pow(level.saturating_sub(1) as u32)
+}
+
+/// Clones of the files in a sorted, disjoint level overlapping `[lo, hi]`
+/// (the snapshot is not modified; the manifest edit removes them by id at
+/// publish time).
+fn collect_overlapping(level: &[Arc<SstReader>], lo: &[u8], hi: &[u8]) -> Vec<Arc<SstReader>> {
+    level.iter().filter(|s| s.overlaps(lo, hi)).cloned().collect()
+}
+
+/// Decide the next compaction from a manifest snapshot. In settle mode
+/// any non-empty L0 compacts (the §6.2 clean initial state); otherwise
+/// only the configured triggers fire.
+pub(crate) fn pick(v: &Version, cfg: &DbConfig, settle: bool) -> Option<CompactionJob> {
+    let next_level = |level: usize| v.levels.get(level + 1).map_or(&[][..], Vec::as_slice);
+    let l0 = v.levels.first()?;
+    if l0.len() > cfg.l0_compaction_trigger() || (settle && !l0.is_empty()) {
+        // Newest-first rank order for the merge.
+        let inputs_new: Vec<Arc<SstReader>> = l0.iter().rev().cloned().collect();
+        // Both triggers above imply at least one L0 input.
+        let lo = inputs_new.iter().map(|s| &s.min_key).min()?;
+        let hi = inputs_new.iter().map(|s| &s.max_key).max()?;
+        let inputs_old = collect_overlapping(next_level(0), lo, hi);
+        return Some(CompactionJob::L0 { inputs_new, inputs_old });
+    }
+    for level in 1..v.levels.len() {
+        let bytes: u64 = v.levels[level].iter().map(|s| s.file_bytes).sum();
+        if bytes > level_target(cfg, level) {
+            // Pick the file with the smallest min key (simple
+            // deterministic cursor; RocksDB round-robins similarly).
+            let input = Arc::clone(v.levels[level].first()?);
+            let inputs_old = collect_overlapping(next_level(level), &input.min_key, &input.max_key);
+            return Some(CompactionJob::Level { level, input, inputs_old });
+        }
+    }
+    None
+}
+
+/// Run `job`: merge its inputs into the target level, publish the edit
+/// and retire the inputs.
+pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
+    let (newer, older, source_level, target_level) = match job {
+        CompactionJob::L0 { inputs_new, inputs_old } => (inputs_new, inputs_old, 0, 1),
+        CompactionJob::Level { level, input, inputs_old } => {
+            (vec![input], inputs_old, level, level + 1)
+        }
+    };
+    let outputs = merge_inputs(db, &newer, &older, target_level)?;
+    let removed_source: Vec<u64> = newer.iter().map(|s| s.id).collect();
+    let removed_target: Vec<u64> = older.iter().map(|s| s.id).collect();
+    // Publish: drop the inputs from the manifest (files flushed into
+    // L0 meanwhile are untouched) and install the outputs sorted.
+    db.edit_manifest(|v| {
+        if v.levels.len() <= target_level {
+            v.levels.resize_with(target_level + 1, Vec::new);
+        }
+        v.levels[source_level].retain(|s| !removed_source.contains(&s.id));
+        v.levels[target_level].retain(|s| !removed_target.contains(&s.id));
+        v.levels[target_level].extend(outputs.iter().cloned());
+        v.levels[target_level].sort_by(|a, b| a.min_key.cmp(&b.min_key));
+    });
+    // Retire inputs: readers still holding an older version keep their
+    // open descriptors; the unlink only drops the directory entry.
+    // Mark-before-purge: once the flag is visible no reader re-caches
+    // a dead block, so the purge is final.
+    for sst in newer.iter().chain(older.iter()) {
+        sst.mark_retired();
+        db.cache.purge_sst(sst.id);
+        sst.delete_file();
+    }
+    db.stats.compactions.inc();
+    Ok(())
+}
+
+/// Merge `newer` (rank order = recency) and `older` files, writing
+/// size-split SSTs for `target_level` and building a fresh filter per
+/// output (§6.1: compaction "triggers the construction of new filters on
+/// the merged data"). Inputs are read straight from their files, one
+/// read per block, and each surviving record goes into the writer as
+/// slices borrowed from its decoded block.
+///
+/// The merge yields only the newest record per key. A surviving
+/// tombstone is carried into the output — it may still shadow versions
+/// of its key in deeper levels — *unless* the output lands at the bottom
+/// of the tree (no non-empty level below the target), where nothing
+/// older can exist and the tombstone is dropped for good. Deeper levels
+/// are only ever mutated by this (single) compactor thread, so one
+/// snapshot decides the whole merge; concurrent flushes only add *newer*
+/// data in L0, which a dropped tombstone could never have shadowed.
+fn merge_inputs(
+    db: &DbInner,
+    newer: &[Arc<SstReader>],
+    older: &[Arc<SstReader>],
+    target_level: usize,
+) -> Result<Vec<Arc<SstReader>>> {
+    let drop_tombstones =
+        db.version().levels.get(target_level + 1..).is_none_or(|d| d.iter().all(Vec::is_empty));
+    let mut merge = Merge::new(db, DbInner::uncached_block);
+    for sst in newer.iter().chain(older) {
+        merge.push_sst(SstCursor::new(Arc::clone(sst)), None, sst.min_key.clone());
+    }
+    let mut outputs: Vec<Arc<SstReader>> = Vec::new();
+    let mut writer: Option<SstWriter> = None;
+    for record in merge {
+        let (_, pos) = record?;
+        let (key, value) = pos.entry();
+        if value.is_none() && drop_tombstones {
+            db.stats.tombstones_dropped.inc();
+            continue;
+        }
+        let w = match &mut writer {
+            Some(w) => w,
+            None => writer.insert(db.sst_writer(target_level as u32)?),
+        };
+        w.push(key, value)?;
+        if w.bytes_written() >= db.cfg.sst_target_bytes() {
+            if let Some(w) = writer.take() {
+                outputs.push(Arc::new(db.finish_sst(w)?));
+            }
+        }
+    }
+    if let Some(w) = writer {
+        outputs.push(Arc::new(db.finish_sst(w)?));
+    }
+    Ok(outputs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::filter_hook::NoFilterFactory;
+    use crate::query_queue::QueryQueue;
+    use crate::stats::Stats;
+    use proteus_core::key::u64_key;
+    use std::path::{Path, PathBuf};
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("proteus-pick-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        std::fs::create_dir_all(&d).unwrap();
+        d
+    }
+
+    /// A ~3 KiB file at `level` holding 64 keys spread over `[lo, hi]`
+    /// (`hi - lo >= 63`).
+    fn file(dir: &Path, id: u64, level: u32, lo: u64, hi: u64) -> Arc<SstReader> {
+        let mut w = SstWriter::create(dir, id, 8, 4096, level).unwrap();
+        for i in 0..64 {
+            w.add(&u64_key(lo + (hi - lo) * i / 63), &[0xA5u8; 32]).unwrap();
+        }
+        let queue = QueryQueue::new(0, 1);
+        Arc::new(w.finish(&NoFilterFactory, &queue, 0.0, &Stats::default()).unwrap())
+    }
+
+    fn ids(files: &[Arc<SstReader>]) -> Vec<u64> {
+        files.iter().map(|s| s.id).collect()
+    }
+
+    /// L0 trigger 2; L1 holds 4 KiB, L2 40 KiB.
+    fn cfg() -> DbConfig {
+        DbConfig::builder().l0_compaction_trigger(2).level_base_bytes(4 << 10).build().unwrap()
+    }
+
+    #[test]
+    fn nothing_to_do_picks_nothing() {
+        let dir = tmpdir("none");
+        assert!(pick(&Version { levels: vec![Vec::new()] }, &cfg(), false).is_none());
+        assert!(pick(&Version { levels: vec![Vec::new()] }, &cfg(), true).is_none());
+        // L0 at (not over) its trigger, L1 under its size target.
+        let v = Version {
+            levels: vec![
+                vec![file(&dir, 1, 0, 0, 500), file(&dir, 2, 0, 100, 900)],
+                vec![file(&dir, 3, 1, 0, 1_000)],
+            ],
+        };
+        assert!(pick(&v, &cfg(), false).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn l0_over_trigger_takes_every_l0_file_and_the_overlapping_l1_files() {
+        let dir = tmpdir("l0");
+        let v = Version {
+            levels: vec![
+                // Flush order (oldest first); together they span [200, 900].
+                vec![
+                    file(&dir, 1, 0, 200, 500),
+                    file(&dir, 2, 0, 400, 900),
+                    file(&dir, 3, 0, 300, 600),
+                ],
+                vec![
+                    file(&dir, 4, 1, 0, 100),       // left of the span
+                    file(&dir, 5, 1, 150, 250),     // overlaps its low end
+                    file(&dir, 6, 1, 900, 1_200),   // touches its high end
+                    file(&dir, 7, 1, 1_300, 1_500), // right of the span
+                ],
+            ],
+        };
+        let Some(CompactionJob::L0 { inputs_new, inputs_old }) = pick(&v, &cfg(), false) else {
+            panic!("three L0 files are over a trigger of two");
+        };
+        assert_eq!(ids(&inputs_new), [3, 2, 1], "newest first: the merge's rank order");
+        assert_eq!(ids(&inputs_old), [5, 6]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn settle_compacts_a_non_empty_l0_below_its_trigger() {
+        let dir = tmpdir("settle");
+        let v = Version { levels: vec![vec![file(&dir, 1, 0, 0, 500)]] };
+        assert!(pick(&v, &cfg(), false).is_none(), "one file is under the trigger");
+        let Some(CompactionJob::L0 { inputs_new, inputs_old }) = pick(&v, &cfg(), true) else {
+            panic!("settle mode must empty L0");
+        };
+        assert_eq!(ids(&inputs_new), [1]);
+        assert!(inputs_old.is_empty(), "there is no L1 yet");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn level_over_target_pushes_its_first_file_into_the_overlapping_next_level_files() {
+        let dir = tmpdir("level");
+        let v = Version {
+            levels: vec![
+                Vec::new(),
+                // Two ~3 KiB files: over L1's 4 KiB target.
+                vec![file(&dir, 1, 1, 100, 400), file(&dir, 2, 1, 500, 900)],
+                vec![
+                    file(&dir, 3, 2, 0, 70),
+                    file(&dir, 4, 2, 80, 150),
+                    file(&dir, 5, 2, 350, 450),
+                    file(&dir, 6, 2, 460, 1_000),
+                ],
+            ],
+        };
+        assert!(v.levels[1].iter().map(|s| s.file_bytes).sum::<u64>() > 4 << 10);
+        for settle in [false, true] {
+            let Some(CompactionJob::Level { level, input, inputs_old }) = pick(&v, &cfg(), settle)
+            else {
+                panic!("L1 is over its target");
+            };
+            assert_eq!((level, input.id), (1, 1), "the file with the smallest min key");
+            assert_eq!(ids(&inputs_old), [4, 5], "exactly the L2 files [100, 400] touches");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

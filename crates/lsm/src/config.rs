@@ -6,6 +6,7 @@
 //! validation runs again inside [`crate::Db::open`] as the boundary check.
 
 use crate::error::{Error, Result};
+use crate::memtable::ARENA_LIMIT_FACTOR;
 use std::time::Duration;
 
 /// When the write-ahead log calls `fdatasync` — the durability/latency
@@ -61,7 +62,9 @@ pub struct DbConfig {
     /// Largest accepted key length in bytes (keys are arbitrary non-empty
     /// byte strings up to this limit).
     max_key_bytes: usize,
-    /// MemTable rotation threshold (write_buffer_size).
+    /// MemTable rotation threshold (write_buffer_size), in logical bytes;
+    /// at most `u32::MAX / 8`. A table also rotates once its arena holds
+    /// 8× this (see [`crate::memtable::MemTable::is_full`]).
     memtable_bytes: usize,
     /// Immutable MemTables allowed to queue before writers stall
     /// (max_write_buffer_number - 1).
@@ -156,6 +159,11 @@ impl DbConfig {
         }
         if self.memtable_bytes == 0 {
             return bad("memtable_bytes must be > 0");
+        }
+        if self.memtable_bytes > u32::MAX as usize / ARENA_LIMIT_FACTOR {
+            // A MemTable's arena may grow to ARENA_LIMIT_FACTOR times the
+            // threshold before it rotates, and is addressed by u32 offsets.
+            return bad("memtable_bytes must be <= u32::MAX / 8 (512 MiB)");
         }
         if self.max_immutable_memtables == 0 {
             return bad("max_immutable_memtables must be >= 1");
@@ -438,6 +446,10 @@ mod tests {
             ("maxkey0", DbConfig::builder().max_key_bytes(0).build()),
             ("maxkey4097", DbConfig::builder().max_key_bytes(4097).build()),
             ("memtable", DbConfig::builder().memtable_bytes(0).build()),
+            (
+                "memtable_u32",
+                DbConfig::builder().memtable_bytes((u32::MAX as usize / 8) + 1).build(),
+            ),
             ("imms", DbConfig::builder().max_immutable_memtables(0).build()),
             ("block", DbConfig::builder().block_bytes(0).build()),
             ("cache_lt_block", DbConfig::builder().block_cache_bytes(15).build()),

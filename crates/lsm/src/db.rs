@@ -12,7 +12,9 @@
 //! merge iterator) and [`Db::seek`], which is a thin emptiness wrapper
 //! around the same merge — all three implemented by the one layer walk
 //! in [`crate::read`]; this module holds the handle, recovery, the write
-//! path and the background workers. Deletes are first-class: a tombstone entry
+//! path and the three background worker loops (what a compaction picks
+//! and does is `compact.rs`, what an adaptive pass decides is
+//! [`crate::adapt`]). Deletes are first-class: a tombstone entry
 //! shadows every older version of its key through MemTables, SSTs,
 //! compaction and recovery, and is only dropped once a compaction output
 //! lands at the bottom of the tree, where nothing older can remain.
@@ -67,7 +69,8 @@
 //! `ARCHITECTURE.md`). The ranks used here: `ADAPT` (90, the adaptive-pass
 //! serializer) > `MEMTABLE` (80) > `GATE` (70, worker coordination) >
 //! `WAL` (60) > `MANIFEST` (50) > `SST_META` (40) > `CACHE_SHARD` (30) >
-//! `QUERY_QUEUE` (20). The permitted nestings all descend: MemTable → WAL
+//! `QUERY_QUEUE` (20). The permitted nestings all descend (so no
+//! acquisition cycle can form across threads): MemTable → WAL
 //! (appends and seals happen under the MemTable write lock), MemTable →
 //! gate (a rotation publishes its counter bump before releasing the
 //! MemTable lock, which is what makes the `flush` barrier race-free), and
@@ -95,15 +98,14 @@ use crate::filter_hook::FilterFactory;
 use crate::memtable::MemTable;
 use crate::query_queue::QueryQueue;
 use crate::read::RangeIter;
-use crate::sst::{SstReader, SstScanner, SstWriter};
+use crate::sst::{SstReader, SstWriter};
 use crate::stats::Stats;
 use crate::wal::{self, Wal};
+use crate::{adapt, compact};
 use proteus_core::key::u64_key;
 use proteus_core::sync::{
     rank, Condvar, LockObserver, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::{Bound, RangeBounds};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,14 +121,6 @@ pub use crate::config::{DbConfig, DbConfigBuilder};
 #[derive(Debug, Clone)]
 pub(crate) struct Version {
     pub(crate) levels: Vec<Vec<Arc<SstReader>>>,
-}
-
-impl Version {
-    fn ensure_level(&mut self, level: usize) {
-        while self.levels.len() <= level {
-            self.levels.push(Vec::new());
-        }
-    }
 }
 
 /// A frozen MemTable awaiting flush, paired with the sealed WAL segment
@@ -164,16 +158,6 @@ struct Coord {
     error: Option<String>,
 }
 
-/// A compaction the compactor decided to run, with its inputs pinned from
-/// a manifest snapshot (only the compactor removes files from any level,
-/// so pinned inputs cannot disappear before the edit is applied).
-enum CompactionJob {
-    /// Merge all (snapshot) L0 files plus overlapping L1 files into L1.
-    L0 { inputs_new: Vec<Arc<SstReader>>, inputs_old: Vec<Arc<SstReader>> },
-    /// Push one file from `level` into `level + 1`.
-    Level { level: usize, input: Arc<SstReader>, inputs_old: Vec<Arc<SstReader>> },
-}
-
 /// Shared state behind the public handle; owned by the caller-facing
 /// [`Db`] and by both background worker threads.
 pub(crate) struct DbInner {
@@ -183,7 +167,7 @@ pub(crate) struct DbInner {
     wal: Wal,
     manifest: RwLock<Arc<Version>>,
     next_sst_id: AtomicU64,
-    factory: Arc<dyn FilterFactory>,
+    pub(crate) factory: Arc<dyn FilterFactory>,
     pub(crate) queue: QueryQueue,
     pub(crate) cache: ShardedBlockCache,
     pub(crate) stats: Arc<Stats>,
@@ -200,7 +184,7 @@ pub(crate) struct DbInner {
     /// Serializes adaptive maintenance passes (the background adapter vs
     /// an explicit `Db::adapt_now`), so two passes never race to rewrite
     /// the same filter block.
-    adapt_lock: Mutex<()>,
+    pub(crate) adapt_lock: Mutex<()>,
 }
 
 /// A single-process, multi-threaded LSM-tree database with pluggable
@@ -579,7 +563,7 @@ impl Db {
         self.inner.stats.range_scans.inc();
         match bounds {
             Some((lo, hi)) => RangeIter::new(&self.inner, lo, hi),
-            None => Ok(RangeIter::empty()),
+            None => Ok(RangeIter::empty(&self.inner)),
         }
     }
 
@@ -664,7 +648,7 @@ impl Db {
     /// experiments deterministic and works even when the background worker
     /// is disabled.
     pub fn adapt_now(&self) -> Result<usize> {
-        self.inner.adapt_pass()
+        adapt::pass(&self.inner)
     }
 
     /// Number of SST files per level.
@@ -703,16 +687,6 @@ impl Db {
             .flatten()
             .map(|s| s.filter(&self.inner.stats).map_or(0, |f| f.size_bits()))
             .sum()
-    }
-
-    /// Iterate filter names per file (diagnostics for the experiments).
-    pub fn filter_names(&self) -> Vec<String> {
-        let v = self.inner.version();
-        v.levels
-            .iter()
-            .flatten()
-            .map(|s| s.filter(&self.inner.stats).map_or("none".into(), |f| f.name()))
-            .collect()
     }
 
     /// Crash injection (test support): simulate an abrupt process kill.
@@ -811,7 +785,7 @@ impl DbInner {
     /// which is what makes poison recovery in [`DbInner::version`] sound:
     /// a panic inside `edit` (or anywhere under the lock) cannot expose a
     /// half-mutated version.
-    fn edit_manifest(&self, edit: impl FnOnce(&mut Version)) {
+    pub(crate) fn edit_manifest(&self, edit: impl FnOnce(&mut Version)) {
         let mut m = self.manifest.write().unwrap_or_else(PoisonError::into_inner);
         let mut v = (**m).clone();
         edit(&mut v);
@@ -829,6 +803,12 @@ impl DbInner {
 
     fn gate_lock(&self) -> Result<MutexGuard<'_, Coord>> {
         self.gate.lock().map_err(|_| Error::Poisoned("coordination lock"))
+    }
+
+    /// Has shutdown been requested? Lets long background passes stop
+    /// between units of work.
+    pub(crate) fn shutting_down(&self) -> Result<bool> {
+        Ok(self.gate_lock()?.shutdown)
     }
 
     /// Coordination lock for paths that must *always* complete — shutdown,
@@ -914,7 +894,7 @@ impl DbInner {
             for (k, v) in &ops {
                 mem.active.apply_ref(k, v.as_deref());
             }
-            let rotated = if mem.active.bytes() >= self.cfg.memtable_bytes() {
+            let rotated = if mem.active.is_full(self.cfg.memtable_bytes()) {
                 self.publish_rotation(&mut mem)?
             } else {
                 false
@@ -1048,15 +1028,21 @@ impl DbInner {
     /// flagged entries — building its filter from the file's keys and the
     /// current sample queue (§6.1).
     fn flush_imm(&self, imm: &MemTable) -> Result<SstReader> {
-        let id = self.alloc_id();
-        let mut w =
-            SstWriter::create(&self.dir, id, self.cfg.key_width(), self.cfg.block_bytes(), 0)?;
+        let mut w = self.sst_writer(0)?;
         for (k, v) in imm.iter() {
-            match v {
-                Some(v) => w.add(k, v)?,
-                None => w.delete(k)?,
-            }
+            w.push(k, v)?;
         }
+        self.finish_sst(w)
+    }
+
+    /// Start a new SST for `level` under a freshly allocated id.
+    pub(crate) fn sst_writer(&self, level: u32) -> Result<SstWriter> {
+        let (width, block_bytes) = (self.cfg.key_width(), self.cfg.block_bytes());
+        SstWriter::create(&self.dir, self.alloc_id(), width, block_bytes, level)
+    }
+
+    /// Seal an SST, training its filter on the current sample queue.
+    pub(crate) fn finish_sst(&self, w: SstWriter) -> Result<SstReader> {
         w.finish(self.factory.as_ref(), &self.queue, self.cfg.bits_per_key(), &self.stats)
     }
 
@@ -1073,7 +1059,7 @@ impl DbInner {
                     return;
                 }
             }
-            if let Err(e) = self.adapt_pass() {
+            if let Err(e) = adapt::pass(self) {
                 self.record_error(e);
                 return;
             }
@@ -1097,75 +1083,6 @@ impl DbInner {
         }
     }
 
-    /// One full adaptive pass: flag, re-train, publish. Serialized by
-    /// `adapt_lock` so a background pass and an explicit `adapt_now` never
-    /// rewrite the same file concurrently.
-    fn adapt_pass(&self) -> Result<usize> {
-        let _guard = self.adapt_lock.lock().map_err(|_| Error::Poisoned("adapt lock"))?;
-        let live = self.queue.snapshot(self.cfg.key_width());
-        let version = self.version();
-        let mut flagged: Vec<Arc<SstReader>> = Vec::new();
-        for level in &version.levels {
-            for sst in level {
-                if sst.is_retired() {
-                    continue;
-                }
-                if crate::adapt::flag_reason(sst, &self.cfg, &live).is_some() {
-                    self.stats.drift_flags.inc();
-                    flagged.push(Arc::clone(sst));
-                }
-            }
-        }
-        let mut retrained = 0usize;
-        for sst in flagged {
-            // Re-training every flagged file can take a while right after
-            // a shift (every live SST flags at once); re-check shutdown
-            // between files so dropping the Db joins within one retrain,
-            // like the compactor re-checks between jobs.
-            if self.gate_lock()?.shutdown {
-                break;
-            }
-            if sst.is_retired() {
-                // Compaction consumed the file while this pass was
-                // running; its merged successor got a fresh filter anyway.
-                continue;
-            }
-            let new = Arc::new(crate::adapt::retrain(
-                &sst,
-                self.factory.as_ref(),
-                &live,
-                self.cfg.bits_per_key(),
-                &self.stats,
-            )?);
-            // Publish: swap the replacement reader into whatever level the
-            // file now sits in. Readers holding older versions keep the old
-            // reader (same data; the old filter is merely stale, never
-            // wrong — filters have no false negatives for the file's keys).
-            let mut replaced = false;
-            self.edit_manifest(|v| {
-                for level in &mut v.levels {
-                    for slot in level.iter_mut() {
-                        if slot.id == new.id {
-                            *slot = Arc::clone(&new);
-                            replaced = true;
-                        }
-                    }
-                }
-            });
-            if replaced {
-                retrained += 1;
-            } else {
-                // A compaction retired the file between our retired-check
-                // and the manifest edit. The rewrite's rename may have
-                // resurrected the path after the compactor unlinked it;
-                // drop it again — the data lives on in the compaction
-                // outputs.
-                new.delete_file();
-            }
-        }
-        Ok(retrained)
-    }
-
     // ---- compactor -------------------------------------------------------
 
     fn compactor_loop(&self) {
@@ -1185,8 +1102,8 @@ impl DbInner {
             if stop {
                 return;
             }
-            if let Some(job) = self.pick_compaction(settle_mode) {
-                if let Err(e) = self.run_compaction(job) {
+            if let Some(job) = compact::pick(&self.version(), &self.cfg, settle_mode) {
+                if let Err(e) = compact::run(self, job) {
                     self.record_error(e);
                 }
                 self.idle_cv.notify_all();
@@ -1229,183 +1146,6 @@ impl DbInner {
             }
         }
     }
-
-    fn level_target(&self, level: usize) -> u64 {
-        self.cfg.level_base_bytes()
-            * self.cfg.level_size_ratio().pow(level.saturating_sub(1) as u32)
-    }
-
-    /// Decide the next compaction from a manifest snapshot. In settle mode
-    /// any non-empty L0 compacts (the §6.2 clean initial state); otherwise
-    /// only the configured triggers fire.
-    fn pick_compaction(&self, settle: bool) -> Option<CompactionJob> {
-        let v = self.version();
-        let l0 = &v.levels[0];
-        if l0.len() > self.cfg.l0_compaction_trigger() || (settle && !l0.is_empty()) {
-            // Newest-first rank order for the merge.
-            let inputs_new: Vec<Arc<SstReader>> = l0.iter().rev().cloned().collect();
-            // Both triggers above imply at least one L0 input; an empty
-            // snapshot (impossible) just means there is nothing to compact.
-            let (Some(lo), Some(hi)) = (
-                inputs_new.iter().map(|s| s.min_key.clone()).min(),
-                inputs_new.iter().map(|s| s.max_key.clone()).max(),
-            ) else {
-                return None;
-            };
-            let inputs_old = match v.levels.get(1) {
-                Some(l1) => collect_overlapping(l1, &lo, &hi),
-                None => Vec::new(),
-            };
-            return Some(CompactionJob::L0 { inputs_new, inputs_old });
-        }
-        for level in 1..v.levels.len() {
-            let bytes: u64 = v.levels[level].iter().map(|s| s.file_bytes).sum();
-            if bytes > self.level_target(level) && !v.levels[level].is_empty() {
-                // Pick the file with the smallest min key (simple
-                // deterministic cursor; RocksDB round-robins similarly).
-                let input = Arc::clone(&v.levels[level][0]);
-                let inputs_old = match v.levels.get(level + 1) {
-                    Some(next) => collect_overlapping(next, &input.min_key, &input.max_key),
-                    None => Vec::new(),
-                };
-                return Some(CompactionJob::Level { level, input, inputs_old });
-            }
-        }
-        None
-    }
-
-    fn run_compaction(&self, job: CompactionJob) -> Result<()> {
-        let (newer, older, source_level, target_level) = match job {
-            CompactionJob::L0 { inputs_new, inputs_old } => (inputs_new, inputs_old, 0, 1),
-            CompactionJob::Level { level, input, inputs_old } => {
-                (vec![input], inputs_old, level, level + 1)
-            }
-        };
-        let outputs = self.merge_inputs(&newer, &older, target_level)?;
-        let removed_source: Vec<u64> = newer.iter().map(|s| s.id).collect();
-        let removed_target: Vec<u64> = older.iter().map(|s| s.id).collect();
-        // Publish: drop the inputs from the manifest (files flushed into
-        // L0 meanwhile are untouched) and install the outputs sorted.
-        self.edit_manifest(|v| {
-            v.ensure_level(target_level);
-            v.levels[source_level].retain(|s| !removed_source.contains(&s.id));
-            v.levels[target_level].retain(|s| !removed_target.contains(&s.id));
-            v.levels[target_level].extend(outputs.iter().cloned());
-            v.levels[target_level].sort_by(|a, b| a.min_key.cmp(&b.min_key));
-        });
-        // Retire inputs: readers still holding an older version keep their
-        // open descriptors; the unlink only drops the directory entry.
-        // Mark-before-purge: once the flag is visible no reader re-caches
-        // a dead block, so the purge is final.
-        for sst in newer.iter().chain(older.iter()) {
-            sst.mark_retired();
-            self.cache.purge_sst(sst.id);
-            sst.delete_file();
-        }
-        self.stats.compactions.inc();
-        Ok(())
-    }
-
-    /// K-way merge of `newer` (rank order = recency) and `older` files,
-    /// writing size-split SSTs for `target_level` and building a fresh
-    /// filter per output (§6.1: compaction "triggers the construction of
-    /// new filters on the merged data").
-    ///
-    /// Shadowing: for duplicate keys only the newest record survives. A
-    /// surviving tombstone is carried into the output — it may still
-    /// shadow versions of its key in deeper levels — *unless* the output
-    /// lands at the bottom of the tree (no non-empty level below the
-    /// target), where nothing older can exist and the tombstone is
-    /// dropped for good. Deeper levels are only ever mutated by this
-    /// (single) compactor thread, so one snapshot decides the whole
-    /// merge; concurrent flushes only add *newer* data in L0, which a
-    /// dropped tombstone could never have shadowed.
-    fn merge_inputs(
-        &self,
-        newer: &[Arc<SstReader>],
-        older: &[Arc<SstReader>],
-        target_level: usize,
-    ) -> Result<Vec<Arc<SstReader>>> {
-        let drop_tombstones = {
-            let v = self.version();
-            v.levels.get(target_level + 1..).is_none_or(|d| d.iter().all(Vec::is_empty))
-        };
-        let mut scanners: Vec<SstScanner> = newer
-            .iter()
-            .chain(older.iter())
-            .map(|s| SstScanner::new(Arc::clone(s), Arc::clone(&self.stats)))
-            .collect();
-        // Heap of (key, rank): smallest key first, then lowest rank
-        // (newest). `None` values are tombstones.
-        type MergeEntry = Reverse<(Vec<u8>, usize, Option<Vec<u8>>)>;
-        let mut heap: BinaryHeap<MergeEntry> = BinaryHeap::new();
-        for (rank, sc) in scanners.iter_mut().enumerate() {
-            if let Some((k, v)) = sc.try_next()? {
-                heap.push(Reverse((k, rank, v)));
-            }
-        }
-        let mut outputs: Vec<Arc<SstReader>> = Vec::new();
-        let mut writer: Option<SstWriter> = None;
-        let mut last_key: Option<Vec<u8>> = None;
-        while let Some(Reverse((k, rank, v))) = heap.pop() {
-            if let Some((nk, nv)) = scanners[rank].try_next()? {
-                heap.push(Reverse((nk, rank, nv)));
-            }
-            if last_key.as_deref() == Some(k.as_slice()) {
-                continue; // older duplicate of an already-merged key
-            }
-            last_key = Some(k.clone());
-            if v.is_none() && drop_tombstones {
-                self.stats.tombstones_dropped.inc();
-                continue;
-            }
-            let w = match writer.as_mut() {
-                Some(w) => w,
-                None => {
-                    let id = self.alloc_id();
-                    writer.insert(SstWriter::create(
-                        &self.dir,
-                        id,
-                        self.cfg.key_width(),
-                        self.cfg.block_bytes(),
-                        target_level as u32,
-                    )?)
-                }
-            };
-            match &v {
-                Some(v) => w.add(&k, v)?,
-                None => w.delete(&k)?,
-            }
-            if w.bytes_written() >= self.cfg.sst_target_bytes() {
-                if let Some(w) = writer.take() {
-                    outputs.push(Arc::new(w.finish(
-                        self.factory.as_ref(),
-                        &self.queue,
-                        self.cfg.bits_per_key(),
-                        &self.stats,
-                    )?));
-                }
-            }
-        }
-        if let Some(w) = writer {
-            if w.n_entries() > 0 {
-                outputs.push(Arc::new(w.finish(
-                    self.factory.as_ref(),
-                    &self.queue,
-                    self.cfg.bits_per_key(),
-                    &self.stats,
-                )?));
-            }
-        }
-        Ok(outputs)
-    }
-}
-
-/// Return clones of the files in a sorted, disjoint level overlapping
-/// `[lo, hi]` (the snapshot is not modified; the manifest edit removes
-/// them by id at publish time).
-fn collect_overlapping(level: &[Arc<SstReader>], lo: &[u8], hi: &[u8]) -> Vec<Arc<SstReader>> {
-    level.iter().filter(|s| s.overlaps(lo, hi)).cloned().collect()
 }
 
 #[cfg(test)]

@@ -39,6 +39,7 @@ pub mod adapt;
 pub mod batch;
 pub mod block;
 pub mod cache;
+mod compact;
 pub mod compress;
 pub mod config;
 pub mod db;
@@ -547,6 +548,34 @@ mod db_tests {
         // Bottom-level compaction dropped (at least some) tombstones for
         // good instead of carrying them forever.
         assert!(db.stats().tombstones_dropped.get() > 0, "no tombstone ever dropped");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hot_key_overwrites_rotate_on_arena_bytes() {
+        // Overwriting one key adds no logical bytes, so the logical
+        // threshold alone would let the table's arena grow without bound
+        // (and, past 4 GiB, wrap its u32 offsets).
+        let dir = tmpdir("hot-key");
+        let limit = 64 << 10;
+        let cfg = DbConfig::builder().memtable_bytes(limit).build().unwrap();
+        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let arena_cap = memtable::ARENA_LIMIT_FACTOR * limit;
+        let value = |i: u32| [&i.to_le_bytes()[..], &[0xAB; 1020]].concat();
+        for i in 0..20_000u32 {
+            db.put(b"hot", &value(i)).unwrap();
+            let mem = db.inner.mem_read().unwrap();
+            assert!(mem.active.arena_bytes() < arena_cap, "active table past the cap at put {i}");
+            // A rotated table crossed the cap with exactly one entry.
+            for imm in &mem.imms {
+                assert!(imm.mem.arena_bytes() < arena_cap + 1024 + 3, "imm past the cap");
+            }
+        }
+        assert!(db.stats().memtable_rotations.get() > 0, "20 MB of overwrites never rotated");
+        assert_eq!(db.get(b"hot").unwrap(), Some(value(19_999)));
+        db.flush_and_settle().unwrap();
+        assert_eq!(db.get(b"hot").unwrap(), Some(value(19_999)));
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -33,9 +33,12 @@
 //! value bytes and repoint the node; the superseded bytes stay garbage in
 //! the arena until the whole table is dropped at flush, which is the
 //! right trade for a buffer whose lifetime is bounded by
-//! `memtable_bytes`. [`MemTable::bytes`] still reports *logical* bytes
-//! (keys + live values + tombstone overhead), not arena bytes, so
-//! rotation thresholds behave exactly as they did with the map.
+//! `memtable_bytes` — and, for a table that is overwritten far more than
+//! it grows, by [`ARENA_LIMIT_FACTOR`] times that in arena bytes
+//! ([`MemTable::is_full`]). [`MemTable::bytes`] still reports *logical*
+//! bytes (keys + live values + tombstone overhead), not arena bytes, so
+//! rotation thresholds behave exactly as they did with the map on any
+//! load that is not dominated by overwrites.
 
 use std::fmt;
 
@@ -49,6 +52,13 @@ const NIL: u32 = u32::MAX;
 /// Approximate bookkeeping bytes charged per tombstone (a deleted entry
 /// stores no value but still occupies the table).
 const TOMBSTONE_BYTES: usize = 8;
+
+/// A table rotates once its arena holds this many times its logical-byte
+/// threshold ([`MemTable::is_full`]). Not a knob: update-heavy loads peak
+/// around 3× at rotation, so 8× only fires on overwrite loops, and
+/// `DbConfig::validate` keeps `8 × memtable_bytes` inside the arena's
+/// `u32` offsets.
+pub const ARENA_LIMIT_FACTOR: usize = 8;
 
 fn entry_bytes(value: Option<&[u8]>) -> usize {
     value.map_or(TOMBSTONE_BYTES, <[u8]>::len)
@@ -222,6 +232,20 @@ impl MemTable {
         self.bytes
     }
 
+    /// Physical bytes the arena holds: every key and every value ever
+    /// written, superseded ones included.
+    pub fn arena_bytes(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Should a table with a rotation threshold of `limit` bytes rotate?
+    /// On logical bytes — or on arena bytes: an overwrite appends to the
+    /// arena without adding logical bytes, so a hot-key update loop would
+    /// otherwise grow one table without bound.
+    pub fn is_full(&self, limit: usize) -> bool {
+        self.bytes >= limit || self.arena.len() >= ARENA_LIMIT_FACTOR.saturating_mul(limit)
+    }
+
     /// Iterate all entries in ascending key order without consuming the
     /// table (the background flusher writes an immutable `Arc<MemTable>`
     /// to disk through this). Tombstones are yielded as `None` values.
@@ -234,19 +258,9 @@ impl MemTable {
     /// snapshots MemTable state through this so it can merge without
     /// holding the MemTable lock.
     pub fn range_entries(&self, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-        self.range_iter(lo, hi).map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec))).collect()
-    }
-
-    /// Borrowing iterator over the entries with keys in `[lo, hi]`
-    /// (tombstones included), ascending. Used by `seek`'s MemTable fast
-    /// path, which must not pay the clone that [`MemTable::range_entries`]
-    /// does.
-    pub fn range_iter<'a>(
-        &'a self,
-        lo: &[u8],
-        hi: &'a [u8],
-    ) -> impl Iterator<Item = (&'a [u8], Option<&'a [u8]>)> {
         Iter { mt: self, cur: self.seek_node(lo).unwrap_or(NIL), hi: Some(hi) }
+            .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+            .collect()
     }
 
     /// Append value bytes to the arena; returns `(off, len, tombstone)`.
@@ -514,14 +528,27 @@ mod tests {
     }
 
     #[test]
-    fn range_iter_borrows_and_respects_bounds() {
+    fn range_entries_respects_bounds() {
         let mut m = MemTable::new();
         for i in (0u8..100).step_by(3) {
             m.put(vec![i], vec![i, i]);
         }
-        let ks: Vec<u8> = m.range_iter(&[10], &[30]).map(|(k, _)| k[0]).collect();
+        let ks: Vec<u8> = m.range_entries(&[10], &[30]).iter().map(|(k, _)| k[0]).collect();
         assert_eq!(ks, vec![12, 15, 18, 21, 24, 27, 30]);
-        assert!(m.range_iter(&[98], &[200]).next().unwrap().0 == [99]);
-        assert!(m.range_iter(&[100], &[200]).next().is_none());
+        assert!(m.range_entries(&[98], &[200])[0].0 == [99]);
+        assert!(m.range_entries(&[100], &[200]).is_empty());
+    }
+
+    #[test]
+    fn overwrites_fill_the_arena_but_not_the_logical_size() {
+        let mut m = MemTable::new();
+        for _ in 0..64 {
+            m.put(vec![1], vec![0; 100]);
+        }
+        assert_eq!(m.bytes(), 1 + 100, "one live version");
+        assert_eq!(m.arena_bytes(), 1 + 64 * 100, "every version ever written");
+        assert!(!m.is_full(1_000), "6.4 KB of arena is under 8 x 1000");
+        assert!(m.is_full(800), "... but over 8 x 800, with 101 logical bytes");
+        assert!(m.is_full(101), "the logical threshold still rotates");
     }
 }

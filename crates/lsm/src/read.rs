@@ -22,14 +22,22 @@
 //! Two consumers share that walk. `get` is the *point* consumer: the first
 //! layer with any record of the key — live or tombstone — settles the
 //! answer, so older layers are never probed. [`RangeIter`] is the *cursor*
-//! consumer: a k-way merge over all layers, and `seek` is its first
-//! `next()` plus the §6.1 sample-queue offer.
+//! consumer: the k-way `Merge` over all layers with tombstones
+//! suppressed, and `seek` is its first `next()` plus the §6.1
+//! sample-queue offer.
+//!
+//! `Merge` is the store's only merge of sorted runs. It owns the heap, the
+//! `(key, rank)` order and the shadowing rule, and yields the newest
+//! record per key — tombstone or not — as an un-materialized position.
+//! Compaction is the same merge over the same [`SstCursor`]s, fetching
+//! blocks straight from the files instead of through the cache, with its
+//! own tombstone policy on top.
 //!
 //! MemTable entries in range are snapshotted (cloned) at construction
 //! under a short read lock; SST levels come from the `Arc`-swapped
 //! `Version` snapshot, so iteration itself holds no lock at all.
 //!
-//! Admitted SSTs are read *lazily*: each starts as a pending heap entry
+//! Admitted SSTs are read *lazily*: each starts as an unread heap entry
 //! keyed by the smallest key it could contribute (`max(lo, min_key)`)
 //! and only pays its first block read when the merge actually reaches
 //! that position. A `seek` that is satisfied early therefore never
@@ -37,17 +45,18 @@
 //! no false-positive evidence for a probe whose I/O was never paid.
 //!
 //! SST positions flow through the merge *zero-copy*: a heap item holds
-//! an `(Arc<Block>, index)` cursor and compares by the key slice
+//! an `(Arc<Block>, index)` position and compares by the key slice
 //! borrowed from the decoded block. Bytes are materialized only for the
-//! entry actually yielded — shadowed duplicates and suppressed
-//! tombstones cost no allocation at all. When a single source survives
+//! entry a consumer keeps — shadowed duplicates and suppressed tombstones
+//! cost no allocation at all, and compaction hands the borrowed slices
+//! straight to the SST writer. When a single source survives
 //! admission the merge skips the shadow-key bookkeeping (one source never
 //! yields duplicates).
 //!
 //! Shadowing: for equal keys the source with the lower rank (newer layer)
-//! wins; older duplicates are skipped. A winning tombstone suppresses the
-//! key entirely — the iterator yields *live* entries only, sorted and
-//! deduplicated.
+//! wins; older duplicates are skipped. In a [`RangeIter`] a winning
+//! tombstone suppresses the key entirely — it yields *live* entries
+//! only, sorted and deduplicated.
 //!
 //! Errors: an I/O or corruption failure is reported once and ends the
 //! iteration. A failure while *refilling* a source never discards an
@@ -57,7 +66,7 @@
 use crate::block::Block;
 use crate::db::{DbInner, Version};
 use crate::error::{Error, Result};
-use crate::sst::{Entry, SstReader};
+use crate::sst::{Entry, SstCursor, SstReader};
 use crate::stats::Stats;
 use proteus_core::key::pad_key;
 use std::cmp::Ordering;
@@ -246,6 +255,13 @@ impl DbInner {
         }
     }
 
+    /// Read block `b` of `sst` straight from the file, bypassing the block
+    /// cache: background work (compaction) touches every input block
+    /// exactly once and must not evict what foreground reads keep warm.
+    pub(crate) fn uncached_block(&self, sst: &Arc<SstReader>, b: usize) -> Result<Arc<Block>> {
+        sst.read_block(b, &self.stats).map(Arc::new)
+    }
+
     /// Read block `b` of `sst` through the sharded cache.
     fn cached_block(&self, sst: &Arc<SstReader>, b: usize) -> Result<Arc<Block>> {
         let id = (sst.id, b as u32);
@@ -352,32 +368,72 @@ impl DbInner {
     }
 }
 
-/// One merge position: the source's rank (recency; lower = newer) plus
-/// where its current entry lives.
-struct HeapItem {
-    rank: usize,
-    pos: Pos,
-}
+/// How a merge's SST cursors obtain their blocks: through the block cache
+/// ([`DbInner::cached_block`], foreground reads) or straight from the
+/// file ([`DbInner::uncached_block`], compaction).
+pub(crate) type BlockFetch = fn(&DbInner, &Arc<SstReader>, usize) -> Result<Arc<Block>>;
 
-/// Where a heap item's entry lives. Only `Mem` owns its bytes (the
-/// MemTable snapshot already materialized them); an SST entry stays a
-/// borrowed position inside its decoded block until it is yielded.
-enum Pos {
+/// Where a merged record lives. Only `Mem` owns its bytes (the MemTable
+/// snapshot already materialized them); an SST record stays a borrowed
+/// position inside its decoded block, held alive by the `Arc`.
+pub(crate) enum Pos {
     /// A snapshotted MemTable entry.
     Mem(Vec<u8>, Option<Vec<u8>>),
+    /// An entry of a decoded SST block.
+    Block(Arc<Block>, u32),
+}
+
+impl Pos {
+    /// The record's key, borrowed (what the heap compares by).
+    fn key(&self) -> &[u8] {
+        match self {
+            Pos::Mem(k, _) => k,
+            Pos::Block(b, i) => b.key(*i as usize),
+        }
+    }
+
+    /// The record's key and value (`None` = tombstone), borrowed.
+    pub(crate) fn entry(&self) -> (&[u8], Option<&[u8]>) {
+        match self {
+            Pos::Mem(k, v) => (k, v.as_deref()),
+            Pos::Block(b, i) => b.entry(*i as usize),
+        }
+    }
+
+    /// Materialize a live record's bytes; `None` for a tombstone, which
+    /// costs no copy at all.
+    fn into_live(self) -> Option<(Vec<u8>, Vec<u8>)> {
+        match self {
+            Pos::Mem(k, v) => Some((k, v?)),
+            Pos::Block(b, i) => {
+                let (k, v) = b.entry(i as usize);
+                Some((k.to_vec(), v?.to_vec()))
+            }
+        }
+    }
+}
+
+/// The head of one merge source as it sits in the heap.
+enum Head {
     /// An SST source whose first block has not been read yet; the key is
     /// a lower bound on whatever the file will contribute.
-    Pending(Vec<u8>),
-    /// A cursor into a decoded block held alive by its `Arc`.
-    Block(Arc<Block>, u32),
+    Unread(Vec<u8>),
+    /// The source's current record.
+    At(Pos),
+}
+
+/// One heap entry: the source's rank (recency; lower = newer) plus its
+/// head.
+struct HeapItem {
+    rank: usize,
+    head: Head,
 }
 
 impl HeapItem {
     fn key(&self) -> &[u8] {
-        match &self.pos {
-            Pos::Mem(k, _) => k,
-            Pos::Pending(k) => k,
-            Pos::Block(b, i) => b.key(*i as usize),
+        match &self.head {
+            Head::Unread(k) => k,
+            Head::At(pos) => pos.key(),
         }
     }
 }
@@ -404,222 +460,135 @@ impl Ord for HeapItem {
     }
 }
 
-/// An ordered iterator over the live entries in a closed key range; see
-/// the [module docs](self) and [`crate::Db::range`].
-///
-/// Yields `Result<(key, value)>`: an I/O or corruption error ends the
-/// iteration after being reported once.
-pub struct RangeIter<'a> {
+enum Source {
+    Mem(std::vec::IntoIter<Entry>),
+    /// An SST cursor plus, on the read path, the filter probe that
+    /// admitted the file — settled when the cursor's head is first read.
+    Sst(SstCursor, Option<Probe>),
+}
+
+/// The one k-way merge over sorted runs: owns the heap, the `(key, rank)`
+/// order and the shadowing rule. Sources are pushed newest first (push
+/// order = rank); iteration yields, per distinct key in ascending order,
+/// the newest record — a tombstone included — as an un-materialized
+/// [`Pos`] together with the rank of the source that supplied it. What to
+/// do with a tombstone is the consumer's policy: [`RangeIter`] suppresses
+/// it, compaction carries it or drops it at the bottom of the tree.
+pub(crate) struct Merge<'a> {
+    db: &'a DbInner,
+    fetch: BlockFetch,
     heap: BinaryHeap<HeapItem>,
-    sources: Vec<Source<'a>>,
-    /// Ranks below this are MemTable sources.
-    n_mem: usize,
+    sources: Vec<Source>,
+    /// The last key yielded, to recognise its older versions.
     last_key: Option<Vec<u8>>,
-    /// Did any SST get past its filter (i.e. could block I/O be paid)?
-    io_paid: bool,
-    /// Was the first *live* entry supplied by a MemTable? `None` until
-    /// one is yielded.
-    first_from_memtable: Option<bool>,
-    /// A refill failure held back so the already-determined entry could
+    /// A refill failure held back so the already-determined record could
     /// be yielded first; surfaced by the next `next()` call.
     deferred_error: Option<Error>,
     failed: bool,
 }
 
-enum Source<'a> {
-    Mem(std::vec::IntoIter<Entry>),
-    Sst(BoundedScan<'a>),
-}
-
-impl Source<'_> {
-    /// The source's next entry as an un-materialized heap position.
-    fn next_pos(&mut self) -> Result<Option<Pos>> {
-        match self {
-            Source::Mem(it) => Ok(it.next().map(|(k, v)| Pos::Mem(k, v))),
-            Source::Sst(scan) => Ok(scan.next_pos()?.map(|(b, i)| Pos::Block(b, i))),
-        }
-    }
-}
-
-/// A forward scan over one admitted SST clamped to `[lo, hi]`, reading
-/// blocks through the shared cache.
-struct BoundedScan<'a> {
-    db: &'a DbInner,
-    sst: Arc<SstReader>,
-    /// The filter probe that admitted this file, settled when the scan's
-    /// head is first read.
-    probe: Probe,
-    hi: Vec<u8>,
-    /// Lower bound still to be applied to the first block read.
-    pending_lo: Option<Vec<u8>>,
-    block_idx: usize,
-    entry_idx: usize,
-    block: Option<Arc<Block>>,
-}
-
-impl BoundedScan<'_> {
-    /// Advance to the next in-range entry and return its position
-    /// without copying any bytes. The returned `Arc` keeps the block
-    /// alive independently of the scan moving on to later blocks.
-    fn next_pos(&mut self) -> Result<Option<(Arc<Block>, u32)>> {
-        loop {
-            let block = match &self.block {
-                Some(block) => block,
-                None => {
-                    if self.block_idx >= self.sst.n_blocks()
-                        || self.sst.block_meta(self.block_idx).first_key > self.hi
-                    {
-                        return Ok(None);
-                    }
-                    let block = self.db.cached_block(&self.sst, self.block_idx)?;
-                    self.entry_idx = match self.pending_lo.take() {
-                        Some(lo) => block.lower_bound(&lo),
-                        None => 0,
-                    };
-                    self.block.insert(block)
-                }
-            };
-            if self.entry_idx < block.len() {
-                let i = self.entry_idx;
-                if block.key(i) > self.hi.as_slice() {
-                    return Ok(None);
-                }
-                self.entry_idx += 1;
-                return Ok(Some((Arc::clone(block), i as u32)));
-            }
-            self.block = None;
-            self.block_idx += 1;
-        }
-    }
-}
-
-impl<'a> RangeIter<'a> {
-    /// An iterator that yields nothing (inverted or empty-by-bounds
-    /// ranges).
-    pub(crate) fn empty() -> RangeIter<'a> {
-        RangeIter {
+impl<'a> Merge<'a> {
+    pub(crate) fn new(db: &'a DbInner, fetch: BlockFetch) -> Self {
+        Merge {
+            db,
+            fetch,
             heap: BinaryHeap::new(),
             sources: Vec::new(),
-            n_mem: 0,
             last_key: None,
-            io_paid: false,
-            first_from_memtable: None,
             deferred_error: None,
             failed: false,
         }
     }
 
-    /// Build the merge over `[lo, hi]` (both inclusive, `lo <= hi`).
-    /// Probes every candidate SST's filter here (in-memory, settling the
-    /// negatives) but defers all block I/O: admitted files enter the heap
-    /// as pending entries and are read only when the merge reaches them.
-    pub(crate) fn new(db: &'a DbInner, lo: Vec<u8>, hi: Vec<u8>) -> Result<RangeIter<'a>> {
-        debug_assert!(lo <= hi);
-        let mut it = RangeIter::empty();
-
-        // 1. MemTables, newest first, snapshotted under a short read lock.
-        {
-            let mem = db.mem_read()?;
-            let layers = mem.imms.iter().rev().map(|imm| imm.mem.as_ref());
-            for layer in std::iter::once(&mem.active).chain(layers) {
-                let mut src = layer.range_entries(&lo, &hi).into_iter();
-                if let Some((k, v)) = src.next() {
-                    it.heap.push(HeapItem { rank: it.sources.len(), pos: Pos::Mem(k, v) });
-                    it.sources.push(Source::Mem(src));
-                }
-            }
-        }
-        it.n_mem = it.sources.len();
-
-        // 2. The admitted SST candidates of the manifest snapshot.
-        let version = db.version();
-        for sst in version.candidates(&lo, &hi) {
-            let Some(probe) = db.admit(sst, &lo, &hi) else {
-                continue; // proven empty
-            };
-            it.io_paid = true;
-            // The smallest key this file could contribute: its entries in
-            // range all sit at or above max(lo, min_key), so a pending
-            // heap entry at that key materializes exactly when the merge
-            // could need the file — and never sooner.
-            let est = if sst.min_key.as_slice() > lo.as_slice() {
-                sst.min_key.clone()
-            } else {
-                lo.clone()
-            };
-            let rank = it.sources.len();
-            it.heap.push(HeapItem { rank, pos: Pos::Pending(est) });
-            it.sources.push(Source::Sst(BoundedScan {
-                db,
-                sst: Arc::clone(sst),
-                probe,
-                hi: hi.clone(),
-                pending_lo: Some(lo.clone()),
-                block_idx: sst.first_candidate_block(&lo),
-                entry_idx: 0,
-                block: None,
-            }));
-        }
-        Ok(it)
+    /// Sources pushed so far (= the rank the next one gets).
+    fn len(&self) -> usize {
+        self.sources.len()
     }
 
-    /// Read a pending SST source's head — its first block I/O — and settle
-    /// the probe that admitted it: contributing anything in range is a
-    /// true positive, nothing a false positive.
+    /// Add a snapshotted MemTable run (sorted; may be empty).
+    fn push_mem(&mut self, entries: Vec<Entry>) {
+        let mut src = entries.into_iter();
+        if let Some((k, v)) = src.next() {
+            self.heap.push(HeapItem { rank: self.len(), head: Head::At(Pos::Mem(k, v)) });
+            self.sources.push(Source::Mem(src));
+        }
+    }
+
+    /// Add an SST run. Nothing is read yet: the file enters the heap at
+    /// `floor`, a lower bound on every key the cursor can yield, and pays
+    /// its first block read only when the merge reaches that position.
+    pub(crate) fn push_sst(&mut self, cursor: SstCursor, probe: Option<Probe>, floor: Vec<u8>) {
+        self.heap.push(HeapItem { rank: self.len(), head: Head::Unread(floor) });
+        self.sources.push(Source::Sst(cursor, probe));
+    }
+
+    /// Advance source `rank` and return its next record.
+    fn advance(&mut self, rank: usize) -> Result<Option<Pos>> {
+        match &mut self.sources[rank] {
+            Source::Mem(it) => Ok(it.next().map(|(k, v)| Pos::Mem(k, v))),
+            Source::Sst(cursor, _) => {
+                let (db, fetch) = (self.db, self.fetch);
+                Ok(cursor.next_pos(|sst, b| fetch(db, sst, b))?.map(|(b, i)| Pos::Block(b, i)))
+            }
+        }
+    }
+
+    /// Read an unread SST source's head — its first block I/O — and
+    /// settle the probe that admitted it: contributing anything in range
+    /// is a true positive, nothing a false positive.
     fn materialize(&mut self, rank: usize) -> Result<()> {
-        let Source::Sst(scan) = &mut self.sources[rank] else { unreachable!("pending mem source") };
-        let head = scan.next_pos()?;
-        scan.probe.settle(&scan.db.stats, &scan.sst, head.is_some());
-        if let Some((block, i)) = head {
-            self.heap.push(HeapItem { rank, pos: Pos::Block(block, i) });
+        let head = self.advance(rank)?;
+        if let Source::Sst(cursor, Some(probe)) = &self.sources[rank] {
+            probe.settle(&self.db.stats, cursor.sst(), head.is_some());
+        }
+        if let Some(pos) = head {
+            self.heap.push(HeapItem { rank, head: Head::At(pos) });
         }
         Ok(())
     }
 }
 
-impl Iterator for RangeIter<'_> {
-    type Item = Result<(Vec<u8>, Vec<u8>)>;
+impl Iterator for Merge<'_> {
+    type Item = Result<(usize, Pos)>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
             return None;
         }
-        // With a single surviving source no key can ever repeat, so the
-        // shadow-key bookkeeping (and its per-key clone) is skipped
-        // entirely — the borrowing fast path for one-layer stores.
-        let single_source = self.sources.len() == 1;
         loop {
             if let Some(e) = self.deferred_error.take() {
                 self.failed = true;
                 return Some(Err(e));
             }
-            let HeapItem { rank, pos } = self.heap.pop()?;
-            if let Pos::Pending(_) = pos {
-                // First touch of this SST: read its head. No entry has
-                // been determined yet, so an error surfaces directly.
-                if let Err(e) = self.materialize(rank) {
-                    self.failed = true;
-                    return Some(Err(e));
+            let HeapItem { rank, head } = self.heap.pop()?;
+            let pos = match head {
+                Head::At(pos) => pos,
+                Head::Unread(_) => {
+                    // First touch of this SST: read its head. No record
+                    // has been determined yet, so an error surfaces
+                    // directly.
+                    if let Err(e) = self.materialize(rank) {
+                        self.failed = true;
+                        return Some(Err(e));
+                    }
+                    continue;
                 }
-                continue;
-            }
+            };
             // Refill the heap from the source that just advanced. A
-            // failure here must not discard the entry we already hold:
+            // failure here must not discard the record we already hold:
             // defer it and let this iteration finish first.
-            match self.sources[rank].next_pos() {
-                Ok(Some(pos)) => self.heap.push(HeapItem { rank, pos }),
+            match self.advance(rank) {
+                Ok(Some(pos)) => self.heap.push(HeapItem { rank, head: Head::At(pos) }),
                 Ok(None) => {}
                 Err(e) => self.deferred_error = Some(e),
             }
-            // Shadowing: a key equal to the last one handled is an older
-            // version (the newest popped first by rank). Nothing is
-            // copied for a shadowed or tombstone position.
-            if !single_source {
-                let key = match &pos {
-                    Pos::Mem(k, _) => k.as_slice(),
-                    Pos::Block(b, i) => b.key(*i as usize),
-                    Pos::Pending(_) => unreachable!("handled above"),
-                };
+            // Shadowing — the only site: a key equal to the last one
+            // yielded is an older version (the newest popped first by
+            // rank) and is skipped without copying anything. A single
+            // source never repeats a key, so it skips the bookkeeping
+            // (and its per-key copy) entirely.
+            if self.sources.len() > 1 {
+                let key = pos.key();
                 if self.last_key.as_deref() == Some(key) {
                     continue;
                 }
@@ -632,22 +601,91 @@ impl Iterator for RangeIter<'_> {
                     none => *none = Some(key.to_vec()),
                 }
             }
-            // Materialize only what is actually yielded: a suppressed
-            // tombstone costs nothing.
-            let (key, value) = match pos {
-                Pos::Mem(k, Some(v)) => (k, v),
-                Pos::Mem(_, None) => continue,
-                Pos::Block(b, i) => {
-                    let i = i as usize;
-                    if b.is_tombstone(i) {
-                        continue;
-                    }
-                    (b.key(i).to_vec(), b.value(i).to_vec())
-                }
-                Pos::Pending(_) => unreachable!("handled above"),
+            return Some(Ok((rank, pos)));
+        }
+    }
+}
+
+/// An ordered iterator over the live entries in a closed key range; see
+/// the [module docs](self) and [`crate::Db::range`].
+///
+/// Yields `Result<(key, value)>`: an I/O or corruption error ends the
+/// iteration after being reported once.
+pub struct RangeIter<'a> {
+    merge: Merge<'a>,
+    /// Ranks below this are MemTable sources.
+    n_mem: usize,
+    /// Did any SST get past its filter (i.e. could block I/O be paid)?
+    io_paid: bool,
+    /// Was the first *live* entry supplied by a MemTable? `None` until
+    /// one is yielded.
+    first_from_memtable: Option<bool>,
+}
+
+impl<'a> RangeIter<'a> {
+    /// An iterator that yields nothing (inverted or empty-by-bounds
+    /// ranges).
+    pub(crate) fn empty(db: &'a DbInner) -> RangeIter<'a> {
+        let merge = Merge::new(db, DbInner::cached_block);
+        RangeIter { merge, n_mem: 0, io_paid: false, first_from_memtable: None }
+    }
+
+    /// Build the merge over `[lo, hi]` (both inclusive, `lo <= hi`).
+    /// Probes every candidate SST's filter here (in-memory, settling the
+    /// negatives) but defers all block I/O: admitted files enter the
+    /// merge unread and are read only when it reaches them.
+    pub(crate) fn new(db: &'a DbInner, lo: Vec<u8>, hi: Vec<u8>) -> Result<RangeIter<'a>> {
+        debug_assert!(lo <= hi);
+        let mut it = RangeIter::empty(db);
+        let merge = &mut it.merge;
+
+        // 1. MemTables, newest first, snapshotted under a short read lock.
+        {
+            let mem = db.mem_read()?;
+            let layers = mem.imms.iter().rev().map(|imm| imm.mem.as_ref());
+            for layer in std::iter::once(&mem.active).chain(layers) {
+                merge.push_mem(layer.range_entries(&lo, &hi));
+            }
+        }
+        it.n_mem = merge.len();
+
+        // 2. The admitted SST candidates of the manifest snapshot.
+        let version = db.version();
+        for sst in version.candidates(&lo, &hi) {
+            let Some(probe) = db.admit(sst, &lo, &hi) else {
+                continue; // proven empty
             };
-            self.first_from_memtable.get_or_insert(rank < self.n_mem);
-            return Some(Ok((key, value)));
+            // The smallest key this file could contribute: its entries in
+            // range all sit at or above max(lo, min_key), so an unread
+            // heap entry at that key materializes exactly when the merge
+            // could need the file — and never sooner.
+            let floor = if sst.min_key.as_slice() > lo.as_slice() {
+                sst.min_key.clone()
+            } else {
+                lo.clone()
+            };
+            merge.push_sst(SstCursor::bounded(Arc::clone(sst), &lo, &hi), Some(probe), floor);
+        }
+        it.io_paid = merge.len() > it.n_mem;
+        Ok(it)
+    }
+}
+
+impl Iterator for RangeIter<'_> {
+    type Item = Result<(Vec<u8>, Vec<u8>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let (rank, pos) = match self.merge.next()? {
+                Ok(record) => record,
+                Err(e) => return Some(Err(e)),
+            };
+            // A winning tombstone suppresses its key; only what is
+            // actually yielded is materialized.
+            if let Some(live) = pos.into_live() {
+                self.first_from_memtable.get_or_insert(rank < self.n_mem);
+                return Some(Ok(live));
+            }
         }
     }
 }

@@ -42,6 +42,12 @@
 //! checksummed); it is decoded lazily on first probe, so opening a large
 //! database does not pay filter reconstruction for cold files.
 //!
+//! Walking a file's entries is [`SstCursor`]'s job and nobody else's; what
+//! a file's filter is trained on is `FilterKeys`' — the writer and the
+//! adaptive re-train feed their keys through it, so both train over the
+//! same canonical set at the same width, fingerprinted over the same
+//! anchors.
+//!
 //! Tombstone entries are keys like any other as far as the filter is
 //! concerned: a file's filter is built over *all* of its keys, deletes
 //! included. This is load-bearing — if a filter could answer "empty" for
@@ -53,12 +59,12 @@ use crate::block::{Block, VarBlockBuilder};
 use crate::error::{Error, Result};
 use crate::filter_hook::FilterFactory;
 use crate::query_queue::QueryQueue;
-use crate::stats::Stats;
+use crate::stats::{ratio, Stats};
 use proteus_core::codec::crc32;
 use proteus_core::key::pad_key;
 use proteus_core::keyset::KeySet;
 use proteus_core::sync::{rank, Mutex};
-use proteus_core::{QuerySketch, RangeFilter};
+use proteus_core::{QuerySketch, RangeFilter, SampleQueries};
 use proteus_filters::FilterCodec;
 use std::fs::File;
 use std::io::Write;
@@ -139,6 +145,92 @@ fn encode_footer(
     f[50..54].copy_from_slice(&n.to_le_bytes());
     f[56..64].copy_from_slice(&SST_MAGIC_V3);
     Ok(f)
+}
+
+/// Sketch `queries` against a file's key range — the one pair of anchors
+/// both sides of a drift comparison use. Sample queries are
+/// canonical-width keys, so the boundary keys are canonicalized alike.
+fn canonical_sketch(
+    queries: &SampleQueries,
+    min_key: &[u8],
+    max_key: &[u8],
+    width: usize,
+) -> QuerySketch {
+    QuerySketch::from_queries(queries.iter(), &pad_key(min_key, width), &pad_key(max_key, width))
+}
+
+/// Encode a filter block. A filter without a persistent form leaves the
+/// block empty; after a reopen that file simply has no filter (recovery
+/// never retrains).
+fn encode_filter_block(
+    filter: Option<&dyn RangeFilter>,
+    sketch: &QuerySketch,
+    stats: &Stats,
+) -> Vec<u8> {
+    let Some(filter) = filter else { return Vec::new() };
+    FilterCodec::encode_with_fingerprint(filter, sketch).unwrap_or_else(|_| {
+        stats.filters_unpersisted.inc();
+        Vec::new()
+    })
+}
+
+/// Make a completely written `.sst.tmp` durable under its real name:
+/// sync, rename, then sync the directory so the rename itself survives a
+/// power failure. Recovery only ever sees complete `.sst`s.
+fn publish(tmp: &File, tmp_path: &Path, path: &Path) -> Result<()> {
+    tmp.sync_all()?;
+    std::fs::rename(tmp_path, path)?;
+    if let Some(dir) = path.parent() {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// The filter-key feed: the one place a file's entry keys — tombstones
+/// included, see the module docs — become the canonical key set its
+/// filter is trained on. Each is NUL-padded/truncated to the file's filter
+/// width; that is monotone but not strict, so adjacent canonical
+/// duplicates are dropped to keep the set strictly ascending.
+pub(crate) struct FilterKeys {
+    width: usize,
+    flat: Vec<u8>,
+}
+
+impl FilterKeys {
+    fn new(width: usize) -> Self {
+        FilterKeys { width, flat: Vec::new() }
+    }
+
+    /// Feed the next entry key (ascending raw order).
+    fn push(&mut self, key: &[u8]) {
+        let canonical = pad_key(key, self.width);
+        let n = self.flat.len();
+        if n < self.width || self.flat[n - self.width..] != canonical[..] {
+            self.flat.extend_from_slice(&canonical);
+        }
+    }
+
+    /// Train the file's filter from these keys and the sample queue (§6.1:
+    /// "used in conjunction with the keys in each SST file to determine
+    /// the optimal filter design for each SST file"); `None` when the
+    /// budget rounds to zero bits. Also returns the training fingerprint
+    /// — where in `[min_key, max_key]` the training samples landed —
+    /// which rides in the filter block so drift detection survives reopen.
+    pub(crate) fn train(
+        self,
+        min_key: &[u8],
+        max_key: &[u8],
+        factory: &dyn FilterFactory,
+        queue: &QueryQueue,
+        bits_per_key: f64,
+    ) -> (Option<Box<dyn RangeFilter>>, QuerySketch) {
+        let keyset = KeySet::from_sorted_canonical(self.flat, self.width);
+        let mut samples = queue.snapshot(self.width);
+        samples.retain_empty(&keyset);
+        let m_bits = (bits_per_key * keyset.len() as f64) as u64;
+        let filter = (m_bits > 0).then(|| factory.build(&keyset, &samples, m_bits));
+        (filter, canonical_sketch(&samples, min_key, max_key, self.width))
+    }
 }
 
 /// Index entry for one block.
@@ -354,6 +446,27 @@ impl SstReader {
         })
     }
 
+    /// Open the file this process just wrote, through the same parse as
+    /// any recovered file (so a fresh reader and a reopened one cannot
+    /// disagree), and install the filter it just trained (`None` = no
+    /// budget for one) and its fingerprint instead of decoding them back
+    /// out of the block they were persisted to.
+    fn open_trained(
+        path: PathBuf,
+        id: u64,
+        filter: Option<Box<dyn RangeFilter>>,
+        sketch: QuerySketch,
+        retrain_count: u32,
+    ) -> Result<SstReader> {
+        let mut reader = SstReader::open(path, id)?;
+        let trained = filter.is_some() && !sketch.is_empty();
+        reader.retrain_count = retrain_count;
+        reader.fingerprint = Mutex::new(rank::SST_META, trained.then_some(sketch));
+        reader.pending_filter_bytes = Mutex::new(rank::SST_META, Vec::new());
+        reader.filter = OnceLock::from(filter);
+        Ok(reader)
+    }
+
     /// Number of data blocks.
     pub fn n_blocks(&self) -> usize {
         self.index.len()
@@ -435,12 +548,26 @@ impl SstReader {
     /// window: `fp / (fp + tn)`, `0` before any probe.
     pub fn observed_fpr(&self) -> f64 {
         let fp = self.probe_fp.load(Ordering::Relaxed);
-        let total = fp + self.probe_tn.load(Ordering::Relaxed);
-        if total == 0 {
-            0.0
-        } else {
-            fp as f64 / total as f64
+        ratio(fp, fp + self.probe_tn.load(Ordering::Relaxed))
+    }
+
+    /// Sketch `queries` over this file's key range: the live side of a
+    /// drift comparison against [`SstReader::training_fingerprint`].
+    pub fn sketch(&self, queries: &SampleQueries) -> QuerySketch {
+        canonical_sketch(queries, &self.min_key, &self.max_key, self.width)
+    }
+
+    /// The key set a re-trained filter must cover: every entry key, read
+    /// straight from disk (no block cache; each block once).
+    pub(crate) fn filter_keys(self: &Arc<Self>, stats: &Stats) -> Result<FilterKeys> {
+        let mut keys = FilterKeys::new(self.width);
+        let mut cursor = SstCursor::new(Arc::clone(self));
+        while let Some((block, i)) =
+            cursor.next_pos(|sst, b| sst.read_block(b, stats).map(Arc::new))?
+        {
+            keys.push(block.key(i as usize));
         }
+        Ok(keys)
     }
 
     /// Atomically replace this file's filter block (and footer) with a
@@ -457,17 +584,11 @@ impl SstReader {
     /// into the manifest.
     pub fn with_new_filter(
         &self,
-        filter: Box<dyn RangeFilter>,
+        filter: Option<Box<dyn RangeFilter>>,
         sketch: QuerySketch,
         stats: &Stats,
     ) -> Result<SstReader> {
-        let filter_bytes = match FilterCodec::encode_with_fingerprint(filter.as_ref(), &sketch) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                stats.filters_unpersisted.inc();
-                Vec::new()
-            }
-        };
+        let filter_bytes = encode_filter_block(filter.as_deref(), &sketch, stats);
         // Data section + index block, byte-identical from the live inode.
         let mut head = vec![0u8; (self.file_bytes + self.index_len) as usize];
         self.file.read_exact_at(&mut head, 0)?;
@@ -480,41 +601,13 @@ impl SstReader {
             self.level,
             self.width,
         )?;
-        let dir = self.path.parent().unwrap_or(Path::new("."));
-        let tmp_path = dir.join(format!("{:08}.sst.tmp", self.id));
+        let tmp_path = self.path.with_extension("sst.tmp");
         let tmp = File::create(&tmp_path)?;
         tmp.write_all_at(&head, 0)?;
         tmp.write_all_at(&filter_bytes, head.len() as u64)?;
         tmp.write_all_at(&footer, (head.len() + filter_bytes.len()) as u64)?;
-        tmp.sync_all()?;
-        std::fs::rename(&tmp_path, &self.path)?;
-        File::open(dir)?.sync_all()?;
-
-        let file = File::open(&self.path)?;
-        let slot = OnceLock::new();
-        let _ = slot.set(Some(filter));
-        Ok(SstReader {
-            id: self.id,
-            path: self.path.clone(),
-            file,
-            width: self.width,
-            index: self.index.clone(),
-            index_len: self.index_len,
-            filter_block_len: filter_bytes.len(),
-            pending_filter_bytes: Mutex::new(rank::SST_META, Vec::new()),
-            filter: slot,
-            fingerprint: Mutex::new(rank::SST_META, (!sketch.is_empty()).then_some(sketch)),
-            probe_fp: AtomicU64::new(0),
-            probe_tn: AtomicU64::new(0),
-            retrain_count: self.retrain_count + 1,
-            retired: AtomicBool::new(false),
-            level: self.level,
-            min_key: self.min_key.clone(),
-            max_key: self.max_key.clone(),
-            n_entries: self.n_entries,
-            n_tombstones: self.n_tombstones,
-            file_bytes: self.file_bytes,
-        })
+        publish(&tmp, &tmp_path, &self.path)?;
+        SstReader::open_trained(self.path.clone(), self.id, filter, sketch, self.retrain_count + 1)
     }
 
     /// Has the filter block been decoded (or was it built in-process)?
@@ -603,11 +696,8 @@ pub struct SstWriter {
     builder: VarBlockBuilder,
     index: Vec<BlockMeta>,
     offset: u64,
-    /// Flat canonical (width-padded) keys, tombstones included, for the
-    /// filter. Adjacent duplicates (distinct keys that collide after
-    /// truncation to `width`) are dropped so the set stays strictly
-    /// ascending.
-    keys: Vec<u8>,
+    /// Every entry key so far, canonicalized for the filter.
+    keys: FilterKeys,
     /// The raw (unpadded) previous key, for the ordering assertion.
     last_raw_key: Vec<u8>,
     n_entries: u64,
@@ -638,7 +728,7 @@ impl SstWriter {
             builder: VarBlockBuilder::new(),
             index: Vec::new(),
             offset: 0,
-            keys: Vec::new(),
+            keys: FilterKeys::new(width),
             last_raw_key: Vec::new(),
             n_entries: 0,
             n_tombstones: 0,
@@ -658,22 +748,17 @@ impl SstWriter {
         self.push(key, None)
     }
 
-    fn push(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+    /// Append one entry — `Some` = live value, `None` = tombstone — from
+    /// borrowed bytes. [`SstWriter::add`] and [`SstWriter::delete`] are
+    /// this with the value spelled out.
+    pub fn push(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         debug_assert!(!key.is_empty(), "keys are non-empty");
         debug_assert!(
             self.n_entries == 0 || self.last_raw_key.as_slice() < key,
             "keys must be strictly ascending"
         );
         self.builder.add(key, value);
-        // Canonicalize for the filter: pad/truncate to the training
-        // width. Padding is monotone non-strict, so adjacent canonical
-        // duplicates can appear — drop them to keep the set strictly
-        // ascending (the filter only needs set membership).
-        let canonical = pad_key(key, self.width);
-        let n = self.keys.len();
-        if n < self.width || self.keys[n - self.width..] != canonical[..] {
-            self.keys.extend_from_slice(&canonical);
-        }
+        self.keys.push(key);
         self.last_raw_key.clear();
         self.last_raw_key.extend_from_slice(key);
         self.n_entries += 1;
@@ -707,11 +792,6 @@ impl SstWriter {
     /// split output files).
     pub fn bytes_written(&self) -> u64 {
         self.offset + self.builder.raw_len() as u64
-    }
-
-    /// Entries appended so far (tombstones included).
-    pub fn n_entries(&self) -> u64 {
-        self.n_entries
     }
 
     /// Serialize the v3 block index: count, entries with length-prefixed
@@ -749,45 +829,18 @@ impl SstWriter {
         self.flush_block()?;
         assert!(self.n_entries > 0, "empty SST");
         let (min_key, max_key) = match (self.index.first(), self.index.last()) {
-            (Some(f), Some(l)) => (f.first_key.clone(), l.last_key.clone()),
+            (Some(f), Some(l)) => (&f.first_key, &l.last_key),
             _ => return Err(Error::corruption("finish() on an SST with no blocks")),
         };
 
+        let index_bytes = self.encode_index();
+
         let t0 = Instant::now();
-        let keyset = KeySet::from_sorted_canonical(std::mem::take(&mut self.keys), self.width);
-        let mut samples = queue.snapshot(self.width);
-        samples.retain_empty(&keyset);
-        let m_bits = (bits_per_key * keyset.len() as f64) as u64;
-        let filter = (m_bits > 0).then(|| factory.build(&keyset, &samples, m_bits));
+        let (filter, sketch) = self.keys.train(min_key, max_key, factory, queue, bits_per_key);
         stats.filter_build_ns.add(t0.elapsed().as_nanos() as u64);
         stats.filters_built.inc();
+        let filter_bytes = encode_filter_block(filter.as_deref(), &sketch, stats);
 
-        // The training fingerprint: where (relative to this file's key
-        // range) the sample queries the filter was trained on landed. It
-        // rides along in the filter block so drift detection
-        // survives a crash/reopen. The samples are canonical-width keys,
-        // so the file's boundary keys are canonicalized the same way.
-        let sketch = QuerySketch::from_queries(
-            samples.iter(),
-            &pad_key(&min_key, self.width),
-            &pad_key(&max_key, self.width),
-        );
-
-        // Encode the filter block; a filter without a persistent form
-        // leaves the block empty; after a reopen that file simply has no
-        // filter (recovery never retrains).
-        let filter_bytes = match &filter {
-            Some(f) => match FilterCodec::encode_with_fingerprint(f.as_ref(), &sketch) {
-                Ok(bytes) => bytes,
-                Err(_) => {
-                    stats.filters_unpersisted.inc();
-                    Vec::new()
-                }
-            },
-            None => Vec::new(),
-        };
-
-        let index_bytes = self.encode_index();
         self.file.write_all(&index_bytes)?;
         self.file.write_all(&filter_bytes)?;
         let footer = encode_footer(
@@ -800,82 +853,85 @@ impl SstWriter {
             self.width,
         )?;
         self.file.write_all(&footer)?;
-        self.file.sync_all()?;
-        // The file is complete and durable: atomically give it its real
-        // name, then sync the directory so the rename itself survives a
-        // power failure. Recovery only ever sees fully written `.sst`s.
-        std::fs::rename(&self.tmp_path, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            File::open(dir)?.sync_all()?;
-        }
-
-        let file = File::open(&self.path)?;
-        let slot = OnceLock::new();
-        let has_filter = filter.is_some();
-        let _ = slot.set(filter);
-        Ok(SstReader {
-            id: self.id,
-            path: self.path,
-            file,
-            width: self.width,
-            index: self.index,
-            index_len: index_bytes.len() as u64,
-            filter_block_len: filter_bytes.len(),
-            pending_filter_bytes: Mutex::new(rank::SST_META, Vec::new()),
-            filter: slot,
-            fingerprint: Mutex::new(
-                rank::SST_META,
-                (has_filter && !sketch.is_empty()).then_some(sketch),
-            ),
-            probe_fp: AtomicU64::new(0),
-            probe_tn: AtomicU64::new(0),
-            retrain_count: 0,
-            retired: AtomicBool::new(false),
-            level: self.level,
-            min_key,
-            max_key,
-            n_entries: self.n_entries,
-            n_tombstones: self.n_tombstones,
-            file_bytes: self.offset,
-        })
+        publish(&self.file, &self.tmp_path, &self.path)?;
+        SstReader::open_trained(self.path, self.id, filter, sketch, 0)
     }
 }
 
-/// Convenience wrapper: iterate every entry of an SST in order (used by
-/// compaction and the adaptive re-train key scan). Yields tombstones as
-/// `None` values.
-pub struct SstScanner {
+/// The one way to walk a file's entries: a forward cursor yielding
+/// un-materialized `(block, index)` positions, optionally clamped to a
+/// closed key range. The caller supplies the block fetch — the block cache
+/// for foreground reads, the file itself for compaction and re-training —
+/// and each block visited is fetched exactly once.
+pub struct SstCursor {
     sst: Arc<SstReader>,
-    stats: Arc<Stats>,
+    /// Inclusive upper clamp (`None` = to the end of the file).
+    hi: Option<Vec<u8>>,
+    /// Lower clamp still to be applied to the first block fetched.
+    pending_lo: Option<Vec<u8>>,
     block_idx: usize,
     entry_idx: usize,
-    block: Option<Block>,
+    block: Option<Arc<Block>>,
 }
 
-impl SstScanner {
-    /// Start scanning `sst` from its first entry.
-    pub fn new(sst: Arc<SstReader>, stats: Arc<Stats>) -> Self {
-        SstScanner { sst, stats, block_idx: 0, entry_idx: 0, block: None }
+impl SstCursor {
+    /// A cursor over every entry of `sst`, tombstones included.
+    pub fn new(sst: Arc<SstReader>) -> Self {
+        SstCursor { sst, hi: None, pending_lo: None, block_idx: 0, entry_idx: 0, block: None }
     }
 
-    /// Next `(key, Some(value) | None)` entry, `Ok(None)` at the end.
-    pub fn try_next(&mut self) -> Result<Option<Entry>> {
+    /// A cursor over the entries of `sst` with keys in `[lo, hi]`.
+    pub fn bounded(sst: Arc<SstReader>, lo: &[u8], hi: &[u8]) -> Self {
+        let block_idx = sst.first_candidate_block(lo);
+        SstCursor {
+            sst,
+            hi: Some(hi.to_vec()),
+            pending_lo: Some(lo.to_vec()),
+            block_idx,
+            entry_idx: 0,
+            block: None,
+        }
+    }
+
+    /// The file this cursor walks.
+    pub fn sst(&self) -> &Arc<SstReader> {
+        &self.sst
+    }
+
+    /// The next in-range entry's position, no bytes copied; `Ok(None)` at
+    /// the end. The returned `Arc` keeps the block alive independently of
+    /// the cursor moving on.
+    pub fn next_pos(
+        &mut self,
+        mut fetch: impl FnMut(&Arc<SstReader>, usize) -> Result<Arc<Block>>,
+    ) -> Result<Option<(Arc<Block>, u32)>> {
         loop {
             let block = match &self.block {
                 Some(block) => block,
                 None => {
-                    if self.block_idx >= self.sst.n_blocks() {
+                    if self.block_idx >= self.sst.n_blocks()
+                        || self
+                            .hi
+                            .as_ref()
+                            .is_some_and(|hi| self.sst.block_meta(self.block_idx).first_key > *hi)
+                    {
                         return Ok(None);
                     }
-                    self.entry_idx = 0;
-                    self.block.insert(self.sst.read_block(self.block_idx, &self.stats)?)
+                    let block = fetch(&self.sst, self.block_idx)?;
+                    self.entry_idx = match self.pending_lo.take() {
+                        Some(lo) => block.lower_bound(&lo),
+                        None => 0,
+                    };
+                    self.block.insert(block)
                 }
             };
             if self.entry_idx < block.len() {
-                let (k, v) = block.entry(self.entry_idx);
-                let out = (k.to_vec(), v.map(<[u8]>::to_vec));
+                let i = self.entry_idx;
+                if self.hi.as_ref().is_some_and(|hi| block.key(i) > hi.as_slice()) {
+                    return Ok(None);
+                }
                 self.entry_idx += 1;
-                return Ok(Some(out));
+                return Ok(Some((Arc::clone(block), i as u32)));
             }
             self.block = None;
             self.block_idx += 1;
@@ -964,16 +1020,22 @@ mod tests {
         for i in (0..1_000u64).step_by(3) {
             assert!(f.may_contain(&(i * 9).to_be_bytes()), "tombstone key {i} filtered out");
         }
-        // The scanner yields tombstones as None, in order.
-        let fresh = Arc::new(Stats::default());
-        let mut scan = SstScanner::new(Arc::new(reopened), fresh);
+        // The cursor yields tombstones as None, in order.
+        let fresh = Stats::default();
+        let mut scan = SstCursor::new(Arc::new(reopened));
         let mut i = 0u64;
-        while let Some((k, v)) = scan.try_next().unwrap() {
+        while let Some((block, j)) =
+            scan.next_pos(|sst, b| sst.read_block(b, &fresh).map(Arc::new)).unwrap()
+        {
+            let (k, v) = block.entry(j as usize);
             assert_eq!(k, (i * 9).to_be_bytes());
             assert_eq!(v.is_none(), i.is_multiple_of(3), "entry {i}");
             i += 1;
         }
         assert_eq!(i, 1_000);
+        let n_blocks = scan.sst().n_blocks() as u64;
+        assert!(n_blocks > 1);
+        assert_eq!(fresh.blocks_read.get(), n_blocks, "each block is fetched exactly once");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1068,11 +1130,14 @@ mod tests {
         for k in &keys {
             assert!(f.may_contain(&pad_key(k, 8)), "false negative for {k:?}");
         }
-        // The scanner returns every raw key byte-exactly, in order.
-        let fresh = Arc::new(Stats::default());
-        let mut scan = SstScanner::new(Arc::new(reopened), fresh);
+        // The cursor returns every raw key byte-exactly, in order.
+        let fresh = Stats::default();
+        let mut scan = SstCursor::new(Arc::new(reopened));
         let mut i = 0usize;
-        while let Some((k, v)) = scan.try_next().unwrap() {
+        while let Some((block, j)) =
+            scan.next_pos(|sst, b| sst.read_block(b, &fresh).map(Arc::new)).unwrap()
+        {
+            let (k, v) = block.entry(j as usize);
             assert_eq!(k, keys[i], "entry {i}");
             assert_eq!(v.is_none(), i % 7 == 2, "entry {i}");
             i += 1;

@@ -30,120 +30,173 @@ impl Counter {
     }
 }
 
-/// Database-wide counters.
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// Range Seeks issued.
-    pub seeks: Counter,
-    /// Exact-key `get` lookups issued.
-    pub gets: Counter,
-    /// `delete` operations issued (tombstones written), including deletes
-    /// inside `WriteBatch`es.
-    pub deletes: Counter,
-    /// Ordered `range` scans started.
-    pub range_scans: Counter,
-    /// Tombstones dropped by compactions that reached the bottom of the
-    /// tree (nothing older left to shadow).
-    pub tombstones_dropped: Counter,
-    /// Seeks answered without touching any SST (all filters negative or no
-    /// overlapping file).
-    pub seeks_filtered: Counter,
-    /// Seeks that found a key.
-    pub seeks_found: Counter,
-    /// Seeks whose first live answer came from a MemTable (active or
-    /// immutable). These never feed the sample queue: §6.1 samples
-    /// *executed empty* queries only.
-    pub seeks_memtable: Counter,
-    /// Executed empty queries offered to the sample queue (each may or may
-    /// not be recorded, per the every-`n`-th subsampling policy).
-    pub sample_offers: Counter,
-    /// Active-MemTable rotations into the immutable flush queue.
-    pub memtable_rotations: Counter,
-    /// Nanoseconds writers spent stalled on flush backpressure (the
-    /// immutable-memtable queue was full).
-    pub write_stall_ns: Counter,
-    /// Per-SST filter probes that returned negative.
-    pub filter_negatives: Counter,
-    /// Per-SST filter probes that returned positive but the SST had no key
-    /// in range (a false positive costing real I/O).
-    pub filter_false_positives: Counter,
-    /// Per-SST filter probes that returned positive and were right.
-    pub filter_true_positives: Counter,
-    /// Data blocks fetched from disk.
-    pub blocks_read: Counter,
-    /// Bytes fetched from disk.
-    pub bytes_read: Counter,
-    /// Block-cache hits.
-    pub cache_hits: Counter,
-    /// MemTable flushes.
-    pub flushes: Counter,
-    /// Compactions run.
-    pub compactions: Counter,
-    /// SST filters constructed (includes modeling).
-    pub filters_built: Counter,
-    /// Total nanoseconds spent building filters (modeling + construction).
-    pub filter_build_ns: Counter,
-    /// Keys currently queued as sample queries.
-    pub sampled_queries: Counter,
-    /// SST files recovered from disk by `Db::open`.
-    pub ssts_recovered: Counter,
-    /// Filters decoded from persisted SST filter blocks (no retraining).
-    pub filters_loaded: Counter,
-    /// Total nanoseconds spent decoding persisted filters.
-    pub filter_load_ns: Counter,
-    /// Persisted filters that could not be reconstructed (unknown kind tag
-    /// or corrupt bytes) and degraded to no-filter for that SST.
-    pub filters_degraded: Counter,
-    /// Built filters with no persistent form (encode unsupported); their
-    /// SSTs carry no filter block, so after a reopen those files serve
-    /// unfiltered probes (recovery never retrains).
-    pub filters_unpersisted: Counter,
-    /// Filter probes (real filters only) that answered positive for an SST
-    /// with no key in range — the adaptive lifecycle's per-probe false
-    /// positive evidence (also accumulated per SST).
-    pub observed_fp: Counter,
-    /// Filter probes (real filters only) that answered negative — true
-    /// negatives, the denominator partner of [`Stats::observed_fp`].
-    pub observed_tn: Counter,
-    /// SSTs flagged for re-training (observed FPR over threshold, or
-    /// sample-distribution divergence from the training fingerprint).
-    pub drift_flags: Counter,
-    /// Filters re-trained in the background by the adaptive lifecycle
-    /// (filter block rewritten in place; data blocks untouched).
-    pub filters_retrained: Counter,
-    /// Total nanoseconds spent re-training (key scan + modeling +
-    /// construction + filter-block rewrite).
-    pub retrain_ns: Counter,
-    /// WAL commit records appended (a `WriteBatch` is one record).
-    pub wal_appends: Counter,
-    /// `fdatasync` calls issued against WAL segments that covered at least
-    /// one unsynced commit (group-commit leader syncs, interval syncs, and
-    /// non-empty rotation seals). The denominator of
-    /// [`Stats::mean_group_commit`]; syncs that covered nothing are
-    /// counted in [`Stats::wal_empty_seals`] instead so the mean is not
-    /// deflated by empty rotations.
-    pub wal_syncs: Counter,
-    /// Rotation seals whose `fdatasync` covered zero unsynced commits
-    /// (every record was already durable when the MemTable rotated).
-    pub wal_empty_seals: Counter,
-    /// Bytes of WAL records appended (headers excluded).
-    pub wal_bytes: Counter,
-    /// Total commits covered across all WAL syncs; the mean group-commit
-    /// size is `group_commit_sizes / wal_syncs` (see
-    /// [`Stats::mean_group_commit`]).
-    pub group_commit_sizes: Counter,
-    /// Commit records replayed from surviving WAL segments by
-    /// [`crate::Db::open`] (zero on a clean reopen).
-    pub wal_replayed_records: Counter,
-    /// Total nanoseconds instrumented locks were held (guard lifetime).
-    /// Fed by the lock-doctor observer on the coordination gate and the
-    /// MemTable lock; always zero in uninstrumented release builds (see
-    /// [`proteus_core::sync`]).
-    pub lock_hold_ns: Counter,
-    /// Total nanoseconds threads spent blocked waiting for instrumented
-    /// locks another thread held (contended acquisitions only). Same
-    /// instrumentation caveat as [`Stats::lock_hold_ns`].
-    pub lock_contention_ns: Counter,
+/// `num / den`, `0` while nothing has been counted (`den == 0`).
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Declares [`Stats`] and [`StatsSnapshot`] from one counter list: the
+/// `Stats` field (a [`Counter`], with the doc comment given here),
+/// [`Stats::snapshot`], the `StatsSnapshot` field (a `u64` of the same
+/// name) and [`StatsSnapshot::delta`]. `gauges` are `Stats` fields that
+/// hold a level rather than a running count, so they have no place in a
+/// snapshot difference.
+macro_rules! stats {
+    (
+        counters { $( $(#[$doc:meta])* $name:ident, )* }
+        gauges { $( $(#[$gdoc:meta])* $gauge:ident, )* }
+    ) => {
+        /// Database-wide counters.
+        #[derive(Debug, Default)]
+        pub struct Stats {
+            $( $(#[$doc])* pub $name: Counter, )*
+            $( $(#[$gdoc])* pub $gauge: Counter, )*
+        }
+
+        impl Stats {
+            /// Snapshot all counters (for diffing across experiment phases).
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot { $( $name: self.$name.get(), )* }
+            }
+        }
+
+        /// A point-in-time copy of [`Stats`]. Each field mirrors the counter of
+        /// the same name; see the [`Stats`] field docs for the semantics.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        #[allow(missing_docs)] // field semantics documented once, on `Stats`
+        pub struct StatsSnapshot {
+            $( pub $name: u64, )*
+        }
+
+        impl StatsSnapshot {
+            /// Counter-wise difference (for per-phase reporting).
+            pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot { $( $name: self.$name - earlier.$name, )* }
+            }
+        }
+    };
+}
+
+stats! {
+    counters {
+        /// Range Seeks issued.
+        seeks,
+        /// Exact-key `get` lookups issued.
+        gets,
+        /// `delete` operations issued (tombstones written), including deletes
+        /// inside `WriteBatch`es.
+        deletes,
+        /// Ordered `range` scans started.
+        range_scans,
+        /// Tombstones dropped by compactions that reached the bottom of the
+        /// tree (nothing older left to shadow).
+        tombstones_dropped,
+        /// Seeks answered without touching any SST (all filters negative or no
+        /// overlapping file).
+        seeks_filtered,
+        /// Seeks that found a key.
+        seeks_found,
+        /// Seeks whose first live answer came from a MemTable (active or
+        /// immutable). These never feed the sample queue: §6.1 samples
+        /// *executed empty* queries only.
+        seeks_memtable,
+        /// Executed empty queries offered to the sample queue (each may or may
+        /// not be recorded, per the every-`n`-th subsampling policy).
+        sample_offers,
+        /// Active-MemTable rotations into the immutable flush queue.
+        memtable_rotations,
+        /// Nanoseconds writers spent stalled on flush backpressure (the
+        /// immutable-memtable queue was full).
+        write_stall_ns,
+        /// Per-SST filter probes that returned negative.
+        filter_negatives,
+        /// Per-SST filter probes that returned positive but the SST had no key
+        /// in range (a false positive costing real I/O).
+        filter_false_positives,
+        /// Per-SST filter probes that returned positive and were right.
+        filter_true_positives,
+        /// Data blocks fetched from disk.
+        blocks_read,
+        /// Bytes fetched from disk.
+        bytes_read,
+        /// Block-cache hits.
+        cache_hits,
+        /// MemTable flushes.
+        flushes,
+        /// Compactions run.
+        compactions,
+        /// SST filters constructed (includes modeling).
+        filters_built,
+        /// Total nanoseconds spent building filters (modeling + construction).
+        filter_build_ns,
+        /// SST files recovered from disk by `Db::open`.
+        ssts_recovered,
+        /// Filters decoded from persisted SST filter blocks (no retraining).
+        filters_loaded,
+        /// Total nanoseconds spent decoding persisted filters.
+        filter_load_ns,
+        /// Persisted filters that could not be reconstructed (unknown kind tag
+        /// or corrupt bytes) and degraded to no-filter for that SST.
+        filters_degraded,
+        /// Built filters with no persistent form (encode unsupported); their
+        /// SSTs carry no filter block, so after a reopen those files serve
+        /// unfiltered probes (recovery never retrains).
+        filters_unpersisted,
+        /// Filter probes (real filters only) that answered positive for an SST
+        /// with no key in range — the adaptive lifecycle's per-probe false
+        /// positive evidence (also accumulated per SST).
+        observed_fp,
+        /// Filter probes (real filters only) that answered negative — true
+        /// negatives, the denominator partner of [`Stats::observed_fp`].
+        observed_tn,
+        /// SSTs flagged for re-training (observed FPR over threshold, or
+        /// sample-distribution divergence from the training fingerprint).
+        drift_flags,
+        /// Filters re-trained in the background by the adaptive lifecycle
+        /// (filter block rewritten in place; data blocks untouched).
+        filters_retrained,
+        /// Total nanoseconds spent re-training (key scan + modeling +
+        /// construction + filter-block rewrite).
+        retrain_ns,
+        /// WAL commit records appended (a `WriteBatch` is one record).
+        wal_appends,
+        /// `fdatasync` calls issued against WAL segments that covered at least
+        /// one unsynced commit (group-commit leader syncs, interval syncs, and
+        /// non-empty rotation seals). The denominator of
+        /// [`Stats::mean_group_commit`]; syncs that covered nothing are
+        /// counted in [`Stats::wal_empty_seals`] instead so the mean is not
+        /// deflated by empty rotations.
+        wal_syncs,
+        /// Rotation seals whose `fdatasync` covered zero unsynced commits
+        /// (every record was already durable when the MemTable rotated).
+        wal_empty_seals,
+        /// Bytes of WAL records appended (headers excluded).
+        wal_bytes,
+        /// Total commits covered across all WAL syncs; the mean group-commit
+        /// size is `group_commit_sizes / wal_syncs` (see
+        /// [`Stats::mean_group_commit`]).
+        group_commit_sizes,
+        /// Commit records replayed from surviving WAL segments by
+        /// [`crate::Db::open`] (zero on a clean reopen).
+        wal_replayed_records,
+        /// Total nanoseconds instrumented locks were held (guard lifetime).
+        /// Fed by the lock-doctor observer on the coordination gate and the
+        /// MemTable lock; always zero in uninstrumented release builds (see
+        /// [`proteus_core::sync`]).
+        lock_hold_ns,
+        /// Total nanoseconds threads spent blocked waiting for instrumented
+        /// locks another thread held (contended acquisitions only). Same
+        /// instrumentation caveat as [`Stats::lock_hold_ns`].
+        lock_contention_ns,
+    }
+    gauges {
+        /// Keys currently queued as sample queries.
+        sampled_queries,
+    }
 }
 
 impl proteus_core::sync::LockObserver for Stats {
@@ -159,70 +212,14 @@ impl Stats {
     /// Observed false positive rate of the per-SST filters so far.
     pub fn filter_fpr(&self) -> f64 {
         let fp = self.filter_false_positives.get();
-        let neg = self.filter_negatives.get();
-        let total = fp + neg;
-        if total == 0 {
-            0.0
-        } else {
-            fp as f64 / total as f64
-        }
-    }
-
-    /// Snapshot all counters (for diffing across experiment phases).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            seeks: self.seeks.get(),
-            gets: self.gets.get(),
-            deletes: self.deletes.get(),
-            range_scans: self.range_scans.get(),
-            tombstones_dropped: self.tombstones_dropped.get(),
-            seeks_filtered: self.seeks_filtered.get(),
-            seeks_found: self.seeks_found.get(),
-            seeks_memtable: self.seeks_memtable.get(),
-            sample_offers: self.sample_offers.get(),
-            memtable_rotations: self.memtable_rotations.get(),
-            write_stall_ns: self.write_stall_ns.get(),
-            filter_negatives: self.filter_negatives.get(),
-            filter_false_positives: self.filter_false_positives.get(),
-            filter_true_positives: self.filter_true_positives.get(),
-            blocks_read: self.blocks_read.get(),
-            bytes_read: self.bytes_read.get(),
-            cache_hits: self.cache_hits.get(),
-            flushes: self.flushes.get(),
-            compactions: self.compactions.get(),
-            filters_built: self.filters_built.get(),
-            filter_build_ns: self.filter_build_ns.get(),
-            ssts_recovered: self.ssts_recovered.get(),
-            filters_loaded: self.filters_loaded.get(),
-            filter_load_ns: self.filter_load_ns.get(),
-            filters_degraded: self.filters_degraded.get(),
-            filters_unpersisted: self.filters_unpersisted.get(),
-            observed_fp: self.observed_fp.get(),
-            observed_tn: self.observed_tn.get(),
-            drift_flags: self.drift_flags.get(),
-            filters_retrained: self.filters_retrained.get(),
-            retrain_ns: self.retrain_ns.get(),
-            wal_appends: self.wal_appends.get(),
-            wal_syncs: self.wal_syncs.get(),
-            wal_empty_seals: self.wal_empty_seals.get(),
-            wal_bytes: self.wal_bytes.get(),
-            group_commit_sizes: self.group_commit_sizes.get(),
-            wal_replayed_records: self.wal_replayed_records.get(),
-            lock_hold_ns: self.lock_hold_ns.get(),
-            lock_contention_ns: self.lock_contention_ns.get(),
-        }
+        ratio(fp, fp + self.filter_negatives.get())
     }
 
     /// Mean commits per WAL sync — the group-commit amortization factor
     /// (`1.0` means every commit paid its own `fdatasync`; `0` before any
     /// sync).
     pub fn mean_group_commit(&self) -> f64 {
-        let syncs = self.wal_syncs.get();
-        if syncs == 0 {
-            0.0
-        } else {
-            self.group_commit_sizes.get() as f64 / syncs as f64
-        }
+        ratio(self.group_commit_sizes.get(), self.wal_syncs.get())
     }
 
     /// Observed empirical FPR of real filter probes (the adaptive
@@ -230,135 +227,25 @@ impl Stats {
     /// observed_tn)`, `0` before any probe.
     pub fn observed_fpr(&self) -> f64 {
         let fp = self.observed_fp.get();
-        let total = fp + self.observed_tn.get();
-        if total == 0 {
-            0.0
-        } else {
-            fp as f64 / total as f64
-        }
+        ratio(fp, fp + self.observed_tn.get())
     }
-}
-
-/// A point-in-time copy of [`Stats`]. Each field mirrors the counter of
-/// the same name; see the [`Stats`] field docs for the semantics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field semantics documented once, on `Stats`
-pub struct StatsSnapshot {
-    pub seeks: u64,
-    pub gets: u64,
-    pub deletes: u64,
-    pub range_scans: u64,
-    pub tombstones_dropped: u64,
-    pub seeks_filtered: u64,
-    pub seeks_found: u64,
-    pub seeks_memtable: u64,
-    pub sample_offers: u64,
-    pub memtable_rotations: u64,
-    pub write_stall_ns: u64,
-    pub filter_negatives: u64,
-    pub filter_false_positives: u64,
-    pub filter_true_positives: u64,
-    pub blocks_read: u64,
-    pub bytes_read: u64,
-    pub cache_hits: u64,
-    pub flushes: u64,
-    pub compactions: u64,
-    pub filters_built: u64,
-    pub filter_build_ns: u64,
-    pub ssts_recovered: u64,
-    pub filters_loaded: u64,
-    pub filter_load_ns: u64,
-    pub filters_degraded: u64,
-    pub filters_unpersisted: u64,
-    pub observed_fp: u64,
-    pub observed_tn: u64,
-    pub drift_flags: u64,
-    pub filters_retrained: u64,
-    pub retrain_ns: u64,
-    pub wal_appends: u64,
-    pub wal_syncs: u64,
-    pub wal_empty_seals: u64,
-    pub wal_bytes: u64,
-    pub group_commit_sizes: u64,
-    pub wal_replayed_records: u64,
-    pub lock_hold_ns: u64,
-    pub lock_contention_ns: u64,
 }
 
 impl StatsSnapshot {
-    /// Counter-wise difference (for per-phase reporting).
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            seeks: self.seeks - earlier.seeks,
-            gets: self.gets - earlier.gets,
-            deletes: self.deletes - earlier.deletes,
-            range_scans: self.range_scans - earlier.range_scans,
-            tombstones_dropped: self.tombstones_dropped - earlier.tombstones_dropped,
-            seeks_filtered: self.seeks_filtered - earlier.seeks_filtered,
-            seeks_found: self.seeks_found - earlier.seeks_found,
-            seeks_memtable: self.seeks_memtable - earlier.seeks_memtable,
-            sample_offers: self.sample_offers - earlier.sample_offers,
-            memtable_rotations: self.memtable_rotations - earlier.memtable_rotations,
-            write_stall_ns: self.write_stall_ns - earlier.write_stall_ns,
-            filter_negatives: self.filter_negatives - earlier.filter_negatives,
-            filter_false_positives: self.filter_false_positives - earlier.filter_false_positives,
-            filter_true_positives: self.filter_true_positives - earlier.filter_true_positives,
-            blocks_read: self.blocks_read - earlier.blocks_read,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            flushes: self.flushes - earlier.flushes,
-            compactions: self.compactions - earlier.compactions,
-            filters_built: self.filters_built - earlier.filters_built,
-            filter_build_ns: self.filter_build_ns - earlier.filter_build_ns,
-            ssts_recovered: self.ssts_recovered - earlier.ssts_recovered,
-            filters_loaded: self.filters_loaded - earlier.filters_loaded,
-            filter_load_ns: self.filter_load_ns - earlier.filter_load_ns,
-            filters_degraded: self.filters_degraded - earlier.filters_degraded,
-            filters_unpersisted: self.filters_unpersisted - earlier.filters_unpersisted,
-            observed_fp: self.observed_fp - earlier.observed_fp,
-            observed_tn: self.observed_tn - earlier.observed_tn,
-            drift_flags: self.drift_flags - earlier.drift_flags,
-            filters_retrained: self.filters_retrained - earlier.filters_retrained,
-            retrain_ns: self.retrain_ns - earlier.retrain_ns,
-            wal_appends: self.wal_appends - earlier.wal_appends,
-            wal_syncs: self.wal_syncs - earlier.wal_syncs,
-            wal_empty_seals: self.wal_empty_seals - earlier.wal_empty_seals,
-            wal_bytes: self.wal_bytes - earlier.wal_bytes,
-            group_commit_sizes: self.group_commit_sizes - earlier.group_commit_sizes,
-            wal_replayed_records: self.wal_replayed_records - earlier.wal_replayed_records,
-            lock_hold_ns: self.lock_hold_ns - earlier.lock_hold_ns,
-            lock_contention_ns: self.lock_contention_ns - earlier.lock_contention_ns,
-        }
-    }
-
     /// Mean commits per WAL sync in this snapshot (see
     /// [`Stats::mean_group_commit`]).
     pub fn mean_group_commit(&self) -> f64 {
-        if self.wal_syncs == 0 {
-            0.0
-        } else {
-            self.group_commit_sizes as f64 / self.wal_syncs as f64
-        }
+        ratio(self.group_commit_sizes, self.wal_syncs)
     }
 
     /// Observed empirical FPR of real filter probes in this snapshot.
     pub fn observed_fpr(&self) -> f64 {
-        let total = self.observed_fp + self.observed_tn;
-        if total == 0 {
-            0.0
-        } else {
-            self.observed_fp as f64 / total as f64
-        }
+        ratio(self.observed_fp, self.observed_fp + self.observed_tn)
     }
 
     /// Observed filter FPR in this snapshot.
     pub fn filter_fpr(&self) -> f64 {
-        let total = self.filter_false_positives + self.filter_negatives;
-        if total == 0 {
-            0.0
-        } else {
-            self.filter_false_positives as f64 / total as f64
-        }
+        ratio(self.filter_false_positives, self.filter_false_positives + self.filter_negatives)
     }
 }
 

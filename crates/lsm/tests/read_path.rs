@@ -180,3 +180,60 @@ fn filterless_files_never_feed_the_observed_fpr_evidence() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn shadowing_is_the_same_layered_and_settled() {
+    // One put/overwrite/delete history, twice: left spread over MemTable +
+    // L0 + levels (the read path's merge resolves the versions on every
+    // scan) and fully settled (compaction's merge resolved them once).
+    // Both must show exactly the oracle's live rows.
+    let (dir_a, dir_b) = (tmpdir("shadow-layered"), tmpdir("shadow-settled"));
+    // Everything fits under L1's size target, so the settled store ends
+    // with all of its data in the bottom level.
+    let cfg = small_cfg().to_builder().level_base_bytes(4 << 20).build().unwrap();
+    let layered = Db::open(&dir_a, cfg.clone(), Arc::new(ProteusFactory::default())).unwrap();
+    let settled = Db::open(&dir_b, cfg, Arc::new(ProteusFactory::default())).unwrap();
+    let mut rng = Rng(0x5AD0);
+    let mut oracle: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+    // A small key space, so later phases overwrite and delete what earlier
+    // ones left in deeper layers. The last two phases stay under one
+    // MemTable each: phase 1 flushes to a single L0 file, phase 2 is never
+    // flushed.
+    for (phase, ops) in [6_000usize, 300, 300].into_iter().enumerate() {
+        for n in 0..ops {
+            let key = u64_key(rng.next() % 3_000 * 7).to_vec();
+            let value = (!rng.next().is_multiple_of(3)).then(|| vec![phase as u8; 8 + n % 24]);
+            for db in [&layered, &settled] {
+                match &value {
+                    Some(v) => db.put(&key, v).unwrap(),
+                    None => db.delete(&key).unwrap(),
+                }
+            }
+            oracle.insert(key, value);
+        }
+        match phase {
+            0 => layered.flush_and_settle().unwrap(),
+            1 => layered.flush().unwrap(),
+            _ => {}
+        }
+    }
+    settled.flush_and_settle().unwrap();
+    let counts = layered.level_file_counts();
+    assert!(counts[0] >= 1 && counts[1..].iter().any(|&n| n > 0), "layered: {counts:?}");
+    assert!(layered.sst_tombstones() > 0, "the L0 file carries phase 1's deletes");
+    let counts = settled.level_file_counts();
+    assert_eq!(counts.iter().filter(|&&n| n > 0).count(), 1, "settled: {counts:?}");
+    assert_eq!(settled.sst_tombstones(), 0, "tombstones must be gone from the bottom level");
+
+    let want: Vec<(Vec<u8>, Vec<u8>)> =
+        oracle.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))).collect();
+    let scan = |db: &Db| -> Vec<(Vec<u8>, Vec<u8>)> {
+        db.range::<&[u8], _>(..).unwrap().map(Result::unwrap).collect()
+    };
+    assert!(want.len() > 500, "{} live rows", want.len());
+    assert_eq!(scan(&layered), want, "layered vs oracle");
+    assert_eq!(scan(&settled), want, "settled vs oracle");
+    drop((layered, settled));
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}

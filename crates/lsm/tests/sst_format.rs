@@ -15,7 +15,7 @@
 
 use proteus_core::codec::crc32;
 use proteus_core::key::u64_key;
-use proteus_lsm::sst::{SstReader, SstScanner, SstWriter, SST_FORMAT_VERSION, SST_MAGIC_V3};
+use proteus_lsm::sst::{Entry, SstCursor, SstReader, SstWriter, SST_FORMAT_VERSION, SST_MAGIC_V3};
 use proteus_lsm::{Db, DbConfig, Error, NoFilterFactory, QueryQueue, Stats};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -43,6 +43,21 @@ fn tmpdir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
+}
+
+/// Every entry of `sst` in file order, read straight from disk through
+/// the cursor; stops at the first block that fails to read or decode.
+fn scan_all(sst: SstReader) -> proteus_lsm::Result<Vec<Entry>> {
+    let stats = Stats::default();
+    let mut cursor = SstCursor::new(Arc::new(sst));
+    let mut entries = Vec::new();
+    while let Some((block, i)) =
+        cursor.next_pos(|sst, b| sst.read_block(b, &stats).map(Arc::new))?
+    {
+        let (k, v) = block.entry(i as usize);
+        entries.push((k.to_vec(), v.map(<[u8]>::to_vec)));
+    }
+    Ok(entries)
 }
 
 /// Wrap a block body in the raw (codec 0) disk envelope:
@@ -415,14 +430,12 @@ fn v3_golden_decodes_byte_exactly_and_is_self_describing() {
 
     // Every prefix-compressed entry reconstructs its raw key byte-exactly,
     // tombstones included, in order.
-    let mut scan = SstScanner::new(Arc::new(sst), Arc::new(Stats::default()));
-    let mut i = 0usize;
-    while let Some((k, v)) = scan.try_next().unwrap() {
-        assert_eq!(k, entries[i].0, "entry {i} key");
-        assert_eq!(v, entries[i].1, "entry {i} value");
-        i += 1;
+    let scanned = scan_all(sst).unwrap();
+    for (i, (k, v)) in scanned.iter().enumerate() {
+        assert_eq!(*k, entries[i].0, "entry {i} key");
+        assert_eq!(*v, entries[i].1, "entry {i} value");
     }
-    assert_eq!(i, entries.len());
+    assert_eq!(scanned.len(), entries.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -485,8 +498,7 @@ fn v3_golden_truncation_sweep_never_panics() {
     for cut in (0..orig.len()).step_by(3) {
         std::fs::write(&path, &orig[..cut]).unwrap();
         if let Ok(sst) = SstReader::open(&path, 3) {
-            let mut scan = SstScanner::new(Arc::new(sst), Arc::new(Stats::default()));
-            while let Ok(Some(_)) = scan.try_next() {}
+            let _ = scan_all(sst);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -517,8 +529,7 @@ fn writer_output_truncation_sweep_never_panics() {
     for cut in (0..orig.len()).step_by(7) {
         std::fs::write(&path, &orig[..cut]).unwrap();
         if let Ok(sst) = SstReader::open(&path, 9) {
-            let mut scan = SstScanner::new(Arc::new(sst), Arc::new(Stats::default()));
-            while let Ok(Some(_)) = scan.try_next() {}
+            let _ = scan_all(sst);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -35,7 +35,8 @@ pub enum CodecError {
     },
     /// A structural invariant failed (lengths disagree, bits out of range).
     Invalid(&'static str),
-    /// The filter type does not support serialization (e.g. ARF).
+    /// The filter type does not support serialization (a filter keeping
+    /// the default `encode_payload`, e.g. `CountingProteus`).
     Unsupported(&'static str),
 }
 

@@ -2,7 +2,7 @@
 //!
 //! See the individual crates for details:
 //! - [`proteus_core`] (re-exported as `core`) — Proteus filter + CPFPR model
-//! - [`proteus_filters`] (`filters`) — SuRF, Rosetta and ARF baselines
+//! - [`proteus_filters`] (`filters`) — SuRF and Rosetta baselines
 //! - [`proteus_amq`] (`amq`) — Bloom filter variants and hashing
 //! - [`proteus_succinct`] (`succinct`) — rank/select bit vectors, LOUDS-DS trie
 //! - [`proteus_lsm`] (`lsm`) — LSM-tree key-value store harness

@@ -251,7 +251,6 @@ fn filters_and_db_are_send_and_sync() {
     assert_send_sync::<proteus::core::CountingProteus>();
     assert_send_sync::<Surf>();
     assert_send_sync::<Rosetta>();
-    assert_send_sync::<proteus::filters::Arf>();
     // Trait objects as the Db actually holds them.
     assert_send_sync::<Box<dyn RangeFilter>>();
 }

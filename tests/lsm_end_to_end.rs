@@ -485,3 +485,61 @@ fn background_adapter_thread_retrains_on_its_own() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn adaptive_retrain_over_variable_length_keys_has_no_false_negatives() {
+    // Keys that are *not* the filter's canonical width (7–15 bytes against
+    // the default 8-byte `key_width`): a re-trained filter must be built
+    // over the same padded/truncated, de-duplicated key set the writer
+    // trained the original on, or it forgets live keys.
+    let dir = tmpdir("adaptive-varlen");
+    let cfg = DbConfig::builder()
+        .adapt_enabled(false) // drive passes via adapt_now() for determinism
+        .adapt_min_probes(10)
+        .adapt_fpr_threshold(0.001)
+        .sample_every(1)
+        .build()
+        .unwrap();
+    let key = |i: usize| format!("k{:06}{}", i * 7, "p".repeat(i % 9)).into_bytes();
+    let keys: Vec<Vec<u8>> = (0..5_000).map(key).collect();
+    assert!(keys.iter().any(|k| k.len() == 7) && keys.iter().any(|k| k.len() == 15));
+
+    let db = Db::open(&dir, cfg.clone(), Arc::new(ProteusFactory::default())).unwrap();
+    for (i, k) in keys.iter().enumerate() {
+        db.put(k, &i.to_le_bytes()).unwrap();
+    }
+    db.flush_and_settle().unwrap();
+    // Empty point Seeks right between stored keys: enough filter false
+    // positives to cross the (tiny) FPR threshold.
+    for i in 0..5_000usize {
+        let absent = format!("k{:06}", i * 7 + 3).into_bytes();
+        assert!(!db.seek(&absent, &absent).unwrap());
+    }
+    assert!(db.adapt_now().unwrap() >= 1, "no filter re-trained");
+    // The trained and the live fingerprints share their anchors, and the
+    // re-trained file starts a fresh probe window: with no reads in
+    // between there is nothing to flag.
+    assert_eq!(db.adapt_now().unwrap(), 0, "an immediate second pass must re-train nothing");
+
+    let check = |db: &Db, when: &str| {
+        for (i, k) in keys.iter().enumerate() {
+            let want = i.to_le_bytes();
+            assert_eq!(db.get(k).unwrap().as_deref(), Some(&want[..]), "get {i} {when}");
+            assert!(db.seek(k, k).unwrap(), "seek {i} {when}");
+        }
+        let mut sorted = keys.clone();
+        sorted.sort();
+        let scanned: Vec<Vec<u8>> =
+            db.range::<&[u8], _>(..).unwrap().map(|e| e.unwrap().0).collect();
+        assert_eq!(scanned, sorted, "range {when}");
+    };
+    check(&db, "after re-training");
+    // The rewritten filter block is what a reopen decodes.
+    drop(db);
+    let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
+    check(&db, "after reopen");
+    assert_eq!(db.stats().filters_built.get(), 0, "reopen must not retrain");
+    assert!(db.stats().filters_loaded.get() >= 1, "the persisted filter was never decoded");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
