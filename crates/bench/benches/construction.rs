@@ -3,7 +3,6 @@
 //! the succinct-structure primitives they depend on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use proteus_core::model::one_pbf::OnePbfModel;
 use proteus_core::model::proteus::{ProteusModel, ProteusModelOptions};
 use proteus_core::{KeySet, Proteus, ProteusOptions, SampleQueries};
 use proteus_filters::{Rosetta, RosettaOptions, Surf, SurfSuffix};
@@ -27,7 +26,7 @@ fn bench_construction(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(KeySet::from_u64(&raw)))
     });
     group.bench_function("model/1pbf", |b| {
-        b.iter(|| std::hint::black_box(OnePbfModel::build(&keys, &samples)))
+        b.iter(|| std::hint::black_box(ProteusModel::bloom_only(&keys, &samples)))
     });
     group.bench_function("model/proteus", |b| {
         b.iter(|| {

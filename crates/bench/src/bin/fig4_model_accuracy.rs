@@ -14,7 +14,6 @@ use proteus_bench::cli::Args;
 use proteus_bench::measure::measure_fpr;
 use proteus_bench::report::Table;
 use proteus_bench::scenario;
-use proteus_core::model::one_pbf::{OnePbfDesign, OnePbfModel};
 use proteus_core::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOptions};
 use proteus_core::model::two_pbf::{TwoPbfDesign, TwoPbfModel, TwoPbfOptions};
 use proteus_core::{OnePbf, OnePbfOptions, Proteus, ProteusOptions, TwoPbf, TwoPbfFilterOptions};
@@ -53,7 +52,7 @@ fn part_a(args: &Args) {
             args.queries,
             seed,
         );
-        let model = OnePbfModel::build(&sc.keyset, &sc.samples);
+        let model = ProteusModel::bloom_only(&sc.keyset, &sc.samples);
         // Observed FPR per design, evaluated in parallel across lengths.
         let results: Vec<(usize, f64, f64)> = std::thread::scope(|s| {
             let handles: Vec<_> = lens
@@ -65,10 +64,12 @@ fn part_a(args: &Args) {
                         chunk
                             .iter()
                             .map(|&l| {
-                                let expected = model.expected_fpr(&sc.keyset, l, m_bits);
+                                let expected = model
+                                    .expected_fpr(&sc.keyset, 0, l, m_bits)
+                                    .expect("l in 1..=bits");
                                 let f = OnePbf::build_with_prefix_len(
                                     &sc.keyset,
-                                    OnePbfDesign { prefix_len: l, expected_fpr: expected },
+                                    ProteusDesign::bloom_only(l, expected),
                                     m_bits,
                                     &OnePbfOptions::default(),
                                 );

@@ -7,7 +7,13 @@
 //! Part 1: Uniform → Correlated over Normal keys.
 //! Part 2: Correlated → Uniform over Uniform keys.
 //!
-//! Run: `cargo run -p proteus-bench --release --bin fig7_shift`
+//! With `--immediate` the same transitions switch hard at the midpoint
+//! instead of mixing gradually — Figure 8, "Proteus is robust to immediate,
+//! extreme workload shifts": the FPR spikes right after the switch (`ratio`
+//! jumps 0 → 1) and recovers as compactions rebuild filters from the
+//! updated query queue (`filters_built`).
+//!
+//! Run: `cargo run -p proteus-bench --release --bin fig7_shift [-- --immediate]`
 
 use proteus_bench::cli::Args;
 use proteus_bench::factories::{RosettaFactory, SurfFactory};
@@ -33,8 +39,8 @@ fn main() {
     run_transition(&args, "correlated-to-uniform", Dataset::Uniform, true);
 }
 
-/// Shared with fig8: execute a (gradual or immediate) transition between
-/// long-Uniform and short-Correlated queries. `reverse` swaps start/end.
+/// Execute a (gradual or immediate) transition between long-Uniform and
+/// short-Correlated queries. `reverse` swaps start/end.
 pub fn run_transition(args: &Args, tag: &str, dataset: Dataset, reverse: bool) {
     let batches = args.get_usize("batches", 12);
     let per_batch = args.queries / batches;
@@ -52,8 +58,9 @@ pub fn run_transition(args: &Args, tag: &str, dataset: Dataset, reverse: bool) {
     let correlated = Workload::Correlated { rmax: 32, corr_degree: 1 << 10 };
     let (start_w, end_w) = if reverse { (correlated, uniform) } else { (uniform, correlated) };
 
+    let (figure, shape) = if immediate { (8, "immediate shift") } else { (7, "transition") };
     let mut t = Table::new(
-        &format!("Figure 7 ({tag}): transition with {batches} batches of {per_batch} seeks"),
+        &format!("Figure {figure} ({tag}): {shape} with {batches} batches of {per_batch} seeks"),
         &["filter", "batch", "ratio", "cumulative_s", "batch_fpr", "blocks_read", "filters_built"],
     );
 
@@ -117,9 +124,10 @@ pub fn run_transition(args: &Args, tag: &str, dataset: Dataset, reverse: bool) {
             let r = run.run_batch(&queries);
             cumulative += r.elapsed_s;
             println!(
-                "{tag:>22} {fname:<8} batch {batch:>2} ratio {ratio:.2}: cum {cumulative:>7.2}s fpr {:.4} blocks {}",
+                "{tag:>22} {fname:<8} batch {batch:>2} ratio {ratio:.2}: cum {cumulative:>7.2}s fpr {:.4} blocks {} filters {}",
                 r.fpr(),
-                r.stats.blocks_read
+                r.stats.blocks_read,
+                r.stats.filters_built
             );
             t.row(vec![
                 fname.to_string(),
@@ -132,5 +140,6 @@ pub fn run_transition(args: &Args, tag: &str, dataset: Dataset, reverse: bool) {
             ]);
         }
     }
-    t.finish(args.out.as_deref(), &format!("fig7_shift_{tag}"));
+    let csv = if immediate { "fig8_immediate" } else { "fig7_shift" };
+    t.finish(args.out.as_deref(), &format!("{csv}_{tag}"));
 }

@@ -1,7 +1,7 @@
 //! Figure 8 (adaptivity): the self-design loop closed *online* — adaptive
 //! vs frozen filters under a mid-run workload shift, with **no writes**.
 //!
-//! `fig8_immediate_shift` recovers after a shift only because interleaved
+//! `fig7_shift --immediate` recovers after a shift only because interleaved
 //! Puts keep triggering flushes/compactions that rebuild filters from the
 //! updated query queue. This experiment removes that crutch: the database
 //! is loaded once and then serves a read-only stream whose distribution

@@ -12,7 +12,6 @@
 use proteus_bench::cli::Args;
 use proteus_bench::measure::Timed;
 use proteus_bench::report::{ms, Table};
-use proteus_core::model::one_pbf::OnePbfModel;
 use proteus_core::model::proteus::{ProteusModel, ProteusModelOptions};
 use proteus_core::model::two_pbf::{TwoPbfModel, TwoPbfOptions};
 use proteus_core::{KeySet, SampleQueries};
@@ -58,7 +57,7 @@ fn main() {
     );
 
     // --- 1PBF ---
-    let m1 = Timed::run(|| OnePbfModel::build(&ks, &samples));
+    let m1 = Timed::run(|| ProteusModel::bloom_only(&ks, &samples));
     let d1 = Timed::run(|| m1.value.best_design(&ks, m_bits));
     let b1 = Timed::run(|| {
         OnePbf::build_with_prefix_len(&ks, d1.value, m_bits, &OnePbfOptions::default())

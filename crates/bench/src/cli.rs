@@ -76,8 +76,8 @@ impl Args {
                  \x20              (default 30000; `--part wal` runs only that section)\n\
                  --lsm-bpk B       fig7/8: filter budget in the LSM store (default 12)\n\
                  --batches N       fig7/8: batches per run (default 12)\n\
-                 --puts N          fig7/fig8_immediate_shift: interleaved inserts\n\
-                 --immediate       fig7: hard switch at the midpoint (fig8's mode)\n\
+                 --puts N          fig7: interleaved inserts\n\
+                 --immediate       fig7: hard switch at the midpoint (the paper's Figure 8)\n\
                  --width W         fig9: canonical string width in bytes\n\
                  --len-bits L      fig9: prefix length for the string workloads\n\
                  --shards LIST     fig_server: shard counts to sweep (default 1,2,4)\n\

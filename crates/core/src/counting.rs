@@ -13,14 +13,14 @@
 //! * a range the trie resolves as empty counts exactly zero;
 //! * probe cost matches emptiness-query cost at the same design.
 
-use crate::key::{increment_prefix, mask_tail, set_tail_ones, u64_key};
+use crate::key::{u64_key, ProbeBudget, RegionWalk, Walk};
 use crate::keyset::KeySet;
 use crate::model::proteus::{ProteusModel, ProteusModelOptions};
+use crate::proteus::walk_fine;
 use crate::sample::SampleQueries;
 use crate::trie::ProteusTrie;
 use proteus_amq::hash::{HashFamily, PrefixHasher};
 use proteus_amq::CountingBloomFilter;
-use proteus_succinct::Visit;
 
 /// Options for [`CountingProteus`].
 #[derive(Debug, Clone)]
@@ -55,7 +55,6 @@ pub struct CountingProteus {
     hasher: PrefixHasher,
     l1: usize,
     l2: usize,
-    width: usize,
     probe_cap: u64,
 }
 
@@ -85,15 +84,7 @@ impl CountingProteus {
         for key in keys.iter() {
             counts.insert(hasher.hash_prefix(key, l2 as u32));
         }
-        CountingProteus {
-            trie,
-            counts,
-            hasher,
-            l1,
-            l2,
-            width: keys.width(),
-            probe_cap: opts.probe_cap,
-        }
+        CountingProteus { trie, counts, hasher, l1, l2, probe_cap: opts.probe_cap }
     }
 
     /// The instantiated `(l1, l2)` design in bits.
@@ -115,67 +106,19 @@ impl CountingProteus {
     /// l2-prefix granularity: interior prefixes contribute their exact
     /// multiplicities (plus count-min collision noise), boundary prefixes
     /// contribute every key they hold. Returns `u64::MAX` if the probe
-    /// budget is exhausted.
+    /// budget runs out before every prefix is counted.
     pub fn count_estimate(&self, lo: &[u8], hi: &[u8]) -> u64 {
-        debug_assert!(lo <= hi);
-        let mut budget = self.probe_cap;
+        let budget = ProbeBudget::new(self.probe_cap);
+        let mut walk = RegionWalk::new(lo, hi, &budget);
         let mut total = 0u64;
-        let mut exhausted = false;
-        {
-            let mut probe_window = |from: &[u8], to: &[u8], budget: &mut u64| -> u64 {
-                let mut cur = from.to_vec();
-                mask_tail(&mut cur, self.l2);
-                let mut end = to.to_vec();
-                mask_tail(&mut end, self.l2);
-                let mut sum = 0u64;
-                loop {
-                    if *budget == 0 {
-                        exhausted = true;
-                        return sum;
-                    }
-                    *budget -= 1;
-                    sum += self.counts.count_estimate(self.hasher.hash_prefix(&cur, self.l2 as u32))
-                        as u64;
-                    if cur == end || increment_prefix(&mut cur, self.l2) {
-                        return sum;
-                    }
-                }
-            };
-            match &self.trie {
-                None => {
-                    total = probe_window(lo, hi, &mut budget);
-                }
-                Some(trie) => {
-                    let d = trie.depth_bytes();
-                    let mut from = vec![0u8; self.width];
-                    let mut to = vec![0u8; self.width];
-                    trie.visit_leaves(lo, hi, |leaf| {
-                        if leaf == &lo[..d] {
-                            from.copy_from_slice(lo);
-                        } else {
-                            from[..d].copy_from_slice(leaf);
-                            mask_tail(&mut from, d * 8);
-                        }
-                        if leaf == &hi[..d] {
-                            to.copy_from_slice(hi);
-                        } else {
-                            to[..d].copy_from_slice(leaf);
-                            set_tail_ones(&mut to, d * 8);
-                        }
-                        total += probe_window(&from, &to, &mut budget);
-                        if budget == 0 {
-                            Visit::Stop
-                        } else {
-                            Visit::Continue
-                        }
-                    });
-                }
-            }
-        }
-        if exhausted {
-            u64::MAX
-        } else {
-            total
+        let end = walk_fine(self.trie.as_ref(), &mut walk, self.l2, |prefix| {
+            total +=
+                self.counts.count_estimate(self.hasher.hash_prefix(prefix, self.l2 as u32)) as u64;
+            Walk::Clear
+        });
+        match end {
+            Walk::Exhausted => u64::MAX,
+            _ => total,
         }
     }
 
@@ -200,14 +143,7 @@ impl crate::RangeFilter for CountingProteus {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn splitmix(s: &mut u64) -> u64 {
-        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use crate::testutil::splitmix;
 
     /// Clustered keys (dense within a 2^32 span) + medium-range samples so
     /// the model picks a granularity at which key windows are enumerable.
@@ -311,6 +247,31 @@ mod tests {
         );
         let est = f.count_estimate_u64(7 << 40, (7 << 40) | (1 << 20));
         assert!(est >= 50, "cluster count {est} < 50");
+    }
+
+    #[test]
+    fn a_budget_that_runs_out_never_undercounts() {
+        // A window over 6 keys spans several trie leaves. Whatever the cap —
+        // in particular one that runs out exactly as a leaf's last prefix is
+        // counted — the answer is the saturated "too wide" or the complete
+        // estimate, never the sum over the leaves reached so far.
+        let (keys, mut f) = build(3_000);
+        assert!(f.trie.is_some(), "the regression needs a trie: {:?}", f.design_bits());
+        let mut sorted = keys;
+        sorted.sort_unstable();
+        let (lo, hi) = (sorted[100], sorted[105]);
+        f.probe_cap = u64::MAX;
+        let complete = f.count_estimate_u64(lo, hi);
+        assert!((6..u64::MAX).contains(&complete));
+        let mut saturated = 0;
+        for cap in 1..=3000 {
+            f.probe_cap = cap;
+            let est = f.count_estimate_u64(lo, hi);
+            assert!(est == u64::MAX || est == complete, "cap {cap}: partial count {est}");
+            saturated += u64::from(est == u64::MAX);
+            assert!(f.query(&u64_key(lo), &u64_key(hi)));
+        }
+        assert!((1..3000).contains(&saturated), "the sweep must cross the window's probe count");
     }
 
     #[test]

@@ -112,6 +112,145 @@ pub fn increment_prefix(buf: &mut [u8], l: usize) -> bool {
     }
 }
 
+/// How a [`RegionWalk::walk`] ended. The three outcomes stay distinct all
+/// the way up: an emptiness filter folds `Hit` and `Exhausted` into its safe
+/// positive, a range count must not mistake either `Exhausted` or a partial
+/// sum for `Clear`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Every region of the window was visited and no visitor stopped.
+    Clear,
+    /// A visitor stopped the walk (a positive probe).
+    Hit,
+    /// The probe budget ran out with at least one region unvisited.
+    Exhausted,
+}
+
+/// The probes one query may still spend (the per-query probe cap). Shared
+/// by reference so the walks a query nests — 2PBF's fine walk inside its
+/// coarse one, one fine walk per trie leaf — draw on the same allowance;
+/// [`RegionWalk::walk`] is the only spender.
+#[derive(Debug)]
+pub struct ProbeBudget(std::cell::Cell<u64>);
+
+impl ProbeBudget {
+    /// A budget of `probes` region visits.
+    pub fn new(probes: u64) -> Self {
+        ProbeBudget(std::cell::Cell::new(probes))
+    }
+
+    /// Visits not yet spent.
+    pub fn left(&self) -> u64 {
+        self.0.get()
+    }
+
+    fn spend(&self) -> bool {
+        let left = self.0.get();
+        self.0.set(left.saturating_sub(1));
+        left > 0
+    }
+}
+
+/// The one enumeration of the `l`-bit regions of a query window, and the
+/// one clamp of the query to a coarser region — what every Protean filter
+/// does between its coarse stage (nothing, a Bloom filter, a trie) and its
+/// fine Bloom probes. Holds the query bounds, the shared [`ProbeBudget`]
+/// and the cursor scratch, so a query sets its scratch up once however many
+/// regions or trie leaves it walks — on the stack for keys up to
+/// [`INLINE_KEY_BYTES`], which covers every width the store accepts.
+#[derive(Debug)]
+pub struct RegionWalk<'q> {
+    pub(crate) lo: &'q [u8],
+    pub(crate) hi: &'q [u8],
+    budget: &'q ProbeBudget,
+    /// `cursor ‖ last`, each one canonical key wide.
+    scratch: Scratch,
+}
+
+/// Widest canonical key whose walk needs no heap allocation.
+pub const INLINE_KEY_BYTES: usize = 64;
+
+#[derive(Debug)]
+enum Scratch {
+    Inline([u8; 2 * INLINE_KEY_BYTES]),
+    Heap(Vec<u8>),
+}
+
+impl<'q> RegionWalk<'q> {
+    /// A walker over the closed query `[lo, hi]` (equal-width canonical
+    /// keys, `lo <= hi`).
+    pub fn new(lo: &'q [u8], hi: &'q [u8], budget: &'q ProbeBudget) -> Self {
+        debug_assert_eq!(lo.len(), hi.len());
+        debug_assert!(lo <= hi);
+        let scratch = if lo.len() <= INLINE_KEY_BYTES {
+            Scratch::Inline([0u8; 2 * INLINE_KEY_BYTES])
+        } else {
+            Scratch::Heap(vec![0u8; 2 * lo.len()])
+        };
+        RegionWalk { lo, hi, budget, scratch }
+    }
+
+    /// Visit, in ascending order, every `l`-bit region that intersects both
+    /// the query and the `within`-bit region whose prefix is the first
+    /// `within` bits of `region` (`(&[], 0)` is the whole key space: no
+    /// clamp). The visitor sees each region as a full-width key with every
+    /// bit past `l` zero, and steers the walk: `Clear` moves on, anything
+    /// else ends it with that outcome. Each visit costs one probe; a region
+    /// that cannot be paid for ends the walk as [`Walk::Exhausted`], never
+    /// as `Clear`.
+    pub fn walk(
+        &mut self,
+        region: &[u8],
+        within: usize,
+        l: usize,
+        mut visit: impl FnMut(&[u8]) -> Walk,
+    ) -> Walk {
+        debug_assert!(within <= region.len() * 8 && l <= self.lo.len() * 8);
+        let width = self.lo.len();
+        let scratch = match &mut self.scratch {
+            Scratch::Inline(buf) => &mut buf[..2 * width],
+            Scratch::Heap(buf) => buf,
+        };
+        let (cur, last) = scratch.split_at_mut(width);
+        if within == 0 {
+            // The whole key space: nothing to clamp. Worth its branch — the
+            // general form below costs a trie-less one-probe query ~40 %.
+            cur.copy_from_slice(self.lo);
+            last.copy_from_slice(self.hi);
+        } else {
+            // Query ∩ region = [max(lo, region·0…0), min(hi, region·1…1)].
+            let n = within.div_ceil(8);
+            cur[..n].copy_from_slice(&region[..n]);
+            mask_tail(cur, within);
+            if *cur < *self.lo {
+                cur.copy_from_slice(self.lo);
+            }
+            last[..n].copy_from_slice(&region[..n]);
+            set_tail_ones(last, within);
+            if *last > *self.hi {
+                last.copy_from_slice(self.hi);
+            }
+            if *cur > *last {
+                return Walk::Clear; // the region misses the query
+            }
+        }
+        mask_tail(cur, l);
+        mask_tail(last, l);
+        loop {
+            if !self.budget.spend() {
+                return Walk::Exhausted;
+            }
+            match visit(cur) {
+                Walk::Clear => {}
+                stop => return stop,
+            }
+            if cur == last || increment_prefix(cur, l) {
+                return Walk::Clear;
+            }
+        }
+    }
+}
+
 /// Value of bit `i` of the key.
 #[inline]
 pub fn get_bit(buf: &[u8], i: usize) -> bool {

@@ -30,14 +30,21 @@
 //!
 //! ## Crate layout
 //!
-//! * [`key`] — canonical keys and bit-level prefix arithmetic;
+//! * [`key`] — canonical keys, bit-level prefix arithmetic, and
+//!   [`key::RegionWalk`], the one walk over a query's prefix regions that
+//!   every filter below probes through;
 //! * [`keyset`] — sorted key set + the statistics Algorithm 1 extracts;
 //! * [`sample`] — sample queries and Chernoff-bound sizing (Table 1);
-//! * [`model`] — the CPFPR model for 1PBF (Eq. 1), 2PBF (Eq. 4) and
-//!   Proteus (Eq. 5 / Algorithm 1);
+//! * [`model`] — the CPFPR model: [`model::proteus`] for Proteus (Eq. 5 /
+//!   Algorithm 1) and, as its trie-depth-0 slice, 1PBF (Eq. 1);
+//!   [`model::two_pbf`] for 2PBF (Eq. 4);
 //! * [`prefix_bf`] / [`trie`] — the two structural components;
 //! * [`proteus`], [`one_pbf`], [`two_pbf`] — the three Protean Range
-//!   Filters evaluated in the paper.
+//!   Filters evaluated in the paper: a coarse stage (a trie, nothing, a
+//!   Bloom filter) in front of one prefix Bloom filter. [`one_pbf::OnePbf`]
+//!   is a trie-less [`Proteus`];
+//! * [`counting`] — the §4.1 range-count extension (a counting Bloom
+//!   filter behind the same coarse stage and walk).
 
 #![warn(missing_docs)]
 
@@ -116,6 +123,51 @@ impl RangeFilter for NoFilter {
     }
     fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
         Some((FilterKind::NoFilter, Vec::new()))
+    }
+}
+
+/// Fixtures shared by the unit tests of the filters and their models.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use crate::key::u64_key;
+    use crate::{KeySet, SampleQueries};
+
+    /// SplitMix64: the deterministic stream every fixture draws from.
+    pub fn splitmix(s: &mut u64) -> u64 {
+        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `n` uniform ranges of 3..=`rmax + 2` keys that miss every key of
+    /// `ks`, drawn from the stream `s`.
+    pub fn empty_ranges(ks: &KeySet, n: usize, rmax: u64, s: &mut u64) -> SampleQueries {
+        let mut q = SampleQueries::new(8);
+        while q.len() < n {
+            let lo = splitmix(s) % (u64::MAX - rmax - 2);
+            let hi = lo + 2 + splitmix(s) % rmax;
+            if !ks.range_overlaps(&u64_key(lo), &u64_key(hi)) {
+                q.push(&u64_key(lo), &u64_key(hi));
+            }
+        }
+        q
+    }
+
+    /// `n_keys` uniform keys, then `n_q` [`empty_ranges`] over them, from
+    /// one stream seeded with `seed`.
+    pub fn uniform_setup(
+        n_keys: usize,
+        n_q: usize,
+        rmax: u64,
+        seed: u64,
+    ) -> (Vec<u64>, KeySet, SampleQueries) {
+        let mut s = seed;
+        let keys: Vec<u64> = (0..n_keys).map(|_| splitmix(&mut s)).collect();
+        let ks = KeySet::from_u64(&keys);
+        let q = empty_ranges(&ks, n_q, rmax, &mut s);
+        (keys, ks, q)
     }
 }
 

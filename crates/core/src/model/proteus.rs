@@ -13,6 +13,11 @@
 //! by a key, and |L|, |R| are the `l2`-prefix counts inside those regions.
 //! When Q fits inside a single occupied `l1`-region the probe count is
 //! |Q_l2| (the region is shared, not doubled).
+//!
+//! Eq. 1 — the 1PBF model — is this model at `l1 = 0`: no query is
+//! resolved, every query is "single occupied region", so the probe count is
+//! |Q_l2| and the Bloom filter owns the whole budget.
+//! [`ProteusModel::bloom_only`] accumulates just that slice.
 
 use super::{extract_contexts, BitScan, ProbeBins, QueryCtx};
 use crate::key::get_bit;
@@ -33,6 +38,19 @@ pub struct ProteusDesign {
     pub expected_fpr: f64,
     /// Estimated trie memory at this design (bits).
     pub trie_mem_bits: u64,
+}
+
+impl ProteusDesign {
+    /// The 1PBF design point: no trie, one Bloom filter over `prefix_len`-bit
+    /// prefixes.
+    pub fn bloom_only(prefix_len: usize, expected_fpr: f64) -> Self {
+        ProteusDesign {
+            trie_depth_bits: 0,
+            bloom_prefix_len: prefix_len,
+            expected_fpr,
+            trie_mem_bits: 0,
+        }
+    }
 }
 
 /// Options controlling the design search.
@@ -77,21 +95,29 @@ impl ProteusModel {
         m_bits: u64,
         opts: &ProteusModelOptions,
     ) -> Self {
-        let bits = keys.bits();
         // Trie depth candidates: every byte depth whose trie fits the budget
         // (Algorithm 1 line 6: "for tLen ← 0 such that trieMem(tLen) ≤ m").
-        let mut l1_candidates = vec![0usize];
-        let mut trie_mem = vec![0u64];
-        for d in 1..=keys.width() {
-            let mem = keys.trie_mem_bits(d);
-            if mem <= m_bits {
-                l1_candidates.push(d * 8);
-                trie_mem.push(mem);
-            } else {
-                break;
-            }
-        }
+        let tries = (1..=keys.width())
+            .map(|d| (d * 8, keys.trie_mem_bits(d)))
+            .take_while(|&(_, mem)| mem <= m_bits);
+        Self::over_depths(keys, samples, std::iter::once((0, 0)).chain(tries).unzip(), opts)
+    }
 
+    /// The 1PBF model (Eq. 1): the same pass over the single trie-depth
+    /// candidate 0, every Bloom prefix length evaluated.
+    pub fn bloom_only(keys: &KeySet, samples: &SampleQueries) -> Self {
+        Self::over_depths(keys, samples, (vec![0], vec![0]), &ProteusModelOptions::default())
+    }
+
+    /// Accumulate probe-count bins for every `(l1, l2)` with `l1` among the
+    /// given `(trie depths in bits, their trie memory)`.
+    fn over_depths(
+        keys: &KeySet,
+        samples: &SampleQueries,
+        (l1_candidates, trie_mem): (Vec<usize>, Vec<u64>),
+        opts: &ProteusModelOptions,
+    ) -> Self {
+        let bits = keys.bits();
         // Bloom prefix lengths to evaluate (coarse search for long keys).
         let l2_values: Vec<usize> = if opts.max_bloom_lengths == 0 || opts.max_bloom_lengths >= bits
         {
@@ -119,37 +145,8 @@ impl ProteusModel {
             }
             (resolved, bins)
         };
-
-        let results: Vec<(u64, Vec<ProbeBins>)> = if opts.threads > 1 && l1_candidates.len() > 1 {
-            let mut results: Vec<Option<(u64, Vec<ProbeBins>)>> =
-                (0..l1_candidates.len()).map(|_| None).collect();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots = crate::sync::Mutex::new(crate::sync::rank::SCRATCH, &mut results);
-            std::thread::scope(|scope| {
-                for _ in 0..opts.threads.min(l1_candidates.len()) {
-                    scope.spawn(|| loop {
-                        let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if c >= l1_candidates.len() {
-                            break;
-                        }
-                        let r = accumulate(c);
-                        // A worker panic propagates out of the scope, so a
-                        // poisoned scratch lock is unreachable here; recover
-                        // rather than panic to keep this path panic-free.
-                        slots.lock().unwrap_or_else(std::sync::PoisonError::into_inner)[c] =
-                            Some(r);
-                    });
-                }
-            });
-            // Every index was claimed by exactly one worker and the scope
-            // joined them all, so each slot is filled; `unwrap_or_default`
-            // keeps positional alignment without a panic path.
-            results.into_iter().map(Option::unwrap_or_default).collect()
-        } else {
-            (0..l1_candidates.len()).map(accumulate).collect()
-        };
-
-        let (resolved, bins) = results.into_iter().unzip();
+        let (resolved, bins) =
+            super::fan_out(l1_candidates.len(), opts.threads, accumulate).into_iter().unzip();
         ProteusModel { l1_candidates, trie_mem, resolved, bins, l2_values, n_samples }
     }
 
@@ -174,91 +171,37 @@ impl ProteusModel {
         Some(bf_fpr * (self.n_samples - self.resolved[c]) as f64 / self.n_samples as f64)
     }
 
-    /// Algorithm 1's selection loop: the design minimizing expected FPR,
-    /// ties going to later candidates (the paper's `≤` comparisons).
+    /// Algorithm 1's selection: the design minimizing expected FPR, ties
+    /// going to later candidates (the paper's `≤` comparisons).
     pub fn best_design(&self, keys: &KeySet, m_bits: u64) -> ProteusDesign {
-        let mut best = ProteusDesign {
-            trie_depth_bits: 0,
-            bloom_prefix_len: 0,
-            expected_fpr: f64::INFINITY,
-            trie_mem_bits: 0,
-        };
-        for (c, &l1) in self.l1_candidates.iter().enumerate() {
-            // Trie-only design (bLen = 0 in Algorithm 1 line 17).
-            // `l1` comes from our own candidate list, so the model always
-            // has an answer; skip defensively rather than panic.
-            let Some(t_fpr) = self.expected_fpr(keys, l1, 0, m_bits) else { continue };
-            if t_fpr <= best.expected_fpr {
-                best = ProteusDesign {
-                    trie_depth_bits: l1,
-                    bloom_prefix_len: 0,
-                    expected_fpr: t_fpr,
-                    trie_mem_bits: self.trie_mem[c],
-                };
-            }
-            if self.trie_mem[c] >= m_bits {
-                continue;
-            }
-            for &l2 in &self.l2_values {
-                if l2 <= l1 {
-                    continue;
-                }
-                let Some(fpr) = self.expected_fpr(keys, l1, l2, m_bits) else { continue };
-                if fpr <= best.expected_fpr {
-                    best = ProteusDesign {
-                        trie_depth_bits: l1,
-                        bloom_prefix_len: l2,
-                        expected_fpr: fpr,
-                        trie_mem_bits: self.trie_mem[c],
-                    };
-                }
-            }
-        }
-        best
+        self.best_design_latency_aware(keys, m_bits, 0.0)
     }
 
-    /// §9's "higher order optimization" extension: select the design
-    /// minimizing `FPR + probe_cost_weight · E[Bloom probes per query]`,
-    /// trading a little FPR for fewer hash probes (CPU). With weight 0 this
-    /// is exactly [`ProteusModel::best_design`]; §6.3's observation that
-    /// Rosetta's low-FPR/high-CPU designs can *increase* end-to-end latency
-    /// is the motivation.
+    /// The one selection loop. §9's "higher order optimization" extension:
+    /// select the design minimizing `FPR + probe_cost_weight · E[Bloom
+    /// probes per query]`, trading a little FPR for fewer hash probes
+    /// (CPU); weight 0 is Algorithm 1's FPR-only objective. §6.3's
+    /// observation that Rosetta's low-FPR/high-CPU designs can *increase*
+    /// end-to-end latency is the motivation.
     pub fn best_design_latency_aware(
         &self,
         keys: &KeySet,
         m_bits: u64,
         probe_cost_weight: f64,
     ) -> ProteusDesign {
-        let mut best = ProteusDesign {
-            trie_depth_bits: 0,
-            bloom_prefix_len: 0,
-            expected_fpr: f64::INFINITY,
-            trie_mem_bits: 0,
-        };
+        let mut best = ProteusDesign::bloom_only(0, f64::INFINITY);
         let mut best_score = f64::INFINITY;
         for (c, &l1) in self.l1_candidates.iter().enumerate() {
-            // `l1` comes from our own candidate list, so the model always
-            // has an answer; skip defensively rather than panic.
-            let Some(t_fpr) = self.expected_fpr(keys, l1, 0, m_bits) else { continue };
-            if t_fpr <= best_score {
-                best_score = t_fpr; // trie-only designs probe nothing
-                best = ProteusDesign {
-                    trie_depth_bits: l1,
-                    bloom_prefix_len: 0,
-                    expected_fpr: t_fpr,
-                    trie_mem_bits: self.trie_mem[c],
-                };
-            }
-            if self.trie_mem[c] >= m_bits {
-                continue;
-            }
-            for &l2 in &self.l2_values {
-                if l2 <= l1 {
-                    continue;
-                }
+            // The trie-only design (bLen = 0 in Algorithm 1 line 17, which
+            // probes nothing), then every Bloom length past the trie — if
+            // the trie leaves the Bloom filter any memory at all.
+            let has_bloom_bits = self.trie_mem[c] < m_bits;
+            let bloom_lens = self.l2_values.iter().filter(|&&l2| has_bloom_bits && l2 > l1);
+            for &l2 in std::iter::once(&0).chain(bloom_lens) {
+                // `l1` comes from our own candidate list, so the model
+                // always has an answer; skip defensively rather than panic.
                 let Some(fpr) = self.expected_fpr(keys, l1, l2, m_bits) else { continue };
-                let probes = self.expected_probes(c, l2);
-                let score = fpr + probe_cost_weight * probes;
+                let score = fpr + probe_cost_weight * self.bins[c][l2].mean_probes(self.n_samples);
                 if score <= best_score {
                     best_score = score;
                     best = ProteusDesign {
@@ -271,14 +214,6 @@ impl ProteusModel {
             }
         }
         best
-    }
-
-    /// Mean Bloom probes per sample query at design (candidate c, l2).
-    fn expected_probes(&self, c: usize, l2: usize) -> f64 {
-        if self.n_samples == 0 {
-            return 0.0;
-        }
-        self.bins[c][l2].mean_probes(self.n_samples)
     }
 
     /// The trie depths (bits) the model evaluated.
@@ -354,14 +289,7 @@ fn accumulate_query(
 mod tests {
     use super::*;
     use crate::key::u64_key;
-
-    fn splitmix(s: &mut u64) -> u64 {
-        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use crate::testutil::{splitmix, uniform_setup};
 
     fn normal_keys(n: usize, seed: u64) -> Vec<u64> {
         // Clustered keys (top 24 bits constant) so short tries are cheap.
@@ -437,10 +365,48 @@ mod tests {
         let samples = correlated_queries(&raw, &keys, 300, 1 << 20, 99);
         let model = ProteusModel::build(&keys, &samples, 1 << 24, &ProteusModelOptions::default());
         let mut last = 0u64;
-        for (c, _) in model.l1_candidates.iter().enumerate() {
+        for (c, &l1) in model.l1_candidates.iter().enumerate() {
             assert!(model.resolved[c] >= last, "resolution monotone in depth");
             last = model.resolved[c];
+            // And at every depth — 0, the 1PBF slice, included — longer
+            // Bloom prefixes leave fewer guaranteed false positives.
+            for l2 in l1 + 1..64 {
+                assert!(
+                    model.bins[c][l2].guaranteed >= model.bins[c][l2 + 1].guaranteed,
+                    "guaranteed counts must shrink with longer prefixes (l1={l1}, l2={l2})"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn depth_zero_is_the_one_pbf_model() {
+        // Uniform keys and uniform ranges: the Fig. 4a setting.
+        let (_, keys, samples) = uniform_setup(5000, 500, 1 << 12, 5);
+        let m = 5000 * 10;
+        let one = ProteusModel::bloom_only(&keys, &samples);
+        assert_eq!(one.l1_candidates(), [0]);
+        // The slice is the full model's depth-0 row, bit for bit.
+        let full = ProteusModel::build(&keys, &samples, m, &ProteusModelOptions::default());
+        assert!(full.l1_candidates().len() > 1);
+        for l in 1..=64 {
+            let (a, b) = (one.expected_fpr(&keys, 0, l, m), full.expected_fpr(&keys, 0, l, m));
+            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "l={l}");
+        }
+        let fpr = |l: usize| one.expected_fpr(&keys, 0, l, m).unwrap();
+        // Eq. 1's two cliffs. 5000 uniform keys occupy every 2-bit region:
+        // too-short prefixes are guaranteed false positives...
+        assert!(fpr(2) > 0.95, "2-bit prefixes should be ~always occupied: {}", fpr(2));
+        // ...and at l = 64 - 12 a query spans at most 2 regions, where
+        // full-length prefixes multiply the probes per query.
+        assert!(fpr(52) < fpr(64), "coarse {} vs full {}", fpr(52), fpr(64));
+        // The chosen length sits between them (Fig. 4a): at or below
+        // 64 - log2(RMAX), well above the occupied-region cliff.
+        let design = one.best_design(&keys, m);
+        assert_eq!(design.trie_depth_bits, 0);
+        assert!((12..=53).contains(&design.bloom_prefix_len), "chose {design:?}");
+        assert!(design.expected_fpr < 0.2, "{design:?}");
+        assert_eq!(design.expected_fpr.to_bits(), fpr(design.bloom_prefix_len).to_bits());
     }
 
     #[test]

@@ -166,33 +166,7 @@ impl TwoPbfModel {
             sums
         };
 
-        let per_l1: Vec<Vec<f64>> = if opts.threads > 1 {
-            let mut results: Vec<Option<Vec<f64>>> = (0..l1_values.len()).map(|_| None).collect();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots = crate::sync::Mutex::new(crate::sync::rank::SCRATCH, &mut results);
-            std::thread::scope(|scope| {
-                for _ in 0..opts.threads.min(l1_values.len().max(1)) {
-                    scope.spawn(|| loop {
-                        let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if c >= l1_values.len() {
-                            break;
-                        }
-                        let r = eval_l1(l1_values[c]);
-                        // A worker panic propagates out of the scope, so a
-                        // poisoned scratch lock is unreachable here; recover
-                        // rather than panic to keep this path panic-free.
-                        slots.lock().unwrap_or_else(std::sync::PoisonError::into_inner)[c] =
-                            Some(r);
-                    });
-                }
-            });
-            // Every index was claimed by exactly one worker and the scope
-            // joined them all, so each slot is filled; `unwrap_or_default`
-            // keeps positional alignment without a panic path.
-            results.into_iter().map(Option::unwrap_or_default).collect()
-        } else {
-            l1_values.iter().map(|&l1| eval_l1(l1)).collect()
-        };
+        let per_l1 = super::fan_out(l1_values.len(), opts.threads, |c| eval_l1(l1_values[c]));
 
         let mut fp_sums = Vec::with_capacity(l1_values.len() * n_l2 * n_s);
         for sums in per_l1 {
@@ -298,29 +272,9 @@ fn fp_probability(g: &Geometry, p1: f64, p2: f64, w: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::u64_key;
-
-    fn splitmix(s: &mut u64) -> u64 {
-        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 
     fn setup(n_keys: usize, n_q: usize, rmax: u64) -> (KeySet, SampleQueries) {
-        let mut s = 42u64;
-        let keys: Vec<u64> = (0..n_keys).map(|_| splitmix(&mut s)).collect();
-        let ks = KeySet::from_u64(&keys);
-        let mut q = SampleQueries::new(8);
-        while q.len() < n_q {
-            let lo = splitmix(&mut s) % (u64::MAX - rmax - 2);
-            let hi = lo + 2 + splitmix(&mut s) % rmax;
-            let (l, h) = (u64_key(lo), u64_key(hi));
-            if !ks.range_overlaps(&l, &h) {
-                q.push(&l, &h);
-            }
-        }
+        let (_, ks, q) = crate::testutil::uniform_setup(n_keys, n_q, rmax, 42);
         (ks, q)
     }
 

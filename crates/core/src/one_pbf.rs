@@ -1,13 +1,17 @@
 //! 1PBF: a single self-designing prefix Bloom filter (§4, Eq. 1).
 //!
-//! The simplest Protean Range Filter: one prefix Bloom filter whose prefix
-//! length is chosen by the CPFPR model.
+//! The simplest Protean Range Filter — and, exactly as the paper frames it,
+//! Proteus at trie depth 0: the CPFPR model accumulated over the single
+//! depth candidate `0` picks the prefix length, and the filter is a
+//! [`Proteus`] with no trie. This type only pins that shape (a Bloom filter
+//! is always present) and keeps the kind's own wire payload and name.
 
 use crate::codec::{ByteReader, CodecError, FilterKind, WireWrite};
 use crate::key::u64_key;
 use crate::keyset::KeySet;
-use crate::model::one_pbf::{OnePbfDesign, OnePbfModel};
+use crate::model::proteus::{ProteusDesign, ProteusModel};
 use crate::prefix_bf::PrefixBloom;
+use crate::proteus::{put_header, read_header, Proteus};
 use crate::sample::SampleQueries;
 use crate::RangeFilter;
 use proteus_amq::hash::HashFamily;
@@ -34,14 +38,10 @@ impl Default for OnePbfOptions {
     }
 }
 
-/// A single prefix Bloom filter with model-selected prefix length.
+/// A single prefix Bloom filter with model-selected prefix length: a
+/// trie-less [`Proteus`] whose Bloom filter is always present.
 #[derive(Debug, Clone)]
-pub struct OnePbf {
-    bloom: PrefixBloom,
-    design: OnePbfDesign,
-    width: usize,
-    probe_cap: u64,
-}
+pub struct OnePbf(Proteus);
 
 impl OnePbf {
     /// Self-design: pick the prefix length minimizing modeled FPR.
@@ -51,32 +51,43 @@ impl OnePbf {
         m_bits: u64,
         opts: &OnePbfOptions,
     ) -> Self {
-        let model = OnePbfModel::build(keys, samples);
-        let design = model.best_design(keys, m_bits);
+        let mut design = ProteusModel::bloom_only(keys, samples).best_design(keys, m_bits);
+        if design.bloom_prefix_len == 0 {
+            // No memory, so the model chose "no filter"; a 1PBF still has
+            // one — zero bits wide, answering every probe positive.
+            design.bloom_prefix_len = keys.bits();
+        }
         Self::build_with_prefix_len(keys, design, m_bits, opts)
     }
 
-    /// Build with an explicit design (Fig. 4a sweeps the whole space).
+    /// Build with an explicit design (Fig. 4a sweeps the whole space); see
+    /// [`ProteusDesign::bloom_only`].
     pub fn build_with_prefix_len(
         keys: &KeySet,
-        design: OnePbfDesign,
+        design: ProteusDesign,
         m_bits: u64,
         opts: &OnePbfOptions,
     ) -> Self {
+        debug_assert_eq!(design.trie_depth_bits, 0, "a 1PBF has no trie");
         let bloom =
-            PrefixBloom::build(keys, design.prefix_len, m_bits, opts.hash_family, opts.seed);
-        OnePbf { bloom, design, width: keys.width(), probe_cap: opts.probe_cap }
+            PrefixBloom::build(keys, design.bloom_prefix_len, m_bits, opts.hash_family, opts.seed);
+        OnePbf(Proteus {
+            trie: None,
+            bloom: Some(bloom),
+            design,
+            width: keys.width(),
+            probe_cap: opts.probe_cap,
+        })
     }
 
-    /// The instantiated design.
-    pub fn design(&self) -> OnePbfDesign {
-        self.design
+    /// The instantiated design (`trie_depth_bits` is always 0).
+    pub fn design(&self) -> ProteusDesign {
+        self.0.design
     }
 
     /// Closed-range emptiness query on canonical keys.
     pub fn query(&self, lo: &[u8], hi: &[u8]) -> bool {
-        let mut budget = self.probe_cap;
-        self.bloom.query_window(lo, hi, &mut budget)
+        self.0.query(lo, hi)
     }
 
     /// [`OnePbf::query`] with `u64` bounds.
@@ -86,41 +97,37 @@ impl OnePbf {
 
     /// Memory footprint in bits.
     pub fn size_bits(&self) -> u64 {
-        self.bloom.size_bits()
+        self.0.size_bits()
     }
 
     /// Serialize the filter payload (design + Bloom filter).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.put_u32(self.width as u32);
-        out.put_u64(self.probe_cap);
-        out.put_u64(self.design.prefix_len as u64);
-        out.put_f64(self.design.expected_fpr);
-        self.bloom.encode_into(out);
+        put_header(out, self.0.width, self.0.probe_cap);
+        out.put_u64(self.0.design.bloom_prefix_len as u64);
+        out.put_f64(self.0.design.expected_fpr);
+        if let Some(bloom) = &self.0.bloom {
+            bloom.encode_into(out);
+        }
     }
 
     /// Decode a payload written by [`OnePbf::encode_into`].
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<OnePbf, CodecError> {
-        let width = r.u32()? as usize;
-        if width == 0 {
-            return Err(CodecError::Invalid("1pbf width zero"));
-        }
-        let probe_cap = r.u64()?;
-        let design = OnePbfDesign { prefix_len: r.u64()? as usize, expected_fpr: r.f64()? };
-        let bloom = PrefixBloom::decode_from(r)?;
-        Ok(OnePbf { bloom, design, width, probe_cap })
+        let (width, probe_cap) = read_header(r)?;
+        let design = ProteusDesign::bloom_only(r.u64()? as usize, r.f64()?);
+        let bloom = PrefixBloom::decode_for(r, width, design.bloom_prefix_len)?;
+        Ok(OnePbf(Proteus { trie: None, bloom: Some(bloom), design, width, probe_cap }))
     }
 }
 
 impl RangeFilter for OnePbf {
     fn may_contain_range(&self, lo: &[u8], hi: &[u8]) -> bool {
-        debug_assert_eq!(lo.len(), self.width);
         self.query(lo, hi)
     }
     fn size_bits(&self) -> u64 {
         self.size_bits()
     }
     fn name(&self) -> String {
-        format!("1PBF(l={})", self.design.prefix_len)
+        format!("1PBF(l={})", self.0.design.bloom_prefix_len)
     }
     fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
         let mut out = Vec::new();
@@ -132,28 +139,10 @@ impl RangeFilter for OnePbf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn splitmix(s: &mut u64) -> u64 {
-        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use crate::testutil::{splitmix, uniform_setup};
 
     fn setup(n: usize, rmax: u64) -> (Vec<u64>, KeySet, SampleQueries) {
-        let mut s = 11u64;
-        let keys: Vec<u64> = (0..n).map(|_| splitmix(&mut s)).collect();
-        let ks = KeySet::from_u64(&keys);
-        let mut q = SampleQueries::new(8);
-        while q.len() < 400 {
-            let lo = splitmix(&mut s) % (u64::MAX - rmax - 2);
-            let hi = lo + 2 + splitmix(&mut s) % rmax;
-            if !ks.range_overlaps(&u64_key(lo), &u64_key(hi)) {
-                q.push(&u64_key(lo), &u64_key(hi));
-            }
-        }
-        (keys, ks, q)
+        uniform_setup(n, 400, rmax, 11)
     }
 
     #[test]
@@ -172,7 +161,7 @@ mod tests {
         let f = OnePbf::train(&ks, &samples, 3000 * 12, &OnePbfOptions::default());
         // For RMAX = 2^16 the optimum sits at or below 64 - 16 = 48 bits
         // (Fig. 4a): longer prefixes multiply probes per query.
-        assert!(f.design().prefix_len <= 49, "{:?}", f.design());
+        assert!(f.design().bloom_prefix_len <= 49, "{:?}", f.design());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! A prefix Bloom filter: a Bloom filter over the `l`-bit prefixes of the
-//! key set, with range queries that probe every `l`-bit region overlapping
-//! the query window (§2.1, §3.1).
+//! key set (§2.1, §3.1). Range queries probe every `l`-bit region of the
+//! query window through [`crate::key::RegionWalk`], with
+//! [`PrefixBloom::probe`] as the per-region visitor.
 
 use crate::codec::{ByteReader, CodecError, WireWrite};
-use crate::key::{increment_prefix, lcp_bits, mask_tail};
+use crate::key::{lcp_bits, Walk};
 use crate::keyset::KeySet;
 use proteus_amq::hash::{HashFamily, PrefixHasher};
 use proteus_amq::BloomFilter;
@@ -68,12 +69,24 @@ impl PrefixBloom {
         self.bloom.encode_into(out);
     }
 
-    /// Decode a payload written by [`PrefixBloom::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<PrefixBloom, CodecError> {
-        let prefix_len = r.u32()? as usize;
-        let width = r.u32()? as usize;
+    /// Decode a payload written by [`PrefixBloom::encode_into`] for an
+    /// enclosing filter whose own header declares canonical keys `width`
+    /// bytes wide and this stage at `prefix_len` bits. The one geometry
+    /// check of every kind that embeds prefix Bloom filters: a stage that
+    /// disagrees with its enclosing header would hash past the end of the
+    /// query keys on its first probe, so it is `Invalid`, not a filter.
+    pub fn decode_for(
+        r: &mut ByteReader<'_>,
+        width: usize,
+        prefix_len: usize,
+    ) -> Result<PrefixBloom, CodecError> {
+        let own_prefix_len = r.u32()? as usize;
+        let own_width = r.u32()? as usize;
         if width == 0 || prefix_len == 0 || prefix_len > width * 8 {
             return Err(CodecError::Invalid("prefix bloom geometry"));
+        }
+        if (own_width, own_prefix_len) != (width, prefix_len) {
+            return Err(CodecError::Invalid("prefix bloom disagrees with its filter header"));
         }
         let hasher = PrefixHasher::decode_from(r)?;
         let bloom = BloomFilter::decode_from(r)?;
@@ -86,30 +99,14 @@ impl PrefixBloom {
         self.bloom.contains(self.hasher.hash_prefix(key, self.prefix_len as u32))
     }
 
-    /// Probe every `prefix_len`-bit region overlapping the closed window
-    /// `[from, to]` (full-width canonical bounds). Returns `true` on the
-    /// first positive probe. `budget` is decremented per probe; when it
-    /// reaches zero the filter conservatively answers `true` (never a false
-    /// negative) — the probe cap discussed in DESIGN.md.
-    pub fn query_window(&self, from: &[u8], to: &[u8], budget: &mut u64) -> bool {
-        debug_assert_eq!(from.len(), self.width);
-        debug_assert_eq!(to.len(), self.width);
-        debug_assert!(from <= to);
-        let mut cur = from.to_vec();
-        mask_tail(&mut cur, self.prefix_len);
-        let mut end = to.to_vec();
-        mask_tail(&mut end, self.prefix_len);
-        loop {
-            if *budget == 0 {
-                return true;
-            }
-            *budget -= 1;
-            if self.bloom.contains(self.hasher.hash_prefix(&cur, self.prefix_len as u32)) {
-                return true;
-            }
-            if cur == end || increment_prefix(&mut cur, self.prefix_len) {
-                return false;
-            }
+    /// [`PrefixBloom::contains_prefix_of`] as a region-walk visitor: a
+    /// positive probe ends the walk as a [`Walk::Hit`].
+    #[inline]
+    pub fn probe(&self, region: &[u8]) -> Walk {
+        if self.contains_prefix_of(region) {
+            Walk::Hit
+        } else {
+            Walk::Clear
         }
     }
 }
@@ -117,7 +114,16 @@ impl PrefixBloom {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::u64_key;
+    use crate::key::{u64_key, ProbeBudget, RegionWalk};
+
+    /// Walk `[lo, hi]` at the filter's granularity under `cap` probes;
+    /// returns the outcome and the probes left.
+    fn window(pb: &PrefixBloom, lo: u64, hi: u64, cap: u64) -> (Walk, u64) {
+        let (lo, hi) = (u64_key(lo), u64_key(hi));
+        let budget = ProbeBudget::new(cap);
+        let end = RegionWalk::new(&lo, &hi, &budget).walk(&[], 0, pb.prefix_len(), |p| pb.probe(p));
+        (end, budget.left())
+    }
 
     fn build_u64(keys: &[u64], l: usize, bpk: u64) -> (KeySet, PrefixBloom) {
         let ks = KeySet::from_u64(keys);
@@ -141,10 +147,7 @@ mod tests {
     fn range_probe_finds_members() {
         let keys: Vec<u64> = vec![1 << 40, 5 << 40, 9 << 40];
         let (_, pb) = build_u64(&keys, 64, 16);
-        // A window containing a key must be positive regardless of budget
-        // exhaustion behaviour.
-        let mut budget = u64::MAX;
-        assert!(pb.query_window(&u64_key((1 << 40) - 3), &u64_key((1 << 40) + 3), &mut budget));
+        assert_eq!(window(&pb, (1 << 40) - 3, (1 << 40) + 3, u64::MAX).0, Walk::Hit);
     }
 
     #[test]
@@ -156,8 +159,7 @@ mod tests {
         let mut fps = 0;
         for i in 0..500u64 {
             let lo = (1 << 63) + i * (1 << 30);
-            let mut budget = 1 << 20;
-            if pb.query_window(&u64_key(lo), &u64_key(lo + (1 << 29)), &mut budget) {
+            if window(&pb, lo, lo + (1 << 29), 1 << 20).0 != Walk::Clear {
                 fps += 1;
             }
         }
@@ -165,14 +167,12 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_returns_safe_positive() {
+    fn budget_exhaustion_is_its_own_outcome() {
         let keys: Vec<u64> = vec![42];
         let (_, pb) = build_u64(&keys, 64, 16);
-        let mut budget = 4;
-        // Query spanning far more than 4 regions with no keys: budget runs
-        // out -> positive.
-        assert!(pb.query_window(&u64_key(1 << 20), &u64_key(1 << 40), &mut budget));
-        assert_eq!(budget, 0);
+        // Query spanning far more than 4 regions with no keys: the budget
+        // runs out, which is neither a hit nor a clear window.
+        assert_eq!(window(&pb, 1 << 20, 1 << 40, 4), (Walk::Exhausted, 0));
     }
 
     #[test]
@@ -180,14 +180,8 @@ mod tests {
         let keys: Vec<u64> = vec![u64::MAX]; // keep the filter non-empty
         let (_, pb) = build_u64(&keys, 8, 1 << 12);
         // Window spanning exactly 3 8-bit regions: 3 probes.
-        let mut budget = 100;
-        let r = pb.query_window(
-            &u64_key(0x01_00_00_00_00_00_00_00),
-            &u64_key(0x03_FF_FF_FF_FF_FF_FF_FF),
-            &mut budget,
-        );
-        assert!(!r);
-        assert_eq!(budget, 97);
+        let got = window(&pb, 0x01_00_00_00_00_00_00_00, 0x03_FF_FF_FF_FF_FF_FF_FF, 100);
+        assert_eq!(got, (Walk::Clear, 97));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! be purely deterministic or purely probabilistic as the workload demands.
 
 use crate::codec::{ByteReader, CodecError, FilterKind, WireWrite};
-use crate::key::{mask_tail, pad_key, set_tail_ones, u64_key};
+use crate::key::{pad_key, u64_key, ProbeBudget, RegionWalk, Walk};
 use crate::keyset::KeySet;
 use crate::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOptions};
 use crate::prefix_bf::PrefixBloom;
@@ -15,7 +15,6 @@ use crate::sample::SampleQueries;
 use crate::trie::ProteusTrie;
 use crate::RangeFilter;
 use proteus_amq::hash::HashFamily;
-use proteus_succinct::Visit;
 
 /// Default per-query Bloom probe cap (see DESIGN.md: past this the modeled
 /// FPR is ≈ 1 anyway, so the safe positive is indistinguishable).
@@ -49,11 +48,11 @@ impl Default for ProteusOptions {
 /// The Proteus range filter.
 #[derive(Debug, Clone)]
 pub struct Proteus {
-    trie: Option<ProteusTrie>,
-    bloom: Option<PrefixBloom>,
-    design: ProteusDesign,
-    width: usize,
-    probe_cap: u64,
+    pub(crate) trie: Option<ProteusTrie>,
+    pub(crate) bloom: Option<PrefixBloom>,
+    pub(crate) design: ProteusDesign,
+    pub(crate) width: usize,
+    pub(crate) probe_cap: u64,
 }
 
 impl Proteus {
@@ -107,36 +106,15 @@ impl Proteus {
         debug_assert_eq!(lo.len(), self.width);
         debug_assert_eq!(hi.len(), self.width);
         debug_assert!(lo <= hi);
-        let mut budget = self.probe_cap;
         match (&self.trie, &self.bloom) {
             (None, None) => true, // no structure: must answer positive
             (Some(trie), None) => trie.overlaps(lo, hi),
-            (None, Some(bloom)) => bloom.query_window(lo, hi, &mut budget),
-            (Some(trie), Some(bloom)) => {
-                let d = trie.depth_bytes();
-                let mut from = vec![0u8; self.width];
-                let mut to = vec![0u8; self.width];
-                trie.visit_leaves(lo, hi, |leaf| {
-                    // Clamp the Bloom probe window to the intersection of Q
-                    // with this leaf's l1-region.
-                    if leaf == &lo[..d] {
-                        from.copy_from_slice(lo);
-                    } else {
-                        from[..d].copy_from_slice(leaf);
-                        mask_tail(&mut from, d * 8);
-                    }
-                    if leaf == &hi[..d] {
-                        to.copy_from_slice(hi);
-                    } else {
-                        to[..d].copy_from_slice(leaf);
-                        set_tail_ones(&mut to, d * 8);
-                    }
-                    if bloom.query_window(&from, &to, &mut budget) {
-                        Visit::Stop
-                    } else {
-                        Visit::Continue
-                    }
-                })
+            (trie, Some(bloom)) => {
+                let budget = ProbeBudget::new(self.probe_cap);
+                let mut walk = RegionWalk::new(lo, hi, &budget);
+                let l2 = bloom.prefix_len();
+                // Running out of probes is the safe positive too.
+                walk_fine(trie.as_ref(), &mut walk, l2, |p| bloom.probe(p)) != Walk::Clear
             }
         }
     }
@@ -160,8 +138,7 @@ impl Proteus {
     /// Serialize the built filter (structure + chosen design; no training
     /// state, so a decoded filter answers without re-running the model).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.put_u32(self.width as u32);
-        out.put_u64(self.probe_cap);
+        put_header(out, self.width, self.probe_cap);
         out.put_u64(self.design.trie_depth_bits as u64);
         out.put_u64(self.design.bloom_prefix_len as u64);
         out.put_f64(self.design.expected_fpr);
@@ -177,11 +154,7 @@ impl Proteus {
 
     /// Decode a payload written by [`Proteus::encode_into`].
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Proteus, CodecError> {
-        let width = r.u32()? as usize;
-        if width == 0 {
-            return Err(CodecError::Invalid("proteus width zero"));
-        }
-        let probe_cap = r.u64()?;
+        let (width, probe_cap) = read_header(r)?;
         let design = ProteusDesign {
             trie_depth_bits: r.u64()? as usize,
             bloom_prefix_len: r.u64()? as usize,
@@ -193,13 +166,43 @@ impl Proteus {
             return Err(CodecError::Invalid("proteus component flags"));
         }
         let trie = (flags & 1 != 0).then(|| ProteusTrie::decode_from(r)).transpose()?;
-        let bloom = (flags & 2 != 0).then(|| PrefixBloom::decode_from(r)).transpose()?;
-        if let Some(t) = &trie {
-            if t.depth_bytes() > width {
-                return Err(CodecError::Invalid("proteus trie deeper than key"));
-            }
+        let bloom = (flags & 2 != 0)
+            .then(|| PrefixBloom::decode_for(r, width, design.bloom_prefix_len))
+            .transpose()?;
+        if trie.as_ref().is_some_and(|t| t.depth_bytes() > width) {
+            return Err(CodecError::Invalid("proteus trie deeper than key"));
         }
         Ok(Proteus { trie, bloom, design, width, probe_cap })
+    }
+}
+
+/// Write the `(key width, probe cap)` pair every Protean payload opens with.
+pub(crate) fn put_header(out: &mut Vec<u8>, width: usize, probe_cap: u64) {
+    out.put_u32(width as u32);
+    out.put_u64(probe_cap);
+}
+
+/// Read the pair [`put_header`] wrote; a zero key width is never valid.
+pub(crate) fn read_header(r: &mut ByteReader<'_>) -> Result<(usize, u64), CodecError> {
+    let width = r.u32()? as usize;
+    if width == 0 {
+        return Err(CodecError::Invalid("filter key width zero"));
+    }
+    Ok((width, r.u64()?))
+}
+
+/// The fine stage shared by every trie-or-nothing coarse stage: walk the
+/// `l2`-bit regions of the query — all of them without a trie, only those
+/// inside stored leaves with one.
+pub(crate) fn walk_fine(
+    trie: Option<&ProteusTrie>,
+    walk: &mut RegionWalk<'_>,
+    l2: usize,
+    visit: impl FnMut(&[u8]) -> Walk,
+) -> Walk {
+    match trie {
+        None => walk.walk(&[], 0, l2, visit),
+        Some(trie) => trie.walk_leaves(walk, l2, visit),
     }
 }
 
@@ -223,31 +226,14 @@ impl RangeFilter for Proteus {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn splitmix(s: &mut u64) -> u64 {
-        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use crate::testutil::{empty_ranges, uniform_setup};
 
     fn uniform_keys(n: usize, seed: u64) -> Vec<u64> {
-        let mut s = seed;
-        (0..n).map(|_| splitmix(&mut s)).collect()
+        uniform_setup(n, 0, 1, seed).0
     }
 
-    fn empty_queries(ks: &KeySet, n: usize, rmax: u64, seed: u64) -> SampleQueries {
-        let mut s = seed;
-        let mut q = SampleQueries::new(8);
-        while q.len() < n {
-            let lo = splitmix(&mut s) % (u64::MAX - rmax - 2);
-            let hi = lo + 2 + splitmix(&mut s) % rmax;
-            if !ks.range_overlaps(&u64_key(lo), &u64_key(hi)) {
-                q.push(&u64_key(lo), &u64_key(hi));
-            }
-        }
-        q
+    fn empty_queries(ks: &KeySet, n: usize, rmax: u64, mut seed: u64) -> SampleQueries {
+        empty_ranges(ks, n, rmax, &mut seed)
     }
 
     #[test]
@@ -344,21 +330,32 @@ mod tests {
 
     #[test]
     fn string_keys_roundtrip() {
-        let width = 16;
-        let names = [&b"alpha"[..], b"beta", b"gamma", b"delta", b"epsilon"];
-        let ks = KeySet::from_strings(&names, width);
-        let mut samples = SampleQueries::new(width);
-        samples.push(&pad_key(b"zeta", width), &pad_key(b"zeta~~~", width));
-        samples.push(&pad_key(b"aaaa", width), &pad_key(b"aaab", width));
-        let f = Proteus::train(
-            &ks,
-            &samples,
-            5 * 128,
-            &ProteusOptions { hash_family: HashFamily::ClHash, ..Default::default() },
-        );
-        for n in names {
-            assert!(f.query_str(n, n), "{}", String::from_utf8_lossy(n));
+        // 16-byte keys walk on the stack; 96-byte ones (past
+        // `key::INLINE_KEY_BYTES`) on the heap scratch.
+        for width in [16, 96] {
+            let names = [&b"alpha"[..], b"beta", b"gamma", b"delta", b"epsilon"];
+            let ks = KeySet::from_strings(&names, width);
+            let mut samples = SampleQueries::new(width);
+            samples.push(&pad_key(b"zeta", width), &pad_key(b"zeta~~~", width));
+            samples.push(&pad_key(b"aaaa", width), &pad_key(b"aaab", width));
+            for l2 in [0, 40] {
+                // The trained design, then a fixed Bloom-bearing one.
+                let opts = ProteusOptions { hash_family: HashFamily::ClHash, ..Default::default() };
+                let f = match l2 {
+                    0 => Proteus::train(&ks, &samples, 5 * 128, &opts),
+                    _ => Proteus::build_with_design(
+                        &ks,
+                        ProteusDesign::bloom_only(l2, 0.0),
+                        5 * 128,
+                        &opts,
+                    ),
+                };
+                for n in names {
+                    assert!(f.query_str(n, n), "{}", String::from_utf8_lossy(n));
+                }
+                assert!(f.query_str(b"alp", b"alz"));
+                assert!(!f.query_str(b"zeta", b"zeta~"), "width {width} design {:?}", f.design());
+            }
         }
-        assert!(f.query_str(b"alp", b"alz"));
     }
 }

@@ -7,7 +7,7 @@
 //! depth-byte key prefixes, K_l1.
 
 use crate::codec::{ByteReader, CodecError, WireWrite};
-use crate::key::lcp_bytes;
+use crate::key::{lcp_bytes, RegionWalk, Walk};
 use crate::keyset::KeySet;
 use proteus_succinct::{Fst, FstBuilder, ValueStore, Visit};
 
@@ -115,6 +115,27 @@ impl ProteusTrie {
             }
             f(&full)
         })
+    }
+
+    /// The trie as a coarse stage: walk the `l`-bit regions of `walk`'s
+    /// query inside each stored leaf's region, stopping at the first leaf
+    /// whose walk does not come back [`Walk::Clear`].
+    pub fn walk_leaves(
+        &self,
+        walk: &mut RegionWalk<'_>,
+        l: usize,
+        mut visit: impl FnMut(&[u8]) -> Walk,
+    ) -> Walk {
+        let mut end = Walk::Clear;
+        self.visit_leaves(walk.lo, walk.hi, |leaf| {
+            end = walk.walk(leaf, self.depth_bits(), l, &mut visit);
+            if end == Walk::Clear {
+                Visit::Continue
+            } else {
+                Visit::Stop
+            }
+        });
+        end
     }
 
     /// Does any stored prefix fall within `[lo, hi]`?

@@ -3,13 +3,15 @@
 //!
 //! Range queries walk the coarse (l1) regions of the query; every l1-region
 //! that the first filter cannot rule out is expanded into its l2-prefixes
-//! and probed in the second filter.
+//! and probed in the second filter — the Protean shape with a Bloom filter
+//! as the coarse stage.
 
 use crate::codec::{ByteReader, CodecError, FilterKind, WireWrite};
-use crate::key::{increment_prefix, mask_tail, set_tail_ones, u64_key};
+use crate::key::{u64_key, ProbeBudget, RegionWalk, Walk};
 use crate::keyset::KeySet;
 use crate::model::two_pbf::{TwoPbfDesign, TwoPbfModel, TwoPbfOptions};
 use crate::prefix_bf::PrefixBloom;
+use crate::proteus::{put_header, read_header};
 use crate::sample::SampleQueries;
 use crate::RangeFilter;
 use proteus_amq::hash::HashFamily;
@@ -83,42 +85,16 @@ impl TwoPbf {
 
     /// Closed-range emptiness query.
     pub fn query(&self, lo: &[u8], hi: &[u8]) -> bool {
-        debug_assert!(lo <= hi);
-        let l1 = self.design.l1;
-        let mut budget = self.probe_cap;
-        // Walk the l1-regions of [lo, hi].
-        let mut region = lo.to_vec();
-        mask_tail(&mut region, l1);
-        let mut last_region = hi.to_vec();
-        mask_tail(&mut last_region, l1);
-        let mut from = vec![0u8; self.width];
-        let mut to = vec![0u8; self.width];
-        loop {
-            if budget == 0 {
-                return true;
-            }
-            budget -= 1;
-            if self.bf1.contains_prefix_of(&region) {
-                // Expand into l2 probes clamped to Q.
-                from.copy_from_slice(&region);
-                if from[..] > lo[..] {
-                    // region start is inside Q
-                } else {
-                    from.copy_from_slice(lo);
-                }
-                to.copy_from_slice(&region);
-                set_tail_ones(&mut to, l1);
-                if to[..] > hi[..] {
-                    to.copy_from_slice(hi);
-                }
-                if self.bf2.query_window(&from, &to, &mut budget) {
-                    return true;
-                }
-            }
-            if region == last_region || increment_prefix(&mut region, l1) {
-                return false;
-            }
-        }
+        let (l1, l2) = (self.design.l1, self.design.l2);
+        // Coarse probes and the fine probes nested in them share one budget.
+        let budget = ProbeBudget::new(self.probe_cap);
+        let mut coarse = RegionWalk::new(lo, hi, &budget);
+        let mut fine = RegionWalk::new(lo, hi, &budget);
+        let end = coarse.walk(&[], 0, l1, |region| match self.bf1.probe(region) {
+            Walk::Hit => fine.walk(region, l1, l2, |p| self.bf2.probe(p)),
+            miss => miss,
+        });
+        end != Walk::Clear
     }
 
     /// [`TwoPbf::query`] with `u64` bounds.
@@ -133,8 +109,7 @@ impl TwoPbf {
 
     /// Serialize the filter payload (design + both Bloom filters).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.put_u32(self.width as u32);
-        out.put_u64(self.probe_cap);
+        put_header(out, self.width, self.probe_cap);
         out.put_u64(self.design.l1 as u64);
         out.put_u64(self.design.l2 as u64);
         out.put_f64(self.design.split);
@@ -145,22 +120,18 @@ impl TwoPbf {
 
     /// Decode a payload written by [`TwoPbf::encode_into`].
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<TwoPbf, CodecError> {
-        let width = r.u32()? as usize;
-        if width == 0 {
-            return Err(CodecError::Invalid("2pbf width zero"));
-        }
-        let probe_cap = r.u64()?;
+        let (width, probe_cap) = read_header(r)?;
         let design = TwoPbfDesign {
             l1: r.u64()? as usize,
             l2: r.u64()? as usize,
             split: r.f64()?,
             expected_fpr: r.f64()?,
         };
-        if design.l1 == 0 || design.l1 > design.l2 || design.l2 > width * 8 {
+        if design.l1 > design.l2 {
             return Err(CodecError::Invalid("2pbf prefix lengths"));
         }
-        let bf1 = PrefixBloom::decode_from(r)?;
-        let bf2 = PrefixBloom::decode_from(r)?;
+        let bf1 = PrefixBloom::decode_for(r, width, design.l1)?;
+        let bf2 = PrefixBloom::decode_for(r, width, design.l2)?;
         Ok(TwoPbf { bf1, bf2, design, width, probe_cap })
     }
 }
@@ -188,28 +159,10 @@ impl RangeFilter for TwoPbf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn splitmix(s: &mut u64) -> u64 {
-        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use crate::testutil::{splitmix, uniform_setup};
 
     fn setup(n: usize, rmax: u64, seed: u64) -> (Vec<u64>, KeySet, SampleQueries) {
-        let mut s = seed;
-        let keys: Vec<u64> = (0..n).map(|_| splitmix(&mut s)).collect();
-        let ks = KeySet::from_u64(&keys);
-        let mut q = SampleQueries::new(8);
-        while q.len() < 300 {
-            let lo = splitmix(&mut s) % (u64::MAX - rmax - 2);
-            let hi = lo + 2 + splitmix(&mut s) % rmax;
-            if !ks.range_overlaps(&u64_key(lo), &u64_key(hi)) {
-                q.push(&u64_key(lo), &u64_key(hi));
-            }
-        }
-        (keys, ks, q)
+        uniform_setup(n, 300, rmax, seed)
     }
 
     fn fast_opts() -> TwoPbfFilterOptions {

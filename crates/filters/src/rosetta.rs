@@ -234,11 +234,7 @@ impl Rosetta {
         }
         let mut filters = Vec::with_capacity(n.min(bits));
         for i in 0..n {
-            let f = PrefixBloom::decode_from(r)?;
-            if f.prefix_len() != top_len + i {
-                return Err(CodecError::Invalid("rosetta level prefix length"));
-            }
-            filters.push(f);
+            filters.push(PrefixBloom::decode_for(r, width, top_len + i)?);
         }
         Ok(Rosetta { filters, top_len, bits, width, probe_cap })
     }

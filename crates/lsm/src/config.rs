@@ -33,105 +33,123 @@ pub enum SyncMode {
     Off,
 }
 
-/// Tuning knobs, defaulting to a laptop-scale version of the paper's §6.2
-/// RocksDB configuration (the paper uses 256 MB SSTs and a 1 GB cache on a
-/// 50M-key database; ratios are preserved).
-///
-/// Build one with [`DbConfig::builder`]:
-///
-/// ```
-/// use proteus_lsm::DbConfig;
-///
-/// let cfg = DbConfig::builder()
-///     .memtable_bytes(1 << 20)
-///     .bits_per_key(12.0)
-///     .build()?;
-/// # Ok::<(), proteus_lsm::Error>(())
-/// ```
-///
-/// [`crate::Db::open`] validates whatever configuration it is handed, so
-/// an invalid one fails the open with [`Error::Config`] instead of
-/// misbehaving later.
-#[derive(Debug, Clone)]
-pub struct DbConfig {
-    /// Canonical filter-training width in bytes: keys are NUL-padded (or
-    /// truncated) to this width before feeding a range filter (§7.1's
-    /// string canonicalization). Keys themselves are variable-length; see
-    /// `max_key_bytes` for the accepted key lengths.
-    key_width: usize,
-    /// Largest accepted key length in bytes (keys are arbitrary non-empty
-    /// byte strings up to this limit).
-    max_key_bytes: usize,
-    /// MemTable rotation threshold (write_buffer_size), in logical bytes;
-    /// at most `u32::MAX / 8`. A table also rotates once its arena holds
-    /// 8× this (see [`crate::memtable::MemTable::is_full`]).
-    memtable_bytes: usize,
-    /// Immutable MemTables allowed to queue before writers stall
-    /// (max_write_buffer_number - 1).
-    max_immutable_memtables: usize,
-    /// Data block size (RocksDB default 4 KiB).
-    block_bytes: usize,
-    /// Target SST file size when splitting compaction output.
-    sst_target_bytes: u64,
-    /// L0 file count triggering compaction into L1.
-    l0_compaction_trigger: usize,
-    /// Total size target of L1 (max_bytes_for_level_base).
-    level_base_bytes: u64,
-    /// Per-level size multiplier.
-    level_size_ratio: u64,
-    /// Filter memory budget per key.
-    bits_per_key: f64,
-    /// Block cache capacity.
-    block_cache_bytes: usize,
-    /// Sample query queue capacity (§6.1: 20K).
-    queue_capacity: usize,
-    /// Record every n-th executed empty query (§6.1: 100).
-    sample_every: u64,
-    /// Run the adaptive filter lifecycle: a third background worker that
-    /// monitors per-SST observed FPR and sample-distribution drift and
-    /// re-trains filters in place (see the [`crate::adapt`] module docs).
-    adapt_enabled: bool,
-    /// Observed per-file FPR above this flags the file for re-training
-    /// (only after `adapt_min_probes` probes).
-    adapt_fpr_threshold: f64,
-    /// Minimum filter probes against a file before its observed FPR is
-    /// trusted (Chernoff-style: too few probes is noise).
-    adapt_min_probes: u64,
-    /// How often the adapter wakes to scan for flagged files.
-    adapt_interval: Duration,
-    /// Total-variation distance between a filter's training fingerprint
-    /// and the live sample distribution above which the file is flagged
-    /// even before its observed FPR degrades.
-    adapt_divergence_threshold: f64,
-    /// When the write-ahead log syncs (durability vs latency; see
-    /// [`SyncMode`]).
-    sync_mode: SyncMode,
+/// The single declaration of the knobs: each `doc, name: type = default`
+/// row expands to the private [`DbConfig`] field, its [`Default`] value, the
+/// getter and the [`DbConfigBuilder`] setter of the same name (all three
+/// carry the row's doc). Validation is not generated: see
+/// [`DbConfig::validate`].
+macro_rules! knobs {
+    (
+        $(#[$struct_doc:meta])*
+        pub struct DbConfig { $( $(#[$doc:meta])* $name:ident: $ty:ty = $default:expr, )* }
+    ) => {
+        $(#[$struct_doc])*
+        #[derive(Debug, Clone)]
+        pub struct DbConfig { $( $(#[$doc])* $name: $ty, )* }
+
+        impl Default for DbConfig {
+            fn default() -> Self {
+                DbConfig { $( $name: $default, )* }
+            }
+        }
+
+        /// Read access to every knob.
+        impl DbConfig {
+            $( $(#[$doc])* pub fn $name(&self) -> $ty { self.$name } )*
+        }
+
+        /// One setter per knob, named after it.
+        impl DbConfigBuilder {
+            $( $(#[$doc])* pub fn $name(mut self, v: $ty) -> Self { self.cfg.$name = v; self } )*
+        }
+    };
 }
 
-impl Default for DbConfig {
-    fn default() -> Self {
-        DbConfig {
-            key_width: 8,
-            max_key_bytes: 1024,
-            memtable_bytes: 4 << 20,
-            max_immutable_memtables: 2,
-            block_bytes: 4096,
-            sst_target_bytes: 4 << 20,
-            l0_compaction_trigger: 4,
-            level_base_bytes: 16 << 20,
-            level_size_ratio: 10,
-            bits_per_key: 10.0,
-            block_cache_bytes: 8 << 20,
-            queue_capacity: 20_000,
-            sample_every: 100,
-            adapt_enabled: false,
-            adapt_fpr_threshold: 0.05,
-            adapt_min_probes: 512,
-            adapt_interval: Duration::from_millis(100),
-            adapt_divergence_threshold: 0.5,
-            sync_mode: SyncMode::Off,
-        }
+knobs! {
+    /// Tuning knobs, defaulting to a laptop-scale version of the paper's §6.2
+    /// RocksDB configuration (the paper uses 256 MB SSTs and a 1 GB cache on a
+    /// 50M-key database; ratios are preserved).
+    ///
+    /// Build one with [`DbConfig::builder`]:
+    ///
+    /// ```
+    /// use proteus_lsm::DbConfig;
+    ///
+    /// let cfg = DbConfig::builder()
+    ///     .memtable_bytes(1 << 20)
+    ///     .bits_per_key(12.0)
+    ///     .build()?;
+    /// # Ok::<(), proteus_lsm::Error>(())
+    /// ```
+    ///
+    /// [`crate::Db::open`] validates whatever configuration it is handed, so
+    /// an invalid one fails the open with [`Error::Config`] instead of
+    /// misbehaving later.
+    pub struct DbConfig {
+        /// Canonical filter-training width in bytes (1..=64): keys are
+        /// NUL-padded (or truncated) to this width before feeding a range
+        /// filter (§7.1's string canonicalization). Not a key length
+        /// constraint — keys are variable-length; see
+        /// [`DbConfig::max_key_bytes`].
+        key_width: usize = 8,
+        /// Largest accepted key length in bytes (1..=4096; keys are
+        /// arbitrary non-empty byte strings up to this limit).
+        max_key_bytes: usize = 1024,
+        /// MemTable rotation threshold (write_buffer_size), in logical bytes;
+        /// at most `u32::MAX / 8`. A table also rotates once its arena holds
+        /// 8× this (see [`crate::memtable::MemTable::is_full`]).
+        memtable_bytes: usize = 4 << 20,
+        /// Immutable MemTables allowed to queue before writers stall
+        /// (max_write_buffer_number - 1).
+        max_immutable_memtables: usize = 2,
+        /// Data block size in bytes (RocksDB default 4 KiB).
+        block_bytes: usize = 4096,
+        /// Target SST file size when splitting compaction output.
+        sst_target_bytes: u64 = 4 << 20,
+        /// L0 file count triggering compaction into L1.
+        l0_compaction_trigger: usize = 4,
+        /// Total size target of L1 (max_bytes_for_level_base).
+        level_base_bytes: u64 = 16 << 20,
+        /// Per-level size multiplier (>= 2).
+        level_size_ratio: u64 = 10,
+        /// Filter memory budget per key.
+        bits_per_key: f64 = 10.0,
+        /// Block cache capacity in bytes (0 turns caching off).
+        block_cache_bytes: usize = 8 << 20,
+        /// Sample query queue capacity (§6.1: 20K).
+        queue_capacity: usize = 20_000,
+        /// Record every n-th executed empty query (§6.1: 100).
+        sample_every: u64 = 100,
+        /// Run the adaptive filter lifecycle: a third background worker that
+        /// monitors per-SST observed FPR and sample-distribution drift and
+        /// re-trains filters in place (see the [`crate::adapt`] module docs).
+        adapt_enabled: bool = false,
+        /// Observed per-file FPR above this flags the file for re-training
+        /// (only after `adapt_min_probes` probes).
+        adapt_fpr_threshold: f64 = 0.05,
+        /// Minimum filter probes against a file before its observed FPR is
+        /// trusted (Chernoff-style: too few probes is noise).
+        adapt_min_probes: u64 = 512,
+        /// How often the adapter wakes to scan for flagged files.
+        adapt_interval: Duration = Duration::from_millis(100),
+        /// Total-variation distance between a filter's training fingerprint
+        /// and the live sample distribution above which the file is flagged
+        /// even before its observed FPR degrades.
+        adapt_divergence_threshold: f64 = 0.5,
+        /// When the write-ahead log syncs (durability vs latency; see
+        /// [`SyncMode`]).
+        sync_mode: SyncMode = SyncMode::Off,
     }
+}
+
+/// Validating builder for [`DbConfig`]; see [`DbConfig::builder`].
+///
+/// Every setter mirrors the knob of the same name;
+/// [`DbConfigBuilder::build`] runs [`DbConfig::validate`] and returns
+/// [`Error::Config`] on the first bad knob.
+#[derive(Debug, Clone)]
+pub struct DbConfigBuilder {
+    cfg: DbConfig,
 }
 
 impl DbConfig {
@@ -218,196 +236,7 @@ impl DbConfig {
     }
 }
 
-macro_rules! getter {
-    ($(#[$doc:meta])* $name:ident: $ty:ty) => {
-        $(#[$doc])*
-        pub fn $name(&self) -> $ty {
-            self.$name
-        }
-    };
-}
-
-/// Read access to every knob.
-impl DbConfig {
-    getter!(
-        /// Canonical filter-training width in bytes (not a key length
-        /// constraint; see [`DbConfig::max_key_bytes`]).
-        key_width: usize
-    );
-    getter!(
-        /// Largest accepted key length in bytes.
-        max_key_bytes: usize
-    );
-    getter!(
-        /// MemTable rotation threshold (write_buffer_size).
-        memtable_bytes: usize
-    );
-    getter!(
-        /// Immutable MemTables allowed to queue before writers stall.
-        max_immutable_memtables: usize
-    );
-    getter!(
-        /// Data block size in bytes.
-        block_bytes: usize
-    );
-    getter!(
-        /// Target SST file size when splitting compaction output.
-        sst_target_bytes: u64
-    );
-    getter!(
-        /// L0 file count triggering compaction into L1.
-        l0_compaction_trigger: usize
-    );
-    getter!(
-        /// Total size target of L1 (max_bytes_for_level_base).
-        level_base_bytes: u64
-    );
-    getter!(
-        /// Per-level size multiplier.
-        level_size_ratio: u64
-    );
-    getter!(
-        /// Filter memory budget per key.
-        bits_per_key: f64
-    );
-    getter!(
-        /// Block cache capacity in bytes.
-        block_cache_bytes: usize
-    );
-    getter!(
-        /// Sample query queue capacity.
-        queue_capacity: usize
-    );
-    getter!(
-        /// Record every n-th executed empty query.
-        sample_every: u64
-    );
-    getter!(
-        /// Whether the adaptive filter lifecycle worker runs.
-        adapt_enabled: bool
-    );
-    getter!(
-        /// Observed per-file FPR that flags a file for re-training.
-        adapt_fpr_threshold: f64
-    );
-    getter!(
-        /// Minimum probes before a file's observed FPR is trusted.
-        adapt_min_probes: u64
-    );
-    getter!(
-        /// How often the adapter wakes to scan for flagged files.
-        adapt_interval: Duration
-    );
-    getter!(
-        /// Fingerprint divergence that flags a file for re-training.
-        adapt_divergence_threshold: f64
-    );
-    getter!(
-        /// When the write-ahead log syncs.
-        sync_mode: SyncMode
-    );
-}
-
-/// Validating builder for [`DbConfig`]; see [`DbConfig::builder`].
-///
-/// Every setter mirrors the field of the same name;
-/// [`DbConfigBuilder::build`] runs [`DbConfig::validate`] and returns
-/// [`Error::Config`] on the first bad knob.
-#[derive(Debug, Clone)]
-pub struct DbConfigBuilder {
-    cfg: DbConfig,
-}
-
-macro_rules! setter {
-    ($(#[$doc:meta])* $name:ident: $ty:ty) => {
-        $(#[$doc])*
-        pub fn $name(mut self, v: $ty) -> Self {
-            self.cfg.$name = v;
-            self
-        }
-    };
-}
-
 impl DbConfigBuilder {
-    setter!(
-        /// Canonical filter-training width in bytes (1..=64). Keys are
-        /// NUL-padded/truncated to this width before feeding a filter;
-        /// it does not constrain key lengths.
-        key_width: usize
-    );
-    setter!(
-        /// Largest accepted key length in bytes (1..=4096).
-        max_key_bytes: usize
-    );
-    setter!(
-        /// MemTable rotation threshold (write_buffer_size).
-        memtable_bytes: usize
-    );
-    setter!(
-        /// Immutable MemTables allowed to queue before writers stall.
-        max_immutable_memtables: usize
-    );
-    setter!(
-        /// Data block size in bytes.
-        block_bytes: usize
-    );
-    setter!(
-        /// Target SST file size when splitting compaction output.
-        sst_target_bytes: u64
-    );
-    setter!(
-        /// L0 file count triggering compaction into L1.
-        l0_compaction_trigger: usize
-    );
-    setter!(
-        /// Total size target of L1 (max_bytes_for_level_base).
-        level_base_bytes: u64
-    );
-    setter!(
-        /// Per-level size multiplier (>= 2).
-        level_size_ratio: u64
-    );
-    setter!(
-        /// Filter memory budget per key.
-        bits_per_key: f64
-    );
-    setter!(
-        /// Block cache capacity in bytes.
-        block_cache_bytes: usize
-    );
-    setter!(
-        /// Sample query queue capacity (§6.1: 20K).
-        queue_capacity: usize
-    );
-    setter!(
-        /// Record every n-th executed empty query (§6.1: 100).
-        sample_every: u64
-    );
-    setter!(
-        /// Enable the adaptive filter lifecycle worker.
-        adapt_enabled: bool
-    );
-    setter!(
-        /// Observed per-file FPR that flags a file for re-training.
-        adapt_fpr_threshold: f64
-    );
-    setter!(
-        /// Minimum probes before a file's observed FPR is trusted.
-        adapt_min_probes: u64
-    );
-    setter!(
-        /// How often the adapter wakes to scan for flagged files.
-        adapt_interval: Duration
-    );
-    setter!(
-        /// Fingerprint divergence that flags a file for re-training.
-        adapt_divergence_threshold: f64
-    );
-    setter!(
-        /// When the write-ahead log syncs (durability vs latency).
-        sync_mode: SyncMode
-    );
-
     /// Validate and return the configuration.
     pub fn build(self) -> Result<DbConfig> {
         self.cfg.validate()?;

@@ -57,6 +57,15 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+impl From<crate::protocol::Error> for ClientError {
+    fn from(e: crate::protocol::Error) -> ClientError {
+        match e {
+            crate::protocol::Error::Transport(e) => ClientError::Io(e),
+            other => ClientError::Protocol(other.to_string()),
+        }
+    }
+}
+
 /// Client-side result alias.
 pub type Result<T> = std::result::Result<T, ClientError>;
 

@@ -51,6 +51,6 @@ pub mod router;
 pub mod server;
 
 pub use client::{Client, ClientError};
-pub use protocol::{ErrorCode, Request, Response, ShardStats};
+pub use protocol::{Error, ErrorCode, Request, Response, ShardStats};
 pub use router::Router;
 pub use server::Server;

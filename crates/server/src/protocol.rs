@@ -439,13 +439,65 @@ impl Response {
     }
 }
 
+/// A failure below the request/response level: the framed transport, or
+/// bringing a server up on it.
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum Error {
+    /// The transport failed: bind, read, write, or an EOF mid-frame.
+    Transport(std::io::Error),
+    /// A frame's length prefix exceeds the receiver's limit. The body is
+    /// left unread, so the stream cannot be resynchronized.
+    FrameTooLarge {
+        /// The announced payload length.
+        len: usize,
+        /// The receiver's limit.
+        max: usize,
+    },
+    /// A shard's store failed to open.
+    Shard {
+        /// Which shard.
+        index: usize,
+        /// The store's own typed error.
+        source: proteus_lsm::Error,
+    },
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Error::Transport(e) => write!(f, "transport: {e}"),
+            Error::FrameTooLarge { len, max } => {
+                write!(f, "frame length {len} exceeds the {max}-byte limit")
+            }
+            Error::Shard { index, source } => write!(f, "opening shard {index}: {source}"),
+        }
+    }
+}
+
+impl std::error::Error for Error {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Error::Transport(e) => Some(e),
+            Error::FrameTooLarge { .. } => None,
+            Error::Shard { source, .. } => Some(source),
+        }
+    }
+}
+
+impl From<std::io::Error> for Error {
+    fn from(e: std::io::Error) -> Error {
+        Error::Transport(e)
+    }
+}
+
 /// Write one frame (length prefix + payload) to `w`. Does not flush —
 /// callers batch the flush per response.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), Error> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN);
     // lint: allow(truncating-cast): asserted ≤ MAX_FRAME_LEN (16 MiB) above
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
+    Ok(w.write_all(payload)?)
 }
 
 /// Read one frame from `r`, blocking until it is complete.
@@ -453,11 +505,12 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// * `Ok(Some(payload))` — a whole frame arrived;
 /// * `Ok(None)` — the stream ended cleanly *before* any byte of a frame
 ///   (the peer closed between requests);
-/// * `Err(InvalidData)` — the length prefix exceeds `max_len` (the caller
-///   should answer [`ErrorCode::TooLarge`] and close: the stream cannot be
-///   resynchronized);
-/// * any other `Err` — transport failure, including an EOF mid-frame.
-pub fn read_frame(r: &mut impl Read, max_len: usize) -> std::io::Result<Option<Vec<u8>>> {
+/// * `Err(`[`Error::FrameTooLarge`]`)` — the length prefix exceeds
+///   `max_len` (the caller should answer [`ErrorCode::TooLarge`] and close:
+///   the stream cannot be resynchronized);
+/// * `Err(`[`Error::Transport`]`)` — transport failure, including an EOF
+///   mid-frame.
+pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Option<Vec<u8>>, Error> {
     let mut len_buf = [0u8; 4];
     // First byte by hand so a clean close between frames is `None`, not an
     // error.
@@ -467,10 +520,7 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> std::io::Result<Option<V
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > max_len {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {max_len}-byte limit"),
-        ));
+        return Err(Error::FrameTooLarge { len, max: max_len });
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
@@ -564,10 +614,10 @@ mod tests {
         assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).unwrap().unwrap(), b"abc");
         assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r, MAX_FRAME_LEN).unwrap().is_none(), "clean EOF");
-        // Oversized length prefix: typed InvalidData, not an allocation.
+        // Oversized length prefix: a typed refusal, not an allocation.
         let huge = (u32::MAX).to_le_bytes();
         let err = read_frame(&mut &huge[..], MAX_FRAME_LEN).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(matches!(err, Error::FrameTooLarge { len, max } if len > max), "{err}");
         // EOF mid-frame is an error, not a silent empty frame.
         let mut torn = Vec::new();
         write_frame(&mut torn, b"abcdef").unwrap();

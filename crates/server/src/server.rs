@@ -32,7 +32,7 @@
 //!    which is why the join comes first.
 
 use crate::protocol::{
-    write_frame, ErrorCode, Request, Response, ShardStats, DEFAULT_SCAN_LIMIT, MAX_FRAME_LEN,
+    write_frame, Error, ErrorCode, Request, Response, ShardStats, DEFAULT_SCAN_LIMIT, MAX_FRAME_LEN,
 };
 use crate::router::Router;
 use proteus_core::sync::{rank, Mutex};
@@ -90,7 +90,7 @@ impl Server {
         n_shards: usize,
         cfg: DbConfig,
         factory: Arc<dyn FilterFactory>,
-    ) -> std::io::Result<Server> {
+    ) -> Result<Server, Error> {
         let router = Router::new(n_shards);
         let max_key_bytes = cfg.max_key_bytes();
         let mut shards = Vec::with_capacity(n_shards);
@@ -98,7 +98,7 @@ impl Server {
             let shard_dir: PathBuf = dir.as_ref().join(format!("shard-{i:04}"));
             std::fs::create_dir_all(&shard_dir)?;
             let db = Db::open(shard_dir, cfg.clone(), Arc::clone(&factory))
-                .map_err(|e| std::io::Error::other(format!("opening shard {i}: {e}")))?;
+                .map_err(|source| Error::Shard { index: i, source })?;
             shards.push(db);
         }
         let listener = TcpListener::bind(addr)?;
@@ -213,7 +213,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// Serve one connection until the peer closes, the transport fails, a
 /// frame is oversized, or shutdown drains us. Never panics on malformed
 /// input: every decode failure becomes a typed error response.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
+fn serve_connection(stream: TcpStream, shared: &Shared) -> Result<(), Error> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -222,12 +222,12 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
         let payload = match read_frame_polled(&mut reader, shared) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()), // peer closed cleanly, or drained
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            Err(e @ Error::FrameTooLarge { .. }) => {
                 // Oversized frame: answer TooLarge, then close — the
                 // stream cannot be resynchronized past an unread body.
                 let resp = Response::Error { code: ErrorCode::TooLarge, message: e.to_string() };
                 write_frame(&mut writer, &resp.encode())?;
-                return writer.flush();
+                return Ok(writer.flush()?);
             }
             Err(e) => return Err(e), // torn frame / transport failure
         };
@@ -255,7 +255,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
 /// gets one grace interval to finish sending before the read gives up
 /// (the request never fully arrived, so abandoning it loses no acked
 /// work).
-fn read_frame_polled(r: &mut impl Read, shared: &Shared) -> std::io::Result<Option<Vec<u8>>> {
+fn read_frame_polled(r: &mut impl Read, shared: &Shared) -> Result<Option<Vec<u8>>, Error> {
     let mut len_buf = [0u8; 4];
     loop {
         if shared.shutting_down.load(Ordering::SeqCst) {
@@ -266,16 +266,13 @@ fn read_frame_polled(r: &mut impl Read, shared: &Shared) -> std::io::Result<Opti
             Ok(_) => break,
             Err(e) if is_poll_tick(&e) => continue,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
     }
     read_full(r, &mut len_buf[1..], shared)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"),
-        ));
+        return Err(Error::FrameTooLarge { len, max: MAX_FRAME_LEN });
     }
     let mut payload = vec![0u8; len];
     read_full(r, &mut payload, shared)?;

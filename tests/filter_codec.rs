@@ -15,7 +15,6 @@
 //!   must return `Err(CodecError)`: never a panic, never a filter that
 //!   could produce a false negative.
 
-use proteus::core::model::one_pbf::OnePbfDesign;
 use proteus::core::model::proteus::ProteusDesign;
 use proteus::core::model::two_pbf::TwoPbfDesign;
 use proteus::core::{
@@ -70,7 +69,7 @@ fn fixtures() -> Vec<(&'static str, Box<dyn RangeFilter>)> {
             "one_pbf_l32.bin",
             Box::new(OnePbf::build_with_prefix_len(
                 &ks,
-                OnePbfDesign { prefix_len: 32, expected_fpr: 0.03125 },
+                ProteusDesign::bloom_only(32, 0.03125),
                 m,
                 &OnePbfOptions::default(),
             )),
@@ -222,6 +221,74 @@ fn single_byte_corruption_anywhere_errors() {
             }
         }
     }
+}
+
+/// `filter`'s payload, `patch`ed and sealed again: the envelope and its CRC
+/// are valid, so only the kind's own validation stands between the bytes
+/// and a live filter.
+fn resealed(filter: &dyn RangeFilter, patch: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let (kind, mut payload) = filter.encode_payload().unwrap();
+    patch(&mut payload);
+    proteus::core::codec::seal(kind, &payload)
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+#[test]
+fn embedded_bloom_geometry_must_match_the_filter_header() {
+    use proteus::core::CodecError;
+    let ks = fixture_keys();
+    let mut by_name: std::collections::HashMap<_, _> = fixtures().into_iter().collect();
+    let trieless = Proteus::build_with_design(
+        &ks,
+        ProteusDesign {
+            trie_depth_bits: 0,
+            bloom_prefix_len: 40,
+            expected_fpr: 0.0,
+            trie_mem_bits: 0,
+        },
+        64 * 16,
+        &ProteusOptions::default(),
+    );
+    // Per kind: the filter, the payload offset of its first embedded prefix
+    // Bloom filter (which opens with its own `prefix_len`, `width` u32s),
+    // and the prefix length the enclosing header gives that stage.
+    let cases: Vec<(Box<dyn RangeFilter>, usize, u32)> = vec![
+        (Box::new(trieless), 45, 40),
+        (by_name.remove("one_pbf_l32.bin").unwrap(), 28, 32),
+        (by_name.remove("two_pbf_l24_l48.bin").unwrap(), 44, 24),
+        (by_name.remove("rosetta_4l.bin").unwrap(), 24, 61),
+    ];
+    for (filter, at, prefix_len) in cases {
+        let name = filter.name();
+        let (_, payload) = filter.encode_payload().unwrap();
+        assert_eq!((u32_at(&payload, at), u32_at(&payload, at + 4)), (prefix_len, 8), "{name}");
+        // A stage hashing a different prefix length than the header walks
+        // (false negatives), or keyed wider than the header's keys.
+        for (field, value) in [(at, prefix_len - 8), (at + 4, 16)] {
+            let bad = resealed(filter.as_ref(), |p| {
+                p[field..field + 4].copy_from_slice(&value.to_le_bytes());
+            });
+            assert!(
+                matches!(FilterCodec::decode(&bad), Err(CodecError::Invalid(_))),
+                "{name}: embedded field at {field} := {value} must be rejected"
+            );
+        }
+    }
+
+    // The release-mode panic this guards against: a 1PBF over 16-byte keys
+    // relabelled as a filter over 8-byte keys — with a prefix past 64 bits
+    // its first probe would index past the end of the query key.
+    let wide: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 16]).collect();
+    let wide_refs: Vec<&[u8]> = wide.iter().map(Vec::as_slice).collect();
+    let wide_ks = proteus::core::KeySet::from_strings(&wide_refs, 16);
+    let mut samples = proteus::core::SampleQueries::new(16);
+    samples.push(&[0xF0; 16], &[0xF1; 16]);
+    let one = OnePbf::train(&wide_ks, &samples, 64 * 16, &OnePbfOptions::default());
+    let relabelled = resealed(&one, |p| p[..4].copy_from_slice(&8u32.to_le_bytes()));
+    assert!(matches!(FilterCodec::decode(&relabelled), Err(CodecError::Invalid(_))));
 }
 
 #[test]

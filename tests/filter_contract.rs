@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use proteus::core::key::u64_key;
+use proteus::core::model::proteus::{ProteusModel, ProteusModelOptions};
 use proteus::core::{
     KeySet, NoFilter, OnePbf, OnePbfOptions, Proteus, ProteusOptions, RangeFilter, SampleQueries,
     TwoPbf, TwoPbfFilterOptions,
@@ -176,6 +177,63 @@ proptest! {
                 let hi = u64_key(k.saturating_add(next() % 50));
                 prop_assert!(filter.may_contain_range(&lo, &hi), "{}", filter.name());
             }
+        }
+    }
+
+    /// The paper's framing, as a property: 1PBF *is* Proteus at trie depth 0.
+    /// For arbitrary keys, samples and budgets the 1PBF design is the
+    /// depth-0 row of the full Proteus model bit for bit, and the 1PBF
+    /// answers every range exactly like a trie-less Proteus built from that
+    /// design — probe-cap exhaustion included.
+    #[test]
+    fn one_pbf_is_proteus_at_trie_depth_zero(
+        seed in 0u64..1000,
+        n_keys in 50usize..500,
+        bpk in 1u64..20,
+        spread in 1u64..(1 << 40),
+        probe_cap in 1u64..3000,
+    ) {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let raw: Vec<u64> = (0..n_keys).map(|_| next() % spread).collect();
+        let keys = KeySet::from_u64(&raw);
+        let mut samples = SampleQueries::from_u64(
+            &(0..80).map(|_| {
+                let lo = next() % spread;
+                (lo, lo.saturating_add(next() % (1 << (next() % 24))))
+            }).collect::<Vec<_>>(),
+        );
+        samples.retain_empty(&keys);
+        let m = n_keys as u64 * bpk;
+
+        let opts = OnePbfOptions { probe_cap, ..Default::default() };
+        let one = OnePbf::train(&keys, &samples, m, &opts);
+        let design = one.design();
+        let full = ProteusModel::build(&keys, &samples, m, &ProteusModelOptions::default());
+        let row = (1..=64).map(|l| (l, full.expected_fpr(&keys, 0, l, m).unwrap()));
+        // Algorithm 1's `<=`: the last minimum of the depth-0 row.
+        let (l, fpr) = row.fold((0, f64::INFINITY), |best, d| if d.1 <= best.1 { d } else { best });
+        prop_assert_eq!(
+            (design.trie_depth_bits, design.bloom_prefix_len, design.expected_fpr.to_bits()),
+            (0, l, fpr.to_bits())
+        );
+
+        let twin = Proteus::build_with_design(&keys, design, m, &ProteusOptions {
+            hash_family: opts.hash_family,
+            probe_cap,
+            seed: opts.seed,
+            ..Default::default()
+        });
+        prop_assert_eq!(one.size_bits(), twin.size_bits());
+        for _ in 0..300 {
+            let lo = next() % spread;
+            let hi = lo.saturating_add(next() % (1 << (next() % 30)));
+            prop_assert_eq!(one.query_u64(lo, hi), twin.query_u64(lo, hi), "[{:#x}, {:#x}]", lo, hi);
         }
     }
 

@@ -2,7 +2,6 @@
 //! model's expected FPR matches the observed FPR across the design space,
 //! and the self-selected design is near-optimal among evaluated designs.
 
-use proteus::core::model::one_pbf::{OnePbfDesign, OnePbfModel};
 use proteus::core::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOptions};
 use proteus::core::{
     KeySet, OnePbf, OnePbfOptions, Proteus, ProteusOptions, RangeFilter, SampleQueries,
@@ -22,13 +21,13 @@ fn one_pbf_model_tracks_reality_across_designs() {
     let samples =
         SampleQueries::from_u64(&QueryGen::new(workload.clone(), &raw, &[], 5).empty_ranges(5_000));
     let eval = SampleQueries::from_u64(&QueryGen::new(workload, &raw, &[], 77).empty_ranges(5_000));
-    let model = OnePbfModel::build(&keys, &samples);
+    let model = ProteusModel::bloom_only(&keys, &samples);
     let m = 20_000 * 10;
     for l in (24..=64usize).step_by(8) {
-        let expected = model.expected_fpr(&keys, l, m);
+        let expected = model.expected_fpr(&keys, 0, l, m).unwrap();
         let filter = OnePbf::build_with_prefix_len(
             &keys,
-            OnePbfDesign { prefix_len: l, expected_fpr: expected },
+            ProteusDesign::bloom_only(l, expected),
             m,
             &OnePbfOptions::default(),
         );

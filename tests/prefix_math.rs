@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use proteus::core::key::{
     bit_slice, end_region_counts, increment_prefix, lcp_bits, mask_tail, pad_key, prefix_count,
-    set_tail_ones, u64_key,
+    set_tail_ones, u64_key, ProbeBudget, RegionWalk, Walk,
 };
 
 proptest! {
@@ -124,6 +124,94 @@ proptest! {
             && tb.iter().rev().take_while(|&&c| c == 0).count() == 0
         {
             prop_assert_eq!(ta.cmp(tb), pa.cmp(&pb));
+        }
+    }
+}
+
+/// The `l`-bit regions of `[lo, hi]` inside the `within`-bit region of
+/// `anchor`, by brute force over every 2-byte key.
+fn regions_by_enumeration(lo: u16, hi: u16, anchor: u16, within: usize, l: usize) -> Vec<u16> {
+    let top = |k: u16, bits: usize| if bits == 0 { 0 } else { k >> (16 - bits) << (16 - bits) };
+    let mut out: Vec<u16> =
+        (lo..=hi).filter(|&k| top(k, within) == top(anchor, within)).map(|k| top(k, l)).collect();
+    out.dedup();
+    out
+}
+
+/// Walk with a visitor that records what it sees and `Hit`s at `stop_at`.
+fn walked(
+    (lo, hi): (u16, u16),
+    (anchor, within): (u16, usize),
+    l: usize,
+    cap: u64,
+    stop_at: Option<usize>,
+) -> (Walk, Vec<u16>, u64) {
+    let (lo, hi) = (lo.to_be_bytes(), hi.to_be_bytes());
+    let budget = ProbeBudget::new(cap);
+    let mut seen = Vec::new();
+    let end = RegionWalk::new(&lo, &hi, &budget).walk(&anchor.to_be_bytes(), within, l, |r| {
+        seen.push(u16::from_be_bytes([r[0], r[1]]));
+        if stop_at == Some(seen.len() - 1) {
+            Walk::Hit
+        } else {
+            Walk::Clear
+        }
+    });
+    (end, seen, budget.left())
+}
+
+#[test]
+fn region_walk_matches_brute_force_on_two_byte_keys() {
+    let windows: [(u16, u16); 12] = [
+        (0, 0),           // from == to at the bottom
+        (0xFFFF, 0xFFFF), // from == to at the all-ones wrap
+        (0x1234, 0x1234), // from == to
+        (0x1230, 0x123F), // one region at every l <= 12
+        (0xFFF0, 0xFFFF), // ends on the all-ones prefix: the walk must stop, not wrap
+        (0x00FF, 0x0100), // straddles a carry across the byte boundary
+        (0x7FFF, 0x8000), // straddles the top bit
+        (0x0101, 0x0500),
+        (0xABCD, 0xFFFE),
+        (0x0001, 0x8001),
+        (0x0000, 0xFFFF), // the whole space
+        (0x8000, 0xFFFF),
+    ];
+    for l in 1..=16usize {
+        for window in windows {
+            // Unclamped, then clamped to the region of each bound, of a key
+            // in the middle, and of one outside the window.
+            let mid = window.0 + (window.1 - window.0) / 2;
+            let mut clamps = vec![(0u16, 0usize)];
+            for within in [1, l / 2, l] {
+                clamps.extend([window.0, mid, window.1, !mid].map(|a| (a, within)));
+            }
+            for clamp in clamps {
+                let want = regions_by_enumeration(window.0, window.1, clamp.0, clamp.1, l);
+                let ctx = format!("l={l} window={window:x?} clamp={clamp:x?}");
+                let n = want.len() as u64;
+                // Exactly enough budget: every region once, ascending.
+                assert_eq!(
+                    walked(window, clamp, l, n, None),
+                    (Walk::Clear, want.clone(), 0),
+                    "{ctx}"
+                );
+                assert_eq!(walked(window, clamp, l, n + 3, None).2, 3, "{ctx}");
+                // Every budget cut short of that is Exhausted — never Clear —
+                // having visited exactly what it could pay for; a Hit ends
+                // the walk where it happened.
+                let cuts: Vec<usize> = if want.len() <= 40 {
+                    (0..want.len()).collect()
+                } else {
+                    vec![0, 1, want.len() / 2, want.len() - 1]
+                };
+                for cut in cuts {
+                    let got = walked(window, clamp, l, cut as u64, None);
+                    assert_eq!(got, (Walk::Exhausted, want[..cut].to_vec(), 0), "{ctx} cut={cut}");
+                    let got = walked(window, clamp, l, n, Some(cut));
+                    let left = n - cut as u64 - 1;
+                    assert_eq!(got, (Walk::Hit, want[..=cut].to_vec(), left), "{ctx} hit={cut}");
+                }
+            }
         }
     }
 }
