@@ -68,10 +68,16 @@ pub mod rank {
     /// `Db`). Held across manifest edits, gate checks and SST filter
     /// rewrites, so it sits above everything.
     pub const ADAPT: Rank = Rank::new(90, "adapt");
-    /// The MemTable state (`RwLock<MemState>`): writers append under it
-    /// and it nests over the WAL (append/rotate) and the gate
-    /// (rotation publish).
+    /// The MemTable state (`RwLock<MemState>`): which tables exist.
+    /// Writers serialize on it and it nests over one table's data, the
+    /// WAL (append/rotate) and the gate (rotation publish).
     pub const MEMTABLE: Rank = Rank::new(80, "memtable");
+    /// One MemTable's content (`Arc<RwLock<MemTable>>`, active or
+    /// frozen): written under `MEMTABLE`, read by point lookups under it
+    /// and by scan cursors on their own, one table at a time. Guards
+    /// in-memory work only — never held across a WAL append, a gate wait
+    /// or a block fetch.
+    pub const MEMTABLE_DATA: Rank = Rank::new(75, "memtable-data");
     /// The flush/compaction coordination gate (`Mutex<Coord>` plus its
     /// condvars).
     pub const GATE: Rank = Rank::new(70, "gate");

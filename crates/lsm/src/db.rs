@@ -25,24 +25,37 @@
 //! Sync`), mirroring the multi-threaded RocksDB setup the paper evaluates
 //! under concurrent reader threads (§6.2):
 //!
-//! * **Reads** never block on writers or background work. `get`, `range`
-//!   and `seek` snapshot the MemTables under a briefly-held read lock,
-//!   then grab an `Arc`-snapshot of the immutable level manifest
-//!   (`Version`) and run against it lock-free; block I/O goes through a
-//!   sharded cache.
-//! * **Writes** go through the active MemTable under a write lock (a
-//!   [`crate::WriteBatch`] applies all of its operations under a single
-//!   acquisition — atomic with respect to every reader). Each write is
-//!   first appended to the write-ahead log as one commit record (see
-//!   [`crate::wal`]) while the MemTable lock is held, so log order equals
-//!   apply order; the `fdatasync` policy ([`crate::SyncMode`]) runs
-//!   *after* the lock is released, which is what lets concurrent writers
-//!   share one group-commit sync. When the table reaches `memtable_bytes`
-//!   it *rotates*: the active WAL segment is sealed (synced), the full
-//!   table is frozen onto an immutable-memtable FIFO and a fresh active
-//!   table + segment take its place. Writers stall only when
-//!   `max_immutable_memtables` frozen tables are already waiting
-//!   (RocksDB's write-stall backpressure).
+//! * **MemTables are shared, not copied.** The store-wide MemTable lock
+//!   guards only *which* tables exist — the active one and the frozen
+//!   FIFO — and serializes writers. Each table is an `Arc` around its own
+//!   ranked `RwLock<MemTable>`, so a point read, the flusher and any
+//!   number of scan cursors hold the same table, and rotation moves the
+//!   `Arc` without disturbing any of them.
+//! * **Reads** never wait on background work, and on a writer only for
+//!   the in-memory apply of one batch. `get` looks through the tables
+//!   under a briefly-held store-wide read lock, then takes an
+//!   `Arc`-snapshot of the immutable level manifest (`Version`) and runs
+//!   against it lock-free. `range` and `seek` fix their whole view under
+//!   that same short hold — a position in each table at its current batch
+//!   stamp, the `Version` — and then read each table *in place* through a
+//!   cursor that owns the table's `Arc` and takes its read lock per row
+//!   (see [`crate::read`]); between rows they hold nothing. Block I/O
+//!   goes through a sharded cache.
+//! * **Writes** hold the store-wide write lock for the whole commit: the
+//!   batch is appended to the write-ahead log as one record (see
+//!   [`crate::wal`]), so log order equals apply order, then applied to
+//!   the active table under that table's write lock with one fresh batch
+//!   stamp ([`crate::memtable`]). A [`crate::WriteBatch`] is atomic with
+//!   respect to every reader twice over: a reader that starts later waits
+//!   out the apply, and a scan already under way reads the table as of an
+//!   earlier stamp and sees none of it. The `fdatasync` policy
+//!   ([`crate::SyncMode`]) runs *after* the locks are released, which is
+//!   what lets concurrent writers share one group-commit sync. When the
+//!   table reaches `memtable_bytes` it *rotates*: the active WAL segment
+//!   is sealed (synced), the full table is frozen onto an
+//!   immutable-memtable FIFO and a fresh active table + segment take its
+//!   place. Writers stall only when `max_immutable_memtables` frozen
+//!   tables are already waiting (RocksDB's write-stall backpressure).
 //! * **Background workers**: a *flusher* thread turns frozen MemTables
 //!   into L0 SSTs (building each file's range filter from its keys + the
 //!   sample-query queue, §6.1) and deletes each table's sealed WAL
@@ -67,15 +80,22 @@
 //! [`proteus_core::sync`] wrapper, and locks must be acquired in strictly
 //! decreasing rank order (the full hierarchy table lives in
 //! `ARCHITECTURE.md`). The ranks used here: `ADAPT` (90, the adaptive-pass
-//! serializer) > `MEMTABLE` (80) > `GATE` (70, worker coordination) >
-//! `WAL` (60) > `MANIFEST` (50) > `SST_META` (40) > `CACHE_SHARD` (30) >
-//! `QUERY_QUEUE` (20). The permitted nestings all descend (so no
-//! acquisition cycle can form across threads): MemTable → WAL
-//! (appends and seals happen under the MemTable write lock), MemTable →
-//! gate (a rotation publishes its counter bump before releasing the
-//! MemTable lock, which is what makes the `flush` barrier race-free), and
-//! adapt → {gate, manifest, SST metadata, query queue} during an adaptive
-//! pass. Debug builds (and release builds with the `lock-doctor` feature)
+//! serializer) > `MEMTABLE` (80, the table set) > `MEMTABLE_DATA` (75, one
+//! table's content) > `GATE` (70, worker coordination) > `WAL` (60) >
+//! `MANIFEST` (50) > `SST_META` (40) > `CACHE_SHARD` (30) > `QUERY_QUEUE`
+//! (20). The permitted nestings all descend (so no acquisition cycle can
+//! form across threads): MemTable → table data (a write applies, a `get`
+//! looks up and a scan seeks under the store-wide lock; a table
+//! lock guards in-memory work only and is released before the WAL, the
+//! gate or a block is touched — the one long hold is the flusher's read
+//! lock on a frozen table, which has no writer to keep waiting),
+//! MemTable → WAL (appends and seals happen under the MemTable write
+//! lock), MemTable → gate (a rotation publishes its counter bump before
+//! releasing the MemTable lock, which is what makes the `flush` barrier
+//! race-free), MemTable → manifest (a scan takes its `Version` in the
+//! same hold as its tables), and adapt → {gate, manifest, SST metadata,
+//! query queue} during an adaptive pass. Debug builds (and release builds
+//! with the `lock-doctor` feature)
 //! verify the ordering at runtime and panic, naming both acquisition
 //! sites, on any inversion. Background I/O errors are
 //! sticky: they surface as `Err` from the next `flush`/`flush_and_settle`
@@ -123,19 +143,42 @@ pub(crate) struct Version {
     pub(crate) levels: Vec<Vec<Arc<SstReader>>>,
 }
 
+/// One MemTable as the store shares it: writers, point reads, the flusher
+/// and every scan cursor positioned in it hold the same table, behind its
+/// own `MEMTABLE_DATA` lock (see the module docs for what may nest).
+pub(crate) type SharedTable = Arc<RwLock<MemTable>>;
+
+fn shared_table(table: MemTable) -> SharedTable {
+    Arc::new(RwLock::new(rank::MEMTABLE_DATA, table))
+}
+
+/// A table's read lock, surfacing poisoning as a typed error.
+pub(crate) fn read_table(table: &SharedTable) -> Result<RwLockReadGuard<'_, MemTable>> {
+    table.read().map_err(|_| Error::Poisoned("memtable lock"))
+}
+
 /// A frozen MemTable awaiting flush, paired with the sealed WAL segment
 /// holding exactly its writes (deleted by the flusher once the table's
 /// SST is installed).
 pub(crate) struct Imm {
-    pub(crate) mem: Arc<MemTable>,
+    pub(crate) mem: SharedTable,
     wal_id: u64,
 }
 
 /// MemTable state: the active write buffer plus frozen tables awaiting a
-/// background flush (oldest first).
+/// background flush (oldest first). The lock around this struct
+/// (`MEMTABLE`) decides *which* tables exist and serializes writers; each
+/// table's content sits behind its own lock.
 pub(crate) struct MemState {
-    pub(crate) active: MemTable,
+    pub(crate) active: SharedTable,
     pub(crate) imms: Vec<Imm>,
+}
+
+impl MemState {
+    /// Every table a read must consult, newest first.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = &SharedTable> {
+        std::iter::once(&self.active).chain(self.imms.iter().rev().map(|imm| &imm.mem))
+    }
 }
 
 /// Worker coordination state (all counters monotonic).
@@ -311,7 +354,7 @@ impl Db {
             dir,
             mem: RwLock::with_observer(
                 rank::MEMTABLE,
-                MemState { active, imms: Vec::new() },
+                MemState { active: shared_table(active), imms: Vec::new() },
                 Arc::clone(&observer),
             ),
             wal,
@@ -503,8 +546,8 @@ impl Db {
     }
 
     /// Apply a [`WriteBatch`] atomically: all of its puts and deletes
-    /// become visible together (a single MemTable lock acquisition), and
-    /// no rotation can split them across flush files' worth of
+    /// become visible together (one MemTable lock hold, one batch stamp),
+    /// and no rotation can split them across flush files' worth of
     /// visibility. Every key is validated before anything is applied, so
     /// a bad key rejects the whole batch. An empty batch is a no-op.
     pub fn write(&self, batch: WriteBatch) -> Result<()> {
@@ -525,6 +568,14 @@ impl Db {
     /// The merge spans the active and immutable MemTables plus the
     /// manifest snapshot; every overlapping SST is admitted through its
     /// range filter, so a scan over a provably-empty region costs no I/O.
+    ///
+    /// The iterator is a point-in-time view of the MemTables and manifest
+    /// as of the call; later writes, rotations, flushes and compactions
+    /// are invisible to it. It reads the MemTables in place — what it
+    /// costs is the rows it yields, not the size of the tables — and holds
+    /// no lock between `next()` calls, so the calling thread may write
+    /// while it iterates. It does keep the tables and files of its view
+    /// alive until dropped.
     ///
     /// Bounds follow `std::ops` conventions (`lo..=hi`, `lo..hi`, `..`,
     /// …); named bound keys must be non-empty and at most
@@ -855,7 +906,7 @@ impl DbInner {
     /// its wait target between another thread's freeze and counter bump
     /// and return before that data is durable.
     fn publish_rotation(&self, mem: &mut MemState) -> Result<bool> {
-        if mem.active.is_empty() {
+        if read_table(&mem.active)?.is_empty() {
             return Ok(false);
         }
         // Seal the active WAL segment first (one fdatasync — so sealed
@@ -864,7 +915,10 @@ impl DbInner {
         // intact: the active table keeps accepting writes into the old
         // segment.
         let wal_id = self.wal.rotate(self.alloc_id(), &self.stats)?;
-        mem.imms.push(Imm { mem: Arc::new(std::mem::take(&mut mem.active)), wal_id });
+        // Freezing moves the `Arc`: cursors already positioned in the
+        // table keep reading the very same one.
+        let frozen = std::mem::replace(&mut mem.active, shared_table(MemTable::new()));
+        mem.imms.push(Imm { mem: frozen, wal_id });
         self.stats.memtable_rotations.inc();
         let mut g = self.gate_lock()?;
         g.rotated += 1;
@@ -890,15 +944,19 @@ impl DbInner {
             let seq = self.wal.append_commit(&ops, &self.stats)?;
             // Borrowed apply: the op buffers were only needed owned for
             // the WAL encode; the arena MemTable copies from slices and
-            // allocates nothing per entry.
-            for (k, v) in &ops {
-                mem.active.apply_ref(k, v.as_deref());
-            }
-            let rotated = if mem.active.is_full(self.cfg.memtable_bytes()) {
-                self.publish_rotation(&mut mem)?
-            } else {
-                false
+            // allocates nothing per entry. One stamp for the whole batch
+            // is what keeps it atomic for scans already under way: their
+            // cursors read the table as of an earlier stamp.
+            let full = {
+                let mut active =
+                    mem.active.write().map_err(|_| Error::Poisoned("memtable lock"))?;
+                active.new_batch();
+                for (k, v) in &ops {
+                    active.apply_ref(k, v.as_deref());
+                }
+                active.is_full(self.cfg.memtable_bytes())
             };
+            let rotated = full && self.publish_rotation(&mut mem)?;
             (seq, rotated)
         };
         // Durability outside the MemTable lock: waiting for the group
@@ -968,7 +1026,9 @@ impl DbInner {
                 mem.imms.first().map(|i| (Arc::clone(&i.mem), i.wal_id))
             };
             if let Some((imm, wal_id)) = imm {
-                match self.flush_imm(&imm) {
+                // A frozen table has no writer, so this read lock is never
+                // waited for and blocks nobody for the length of the flush.
+                match read_table(&imm).and_then(|table| self.flush_imm(&table)) {
                     Ok(reader) => {
                         // Install the SST before retiring the MemTable so
                         // the data is never invisible to a reader.

@@ -566,16 +566,46 @@ mod db_tests {
         for i in 0..20_000u32 {
             db.put(b"hot", &value(i)).unwrap();
             let mem = db.inner.mem_read().unwrap();
-            assert!(mem.active.arena_bytes() < arena_cap, "active table past the cap at put {i}");
+            let arena = |t: &db::SharedTable| t.read().unwrap().arena_bytes();
+            assert!(arena(&mem.active) < arena_cap, "active table past the cap at put {i}");
             // A rotated table crossed the cap with exactly one entry.
             for imm in &mem.imms {
-                assert!(imm.mem.arena_bytes() < arena_cap + 1024 + 3, "imm past the cap");
+                assert!(arena(&imm.mem) < arena_cap + 1024 + 3, "imm past the cap");
             }
         }
         assert!(db.stats().memtable_rotations.get() > 0, "20 MB of overwrites never rotated");
         assert_eq!(db.get(b"hot").unwrap(), Some(value(19_999)));
         db.flush_and_settle().unwrap();
         assert_eq!(db.get(b"hot").unwrap(), Some(value(19_999)));
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hot_key_tombstones_rotate_on_version_records() {
+        // delete(k) / put(k, []) on one key adds no logical bytes and not
+        // one arena byte: all that grows is the key's version chain (every
+        // write is its own batch), which must count towards rotation.
+        let dir = tmpdir("hot-tombstone");
+        let cfg = DbConfig::builder().memtable_bytes(8 << 10).build().unwrap();
+        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        for i in 0..12_000u32 {
+            if i % 2 == 0 {
+                db.delete(b"hot").unwrap();
+            } else {
+                db.put(b"hot", b"").unwrap();
+            }
+            let mem = db.inner.mem_read().unwrap();
+            let active = mem.active.read().unwrap();
+            // (All zero right after the write that rotated.)
+            assert!(active.arena_bytes() <= 3, "the key, once per table");
+            assert!(active.len() <= 1 && active.bytes() <= 3 + 8);
+        }
+        let rotations = db.stats().memtable_rotations.get();
+        assert!(rotations >= 2, "{rotations} rotations in 12 000 hot-key tombstone flips");
+        assert_eq!(db.get(b"hot").unwrap(), Some(vec![]));
+        db.flush_and_settle().unwrap();
+        assert_eq!(db.get(b"hot").unwrap(), Some(vec![]));
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,11 +1,12 @@
 //! The in-memory write buffer (RocksDB's MemTable, §6.1).
 //!
-//! The concurrent `Db` keeps one *active* MemTable (mutated under a write
-//! lock) plus a FIFO of *immutable* MemTables that have been rotated out
-//! and await a background flush. An immutable MemTable is shared as
-//! `Arc<MemTable>` and only read ([`MemTable::get`], [`MemTable::iter`],
-//! [`MemTable::range_entries`]), so no further synchronization is needed
-//! on it.
+//! The concurrent `Db` keeps one *active* MemTable plus a FIFO of
+//! *immutable* MemTables that have been rotated out and await a background
+//! flush. Every table — active or frozen — is shared as an `Arc` around a
+//! ranked `RwLock<MemTable>`: writers append to the active one under its
+//! write lock, a frozen one is only ever read, and a scan holds the `Arc`
+//! and re-takes the read lock for each row it materializes (see
+//! [`crate::read`]). This type itself knows nothing about locks.
 //!
 //! Since API v2 an entry's value is `Option<Vec<u8>>`: `Some` is a live
 //! put, `None` is a *tombstone* recording a [`crate::Db::delete`]. A
@@ -30,15 +31,37 @@
 //! allocations in the steady state — the arena, node pool and tower pool
 //! all grow amortized — where the `BTreeMap` paid one allocation for the
 //! key and one for the value on every insert. Overwrites append the new
-//! value bytes and repoint the node; the superseded bytes stay garbage in
-//! the arena until the whole table is dropped at flush, which is the
-//! right trade for a buffer whose lifetime is bounded by
-//! `memtable_bytes` — and, for a table that is overwritten far more than
-//! it grows, by [`ARENA_LIMIT_FACTOR`] times that in arena bytes
+//! value bytes and repoint the node; the superseded bytes stay in the
+//! arena until the whole table is dropped at flush, which is the right
+//! trade for a buffer whose lifetime is bounded by `memtable_bytes` — and,
+//! for a table that is overwritten far more than it grows, by
+//! [`ARENA_LIMIT_FACTOR`] times that in physical bytes
 //! ([`MemTable::is_full`]). [`MemTable::bytes`] still reports *logical*
 //! bytes (keys + live values + tombstone overhead), not arena bytes, so
 //! rotation thresholds behave exactly as they did with the map on any
 //! load that is not dominated by overwrites.
+//!
+//! ## Batch stamps and views
+//!
+//! Nothing is ever removed from a table: nodes keep their ids, the
+//! level-0 chain only gains links, and the arena only grows. What an
+//! overwrite *would* destroy — which value a key had before — is kept
+//! too: every entry carries the **stamp** of the write batch that produced
+//! it ([`MemTable::new_batch`] starts a batch; every `apply` until the
+//! next one shares its stamp), and an overwrite from a later batch pushes
+//! the superseded `(value, tombstone, stamp)` onto a version chain hanging
+//! off the node before repointing it (the old value bytes are already in
+//! the arena, so a record is a few integers). An overwrite inside the
+//! *same* batch replaces in place — no reader can ask for half a batch.
+//!
+//! "The table as of stamp `S`" is therefore an immutable view, however
+//! many batches follow: a key's value at `S` is the newest version with
+//! stamp ≤ `S`, and a key first written after `S` does not exist. A
+//! [`Cursor`] is a position in that view — a node id plus `S` — that
+//! [`MemTable::advance`] moves one visible entry at a time, so a scan can
+//! drop the table's lock between rows and pick up exactly where it was.
+//! [`MemTable::get`], [`MemTable::iter`] and [`MemTable::len`] read the
+//! newest version straight off the node, as before.
 
 use std::fmt;
 
@@ -53,8 +76,8 @@ const NIL: u32 = u32::MAX;
 /// stores no value but still occupies the table).
 const TOMBSTONE_BYTES: usize = 8;
 
-/// A table rotates once its arena holds this many times its logical-byte
-/// threshold ([`MemTable::is_full`]). Not a knob: update-heavy loads peak
+/// A table rotates once its arena and version records hold this many
+/// times its logical-byte threshold ([`MemTable::is_full`]). Not a knob: update-heavy loads peak
 /// around 3× at rotation, so 8× only fires on overwrite loops, and
 /// `DbConfig::validate` keeps `8 × memtable_bytes` inside the arena's
 /// `u32` offsets.
@@ -64,19 +87,53 @@ fn entry_bytes(value: Option<&[u8]>) -> usize {
     value.map_or(TOMBSTONE_BYTES, <[u8]>::len)
 }
 
-/// One skiplist node: integer offsets into the arena plus the location
-/// of its tower in the shared pointer pool.
+/// One version of an entry's value: where its bytes sit in the arena and
+/// which batch wrote it. Node `n`'s newest version is `MemTable::vals[n]`;
+/// the ones it superseded sit in `MemTable::versions`, chained newest
+/// first.
+#[derive(Debug, Clone, Copy)]
+struct Version {
+    off: u32,
+    /// Value length; ignored for tombstones.
+    len: u32,
+    /// The batch that wrote this version.
+    stamp: u32,
+    /// The version this one superseded (index into `versions`), or `NIL`.
+    older: u32,
+    tombstone: bool,
+}
+
+impl Version {
+    fn logical_bytes(&self) -> usize {
+        if self.tombstone {
+            TOMBSTONE_BYTES
+        } else {
+            self.len as usize
+        }
+    }
+}
+
+/// One skiplist node — just what a search touches: where the key sits in
+/// the arena and where the node's tower sits in the shared pointer pool.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     key_off: u32,
     key_len: u32,
-    val_off: u32,
-    /// Value length; ignored for tombstones.
-    val_len: u32,
-    tombstone: bool,
     /// First slot of this node's forward pointers in `tower`.
     tower_off: u32,
     height: u8,
+}
+
+/// A resumable position in one table's key order, reading the table as of
+/// a batch stamp (see the [module docs](self)). Made by
+/// [`MemTable::cursor`], moved by [`MemTable::advance`]; it borrows
+/// nothing, so it stays valid across any number of later writes to the
+/// table it came from (and means nothing to any other table).
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor {
+    /// The next node to look at (`NIL` = exhausted).
+    next: u32,
+    stamp: u32,
 }
 
 /// A sorted in-memory buffer of the most recent writes and deletes.
@@ -84,6 +141,11 @@ pub struct MemTable {
     /// Bump-allocated key and value bytes (append-only).
     arena: Vec<u8>,
     nodes: Vec<Node>,
+    /// Newest version of each node, parallel to `nodes` (kept apart so a
+    /// search strides over 16-byte nodes).
+    vals: Vec<Version>,
+    /// Superseded versions, chained from `vals`.
+    versions: Vec<Version>,
     /// Forward-pointer pool; node `n` owns
     /// `tower[n.tower_off .. n.tower_off + n.height]` (level 0 first).
     tower: Vec<u32>,
@@ -96,6 +158,8 @@ pub struct MemTable {
     /// secrecy against these keys.
     rng: u64,
     bytes: usize,
+    /// Stamp of the batch being applied (see [`MemTable::new_batch`]).
+    stamp: u32,
 }
 
 impl Default for MemTable {
@@ -103,11 +167,14 @@ impl Default for MemTable {
         MemTable {
             arena: Vec::new(),
             nodes: Vec::new(),
+            vals: Vec::new(),
+            versions: Vec::new(),
             tower: Vec::new(),
             head: [NIL; MAX_HEIGHT],
             height: 1,
             rng: 0x9E37_79B9_7F4A_7C15,
             bytes: 0,
+            stamp: 0,
         }
     }
 }
@@ -118,6 +185,8 @@ impl fmt::Debug for MemTable {
             .field("entries", &self.nodes.len())
             .field("bytes", &self.bytes)
             .field("arena_bytes", &self.arena.len())
+            .field("versions", &self.versions.len())
+            .field("stamp", &self.stamp)
             .finish()
     }
 }
@@ -126,6 +195,23 @@ impl MemTable {
     /// An empty write buffer.
     pub fn new() -> Self {
         MemTable::default()
+    }
+
+    /// Start a new write batch and return its stamp: every entry applied
+    /// until the next call carries it, and a view of the table at any
+    /// earlier stamp no longer changes. A table that never calls this
+    /// keeps everything in batch 0 (plain overwrite-in-place). Saturates
+    /// rather than wraps; [`MemTable::is_full`] rotates a table long
+    /// before 2³² batches (each one adds at least one physical byte).
+    pub fn new_batch(&mut self) -> u32 {
+        self.stamp = self.stamp.saturating_add(1);
+        self.stamp
+    }
+
+    /// Stamp of the newest batch; a view at this stamp is the whole table
+    /// as it stands.
+    pub fn stamp(&self) -> u32 {
+        self.stamp
     }
 
     /// Insert or overwrite a live value.
@@ -167,33 +253,36 @@ impl MemTable {
         let at = self.next_at(cur, 0);
         if at != NIL && self.node_key(at) == key {
             // Overwrite: append the new value, repoint the node. The key
-            // bytes were already charged; swap the value charge.
-            let old = &self.nodes[at as usize];
-            let old_bytes = if old.tombstone { TOMBSTONE_BYTES } else { old.val_len as usize };
-            let (val_off, val_len, tombstone) = self.push_value(value);
-            let node = &mut self.nodes[at as usize];
-            node.val_off = val_off;
-            node.val_len = val_len;
-            node.tombstone = tombstone;
-            self.bytes = self.bytes - old_bytes + entry_bytes(value);
+            // bytes were already charged; swap the value charge. A version
+            // written by an earlier batch is still what views at that
+            // batch's stamp must see, so it moves onto the chain; one
+            // written by this batch is simply replaced.
+            let old = self.vals[at as usize];
+            let mut val = self.push_value(value);
+            val.older = if old.stamp == self.stamp {
+                old.older
+            } else {
+                self.versions.push(old);
+                (self.versions.len() - 1) as u32
+            };
+            self.vals[at as usize] = val;
+            self.bytes = self.bytes - old.logical_bytes() + entry_bytes(value);
             return;
         }
         // New key: arena-allocate key + value, then splice a node in.
         let key_off = self.arena.len() as u32;
         self.arena.extend_from_slice(key);
-        let (val_off, val_len, tombstone) = self.push_value(value);
+        let val = self.push_value(value);
         let height = self.random_height();
         let tower_off = self.tower.len() as u32;
         let id = self.nodes.len() as u32;
         self.nodes.push(Node {
             key_off,
             key_len: key.len() as u32,
-            val_off,
-            val_len,
-            tombstone,
             tower_off,
             height: height as u8,
         });
+        self.vals.push(val);
         for (lvl, &upd) in update.iter().enumerate().take(height) {
             let prev = if lvl < self.height { upd } else { NIL };
             let next = self.next_at(prev, lvl);
@@ -212,7 +301,7 @@ impl MemTable {
     /// must keep searching older layers.
     pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
         let n = self.seek_node(key)?;
-        (self.node_key(n) == key).then(|| self.node_value(n))
+        (self.node_key(n) == key).then(|| self.value_bytes(&self.vals[n as usize]))
     }
 
     /// Number of buffered entries (tombstones included).
@@ -239,40 +328,100 @@ impl MemTable {
     }
 
     /// Should a table with a rotation threshold of `limit` bytes rotate?
-    /// On logical bytes — or on arena bytes: an overwrite appends to the
-    /// arena without adding logical bytes, so a hot-key update loop would
-    /// otherwise grow one table without bound.
+    /// On logical bytes — or on physical ones, the arena plus the version
+    /// records: an overwrite adds no logical bytes, yet it appends its
+    /// value to the arena and (from a new batch) chains a version record —
+    /// the latter even when the value is empty or a tombstone — so a
+    /// hot-key update loop would otherwise grow one table without bound.
     pub fn is_full(&self, limit: usize) -> bool {
-        self.bytes >= limit || self.arena.len() >= ARENA_LIMIT_FACTOR.saturating_mul(limit)
+        let physical = self.arena.len() + self.versions.len() * std::mem::size_of::<Version>();
+        self.bytes >= limit || physical >= ARENA_LIMIT_FACTOR.saturating_mul(limit)
     }
 
     /// Iterate all entries in ascending key order without consuming the
-    /// table (the background flusher writes an immutable `Arc<MemTable>`
-    /// to disk through this). Tombstones are yielded as `None` values.
+    /// table (the background flusher writes a frozen table to disk through
+    /// this). Tombstones are yielded as `None` values.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
-        Iter { mt: self, cur: self.head[0], hi: None }
+        self.walk(Cursor { next: self.head[0], stamp: self.stamp }, None)
+    }
+
+    /// `cur` driven to its end while the table stays borrowed.
+    fn walk<'a>(
+        &'a self,
+        mut cur: Cursor,
+        hi: Option<&'a [u8]>,
+    ) -> impl Iterator<Item = (&'a [u8], Option<&'a [u8]>)> {
+        std::iter::from_fn(move || self.advance(&mut cur, hi))
+    }
+
+    /// A cursor over the table as of `stamp`, positioned at the first key
+    /// ≥ `lo`.
+    pub fn cursor(&self, lo: &[u8], stamp: u32) -> Cursor {
+        Cursor { next: self.seek_node(lo).unwrap_or(NIL), stamp }
+    }
+
+    /// The next entry of `cur`'s view with a key ≤ `hi` (`None` = no upper
+    /// bound), tombstones included as `None` values; `None` once the view
+    /// is exhausted. Keys first written after the cursor's stamp are
+    /// stepped over, and an overwritten key yields the version the stamp
+    /// saw.
+    pub fn advance<'a>(
+        &'a self,
+        cur: &mut Cursor,
+        hi: Option<&[u8]>,
+    ) -> Option<(&'a [u8], Option<&'a [u8]>)> {
+        while cur.next != NIL {
+            let n = cur.next;
+            let k = self.node_key(n);
+            if hi.is_some_and(|hi| k > hi) {
+                cur.next = NIL;
+                break;
+            }
+            cur.next = self.next_at(n, 0);
+            if let Some(version) = self.version_at(n, cur.stamp) {
+                return Some((k, self.value_bytes(version)));
+            }
+        }
+        None
     }
 
     /// Clone every entry with a key in the closed range `[lo, hi]`
-    /// (tombstones included), in ascending key order. The range iterator
-    /// snapshots MemTable state through this so it can merge without
-    /// holding the MemTable lock.
+    /// (tombstones included), in ascending key order: a `collect` over a
+    /// cursor at the newest stamp. Off the store's read path, which
+    /// streams the cursor instead; kept for callers that want the rows
+    /// owned.
     pub fn range_entries(&self, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-        Iter { mt: self, cur: self.seek_node(lo).unwrap_or(NIL), hi: Some(hi) }
+        self.walk(self.cursor(lo, self.stamp), Some(hi))
             .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
             .collect()
     }
 
-    /// Append value bytes to the arena; returns `(off, len, tombstone)`.
-    fn push_value(&mut self, value: Option<&[u8]>) -> (u32, u32, bool) {
-        match value {
+    /// Append value bytes to the arena as a version of the current batch
+    /// (with nothing older chained yet).
+    fn push_value(&mut self, value: Option<&[u8]>) -> Version {
+        let (off, len) = match value {
             Some(v) => {
                 let off = self.arena.len() as u32;
                 self.arena.extend_from_slice(v);
-                (off, v.len() as u32, false)
+                (off, v.len() as u32)
             }
-            None => (0, 0, true),
+            None => (0, 0),
+        };
+        Version { off, len, stamp: self.stamp, older: NIL, tombstone: value.is_none() }
+    }
+
+    /// The version of `node` a view at `stamp` sees: the newest one not
+    /// written after it. `None` when the key did not exist yet.
+    #[inline]
+    fn version_at(&self, node: u32, stamp: u32) -> Option<&Version> {
+        let mut v = &self.vals[node as usize];
+        while v.stamp > stamp {
+            if v.older == NIL {
+                return None;
+            }
+            v = &self.versions[v.older as usize];
         }
+        Some(v)
     }
 
     /// Forward pointer of `node` (NIL = head) at `lvl`.
@@ -304,12 +453,11 @@ impl MemTable {
     }
 
     #[inline]
-    fn node_value(&self, node: u32) -> Option<&[u8]> {
-        let n = &self.nodes[node as usize];
-        if n.tombstone {
+    fn value_bytes(&self, v: &Version) -> Option<&[u8]> {
+        if v.tombstone {
             None
         } else {
-            Some(&self.arena[n.val_off as usize..n.val_off as usize + n.val_len as usize])
+            Some(&self.arena[v.off as usize..v.off as usize + v.len as usize])
         }
     }
 
@@ -345,34 +493,6 @@ impl MemTable {
             x >>= 2;
         }
         h
-    }
-}
-
-/// Borrowing in-order walk along the level-0 chain, optionally bounded
-/// above by an inclusive `hi`.
-struct Iter<'a> {
-    mt: &'a MemTable,
-    cur: u32,
-    hi: Option<&'a [u8]>,
-}
-
-impl<'a> Iterator for Iter<'a> {
-    type Item = (&'a [u8], Option<&'a [u8]>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let k = self.mt.node_key(self.cur);
-        if let Some(hi) = self.hi {
-            if k > hi {
-                self.cur = NIL;
-                return None;
-            }
-        }
-        let v = self.mt.node_value(self.cur);
-        self.cur = self.mt.next_at(self.cur, 0);
-        Some((k, v))
     }
 }
 
@@ -550,5 +670,170 @@ mod tests {
         assert!(!m.is_full(1_000), "6.4 KB of arena is under 8 x 1000");
         assert!(m.is_full(800), "... but over 8 x 800, with 101 logical bytes");
         assert!(m.is_full(101), "the logical threshold still rotates");
+    }
+
+    #[test]
+    fn version_records_count_as_physical_bytes() {
+        // Tombstone -> empty value -> tombstone ... from a new batch each
+        // time: no logical growth and not one arena byte after the key,
+        // only version records — which must still fill the table.
+        let mut m = MemTable::new();
+        let mut writes = 0usize;
+        while !m.is_full(1_000) {
+            m.new_batch();
+            if writes.is_multiple_of(2) {
+                m.delete(vec![1]);
+            } else {
+                m.put(vec![1], vec![]);
+            }
+            writes += 1;
+            assert!(writes < 10_000, "version records never filled the table");
+        }
+        assert_eq!(m.arena_bytes(), 1, "the key, once");
+        assert!(m.bytes() <= 1 + TOMBSTONE_BYTES);
+        assert!(writes * std::mem::size_of::<Version>() >= ARENA_LIMIT_FACTOR * 1_000);
+        // The same loop inside one batch replaces in place and chains
+        // nothing: the table stays as small as it looks.
+        let mut m = MemTable::new();
+        for _ in 0..writes {
+            m.delete(vec![1]);
+            m.put(vec![1], vec![]);
+        }
+        assert!(!m.is_full(1_000));
+    }
+
+    #[test]
+    fn a_view_sees_its_stamp_whatever_follows() {
+        let mut m = MemTable::new();
+        let s1 = m.new_batch();
+        m.put(vec![2], vec![b'a']);
+        m.put(vec![4], vec![b'b']);
+        let s2 = m.new_batch();
+        m.put(vec![2], vec![b'A']); // overwrite
+        m.delete(vec![4]); // tombstone over a live value
+        m.put(vec![3], vec![b'c']); // new key between the two
+        m.put(vec![3], vec![b'C']); // same batch: replaced, not chained
+        let view = |m: &MemTable, stamp| -> Vec<(u8, Option<u8>)> {
+            let rows = take_rows(m, &mut m.cursor(&[0], stamp), &[9], usize::MAX);
+            rows.into_iter().map(|(k, v)| (k[0], v.map(|v| v[0]))).collect()
+        };
+        assert_eq!(view(&m, 0), vec![], "nothing existed before the first batch");
+        assert_eq!(view(&m, s1), vec![(2, Some(b'a')), (4, Some(b'b'))]);
+        assert_eq!(view(&m, s2), vec![(2, Some(b'A')), (3, Some(b'C')), (4, None)]);
+        assert_eq!(m.versions.len(), 2, "one record per cross-batch overwrite");
+        // A cursor parked mid-table keeps its view across later batches.
+        let mut cur = m.cursor(&[0], s1);
+        assert_eq!(m.advance(&mut cur, None), Some((&[2u8][..], Some(&b"a"[..]))));
+        m.new_batch();
+        m.put(vec![4], vec![b'z']);
+        m.put(vec![5], vec![b'n']);
+        assert_eq!(m.advance(&mut cur, None), Some((&[4u8][..], Some(&b"b"[..]))));
+        assert_eq!(m.advance(&mut cur, None), None);
+        // Newest-version reads are unaffected by the chains.
+        assert_eq!(m.get(&[4]), Some(Some(&b"z"[..])));
+        assert_eq!(m.len(), 4);
+    }
+
+    type Rows = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+    type Model = std::collections::BTreeMap<Vec<u8>, Option<Vec<u8>>>;
+
+    /// The model's rows in `[lo, hi]` (none when the window is inverted).
+    fn window(model: &Model, lo: &[u8], hi: &[u8]) -> Rows {
+        if lo > hi {
+            return Vec::new();
+        }
+        let bounds = (std::ops::Bound::Included(lo), std::ops::Bound::Included(hi));
+        model.range::<[u8], _>(bounds).map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
+    /// Up to `max` further rows of `cur`'s view, owned.
+    fn take_rows(m: &MemTable, cur: &mut Cursor, hi: &[u8], max: usize) -> Rows {
+        let mut rows = Vec::new();
+        while rows.len() < max {
+            match m.advance(cur, Some(hi)) {
+                Some((k, v)) => rows.push((k.to_vec(), v.map(<[u8]>::to_vec))),
+                None => break,
+            }
+        }
+        rows
+    }
+
+    proptest::proptest! {
+        /// The view contract: over any interleaving of writes and new
+        /// batches, a cursor opened at any past stamp reads exactly the
+        /// `BTreeMap` the table equalled when that stamp was current —
+        /// for any `[lo, hi]`, however many writes followed, and also when
+        /// it is drained a row at a time *while* they follow. The script is
+        /// derived from the sampled seed with a local xorshift, the same
+        /// idiom as the oracle tests.
+        #[test]
+        fn cursors_read_the_table_as_of_their_stamp(seed in 1u64..100_000) {
+            let mut x = seed;
+            let mut rng = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let key = |r: u64| vec![(r % 24) as u8 + 1; 1 + (r >> 8) as usize % 2];
+            let mut m = MemTable::new();
+            let mut model = Model::new();
+            // `snapshots[s]` = the model when stamp `s` stopped changing.
+            let mut snapshots: Vec<Model> = Vec::new();
+            // Cursors left half-drained: (cursor, hi, rows still owed).
+            let mut parked: Vec<(Cursor, Vec<u8>, Rows)> = Vec::new();
+            for _ in 0..160 {
+                match rng() % 8 {
+                    0 | 1 => {
+                        snapshots.push(model.clone());
+                        proptest::prop_assert_eq!(m.new_batch() as usize, snapshots.len());
+                        // Park a cursor on the view that just closed.
+                        let stamp = snapshots.len() - 1;
+                        let (lo, hi) = (key(rng()), key(rng()));
+                        let owed = window(&snapshots[stamp], &lo, &hi);
+                        parked.push((m.cursor(&lo, stamp as u32), hi, owed));
+                    }
+                    2 => {
+                        let k = key(rng());
+                        model.insert(k.clone(), None);
+                        m.delete(k);
+                    }
+                    3 if !parked.is_empty() => {
+                        // Take one row from a parked cursor, mid-stream.
+                        let i = rng() as usize % parked.len();
+                        let (cur, hi, owed) = &mut parked[i];
+                        let want: Rows = owed.drain(..owed.len().min(1)).collect();
+                        proptest::prop_assert_eq!(take_rows(&m, cur, hi, 1), want);
+                    }
+                    _ => {
+                        let r = rng();
+                        let (k, v) = (key(r), vec![(r >> 16) as u8; (r >> 24) as usize % 4]);
+                        model.insert(k.clone(), Some(v.clone()));
+                        m.put(k, v);
+                    }
+                }
+            }
+            snapshots.push(model.clone());
+            // Every past stamp, fresh cursor, random window.
+            for (stamp, snapshot) in snapshots.iter().enumerate() {
+                let (lo, hi) = (key(rng()), key(rng()));
+                let got = take_rows(&m, &mut m.cursor(&lo, stamp as u32), &hi, usize::MAX);
+                proptest::prop_assert_eq!(got, window(snapshot, &lo, &hi), "stamp {}", stamp);
+            }
+            // The parked cursors finish their views too.
+            for (mut cur, hi, owed) in parked {
+                proptest::prop_assert_eq!(take_rows(&m, &mut cur, &hi, usize::MAX), owed);
+            }
+            // Newest-version reads: the plain-table contract still holds.
+            proptest::prop_assert_eq!(m.len(), model.len());
+            let newest: Rows = m.iter().map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec))).collect();
+            proptest::prop_assert_eq!(newest, window(&model, &[0], &[255, 255]));
+            for (k, v) in &model {
+                proptest::prop_assert_eq!(m.get(k), Some(v.as_deref()));
+            }
+            let logical: usize =
+                model.iter().map(|(k, v)| k.len() + entry_bytes(v.as_deref())).sum();
+            proptest::prop_assert_eq!(m.bytes(), logical);
+        }
     }
 }

@@ -33,9 +33,19 @@
 //! blocks straight from the files instead of through the cache, with its
 //! own tombstone policy on top.
 //!
-//! MemTable entries in range are snapshotted (cloned) at construction
-//! under a short read lock; SST levels come from the `Arc`-swapped
-//! `Version` snapshot, so iteration itself holds no lock at all.
+//! A scan reads the MemTables *in place*. Under one short hold of the
+//! store's MemTable lock, construction visits every table (active and
+//! frozen) — noting its current batch stamp and seeking it to `lo` — and
+//! takes the `Arc`-swapped `Version` snapshot: the scan's whole view, as
+//! of that instant. Each table with anything in range becomes a
+//! `MemCursor`: the table's `Arc` plus a node id in the table as of the
+//! noted stamp (see [`crate::memtable`]), which from then on materializes
+//! one row per refill under a table read lock held just for that row (an
+//! empty table costs one uncontended lock and nothing else). Writes that
+//! land later carry later stamps and are invisible to it — a whole batch
+//! at a time — and since the iterator owns the tables and the files it
+//! reads, a rotation, flush or compaction mid-scan hides nothing from it.
+//! Between `next()` calls a scan holds no lock at all.
 //!
 //! Admitted SSTs are read *lazily*: each starts as an unread heap entry
 //! keyed by the smallest key it could contribute (`max(lo, min_key)`)
@@ -64,9 +74,10 @@
 //! and the error surfaces on the following `next()` call.
 
 use crate::block::Block;
-use crate::db::{DbInner, Version};
+use crate::db::{read_table, DbInner, SharedTable, Version};
 use crate::error::{Error, Result};
-use crate::sst::{Entry, SstCursor, SstReader};
+use crate::memtable::{Cursor, MemTable};
+use crate::sst::{SstCursor, SstReader};
 use crate::stats::Stats;
 use proteus_core::key::pad_key;
 use std::cmp::Ordering;
@@ -291,11 +302,8 @@ impl DbInner {
         self.stats.gets.inc();
         {
             let mem = self.mem_read()?;
-            if let Some(v) = mem.active.get(key) {
-                return Ok(v.map(<[u8]>::to_vec));
-            }
-            for imm in mem.imms.iter().rev() {
-                if let Some(v) = imm.mem.get(key) {
+            for table in mem.tables() {
+                if let Some(v) = read_table(table)?.get(key) {
                     return Ok(v.map(<[u8]>::to_vec));
                 }
             }
@@ -373,11 +381,11 @@ impl DbInner {
 /// file ([`DbInner::uncached_block`], compaction).
 pub(crate) type BlockFetch = fn(&DbInner, &Arc<SstReader>, usize) -> Result<Arc<Block>>;
 
-/// Where a merged record lives. Only `Mem` owns its bytes (the MemTable
-/// snapshot already materialized them); an SST record stays a borrowed
-/// position inside its decoded block, held alive by the `Arc`.
+/// Where a merged record lives. Only `Mem` owns its bytes (its cursor
+/// copied the row out under the table's lock); an SST record stays a
+/// borrowed position inside its decoded block, held alive by the `Arc`.
 pub(crate) enum Pos {
-    /// A snapshotted MemTable entry.
+    /// A MemTable row its cursor materialized.
     Mem(Vec<u8>, Option<Vec<u8>>),
     /// An entry of a decoded SST block.
     Block(Arc<Block>, u32),
@@ -460,8 +468,26 @@ impl Ord for HeapItem {
     }
 }
 
+/// One MemTable as a merge source: a position in the shared table as of
+/// the stamp the scan was built at. It owns the table (`Arc`), so the
+/// view outlives the table's rotation and flush, and takes the table's
+/// read lock only for the length of one row copy.
+struct MemCursor {
+    table: SharedTable,
+    cur: Cursor,
+    /// Inclusive upper clamp.
+    hi: Vec<u8>,
+}
+
+/// Copy the next row of `cur`'s view out of `table` (`None` = exhausted).
+fn next_row(table: &MemTable, cur: &mut Cursor, hi: &[u8], stats: &Stats) -> Option<Pos> {
+    let (k, v) = table.advance(cur, Some(hi))?;
+    stats.memtable_rows_read.inc();
+    Some(Pos::Mem(k.to_vec(), v.map(<[u8]>::to_vec)))
+}
+
 enum Source {
-    Mem(std::vec::IntoIter<Entry>),
+    Mem(MemCursor),
     /// An SST cursor plus, on the read path, the filter probe that
     /// admitted the file — settled when the cursor's head is first read.
     Sst(SstCursor, Option<Probe>),
@@ -505,13 +531,24 @@ impl<'a> Merge<'a> {
         self.sources.len()
     }
 
-    /// Add a snapshotted MemTable run (sorted; may be empty).
-    fn push_mem(&mut self, entries: Vec<Entry>) {
-        let mut src = entries.into_iter();
-        if let Some((k, v)) = src.next() {
-            self.heap.push(HeapItem { rank: self.len(), head: Head::At(Pos::Mem(k, v)) });
-            self.sources.push(Source::Mem(src));
+    /// Add a MemTable run as the table stands now — the caller holds the
+    /// store's MemTable lock, so no batch is half applied: note the
+    /// table's stamp, seek to `lo` and read the first row in one hold of
+    /// the table's lock, and keep a cursor (and the table) only if the
+    /// view holds anything in `[lo, hi]`.
+    fn push_mem(&mut self, table: &SharedTable, lo: &[u8], hi: &[u8]) -> Result<()> {
+        let (cur, head) = {
+            let t = read_table(table)?;
+            let mut cur = t.cursor(lo, t.stamp());
+            let head = next_row(&t, &mut cur, hi, &self.db.stats);
+            (cur, head)
+        };
+        if let Some(pos) = head {
+            self.heap.push(HeapItem { rank: self.len(), head: Head::At(pos) });
+            let cursor = MemCursor { table: Arc::clone(table), cur, hi: hi.to_vec() };
+            self.sources.push(Source::Mem(cursor));
         }
+        Ok(())
     }
 
     /// Add an SST run. Nothing is read yet: the file enters the heap at
@@ -525,7 +562,9 @@ impl<'a> Merge<'a> {
     /// Advance source `rank` and return its next record.
     fn advance(&mut self, rank: usize) -> Result<Option<Pos>> {
         match &mut self.sources[rank] {
-            Source::Mem(it) => Ok(it.next().map(|(k, v)| Pos::Mem(k, v))),
+            Source::Mem(MemCursor { table, cur, hi }) => {
+                Ok(next_row(&*read_table(table)?, cur, hi, &self.db.stats))
+            }
             Source::Sst(cursor, _) => {
                 let (db, fetch) = (self.db, self.fetch);
                 Ok(cursor.next_pos(|sst, b| fetch(db, sst, b))?.map(|(b, i)| Pos::Block(b, i)))
@@ -639,18 +678,22 @@ impl<'a> RangeIter<'a> {
         let mut it = RangeIter::empty(db);
         let merge = &mut it.merge;
 
-        // 1. MemTables, newest first, snapshotted under a short read lock.
-        {
+        // 1. The view, fixed under one short hold of the store's MemTable
+        // lock: a cursor into each table, newest first, at the stamp the
+        // table has reached (writers are excluded, so no batch is half
+        // applied), and the manifest. A flush installs its SST before
+        // retiring its table, so whatever instant this is, every acked
+        // write is in one of the two.
+        let version = {
             let mem = db.mem_read()?;
-            let layers = mem.imms.iter().rev().map(|imm| imm.mem.as_ref());
-            for layer in std::iter::once(&mem.active).chain(layers) {
-                merge.push_mem(layer.range_entries(&lo, &hi));
+            for table in mem.tables() {
+                merge.push_mem(table, &lo, &hi)?;
             }
-        }
+            db.version()
+        };
         it.n_mem = merge.len();
 
         // 2. The admitted SST candidates of the manifest snapshot.
-        let version = db.version();
         for sst in version.candidates(&lo, &hi) {
             let Some(probe) = db.admit(sst, &lo, &hi) else {
                 continue; // proven empty

@@ -104,6 +104,10 @@ stats! {
         /// immutable). These never feed the sample queue: §6.1 samples
         /// *executed empty* queries only.
         seeks_memtable,
+        /// Rows scan cursors materialized (copied) out of MemTables, active
+        /// or frozen: what a scan pays for the MemTable layers, whether or
+        /// not the merge went on to yield the row.
+        memtable_rows_read,
         /// Executed empty queries offered to the sample queue (each may or may
         /// not be recorded, per the every-`n`-th subsampling policy).
         sample_offers,

@@ -1,10 +1,12 @@
 //! The one read path, from the outside: `get`, `seek` and `range` walk the
 //! same layers in the same recency order, `seek` is the first step of the
 //! range merge (no MemTable fork of its own), and `get` stays a point
-//! consumer that stops at the first layer knowing the key.
+//! consumer that stops at the first layer knowing the key. A scan reads
+//! the MemTables in place: its view is fixed when it is built, and it
+//! pays for the rows it consumes, not for the tail behind them.
 
 use proteus_core::key::{key_u64, u64_key};
-use proteus_lsm::{Db, DbConfig, NoFilterFactory, ProteusFactory, StatsSnapshot};
+use proteus_lsm::{Db, DbConfig, NoFilterFactory, ProteusFactory, StatsSnapshot, WriteBatch};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -236,4 +238,115 @@ fn shadowing_is_the_same_layered_and_settled() {
     drop((layered, settled));
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+#[test]
+fn a_scan_reads_the_store_as_of_its_construction() {
+    // One thread, no sleeps: every write, rotation, flush and compaction
+    // below happens between two `next()` calls of `it`, which holds no
+    // lock while parked (the lock-doctor suites run this too: a write
+    // under a live cursor must be neither an inversion nor a self-deadlock).
+    let dir = tmpdir("view");
+    let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+    let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    // Settled files below, an unflushed table on top, the two interleaved.
+    for i in 0..1_500u64 {
+        db.put_u64(i * 4, b"settled").unwrap();
+        oracle.insert(i * 4, b"settled".to_vec());
+    }
+    db.flush_and_settle().unwrap();
+    for i in 0..300u64 {
+        db.put_u64(i * 20 + 2, b"overlay").unwrap();
+        oracle.insert(i * 20 + 2, b"overlay".to_vec());
+    }
+    db.delete_u64(40).unwrap();
+    oracle.remove(&40);
+    let want: Vec<(Vec<u8>, Vec<u8>)> =
+        oracle.iter().map(|(k, v)| (u64_key(*k).to_vec(), v.clone())).collect();
+
+    let mut it = db.range::<&[u8], _>(..).unwrap();
+    let mut got = vec![it.next().unwrap().unwrap()];
+
+    // Behind the cursor and ahead of it, in the table it is positioned in
+    // and in the files under it: overwrite, delete, insert, resurrect.
+    db.put_u64(0, b"late").unwrap(); // the row already taken
+    db.put_u64(2, b"late").unwrap(); // the cursor's buffered head
+    db.put_u64(22, b"late").unwrap(); // overlay row ahead
+    db.put_u64(400, b"late").unwrap(); // settled row ahead
+    db.delete_u64(42).unwrap(); // overlay row ahead
+    db.delete_u64(404).unwrap(); // settled row ahead
+    db.put_u64(3, b"late").unwrap(); // new key right at the cursor
+    db.put_u64(5_001, b"late").unwrap(); // new key far ahead
+    db.put_u64(40, b"late").unwrap(); // resurrects what the view saw deleted
+    let mut batch = WriteBatch::new();
+    batch.put_u64(62, b"late").delete_u64(82).put_u64(83, b"late").delete_u64(408);
+    batch.put_u64(62, b"later"); // twice in one batch: one stamp, replaced in place
+    db.write(batch).unwrap();
+    // Rotate the table the cursor holds, flush it, compact it away.
+    db.flush_and_settle().unwrap();
+    assert_eq!(db.level_file_counts()[0], 0);
+    for i in 0..200u64 {
+        db.put_u64(i * 8 + 1, b"next-table").unwrap();
+    }
+
+    got.extend(it.map(Result::unwrap));
+    assert_eq!(got.len(), want.len());
+    assert_eq!(got, want, "the view moved under a live iterator");
+
+    // A second iterator, built now, sees every one of those writes.
+    let rows: BTreeMap<u64, Vec<u8>> = db
+        .range::<&[u8], _>(..)
+        .unwrap()
+        .map(|e| e.map(|(k, v)| (key_u64(&k), v)).unwrap())
+        .collect();
+    for k in [0, 2, 22, 400, 3, 5_001, 40, 83] {
+        assert_eq!(rows.get(&k).map(Vec::as_slice), Some(&b"late"[..]), "key {k}");
+    }
+    assert_eq!(rows.get(&62).map(Vec::as_slice), Some(&b"later"[..]));
+    for k in [42, 404, 82, 408] {
+        assert_eq!(rows.get(&k), None, "key {k}");
+    }
+    assert_eq!(rows.get(&9).map(Vec::as_slice), Some(&b"next-table"[..]));
+    assert_eq!(rows.len(), want.len() + 3 + 200 - 4 + 1);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_scan_pays_for_the_memtable_rows_it_consumes() {
+    let dir = tmpdir("rows-read");
+    // One MemTable layer — the active table, never rotated — over no SST.
+    let cfg = DbConfig::builder().memtable_bytes(8 << 20).build().unwrap();
+    let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+    for i in 0..10_000u64 {
+        db.put_u64(i * 2, &[7u8; 32]).unwrap();
+    }
+    assert_eq!(db.stats().memtable_rotations.get(), 0, "all 10 000 keys in the active table");
+
+    // take(10) out of a 10 000-entry table: the ten rows, plus the one
+    // each MemTable layer keeps buffered as its merge head — not the
+    // ~9 950 behind them.
+    let before = db.stats().snapshot();
+    let rows: Vec<_> = db.range_u64(100..).unwrap().take(10).map(Result::unwrap).collect();
+    assert_eq!(rows.len(), 10);
+    assert_eq!(key_u64(&rows[9].0), 118);
+    let d = db.stats().snapshot().delta(&before);
+    let layers = 1;
+    assert!(
+        (10..=10 + layers).contains(&d.memtable_rows_read),
+        "{} rows read",
+        d.memtable_rows_read
+    );
+
+    // A Seek over a window with nothing in it touches no row at all...
+    let before = db.stats().snapshot();
+    assert!(!db.seek_u64(101, 101).unwrap());
+    assert!(!db.seek_u64(30_000, 40_000).unwrap());
+    assert_eq!(db.stats().snapshot().delta(&before).memtable_rows_read, 0);
+    // ... and one that hits reads its answer and the head behind it.
+    let before = db.stats().snapshot();
+    assert!(db.seek_u64(101, 5_000).unwrap());
+    assert_eq!(db.stats().snapshot().delta(&before).memtable_rows_read, 1 + layers);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
