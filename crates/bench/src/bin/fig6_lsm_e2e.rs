@@ -1,18 +1,19 @@
 //! Figure 6: "Proteus improves end-to-end RocksDB performance on low memory
 //! budgets across diverse workloads" — workload execution latency, Seek
 //! FPR and block I/O in the LSM store for Proteus / SuRF / Rosetta across
-//! BPK budgets and four workloads.
+//! BPK budgets and four workloads (6a). Part 6c adds what only this
+//! binary measures: the same Seek workload fanned across N reader threads
+//! on one embedded `Db`.
 //!
 //! Run: `cargo run -p proteus-bench --release --bin fig6_lsm_e2e`
 
 use proteus_bench::cli::Args;
 use proteus_bench::factories::{RosettaFactory, SurfFactory};
-use proteus_bench::lsm_harness::{fresh_dir, LsmRun};
+use proteus_bench::lsm_harness::LsmRun;
 use proteus_bench::report::Table;
-use proteus_lsm::{Db, DbConfig, FilterFactory, NoFilterFactory, ProteusFactory, SyncMode};
+use proteus_lsm::{FilterFactory, ProteusFactory};
 use proteus_workloads::{Dataset, QueryGen, Workload};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn factories() -> Vec<(&'static str, Arc<dyn FilterFactory>)> {
     vec![
@@ -25,14 +26,6 @@ fn factories() -> Vec<(&'static str, Arc<dyn FilterFactory>)> {
 fn main() {
     let args = Args::parse(200_000, 50_000, 2_000);
     let value_len = args.get_usize("value-len", 128);
-
-    // `--part wal` runs only the write-path/group-commit measurement
-    // (fast; no filter training), `--part all` appends it after the read
-    // figures.
-    if args.part == "wal" {
-        run_wal_section(&args);
-        return;
-    }
 
     // The four §6.3 use cases: distinct points in the design space.
     let cases: Vec<(Dataset, Workload, &str)> = vec![
@@ -98,65 +91,11 @@ fn main() {
     }
     t.finish(args.out.as_deref(), "fig6_lsm_e2e");
 
-    // Persistence payoff: reopen one representative database per filter and
-    // contrast the persisted-filter load cost with the original training
-    // cost (filters are decoded from the SST filter blocks, not retrained).
-    let mut p = Table::new(
-        "Figure 6b: per-filter load vs rebuild cost on reopen",
-        &[
-            "filter",
-            "ssts",
-            "built",
-            "loaded",
-            "mean_build_ms",
-            "mean_load_ms",
-            "speedup",
-            "open_ms",
-            "degraded",
-        ],
-    );
+    // 6c runs on the first case at the middle budget.
     let keys = cases[0].0.generate(args.keys, args.seed);
     let seed_q = QueryGen::new(cases[0].1.clone(), &keys, &[], args.seed ^ 0xA)
         .empty_ranges(args.samples.min(20_000));
     let bpk = args.bpk[args.bpk.len() / 2] as f64;
-    for (fname, factory) in factories() {
-        let run = LsmRun::load(
-            &format!("fig6-reopen-{fname}"),
-            bpk,
-            &keys,
-            value_len,
-            &seed_q,
-            Arc::clone(&factory),
-        );
-        let (run, r) = run.reopen(factory);
-        // Sanity: the recovered store still answers correctly.
-        let probe = keys[keys.len() / 2];
-        let (got, truth) = run.seek(probe, probe);
-        assert!(got && truth, "recovered db lost a key");
-        println!(
-            "{fname:<8} ssts={} built={} loaded={} mean_build={:.2}ms mean_load={:.3}ms \
-             speedup={:.0}x open={:.1}ms",
-            r.ssts_recovered,
-            r.filters_built,
-            r.filters_loaded,
-            r.mean_build_ns() / 1e6,
-            r.mean_load_ns() / 1e6,
-            r.speedup(),
-            r.open_ns as f64 / 1e6,
-        );
-        p.row(vec![
-            fname.to_string(),
-            r.ssts_recovered.to_string(),
-            r.filters_built.to_string(),
-            r.filters_loaded.to_string(),
-            format!("{:.3}", r.mean_build_ns() / 1e6),
-            format!("{:.4}", r.mean_load_ns() / 1e6),
-            format!("{:.1}", r.speedup()),
-            format!("{:.2}", r.open_ns as f64 / 1e6),
-            r.filters_degraded.to_string(),
-        ]);
-    }
-    p.finish(args.out.as_deref(), "fig6b_filter_persistence");
 
     // Concurrent-read scaling (`--threads N` sets the max thread count):
     // the same Seek workload fanned across reader threads against one
@@ -204,175 +143,4 @@ fn main() {
         }
     }
     c.finish(args.out.as_deref(), "fig6c_thread_scaling");
-
-    // Mixed get/scan/seek workload under deletes (`--deletes FRAC`): the
-    // API-v2 surface measured on a store where a fraction of the keys
-    // carry tombstones. Every answer is verified against the ground-truth
-    // mirror — a hit must return its exact value, a deleted key must stay
-    // dead — so these throughputs double as a correctness pass. This
-    // gives future perf PRs a point-read / range-scan baseline alongside
-    // the paper's Seek numbers.
-    let deletes = args.get_f64("deletes", 0.2);
-    let mut d = Table::new(
-        &format!(
-            "Figure 6d: mixed get/scan/seek workload ({:.0}% of keys deleted)",
-            deletes * 100.0
-        ),
-        &[
-            "filter",
-            "deleted",
-            "tombstones_dropped",
-            "seek_kops",
-            "get_kops",
-            "get_hit_rate",
-            "scan_kops",
-            "scan_entries",
-        ],
-    );
-    let mut rng_state = args.seed ^ 0xD;
-    let mut next = move || {
-        rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        rng_state
-    };
-    // Gets: half loaded keys (live or deleted), half misses near them.
-    let get_keys: Vec<u64> = (0..args.queries)
-        .map(|_| {
-            let k = keys[(next() % keys.len() as u64) as usize];
-            // Branch on a mixed high bit (the LCG's low bit alternates).
-            if next() & (1 << 33) == 0 {
-                k
-            } else {
-                k ^ 1 // neighbor: almost always a certified miss
-            }
-        })
-        .collect();
-    // Scans: short ranges anchored on loaded keys (the §6.3 short-range shape).
-    let scan_ranges: Vec<(u64, u64)> = (0..args.queries / 4)
-        .map(|_| {
-            let k = keys[(next() % keys.len() as u64) as usize];
-            (k.saturating_sub(next() % 64), k.saturating_add(next() % (1 << 12)))
-        })
-        .collect();
-    for (fname, factory) in factories() {
-        let mut run =
-            LsmRun::load(&format!("fig6-mixed-{fname}"), bpk, &keys, value_len, &seed_q, factory);
-        let deleted = run.delete_frac(deletes, args.seed ^ 0x6D);
-        run.db.flush_and_settle().expect("settle deletes");
-        let sr = run.run_batch(&eval);
-        let gr = run.run_get_batch(&get_keys, value_len);
-        let cr = run.run_scan_batch(&scan_ranges);
-        let seek_kops = eval.len() as f64 / sr.elapsed_s.max(1e-9) / 1e3;
-        println!(
-            "{fname:<8} deleted={} seeks={:.1}kops gets={:.1}kops (hit {:.2}) scans={:.1}kops",
-            deleted.len(),
-            seek_kops,
-            gr.ops_per_sec() / 1e3,
-            gr.hits as f64 / gr.ops.max(1) as f64,
-            cr.ops_per_sec() / 1e3,
-        );
-        d.row(vec![
-            fname.to_string(),
-            deleted.len().to_string(),
-            run.db.stats().tombstones_dropped.get().to_string(),
-            format!("{seek_kops:.1}"),
-            format!("{:.1}", gr.ops_per_sec() / 1e3),
-            format!("{:.3}", gr.hits as f64 / gr.ops.max(1) as f64),
-            format!("{:.1}", cr.ops_per_sec() / 1e3),
-            cr.entries.to_string(),
-        ]);
-    }
-    d.finish(args.out.as_deref(), "fig6d_mixed_workload");
-
-    if args.part == "all" {
-        run_wal_section(&args);
-    }
-}
-
-/// Figure 6e: write throughput under the WAL across sync modes and writer
-/// counts. With one writer, `SyncMode::Always` pays a full fsync per put;
-/// with several, the leader/follower group commit amortizes each fsync
-/// over every commit appended while the previous sync was in flight —
-/// `mean_group` is that amortization factor (commits per fsync). Also
-/// emits `BENCH_wal.json` for tracking across commits.
-fn run_wal_section(args: &Args) {
-    let total_puts = args.get_usize("wal-puts", 30_000);
-    let value_len = args.get_usize("value-len", 128);
-    let value = vec![0xABu8; value_len];
-    let modes: [(&str, SyncMode); 3] = [
-        ("always", SyncMode::Always),
-        ("interval_2ms", SyncMode::Interval(Duration::from_millis(2))),
-        ("off", SyncMode::Off),
-    ];
-    let mut t = Table::new(
-        &format!(
-            "Figure 6e: WAL group-commit put throughput ({total_puts} puts, {value_len}B values)"
-        ),
-        &[
-            "sync_mode",
-            "threads",
-            "elapsed_s",
-            "kops_s",
-            "wal_appends",
-            "wal_syncs",
-            "mean_group",
-            "wal_mb",
-        ],
-    );
-    let mut json_rows: Vec<String> = Vec::new();
-    for (mname, mode) in modes {
-        for threads in [1usize, 4] {
-            let dir = fresh_dir(&format!("fig6e-wal-{mname}-{threads}"));
-            let cfg = DbConfig::builder().sync_mode(mode).build().unwrap();
-            let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).expect("open db");
-            let per = total_puts / threads;
-            let start = Instant::now();
-            std::thread::scope(|s| {
-                for th in 0..threads as u64 {
-                    let (db, value) = (&db, &value);
-                    s.spawn(move || {
-                        for i in 0..per as u64 {
-                            db.put_u64(th << 32 | i, value).expect("put");
-                        }
-                    });
-                }
-            });
-            let elapsed = start.elapsed().as_secs_f64();
-            let snap = db.stats().snapshot();
-            let kops = (per * threads) as f64 / elapsed.max(1e-9) / 1e3;
-            let wal_mb = snap.wal_bytes as f64 / (1 << 20) as f64;
-            println!(
-                "wal {mname:<12} threads={threads} {kops:>8.1} kops/s syncs={:<6} \
-                 mean_group={:.1} wal={wal_mb:.1}MB",
-                snap.wal_syncs,
-                snap.mean_group_commit(),
-            );
-            t.row(vec![
-                mname.to_string(),
-                threads.to_string(),
-                format!("{elapsed:.3}"),
-                format!("{kops:.1}"),
-                snap.wal_appends.to_string(),
-                snap.wal_syncs.to_string(),
-                format!("{:.2}", snap.mean_group_commit()),
-                format!("{wal_mb:.2}"),
-            ]);
-            json_rows.push(format!(
-                "    {{\"sync_mode\": \"{mname}\", \"threads\": {threads}, \"kops_s\": {kops:.1}, \
-                 \"wal_appends\": {}, \"wal_syncs\": {}, \"mean_group_commit\": {:.2}}}",
-                snap.wal_appends,
-                snap.wal_syncs,
-                snap.mean_group_commit(),
-            ));
-            drop(db);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-    t.finish(args.out.as_deref(), "fig6e_wal_group_commit");
-    let json = format!(
-        "{{\n  \"bench\": \"fig6e_wal_group_commit\",\n  \"puts\": {total_puts},\n  \
-         \"value_len\": {value_len},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_wal.json", &json).expect("write BENCH_wal.json");
-    println!("wrote BENCH_wal.json");
 }

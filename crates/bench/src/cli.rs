@@ -11,12 +11,12 @@
 //! --bpk LIST     comma-separated bits-per-key budgets (e.g. 8,10,12)
 //! --out PATH     CSV output path (default results/<binary>.csv)
 //! --part X       sub-experiment selector (figure-specific)
-//! --threads N    max reader threads for concurrent LSM scenarios
-//! --deletes FRAC fig6: fraction of loaded keys deleted before the mixed
-//!                get/scan/seek measurement (tombstone workload)
-//! --shards LIST  fig_server: shard counts to sweep (default 1,2,4)
-//! --conns N      fig_server: TCP connections driving load (default 16)
+//! --threads N    fig6: max reader threads for the concurrent Seek sweep
 //! ```
+//!
+//! These binaries reproduce the paper's figures and tables. Performance
+//! over time is tracked by the `benchmark/` package (`BENCHMARK.json`),
+//! not here.
 
 use std::collections::HashMap;
 
@@ -70,42 +70,22 @@ impl Args {
                  --heatmap-bpk B   fig1: bits per key for the heatmap (default 12)\n\
                  --fig4-bpk B      fig4: bits per key (default 10); --step N grid step\n\
                  --value-len N     fig6/7/8/9: value size in bytes (default 128)\n\
-                 --deletes FRAC    fig6: fraction of keys deleted before the mixed\n\
-                 \x20              get/scan/seek measurement (default 0.2)\n\
-                 --wal-puts N      fig6: puts for the WAL group-commit section\n\
-                 \x20              (default 30000; `--part wal` runs only that section)\n\
                  --lsm-bpk B       fig7/8: filter budget in the LSM store (default 12)\n\
                  --batches N       fig7/8: batches per run (default 12)\n\
                  --puts N          fig7: interleaved inserts\n\
                  --immediate       fig7: hard switch at the midpoint (the paper's Figure 8)\n\
                  --width W         fig9: canonical string width in bytes\n\
                  --len-bits L      fig9: prefix length for the string workloads\n\
-                 --shards LIST     fig_server: shard counts to sweep (default 1,2,4)\n\
-                 --conns N         fig_server: real TCP connections (default 16)\n\
-                 --clients N       fig_server: simulated clients multiplexed over the\n\
-                 \x20              connections (default 2000); --keys is the item count,\n\
-                 \x20              --queries the total ops per shard count\n\
-                 --theta F         fig_server: zipfian skew in (0,1) (default 0.99)\n\
-                 --rate R          fig_server: open-loop arrival rate in ops/s\n\
-                 \x20              (default 60% of the measured closed-loop QPS)\n\
-                 --sync MODE       fig_server: WAL sync mode always|interval|off\n\
-                 \x20              (default interval = 2ms group commit)\n\
-                 --smoke           fig_server/fig_ycsb: tiny CI run with built-in\n\
-                 \x20              correctness asserts\n\
+                 --smoke           fig_ycsb: tiny CI run with built-in correctness asserts\n\
                  \n\
                  fig_ycsb runs the YCSB core mixes A-F over zipfian/latest/hotspot\n\
                  request distributions and u64/url key spaces against the embedded\n\
                  store (--keys records, --queries ops per cell, --value-len bytes);\n\
                  emits BENCH_ycsb.json.\n\
                  \n\
-                 Criterion micro-benches (separate from these binaries; run via\n\
-                 `cargo bench -p proteus-bench --bench <name>`):\n\
-                 construction       filter/model/FST build costs\n\
-                 filter_queries     per-query filter probe costs\n\
-                 lsm_hot_path       memtable_put, memtable_rotate, block_scan,\n\
-                 \x20                rank_select — each vs an embedded baseline; emits\n\
-                 \x20                BENCH_lsm.json (pass --quick after `--` for the\n\
-                 \x20                short CI smoke run)\n\
+                 Performance over time is tracked by the benchmark/ package, not by\n\
+                 these binaries: `cargo run --release --manifest-path benchmark/Cargo.toml\n\
+                 -- run --workload seek_empty --seed 1 --seconds 3 --trace 1`.\n\
                  \n\
                  The paper's full scale is --keys 10000000 --queries 1000000 --samples 20000."
             );
@@ -139,11 +119,6 @@ impl Args {
 
     /// A `u64` flag with default.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.map.get(key).map_or(default, |v| v.parse().expect(key))
-    }
-
-    /// An `f64` flag with default.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
         self.map.get(key).map_or(default, |v| v.parse().expect(key))
     }
 }

@@ -10,21 +10,16 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Scaled-down defaults for the §6.2 RocksDB tuning (ratios preserved).
+/// The §6.2 RocksDB tuning at a quarter of `DbConfig::default()`'s write
+/// path (ratios preserved), so a laptop-scale load still builds a
+/// multi-level tree; every other knob is the store's default.
 pub fn lsm_config(bits_per_key: f64, key_width: usize) -> DbConfig {
     DbConfig::builder()
         .key_width(key_width)
         .memtable_bytes(1 << 20)
-        .max_immutable_memtables(2)
-        .block_bytes(4096)
         .sst_target_bytes(1 << 20)
-        .l0_compaction_trigger(4)
         .level_base_bytes(4 << 20)
-        .level_size_ratio(10)
         .bits_per_key(bits_per_key)
-        .block_cache_bytes(8 << 20)
-        .queue_capacity(20_000)
-        .sample_every(100)
         .build()
         .expect("bench config is valid")
 }
@@ -85,115 +80,22 @@ impl LsmRun {
         LsmRun { db, mirror, dir, persist: false }
     }
 
-    /// Drop the database and reopen it from disk (the crash/restart path):
-    /// filters are *loaded* from the per-SST filter blocks instead of
-    /// rebuilt. Returns the reopened run plus a report contrasting the
-    /// original filter construction cost with the decode cost.
-    pub fn reopen(mut self, factory: Arc<dyn FilterFactory>) -> (LsmRun, ReopenReport) {
-        let build_ns = self.db.stats().filter_build_ns.get();
-        let filters_built = self.db.stats().filters_built.get();
+    /// Drop the database and reopen it from disk (the restart path):
+    /// filters are *loaded* from the per-SST filter blocks, not rebuilt.
+    pub fn reopen(mut self, factory: Arc<dyn FilterFactory>) -> LsmRun {
         let cfg = self.db.config().clone();
         let dir = self.dir.clone();
         let mirror = std::mem::take(&mut self.mirror);
         self.persist = true;
         drop(self);
-        let t0 = Instant::now();
         let db = Db::open(&dir, cfg, factory).expect("reopen db");
-        let open_ns = t0.elapsed().as_nanos() as u64;
-        let run = LsmRun { db, mirror, dir, persist: false };
-        // Force every lazy filter block to decode so load time is measured.
-        let _ = run.db.filter_bits();
-        let s = run.db.stats().snapshot();
-        let report = ReopenReport {
-            ssts_recovered: s.ssts_recovered,
-            open_ns,
-            filters_built,
-            filter_build_ns: build_ns,
-            filters_loaded: s.filters_loaded,
-            filter_load_ns: s.filter_load_ns,
-            filters_degraded: s.filters_degraded,
-        };
-        (run, report)
+        LsmRun { db, mirror, dir, persist: false }
     }
 
     /// Insert a key mid-experiment (the Fig. 7 interleaved Puts).
     pub fn put(&mut self, key: u64, value_len: usize) {
         self.db.put_u64(key, &value_for_key(key, value_len)).expect("put");
         self.mirror.insert(key);
-    }
-
-    /// The `--deletes FRAC` mixed-workload knob: delete a deterministic
-    /// `frac` of the currently loaded keys (tombstones flow through the
-    /// store; the ground-truth mirror forgets them), returning the keys
-    /// deleted so the caller can probe them as certified misses.
-    pub fn delete_frac(&mut self, frac: f64, seed: u64) -> Vec<u64> {
-        let frac = frac.clamp(0.0, 1.0);
-        let threshold = (frac * u64::MAX as f64) as u64;
-        let doomed: Vec<u64> =
-            self.mirror.iter().copied().filter(|&k| splitmix(k ^ seed) <= threshold).collect();
-        for &k in &doomed {
-            self.db.delete_u64(k).expect("delete");
-            self.mirror.remove(&k);
-        }
-        doomed
-    }
-
-    /// Execute a batch of exact-key `get`s, verifying every answer against
-    /// the mirror: a live key must return its exact §6.2 value, a deleted
-    /// or never-written key must return `None` (no resurrection).
-    pub fn run_get_batch(&self, keys: &[u64], value_len: usize) -> GetBatchResult {
-        let before = self.db.stats().snapshot();
-        let t0 = Instant::now();
-        let mut hits = 0u64;
-        for &k in keys {
-            let got = self.db.get_u64(k).expect("get");
-            if self.mirror.contains(&k) {
-                assert_eq!(
-                    got.as_deref(),
-                    Some(value_for_key(k, value_len).as_slice()),
-                    "get({k:#x}) returned a wrong or stale value"
-                );
-                hits += 1;
-            } else {
-                assert_eq!(got, None, "get({k:#x}) resurrected a dead key");
-            }
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let after = self.db.stats().snapshot();
-        GetBatchResult {
-            ops: keys.len() as u64,
-            hits,
-            elapsed_s: elapsed,
-            stats: after.delta(&before),
-        }
-    }
-
-    /// Execute a batch of ordered range scans, verifying each result set
-    /// (keys and entry counts) against the mirror.
-    pub fn run_scan_batch(&self, ranges: &[(u64, u64)]) -> ScanBatchResult {
-        let before = self.db.stats().snapshot();
-        let t0 = Instant::now();
-        let mut entries = 0u64;
-        for &(lo, hi) in ranges {
-            let got: Vec<u64> = self
-                .db
-                .range_u64(lo..=hi)
-                .expect("range")
-                .map(|e| e.map(|(k, _)| proteus_core::key::key_u64(&k)))
-                .collect::<proteus_lsm::Result<_>>()
-                .expect("range entry");
-            let want: Vec<u64> = self.mirror.range(lo..=hi).copied().collect();
-            assert_eq!(got, want, "scan [{lo:#x},{hi:#x}] diverged from mirror");
-            entries += got.len() as u64;
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let after = self.db.stats().snapshot();
-        ScanBatchResult {
-            ops: ranges.len() as u64,
-            entries,
-            elapsed_s: elapsed,
-            stats: after.delta(&before),
-        }
     }
 
     /// Execute a Seek, verifying against ground truth. Returns
@@ -207,24 +109,17 @@ impl LsmRun {
         (got, truth)
     }
 
-    /// Run a batch of seeks; returns aggregate batch metrics.
+    /// Run a batch of seeks (each verified by [`LsmRun::seek`]); returns
+    /// aggregate batch metrics.
     pub fn run_batch(&self, queries: &[(u64, u64)]) -> BatchResult {
         let before = self.db.stats().snapshot();
         let t0 = Instant::now();
-        let mut fps = 0u64;
-        let mut empties = 0u64;
         for &(lo, hi) in queries {
-            let (got, truth) = self.seek(lo, hi);
-            if !truth {
-                empties += 1;
-                if got {
-                    fps += 1;
-                }
-            }
+            self.seek(lo, hi);
         }
         let elapsed = t0.elapsed().as_secs_f64();
         let after = self.db.stats().snapshot();
-        BatchResult { elapsed_s: elapsed, fps, empties, stats: after.delta(&before) }
+        BatchResult { elapsed_s: elapsed, stats: after.delta(&before) }
     }
 
     /// The `--threads N` concurrent scenario: split `queries` across `n`
@@ -276,95 +171,11 @@ impl LsmRun {
     }
 }
 
-/// SplitMix64: deterministic per-key coin for `delete_frac`.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Metrics for one batch of verified exact-key `get`s.
-#[derive(Debug, Clone)]
-pub struct GetBatchResult {
-    /// Gets executed.
-    pub ops: u64,
-    /// Gets that found a live key (the rest were certified misses).
-    pub hits: u64,
-    pub elapsed_s: f64,
-    pub stats: StatsSnapshot,
-}
-
-impl GetBatchResult {
-    /// Gets per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed_s.max(1e-9)
-    }
-}
-
-/// Metrics for one batch of verified ordered range scans.
-#[derive(Debug, Clone)]
-pub struct ScanBatchResult {
-    /// Scans executed.
-    pub ops: u64,
-    /// Live entries yielded across all scans.
-    pub entries: u64,
-    pub elapsed_s: f64,
-    pub stats: StatsSnapshot,
-}
-
-impl ScanBatchResult {
-    /// Scans per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed_s.max(1e-9)
-    }
-}
-
 impl Drop for LsmRun {
     fn drop(&mut self) {
         if !self.persist {
             let _ = std::fs::remove_dir_all(&self.dir);
         }
-    }
-}
-
-/// Filter load-vs-rebuild cost of one reopen (the §6.1 persistence payoff:
-/// recovery decodes filter blocks instead of re-running the CPFPR model).
-#[derive(Debug, Clone, Copy)]
-pub struct ReopenReport {
-    /// SST files recovered from the directory.
-    pub ssts_recovered: u64,
-    /// Wall time of `Db::open` on the existing directory.
-    pub open_ns: u64,
-    /// Filters trained during the original load phase.
-    pub filters_built: u64,
-    /// Total nanoseconds those original builds took (model + construction).
-    pub filter_build_ns: u64,
-    /// Filters decoded from persisted filter blocks on reopen.
-    pub filters_loaded: u64,
-    /// Total nanoseconds spent decoding them.
-    pub filter_load_ns: u64,
-    /// Filter blocks that failed to decode (should be 0).
-    pub filters_degraded: u64,
-}
-
-impl ReopenReport {
-    /// Mean nanoseconds to train one filter during the load phase. Note
-    /// `filters_built` counts every build, including filters constructed
-    /// for SSTs that compaction later replaced — which is why the
-    /// comparison with loading is per-filter, not total-vs-total.
-    pub fn mean_build_ns(&self) -> f64 {
-        self.filter_build_ns as f64 / self.filters_built.max(1) as f64
-    }
-
-    /// Mean nanoseconds to decode one persisted filter on reopen.
-    pub fn mean_load_ns(&self) -> f64 {
-        self.filter_load_ns as f64 / self.filters_loaded.max(1) as f64
-    }
-
-    /// How many times cheaper loading one filter is than training one.
-    pub fn speedup(&self) -> f64 {
-        self.mean_build_ns() / self.mean_load_ns().max(1.0)
     }
 }
 
@@ -392,9 +203,6 @@ impl ThreadedBatchResult {
 #[derive(Debug, Clone)]
 pub struct BatchResult {
     pub elapsed_s: f64,
-    /// End-to-end false positives (Seek reported non-empty, truth empty).
-    pub fps: u64,
-    pub empties: u64,
     pub stats: StatsSnapshot,
 }
 
@@ -405,15 +213,5 @@ impl BatchResult {
     /// end-to-end observable is `filter_false_positives / probes`.)
     pub fn fpr(&self) -> f64 {
         self.stats.filter_fpr()
-    }
-
-    /// End-to-end false positives (should be zero: Seek verifies against
-    /// the data; kept as an invariant check).
-    pub fn e2e_fpr(&self) -> f64 {
-        if self.empties == 0 {
-            0.0
-        } else {
-            self.fps as f64 / self.empties as f64
-        }
     }
 }

@@ -273,6 +273,11 @@ fn bg_error(msg: &str) -> Error {
     Error::Io(std::io::Error::other(format!("background worker failed: {msg}")))
 }
 
+/// The gate (or a wait on one of its condvars) came back poisoned.
+fn gate_poisoned<T>(_: PoisonError<T>) -> Error {
+    Error::Poisoned("coordination lock")
+}
+
 impl Db {
     /// Open a database in `dir`, creating it if empty, and start the
     /// background flush and compaction workers. The configuration is
@@ -297,6 +302,10 @@ impl Db {
     /// re-logged into one fresh synced segment and the replayed files are
     /// deleted, so recovery is idempotent — a crash during recovery just
     /// replays again.
+    ///
+    /// If a background worker cannot be started, the ones already running
+    /// are stopped and joined before the error is returned, so a failed
+    /// open leaves no thread holding the directory's files.
     pub fn open(
         dir: impl Into<PathBuf>,
         cfg: DbConfig,
@@ -371,35 +380,53 @@ impl Db {
             adapt_cv: Condvar::new(),
             adapt_lock: Mutex::new(rank::ADAPT, ()),
         });
+        // The handle exists before any worker does: if a later spawn fails,
+        // the early return drops `db` and `Drop` stops what was started.
+        let mut db = Db { inner, workers: Vec::new() };
+        db.spawn_worker("proteus-lsm-flush", DbInner::flusher_loop)?;
+        db.spawn_worker("proteus-lsm-compact", DbInner::compactor_loop)?;
+        if db.inner.cfg.adapt_enabled() {
+            db.spawn_worker("proteus-lsm-adapt", DbInner::adapter_loop)?;
+        }
+        Ok(db)
+    }
+
+    /// Start one background worker. A `body` that returns `Err` — a failed
+    /// flush, a poisoned lock — becomes the sticky background error (which
+    /// wakes every barrier) and the thread exits instead of panicking: a
+    /// panic here would poison the *gate* too and historically turned
+    /// `Db::drop` into a process abort.
+    fn spawn_worker(&mut self, name: &str, body: fn(&DbInner) -> Result<()>) -> Result<()> {
+        let inner = Arc::clone(&self.inner);
         // Thread spawning can genuinely fail (resource exhaustion); surface
         // it as the I/O error it is instead of panicking mid-open.
-        let spawn_err = Error::Io;
-        let flusher = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("proteus-lsm-flush".into())
-                .spawn(move || inner.flusher_loop())
-                .map_err(spawn_err)?
+        let worker = std::thread::Builder::new().name(name.into()).spawn(move || {
+            if let Err(e) = body(&inner) {
+                inner.record_error(e);
+            }
+        })?;
+        self.workers.push(worker);
+        Ok(())
+    }
+
+    /// Tell every worker to exit (without draining, if `crash`), wake them
+    /// and join them. Returns whether crash injection was ever requested.
+    /// Recovers a poisoned gate — see `Drop` for why this must not panic.
+    fn stop_workers(&mut self, crash: bool) -> bool {
+        let crashed = {
+            let mut g = self.inner.gate_lock_recover();
+            g.shutdown = true;
+            g.crash |= crash;
+            g.crash
         };
-        let compactor = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("proteus-lsm-compact".into())
-                .spawn(move || inner.compactor_loop())
-                .map_err(spawn_err)?
-        };
-        let mut workers = vec![flusher, compactor];
-        if inner.cfg.adapt_enabled() {
-            let adapter = {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("proteus-lsm-adapt".into())
-                    .spawn(move || inner.adapter_loop())
-                    .map_err(spawn_err)?
-            };
-            workers.push(adapter);
+        self.inner.flush_cv.notify_all();
+        self.inner.compact_cv.notify_all();
+        self.inner.idle_cv.notify_all();
+        self.inner.adapt_cv.notify_all();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
         }
-        Ok(Db { inner, workers })
+        crashed
     }
 
     /// Scan `dir` for SST files and rebuild the level manifest from their
@@ -656,15 +683,9 @@ impl Db {
         // any other thread has already frozen, and the barrier below
         // cannot miss a rotated-but-uncounted table.
         self.inner.rotate_active()?;
-        let mut g = self.inner.gate_lock()?;
+        let g = self.inner.gate_lock()?;
         let target = g.rotated;
-        while g.flushed < target && g.error.is_none() {
-            g = self.inner.wait_idle(g)?;
-        }
-        match &g.error {
-            Some(e) => Err(bg_error(e)),
-            None => Ok(()),
-        }
+        self.inner.wait_until(g, |c| c.flushed >= target)
     }
 
     /// Full barrier: flush everything, then drive compaction until L0 is
@@ -679,13 +700,7 @@ impl Db {
         let my_settle = g.settle_requests;
         self.inner.flush_cv.notify_one();
         self.inner.compact_cv.notify_all();
-        while g.settles_done < my_settle && g.error.is_none() {
-            g = self.inner.wait_idle(g)?;
-        }
-        match &g.error {
-            Some(e) => Err(bg_error(e)),
-            None => Ok(()),
-        }
+        self.inner.wait_until(g, |c| c.settles_done >= my_settle)
     }
 
     /// Run one adaptive-maintenance pass synchronously: scan every live
@@ -766,18 +781,7 @@ impl Db {
     }
 
     fn crash_impl(mut self, power_loss: bool) {
-        {
-            let mut g = self.inner.gate_lock_recover();
-            g.shutdown = true;
-            g.crash = true;
-        }
-        self.inner.flush_cv.notify_all();
-        self.inner.compact_cv.notify_all();
-        self.inner.idle_cv.notify_all();
-        self.inner.adapt_cv.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.stop_workers(true);
         if power_loss {
             let _ = self.inner.wal.truncate_unsynced();
         }
@@ -800,19 +804,7 @@ impl Drop for Db {
     /// WAL sync for every shard still shutting down. `Coord` is plain
     /// bookkeeping data, so the recovered guard is safe to use.
     fn drop(&mut self) {
-        let crashed = {
-            let mut g = self.inner.gate_lock_recover();
-            g.shutdown = true;
-            g.crash
-        };
-        self.inner.flush_cv.notify_all();
-        self.inner.compact_cv.notify_all();
-        self.inner.idle_cv.notify_all();
-        self.inner.adapt_cv.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if !crashed {
+        if !self.stop_workers(false) {
             // Graceful shutdown: seal the durability of the active
             // segment. Skipped on crash injection — a killed process
             // gets no parting fsync.
@@ -853,7 +845,7 @@ impl DbInner {
     }
 
     fn gate_lock(&self) -> Result<MutexGuard<'_, Coord>> {
-        self.gate.lock().map_err(|_| Error::Poisoned("coordination lock"))
+        self.gate.lock().map_err(gate_poisoned)
     }
 
     /// Has shutdown been requested? Lets long background passes stop
@@ -872,8 +864,21 @@ impl DbInner {
         self.gate.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn wait_idle<'g>(&self, g: MutexGuard<'g, Coord>) -> Result<MutexGuard<'g, Coord>> {
-        self.idle_cv.wait(g).map_err(|_| Error::Poisoned("coordination lock"))
+    /// Park a foreground barrier or stalled writer on `idle_cv` until
+    /// `done`, failing with the sticky background error if one is (or
+    /// becomes) set — a waiter must observe it instead of hanging.
+    fn wait_until(
+        &self,
+        mut g: MutexGuard<'_, Coord>,
+        done: impl Fn(&Coord) -> bool,
+    ) -> Result<()> {
+        while !done(&g) && g.error.is_none() {
+            g = self.idle_cv.wait(g).map_err(gate_poisoned)?;
+        }
+        match &g.error {
+            Some(e) => Err(bg_error(e)),
+            None => Ok(()),
+        }
     }
 
     fn alloc_id(&self) -> u64 {
@@ -964,20 +969,16 @@ impl DbInner {
         // without stalling readers or other appenders.
         self.wal.commit(seq, &self.stats)?;
         if rotated {
-            let mut g = self.gate_lock()?;
+            let g = self.gate_lock()?;
             // Backpressure: stall while too many frozen tables queue up.
             let cap = self.cfg.max_immutable_memtables().max(1) as u64;
-            if g.rotated.saturating_sub(g.flushed) > cap {
-                let t0 = Instant::now();
-                while g.rotated.saturating_sub(g.flushed) > cap && g.error.is_none() && !g.shutdown
-                {
-                    g = self.wait_idle(g)?;
-                }
+            let stalled = |c: &Coord| c.rotated.saturating_sub(c.flushed) > cap && !c.shutdown;
+            let t0 = stalled(&g).then(Instant::now);
+            let waited = self.wait_until(g, |c| !stalled(c));
+            if let Some(t0) = t0 {
                 self.stats.write_stall_ns.add(t0.elapsed().as_nanos() as u64);
             }
-            if let Some(e) = &g.error {
-                return Err(bg_error(e));
-            }
+            waited?;
         }
         Ok(())
     }
@@ -998,88 +999,58 @@ impl DbInner {
 
     // ---- flusher ---------------------------------------------------------
 
-    /// Run a worker loop body, downgrading a panicking lock acquisition to
-    /// the sticky background-error path: the worker records
-    /// [`Error::Poisoned`] (which wakes every barrier) and exits instead
-    /// of panicking — a panic here would poison the *gate* too and
-    /// historically turned `Db::drop` into a process abort.
-    fn worker_guard<T>(&self, r: Result<T>) -> Option<T> {
-        match r {
-            Ok(v) => Some(v),
-            Err(e) => {
-                self.record_error(e);
-                None
-            }
-        }
-    }
-
-    fn flusher_loop(&self) {
+    fn flusher_loop(&self) -> Result<()> {
         loop {
             {
-                let Some(g) = self.worker_guard(self.gate_lock()) else { return };
+                let g = self.gate_lock()?;
                 if g.crash || g.error.is_some() {
-                    return;
+                    return Ok(());
                 }
             }
             let imm = {
-                let Some(mem) = self.worker_guard(self.mem_read()) else { return };
+                let mem = self.mem_read()?;
                 mem.imms.first().map(|i| (Arc::clone(&i.mem), i.wal_id))
             };
             if let Some((imm, wal_id)) = imm {
                 // A frozen table has no writer, so this read lock is never
                 // waited for and blocks nobody for the length of the flush.
-                match read_table(&imm).and_then(|table| self.flush_imm(&table)) {
-                    Ok(reader) => {
-                        // Install the SST before retiring the MemTable so
-                        // the data is never invisible to a reader.
-                        self.edit_manifest(|v| v.levels[0].push(Arc::new(reader)));
-                        let Some(mut mem) = self.worker_guard(self.mem_write()) else { return };
-                        mem.imms.remove(0);
-                        drop(mem);
-                        self.stats.flushes.inc();
-                        // The table's data is durable in the installed
-                        // (synced, renamed) SST, so its sealed WAL segment
-                        // is redundant — delete it. The delete must not be
-                        // skipped on failure: if an *older* segment
-                        // outlived a newer generation's flush+delete, the
-                        // next replay would resurrect its stale values
-                        // over the SSTs, so a failed unlink is a sticky
-                        // error that stops this worker.
-                        if let Err(e) = wal::delete_segment(&self.dir, wal_id) {
-                            self.record_error(e);
-                            return;
-                        }
-                        let Some(mut g) = self.worker_guard(self.gate_lock()) else { return };
-                        g.flushed += 1;
-                        g.compact_epoch += 1;
-                        self.idle_cv.notify_all();
-                        self.compact_cv.notify_all();
-                        continue;
-                    }
-                    Err(e) => {
-                        // Keep the MemTable *and* its sealed WAL segment:
-                        // the data is fully recoverable from the segment
-                        // at the next open. The sticky error stops this
-                        // worker, so no newer generation can flush past
-                        // the stranded one (out-of-order flushes would
-                        // break replay's id-order-equals-recency
-                        // invariant). Barriers observe the error and
-                        // return it instead of hanging.
-                        self.record_error(e);
-                        return;
-                    }
-                }
+                //
+                // On failure keep the MemTable *and* its sealed WAL segment:
+                // the data is fully recoverable from the segment at the next
+                // open. The sticky error stops this worker, so no newer
+                // generation can flush past the stranded one (out-of-order
+                // flushes would break replay's id-order-equals-recency
+                // invariant). Barriers observe the error and return it
+                // instead of hanging.
+                let reader = read_table(&imm).and_then(|table| self.flush_imm(&table))?;
+                // Install the SST before retiring the MemTable so the data
+                // is never invisible to a reader.
+                self.edit_manifest(|v| v.levels[0].push(Arc::new(reader)));
+                let mut mem = self.mem_write()?;
+                mem.imms.remove(0);
+                drop(mem);
+                self.stats.flushes.inc();
+                // The table's data is durable in the installed (synced,
+                // renamed) SST, so its sealed WAL segment is redundant —
+                // delete it. The delete must not be skipped on failure: if
+                // an *older* segment outlived a newer generation's
+                // flush+delete, the next replay would resurrect its stale
+                // values over the SSTs, so a failed unlink is a sticky error
+                // that stops this worker.
+                wal::delete_segment(&self.dir, wal_id)?;
+                let mut g = self.gate_lock()?;
+                g.flushed += 1;
+                g.compact_epoch += 1;
+                self.idle_cv.notify_all();
+                self.compact_cv.notify_all();
+                continue;
             }
-            let Some(mut g) = self.worker_guard(self.gate_lock()) else { return };
+            let mut g = self.gate_lock()?;
             while g.rotated <= g.flushed && !g.shutdown {
-                let wait = self.flush_cv.wait(g).map_err(|_| Error::Poisoned("coordination lock"));
-                match self.worker_guard(wait) {
-                    Some(guard) => g = guard,
-                    None => return,
-                }
+                g = self.flush_cv.wait(g).map_err(gate_poisoned)?;
             }
             if g.shutdown && g.rotated <= g.flushed {
-                return; // every rotated MemTable is durable
+                return Ok(()); // every rotated MemTable is durable
             }
         }
     }
@@ -1111,44 +1082,35 @@ impl DbInner {
     /// The third background worker: every `adapt_interval`, scan for SSTs
     /// whose filters stopped fitting the workload and re-train them. See
     /// the [`crate::adapt`] module docs for the policy.
-    fn adapter_loop(&self) {
+    fn adapter_loop(&self) -> Result<()> {
         loop {
             {
-                let Some(g) = self.worker_guard(self.gate_lock()) else { return };
+                let g = self.gate_lock()?;
                 if g.shutdown || g.error.is_some() {
-                    return;
+                    return Ok(());
                 }
             }
-            if let Err(e) = adapt::pass(self) {
-                self.record_error(e);
-                return;
-            }
-            let Some(g) = self.worker_guard(self.gate_lock()) else { return };
+            adapt::pass(self)?;
+            let g = self.gate_lock()?;
             if g.shutdown {
-                return;
+                return Ok(());
             }
             // A poisoned coordination mutex (some thread panicked while
             // holding it) surfaces as a sticky `Error::Poisoned` at the
             // next barrier, exactly like the flusher/compactor paths —
             // panicking here instead used to kill the adapter silently
             // *and* leave the gate poisoned for `Drop`.
-            let wait = self
-                .adapt_cv
-                .wait_timeout(g, self.cfg.adapt_interval())
-                .map_err(|_| Error::Poisoned("coordination lock"));
-            let Some((g, _)) = self.worker_guard(wait) else { return };
-            if g.shutdown {
-                return;
-            }
+            let woken = self.adapt_cv.wait_timeout(g, self.cfg.adapt_interval());
+            drop(woken.map_err(gate_poisoned)?);
         }
     }
 
     // ---- compactor -------------------------------------------------------
 
-    fn compactor_loop(&self) {
+    fn compactor_loop(&self) -> Result<()> {
         loop {
             let (stop, settle_mode, epoch) = {
-                let Some(g) = self.worker_guard(self.gate_lock()) else { return };
+                let g = self.gate_lock()?;
                 // A sticky error also stops the compactor: retrying the
                 // same job against a failing disk would spin forever (and
                 // keep allocating ids and `.tmp` files). Barriers already
@@ -1160,12 +1122,10 @@ impl DbInner {
                 )
             };
             if stop {
-                return;
+                return Ok(());
             }
             if let Some(job) = compact::pick(&self.version(), &self.cfg, settle_mode) {
-                if let Err(e) = compact::run(self, job) {
-                    self.record_error(e);
-                }
+                compact::run(self, job)?;
                 self.idle_cv.notify_all();
                 continue;
             }
@@ -1173,10 +1133,8 @@ impl DbInner {
                 // Nothing left to compact; the settle is complete once the
                 // flusher has drained too and the tree has not changed
                 // since we looked at it (epoch unchanged).
-                let Some(mem) = self.worker_guard(self.mem_read()) else { return };
-                let imms_empty = mem.imms.is_empty();
-                drop(mem);
-                let Some(mut g) = self.worker_guard(self.gate_lock()) else { return };
+                let imms_empty = self.mem_read()?.imms.is_empty();
+                let mut g = self.gate_lock()?;
                 if imms_empty && g.flushed >= g.rotated && g.compact_epoch == epoch {
                     g.settles_done = g.settle_requests;
                     self.idle_cv.notify_all();
@@ -1185,24 +1143,14 @@ impl DbInner {
                 // The flusher is still working (or new work arrived): wait
                 // for its next poke, with a timeout as a lost-wakeup net.
                 if g.compact_epoch == epoch && !g.shutdown {
-                    let wait = self
-                        .compact_cv
-                        .wait_timeout(g, Duration::from_millis(5))
-                        .map_err(|_| Error::Poisoned("coordination lock"));
-                    if self.worker_guard(wait).is_none() {
-                        return;
-                    }
+                    let net = Duration::from_millis(5);
+                    drop(self.compact_cv.wait_timeout(g, net).map_err(gate_poisoned)?);
                 }
                 continue;
             }
-            let Some(mut g) = self.worker_guard(self.gate_lock()) else { return };
+            let mut g = self.gate_lock()?;
             while g.compact_epoch == epoch && !g.shutdown && g.settle_requests <= g.settles_done {
-                let wait =
-                    self.compact_cv.wait(g).map_err(|_| Error::Poisoned("coordination lock"));
-                match self.worker_guard(wait) {
-                    Some(guard) => g = guard,
-                    None => return,
-                }
+                g = self.compact_cv.wait(g).map_err(gate_poisoned)?;
             }
         }
     }

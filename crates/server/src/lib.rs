@@ -2,9 +2,8 @@
 //!
 //! A sharded TCP front-end for the [`proteus_lsm`] store: `N` range-sharded
 //! [`proteus_lsm::Db`] instances behind a length-prefixed binary protocol,
-//! turning the single-process LSM library into a network service the load
-//! generator (`fig_server` in `proteus-bench`) can hammer with thousands
-//! of simulated clients.
+//! turning the single-process LSM library into a network service (the
+//! benchmark harness's `server_mixed` workload is its load generator).
 //!
 //! Everything here is `std::net` blocking I/O — no async runtime, no
 //! external dependencies — which keeps the crate inside the workspace's

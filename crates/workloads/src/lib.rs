@@ -10,8 +10,8 @@
 //! * [`strings`] — §7.2 string keys (fixed-length Uniform/Normal, synthetic
 //!   `.org` domains) and big-endian string range arithmetic;
 //! * [`values`] — §6.2 half-zero value payloads for the LSM experiments;
-//! * [`zipf`] — YCSB-style zipfian popularity sampling for the skewed
-//!   server load generator (`fig_server`);
+//! * [`zipf`] — YCSB-style zipfian popularity sampling for skewed load
+//!   (the YCSB mixes and the benchmark harness's server workload);
 //! * [`ycsb`] — the YCSB core mixes A–F over zipfian / latest / hotspot
 //!   request distributions and u64 / URL key spaces (`fig_ycsb`).
 

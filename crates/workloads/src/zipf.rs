@@ -1,10 +1,10 @@
 //! Zipfian key-popularity sampling for skewed load generation.
 //!
-//! The server load generator (`fig_server`) models "millions of users
-//! hammering a hot key set": item popularity follows a Zipf distribution
-//! with exponent `theta`, the shape YCSB uses for its `zipfian` request
-//! distribution and the workload Memento Filter's update-heavy evaluation
-//! argues range filters must survive. [`Zipfian`] reproduces YCSB's
+//! Skewed load models "millions of users hammering a hot key set": item
+//! popularity follows a Zipf distribution with exponent `theta`, the shape
+//! YCSB uses for its `zipfian` request distribution and the workload
+//! Memento Filter's update-heavy evaluation argues range filters must
+//! survive. [`Zipfian`] reproduces YCSB's
 //! constant-time sampler (Gray et al., "Quickly Generating Billion-Record
 //! Synthetic Databases"): an `O(n)` harmonic-number precomputation at
 //! construction, then each draw costs one uniform variate and a couple of
