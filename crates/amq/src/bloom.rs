@@ -2,9 +2,12 @@
 //! filters, with double hashing (Kirsch–Mitzenmacher) over a 128-bit key
 //! hash.
 
-use crate::hash::KeyHash;
+use crate::hash::{FastRem, KeyHash};
 use crate::{optimal_hash_count, standard_bloom_fpr, Amq};
 use proteus_succinct::codec::{ByteReader, CodecError, WireWrite};
+
+/// Most items one [`BloomFilter::contains_any`] call takes.
+pub const MAX_BATCH: usize = 8;
 
 /// A standard Bloom filter over pre-hashed items.
 ///
@@ -15,7 +18,8 @@ use proteus_succinct::codec::{ByteReader, CodecError, WireWrite};
 #[derive(Debug, Clone)]
 pub struct BloomFilter {
     bits: Vec<u64>,
-    m: u64,
+    /// Size in bits, with the reciprocal every probe position is reduced by.
+    m: FastRem,
     k: u32,
     inserted: u64,
 }
@@ -29,7 +33,7 @@ impl BloomFilter {
         let words = m_bits.div_ceil(64) as usize;
         BloomFilter {
             bits: vec![0u64; words],
-            m: m_bits,
+            m: FastRem::new(m_bits),
             k: optimal_hash_count(m_bits, n),
             inserted: 0,
         }
@@ -41,7 +45,7 @@ impl BloomFilter {
         let words = m_bits.div_ceil(64) as usize;
         BloomFilter {
             bits: vec![0u64; words],
-            m: m_bits,
+            m: FastRem::new(m_bits),
             k: k.clamp(1, crate::MAX_HASH_FUNCTIONS),
             inserted: 0,
         }
@@ -64,42 +68,69 @@ impl BloomFilter {
     /// Insert a pre-hashed item.
     #[inline]
     pub fn insert(&mut self, h: KeyHash) {
-        if self.m == 0 {
-            self.inserted += 1;
+        self.inserted += 1;
+        if self.m.get() == 0 {
             return;
         }
         for i in 0..self.k {
             let bit = h.probe(i, self.m);
             self.bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
         }
-        self.inserted += 1;
+    }
+
+    /// Is position `i` of `h` set?
+    #[inline]
+    fn test(&self, h: KeyHash, i: u32) -> bool {
+        let bit = h.probe(i, self.m);
+        self.bits[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
     }
 
     /// Query a pre-hashed item. Zero-size filters always report `true`
     /// (never a false negative).
     #[inline]
     pub fn contains(&self, h: KeyHash) -> bool {
-        if self.m == 0 {
-            return true;
+        self.m.get() == 0 || (0..self.k).all(|i| self.test(h, i))
+    }
+
+    /// Is any of up to [`MAX_BATCH`] pre-hashed items a member? The same
+    /// answer as `hashes.iter().any(|h| self.contains(*h))`, computed
+    /// position by position: every candidate's `i`-th bit is tested before
+    /// any candidate's `i + 1`-th, so the loads of one round are independent
+    /// and overlap, and a round only revisits the candidates still standing
+    /// (half of them, at the optimal hash count).
+    #[inline]
+    pub fn contains_any(&self, hashes: &[KeyHash]) -> bool {
+        assert!(hashes.len() <= MAX_BATCH);
+        if self.m.get() == 0 {
+            return !hashes.is_empty();
         }
-        for i in 0..self.k {
-            let bit = h.probe(i, self.m);
-            if self.bits[(bit / 64) as usize] & (1u64 << (bit % 64)) == 0 {
+        let mut alive = 0u32;
+        for (j, &h) in hashes.iter().enumerate() {
+            alive |= (self.test(h, 0) as u32) << j;
+        }
+        for i in 1..self.k {
+            let mut round = std::mem::take(&mut alive);
+            while round != 0 {
+                let j = round.trailing_zeros();
+                round &= round - 1;
+                alive |= (self.test(hashes[j as usize], i) as u32) << j;
+            }
+            if alive == 0 {
                 return false;
             }
         }
-        true
+        alive != 0
     }
 
     /// Bits of memory of the bit array.
     pub fn size_bits(&self) -> u64 {
-        self.m
+        self.m.get()
     }
 
     /// Serialize: size, hash count, insertion count, then the raw bit
     /// array words.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.put_u64(self.m);
+        out.put_u64(self.m.get());
         out.put_u32(self.k);
         out.put_u64(self.inserted);
         for &w in &self.bits {
@@ -125,17 +156,17 @@ impl BloomFilter {
         for _ in 0..nwords {
             bits.push(r.u64()?);
         }
-        Ok(BloomFilter { bits, m, k, inserted })
+        Ok(BloomFilter { bits, m: FastRem::new(m), k, inserted })
     }
 
     /// Fraction of bits set; diagnostic for load-factor assertions in tests
     /// and benches.
     pub fn fill_ratio(&self) -> f64 {
-        if self.m == 0 {
+        if self.m.get() == 0 {
             return 1.0;
         }
         let ones: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
-        ones as f64 / self.m as f64
+        ones as f64 / self.m.get() as f64
     }
 }
 
@@ -147,7 +178,7 @@ impl Amq for BloomFilter {
         self.contains(KeyHash::from_u128(h))
     }
     fn size_bits(&self) -> u64 {
-        self.m
+        self.m.get()
     }
     fn model_fpr(m_bits: u64, n: u64) -> f64 {
         standard_bloom_fpr(m_bits, n)
@@ -193,6 +224,29 @@ mod tests {
                 "bpk={bpk}: observed {observed:.5} vs expected {expected:.5}"
             );
         }
+    }
+
+    #[test]
+    fn contains_any_is_any_contains() {
+        // A crowded filter (4 bits per key, k = 3): batches with no member,
+        // with false positives and with a member in every position.
+        let n = 2_000u64;
+        let mut f = BloomFilter::new(n * 4, n);
+        for i in 0..n {
+            f.insert(h(i));
+        }
+        let mut positives = 0;
+        for start in (0..3 * n).step_by(5) {
+            for len in 0..=MAX_BATCH as u64 {
+                let batch: Vec<KeyHash> = (start..start + len).map(h).collect();
+                let want = batch.iter().any(|&x| f.contains(x));
+                assert_eq!(f.contains_any(&batch), want, "batch {start}+{len}");
+                positives += want as u32;
+            }
+        }
+        assert!(positives > 1_000);
+        let empty = BloomFilter::new(0, 10);
+        assert!(empty.contains_any(&[h(1)]) && !empty.contains_any(&[]));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! extension: 4-bit saturating counters instead of single bits, which also
 //! enables deletion.
 
-use crate::hash::KeyHash;
+use crate::hash::{FastRem, KeyHash};
 use crate::{optimal_hash_count, standard_bloom_fpr, Amq};
 
 /// Counter width in bits. Four bits is the classic choice: overflow
@@ -23,7 +23,7 @@ const COUNTER_MAX: u8 = 15;
 #[derive(Debug, Clone)]
 pub struct CountingBloomFilter {
     counters: Vec<u8>, // one counter per entry, stored byte-wide, sized as 4 bits each
-    slots: u64,
+    slots: FastRem,
     m_bits: u64,
     k: u32,
 }
@@ -35,7 +35,7 @@ impl CountingBloomFilter {
         let slots = m_bits / COUNTER_BITS;
         CountingBloomFilter {
             counters: vec![0u8; slots as usize],
-            slots,
+            slots: FastRem::new(slots),
             m_bits,
             k: optimal_hash_count(slots, n),
         }
@@ -43,7 +43,7 @@ impl CountingBloomFilter {
 
     /// Insert an item, incrementing `k` counters (saturating).
     pub fn insert(&mut self, h: KeyHash) {
-        if self.slots == 0 {
+        if self.slots.get() == 0 {
             return;
         }
         for i in 0..self.k {
@@ -59,7 +59,7 @@ impl CountingBloomFilter {
     /// counting-Bloom caveat). Saturated counters are left untouched to
     /// preserve the no-false-negative guarantee for other items.
     pub fn remove(&mut self, h: KeyHash) {
-        if self.slots == 0 {
+        if self.slots.get() == 0 {
             return;
         }
         for i in 0..self.k {
@@ -72,7 +72,7 @@ impl CountingBloomFilter {
 
     /// Membership test: all `k` counters non-zero.
     pub fn contains(&self, h: KeyHash) -> bool {
-        if self.slots == 0 {
+        if self.slots.get() == 0 {
             return true;
         }
         (0..self.k).all(|i| self.counters[h.probe(i, self.slots) as usize] > 0)
@@ -82,7 +82,7 @@ impl CountingBloomFilter {
     /// counters (the count-min sketch estimate). This is what upgrades range
     /// *emptiness* to approximate range *counts* per §4.1.
     pub fn count_estimate(&self, h: KeyHash) -> u8 {
-        if self.slots == 0 {
+        if self.slots.get() == 0 {
             return COUNTER_MAX;
         }
         (0..self.k).map(|i| self.counters[h.probe(i, self.slots) as usize]).min().unwrap_or(0)

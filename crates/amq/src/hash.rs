@@ -33,12 +33,51 @@ impl KeyHash {
 
     /// The `i`-th probe index within a table of `m` slots.
     #[inline]
-    pub fn probe(self, i: u32, m: u64) -> u64 {
-        debug_assert!(m > 0);
+    pub fn probe(self, i: u32, m: FastRem) -> u64 {
         // Force h2 odd so successive probes cycle through many slots even
         // when m is a power of two.
         let h2 = self.h2 | 1;
-        self.h1.wrapping_add((i as u64).wrapping_mul(h2)) % m
+        m.reduce(self.h1.wrapping_add((i as u64).wrapping_mul(h2)))
+    }
+}
+
+/// A table size `m` together with the reciprocal that turns `x % m` into
+/// two multiplies and a conditional subtract — a probe position costs a
+/// handful of cycles instead of a 64-bit division. The reciprocal is derived
+/// from `m` wherever a filter is built or decoded and is never serialised;
+/// [`FastRem::reduce`] equals `%` for every `x` and every `m >= 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FastRem {
+    m: u64,
+    /// `floor((2^64 - 1) / m)`; 0 for the empty table.
+    recip: u64,
+}
+
+impl FastRem {
+    /// `m == 0` (a zero-size table) is representable but has no remainders.
+    pub fn new(m: u64) -> Self {
+        FastRem { m, recip: u64::MAX.checked_div(m).unwrap_or(0) }
+    }
+
+    /// The table size `m`.
+    #[inline]
+    pub fn get(self) -> u64 {
+        self.m
+    }
+
+    /// `x % m`. `recip >= 2^64/m - 1`, so the quotient estimate
+    /// `floor(x * recip / 2^64)` is the true quotient or one less, and the
+    /// candidate remainder lies in `[0, 2m)`: one subtract corrects it.
+    #[inline]
+    pub fn reduce(self, x: u64) -> u64 {
+        debug_assert!(self.m > 0);
+        let q = ((x as u128 * self.recip as u128) >> 64) as u64;
+        let r = x.wrapping_sub(q.wrapping_mul(self.m));
+        if r >= self.m {
+            r - self.m
+        } else {
+            r
+        }
     }
 }
 
@@ -94,13 +133,26 @@ impl PrefixHasher {
     ///
     /// `key_bytes` must contain at least `ceil(bits / 8)` bytes. Bytes past
     /// the prefix are ignored; the final partial byte is masked.
+    #[inline]
     pub fn hash_prefix(&self, key_bytes: &[u8], bits: u32) -> KeyHash {
         let nbytes = bits.div_ceil(8) as usize;
         debug_assert!(key_bytes.len() >= nbytes, "key too short for prefix");
+        let seed = self.seed ^ bits.rotate_left(16);
+        if self.family == HashFamily::Murmur3 && nbytes < 16 {
+            // Every integer-key prefix: shorter than one MurmurHash3 block,
+            // so the hash is the reference's tail over two masked words.
+            let (k1, k2) = prefix_words(key_bytes, nbytes, bits);
+            return KeyHash::from_u128(murmur3::murmur3_x64_128_short(k1, k2, nbytes, seed));
+        }
+        self.hash_long_prefix(key_bytes, nbytes, bits, seed)
+    }
+
+    /// [`PrefixHasher::hash_prefix`] past the short path: string-key
+    /// prefixes of a block or more, and every CLHash prefix.
+    fn hash_long_prefix(&self, key_bytes: &[u8], nbytes: usize, bits: u32, seed: u32) -> KeyHash {
         // Stack buffer: prefixes are at most 256 bytes in practice (2048-bit
         // keys); fall back to hashing in two pieces for longer ones.
         let mut buf = [0u8; 256];
-        let seed = self.seed ^ bits.rotate_left(16);
         if nbytes <= buf.len() {
             buf[..nbytes].copy_from_slice(&key_bytes[..nbytes]);
             mask_last_byte(&mut buf[..nbytes], bits);
@@ -159,6 +211,39 @@ fn mask_last_byte(buf: &mut [u8], bits: u32) {
     }
 }
 
+/// The first `nbytes < 16` bytes of `key` as MurmurHash3's two little-endian
+/// tail words, with every bit past the `bits`-bit prefix zero. Keys at least
+/// one word long (every canonical integer key) are read with fixed-size
+/// loads.
+#[inline]
+fn prefix_words(key: &[u8], nbytes: usize, bits: u32) -> (u64, u64) {
+    let halves = |v: u128| (v as u64, (v >> 64) as u64);
+    let (k1, k2) = if let Some(both) = key.first_chunk::<16>() {
+        halves(u128::from_le_bytes(*both))
+    } else if let (Some(first), true) = (key.first_chunk::<8>(), nbytes <= 8) {
+        (u64::from_le_bytes(*first), 0)
+    } else {
+        let mut buf = [0u8; 16];
+        buf[..nbytes].copy_from_slice(&key[..nbytes]);
+        halves(u128::from_le_bytes(buf))
+    };
+    // Little-endian: byte `i` of the key is bits `8i..8i+8` of its word.
+    let low_bytes = |x: u64, n: usize| if n >= 8 { x } else { x & ((1u64 << (8 * n)) - 1) };
+    let (mut k1, mut k2) = (low_bytes(k1, nbytes), low_bytes(k2, nbytes.saturating_sub(8)));
+    let rem = bits % 8;
+    if rem != 0 {
+        // Clear the low `8 - rem` bits of the prefix's final byte.
+        let last = nbytes - 1;
+        let clear = !(((1u64 << (8 - rem)) - 1) << (8 * (last % 8)));
+        if last < 8 {
+            k1 &= clear;
+        } else {
+            k2 &= clear;
+        }
+    }
+    (k1, k2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,12 +252,52 @@ mod tests {
     fn probe_sequence_is_well_distributed() {
         let h = KeyHash { h1: 12345, h2: 67890 };
         let m = 1024;
-        let probes: Vec<u64> = (0..16).map(|i| h.probe(i, m)).collect();
+        let probes: Vec<u64> = (0..16).map(|i| h.probe(i, FastRem::new(m))).collect();
         let mut uniq = probes.clone();
         uniq.sort_unstable();
         uniq.dedup();
         assert!(uniq.len() >= 14, "double hashing should rarely collide: {probes:?}");
         assert!(probes.iter().all(|&p| p < m));
+    }
+
+    #[test]
+    fn fast_rem_is_the_remainder_at_the_edges() {
+        let xs = [0, 1, 2, 63, 64, 1 << 32, (1 << 63) - 1, 1 << 63, u64::MAX - 1, u64::MAX];
+        let ms = [1, 2, 3, 7, 64, 1000, 1 << 32, (1 << 32) + 1, 1 << 63, (1 << 63) + 1, u64::MAX];
+        for m in ms {
+            let fast = FastRem::new(m);
+            assert_eq!(fast.get(), m);
+            for x in xs.into_iter().chain([m - 1, m, m.wrapping_add(1), m.wrapping_mul(3)]) {
+                assert_eq!(fast.reduce(x), x % m, "{x} % {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn short_prefixes_hash_like_the_reference_tail() {
+        // Every prefix under one MurmurHash3 block, byte-aligned or not,
+        // from keys that are shorter than, exactly, and longer than a word:
+        // the fixed-size loads must agree with masking a copy and hashing it.
+        let key: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0xA5).collect();
+        for seed in [0u32, 7, 0xDEAD_BEEF] {
+            let hasher = PrefixHasher::new(HashFamily::Murmur3, seed);
+            for bits in 0..128u32 {
+                let nbytes = bits.div_ceil(8) as usize;
+                let mut masked = key[..nbytes].to_vec();
+                if bits % 8 != 0 {
+                    masked[nbytes - 1] &= 0xFFu8 << (8 - bits % 8);
+                }
+                let want = KeyHash::from_u128(murmur3::murmur3_x64_128(
+                    &masked,
+                    seed ^ bits.rotate_left(16),
+                ));
+                for len in [nbytes, 8, 15, 16, 40] {
+                    if len >= nbytes {
+                        assert_eq!(hasher.hash_prefix(&key[..len], bits), want, "{bits} of {len}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ fn read_u64_le(bytes: &[u8]) -> u64 {
 ///
 /// Returns the 128-bit hash with `h1` in the low 64 bits, matching the
 /// reference implementation's output order.
+#[inline]
 pub fn murmur3_x64_128(data: &[u8], seed: u32) -> u128 {
     let len = data.len();
     let nblocks = len / 16;
@@ -64,24 +65,39 @@ pub fn murmur3_x64_128(data: &[u8], seed: u32) -> u128 {
     // The reference switch falls through from the longest case; replicate
     // that by accumulating bytes from the top down.
     let tlen = len & 15;
-    if tlen >= 9 {
-        for i in (8..tlen).rev() {
-            k2 ^= (tail[i] as u64) << ((i - 8) * 8);
-        }
-        k2 = k2.wrapping_mul(C2);
-        k2 = k2.rotate_left(33);
-        k2 = k2.wrapping_mul(C1);
-        h2 ^= k2;
+    for i in (8..tlen).rev() {
+        k2 ^= (tail[i] as u64) << ((i - 8) * 8);
     }
-    if tlen >= 1 {
-        for i in (0..tlen.min(8)).rev() {
-            k1 ^= (tail[i] as u64) << (i * 8);
-        }
-        k1 = k1.wrapping_mul(C1);
-        k1 = k1.rotate_left(31);
-        k1 = k1.wrapping_mul(C2);
-        h1 ^= k1;
+    for i in (0..tlen.min(8)).rev() {
+        k1 ^= (tail[i] as u64) << (i * 8);
     }
+    finish(h1, h2, k1, k2, len)
+}
+
+/// [`murmur3_x64_128`] of a message shorter than one 16-byte block, given as
+/// its two little-endian words (`k1` = bytes 0..8, `k2` = bytes 8..16;
+/// every byte at or past `len` zero): what the reference computes for a
+/// `len`-byte tail, without the byte loop.
+#[inline]
+pub fn murmur3_x64_128_short(k1: u64, k2: u64, len: usize, seed: u32) -> u128 {
+    debug_assert!(len < 16);
+    finish(seed as u64, seed as u64, k1, k2, len)
+}
+
+/// Mix the tail words into the state and finalize. The reference skips a
+/// tail word no byte reaches; a zero word mixes to zero, so mixing both
+/// unconditionally is the same function.
+#[inline]
+fn finish(mut h1: u64, mut h2: u64, mut k1: u64, mut k2: u64, len: usize) -> u128 {
+    k2 = k2.wrapping_mul(C2);
+    k2 = k2.rotate_left(33);
+    k2 = k2.wrapping_mul(C1);
+    h2 ^= k2;
+
+    k1 = k1.wrapping_mul(C1);
+    k1 = k1.rotate_left(31);
+    k1 = k1.wrapping_mul(C2);
+    h1 ^= k1;
 
     h1 ^= len as u64;
     h2 ^= len as u64;
@@ -124,6 +140,23 @@ mod tests {
             hex(murmur3_x64_128(b"The quick brown fox jumps over the lazy dog", 0)),
             "6c1b07bc7bbc4be347939ac4a93c437a"
         );
+    }
+
+    #[test]
+    fn short_form_is_the_reference_tail() {
+        let data: Vec<u8> = (1..=15u8).map(|i| i.wrapping_mul(0x3B) | 0x80).collect();
+        for seed in [0u32, 1, 0x9747_B28C] {
+            for len in 0..16 {
+                let mut words = [0u8; 16];
+                words[..len].copy_from_slice(&data[..len]);
+                let v = u128::from_le_bytes(words);
+                assert_eq!(
+                    murmur3_x64_128_short(v as u64, (v >> 64) as u64, len, seed),
+                    murmur3_x64_128(&data[..len], seed),
+                    "len {len} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //!   multiplication hash used for string workloads (§7.1 of the paper).
 //! * [`BloomFilter`] — the standard Bloom filter the paper builds Proteus,
 //!   1PBF, 2PBF and Rosetta on, with the Eq. 6 false-positive model.
-//! * [`BlockedBloomFilter`] — a cache-local variant demonstrating the
-//!   "AMQ-agnostic" claim of §4.3 (any AMQ with a matching FPR formula can be
-//!   swapped in).
 //! * [`CountingBloomFilter`] — the counting variant §4.1 mentions as the path
 //!   to supporting range counts/sums.
 //!
@@ -18,15 +15,13 @@
 //! construction so that identical inputs yield identical filters, which the
 //! reproduction harness relies on.
 
-pub mod blocked;
 pub mod bloom;
 pub mod counting;
 pub mod hash;
 
-pub use blocked::BlockedBloomFilter;
 pub use bloom::BloomFilter;
 pub use counting::CountingBloomFilter;
-pub use hash::{clhash::ClHasher, murmur3::murmur3_x64_128, KeyHash, PrefixHasher};
+pub use hash::{clhash::ClHasher, murmur3::murmur3_x64_128, FastRem, KeyHash, PrefixHasher};
 
 /// Natural logarithm of 2, used throughout the Bloom sizing math.
 pub const LN2: f64 = core::f64::consts::LN_2;

@@ -9,10 +9,7 @@
 //! 2. **Coarse design search** — FPR of the design found with 16/32/128
 //!    sampled Bloom prefix lengths versus the exhaustive search (§7.2's
 //!    order-of-magnitude speedup claim).
-//! 3. **AMQ-agnosticism** — the same trained design instantiated over the
-//!    standard vs the blocked Bloom filter (§4.3: "The Bloom filters in our
-//!    PRFs can be replaced with any AMQ").
-//! 4. **Trie memory estimator** — estimated vs actual FST size across trie
+//! 3. **Trie memory estimator** — estimated vs actual FST size across trie
 //!    depths (Algorithm 1's `trieMem`).
 //!
 //! Run: `cargo run -p proteus-bench --release --bin ablation`
@@ -63,69 +60,7 @@ fn main() {
     }
     t.finish(args.out.as_deref(), "ablation_search");
 
-    // --- 3: AMQ swap ----------------------------------------------------
-    // The modeled design is AMQ-agnostic; instantiate the Bloom component
-    // as standard vs blocked and compare observed FPR at equal memory.
-    let mut t = Table::new(
-        "Ablation: AMQ family at the trained design (equal memory)",
-        &["amq", "observed_fpr", "modeled_fpr"],
-    );
-    {
-        use proteus_amq::hash::PrefixHasher;
-        use proteus_amq::{Amq, BlockedBloomFilter, BloomFilter};
-        let model =
-            ProteusModel::build(&sc.keyset, &sc.samples, m_bits, &ProteusModelOptions::default());
-        let design = model.best_design(&sc.keyset, m_bits);
-        let l2 = design.bloom_prefix_len.max(1);
-        let bf_bits = m_bits - design.trie_mem_bits;
-        let n = sc.keyset.unique_prefixes(l2);
-        // Generic probe loop over any AMQ.
-        fn run_amq<A: Amq>(
-            amq: &mut A,
-            keyset: &proteus_core::KeySet,
-            eval: &proteus_core::SampleQueries,
-            l2: usize,
-        ) -> f64 {
-            let hasher = PrefixHasher::new(proteus_amq::hash::HashFamily::Murmur3, 1);
-            let mut prev: Option<Vec<u8>> = None;
-            for key in keyset.iter() {
-                let fresh =
-                    prev.as_deref().is_none_or(|p| proteus_core::key::lcp_bits(p, key) < l2);
-                if fresh {
-                    amq.insert_hash(hasher.hash_prefix(key, l2 as u32).to_u128());
-                }
-                prev = Some(key.to_vec());
-            }
-            // Point probes at the l2-prefix of each eval query's lo bound
-            // (isolates the AMQ from the trie logic).
-            let mut fps = 0usize;
-            let mut total = 0usize;
-            for (lo, _) in eval.iter() {
-                total += 1;
-                if amq.contains_hash(hasher.hash_prefix(lo, l2 as u32).to_u128()) {
-                    fps += 1;
-                }
-            }
-            fps as f64 / total as f64
-        }
-        let mut std_bf = BloomFilter::new(bf_bits, n);
-        let std_fpr = run_amq(&mut std_bf, &sc.keyset, &sc.eval, l2);
-        t.row(vec![
-            "standard".into(),
-            format!("{std_fpr:.4}"),
-            format!("{:.4}", BloomFilter::model_fpr(bf_bits, n)),
-        ]);
-        let mut blk_bf = BlockedBloomFilter::new(bf_bits, n);
-        let blk_fpr = run_amq(&mut blk_bf, &sc.keyset, &sc.eval, l2);
-        t.row(vec![
-            "blocked".into(),
-            format!("{blk_fpr:.4}"),
-            format!("{:.4}", BlockedBloomFilter::model_fpr(bf_bits, n)),
-        ]);
-    }
-    t.finish(args.out.as_deref(), "ablation_amq");
-
-    // --- 4: trie memory estimator ---------------------------------------
+    // --- 3: trie memory estimator ---------------------------------------
     let mut t = Table::new(
         "Ablation: trieMem estimate vs actual FST size",
         &["depth_bytes", "estimated_bits", "actual_bits", "ratio"],

@@ -111,9 +111,11 @@ impl CountingProteus {
         let budget = ProbeBudget::new(self.probe_cap);
         let mut walk = RegionWalk::new(lo, hi, &budget);
         let mut total = 0u64;
-        let end = walk_fine(self.trie.as_ref(), &mut walk, self.l2, |prefix| {
-            total +=
-                self.counts.count_estimate(self.hasher.hash_prefix(prefix, self.l2 as u32)) as u64;
+        let end = walk_fine(self.trie.as_ref(), &mut walk, self.l2, |run| {
+            while let Some(prefix) = run.draw() {
+                let h = self.hasher.hash_prefix(prefix, self.l2 as u32);
+                total += self.counts.count_estimate(h) as u64;
+            }
             Walk::Clear
         });
         match end {

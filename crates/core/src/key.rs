@@ -31,9 +31,16 @@ pub fn key_u64(k: &[u8]) -> u64 {
 /// Truncates if `s` is longer than `width`.
 pub fn pad_key(s: &[u8], width: usize) -> Vec<u8> {
     let mut v = vec![0u8; width];
-    let n = s.len().min(width);
-    v[..n].copy_from_slice(&s[..n]);
+    pad_key_into(s, &mut v);
     v
+}
+
+/// [`pad_key`] into a caller-owned buffer, whose length is the width.
+#[inline]
+pub fn pad_key_into(s: &[u8], buf: &mut [u8]) {
+    let n = s.len().min(buf.len());
+    buf[..n].copy_from_slice(&s[..n]);
+    buf[n..].fill(0);
 }
 
 /// Length in bits of the longest common prefix of two equal-width keys.
@@ -92,23 +99,25 @@ pub fn set_tail_ones(buf: &mut [u8], l: usize) {
 /// Add one at bit position `l - 1` — i.e. step to the next `l`-bit prefix —
 /// leaving bits ≥ `l` untouched (callers keep them zeroed). Returns `true`
 /// on overflow past the all-ones prefix.
+#[inline]
 pub fn increment_prefix(buf: &mut [u8], l: usize) -> bool {
     if l == 0 {
         return true;
     }
-    let mut bit = l - 1;
+    // One byte-wide add at the prefix's last bit, then the carry ripples up.
+    let mut byte = (l - 1) / 8;
+    let mut add = 0x80u8 >> ((l - 1) % 8);
     loop {
-        let byte = bit / 8;
-        let mask = 0x80u8 >> (bit % 8);
-        if buf[byte] & mask == 0 {
-            buf[byte] |= mask;
+        let (sum, carry) = buf[byte].overflowing_add(add);
+        buf[byte] = sum;
+        if !carry {
             return false;
         }
-        buf[byte] &= !mask;
-        if bit == 0 {
+        if byte == 0 {
             return true;
         }
-        bit -= 1;
+        byte -= 1;
+        add = 1;
     }
 }
 
@@ -129,7 +138,7 @@ pub enum Walk {
 /// The probes one query may still spend (the per-query probe cap). Shared
 /// by reference so the walks a query nests — 2PBF's fine walk inside its
 /// coarse one, one fine walk per trie leaf — draw on the same allowance;
-/// [`RegionWalk::walk`] is the only spender.
+/// [`Run::draw`] is the only spender.
 #[derive(Debug)]
 pub struct ProbeBudget(std::cell::Cell<u64>);
 
@@ -144,6 +153,7 @@ impl ProbeBudget {
         self.0.get()
     }
 
+    #[inline]
     fn spend(&self) -> bool {
         let left = self.0.get();
         self.0.set(left.saturating_sub(1));
@@ -176,6 +186,48 @@ enum Scratch {
     Heap(Vec<u8>),
 }
 
+/// The unvisited rest of a window, handed to a [`RegionWalk::walk`] visitor:
+/// consecutive `l`-bit regions in ascending order, each drawn with
+/// [`Run::draw`] at the cost of one probe. A visitor takes as many as it can
+/// use at once — one, for a per-region stage; a chunk, for a Bloom stage
+/// that hashes the chunk up front so its probes overlap — and the walk calls
+/// it again for what is left.
+#[derive(Debug)]
+pub struct Run<'w> {
+    cur: &'w mut [u8],
+    last: &'w [u8],
+    l: usize,
+    budget: &'w ProbeBudget,
+    /// Has the region at `cur` been handed out?
+    visited: bool,
+}
+
+impl Run<'_> {
+    /// Is there a region at `cur` that has not been handed out? Steps the
+    /// cursor past a visited one; `false` once the window is done.
+    #[inline]
+    fn pending(&mut self) -> bool {
+        if self.visited {
+            if *self.cur == *self.last || increment_prefix(self.cur, self.l) {
+                return false;
+            }
+            self.visited = false;
+        }
+        true
+    }
+
+    /// The next region — a full-width key with every bit past `l` zero — or
+    /// `None` when the window is done or its next region cannot be paid for.
+    #[inline]
+    pub fn draw(&mut self) -> Option<&[u8]> {
+        if !self.pending() || !self.budget.spend() {
+            return None;
+        }
+        self.visited = true;
+        Some(self.cur)
+    }
+}
+
 impl<'q> RegionWalk<'q> {
     /// A walker over the closed query `[lo, hi]` (equal-width canonical
     /// keys, `lo <= hi`).
@@ -193,17 +245,25 @@ impl<'q> RegionWalk<'q> {
     /// Visit, in ascending order, every `l`-bit region that intersects both
     /// the query and the `within`-bit region whose prefix is the first
     /// `within` bits of `region` (`(&[], 0)` is the whole key space: no
-    /// clamp). The visitor sees each region as a full-width key with every
-    /// bit past `l` zero, and steers the walk: `Clear` moves on, anything
-    /// else ends it with that outcome. Each visit costs one probe; a region
-    /// that cannot be paid for ends the walk as [`Walk::Exhausted`], never
-    /// as `Clear`.
+    /// clamp). The visitor is handed the rest of the window as a [`Run`],
+    /// must draw at least one region from it, and steers the walk: `Clear`
+    /// moves on to whatever the run still holds, anything else ends the walk
+    /// with that outcome. Each region drawn costs one probe; a region that
+    /// cannot be paid for ends the walk as [`Walk::Exhausted`], never as
+    /// `Clear` — also when the budget runs out in the middle of a visitor's
+    /// chunk and the part it could pay for came back clear.
+    ///
+    /// After `Clear` or `Exhausted` the budget has been charged exactly one
+    /// probe per region visited, whatever the chunking. After a `Hit` the
+    /// query is over: a chunking visitor has paid for its whole chunk, not
+    /// just up to the hit, and that remainder is not observable.
+    #[inline]
     pub fn walk(
         &mut self,
         region: &[u8],
         within: usize,
         l: usize,
-        mut visit: impl FnMut(&[u8]) -> Walk,
+        mut visit: impl FnMut(&mut Run<'_>) -> Walk,
     ) -> Walk {
         debug_assert!(within <= region.len() * 8 && l <= self.lo.len() * 8);
         let width = self.lo.len();
@@ -236,18 +296,18 @@ impl<'q> RegionWalk<'q> {
         }
         mask_tail(cur, l);
         mask_tail(last, l);
-        loop {
-            if !self.budget.spend() {
+        let mut run = Run { cur, last, l, budget: self.budget, visited: false };
+        while run.pending() {
+            let left = self.budget.left();
+            if left == 0 {
                 return Walk::Exhausted;
             }
-            match visit(cur) {
-                Walk::Clear => {}
+            match visit(&mut run) {
+                Walk::Clear => debug_assert!(self.budget.left() < left, "a visitor must draw"),
                 stop => return stop,
             }
-            if cur == last || increment_prefix(cur, l) {
-                return Walk::Clear;
-            }
         }
+        Walk::Clear
     }
 }
 

@@ -136,17 +136,6 @@ impl ProbeBins {
         self.guaranteed + self.resolved + self.counts.iter().sum::<u64>()
     }
 
-    /// Mean probes per query across all recorded queries (guaranteed
-    /// queries still probe — the structure cannot know they will hit).
-    /// Used by the latency-aware design objective.
-    pub fn mean_probes(&self, n_samples: u64) -> f64 {
-        if n_samples == 0 {
-            return 0.0;
-        }
-        let total: u64 = self.sums.iter().sum();
-        total as f64 / n_samples as f64
-    }
-
     /// Expected FPR given a per-probe false positive probability `p`:
     /// one batched `1 - (1-p)^avg` per non-empty bin.
     pub fn expected_fpr(&self, p: f64, n_samples: u64) -> f64 {

@@ -171,26 +171,11 @@ impl ProteusModel {
         Some(bf_fpr * (self.n_samples - self.resolved[c]) as f64 / self.n_samples as f64)
     }
 
-    /// Algorithm 1's selection: the design minimizing expected FPR, ties
-    /// going to later candidates (the paper's `≤` comparisons).
+    /// Algorithm 1's selection — the one selection loop: the design
+    /// minimizing expected FPR, ties going to later candidates (the paper's
+    /// `≤` comparisons).
     pub fn best_design(&self, keys: &KeySet, m_bits: u64) -> ProteusDesign {
-        self.best_design_latency_aware(keys, m_bits, 0.0)
-    }
-
-    /// The one selection loop. §9's "higher order optimization" extension:
-    /// select the design minimizing `FPR + probe_cost_weight · E[Bloom
-    /// probes per query]`, trading a little FPR for fewer hash probes
-    /// (CPU); weight 0 is Algorithm 1's FPR-only objective. §6.3's
-    /// observation that Rosetta's low-FPR/high-CPU designs can *increase*
-    /// end-to-end latency is the motivation.
-    pub fn best_design_latency_aware(
-        &self,
-        keys: &KeySet,
-        m_bits: u64,
-        probe_cost_weight: f64,
-    ) -> ProteusDesign {
         let mut best = ProteusDesign::bloom_only(0, f64::INFINITY);
-        let mut best_score = f64::INFINITY;
         for (c, &l1) in self.l1_candidates.iter().enumerate() {
             // The trie-only design (bLen = 0 in Algorithm 1 line 17, which
             // probes nothing), then every Bloom length past the trie — if
@@ -201,9 +186,7 @@ impl ProteusModel {
                 // `l1` comes from our own candidate list, so the model
                 // always has an answer; skip defensively rather than panic.
                 let Some(fpr) = self.expected_fpr(keys, l1, l2, m_bits) else { continue };
-                let score = fpr + probe_cost_weight * self.bins[c][l2].mean_probes(self.n_samples);
-                if score <= best_score {
-                    best_score = score;
+                if fpr <= best.expected_fpr {
                     best = ProteusDesign {
                         trie_depth_bits: l1,
                         bloom_prefix_len: l2,
@@ -440,34 +423,6 @@ mod tests {
         assert_eq!(da.trie_depth_bits, db.trie_depth_bits);
         assert_eq!(da.bloom_prefix_len, db.bloom_prefix_len);
         assert!((da.expected_fpr - db.expected_fpr).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_aware_objective_trades_probes_for_fpr() {
-        let raw = normal_keys(2000, 12);
-        let keys = KeySet::from_u64(&raw);
-        // Large-range queries: low-FPR designs use long prefixes with many
-        // probes; a probe penalty should push toward shorter prefixes.
-        let samples = correlated_queries(&raw, &keys, 300, 1 << 16, 31);
-        let m = 2000 * 12;
-        let model = ProteusModel::build(&keys, &samples, m, &ProteusModelOptions::default());
-        let plain = model.best_design_latency_aware(&keys, m, 0.0);
-        let base = model.best_design(&keys, m);
-        assert_eq!(
-            (plain.trie_depth_bits, plain.bloom_prefix_len),
-            (base.trie_depth_bits, base.bloom_prefix_len),
-            "zero weight must match the FPR-only objective"
-        );
-        let heavy = model.best_design_latency_aware(&keys, m, 0.05);
-        // The penalized objective never picks a design with more expected
-        // probes at equal-or-worse FPR than the plain one.
-        assert!(heavy.expected_fpr >= plain.expected_fpr - 1e-12);
-        if heavy.bloom_prefix_len > 0 && plain.bloom_prefix_len > 0 {
-            assert!(
-                heavy.bloom_prefix_len <= plain.bloom_prefix_len,
-                "probe penalty should not lengthen prefixes: {plain:?} -> {heavy:?}"
-            );
-        }
     }
 
     #[test]

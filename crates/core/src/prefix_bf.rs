@@ -1,12 +1,16 @@
 //! A prefix Bloom filter: a Bloom filter over the `l`-bit prefixes of the
 //! key set (§2.1, §3.1). Range queries probe every `l`-bit region of the
 //! query window through [`crate::key::RegionWalk`], with
-//! [`PrefixBloom::probe`] as the per-region visitor.
+//! [`PrefixBloom::probe_run`] as the visitor: it draws the window's
+//! consecutive prefixes a chunk at a time, hashes the chunk up front and
+//! lets the Bloom filter test it position by position, so the probes of
+//! adjacent regions overlap instead of queueing behind each other.
 
 use crate::codec::{ByteReader, CodecError, WireWrite};
-use crate::key::{lcp_bits, Walk};
+use crate::key::{lcp_bits, Run, Walk};
 use crate::keyset::KeySet;
-use proteus_amq::hash::{HashFamily, PrefixHasher};
+use proteus_amq::bloom::MAX_BATCH;
+use proteus_amq::hash::{HashFamily, KeyHash, PrefixHasher};
 use proteus_amq::BloomFilter;
 
 /// Bloom filter over fixed-length key prefixes.
@@ -99,11 +103,30 @@ impl PrefixBloom {
         self.bloom.contains(self.hasher.hash_prefix(key, self.prefix_len as u32))
     }
 
-    /// [`PrefixBloom::contains_prefix_of`] as a region-walk visitor: a
-    /// positive probe ends the walk as a [`Walk::Hit`].
+    /// [`PrefixBloom::contains_prefix_of`] of one region, as a walk outcome:
+    /// a positive probe is a [`Walk::Hit`].
     #[inline]
     pub fn probe(&self, region: &[u8]) -> Walk {
         if self.contains_prefix_of(region) {
+            Walk::Hit
+        } else {
+            Walk::Clear
+        }
+    }
+
+    /// The region-walk visitor: draw up to [`MAX_BATCH`] regions from `run`
+    /// and probe them together — [`Walk::Hit`] iff
+    /// [`PrefixBloom::contains_prefix_of`] holds for any of them.
+    #[inline]
+    pub fn probe_run(&self, run: &mut Run<'_>) -> Walk {
+        let mut hashes = [KeyHash { h1: 0, h2: 0 }; MAX_BATCH];
+        let mut n = 0;
+        while n < MAX_BATCH {
+            let Some(region) = run.draw() else { break };
+            hashes[n] = self.hasher.hash_prefix(region, self.prefix_len as u32);
+            n += 1;
+        }
+        if self.bloom.contains_any(&hashes[..n]) {
             Walk::Hit
         } else {
             Walk::Clear
@@ -121,7 +144,8 @@ mod tests {
     fn window(pb: &PrefixBloom, lo: u64, hi: u64, cap: u64) -> (Walk, u64) {
         let (lo, hi) = (u64_key(lo), u64_key(hi));
         let budget = ProbeBudget::new(cap);
-        let end = RegionWalk::new(&lo, &hi, &budget).walk(&[], 0, pb.prefix_len(), |p| pb.probe(p));
+        let end = RegionWalk::new(&lo, &hi, &budget)
+            .walk(&[], 0, pb.prefix_len(), |run| pb.probe_run(run));
         (end, budget.left())
     }
 

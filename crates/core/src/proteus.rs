@@ -7,7 +7,7 @@
 //! be purely deterministic or purely probabilistic as the workload demands.
 
 use crate::codec::{ByteReader, CodecError, FilterKind, WireWrite};
-use crate::key::{pad_key, u64_key, ProbeBudget, RegionWalk, Walk};
+use crate::key::{pad_key, u64_key, ProbeBudget, RegionWalk, Run, Walk};
 use crate::keyset::KeySet;
 use crate::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOptions};
 use crate::prefix_bf::PrefixBloom;
@@ -114,7 +114,7 @@ impl Proteus {
                 let mut walk = RegionWalk::new(lo, hi, &budget);
                 let l2 = bloom.prefix_len();
                 // Running out of probes is the safe positive too.
-                walk_fine(trie.as_ref(), &mut walk, l2, |p| bloom.probe(p)) != Walk::Clear
+                walk_fine(trie.as_ref(), &mut walk, l2, |run| bloom.probe_run(run)) != Walk::Clear
             }
         }
     }
@@ -198,7 +198,7 @@ pub(crate) fn walk_fine(
     trie: Option<&ProteusTrie>,
     walk: &mut RegionWalk<'_>,
     l2: usize,
-    visit: impl FnMut(&[u8]) -> Walk,
+    visit: impl FnMut(&mut Run<'_>) -> Walk,
 ) -> Walk {
     match trie {
         None => walk.walk(&[], 0, l2, visit),

@@ -7,7 +7,7 @@
 //! depth-byte key prefixes, K_l1.
 
 use crate::codec::{ByteReader, CodecError, WireWrite};
-use crate::key::{lcp_bytes, RegionWalk, Walk};
+use crate::key::{lcp_bytes, RegionWalk, Run, Walk};
 use crate::keyset::KeySet;
 use proteus_succinct::{Fst, FstBuilder, ValueStore, Visit};
 
@@ -124,7 +124,7 @@ impl ProteusTrie {
         &self,
         walk: &mut RegionWalk<'_>,
         l: usize,
-        mut visit: impl FnMut(&[u8]) -> Walk,
+        mut visit: impl FnMut(&mut Run<'_>) -> Walk,
     ) -> Walk {
         let mut end = Walk::Clear;
         self.visit_leaves(walk.lo, walk.hi, |leaf| {

@@ -90,9 +90,14 @@ impl TwoPbf {
         let budget = ProbeBudget::new(self.probe_cap);
         let mut coarse = RegionWalk::new(lo, hi, &budget);
         let mut fine = RegionWalk::new(lo, hi, &budget);
-        let end = coarse.walk(&[], 0, l1, |region| match self.bf1.probe(region) {
-            Walk::Hit => fine.walk(region, l1, l2, |p| self.bf2.probe(p)),
-            miss => miss,
+        // The coarse stage takes its run one region at a time: a region the
+        // first filter passes is walked in the second before the next coarse
+        // probe is paid for.
+        let end = coarse.walk(&[], 0, l1, |run| match run.draw() {
+            Some(region) if self.bf1.probe(region) == Walk::Hit => {
+                fine.walk(region, l1, l2, |run| self.bf2.probe_run(run))
+            }
+            _ => Walk::Clear,
         });
         end != Walk::Clear
     }

@@ -15,9 +15,10 @@
 //!      `adapt_fpr_threshold` flags the file.
 //!   2. *Distribution drift*: each filter block persists a
 //!      [`proteus_core::QuerySketch`] fingerprint of the sample it was
-//!      trained on. The live sample queue, sketched over the same anchors
-//!      (the file's canonicalized key range — [`SstReader::sketch`]), is
-//!      compared by total-variation distance;
+//!      trained on — the file's view of the queue, see
+//!      [`QueryQueue::view`]. The file's view of the live queue, sketched
+//!      over the same anchors (the file's canonicalized key range —
+//!      [`SstReader::live_sketch`]), is compared by total-variation distance;
 //!      divergence above `adapt_divergence_threshold` flags the file
 //!      *before* the FPR damage fully materializes.
 //! * **What to do** — [`retrain`] re-runs the factory (for Proteus, the
@@ -43,11 +44,11 @@ use crate::query_queue::QueryQueue;
 use crate::sst::SstReader;
 use crate::stats::Stats;
 use crate::FilterFactory;
-use proteus_core::SampleQueries;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Live-sample floor below which drift comparison is considered noise.
+/// Floor on a file's view of the sample queue: below it a drift comparison
+/// is noise, and the file's filter is trained on the whole queue instead.
 pub const MIN_DRIFT_SAMPLES: usize = 64;
 
 /// Why an SST was flagged for filter re-training.
@@ -61,11 +62,11 @@ pub enum FlagReason {
     Drift,
 }
 
-/// Decide whether `sst`'s filter should be re-trained, given the current
-/// live sample snapshot. Returns `None` for files without a live filter
-/// (nothing to adapt), under-observed files, and files whose signals are
-/// within thresholds.
-pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, live: &SampleQueries) -> Option<FlagReason> {
+/// Decide whether `sst`'s filter should be re-trained, given the live sample
+/// queue. Returns `None` for files without a live filter (nothing to
+/// adapt), under-observed files, and files whose signals are within
+/// thresholds.
+pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, queue: &QueryQueue) -> Option<FlagReason> {
     if !sst.has_live_filter() {
         // Filter not yet decoded (no probes have happened either), absent,
         // or degraded: nothing to compare and nothing worth rewriting.
@@ -81,14 +82,12 @@ pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, live: &SampleQueries) -> Opt
     if sst.observed_probes() >= required && sst.observed_fpr() > cfg.adapt_fpr_threshold() {
         return Some(FlagReason::HighFpr);
     }
-    if live.len() >= MIN_DRIFT_SAMPLES {
-        if let Some(trained) = sst.training_fingerprint() {
-            if trained.divergence(&sst.sketch(live)) > cfg.adapt_divergence_threshold() {
-                return Some(FlagReason::Drift);
-            }
-        }
-    }
-    None
+    // Both fingerprints are sketched from the file's own view of the queue
+    // (`QueryQueue::view`), so a shift inside the file's range moves all of
+    // the mass, not the file's share of the key space.
+    let trained = sst.training_fingerprint()?;
+    let live = sst.live_sketch(queue)?;
+    (trained.divergence(&live) > cfg.adapt_divergence_threshold()).then_some(FlagReason::Drift)
 }
 
 /// Re-train one SST's filter: collect the file's filter keys, re-run the
@@ -118,7 +117,6 @@ pub fn retrain(
 /// concurrently.
 pub(crate) fn pass(db: &DbInner) -> Result<usize> {
     let _guard = db.adapt_lock.lock().map_err(|_| Error::Poisoned("adapt lock"))?;
-    let live = db.queue.snapshot(db.cfg.key_width());
     let version = db.version();
     let mut flagged: Vec<Arc<SstReader>> = Vec::new();
     for level in &version.levels {
@@ -126,7 +124,7 @@ pub(crate) fn pass(db: &DbInner) -> Result<usize> {
             if sst.is_retired() {
                 continue;
             }
-            if flag_reason(sst, &db.cfg, &live).is_some() {
+            if flag_reason(sst, &db.cfg, &db.queue).is_some() {
                 db.stats.drift_flags.inc();
                 flagged.push(Arc::clone(sst));
             }
@@ -198,23 +196,31 @@ mod tests {
         d
     }
 
-    /// One SST over clustered keys, filter trained on `train` queries.
-    fn build_sst(dir: &std::path::Path, train: &[(u64, u64)]) -> (Arc<SstReader>, Arc<Stats>) {
-        let stats = Arc::new(Stats::default());
+    /// A queue holding exactly `queries`.
+    fn queue_of(queries: &[(u64, u64)]) -> QueryQueue {
         let queue = QueryQueue::new(20_000, 1);
-        for &(lo, hi) in train {
-            queue.offer(&u64_key(lo), &u64_key(hi));
-        }
-        let mut w = SstWriter::create(dir, 1, 8, 4096, 0).unwrap();
-        for i in 0..4_000u64 {
-            w.add(&u64_key(i << 24), &[0u8; 32]).unwrap();
-        }
-        let r = w.finish(&ProteusFactory::default(), &queue, 12.0, &stats).unwrap();
-        (Arc::new(r), stats)
+        queue.seed(queries.iter().map(|&(lo, hi)| (u64_key(lo).to_vec(), u64_key(hi).to_vec())));
+        queue
     }
 
-    fn queries(base: u64, n: usize) -> Vec<(u64, u64)> {
-        (0..n as u64).map(|i| (base + (i << 24) + 0x1000, base + (i << 24) + 0x2000)).collect()
+    /// SST `id` over the 4 000 keys `(first + i) << 24`, filter trained on
+    /// `queue`.
+    fn build_sst_at(dir: &std::path::Path, id: u64, first: u64, queue: &QueryQueue) -> SstReader {
+        let mut w = SstWriter::create(dir, id, 8, 4096, 0).unwrap();
+        for i in first..first + 4_000 {
+            w.add(&u64_key(i << 24), &[0u8; 32]).unwrap();
+        }
+        w.finish(&ProteusFactory::default(), queue, 12.0, &Stats::default()).unwrap()
+    }
+
+    /// One SST over clustered keys, filter trained on `train` queries.
+    fn build_sst(dir: &std::path::Path, train: &[(u64, u64)]) -> (Arc<SstReader>, Arc<Stats>) {
+        (Arc::new(build_sst_at(dir, 1, 0, &queue_of(train))), Arc::new(Stats::default()))
+    }
+
+    /// `n` empty queries, one in each of the gaps after keys `from..from + n`.
+    fn queries(from: u64, n: usize) -> Vec<(u64, u64)> {
+        (from..from + n as u64).map(|i| ((i << 24) + 0x1000, (i << 24) + 0x2000)).collect()
     }
 
     #[test]
@@ -222,7 +228,7 @@ mod tests {
         let dir = tmpdir("noflag");
         let (sst, _stats) = build_sst(&dir, &queries(0, 200));
         let cfg = DbConfig::builder().adapt_min_probes(4).build().unwrap();
-        let live = SampleQueries::from_u64(&queries(0, 200));
+        let live = queue_of(&queries(0, 200));
         assert_eq!(flag_reason(&sst, &cfg, &live), None, "healthy file must not be flagged");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -241,7 +247,7 @@ mod tests {
         }
         assert_eq!(sst.observed_probes(), 10);
         assert!((sst.observed_fpr() - 0.8).abs() < 1e-12);
-        let live = SampleQueries::new(8);
+        let live = QueryQueue::new(16, 1);
         assert_eq!(flag_reason(&sst, &cfg, &live), Some(FlagReason::HighFpr));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -249,18 +255,53 @@ mod tests {
     #[test]
     fn distribution_shift_flags_via_fingerprint_divergence() {
         let dir = tmpdir("drift");
-        // Train on queries in the low half of the key space.
+        // Train on queries in the low eighth of the file's key range.
         let (sst, _stats) = build_sst(&dir, &queries(0, 500));
         let cfg = DbConfig::builder().adapt_divergence_threshold(0.5).build().unwrap();
         // Live sample matching training: no flag.
-        let same = SampleQueries::from_u64(&queries(0, 500));
-        assert_eq!(flag_reason(&sst, &cfg, &same), None);
+        assert_eq!(flag_reason(&sst, &cfg, &queue_of(&queries(0, 500))), None);
         // Live sample shifted to the high half: flagged as drift.
-        let shifted = SampleQueries::from_u64(&queries(2_000u64 << 24, 500));
+        let shifted = queue_of(&queries(2_000, 500));
         assert_eq!(flag_reason(&sst, &cfg, &shifted), Some(FlagReason::Drift));
         // Too few live samples: noise, no flag.
-        let tiny = SampleQueries::from_u64(&queries(2_000u64 << 24, MIN_DRIFT_SAMPLES - 1));
+        let tiny = queue_of(&queries(2_000, MIN_DRIFT_SAMPLES - 1));
         assert_eq!(flag_reason(&sst, &cfg, &tiny), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drift_is_judged_inside_each_file_of_a_level() {
+        let dir = tmpdir("level");
+        // Six files side by side, 4 000 keys each, and a workload spread
+        // evenly over all of them: every 10th gap of every file is queried.
+        let spread: Vec<(u64, u64)> = (0..24_000).step_by(10).flat_map(|i| queries(i, 1)).collect();
+        let trained_on = queue_of(&spread);
+        let level: Vec<SstReader> =
+            (0..6).map(|f| build_sst_at(&dir, f + 1, f * 4_000, &trained_on)).collect();
+        let cfg = DbConfig::builder().build().unwrap();
+        // The same distribution live: no file sees drift, although 5/6 of
+        // the queue lies outside each of them.
+        for sst in &level {
+            assert_eq!(flag_reason(sst, &cfg, &trained_on), None, "{sst:?}");
+        }
+        // The queries of file 3 all move into its last tenth; the other five
+        // files are asked what they were always asked. At 1/6 of the key
+        // space, lumping out-of-range queries into the end buckets would
+        // leave this shift at a divergence of at most 1/6.
+        let moved: Vec<(u64, u64)> = spread
+            .iter()
+            .map(|&(lo, hi)| match lo >> 24 {
+                i @ 12_000..16_000 => queries(15_600 + i % 400, 1)[0],
+                _ => (lo, hi),
+            })
+            .collect();
+        let live = queue_of(&moved);
+        let flagged: Vec<u64> = level
+            .iter()
+            .filter(|sst| flag_reason(sst, &cfg, &live).is_some())
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(flagged, [4], "exactly the file whose in-range queries moved");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -268,11 +309,8 @@ mod tests {
     fn retrain_rewrites_filter_block_and_survives_reopen() {
         let dir = tmpdir("retrain");
         let (sst, stats) = build_sst(&dir, &queries(0, 300));
-        let old_bits = sst.filter(&stats).unwrap().size_bits();
-        let shifted = QueryQueue::new(20_000, 1);
-        for (lo, hi) in queries(10_000u64 << 24, 300) {
-            shifted.offer(&u64_key(lo), &u64_key(hi));
-        }
+        // The workload moves to the other end of the file.
+        let shifted = queue_of(&queries(3_500, 300));
         let new_reader = retrain(&sst, &ProteusFactory::default(), &shifted, 12.0, &stats).unwrap();
         assert_eq!(stats.filters_retrained.get(), 1);
         assert!(stats.retrain_ns.get() > 0);
@@ -285,6 +323,14 @@ mod tests {
         for i in (0..4_000u64).step_by(61) {
             assert!(f.may_contain(&u64_key(i << 24)), "key {i}");
         }
+        // The new fingerprint is the shifted view's: the old workload now
+        // reads as drift, the new one does not.
+        let cfg = DbConfig::builder().build().unwrap();
+        assert_eq!(flag_reason(&new_reader, &cfg, &shifted), None);
+        assert_eq!(
+            flag_reason(&new_reader, &cfg, &queue_of(&queries(0, 300))),
+            Some(FlagReason::Drift)
+        );
         // The rewritten file reopens cold with the retrained filter and
         // fingerprint (no retraining on the recovery path).
         let reopened = SstReader::open(dir.join("00000001.sst"), 1).unwrap();
@@ -305,7 +351,34 @@ mod tests {
                 assert_eq!(x.value(i), y.value(i));
             }
         }
-        let _ = (old_bits,);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_queue_that_misses_the_file_is_the_cold_start_case() {
+        let dir = tmpdir("outside");
+        let (sst, stats) = build_sst(&dir, &queries(0, 300));
+        // Every queued query lies past the file's last key: its view is
+        // empty, so the re-train falls back to the whole queue and the new
+        // filter carries no fingerprint.
+        let outside = queue_of(&queries(10_000, 300));
+        let new_reader = retrain(&sst, &ProteusFactory::default(), &outside, 12.0, &stats).unwrap();
+        let f = new_reader.filter(&stats).expect("retrained filter present");
+        for i in (0..4_000u64).step_by(61) {
+            assert!(f.may_contain(&u64_key(i << 24)), "key {i}");
+        }
+        assert!(new_reader.training_fingerprint().is_none());
+        // Without a fingerprint no queue can read as drift...
+        let cfg =
+            DbConfig::builder().adapt_min_probes(10).adapt_fpr_threshold(0.3).build().unwrap();
+        assert_eq!(flag_reason(&new_reader, &cfg, &outside), None);
+        assert_eq!(flag_reason(&new_reader, &cfg, &queue_of(&queries(0, 300))), None);
+        // ...but the observed-FPR trigger still works (twice the evidence:
+        // the file has been re-trained once).
+        for _ in 0..20 {
+            new_reader.record_probe(true);
+        }
+        assert_eq!(flag_reason(&new_reader, &cfg, &outside), Some(FlagReason::HighFpr));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

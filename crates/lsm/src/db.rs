@@ -640,7 +640,7 @@ impl Db {
         let bounds = self.inner.resolve_bounds(range)?;
         self.inner.stats.range_scans.inc();
         match bounds {
-            Some((lo, hi)) => RangeIter::new(&self.inner, lo, hi),
+            Some((lo, hi)) => RangeIter::new(&self.inner, &lo, &hi),
             None => Ok(RangeIter::empty(&self.inner)),
         }
     }

@@ -3,14 +3,22 @@
 //! FIFO policy. … we use a queue size of 20K queries and update the queue
 //! with every 100th executed empty query."
 //!
+//! A filter is never trained on the queue as a whole but on its file's
+//! [`FileView`] of it ([`QueryQueue::view`]): the read path only asks a file
+//! about queries that overlap its key range, clamped to that range, so that
+//! is what the file's model must be fed — and what both sides of a drift
+//! comparison are sketched from.
+//!
 //! The queue is internally synchronized so the concurrent `Db` can offer
-//! queries from any reader thread and snapshot it from the background
+//! queries from any reader thread and view it from the background
 //! flush/compaction workers: the every-`n`-th subsampling counter is a
 //! lone atomic (the common case — an offer that is *not* recorded — takes
 //! no lock at all), and only the 1-in-`every` recorded offers, seeds and
 //! snapshots touch the inner mutex.
 
-use proteus_core::key::pad_key;
+use crate::adapt::MIN_DRIFT_SAMPLES;
+use proteus_core::key::{pad_key, pad_key_into};
+use proteus_core::keyset::KeySet;
 use proteus_core::sync::{rank, Mutex};
 use proteus_core::SampleQueries;
 use std::collections::VecDeque;
@@ -33,9 +41,11 @@ use std::sync::PoisonError;
 /// assert_eq!(queue.len(), 2);
 /// assert_eq!(queue.offered(), 2);
 ///
-/// // Snapshot into the sample type filter training consumes.
-/// let samples = queue.snapshot(8);
-/// assert_eq!(samples.len(), 2);
+/// // A file's view: the queries that reach it, clamped to its key range.
+/// let view = queue.view(8, &u64_key(15), &u64_key(55));
+/// assert_eq!(view.asked.len(), 2);
+/// assert_eq!(view.asked.lo(0), u64_key(15));
+/// assert_eq!(view.asked.hi(1), u64_key(55));
 /// ```
 #[derive(Debug)]
 pub struct QueryQueue {
@@ -44,6 +54,36 @@ pub struct QueryQueue {
     /// Record every `every`-th offered query.
     every: u64,
     offered: AtomicU64,
+}
+
+/// What one file is asked, out of everything the queue holds.
+#[derive(Debug, Clone)]
+pub struct FileView {
+    /// The queued queries that overlap the file's canonical `[min, max]`,
+    /// clamped to it — exactly the bounds the read path hands the file's
+    /// filter. A training fingerprint and its live counterpart are always
+    /// sketched from these.
+    pub asked: SampleQueries,
+    /// Cold start: with fewer than [`MIN_DRIFT_SAMPLES`] queries of its own
+    /// a file has nothing to model, so it trains on the whole queue
+    /// (unclamped) instead; `None` once `asked` suffices.
+    pub cold_start: Option<SampleQueries>,
+}
+
+impl FileView {
+    /// The sample the file's filter is trained on.
+    pub fn training(&self) -> &SampleQueries {
+        self.cold_start.as_ref().unwrap_or(&self.asked)
+    }
+
+    /// Keep only the queries that are empty for `keys` (the model's input
+    /// contract).
+    pub fn retain_empty(&mut self, keys: &KeySet) {
+        self.asked.retain_empty(keys);
+        if let Some(whole) = &mut self.cold_start {
+            whole.retain_empty(keys);
+        }
+    }
 }
 
 impl QueryQueue {
@@ -116,22 +156,53 @@ impl QueryQueue {
         self.len() == 0
     }
 
-    /// Copy the current contents into a [`SampleQueries`] for filter
-    /// construction. Recorded bounds are arbitrary-length byte strings;
-    /// each is canonicalized to `width` the same way filter keys are
-    /// (NUL-pad + truncate — order-preserving, so a canonicalized sample
-    /// still brackets the canonicalized keys it originally bracketed).
-    pub fn snapshot(&self, width: usize) -> SampleQueries {
+    /// The view of the file whose keys span `[min_key, max_key]`, at the
+    /// file's filter width: the one sample source of filter training (flush,
+    /// compaction, re-train) and of the live side of drift detection.
+    pub fn view(&self, width: usize, min_key: &[u8], max_key: &[u8]) -> FileView {
+        let whole = self.snapshot(width);
+        let (min, max) = (pad_key(min_key, width), pad_key(max_key, width));
+        let mut asked = SampleQueries::new(width);
+        for (lo, hi) in whole.iter() {
+            if let Some((lo, hi)) = clamp_to_file(lo, hi, &min, &max) {
+                asked.push(lo, hi);
+            }
+        }
+        let cold_start = (asked.len() < MIN_DRIFT_SAMPLES).then_some(whole);
+        FileView { asked, cold_start }
+    }
+
+    /// Copy the current contents into a [`SampleQueries`]. Recorded bounds
+    /// are arbitrary-length byte strings; each is canonicalized to `width`
+    /// the same way filter keys are (NUL-pad + truncate — order-preserving,
+    /// so a canonicalized sample still brackets the canonicalized keys it
+    /// originally bracketed).
+    fn snapshot(&self, width: usize) -> SampleQueries {
         let q = self.lock_queue();
         let mut s = SampleQueries::new(width);
+        let (mut clo, mut chi) = (vec![0u8; width], vec![0u8; width]);
         for (lo, hi) in q.iter() {
-            let (clo, chi) = (pad_key(lo, width), pad_key(hi, width));
+            pad_key_into(lo, &mut clo);
+            pad_key_into(hi, &mut chi);
             if !lo.is_empty() && !hi.is_empty() && clo <= chi {
                 s.push(&clo, &chi);
             }
         }
         s
     }
+}
+
+/// The part of the query `[lo, hi]` a file spanning `[min, max]` is asked
+/// about: `None` if they do not overlap, else the query clamped to the
+/// file. The read path's `admit` and [`QueryQueue::view`] both clamp here,
+/// so a filter is trained on the bounds it will be probed with.
+pub(crate) fn clamp_to_file<'a>(
+    lo: &'a [u8],
+    hi: &'a [u8],
+    min: &'a [u8],
+    max: &'a [u8],
+) -> Option<(&'a [u8], &'a [u8])> {
+    (lo <= max && hi >= min).then(|| (lo.max(min), hi.min(max)))
 }
 
 #[cfg(test)]
@@ -192,6 +263,35 @@ mod tests {
         let s = q.snapshot(8);
         assert_eq!(s.len(), 1);
         assert_eq!(s.width(), 8);
+    }
+
+    #[test]
+    fn view_is_the_overlapping_queries_clamped_to_the_file() {
+        let q = QueryQueue::new(1_000, 1);
+        // 100 queries [10i, 10i + 15]; the file spans [200, 985].
+        for i in 0..100u64 {
+            q.offer(&u64_key(10 * i), &u64_key(10 * i + 15));
+        }
+        let view = q.view(8, &u64_key(200), &u64_key(985));
+        // Queries 19 (ends at 205) through 98 (starts at 980) reach it.
+        assert_eq!(view.asked.len(), 80);
+        assert!(view.cold_start.is_none());
+        let bounds: Vec<(u64, u64)> = view
+            .asked
+            .iter()
+            .map(|(lo, hi)| (proteus_core::key::key_u64(lo), proteus_core::key::key_u64(hi)))
+            .collect();
+        assert_eq!(bounds[0], (200, 205), "clamped to the file's first key");
+        assert_eq!(bounds[1], (200, 215));
+        assert_eq!(bounds[2], (210, 225), "inside: untouched");
+        assert_eq!(bounds[79], (980, 985), "clamped to the file's last key");
+        assert_eq!(view.training().len(), 80);
+        // Too few of its own (here: none): the whole queue, unclamped, is
+        // the training sample, and the view stays what it is.
+        let cold = q.view(8, &u64_key(5_000), &u64_key(6_000));
+        assert!(cold.asked.is_empty());
+        assert_eq!(cold.training().len(), 100);
+        assert_eq!(proteus_core::key::key_u64(cold.training().lo(0)), 0);
     }
 
     #[test]

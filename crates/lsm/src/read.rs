@@ -77,9 +77,10 @@ use crate::block::Block;
 use crate::db::{read_table, DbInner, SharedTable, Version};
 use crate::error::{Error, Result};
 use crate::memtable::{Cursor, MemTable};
+use crate::query_queue::clamp_to_file;
 use crate::sst::{SstCursor, SstReader};
 use crate::stats::Stats;
-use proteus_core::key::pad_key;
+use proteus_core::key::{pad_key_into, INLINE_KEY_BYTES};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::{Bound, RangeBounds};
@@ -245,16 +246,27 @@ impl DbInner {
     fn admit(&self, sst: &SstReader, lo: &[u8], hi: &[u8]) -> Option<Probe> {
         let probe = match sst.filter(&self.stats) {
             Some(filter) => {
-                let flo = if lo < sst.min_key.as_slice() { sst.min_key.as_slice() } else { lo };
-                let fhi = if hi > sst.max_key.as_slice() { sst.max_key.as_slice() } else { hi };
+                // `candidates` only yields files the range overlaps.
+                let (flo, fhi) =
+                    clamp_to_file(lo, hi, &sst.min_key, &sst.max_key).unwrap_or((lo, hi));
                 // The filter was trained on keys canonicalized to the
                 // file's fixed training width (NUL-pad + truncate, which
                 // is order-preserving), so probes must be canonicalized
                 // the same way — padding both bounds keeps the no-false-
-                // negative guarantee for the raw range.
-                let flo = pad_key(flo, sst.filter_width());
-                let fhi = pad_key(fhi, sst.filter_width());
-                Probe { passed: filter.may_contain_range(&flo, &fhi), real: true }
+                // negative guarantee for the raw range. Bounds already
+                // that wide (every `u64` workload) are probed in place.
+                let width = sst.filter_width();
+                let passed = if flo.len() == width && fhi.len() == width {
+                    filter.may_contain_range(flo, fhi)
+                } else {
+                    // `pad_key` on the stack: a filter width never exceeds
+                    // `INLINE_KEY_BYTES`.
+                    let (mut a, mut b) = ([0u8; INLINE_KEY_BYTES], [0u8; INLINE_KEY_BYTES]);
+                    pad_key_into(flo, &mut a[..width]);
+                    pad_key_into(fhi, &mut b[..width]);
+                    filter.may_contain_range(&a[..width], &b[..width])
+                };
+                Probe { passed, real: true }
             }
             None => Probe { passed: true, real: false },
         };
@@ -348,7 +360,7 @@ impl DbInner {
             self.stats.seeks_filtered.inc();
             return Ok(false);
         }
-        let mut it = RangeIter::new(self, lo.to_vec(), hi.to_vec())?;
+        let mut it = RangeIter::new(self, lo, hi)?;
         match it.next() {
             Some(Ok(_)) => {
                 self.stats.seeks_found.inc();
@@ -673,7 +685,7 @@ impl<'a> RangeIter<'a> {
     /// Probes every candidate SST's filter here (in-memory, settling the
     /// negatives) but defers all block I/O: admitted files enter the
     /// merge unread and are read only when it reaches them.
-    pub(crate) fn new(db: &'a DbInner, lo: Vec<u8>, hi: Vec<u8>) -> Result<RangeIter<'a>> {
+    pub(crate) fn new(db: &'a DbInner, lo: &[u8], hi: &[u8]) -> Result<RangeIter<'a>> {
         debug_assert!(lo <= hi);
         let mut it = RangeIter::empty(db);
         let merge = &mut it.merge;
@@ -687,27 +699,23 @@ impl<'a> RangeIter<'a> {
         let version = {
             let mem = db.mem_read()?;
             for table in mem.tables() {
-                merge.push_mem(table, &lo, &hi)?;
+                merge.push_mem(table, lo, hi)?;
             }
             db.version()
         };
         it.n_mem = merge.len();
 
         // 2. The admitted SST candidates of the manifest snapshot.
-        for sst in version.candidates(&lo, &hi) {
-            let Some(probe) = db.admit(sst, &lo, &hi) else {
+        for sst in version.candidates(lo, hi) {
+            let Some(probe) = db.admit(sst, lo, hi) else {
                 continue; // proven empty
             };
             // The smallest key this file could contribute: its entries in
             // range all sit at or above max(lo, min_key), so an unread
             // heap entry at that key materializes exactly when the merge
             // could need the file — and never sooner.
-            let floor = if sst.min_key.as_slice() > lo.as_slice() {
-                sst.min_key.clone()
-            } else {
-                lo.clone()
-            };
-            merge.push_sst(SstCursor::bounded(Arc::clone(sst), &lo, &hi), Some(probe), floor);
+            let floor = sst.min_key.as_slice().max(lo).to_vec();
+            merge.push_sst(SstCursor::bounded(Arc::clone(sst), lo, hi), Some(probe), floor);
         }
         it.io_paid = merge.len() > it.n_mem;
         Ok(it)

@@ -210,12 +210,14 @@ impl FilterKeys {
         }
     }
 
-    /// Train the file's filter from these keys and the sample queue (§6.1:
-    /// "used in conjunction with the keys in each SST file to determine
-    /// the optimal filter design for each SST file"); `None` when the
-    /// budget rounds to zero bits. Also returns the training fingerprint
-    /// — where in `[min_key, max_key]` the training samples landed —
-    /// which rides in the filter block so drift detection survives reopen.
+    /// Train the file's filter from these keys and the file's view of the
+    /// sample queue (§6.1: "used in conjunction with the keys in each SST
+    /// file to determine the optimal filter design for each SST file") —
+    /// the queries that will actually reach this file, see
+    /// [`QueryQueue::view`]; `None` when the budget rounds to zero bits.
+    /// Also returns the training fingerprint — where in
+    /// `[min_key, max_key]` the view's queries landed — which rides in the
+    /// filter block so drift detection survives reopen.
     pub(crate) fn train(
         self,
         min_key: &[u8],
@@ -225,11 +227,11 @@ impl FilterKeys {
         bits_per_key: f64,
     ) -> (Option<Box<dyn RangeFilter>>, QuerySketch) {
         let keyset = KeySet::from_sorted_canonical(self.flat, self.width);
-        let mut samples = queue.snapshot(self.width);
-        samples.retain_empty(&keyset);
+        let mut view = queue.view(self.width, min_key, max_key);
+        view.retain_empty(&keyset);
         let m_bits = (bits_per_key * keyset.len() as f64) as u64;
-        let filter = (m_bits > 0).then(|| factory.build(&keyset, &samples, m_bits));
-        (filter, canonical_sketch(&samples, min_key, max_key, self.width))
+        let filter = (m_bits > 0).then(|| factory.build(&keyset, view.training(), m_bits));
+        (filter, canonical_sketch(&view.asked, min_key, max_key, self.width))
     }
 }
 
@@ -551,10 +553,15 @@ impl SstReader {
         ratio(fp, fp + self.probe_tn.load(Ordering::Relaxed))
     }
 
-    /// Sketch `queries` over this file's key range: the live side of a
-    /// drift comparison against [`SstReader::training_fingerprint`].
-    pub fn sketch(&self, queries: &SampleQueries) -> QuerySketch {
-        canonical_sketch(queries, &self.min_key, &self.max_key, self.width)
+    /// This file's view of `queue` now, and its sketch over the file's key
+    /// range: the live side of a drift comparison against
+    /// [`SstReader::training_fingerprint`]. `None` while the view is too
+    /// small to compare (the cold-start case of [`QueryQueue::view`]).
+    pub fn live_sketch(&self, queue: &QueryQueue) -> Option<QuerySketch> {
+        let view = queue.view(self.width, &self.min_key, &self.max_key);
+        view.cold_start
+            .is_none()
+            .then(|| canonical_sketch(&view.asked, &self.min_key, &self.max_key, self.width))
     }
 
     /// The key set a re-trained filter must cover: every entry key, read
@@ -959,6 +966,99 @@ mod tests {
         let stats = Stats::default();
         let queue = QueryQueue::new(16, 1);
         w.finish(&ProteusFactory::default(), &queue, 10.0, &stats).unwrap()
+    }
+
+    /// A Proteus factory that keeps every design it trained.
+    #[derive(Default)]
+    struct RecordingFactory(std::sync::Mutex<Vec<proteus_core::model::proteus::ProteusDesign>>);
+
+    impl FilterFactory for RecordingFactory {
+        fn build(&self, keys: &KeySet, samples: &SampleQueries, m: u64) -> Box<dyn RangeFilter> {
+            let filter = proteus_core::Proteus::train(keys, samples, m, &Default::default());
+            self.0.lock().unwrap().push(filter.design());
+            Box::new(filter)
+        }
+        fn name(&self) -> String {
+            "recording".to_string()
+        }
+    }
+
+    #[test]
+    fn a_filter_is_a_function_of_its_keys_and_the_queries_that_reach_it() {
+        let dir = tmpdir("view");
+        let mut s = 0x5EED_u64;
+        let mut rng = move || {
+            // splitmix64
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // A store's worth of uniform keys; the file holds the eighth of them
+        // (and of the key space) that starts with bits 011.
+        let all: Vec<u64> = (0..160_000).map(|_| rng()).collect();
+        let mut mine: Vec<u64> = all.iter().copied().filter(|k| k >> 61 == 3).collect();
+        mine.sort_unstable();
+        mine.dedup();
+        // The paper's Split workload over the whole store: half long uniform
+        // ranges anywhere, half short ranges right above some key.
+        let whole: Vec<(u64, u64)> = (0..4_000)
+            .map(|i| {
+                let (at, len) = if i % 2 == 0 {
+                    (rng(), rng() % (1 << 15))
+                } else {
+                    (all[rng() as usize % all.len()] + 1 + rng() % (1 << 10), rng() % 32)
+                };
+                (at, at.saturating_add(len))
+            })
+            .collect();
+        let (min, max) = (mine[0], *mine.last().unwrap());
+        let reaching: Vec<(u64, u64)> =
+            whole.iter().copied().filter(|&(lo, hi)| lo <= max && hi >= min).collect();
+        assert!(reaching.len() > 300 && reaching.len() < 700, "{}", reaching.len());
+
+        let build = |id: u64, queries: &[(u64, u64)]| {
+            let queue = QueryQueue::new(20_000, 1);
+            queue.seed(
+                queries
+                    .iter()
+                    .map(|&(lo, hi)| (lo.to_be_bytes().to_vec(), hi.to_be_bytes().to_vec())),
+            );
+            let mut w = SstWriter::create(&dir, id, 8, 4096, 1).unwrap();
+            for k in &mine {
+                w.add(&k.to_be_bytes(), &[7u8; 16]).unwrap();
+            }
+            let factory = RecordingFactory::default();
+            let reader = w.finish(&factory, &queue, 10.0, &Stats::default()).unwrap();
+            let design = factory.0.into_inner().unwrap()[0];
+            let bytes = std::fs::read(dir.join(format!("{id:08}.sst"))).unwrap();
+            let footer = &bytes[bytes.len() - SST_FOOTER_LEN as usize..];
+            let off = u64::from_le_bytes(footer[16..24].try_into().unwrap()) as usize;
+            let len = u64::from_le_bytes(footer[24..32].try_into().unwrap()) as usize;
+            (reader, design, bytes[off..off + len].to_vec(), queue)
+        };
+        let (reader, design, block_a, queue_a) = build(1, &whole);
+        let (_, design_b, block_b, _) = build(2, &reaching);
+        // The 7/8 of the queue that never reaches the file changes nothing.
+        assert_eq!(design, design_b);
+        assert!(block_a == block_b, "filter blocks differ");
+        // Nothing in the file's own range can be told from its (uniform)
+        // keys by their first bytes: no trie.
+        assert_eq!(design.trie_depth_bits, 0, "{design:?}");
+        // And the model predicts what the file will observe: probe it with
+        // what it is asked.
+        let mut asked = queue_a.view(8, &min.to_be_bytes(), &max.to_be_bytes());
+        asked.retain_empty(&KeySet::from_u64(&mine));
+        let filter = reader.filter(&Stats::default()).unwrap();
+        let fps = asked.asked.iter().filter(|(lo, hi)| filter.may_contain_range(lo, hi)).count();
+        let observed = fps as f64 / asked.asked.len() as f64;
+        assert!(
+            (design.expected_fpr - observed).abs() < 0.05,
+            "predicted {:.4}, observed {observed:.4} over {} queries",
+            design.expected_fpr,
+            asked.asked.len()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,0 +1,121 @@
+//! Allocation guard for the filter-negative Seek: a Seek every candidate
+//! file's filter rejects reads no block, builds no cursor and — on keys
+//! already as wide as the filter's training width, which is every `u64`
+//! workload — pads nothing, so it has no reason to touch the heap. A copied
+//! bound or a padded probe key sneaking back in would fail no functional
+//! test; it shows up only as allocator traffic under every Seek, so it is
+//! pinned here with a counting allocator.
+//!
+//! This file is its own test binary on purpose: the `#[global_allocator]`
+//! below must not be shared with any other suite, and it holds exactly one
+//! test so no concurrently running test adds to the count.
+
+use proteus_core::key::u64_key;
+use proteus_lsm::{Db, DbConfig, ProteusFactory};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The system allocator plus one relaxed counter of `alloc` + `realloc`
+/// calls (every request that may obtain new memory).
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is an atomic add.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const KEYS: u64 = 40_000;
+const SEEKS: usize = 10_000;
+
+#[test]
+fn filter_negative_seek_allocates_only_what_the_queue_records() {
+    let dir = std::env::temp_dir().join(format!("proteus-seek-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DbConfig::builder()
+        .memtable_bytes(256 << 10)
+        .sst_target_bytes(256 << 10)
+        .level_base_bytes(512 << 10)
+        .build()
+        .unwrap();
+    let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
+    // Keys scattered over the whole u64 space, settled into several levels.
+    // Every query is a short range just above a stored key, as is the seeded
+    // sample: no trie can tell such a query from its key, so every file
+    // designs itself a Bloom filter alone. (A trie-bearing design still
+    // allocates its two walk scratch vectors per probe.)
+    let key = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & !0xFFFF;
+    let query = |i: u64, salt: u64| {
+        let lo = key(i % KEYS) + 1 + (i ^ salt).wrapping_mul(0xD6E8_FEB8_6659_FD93) % 0x7FFF;
+        (lo, lo + i % 32)
+    };
+    db.seed_queries((0..5_000).map(|i| {
+        let (lo, hi) = query(i * 7, 1);
+        (u64_key(lo).to_vec(), u64_key(hi).to_vec())
+    }));
+    for i in 0..KEYS {
+        db.put_u64(key(i), &[i as u8; 64]).unwrap();
+    }
+    db.flush_and_settle().unwrap();
+    assert!(db.level_file_counts().iter().filter(|&&n| n > 0).count() >= 2);
+
+    // A first pass, uncounted, picks the Seeks no file's filter lets through.
+    let mut negative: Vec<([u8; 8], [u8; 8])> = Vec::with_capacity(SEEKS);
+    for i in 0.. {
+        if negative.len() == SEEKS {
+            break;
+        }
+        let (lo, hi) = query(i, 2);
+        let (lo, hi) = (u64_key(lo), u64_key(hi));
+        let before = db.stats().snapshot().seeks_filtered;
+        assert!(!db.seek(&lo, &hi).unwrap(), "no key has any of its low 16 bits set");
+        if db.stats().snapshot().seeks_filtered > before {
+            negative.push((lo, hi));
+        }
+    }
+
+    let stats = db.stats().snapshot();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for (lo, hi) in &negative {
+        assert!(!db.seek(lo, hi).unwrap());
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let after = db.stats().snapshot();
+
+    assert_eq!(after.seeks_filtered - stats.seeks_filtered, SEEKS as u64, "all filter-negative");
+    assert_eq!(after.blocks_read, stats.blocks_read);
+    // The queue keeps every `sample_every`-th executed-empty query: two
+    // owned bounds each, and nothing else may allocate.
+    let every = db.config().sample_every();
+    let recorded = after.sample_offers / every - stats.sample_offers / every;
+    assert!(recorded > 0);
+    assert!(
+        allocs <= 4 * recorded,
+        "{SEEKS} filter-negative Seeks made {allocs} allocations; \
+         the {recorded} queries the sample queue recorded account for {}",
+        2 * recorded
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,13 +1,9 @@
-//! Extensions beyond range emptiness:
-//!
-//! * approximate range *counts* via the counting-Bloom variant (§4.1 of the
-//!   paper sketches this; `CountingProteus` implements it);
-//! * the latency-aware design objective (§9's "higher order optimization"):
-//!   trading a little FPR for fewer Bloom probes per query.
+//! An extension beyond range emptiness: approximate range *counts* via the
+//! counting-Bloom variant (§4.1 of the paper sketches this;
+//! `CountingProteus` implements it).
 //!
 //! Run: `cargo run --release --example range_counts`
 
-use proteus::core::model::proteus::{ProteusModel, ProteusModelOptions};
 use proteus::core::{CountingProteus, CountingProteusOptions, KeySet, SampleQueries};
 use proteus::workloads::{Dataset, QueryGen, Workload};
 
@@ -19,7 +15,6 @@ fn main() {
     let samples =
         SampleQueries::from_u64(&QueryGen::new(workload, &raw, &[], 9).empty_ranges(5_000));
 
-    // --- approximate range counts --------------------------------------
     // Counting filters pay 4 bits per counter: give 32 BPK.
     let counting = CountingProteus::train(
         &keys,
@@ -41,23 +36,5 @@ fn main() {
     println!(
         "  mid-gap range -> estimate {}",
         counting.count_estimate_u64(gap_probe, gap_probe + 1)
-    );
-
-    // --- latency-aware designs ------------------------------------------
-    let m = 12 * keys.len() as u64;
-    let model = ProteusModel::build(&keys, &samples, m, &ProteusModelOptions::default());
-    println!("\nlatency-aware objective (FPR + w * E[probes]):");
-    println!("{:>8} {:>8} {:>8} {:>10}", "weight", "l1", "l2", "exp. FPR");
-    for w in [0.0, 0.001, 0.01, 0.1] {
-        let d = model.best_design_latency_aware(&keys, m, w);
-        println!(
-            "{:>8} {:>8} {:>8} {:>10.4}",
-            w, d.trie_depth_bits, d.bloom_prefix_len, d.expected_fpr
-        );
-    }
-    println!(
-        "\nRaising the probe weight pushes the design toward shorter Bloom\n\
-         prefixes (fewer probes per query) at a small FPR cost — §6.3's\n\
-         Rosetta latency pathology is exactly what this objective avoids."
     );
 }

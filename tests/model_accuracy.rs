@@ -6,7 +6,10 @@ use proteus::core::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOpt
 use proteus::core::{
     KeySet, OnePbf, OnePbfOptions, Proteus, ProteusOptions, RangeFilter, SampleQueries,
 };
+use proteus::lsm::{FilterFactory, ProteusFactory};
 use proteus::workloads::{Dataset, QueryGen, Workload};
+use proteus::{Db, DbConfig};
+use std::sync::{Arc, Mutex};
 
 fn observed(filter: &dyn RangeFilter, eval: &SampleQueries) -> f64 {
     let fps = eval.iter().filter(|(lo, hi)| filter.may_contain_range(lo, hi)).count();
@@ -120,4 +123,74 @@ fn proteus_beats_brittle_designs_on_adversarial_split() {
             "trained {trained_fpr:.4} vs fixed l2={l2} {fixed_fpr:.4}"
         );
     }
+}
+
+/// [`ProteusFactory`], keeping the FPR the model predicted for every filter
+/// it trained.
+#[derive(Default)]
+struct RecordingFactory(Mutex<Vec<f64>>);
+
+impl FilterFactory for RecordingFactory {
+    fn build(&self, keys: &KeySet, samples: &SampleQueries, m_bits: u64) -> Box<dyn RangeFilter> {
+        let filter = Proteus::train(keys, samples, m_bits, &ProteusOptions::default());
+        self.0.lock().unwrap().push(filter.design().expected_fpr);
+        Box::new(filter)
+    }
+    fn name(&self) -> String {
+        ProteusFactory::default().name()
+    }
+}
+
+#[test]
+fn the_store_observes_the_fpr_its_filters_were_designed_for() {
+    // The claim one level up: inside the store every file's filter is
+    // trained on the file's view of the sample queue, so what the files
+    // predict is what the store then observes — not the FPR of a key space
+    // seven eighths of which no file is ever asked about.
+    let dir = std::env::temp_dir().join(format!("proteus-model-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut raw = Dataset::Uniform.generate(100_000, 21);
+    raw.sort_unstable();
+    let workload =
+        Workload::Split { uniform_rmax: 1 << 15, correlated_rmax: 32, corr_degree: 1 << 10 };
+    let canonical = |(lo, hi): (u64, u64)| (lo.to_be_bytes().to_vec(), hi.to_be_bytes().to_vec());
+    let factory = Arc::new(RecordingFactory::default());
+    let cfg = DbConfig::builder()
+        .memtable_bytes(1 << 20)
+        .sst_target_bytes(1 << 20)
+        .level_base_bytes(2 << 20)
+        .build()
+        .unwrap();
+    let db = Db::open(&dir, cfg, Arc::clone(&factory) as Arc<dyn FilterFactory>).unwrap();
+    db.seed_queries(
+        QueryGen::new(workload.clone(), &raw, &[], 5)
+            .empty_ranges(20_000)
+            .into_iter()
+            .map(canonical),
+    );
+    for i in 0..raw.len() {
+        // Scattered arrival order (7 919 is coprime to the key count), so
+        // every flushed file spans the key space.
+        db.put_u64(raw[i * 7_919 % raw.len()], &[i as u8; 64]).unwrap();
+    }
+    db.flush_and_settle().unwrap();
+    assert!(db.level_file_counts().iter().skip(1).any(|&n| n > 1), "{:?}", db.level_file_counts());
+
+    let before = db.stats().snapshot();
+    for (lo, hi) in QueryGen::new(workload, &raw, &[], 77).empty_ranges(50_000) {
+        assert!(!db.seek_u64(lo, hi).unwrap());
+    }
+    let after = db.stats().snapshot();
+    let (fp, tn) = (after.observed_fp - before.observed_fp, after.observed_tn - before.observed_tn);
+    let observed = fp as f64 / (fp + tn) as f64;
+    let mut predicted = factory.0.lock().unwrap().clone();
+    predicted.sort_by(f64::total_cmp);
+    let median = predicted[predicted.len() / 2];
+    assert!(
+        (observed - median).abs() < 0.05,
+        "observed {observed:.4} over {} probes, median prediction {median:.4} of {predicted:.3?}",
+        fp + tn
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }

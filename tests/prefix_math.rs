@@ -138,26 +138,43 @@ fn regions_by_enumeration(lo: u16, hi: u16, anchor: u16, within: usize, l: usize
     out
 }
 
-/// Walk with a visitor that records what it sees and `Hit`s at `stop_at`.
-fn walked(
+/// Walk with a visitor that draws up to `chunk` regions per call, records
+/// what it sees and `Hit`s if its chunk holds region number `stop_at`.
+fn walked_in_chunks(
     (lo, hi): (u16, u16),
     (anchor, within): (u16, usize),
     l: usize,
     cap: u64,
     stop_at: Option<usize>,
+    chunk: usize,
 ) -> (Walk, Vec<u16>, u64) {
     let (lo, hi) = (lo.to_be_bytes(), hi.to_be_bytes());
     let budget = ProbeBudget::new(cap);
     let mut seen = Vec::new();
-    let end = RegionWalk::new(&lo, &hi, &budget).walk(&anchor.to_be_bytes(), within, l, |r| {
-        seen.push(u16::from_be_bytes([r[0], r[1]]));
-        if stop_at == Some(seen.len() - 1) {
+    let end = RegionWalk::new(&lo, &hi, &budget).walk(&anchor.to_be_bytes(), within, l, |run| {
+        let from = seen.len();
+        while seen.len() < from + chunk {
+            let Some(r) = run.draw() else { break };
+            seen.push(u16::from_be_bytes([r[0], r[1]]));
+        }
+        if stop_at.is_some_and(|at| (from..seen.len()).contains(&at)) {
             Walk::Hit
         } else {
             Walk::Clear
         }
     });
     (end, seen, budget.left())
+}
+
+/// The per-region reference walk: runs of one.
+fn walked(
+    window: (u16, u16),
+    clamp: (u16, usize),
+    l: usize,
+    cap: u64,
+    stop_at: Option<usize>,
+) -> (Walk, Vec<u16>, u64) {
+    walked_in_chunks(window, clamp, l, cap, stop_at, 1)
 }
 
 #[test]
@@ -210,6 +227,53 @@ fn region_walk_matches_brute_force_on_two_byte_keys() {
                     let got = walked(window, clamp, l, n, Some(cut));
                     let left = n - cut as u64 - 1;
                     assert_eq!(got, (Walk::Hit, want[..=cut].to_vec(), left), "{ctx} hit={cut}");
+                }
+            }
+        }
+    }
+}
+
+/// A visitor that draws its regions a chunk at a time sees the same regions
+/// and leaves the same budget as the per-region walk, for budgets one short
+/// of, equal to and one past the window, and for a hit in the first, a middle
+/// and the last member of a chunk. Only after a `Hit` may the budget differ:
+/// the chunk was paid for whole.
+#[test]
+fn region_walk_in_runs_matches_the_per_region_walk() {
+    let window = (0x0101u16, 0x0500u16);
+    for l in [11usize, 13, 16] {
+        for clamp in [(0u16, 0usize), (0x0300, 7), (0x0400, 8)] {
+            let want = regions_by_enumeration(window.0, window.1, clamp.0, clamp.1, l);
+            let n = want.len() as u64;
+            assert!(n >= 3, "l={l} clamp={clamp:x?}: a window worth chunking");
+            for chunk in [2usize, 8] {
+                let ctx = format!("l={l} clamp={clamp:x?} chunk={chunk} regions={n}");
+                for cap in [n.saturating_sub(1), n, n + 1] {
+                    assert_eq!(
+                        walked_in_chunks(window, clamp, l, cap, None, chunk),
+                        walked(window, clamp, l, cap, None),
+                        "{ctx} cap={cap}"
+                    );
+                }
+                // A budget that runs out inside a chunk: the part that could
+                // be paid for is visited, and the walk is Exhausted even
+                // though that part came back clear.
+                let short = (n / 2) | 1;
+                let got = walked_in_chunks(window, clamp, l, short, None, chunk);
+                assert_eq!(got, (Walk::Exhausted, want[..short as usize].to_vec(), 0), "{ctx}");
+                // ...unless the hit is in the part it could pay for.
+                let got =
+                    walked_in_chunks(window, clamp, l, short, Some(short as usize - 1), chunk);
+                assert_eq!(got.0, Walk::Hit, "{ctx}");
+                for at in [0, chunk / 2, chunk - 1, chunk, want.len() - 1] {
+                    let at = at.min(want.len() - 1);
+                    let (end, seen, _) = walked_in_chunks(window, clamp, l, n, Some(at), chunk);
+                    let (want_end, want_seen, _) = walked(window, clamp, l, n, Some(at));
+                    assert_eq!(end, want_end, "{ctx} hit={at}");
+                    // The chunk holding the hit is drawn to its end.
+                    let drawn = ((at / chunk + 1) * chunk).min(want.len());
+                    assert_eq!(seen, want[..drawn], "{ctx} hit={at}");
+                    assert_eq!(seen[..=at], want_seen[..], "{ctx} hit={at}");
                 }
             }
         }
