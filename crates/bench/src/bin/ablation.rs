@@ -9,8 +9,11 @@
 //! 2. **Coarse design search** — FPR of the design found with 16/32/128
 //!    sampled Bloom prefix lengths versus the exhaustive search (§7.2's
 //!    order-of-magnitude speedup claim).
-//! 3. **Trie memory estimator** — estimated vs actual FST size across trie
-//!    depths (Algorithm 1's `trieMem`).
+//! 3. **Coarse-stage memory** — priced vs built size of the coarse stage
+//!    (Algorithm 1's `trieMem`) in its cheaper encoding, at every byte
+//!    depth and at the bit depths the model tried. `tests` in
+//!    `core::trie` hold the same numbers to 5 % (FST) and to the bit
+//!    (span bitmap).
 //!
 //! Run: `cargo run -p proteus-bench --release --bin ablation`
 
@@ -40,7 +43,7 @@ fn main() {
     // --- 1 + 2: coarse vs exhaustive design search ---------------------
     let mut t = Table::new(
         "Ablation: design-search granularity",
-        &["l2_candidates", "model_ms", "chosen_l1", "chosen_l2", "expected", "observed"],
+        &["l2_candidates", "model_ms", "chosen_l1", "coarse", "chosen_l2", "expected", "observed"],
     );
     for max_l2 in [16usize, 32, 128, 0] {
         let opts = ProteusModelOptions { max_bloom_lengths: max_l2, threads: 1 };
@@ -53,6 +56,7 @@ fn main() {
             if max_l2 == 0 { "all(64)".into() } else { max_l2.to_string() },
             format!("{:.1}", timed.millis),
             design.trie_depth_bits.to_string(),
+            filter.coarse_encoding().map_or("-".into(), |e| e.to_string()),
             design.bloom_prefix_len.to_string(),
             format!("{:.4}", design.expected_fpr),
             format!("{observed:.4}"),
@@ -60,19 +64,25 @@ fn main() {
     }
     t.finish(args.out.as_deref(), "ablation_search");
 
-    // --- 3: trie memory estimator ---------------------------------------
+    // --- 3: coarse-stage memory, priced vs built -------------------------
     let mut t = Table::new(
-        "Ablation: trieMem estimate vs actual FST size",
-        &["depth_bytes", "estimated_bits", "actual_bits", "ratio"],
+        "Ablation: trieMem as priced vs coarse stage as built",
+        &["depth_bits", "coarse", "priced_bits", "actual_bits", "ratio"],
     );
-    for d in 1..=8usize {
-        let est = sc.keyset.trie_mem_bits(d);
-        let actual = ProteusTrie::build(&sc.keyset, d).size_bits();
+    let model =
+        ProteusModel::build(&sc.keyset, &sc.samples, m_bits, &ProteusModelOptions::default());
+    let mut depths: Vec<usize> = (1..=8).map(|d| d * 8).collect();
+    depths.extend(model.l1_candidates().iter().filter(|&&l1| l1 % 8 != 0));
+    depths.sort_unstable();
+    for l1 in depths {
+        let Some((encoding, priced)) = ProteusTrie::cheapest(&sc.keyset, l1) else { continue };
+        let actual = ProteusTrie::build(&sc.keyset, l1).size_bits();
         t.row(vec![
-            d.to_string(),
-            est.to_string(),
+            l1.to_string(),
+            encoding.to_string(),
+            priced.to_string(),
             actual.to_string(),
-            format!("{:.3}", actual as f64 / est.max(1) as f64),
+            format!("{:.3}", actual as f64 / priced.max(1) as f64),
         ]);
     }
     t.finish(args.out.as_deref(), "ablation_triemem");

@@ -8,7 +8,7 @@
 //! Run: `cargo run -p proteus-bench --release --bin fig6_lsm_e2e`
 
 use proteus_bench::cli::Args;
-use proteus_bench::factories::{RosettaFactory, SurfFactory};
+use proteus_bench::factories::{DesignTally, RosettaFactory, SurfFactory};
 use proteus_bench::lsm_harness::LsmRun;
 use proteus_bench::report::Table;
 use proteus_lsm::{FilterFactory, ProteusFactory};
@@ -60,6 +60,10 @@ fn main() {
             QueryGen::new(workload.clone(), &keys, &[], args.seed ^ 0xB).empty_ranges(args.queries);
         for &bpk in &args.bpk {
             for (fname, factory) in factories() {
+                // Proteus files report their designs: `(l1 [fst|span], l2)`.
+                let tally = (fname == "proteus")
+                    .then(|| Arc::new(DesignTally::new(ProteusFactory::default())));
+                let factory = tally.clone().map_or(factory, |t| t as Arc<dyn FilterFactory>);
                 let run = LsmRun::load(
                     &format!("fig6-{case}-{bpk}-{fname}"),
                     bpk as f64,
@@ -76,6 +80,9 @@ fn main() {
                     r.fpr(),
                     r.stats.blocks_read
                 );
+                if let Some(tally) = tally {
+                    println!("{:>20} designs: {}", "", tally.summary());
+                }
                 t.row(vec![
                     case.to_string(),
                     bpk.to_string(),

@@ -64,6 +64,38 @@ impl FilterFactory for RosettaFactory {
     }
 }
 
+/// Any factory, plus a tally of what it built: filter names carry the design
+/// — for Proteus `(l1 [encoding], l2)` — so a figure run can show which
+/// files got which coarse stage without the store knowing about designs.
+pub struct DesignTally<F> {
+    inner: F,
+    built: std::sync::Mutex<std::collections::BTreeMap<String, usize>>,
+}
+
+impl<F: FilterFactory> DesignTally<F> {
+    pub fn new(inner: F) -> Self {
+        DesignTally { inner, built: Default::default() }
+    }
+
+    /// `3x Proteus(l1=20 span, l2=58), 1x Proteus(l1=0, l2=55)` — every
+    /// design built so far (compactions' included) with its file count.
+    pub fn summary(&self) -> String {
+        let built = self.built.lock().unwrap();
+        built.iter().map(|(name, n)| format!("{n}x {name}")).collect::<Vec<_>>().join(", ")
+    }
+}
+
+impl<F: FilterFactory> FilterFactory for DesignTally<F> {
+    fn build(&self, keys: &KeySet, samples: &SampleQueries, m_bits: u64) -> Box<dyn RangeFilter> {
+        let filter = self.inner.build(keys, samples, m_bits);
+        *self.built.lock().unwrap().entry(filter.name()).or_default() += 1;
+        filter
+    }
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@ use crate::keyset::KeySet;
 use crate::model::proteus::{ProteusModel, ProteusModelOptions};
 use crate::proteus::walk_fine;
 use crate::sample::SampleQueries;
-use crate::trie::ProteusTrie;
+use crate::trie::{coarse_stage, ProteusTrie};
 use proteus_amq::hash::{HashFamily, PrefixHasher};
 use proteus_amq::CountingBloomFilter;
 
@@ -74,7 +74,7 @@ impl CountingProteus {
         // A counting filter must exist for counts; default to full length
         // if the emptiness-optimal design was trie-only.
         let l2 = if design.bloom_prefix_len > l1 { design.bloom_prefix_len } else { keys.bits() };
-        let trie = (l1 > 0 && !keys.is_empty()).then(|| ProteusTrie::build(keys, l1 / 8));
+        let trie = coarse_stage(keys, l1);
         let trie_bits = trie.as_ref().map_or(0, |t| t.size_bits());
         let hasher = PrefixHasher::new(opts.hash_family, opts.seed);
         let mut counts =

@@ -121,6 +121,28 @@ pub fn increment_prefix(buf: &mut [u8], l: usize) -> bool {
     }
 }
 
+/// [`increment_prefix`] `by` steps at once: add `by` to the `l`-bit prefix as
+/// a big-endian integer, leaving bits ≥ `l` untouched. Returns `true` on
+/// overflow past the all-ones prefix.
+pub fn advance_prefix(buf: &mut [u8], l: usize, by: u64) -> bool {
+    if l == 0 {
+        return by != 0;
+    }
+    let mut byte = (l - 1) / 8;
+    // `by` aligned to the prefix's last bit, consumed a byte at a time.
+    let mut carry = (by as u128) << (7 - (l - 1) % 8);
+    while carry != 0 {
+        let sum = buf[byte] as u128 + (carry & 0xFF);
+        buf[byte] = sum as u8;
+        carry = (carry >> 8) + (sum >> 8);
+        if byte == 0 {
+            return carry != 0;
+        }
+        byte -= 1;
+    }
+    false
+}
+
 /// How a [`RegionWalk::walk`] ended. The three outcomes stay distinct all
 /// the way up: an emptiness filter folds `Hit` and `Exhausted` into its safe
 /// positive, a range count must not mistake either `Exhausted` or a partial
@@ -483,6 +505,33 @@ mod tests {
         assert!(increment_prefix(&mut k, 64));
         let mut k = [0u8; 8];
         assert!(increment_prefix(&mut k, 0));
+    }
+
+    #[test]
+    fn advance_prefix_is_repeated_increment() {
+        for l in [1usize, 3, 8, 13, 20, 64] {
+            for by in [0u64, 1, 2, 255, 256, 70_000] {
+                let start = u64_key(0x0123_4567_89AB_CDEF);
+                let (mut stepped, mut jumped) = (start, start);
+                let mut overflow = false;
+                for _ in 0..by {
+                    overflow |= increment_prefix(&mut stepped, l);
+                }
+                assert_eq!(advance_prefix(&mut jumped, l, by), overflow, "l={l} by={by}");
+                assert_eq!(jumped, stepped, "l={l} by={by}");
+            }
+        }
+        // Carries ripple to the top and report leaving the key space.
+        let mut k = u64_key(u64::MAX << 44);
+        assert!(advance_prefix(&mut k, 20, 1));
+        let mut k = u64_key(0xFFFF_E000_0000_0000);
+        assert!(!advance_prefix(&mut k, 20, 1));
+        assert_eq!(key_u64(&k), 0xFFFF_F000_0000_0000);
+        let mut wide = [0xFFu8; 12];
+        wide[0] = 0;
+        assert!(!advance_prefix(&mut wide, 96, 1));
+        assert_eq!(wide, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(!advance_prefix(&mut [0u8; 2], 0, 0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * predecessor/successor searches giving each sample query's proximity to
 //!   the key set ("Count Query Prefixes", §4.3).
 
-use crate::key::{lcp_bits, pad_key, u64_key};
+use crate::key::{lcp_bits, pad_key, prefix_count, u64_key};
 use proteus_succinct::cost;
 
 /// An immutable, sorted, deduplicated key set in canonical form, with the
@@ -189,10 +189,21 @@ impl KeySet {
         (a, b)
     }
 
-    /// Estimated memory (bits) of a uniform-depth Proteus trie of
-    /// `depth_bytes`, mirroring the real structure: LOUDS levels with the
-    /// size-optimal dense/sparse cutoff plus explicit suffix bytes for
-    /// branches that become unique early (§4.1/§4.3).
+    /// Number of `l`-bit prefixes from the smallest key's to the largest
+    /// key's, both included, saturating at `cap` — the slots of a span
+    /// bitmap over K_l. 0 for an empty set.
+    pub fn span_slots(&self, l: usize, cap: u64) -> u64 {
+        if self.n == 0 {
+            return 0;
+        }
+        prefix_count(self.key(0), self.key(self.n - 1), l, cap)
+    }
+
+    /// Memory (bits) of a uniform-depth Proteus trie of `depth_bytes`,
+    /// mirroring the real structure: LOUDS levels with the size-optimal
+    /// dense/sparse cutoff — whole words and closing rank counters
+    /// included — plus explicit suffix bytes for branches that become
+    /// unique early (§4.1/§4.3).
     pub fn trie_mem_bits(&self, depth_bytes: usize) -> u64 {
         if depth_bytes == 0 || self.n == 0 {
             return 0;

@@ -5,10 +5,11 @@
 //!
 //! Proteus answers approximate range-emptiness queries: given a key set `K`
 //! and a query `[lo, hi]`, it returns `false` only when `K ∩ [lo, hi] = ∅`
-//! (no false negatives, tunable false positives). Its design — a
-//! uniform-depth succinct trie over `l1`-bit prefixes combined with a Bloom
-//! filter over `l2`-bit prefixes — is chosen per workload by the Contextual
-//! Prefix FPR (CPFPR) model from a sample of empty queries.
+//! (no false negatives, tunable false positives). Its design — the exact
+//! set of `l1`-bit key prefixes (a uniform-depth succinct trie, or a bitmap
+//! over the keys' span where that is smaller) combined with a Bloom filter
+//! over `l2`-bit prefixes — is chosen per workload by the Contextual Prefix
+//! FPR (CPFPR) model from a sample of empty queries.
 //!
 //! ## Quick start
 //!
@@ -69,7 +70,7 @@ pub use one_pbf::{OnePbf, OnePbfOptions};
 pub use proteus::{Proteus, ProteusOptions, DEFAULT_PROBE_CAP};
 pub use sample::SampleQueries;
 pub use sketch::QuerySketch;
-pub use trie::ProteusTrie;
+pub use trie::{CoarseEncoding, ProteusTrie};
 pub use two_pbf::{TwoPbf, TwoPbfFilterOptions};
 
 /// The common interface all range filters in this workspace implement —

@@ -1,7 +1,9 @@
-//! CPFPR model for Proteus (trie + prefix Bloom filter) — Eq. 5 and
+//! CPFPR model for Proteus (coarse stage + prefix Bloom filter) — Eq. 5 and
 //! Algorithm 1 of the paper.
 //!
-//! For trie depth `l1` and Bloom prefix length `l2` (`l1 < l2`):
+//! For coarse depth `l1` — any bit depth: the model's geometry is per bit,
+//! and the stage is priced in its cheaper encoding
+//! ([`ProteusTrie::cheapest`]) — and Bloom prefix length `l2` (`l1 < l2`):
 //!
 //! ```text
 //! P_fp(Q) = 0                         if lcp(Q,K) < l1      (trie resolves)
@@ -23,20 +25,22 @@ use super::{extract_contexts, BitScan, ProbeBins, QueryCtx};
 use crate::key::get_bit;
 use crate::keyset::KeySet;
 use crate::sample::SampleQueries;
+use crate::trie::ProteusTrie;
 use proteus_amq::standard_bloom_fpr;
 
-/// A Proteus design point: trie depth and Bloom prefix length, in bits.
-/// `l2 == 0` means "no Bloom filter" (trie-only); `l1 == 0` means "no trie"
-/// (pure prefix Bloom filter).
+/// A Proteus design point: coarse-stage depth and Bloom prefix length, in
+/// bits. `l2 == 0` means "no Bloom filter" (trie-only); `l1 == 0` means "no
+/// coarse stage" (pure prefix Bloom filter).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProteusDesign {
-    /// Trie depth `l1` in bits (byte-aligned; 0 = no trie).
+    /// Coarse-stage depth `l1` in bits (0 = no coarse stage).
     pub trie_depth_bits: usize,
     /// Bloom prefix length `l2` in bits (0 = no Bloom filter).
     pub bloom_prefix_len: usize,
     /// FPR the CPFPR model predicts for this design.
     pub expected_fpr: f64,
-    /// Estimated trie memory at this design (bits).
+    /// Coarse-stage memory the model budgeted at this design (bits): the
+    /// stage's size in its cheaper encoding.
     pub trie_mem_bits: u64,
 }
 
@@ -52,6 +56,10 @@ impl ProteusDesign {
         }
     }
 }
+
+/// How many non-byte coarse depths the model tries: the deepest ones whose
+/// stage fits the budget. Each costs one more pass over the sample.
+const BIT_DEPTHS: usize = 3;
 
 /// Options controlling the design search.
 #[derive(Debug, Clone)]
@@ -72,9 +80,9 @@ impl Default for ProteusModelOptions {
 /// Accumulated per-design probe statistics for Proteus.
 #[derive(Debug, Clone)]
 pub struct ProteusModel {
-    /// Trie depth candidates in bits (byte-aligned, ascending, starting at 0).
+    /// Coarse depth candidates in bits (ascending, starting at 0).
     l1_candidates: Vec<usize>,
-    /// Estimated trie memory per candidate.
+    /// Coarse-stage memory per candidate.
     trie_mem: Vec<u64>,
     /// Queries resolved by the trie alone, per candidate.
     resolved: Vec<u64>,
@@ -95,12 +103,24 @@ impl ProteusModel {
         m_bits: u64,
         opts: &ProteusModelOptions,
     ) -> Self {
-        // Trie depth candidates: every byte depth whose trie fits the budget
-        // (Algorithm 1 line 6: "for tLen ← 0 such that trieMem(tLen) ≤ m").
-        let tries = (1..=keys.width())
-            .map(|d| (d * 8, keys.trie_mem_bits(d)))
-            .take_while(|&(_, mem)| mem <= m_bits);
-        Self::over_depths(keys, samples, std::iter::once((0, 0)).chain(tries).unzip(), opts)
+        // Coarse depth candidates: every byte depth whose stage fits the
+        // budget (Algorithm 1 line 6: "for tLen ← 0 such that trieMem(tLen)
+        // ≤ m"), and the three deepest bit depths that do — the span
+        // bitmap's, whose size doubles per bit, so the depths worth trying
+        // sit right under the budget.
+        let fits = |l1: usize| {
+            ProteusTrie::cheapest(keys, l1).filter(|&(_, mem)| mem <= m_bits).map(|c| (l1, c.1))
+        };
+        let mut depths: Vec<(usize, u64)> =
+            std::iter::once((0, 0)).chain((1..=keys.width()).map_while(|d| fits(d * 8))).collect();
+        let span_fits = |l1: &usize| ProteusTrie::span_bits(keys, *l1).is_some_and(|b| b <= m_bits);
+        let deepest = (1..=keys.bits()).take_while(span_fits).last().unwrap_or(0);
+        for l1 in deepest.saturating_sub(BIT_DEPTHS - 1)..=deepest {
+            if let (Err(at), Some(depth)) = (depths.binary_search_by_key(&l1, |c| c.0), fits(l1)) {
+                depths.insert(at, depth);
+            }
+        }
+        Self::over_depths(keys, samples, depths.into_iter().unzip(), opts)
     }
 
     /// The 1PBF model (Eq. 1): the same pass over the single trie-depth
@@ -173,7 +193,10 @@ impl ProteusModel {
 
     /// Algorithm 1's selection — the one selection loop: the design
     /// minimizing expected FPR, ties going to later candidates (the paper's
-    /// `≤` comparisons).
+    /// `≤` comparisons) — among the paper's candidates, depth 0 and the byte
+    /// depths. A bit depth, this model's addition to that list, must win
+    /// strictly: with no sample to judge by, or none that tells two designs
+    /// apart, a filter is the one the paper's list alone would have given.
     pub fn best_design(&self, keys: &KeySet, m_bits: u64) -> ProteusDesign {
         let mut best = ProteusDesign::bloom_only(0, f64::INFINITY);
         for (c, &l1) in self.l1_candidates.iter().enumerate() {
@@ -186,7 +209,8 @@ impl ProteusModel {
                 // `l1` comes from our own candidate list, so the model
                 // always has an answer; skip defensively rather than panic.
                 let Some(fpr) = self.expected_fpr(keys, l1, l2, m_bits) else { continue };
-                if fpr <= best.expected_fpr {
+                let ties_win = l1.is_multiple_of(8);
+                if fpr < best.expected_fpr || (ties_win && fpr == best.expected_fpr) {
                     best = ProteusDesign {
                         trie_depth_bits: l1,
                         bloom_prefix_len: l2,

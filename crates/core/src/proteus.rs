@@ -1,10 +1,12 @@
 //! The Proteus self-designing range filter (§4).
 //!
-//! Proteus combines a uniform-depth succinct trie (depth `l1` bits) with a
-//! prefix Bloom filter (prefix length `l2 > l1` bits). Construction feeds a
-//! sample of empty queries through the CPFPR model (Algorithm 1) to choose
-//! `(l1, l2)`; either component may be dropped entirely, so the filter can
-//! be purely deterministic or purely probabilistic as the workload demands.
+//! Proteus combines a deterministic coarse stage — the exact set of `l1`-bit
+//! key prefixes, as a uniform-depth succinct trie or a span bitmap
+//! ([`crate::trie`]) — with a prefix Bloom filter (prefix length `l2 > l1`
+//! bits). Construction feeds a sample of empty queries through the CPFPR
+//! model (Algorithm 1) to choose `(l1, l2)`; either component may be dropped
+//! entirely, so the filter can be purely deterministic or purely
+//! probabilistic as the workload demands.
 
 use crate::codec::{ByteReader, CodecError, FilterKind, WireWrite};
 use crate::key::{pad_key, u64_key, ProbeBudget, RegionWalk, Run, Walk};
@@ -12,7 +14,7 @@ use crate::keyset::KeySet;
 use crate::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOptions};
 use crate::prefix_bf::PrefixBloom;
 use crate::sample::SampleQueries;
-use crate::trie::ProteusTrie;
+use crate::trie::{coarse_stage, CoarseEncoding, ProteusTrie};
 use crate::RangeFilter;
 use proteus_amq::hash::HashFamily;
 
@@ -79,10 +81,8 @@ impl Proteus {
         m_bits: u64,
         opts: &ProteusOptions,
     ) -> Self {
-        let l1 = design.trie_depth_bits;
         let l2 = design.bloom_prefix_len;
-        debug_assert!(l1.is_multiple_of(8), "trie depths are byte-granular");
-        let trie = (l1 > 0 && !keys.is_empty()).then(|| ProteusTrie::build(keys, l1 / 8));
+        let trie = coarse_stage(keys, design.trie_depth_bits);
         let trie_bits = trie.as_ref().map_or(0, |t| t.size_bits());
         let bloom = (l2 > 0 && !keys.is_empty()).then(|| {
             let bf_bits = m_bits.saturating_sub(trie_bits);
@@ -99,6 +99,11 @@ impl Proteus {
     /// Canonical key width in bytes.
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// How the coarse stage stores its `l1`-bit prefixes, if there is one.
+    pub fn coarse_encoding(&self) -> Option<CoarseEncoding> {
+        self.trie.as_ref().map(ProteusTrie::encoding)
     }
 
     /// Closed-range emptiness query over canonical keys.
@@ -143,7 +148,13 @@ impl Proteus {
         out.put_u64(self.design.bloom_prefix_len as u64);
         out.put_f64(self.design.expected_fpr);
         out.put_u64(self.design.trie_mem_bits);
-        out.put_u8(u8::from(self.trie.is_some()) | (u8::from(self.bloom.is_some()) << 1));
+        out.put_u8(
+            match self.coarse_encoding() {
+                None => 0,
+                Some(CoarseEncoding::Fst) => FLAG_FST,
+                Some(CoarseEncoding::SpanBitmap) => FLAG_SPAN,
+            } | if self.bloom.is_some() { FLAG_BLOOM } else { 0 },
+        );
         if let Some(trie) = &self.trie {
             trie.encode_into(out);
         }
@@ -162,19 +173,35 @@ impl Proteus {
             trie_mem_bits: r.u64()?,
         };
         let flags = r.u8()?;
-        if flags & !0b11 != 0 {
+        let encoding = match flags & (FLAG_FST | FLAG_SPAN) {
+            0 => None,
+            FLAG_FST => Some(CoarseEncoding::Fst),
+            FLAG_SPAN => Some(CoarseEncoding::SpanBitmap),
+            _ => return Err(CodecError::Invalid("proteus coarse stage in two encodings")),
+        };
+        if flags & !(FLAG_FST | FLAG_BLOOM | FLAG_SPAN) != 0 {
             return Err(CodecError::Invalid("proteus component flags"));
         }
-        let trie = (flags & 1 != 0).then(|| ProteusTrie::decode_from(r)).transpose()?;
-        let bloom = (flags & 2 != 0)
+        let trie = encoding.map(|e| ProteusTrie::decode_from(r, e, width)).transpose()?;
+        // The walk clamps to the stage's own depth, the model and the Bloom
+        // prefix were chosen for the design's: they must be one number.
+        if trie.as_ref().is_some_and(|t| t.depth_bits() != design.trie_depth_bits) {
+            return Err(CodecError::Invalid("proteus coarse depth disagrees with design"));
+        }
+        let bloom = (flags & FLAG_BLOOM != 0)
             .then(|| PrefixBloom::decode_for(r, width, design.bloom_prefix_len))
             .transpose()?;
-        if trie.as_ref().is_some_and(|t| t.depth_bytes() > width) {
-            return Err(CodecError::Invalid("proteus trie deeper than key"));
-        }
         Ok(Proteus { trie, bloom, design, width, probe_cap })
     }
 }
+
+/// The component-flags byte of the Proteus payload: which of the coarse
+/// stage's two encodings follows (at most one), then whether a Bloom filter
+/// does. `FLAG_SPAN` is the one bit added since format version 2 was cut;
+/// payloads without it decode as they always did.
+const FLAG_FST: u8 = 1;
+const FLAG_BLOOM: u8 = 1 << 1;
+const FLAG_SPAN: u8 = 1 << 2;
 
 /// Write the `(key width, probe cap)` pair every Protean payload opens with.
 pub(crate) fn put_header(out: &mut Vec<u8>, width: usize, probe_cap: u64) {
@@ -192,8 +219,8 @@ pub(crate) fn read_header(r: &mut ByteReader<'_>) -> Result<(usize, u64), CodecE
 }
 
 /// The fine stage shared by every trie-or-nothing coarse stage: walk the
-/// `l2`-bit regions of the query — all of them without a trie, only those
-/// inside stored leaves with one.
+/// `l2`-bit regions of the query — all of them without a coarse stage, only
+/// those inside stored leaves with one.
 pub(crate) fn walk_fine(
     trie: Option<&ProteusTrie>,
     walk: &mut RegionWalk<'_>,
@@ -214,7 +241,11 @@ impl RangeFilter for Proteus {
         self.size_bits()
     }
     fn name(&self) -> String {
-        format!("Proteus(l1={}, l2={})", self.design.trie_depth_bits, self.design.bloom_prefix_len)
+        let (l1, l2) = (self.design.trie_depth_bits, self.design.bloom_prefix_len);
+        match self.coarse_encoding() {
+            Some(encoding) => format!("Proteus(l1={l1} {encoding}, l2={l2})"),
+            None => format!("Proteus(l1={l1}, l2={l2})"),
+        }
     }
     fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
         let mut out = Vec::new();
@@ -242,9 +273,10 @@ mod tests {
         let ks = KeySet::from_u64(&raw);
         let m = 2000 * 12;
         let opts = ProteusOptions::default();
-        let designs = [(0usize, 64usize), (0, 40), (16, 48), (16, 0), (24, 64)];
+        let designs =
+            [(0usize, 64usize), (0, 40), (16, 48), (16, 0), (24, 64), (11, 48), (13, 0), (14, 64)];
         for (l1, l2) in designs {
-            if l1 > 0 && ks.trie_mem_bits(l1 / 8) > m {
+            if l1 > 0 && ProteusTrie::cheapest(&ks, l1).is_none_or(|c| c.1 > m) {
                 continue;
             }
             let design = ProteusDesign {
@@ -338,18 +370,25 @@ mod tests {
             let mut samples = SampleQueries::new(width);
             samples.push(&pad_key(b"zeta", width), &pad_key(b"zeta~~~", width));
             samples.push(&pad_key(b"aaaa", width), &pad_key(b"aaab", width));
+            // 64 bits a key: enough for a 13-bit span bitmap, the first
+            // depth that tells "aaaa" from "alpha" (no FST fits: at 14 bytes
+            // it is twice this), and a Bloom filter whose rate is still a
+            // number, so the stage wins on the sample and not on a tie.
+            let m = 5 * 64;
             for l2 in [0, 40] {
                 // The trained design, then a fixed Bloom-bearing one.
                 let opts = ProteusOptions { hash_family: HashFamily::ClHash, ..Default::default() };
                 let f = match l2 {
-                    0 => Proteus::train(&ks, &samples, 5 * 128, &opts),
+                    0 => Proteus::train(&ks, &samples, m, &opts),
                     _ => Proteus::build_with_design(
                         &ks,
                         ProteusDesign::bloom_only(l2, 0.0),
-                        5 * 128,
+                        m,
                         &opts,
                     ),
                 };
+                assert!(f.size_bits() <= m, "{:?} takes {} bits", f.design(), f.size_bits());
+                assert_eq!(f.coarse_encoding().is_some(), l2 == 0, "{:?}", f.design());
                 for n in names {
                     assert!(f.query_str(n, n), "{}", String::from_utf8_lossy(n));
                 }

@@ -968,14 +968,22 @@ mod tests {
         w.finish(&ProteusFactory::default(), &queue, 10.0, &stats).unwrap()
     }
 
-    /// A Proteus factory that keeps every design it trained.
+    /// A Proteus factory that keeps every design it trained, and how each
+    /// one's coarse stage is stored.
     #[derive(Default)]
-    struct RecordingFactory(std::sync::Mutex<Vec<proteus_core::model::proteus::ProteusDesign>>);
+    struct RecordingFactory(
+        std::sync::Mutex<
+            Vec<(
+                proteus_core::model::proteus::ProteusDesign,
+                Option<proteus_core::trie::CoarseEncoding>,
+            )>,
+        >,
+    );
 
     impl FilterFactory for RecordingFactory {
         fn build(&self, keys: &KeySet, samples: &SampleQueries, m: u64) -> Box<dyn RangeFilter> {
             let filter = proteus_core::Proteus::train(keys, samples, m, &Default::default());
-            self.0.lock().unwrap().push(filter.design());
+            self.0.lock().unwrap().push((filter.design(), filter.coarse_encoding()));
             Box::new(filter)
         }
         fn name(&self) -> String {
@@ -1037,14 +1045,20 @@ mod tests {
             let len = u64::from_le_bytes(footer[24..32].try_into().unwrap()) as usize;
             (reader, design, bytes[off..off + len].to_vec(), queue)
         };
-        let (reader, design, block_a, queue_a) = build(1, &whole);
+        let (reader, (design, coarse), block_a, queue_a) = build(1, &whole);
         let (_, design_b, block_b, _) = build(2, &reaching);
         // The 7/8 of the queue that never reaches the file changes nothing.
-        assert_eq!(design, design_b);
+        assert_eq!((design, coarse), design_b);
         assert!(block_a == block_b, "filter blocks differ");
         // Nothing in the file's own range can be told from its (uniform)
-        // keys by their first bytes: no trie.
-        assert_eq!(design.trie_depth_bits, 0, "{design:?}");
+        // keys by their first bytes, and a third byte is out of reach: no
+        // byte-aligned trie. Between the two, where a fair share of the
+        // prefixes in the file's span hold no key, the long half of the
+        // workload is told apart by a span bitmap.
+        assert!(!design.trie_depth_bits.is_multiple_of(8), "{design:?}");
+        assert!((17..24).contains(&design.trie_depth_bits), "{design:?}");
+        assert_eq!(coarse, Some(proteus_core::trie::CoarseEncoding::SpanBitmap), "{design:?}");
+        assert!(design.bloom_prefix_len > 55, "{design:?}");
         // And the model predicts what the file will observe: probe it with
         // what it is asked.
         let mut asked = queue_a.view(8, &min.to_be_bytes(), &max.to_be_bytes());

@@ -11,10 +11,11 @@
 //! test so no concurrently running test adds to the count.
 
 use proteus_core::key::u64_key;
-use proteus_lsm::{Db, DbConfig, ProteusFactory};
+use proteus_core::{CoarseEncoding, KeySet, Proteus, RangeFilter, SampleQueries};
+use proteus_lsm::{Db, DbConfig, FilterFactory};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The system allocator plus one relaxed counter of `alloc` + `realloc`
 /// calls (every request that may obtain new memory).
@@ -49,9 +50,55 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const KEYS: u64 = 40_000;
 const SEEKS: usize = 10_000;
 
-#[test]
-fn filter_negative_seek_allocates_only_what_the_queue_records() {
-    let dir = std::env::temp_dir().join(format!("proteus-seek-allocs-{}", std::process::id()));
+/// The default Proteus factory, keeping how each filter it trained stores
+/// its coarse stage.
+#[derive(Default)]
+struct Recording(Mutex<Vec<Option<CoarseEncoding>>>);
+
+impl FilterFactory for Recording {
+    fn build(&self, keys: &KeySet, samples: &SampleQueries, m_bits: u64) -> Box<dyn RangeFilter> {
+        let filter = Proteus::train(keys, samples, m_bits, &Default::default());
+        self.0.lock().unwrap().push(filter.coarse_encoding());
+        Box::new(filter)
+    }
+    fn name(&self) -> String {
+        "proteus".to_string()
+    }
+}
+
+/// Keys scattered over the whole u64 space, none with any of its low 16 bits
+/// set.
+fn key(i: u64) -> u64 {
+    i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & !0xFFFF
+}
+
+/// A short range just above a stored key: no coarse stage can tell such a
+/// query from its key.
+fn near_a_key(i: u64, salt: u64) -> (u64, u64) {
+    let lo = key(i % KEYS) + 1 + (i ^ salt).wrapping_mul(0xD6E8_FEB8_6659_FD93) % 0x7FFF;
+    (lo, lo + i % 32)
+}
+
+/// The paper's Split workload: every other query a long range anywhere in
+/// the key space, 2^36 to 2^37 keys wide where neighbouring keys are 2^49
+/// apart — the half only a coarse stage can answer.
+fn split(i: u64, salt: u64) -> (u64, u64) {
+    if i % 2 == 1 {
+        return near_a_key(i, salt);
+    }
+    let lo = (i ^ salt).wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 1;
+    (lo, lo + (1 << 36) + lo % (1 << 36))
+}
+
+/// Load a store trained on `query`, find [`SEEKS`] Seeks every file's filter
+/// rejects, and count what running them again allocates. Returns how the
+/// store's filters store their coarse stages.
+fn filter_negative_seeks_allocate_nothing(
+    tag: &str,
+    query: fn(u64, u64) -> (u64, u64),
+) -> Vec<Option<CoarseEncoding>> {
+    let dir =
+        std::env::temp_dir().join(format!("proteus-seek-allocs-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = DbConfig::builder()
         .memtable_bytes(256 << 10)
@@ -59,21 +106,19 @@ fn filter_negative_seek_allocates_only_what_the_queue_records() {
         .level_base_bytes(512 << 10)
         .build()
         .unwrap();
-    let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
-    // Keys scattered over the whole u64 space, settled into several levels.
-    // Every query is a short range just above a stored key, as is the seeded
-    // sample: no trie can tell such a query from its key, so every file
-    // designs itself a Bloom filter alone. (A trie-bearing design still
-    // allocates its two walk scratch vectors per probe.)
-    let key = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & !0xFFFF;
-    let query = |i: u64, salt: u64| {
-        let lo = key(i % KEYS) + 1 + (i ^ salt).wrapping_mul(0xD6E8_FEB8_6659_FD93) % 0x7FFF;
-        (lo, lo + i % 32)
+    let factory = Arc::new(Recording::default());
+    let db = Db::open(&dir, cfg, Arc::clone(&factory) as Arc<dyn FilterFactory>).unwrap();
+    let mut sorted: Vec<u64> = (0..KEYS).map(key).collect();
+    sorted.sort_unstable();
+    let empty = |&(lo, hi): &(u64, u64)| {
+        sorted.get(sorted.partition_point(|&k| k < lo)).is_none_or(|&next| next > hi)
     };
-    db.seed_queries((0..5_000).map(|i| {
-        let (lo, hi) = query(i * 7, 1);
-        (u64_key(lo).to_vec(), u64_key(hi).to_vec())
-    }));
+    db.seed_queries(
+        (0..5_000)
+            .map(|i| query(i * 7, 1))
+            .filter(empty)
+            .map(|(lo, hi)| (u64_key(lo).to_vec(), u64_key(hi).to_vec())),
+    );
     for i in 0..KEYS {
         db.put_u64(key(i), &[i as u8; 64]).unwrap();
     }
@@ -86,10 +131,10 @@ fn filter_negative_seek_allocates_only_what_the_queue_records() {
         if negative.len() == SEEKS {
             break;
         }
-        let (lo, hi) = query(i, 2);
+        let Some((lo, hi)) = Some(query(i, 2)).filter(empty) else { continue };
         let (lo, hi) = (u64_key(lo), u64_key(hi));
         let before = db.stats().snapshot().seeks_filtered;
-        assert!(!db.seek(&lo, &hi).unwrap(), "no key has any of its low 16 bits set");
+        assert!(!db.seek(&lo, &hi).unwrap(), "the range holds no key");
         if db.stats().snapshot().seeks_filtered > before {
             negative.push((lo, hi));
         }
@@ -112,10 +157,34 @@ fn filter_negative_seek_allocates_only_what_the_queue_records() {
     assert!(recorded > 0);
     assert!(
         allocs <= 4 * recorded,
-        "{SEEKS} filter-negative Seeks made {allocs} allocations; \
+        "{tag}: {SEEKS} filter-negative Seeks made {allocs} allocations; \
          the {recorded} queries the sample queue recorded account for {}",
         2 * recorded
     );
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+    let built = factory.0.lock().unwrap().clone();
+    built
+}
+
+#[test]
+fn filter_negative_seek_allocates_only_what_the_queue_records() {
+    let spans = |coarse: &[Option<CoarseEncoding>]| {
+        // An FST stage still owns two scratch vectors per probe; neither
+        // workload gives it a file to win.
+        assert!(!coarse.contains(&Some(CoarseEncoding::Fst)), "{coarse:?}");
+        coarse.iter().filter(|c| **c == Some(CoarseEncoding::SpanBitmap)).count()
+    };
+    // Every query a short range just above a stored key, as is the seeded
+    // sample: files design themselves a Bloom filter alone (but for the odd
+    // small one that trains on the whole queue).
+    let coarse = filter_negative_seeks_allocate_nothing("bloom", near_a_key);
+    assert!(spans(&coarse) * 10 < coarse.len(), "{coarse:?}");
+    // Half the queries long ranges: the files compaction writes, an eighth
+    // of the key space each, put a span bitmap in front of the Bloom filter
+    // (a flushed file, spread over all of it, cannot afford one), and a Seek
+    // through it — its leaf cursor on the stack — allocates no more than one
+    // without.
+    let coarse = filter_negative_seeks_allocate_nothing("span", split);
+    assert!(spans(&coarse) * 3 > coarse.len(), "{coarse:?}");
 }

@@ -13,6 +13,12 @@
 //! * a LOUDS-Dense node costs two 256-bit bitmaps plus one prefix-key bit;
 //! * a LOUDS-Sparse edge costs an 8-bit label plus `has_child` and `louds`
 //!   bits; each node adds a prefix-key bit and a share of the select samples.
+//!
+//! The per-level figures pick the dense/sparse cutoff; the total a caller
+//! budgets with is [`fst_bits`], which also counts what does not scale with
+//! the levels — whole 64-bit words and one closing rank counter for each of
+//! the six rank-supported vectors, ~600–850 bits that are half of a 1-byte
+//! trie and all of a one-key one.
 
 /// Rank directory overhead multiplier (64 bits per 512-bit block).
 pub const RANK_OVERHEAD: f64 = 1.0 + 64.0 / 512.0;
@@ -41,11 +47,37 @@ pub fn byte_suffix_bits(total_suffix_bytes: u64, slots: u64) -> u64 {
         return 0;
     }
     let width = (64 - total_suffix_bytes.leading_zeros().min(63)).max(1) as u64;
-    total_suffix_bytes * 8 + (slots + 1) * width
+    total_suffix_bytes * 8 + ((slots + 1) * width).next_multiple_of(64)
+}
+
+/// Exact bits of a rank-supported vector of `len` bits: whole words, one
+/// cumulative counter per 512-bit block and the closing one.
+pub fn ranked_bits(len: u64) -> u64 {
+    len.next_multiple_of(64) + (len.div_ceil(512) + 1) * 64
+}
+
+/// Exact bits of the assembled LOUDS structure (values excluded) over
+/// `levels` with the first `cutoff` of them dense — what
+/// [`Fst::size_bits`](crate::Fst::size_bits) reports for that shape.
+pub fn fst_bits(levels: &[(u64, u64)], cutoff: usize) -> u64 {
+    let (dense, sparse) = levels.split_at(cutoff.min(levels.len()));
+    let dense_nodes: u64 = dense.iter().map(|l| l.0).sum();
+    let sparse_nodes: u64 = sparse.iter().map(|l| l.0).sum();
+    let sparse_edges: u64 = sparse.iter().map(|l| l.1).sum();
+    // Dense: labels + has_child bitmaps and the prefix-key bits. Sparse:
+    // byte labels, has_child + louds flags, prefix-key bits, and one select
+    // sample per 512 nodes.
+    2 * ranked_bits(256 * dense_nodes)
+        + ranked_bits(dense_nodes)
+        + 8 * sparse_edges
+        + 2 * ranked_bits(sparse_edges)
+        + ranked_bits(sparse_nodes)
+        + sparse_nodes.div_ceil(512) * 32
 }
 
 /// Given per-level (node, edge) counts, pick the dense/sparse cutoff that
-/// minimizes total size and return `(cutoff, total_bits)`.
+/// minimizes total size and return `(cutoff, total_bits)` — the total being
+/// the exact [`fst_bits`] of the chosen shape.
 ///
 /// `levels[d] = (nodes_at_depth_d, edges_leaving_depth_d)`. The cutoff is
 /// the number of levels encoded densely. This is the "ideal number of FST
@@ -67,7 +99,7 @@ pub fn optimal_cutoff(levels: &[(u64, u64)]) -> (usize, u64) {
     if levels.is_empty() {
         return (0, 0);
     }
-    best
+    (best.0, fst_bits(levels, best.0))
 }
 
 #[cfg(test)]
@@ -88,14 +120,40 @@ mod tests {
         let levels = vec![(1u64, 256u64), (256, 300), (300, 310)];
         let (cutoff, total) = optimal_cutoff(&levels);
         assert_eq!(cutoff, 1, "only the root should be dense");
-        // Verify total is actually minimal by brute force.
+        // Verify the choice is actually minimal by brute force, and that
+        // the total is the exact size of that shape: the scaling part plus
+        // less than a thousand bits of words and closing counters.
+        let per_level = |c: usize| -> u64 {
+            let cost = |(d, &(n, e)): (usize, &(u64, u64))| {
+                if d < c {
+                    dense_level_bits(n)
+                } else {
+                    sparse_level_bits(e, n)
+                }
+            };
+            levels.iter().enumerate().map(cost).sum()
+        };
         for c in 0..=levels.len() {
-            let mut t = 0;
-            for (d, &(n, e)) in levels.iter().enumerate() {
-                t += if d < c { dense_level_bits(n) } else { sparse_level_bits(e, n) };
-            }
-            assert!(t >= total);
+            assert!(per_level(c) >= per_level(cutoff));
         }
+        assert_eq!(total, fst_bits(&levels, cutoff));
+        assert!((per_level(cutoff)..per_level(cutoff) + 1000).contains(&total), "{total}");
+    }
+
+    #[test]
+    fn fst_bits_counts_words_and_closing_counters() {
+        // An empty vector still holds its closing counter; one bit costs a
+        // word, the block's counter and the closing one.
+        assert_eq!(ranked_bits(0), 64);
+        assert_eq!(ranked_bits(1), 64 + 128);
+        assert_eq!(ranked_bits(512), 512 + 128);
+        assert_eq!(ranked_bits(513), 576 + 192);
+        // One key, one byte deep: a sparse root with one edge, and the three
+        // empty dense vectors.
+        assert_eq!(fst_bits(&[(1, 1)], 0), 8 + 3 * 192 + 32 + 3 * 64);
+        // A full dense root: two 256-bit bitmaps, one prefix-key bit, and
+        // the three empty sparse vectors.
+        assert_eq!(fst_bits(&[(1, 256)], 1), 2 * (256 + 128) + 192 + 3 * 64);
     }
 
     #[test]

@@ -41,9 +41,9 @@ fn main() {
     let filter = Proteus::train(&keyset, &samples, 14 * keyset.len() as u64, &opts);
     let d = filter.design();
     println!(
-        "design: trie {} bits ({} bytes) + Bloom prefix {} bits; {:.1} bits/key",
+        "design: coarse stage {} bits ({}) + Bloom prefix {} bits; {:.1} bits/key",
         d.trie_depth_bits,
-        d.trie_depth_bits / 8,
+        filter.coarse_encoding().map_or("none".into(), |e| e.to_string()),
         d.bloom_prefix_len,
         filter.size_bits() as f64 / keyset.len() as f64
     );

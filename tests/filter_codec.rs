@@ -6,6 +6,9 @@
 //!   drift. To regenerate after an *intentional* format change (which must
 //!   also bump `FORMAT_VERSION`), run:
 //!   `PROTEUS_REGEN_FIXTURES=1 cargo test --test filter_codec`.
+//!   `proteus_span_l9_l40.bin` pins the one addition since v2 was cut — the
+//!   Proteus payload's span-bitmap flag bit; every older fixture, and the
+//!   1PBF payload, is byte-identical to what it was before the bit existed.
 //! * **v1 rejection** — the PR-2 era fixtures under `tests/fixtures/v1/`
 //!   (never regenerated) carry the retired envelope version 1, which
 //!   could only ride in SST generations the store no longer opens: every
@@ -93,6 +96,27 @@ fn fixtures() -> Vec<(&'static str, Box<dyn RangeFilter>)> {
     ]
 }
 
+/// The v2-only fixture: a Proteus whose coarse stage is a span bitmap (a
+/// 9-bit depth has no other encoding). Not in [`fixtures`], which doubles as
+/// the list of frozen v1 files.
+fn span_fixture() -> (&'static str, Box<dyn RangeFilter>) {
+    let design = ProteusDesign {
+        trie_depth_bits: 9,
+        bloom_prefix_len: 40,
+        expected_fpr: 0.015625,
+        trie_mem_bits: 512,
+    };
+    let filter =
+        Proteus::build_with_design(&fixture_keys(), design, 64 * 16, &ProteusOptions::default());
+    assert_eq!(filter.coarse_encoding(), Some(proteus::core::CoarseEncoding::SpanBitmap));
+    ("proteus_span_l9_l40.bin", Box::new(filter))
+}
+
+/// Every fixture of the current format.
+fn current_fixtures() -> Vec<(&'static str, Box<dyn RangeFilter>)> {
+    fixtures().into_iter().chain([span_fixture()]).collect()
+}
+
 fn fixture_dir(version: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(version)
 }
@@ -124,7 +148,7 @@ fn golden_fixtures_pin_the_v2_wire_format() {
     }
     // Every kind without a fingerprint, plus one fingerprinted envelope
     // (the sketch section is part of the wire format too).
-    let mut encodings: Vec<(String, Vec<u8>)> = fixtures()
+    let mut encodings: Vec<(String, Vec<u8>)> = current_fixtures()
         .into_iter()
         .map(|(name, f)| (name.to_string(), FilterCodec::encode(f.as_ref()).unwrap()))
         .collect();
@@ -194,7 +218,7 @@ fn golden_v1_fixtures_are_rejected_as_an_unsupported_version() {
 
 #[test]
 fn truncation_at_every_prefix_length_errors() {
-    for (name, filter) in fixtures() {
+    for (name, filter) in current_fixtures() {
         let encoded = FilterCodec::encode(filter.as_ref()).unwrap();
         for cut in 0..encoded.len() {
             assert!(
@@ -208,7 +232,7 @@ fn truncation_at_every_prefix_length_errors() {
 
 #[test]
 fn single_byte_corruption_anywhere_errors() {
-    for (name, filter) in fixtures() {
+    for (name, filter) in current_fixtures() {
         let encoded = FilterCodec::encode(filter.as_ref()).unwrap();
         for i in 0..encoded.len() {
             for flip in [0x01u8, 0xFF] {
@@ -289,6 +313,124 @@ fn embedded_bloom_geometry_must_match_the_filter_header() {
     let one = OnePbf::train(&wide_ks, &samples, 64 * 16, &OnePbfOptions::default());
     let relabelled = resealed(&one, |p| p[..4].copy_from_slice(&8u32.to_le_bytes()));
     assert!(matches!(FilterCodec::decode(&relabelled), Err(CodecError::Invalid(_))));
+}
+
+/// Offsets into the span fixture's payload: `width u32, probe_cap u64`, the
+/// design's four 8-byte fields, the component flags, then the span bitmap —
+/// `depth u32`, the 8-byte base key, `slots u64`, the words.
+const FLAGS_AT: usize = 44;
+const SPAN_DEPTH_AT: usize = 45;
+const SPAN_BASE_AT: usize = 49;
+const SPAN_SLOTS_AT: usize = 57;
+const SPAN_WORDS_AT: usize = 65;
+
+#[test]
+fn a_span_bitmap_payload_is_validated_field_by_field() {
+    use proteus::core::CodecError;
+    let (_, filter) = span_fixture();
+    let (_, payload) = filter.encode_payload().unwrap();
+    // The layout the offsets above claim: span flag + Bloom flag, depth 9,
+    // a base with nothing past its 9th bit, and the slots its words hold.
+    assert_eq!(payload[FLAGS_AT], 0b110);
+    assert_eq!(u32_at(&payload, SPAN_DEPTH_AT), 9);
+    let base = u64::from_be_bytes(payload[SPAN_BASE_AT..SPAN_BASE_AT + 8].try_into().unwrap());
+    assert_eq!(base << 9, 0);
+    let slots = u64::from_le_bytes(payload[SPAN_SLOTS_AT..SPAN_SLOTS_AT + 8].try_into().unwrap());
+    assert!((2..=512).contains(&slots) && slots % 64 != 0, "{slots} slots");
+    let last_word = SPAN_WORDS_AT + (slots as usize).div_ceil(64) * 8 - 8;
+    assert!(
+        matches!(FilterCodec::decode(&resealed(filter.as_ref(), |_| ())), Ok(d) if !d.degraded)
+    );
+
+    let put_u64 = |p: &mut [u8], at: usize, v: u64| p[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    type Patch<'a> = Box<dyn Fn(&mut [u8]) + 'a>;
+    let invalid: Vec<(&str, Patch)> = vec![
+        ("a base with bits past its depth", Box::new(|p| p[SPAN_BASE_AT + 7] |= 1)),
+        ("a base with a bit right past its depth", Box::new(|p| p[SPAN_BASE_AT + 1] |= 0x40)),
+        ("a set bit past the last slot", Box::new(|p| p[last_word + 7] |= 0x80)),
+        (
+            "a span running past the top of the key space",
+            Box::new(|p| p[SPAN_BASE_AT..SPAN_BASE_AT + 2].copy_from_slice(&[0xFF, 0x80])),
+        ),
+        ("a coarse stage in both encodings", Box::new(|p| p[FLAGS_AT] |= 1)),
+        ("an unknown component flag", Box::new(|p| p[FLAGS_AT] |= 8)),
+        ("a bitmap deeper than the design says", Box::new(|p| p[SPAN_DEPTH_AT] = 10)),
+        ("a bitmap shallower than its base", Box::new(|p| p[SPAN_DEPTH_AT] = 1)),
+        ("a bitmap of depth zero", Box::new(|p| p[SPAN_DEPTH_AT] = 0)),
+        ("a bitmap deeper than the key", Box::new(|p| p[SPAN_DEPTH_AT] = 65)),
+        ("a bitmap of no slots", Box::new(|p| put_u64(p, SPAN_SLOTS_AT, 0))),
+        ("a design depth the bitmap does not have", Box::new(|p| put_u64(p, 12, 16))),
+    ];
+    for (what, patch) in invalid {
+        let bad = resealed(filter.as_ref(), |p| patch(p));
+        let got = FilterCodec::decode(&bad).map(|d| d.filter.name());
+        assert!(matches!(got, Err(CodecError::Invalid(_))), "{what}: {got:?}");
+    }
+    // A slot count the bytes cannot back is refused before anything is
+    // allocated for it — a petabit, or one word more than is there.
+    for slots in [1u64 << 50, u64::MAX, 1 << 20] {
+        let bad = resealed(filter.as_ref(), |p| put_u64(p, SPAN_SLOTS_AT, slots));
+        let got = FilterCodec::decode(&bad).map(|d| d.filter.name());
+        assert!(
+            matches!(got, Err(CodecError::Truncated { .. } | CodecError::Invalid(_))),
+            "{slots} slots: {got:?}"
+        );
+    }
+    // Every cut of the payload, and every single-bit flip of it, under a
+    // valid envelope: a typed error or a filter that answers — never a
+    // panic. (A flipped bitmap or Bloom bit is a different filter, not a
+    // malformed one; the envelope's CRC is what catches those.)
+    for cut in 0..payload.len() {
+        let sealed =
+            proteus::core::codec::seal(proteus::core::FilterKind::Proteus, &payload[..cut]);
+        assert!(FilterCodec::decode(&sealed).is_err(), "payload cut to {cut}");
+    }
+    let probe = |sealed: &[u8]| {
+        if let Ok(decoded) = FilterCodec::decode(sealed) {
+            for k in [0u64, 1 << 40, u64::MAX] {
+                let _ = decoded.filter.may_contain_range(&k.to_be_bytes(), &u64::MAX.to_be_bytes());
+            }
+        }
+    };
+    for bit in 0..payload.len() * 8 {
+        probe(&resealed(filter.as_ref(), |p| p[bit / 8] ^= 1 << (bit % 8)));
+    }
+    // And arbitrary bytes where the bitmap should be.
+    let mut s = 0x5BA7_0000_0000_0001u64;
+    for _ in 0..300 {
+        let tail = (splitmix(&mut s) % 200) as usize;
+        let mut bad = payload[..=FLAGS_AT].to_vec();
+        bad.extend((0..tail).map(|_| splitmix(&mut s) as u8));
+        probe(&proteus::core::codec::seal(proteus::core::FilterKind::Proteus, &bad));
+    }
+}
+
+#[test]
+fn payloads_from_before_the_span_flag_decode_unchanged() {
+    // The FST-bearing fixture and the trie-less one still carry flags 0b11
+    // and 0b10, and the 1PBF payload — "Proteus at depth 0" with its own
+    // kind tag — has no flags byte to grow.
+    let by_name: std::collections::HashMap<_, _> = fixtures().into_iter().collect();
+    let (_, fst) = by_name["proteus_l16_l40.bin"].encode_payload().unwrap();
+    assert_eq!(fst[FLAGS_AT], 0b011);
+    let trieless = Proteus::build_with_design(
+        &fixture_keys(),
+        ProteusDesign::bloom_only(40, 0.0),
+        64 * 16,
+        &ProteusOptions::default(),
+    );
+    assert_eq!(trieless.encode_payload().unwrap().1[FLAGS_AT], 0b010);
+    for name in ["proteus_l16_l40.bin", "proteus_l16_l40_fp.bin", "one_pbf_l32.bin"] {
+        let golden = std::fs::read(fixture_dir("v2").join(name)).unwrap();
+        let decoded = FilterCodec::decode(&golden).unwrap();
+        assert!(!decoded.degraded, "{name}");
+        // Re-encoding what was decoded gives the committed bytes back.
+        let again = match decoded.fingerprint {
+            Some(sketch) => FilterCodec::encode_with_fingerprint(decoded.filter.as_ref(), &sketch),
+            None => FilterCodec::encode(decoded.filter.as_ref()),
+        };
+        assert_eq!(again.unwrap(), golden, "{name}");
+    }
 }
 
 #[test]

@@ -4,11 +4,11 @@
 //! positive behaviour, and `decode(encode(f))` indistinguishable from `f`.
 
 use proptest::prelude::*;
-use proteus::core::key::u64_key;
-use proteus::core::model::proteus::{ProteusModel, ProteusModelOptions};
+use proteus::core::key::{advance_prefix, mask_tail, u64_key};
+use proteus::core::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOptions};
 use proteus::core::{
-    KeySet, NoFilter, OnePbf, OnePbfOptions, Proteus, ProteusOptions, RangeFilter, SampleQueries,
-    TwoPbf, TwoPbfFilterOptions,
+    CoarseEncoding, KeySet, NoFilter, OnePbf, OnePbfOptions, Proteus, ProteusOptions, ProteusTrie,
+    RangeFilter, SampleQueries, TwoPbf, TwoPbfFilterOptions,
 };
 use proteus::filters::{FilterCodec, Rosetta, RosettaOptions, Surf, SurfSuffix};
 use proteus::workloads::{Dataset, QueryGen, Workload};
@@ -176,6 +176,133 @@ proptest! {
                 let lo = u64_key(k.saturating_sub(next() % 50));
                 let hi = u64_key(k.saturating_add(next() % 50));
                 prop_assert!(filter.may_contain_range(&lo, &hi), "{}", filter.name());
+            }
+        }
+    }
+
+    /// The span bitmap, over arbitrary key sets at every depth it exists at:
+    /// as a trie-only stage it answers exactly "does a key's `l1`-prefix fall
+    /// in the window's", and under a Bloom filter it never loses a key —
+    /// whether the span sits at the bottom of the key space, ends at its top,
+    /// or is a single key, and wherever the window lies against it.
+    #[test]
+    fn span_bitmap_designs_never_lose_a_key(
+        seed in 0u64..10_000,
+        width_pick in 0usize..3,
+        n_keys in 1usize..24,
+        place in 0usize..3,
+        tail_bits in 1usize..18,
+    ) {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let width = [8usize, 16, 96][width_pick];
+        let bits = width * 8;
+        let (zeros, ones) = (vec![0u8; width], vec![0xFFu8; width]);
+        // Keys share everything but their last `tail_bits` bits, so the span
+        // stays a bitmap down to the full key length: at 0, at the top of
+        // the key space (all-0xFF included), or anywhere.
+        let mut base: Vec<u8> = match place {
+            0 => zeros.clone(),
+            1 => ones.clone(),
+            _ => (0..width).map(|_| next() as u8).collect(),
+        };
+        mask_tail(&mut base, bits - tail_bits);
+        let mut raw: Vec<Vec<u8>> = (0..n_keys)
+            .map(|_| {
+                let mut k = base.clone();
+                advance_prefix(&mut k, bits, next() % (1 << tail_bits));
+                k
+            })
+            .collect();
+        match place {
+            0 => raw[0] = zeros.clone(),
+            1 => raw[0] = ones.clone(),
+            _ => {}
+        }
+        let keys = KeySet::new(raw.clone(), width);
+        let (min, max) = (keys.key(0).to_vec(), keys.key(keys.len() - 1).to_vec());
+        let step = |key: &[u8], up: bool, by: u64| -> Vec<u8> {
+            // `key ± by`, saturating at the ends of the key space.
+            let mut k = key.to_vec();
+            if up {
+                if advance_prefix(&mut k, bits, by) {
+                    k.fill(0xFF);
+                }
+            } else {
+                k.iter_mut().for_each(|b| *b = !*b);
+                if advance_prefix(&mut k, bits, by) {
+                    k.fill(0xFF);
+                }
+                k.iter_mut().for_each(|b| *b = !*b);
+            }
+            k
+        };
+        // Windows: on and around every key; wholly below and above the span;
+        // straddling either end; unbounded above; everything.
+        let mut windows: Vec<(Vec<u8>, Vec<u8>)> = vec![
+            (zeros.clone(), step(&min, false, 1)),
+            (step(&max, true, 1), ones.clone()),
+            (zeros.clone(), min.clone()),
+            (max.clone(), ones.clone()),
+            (step(&min, false, next() % 64), step(&min, true, next() % 64)),
+            (step(&max, false, next() % 64), step(&max, true, next() % 64)),
+            (zeros.clone(), ones.clone()),
+        ];
+        for k in &raw {
+            windows.push((k.clone(), k.clone()));
+            windows.push((step(k, false, next() % 300), step(k, true, next() % 300)));
+            windows.push((step(k, true, 1 + next() % 300), ones.clone()));
+            let lo = step(k, true, 1 + next() % (1 << tail_bits));
+            windows.push((lo.clone(), step(&lo, true, next() % 40)));
+        }
+        windows.retain(|(lo, hi)| lo <= hi);
+        let prefix = |key: &[u8], l1: usize| {
+            let mut k = key.to_vec();
+            mask_tail(&mut k, l1);
+            k
+        };
+        // Every depth for the narrow widths; both ends and a stride between
+        // them for 96-byte keys.
+        let depths: Vec<usize> = match width {
+            96 => (1..bits).step_by(1 + seed as usize % 13).chain([bits - 1]).collect(),
+            _ => (1..bits).collect(),
+        };
+        for l1 in depths {
+            let span = ProteusTrie::build_as(&keys, l1, CoarseEncoding::SpanBitmap);
+            prop_assert_eq!(Some(span.size_bits()), ProteusTrie::span_bits(&keys, l1));
+            for (lo, hi) in &windows {
+                let (lo_p, hi_p) = (prefix(lo, l1), prefix(hi, l1));
+                let truth = raw.iter().map(|k| prefix(k, l1)).any(|k| lo_p <= k && k <= hi_p);
+                prop_assert_eq!(span.overlaps(lo, hi), truth, "depth {} [{:x?}, {:x?}]", l1, lo, hi);
+            }
+        }
+        // Under a Bloom filter: the shallowest and the deepest stage, and one
+        // at a bit depth between.
+        for l1 in [1, 1 + next() as usize % (bits - 1), bits - 1] {
+            if l1 % 8 == 0 {
+                continue; // a byte depth may be an FST; those have their own tests
+            }
+            let design = ProteusDesign {
+                trie_depth_bits: l1,
+                bloom_prefix_len: (l1 + 1 + next() as usize % 24).min(bits),
+                expected_fpr: 0.0,
+                trie_mem_bits: 0,
+            };
+            let m = (n_keys as u64 * 16).max(ProteusTrie::span_bits(&keys, l1).unwrap() + 64);
+            let filter = Proteus::build_with_design(&keys, design, m, &ProteusOptions::default());
+            prop_assert_eq!(filter.coarse_encoding(), Some(CoarseEncoding::SpanBitmap));
+            let back = FilterCodec::decode(&FilterCodec::encode(&filter).unwrap()).unwrap().filter;
+            prop_assert_eq!(back.name(), filter.name());
+            for (lo, hi) in &windows {
+                let holds_a_key = raw.iter().any(|k| lo <= k && k <= hi);
+                let answer = filter.may_contain_range(lo, hi);
+                prop_assert!(answer || !holds_a_key, "{} lost [{:x?}, {:x?}]", filter.name(), lo, hi);
+                prop_assert_eq!(back.may_contain_range(lo, hi), answer, "{}", filter.name());
             }
         }
     }
