@@ -3,7 +3,7 @@
 //! hash.
 
 use crate::hash::{FastRem, KeyHash};
-use crate::{optimal_hash_count, standard_bloom_fpr, Amq};
+use crate::optimal_hash_count;
 use proteus_succinct::codec::{ByteReader, CodecError, WireWrite};
 
 /// Most items one [`BloomFilter::contains_any`] call takes.
@@ -170,25 +170,11 @@ impl BloomFilter {
     }
 }
 
-impl Amq for BloomFilter {
-    fn insert_hash(&mut self, h: u128) {
-        self.insert(KeyHash::from_u128(h));
-    }
-    fn contains_hash(&self, h: u128) -> bool {
-        self.contains(KeyHash::from_u128(h))
-    }
-    fn size_bits(&self) -> u64 {
-        self.m.get()
-    }
-    fn model_fpr(m_bits: u64, n: u64) -> f64 {
-        standard_bloom_fpr(m_bits, n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hash::murmur3::murmur3_x64_128;
+    use crate::standard_bloom_fpr;
 
     fn h(x: u64) -> KeyHash {
         KeyHash::from_u128(murmur3_x64_128(&x.to_le_bytes(), 0))
@@ -268,14 +254,6 @@ mod tests {
         }
         let fill = f.fill_ratio();
         assert!((0.42..0.58).contains(&fill), "fill ratio {fill}");
-    }
-
-    #[test]
-    fn amq_trait_roundtrip() {
-        let mut f = BloomFilter::new(1024, 10);
-        f.insert_hash(12345u128);
-        assert!(f.contains_hash(12345u128));
-        assert_eq!(<BloomFilter as Amq>::size_bits(&f), 1024);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! enables deletion.
 
 use crate::hash::{FastRem, KeyHash};
-use crate::{optimal_hash_count, standard_bloom_fpr, Amq};
+use crate::optimal_hash_count;
 
 /// Counter width in bits. Four bits is the classic choice: overflow
 /// probability is negligible at realistic load factors.
@@ -93,22 +93,6 @@ impl CountingBloomFilter {
     }
 }
 
-impl Amq for CountingBloomFilter {
-    fn insert_hash(&mut self, h: u128) {
-        self.insert(KeyHash::from_u128(h));
-    }
-    fn contains_hash(&self, h: u128) -> bool {
-        self.contains(KeyHash::from_u128(h))
-    }
-    fn size_bits(&self) -> u64 {
-        self.m_bits
-    }
-    fn model_fpr(m_bits: u64, n: u64) -> f64 {
-        // Equal memory buys a quarter of the slots of a plain Bloom filter.
-        standard_bloom_fpr(m_bits / COUNTER_BITS, n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,12 +159,5 @@ mod tests {
             f.remove(h(1));
         }
         assert!(f.contains(h(1)), "saturated counters must stay set");
-    }
-
-    #[test]
-    fn model_fpr_accounts_for_counter_width() {
-        let plain = standard_bloom_fpr(10_000, 1000);
-        let counting = <CountingBloomFilter as Amq>::model_fpr(40_000, 1000);
-        assert_eq!(plain, counting);
     }
 }

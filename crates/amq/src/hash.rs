@@ -25,12 +25,6 @@ impl KeyHash {
         KeyHash { h1: h as u64, h2: (h >> 64) as u64 }
     }
 
-    /// Pack back into a 128-bit value.
-    #[inline]
-    pub fn to_u128(self) -> u128 {
-        (self.h1 as u128) | ((self.h2 as u128) << 64)
-    }
-
     /// The `i`-th probe index within a table of `m` slots.
     #[inline]
     pub fn probe(self, i: u32, m: FastRem) -> u64 {
@@ -303,7 +297,7 @@ mod tests {
     #[test]
     fn keyhash_u128_roundtrip() {
         let h = KeyHash { h1: 0xDEAD_BEEF, h2: 0xCAFE_BABE };
-        assert_eq!(KeyHash::from_u128(h.to_u128()), h);
+        assert_eq!(KeyHash::from_u128((0xCAFE_BABE << 64) | 0xDEAD_BEEF), h);
     }
 
     #[test]

@@ -83,28 +83,6 @@ pub fn eq6_fpr(m_bits: u64, n: u64) -> f64 {
     0.5f64.powi(optimal_hash_count(m_bits, n) as i32)
 }
 
-/// A common interface over the AMQ variants so the Proteus prefix Bloom
-/// filter can be instantiated over any of them (§4.3: "The Bloom filters in
-/// our PRFs can be replaced with any AMQ").
-///
-/// Items are identified by a pre-computed 128-bit hash; the prefix-filter
-/// layer is responsible for hashing `(prefix bytes, prefix bit length)` with
-/// one of the [`hash`] functions.
-pub trait Amq {
-    /// Insert an item by its 128-bit hash.
-    fn insert_hash(&mut self, h: u128);
-    /// Query an item by its 128-bit hash. May return false positives, never
-    /// false negatives for inserted hashes.
-    fn contains_hash(&self, h: u128) -> bool;
-    /// Bits of memory occupied by the underlying bit array.
-    fn size_bits(&self) -> u64;
-    /// The theoretical FPR model for this AMQ family given `m` bits and `n`
-    /// elements. Used by the CPFPR model so the optimizer stays AMQ-agnostic.
-    fn model_fpr(m_bits: u64, n: u64) -> f64
-    where
-        Self: Sized;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

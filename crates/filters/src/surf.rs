@@ -87,11 +87,6 @@ impl Surf {
         Surf { fst, suffix, hasher, width: keys.width() }
     }
 
-    /// The configured suffix mode.
-    pub fn suffix_mode(&self) -> SurfSuffix {
-        self.suffix
-    }
-
     /// Trie + suffix memory, in bits.
     pub fn size_bits(&self) -> u64 {
         self.fst.size_bits()

@@ -24,10 +24,14 @@ pub(crate) enum CompactionJob {
     Level { level: usize, input: Arc<SstReader>, inputs_old: Vec<Arc<SstReader>> },
 }
 
+/// Per-level size multiplier (RocksDB's `max_bytes_for_level_multiplier`
+/// default).
+const LEVEL_SIZE_RATIO: u64 = 10;
+
 /// Size target of `level` (≥ 1): `level_base_bytes` at L1, growing by
-/// `level_size_ratio` per level.
+/// [`LEVEL_SIZE_RATIO`] per level.
 fn level_target(cfg: &DbConfig, level: usize) -> u64 {
-    cfg.level_base_bytes() * cfg.level_size_ratio().pow(level.saturating_sub(1) as u32)
+    cfg.level_base_bytes() * LEVEL_SIZE_RATIO.pow(level.saturating_sub(1) as u32)
 }
 
 /// Clones of the files in a sorted, disjoint level overlapping `[lo, hi]`

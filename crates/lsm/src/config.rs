@@ -110,8 +110,6 @@ knobs! {
         l0_compaction_trigger: usize = 4,
         /// Total size target of L1 (max_bytes_for_level_base).
         level_base_bytes: u64 = 16 << 20,
-        /// Per-level size multiplier (>= 2).
-        level_size_ratio: u64 = 10,
         /// Filter memory budget per key.
         bits_per_key: f64 = 10.0,
         /// Block cache capacity in bytes (0 turns caching off).
@@ -203,9 +201,6 @@ impl DbConfig {
         if self.level_base_bytes == 0 {
             return bad("level_base_bytes must be > 0");
         }
-        if self.level_size_ratio < 2 {
-            return bad("level_size_ratio must be >= 2");
-        }
         if !self.bits_per_key.is_finite() || self.bits_per_key < 0.0 {
             return bad("bits_per_key must be finite and >= 0");
         }
@@ -289,7 +284,6 @@ mod tests {
             ("sst", DbConfig::builder().sst_target_bytes(0).build()),
             ("l0", DbConfig::builder().l0_compaction_trigger(0).build()),
             ("base", DbConfig::builder().level_base_bytes(0).build()),
-            ("ratio", DbConfig::builder().level_size_ratio(1).build()),
             ("bpk", DbConfig::builder().bits_per_key(f64::NAN).build()),
             ("every", DbConfig::builder().sample_every(0).build()),
             ("fpr", DbConfig::builder().adapt_fpr_threshold(0.0).build()),
@@ -306,7 +300,7 @@ mod tests {
     fn open_revalidates_a_config_that_bypassed_the_builder() {
         // Only this module can build a `DbConfig` without `build()`; the
         // boundary check inside `Db::open` must still catch it.
-        let broken = DbConfig { level_size_ratio: 0, ..Default::default() };
+        let broken = DbConfig { l0_compaction_trigger: 0, ..Default::default() };
         let dir = std::env::temp_dir().join(format!("proteus-cfg-bad-{}", std::process::id()));
         let opened = crate::Db::open(&dir, broken, std::sync::Arc::new(crate::NoFilterFactory));
         assert!(matches!(opened, Err(Error::Config(_))));

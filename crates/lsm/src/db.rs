@@ -82,9 +82,9 @@
 //! `ARCHITECTURE.md`). The ranks used here: `ADAPT` (90, the adaptive-pass
 //! serializer) > `MEMTABLE` (80, the table set) > `MEMTABLE_DATA` (75, one
 //! table's content) > `GATE` (70, worker coordination) > `WAL` (60) >
-//! `MANIFEST` (50) > `SST_META` (40) > `CACHE_SHARD` (30) > `QUERY_QUEUE`
-//! (20). The permitted nestings all descend (so no acquisition cycle can
-//! form across threads): MemTable → table data (a write applies, a `get`
+//! `MANIFEST` (50) > `CACHE_SHARD` (30) > `QUERY_QUEUE` (20). The
+//! permitted nestings all descend (so no acquisition cycle can form
+//! across threads): MemTable → table data (a write applies, a `get`
 //! looks up and a scan seeks under the store-wide lock; a table
 //! lock guards in-memory work only and is released before the WAL, the
 //! gate or a block is touched — the one long hold is the flusher's read
@@ -93,8 +93,8 @@
 //! lock), MemTable → gate (a rotation publishes its counter bump before
 //! releasing the MemTable lock, which is what makes the `flush` barrier
 //! race-free), MemTable → manifest (a scan takes its `Version` in the
-//! same hold as its tables), and adapt → {gate, manifest, SST metadata,
-//! query queue} during an adaptive pass. Debug builds (and release builds
+//! same hold as its tables), and adapt → {gate, manifest, query queue}
+//! during an adaptive pass. Debug builds (and release builds
 //! with the `lock-doctor` feature)
 //! verify the ordering at runtime and panic, naming both acquisition
 //! sites, on any inversion. Background I/O errors are
@@ -124,7 +124,7 @@ use crate::wal::{self, Wal};
 use crate::{adapt, compact};
 use proteus_core::key::u64_key;
 use proteus_core::sync::{
-    rank, Condvar, LockObserver, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    rank, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 use std::ops::{Bound, RangeBounds};
 use std::path::PathBuf;
@@ -286,7 +286,7 @@ impl Db {
     /// A directory that already holds SST files is *recovered*: every
     /// `NNNNNNNN.sst` is reopened through its `PRSSTv3` footer, the level
     /// manifest is rebuilt from the per-file level tags, and persisted
-    /// filters are reloaded (lazily, on first probe) instead of
+    /// filters are decoded from their filter blocks instead of
     /// retrained. Tombstones persist like any other entry, so a delete
     /// never un-deletes across a reopen. A corrupt footer or index — or a
     /// file of any other format generation — fails the open with
@@ -354,17 +354,12 @@ impl Db {
             }
             std::fs::File::open(&dir)?.sync_all()?;
         }
-        // The two hottest locks report hold/contention time into `Stats`
-        // when lock-doctor instrumentation is compiled in; the other
-        // ranked locks are ordering-checked but not timed.
-        let observer: Arc<dyn LockObserver> = Arc::clone(&stats) as Arc<dyn LockObserver>;
         let inner = Arc::new(DbInner {
             cfg,
             dir,
-            mem: RwLock::with_observer(
+            mem: RwLock::new(
                 rank::MEMTABLE,
                 MemState { active: shared_table(active), imms: Vec::new() },
-                Arc::clone(&observer),
             ),
             wal,
             manifest: RwLock::new(rank::MANIFEST, Arc::new(Version { levels })),
@@ -373,7 +368,7 @@ impl Db {
             queue,
             cache,
             stats,
-            gate: Mutex::with_observer(rank::GATE, Coord::default(), observer),
+            gate: Mutex::new(rank::GATE, Coord::default()),
             flush_cv: Condvar::new(),
             compact_cv: Condvar::new(),
             idle_cv: Condvar::new(),
@@ -459,7 +454,14 @@ impl Db {
             else {
                 continue; // foreign file; not one of ours
             };
-            recovered.push(Arc::new(SstReader::open(&path, id)?));
+            let (sst, load_time) = SstReader::open_timed(&path, id)?;
+            if sst.has_live_filter() {
+                stats.filters_loaded.inc();
+                stats.filter_load_ns.add(load_time.as_nanos() as u64);
+            } else if sst.filter_block_len() > 0 {
+                stats.filters_degraded.inc();
+            }
+            recovered.push(Arc::new(sst));
         }
         for path in stragglers {
             let _ = std::fs::remove_file(path);
@@ -744,15 +746,10 @@ impl Db {
         self.inner.version().levels.iter().flatten().map(|s| s.file_bytes).sum()
     }
 
-    /// Total memory held by the per-SST filters, in bits (forces lazy
-    /// filter blocks to decode).
+    /// Total memory held by the per-SST filters, in bits.
     pub fn filter_bits(&self) -> u64 {
         let v = self.inner.version();
-        v.levels
-            .iter()
-            .flatten()
-            .map(|s| s.filter(&self.inner.stats).map_or(0, |f| f.size_bits()))
-            .sum()
+        v.levels.iter().flatten().map(|s| s.filter().map_or(0, |f| f.size_bits())).sum()
     }
 
     /// Crash injection (test support): simulate an abrupt process kill.

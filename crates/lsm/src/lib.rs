@@ -328,9 +328,12 @@ mod db_tests {
         assert_eq!(db.level_file_counts(), counts, "level manifest must survive reopen");
         assert_eq!(db.stats().ssts_recovered.get(), sst_count as u64);
         assert_eq!(db.stats().filters_built.get(), 0, "reopen must not retrain");
-        assert_eq!(db.filter_bits(), filter_bits, "filters must reload bit-identically");
+        // Every filter is in place when `open` returns, before any probe.
         assert_eq!(db.stats().filters_loaded.get(), sst_count as u64);
         assert_eq!(db.stats().filters_degraded.get(), 0);
+        let opened = db.stats().snapshot();
+        assert_eq!(db.filter_bits(), filter_bits, "filters must reload bit-identically");
+        assert_eq!(db.stats().snapshot(), opened, "reading the filters' size loads nothing");
         // Zero false negatives after recovery.
         for &k in keys.iter().step_by(53) {
             assert!(db.seek_u64(k, k).unwrap(), "key {k} lost across reopen");
@@ -339,6 +342,45 @@ mod db_tests {
         db.put_u64(u64::MAX - 5, b"post-reopen").unwrap();
         db.flush().unwrap();
         assert!(db.seek_u64(u64::MAX - 5, u64::MAX - 5).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_filter_block_costs_one_file_its_filter_not_the_open() {
+        let dir = tmpdir("reopen-degraded");
+        let keys: Vec<u64> = (0..8_000u64).map(|i| (i * 2_654_435_761) % (1 << 44)).collect();
+        let sst_count = {
+            let db = Db::open(&dir, small_cfg(), Arc::new(ProteusFactory::default())).unwrap();
+            for &k in &keys {
+                db.put_u64(k, &value(k)).unwrap();
+            }
+            db.flush_and_settle().unwrap();
+            db.sst_count()
+        };
+        assert!(sst_count > 1, "want a multi-file database");
+        // Flip one byte inside the filter block of one file.
+        let victim = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "sst"))
+            .unwrap();
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let footer = bytes.len() - sst::SST_FOOTER_LEN as usize;
+        let filter_off =
+            u64::from_le_bytes(bytes[footer + 16..footer + 24].try_into().unwrap()) as usize;
+        bytes[filter_off + 20] ^= 0xFF;
+        std::fs::write(&victim, &bytes).unwrap();
+
+        let db = Db::open(&dir, small_cfg(), Arc::new(ProteusFactory::default())).unwrap();
+        // Counted by the open itself, before any probe.
+        assert_eq!(db.stats().ssts_recovered.get(), sst_count as u64);
+        assert_eq!(db.stats().filters_degraded.get(), 1);
+        assert_eq!(db.stats().filters_loaded.get(), sst_count as u64 - 1);
+        // The damaged file serves unfiltered: every key is still found.
+        for &k in &keys {
+            assert!(db.seek_u64(k, k).unwrap(), "key {k} lost behind a degraded filter");
+        }
+        assert_eq!(db.stats().filters_degraded.get(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -244,7 +244,7 @@ impl DbInner {
     /// negative; skip it). `Some(probe)` admits the file; the caller
     /// settles the probe once it knows whether the file held anything.
     fn admit(&self, sst: &SstReader, lo: &[u8], hi: &[u8]) -> Option<Probe> {
-        let probe = match sst.filter(&self.stats) {
+        let probe = match sst.filter() {
             Some(filter) => {
                 // `candidates` only yields files the range overlaps.
                 let (flo, fhi) =

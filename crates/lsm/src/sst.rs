@@ -39,8 +39,9 @@
 //! The footer records which LSM level the file belongs to, so `Db::open`
 //! can rebuild the level manifest from nothing but the directory listing.
 //! The filter block is the [`FilterCodec`] envelope (self-describing,
-//! checksummed); it is decoded lazily on first probe, so opening a large
-//! database does not pay filter reconstruction for cold files.
+//! checksummed); [`SstReader::open`] decodes it, so a reader is plain data
+//! from the moment it exists. A block that will not decode costs that file
+//! its filter, never the open.
 //!
 //! Walking a file's entries is [`SstCursor`]'s job and nobody else's; what
 //! a file's filter is trained on is `FilterKeys`' — the writer and the
@@ -63,7 +64,6 @@ use crate::stats::{ratio, Stats};
 use proteus_core::codec::crc32;
 use proteus_core::key::pad_key;
 use proteus_core::keyset::KeySet;
-use proteus_core::sync::{rank, Mutex};
 use proteus_core::{QuerySketch, RangeFilter, SampleQueries};
 use proteus_filters::FilterCodec;
 use std::fs::File;
@@ -71,8 +71,8 @@ use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The one SST format version this build writes and reads.
 pub const SST_FORMAT_VERSION: u16 = 3;
@@ -261,19 +261,16 @@ pub struct SstReader {
     index_len: u64,
     /// Size of the persisted filter block (0 = none).
     filter_block_len: usize,
-    /// Encoded filter block awaiting its lazy decode; drained on first
-    /// probe so the bytes are not held alongside the live filter. Empty
-    /// for freshly written files (their filter is already in memory).
-    pending_filter_bytes: Mutex<Vec<u8>>,
-    /// Lazily decoded filter. Pre-populated for freshly written files;
-    /// filled from `pending_filter_bytes` on first probe after recovery.
-    filter: OnceLock<Option<Box<dyn RangeFilter>>>,
+    /// The file's range filter: moved in by the process that trained it,
+    /// decoded from the filter block by [`SstReader::open`]. `None` when
+    /// the file has no filter block or the block would not decode — every
+    /// probe is then positive.
+    filter: Option<Box<dyn RangeFilter>>,
     /// Fingerprint of the sample-query distribution the filter was trained
-    /// on. Set at build time for fresh files, recovered from the filter
-    /// block on first decode; `None` for filterless files and filters
-    /// trained on an empty sample — drift detection then relies on
-    /// observed FPR alone.
-    fingerprint: Mutex<Option<QuerySketch>>,
+    /// on, from the same source as `filter`; `None` for filterless files
+    /// and filters trained on an empty sample — drift detection then
+    /// relies on observed FPR alone.
+    fingerprint: Option<QuerySketch>,
     /// Filter probes against this file that answered positive for a range
     /// holding none of its keys (per-file false-positive evidence).
     probe_fp: AtomicU64,
@@ -318,10 +315,36 @@ impl std::fmt::Debug for SstReader {
 
 impl SstReader {
     /// Reopen a persisted SST: read the footer, validate magic/version/
-    /// geometry, and load the block index and the (still-encoded) filter
-    /// block. The filter itself is decoded lazily on first probe.
+    /// geometry, and load the block index and the filter. Corrupt filter
+    /// bytes or an unknown kind tag never fail the open: that file serves
+    /// without a filter (see [`SstReader::has_live_filter`]).
     pub fn open(path: impl Into<PathBuf>, id: u64) -> Result<SstReader> {
-        let path = path.into();
+        Ok(Self::open_timed(path, id)?.0)
+    }
+
+    /// [`SstReader::open`], also returning how long the filter block took
+    /// to decode, for the caller that keeps `Stats::filter_load_ns`.
+    pub(crate) fn open_timed(path: impl Into<PathBuf>, id: u64) -> Result<(SstReader, Duration)> {
+        let mut reader = Self::parse(path.into(), id)?;
+        if reader.filter_block_len == 0 {
+            return Ok((reader, Duration::ZERO));
+        }
+        let mut bytes = vec![0u8; reader.filter_block_len];
+        reader.file.read_exact_at(&mut bytes, reader.file_bytes + reader.index_len)?;
+        let t0 = Instant::now();
+        // A valid envelope from a newer build (unknown kind tag) is no
+        // more usable than corrupt bytes.
+        if let Some(decoded) = FilterCodec::decode(&bytes).ok().filter(|d| !d.degraded) {
+            reader.filter = Some(decoded.filter);
+            reader.fingerprint = decoded.fingerprint;
+        }
+        Ok((reader, t0.elapsed()))
+    }
+
+    /// Footer and index block of the file at `path`, as a reader whose
+    /// filter is still to be supplied — decoded by [`SstReader::open`],
+    /// moved in by [`SstReader::open_trained`].
+    fn parse(path: PathBuf, id: u64) -> Result<SstReader> {
         let file = File::open(&path)?;
         let file_len = file.metadata()?.len();
         if file_len < SST_FOOTER_LEN {
@@ -421,9 +444,6 @@ impl SstReader {
             _ => return Err(bad(&path, "index block length mismatch")),
         };
 
-        let mut filter_bytes = vec![0u8; filter_len as usize];
-        file.read_exact_at(&mut filter_bytes, filter_off)?;
-
         Ok(SstReader {
             id,
             path,
@@ -431,10 +451,9 @@ impl SstReader {
             width,
             index,
             index_len,
-            filter_block_len: filter_bytes.len(),
-            pending_filter_bytes: Mutex::new(rank::SST_META, filter_bytes),
-            filter: OnceLock::new(),
-            fingerprint: Mutex::new(rank::SST_META, None),
+            filter_block_len: filter_len as usize,
+            filter: None,
+            fingerprint: None,
             probe_fp: AtomicU64::new(0),
             probe_tn: AtomicU64::new(0),
             retrain_count: 0,
@@ -450,9 +469,9 @@ impl SstReader {
 
     /// Open the file this process just wrote, through the same parse as
     /// any recovered file (so a fresh reader and a reopened one cannot
-    /// disagree), and install the filter it just trained (`None` = no
-    /// budget for one) and its fingerprint instead of decoding them back
-    /// out of the block they were persisted to.
+    /// disagree), and move in the filter it just trained (`None` = no
+    /// budget for one) and its fingerprint: the block they were persisted
+    /// to is not read back.
     fn open_trained(
         path: PathBuf,
         id: u64,
@@ -460,12 +479,11 @@ impl SstReader {
         sketch: QuerySketch,
         retrain_count: u32,
     ) -> Result<SstReader> {
-        let mut reader = SstReader::open(path, id)?;
+        let mut reader = SstReader::parse(path, id)?;
         let trained = filter.is_some() && !sketch.is_empty();
         reader.retrain_count = retrain_count;
-        reader.fingerprint = Mutex::new(rank::SST_META, trained.then_some(sketch));
-        reader.pending_filter_bytes = Mutex::new(rank::SST_META, Vec::new());
-        reader.filter = OnceLock::from(filter);
+        reader.fingerprint = trained.then_some(sketch);
+        reader.filter = filter;
         Ok(reader)
     }
 
@@ -485,44 +503,15 @@ impl SstReader {
         &self.index[i]
     }
 
-    /// The per-file range filter, decoding the persisted filter block on
-    /// first use. Corrupt or unknown-kind filter bytes never fail a query:
-    /// they degrade to "no filter" (every probe positive) and bump
-    /// `stats.filters_degraded`.
-    pub fn filter(&self, stats: &Stats) -> Option<&dyn RangeFilter> {
-        self.filter
-            .get_or_init(|| {
-                let bytes = std::mem::take(
-                    &mut *self.pending_filter_bytes.lock().unwrap_or_else(PoisonError::into_inner),
-                );
-                if bytes.is_empty() {
-                    return None;
-                }
-                let t0 = Instant::now();
-                match FilterCodec::decode(&bytes) {
-                    Ok(decoded) if !decoded.degraded => {
-                        stats.filter_load_ns.add(t0.elapsed().as_nanos() as u64);
-                        stats.filters_loaded.inc();
-                        *self.fingerprint.lock().unwrap_or_else(PoisonError::into_inner) =
-                            decoded.fingerprint;
-                        Some(decoded.filter)
-                    }
-                    // Unknown kind tag (valid envelope from a newer build)
-                    // or corrupt bytes: either way this SST serves without
-                    // a real filter — count it degraded, not loaded.
-                    Ok(_) | Err(_) => {
-                        stats.filters_degraded.inc();
-                        None
-                    }
-                }
-            })
-            .as_deref()
+    /// The per-file range filter; `None` = every probe is positive.
+    pub fn filter(&self) -> Option<&dyn RangeFilter> {
+        self.filter.as_deref()
     }
 
     /// The training fingerprint of this file's filter, if one is known
     /// (decoded from the filter block or set at build time).
-    pub fn training_fingerprint(&self) -> Option<QuerySketch> {
-        self.fingerprint.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    pub fn training_fingerprint(&self) -> Option<&QuerySketch> {
+        self.fingerprint.as_ref()
     }
 
     /// Record the outcome of one real filter probe against this file.
@@ -617,16 +606,10 @@ impl SstReader {
         SstReader::open_trained(self.path.clone(), self.id, filter, sketch, self.retrain_count + 1)
     }
 
-    /// Has the filter block been decoded (or was it built in-process)?
-    pub fn filter_ready(&self) -> bool {
-        self.filter.get().is_some()
-    }
-
-    /// Is a real (non-degraded) filter currently live for this file?
-    /// `false` while the lazy decode is still pending — checking this
-    /// never forces a decode.
+    /// Does this file have a filter? `false` with a non-zero
+    /// [`SstReader::filter_block_len`] means the block would not decode.
     pub fn has_live_filter(&self) -> bool {
-        matches!(self.filter.get(), Some(Some(_)))
+        self.filter.is_some()
     }
 
     /// Size of the persisted filter block in bytes (0 = none).
@@ -1063,7 +1046,7 @@ mod tests {
         // what it is asked.
         let mut asked = queue_a.view(8, &min.to_be_bytes(), &max.to_be_bytes());
         asked.retain_empty(&KeySet::from_u64(&mine));
-        let filter = reader.filter(&Stats::default()).unwrap();
+        let filter = reader.filter().unwrap();
         let fps = asked.asked.iter().filter(|(lo, hi)| filter.may_contain_range(lo, hi)).count();
         let observed = fps as f64 / asked.asked.len() as f64;
         assert!(
@@ -1088,11 +1071,8 @@ mod tests {
         assert_eq!(reopened.min_key, written.min_key);
         assert_eq!(reopened.max_key, written.max_key);
         assert_eq!(reopened.file_bytes, written.file_bytes);
-        assert!(!reopened.filter_ready(), "filter decode must be lazy");
-        let f = reopened.filter(&stats).expect("persisted filter");
-        assert_eq!(stats.filters_loaded.get(), 1);
-        assert_eq!(stats.filters_degraded.get(), 0);
-        let g = written.filter(&stats).unwrap();
+        let f = reopened.filter().expect("persisted filter");
+        let g = written.filter().unwrap();
         assert_eq!(f.size_bits(), g.size_bits());
         assert_eq!(f.name(), g.name());
         // Block payloads identical.
@@ -1130,7 +1110,7 @@ mod tests {
         assert_eq!(reopened.n_tombstones, 334);
         // Tombstone keys must pass the filter: skipping a file that holds
         // a delete would resurrect the key from a deeper level.
-        let f = reopened.filter(&stats).expect("filter");
+        let f = reopened.filter().expect("filter");
         for i in (0..1_000u64).step_by(3) {
             assert!(f.may_contain(&(i * 9).to_be_bytes()), "tombstone key {i} filtered out");
         }
@@ -1166,11 +1146,9 @@ mod tests {
             u64::from_le_bytes(bytes[flen - 48..flen - 40].try_into().unwrap()) as usize;
         bytes[filter_off + 20] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let stats = Stats::default();
         let reopened = SstReader::open(&path, 1).unwrap();
-        assert!(reopened.filter(&stats).is_none(), "corrupt filter must degrade");
-        assert_eq!(stats.filters_degraded.get(), 1);
-        assert_eq!(stats.filters_loaded.get(), 0);
+        assert!(reopened.filter().is_none(), "corrupt filter must degrade");
+        assert!(reopened.filter_block_len() > 0 && !reopened.has_live_filter());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1240,7 +1218,7 @@ mod tests {
         assert_eq!(reopened.max_key, written.max_key);
         // Zero false negatives: every key (tombstones included) must pass
         // the filter when probed at the canonical width.
-        let f = reopened.filter(&stats).expect("filter");
+        let f = reopened.filter().expect("filter");
         for k in &keys {
             assert!(f.may_contain(&pad_key(k, 8)), "false negative for {k:?}");
         }

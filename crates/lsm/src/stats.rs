@@ -187,28 +187,10 @@ stats! {
         /// Commit records replayed from surviving WAL segments by
         /// [`crate::Db::open`] (zero on a clean reopen).
         wal_replayed_records,
-        /// Total nanoseconds instrumented locks were held (guard lifetime).
-        /// Fed by the lock-doctor observer on the coordination gate and the
-        /// MemTable lock; always zero in uninstrumented release builds (see
-        /// [`proteus_core::sync`]).
-        lock_hold_ns,
-        /// Total nanoseconds threads spent blocked waiting for instrumented
-        /// locks another thread held (contended acquisitions only). Same
-        /// instrumentation caveat as [`Stats::lock_hold_ns`].
-        lock_contention_ns,
     }
     gauges {
         /// Keys currently queued as sample queries.
         sampled_queries,
-    }
-}
-
-impl proteus_core::sync::LockObserver for Stats {
-    fn lock_event(&self, _rank: proteus_core::sync::Rank, contended_ns: u64, hold_ns: u64) {
-        if contended_ns > 0 {
-            self.lock_contention_ns.add(contended_ns);
-        }
-        self.lock_hold_ns.add(hold_ns);
     }
 }
 

@@ -357,11 +357,6 @@ impl Wal {
         self.inner.lock().map_err(|_| Error::Poisoned("wal lock"))
     }
 
-    /// Id of the active segment.
-    pub fn active_id(&self) -> Result<u64> {
-        Ok(self.lock()?.id)
-    }
-
     /// Append one commit record for `ops` and return its sequence number
     /// (to pass to [`Wal::commit`]). The bytes reach the OS before this
     /// returns; durability is [`Wal::commit`]'s job. The caller must hold
@@ -636,7 +631,6 @@ mod tests {
         wal.append_commit(&[(k(1), Some(vec![1]))], &stats).unwrap();
         let sealed = wal.rotate(11, &stats).unwrap();
         assert_eq!(sealed, 10);
-        assert_eq!(wal.active_id().unwrap(), 11);
         wal.append_commit(&[(k(2), Some(vec![2]))], &stats).unwrap();
         // Power loss now: the sealed segment keeps its record (seal
         // syncs), the unsynced active record vanishes.

@@ -11,15 +11,12 @@
 //!   debug builds, 15_000 in release, so the default release run is a
 //!   ≥100k-op stress).
 
-use proteus_core::key::u64_key;
 use proteus_lsm::db::{Db, DbConfig};
 use proteus_lsm::filter_hook::{FilterFactory, NoFilterFactory, ProteusFactory};
-use proteus_lsm::query_queue::QueryQueue;
-use proteus_lsm::sst::{SstReader, SstWriter};
-use proteus_lsm::stats::Stats;
+use proteus_lsm::sst::SstReader;
 use proteus_lsm::WriteBatch;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 mod common;
 use common::Rng;
@@ -334,46 +331,6 @@ fn write_batches_are_atomic_under_concurrent_scans() {
     assert_eq!(final_gen, rounds, "last batch must win");
     assert!(db.stats().memtable_rotations.get() > 0, "batches must cross rotations");
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Hammer one `SstReader`'s lazy filter decode from many threads at once:
-/// the `OnceLock` must run the decode exactly once and every thread must
-/// observe the same loaded filter (never a torn or double-counted state).
-#[test]
-fn concurrent_lazy_filter_decode_is_once() {
-    let dir = tmpdir("lazy-decode");
-    std::fs::create_dir_all(&dir).unwrap();
-    let stats = Stats::default();
-    let queue = QueryQueue::new(64, 1);
-    let mut w = SstWriter::create(&dir, 1, 8, 4096, 0).unwrap();
-    for i in 0..5_000u64 {
-        w.add(&u64_key(i * 11), &value(i)).unwrap();
-    }
-    w.finish(&ProteusFactory::default(), &queue, 12.0, &stats).unwrap();
-
-    let reopened = SstReader::open(dir.join("00000001.sst"), 1).unwrap();
-    assert!(!reopened.filter_ready(), "decode must be lazy before first probe");
-    let probe_stats = Stats::default();
-    let n = 16;
-    let barrier = Barrier::new(n);
-    let sizes: Vec<u64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|_| {
-                let (sst, ps, b) = (&reopened, &probe_stats, &barrier);
-                s.spawn(move || {
-                    b.wait(); // maximise decode contention
-                    let f = sst.filter(ps).expect("persisted filter");
-                    assert!(f.may_contain(&u64_key(110)));
-                    f.size_bits()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert!(sizes.windows(2).all(|p| p[0] == p[1]), "all threads see one filter");
-    assert_eq!(probe_stats.filters_loaded.get(), 1, "decode ran exactly once");
-    assert_eq!(probe_stats.filters_degraded.get(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -224,15 +224,6 @@ impl Fst {
         self.visit_node(root, 0, false, false, &[], &[], &mut path, f) == Visit::Stop
     }
 
-    /// Visit every stored branch that is a prefix of `key` (or equals it) —
-    /// the candidate set of a point query over truncated keys.
-    pub fn visit_prefixes_of<F>(&self, key: &[u8], f: &mut F) -> bool
-    where
-        F: FnMut(&[u8], usize) -> Visit,
-    {
-        self.visit_overlapping(key, key, f)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn visit_node<F>(
         &self,
@@ -627,7 +618,7 @@ mod tests {
         let branches = sample_branches();
         let (fst, _) = Fst::from_branches(&branches);
         let mut hits = Vec::new();
-        fst.visit_prefixes_of(b"applepie", &mut |b, _| {
+        fst.visit_overlapping(b"applepie", b"applepie", &mut |b, _| {
             hits.push(b.to_vec());
             Visit::Continue
         });

@@ -56,11 +56,6 @@ impl LoudsSparse {
         self.n_nodes
     }
 
-    /// Number of edges (= labels).
-    pub fn n_edges(&self) -> usize {
-        self.labels.len()
-    }
-
     /// True when the sparse half encodes no nodes.
     pub fn is_empty(&self) -> bool {
         self.n_nodes == 0
@@ -199,7 +194,6 @@ mod tests {
     fn structure_counts() {
         let s = sample();
         assert_eq!(s.n_nodes(), 3);
-        assert_eq!(s.n_edges(), 5);
         assert_eq!(s.value_count(), 4); // 3 leaf edges + 1 prefix key
     }
 

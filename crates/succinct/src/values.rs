@@ -160,14 +160,6 @@ impl ValueStore {
         }
     }
 
-    /// Width of fixed-bit values (0 otherwise).
-    pub fn fixed_width(&self) -> u32 {
-        match self {
-            ValueStore::FixedBits { values } => values.width,
-            _ => 0,
-        }
-    }
-
     /// Encoded size of the store, in bits.
     pub fn size_bits(&self) -> u64 {
         match self {
@@ -279,7 +271,6 @@ mod tests {
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(vs.fixed(i), v);
         }
-        assert_eq!(vs.fixed_width(), 10);
     }
 
     #[test]

@@ -270,11 +270,6 @@ impl Ycsb {
         self.dist
     }
 
-    /// The key space.
-    pub fn key_space(&self) -> KeySpace {
-        self.space
-    }
-
     /// Records currently live (loaded + inserted).
     pub fn n_live(&self) -> u64 {
         self.n_live

@@ -146,6 +146,13 @@ fn reopened_db_serves_from_persisted_filters_without_retraining() {
     let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
     assert_eq!(db.level_file_counts(), level_counts, "level manifest");
     assert_eq!(db.stats().ssts_recovered.get(), sst_count as u64);
+    // Filters were reloaded from their SST filter blocks by the open
+    // itself, not retrained: the memory footprint is bit-identical and no
+    // build ever ran.
+    assert_eq!(db.stats().filters_loaded.get(), sst_count as u64);
+    assert_eq!(db.stats().filters_degraded.get(), 0);
+    assert!(db.stats().filter_load_ns.get() > 0);
+    assert_eq!(db.filter_bits(), filter_bits, "filter_bits must survive reopen");
 
     // No false negatives: every key findable as point and range.
     for &k in raw.iter().step_by(37) {
@@ -161,13 +168,9 @@ fn reopened_db_serves_from_persisted_filters_without_retraining() {
         assert!(got || !truth, "false negative [{lo:#x},{hi:#x}] after reopen");
     }
 
-    // Filters were reloaded from their SST filter blocks, not retrained:
-    // the memory footprint is bit-identical and no build ever ran.
-    assert_eq!(db.filter_bits(), filter_bits, "filter_bits must survive reopen");
+    // Nothing the reads above did trained or loaded a filter.
     assert_eq!(db.stats().filters_built.get(), 0, "no filter retraining on reopen");
     assert_eq!(db.stats().filters_loaded.get(), sst_count as u64);
-    assert_eq!(db.stats().filters_degraded.get(), 0);
-    assert!(db.stats().filter_load_ns.get() > 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -422,10 +425,10 @@ fn adaptive_lifecycle_recovers_fpr_after_workload_shift() {
     let sst_count = db.sst_count();
     drop(db);
     let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
-    let fpr_reopened = run(&db, &shift_w, 3_000, 4);
-    assert_eq!(db.stats().filters_built.get(), 0, "reopen must not retrain");
     assert_eq!(db.stats().filters_loaded.get(), sst_count as u64);
     assert_eq!(db.filter_bits(), filter_bits, "re-trained filters must reload bit-identically");
+    let fpr_reopened = run(&db, &shift_w, 3_000, 4);
+    assert_eq!(db.stats().filters_built.get(), 0, "reopen must not retrain");
     assert!(
         fpr_reopened < fpr_shifted,
         "adapted FPR must survive reopen: {fpr_reopened:.4} vs shifted {fpr_shifted:.4}"
@@ -537,9 +540,9 @@ fn adaptive_retrain_over_variable_length_keys_has_no_false_negatives() {
     // The rewritten filter block is what a reopen decodes.
     drop(db);
     let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
+    assert!(db.stats().filters_loaded.get() >= 1, "the persisted filter was never decoded");
     check(&db, "after reopen");
     assert_eq!(db.stats().filters_built.get(), 0, "reopen must not retrain");
-    assert!(db.stats().filters_loaded.get() >= 1, "the persisted filter was never decoded");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
