@@ -59,10 +59,6 @@ impl Rank {
 pub mod rank {
     use super::Rank;
 
-    /// Adaptive re-training pass serialization (`adapt_lock` in the LSM
-    /// `Db`). Held across manifest edits, gate checks and SST filter
-    /// rewrites, so it sits above everything.
-    pub const ADAPT: Rank = Rank::new(90, "adapt");
     /// The MemTable state (`RwLock<MemState>`): which tables exist.
     /// Writers serialize on it and it nests over one table's data, the
     /// WAL (append/rotate) and the gate (rotation publish).
@@ -73,8 +69,8 @@ pub mod rank {
     /// in-memory work only — never held across a WAL append, a gate wait
     /// or a block fetch.
     pub const MEMTABLE_DATA: Rank = Rank::new(75, "memtable-data");
-    /// The flush/compaction coordination gate (`Mutex<Coord>` plus its
-    /// condvars).
+    /// The background worker's coordination gate (`Mutex<Coord>` plus
+    /// its two condvars).
     pub const GATE: Rank = Rank::new(70, "gate");
     /// The write-ahead-log interior (segment writer + group-commit
     /// state).

@@ -33,13 +33,13 @@
 //!   never cover less than the one it replaces.
 //!
 //! `pass` strings the two together over every live file and publishes the
-//! replacement readers. The third background worker (`Db`'s *adapter*,
-//! next to the flusher and compactor) runs it every `adapt_interval`;
-//! `Db::adapt_now` runs one pass synchronously for deterministic tests
-//! and experiments.
+//! replacement readers. `Db`'s background worker runs it when nothing is
+//! left to flush or compact: every `adapt_interval` with `adapt_enabled`,
+//! and whenever `Db::adapt_now` asks (and waits) for a pass, which makes
+//! tests and experiments deterministic.
 
 use crate::db::{DbConfig, DbInner};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::query_queue::QueryQueue;
 use crate::sst::SstReader;
 use crate::stats::Stats;
@@ -112,70 +112,43 @@ pub fn retrain(
 }
 
 /// One full adaptive pass over `db`: flag, re-train, publish; returns the
-/// number of filters re-trained. Serialized by `adapt_lock` so a
-/// background pass and an explicit `adapt_now` never rewrite the same file
-/// concurrently.
+/// number of filters re-trained. Runs on the background worker, the only
+/// thread that retires files, so no file it flags can be compacted away
+/// before its replacement is published.
 pub(crate) fn pass(db: &DbInner) -> Result<usize> {
-    let _guard = db.adapt_lock.lock().map_err(|_| Error::Poisoned("adapt lock"))?;
     let version = db.version();
-    let mut flagged: Vec<Arc<SstReader>> = Vec::new();
-    for level in &version.levels {
-        for sst in level {
-            if sst.is_retired() {
-                continue;
-            }
-            if flag_reason(sst, &db.cfg, &db.queue).is_some() {
-                db.stats.drift_flags.inc();
-                flagged.push(Arc::clone(sst));
-            }
-        }
-    }
+    let flagged: Vec<&Arc<SstReader>> = version
+        .levels
+        .iter()
+        .flatten()
+        .filter(|sst| flag_reason(sst, &db.cfg, &db.queue).is_some())
+        .collect();
+    db.stats.drift_flags.add(flagged.len() as u64);
     let mut retrained = 0usize;
     for sst in flagged {
-        // Re-training every flagged file can take a while right after
-        // a shift (every live SST flags at once); re-check shutdown
-        // between files so dropping the Db joins within one retrain,
-        // like the compactor re-checks between jobs.
+        // Re-training every flagged file can take a while right after a
+        // shift (every live SST flags at once); re-check shutdown between
+        // files so dropping the Db joins within one retrain.
         if db.shutting_down()? {
             break;
         }
-        if sst.is_retired() {
-            // Compaction consumed the file while this pass was
-            // running; its merged successor got a fresh filter anyway.
-            continue;
-        }
         let new = Arc::new(retrain(
-            &sst,
+            sst,
             db.factory.as_ref(),
             &db.queue,
             db.cfg.bits_per_key(),
             &db.stats,
         )?);
-        // Publish: swap the replacement reader into whatever level the
-        // file now sits in. Readers holding older versions keep the old
-        // reader (same data; the old filter is merely stale, never
-        // wrong — filters have no false negatives for the file's keys).
-        let mut replaced = false;
+        // Publish: swap the replacement reader into the file's level.
+        // Readers holding older versions keep the old reader (same data;
+        // the old filter is merely stale, never wrong — filters have no
+        // false negatives for the file's keys).
         db.edit_manifest(|v| {
-            for level in &mut v.levels {
-                for slot in level.iter_mut() {
-                    if slot.id == new.id {
-                        *slot = Arc::clone(&new);
-                        replaced = true;
-                    }
-                }
+            for slot in v.levels.iter_mut().flatten().filter(|s| s.id == new.id) {
+                *slot = Arc::clone(&new);
             }
         });
-        if replaced {
-            retrained += 1;
-        } else {
-            // A compaction retired the file between our retired-check
-            // and the manifest edit. The rewrite's rename may have
-            // resurrected the path after the compactor unlinked it;
-            // drop it again — the data lives on in the compaction
-            // outputs.
-            new.delete_file();
-        }
+        retrained += 1;
     }
     Ok(retrained)
 }

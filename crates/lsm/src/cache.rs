@@ -23,40 +23,20 @@ pub struct BlockCache {
     /// Map to (block, recency stamp).
     map: HashMap<BlockId, (Arc<Block>, u64)>,
     clock: u64,
-    hits: u64,
-    misses: u64,
-    bypasses: u64,
 }
 
 impl BlockCache {
     /// Create a cache bounded to `capacity_bytes` of block payload.
     pub fn new(capacity_bytes: usize) -> Self {
-        BlockCache {
-            capacity_bytes,
-            used_bytes: 0,
-            map: HashMap::new(),
-            clock: 0,
-            hits: 0,
-            misses: 0,
-            bypasses: 0,
-        }
+        BlockCache { capacity_bytes, used_bytes: 0, map: HashMap::new(), clock: 0 }
     }
 
     /// Look up a block, refreshing its recency on a hit.
     pub fn get(&mut self, id: BlockId) -> Option<Arc<Block>> {
         self.clock += 1;
-        let clock = self.clock;
-        match self.map.get_mut(&id) {
-            Some((block, stamp)) => {
-                *stamp = clock;
-                self.hits += 1;
-                Some(Arc::clone(block))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (block, stamp) = self.map.get_mut(&id)?;
+        *stamp = self.clock;
+        Some(Arc::clone(block))
     }
 
     /// Insert a block, evicting least-recently-used entries to fit.
@@ -68,7 +48,6 @@ impl BlockCache {
     pub fn insert(&mut self, id: BlockId, block: Arc<Block>) {
         let bytes = block.mem_bytes();
         if bytes > self.capacity_bytes {
-            self.bypasses += 1;
             return;
         }
         self.clock += 1;
@@ -111,22 +90,6 @@ impl BlockCache {
                 self.used_bytes -= old.mem_bytes();
             }
         }
-    }
-
-    /// Lookups that found their block.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Inserts refused because the block exceeded the whole capacity
-    /// (served uncached instead of pinning the budget).
-    pub fn bypasses(&self) -> u64 {
-        self.bypasses
     }
 
     /// Bytes of cached block payload currently held.
@@ -216,21 +179,6 @@ impl ShardedBlockCache {
         }
     }
 
-    /// Hits across all shards.
-    pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| Self::locked(s).hits()).sum()
-    }
-
-    /// Misses across all shards.
-    pub fn misses(&self) -> u64 {
-        self.shards.iter().map(|s| Self::locked(s).misses()).sum()
-    }
-
-    /// Oversized-insert bypasses across all shards.
-    pub fn bypasses(&self) -> u64 {
-        self.shards.iter().map(|s| Self::locked(s).bypasses()).sum()
-    }
-
     /// Bytes of cached payload across all shards.
     pub fn used_bytes(&self) -> usize {
         self.shards.iter().map(|s| Self::locked(s).used_bytes()).sum()
@@ -259,16 +207,6 @@ mod tests {
         }
         let (disk, _, _) = b.finish();
         Arc::new(Block::decode_v3(&disk).unwrap())
-    }
-
-    #[test]
-    fn hit_and_miss_accounting() {
-        let mut c = BlockCache::new(1 << 20);
-        assert!(c.get((1, 0)).is_none());
-        c.insert((1, 0), make_block(1, 10));
-        assert!(c.get((1, 0)).is_some());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -332,7 +270,6 @@ mod tests {
         c.insert((9, 0), huge);
         assert_eq!(c.len(), 0, "oversized block must not be cached");
         assert_eq!(c.used_bytes(), 0);
-        assert_eq!(c.bypasses(), 1);
         assert!(c.get((9, 0)).is_none());
         // Many small blocks behave normally around a repeated bypass:
         // nothing thrashes and the budget holds.
@@ -340,7 +277,6 @@ mod tests {
             c.insert((1, i), make_block(1, 10));
         }
         c.insert((9, 1), make_block(99, 1000));
-        assert_eq!(c.bypasses(), 2);
         for i in 0..4u32 {
             assert!(c.get((1, i)).is_some(), "small block {i} lost to a bypassed insert");
         }
@@ -402,8 +338,6 @@ mod tests {
             assert!(c.get((i as u64, i)).is_some(), "block {i}");
         }
         assert!(c.get((99, 0)).is_none());
-        assert_eq!(c.hits(), 64);
-        assert_eq!(c.misses(), 1);
         assert_eq!(c.len(), 64);
         c.purge_sst(3);
         assert!(c.get((3, 3)).is_none());

@@ -3,8 +3,9 @@
 //! [`Merge`] over uncached cursors, plus the two decisions that are
 //! compaction's own: tombstones are dropped once the output lands at the
 //! bottom of the tree, and the output is split into files of
-//! `sst_target_bytes`. The compactor thread's loop (when to look, how to
-//! settle) stays in [`crate::db`].
+//! `sst_target_bytes`. When to compact — once no frozen table is left to
+//! flush, ahead of any adaptive pass, in settle mode for
+//! `flush_and_settle` — is the background worker's loop in [`crate::db`].
 
 use crate::config::DbConfig;
 use crate::db::{DbInner, Version};
@@ -14,8 +15,9 @@ use crate::sst::{SstCursor, SstReader, SstWriter};
 use std::sync::Arc;
 
 /// A compaction the policy decided on, with its inputs pinned from a
-/// manifest snapshot (only the compactor removes files from any level,
-/// so pinned inputs cannot disappear before the edit is applied).
+/// manifest snapshot (only the background worker edits the manifest, and
+/// it runs one job at a time, so pinned inputs cannot disappear before
+/// the edit is applied).
 #[derive(Debug)]
 pub(crate) enum CompactionJob {
     /// Merge all (snapshot) L0 files plus overlapping L1 files into L1.
@@ -116,10 +118,9 @@ pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
 /// tombstone is carried into the output — it may still shadow versions
 /// of its key in deeper levels — *unless* the output lands at the bottom
 /// of the tree (no non-empty level below the target), where nothing
-/// older can exist and the tombstone is dropped for good. Deeper levels
-/// are only ever mutated by this (single) compactor thread, so one
-/// snapshot decides the whole merge; concurrent flushes only add *newer*
-/// data in L0, which a dropped tombstone could never have shadowed.
+/// older can exist and the tombstone is dropped for good. Only the
+/// background worker edits the manifest, and it is running this merge,
+/// so one snapshot decides the whole merge.
 fn merge_inputs(
     db: &DbInner,
     newer: &[Arc<SstReader>],

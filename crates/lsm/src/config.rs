@@ -118,9 +118,11 @@ knobs! {
         queue_capacity: usize = 20_000,
         /// Record every n-th executed empty query (§6.1: 100).
         sample_every: u64 = 100,
-        /// Run the adaptive filter lifecycle: a third background worker that
-        /// monitors per-SST observed FPR and sample-distribution drift and
-        /// re-trains filters in place (see the [`crate::adapt`] module docs).
+        /// Run the adaptive filter lifecycle periodically: every
+        /// `adapt_interval` the background worker checks per-SST observed
+        /// FPR and sample-distribution drift and re-trains filters in place
+        /// (see the [`crate::adapt`] module docs). `Db::adapt_now` runs a
+        /// pass either way.
         adapt_enabled: bool = false,
         /// Observed per-file FPR above this flags the file for re-training
         /// (only after `adapt_min_probes` probes).
@@ -128,7 +130,7 @@ knobs! {
         /// Minimum filter probes against a file before its observed FPR is
         /// trusted (Chernoff-style: too few probes is noise).
         adapt_min_probes: u64 = 512,
-        /// How often the adapter wakes to scan for flagged files.
+        /// How often a periodic adaptive pass scans for flagged files.
         adapt_interval: Duration = Duration::from_millis(100),
         /// Total-variation distance between a filter's training fingerprint
         /// and the live sample distribution above which the file is flagged

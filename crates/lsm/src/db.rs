@@ -12,8 +12,8 @@
 //! merge iterator) and [`Db::seek`], which is a thin emptiness wrapper
 //! around the same merge — all three implemented by the one layer walk
 //! in [`crate::read`]; this module holds the handle, recovery, the write
-//! path and the three background worker loops (what a compaction picks
-//! and does is `compact.rs`, what an adaptive pass decides is
+//! path and the background worker's loop (what a compaction picks and
+//! does is `compact.rs`, what an adaptive pass decides is
 //! [`crate::adapt`]). Deletes are first-class: a tombstone entry
 //! shadows every older version of its key through MemTables, SSTs,
 //! compaction and recovery, and is only dropped once a compaction output
@@ -28,7 +28,7 @@
 //! * **MemTables are shared, not copied.** The store-wide MemTable lock
 //!   guards only *which* tables exist — the active one and the frozen
 //!   FIFO — and serializes writers. Each table is an `Arc` around its own
-//!   ranked `RwLock<MemTable>`, so a point read, the flusher and any
+//!   ranked `RwLock<MemTable>`, so a point read, a flush and any
 //!   number of scan cursors hold the same table, and rotation moves the
 //!   `Arc` without disturbing any of them.
 //! * **Reads** never wait on background work, and on a writer only for
@@ -56,56 +56,56 @@
 //!   immutable-memtable FIFO and a fresh active table + segment take its
 //!   place. Writers stall only when `max_immutable_memtables` frozen
 //!   tables are already waiting (RocksDB's write-stall backpressure).
-//! * **Background workers**: a *flusher* thread turns frozen MemTables
-//!   into L0 SSTs (building each file's range filter from its keys + the
-//!   sample-query queue, §6.1) and deletes each table's sealed WAL
-//!   segment once its SST is installed, and a *compactor* thread folds
-//!   levels when size triggers fire. Both publish their results by
-//!   swapping a new `Arc<Version>` under a short-held write lock
-//!   (copy-on-write level vectors); readers holding older versions keep
-//!   working — retired SST files are unlinked but their open descriptors
-//!   stay readable.
+//! * **One background worker** (LevelDB's arrangement) does, each turn,
+//!   the most urgent work there is: flush the oldest frozen MemTable into
+//!   an L0 SST (building the file's range filter from its keys + the
+//!   sample-query queue, §6.1, then deleting the table's sealed WAL
+//!   segment); else run the compaction `compact::pick` chooses; else an
+//!   adaptive pass ([`crate::adapt`]) if one was asked for or is due;
+//!   else sleep. It is the only thread that edits the manifest, and it
+//!   publishes by swapping a new `Arc<Version>` under a short-held write
+//!   lock (copy-on-write level vectors); readers holding older versions
+//!   keep working — retired SST files are unlinked but their open
+//!   descriptors stay readable.
 //! * **Visibility**: an acked `put` (or `delete`) is always observed. A
-//!   reader checks MemTables *before* the manifest, and the flusher
-//!   installs an SST into the manifest *before* retiring its source
-//!   MemTable, so every entry is continuously visible in at least one of
-//!   the two places.
-//! * **Barriers**: [`Db::flush`] waits until every MemTable rotated so far
-//!   is durably on disk; [`Db::flush_and_settle`] additionally drives
-//!   compaction until L0 is empty and every level is within its size
-//!   target (the §6.2 "wait for all background compactions" setup step),
-//!   making multi-step tests deterministic.
+//!   reader checks MemTables *before* the manifest, and a flush installs
+//!   an SST into the manifest *before* retiring its source MemTable, so
+//!   every entry is continuously visible in at least one of the two
+//!   places.
+//! * **Barriers** are requests to the worker: [`Db::flush`] waits until
+//!   every MemTable rotated so far is durably on disk;
+//!   [`Db::flush_and_settle`] additionally has compaction run until L0 is
+//!   empty and every level is within its size target (the §6.2 "wait for
+//!   all background compactions" setup step), making multi-step tests
+//!   deterministic; [`Db::adapt_now`] has one adaptive pass run.
 //!
 //! Lock discipline: every lock in this crate is a ranked
 //! [`proteus_core::sync`] wrapper, and locks must be acquired in strictly
 //! decreasing rank order (the full hierarchy table lives in
-//! `ARCHITECTURE.md`). The ranks used here: `ADAPT` (90, the adaptive-pass
-//! serializer) > `MEMTABLE` (80, the table set) > `MEMTABLE_DATA` (75, one
-//! table's content) > `GATE` (70, worker coordination) > `WAL` (60) >
-//! `MANIFEST` (50) > `CACHE_SHARD` (30) > `QUERY_QUEUE` (20). The
-//! permitted nestings all descend (so no acquisition cycle can form
-//! across threads): MemTable → table data (a write applies, a `get`
-//! looks up and a scan seeks under the store-wide lock; a table
-//! lock guards in-memory work only and is released before the WAL, the
-//! gate or a block is touched — the one long hold is the flusher's read
-//! lock on a frozen table, which has no writer to keep waiting),
-//! MemTable → WAL (appends and seals happen under the MemTable write
-//! lock), MemTable → gate (a rotation publishes its counter bump before
-//! releasing the MemTable lock, which is what makes the `flush` barrier
-//! race-free), MemTable → manifest (a scan takes its `Version` in the
-//! same hold as its tables), and adapt → {gate, manifest, query queue}
-//! during an adaptive pass. Debug builds (and release builds
-//! with the `lock-doctor` feature)
-//! verify the ordering at runtime and panic, naming both acquisition
-//! sites, on any inversion. Background I/O errors are
-//! sticky: they surface as `Err` from the next `flush`/`flush_and_settle`
-//! (and from writes on the rotation path). A poisoned foreground lock
-//! (another thread panicked) surfaces as [`Error::Poisoned`]; background
-//! workers treat a poisoned lock the same way — they record the sticky
-//! error and exit rather than panicking (a worker panic would poison the
-//! coordination gate in turn). Shutdown ([`Db::drop`], crash injection)
-//! and error recording *recover* a poisoned gate guard instead of
-//! propagating it, so dropping a `Db` whose worker crashed always
+//! `ARCHITECTURE.md`). The ranks used here: `MEMTABLE` (80, the table
+//! set) > `MEMTABLE_DATA` (75, one table's content) > `GATE` (70, worker
+//! coordination) > `WAL` (60) > `MANIFEST` (50) > `CACHE_SHARD` (30) >
+//! `QUERY_QUEUE` (20). The permitted nestings all descend (so no
+//! acquisition cycle can form across threads): MemTable → table data (a
+//! write applies, a `get` looks up and a scan seeks under the store-wide
+//! lock; a table lock guards in-memory work only and is released before
+//! the WAL, the gate or a block is touched — the one long hold is a
+//! flush's read lock on a frozen table, which has no writer to keep
+//! waiting), MemTable → WAL (appends and seals happen under the MemTable
+//! write lock), MemTable → gate (a rotation publishes its counter bump
+//! before releasing the MemTable lock, which is what makes the `flush`
+//! barrier race-free), and MemTable → manifest (a scan takes its
+//! `Version` in the same hold as its tables). Debug builds (and release
+//! builds with the `lock-doctor` feature) verify the ordering at runtime
+//! and panic, naming both acquisition sites, on any inversion.
+//! Background errors are sticky: they surface as `Err` from the next
+//! barrier (and from writes on the rotation path). A poisoned foreground
+//! lock (another thread panicked) surfaces as [`Error::Poisoned`]; the
+//! background worker treats a poisoned lock the same way — it records the
+//! sticky error and exits rather than panicking (a worker panic would
+//! poison the coordination gate in turn). Shutdown ([`Db::drop`], crash
+//! injection) and error recording *recover* a poisoned gate guard instead
+//! of propagating it, so dropping a `Db` whose worker crashed always
 //! completes instead of double-panicking into a process abort. A poisoned
 //! manifest lock is recovered too: the manifest content is an `Arc`
 //! swapped in a single assignment, so a panic under the lock can never
@@ -131,7 +131,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use crate::config::{DbConfig, DbConfigBuilder};
 
@@ -143,7 +143,7 @@ pub(crate) struct Version {
     pub(crate) levels: Vec<Vec<Arc<SstReader>>>,
 }
 
-/// One MemTable as the store shares it: writers, point reads, the flusher
+/// One MemTable as the store shares it: writers, point reads, a flush
 /// and every scan cursor positioned in it hold the same table, behind its
 /// own `MEMTABLE_DATA` lock (see the module docs for what may nest).
 pub(crate) type SharedTable = Arc<RwLock<MemTable>>;
@@ -158,8 +158,8 @@ pub(crate) fn read_table(table: &SharedTable) -> Result<RwLockReadGuard<'_, MemT
 }
 
 /// A frozen MemTable awaiting flush, paired with the sealed WAL segment
-/// holding exactly its writes (deleted by the flusher once the table's
-/// SST is installed).
+/// holding exactly its writes (deleted once the table's SST is
+/// installed).
 pub(crate) struct Imm {
     pub(crate) mem: SharedTable,
     wal_id: u64,
@@ -185,24 +185,27 @@ impl MemState {
 #[derive(Debug, Default)]
 struct Coord {
     shutdown: bool,
-    /// Crash injection (test support): workers exit immediately instead
-    /// of draining, and the graceful shutdown sync is skipped.
+    /// Crash injection (test support): the worker exits immediately
+    /// instead of draining, and the graceful shutdown sync is skipped.
     crash: bool,
     /// MemTables rotated onto the immutable queue.
     rotated: u64,
-    /// MemTables the flusher has fully processed.
+    /// MemTables the worker has fully flushed.
     flushed: u64,
     /// `flush_and_settle` barriers requested / completed.
     settle_requests: u64,
     settles_done: u64,
-    /// Bumped whenever the compactor should re-examine the tree.
-    compact_epoch: u64,
-    /// First background I/O error, surfaced by the next barrier.
+    /// `adapt_now` passes requested / completed, and how many filters the
+    /// last completed pass re-trained.
+    adapt_requests: u64,
+    adapts_done: u64,
+    retrained: usize,
+    /// First background error, surfaced by the next barrier.
     error: Option<String>,
 }
 
 /// Shared state behind the public handle; owned by the caller-facing
-/// [`Db`] and by both background worker threads.
+/// [`Db`] and by the background worker thread.
 pub(crate) struct DbInner {
     pub(crate) cfg: DbConfig,
     dir: PathBuf,
@@ -215,19 +218,10 @@ pub(crate) struct DbInner {
     pub(crate) cache: ShardedBlockCache,
     pub(crate) stats: Arc<Stats>,
     gate: Mutex<Coord>,
-    /// Wakes the flusher (rotation, shutdown).
-    flush_cv: Condvar,
-    /// Wakes the compactor (L0 install, settle request, shutdown).
-    compact_cv: Condvar,
+    /// Wakes the worker (rotation, settle or adapt request, shutdown).
+    work_cv: Condvar,
     /// Wakes foreground barriers and stalled writers (progress, error).
     idle_cv: Condvar,
-    /// Wakes the adapter early (shutdown; otherwise it polls on
-    /// `adapt_interval`).
-    adapt_cv: Condvar,
-    /// Serializes adaptive maintenance passes (the background adapter vs
-    /// an explicit `Db::adapt_now`), so two passes never race to rewrite
-    /// the same filter block.
-    pub(crate) adapt_lock: Mutex<()>,
 }
 
 /// A single-process, multi-threaded LSM-tree database with pluggable
@@ -266,7 +260,7 @@ pub(crate) struct DbInner {
 /// ```
 pub struct Db {
     pub(crate) inner: Arc<DbInner>,
-    workers: Vec<JoinHandle<()>>,
+    worker: Option<JoinHandle<()>>,
 }
 
 fn bg_error(msg: &str) -> Error {
@@ -279,9 +273,9 @@ fn gate_poisoned<T>(_: PoisonError<T>) -> Error {
 }
 
 impl Db {
-    /// Open a database in `dir`, creating it if empty, and start the
-    /// background flush and compaction workers. The configuration is
-    /// validated first ([`Error::Config`] on a bad knob).
+    /// Open a database in `dir`, creating it if empty, and start its
+    /// background worker. The configuration is validated first
+    /// ([`Error::Config`] on a bad knob).
     ///
     /// A directory that already holds SST files is *recovered*: every
     /// `NNNNNNNN.sst` is reopened through its `PRSSTv3` footer, the level
@@ -303,9 +297,8 @@ impl Db {
     /// deleted, so recovery is idempotent — a crash during recovery just
     /// replays again.
     ///
-    /// If a background worker cannot be started, the ones already running
-    /// are stopped and joined before the error is returned, so a failed
-    /// open leaves no thread holding the directory's files.
+    /// If the worker thread cannot be started, the open fails with that
+    /// I/O error and no thread holds the directory's files.
     pub fn open(
         dir: impl Into<PathBuf>,
         cfg: DbConfig,
@@ -369,56 +362,38 @@ impl Db {
             cache,
             stats,
             gate: Mutex::new(rank::GATE, Coord::default()),
-            flush_cv: Condvar::new(),
-            compact_cv: Condvar::new(),
+            work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            adapt_cv: Condvar::new(),
-            adapt_lock: Mutex::new(rank::ADAPT, ()),
         });
-        // The handle exists before any worker does: if a later spawn fails,
-        // the early return drops `db` and `Drop` stops what was started.
-        let mut db = Db { inner, workers: Vec::new() };
-        db.spawn_worker("proteus-lsm-flush", DbInner::flusher_loop)?;
-        db.spawn_worker("proteus-lsm-compact", DbInner::compactor_loop)?;
-        if db.inner.cfg.adapt_enabled() {
-            db.spawn_worker("proteus-lsm-adapt", DbInner::adapter_loop)?;
-        }
-        Ok(db)
-    }
-
-    /// Start one background worker. A `body` that returns `Err` — a failed
-    /// flush, a poisoned lock — becomes the sticky background error (which
-    /// wakes every barrier) and the thread exits instead of panicking: a
-    /// panic here would poison the *gate* too and historically turned
-    /// `Db::drop` into a process abort.
-    fn spawn_worker(&mut self, name: &str, body: fn(&DbInner) -> Result<()>) -> Result<()> {
-        let inner = Arc::clone(&self.inner);
-        // Thread spawning can genuinely fail (resource exhaustion); surface
-        // it as the I/O error it is instead of panicking mid-open.
-        let worker = std::thread::Builder::new().name(name.into()).spawn(move || {
-            if let Err(e) = body(&inner) {
-                inner.record_error(e);
+        // A loop that returns `Err` — a failed flush, a poisoned lock —
+        // becomes the sticky background error (which wakes every barrier)
+        // and the thread exits instead of panicking: a panic here would
+        // poison the *gate* too and historically turned `Db::drop` into a
+        // process abort. Thread spawning can genuinely fail (resource
+        // exhaustion); that surfaces as the I/O error it is.
+        let bg = Arc::clone(&inner);
+        let body = move || {
+            if let Err(e) = bg.worker_loop() {
+                bg.record_error(e);
             }
-        })?;
-        self.workers.push(worker);
-        Ok(())
+        };
+        let worker = std::thread::Builder::new().name("proteus-lsm-bg".into()).spawn(body)?;
+        Ok(Db { inner, worker: Some(worker) })
     }
 
-    /// Tell every worker to exit (without draining, if `crash`), wake them
-    /// and join them. Returns whether crash injection was ever requested.
+    /// Tell the worker to exit (without draining, if `crash`), wake it and
+    /// join it. Returns whether crash injection was ever requested.
     /// Recovers a poisoned gate — see `Drop` for why this must not panic.
-    fn stop_workers(&mut self, crash: bool) -> bool {
+    fn stop_worker(&mut self, crash: bool) -> bool {
         let crashed = {
             let mut g = self.inner.gate_lock_recover();
             g.shutdown = true;
             g.crash |= crash;
             g.crash
         };
-        self.inner.flush_cv.notify_all();
-        self.inner.compact_cv.notify_all();
+        self.inner.work_cv.notify_all();
         self.inner.idle_cv.notify_all();
-        self.inner.adapt_cv.notify_all();
-        for h in self.workers.drain(..) {
+        if let Some(h) = self.worker.take() {
             let _ = h.join();
         }
         crashed
@@ -687,7 +662,7 @@ impl Db {
         self.inner.rotate_active()?;
         let g = self.inner.gate_lock()?;
         let target = g.rotated;
-        self.inner.wait_until(g, |c| c.flushed >= target)
+        self.inner.wait_until(g, |c| c.flushed >= target).map(drop)
     }
 
     /// Full barrier: flush everything, then drive compaction until L0 is
@@ -698,25 +673,30 @@ impl Db {
         self.inner.rotate_active()?;
         let mut g = self.inner.gate_lock()?;
         g.settle_requests += 1;
-        g.compact_epoch += 1;
-        let my_settle = g.settle_requests;
-        self.inner.flush_cv.notify_one();
-        self.inner.compact_cv.notify_all();
-        self.inner.wait_until(g, |c| c.settles_done >= my_settle)
+        let mine = g.settle_requests;
+        self.inner.work_cv.notify_one();
+        self.inner.wait_until(g, |c| c.settles_done >= mine).map(drop)
     }
 
-    /// Run one adaptive-maintenance pass synchronously: scan every live
-    /// SST, flag the ones whose observed FPR or sample-distribution drift
-    /// crossed the configured thresholds (see [`crate::adapt`]), re-train
-    /// their filters on a fresh sample snapshot and atomically rewrite the
-    /// filter blocks. Returns the number of filters re-trained.
+    /// Have the background worker run one adaptive-maintenance pass and
+    /// wait for it: scan every live SST, flag the ones whose observed FPR
+    /// or sample-distribution drift crossed the configured thresholds (see
+    /// [`crate::adapt`]), re-train their filters on a fresh sample
+    /// snapshot and atomically rewrite the filter blocks. Returns the
+    /// number of filters the pass re-trained (when calls overlap, the
+    /// count of the latest pass to finish).
     ///
-    /// The background adapter (when `adapt_enabled`) runs exactly this
-    /// every `adapt_interval`; calling it directly makes tests and
-    /// experiments deterministic and works even when the background worker
-    /// is disabled.
+    /// With `adapt_enabled` the worker also runs exactly this every
+    /// `adapt_interval`; calling it directly makes tests and experiments
+    /// deterministic. The request queues behind pending flushes and
+    /// compactions, and an error in the pass becomes the sticky
+    /// background error, like an error in any background work.
     pub fn adapt_now(&self) -> Result<usize> {
-        adapt::pass(&self.inner)
+        let mut g = self.inner.gate_lock()?;
+        g.adapt_requests += 1;
+        let mine = g.adapt_requests;
+        self.inner.work_cv.notify_one();
+        Ok(self.inner.wait_until(g, |c| c.adapts_done >= mine)?.retrained)
     }
 
     /// Number of SST files per level.
@@ -778,7 +758,7 @@ impl Db {
     }
 
     fn crash_impl(mut self, power_loss: bool) {
-        self.stop_workers(true);
+        self.stop_worker(true);
         if power_loss {
             let _ = self.inner.wal.truncate_unsynced();
         }
@@ -787,21 +767,21 @@ impl Db {
 }
 
 impl Drop for Db {
-    /// Shut the workers down. The flusher drains every already-rotated
-    /// MemTable first; the active MemTable is *not* flushed to an SST,
+    /// Shut the worker down. It flushes every already-rotated MemTable
+    /// first; the active MemTable is *not* flushed to an SST,
     /// but its writes survive anyway — they are in the active WAL
     /// segment, which the next [`Db::open`] replays, and the drop ends
     /// with a final segment sync so even a power loss right after it
     /// loses nothing.
     ///
-    /// A poisoned coordination lock (a background worker panicked while
-    /// holding it) is *recovered* here, never propagated: panicking out of
-    /// `drop` while the caller is already unwinding would be a double
-    /// panic and abort the process, turning one crashed worker into a lost
-    /// WAL sync for every shard still shutting down. `Coord` is plain
-    /// bookkeeping data, so the recovered guard is safe to use.
+    /// A poisoned coordination lock (a thread panicked while holding it)
+    /// is *recovered* here, never propagated: panicking out of `drop`
+    /// while the caller is already unwinding would be a double panic and
+    /// abort the process, turning one crashed worker into a lost WAL sync
+    /// for every shard still shutting down. `Coord` is plain bookkeeping
+    /// data, so the recovered guard is safe to use.
     fn drop(&mut self) {
-        if !self.stop_workers(false) {
+        if !self.stop_worker(false) {
             // Graceful shutdown: seal the durability of the active
             // segment. Skipped on crash injection — a killed process
             // gets no parting fsync.
@@ -863,18 +843,19 @@ impl DbInner {
 
     /// Park a foreground barrier or stalled writer on `idle_cv` until
     /// `done`, failing with the sticky background error if one is (or
-    /// becomes) set — a waiter must observe it instead of hanging.
-    fn wait_until(
+    /// becomes) set — a waiter must observe it instead of hanging. Hands
+    /// the guard back, so a caller can read the result it waited for.
+    fn wait_until<'a>(
         &self,
-        mut g: MutexGuard<'_, Coord>,
+        mut g: MutexGuard<'a, Coord>,
         done: impl Fn(&Coord) -> bool,
-    ) -> Result<()> {
+    ) -> Result<MutexGuard<'a, Coord>> {
         while !done(&g) && g.error.is_none() {
             g = self.idle_cv.wait(g).map_err(gate_poisoned)?;
         }
         match &g.error {
             Some(e) => Err(bg_error(e)),
-            None => Ok(()),
+            None => Ok(g),
         }
     }
 
@@ -899,7 +880,7 @@ impl DbInner {
     }
 
     /// Freeze the active MemTable onto the immutable queue if non-empty,
-    /// publishing the rotation to the flusher. The `Coord::rotated` bump
+    /// publishing the rotation to the worker. The `Coord::rotated` bump
     /// happens while the MemTable write lock is still held (mem → gate
     /// nesting; nothing ever locks mem while holding gate), so any thread
     /// that subsequently acquires the MemTable lock — in particular a
@@ -924,7 +905,7 @@ impl DbInner {
         self.stats.memtable_rotations.inc();
         let mut g = self.gate_lock()?;
         g.rotated += 1;
-        self.flush_cv.notify_one();
+        self.work_cv.notify_one();
         Ok(true)
     }
 
@@ -971,7 +952,7 @@ impl DbInner {
             let cap = self.cfg.max_immutable_memtables().max(1) as u64;
             let stalled = |c: &Coord| c.rotated.saturating_sub(c.flushed) > cap && !c.shutdown;
             let t0 = stalled(&g).then(Instant::now);
-            let waited = self.wait_until(g, |c| !stalled(c));
+            let waited = self.wait_until(g, |c| !stalled(c)).map(drop);
             if let Some(t0) = t0 {
                 self.stats.write_stall_ns.add(t0.elapsed().as_nanos() as u64);
             }
@@ -990,66 +971,105 @@ impl DbInner {
             g.error = Some(e.to_string());
         }
         self.idle_cv.notify_all();
-        self.compact_cv.notify_all();
-        self.flush_cv.notify_all();
     }
 
-    // ---- flusher ---------------------------------------------------------
+    // ---- the background worker ----------------------------------------
 
-    fn flusher_loop(&self) -> Result<()> {
+    /// The one background thread. Each turn does the most urgent work
+    /// there is: flush the oldest frozen MemTable; on shutdown, exit
+    /// (every frozen table is flushed by then); run the compaction
+    /// `compact::pick` chooses, in settle mode while a settle is pending;
+    /// run an adaptive pass if `adapt_now` asked for one or, with
+    /// `adapt_enabled`, `adapt_interval` has passed since the last one;
+    /// otherwise complete the pending settle and sleep until there is work.
+    /// Nothing else flushes, compacts or re-trains, so none of the three
+    /// can overlap another.
+    fn worker_loop(&self) -> Result<()> {
+        let mut next_pass = Instant::now();
         loop {
-            {
-                let g = self.gate_lock()?;
-                if g.crash || g.error.is_some() {
-                    return Ok(());
-                }
+            if self.gate_lock()?.crash {
+                return Ok(());
             }
-            let imm = {
-                let mem = self.mem_read()?;
-                mem.imms.first().map(|i| (Arc::clone(&i.mem), i.wal_id))
+            if self.flush_oldest()? {
+                continue;
+            }
+            let (settles, settle, adapts, adapt) = {
+                let g = self.gate_lock()?;
+                if g.shutdown {
+                    return Ok(()); // every rotated MemTable is durable
+                }
+                let (s, a) = (g.settle_requests, g.adapt_requests);
+                (s, s > g.settles_done, a, a > g.adapts_done)
             };
-            if let Some((imm, wal_id)) = imm {
-                // A frozen table has no writer, so this read lock is never
-                // waited for and blocks nobody for the length of the flush.
-                //
-                // On failure keep the MemTable *and* its sealed WAL segment:
-                // the data is fully recoverable from the segment at the next
-                // open. The sticky error stops this worker, so no newer
-                // generation can flush past the stranded one (out-of-order
-                // flushes would break replay's id-order-equals-recency
-                // invariant). Barriers observe the error and return it
-                // instead of hanging.
-                let reader = read_table(&imm).and_then(|table| self.flush_imm(&table))?;
-                // Install the SST before retiring the MemTable so the data
-                // is never invisible to a reader.
-                self.edit_manifest(|v| v.levels[0].push(Arc::new(reader)));
-                let mut mem = self.mem_write()?;
-                mem.imms.remove(0);
-                drop(mem);
-                self.stats.flushes.inc();
-                // The table's data is durable in the installed (synced,
-                // renamed) SST, so its sealed WAL segment is redundant —
-                // delete it. The delete must not be skipped on failure: if
-                // an *older* segment outlived a newer generation's
-                // flush+delete, the next replay would resurrect its stale
-                // values over the SSTs, so a failed unlink is a sticky error
-                // that stops this worker.
-                wal::delete_segment(&self.dir, wal_id)?;
+            if let Some(job) = compact::pick(&self.version(), &self.cfg, settle) {
+                compact::run(self, job)?;
+                continue;
+            }
+            if adapt || (self.cfg.adapt_enabled() && Instant::now() >= next_pass) {
+                let retrained = adapt::pass(self)?;
+                next_pass = Instant::now() + self.cfg.adapt_interval();
                 let mut g = self.gate_lock()?;
-                g.flushed += 1;
-                g.compact_epoch += 1;
+                g.adapts_done = adapts;
+                g.retrained = retrained;
                 self.idle_cv.notify_all();
-                self.compact_cv.notify_all();
                 continue;
             }
             let mut g = self.gate_lock()?;
-            while g.rotated <= g.flushed && !g.shutdown {
-                g = self.flush_cv.wait(g).map_err(gate_poisoned)?;
+            // Shutdown or work that arrived after this turn looked gets a
+            // turn of its own. Otherwise there is no frozen table and
+            // nothing to compact, and only this thread flushes: the settle
+            // is done.
+            if g.shutdown
+                || g.rotated > g.flushed
+                || g.settle_requests > settles
+                || g.adapt_requests > adapts
+            {
+                continue;
             }
-            if g.shutdown && g.rotated <= g.flushed {
-                return Ok(()); // every rotated MemTable is durable
+            g.settles_done = settles;
+            self.idle_cv.notify_all();
+            if self.cfg.adapt_enabled() {
+                let due = next_pass.saturating_duration_since(Instant::now());
+                drop(self.work_cv.wait_timeout(g, due).map_err(gate_poisoned)?);
+            } else {
+                drop(self.work_cv.wait(g).map_err(gate_poisoned)?);
             }
         }
+    }
+
+    /// Flush the oldest frozen MemTable, if there is one, and delete its
+    /// sealed WAL segment. Returns whether there was one.
+    fn flush_oldest(&self) -> Result<bool> {
+        let Some((imm, wal_id)) =
+            self.mem_read()?.imms.first().map(|i| (Arc::clone(&i.mem), i.wal_id))
+        else {
+            return Ok(false);
+        };
+        // A frozen table has no writer, so this read lock is never waited
+        // for and blocks nobody for the length of the flush.
+        //
+        // On failure keep the MemTable *and* its sealed WAL segment: the
+        // data is fully recoverable from the segment at the next open. The
+        // sticky error stops the worker, so no newer generation can flush
+        // past the stranded one (out-of-order flushes would break replay's
+        // id-order-equals-recency invariant). Barriers observe the error
+        // and return it instead of hanging.
+        let reader = read_table(&imm).and_then(|table| self.flush_imm(&table))?;
+        // Install the SST before retiring the MemTable so the data is
+        // never invisible to a reader.
+        self.edit_manifest(|v| v.levels[0].push(Arc::new(reader)));
+        self.mem_write()?.imms.remove(0);
+        self.stats.flushes.inc();
+        // The table's data is durable in the installed (synced, renamed)
+        // SST, so its sealed WAL segment is redundant — delete it. The
+        // delete must not be skipped on failure: if an *older* segment
+        // outlived a newer generation's flush+delete, the next replay
+        // would resurrect its stale values over the SSTs, so a failed
+        // unlink is a sticky error that stops the worker.
+        wal::delete_segment(&self.dir, wal_id)?;
+        self.gate_lock()?.flushed += 1;
+        self.idle_cv.notify_all();
+        Ok(true)
     }
 
     /// Write one frozen MemTable to a new L0 SST — tombstones persist as
@@ -1073,91 +1093,13 @@ impl DbInner {
     pub(crate) fn finish_sst(&self, w: SstWriter) -> Result<SstReader> {
         w.finish(self.factory.as_ref(), &self.queue, self.cfg.bits_per_key(), &self.stats)
     }
-
-    // ---- adapter ---------------------------------------------------------
-
-    /// The third background worker: every `adapt_interval`, scan for SSTs
-    /// whose filters stopped fitting the workload and re-train them. See
-    /// the [`crate::adapt`] module docs for the policy.
-    fn adapter_loop(&self) -> Result<()> {
-        loop {
-            {
-                let g = self.gate_lock()?;
-                if g.shutdown || g.error.is_some() {
-                    return Ok(());
-                }
-            }
-            adapt::pass(self)?;
-            let g = self.gate_lock()?;
-            if g.shutdown {
-                return Ok(());
-            }
-            // A poisoned coordination mutex (some thread panicked while
-            // holding it) surfaces as a sticky `Error::Poisoned` at the
-            // next barrier, exactly like the flusher/compactor paths —
-            // panicking here instead used to kill the adapter silently
-            // *and* leave the gate poisoned for `Drop`.
-            let woken = self.adapt_cv.wait_timeout(g, self.cfg.adapt_interval());
-            drop(woken.map_err(gate_poisoned)?);
-        }
-    }
-
-    // ---- compactor -------------------------------------------------------
-
-    fn compactor_loop(&self) -> Result<()> {
-        loop {
-            let (stop, settle_mode, epoch) = {
-                let g = self.gate_lock()?;
-                // A sticky error also stops the compactor: retrying the
-                // same job against a failing disk would spin forever (and
-                // keep allocating ids and `.tmp` files). Barriers already
-                // observe the error and return it.
-                (
-                    g.shutdown || g.error.is_some(),
-                    g.settle_requests > g.settles_done,
-                    g.compact_epoch,
-                )
-            };
-            if stop {
-                return Ok(());
-            }
-            if let Some(job) = compact::pick(&self.version(), &self.cfg, settle_mode) {
-                compact::run(self, job)?;
-                self.idle_cv.notify_all();
-                continue;
-            }
-            if settle_mode {
-                // Nothing left to compact; the settle is complete once the
-                // flusher has drained too and the tree has not changed
-                // since we looked at it (epoch unchanged).
-                let imms_empty = self.mem_read()?.imms.is_empty();
-                let mut g = self.gate_lock()?;
-                if imms_empty && g.flushed >= g.rotated && g.compact_epoch == epoch {
-                    g.settles_done = g.settle_requests;
-                    self.idle_cv.notify_all();
-                    continue;
-                }
-                // The flusher is still working (or new work arrived): wait
-                // for its next poke, with a timeout as a lost-wakeup net.
-                if g.compact_epoch == epoch && !g.shutdown {
-                    let net = Duration::from_millis(5);
-                    drop(self.compact_cv.wait_timeout(g, net).map_err(gate_poisoned)?);
-                }
-                continue;
-            }
-            let mut g = self.gate_lock()?;
-            while g.compact_epoch == epoch && !g.shutdown && g.settle_requests <= g.settles_done {
-                g = self.compact_cv.wait(g).map_err(gate_poisoned)?;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod poison_tests {
     //! Regression tests for the panic-safety sweep: a poisoned
     //! coordination gate must surface as [`Error::Poisoned`] on the
-    //! foreground, stop the background workers via the sticky-error path
+    //! foreground, stop the background worker via the sticky-error path
     //! (no worker panics), and never turn `Db::drop` into a panic (which,
     //! during an unwind, would be a double panic and abort the process).
 
@@ -1165,6 +1107,7 @@ mod poison_tests {
     use crate::NoFilterFactory;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::OnceLock;
+    use std::time::Duration;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("proteus-poison-{tag}-{}", std::process::id()));
@@ -1197,14 +1140,11 @@ mod poison_tests {
     /// on a helper thread while holding the lock.
     fn poison_gate(db: &Db) {
         let inner = Arc::clone(&db.inner);
-        let _ = std::thread::Builder::new()
-            .name("gate-poisoner".into())
-            .spawn(move || {
-                let _g = inner.gate.lock().unwrap();
-                panic!("deliberate gate poisoning (test)");
-            })
-            .unwrap()
-            .join();
+        let _ = std::thread::spawn(move || {
+            let _g = inner.gate.lock().unwrap();
+            panic!("deliberate gate poisoning (test)");
+        })
+        .join();
         assert!(db.inner.gate.lock().is_err(), "gate must now be poisoned");
     }
 
@@ -1236,6 +1176,7 @@ mod poison_tests {
         poison_gate(&db);
         assert!(matches!(db.flush(), Err(Error::Poisoned(_))));
         assert!(matches!(db.flush_and_settle(), Err(Error::Poisoned(_))));
+        assert!(matches!(db.adapt_now(), Err(Error::Poisoned(_))));
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(db)));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1245,8 +1186,9 @@ mod poison_tests {
         let panics = worker_panics();
         let before = panics.load(Ordering::SeqCst);
         let dir = tmpdir("workers");
-        // Adapter enabled with a short poll so its `wait_timeout` path —
-        // the original bug — runs within the test's lifetime.
+        // Periodic passes every 1 ms, so the worker's timed sleep on
+        // `work_cv` — the original bug's `wait_timeout` path — runs within
+        // the test's lifetime.
         let cfg = DbConfig::builder()
             .adapt_enabled(true)
             .adapt_interval(Duration::from_millis(1))
@@ -1255,14 +1197,14 @@ mod poison_tests {
         let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
         db.put_u64(2, b"v").unwrap();
         poison_gate(&db);
-        // Give all three workers time to wake up, observe the poisoned
-        // lock, record the sticky error and exit.
+        // Give the worker time to wake up, observe the poisoned lock,
+        // record the sticky error and exit.
         std::thread::sleep(Duration::from_millis(100));
         let after = panics.load(Ordering::SeqCst);
         assert_eq!(
             after - before,
             0,
-            "background workers must take the sticky-error path, not panic"
+            "the background worker must take the sticky-error path, not panic"
         );
         let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(db)));
         assert!(dropped.is_ok());

@@ -8,8 +8,8 @@
 //!   size-ratio compaction;
 //! * shared-state concurrency: `&self` reads and writes, snapshot (MVCC)
 //!   reads against an `Arc`-swapped level manifest, MemTable rotation, and
-//!   background flush + compaction worker threads (see the [`db`] module
-//!   docs for the full model);
+//!   one background thread that flushes, compacts and re-trains filters
+//!   (see the [`db`] module docs for the full model);
 //! * block-based SST files on disk with zero-RLE compression and an
 //!   in-memory index;
 //! * a per-SST range filter built at flush/compaction time from the file's
@@ -29,9 +29,9 @@
 //!   over the range merge;
 //! * a sharded LRU block cache and full (atomic) I/O statistics.
 //!
-//! Documented substitutions versus real RocksDB: one flusher + one
-//! compactor thread instead of a pool, zero-RLE instead of LZ4/ZSTD, and
-//! scaled-down size defaults (ratios preserved).
+//! Documented substitutions versus real RocksDB: one background thread
+//! (LevelDB's arrangement) instead of a pool, zero-RLE instead of
+//! LZ4/ZSTD, and scaled-down size defaults (ratios preserved).
 
 #![warn(missing_docs)]
 
@@ -66,6 +66,7 @@ pub use stats::{Stats, StatsSnapshot};
 mod db_tests {
     use super::*;
     use proteus_core::key::u64_key;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -654,8 +655,8 @@ mod db_tests {
 
     #[test]
     fn background_flush_keeps_acked_writes_visible() {
-        // Writes that rotated the MemTable stay findable while the flusher
-        // works and after it installs the SST (install-before-retire).
+        // Writes that rotated the MemTable stay findable while the worker
+        // flushes them and after it installs the SST (install-before-retire).
         let dir = tmpdir("bg-visibility");
         // rotate every ~30 entries
         let cfg = small_cfg().to_builder().memtable_bytes(4 << 10).build().unwrap();
@@ -672,6 +673,139 @@ mod db_tests {
         for i in (0..2_000u64).step_by(97) {
             assert!(db.seek_u64(i * 3, i * 3).unwrap(), "key {i} lost after settle");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flush_and_settle_while_writers_rotate_returns_settled() {
+        // Settles requested while four writers keep rotating tables must
+        // each return. The first starts once every writer is half done, so
+        // it has tables to flush while the second halves rotate more; the
+        // last starts after the final put, so nothing can land in L0
+        // between its completion and the checks below.
+        let dir = tmpdir("settle-writers");
+        let cfg = small_cfg()
+            .to_builder()
+            .memtable_bytes(8 << 10)
+            .l0_compaction_trigger(2)
+            .level_base_bytes(64 << 10)
+            .build()
+            .unwrap();
+        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let key = |w: u64, i: u64| (i << 8) | w;
+        let writing = AtomicUsize::new(4);
+        let half_done = std::sync::Barrier::new(5);
+        let mut settles = 0;
+        std::thread::scope(|s| {
+            for w in 0..4u64 {
+                let (db, writing, half_done) = (&db, &writing, &half_done);
+                s.spawn(move || {
+                    for i in 0..1_500u64 {
+                        if i == 750 {
+                            half_done.wait();
+                        }
+                        db.put_u64(key(w, i), &value(i)).unwrap();
+                    }
+                    writing.fetch_sub(1, Ordering::Release);
+                });
+            }
+            half_done.wait();
+            loop {
+                let last = writing.load(Ordering::Acquire) == 0;
+                db.flush_and_settle().unwrap();
+                settles += 1;
+                if last {
+                    break;
+                }
+            }
+        });
+        assert!(db.stats().memtable_rotations.get() > 4, "the writers must have rotated");
+        assert_eq!(db.level_file_counts()[0], 0, "L0 empty after {settles} settles");
+        let version = db.inner.version();
+        assert!(compact::pick(&version, db.config(), true).is_none(), "a level is over its target");
+        for w in 0..4u64 {
+            for i in (0..1_500u64).step_by(53) {
+                assert_eq!(db.get_u64(key(w, i)).unwrap(), Some(value(i)), "writer {w} key {i}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Ids of the `*.sst` files in `dir`, sorted.
+    fn ssts_on_disk(dir: &std::path::Path) -> Vec<u64> {
+        let mut ids: Vec<u64> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| {
+                let path = e.ok()?.path();
+                if path.extension()? != "sst" {
+                    return None;
+                }
+                path.file_stem()?.to_str()?.parse().ok()
+            })
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Ids of the files in `db`'s manifest, sorted.
+    fn ssts_in_manifest(db: &Db) -> Vec<u64> {
+        let mut ids: Vec<u64> = db.inner.version().levels.iter().flatten().map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn adapt_now_amid_flushes_and_compactions_leaves_exactly_the_manifest_on_disk() {
+        // Passes interleave with the flushes and compactions a writer
+        // drives: no re-trained file may outlive its compaction on disk,
+        // and no re-trained filter may lose a key.
+        let dir = tmpdir("adapt-churn");
+        let cfg = small_cfg()
+            .to_builder()
+            .memtable_bytes(16 << 10)
+            .l0_compaction_trigger(2)
+            .level_base_bytes(64 << 10)
+            .bits_per_key(6.0)
+            .sample_every(1)
+            .queue_capacity(256)
+            .adapt_min_probes(4)
+            .adapt_fpr_threshold(1e-9)
+            .build()
+            .unwrap();
+        let factory = Arc::new(ProteusFactory::default());
+        let db = Db::open(&dir, cfg.clone(), factory.clone()).unwrap();
+        let n = 3_000u64;
+        let done = AtomicBool::new(false);
+        let (mut passes, mut retrained) = (0, 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..n {
+                    db.put_u64(i << 20, &value(i)).unwrap();
+                    // Empty Seeks in gaps already written: filter probes
+                    // to flag files by, and samples to train on.
+                    for s in 0..8 {
+                        let j = (i * 8 + s).wrapping_mul(0x9E37_79B9) % (i + 1);
+                        db.seek_u64((j << 20) + 1, (j << 20) + (1 << 12)).unwrap();
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            while !done.load(Ordering::Acquire) {
+                retrained += db.adapt_now().unwrap();
+                passes += 1;
+            }
+        });
+        db.flush_and_settle().unwrap();
+        assert!(retrained > 0, "none of {passes} passes re-trained a filter");
+        assert!(db.stats().compactions.get() > 0);
+        let every_key_found = |db: &Db| (0..n).all(|i| db.seek_u64(i << 20, i << 20).unwrap());
+        assert_eq!(ssts_on_disk(&dir), ssts_in_manifest(&db));
+        assert!(every_key_found(&db), "a re-trained filter lost a key");
+        drop(db);
+        let db = Db::open(&dir, cfg, factory).unwrap();
+        assert_eq!(ssts_on_disk(&dir), ssts_in_manifest(&db));
+        assert!(every_key_found(&db), "a persisted filter lost a key");
+        drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

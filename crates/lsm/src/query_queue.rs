@@ -11,7 +11,7 @@
 //!
 //! The queue is internally synchronized so the concurrent `Db` can offer
 //! queries from any reader thread and view it from the background
-//! flush/compaction workers: the every-`n`-th subsampling counter is a
+//! worker: the every-`n`-th subsampling counter is a
 //! lone atomic (the common case — an offer that is *not* recorded — takes
 //! no lock at all), and only the 1-in-`every` recorded offers, seeds and
 //! snapshots touch the inner mutex.
@@ -301,7 +301,7 @@ mod tests {
         // panicking iterator poisons the mutex. Every later accessor used
         // `.lock().unwrap()` and panicked on the poison — one adaptation
         // tick's panic would take down every subsequent reader's `offer`
-        // and the flush worker's `snapshot`. With poison recovery this
+        // and the background worker's `snapshot`. With poison recovery this
         // test passes: the queue holds whatever was pushed before the
         // panic (entry-at-a-time pushes keep it a valid FIFO) and keeps
         // recording.

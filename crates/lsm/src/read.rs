@@ -132,7 +132,7 @@ impl Probe {
     /// * not passed → negative: the filter proved the range empty.
     ///
     /// Only real filters feed the observed-FPR evidence (store-wide
-    /// `observed_*` and the per-SST window the adapter reads).
+    /// `observed_*` and the per-SST window an adaptive pass reads).
     fn settle(self, stats: &Stats, sst: &SstReader, found: bool) {
         if found {
             stats.filter_true_positives.inc();

@@ -778,7 +778,7 @@ impl SstWriter {
         Ok(())
     }
 
-    /// Current on-disk size of the data section (used by the compactor to
+    /// Current on-disk size of the data section (used by compaction to
     /// split output files).
     pub fn bytes_written(&self) -> u64 {
         self.offset + self.builder.raw_len() as u64

@@ -71,8 +71,8 @@ pub fn snapshot_live_dir(dir: &Path, tag: &str) -> PathBuf {
             continue;
         }
         // A file may vanish between the listing and the copy (segment
-        // deleted by the flusher, SST retired by the compactor) — that
-        // is a legal crash state, not an error.
+        // deleted after a flush, SST retired by a compaction) — that is a
+        // legal crash state, not an error.
         if let Ok(bytes) = std::fs::read(&path) {
             std::fs::write(snap.join(path.file_name().unwrap()), bytes).unwrap();
         }

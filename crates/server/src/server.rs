@@ -79,7 +79,7 @@ impl Server {
     ///
     /// Binding to port 0 picks a free port; read it back with
     /// [`Server::local_addr`]. Each shard gets its own directory, WAL and
-    /// background workers, all sharing one `cfg` and filter `factory`.
+    /// background worker, all sharing one `cfg` and filter `factory`.
     /// Re-opening an existing `dir` with the same shard count recovers
     /// every shard through its WAL/manifest (a different shard count would
     /// scatter keys to the wrong stores and is the operator's

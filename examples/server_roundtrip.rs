@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Start 4 range shards behind one TCP listener (port 0 = pick a
     //    free port). Each shard is a full proteus-lsm store: its own WAL,
-    //    MemTables, SSTs, background workers and self-designing filters.
+    //    MemTables, SSTs, background worker and self-designing filters.
     let server = Server::start(
         &dir,
         ("127.0.0.1", 0),

@@ -441,9 +441,9 @@ fn adaptive_lifecycle_recovers_fpr_after_workload_shift() {
 
 #[test]
 fn background_adapter_thread_retrains_on_its_own() {
-    // Same shift as above, but the third background worker (enabled via
-    // `adapt_enabled`) must notice and re-train without any explicit
-    // adapt_now() call.
+    // Same shift as above, but the background worker's periodic passes
+    // (enabled via `adapt_enabled`) must notice and re-train without any
+    // explicit adapt_now() call.
     let dir = tmpdir("adaptive-bg");
     let raw = Dataset::Uniform.generate(10_000, 23);
     let cfg = small_cfg(12.0)
@@ -481,7 +481,7 @@ fn background_adapter_thread_retrains_on_its_own() {
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
-    assert!(reacted, "background adapter never re-trained a filter");
+    assert!(reacted, "periodic adaptive passes never re-trained a filter");
     // Store still correct under and after the concurrent rewrite.
     for &k in raw.iter().step_by(41) {
         assert!(db.seek_u64(k, k).unwrap(), "key {k:#x} lost during background re-training");
