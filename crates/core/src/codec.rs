@@ -9,23 +9,26 @@
 //! 7         1     reserved (0)
 //! 8         8     payload length (little-endian u64)
 //! 16        n     kind-specific payload
-//! 16+n      4     training-fingerprint length f (little-endian u32;
-//!                 0 = no fingerprint)
-//! 20+n      f     fingerprint bytes ([`crate::QuerySketch`] wire form —
-//!                 the prefix histogram of the sample queries the filter
-//!                 was trained on)
+//! 16+n      4     skipped-section length f (little-endian u32; written 0)
+//! 20+n      f     skipped bytes
 //! (end−4)   4     CRC-32 over every preceding byte
 //! ```
 //!
+//! The skipped section once carried a training fingerprint (a histogram of
+//! the sample queries the filter was trained on). Nothing reads it any
+//! more: this build always writes it empty, and on read steps over its
+//! bytes (the CRC still covers them), so a block written with a
+//! fingerprint still opens.
+//!
 //! Version 2 is the only envelope this build decodes. Version 1 (the same
-//! envelope without the fingerprint section) could only ride in the
-//! legacy SST generations the store no longer opens; such bytes fail with
+//! envelope without the skipped section) could only ride in the legacy SST
+//! generations the store no longer opens; such bytes fail with
 //! [`CodecError::UnsupportedVersion`] like any other unknown version.
 //!
-//! [`seal`] / [`seal_with_fingerprint`] build the envelope; [`unseal`]
-//! verifies magic, version, length and checksum and hands back an
-//! [`Unsealed`] view. Decoding is total: corrupt, truncated or
-//! version-mismatched bytes produce a typed [`CodecError`], never a panic.
+//! [`seal`] builds the envelope; [`unseal`] verifies magic, version, length
+//! and checksum and hands back an [`Unsealed`] view. Decoding is total:
+//! corrupt, truncated or version-mismatched bytes produce a typed
+//! [`CodecError`], never a panic.
 //! Dispatch over the kind tag lives one crate up, in
 //! `proteus_filters::codec::FilterCodec`, which can see every filter type
 //! in the workspace; *unknown* kind tags inside a valid envelope are not an
@@ -44,10 +47,9 @@ pub const FORMAT_VERSION: u16 = 2;
 /// Envelope bytes before the payload.
 pub const HEADER_LEN: usize = 16;
 
-/// Envelope bytes around an `n`-byte payload with an `f`-byte fingerprint
-/// (current version).
-pub const fn envelope_len(payload_len: usize, fingerprint_len: usize) -> usize {
-    HEADER_LEN + payload_len + 4 + fingerprint_len + 4
+/// Envelope bytes around an `n`-byte payload, as [`seal`] writes it.
+pub const fn envelope_len(payload_len: usize) -> usize {
+    HEADER_LEN + payload_len + 4 + 4
 }
 
 /// Stable wire tags for every serializable filter kind in the workspace.
@@ -94,50 +96,31 @@ impl FilterKind {
 
 /// A verified envelope: the raw kind tag (not [`FilterKind`], so callers
 /// can treat unknown tags as graceful degradation rather than corruption),
-/// the kind-specific payload, and the optional training fingerprint.
+/// and the kind-specific payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unsealed<'a> {
     /// Raw filter-kind tag.
     pub tag: u8,
     /// Kind-specific payload bytes.
     pub payload: &'a [u8],
-    /// Training-fingerprint bytes, when the fingerprint section is
-    /// non-empty.
-    pub fingerprint: Option<&'a [u8]>,
 }
 
-/// Wrap `payload` in the current envelope for `kind`, with no fingerprint.
+/// Wrap `payload` in the current envelope for `kind`.
 pub fn seal(kind: FilterKind, payload: &[u8]) -> Vec<u8> {
     seal_raw(kind.tag(), payload)
-}
-
-/// Wrap `payload` in the current envelope together with a training
-/// fingerprint (the serialized [`crate::QuerySketch`] of the sample the
-/// filter was trained on).
-pub fn seal_with_fingerprint(kind: FilterKind, payload: &[u8], fingerprint: &[u8]) -> Vec<u8> {
-    seal_parts(kind.tag(), payload, fingerprint)
 }
 
 /// [`seal`] with an arbitrary kind tag — used by forward-compatibility
 /// tests that fabricate envelopes from "future" filter kinds.
 pub fn seal_raw(tag: u8, payload: &[u8]) -> Vec<u8> {
-    seal_parts(tag, payload, &[])
-}
-
-fn seal_parts(tag: u8, payload: &[u8], fingerprint: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(envelope_len(payload.len(), fingerprint.len()));
+    let mut out = Vec::with_capacity(envelope_len(payload.len()));
     out.extend_from_slice(&FILTER_MAGIC);
     out.put_u16(FORMAT_VERSION);
     out.put_u8(tag);
     out.put_u8(0);
     out.put_u64(payload.len() as u64);
     out.extend_from_slice(payload);
-    // A fingerprint is a bounded `QuerySketch` serialization, orders of
-    // magnitude below 4 GiB; the assert documents the wire-width invariant.
-    debug_assert!(u32::try_from(fingerprint.len()).is_ok());
-    // lint: allow(truncating-cast): bounded sketch length, asserted above
-    out.put_u32(fingerprint.len() as u32);
-    out.extend_from_slice(fingerprint);
+    out.put_u32(0); // the skipped section, empty
     let crc = crc32(&out);
     out.put_u32(crc);
     out
@@ -158,15 +141,14 @@ pub fn unseal(bytes: &[u8]) -> Result<Unsealed<'_>, CodecError> {
     let _reserved = r.u8()?;
     let payload_len = r.len_for(1)?;
     let payload = r.take(payload_len)?;
-    let f_len = r.u32()? as usize;
-    let f = r.take(f_len)?;
-    let fingerprint = (!f.is_empty()).then_some(f);
+    let skipped = r.u32()? as usize;
+    r.take(skipped)?;
     let stored_crc = r.u32()?;
     r.finish()?;
     if crc32(&bytes[..bytes.len() - 4]) != stored_crc {
         return Err(CodecError::ChecksumMismatch);
     }
-    Ok(Unsealed { tag, payload, fingerprint })
+    Ok(Unsealed { tag, payload })
 }
 
 #[cfg(test)]
@@ -190,22 +172,10 @@ mod tests {
     fn seal_unseal_roundtrip() {
         let payload = b"some filter payload";
         let sealed = seal(FilterKind::Proteus, payload);
-        assert_eq!(sealed.len(), envelope_len(payload.len(), 0));
+        assert_eq!(sealed.len(), envelope_len(payload.len()));
         let u = unseal(&sealed).unwrap();
         assert_eq!(u.tag, FilterKind::Proteus as u8);
         assert_eq!(u.payload, payload);
-        assert_eq!(u.fingerprint, None);
-    }
-
-    #[test]
-    fn fingerprint_roundtrips() {
-        let payload = b"payload";
-        let fp = [7u8; 40];
-        let sealed = seal_with_fingerprint(FilterKind::OnePbf, payload, &fp);
-        assert_eq!(sealed.len(), envelope_len(payload.len(), fp.len()));
-        let u = unseal(&sealed).unwrap();
-        assert_eq!(u.payload, payload);
-        assert_eq!(u.fingerprint, Some(fp.as_slice()));
     }
 
     #[test]

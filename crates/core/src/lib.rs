@@ -58,7 +58,6 @@ pub mod one_pbf;
 pub mod prefix_bf;
 pub mod proteus;
 pub mod sample;
-pub mod sketch;
 pub mod sync;
 pub mod trie;
 pub mod two_pbf;
@@ -69,7 +68,6 @@ pub use keyset::KeySet;
 pub use one_pbf::{OnePbf, OnePbfOptions};
 pub use proteus::{Proteus, ProteusOptions, DEFAULT_PROBE_CAP};
 pub use sample::SampleQueries;
-pub use sketch::QuerySketch;
 pub use trie::{CoarseEncoding, ProteusTrie};
 pub use two_pbf::{TwoPbf, TwoPbfFilterOptions};
 
@@ -101,6 +99,14 @@ pub trait RangeFilter: Send + Sync {
     /// a reopen that file serves unfiltered probes (recovery never
     /// retrains filters).
     fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
+        None
+    }
+
+    /// The FPR the filter's design was chosen to have on the sample it was
+    /// trained on (the CPFPR model's estimate, persisted with the design).
+    /// `None` for filters that are not designed by a model (SuRF, Rosetta,
+    /// [`NoFilter`]).
+    fn expected_fpr(&self) -> Option<f64> {
         None
     }
 }

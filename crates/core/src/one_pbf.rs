@@ -134,6 +134,9 @@ impl RangeFilter for OnePbf {
         self.encode_into(&mut out);
         Some((FilterKind::OnePbf, out))
     }
+    fn expected_fpr(&self) -> Option<f64> {
+        Some(self.0.design.expected_fpr)
+    }
 }
 
 #[cfg(test)]

@@ -252,6 +252,9 @@ impl RangeFilter for Proteus {
         self.encode_into(&mut out);
         Some((FilterKind::Proteus, out))
     }
+    fn expected_fpr(&self) -> Option<f64> {
+        Some(self.design.expected_fpr)
+    }
 }
 
 #[cfg(test)]

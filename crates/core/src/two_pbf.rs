@@ -159,6 +159,9 @@ impl RangeFilter for TwoPbf {
         self.encode_into(&mut out);
         Some((FilterKind::TwoPbf, out))
     }
+    fn expected_fpr(&self) -> Option<f64> {
+        Some(self.design.expected_fpr)
+    }
 }
 
 #[cfg(test)]

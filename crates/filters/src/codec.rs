@@ -4,8 +4,9 @@
 //! Encoding asks the filter for its `(kind, payload)` via
 //! [`RangeFilter::encode_payload`] and seals it in the versioned envelope
 //! (`proteus_core::codec`: magic, format version, kind tag, length,
-//! CRC-32). Decoding verifies the envelope and dispatches on the kind tag
-//! to the concrete decoder:
+//! CRC-32; the section older builds filled with a training fingerprint is
+//! written empty and skipped on read). Decoding verifies the envelope and
+//! dispatches on the kind tag to the concrete decoder:
 //!
 //! * corrupt, truncated or version-mismatched bytes → `Err(CodecError)`,
 //!   never a panic;
@@ -20,10 +21,8 @@
 
 use crate::rosetta::Rosetta;
 use crate::surf::Surf;
-use proteus_core::codec::{
-    seal, seal_with_fingerprint, unseal, ByteReader, CodecError, FilterKind,
-};
-use proteus_core::{NoFilter, OnePbf, Proteus, QuerySketch, RangeFilter, TwoPbf};
+use proteus_core::codec::{seal, unseal, ByteReader, CodecError, FilterKind};
+use proteus_core::{NoFilter, OnePbf, Proteus, RangeFilter, TwoPbf};
 
 /// Outcome of a successful decode.
 pub struct DecodedFilter {
@@ -33,11 +32,6 @@ pub struct DecodedFilter {
     /// filter was replaced by [`NoFilter`] (callers surface this through a
     /// stats counter).
     pub degraded: bool,
-    /// The training fingerprint persisted next to the filter — the prefix
-    /// histogram of the sample queries it was trained on. `None` for
-    /// filters encoded without one; drift detection then falls back to
-    /// observed-FPR triggers alone.
-    pub fingerprint: Option<QuerySketch>,
 }
 
 /// Versioned binary serialization for every range filter in the workspace.
@@ -65,8 +59,7 @@ pub struct DecodedFilter {
 pub struct FilterCodec;
 
 impl FilterCodec {
-    /// Encode `filter` into a self-describing envelope (no training
-    /// fingerprint).
+    /// Encode `filter` into a self-describing envelope.
     ///
     /// Filters without a persistent form (e.g. `CountingProteus`) yield
     /// [`CodecError::Unsupported`]; the SST writer treats that as "no
@@ -77,33 +70,14 @@ impl FilterCodec {
         Ok(seal(kind, &payload))
     }
 
-    /// [`FilterCodec::encode`] plus the training fingerprint of the sample
-    /// the filter was built from, so drift against that distribution stays
-    /// measurable across a crash/reopen.
-    pub fn encode_with_fingerprint(
-        filter: &dyn RangeFilter,
-        fingerprint: &QuerySketch,
-    ) -> Result<Vec<u8>, CodecError> {
-        let (kind, payload) =
-            filter.encode_payload().ok_or(CodecError::Unsupported("filter kind"))?;
-        if fingerprint.is_empty() {
-            return Ok(seal(kind, &payload));
-        }
-        Ok(seal_with_fingerprint(kind, &payload, &fingerprint.encode()))
-    }
-
     /// Decode an envelope produced by [`FilterCodec::encode`].
     pub fn decode(bytes: &[u8]) -> Result<DecodedFilter, CodecError> {
         let u = unseal(bytes)?;
-        let fingerprint = match u.fingerprint {
-            Some(fp) => Some(QuerySketch::decode(fp)?),
-            None => None,
-        };
         let Some(kind) = FilterKind::from_tag(u.tag) else {
             // Forward-compatible degradation: the bytes are intact (the
             // checksum proved it) but this build cannot reconstruct the
             // filter. NoFilter preserves the no-false-negative contract.
-            return Ok(DecodedFilter { filter: Box::new(NoFilter), degraded: true, fingerprint });
+            return Ok(DecodedFilter { filter: Box::new(NoFilter), degraded: true });
         };
         let mut r = ByteReader::new(u.payload);
         let filter: Box<dyn RangeFilter> = match kind {
@@ -115,7 +89,7 @@ impl FilterCodec {
             FilterKind::Rosetta => Box::new(Rosetta::decode_from(&mut r)?),
         };
         r.finish()?;
-        Ok(DecodedFilter { filter, degraded: false, fingerprint })
+        Ok(DecodedFilter { filter, degraded: false })
     }
 }
 
@@ -178,34 +152,6 @@ mod tests {
                 let key = u64_key(q.wrapping_mul(0xDEAD_BEEF_CAFE));
                 assert_eq!(g.may_contain(&key), f.may_contain(&key), "{} fp probe", f.name());
             }
-        }
-    }
-
-    #[test]
-    fn fingerprint_rides_along_and_roundtrips() {
-        let (_, ks, samples) = fixture_keys();
-        let f = Proteus::train(&ks, &samples, 800 * 12, &ProteusOptions::default());
-        let lo = u64_key(0);
-        let hi = u64_key(u64::MAX);
-        let sketch = QuerySketch::from_queries(samples.iter(), &lo, &hi);
-        assert!(!sketch.is_empty());
-        let bytes = FilterCodec::encode_with_fingerprint(&f, &sketch).unwrap();
-        let d = FilterCodec::decode(&bytes).unwrap();
-        assert!(!d.degraded);
-        let got = d.fingerprint.expect("fingerprint must survive the envelope");
-        assert_eq!(got, sketch);
-        assert_eq!(got.divergence(&sketch), 0.0);
-        // Without a fingerprint the same filter decodes to None.
-        let plain = FilterCodec::encode(&f).unwrap();
-        assert!(FilterCodec::decode(&plain).unwrap().fingerprint.is_none());
-        // An empty sketch is not persisted at all.
-        let empty = FilterCodec::encode_with_fingerprint(&f, &QuerySketch::default()).unwrap();
-        assert_eq!(empty, plain);
-        // Corrupting any byte of the fingerprinted envelope still errors.
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x41;
-            assert!(FilterCodec::decode(&bad).is_err(), "corrupt byte {i}");
         }
     }
 

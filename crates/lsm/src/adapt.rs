@@ -7,30 +7,34 @@
 //! after construction silently decays toward worst-case FPR. This module
 //! supplies the two decisions that close the loop, and the mechanism:
 //!
-//! * **When to act** — [`flag_reason`] flags a file when either signal
-//!   crosses its configured threshold:
-//!   1. *Observed FPR*: every real filter probe records a per-file
-//!      false-positive / true-negative outcome ([`SstReader::record_probe`]);
-//!      once `adapt_min_probes` probes accumulate, an empirical FPR above
-//!      `adapt_fpr_threshold` flags the file.
-//!   2. *Distribution drift*: each filter block persists a
-//!      [`proteus_core::QuerySketch`] fingerprint of the sample it was
-//!      trained on — the file's view of the queue, see
-//!      [`QueryQueue::view`]. The file's view of the live queue, sketched
-//!      over the same anchors (the file's canonicalized key range —
-//!      [`SstReader::live_sketch`]), is compared by total-variation distance;
-//!      divergence above `adapt_divergence_threshold` flags the file
-//!      *before* the FPR damage fully materializes.
+//! * **When to act** — every real filter probe records a per-file
+//!   false-positive / true-negative outcome ([`SstReader::record_probe`]),
+//!   and [`flag_reason`] reads that observed FPR two ways:
+//!   1. *Over the threshold* ([`FlagReason::HighFpr`]): once
+//!      `adapt_min_probes` probes accumulate, an observed FPR above
+//!      `adapt_fpr_threshold` flags the file. Each re-train of the file
+//!      doubles the probes this takes, so a file whose budget cannot reach
+//!      the threshold stops being re-trained over and over.
+//!   2. *Off its own prediction* ([`FlagReason::OffPrediction`]): a
+//!      model-designed filter carries the FPR the CPFPR model predicted for
+//!      it ([`proteus_core::RangeFilter::expected_fpr`]). An observed FPR
+//!      above that by more than the paper's §4.3 Chernoff bound
+//!      ([`fpr_estimate_error_bound`]) allows at [`OFF_PREDICTION_ALPHA`]
+//!      means the file is no longer asked what its design was chosen for.
+//!      It flags only once the sample queue has turned over since the
+//!      filter was trained ([`QueryQueue::turned_over_since`]): before that
+//!      a re-train would rebuild the same design from the same sample. This
+//!      rule has no back-off, so a new shift still re-trains a file whose
+//!      threshold back-off is spent.
 //! * **What to do** — [`retrain`] re-runs the factory (for Proteus, the
 //!   full CPFPR `ProteusModel::best_design` search) over the file's keys
 //!   and a fresh queue snapshot, then atomically rewrites only the filter
 //!   block + footer ([`SstReader::with_new_filter`]): data blocks are
 //!   untouched, readers are never blocked, and a crash leaves either the
 //!   old or the new filter — both of which reopen cleanly. Which keys
-//!   feed the filter, at what width, and which anchors fingerprint the
-//!   samples is not decided here: re-training runs the SST writer's own
-//!   key feed (`sst::FilterKeys`), so a re-trained filter can
-//!   never cover less than the one it replaces.
+//!   feed the filter, at what width, is not decided here: re-training runs
+//!   the SST writer's own key feed (`sst::FilterKeys`), so a re-trained
+//!   filter can never cover less than the one it replaces.
 //!
 //! `pass` strings the two together over every live file and publishes the
 //! replacement readers. `Db`'s background worker runs it when nothing is
@@ -44,50 +48,53 @@ use crate::query_queue::QueryQueue;
 use crate::sst::SstReader;
 use crate::stats::Stats;
 use crate::FilterFactory;
+use proteus_core::sample::fpr_estimate_error_bound;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Floor on a file's view of the sample queue: below it a drift comparison
-/// is noise, and the file's filter is trained on the whole queue instead.
-pub const MIN_DRIFT_SAMPLES: usize = 64;
+/// How unlikely an observed FPR must be under the filter's predicted one
+/// before the file counts as off its prediction: the right-hand side of the
+/// §4.3 bound, fixed rather than tuned.
+pub const OFF_PREDICTION_ALPHA: f64 = 1e-4;
 
 /// Why an SST was flagged for filter re-training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlagReason {
     /// The file's observed FPR crossed `adapt_fpr_threshold` after at
-    /// least `adapt_min_probes` filter probes.
+    /// least `adapt_min_probes` filter probes, doubled per re-train.
     HighFpr,
-    /// The live sample distribution diverged from the filter's training
-    /// fingerprint by more than `adapt_divergence_threshold`.
-    Drift,
+    /// The file's observed FPR is above its filter's predicted FPR by more
+    /// than chance allows, and the sample queue has turned over since the
+    /// filter was trained.
+    OffPrediction,
 }
 
 /// Decide whether `sst`'s filter should be re-trained, given the live sample
 /// queue. Returns `None` for files without a live filter (nothing to
-/// adapt), under-observed files, and files whose signals are within
-/// thresholds.
+/// adapt), under-observed files, and files that observe what their
+/// threshold and their design allow.
 pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, queue: &QueryQueue) -> Option<FlagReason> {
-    if !sst.has_live_filter() {
-        // Absent or degraded: nothing to compare and nothing worth
-        // rewriting.
-        return None;
-    }
-    // The FPR trigger backs off exponentially in the file's retrain
-    // count: if re-training could not push the observed FPR under the
-    // threshold (the budget simply doesn't allow it for this workload),
-    // retraining again every scan would burn CPU for nothing. Each retry
-    // needs twice the probe evidence. The drift trigger below is exempt —
-    // a *new* distribution shift always deserves a prompt re-train.
+    // Absent or degraded: nothing to compare and nothing worth rewriting.
+    let filter = sst.filter()?;
+    let (n, observed) = (sst.observed_probes(), sst.observed_fpr());
+    // The threshold backs off exponentially in the file's retrain count:
+    // if re-training could not push the observed FPR under it (the budget
+    // simply doesn't allow it for this workload), retraining again every
+    // pass would burn CPU for nothing. Each retry needs twice the probe
+    // evidence.
     let required = cfg.adapt_min_probes().saturating_mul(1u64 << sst.retrain_count().min(20));
-    if sst.observed_probes() >= required && sst.observed_fpr() > cfg.adapt_fpr_threshold() {
+    if n >= required && observed > cfg.adapt_fpr_threshold() {
         return Some(FlagReason::HighFpr);
     }
-    // Both fingerprints are sketched from the file's own view of the queue
-    // (`QueryQueue::view`), so a shift inside the file's range moves all of
-    // the mass, not the file's share of the key space.
-    let trained = sst.training_fingerprint()?;
-    let live = sst.live_sketch(queue)?;
-    (trained.divergence(&live) > cfg.adapt_divergence_threshold()).then_some(FlagReason::Drift)
+    // A design that still sees what it was chosen for does not flag here,
+    // whatever its FPR.
+    let predicted = filter.expected_fpr()?;
+    let off = n >= cfg.adapt_min_probes()
+        && observed > predicted
+        && fpr_estimate_error_bound(n as usize, observed - predicted, observed)
+            <= OFF_PREDICTION_ALPHA
+        && queue.turned_over_since(sst.trained_at());
+    off.then_some(FlagReason::OffPrediction)
 }
 
 /// Re-train one SST's filter: collect the file's filter keys, re-run the
@@ -104,8 +111,8 @@ pub fn retrain(
 ) -> Result<SstReader> {
     let t0 = Instant::now();
     let keys = sst.filter_keys(stats)?;
-    let (filter, sketch) = keys.train(&sst.min_key, &sst.max_key, factory, queue, bits_per_key);
-    let new_reader = sst.with_new_filter(filter, sketch, stats)?;
+    let (filter, trained_at) = keys.train(&sst.min_key, &sst.max_key, factory, queue, bits_per_key);
+    let new_reader = sst.with_new_filter(filter, trained_at, stats)?;
     stats.retrain_ns.add(t0.elapsed().as_nanos() as u64);
     stats.filters_retrained.inc();
     Ok(new_reader)
@@ -123,7 +130,7 @@ pub(crate) fn pass(db: &DbInner) -> Result<usize> {
         .flatten()
         .filter(|sst| flag_reason(sst, &db.cfg, &db.queue).is_some())
         .collect();
-    db.stats.drift_flags.add(flagged.len() as u64);
+    db.stats.filters_flagged.add(flagged.len() as u64);
     let mut retrained = 0usize;
     for sst in flagged {
         // Re-training every flagged file can take a while right after a
@@ -176,11 +183,10 @@ mod tests {
         queue
     }
 
-    /// SST `id` over the 4 000 keys `(first + i) << 24`, filter trained on
-    /// `queue`.
-    fn build_sst_at(dir: &std::path::Path, id: u64, first: u64, queue: &QueryQueue) -> SstReader {
-        let mut w = SstWriter::create(dir, id, 8, 4096, 0).unwrap();
-        for i in first..first + 4_000 {
+    /// SST 1 over the 4 000 keys `i << 24`, filter trained on `queue`.
+    fn build_sst_on(dir: &std::path::Path, queue: &QueryQueue) -> SstReader {
+        let mut w = SstWriter::create(dir, 1, 8, 4096, 0).unwrap();
+        for i in 0..4_000u64 {
             w.add(&u64_key(i << 24), &[0u8; 32]).unwrap();
         }
         w.finish(&ProteusFactory::default(), queue, 12.0, &Stats::default()).unwrap()
@@ -188,7 +194,7 @@ mod tests {
 
     /// One SST over clustered keys, filter trained on `train` queries.
     fn build_sst(dir: &std::path::Path, train: &[(u64, u64)]) -> (Arc<SstReader>, Arc<Stats>) {
-        (Arc::new(build_sst_at(dir, 1, 0, &queue_of(train))), Arc::new(Stats::default()))
+        (Arc::new(build_sst_on(dir, &queue_of(train))), Arc::new(Stats::default()))
     }
 
     /// `n` empty queries, one in each of the gaps after keys `from..from + n`.
@@ -226,55 +232,52 @@ mod tests {
     }
 
     #[test]
-    fn distribution_shift_flags_via_fingerprint_divergence() {
-        let dir = tmpdir("drift");
-        // Train on queries in the low eighth of the file's key range.
-        let (sst, _stats) = build_sst(&dir, &queries(0, 500));
-        let cfg = DbConfig::builder().adapt_divergence_threshold(0.5).build().unwrap();
-        // Live sample matching training: no flag.
-        assert_eq!(flag_reason(&sst, &cfg, &queue_of(&queries(0, 500))), None);
-        // Live sample shifted to the high half: flagged as drift.
-        let shifted = queue_of(&queries(2_000, 500));
-        assert_eq!(flag_reason(&sst, &cfg, &shifted), Some(FlagReason::Drift));
-        // Too few live samples: noise, no flag.
-        let tiny = queue_of(&queries(2_000, MIN_DRIFT_SAMPLES - 1));
-        assert_eq!(flag_reason(&sst, &cfg, &tiny), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn drift_is_judged_inside_each_file_of_a_level() {
-        let dir = tmpdir("level");
-        // Six files side by side, 4 000 keys each, and a workload spread
-        // evenly over all of them: every 10th gap of every file is queried.
-        let spread: Vec<(u64, u64)> = (0..24_000).step_by(10).flat_map(|i| queries(i, 1)).collect();
-        let trained_on = queue_of(&spread);
-        let level: Vec<SstReader> =
-            (0..6).map(|f| build_sst_at(&dir, f + 1, f * 4_000, &trained_on)).collect();
-        let cfg = DbConfig::builder().build().unwrap();
-        // The same distribution live: no file sees drift, although 5/6 of
-        // the queue lies outside each of them.
-        for sst in &level {
-            assert_eq!(flag_reason(sst, &cfg, &trained_on), None, "{sst:?}");
+    fn a_file_is_flagged_off_prediction_once_the_queue_has_turned_over() {
+        let dir = tmpdir("off-prediction");
+        let queue = queue_of(&queries(0, 300));
+        let stats = Stats::default();
+        // Five re-trains: the threshold now waits for 1 000 << 5 = 32 000
+        // probes, more than this test records.
+        let mut sst = Arc::new(build_sst_on(&dir, &queue));
+        for _ in 0..5 {
+            sst =
+                Arc::new(retrain(&sst, &ProteusFactory::default(), &queue, 12.0, &stats).unwrap());
         }
-        // The queries of file 3 all move into its last tenth; the other five
-        // files are asked what they were always asked. At 1/6 of the key
-        // space, lumping out-of-range queries into the end buckets would
-        // leave this shift at a divergence of at most 1/6.
-        let moved: Vec<(u64, u64)> = spread
-            .iter()
-            .map(|&(lo, hi)| match lo >> 24 {
-                i @ 12_000..16_000 => queries(15_600 + i % 400, 1)[0],
-                _ => (lo, hi),
-            })
-            .collect();
-        let live = queue_of(&moved);
-        let flagged: Vec<u64> = level
-            .iter()
-            .filter(|sst| flag_reason(sst, &cfg, &live).is_some())
-            .map(|s| s.id)
-            .collect();
-        assert_eq!(flagged, [4], "exactly the file whose in-range queries moved");
+        assert_eq!(sst.trained_at(), queue.recorded());
+        let cfg = DbConfig::builder().adapt_min_probes(1_000).build().unwrap();
+        let predicted = sst.filter().unwrap().expected_fpr().unwrap();
+        assert!(predicted > 0.0 && predicted < cfg.adapt_fpr_threshold(), "{predicted}");
+        // A queue that has long turned over since the filter was trained:
+        // against it only the observed-vs-predicted test can hold a flag back.
+        let moved_on = queue_of(&queries(0, 20_000));
+        assert!(moved_on.turned_over_since(sst.trained_at()));
+
+        // 1. 20 000 probes at the predicted rate, rounded up: the observed
+        // FPR sits at or just above the prediction, and is never flagged.
+        let mut fps = 0u64;
+        for i in 1..=20_000u64 {
+            let due = (i as f64 * predicted).ceil() as u64;
+            sst.record_probe(due > fps);
+            fps = due;
+            assert_eq!(flag_reason(&sst, &cfg, &moved_on), None, "probe {i}");
+        }
+        // 2. Every probe a false positive: far off the prediction, and over
+        // the threshold, but the queue the filter was trained on has not
+        // turned over, so a re-train would see the same sample.
+        for i in 0..2_000 {
+            sst.record_probe(true);
+            assert_eq!(flag_reason(&sst, &cfg, &queue), None, "false positive {i}");
+        }
+        assert!(sst.observed_fpr() > cfg.adapt_fpr_threshold());
+        assert_eq!(flag_reason(&sst, &cfg, &moved_on), Some(FlagReason::OffPrediction));
+        // 3. Half a queue of new queries: off its prediction, although the
+        // threshold's back-off still holds `HighFpr` back.
+        for (lo, hi) in queries(1_000, 9_999) {
+            queue.offer(&u64_key(lo), &u64_key(hi));
+        }
+        assert_eq!(flag_reason(&sst, &cfg, &queue), None, "one query short of half");
+        queue.offer(&u64_key(0), &u64_key(1));
+        assert_eq!(flag_reason(&sst, &cfg, &queue), Some(FlagReason::OffPrediction));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -296,21 +299,14 @@ mod tests {
         for i in (0..4_000u64).step_by(61) {
             assert!(f.may_contain(&u64_key(i << 24)), "key {i}");
         }
-        // The new fingerprint is the shifted view's: the old workload now
-        // reads as drift, the new one does not.
-        let cfg = DbConfig::builder().build().unwrap();
-        assert_eq!(flag_reason(&new_reader, &cfg, &shifted), None);
-        assert_eq!(
-            flag_reason(&new_reader, &cfg, &queue_of(&queries(0, 300))),
-            Some(FlagReason::Drift)
-        );
-        // The rewritten file reopens with the retrained filter and
-        // fingerprint in place (no retraining on the recovery path).
+        assert_eq!(new_reader.trained_at(), shifted.recorded());
+        // The rewritten file reopens with the retrained filter in place (no
+        // retraining on the recovery path), trained before this process.
         let reopened = SstReader::open(dir.join("00000001.sst"), 1).unwrap();
         let g = reopened.filter().expect("persisted retrained filter");
         assert_eq!(g.size_bits(), f.size_bits());
-        let fp = reopened.training_fingerprint().expect("fingerprint persisted");
-        assert_eq!(fp.divergence(new_reader.training_fingerprint().unwrap()), 0.0);
+        assert_eq!(g.expected_fpr(), f.expected_fpr());
+        assert_eq!(reopened.trained_at(), 0);
         let fresh = Stats::default();
         // Data blocks byte-identical to the original.
         for b in 0..sst.n_blocks() {
@@ -330,22 +326,18 @@ mod tests {
         let dir = tmpdir("outside");
         let (sst, stats) = build_sst(&dir, &queries(0, 300));
         // Every queued query lies past the file's last key: its view is
-        // empty, so the re-train falls back to the whole queue and the new
-        // filter carries no fingerprint.
+        // empty, so the re-train falls back to the whole queue.
         let outside = queue_of(&queries(10_000, 300));
         let new_reader = retrain(&sst, &ProteusFactory::default(), &outside, 12.0, &stats).unwrap();
         let f = new_reader.filter().expect("retrained filter present");
         for i in (0..4_000u64).step_by(61) {
             assert!(f.may_contain(&u64_key(i << 24)), "key {i}");
         }
-        assert!(new_reader.training_fingerprint().is_none());
-        // Without a fingerprint no queue can read as drift...
+        // Unprobed, it is not flagged; the observed-FPR trigger works as for
+        // any file (twice the evidence: the file has been re-trained once).
         let cfg =
             DbConfig::builder().adapt_min_probes(10).adapt_fpr_threshold(0.3).build().unwrap();
         assert_eq!(flag_reason(&new_reader, &cfg, &outside), None);
-        assert_eq!(flag_reason(&new_reader, &cfg, &queue_of(&queries(0, 300))), None);
-        // ...but the observed-FPR trigger still works (twice the evidence:
-        // the file has been re-trained once).
         for _ in 0..20 {
             new_reader.record_probe(true);
         }

@@ -119,10 +119,11 @@ knobs! {
         /// Record every n-th executed empty query (§6.1: 100).
         sample_every: u64 = 100,
         /// Run the adaptive filter lifecycle periodically: every
-        /// `adapt_interval` the background worker checks per-SST observed
-        /// FPR and sample-distribution drift and re-trains filters in place
-        /// (see the [`crate::adapt`] module docs). `Db::adapt_now` runs a
-        /// pass either way.
+        /// `adapt_interval` the background worker compares each SST's
+        /// observed FPR with the threshold and with its filter's predicted
+        /// FPR, and re-trains flagged filters in place (see the
+        /// [`crate::adapt`] module docs). `Db::adapt_now` runs a pass
+        /// either way.
         adapt_enabled: bool = false,
         /// Observed per-file FPR above this flags the file for re-training
         /// (only after `adapt_min_probes` probes).
@@ -132,10 +133,6 @@ knobs! {
         adapt_min_probes: u64 = 512,
         /// How often a periodic adaptive pass scans for flagged files.
         adapt_interval: Duration = Duration::from_millis(100),
-        /// Total-variation distance between a filter's training fingerprint
-        /// and the live sample distribution above which the file is flagged
-        /// even before its observed FPR degrades.
-        adapt_divergence_threshold: f64 = 0.5,
         /// When the write-ahead log syncs (durability vs latency; see
         /// [`SyncMode`]).
         sync_mode: SyncMode = SyncMode::Off,
@@ -221,9 +218,6 @@ impl DbConfig {
         if self.adapt_interval.is_zero() {
             return bad("adapt_interval must be > 0");
         }
-        if !self.adapt_divergence_threshold.is_finite() || self.adapt_divergence_threshold <= 0.0 {
-            return bad("adapt_divergence_threshold must be > 0");
-        }
         if let SyncMode::Interval(period) = self.sync_mode {
             if period.is_zero() {
                 return bad("sync_mode interval must be > 0 (use SyncMode::Always)");
@@ -291,7 +285,6 @@ mod tests {
             ("fpr", DbConfig::builder().adapt_fpr_threshold(0.0).build()),
             ("probes", DbConfig::builder().adapt_min_probes(0).build()),
             ("interval", DbConfig::builder().adapt_interval(Duration::ZERO).build()),
-            ("div", DbConfig::builder().adapt_divergence_threshold(-1.0).build()),
             ("sync", DbConfig::builder().sync_mode(SyncMode::Interval(Duration::ZERO)).build()),
         ] {
             assert!(matches!(res, Err(Error::Config(_))), "{tag} must be rejected");

@@ -680,8 +680,8 @@ impl Db {
 
     /// Have the background worker run one adaptive-maintenance pass and
     /// wait for it: scan every live SST, flag the ones whose observed FPR
-    /// or sample-distribution drift crossed the configured thresholds (see
-    /// [`crate::adapt`]), re-train their filters on a fresh sample
+    /// crossed the configured threshold or strayed above its filter's
+    /// prediction (see [`crate::adapt`]), re-train their filters on a fresh sample
     /// snapshot and atomically rewrite the filter blocks. Returns the
     /// number of filters the pass re-trained (when calls overlap, the
     /// count of the latest pass to finish).

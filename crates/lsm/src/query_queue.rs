@@ -6,8 +6,13 @@
 //! A filter is never trained on the queue as a whole but on its file's
 //! [`FileView`] of it ([`QueryQueue::view`]): the read path only asks a file
 //! about queries that overlap its key range, clamped to that range, so that
-//! is what the file's model must be fed — and what both sides of a drift
-//! comparison are sketched from.
+//! is what the file's model must be fed.
+//!
+//! The queue also counts every query it records ([`QueryQueue::recorded`]).
+//! A file remembers that count from when its filter was trained, so the
+//! adapter can tell a filter that has met a new sample
+//! ([`QueryQueue::turned_over_since`]) from one that would be re-trained on
+//! the queries it was already trained on.
 //!
 //! The queue is internally synchronized so the concurrent `Db` can offer
 //! queries from any reader thread and view it from the background
@@ -16,7 +21,6 @@
 //! no lock at all), and only the 1-in-`every` recorded offers, seeds and
 //! snapshots touch the inner mutex.
 
-use crate::adapt::MIN_DRIFT_SAMPLES;
 use proteus_core::key::{pad_key, pad_key_into};
 use proteus_core::keyset::KeySet;
 use proteus_core::sync::{rank, Mutex};
@@ -24,6 +28,11 @@ use proteus_core::SampleQueries;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
+
+/// Floor on a file's view of the sample queue: with fewer queries of its
+/// own a file has nothing to model, and its filter is trained on the whole
+/// queue instead.
+pub const MIN_VIEW_SAMPLES: usize = 64;
 
 /// Fixed-capacity FIFO of recent empty range queries.
 ///
@@ -54,6 +63,8 @@ pub struct QueryQueue {
     /// Record every `every`-th offered query.
     every: u64,
     offered: AtomicU64,
+    /// Queries ever pushed, by `seed` or `offer`.
+    recorded: AtomicU64,
 }
 
 /// What one file is asked, out of everything the queue holds.
@@ -61,10 +72,9 @@ pub struct QueryQueue {
 pub struct FileView {
     /// The queued queries that overlap the file's canonical `[min, max]`,
     /// clamped to it — exactly the bounds the read path hands the file's
-    /// filter. A training fingerprint and its live counterpart are always
-    /// sketched from these.
+    /// filter.
     pub asked: SampleQueries,
-    /// Cold start: with fewer than [`MIN_DRIFT_SAMPLES`] queries of its own
+    /// Cold start: with fewer than [`MIN_VIEW_SAMPLES`] queries of its own
     /// a file has nothing to model, so it trains on the whole queue
     /// (unclamped) instead; `None` once `asked` suffices.
     pub cold_start: Option<SampleQueries>,
@@ -95,6 +105,7 @@ impl QueryQueue {
             capacity,
             every: every.max(1),
             offered: AtomicU64::new(0),
+            recorded: AtomicU64::new(0),
         }
     }
 
@@ -107,7 +118,7 @@ impl QueryQueue {
         }
         let mut q = self.lock_queue();
         for (lo, hi) in queries {
-            Self::push(&mut q, self.capacity, lo, hi);
+            self.push(&mut q, lo, hi);
         }
     }
 
@@ -121,7 +132,7 @@ impl QueryQueue {
             return false;
         }
         let mut q = self.lock_queue();
-        Self::push(&mut q, self.capacity, lo.to_vec(), hi.to_vec());
+        self.push(&mut q, lo.to_vec(), hi.to_vec());
         true
     }
 
@@ -130,12 +141,26 @@ impl QueryQueue {
         self.offered.load(Ordering::Relaxed)
     }
 
-    fn push(q: &mut VecDeque<(Vec<u8>, Vec<u8>)>, capacity: usize, lo: Vec<u8>, hi: Vec<u8>) {
-        debug_assert!(capacity > 0, "capacity-0 queues are handled before push");
-        if q.len() == capacity {
+    /// Queries ever recorded, by [`QueryQueue::seed`] or
+    /// [`QueryQueue::offer`]: a mark in the queue's history.
+    pub fn recorded(&self) -> u64 {
+        self.recorded.load(Ordering::Relaxed)
+    }
+
+    /// Has the queue taken in at least half its capacity of new queries
+    /// since [`QueryQueue::recorded`] read `mark`? Until then a filter
+    /// trained at `mark` would be re-trained on mostly the same sample.
+    pub fn turned_over_since(&self, mark: u64) -> bool {
+        self.recorded().saturating_sub(mark) >= (self.capacity as u64 / 2).max(1)
+    }
+
+    fn push(&self, q: &mut VecDeque<(Vec<u8>, Vec<u8>)>, lo: Vec<u8>, hi: Vec<u8>) {
+        debug_assert!(self.capacity > 0, "capacity-0 queues are handled before push");
+        if q.len() == self.capacity {
             q.pop_front();
         }
         q.push_back((lo, hi));
+        self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Take the queue lock, recovering from poison: the queue is a FIFO
@@ -158,7 +183,7 @@ impl QueryQueue {
 
     /// The view of the file whose keys span `[min_key, max_key]`, at the
     /// file's filter width: the one sample source of filter training (flush,
-    /// compaction, re-train) and of the live side of drift detection.
+    /// compaction, re-train).
     pub fn view(&self, width: usize, min_key: &[u8], max_key: &[u8]) -> FileView {
         let whole = self.snapshot(width);
         let (min, max) = (pad_key(min_key, width), pad_key(max_key, width));
@@ -168,7 +193,7 @@ impl QueryQueue {
                 asked.push(lo, hi);
             }
         }
-        let cold_start = (asked.len() < MIN_DRIFT_SAMPLES).then_some(whole);
+        let cold_start = (asked.len() < MIN_VIEW_SAMPLES).then_some(whole);
         FileView { asked, cold_start }
     }
 
@@ -230,6 +255,7 @@ mod tests {
         }
         assert_eq!(q.len(), 10, "every 100th of 1000 offers");
         assert_eq!(q.offered(), 1000);
+        assert_eq!(q.recorded(), 10);
     }
 
     #[test]
@@ -237,6 +263,12 @@ mod tests {
         let q = QueryQueue::new(100, 100);
         q.seed((0..20u64).map(|i| (u64_key(i).to_vec(), u64_key(i + 1).to_vec())));
         assert_eq!(q.len(), 20);
+        assert_eq!(q.recorded(), 20);
+        // Half the capacity since a mark turns the queue over; evictions
+        // do not count down.
+        assert!(!q.turned_over_since(0));
+        q.seed((0..30u64).map(|i| (u64_key(i).to_vec(), u64_key(i + 1).to_vec())));
+        assert!(q.turned_over_since(0) && !q.turned_over_since(1));
     }
 
     #[test]
@@ -252,6 +284,8 @@ mod tests {
         }
         assert_eq!(q.len(), 0);
         assert_eq!(q.offered(), 10, "offers are still counted");
+        assert_eq!(q.recorded(), 0);
+        assert!(!q.turned_over_since(0), "a queue that records nothing never turns over");
         assert!(q.is_empty());
         assert_eq!(q.snapshot(8).len(), 0);
     }

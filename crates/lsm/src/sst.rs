@@ -46,8 +46,7 @@
 //! Walking a file's entries is [`SstCursor`]'s job and nobody else's; what
 //! a file's filter is trained on is `FilterKeys`' — the writer and the
 //! adaptive re-train feed their keys through it, so both train over the
-//! same canonical set at the same width, fingerprinted over the same
-//! anchors.
+//! same canonical set at the same width.
 //!
 //! Tombstone entries are keys like any other as far as the filter is
 //! concerned: a file's filter is built over *all* of its keys, deletes
@@ -64,7 +63,7 @@ use crate::stats::{ratio, Stats};
 use proteus_core::codec::crc32;
 use proteus_core::key::pad_key;
 use proteus_core::keyset::KeySet;
-use proteus_core::{QuerySketch, RangeFilter, SampleQueries};
+use proteus_core::RangeFilter;
 use proteus_filters::FilterCodec;
 use std::fs::File;
 use std::io::Write;
@@ -147,28 +146,12 @@ fn encode_footer(
     Ok(f)
 }
 
-/// Sketch `queries` against a file's key range — the one pair of anchors
-/// both sides of a drift comparison use. Sample queries are
-/// canonical-width keys, so the boundary keys are canonicalized alike.
-fn canonical_sketch(
-    queries: &SampleQueries,
-    min_key: &[u8],
-    max_key: &[u8],
-    width: usize,
-) -> QuerySketch {
-    QuerySketch::from_queries(queries.iter(), &pad_key(min_key, width), &pad_key(max_key, width))
-}
-
 /// Encode a filter block. A filter without a persistent form leaves the
 /// block empty; after a reopen that file simply has no filter (recovery
 /// never retrains).
-fn encode_filter_block(
-    filter: Option<&dyn RangeFilter>,
-    sketch: &QuerySketch,
-    stats: &Stats,
-) -> Vec<u8> {
+fn encode_filter_block(filter: Option<&dyn RangeFilter>, stats: &Stats) -> Vec<u8> {
     let Some(filter) = filter else { return Vec::new() };
-    FilterCodec::encode_with_fingerprint(filter, sketch).unwrap_or_else(|_| {
+    FilterCodec::encode(filter).unwrap_or_else(|_| {
         stats.filters_unpersisted.inc();
         Vec::new()
     })
@@ -215,9 +198,8 @@ impl FilterKeys {
     /// file to determine the optimal filter design for each SST file") —
     /// the queries that will actually reach this file, see
     /// [`QueryQueue::view`]; `None` when the budget rounds to zero bits.
-    /// Also returns the training fingerprint — where in
-    /// `[min_key, max_key]` the view's queries landed — which rides in the
-    /// filter block so drift detection survives reopen.
+    /// Also returns the queue's [`QueryQueue::recorded`] mark the view was
+    /// taken at.
     pub(crate) fn train(
         self,
         min_key: &[u8],
@@ -225,13 +207,14 @@ impl FilterKeys {
         factory: &dyn FilterFactory,
         queue: &QueryQueue,
         bits_per_key: f64,
-    ) -> (Option<Box<dyn RangeFilter>>, QuerySketch) {
+    ) -> (Option<Box<dyn RangeFilter>>, u64) {
         let keyset = KeySet::from_sorted_canonical(self.flat, self.width);
+        let trained_at = queue.recorded();
         let mut view = queue.view(self.width, min_key, max_key);
         view.retain_empty(&keyset);
         let m_bits = (bits_per_key * keyset.len() as f64) as u64;
         let filter = (m_bits > 0).then(|| factory.build(&keyset, view.training(), m_bits));
-        (filter, canonical_sketch(&view.asked, min_key, max_key, self.width))
+        (filter, trained_at)
     }
 }
 
@@ -266,11 +249,9 @@ pub struct SstReader {
     /// the file has no filter block or the block would not decode — every
     /// probe is then positive.
     filter: Option<Box<dyn RangeFilter>>,
-    /// Fingerprint of the sample-query distribution the filter was trained
-    /// on, from the same source as `filter`; `None` for filterless files
-    /// and filters trained on an empty sample — drift detection then
-    /// relies on observed FPR alone.
-    fingerprint: Option<QuerySketch>,
+    /// The sample queue's [`QueryQueue::recorded`] mark when this process
+    /// trained the filter; 0 for a filter decoded from disk.
+    trained_at: u64,
     /// Filter probes against this file that answered positive for a range
     /// holding none of its keys (per-file false-positive evidence).
     probe_fp: AtomicU64,
@@ -280,7 +261,7 @@ pub struct SstReader {
     /// across [`SstReader::with_new_filter`] replacements). The FPR
     /// trigger backs off exponentially in this count, so a filter that
     /// cannot beat the threshold at its memory budget stops being
-    /// re-trained over and over; the drift trigger is unaffected.
+    /// re-trained over and over; the off-prediction trigger is unaffected.
     retrain_count: u32,
     /// Set when compaction retires this file from the manifest: readers
     /// holding an older version snapshot may still probe it, but must not
@@ -336,7 +317,6 @@ impl SstReader {
         // more usable than corrupt bytes.
         if let Some(decoded) = FilterCodec::decode(&bytes).ok().filter(|d| !d.degraded) {
             reader.filter = Some(decoded.filter);
-            reader.fingerprint = decoded.fingerprint;
         }
         Ok((reader, t0.elapsed()))
     }
@@ -453,7 +433,7 @@ impl SstReader {
             index_len,
             filter_block_len: filter_len as usize,
             filter: None,
-            fingerprint: None,
+            trained_at: 0,
             probe_fp: AtomicU64::new(0),
             probe_tn: AtomicU64::new(0),
             retrain_count: 0,
@@ -469,20 +449,19 @@ impl SstReader {
 
     /// Open the file this process just wrote, through the same parse as
     /// any recovered file (so a fresh reader and a reopened one cannot
-    /// disagree), and move in the filter it just trained (`None` = no
-    /// budget for one) and its fingerprint: the block they were persisted
-    /// to is not read back.
+    /// disagree), and move in the filter it just trained at queue mark
+    /// `trained_at` (`None` = no budget for one): the block it was
+    /// persisted to is not read back.
     fn open_trained(
         path: PathBuf,
         id: u64,
         filter: Option<Box<dyn RangeFilter>>,
-        sketch: QuerySketch,
+        trained_at: u64,
         retrain_count: u32,
     ) -> Result<SstReader> {
         let mut reader = SstReader::parse(path, id)?;
-        let trained = filter.is_some() && !sketch.is_empty();
         reader.retrain_count = retrain_count;
-        reader.fingerprint = trained.then_some(sketch);
+        reader.trained_at = trained_at;
         reader.filter = filter;
         Ok(reader)
     }
@@ -508,10 +487,10 @@ impl SstReader {
         self.filter.as_deref()
     }
 
-    /// The training fingerprint of this file's filter, if one is known
-    /// (decoded from the filter block or set at build time).
-    pub fn training_fingerprint(&self) -> Option<&QuerySketch> {
-        self.fingerprint.as_ref()
+    /// The sample queue's [`QueryQueue::recorded`] mark when this process
+    /// trained the file's filter; 0 for a filter decoded from disk.
+    pub fn trained_at(&self) -> u64 {
+        self.trained_at
     }
 
     /// Record the outcome of one real filter probe against this file.
@@ -542,17 +521,6 @@ impl SstReader {
         ratio(fp, fp + self.probe_tn.load(Ordering::Relaxed))
     }
 
-    /// This file's view of `queue` now, and its sketch over the file's key
-    /// range: the live side of a drift comparison against
-    /// [`SstReader::training_fingerprint`]. `None` while the view is too
-    /// small to compare (the cold-start case of [`QueryQueue::view`]).
-    pub fn live_sketch(&self, queue: &QueryQueue) -> Option<QuerySketch> {
-        let view = queue.view(self.width, &self.min_key, &self.max_key);
-        view.cold_start
-            .is_none()
-            .then(|| canonical_sketch(&view.asked, &self.min_key, &self.max_key, self.width))
-    }
-
     /// The key set a re-trained filter must cover: every entry key, read
     /// straight from disk (no block cache; each block once).
     pub(crate) fn filter_keys(self: &Arc<Self>, stats: &Stats) -> Result<FilterKeys> {
@@ -581,10 +549,10 @@ impl SstReader {
     pub fn with_new_filter(
         &self,
         filter: Option<Box<dyn RangeFilter>>,
-        sketch: QuerySketch,
+        trained_at: u64,
         stats: &Stats,
     ) -> Result<SstReader> {
-        let filter_bytes = encode_filter_block(filter.as_deref(), &sketch, stats);
+        let filter_bytes = encode_filter_block(filter.as_deref(), stats);
         // Data section + index block, byte-identical from the live inode.
         let mut head = vec![0u8; (self.file_bytes + self.index_len) as usize];
         self.file.read_exact_at(&mut head, 0)?;
@@ -603,7 +571,13 @@ impl SstReader {
         tmp.write_all_at(&filter_bytes, head.len() as u64)?;
         tmp.write_all_at(&footer, (head.len() + filter_bytes.len()) as u64)?;
         publish(&tmp, &tmp_path, &self.path)?;
-        SstReader::open_trained(self.path.clone(), self.id, filter, sketch, self.retrain_count + 1)
+        SstReader::open_trained(
+            self.path.clone(),
+            self.id,
+            filter,
+            trained_at,
+            self.retrain_count + 1,
+        )
     }
 
     /// Does this file have a filter? `false` with a non-zero
@@ -826,10 +800,10 @@ impl SstWriter {
         let index_bytes = self.encode_index();
 
         let t0 = Instant::now();
-        let (filter, sketch) = self.keys.train(min_key, max_key, factory, queue, bits_per_key);
+        let (filter, trained_at) = self.keys.train(min_key, max_key, factory, queue, bits_per_key);
         stats.filter_build_ns.add(t0.elapsed().as_nanos() as u64);
         stats.filters_built.inc();
-        let filter_bytes = encode_filter_block(filter.as_deref(), &sketch, stats);
+        let filter_bytes = encode_filter_block(filter.as_deref(), stats);
 
         self.file.write_all(&index_bytes)?;
         self.file.write_all(&filter_bytes)?;
@@ -844,7 +818,7 @@ impl SstWriter {
         )?;
         self.file.write_all(&footer)?;
         publish(&self.file, &self.tmp_path, &self.path)?;
-        SstReader::open_trained(self.path, self.id, filter, sketch, 0)
+        SstReader::open_trained(self.path, self.id, filter, trained_at, 0)
     }
 }
 
@@ -933,6 +907,7 @@ impl SstCursor {
 mod tests {
     use super::*;
     use crate::filter_hook::ProteusFactory;
+    use proteus_core::SampleQueries;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("proteus-sst-test-{tag}-{}", std::process::id()));

@@ -157,9 +157,9 @@ stats! {
         /// Filter probes (real filters only) that answered negative — true
         /// negatives, the denominator partner of [`Stats::observed_fp`].
         observed_tn,
-        /// SSTs flagged for re-training (observed FPR over threshold, or
-        /// sample-distribution divergence from the training fingerprint).
-        drift_flags,
+        /// SSTs flagged for re-training, for either [`crate::adapt::FlagReason`]:
+        /// observed FPR over the threshold, or off its filter's prediction.
+        filters_flagged,
         /// Filters re-trained in the background by the adaptive lifecycle
         /// (filter block rewritten in place; data blocks untouched).
         filters_retrained,

@@ -9,6 +9,9 @@
 //!   `proteus_span_l9_l40.bin` pins the one addition since v2 was cut — the
 //!   Proteus payload's span-bitmap flag bit; every older fixture, and the
 //!   1PBF payload, is byte-identical to what it was before the bit existed.
+//!   `proteus_l16_l40_fp.bin` is frozen history, like `v1/`: the Proteus
+//!   fixture as builds that persisted a training fingerprint wrote it. It
+//!   must still decode, and re-encodes to `proteus_l16_l40.bin`.
 //! * **v1 rejection** — the PR-2 era fixtures under `tests/fixtures/v1/`
 //!   (never regenerated) carry the retired envelope version 1, which
 //!   could only ride in SST generations the store no longer opens: every
@@ -121,24 +124,6 @@ fn fixture_dir(version: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(version)
 }
 
-/// The deterministic training fingerprint persisted in the fingerprinted
-/// golden fixture: queries at fixed positions/lengths over the fixture
-/// key range.
-fn fixture_sketch() -> proteus::core::QuerySketch {
-    let ks = fixture_keys();
-    let bounds: Vec<(Vec<u8>, Vec<u8>)> = (0..256u64)
-        .map(|i| {
-            let lo = i.wrapping_mul(0x0123_4567_89AB_CDEF);
-            (lo.to_be_bytes().to_vec(), lo.saturating_add(1 + i * 512).to_be_bytes().to_vec())
-        })
-        .collect();
-    proteus::core::QuerySketch::from_queries(
-        bounds.iter().map(|(l, h)| (l.as_slice(), h.as_slice())),
-        ks.key(0),
-        ks.key(ks.len() - 1),
-    )
-}
-
 #[test]
 fn golden_fixtures_pin_the_v2_wire_format() {
     let dir = fixture_dir("v2");
@@ -146,19 +131,9 @@ fn golden_fixtures_pin_the_v2_wire_format() {
     if regen {
         std::fs::create_dir_all(&dir).unwrap();
     }
-    // Every kind without a fingerprint, plus one fingerprinted envelope
-    // (the sketch section is part of the wire format too).
-    let mut encodings: Vec<(String, Vec<u8>)> = current_fixtures()
-        .into_iter()
-        .map(|(name, f)| (name.to_string(), FilterCodec::encode(f.as_ref()).unwrap()))
-        .collect();
-    let fingerprinted = fixtures().remove(1).1; // the Proteus fixture
-    encodings.push((
-        "proteus_l16_l40_fp.bin".to_string(),
-        FilterCodec::encode_with_fingerprint(fingerprinted.as_ref(), &fixture_sketch()).unwrap(),
-    ));
-    for (name, encoded) in encodings {
-        let path = dir.join(&name);
+    for (name, filter) in current_fixtures() {
+        let encoded = FilterCodec::encode(filter.as_ref()).unwrap();
+        let path = dir.join(name);
         if regen {
             std::fs::write(&path, &encoded).unwrap();
             continue;
@@ -179,15 +154,17 @@ fn golden_fixtures_pin_the_v2_wire_format() {
 }
 
 #[test]
-fn v2_fingerprint_fixture_roundtrips_sketch() {
-    let golden = std::fs::read(fixture_dir("v2").join("proteus_l16_l40_fp.bin"));
-    let Ok(golden) = golden else {
-        return; // regen run hasn't produced it yet; the golden test covers it
-    };
-    let decoded = FilterCodec::decode(&golden).unwrap();
-    let sketch = decoded.fingerprint.expect("fingerprinted fixture must carry its sketch");
-    assert_eq!(sketch, fixture_sketch());
-    assert_eq!(sketch.divergence(&fixture_sketch()), 0.0);
+fn v2_fingerprinted_fixture_decodes_and_reencodes_without_it() {
+    // The envelope's fingerprint section is stepped over on read (the CRC
+    // still covers it), so a filter block written with one still opens,
+    // and what it decodes to encodes as the plain fixture.
+    let dir = fixture_dir("v2");
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    let (fingerprinted, plain) = (read("proteus_l16_l40_fp.bin"), read("proteus_l16_l40.bin"));
+    assert!(fingerprinted.len() > plain.len());
+    let decoded = FilterCodec::decode(&fingerprinted).unwrap();
+    assert!(!decoded.degraded);
+    assert_eq!(FilterCodec::encode(decoded.filter.as_ref()).unwrap(), plain);
 }
 
 #[test]
@@ -420,16 +397,12 @@ fn payloads_from_before_the_span_flag_decode_unchanged() {
         &ProteusOptions::default(),
     );
     assert_eq!(trieless.encode_payload().unwrap().1[FLAGS_AT], 0b010);
-    for name in ["proteus_l16_l40.bin", "proteus_l16_l40_fp.bin", "one_pbf_l32.bin"] {
+    for name in ["proteus_l16_l40.bin", "one_pbf_l32.bin"] {
         let golden = std::fs::read(fixture_dir("v2").join(name)).unwrap();
         let decoded = FilterCodec::decode(&golden).unwrap();
         assert!(!decoded.degraded, "{name}");
         // Re-encoding what was decoded gives the committed bytes back.
-        let again = match decoded.fingerprint {
-            Some(sketch) => FilterCodec::encode_with_fingerprint(decoded.filter.as_ref(), &sketch),
-            None => FilterCodec::encode(decoded.filter.as_ref()),
-        };
-        assert_eq!(again.unwrap(), golden, "{name}");
+        assert_eq!(FilterCodec::encode(decoded.filter.as_ref()).unwrap(), golden, "{name}");
     }
 }
 

@@ -366,7 +366,6 @@ fn adaptive_lifecycle_recovers_fpr_after_workload_shift() {
         .adapt_enabled(false) // drive passes via adapt_now() for determinism
         .adapt_min_probes(100)
         .adapt_fpr_threshold(0.02)
-        .adapt_divergence_threshold(0.4)
         .queue_capacity(2_000) // small queue => the live sample tracks the shift
         .build()
         .unwrap();
@@ -405,7 +404,7 @@ fn adaptive_lifecycle_recovers_fpr_after_workload_shift() {
     let retrained = db.adapt_now().unwrap();
     assert!(retrained > 0, "no filters re-trained after a hard workload shift");
     assert_eq!(db.stats().filters_retrained.get(), retrained as u64);
-    assert!(db.stats().drift_flags.get() >= retrained as u64);
+    assert!(db.stats().filters_flagged.get() >= retrained as u64);
     assert!(db.stats().retrain_ns.get() > 0);
 
     let fpr_adapted = run(&db, &shift_w, 3_000, 3);
@@ -452,7 +451,6 @@ fn background_adapter_thread_retrains_on_its_own() {
         .adapt_interval(std::time::Duration::from_millis(20))
         .adapt_min_probes(100)
         .adapt_fpr_threshold(0.02)
-        .adapt_divergence_threshold(0.4)
         .queue_capacity(1_000)
         .build()
         .unwrap();
@@ -519,8 +517,7 @@ fn adaptive_retrain_over_variable_length_keys_has_no_false_negatives() {
         assert!(!db.seek(&absent, &absent).unwrap());
     }
     assert!(db.adapt_now().unwrap() >= 1, "no filter re-trained");
-    // The trained and the live fingerprints share their anchors, and the
-    // re-trained file starts a fresh probe window: with no reads in
+    // The re-trained file starts a fresh probe window: with no reads in
     // between there is nothing to flag.
     assert_eq!(db.adapt_now().unwrap(), 0, "an immediate second pass must re-train nothing");
 
@@ -544,5 +541,56 @@ fn adaptive_retrain_over_variable_length_keys_has_no_false_negatives() {
     check(&db, "after reopen");
     assert_eq!(db.stats().filters_built.get(), 0, "reopen must not retrain");
     drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn adaptive_pass_re_trains_a_file_off_its_prediction_once_its_back_off_is_spent() {
+    // A budget that cannot reach the threshold: every pass over the matched
+    // workload re-trains the files again, and each re-train doubles the
+    // probes the threshold waits for. Then the workload shifts hard. The
+    // back-off now outlasts the evidence the shift has produced; what still
+    // re-trains a file is that it observes far more false positives than its
+    // design predicted, on a sample queue that has turned over since.
+    let dir = tmpdir("adaptive-spent");
+    let raw = Dataset::Uniform.generate(20_000, 29);
+    let cfg = small_cfg(4.0)
+        .to_builder()
+        .adapt_enabled(false) // drive passes via adapt_now() for determinism
+        .adapt_min_probes(100)
+        .adapt_fpr_threshold(0.001)
+        .queue_capacity(1_000)
+        .build()
+        .unwrap();
+    let train_w = Workload::Uniform { rmax: 1 << 15 };
+    let shift_w = Workload::Correlated { rmax: 32, corr_degree: 1 << 10 };
+
+    let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
+    let seeds = QueryGen::new(train_w.clone(), &raw, &[], 0xD).empty_ranges(1_000);
+    db.seed_queries(seeds.iter().map(|&(lo, hi)| (u64_key(lo).to_vec(), u64_key(hi).to_vec())));
+    for &k in &raw {
+        db.put_u64(k, &[5u8; 64]).unwrap();
+    }
+    db.flush_and_settle().unwrap();
+    let seek = |w: &Workload, n: usize, seed: u64| {
+        for (lo, hi) in QueryGen::new(w.clone(), &raw, &[], seed).empty_ranges(n) {
+            assert!(!db.seek_u64(lo, hi).unwrap(), "[{lo:#x},{hi:#x}] is empty");
+        }
+    };
+
+    // The matched workload, a pass after each round: files re-train until
+    // the threshold waits for more probes than a round gives them.
+    let mut retrained = 0;
+    for round in 0..8 {
+        seek(&train_w, 2_000, 0xE0 + round);
+        retrained += db.adapt_now().unwrap();
+    }
+    assert!(retrained > db.sst_count(), "the back-off never climbed: {retrained} re-trains");
+    // The shift, with as many queries as the queue holds: it turns over.
+    seek(&shift_w, 1_000, 0xF0);
+    assert!(db.adapt_now().unwrap() >= 1, "no file re-trained after the shift");
+    for &k in raw.iter().step_by(97) {
+        assert!(db.seek_u64(k, k).unwrap(), "key {k:#x} lost after re-training");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
