@@ -59,6 +59,10 @@ impl Rank {
 pub mod rank {
     use super::Rank;
 
+    /// One unit of an LSM store's background work (`Mutex<()>`): held
+    /// around every flush, compaction, adaptive pass and manifest edit,
+    /// whichever thread runs it. Taken with nothing else held.
+    pub const WORKER: Rank = Rank::new(90, "worker");
     /// The MemTable state (`RwLock<MemState>`): which tables exist.
     /// Writers serialize on it and it nests over one table's data, the
     /// WAL (append/rotate) and the gate (rotation publish).
@@ -69,8 +73,8 @@ pub mod rank {
     /// in-memory work only — never held across a WAL append, a gate wait
     /// or a block fetch.
     pub const MEMTABLE_DATA: Rank = Rank::new(75, "memtable-data");
-    /// The background worker's coordination gate (`Mutex<Coord>` plus
-    /// its two condvars).
+    /// The background thread's coordination gate (`Mutex<Coord>` plus
+    /// its one condvar).
     pub const GATE: Rank = Rank::new(70, "gate");
     /// The write-ahead-log interior (segment writer + group-commit
     /// state).

@@ -37,10 +37,10 @@
 //!   filter can never cover less than the one it replaces.
 //!
 //! `pass` strings the two together over every live file and publishes the
-//! replacement readers. `Db`'s background worker runs it when nothing is
-//! left to flush or compact: every `adapt_interval` with `adapt_enabled`,
-//! and whenever `Db::adapt_now` asks (and waits) for a pass, which makes
-//! tests and experiments deterministic.
+//! replacement readers, under the store's worker lock. `Db`'s background
+//! thread runs it every `adapt_interval` with `adapt_enabled`, once nothing
+//! is left to flush or compact; `Db::adapt_now` runs one on the calling
+//! thread, which makes tests and experiments deterministic.
 
 use crate::db::{DbConfig, DbInner};
 use crate::error::Result;
@@ -119,9 +119,9 @@ pub fn retrain(
 }
 
 /// One full adaptive pass over `db`: flag, re-train, publish; returns the
-/// number of filters re-trained. Runs on the background worker, the only
-/// thread that retires files, so no file it flags can be compacted away
-/// before its replacement is published.
+/// number of filters re-trained. Runs under the worker lock, which every
+/// compaction holds too, so no file it flags can be compacted away before
+/// its replacement is published.
 pub(crate) fn pass(db: &DbInner) -> Result<usize> {
     let version = db.version();
     let flagged: Vec<&Arc<SstReader>> = version

@@ -4,8 +4,8 @@
 //! compaction's own: tombstones are dropped once the output lands at the
 //! bottom of the tree, and the output is split into files of
 //! `sst_target_bytes`. When to compact — once no frozen table is left to
-//! flush, ahead of any adaptive pass, in settle mode for
-//! `flush_and_settle` — is the background worker's loop in [`crate::db`].
+//! flush, in settle mode for `flush_and_settle` — is the worker's turn in
+//! [`crate::db`].
 
 use crate::config::DbConfig;
 use crate::db::{DbInner, Version};
@@ -15,9 +15,9 @@ use crate::sst::{SstCursor, SstReader, SstWriter};
 use std::sync::Arc;
 
 /// A compaction the policy decided on, with its inputs pinned from a
-/// manifest snapshot (only the background worker edits the manifest, and
-/// it runs one job at a time, so pinned inputs cannot disappear before
-/// the edit is applied).
+/// manifest snapshot (every manifest edit runs under the worker lock, which
+/// a job holds from pick to publish, so pinned inputs cannot disappear
+/// before the edit is applied).
 #[derive(Debug)]
 pub(crate) enum CompactionJob {
     /// Merge all (snapshot) L0 files plus overlapping L1 files into L1.
@@ -74,7 +74,7 @@ pub(crate) fn pick(v: &Version, cfg: &DbConfig, settle: bool) -> Option<Compacti
 /// Run `job`: merge its inputs into the target level, publish the edit
 /// and retire the inputs.
 pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
-    let (newer, older, source_level, target_level) = match job {
+    let (mut newer, older, source_level, target_level) = match job {
         CompactionJob::L0 { inputs_new, inputs_old } => (inputs_new, inputs_old, 0, 1),
         CompactionJob::Level { level, input, inputs_old } => {
             (vec![input], inputs_old, level, level + 1)
@@ -94,15 +94,23 @@ pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
         v.levels[target_level].extend(outputs.iter().cloned());
         v.levels[target_level].sort_by(|a, b| a.min_key.cmp(&b.min_key));
     });
-    // Retire inputs: readers still holding an older version keep their
-    // open descriptors; the unlink only drops the directory entry.
-    // Mark-before-purge: once the flag is visible no reader re-caches
-    // a dead block, so the purge is final.
-    for sst in newer.iter().chain(older.iter()) {
+    // Retire inputs oldest first — the target level's, a directory sync,
+    // then the source level's in id order — so a crash between two unlinks
+    // never leaves an older input above the output, nor a value a dropped
+    // tombstone deleted. Readers holding an older version keep their open
+    // descriptors. Mark-before-purge: once the flag is visible no reader
+    // re-caches a dead block, so the purge is final.
+    let retire = |sst: &Arc<SstReader>| {
         sst.mark_retired();
         db.cache.purge_sst(sst.id);
         sst.delete_file();
+    };
+    older.iter().for_each(retire);
+    if !older.is_empty() {
+        std::fs::File::open(&db.dir)?.sync_all()?;
     }
+    newer.sort_by_key(|s| s.id);
+    newer.iter().for_each(retire);
     db.stats.compactions.inc();
     Ok(())
 }
@@ -118,9 +126,9 @@ pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
 /// tombstone is carried into the output — it may still shadow versions
 /// of its key in deeper levels — *unless* the output lands at the bottom
 /// of the tree (no non-empty level below the target), where nothing
-/// older can exist and the tombstone is dropped for good. Only the
-/// background worker edits the manifest, and it is running this merge,
-/// so one snapshot decides the whole merge.
+/// older can exist and the tombstone is dropped for good. Every manifest
+/// edit runs under the worker lock, which this merge's turn holds, so one
+/// snapshot decides the whole merge.
 fn merge_inputs(
     db: &DbInner,
     newer: &[Arc<SstReader>],

@@ -119,7 +119,7 @@ knobs! {
         /// Record every n-th executed empty query (§6.1: 100).
         sample_every: u64 = 100,
         /// Run the adaptive filter lifecycle periodically: every
-        /// `adapt_interval` the background worker compares each SST's
+        /// `adapt_interval` the background thread compares each SST's
         /// observed FPR with the threshold and with its filter's predicted
         /// FPR, and re-trains flagged filters in place (see the
         /// [`crate::adapt`] module docs). `Db::adapt_now` runs a pass

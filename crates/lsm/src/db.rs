@@ -12,9 +12,9 @@
 //! merge iterator) and [`Db::seek`], which is a thin emptiness wrapper
 //! around the same merge — all three implemented by the one layer walk
 //! in [`crate::read`]; this module holds the handle, recovery, the write
-//! path and the background worker's loop (what a compaction picks and
-//! does is `compact.rs`, what an adaptive pass decides is
-//! [`crate::adapt`]). Deletes are first-class: a tombstone entry
+//! path, the worker's turn and the background thread's loop (what a
+//! compaction picks and does is `compact.rs`, what an adaptive pass
+//! decides is [`crate::adapt`]). Deletes are first-class: a tombstone entry
 //! shadows every older version of its key through MemTables, SSTs,
 //! compaction and recovery, and is only dropped once a compaction output
 //! lands at the bottom of the tree, where nothing older can remain.
@@ -54,62 +54,63 @@
 //!   table reaches `memtable_bytes` it *rotates*: the active WAL segment
 //!   is sealed (synced), the full table is frozen onto an
 //!   immutable-memtable FIFO and a fresh active table + segment take its
-//!   place. Writers stall only when `max_immutable_memtables` frozen
-//!   tables are already waiting (RocksDB's write-stall backpressure).
-//! * **One background worker** (LevelDB's arrangement) does, each turn,
-//!   the most urgent work there is: flush the oldest frozen MemTable into
-//!   an L0 SST (building the file's range filter from its keys + the
-//!   sample-query queue, §6.1, then deleting the table's sealed WAL
-//!   segment); else run the compaction `compact::pick` chooses; else an
-//!   adaptive pass ([`crate::adapt`]) if one was asked for or is due;
-//!   else sleep. It is the only thread that edits the manifest, and it
-//!   publishes by swapping a new `Arc<Version>` under a short-held write
-//!   lock (copy-on-write level vectors); readers holding older versions
-//!   keep working — retired SST files are unlinked but their open
-//!   descriptors stay readable.
+//!   place. A writer that then finds more than `max_immutable_memtables`
+//!   frozen tables takes the worker lock and, if the queue is still over,
+//!   flushes the oldest one itself (RocksDB's write-stall backpressure).
+//! * **One worker lock** (LevelDB's one unit of background work at a
+//!   time). A *turn* flushes the oldest frozen MemTable into an L0 SST
+//!   (building its range filter from its keys + the sample-query queue,
+//!   §6.1, then deleting its sealed WAL segment), else runs the compaction
+//!   `compact::pick` chooses. Every turn, adaptive pass
+//!   ([`crate::adapt`]) and manifest edit holds the worker lock, whichever
+//!   thread runs it. An edit publishes a new `Arc<Version>` under a
+//!   short-held write lock (copy-on-write level vectors); readers holding
+//!   older versions keep working — retired SST files are unlinked but
+//!   their open descriptors stay readable. One background thread takes
+//!   turns, runs due adaptive passes, and sleeps until the next rotation.
 //! * **Visibility**: an acked `put` (or `delete`) is always observed. A
 //!   reader checks MemTables *before* the manifest, and a flush installs
 //!   an SST into the manifest *before* retiring its source MemTable, so
 //!   every entry is continuously visible in at least one of the two
 //!   places.
-//! * **Barriers** are requests to the worker: [`Db::flush`] waits until
-//!   every MemTable rotated so far is durably on disk;
-//!   [`Db::flush_and_settle`] additionally has compaction run until L0 is
-//!   empty and every level is within its size target (the §6.2 "wait for
-//!   all background compactions" setup step), making multi-step tests
-//!   deterministic; [`Db::adapt_now`] has one adaptive pass run.
+//! * **Barriers** run on the caller: [`Db::flush`] rotates and flushes
+//!   every frozen MemTable; [`Db::flush_and_settle`] rotates and takes
+//!   turns until L0 is empty and every level is within its size target
+//!   (the §6.2 "wait for all background compactions" setup step);
+//!   [`Db::adapt_now`] runs one adaptive pass.
 //!
 //! Lock discipline: every lock in this crate is a ranked
 //! [`proteus_core::sync`] wrapper, and locks must be acquired in strictly
 //! decreasing rank order (the full hierarchy table lives in
-//! `ARCHITECTURE.md`). The ranks used here: `MEMTABLE` (80, the table
-//! set) > `MEMTABLE_DATA` (75, one table's content) > `GATE` (70, worker
-//! coordination) > `WAL` (60) > `MANIFEST` (50) > `CACHE_SHARD` (30) >
-//! `QUERY_QUEUE` (20). The permitted nestings all descend (so no
-//! acquisition cycle can form across threads): MemTable → table data (a
-//! write applies, a `get` looks up and a scan seeks under the store-wide
-//! lock; a table lock guards in-memory work only and is released before
-//! the WAL, the gate or a block is touched — the one long hold is a
-//! flush's read lock on a frozen table, which has no writer to keep
-//! waiting), MemTable → WAL (appends and seals happen under the MemTable
-//! write lock), MemTable → gate (a rotation publishes its counter bump
-//! before releasing the MemTable lock, which is what makes the `flush`
-//! barrier race-free), and MemTable → manifest (a scan takes its
-//! `Version` in the same hold as its tables). Debug builds (and release
-//! builds with the `lock-doctor` feature) verify the ordering at runtime
-//! and panic, naming both acquisition sites, on any inversion.
-//! Background errors are sticky: they surface as `Err` from the next
-//! barrier (and from writes on the rotation path). A poisoned foreground
-//! lock (another thread panicked) surfaces as [`Error::Poisoned`]; the
-//! background worker treats a poisoned lock the same way — it records the
-//! sticky error and exits rather than panicking (a worker panic would
-//! poison the coordination gate in turn). Shutdown ([`Db::drop`], crash
-//! injection) and error recording *recover* a poisoned gate guard instead
-//! of propagating it, so dropping a `Db` whose worker crashed always
-//! completes instead of double-panicking into a process abort. A poisoned
-//! manifest lock is recovered too: the manifest content is an `Arc`
-//! swapped in a single assignment, so a panic under the lock can never
-//! expose a half-edited version.
+//! `ARCHITECTURE.md`). The ranks used here: `WORKER` (90, one unit of
+//! background work) > `MEMTABLE` (80, the table set) > `MEMTABLE_DATA`
+//! (75, one table's content) > `GATE` (70, worker coordination) > `WAL`
+//! (60) > `MANIFEST` (50) > `CACHE_SHARD` (30) > `QUERY_QUEUE` (20).
+//! `WORKER` is taken with nothing else held; the other nestings all
+//! descend (so no acquisition cycle can form across threads): MemTable →
+//! table data (a write applies, a `get` looks up and a scan seeks under
+//! the store-wide lock; a table lock guards in-memory work only and is
+//! released before the WAL, the gate or a block is touched — the one
+//! long hold is a flush's read lock on a frozen table, which has no writer
+//! to keep waiting), MemTable → WAL (appends and seals happen under the
+//! MemTable write lock), MemTable → gate (a rotation counts itself for the
+//! background thread before releasing the MemTable lock), and MemTable →
+//! manifest (a scan takes its `Version` in the same hold as its tables).
+//! Debug builds (and release builds with the `lock-doctor` feature)
+//! verify the ordering at runtime and panic, naming both acquisition
+//! sites, on any inversion.
+//! An error raised under the worker lock is sticky: it is returned, and
+//! so by every later turn, pass, barrier and rotating write. A poisoned
+//! foreground lock (another thread panicked) surfaces as
+//! [`Error::Poisoned`]; the background thread treats a poisoned lock the
+//! same way — it records the sticky error and exits rather than panicking
+//! (a worker panic would poison the coordination gate in turn). Shutdown
+//! ([`Db::drop`], crash injection) and error recording *recover* a
+//! poisoned gate guard instead of propagating it, so dropping a `Db` whose
+//! worker crashed always completes instead of double-panicking into a
+//! process abort. A poisoned manifest lock is recovered too: the manifest
+//! content is an `Arc` swapped in a single assignment, so a panic under
+//! the lock can never expose a half-edited version.
 
 use crate::batch::WriteBatch;
 use crate::cache::ShardedBlockCache;
@@ -181,34 +182,34 @@ impl MemState {
     }
 }
 
-/// Worker coordination state (all counters monotonic).
+/// Background-thread coordination state.
 #[derive(Debug, Default)]
 struct Coord {
     shutdown: bool,
-    /// Crash injection (test support): the worker exits immediately
-    /// instead of draining, and the graceful shutdown sync is skipped.
+    /// Crash injection (test support): the background thread exits and
+    /// the final flush and shutdown sync are skipped.
     crash: bool,
-    /// MemTables rotated onto the immutable queue.
+    /// MemTables rotated onto the immutable queue (monotonic): the
+    /// background thread sleeps only if none arrived since it last looked.
     rotated: u64,
-    /// MemTables the worker has fully flushed.
-    flushed: u64,
-    /// `flush_and_settle` barriers requested / completed.
-    settle_requests: u64,
-    settles_done: u64,
-    /// `adapt_now` passes requested / completed, and how many filters the
-    /// last completed pass re-trained.
-    adapt_requests: u64,
-    adapts_done: u64,
-    retrained: usize,
-    /// First background error, surfaced by the next barrier.
+    /// First error raised under the worker lock; every later turn, pass
+    /// and barrier returns it.
     error: Option<String>,
 }
 
+/// What one [`DbInner::turn`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Turn {
+    Flushed,
+    Compacted,
+    Idle,
+}
+
 /// Shared state behind the public handle; owned by the caller-facing
-/// [`Db`] and by the background worker thread.
+/// [`Db`] and by the background thread.
 pub(crate) struct DbInner {
     pub(crate) cfg: DbConfig,
-    dir: PathBuf,
+    pub(crate) dir: PathBuf,
     mem: RwLock<MemState>,
     wal: Wal,
     manifest: RwLock<Arc<Version>>,
@@ -217,11 +218,12 @@ pub(crate) struct DbInner {
     pub(crate) queue: QueryQueue,
     pub(crate) cache: ShardedBlockCache,
     pub(crate) stats: Arc<Stats>,
+    /// Held around every turn, adaptive pass and manifest edit, whichever
+    /// thread runs it (see [`DbInner::exclusive`]).
+    worker: Mutex<()>,
     gate: Mutex<Coord>,
-    /// Wakes the worker (rotation, settle or adapt request, shutdown).
+    /// Wakes the background thread (rotation, shutdown).
     work_cv: Condvar,
-    /// Wakes foreground barriers and stalled writers (progress, error).
-    idle_cv: Condvar,
 }
 
 /// A single-process, multi-threaded LSM-tree database with pluggable
@@ -260,26 +262,28 @@ pub(crate) struct DbInner {
 /// ```
 pub struct Db {
     pub(crate) inner: Arc<DbInner>,
-    worker: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 fn bg_error(msg: &str) -> Error {
-    Error::Io(std::io::Error::other(format!("background worker failed: {msg}")))
+    Error::Io(std::io::Error::other(format!("background work failed: {msg}")))
 }
 
-/// The gate (or a wait on one of its condvars) came back poisoned.
+/// The gate (or a wait on its condvar) came back poisoned.
 fn gate_poisoned<T>(_: PoisonError<T>) -> Error {
     Error::Poisoned("coordination lock")
 }
 
 impl Db {
     /// Open a database in `dir`, creating it if empty, and start its
-    /// background worker. The configuration is validated first
+    /// background thread. The configuration is validated first
     /// ([`Error::Config`] on a bad knob).
     ///
     /// A directory that already holds SST files is *recovered*: every
     /// `NNNNNNNN.sst` is reopened through its `PRSSTv3` footer, the level
-    /// manifest is rebuilt from the per-file level tags, and persisted
+    /// manifest is rebuilt from the per-file level tags (a deep level
+    /// whose files overlap is split into disjoint sub-levels, see
+    /// `recover_levels`), and persisted
     /// filters are decoded from their filter blocks instead of
     /// retrained. Tombstones persist like any other entry, so a delete
     /// never un-deletes across a reopen. A corrupt footer or index — or a
@@ -297,15 +301,37 @@ impl Db {
     /// deleted, so recovery is idempotent — a crash during recovery just
     /// replays again.
     ///
-    /// If the worker thread cannot be started, the open fails with that
-    /// I/O error and no thread holds the directory's files.
+    /// If the background thread cannot be started, the open fails with
+    /// that I/O error and no thread holds the directory's files.
     pub fn open(
         dir: impl Into<PathBuf>,
         cfg: DbConfig,
         factory: Arc<dyn FilterFactory>,
     ) -> Result<Db> {
+        let mut db = Db::recover(dir.into(), cfg, factory)?;
+        // An `Err` from the loop — a failed flush, a poisoned lock —
+        // becomes the sticky error and the thread exits: a panic would
+        // poison the gate too and turn `Db::drop` into a process abort.
+        let bg = Arc::clone(&db.inner);
+        let body = move || {
+            if let Err(e) = bg.worker_loop() {
+                bg.record_error(&e);
+            }
+        };
+        db.thread = Some(std::thread::Builder::new().name("proteus-lsm-bg".into()).spawn(body)?);
+        Ok(db)
+    }
+
+    /// Recover (or create) the store in `dir` without starting a thread:
+    /// [`Db::open`] minus the spawn. The store is complete on its own —
+    /// barriers and stalled writers do their work on the calling thread —
+    /// but nothing compacts unless a caller takes a turn.
+    pub(crate) fn recover(
+        dir: PathBuf,
+        cfg: DbConfig,
+        factory: Arc<dyn FilterFactory>,
+    ) -> Result<Db> {
         cfg.validate()?;
-        let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let queue = QueryQueue::new(cfg.queue_capacity(), cfg.sample_every());
         let cache = ShardedBlockCache::new(cfg.block_cache_bytes());
@@ -361,29 +387,16 @@ impl Db {
             queue,
             cache,
             stats,
+            worker: Mutex::new(rank::WORKER, ()),
             gate: Mutex::new(rank::GATE, Coord::default()),
             work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
         });
-        // A loop that returns `Err` — a failed flush, a poisoned lock —
-        // becomes the sticky background error (which wakes every barrier)
-        // and the thread exits instead of panicking: a panic here would
-        // poison the *gate* too and historically turned `Db::drop` into a
-        // process abort. Thread spawning can genuinely fail (resource
-        // exhaustion); that surfaces as the I/O error it is.
-        let bg = Arc::clone(&inner);
-        let body = move || {
-            if let Err(e) = bg.worker_loop() {
-                bg.record_error(e);
-            }
-        };
-        let worker = std::thread::Builder::new().name("proteus-lsm-bg".into()).spawn(body)?;
-        Ok(Db { inner, worker: Some(worker) })
+        Ok(Db { inner, thread: None })
     }
 
-    /// Tell the worker to exit (without draining, if `crash`), wake it and
-    /// join it. Returns whether crash injection was ever requested.
-    /// Recovers a poisoned gate — see `Drop` for why this must not panic.
+    /// Tell the background thread (if any) to exit, wake it and join it.
+    /// Returns whether crash injection was ever requested. Recovers a
+    /// poisoned gate — see `Drop` for why this must not panic.
     fn stop_worker(&mut self, crash: bool) -> bool {
         let crashed = {
             let mut g = self.inner.gate_lock_recover();
@@ -392,8 +405,7 @@ impl Db {
             g.crash
         };
         self.inner.work_cv.notify_all();
-        self.inner.idle_cv.notify_all();
-        if let Some(h) = self.worker.take() {
+        if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
         crashed
@@ -401,6 +413,15 @@ impl Db {
 
     /// Scan `dir` for SST files and rebuild the level manifest from their
     /// footers. Returns the levels plus the next free SST id.
+    ///
+    /// Deeper levels must be disjoint for the binary-searched read path,
+    /// but a crash between a compaction's output renames and its input
+    /// unlinks leaves two generations under one level tag. Only such an
+    /// interrupted job makes a tag overlap, and its outputs get ids after
+    /// all of its inputs, so within a tag the higher id is newer. Such a
+    /// level is split in place into a run of disjoint sub-levels: its files
+    /// are dealt highest id first, each into the first sub-level below
+    /// every newer file it overlaps.
     fn recover_levels(
         dir: &std::path::Path,
         stats: &Stats,
@@ -441,51 +462,30 @@ impl Db {
         for path in stragglers {
             let _ = std::fs::remove_file(path);
         }
-        if recovered.is_empty() {
-            return Ok((vec![Vec::new()], 1));
-        }
-        let next_id = recovered.iter().map(|s| s.id).max().unwrap_or(0) + 1;
-        let max_level = recovered.iter().map(|s| s.level).max().unwrap_or(0) as usize;
-        let mut levels: Vec<Vec<Arc<SstReader>>> = vec![Vec::new(); max_level + 1];
         stats.ssts_recovered.add(recovered.len() as u64);
-        for sst in recovered {
-            levels[sst.level as usize].push(sst);
-        }
+        let next_id = recovered.iter().map(|s| s.id).max().unwrap_or(0) + 1;
+        let max_level = recovered.iter().map(|s| s.level).max().unwrap_or(0);
         // L0 recency = file id order (ids are allocated monotonically and
-        // flushes append newest last); deeper levels sort by key range.
-        for level in &mut levels[1..] {
-            level.sort_by(|a, b| a.min_key.cmp(&b.min_key));
-        }
-        // Deeper levels must be disjoint for the binary-searched read path.
-        // A crash between compaction-output renames and input deletion can
-        // leave both generations on disk; demote every file involved in an
-        // overlap to L0, where overlapping files are legal and merged
-        // newest-first. Ids are allocated monotonically, so the id order
-        // the demoted files keep in L0 is exactly their recency order —
-        // `get`/`range` still resolve every key to its newest version
-        // (and tombstones still shadow) until the next compaction folds
-        // the duplicates away.
-        for li in 1..levels.len() {
-            let level = &levels[li];
-            let mut demote = vec![false; level.len()];
-            for i in 1..level.len() {
-                if level[i - 1].max_key >= level[i].min_key {
-                    demote[i - 1] = true;
-                    demote[i] = true;
+        // flushes append newest last).
+        recovered.sort_by_key(|s| s.id);
+        let mut levels = vec![recovered.iter().filter(|s| s.level == 0).cloned().collect()];
+        for tag in 1..=max_level {
+            let mut run: Vec<Vec<Arc<SstReader>>> = vec![Vec::new()];
+            for sst in recovered.iter().rev().filter(|s| s.level == tag) {
+                let overlaps = |sub: &Vec<Arc<SstReader>>| {
+                    sub.iter().any(|s| s.overlaps(&sst.min_key, &sst.max_key))
+                };
+                let at = run.iter().rposition(overlaps).map_or(0, |newer| newer + 1);
+                if at == run.len() {
+                    run.push(Vec::new());
                 }
+                run[at].push(Arc::clone(sst));
             }
-            if demote.iter().any(|&d| d) {
-                let drained: Vec<Arc<SstReader>> = levels[li].drain(..).collect();
-                for (i, sst) in drained.into_iter().enumerate() {
-                    if demote[i] {
-                        levels[0].push(sst);
-                    } else {
-                        levels[li].push(sst);
-                    }
-                }
+            for sub in &mut run {
+                sub.sort_by(|a, b| a.min_key.cmp(&b.min_key));
             }
+            levels.extend(run);
         }
-        levels[0].sort_by_key(|s| s.id);
         Ok((levels, next_id))
     }
 
@@ -650,53 +650,38 @@ impl Db {
     }
 
     /// Durability barrier: rotate the active MemTable (if non-empty) and
-    /// wait until every MemTable rotated so far is flushed to an L0 SST.
-    /// Compactions triggered by those flushes may still be running when
-    /// this returns; use [`Db::flush_and_settle`] for a full barrier.
+    /// flush every frozen MemTable to an L0 SST, on the calling thread.
+    /// Compactions those flushes call for are left to the background
+    /// thread; use [`Db::flush_and_settle`] for a full barrier.
     pub fn flush(&self) -> Result<()> {
-        // rotate_active acquires the MemTable write lock, and every freeze
-        // publishes its `Coord::rotated` bump while still holding that
-        // lock — so once it returns, `g.rotated` counts every MemTable
-        // any other thread has already frozen, and the barrier below
-        // cannot miss a rotated-but-uncounted table.
         self.inner.rotate_active()?;
-        let g = self.inner.gate_lock()?;
-        let target = g.rotated;
-        self.inner.wait_until(g, |c| c.flushed >= target).map(drop)
+        self.inner.flush_frozen()
     }
 
-    /// Full barrier: flush everything, then drive compaction until L0 is
-    /// empty and every level is within its size target — the §6.2 "wait
-    /// for all background compactions to finish" setup step (§6.2 also
-    /// compacts "all L0 SST files to L1 for sake of consistency").
+    /// Full barrier: rotate, then take turns on the calling thread until
+    /// there is no frozen table and nothing to compact — L0 empty and every
+    /// level within its size target: the §6.2 "wait for all background
+    /// compactions to finish" setup step (§6.2 also compacts "all L0 SST
+    /// files to L1 for sake of consistency").
     pub fn flush_and_settle(&self) -> Result<()> {
         self.inner.rotate_active()?;
-        let mut g = self.inner.gate_lock()?;
-        g.settle_requests += 1;
-        let mine = g.settle_requests;
-        self.inner.work_cv.notify_one();
-        self.inner.wait_until(g, |c| c.settles_done >= mine).map(drop)
+        while self.inner.turn(true)? != Turn::Idle {}
+        Ok(())
     }
 
-    /// Have the background worker run one adaptive-maintenance pass and
-    /// wait for it: scan every live SST, flag the ones whose observed FPR
-    /// crossed the configured threshold or strayed above its filter's
-    /// prediction (see [`crate::adapt`]), re-train their filters on a fresh sample
-    /// snapshot and atomically rewrite the filter blocks. Returns the
-    /// number of filters the pass re-trained (when calls overlap, the
-    /// count of the latest pass to finish).
+    /// Run one adaptive-maintenance pass on the calling thread: scan every
+    /// live SST, flag the ones whose observed FPR crossed the configured
+    /// threshold or strayed above its filter's prediction (see
+    /// [`crate::adapt`]), re-train their filters on a fresh sample snapshot
+    /// and atomically rewrite the filter blocks. Returns the number of
+    /// filters the pass re-trained.
     ///
-    /// With `adapt_enabled` the worker also runs exactly this every
-    /// `adapt_interval`; calling it directly makes tests and experiments
-    /// deterministic. The request queues behind pending flushes and
-    /// compactions, and an error in the pass becomes the sticky
-    /// background error, like an error in any background work.
+    /// With `adapt_enabled` the background thread also runs exactly this
+    /// every `adapt_interval`; calling it directly makes tests and
+    /// experiments deterministic. An error in the pass becomes the sticky
+    /// error, like an error in any background work.
     pub fn adapt_now(&self) -> Result<usize> {
-        let mut g = self.inner.gate_lock()?;
-        g.adapt_requests += 1;
-        let mine = g.adapt_requests;
-        self.inner.work_cv.notify_one();
-        Ok(self.inner.wait_until(g, |c| c.adapts_done >= mine)?.retrained)
+        self.inner.exclusive(|| adapt::pass(&self.inner))
     }
 
     /// Number of SST files per level.
@@ -734,8 +719,8 @@ impl Db {
 
     /// Crash injection (test support): simulate an abrupt process kill.
     ///
-    /// Background workers exit without draining the flush queue and the
-    /// graceful shutdown sync is skipped — nothing is flushed, nothing is
+    /// The background thread exits without draining the flush queue and
+    /// the graceful shutdown sync is skipped — nothing is flushed, nothing is
     /// fsynced on the way out. Everything the OS already accepted (every
     /// WAL append — records reach the OS before a write returns) still
     /// survives a reopen in *any* [`crate::SyncMode`], exactly like a
@@ -767,8 +752,8 @@ impl Db {
 }
 
 impl Drop for Db {
-    /// Shut the worker down. It flushes every already-rotated MemTable
-    /// first; the active MemTable is *not* flushed to an SST,
+    /// Stop the background thread, then flush every already-rotated
+    /// MemTable; the active MemTable is *not* flushed to an SST,
     /// but its writes survive anyway — they are in the active WAL
     /// segment, which the next [`Db::open`] replays, and the drop ends
     /// with a final segment sync so even a power loss right after it
@@ -782,9 +767,10 @@ impl Drop for Db {
     /// data, so the recovered guard is safe to use.
     fn drop(&mut self) {
         if !self.stop_worker(false) {
-            // Graceful shutdown: seal the durability of the active
-            // segment. Skipped on crash injection — a killed process
-            // gets no parting fsync.
+            // Graceful shutdown. Skipped on crash injection — a killed
+            // process gets no parting flush or fsync. A failed flush keeps
+            // its tables' sealed segments, which the next open replays.
+            let _ = self.inner.flush_frozen();
             let _ = self.inner.wal.sync(&self.inner.stats);
         }
     }
@@ -800,9 +786,11 @@ impl DbInner {
         Arc::clone(&self.manifest.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Swap in an edited manifest under a short-held write lock. The edit
-    /// runs on a private clone and publishes with one `Arc` assignment,
-    /// which is what makes poison recovery in [`DbInner::version`] sound:
+    /// Swap in an edited manifest under a short-held write lock. Callers
+    /// hold the worker lock, so a job's snapshot stays the latest until its
+    /// own edit. The edit runs on a private clone and publishes with one
+    /// `Arc` assignment, which is what makes poison recovery in
+    /// [`DbInner::version`] sound:
     /// a panic inside `edit` (or anywhere under the lock) cannot expose a
     /// half-mutated version.
     pub(crate) fn edit_manifest(&self, edit: impl FnOnce(&mut Version)) {
@@ -841,22 +829,24 @@ impl DbInner {
         self.gate.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Park a foreground barrier or stalled writer on `idle_cv` until
-    /// `done`, failing with the sticky background error if one is (or
-    /// becomes) set — a waiter must observe it instead of hanging. Hands
-    /// the guard back, so a caller can read the result it waited for.
-    fn wait_until<'a>(
-        &self,
-        mut g: MutexGuard<'a, Coord>,
-        done: impl Fn(&Coord) -> bool,
-    ) -> Result<MutexGuard<'a, Coord>> {
-        while !done(&g) && g.error.is_none() {
-            g = self.idle_cv.wait(g).map_err(gate_poisoned)?;
-        }
-        match &g.error {
+    /// The sticky error, if one was recorded.
+    fn check_error(&self) -> Result<()> {
+        match &self.gate_lock()?.error {
             Some(e) => Err(bg_error(e)),
-            None => Ok(g),
+            None => Ok(()),
         }
+    }
+
+    /// Run `work` under the worker lock, as every turn, adaptive pass and
+    /// manifest edit does, whichever thread runs it. Refuses to start once
+    /// an error is recorded: after a failed flush, a later one must not
+    /// overtake the stranded generation (out-of-order flushes would break
+    /// replay's id-order-equals-recency invariant). An error `work` returns
+    /// is recorded as the sticky error, then returned.
+    pub(crate) fn exclusive<T>(&self, work: impl FnOnce() -> Result<T>) -> Result<T> {
+        let _worker = self.worker.lock().map_err(|_| Error::Poisoned("worker lock"))?;
+        self.check_error()?;
+        work().inspect_err(|e| self.record_error(e))
     }
 
     fn alloc_id(&self) -> u64 {
@@ -880,14 +870,7 @@ impl DbInner {
     }
 
     /// Freeze the active MemTable onto the immutable queue if non-empty,
-    /// publishing the rotation to the worker. The `Coord::rotated` bump
-    /// happens while the MemTable write lock is still held (mem → gate
-    /// nesting; nothing ever locks mem while holding gate), so any thread
-    /// that subsequently acquires the MemTable lock — in particular a
-    /// `flush()` barrier — is guaranteed to observe a `rotated` count
-    /// covering every frozen table. Without this a barrier could compute
-    /// its wait target between another thread's freeze and counter bump
-    /// and return before that data is durable.
+    /// and wake the background thread to flush it.
     fn publish_rotation(&self, mem: &mut MemState) -> Result<bool> {
         if read_table(&mem.active)?.is_empty() {
             return Ok(false);
@@ -903,8 +886,7 @@ impl DbInner {
         let frozen = std::mem::replace(&mut mem.active, shared_table(MemTable::new()));
         mem.imms.push(Imm { mem: frozen, wal_id });
         self.stats.memtable_rotations.inc();
-        let mut g = self.gate_lock()?;
-        g.rotated += 1;
+        self.gate_lock()?.rotated += 1;
         self.work_cv.notify_one();
         Ok(true)
     }
@@ -916,8 +898,8 @@ impl DbInner {
     }
 
     /// Apply pre-validated write operations (`None` value = tombstone)
-    /// under one MemTable lock acquisition, then handle rotation
-    /// backpressure outside the lock.
+    /// under one MemTable lock acquisition, then pay rotation backpressure
+    /// outside the lock.
     fn apply_writes(&self, ops: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> Result<()> {
         let (seq, rotated) = {
             let mut mem = self.mem_write()?;
@@ -947,87 +929,80 @@ impl DbInner {
         // without stalling readers or other appenders.
         self.wal.commit(seq, &self.stats)?;
         if rotated {
-            let g = self.gate_lock()?;
-            // Backpressure: stall while too many frozen tables queue up.
-            let cap = self.cfg.max_immutable_memtables().max(1) as u64;
-            let stalled = |c: &Coord| c.rotated.saturating_sub(c.flushed) > cap && !c.shutdown;
-            let t0 = stalled(&g).then(Instant::now);
-            let waited = self.wait_until(g, |c| !stalled(c)).map(drop);
-            if let Some(t0) = t0 {
+            self.check_error()?;
+            // Backpressure: a writer that finds too many frozen tables
+            // queued flushes the oldest one itself, unless the flush it
+            // waited out on the worker lock brought the queue back down.
+            let cap = self.cfg.max_immutable_memtables().max(1);
+            let over = || -> Result<bool> { Ok(self.mem_read()?.imms.len() > cap) };
+            if over()? {
+                let t0 = Instant::now();
+                let flushed = self.exclusive(|| Ok(over()? && self.flush_oldest()?));
                 self.stats.write_stall_ns.add(t0.elapsed().as_nanos() as u64);
+                flushed?;
             }
-            waited?;
         }
         Ok(())
     }
 
-    /// Record a background failure and wake every waiter so barriers and
-    /// stalled writers observe it. Recovers a poisoned gate: this is the
-    /// one path that must succeed precisely *because* another thread
-    /// panicked, so it can never be allowed to panic itself.
-    fn record_error(&self, e: Error) {
+    /// Record the sticky error. Recovers a poisoned gate: this is the one
+    /// path that must succeed precisely *because* another thread panicked,
+    /// so it can never be allowed to panic itself.
+    fn record_error(&self, e: &Error) {
         let mut g = self.gate_lock_recover();
         if g.error.is_none() {
             g.error = Some(e.to_string());
         }
-        self.idle_cv.notify_all();
     }
 
-    // ---- the background worker ----------------------------------------
+    // ---- the worker's turn and the background thread -------------------
 
-    /// The one background thread. Each turn does the most urgent work
-    /// there is: flush the oldest frozen MemTable; on shutdown, exit
-    /// (every frozen table is flushed by then); run the compaction
-    /// `compact::pick` chooses, in settle mode while a settle is pending;
-    /// run an adaptive pass if `adapt_now` asked for one or, with
-    /// `adapt_enabled`, `adapt_interval` has passed since the last one;
-    /// otherwise complete the pending settle and sleep until there is work.
-    /// Nothing else flushes, compacts or re-trains, so none of the three
-    /// can overlap another.
+    /// One unit of background work, the most urgent there is: flush the
+    /// oldest frozen MemTable, else run the compaction `compact::pick`
+    /// chooses (with `settle`, any non-empty L0 compacts). Runs under the
+    /// worker lock on the calling thread.
+    pub(crate) fn turn(&self, settle: bool) -> Result<Turn> {
+        self.exclusive(|| {
+            if self.flush_oldest()? {
+                return Ok(Turn::Flushed);
+            }
+            let Some(job) = compact::pick(&self.version(), &self.cfg, settle) else {
+                return Ok(Turn::Idle);
+            };
+            compact::run(self, job)?;
+            Ok(Turn::Compacted)
+        })
+    }
+
+    /// Flush every frozen MemTable, oldest first.
+    fn flush_frozen(&self) -> Result<()> {
+        self.exclusive(|| {
+            while self.flush_oldest()? {}
+            Ok(())
+        })
+    }
+
+    /// The background thread: take turns until there is nothing to do,
+    /// run an adaptive pass if `adapt_enabled` and `adapt_interval` has
+    /// passed since the last one, then sleep on `work_cv` until a rotation,
+    /// shutdown or the next pass. It never waits holding the worker lock,
+    /// so barriers and stalled writers take turns of their own meanwhile.
     fn worker_loop(&self) -> Result<()> {
         let mut next_pass = Instant::now();
         loop {
-            if self.gate_lock()?.crash {
-                return Ok(());
-            }
-            if self.flush_oldest()? {
-                continue;
-            }
-            let (settles, settle, adapts, adapt) = {
-                let g = self.gate_lock()?;
-                if g.shutdown {
-                    return Ok(()); // every rotated MemTable is durable
-                }
-                let (s, a) = (g.settle_requests, g.adapt_requests);
-                (s, s > g.settles_done, a, a > g.adapts_done)
-            };
-            if let Some(job) = compact::pick(&self.version(), &self.cfg, settle) {
-                compact::run(self, job)?;
-                continue;
-            }
-            if adapt || (self.cfg.adapt_enabled() && Instant::now() >= next_pass) {
-                let retrained = adapt::pass(self)?;
+            let seen = self.gate_lock()?.rotated;
+            while !self.shutting_down()? && self.turn(false)? != Turn::Idle {}
+            if self.cfg.adapt_enabled() && Instant::now() >= next_pass {
+                self.exclusive(|| adapt::pass(self))?;
                 next_pass = Instant::now() + self.cfg.adapt_interval();
-                let mut g = self.gate_lock()?;
-                g.adapts_done = adapts;
-                g.retrained = retrained;
-                self.idle_cv.notify_all();
-                continue;
             }
-            let mut g = self.gate_lock()?;
-            // Shutdown or work that arrived after this turn looked gets a
-            // turn of its own. Otherwise there is no frozen table and
-            // nothing to compact, and only this thread flushes: the settle
-            // is done.
-            if g.shutdown
-                || g.rotated > g.flushed
-                || g.settle_requests > settles
-                || g.adapt_requests > adapts
-            {
-                continue;
+            let g = self.gate_lock()?;
+            if g.shutdown {
+                return Ok(()); // `Drop` flushes what is still frozen
             }
-            g.settles_done = settles;
-            self.idle_cv.notify_all();
+            if g.rotated != seen {
+                continue; // a rotation since the turns looked: no wake-up missed
+            }
             if self.cfg.adapt_enabled() {
                 let due = next_pass.saturating_duration_since(Instant::now());
                 drop(self.work_cv.wait_timeout(g, due).map_err(gate_poisoned)?);
@@ -1049,11 +1024,9 @@ impl DbInner {
         // for and blocks nobody for the length of the flush.
         //
         // On failure keep the MemTable *and* its sealed WAL segment: the
-        // data is fully recoverable from the segment at the next open. The
-        // sticky error stops the worker, so no newer generation can flush
-        // past the stranded one (out-of-order flushes would break replay's
-        // id-order-equals-recency invariant). Barriers observe the error
-        // and return it instead of hanging.
+        // data is fully recoverable from the segment at the next open, and
+        // the sticky error keeps any newer generation from flushing past
+        // the stranded one.
         let reader = read_table(&imm).and_then(|table| self.flush_imm(&table))?;
         // Install the SST before retiring the MemTable so the data is
         // never invisible to a reader.
@@ -1065,10 +1038,8 @@ impl DbInner {
         // delete must not be skipped on failure: if an *older* segment
         // outlived a newer generation's flush+delete, the next replay
         // would resurrect its stale values over the SSTs, so a failed
-        // unlink is a sticky error that stops the worker.
+        // unlink is a sticky error that stops every later turn.
         wal::delete_segment(&self.dir, wal_id)?;
-        self.gate_lock()?.flushed += 1;
-        self.idle_cv.notify_all();
         Ok(true)
     }
 
@@ -1099,7 +1070,7 @@ impl DbInner {
 mod poison_tests {
     //! Regression tests for the panic-safety sweep: a poisoned
     //! coordination gate must surface as [`Error::Poisoned`] on the
-    //! foreground, stop the background worker via the sticky-error path
+    //! foreground, stop the background thread via the sticky-error path
     //! (no worker panics), and never turn `Db::drop` into a panic (which,
     //! during an unwind, would be a double panic and abort the process).
 
@@ -1197,17 +1168,16 @@ mod poison_tests {
         let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
         db.put_u64(2, b"v").unwrap();
         poison_gate(&db);
-        // Give the worker time to wake up, observe the poisoned lock,
-        // record the sticky error and exit.
-        std::thread::sleep(Duration::from_millis(100));
+        // Dropping the Db joins the thread: it has met the poisoned gate,
+        // taken the sticky-error path and exited by the time this returns.
+        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(db)));
+        assert!(dropped.is_ok());
         let after = panics.load(Ordering::SeqCst);
         assert_eq!(
             after - before,
             0,
-            "the background worker must take the sticky-error path, not panic"
+            "the background thread must take the sticky-error path, not panic"
         );
-        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(db)));
-        assert!(dropped.is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

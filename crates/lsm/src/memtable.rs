@@ -339,8 +339,7 @@ impl MemTable {
     }
 
     /// Iterate all entries in ascending key order without consuming the
-    /// table (the background worker flushes a frozen table to disk through
-    /// this). Tombstones are yielded as `None` values.
+    /// table (a flush writes a frozen table to disk through this). Tombstones are yielded as `None` values.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
         self.walk(Cursor { next: self.head[0], stamp: self.stamp }, None)
     }

@@ -11,7 +11,7 @@
 //! * MemTable rotation *seals* the segment — one final `fdatasync`, then a
 //!   fresh segment is created for the new active table (sealed segments
 //!   are therefore always fully durable, in every sync mode);
-//! * when the background worker finishes turning the frozen MemTable into
+//! * when a flush finishes turning the frozen MemTable into
 //!   a (synced) L0 SST, the sealed segment is deleted — its data now lives
 //!   in the tree;
 //! * [`crate::Db::open`] replays every surviving segment in id order into

@@ -1,6 +1,7 @@
-//! A store runs one background thread: flush, compaction and filter
-//! re-training share it. This binary holds a single test so that no other
-//! test's store adds threads while it counts them.
+//! A store runs one background thread: flushes, compactions and periodic
+//! filter re-training share it, and barriers run on their caller. This
+//! binary holds a single test so that no other test's store adds threads
+//! while it counts them.
 
 #[cfg(target_os = "linux")]
 #[test]
@@ -35,7 +36,8 @@ fn a_store_runs_exactly_one_background_thread() {
     let cfg = DbConfig::builder().adapt_enabled(true).memtable_bytes(4 << 10).build().unwrap();
     let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
     assert_eq!(bg_threads(1), 1, "Db::open starts exactly one worker");
-    // Flushes, a settle and a requested pass all run on it.
+    // Flushes run on it; a settle and a requested pass run on this thread
+    // and start no thread of their own.
     for i in 0..2_000u64 {
         db.put_u64(i, &[7u8; 32]).unwrap();
     }

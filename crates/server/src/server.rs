@@ -79,11 +79,12 @@ impl Server {
     ///
     /// Binding to port 0 picks a free port; read it back with
     /// [`Server::local_addr`]. Each shard gets its own directory, WAL and
-    /// background worker, all sharing one `cfg` and filter `factory`.
+    /// background thread, all sharing one `cfg` and filter `factory`.
     /// Re-opening an existing `dir` with the same shard count recovers
-    /// every shard through its WAL/manifest (a different shard count would
-    /// scatter keys to the wrong stores and is the operator's
-    /// responsibility to avoid — shard count is not yet persisted).
+    /// every shard from its WAL plus its SST footers; there is no manifest
+    /// file (a different shard count would scatter keys to the wrong
+    /// stores and is the operator's responsibility to avoid — shard count
+    /// is not yet persisted).
     pub fn start(
         dir: impl AsRef<Path>,
         addr: impl ToSocketAddrs,
