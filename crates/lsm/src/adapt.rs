@@ -154,7 +154,7 @@ pub(crate) fn pass(db: &DbInner) -> Result<usize> {
             for slot in v.levels.iter_mut().flatten().filter(|s| s.id == new.id) {
                 *slot = Arc::clone(&new);
             }
-        });
+        })?;
         retrained += 1;
     }
     Ok(retrained)
@@ -185,7 +185,7 @@ mod tests {
 
     /// SST 1 over the 4 000 keys `i << 24`, filter trained on `queue`.
     fn build_sst_on(dir: &std::path::Path, queue: &QueryQueue) -> SstReader {
-        let mut w = SstWriter::create(dir, 1, 8, 4096, 0).unwrap();
+        let mut w = SstWriter::create(dir, 1, 8, 4096).unwrap();
         for i in 0..4_000u64 {
             w.add(&u64_key(i << 24), &[0u8; 32]).unwrap();
         }

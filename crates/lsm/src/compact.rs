@@ -14,16 +14,16 @@ use crate::read::Merge;
 use crate::sst::{SstCursor, SstReader, SstWriter};
 use std::sync::Arc;
 
-/// A compaction the policy decided on, with its inputs pinned from a
-/// manifest snapshot (every manifest edit runs under the worker lock, which
-/// a job holds from pick to publish, so pinned inputs cannot disappear
-/// before the edit is applied).
+/// A compaction the policy decided on: `newer` — every L0 file, newest
+/// first, or one file of a deeper `level` — merges with the `older` files of
+/// `level + 1` it overlaps. The inputs are pinned from a manifest snapshot
+/// (every manifest edit runs under the worker lock, which a job holds from
+/// pick to publish, so they cannot disappear before its edit).
 #[derive(Debug)]
-pub(crate) enum CompactionJob {
-    /// Merge all (snapshot) L0 files plus overlapping L1 files into L1.
-    L0 { inputs_new: Vec<Arc<SstReader>>, inputs_old: Vec<Arc<SstReader>> },
-    /// Push one file from `level` into `level + 1`.
-    Level { level: usize, input: Arc<SstReader>, inputs_old: Vec<Arc<SstReader>> },
+pub(crate) struct CompactionJob {
+    level: usize,
+    newer: Vec<Arc<SstReader>>,
+    older: Vec<Arc<SstReader>>,
 }
 
 /// Per-level size multiplier (RocksDB's `max_bytes_for_level_multiplier`
@@ -51,12 +51,12 @@ pub(crate) fn pick(v: &Version, cfg: &DbConfig, settle: bool) -> Option<Compacti
     let l0 = v.levels.first()?;
     if l0.len() > cfg.l0_compaction_trigger() || (settle && !l0.is_empty()) {
         // Newest-first rank order for the merge.
-        let inputs_new: Vec<Arc<SstReader>> = l0.iter().rev().cloned().collect();
+        let newer: Vec<Arc<SstReader>> = l0.iter().rev().cloned().collect();
         // Both triggers above imply at least one L0 input.
-        let lo = inputs_new.iter().map(|s| &s.min_key).min()?;
-        let hi = inputs_new.iter().map(|s| &s.max_key).max()?;
-        let inputs_old = collect_overlapping(next_level(0), lo, hi);
-        return Some(CompactionJob::L0 { inputs_new, inputs_old });
+        let lo = newer.iter().map(|s| &s.min_key).min()?;
+        let hi = newer.iter().map(|s| &s.max_key).max()?;
+        let older = collect_overlapping(next_level(0), lo, hi);
+        return Some(CompactionJob { level: 0, newer, older });
     }
     for level in 1..v.levels.len() {
         let bytes: u64 = v.levels[level].iter().map(|s| s.file_bytes).sum();
@@ -64,8 +64,8 @@ pub(crate) fn pick(v: &Version, cfg: &DbConfig, settle: bool) -> Option<Compacti
             // Pick the file with the smallest min key (simple
             // deterministic cursor; RocksDB round-robins similarly).
             let input = Arc::clone(v.levels[level].first()?);
-            let inputs_old = collect_overlapping(next_level(level), &input.min_key, &input.max_key);
-            return Some(CompactionJob::Level { level, input, inputs_old });
+            let older = collect_overlapping(next_level(level), &input.min_key, &input.max_key);
+            return Some(CompactionJob { level, newer: vec![input], older });
         }
     }
     None
@@ -74,43 +74,31 @@ pub(crate) fn pick(v: &Version, cfg: &DbConfig, settle: bool) -> Option<Compacti
 /// Run `job`: merge its inputs into the target level, publish the edit
 /// and retire the inputs.
 pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
-    let (mut newer, older, source_level, target_level) = match job {
-        CompactionJob::L0 { inputs_new, inputs_old } => (inputs_new, inputs_old, 0, 1),
-        CompactionJob::Level { level, input, inputs_old } => {
-            (vec![input], inputs_old, level, level + 1)
-        }
-    };
-    let outputs = merge_inputs(db, &newer, &older, target_level)?;
-    let removed_source: Vec<u64> = newer.iter().map(|s| s.id).collect();
-    let removed_target: Vec<u64> = older.iter().map(|s| s.id).collect();
+    let (source_level, target_level) = (job.level, job.level + 1);
+    let outputs = merge_inputs(db, &job.newer, &job.older, target_level)?;
+    let inputs: Vec<&Arc<SstReader>> = job.newer.iter().chain(&job.older).collect();
+    let removed: Vec<u64> = inputs.iter().map(|s| s.id).collect();
     // Publish: drop the inputs from the manifest (files flushed into
     // L0 meanwhile are untouched) and install the outputs sorted.
     db.edit_manifest(|v| {
         if v.levels.len() <= target_level {
             v.levels.resize_with(target_level + 1, Vec::new);
         }
-        v.levels[source_level].retain(|s| !removed_source.contains(&s.id));
-        v.levels[target_level].retain(|s| !removed_target.contains(&s.id));
+        for level in [source_level, target_level] {
+            v.levels[level].retain(|s| !removed.contains(&s.id));
+        }
         v.levels[target_level].extend(outputs.iter().cloned());
         v.levels[target_level].sort_by(|a, b| a.min_key.cmp(&b.min_key));
-    });
-    // Retire inputs oldest first — the target level's, a directory sync,
-    // then the source level's in id order — so a crash between two unlinks
-    // never leaves an older input above the output, nor a value a dropped
-    // tombstone deleted. Readers holding an older version keep their open
-    // descriptors. Mark-before-purge: once the flag is visible no reader
-    // re-caches a dead block, so the purge is final.
-    let retire = |sst: &Arc<SstReader>| {
+    })?;
+    // Retire the inputs, in any order: the `MANIFEST` no longer lists them,
+    // so a crash midway leaves orphans the next open deletes. Readers of an
+    // older version keep their open descriptors. Mark-before-purge: once
+    // the flag is visible no reader re-caches a dead block.
+    for sst in inputs {
         sst.mark_retired();
         db.cache.purge_sst(sst.id);
         sst.delete_file();
-    };
-    older.iter().for_each(retire);
-    if !older.is_empty() {
-        std::fs::File::open(&db.dir)?.sync_all()?;
     }
-    newer.sort_by_key(|s| s.id);
-    newer.iter().for_each(retire);
     db.stats.compactions.inc();
     Ok(())
 }
@@ -152,7 +140,7 @@ fn merge_inputs(
         }
         let w = match &mut writer {
             Some(w) => w,
-            None => writer.insert(db.sst_writer(target_level as u32)?),
+            None => writer.insert(db.sst_writer()?),
         };
         w.push(key, value)?;
         if w.bytes_written() >= db.cfg.sst_target_bytes() {
@@ -183,10 +171,9 @@ mod tests {
         d
     }
 
-    /// A ~3 KiB file at `level` holding 64 keys spread over `[lo, hi]`
-    /// (`hi - lo >= 63`).
-    fn file(dir: &Path, id: u64, level: u32, lo: u64, hi: u64) -> Arc<SstReader> {
-        let mut w = SstWriter::create(dir, id, 8, 4096, level).unwrap();
+    /// A ~3 KiB file holding 64 keys spread over `[lo, hi]` (`hi - lo >= 63`).
+    fn file(dir: &Path, id: u64, lo: u64, hi: u64) -> Arc<SstReader> {
+        let mut w = SstWriter::create(dir, id, 8, 4096).unwrap();
         for i in 0..64 {
             w.add(&u64_key(lo + (hi - lo) * i / 63), &[0xA5u8; 32]).unwrap();
         }
@@ -211,8 +198,8 @@ mod tests {
         // L0 at (not over) its trigger, L1 under its size target.
         let v = Version {
             levels: vec![
-                vec![file(&dir, 1, 0, 0, 500), file(&dir, 2, 0, 100, 900)],
-                vec![file(&dir, 3, 1, 0, 1_000)],
+                vec![file(&dir, 1, 0, 500), file(&dir, 2, 100, 900)],
+                vec![file(&dir, 3, 0, 1_000)],
             ],
         };
         assert!(pick(&v, &cfg(), false).is_none());
@@ -225,37 +212,33 @@ mod tests {
         let v = Version {
             levels: vec![
                 // Flush order (oldest first); together they span [200, 900].
+                vec![file(&dir, 1, 200, 500), file(&dir, 2, 400, 900), file(&dir, 3, 300, 600)],
                 vec![
-                    file(&dir, 1, 0, 200, 500),
-                    file(&dir, 2, 0, 400, 900),
-                    file(&dir, 3, 0, 300, 600),
-                ],
-                vec![
-                    file(&dir, 4, 1, 0, 100),       // left of the span
-                    file(&dir, 5, 1, 150, 250),     // overlaps its low end
-                    file(&dir, 6, 1, 900, 1_200),   // touches its high end
-                    file(&dir, 7, 1, 1_300, 1_500), // right of the span
+                    file(&dir, 4, 0, 100),       // left of the span
+                    file(&dir, 5, 150, 250),     // overlaps its low end
+                    file(&dir, 6, 900, 1_200),   // touches its high end
+                    file(&dir, 7, 1_300, 1_500), // right of the span
                 ],
             ],
         };
-        let Some(CompactionJob::L0 { inputs_new, inputs_old }) = pick(&v, &cfg(), false) else {
+        let Some(CompactionJob { level: 0, newer, older }) = pick(&v, &cfg(), false) else {
             panic!("three L0 files are over a trigger of two");
         };
-        assert_eq!(ids(&inputs_new), [3, 2, 1], "newest first: the merge's rank order");
-        assert_eq!(ids(&inputs_old), [5, 6]);
+        assert_eq!(ids(&newer), [3, 2, 1], "newest first: the merge's rank order");
+        assert_eq!(ids(&older), [5, 6]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn settle_compacts_a_non_empty_l0_below_its_trigger() {
         let dir = tmpdir("settle");
-        let v = Version { levels: vec![vec![file(&dir, 1, 0, 0, 500)]] };
+        let v = Version { levels: vec![vec![file(&dir, 1, 0, 500)]] };
         assert!(pick(&v, &cfg(), false).is_none(), "one file is under the trigger");
-        let Some(CompactionJob::L0 { inputs_new, inputs_old }) = pick(&v, &cfg(), true) else {
+        let Some(CompactionJob { level: 0, newer, older }) = pick(&v, &cfg(), true) else {
             panic!("settle mode must empty L0");
         };
-        assert_eq!(ids(&inputs_new), [1]);
-        assert!(inputs_old.is_empty(), "there is no L1 yet");
+        assert_eq!(ids(&newer), [1]);
+        assert!(older.is_empty(), "there is no L1 yet");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -266,23 +249,22 @@ mod tests {
             levels: vec![
                 Vec::new(),
                 // Two ~3 KiB files: over L1's 4 KiB target.
-                vec![file(&dir, 1, 1, 100, 400), file(&dir, 2, 1, 500, 900)],
+                vec![file(&dir, 1, 100, 400), file(&dir, 2, 500, 900)],
                 vec![
-                    file(&dir, 3, 2, 0, 70),
-                    file(&dir, 4, 2, 80, 150),
-                    file(&dir, 5, 2, 350, 450),
-                    file(&dir, 6, 2, 460, 1_000),
+                    file(&dir, 3, 0, 70),
+                    file(&dir, 4, 80, 150),
+                    file(&dir, 5, 350, 450),
+                    file(&dir, 6, 460, 1_000),
                 ],
             ],
         };
         assert!(v.levels[1].iter().map(|s| s.file_bytes).sum::<u64>() > 4 << 10);
         for settle in [false, true] {
-            let Some(CompactionJob::Level { level, input, inputs_old }) = pick(&v, &cfg(), settle)
-            else {
+            let Some(CompactionJob { level, newer, older }) = pick(&v, &cfg(), settle) else {
                 panic!("L1 is over its target");
             };
-            assert_eq!((level, input.id), (1, 1), "the file with the smallest min key");
-            assert_eq!(ids(&inputs_old), [4, 5], "exactly the L2 files [100, 400] touches");
+            assert_eq!((level, ids(&newer)), (1, vec![1]), "the file with the smallest min key");
+            assert_eq!(ids(&older), [4, 5], "exactly the L2 files [100, 400] touches");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,10 +11,11 @@
 //! [`Db::get`], [`Db::range`] (an ordered, deduplicated, tombstone-aware
 //! merge iterator) and [`Db::seek`], which is a thin emptiness wrapper
 //! around the same merge — all three implemented by the one layer walk
-//! in [`crate::read`]; this module holds the handle, recovery, the write
-//! path, the worker's turn and the background thread's loop (what a
-//! compaction picks and does is `compact.rs`, what an adaptive pass
-//! decides is [`crate::adapt`]). Deletes are first-class: a tombstone entry
+//! in [`crate::read`]; this module holds the handle, the write path, the
+//! worker's turn and the background thread's loop (which SST files are
+//! live is [`crate::manifest`]'s record, what a compaction picks and does
+//! is `compact.rs`, what an adaptive pass decides is [`crate::adapt`]).
+//! Deletes are first-class: a tombstone entry
 //! shadows every older version of its key through MemTables, SSTs,
 //! compaction and recovery, and is only dropped once a compaction output
 //! lands at the bottom of the tree, where nothing older can remain.
@@ -63,11 +64,12 @@
 //!   §6.1, then deleting its sealed WAL segment), else runs the compaction
 //!   `compact::pick` chooses. Every turn, adaptive pass
 //!   ([`crate::adapt`]) and manifest edit holds the worker lock, whichever
-//!   thread runs it. An edit publishes a new `Arc<Version>` under a
-//!   short-held write lock (copy-on-write level vectors); readers holding
-//!   older versions keep working — retired SST files are unlinked but
-//!   their open descriptors stay readable. One background thread takes
-//!   turns, runs due adaptive passes, and sleeps until the next rotation.
+//!   thread runs it. An edit writes the new live set to the `MANIFEST`,
+//!   then publishes a new `Arc<Version>` under a short-held write lock
+//!   (copy-on-write level vectors); readers holding older versions keep
+//!   working — retired SST files are unlinked but their open descriptors
+//!   stay readable. One background thread takes turns, runs due adaptive
+//!   passes, and sleeps until the next rotation.
 //! * **Visibility**: an acked `put` (or `delete`) is always observed. A
 //!   reader checks MemTables *before* the manifest, and a flush installs
 //!   an SST into the manifest *before* retiring its source MemTable, so
@@ -108,9 +110,9 @@
 //! ([`Db::drop`], crash injection) and error recording *recover* a
 //! poisoned gate guard instead of propagating it, so dropping a `Db` whose
 //! worker crashed always completes instead of double-panicking into a
-//! process abort. A poisoned manifest lock is recovered too: the manifest
-//! content is an `Arc` swapped in a single assignment, so a panic under
-//! the lock can never expose a half-edited version.
+//! process abort. A poisoned manifest lock is recovered too: its content
+//! is an `Arc` swapped in a single assignment, so a panic under the lock
+//! can never expose a half-edited version.
 
 use crate::batch::WriteBatch;
 use crate::cache::ShardedBlockCache;
@@ -122,7 +124,7 @@ use crate::read::RangeIter;
 use crate::sst::{SstReader, SstWriter};
 use crate::stats::Stats;
 use crate::wal::{self, Wal};
-use crate::{adapt, compact};
+use crate::{adapt, compact, manifest};
 use proteus_core::key::u64_key;
 use proteus_core::sync::{
     rank, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
@@ -279,27 +281,22 @@ impl Db {
     /// background thread. The configuration is validated first
     /// ([`Error::Config`] on a bad knob).
     ///
-    /// A directory that already holds SST files is *recovered*: every
-    /// `NNNNNNNN.sst` is reopened through its `PRSSTv3` footer, the level
-    /// manifest is rebuilt from the per-file level tags (a deep level
-    /// whose files overlap is split into disjoint sub-levels, see
-    /// `recover_levels`), and persisted
-    /// filters are decoded from their filter blocks instead of
-    /// retrained. Tombstones persist like any other entry, so a delete
-    /// never un-deletes across a reopen. A corrupt footer or index — or a
-    /// file of any other format generation — fails the open with
-    /// [`Error::Corruption`], leaving the directory untouched; a corrupt
-    /// filter block only degrades that file to unfiltered probes.
+    /// An existing store is *recovered*: exactly the SST files its
+    /// `MANIFEST` lists are reopened at their listed levels, with filters
+    /// decoded, never retrained, and unlisted files a crash left are
+    /// deleted ([`crate::manifest`]). A damaged `MANIFEST`, a corrupt
+    /// footer or index, a listed file of another format generation, or SSTs
+    /// with no `MANIFEST` (a store of an earlier build: refused, not
+    /// upgraded) fail the open with [`Error::Corruption`], touching nothing;
+    /// a corrupt filter block only costs its file the filter.
     ///
-    /// Surviving WAL segments are replayed (oldest generation first) into
-    /// the recovered MemTable, so every write acked before a crash is
-    /// served again — no flush required first. A torn segment tail (the
-    /// crash cut a record mid-write) is truncated silently; damage
-    /// *before* the last record is real corruption and fails the open
-    /// with [`Error::Corruption`]. After replay the merged survivors are
-    /// re-logged into one fresh synced segment and the replayed files are
-    /// deleted, so recovery is idempotent — a crash during recovery just
-    /// replays again.
+    /// Each surviving WAL segment, oldest first, comes back as the MemTable
+    /// it held, so every acked write is served again: a sealed segment as a
+    /// frozen table that the first turns flush, the newest as the active
+    /// table, its segment resumed for appends (one with no record is
+    /// deleted). The reopen writes no WAL record. A torn segment tail is
+    /// cut silently; damage *before* the last record fails the open with
+    /// [`Error::Corruption`].
     ///
     /// If the background thread cannot be started, the open fails with
     /// that I/O error and no thread holds the directory's files.
@@ -336,53 +333,44 @@ impl Db {
         let queue = QueryQueue::new(cfg.queue_capacity(), cfg.sample_every());
         let cache = ShardedBlockCache::new(cfg.block_cache_bytes());
         let stats = Arc::new(Stats::default());
-        let (levels, next_sst_id) = Self::recover_levels(&dir, &stats)?;
-        // WAL recovery: merge every surviving segment, oldest generation
-        // first, into the starting MemTable. Segment ids share the SST id
-        // allocator, so id order is generation order; replaying a stale
-        // segment whose SST also survived is idempotent (identical data,
-        // and the MemTable layer shadows the SST layer with equal bytes).
-        let mut next_id = next_sst_id;
-        let mut active = MemTable::new();
-        let mut old_segments: Vec<PathBuf> = Vec::new();
+        let (levels, mut next_id) = manifest::recover(&dir, &stats)?;
+        // Each surviving segment comes back as the table it held, in id
+        // (= generation) order, above every SST: a segment whose flush was
+        // listed just before a crash holds that SST's bytes, and everything
+        // newer is in a later segment. Every segment but the newest was
+        // sealed by a rotation, so its table was frozen; the newest is the
+        // active one, resumed in place.
+        let mut imms = Vec::new();
+        let mut newest = None;
         for (id, path) in wal::list_segments(&dir)? {
             next_id = next_id.max(id + 1);
             let replay = wal::replay_segment(&path, cfg.max_key_bytes())?;
+            if replay.commits.is_empty() {
+                std::fs::remove_file(&path)?;
+                continue;
+            }
             stats.wal_replayed_records.add(replay.commits.len() as u64);
-            for commit in replay.commits {
-                for (k, v) in commit {
-                    active.apply(k, v);
-                }
+            let mut table = MemTable::new();
+            for (k, v) in replay.commits.into_iter().flatten() {
+                table.apply(k, v);
             }
-            old_segments.push(path);
-        }
-        let wal = Wal::create(&dir, next_id, cfg.max_key_bytes(), cfg.sync_mode())?;
-        next_id += 1;
-        if !active.is_empty() {
-            // Re-log the merged survivors as one commit and sync it, so
-            // the old segments can be deleted without opening a crash
-            // window where the recovered data exists nowhere durable.
-            let ops: Vec<wal::WalOp> =
-                active.iter().map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec))).collect();
-            wal.append_commit(&ops, &stats)?;
-            wal.sync(&stats)?;
-        }
-        if !old_segments.is_empty() {
-            for path in &old_segments {
-                std::fs::remove_file(path)?;
+            let table = (shared_table(table), id, replay.valid_len);
+            if let Some((mem, wal_id, _)) = newest.replace(table) {
+                imms.push(Imm { mem, wal_id });
             }
-            std::fs::File::open(&dir)?.sync_all()?;
         }
+        let (active, id, resume_at) = match newest {
+            Some((mem, id, len)) => (mem, id, Some(len)),
+            None => (shared_table(MemTable::new()), next_id, None),
+        };
+        let wal = Wal::open(&dir, id, resume_at, cfg.max_key_bytes(), cfg.sync_mode())?;
         let inner = Arc::new(DbInner {
             cfg,
             dir,
-            mem: RwLock::new(
-                rank::MEMTABLE,
-                MemState { active: shared_table(active), imms: Vec::new() },
-            ),
+            mem: RwLock::new(rank::MEMTABLE, MemState { active, imms }),
             wal,
             manifest: RwLock::new(rank::MANIFEST, Arc::new(Version { levels })),
-            next_sst_id: AtomicU64::new(next_id),
+            next_sst_id: AtomicU64::new(next_id + 1),
             factory,
             queue,
             cache,
@@ -409,84 +397,6 @@ impl Db {
             let _ = h.join();
         }
         crashed
-    }
-
-    /// Scan `dir` for SST files and rebuild the level manifest from their
-    /// footers. Returns the levels plus the next free SST id.
-    ///
-    /// Deeper levels must be disjoint for the binary-searched read path,
-    /// but a crash between a compaction's output renames and its input
-    /// unlinks leaves two generations under one level tag. Only such an
-    /// interrupted job makes a tag overlap, and its outputs get ids after
-    /// all of its inputs, so within a tag the higher id is newer. Such a
-    /// level is split in place into a run of disjoint sub-levels: its files
-    /// are dealt highest id first, each into the first sub-level below
-    /// every newer file it overlaps.
-    fn recover_levels(
-        dir: &std::path::Path,
-        stats: &Stats,
-    ) -> Result<(Vec<Vec<Arc<SstReader>>>, u64)> {
-        let mut recovered: Vec<Arc<SstReader>> = Vec::new();
-        let mut stragglers: Vec<PathBuf> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
-            if let Some(stem) = name.strip_suffix(".sst.tmp") {
-                // A crash mid-write left an unfinished SST (writers stream
-                // into `NNNNNNNN.sst.tmp` and rename on completion):
-                // discard it — once every real SST has opened, so a
-                // refused directory is left exactly as it was. Only our
-                // own naming pattern is touched.
-                if stem.parse::<u64>().is_ok() {
-                    stragglers.push(path);
-                }
-                continue;
-            }
-            if path.extension().and_then(|e| e.to_str()) != Some("sst") {
-                continue;
-            }
-            let Some(id) =
-                path.file_stem().and_then(|s| s.to_str()).and_then(|s| s.parse::<u64>().ok())
-            else {
-                continue; // foreign file; not one of ours
-            };
-            let (sst, load_time) = SstReader::open_timed(&path, id)?;
-            if sst.has_live_filter() {
-                stats.filters_loaded.inc();
-                stats.filter_load_ns.add(load_time.as_nanos() as u64);
-            } else if sst.filter_block_len() > 0 {
-                stats.filters_degraded.inc();
-            }
-            recovered.push(Arc::new(sst));
-        }
-        for path in stragglers {
-            let _ = std::fs::remove_file(path);
-        }
-        stats.ssts_recovered.add(recovered.len() as u64);
-        let next_id = recovered.iter().map(|s| s.id).max().unwrap_or(0) + 1;
-        let max_level = recovered.iter().map(|s| s.level).max().unwrap_or(0);
-        // L0 recency = file id order (ids are allocated monotonically and
-        // flushes append newest last).
-        recovered.sort_by_key(|s| s.id);
-        let mut levels = vec![recovered.iter().filter(|s| s.level == 0).cloned().collect()];
-        for tag in 1..=max_level {
-            let mut run: Vec<Vec<Arc<SstReader>>> = vec![Vec::new()];
-            for sst in recovered.iter().rev().filter(|s| s.level == tag) {
-                let overlaps = |sub: &Vec<Arc<SstReader>>| {
-                    sub.iter().any(|s| s.overlaps(&sst.min_key, &sst.max_key))
-                };
-                let at = run.iter().rposition(overlaps).map_or(0, |newer| newer + 1);
-                if at == run.len() {
-                    run.push(Vec::new());
-                }
-                run[at].push(Arc::clone(sst));
-            }
-            for sub in &mut run {
-                sub.sort_by(|a, b| a.min_key.cmp(&b.min_key));
-            }
-            levels.extend(run);
-        }
-        Ok((levels, next_id))
     }
 
     /// The configuration this database was opened with.
@@ -786,18 +696,19 @@ impl DbInner {
         Arc::clone(&self.manifest.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Swap in an edited manifest under a short-held write lock. Callers
-    /// hold the worker lock, so a job's snapshot stays the latest until its
-    /// own edit. The edit runs on a private clone and publishes with one
-    /// `Arc` assignment, which is what makes poison recovery in
-    /// [`DbInner::version`] sound:
-    /// a panic inside `edit` (or anywhere under the lock) cannot expose a
-    /// half-mutated version.
-    pub(crate) fn edit_manifest(&self, edit: impl FnOnce(&mut Version)) {
-        let mut m = self.manifest.write().unwrap_or_else(PoisonError::into_inner);
-        let mut v = (**m).clone();
+    /// Apply `edit` to a clone of the current version, record the result
+    /// in the `MANIFEST` ([`manifest::store`]; on failure nothing changes),
+    /// and only then swap it in, so no lock a reader takes is held across
+    /// the fsync. Callers hold the worker lock: a job's snapshot stays the
+    /// latest until its own edit, and the `MANIFEST` has one writer. The
+    /// swap is one `Arc` assignment, which makes poison recovery in
+    /// [`DbInner::version`] sound: no panic can expose a half-edited version.
+    pub(crate) fn edit_manifest(&self, edit: impl FnOnce(&mut Version)) -> Result<()> {
+        let mut v = (*self.version()).clone();
         edit(&mut v);
-        *m = Arc::new(v);
+        manifest::store(&self.dir, &v)?;
+        *self.manifest.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(v);
+        Ok(())
     }
 
     /// MemTable read lock, surfacing poisoning as a typed error.
@@ -1030,10 +941,10 @@ impl DbInner {
         let reader = read_table(&imm).and_then(|table| self.flush_imm(&table))?;
         // Install the SST before retiring the MemTable so the data is
         // never invisible to a reader.
-        self.edit_manifest(|v| v.levels[0].push(Arc::new(reader)));
+        self.edit_manifest(|v| v.levels[0].push(Arc::new(reader)))?;
         self.mem_write()?.imms.remove(0);
         self.stats.flushes.inc();
-        // The table's data is durable in the installed (synced, renamed)
+        // The table's data is durable in the installed (synced, listed)
         // SST, so its sealed WAL segment is redundant — delete it. The
         // delete must not be skipped on failure: if an *older* segment
         // outlived a newer generation's flush+delete, the next replay
@@ -1047,17 +958,17 @@ impl DbInner {
     /// flagged entries — building its filter from the file's keys and the
     /// current sample queue (§6.1).
     fn flush_imm(&self, imm: &MemTable) -> Result<SstReader> {
-        let mut w = self.sst_writer(0)?;
+        let mut w = self.sst_writer()?;
         for (k, v) in imm.iter() {
             w.push(k, v)?;
         }
         self.finish_sst(w)
     }
 
-    /// Start a new SST for `level` under a freshly allocated id.
-    pub(crate) fn sst_writer(&self, level: u32) -> Result<SstWriter> {
+    /// Start a new SST under a freshly allocated id.
+    pub(crate) fn sst_writer(&self) -> Result<SstWriter> {
         let (width, block_bytes) = (self.cfg.key_width(), self.cfg.block_bytes());
-        SstWriter::create(&self.dir, self.alloc_id(), width, block_bytes, level)
+        SstWriter::create(&self.dir, self.alloc_id(), width, block_bytes)
     }
 
     /// Seal an SST, training its filter on the current sample queue.

@@ -45,6 +45,7 @@ pub mod config;
 pub mod db;
 pub mod error;
 pub mod filter_hook;
+pub mod manifest;
 pub mod memtable;
 pub mod query_queue;
 pub mod read;
@@ -260,88 +261,15 @@ mod db_tests {
         db.flush_and_settle().unwrap();
         let ssts = db.sst_count();
         drop(db);
-        // Simulate a crash mid-write: writers stream into `.sst.tmp` and
-        // rename only after the footer is durable, so a kill leaves this.
-        std::fs::write(dir.join("00000099.sst.tmp"), b"partial garbage, no footer").unwrap();
+        // Simulate a crash mid-write: a flush or compaction output the
+        // MANIFEST never listed, and a filter rewrite never renamed.
+        std::fs::write(dir.join("00000099.sst"), b"partial garbage, no footer").unwrap();
+        std::fs::write(dir.join("00000098.sst.tmp"), b"partial garbage, no footer").unwrap();
         let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
-        assert_eq!(db.sst_count(), ssts, "straggler must not poison recovery");
-        assert!(!dir.join("00000099.sst.tmp").exists(), "straggler cleaned up");
+        assert_eq!(db.sst_count(), ssts, "stragglers must not poison recovery");
+        assert!(!dir.join("00000099.sst").exists(), "unlisted SST cleaned up");
+        assert!(!dir.join("00000098.sst.tmp").exists(), "straggler cleaned up");
         assert!(db.seek_u64(0, 0).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Forge SST `id` with a `level` footer tag holding `entries`, as a job
-    /// of an earlier process would have left it.
-    fn forge(dir: &std::path::Path, id: u64, level: u32, entries: &[(u64, &[u8])]) {
-        let mut w = sst::SstWriter::create(dir, id, 8, 4096, level).unwrap();
-        for &(k, v) in entries {
-            w.add(&u64_key(k), v).unwrap();
-        }
-        let queue = QueryQueue::new(4, 1);
-        w.finish(&NoFilterFactory, &queue, 8.0, &Stats::default()).unwrap();
-    }
-
-    #[test]
-    fn recovery_splits_an_overlapping_level_into_disjoint_sub_levels() {
-        // Forge the crash window between compaction-output rename and
-        // input deletion: two generations of the same key range coexist
-        // with level-1 footers. The level is split in place, the newer
-        // generation (the higher id) above the older one.
-        let dir = tmpdir("overlap-split");
-        std::fs::create_dir_all(&dir).unwrap();
-        let write = |id: u64, keys: std::ops::Range<u64>, v: &[u8]| {
-            let entries: Vec<(u64, &[u8])> = keys.map(|k| (k * 2, v)).collect();
-            forge(&dir, id, 1, &entries);
-        };
-        write(1, 0..100, b"old"); // old compaction input: keys [0, 198]
-        write(2, 50..150, b"new"); // newer output: keys [100, 298] — overlaps
-        write(3, 1000..1100, b"new"); // disjoint survivor: keys [2000, 2198]
-
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
-        let ids: Vec<Vec<u64>> =
-            db.inner.version().levels.iter().map(|l| l.iter().map(|s| s.id).collect()).collect();
-        assert_eq!(ids, [vec![], vec![2, 3], vec![1]], "L1 split into two disjoint sub-levels");
-        // Every key resolves to its newest generation.
-        for k in [0u64, 49, 50, 99, 100, 149, 1000, 1099] {
-            let want: &[u8] = if k < 50 { b"old" } else { b"new" };
-            assert_eq!(db.get_u64(k * 2).unwrap().as_deref(), Some(want), "key {k}");
-        }
-        assert!(!db.seek_u64(1, 1).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recovery_mid_l1_to_l2_compaction_keeps_a_newer_l0_value_on_top() {
-        // An L1 → L2 job had written its output (id 11) and retired nothing
-        // when the process died; a newer flush (id 10) overwrote key 20.
-        let dir = tmpdir("crash-mid-job-l0");
-        std::fs::create_dir_all(&dir).unwrap();
-        forge(&dir, 1, 2, &[(10, b"a"), (20, b"a"), (30, b"a")]);
-        forge(&dir, 5, 1, &[(10, b"b"), (20, b"b")]);
-        forge(&dir, 10, 0, &[(20, b"f")]);
-        forge(&dir, 11, 2, &[(10, b"b"), (20, b"b"), (30, b"a")]);
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
-        for (k, v) in [(10, b"b"), (20, b"f"), (30, b"a")] {
-            assert_eq!(db.get_u64(k).unwrap().as_deref(), Some(&v[..]), "get({k})");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recovery_mid_l1_to_l2_compaction_keeps_a_newer_l1_neighbour_on_top() {
-        // The job pushing id 5 into L2 had written only its first output
-        // (id 11) when the process died; its neighbour id 6 holds a newer
-        // value of key 30 than the L2 input id 1.
-        let dir = tmpdir("crash-mid-job-l1");
-        std::fs::create_dir_all(&dir).unwrap();
-        forge(&dir, 1, 2, &[(10, b"a"), (30, b"a")]);
-        forge(&dir, 5, 1, &[(10, b"b"), (15, b"b")]);
-        forge(&dir, 6, 1, &[(30, b"g")]);
-        forge(&dir, 11, 2, &[(10, b"b"), (15, b"b")]);
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
-        for (k, v) in [(10, b"b"), (15, b"b"), (30, b"g")] {
-            assert_eq!(db.get_u64(k).unwrap().as_deref(), Some(&v[..]), "get({k})");
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -862,6 +790,15 @@ mod sim {
     //! oracle, and under `ProteusFactory` every Seek also checks each file it
     //! overlaps for a filter false negative. Nothing else runs, so a failing
     //! seed replays exactly, with no sleeps.
+    //!
+    //! A turn is atomic to the script, so the crash windows inside a
+    //! compaction are reached by putting files back: before each turn the
+    //! live SSTs are hard-linked and the `MANIFEST` copied aside, and after
+    //! some compaction turns the store is killed and either (A) the inputs
+    //! the turn unlinked come back — a process that died after its
+    //! `MANIFEST` edit and before its unlinks — or (B) they and the old
+    //! `MANIFEST` do — one that died before its edit. The reopen must serve
+    //! the oracle and leave no SST the `MANIFEST` does not list.
 
     use crate::db::{Db, Turn};
     use crate::filter_hook::{FilterFactory, NoFilterFactory, ProteusFactory};
@@ -870,7 +807,7 @@ mod sim {
     use crate::{DbConfig, SyncMode, WriteBatch};
     use proteus_core::key::{key_u64, u64_key};
     use std::collections::BTreeMap;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
     /// Steps per seed; the two tests below run 8 seeds, 10 000 steps in all.
@@ -909,12 +846,17 @@ mod sim {
         oracle: Oracle,
         /// What a power loss keeps under `SyncMode::Off`: the oracle as of the
         /// last WAL sync — a rotation seals the active segment, and a reopen
-        /// re-logs everything it recovered.
+        /// syncs the one it resumes.
         durable: Oracle,
         rng: Rng,
         /// Turns taken by kind (flushed, compacted, idle) and crash points.
         turns: [u64; 3],
         crashes: u64,
+        /// Where the files a turn may unlink or replace are kept.
+        side: PathBuf,
+        /// Crashes inside a compaction turn: (A) after its `MANIFEST` edit,
+        /// (B) before it.
+        windows: [u64; 2],
         /// Counts the simulator's own block reads, kept off the store's.
         io: Stats,
     }
@@ -923,6 +865,7 @@ mod sim {
         fn new(seed: u64, proteus: bool) -> Sim {
             let dir =
                 std::env::temp_dir().join(format!("proteus-sim-{seed:x}-{}", std::process::id()));
+            let side = dir.with_extension("side");
             let _ = std::fs::remove_dir_all(&dir);
             // Tiny thresholds, so a few dozen writes rotate, flush, trigger L0
             // compaction and overflow L1 into L2; a small queue keeps filter
@@ -961,6 +904,8 @@ mod sim {
                 rng: Rng(seed),
                 turns: [0; 3],
                 crashes: 0,
+                side,
+                windows: [0; 2],
                 io: Stats::default(),
             }
         }
@@ -988,12 +933,14 @@ mod sim {
             self.crash(false);
             self.check_all("reopened");
             let [flushed, compacted, _] = self.turns;
-            let seed = self.seed;
+            let (seed, windows) = (self.seed, self.windows);
+            eprintln!("seed {seed:#x}: turns {:?}, crash windows A/B {windows:?}", self.turns);
             assert!(
                 flushed > 0 && compacted > 0 && self.crashes > 0,
                 "seed {seed:#x}: {:?}",
                 self.turns
             );
+            assert!(windows.iter().all(|&n| n > 0), "seed {seed:#x}: windows {windows:?}");
         }
 
         fn step(&mut self, step: usize) {
@@ -1047,12 +994,16 @@ mod sim {
                 }
                 104..=119 => {
                     let settle = self.rng.below(4) == 0;
+                    self.keep_live_files();
                     let kind = match self.db().inner.turn(settle).unwrap() {
                         Turn::Flushed => 0,
                         Turn::Compacted => 1,
                         Turn::Idle => 2,
                     };
                     self.turns[kind] += 1;
+                    if kind == 1 && self.rng.below(2) == 0 {
+                        self.crash_in_compaction(&at);
+                    }
                 }
                 120..=122 => self.db().flush().unwrap(),
                 123 => self.db().flush_and_settle().unwrap(),
@@ -1083,10 +1034,70 @@ mod sim {
             } else {
                 db.crash();
             }
+            self.reopen();
+        }
+
+        fn reopen(&mut self) {
             self.crashes += 1;
             let db = Db::recover(self.dir.clone(), self.cfg.clone(), Arc::clone(&self.factory));
             self.db = Some(db.unwrap());
             self.durable = self.oracle.clone();
+        }
+
+        /// Hard-link every live SST into `side` and copy the `MANIFEST`
+        /// there: what the next turn may unlink or replace.
+        fn keep_live_files(&self) {
+            let _ = std::fs::remove_dir_all(&self.side);
+            std::fs::create_dir_all(&self.side).unwrap();
+            for sst in self.db().inner.version().levels.iter().flatten() {
+                let name = format!("{:08}.sst", sst.id);
+                std::fs::hard_link(self.dir.join(&name), self.side.join(&name)).unwrap();
+            }
+            std::fs::copy(self.dir.join("MANIFEST"), self.side.join("MANIFEST")).unwrap();
+        }
+
+        /// Crash inside the compaction turn just taken: kill the store, put
+        /// back the inputs the turn unlinked and, in window (B), the
+        /// `MANIFEST` from before its edit, then reopen. The windows take
+        /// turns, so every seed that crashes twice reaches both.
+        fn crash_in_compaction(&mut self, at: &str) {
+            let before_edit = self.windows[0] > self.windows[1];
+            self.windows[before_edit as usize] += 1;
+            self.db.take().expect("a store to crash").crash();
+            for entry in std::fs::read_dir(&self.side).unwrap() {
+                let kept = entry.unwrap().path();
+                let name = kept.file_name().unwrap();
+                let path = self.dir.join(name);
+                if name == "MANIFEST" {
+                    if before_edit {
+                        std::fs::copy(&kept, &path).unwrap();
+                    }
+                } else if !path.exists() {
+                    std::fs::hard_link(&kept, &path).unwrap();
+                }
+            }
+            self.reopen();
+            let window = if before_edit { "before" } else { "after" };
+            let at = format!("{at}: after a crash {window} a compaction's MANIFEST edit");
+            self.check_all(&at);
+            let listed: Vec<u64> =
+                self.db().inner.version().levels.iter().flatten().map(|s| s.id).collect();
+            let unlisted: Vec<u64> =
+                ssts_in(&self.dir).into_iter().filter(|id| !listed.contains(id)).collect();
+            assert!(unlisted.is_empty(), "{at}: unlisted SSTs {unlisted:?} survived the open");
+            for k in (0..512u64).step_by(8).map(|slot| slot * 7) {
+                for (lo, hi) in [(k.saturating_sub(3), k + 3), (k + 1, k + 6)] {
+                    let want = self.oracle.range(lo..=hi).next().is_some();
+                    assert_eq!(
+                        self.db().seek_u64(lo, hi).unwrap(),
+                        want,
+                        "{at}: seek [{lo}, {hi}]"
+                    );
+                    if self.proteus {
+                        self.check_filters(lo, hi, &at);
+                    }
+                }
+            }
         }
 
         fn scan(&self, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
@@ -1134,10 +1145,17 @@ mod sim {
         }
     }
 
+    /// Ids of the `NNNNNNNN.sst` files in `dir`.
+    fn ssts_in(dir: &Path) -> Vec<u64> {
+        let names = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name());
+        names.filter_map(|n| n.to_str()?.strip_suffix(".sst")?.parse().ok()).collect()
+    }
+
     impl Drop for Sim {
         fn drop(&mut self) {
             drop(self.db.take());
             let _ = std::fs::remove_dir_all(&self.dir);
+            let _ = std::fs::remove_dir_all(&self.side);
         }
     }
 

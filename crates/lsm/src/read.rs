@@ -132,7 +132,8 @@ impl Probe {
     /// * not passed → negative: the filter proved the range empty.
     ///
     /// Only real filters feed the observed-FPR evidence (store-wide
-    /// `observed_*` and the per-SST window an adaptive pass reads).
+    /// `observed_fp` over `filter_negatives` — only a real filter answers
+    /// negative — and the per-SST window an adaptive pass reads).
     fn settle(self, stats: &Stats, sst: &SstReader, found: bool) {
         if found {
             stats.filter_true_positives.inc();
@@ -147,8 +148,6 @@ impl Probe {
             sst.record_probe(self.passed);
             if self.passed {
                 stats.observed_fp.inc();
-            } else {
-                stats.observed_tn.inc();
             }
         }
     }
@@ -748,7 +747,7 @@ mod tests {
     use std::sync::Arc;
 
     /// Everything a filter probe can move, plus the I/O it can cause:
-    /// the five store-wide ledgers and `blocks_read`, then every SST's own
+    /// the four store-wide ledgers and `blocks_read`, then every SST's own
     /// probe window (file order is stable: nothing compacts mid-test).
     fn ledger(db: &Db) -> Vec<u64> {
         let s = db.stats().snapshot();
@@ -757,7 +756,6 @@ mod tests {
             s.filter_false_positives,
             s.filter_true_positives,
             s.observed_fp,
-            s.observed_tn,
             s.blocks_read,
         ];
         ledger.extend(db.inner.version().levels.iter().flatten().map(|f| f.observed_probes()));

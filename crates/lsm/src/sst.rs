@@ -1,7 +1,7 @@
 //! Sorted String Table files: immutable on-disk runs of key-value pairs
 //! with a persisted index, a pluggable per-file range filter (§6.1's
 //! integration point: "Static filters … are built on every SST file") and
-//! a fixed-size footer enabling directory recovery.
+//! a fixed-size footer that makes each file self-describing.
 //!
 //! ## On-disk layout (format v3, magic `PRSSTv3`)
 //!
@@ -14,7 +14,7 @@
 //! [filter block]                     FilterCodec envelope (may be absent)
 //! [footer: 64 bytes]
 //!    0  u64 index_off    32 u64 n_entries
-//!    8  u64 index_len    40 u32 level
+//!    8  u64 index_len    40 u32 reserved (written 0, ignored on read)
 //!   16  u64 filter_off   44 u32 filter key width
 //!   24  u64 filter_len   48 u16 format version (3)
 //!                        50 u32 n_tombstones
@@ -33,12 +33,13 @@
 //! `PRSSTv3` is the only generation this build reads or writes. A file
 //! carrying the magic of the fixed-width `PRSSTv1`/`PRSSTv2` layouts that
 //! preceded it (or any other) fails [`SstReader::open`] with
-//! [`Error::Corruption`] naming the unsupported format, and `Db::open`
-//! fails with it, touching nothing.
+//! [`Error::Corruption`] naming the unsupported format, and `Db::open` of
+//! a store whose `MANIFEST` lists one fails with it, touching nothing.
 //!
-//! The footer records which LSM level the file belongs to, so `Db::open`
-//! can rebuild the level manifest from nothing but the directory listing.
-//! The filter block is the [`FilterCodec`] envelope (self-describing,
+//! Which files are live, and at which level, is not a file's business: the
+//! store's `MANIFEST` (`crate::manifest`) records it. Offset 40 once held a
+//! level tag; earlier `PRSSTv3` files may still carry one there, and it is
+//! ignored. The filter block is the [`FilterCodec`] envelope (self-describing,
 //! checksummed); [`SstReader::open`] decodes it, so a reader is plain data
 //! from the moment it exists. A block that will not decode costs that file
 //! its filter, never the open.
@@ -124,7 +125,6 @@ fn encode_footer(
     filter_len: u64,
     n_entries: u64,
     n_tombstones: u64,
-    level: u32,
     width: usize,
 ) -> Result<[u8; SST_FOOTER_LEN as usize]> {
     let mut f = [0u8; SST_FOOTER_LEN as usize];
@@ -133,7 +133,6 @@ fn encode_footer(
     f[16..24].copy_from_slice(&(index_off + index_len).to_le_bytes());
     f[24..32].copy_from_slice(&filter_len.to_le_bytes());
     f[32..40].copy_from_slice(&n_entries.to_le_bytes());
-    f[40..44].copy_from_slice(&level.to_le_bytes());
     f[44..48].copy_from_slice(&(width as u32).to_le_bytes());
     f[48..50].copy_from_slice(&SST_FORMAT_VERSION.to_le_bytes());
     // The footer field is u32; a file with 2^32 tombstones is far beyond
@@ -157,16 +156,26 @@ fn encode_filter_block(filter: Option<&dyn RangeFilter>, stats: &Stats) -> Vec<u
     })
 }
 
-/// Make a completely written `.sst.tmp` durable under its real name:
-/// sync, rename, then sync the directory so the rename itself survives a
-/// power failure. Recovery only ever sees complete `.sst`s.
-fn publish(tmp: &File, tmp_path: &Path, path: &Path) -> Result<()> {
-    tmp.sync_all()?;
-    std::fs::rename(tmp_path, path)?;
+/// Path of SST `id` inside `dir` (`NNNNNNNN.sst`).
+pub(crate) fn sst_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("{id:08}.sst"))
+}
+
+/// Sync the directory holding `path`, so its entry survives a power loss.
+fn sync_parent(path: &Path) -> Result<()> {
     if let Some(dir) = path.parent() {
         File::open(dir)?.sync_all()?;
     }
     Ok(())
+}
+
+/// Make a completely written `tmp_path` durable under its real name,
+/// replacing any file there whole: sync, rename, sync the directory. The
+/// filter-block rewrite and the `MANIFEST` publish through this.
+pub(crate) fn publish(tmp: &File, tmp_path: &Path, path: &Path) -> Result<()> {
+    tmp.sync_all()?;
+    std::fs::rename(tmp_path, path)?;
+    sync_parent(path)
 }
 
 /// The filter-key feed: the one place a file's entry keys — tombstones
@@ -267,8 +276,6 @@ pub struct SstReader {
     /// holding an older version snapshot may still probe it, but must not
     /// (re-)populate the block cache for it (see `Db`'s read path).
     retired: AtomicBool,
-    /// LSM level this file was written for (from the footer on reopen).
-    pub level: u32,
     /// Smallest key in the file.
     pub min_key: Vec<u8>,
     /// Largest key in the file.
@@ -286,7 +293,6 @@ impl std::fmt::Debug for SstReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SstReader")
             .field("id", &self.id)
-            .field("level", &self.level)
             .field("entries", &self.n_entries)
             .field("tombstones", &self.n_tombstones)
             .field("blocks", &self.index.len())
@@ -350,7 +356,6 @@ impl SstReader {
         let filter_off = le_u64(&footer, 16, &path)?;
         let filter_len = le_u64(&footer, 24, &path)?;
         let n_entries = le_u64(&footer, 32, &path)?;
-        let level = le_u32(&footer, 40, &path)?;
         let width = le_u32(&footer, 44, &path)? as usize;
         let n_tombstones = le_u32(&footer, 50, &path)? as u64;
         if width == 0 || width > 64 {
@@ -438,7 +443,6 @@ impl SstReader {
             probe_tn: AtomicU64::new(0),
             retrain_count: 0,
             retired: AtomicBool::new(false),
-            level,
             min_key,
             max_key,
             n_entries,
@@ -537,11 +541,12 @@ impl SstReader {
     /// Atomically replace this file's filter block (and footer) with a
     /// re-trained filter, leaving every data and index byte untouched.
     ///
-    /// The rewrite goes through the same `.sst.tmp`-then-rename path as the
-    /// writer: data + index are copied from the live file, the new filter
-    /// block and footer are appended, the file is synced and renamed over
-    /// the original, and the directory is synced — so a crash at any point
-    /// leaves either the old or the new filter, never a torn file.
+    /// The rewrite goes to `NNNNNNNN.sst.tmp`: data + index are copied from
+    /// the live file, the new filter block and footer are appended, the
+    /// file is synced and renamed over the original, and the directory is
+    /// synced — so a crash at any point leaves either the old or the new
+    /// filter, never a torn file (and at worst a `.sst.tmp` the next open
+    /// deletes).
     /// Readers holding this reader keep serving from the
     /// old inode; the returned replacement reader (same id, fresh probe
     /// counters, the new filter pre-installed) is what the caller swaps
@@ -562,7 +567,6 @@ impl SstReader {
             filter_bytes.len() as u64,
             self.n_entries,
             self.n_tombstones,
-            self.level,
             self.width,
         )?;
         let tmp_path = self.path.with_extension("sst.tmp");
@@ -642,21 +646,16 @@ impl SstReader {
 /// length constraint: keys of any non-zero length are accepted, and each
 /// is NUL-padded/truncated to `width` bytes before feeding the filter.
 ///
-/// Writes stream into `NNNNNNNN.sst.tmp`; only after the footer is written
-/// and synced does [`SstWriter::finish`] rename the file to its final
-/// `.sst` name. A crash mid-write therefore leaves a `.tmp` straggler
-/// (cleaned up by the next `Db::open`) instead of a footerless `.sst` that
-/// would poison directory recovery.
+/// Writes stream straight into `NNNNNNNN.sst`, and [`SstWriter::finish`]
+/// syncs the file and its directory. A file becomes live only when the
+/// store's `MANIFEST` lists it, after it is finished, so a crash mid-write
+/// leaves an unlisted file that the next `Db::open` deletes.
 pub struct SstWriter {
     id: u64,
-    /// Final `.sst` path the file is renamed to on successful finish.
     path: PathBuf,
-    /// In-progress `.sst.tmp` path the bytes stream into.
-    tmp_path: PathBuf,
     file: File,
     width: usize,
     block_size: usize,
-    level: u32,
     builder: VarBlockBuilder,
     index: Vec<BlockMeta>,
     offset: u64,
@@ -669,26 +668,16 @@ pub struct SstWriter {
 }
 
 impl SstWriter {
-    /// Start a new SST `NNNNNNNN.sst.tmp` in `dir` (renamed to `.sst` by
-    /// [`SstWriter::finish`]).
-    pub fn create(
-        dir: &Path,
-        id: u64,
-        width: usize,
-        block_size: usize,
-        level: u32,
-    ) -> Result<Self> {
-        let path = dir.join(format!("{id:08}.sst"));
-        let tmp_path = dir.join(format!("{id:08}.sst.tmp"));
-        let file = File::create(&tmp_path)?;
+    /// Start a new SST `NNNNNNNN.sst` in `dir`.
+    pub fn create(dir: &Path, id: u64, width: usize, block_size: usize) -> Result<Self> {
+        let path = sst_path(dir, id);
+        let file = File::create(&path)?;
         Ok(SstWriter {
             id,
             path,
-            tmp_path,
             file,
             width,
             block_size,
-            level,
             builder: VarBlockBuilder::new(),
             index: Vec::new(),
             offset: 0,
@@ -781,7 +770,7 @@ impl SstWriter {
     /// keys in each SST file to determine the optimal filter design for
     /// each SST file at construction time"), embed its encoding in the
     /// file's filter block, and write the index + footer so the file is
-    /// fully self-describing for recovery. Tombstone keys are part of the
+    /// fully self-describing, then sync it. Tombstone keys are part of the
     /// filter's key set (see the module docs for why).
     pub fn finish(
         mut self,
@@ -813,11 +802,11 @@ impl SstWriter {
             filter_bytes.len() as u64,
             self.n_entries,
             self.n_tombstones,
-            self.level,
             self.width,
         )?;
         self.file.write_all(&footer)?;
-        publish(&self.file, &self.tmp_path, &self.path)?;
+        self.file.sync_all()?;
+        sync_parent(&self.path)?;
         SstReader::open_trained(self.path, self.id, filter, trained_at, 0)
     }
 }
@@ -916,8 +905,8 @@ mod tests {
         d
     }
 
-    fn write_sample(dir: &Path, id: u64, level: u32, n: u64) -> SstReader {
-        let mut w = SstWriter::create(dir, id, 8, 4096, level).unwrap();
+    fn write_sample(dir: &Path, id: u64, n: u64) -> SstReader {
+        let mut w = SstWriter::create(dir, id, 8, 4096).unwrap();
         for i in 0..n {
             w.add(&(i * 7).to_be_bytes(), &[i as u8; 32]).unwrap();
         }
@@ -990,7 +979,7 @@ mod tests {
                     .iter()
                     .map(|&(lo, hi)| (lo.to_be_bytes().to_vec(), hi.to_be_bytes().to_vec())),
             );
-            let mut w = SstWriter::create(&dir, id, 8, 4096, 1).unwrap();
+            let mut w = SstWriter::create(&dir, id, 8, 4096).unwrap();
             for k in &mine {
                 w.add(&k.to_be_bytes(), &[7u8; 16]).unwrap();
             }
@@ -1036,10 +1025,9 @@ mod tests {
     #[test]
     fn write_reopen_roundtrip_preserves_index_and_filter() {
         let dir = tmpdir("roundtrip");
-        let written = write_sample(&dir, 3, 2, 5_000);
+        let written = write_sample(&dir, 3, 5_000);
         let stats = Stats::default();
         let reopened = SstReader::open(dir.join("00000003.sst"), 3).unwrap();
-        assert_eq!(reopened.level, 2);
         assert_eq!(reopened.n_entries, written.n_entries);
         assert_eq!(reopened.n_tombstones, 0);
         assert_eq!(reopened.n_blocks(), written.n_blocks());
@@ -1068,7 +1056,7 @@ mod tests {
         let dir = tmpdir("tombstones");
         let stats = Stats::default();
         let queue = QueryQueue::new(16, 1);
-        let mut w = SstWriter::create(&dir, 5, 8, 512, 0).unwrap();
+        let mut w = SstWriter::create(&dir, 5, 8, 512).unwrap();
         for i in 0..1_000u64 {
             let k = (i * 9).to_be_bytes();
             if i % 3 == 0 {
@@ -1111,7 +1099,7 @@ mod tests {
     #[test]
     fn corrupt_filter_block_degrades_without_panicking() {
         let dir = tmpdir("corrupt-filter");
-        let written = write_sample(&dir, 1, 0, 2_000);
+        let written = write_sample(&dir, 1, 2_000);
         drop(written);
         let path = dir.join("00000001.sst");
         // Flip one byte inside the filter block.
@@ -1130,7 +1118,7 @@ mod tests {
     #[test]
     fn corrupt_index_or_footer_is_an_open_error() {
         let dir = tmpdir("corrupt-index");
-        drop(write_sample(&dir, 1, 0, 1_000));
+        drop(write_sample(&dir, 1, 1_000));
         let path = dir.join("00000001.sst");
         let orig = std::fs::read(&path).unwrap();
 
@@ -1174,7 +1162,7 @@ mod tests {
         keys.push(vec![0x01]);
         keys.sort();
         keys.dedup();
-        let mut w = SstWriter::create(&dir, 9, 8, 1024, 1).unwrap();
+        let mut w = SstWriter::create(&dir, 9, 8, 1024).unwrap();
         for (i, k) in keys.iter().enumerate() {
             if i % 7 == 2 {
                 w.delete(k).unwrap();

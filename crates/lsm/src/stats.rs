@@ -152,11 +152,9 @@ stats! {
         filters_unpersisted,
         /// Filter probes (real filters only) that answered positive for an SST
         /// with no key in range — the adaptive lifecycle's per-probe false
-        /// positive evidence (also accumulated per SST).
+        /// positive evidence (also accumulated per SST), over the true
+        /// negatives in [`Stats::filter_negatives`].
         observed_fp,
-        /// Filter probes (real filters only) that answered negative — true
-        /// negatives, the denominator partner of [`Stats::observed_fp`].
-        observed_tn,
         /// SSTs flagged for re-training, for either [`crate::adapt::FlagReason`]:
         /// observed FPR over the threshold, or off its filter's prediction.
         filters_flagged,
@@ -210,10 +208,10 @@ impl Stats {
 
     /// Observed empirical FPR of real filter probes (the adaptive
     /// lifecycle's database-wide signal): `observed_fp / (observed_fp +
-    /// observed_tn)`, `0` before any probe.
+    /// filter_negatives)`, `0` before any probe.
     pub fn observed_fpr(&self) -> f64 {
         let fp = self.observed_fp.get();
-        ratio(fp, fp + self.observed_tn.get())
+        ratio(fp, fp + self.filter_negatives.get())
     }
 }
 
@@ -226,7 +224,7 @@ impl StatsSnapshot {
 
     /// Observed empirical FPR of real filter probes in this snapshot.
     pub fn observed_fpr(&self) -> f64 {
-        ratio(self.observed_fp, self.observed_fp + self.observed_tn)
+        ratio(self.observed_fp, self.observed_fp + self.filter_negatives)
     }
 
     /// Observed filter FPR in this snapshot.

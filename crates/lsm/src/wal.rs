@@ -14,10 +14,10 @@
 //! * when a flush finishes turning the frozen MemTable into
 //!   a (synced) L0 SST, the sealed segment is deleted — its data now lives
 //!   in the tree;
-//! * [`crate::Db::open`] replays every surviving segment in id order into
-//!   the recovered MemTable, re-logs the merged result into a fresh synced
-//!   segment, and only then deletes the replayed files, so a crash at any
-//!   point leaves every acked write in at least one durable place.
+//! * [`crate::Db::open`] replays each surviving segment, in id order, into
+//!   the table it held: every sealed one into a frozen table that flushes
+//!   and deletes it as before the crash, the newest into the active table,
+//!   its segment resumed ([`Wal::open`]) — no record is written again.
 //!
 //! ## Group commit
 //!
@@ -178,6 +178,9 @@ pub struct SegmentReplay {
     /// checksum-failed) final record that was discarded. Expected after a
     /// crash; the commits before it are intact.
     pub torn_tail: bool,
+    /// Bytes of the segment that replayed — the header and every whole
+    /// commit — where [`Wal::open`] resumes appending.
+    pub valid_len: u64,
 }
 
 /// Replay a segment file. Torn tails truncate (see the module docs);
@@ -189,7 +192,7 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
     if (bytes.len() as u64) < WAL_HEADER_LEN {
         // A crash during segment creation: the header never fully hit the
         // disk, so no record can have been acked against this file.
-        return Ok(SegmentReplay { commits: Vec::new(), torn_tail: true });
+        return Ok(SegmentReplay { commits: Vec::new(), torn_tail: true, valid_len: 0 });
     }
     if bytes[0..8] != WAL_MAGIC {
         return Err(bad(path, "bad WAL magic"));
@@ -205,7 +208,8 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
     let mut pos = WAL_HEADER_LEN as usize;
     while pos < bytes.len() {
         if bytes.len() - pos < 8 {
-            return Ok(SegmentReplay { commits, torn_tail: true }); // torn length prefix
+            // A torn length prefix.
+            return Ok(SegmentReplay { commits, torn_tail: true, valid_len: pos as u64 });
         }
         let len = le_u32(&bytes, pos, path)? as usize;
         let crc = le_u32(&bytes, pos + 4, path)?;
@@ -213,14 +217,14 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
         if end > bytes.len() {
             // The record claims bytes past EOF: a write cut mid-record (or
             // an unrecognizably corrupted length — indistinguishable).
-            return Ok(SegmentReplay { commits, torn_tail: true });
+            return Ok(SegmentReplay { commits, torn_tail: true, valid_len: pos as u64 });
         }
         let payload = &bytes[pos + 8..end];
         if crc32(payload) != crc {
             if end == bytes.len() {
                 // Checksum failure in the final record = partially written
                 // payload: the classic torn tail. Drop it.
-                return Ok(SegmentReplay { commits, torn_tail: true });
+                return Ok(SegmentReplay { commits, torn_tail: true, valid_len: pos as u64 });
             }
             return Err(bad(path, format!("mid-log checksum mismatch at byte {pos}")));
         }
@@ -230,7 +234,7 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
         );
         pos = end;
     }
-    Ok(SegmentReplay { commits, torn_tail: false })
+    Ok(SegmentReplay { commits, torn_tail: false, valid_len: pos as u64 })
 }
 
 /// Decode a CRC-valid commit payload. Any failure here is corruption: the
@@ -326,11 +330,31 @@ fn create_segment(dir: &Path, id: u64, max_key_bytes: usize) -> Result<File> {
 }
 
 impl Wal {
-    /// Open a fresh active segment `id` in `dir`. Replaying any surviving
-    /// segments is the caller's job ([`crate::Db::open`] does it *before*
-    /// creating the new active segment).
+    /// Open a fresh active segment `id` in `dir`.
     pub fn create(dir: &Path, id: u64, max_key_bytes: usize, mode: SyncMode) -> Result<Wal> {
-        let file = create_segment(dir, id, max_key_bytes)?;
+        Wal::open(dir, id, None, max_key_bytes, mode)
+    }
+
+    /// Open segment `id` of `dir` as the active one: a fresh segment, or,
+    /// with `resume_at`, an existing one whose replay found that many bytes
+    /// whole — a torn tail past them is cut and the rest synced, so appends
+    /// extend a log that replays whole.
+    pub fn open(
+        dir: &Path,
+        id: u64,
+        resume_at: Option<u64>,
+        max_key_bytes: usize,
+        mode: SyncMode,
+    ) -> Result<Wal> {
+        let (file, len) = match resume_at {
+            None => (create_segment(dir, id, max_key_bytes)?, WAL_HEADER_LEN),
+            Some(len) => {
+                let file = File::options().append(true).open(segment_path(dir, id))?;
+                file.set_len(len)?;
+                file.sync_all()?;
+                (file, len)
+            }
+        };
         Ok(Wal {
             dir: dir.to_path_buf(),
             max_key_bytes,
@@ -343,8 +367,8 @@ impl Wal {
                     generation: 0,
                     appended_seq: 0,
                     synced_seq: 0,
-                    appended_bytes: WAL_HEADER_LEN,
-                    synced_bytes: WAL_HEADER_LEN,
+                    appended_bytes: len,
+                    synced_bytes: len,
                     syncing: false,
                     last_sync: Instant::now(),
                 },
@@ -620,6 +644,32 @@ mod tests {
         std::fs::write(&path, &orig[..7]).unwrap();
         let rep = replay_segment(&path, 8).unwrap();
         assert!(rep.torn_tail && rep.commits.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resumed_segment_loses_its_torn_tail_and_replays_whole() {
+        let dir = tmpdir("reopen");
+        let stats = Stats::default();
+        let wal = Wal::create(&dir, 5, 8, SyncMode::Off).unwrap();
+        for i in 0..3u64 {
+            wal.append_commit(&[(k(i), Some(vec![i as u8; 4]))], &stats).unwrap();
+        }
+        drop(wal);
+        let path = segment_path(&dir, 5);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 3]).unwrap(); // a crash tore the last record
+        let rep = replay_segment(&path, 8).unwrap();
+        assert!(rep.torn_tail && rep.commits.len() == 2);
+        // Appending after the torn bytes would make them mid-log damage.
+        let wal = Wal::open(&dir, 5, Some(rep.valid_len), 8, SyncMode::Off).unwrap();
+        wal.append_commit(&[(k(9), None)], &stats).unwrap();
+        drop(wal);
+        let rep = replay_segment(&path, 8).unwrap();
+        assert!(!rep.torn_tail);
+        assert_eq!(rep.commits.len(), 3);
+        assert_eq!(rep.commits[1], vec![(k(1), Some(vec![1; 4]))]);
+        assert_eq!(rep.commits[2], vec![(k(9), None)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

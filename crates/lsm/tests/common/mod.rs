@@ -18,6 +18,32 @@ impl Rng {
     }
 }
 
+/// A `MANIFEST` listing `entries` (`(file id, level)`, L0 oldest first),
+/// encoded by hand from the documented layout: the magic, `u64` id +
+/// `u32` level per file, then a CRC-32 of every byte before it.
+pub fn manifest_bytes(entries: &[(u64, u32)]) -> Vec<u8> {
+    let mut bytes = b"PRMANv1\0".to_vec();
+    for (id, level) in entries {
+        bytes.extend_from_slice(&id.to_le_bytes());
+        bytes.extend_from_slice(&level.to_le_bytes());
+    }
+    let crc = proteus_core::codec::crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// Every file in `dir` with its bytes, sorted by path: what a refused
+/// open must leave exactly as it found it.
+pub fn dir_contents(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
 /// How a crash point kills the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashKind {

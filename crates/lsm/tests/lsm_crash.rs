@@ -14,7 +14,8 @@
 //! - a `WriteBatch` is all-or-nothing across a torn commit record;
 //! - a torn WAL tail never fails `Db::open`;
 //! - a deleted key never resurrects through a crash;
-//! - a straggler `.sst.tmp` next to a live WAL replays exactly once;
+//! - unlisted SST stragglers next to a live WAL are deleted, and the WAL
+//!   replays exactly once;
 //! - concurrent writers are amortized by group commit without losing a
 //!   single write.
 
@@ -250,15 +251,18 @@ fn straggler_sst_tmp_next_to_live_wal_replays_exactly_once() {
         db.put_u64(k, &k.to_le_bytes()).unwrap();
     }
     db.crash();
-    // A flush that died mid-write leaves a `.sst.tmp` straggler; recovery
-    // must discard it and replay the WAL exactly once — not zero times
-    // (data loss), not twice (duplicate application).
-    let straggler = dir.join("00000099.sst.tmp");
-    std::fs::write(&straggler, b"half-written sst garbage").unwrap();
+    // A flush that died mid-write leaves an SST the MANIFEST never listed,
+    // a filter rewrite a `.sst.tmp`; recovery must discard both and replay
+    // the WAL exactly once — not zero times (data loss), not twice
+    // (duplicate application).
+    let stragglers = [dir.join("00000099.sst"), dir.join("00000098.sst.tmp")];
+    for straggler in &stragglers {
+        std::fs::write(straggler, b"half-written sst garbage").unwrap();
+    }
 
     let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
     assert_eq!(db.stats().wal_replayed_records.get(), 100, "one replayed record per commit");
-    assert!(!straggler.exists(), "recovery must discard the straggler");
+    assert!(stragglers.iter().all(|s| !s.exists()), "recovery must discard the stragglers");
     let scanned: Vec<(u64, Vec<u8>)> = db
         .range_u64(0..=u64::MAX)
         .unwrap()

@@ -5,7 +5,9 @@
 //! `PRSSTv1` and `PRSSTv2` goldens (the fixed-width generations no build
 //! reads any more) must be *rejected* the same way: a typed
 //! `Error::Corruption` naming the unsupported format, from `SstReader`
-//! and from `Db::open`, which must leave the directory untouched.
+//! and from `Db::open` of a store whose `MANIFEST` lists one, which must
+//! leave the directory untouched — as must an open that finds SSTs and no
+//! `MANIFEST`.
 //!
 //! The golden fixtures are committed under `tests/fixtures/{v1,v2,v3}/`
 //! and are byte-exact: each pins its format forever, hand-encoded
@@ -19,6 +21,9 @@ use proteus_lsm::sst::{Entry, SstCursor, SstReader, SstWriter, SST_FORMAT_VERSIO
 use proteus_lsm::{Db, DbConfig, Error, NoFilterFactory, QueryQueue, Stats};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+mod common;
+use common::{dir_contents, manifest_bytes};
 
 const GOLDEN_V1: &str = "tests/fixtures/v1/golden_v1.sst";
 const GOLDEN_V2: &str = "tests/fixtures/v2/golden_v2.sst";
@@ -72,13 +77,15 @@ fn raw_disk_block(body: &[u8]) -> Vec<u8> {
 
 /// Serialize the 64-byte footer shared by every format version (the
 /// version selects the magic and whether `n_tombstones` is meaningful).
+/// Offset 40 held a level tag up to the first `PRSSTv3` writers; it is
+/// reserved now, and the v3 golden keeps its old tag to show it is ignored.
 #[allow(clippy::too_many_arguments)]
 fn encode_footer(
     index_off: u64,
     index_len: u64,
     n_entries: u64,
     n_tombstones: u32,
-    level: u32,
+    at_40: u32,
     width: u32,
     version: u16,
     magic: &[u8; 8],
@@ -89,7 +96,7 @@ fn encode_footer(
     footer[16..24].copy_from_slice(&(index_off + index_len).to_le_bytes());
     footer[24..32].copy_from_slice(&0u64.to_le_bytes()); // filter_len: none
     footer[32..40].copy_from_slice(&n_entries.to_le_bytes());
-    footer[40..44].copy_from_slice(&level.to_le_bytes());
+    footer[40..44].copy_from_slice(&at_40.to_le_bytes());
     footer[44..48].copy_from_slice(&width.to_le_bytes());
     footer[48..50].copy_from_slice(&version.to_le_bytes());
     if version >= 2 {
@@ -192,35 +199,55 @@ fn legacy_goldens_are_rejected_with_a_typed_error_naming_the_format() {
 
 #[test]
 fn db_open_refuses_a_directory_holding_a_legacy_file_and_deletes_nothing() {
-    for (format, bytes, name) in legacy_goldens() {
-        let dir = tmpdir(&format!("legacy-db-{format}"));
-        // A current-format neighbour, a crash straggler (which a
-        // successful open would discard) and a foreign file ride along:
-        // the failed open must leave all four exactly as they were.
-        let neighbour = write_v3_with_writer(&dir);
-        std::fs::write(dir.join(name), &bytes).unwrap();
+    for (i, (format, bytes, _)) in legacy_goldens().into_iter().enumerate() {
+        let dir = tmpdir(&format!("legacy-db-{i}"));
+        // A real store lists one file, which is then replaced by a file of
+        // a retired generation.
+        let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+        db.put(b"key", b"value").unwrap();
+        db.flush().unwrap();
+        drop(db);
+        let listed: Vec<PathBuf> = dir_contents(&dir)
+            .into_iter()
+            .map(|(p, _)| p)
+            .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+            .collect();
+        assert_eq!(listed.len(), 1, "{listed:?}");
+        std::fs::write(&listed[0], &bytes).unwrap();
+        // An unlisted current-format file, a crash straggler (both of which
+        // a successful open would discard) and a foreign file ride along:
+        // the failed open must leave every byte as it was.
+        write_v3_with_writer(&dir);
         std::fs::write(dir.join("00000077.sst.tmp"), b"unfinished").unwrap();
         std::fs::write(dir.join("notes.txt"), b"not ours").unwrap();
-        let listing = |dir: &Path| {
-            let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
-                .collect();
-            files.sort();
-            files
-        };
-        let before = listing(&dir);
-        assert_eq!(before.len(), 4);
+        let before = dir_contents(&dir);
         match Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)) {
-            Err(Error::Corruption(msg)) => assert!(msg.contains(format), "{msg}"),
+            Err(Error::Corruption(msg)) => {
+                assert!(msg.contains(&format!("unsupported SST format {format}")), "{msg}")
+            }
             Err(other) => panic!("{format}: expected Corruption, got {other:?}"),
             Ok(_) => panic!("{format}: Db::open must refuse a legacy file"),
         }
-        assert_eq!(listing(&dir), before, "{format}: a refused open must touch nothing");
-        assert!(neighbour.exists());
+        assert_eq!(dir_contents(&dir), before, "{format}: a refused open must touch nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn db_open_refuses_ssts_without_a_manifest_and_deletes_nothing() {
+    // What an earlier build left: SSTs whose levels only their footers
+    // knew. The open refuses to guess, and adds no MANIFEST.
+    let dir = tmpdir("no-manifest");
+    write_v3_with_writer(&dir);
+    std::fs::write(dir.join("00000077.sst.tmp"), b"unfinished").unwrap();
+    let before = dir_contents(&dir);
+    match Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)) {
+        Err(Error::Corruption(msg)) => assert!(msg.contains("no MANIFEST"), "{msg}"),
+        Err(other) => panic!("expected Corruption, got {other:?}"),
+        Ok(_) => panic!("Db::open must refuse SSTs without a MANIFEST"),
+    }
+    assert_eq!(dir_contents(&dir), before, "a refused open must touch nothing");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,7 +448,6 @@ fn v3_golden_decodes_byte_exactly_and_is_self_describing() {
     let entries = v3_entries();
 
     let sst = SstReader::open(&path, 3).unwrap();
-    assert_eq!(sst.level, 1);
     assert_eq!(sst.n_entries, entries.len() as u64);
     assert_eq!(sst.n_tombstones, entries.iter().filter(|(_, v)| v.is_none()).count() as u64);
     assert_eq!(sst.min_key, entries[0].0);
@@ -478,7 +504,9 @@ fn v3_entry_corruption_is_typed_not_silent() {
     }
 
     // The same corruption surfaces through the Db as a typed error on the
-    // affected read path (never a panic, never a silent wrong answer).
+    // affected read path (never a panic, never a silent wrong answer), once
+    // a MANIFEST lists the file.
+    std::fs::write(dir.join("MANIFEST"), manifest_bytes(&[(3, 1)])).unwrap();
     let first_key = entries[0].0.clone();
     let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
     assert!(matches!(db.get(&first_key), Err(Error::Corruption(_))));
@@ -510,7 +538,7 @@ fn v3_golden_truncation_sweep_never_panics() {
 fn write_v3_with_writer(dir: &Path) -> PathBuf {
     let stats = Stats::default();
     let queue = QueryQueue::new(4, 1);
-    let mut w = SstWriter::create(dir, 9, 8, 1 << 12, 0).unwrap();
+    let mut w = SstWriter::create(dir, 9, 8, 1 << 12).unwrap();
     for (key, value) in v3_entries() {
         match value {
             Some(v) => w.add(&key, &v).unwrap(),

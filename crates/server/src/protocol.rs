@@ -461,6 +461,14 @@ pub enum Error {
         /// The store's own typed error.
         source: proteus_lsm::Error,
     },
+    /// The data directory holds stores for a different shard count, whose
+    /// keys this count's router would look for in the wrong store.
+    ShardCount {
+        /// `shard-NNNN` stores found in the directory.
+        found: usize,
+        /// The shard count the server was started with.
+        requested: usize,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -471,6 +479,11 @@ impl std::fmt::Display for Error {
                 write!(f, "frame length {len} exceeds the {max}-byte limit")
             }
             Error::Shard { index, source } => write!(f, "opening shard {index}: {source}"),
+            Error::ShardCount { found, requested } => write!(
+                f,
+                "the data directory holds {found} shards; starting with {requested} would \
+                 route keys to shards that never held them"
+            ),
         }
     }
 }
@@ -479,7 +492,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Transport(e) => Some(e),
-            Error::FrameTooLarge { .. } => None,
+            Error::FrameTooLarge { .. } | Error::ShardCount { .. } => None,
             Error::Shard { source, .. } => Some(source),
         }
     }

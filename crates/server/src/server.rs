@@ -80,11 +80,12 @@ impl Server {
     /// Binding to port 0 picks a free port; read it back with
     /// [`Server::local_addr`]. Each shard gets its own directory, WAL and
     /// background thread, all sharing one `cfg` and filter `factory`.
-    /// Re-opening an existing `dir` with the same shard count recovers
-    /// every shard from its WAL plus its SST footers; there is no manifest
-    /// file (a different shard count would scatter keys to the wrong
-    /// stores and is the operator's responsibility to avoid — shard count
-    /// is not yet persisted).
+    /// Re-opening an existing `dir` recovers every shard from its own
+    /// `MANIFEST` and WAL. The router's boundaries are a function of the
+    /// shard count alone, so a `dir` that holds `shard-NNNN` stores for a
+    /// different count — whose keys a new count would look for in the
+    /// wrong store — fails with [`Error::ShardCount`] before any shard is
+    /// opened.
     pub fn start(
         dir: impl AsRef<Path>,
         addr: impl ToSocketAddrs,
@@ -92,12 +93,21 @@ impl Server {
         cfg: DbConfig,
         factory: Arc<dyn FilterFactory>,
     ) -> Result<Server, Error> {
+        let found = existing_shards(dir.as_ref())?;
+        if found != 0 && found != n_shards {
+            return Err(Error::ShardCount { found, requested: n_shards });
+        }
         let router = Router::new(n_shards);
         let max_key_bytes = cfg.max_key_bytes();
+        // Every shard directory exists before any store opens, so an open
+        // that fails cannot leave a count the next start would refuse.
+        let shard_dirs: Vec<PathBuf> =
+            (0..n_shards).map(|i| dir.as_ref().join(format!("shard-{i:04}"))).collect();
+        for shard_dir in &shard_dirs {
+            std::fs::create_dir_all(shard_dir)?;
+        }
         let mut shards = Vec::with_capacity(n_shards);
-        for i in 0..n_shards {
-            let shard_dir: PathBuf = dir.as_ref().join(format!("shard-{i:04}"));
-            std::fs::create_dir_all(&shard_dir)?;
+        for (i, shard_dir) in shard_dirs.into_iter().enumerate() {
             let db = Db::open(shard_dir, cfg.clone(), Arc::clone(&factory))
                 .map_err(|source| Error::Shard { index: i, source })?;
             shards.push(db);
@@ -180,6 +190,22 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// How many `shard-NNNN` stores `dir` holds (0 when it does not exist).
+fn existing_shards(dir: &Path) -> std::io::Result<usize> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(e),
+    };
+    let mut n = 0;
+    for entry in entries {
+        let name = entry?.file_name();
+        let index = name.to_str().and_then(|n| n.strip_prefix("shard-"));
+        n += usize::from(index.is_some_and(|i| i.parse::<usize>().is_ok()));
+    }
+    Ok(n)
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {

@@ -281,6 +281,36 @@ fn kill_and_reconnect_recovers_every_shard_through_the_wal() {
 }
 
 #[test]
+fn a_changed_shard_count_is_refused_before_any_shard_opens() {
+    let dir = tempdir();
+    let keys: Vec<[u8; 8]> = (0..60u64).map(|i| key(i * (u64::MAX / 60))).collect();
+    {
+        let server = start_server(dir.path(), 3);
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        for (i, k) in keys.iter().enumerate() {
+            c.put(k, &i.to_le_bytes()).unwrap();
+        }
+    }
+    let refused = Server::start(
+        dir.path(),
+        ("127.0.0.1", 0),
+        2,
+        test_config(),
+        Arc::new(ProteusFactory::default()),
+    );
+    match refused {
+        Err(proteus_server::Error::ShardCount { found: 3, requested: 2 }) => {}
+        Err(other) => panic!("expected ShardCount, got {other}"),
+        Ok(_) => panic!("a 3-shard directory must not start with 2 shards"),
+    }
+    let server = start_server(dir.path(), 3);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    for (i, k) in keys.iter().enumerate() {
+        assert_eq!(c.get(k).unwrap(), Some(i.to_le_bytes().to_vec()), "key {i}");
+    }
+}
+
+#[test]
 fn shutdown_verb_drains_and_stops_the_server() {
     let dir = tempdir();
     let server = start_server(dir.path(), 2);

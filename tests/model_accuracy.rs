@@ -181,7 +181,8 @@ fn the_store_observes_the_fpr_its_filters_were_designed_for() {
         assert!(!db.seek_u64(lo, hi).unwrap());
     }
     let after = db.stats().snapshot();
-    let (fp, tn) = (after.observed_fp - before.observed_fp, after.observed_tn - before.observed_tn);
+    let delta = after.delta(&before);
+    let (fp, tn) = (delta.observed_fp, delta.filter_negatives);
     let observed = fp as f64 / (fp + tn) as f64;
     let mut predicted = factory.0.lock().unwrap().clone();
     predicted.sort_by(f64::total_cmp);
