@@ -46,7 +46,7 @@ fn main() {
         &["l2_candidates", "model_ms", "chosen_l1", "coarse", "chosen_l2", "expected", "observed"],
     );
     for max_l2 in [16usize, 32, 128, 0] {
-        let opts = ProteusModelOptions { max_bloom_lengths: max_l2, threads: 1 };
+        let opts = ProteusModelOptions { max_bloom_lengths: max_l2 };
         let timed = Timed::run(|| ProteusModel::build(&sc.keyset, &sc.samples, m_bits, &opts));
         let design = timed.value.best_design(&sc.keyset, m_bits);
         let filter =

@@ -169,7 +169,6 @@ fn part_b(args: &Args) {
 /// Proteus design matrix.
 fn part_c(args: &Args) {
     let m_bits = args.keys as u64 * args.get_u64("fig4-bpk", 10);
-    let threads = proteus_bench::build::available_threads();
     let sc = scenario::setup(
         Dataset::Normal,
         &normal_split(1 << 15),
@@ -178,7 +177,7 @@ fn part_c(args: &Args) {
         args.queries,
         args.seed,
     );
-    let opts = ProteusModelOptions { threads, ..Default::default() };
+    let opts = ProteusModelOptions::default();
     let model = ProteusModel::build(&sc.keyset, &sc.samples, m_bits, &opts);
     let step = args.get_usize("step", 2);
 

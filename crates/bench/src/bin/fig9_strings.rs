@@ -33,7 +33,6 @@ fn string_proteus_options() -> ProteusOptions {
             // §7.2: "only modeling 128 uniformly spaced Bloom filter prefix
             // lengths for all feasible trie depths".
             max_bloom_lengths: 128,
-            threads: proteus_bench::build::available_threads(),
         },
         ..Default::default()
     }

@@ -90,7 +90,7 @@ fn main() {
     ]);
 
     // --- Proteus ---
-    let optsp = ProteusModelOptions { threads, ..Default::default() };
+    let optsp = ProteusModelOptions::default();
     let mp = Timed::run(|| ProteusModel::build(&ks, &samples, m_bits, &optsp));
     let dp = Timed::run(|| mp.value.best_design(&ks, m_bits));
     let bp = Timed::run(|| {

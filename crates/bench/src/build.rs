@@ -42,14 +42,7 @@ pub fn build_filter(
 ) -> Option<Box<dyn RangeFilter>> {
     match kind {
         FilterKind::Proteus => {
-            let opts = ProteusOptions {
-                model: proteus_core::model::proteus::ProteusModelOptions {
-                    threads: available_threads(),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            Some(Box::new(Proteus::train(keys, samples, m_bits, &opts)))
+            Some(Box::new(Proteus::train(keys, samples, m_bits, &ProteusOptions::default())))
         }
         FilterKind::OnePbf => {
             Some(Box::new(OnePbf::train(keys, samples, m_bits, &OnePbfOptions::default())))
@@ -99,7 +92,8 @@ pub fn surf_best_under_budget(
     best
 }
 
-/// Number of worker threads for model evaluation.
+/// Number of worker threads for parallel evaluation (the 2PBF model, the
+/// Fig. 4a sweep).
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get()).min(16)
 }

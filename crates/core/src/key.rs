@@ -26,6 +26,21 @@ pub fn key_u64(k: &[u8]) -> u64 {
     u64::from_be_bytes(b)
 }
 
+/// The first 8 bytes of a key as a big-endian `u64`, left-aligned: a
+/// shorter key is zero-filled on the right. Two keys' heads compare as their
+/// first 8 bytes do, and for keys of at most 8 bytes they are the keys.
+#[inline]
+pub(crate) fn key_head(k: &[u8]) -> u64 {
+    match k.first_chunk::<8>() {
+        Some(head) => u64::from_be_bytes(*head),
+        None => {
+            let mut b = [0u8; 8];
+            b[..k.len()].copy_from_slice(k);
+            u64::from_be_bytes(b)
+        }
+    }
+}
+
 /// Pad `s` with trailing NUL bytes to `width` bytes (§7.1: "padding short
 /// keys and queries with trailing null bytes to a chosen prefix length").
 /// Truncates if `s` is longer than `width`.

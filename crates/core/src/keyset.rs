@@ -8,8 +8,9 @@
 //! * predecessor/successor searches giving each sample query's proximity to
 //!   the key set ("Count Query Prefixes", §4.3).
 
-use crate::key::{lcp_bits, pad_key, prefix_count, u64_key};
+use crate::key::{key_head, lcp_bits, pad_key, prefix_count, u64_key};
 use proteus_succinct::cost;
+use std::cmp::Ordering;
 
 /// An immutable, sorted, deduplicated key set in canonical form, with the
 /// statistics the CPFPR model needs.
@@ -152,13 +153,21 @@ impl KeySet {
         self.u_d[d.min(self.width)]
     }
 
-    /// Index of the first key ≥ `probe`.
+    /// Index of the first key ≥ `probe` (a canonical-width key). Searches on
+    /// each key's first 8 bytes, read in place as one integer; only keys
+    /// whose head equals the probe's are compared as slices.
     pub fn lower_bound(&self, probe: &[u8]) -> usize {
+        let head = key_head(probe);
         let mut lo = 0usize;
         let mut hi = self.n;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.key(mid) < probe {
+            let key = self.key(mid);
+            let below = match key_head(key).cmp(&head) {
+                Ordering::Equal => key < probe,
+                order => order == Ordering::Less,
+            };
+            if below {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -312,6 +321,40 @@ mod tests {
         // Query above all keys: no successor.
         let (_, b) = ks.neighbor_lcps(&u64_key(400), &u64_key(500));
         assert_eq!(b, 0);
+    }
+
+    proptest::proptest! {
+        /// The head search agrees with a plain binary search over the key
+        /// slices. Four byte values per position make equal keys, equal
+        /// heads and probes equal to keys common; width 16 draws its heads
+        /// from two URL schemes, so whole runs of keys share one.
+        #[test]
+        fn lower_bound_matches_the_slice_search(
+            seed: u64,
+            width_kind in 0usize..3,
+            n in 0usize..300,
+        ) {
+            let width = [4, 8, 16][width_kind];
+            let mut s = seed;
+            let mut key = || -> Vec<u8> {
+                let r = crate::testutil::splitmix(&mut s);
+                let scheme: &[u8] = if r & 1 == 0 { b"https://" } else { b"http://a" };
+                let tail = (0..width).map(|i| ((r >> (2 * i + 1)) % 4) as u8 * 60);
+                if width == 16 {
+                    scheme.iter().copied().chain(tail.skip(8)).collect()
+                } else {
+                    tail.collect()
+                }
+            };
+            let mut sorted: Vec<Vec<u8>> = (0..n).map(|_| key()).collect();
+            let ks = KeySet::new(sorted.clone(), width);
+            sorted.sort_unstable();
+            sorted.dedup();
+            for probe in (0..64).map(|_| key()).chain(sorted.iter().take(8).cloned()) {
+                let want = sorted.partition_point(|k| *k < probe);
+                proptest::prop_assert_eq!(ks.lower_bound(&probe), want, "probe {:?}", probe);
+            }
+        }
     }
 
     #[test]

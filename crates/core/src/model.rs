@@ -76,9 +76,10 @@ impl QueryCtx {
 /// empty w.r.t. `keys` (see [`SampleQueries::retain_empty`]).
 pub fn extract_contexts(keys: &KeySet, samples: &SampleQueries) -> Vec<QueryCtx> {
     // The paper sorts the left bounds and advances a cursor instead of
-    // independent binary searches; with our flat sorted keys the binary
-    // search is already cache-friendly and O(|S| log |K|) is negligible, so
-    // we keep the simpler form.
+    // independent binary searches. Here every query pays its own search,
+    // and that is not negligible: for 20 000 queries over 30 841 `u64` keys
+    // it is ~3.2 ms of a ~5.6 ms `ProteusModel::build` (2-core x86-64),
+    // even with `KeySet::lower_bound` comparing integer key heads.
     samples
         .iter()
         .map(|(lo, hi)| {
@@ -94,7 +95,7 @@ pub fn extract_contexts(keys: &KeySet, samples: &SampleQueries) -> Vec<QueryCtx>
 /// Bin `i ≥ 1` holds queries needing a probe count in `[2^(i-1), 2^i)`,
 /// together with the sum of counts so the batched evaluation can use the
 /// bin average (§4.3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbeBins {
     counts: Vec<u64>,
     sums: Vec<u64>,
@@ -131,6 +132,20 @@ impl ProbeBins {
         self.sums[bin] = self.sums[bin].saturating_add(n);
     }
 
+    /// Add every query `other` recorded to this one's. Below 2^24 queries
+    /// of at most [`COUNT_SATURATION`] probes no sum can saturate, so the
+    /// totals do not depend on how queries were split between the two.
+    pub(crate) fn absorb(&mut self, other: &ProbeBins) {
+        for (n, m) in self.counts.iter_mut().zip(&other.counts) {
+            *n += m;
+        }
+        for (s, t) in self.sums.iter_mut().zip(&other.sums) {
+            *s = s.saturating_add(*t);
+        }
+        self.guaranteed += other.guaranteed;
+        self.resolved += other.resolved;
+    }
+
     /// Total queries recorded (including degenerate classes).
     pub fn total(&self) -> u64 {
         self.guaranteed + self.resolved + self.counts.iter().sum::<u64>()
@@ -160,8 +175,8 @@ impl ProbeBins {
 
 /// Evaluate `work(0)..work(n - 1)` and return the results in index order,
 /// fanned out over up to `threads` scoped workers that claim indices from a
-/// shared counter (the models parallelize across coarse-stage candidates,
-/// whose costs are uneven).
+/// shared counter (the 2PBF model parallelizes across its first-filter
+/// prefix lengths, whose costs are uneven).
 pub(crate) fn fan_out<T: Send + Default>(
     n: usize,
     threads: usize,

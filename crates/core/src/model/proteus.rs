@@ -21,8 +21,8 @@
 //! |Q_l2| and the Bloom filter owns the whole budget.
 //! [`ProteusModel::bloom_only`] accumulates just that slice.
 
-use super::{extract_contexts, BitScan, ProbeBins, QueryCtx};
-use crate::key::get_bit;
+use super::{extract_contexts, BitScan, ProbeBins, QueryCtx, COUNT_SATURATION};
+use crate::key::{get_bit, key_head};
 use crate::keyset::KeySet;
 use crate::sample::SampleQueries;
 use crate::trie::ProteusTrie;
@@ -58,23 +58,15 @@ impl ProteusDesign {
 }
 
 /// How many non-byte coarse depths the model tries: the deepest ones whose
-/// stage fits the budget. Each costs one more pass over the sample.
+/// stage fits the budget.
 const BIT_DEPTHS: usize = 3;
 
 /// Options controlling the design search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProteusModelOptions {
     /// Evaluate at most this many Bloom prefix lengths per trie depth,
     /// uniformly spaced (§7.2's coarse search for long keys; 0 = all).
     pub max_bloom_lengths: usize,
-    /// Parallelize accumulation across trie depths.
-    pub threads: usize,
-}
-
-impl Default for ProteusModelOptions {
-    fn default() -> Self {
-        ProteusModelOptions { max_bloom_lengths: 0, threads: 1 }
-    }
 }
 
 /// Accumulated per-design probe statistics for Proteus.
@@ -130,43 +122,88 @@ impl ProteusModel {
     }
 
     /// Accumulate probe-count bins for every `(l1, l2)` with `l1` among the
-    /// given `(trie depths in bits, their trie memory)`.
+    /// given `(trie depths in bits, their trie memory)`, ascending from 0.
+    ///
+    /// A query with `lcp(Q,K) ≥ l1` and `lcp(lo,hi) ≥ l1` fits one occupied
+    /// `l1`-region, and its Eq. 5 row — a guaranteed false positive for
+    /// `l2 ≤ lcp(Q,K)`, then `|Q_l2|` probes — does not depend on `l1`. So
+    /// one pass adds each query's row once, to the bucket of the deepest
+    /// candidate that sees it that way, and a suffix sum over the buckets
+    /// hands it to every shallower candidate. Only where a query spans
+    /// several `l1`-regions (`lcp(lo,hi) < l1 ≤ lcp(Q,K)`) do its end
+    /// regions depend on `l1`; those candidates walk it one by one.
     fn over_depths(
         keys: &KeySet,
         samples: &SampleQueries,
         (l1_candidates, trie_mem): (Vec<usize>, Vec<u64>),
         opts: &ProteusModelOptions,
     ) -> Self {
+        debug_assert!(l1_candidates.first() == Some(&0) && l1_candidates.is_sorted());
         let bits = keys.bits();
-        // Bloom prefix lengths to evaluate (coarse search for long keys).
-        let l2_values: Vec<usize> = if opts.max_bloom_lengths == 0 || opts.max_bloom_lengths >= bits
-        {
-            (1..=bits).collect()
-        } else {
-            let n = opts.max_bloom_lengths;
-            (1..=n).map(|i| (i * bits).div_ceil(n)).collect()
-        };
-
+        let l2_values = l2_values(bits, opts);
         let ctxs = extract_contexts(keys, samples);
         let n_samples = samples.len() as u64;
+        // How many candidates sit at depth `l` or shallower.
+        let upto = |l: usize| l1_candidates.partition_point(|&l1| l1 <= l);
 
-        let accumulate = |c: usize| -> (u64, Vec<ProbeBins>) {
-            let l1 = l1_candidates[c];
-            let mut resolved = 0u64;
-            let mut bins: Vec<ProbeBins> = vec![ProbeBins::default(); bits + 1];
-            for (i, (lo, hi)) in samples.iter().enumerate() {
-                let ctx = ctxs[i];
-                let lcp_total = ctx.lcp_total();
-                if lcp_total < l1 {
-                    resolved += 1;
-                    continue;
+        // `bins[b]` collects bucket b's probe rows and `lcps[b]` its
+        // histogram of lcp(Q,K); both become candidate b's after the sum.
+        let mut bins = vec![vec![ProbeBins::default(); bits + 1]; l1_candidates.len()];
+        let mut lcps = vec![vec![0u64; bits + 1]; l1_candidates.len()];
+        for ((lo, hi), ctx) in samples.iter().zip(&ctxs) {
+            let lcp_total = ctx.lcp_total();
+            // Candidate 0 (no coarse stage) sees every query as one region.
+            let bucket = upto(lcp_total.min(ctx.c as usize)) - 1;
+            lcps[bucket][lcp_total] += 1;
+            let row = &mut bins[bucket];
+            let probed = &l2_values[l2_values.partition_point(|&l2| l2 <= lcp_total)..];
+            if keys.width() <= 8 {
+                // |Q_l2| in closed form from the bounds as integers.
+                let (lo, hi) = (key_head(lo), key_head(hi));
+                for &l2 in probed {
+                    let d = (hi >> (64 - l2)) - (lo >> (64 - l2));
+                    row[l2].add(d.saturating_add(1).min(COUNT_SATURATION));
                 }
-                accumulate_query(lo, hi, ctx, l1, bits, &l2_values, &mut bins);
+            } else if let Some(&last) = probed.last() {
+                let mut scan = BitScan::seed(lo, hi, lcp_total);
+                let mut next = probed.iter().peekable();
+                for (l2, bin) in row.iter_mut().enumerate().take(last + 1).skip(lcp_total + 1) {
+                    scan.step(get_bit(lo, l2 - 1), get_bit(hi, l2 - 1));
+                    if next.next_if_eq(&&l2).is_some() {
+                        bin.add(scan.regions());
+                    }
+                }
             }
-            (resolved, bins)
-        };
-        let (resolved, bins) =
-            super::fan_out(l1_candidates.len(), opts.threads, accumulate).into_iter().unzip();
+        }
+        // Suffix sums, deepest first: when bucket c is added to c - 1 it
+        // already holds every deeper bucket.
+        for c in (1..l1_candidates.len()).rev() {
+            let (shallow, deep) = bins.split_at_mut(c);
+            for (cell, deeper) in shallow[c - 1].iter_mut().zip(&deep[0]) {
+                cell.absorb(deeper);
+            }
+            let (shallow, deep) = lcps.split_at_mut(c);
+            for (n, deeper) in shallow[c - 1].iter_mut().zip(&deep[0]) {
+                *n += deeper;
+            }
+        }
+        for (c, &l1) in l1_candidates.iter().enumerate() {
+            // lcps[c][t] becomes #{lcp(Q,K) ≥ t}: the guaranteed count at t.
+            for t in (0..bits).rev() {
+                lcps[c][t] += lcps[c][t + 1];
+            }
+            for &l2 in l2_values.iter().filter(|&&l2| l2 > l1) {
+                bins[c][l2].guaranteed = lcps[c][l2];
+            }
+        }
+        for ((lo, hi), ctx) in samples.iter().zip(&ctxs) {
+            let lcp_total = ctx.lcp_total();
+            for c in upto(lcp_total.min(ctx.c as usize))..upto(lcp_total) {
+                accumulate_query(lo, hi, *ctx, l1_candidates[c], bits, &l2_values, &mut bins[c]);
+            }
+        }
+        // Candidate 0 counts every query, so lcps[0] says who each resolves.
+        let resolved = l1_candidates.iter().map(|&l1| n_samples - lcps[0][l1]).collect();
         ProteusModel { l1_candidates, trie_mem, resolved, bins, l2_values, n_samples }
     }
 
@@ -236,6 +273,18 @@ impl ProteusModel {
     /// Estimated trie memory at depth `l1`, if it was a candidate.
     pub fn trie_mem_for(&self, l1: usize) -> Option<u64> {
         self.l1_candidates.iter().position(|&v| v == l1).map(|c| self.trie_mem[c])
+    }
+}
+
+/// The Bloom prefix lengths to evaluate for `bits`-bit keys: all of them,
+/// or `max_bloom_lengths` uniformly spaced ones (coarse search for long
+/// keys).
+fn l2_values(bits: usize, opts: &ProteusModelOptions) -> Vec<usize> {
+    let n = opts.max_bloom_lengths;
+    if n == 0 || n >= bits {
+        (1..=bits).collect()
+    } else {
+        (1..=n).map(|i| (i * bits).div_ceil(n)).collect()
     }
 }
 
@@ -421,7 +470,7 @@ mod tests {
         let raw = normal_keys(500, 4);
         let keys = KeySet::from_u64(&raw);
         let samples = correlated_queries(&raw, &keys, 100, 256, 5);
-        let opts = ProteusModelOptions { max_bloom_lengths: 16, threads: 1 };
+        let opts = ProteusModelOptions { max_bloom_lengths: 16 };
         let model = ProteusModel::build(&keys, &samples, 500 * 10, &opts);
         assert_eq!(model.l2_values().len(), 16);
         assert_eq!(*model.l2_values().last().unwrap(), 64);
@@ -429,24 +478,124 @@ mod tests {
         assert!(design.expected_fpr.is_finite());
     }
 
-    #[test]
-    fn threaded_matches_single_threaded() {
-        let raw = normal_keys(1000, 6);
-        let keys = KeySet::from_u64(&raw);
-        let samples = correlated_queries(&raw, &keys, 200, 1 << 8, 15);
-        let m = 1000 * 14;
-        let a = ProteusModel::build(&keys, &samples, m, &ProteusModelOptions::default());
-        let b = ProteusModel::build(
-            &keys,
-            &samples,
-            m,
-            &ProteusModelOptions { threads: 4, ..Default::default() },
-        );
-        let da = a.best_design(&keys, m);
-        let db = b.best_design(&keys, m);
-        assert_eq!(da.trie_depth_bits, db.trie_depth_bits);
-        assert_eq!(da.bloom_prefix_len, db.bloom_prefix_len);
-        assert!((da.expected_fpr - db.expected_fpr).abs() < 1e-12);
+    /// The per-candidate loop the one-pass accumulation replaced, kept as
+    /// its reference: every candidate walks every query it does not
+    /// resolve.
+    fn per_candidate(
+        keys: &KeySet,
+        samples: &SampleQueries,
+        (l1_candidates, trie_mem): (Vec<usize>, Vec<u64>),
+        opts: &ProteusModelOptions,
+    ) -> ProteusModel {
+        let bits = keys.bits();
+        let l2_values = l2_values(bits, opts);
+        let ctxs = extract_contexts(keys, samples);
+        let (mut resolved, mut bins) = (Vec::new(), Vec::new());
+        for &l1 in &l1_candidates {
+            let mut r = 0u64;
+            let mut b = vec![ProbeBins::default(); bits + 1];
+            for ((lo, hi), &ctx) in samples.iter().zip(&ctxs) {
+                if ctx.lcp_total() < l1 {
+                    r += 1;
+                    continue;
+                }
+                accumulate_query(lo, hi, ctx, l1, bits, &l2_values, &mut b);
+            }
+            resolved.push(r);
+            bins.push(b);
+        }
+        let n_samples = samples.len() as u64;
+        ProteusModel { l1_candidates, trie_mem, resolved, bins, l2_values, n_samples }
+    }
+
+    /// `width`-byte canonical form of `v` (below 2^32 for width 4): its
+    /// 4 or 8 low bytes, or for width 16 all 8 behind a shared `https://`.
+    fn embed(v: u64, width: usize) -> Vec<u8> {
+        match width {
+            4 => u32::try_from(v).unwrap().to_be_bytes().to_vec(),
+            8 => v.to_be_bytes().to_vec(),
+            _ => [b"https://".as_slice(), &v.to_be_bytes()].concat(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The one-pass accumulation gives the per-candidate loop's bins,
+        /// resolved counts, `expected_fpr` for every `(l1, l2)` and design,
+        /// bit for bit. Keys are uniform or in four tight clusters; queries
+        /// are uniform, key-correlated, whole or partial gaps between
+        /// neighbouring keys (spanning many `l1`-regions: the per-candidate
+        /// path), or any of these and random pairs mixed.
+        #[test]
+        fn one_pass_matches_the_per_candidate_loop(
+            seed: u64,
+            clustered: bool,
+            query_kind in 0u64..4,
+            width_kind in 0usize..3,
+            coarse_l2: bool,
+            bloom_only: bool,
+            bits_per_key in 4u64..=40,
+        ) {
+            let width = [8, 4, 16][width_kind];
+            // Values are drawn below `top` + 1, and offsets saturate there.
+            let top = if width == 4 { u64::from(u32::MAX) } else { u64::MAX };
+            let add = |v: u64, d: u64| v.saturating_add(d).min(top);
+            let mut s = seed;
+            let mut draw = || splitmix(&mut s) >> (64 - width.min(8) * 8);
+            let centers: Vec<u64> = (0..4).map(|_| draw()).collect();
+            let n_keys = 16 + (draw() % 1500) as usize;
+            let mut raw: Vec<u64> = (0..n_keys)
+                .map(|_| {
+                    let r = draw();
+                    if clustered { add(centers[(r % 4) as usize], r % (1 << 20)) } else { r }
+                })
+                .collect();
+            raw.sort_unstable();
+            raw.dedup();
+            let keys = KeySet::new(raw.iter().map(|&v| embed(v, width)).collect(), width);
+            let mut samples = SampleQueries::new(width);
+            for _ in 0..300 {
+                let kind = if query_kind == 3 { draw() % 5 } else { query_kind };
+                let i = (draw() % raw.len() as u64) as usize;
+                let (k, next) = (raw[i], raw.get(i + 1).copied().unwrap_or(top));
+                let (r, t) = (draw(), draw());
+                let (lo, hi) = match kind {
+                    0 => (r, add(r, t >> (r % 64))),
+                    1 => (add(k, 1 + r % 4096), add(k, 1 + r % 4096 + t % 16)),
+                    2 => {
+                        let gap = (next - k) / 4 + 1;
+                        (add(k, 1 + r % gap), next.saturating_sub(1 + t % gap))
+                    }
+                    _ => (r.min(t), r.max(t)),
+                };
+                if lo <= hi {
+                    samples.push(&embed(lo, width), &embed(hi, width));
+                }
+            }
+            samples.retain_empty(&keys);
+            let m = keys.len() as u64 * bits_per_key;
+            // `bloom_only` evaluates every Bloom prefix length.
+            let coarse = coarse_l2 && !bloom_only;
+            let opts = ProteusModelOptions { max_bloom_lengths: if coarse { 16 } else { 0 } };
+            let fast = if bloom_only {
+                ProteusModel::bloom_only(&keys, &samples)
+            } else {
+                ProteusModel::build(&keys, &samples, m, &opts)
+            };
+            let depths = (fast.l1_candidates.clone(), fast.trie_mem.clone());
+            let reference = per_candidate(&keys, &samples, depths, &opts);
+            for &l1 in &fast.l1_candidates {
+                for l2 in 0..=keys.bits() {
+                    let a = fast.expected_fpr(&keys, l1, l2, m).map(f64::to_bits);
+                    let b = reference.expected_fpr(&keys, l1, l2, m).map(f64::to_bits);
+                    proptest::prop_assert_eq!(a, b, "l1={} l2={}", l1, l2);
+                }
+            }
+            proptest::prop_assert_eq!(fast.best_design(&keys, m), reference.best_design(&keys, m));
+            proptest::prop_assert_eq!(&fast.resolved, &reference.resolved);
+            proptest::prop_assert!(fast.bins == reference.bins, "bins differ");
+        }
     }
 
     #[test]

@@ -57,16 +57,46 @@ use std::time::Instant;
 /// §4.3 bound, fixed rather than tuned.
 pub const OFF_PREDICTION_ALPHA: f64 = 1e-4;
 
-/// Why an SST was flagged for filter re-training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why an SST was flagged for filter re-training, with the numbers the
+/// decision read. Displays as "observed 0.031 over 4096 probes vs predicted
+/// 0.005".
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlagReason {
     /// The file's observed FPR crossed `adapt_fpr_threshold` after at
     /// least `adapt_min_probes` filter probes, doubled per re-train.
-    HighFpr,
+    HighFpr {
+        /// The file's observed FPR.
+        observed: f64,
+        /// The filter probes it was observed over.
+        probes: u64,
+        /// The `adapt_fpr_threshold` it crossed.
+        threshold: f64,
+    },
     /// The file's observed FPR is above its filter's predicted FPR by more
     /// than chance allows, and the sample queue has turned over since the
     /// filter was trained.
-    OffPrediction,
+    OffPrediction {
+        /// The file's observed FPR.
+        observed: f64,
+        /// The filter probes it was observed over.
+        probes: u64,
+        /// The FPR the CPFPR model predicted for the filter's design.
+        predicted: f64,
+    },
+}
+
+impl std::fmt::Display for FlagReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (observed, probes, against, bound) = match *self {
+            FlagReason::HighFpr { observed, probes, threshold } => {
+                (observed, probes, "threshold", threshold)
+            }
+            FlagReason::OffPrediction { observed, probes, predicted } => {
+                (observed, probes, "predicted", predicted)
+            }
+        };
+        write!(f, "observed {observed:.3} over {probes} probes vs {against} {bound:.3}")
+    }
 }
 
 /// Decide whether `sst`'s filter should be re-trained, given the live sample
@@ -83,8 +113,9 @@ pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, queue: &QueryQueue) -> Optio
     // pass would burn CPU for nothing. Each retry needs twice the probe
     // evidence.
     let required = cfg.adapt_min_probes().saturating_mul(1u64 << sst.retrain_count().min(20));
-    if n >= required && observed > cfg.adapt_fpr_threshold() {
-        return Some(FlagReason::HighFpr);
+    let threshold = cfg.adapt_fpr_threshold();
+    if n >= required && observed > threshold {
+        return Some(FlagReason::HighFpr { observed, probes: n, threshold });
     }
     // A design that still sees what it was chosen for does not flag here,
     // whatever its FPR.
@@ -94,7 +125,7 @@ pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, queue: &QueryQueue) -> Optio
         && fpr_estimate_error_bound(n as usize, observed - predicted, observed)
             <= OFF_PREDICTION_ALPHA
         && queue.turned_over_since(sst.trained_at());
-    off.then_some(FlagReason::OffPrediction)
+    off.then_some(FlagReason::OffPrediction { observed, probes: n, predicted })
 }
 
 /// Re-train one SST's filter: collect the file's filter keys, re-run the
@@ -227,7 +258,13 @@ mod tests {
         assert_eq!(sst.observed_probes(), 10);
         assert!((sst.observed_fpr() - 0.8).abs() < 1e-12);
         let live = QueryQueue::new(16, 1);
-        assert_eq!(flag_reason(&sst, &cfg, &live), Some(FlagReason::HighFpr));
+        let reason = flag_reason(&sst, &cfg, &live).expect("flagged");
+        assert!(
+            matches!(reason, FlagReason::HighFpr { observed, probes: 10, threshold }
+                if (observed - 0.8).abs() < 1e-12 && threshold == 0.3),
+            "{reason:?}"
+        );
+        assert_eq!(reason.to_string(), "observed 0.800 over 10 probes vs threshold 0.300");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -269,7 +306,14 @@ mod tests {
             assert_eq!(flag_reason(&sst, &cfg, &queue), None, "false positive {i}");
         }
         assert!(sst.observed_fpr() > cfg.adapt_fpr_threshold());
-        assert_eq!(flag_reason(&sst, &cfg, &moved_on), Some(FlagReason::OffPrediction));
+        // The flag carries what it read: 22 000 probes, the observed FPR and
+        // the design's prediction.
+        let off_prediction = |reason: Option<FlagReason>| {
+            matches!(reason,
+                Some(FlagReason::OffPrediction { observed, probes: 22_000, predicted: p })
+                    if observed == sst.observed_fpr() && p == predicted)
+        };
+        assert!(off_prediction(flag_reason(&sst, &cfg, &moved_on)));
         // 3. Half a queue of new queries: off its prediction, although the
         // threshold's back-off still holds `HighFpr` back.
         for (lo, hi) in queries(1_000, 9_999) {
@@ -277,7 +321,11 @@ mod tests {
         }
         assert_eq!(flag_reason(&sst, &cfg, &queue), None, "one query short of half");
         queue.offer(&u64_key(0), &u64_key(1));
-        assert_eq!(flag_reason(&sst, &cfg, &queue), Some(FlagReason::OffPrediction));
+        let reason = flag_reason(&sst, &cfg, &queue);
+        assert!(off_prediction(reason), "{reason:?}");
+        let shown = reason.expect("flagged").to_string();
+        let want = format!("observed {:.3} over 22000 probes vs predicted ", sst.observed_fpr());
+        assert!(shown.starts_with(&want), "{shown}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -341,7 +389,12 @@ mod tests {
         for _ in 0..20 {
             new_reader.record_probe(true);
         }
-        assert_eq!(flag_reason(&new_reader, &cfg, &outside), Some(FlagReason::HighFpr));
+        let reason = flag_reason(&new_reader, &cfg, &outside);
+        assert!(
+            matches!(reason, Some(FlagReason::HighFpr { observed, probes: 20, threshold })
+                if observed == 1.0 && threshold == 0.3),
+            "{reason:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -34,7 +34,6 @@ fn main() {
         hash_family: HashFamily::ClHash, // §7.1: CLHASH for strings
         model: ProteusModelOptions {
             max_bloom_lengths: 128, // §7.2: coarse search over 512-bit keys
-            threads: 4,
         },
         ..Default::default()
     };
