@@ -296,15 +296,6 @@ impl Block {
         Ok(Block { data, keybuf, entries })
     }
 
-    /// On-disk size of the block starting at `disk` (header + payload).
-    /// A slice shorter than the 9-byte header — e.g. an index entry
-    /// pointing into a truncated tail — is [`Error::Corruption`], never a
-    /// panic (the repo-wide malformed-bytes invariant).
-    pub fn disk_len(disk: &[u8]) -> Result<usize> {
-        let stored = le_u32_at(disk, 5).ok_or_else(|| corrupt("shorter than its header"))?;
-        Ok(9 + stored as usize)
-    }
-
     /// Number of entries in the block.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -420,7 +411,7 @@ mod tests {
         let raw_len = u32::from_le_bytes(disk[1..5].try_into().unwrap()) as usize;
         let stored = u32::from_le_bytes(disk[5..9].try_into().unwrap()) as usize;
         assert!(stored < raw_len);
-        assert_eq!(Block::disk_len(&disk).unwrap(), disk.len());
+        assert_eq!(9 + stored, disk.len());
     }
 
     #[test]
@@ -526,17 +517,6 @@ mod tests {
         // Truncations anywhere must error, never panic.
         for cut in 0..disk.len() {
             assert!(Block::decode_v3(&disk[..cut]).is_err(), "cut {cut}");
-        }
-        // disk_len on a truncated header is corruption, not a panic; with
-        // the header intact it still reports the full on-disk size.
-        for cut in 0..9 {
-            assert!(
-                matches!(Block::disk_len(&disk[..cut]), Err(Error::Corruption(_))),
-                "cut {cut}"
-            );
-        }
-        for cut in 9..=disk.len() {
-            assert_eq!(Block::disk_len(&disk[..cut]).unwrap(), disk.len(), "cut {cut}");
         }
         // Unknown codec byte.
         let mut bad = disk.clone();

@@ -3,13 +3,13 @@
 //! Every public operation on [`crate::Db`] returns [`Result`] instead of a
 //! bare `std::io::Result`, so callers can distinguish an operating-system
 //! failure ([`Error::Io`]) from on-disk damage ([`Error::Corruption`]), a
-//! rejected argument or configuration ([`Error::Config`]), a filter-codec
-//! failure ([`Error::Codec`]) and a crashed internal thread
-//! ([`Error::Poisoned`]). The enum is `#[non_exhaustive]`: downstream
-//! matches must keep a wildcard arm so new failure classes can be added
-//! without a breaking release.
-
-use proteus_core::CodecError;
+//! rejected argument or configuration ([`Error::Config`]) and a crashed
+//! internal thread ([`Error::Poisoned`]). Every failure to decode persisted
+//! bytes is [`Error::Corruption`] naming the file: there is no conversion
+//! from the byte reader's `CodecError`, so a decode path must say where
+//! the damage is. The enum is `#[non_exhaustive]`: downstream matches must
+//! keep a wildcard arm so new failure classes can be added without a
+//! breaking release.
 
 /// Alias for `std::result::Result<T, proteus_lsm::Error>`, used by every
 /// public method of the store.
@@ -27,10 +27,6 @@ pub enum Error {
     /// version, a checksum mismatch, or geometry that does not fit the
     /// file. The data needs repair; retrying will not help.
     Corruption(String),
-    /// A filter-codec envelope could not be encoded or decoded on a path
-    /// where degrading to "no filter" is not an option. (Read paths prefer
-    /// to degrade: a corrupt filter block costs I/O, never an error.)
-    Codec(CodecError),
     /// An argument or configuration value was rejected at the API
     /// boundary: wrong key width, empty key, or a [`crate::DbConfig`]
     /// that fails validation at [`crate::Db::open`].
@@ -57,7 +53,6 @@ impl std::fmt::Display for Error {
         match self {
             Error::Io(e) => write!(f, "I/O error: {e}"),
             Error::Corruption(d) => write!(f, "corruption: {d}"),
-            Error::Codec(e) => write!(f, "filter codec: {e}"),
             Error::Config(d) => write!(f, "invalid configuration: {d}"),
             Error::Poisoned(what) => {
                 write!(f, "internal lock poisoned ({what}): a worker thread panicked")
@@ -70,7 +65,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Io(e) => Some(e),
-            Error::Codec(e) => Some(e),
             _ => None,
         }
     }
@@ -79,12 +73,6 @@ impl std::error::Error for Error {
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Error {
         Error::Io(e)
-    }
-}
-
-impl From<CodecError> for Error {
-    fn from(e: CodecError) -> Error {
-        Error::Codec(e)
     }
 }
 
@@ -98,13 +86,6 @@ mod tests {
         assert!(matches!(e, Error::Io(_)));
         assert!(std::error::Error::source(&e).is_some());
         assert!(e.to_string().contains("disk gone"));
-    }
-
-    #[test]
-    fn codec_errors_convert() {
-        let e: Error = CodecError::BadMagic.into();
-        assert!(matches!(e, Error::Codec(CodecError::BadMagic)));
-        assert!(std::error::Error::source(&e).is_some());
     }
 
     #[test]

@@ -61,7 +61,7 @@ use crate::error::{Error, Result};
 use crate::filter_hook::FilterFactory;
 use crate::query_queue::QueryQueue;
 use crate::stats::{ratio, Stats};
-use proteus_core::codec::crc32;
+use proteus_core::codec::{crc32, ByteReader, CodecError};
 use proteus_core::key::pad_key;
 use proteus_core::keyset::KeySet;
 use proteus_core::RangeFilter;
@@ -91,30 +91,38 @@ fn bad(path: &Path, what: &str) -> Error {
     Error::corruption(format!("{}: {what}", path.display()))
 }
 
-/// Bounds-checked little-endian field reads: a short or overrun slice is
-/// a corruption error, never a panic — the decode paths below must stay
-/// panic-free on arbitrary on-disk bytes.
-fn le_u16(buf: &[u8], o: usize, path: &Path) -> Result<u16> {
-    match buf.get(o..o + 2).and_then(|s| s.try_into().ok()) {
-        Some(b) => Ok(u16::from_le_bytes(b)),
-        None => Err(bad(path, "field overruns the buffer")),
-    }
+/// The footer's fields in file order: index offset and length, filter
+/// offset and length, entry count, then (past the reserved word) filter
+/// key width, format version and tombstone count.
+fn decode_footer(footer: &[u8]) -> std::result::Result<([u64; 5], u32, u16, u32), CodecError> {
+    let mut r = ByteReader::new(footer);
+    let words = [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    r.take(4)?;
+    Ok((words, r.u32()?, r.u16()?, r.u32()?))
 }
 
-/// See [`le_u16`].
-fn le_u32(buf: &[u8], o: usize, path: &Path) -> Result<u32> {
-    match buf.get(o..o + 4).and_then(|s| s.try_into().ok()) {
-        Some(b) => Ok(u32::from_le_bytes(b)),
-        None => Err(bad(path, "field overruns the buffer")),
+/// Decode a CRC-checked index block body: a count, then per block two
+/// non-empty, ordered, `u16`-length-prefixed boundary keys, its offset and
+/// its length — inside the `data_len`-byte data section — and nothing after
+/// the last entry.
+fn decode_index(body: &[u8], data_len: u64) -> std::result::Result<Vec<BlockMeta>, CodecError> {
+    let mut r = ByteReader::new(body);
+    let n = r.u32()? as usize;
+    let key = |r: &mut ByteReader<'_>| match r.u16()? {
+        0 => Err(CodecError::Invalid("zero-length index key")),
+        len => Ok(r.take(len.into())?.to_vec()),
+    };
+    let mut index = Vec::with_capacity(n.min(body.len()));
+    for _ in 0..n {
+        let (first_key, last_key) = (key(&mut r)?, key(&mut r)?);
+        let (offset, len) = (r.u64()?, r.u32()?);
+        if first_key > last_key || offset.checked_add(len.into()).is_none_or(|e| e > data_len) {
+            return Err(CodecError::Invalid("index entry out of bounds"));
+        }
+        index.push(BlockMeta { first_key, last_key, offset, len });
     }
-}
-
-/// See [`le_u16`].
-fn le_u64(buf: &[u8], o: usize, path: &Path) -> Result<u64> {
-    match buf.get(o..o + 8).and_then(|s| s.try_into().ok()) {
-        Some(b) => Ok(u64::from_le_bytes(b)),
-        None => Err(bad(path, "field overruns the buffer")),
-    }
+    r.finish()?;
+    Ok(index)
 }
 
 /// Serialize the fixed 64-byte footer (shared by the writer and the
@@ -348,16 +356,17 @@ impl SstReader {
             }
             return Err(bad(&path, "bad SST magic"));
         }
-        if le_u16(&footer, 48, &path)? != SST_FORMAT_VERSION {
+        let codec = |e: CodecError| bad(&path, &format!("meta section: {e}"));
+        let (
+            [index_off, index_len, filter_off, filter_len, n_entries],
+            width,
+            version,
+            n_tombstones,
+        ) = decode_footer(&footer).map_err(codec)?;
+        if version != SST_FORMAT_VERSION {
             return Err(bad(&path, "v3 magic with a non-3 format version"));
         }
-        let index_off = le_u64(&footer, 0, &path)?;
-        let index_len = le_u64(&footer, 8, &path)?;
-        let filter_off = le_u64(&footer, 16, &path)?;
-        let filter_len = le_u64(&footer, 24, &path)?;
-        let n_entries = le_u64(&footer, 32, &path)?;
-        let width = le_u32(&footer, 44, &path)? as usize;
-        let n_tombstones = le_u32(&footer, 50, &path)? as u64;
+        let (width, n_tombstones) = (width as usize, u64::from(n_tombstones));
         if width == 0 || width > 64 {
             return Err(bad(&path, "implausible filter key width"));
         }
@@ -381,52 +390,14 @@ impl SstReader {
         if raw.len() < 8 {
             return Err(bad(&path, "index block too short"));
         }
-        let crc_off = raw.len() - 4;
-        let (body, _) = raw.split_at(crc_off);
-        let stored_crc = le_u32(&raw, crc_off, &path)?;
-        if crc32(body) != stored_crc {
+        let (body, crc) = raw.split_at(raw.len() - 4);
+        if crc32(body) != ByteReader::new(crc).u32().map_err(codec)? {
             return Err(bad(&path, "index checksum mismatch"));
         }
-        let n_blocks = le_u32(body, 0, &path)? as usize;
-        if n_blocks == 0 {
-            return Err(bad(&path, "index block length mismatch"));
-        }
-        let mut index = Vec::with_capacity(n_blocks.min(body.len()));
-        let mut pos = 4usize;
-        // Length-prefixed boundary keys per block.
-        let read_key = |pos: &mut usize| -> Result<Vec<u8>> {
-            let lo = *pos;
-            if lo + 2 > body.len() {
-                return Err(bad(&path, "index entry overruns the block"));
-            }
-            let len = le_u16(body, lo, &path)? as usize;
-            if len == 0 || lo + 2 + len > body.len() {
-                return Err(bad(&path, "index key length out of bounds"));
-            }
-            *pos = lo + 2 + len;
-            Ok(body[lo + 2..lo + 2 + len].to_vec())
-        };
-        for _ in 0..n_blocks {
-            let first_key = read_key(&mut pos)?;
-            let last_key = read_key(&mut pos)?;
-            if pos + 12 > body.len() {
-                return Err(bad(&path, "index entry overruns the block"));
-            }
-            let offset = le_u64(body, pos, &path)?;
-            let len = le_u32(body, pos + 8, &path)?;
-            pos += 12;
-            if first_key > last_key || offset.checked_add(len as u64).is_none_or(|e| e > index_off)
-            {
-                return Err(bad(&path, "index entry out of bounds"));
-            }
-            index.push(BlockMeta { first_key, last_key, offset, len });
-        }
-        if pos != body.len() {
-            return Err(bad(&path, "index block length mismatch"));
-        }
+        let index = decode_index(body, index_off).map_err(codec)?;
         let (min_key, max_key) = match (index.first(), index.last()) {
             (Some(f), Some(l)) => (f.first_key.clone(), l.last_key.clone()),
-            _ => return Err(bad(&path, "index block length mismatch")),
+            _ => return Err(bad(&path, "empty index block")),
         };
 
         Ok(SstReader {

@@ -46,8 +46,9 @@
 //!                length-prefixed value   — puts only )
 //! ```
 //!
-//! Integers are little-endian; keys and values use the same
-//! length-prefixed runs as the `proteus-succinct` codec
+//! Integers are little-endian. Replay reads the header, the record
+//! framing and the payloads through the `proteus-succinct` codec's
+//! [`ByteReader`]; keys and values are its length-prefixed runs
 //! ([`WireWrite::put_bytes`] / [`ByteReader::bytes`]).
 //!
 //! ## Replay semantics
@@ -66,7 +67,7 @@
 
 use crate::config::SyncMode;
 use crate::error::{Error, Result};
-use proteus_core::codec::{crc32, ByteReader, WireWrite};
+use proteus_core::codec::{crc32, ByteReader, CodecError, WireWrite};
 use proteus_core::sync::{rank, Condvar, Mutex, MutexGuard};
 use std::fs::File;
 use std::io::Write;
@@ -129,15 +130,6 @@ fn bad(path: &Path, what: impl std::fmt::Display) -> Error {
     Error::corruption(format!("{}: {what}", path.display()))
 }
 
-/// Bounds-checked little-endian u32 read: replay must stay panic-free on
-/// arbitrary on-disk bytes, so a short slice is a typed error.
-fn le_u32(bytes: &[u8], o: usize, path: &Path) -> Result<u32> {
-    match bytes.get(o..o + 4).and_then(|s| s.try_into().ok()) {
-        Some(b) => Ok(u32::from_le_bytes(b)),
-        None => Err(bad(path, "field overruns the segment")),
-    }
-}
-
 /// The wire length prefixes are u32: a count or payload over `u32::MAX`
 /// cannot be represented, so the encoder refuses instead of truncating.
 fn wire_u32(n: usize, what: &str) -> Result<u32> {
@@ -189,42 +181,38 @@ pub struct SegmentReplay {
 /// header; every logged key must be non-empty and within the limit.
 pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay> {
     let bytes = std::fs::read(path)?;
+    let torn =
+        |commits, at: usize| Ok(SegmentReplay { commits, torn_tail: true, valid_len: at as u64 });
     if (bytes.len() as u64) < WAL_HEADER_LEN {
         // A crash during segment creation: the header never fully hit the
         // disk, so no record can have been acked against this file.
-        return Ok(SegmentReplay { commits: Vec::new(), torn_tail: true, valid_len: 0 });
+        return torn(Vec::new(), 0);
     }
-    if bytes[0..8] != WAL_MAGIC {
+    let codec = |e: CodecError| bad(path, e);
+    let mut r = ByteReader::new(&bytes);
+    if r.take(WAL_MAGIC.len()).map_err(codec)? != WAL_MAGIC {
         return Err(bad(path, "bad WAL magic"));
     }
-    if crc32(&bytes[0..12]) != le_u32(&bytes, 12, path)? {
+    let max = r.u32().map_err(codec)? as usize;
+    if crc32(&bytes[0..12]) != r.u32().map_err(codec)? {
         return Err(bad(path, "WAL header checksum mismatch"));
     }
-    let max = le_u32(&bytes, 8, path)? as usize;
     if max != expected_max {
         return Err(bad(path, format!("max key bytes {max} != configured {expected_max}")));
     }
     let mut commits = Vec::new();
-    let mut pos = WAL_HEADER_LEN as usize;
-    while pos < bytes.len() {
-        if bytes.len() - pos < 8 {
-            // A torn length prefix.
-            return Ok(SegmentReplay { commits, torn_tail: true, valid_len: pos as u64 });
-        }
-        let len = le_u32(&bytes, pos, path)? as usize;
-        let crc = le_u32(&bytes, pos + 4, path)?;
-        let end = pos + 8 + len;
-        if end > bytes.len() {
-            // The record claims bytes past EOF: a write cut mid-record (or
-            // an unrecognizably corrupted length — indistinguishable).
-            return Ok(SegmentReplay { commits, torn_tail: true, valid_len: pos as u64 });
-        }
-        let payload = &bytes[pos + 8..end];
+    while !r.is_empty() {
+        let pos = bytes.len() - r.remaining();
+        // A torn length prefix, or a record claiming bytes past EOF: a
+        // write cut mid-record (or an unrecognizably corrupted length —
+        // indistinguishable).
+        let (Ok(len), Ok(crc)) = (r.u32(), r.u32()) else { return torn(commits, pos) };
+        let Ok(payload) = r.take(len as usize) else { return torn(commits, pos) };
         if crc32(payload) != crc {
-            if end == bytes.len() {
+            if r.is_empty() {
                 // Checksum failure in the final record = partially written
                 // payload: the classic torn tail. Drop it.
-                return Ok(SegmentReplay { commits, torn_tail: true, valid_len: pos as u64 });
+                return torn(commits, pos);
             }
             return Err(bad(path, format!("mid-log checksum mismatch at byte {pos}")));
         }
@@ -232,9 +220,8 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
             decode_payload(payload, expected_max)
                 .map_err(|e| bad(path, format!("commit {} at byte {pos}: {e}", commits.len())))?,
         );
-        pos = end;
     }
-    Ok(SegmentReplay { commits, torn_tail: false, valid_len: pos as u64 })
+    Ok(SegmentReplay { commits, torn_tail: false, valid_len: bytes.len() as u64 })
 }
 
 /// Decode a CRC-valid commit payload. Any failure here is corruption: the
@@ -242,7 +229,7 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
 /// error cannot be a torn write.
 fn decode_payload(payload: &[u8], max: usize) -> std::result::Result<Vec<WalOp>, String> {
     let mut r = ByteReader::new(payload);
-    let err = |e: proteus_core::CodecError| e.to_string();
+    let err = |e: CodecError| e.to_string();
     let n = r.u32().map_err(err)? as usize;
     let mut ops = Vec::with_capacity(n.min(payload.len()));
     for i in 0..n {

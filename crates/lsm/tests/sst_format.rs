@@ -532,6 +532,36 @@ fn v3_golden_truncation_sweep_never_panics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn v3_golden_bit_flip_sweep_fails_typed_or_reads_back() {
+    let orig = encode_v3_golden();
+    let dir = tmpdir("v3-flip");
+    let path = dir.join("00000003.sst");
+    // Flip bit `i % 8` of every byte `i`. Footer and index damage must fail
+    // the open; data-block damage must fail the scan or read back. Every
+    // failure is `Corruption` — any other error, or a panic, fails here.
+    let (mut refused, mut scan_failed, mut read_back) = (0, 0, 0);
+    for i in 0..orig.len() {
+        let mut bytes = orig.clone();
+        bytes[i] ^= 1 << (i % 8);
+        std::fs::write(&path, &bytes).unwrap();
+        match SstReader::open(&path, 3) {
+            Err(Error::Corruption(_)) => refused += 1,
+            Err(other) => panic!("flip at byte {i}: open failed with {other:?}"),
+            Ok(sst) => match scan_all(sst) {
+                Ok(_) => read_back += 1,
+                Err(Error::Corruption(_)) => scan_failed += 1,
+                Err(other) => panic!("flip at byte {i}: scan failed with {other:?}"),
+            },
+        }
+    }
+    // Data blocks carry no checksum, so most flips that read back return
+    // changed keys or values. The counts pin that no check was lost.
+    assert_eq!(orig.len(), 1_977);
+    assert_eq!((refused, scan_failed, read_back), (527, 476, 974));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Write a v3 file through the real writer (variable-length string keys),
 /// for sweeps over writer-produced bytes (which may use the compressed
 /// block codec, unlike the hand-encoded golden).

@@ -526,11 +526,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), Error> {
 pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Option<Vec<u8>>, Error> {
     let mut len_buf = [0u8; 4];
     // First byte by hand so a clean close between frames is `None`, not an
-    // error.
-    match r.read(&mut len_buf[..1])? {
-        0 => return Ok(None),
-        _ => r.read_exact(&mut len_buf[1..])?,
+    // error; a signal landing there retries, as `read_exact` does after it.
+    loop {
+        match r.read(&mut len_buf[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
+    r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > max_len {
         return Err(Error::FrameTooLarge { len, max: max_len });
@@ -636,6 +641,18 @@ mod tests {
         write_frame(&mut torn, b"abcdef").unwrap();
         torn.truncate(torn.len() - 2);
         assert!(read_frame(&mut &torn[..], MAX_FRAME_LEN).is_err());
+        // A signal before the first byte retries instead of failing.
+        struct InterruptedOnce<'a>(bool, &'a [u8]);
+        impl Read for InterruptedOnce<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if std::mem::replace(&mut self.0, false) {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                self.1.read(buf)
+            }
+        }
+        let mut r = InterruptedOnce(true, &buf);
+        assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).unwrap().unwrap(), b"abc");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! operation and is `Sync`, so connection threads share the shard vector
 //! through one `Arc` with no server-side locking; all cross-thread
 //! coordination the server adds is a single shutdown [`AtomicBool`] and
-//! the join-handle registry.
+//! the connection registry (each thread's join handle beside a clone of
+//! its socket).
 //!
 //! ## Shutdown order
 //!
@@ -17,11 +18,14 @@
 //!
 //! 1. **Stop accepting**: set the shutdown flag, then self-connect to the
 //!    listener so the blocking `accept` observes it and exits.
-//! 2. **Drain connections**: connection threads poll the flag between
-//!    requests (reads use a short timeout so an idle connection notices
-//!    within [`POLL_INTERVAL`]); a request already being served always
-//!    runs to completion and its response is flushed — acked writes are
-//!    never abandoned mid-frame. All connection threads are joined.
+//! 2. **Drain connections**: every registered socket's read side is shut
+//!    down, so a thread waiting for a request — or for the rest of one its
+//!    peer stalled on — reads EOF at once and exits. A request already
+//!    read still runs to completion and its response is flushed (the
+//!    write side stays open) — acked writes are never abandoned mid-frame.
+//!    All connection threads are joined. The `SHUTDOWN` verb only runs
+//!    step 1: other connections close when the owner calls
+//!    [`Server::shutdown`] or drops the server.
 //! 3. **Drop the shards**: only after every thread that can touch a `Db`
 //!    has exited are the shards dropped. [`Db::drop`] then runs its own
 //!    shutdown (stop workers, final WAL sync), so every acked write is
@@ -32,29 +36,29 @@
 //!    which is why the join comes first.
 
 use crate::protocol::{
-    write_frame, Error, ErrorCode, Request, Response, ShardStats, DEFAULT_SCAN_LIMIT, MAX_FRAME_LEN,
+    read_frame, write_frame, Error, ErrorCode, Request, Response, ShardStats, DEFAULT_SCAN_LIMIT,
+    MAX_FRAME_LEN,
 };
 use crate::router::Router;
 use proteus_core::sync::{rank, Mutex};
 use proteus_lsm::{Db, DbConfig, Error as DbError, FilterFactory};
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, BufWriter, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long an idle connection blocks in `read` before re-checking the
-/// shutdown flag. Bounds shutdown latency without a wakeup channel per
-/// connection.
+/// How often [`Server::wait`] re-checks the shutdown flag.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// A running sharded server. Dropping it performs a full graceful
 /// shutdown (see the module docs for the ordering contract).
 pub struct Server {
     shared: Arc<Shared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
@@ -68,9 +72,10 @@ struct Shared {
     /// the blocking accept loop during shutdown.
     listen_addr: SocketAddr,
     shutting_down: AtomicBool,
-    /// Join handles for live connection threads. Finished threads are
-    /// reaped lazily each accept; shutdown joins whatever remains.
-    conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Live connection threads, each with a clone of its socket so
+    /// shutdown can end its read side. Finished threads are reaped lazily
+    /// each accept; shutdown joins whatever remains.
+    conns: Mutex<Vec<(JoinHandle<()>, TcpStream)>>,
 }
 
 impl Server {
@@ -170,14 +175,17 @@ impl Server {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        // Join the connection threads. Idle ones notice the flag within
-        // POLL_INTERVAL; busy ones finish (and flush) their current
-        // request first.
-        let handles = {
+        // With the acceptor gone the registry is complete. Ending each
+        // socket's read side wakes a thread blocked in `read` with EOF;
+        // a busy one finishes (and flushes) its current request first.
+        let conns = {
             let mut g = self.shared.conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             std::mem::take(&mut *g)
         };
-        for h in handles {
+        for (_, stream) in &conns {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (h, _) in conns {
             let _ = h.join();
         }
     }
@@ -221,32 +229,35 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             // drop the socket unserved and exit.
             return;
         }
+        let Ok(registered) = stream.try_clone() else { continue };
         conn_id += 1;
         let conn_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name(format!("proteus-server-conn-{conn_id}"))
             .spawn(move || {
-                let _ = serve_connection(stream, &conn_shared);
+                let _ = serve_connection(&stream, &conn_shared);
+                // The registry's clone keeps the socket open: close it for
+                // the peer now, not when that clone is reaped.
+                let _ = stream.shutdown(Shutdown::Both);
             });
         let Ok(handle) = handle else { continue };
         let mut g = shared.conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         // Reap finished threads so a long-lived server with churning
-        // connections doesn't accumulate handles.
-        g.retain(|h| !h.is_finished());
-        g.push(handle);
+        // connections doesn't accumulate handles or sockets.
+        g.retain(|(h, _)| !h.is_finished());
+        g.push((handle, registered));
     }
 }
 
 /// Serve one connection until the peer closes, the transport fails, a
-/// frame is oversized, or shutdown drains us. Never panics on malformed
-/// input: every decode failure becomes a typed error response.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> Result<(), Error> {
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
+/// frame is oversized, or shutdown ends its read side. Never panics on
+/// malformed input: every decode failure becomes a typed error response.
+fn serve_connection(stream: &TcpStream, shared: &Shared) -> Result<(), Error> {
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
     loop {
-        let payload = match read_frame_polled(&mut reader, shared) {
+        let payload = match read_frame(&mut reader, MAX_FRAME_LEN) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()), // peer closed cleanly, or drained
             Err(e @ Error::FrameTooLarge { .. }) => {
@@ -269,78 +280,6 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> Result<(), Error> {
             return Ok(());
         }
     }
-}
-
-/// Read one frame on a socket whose read timeout is [`POLL_INTERVAL`].
-///
-/// The timeout exists so an *idle* connection re-checks the shutdown flag;
-/// it must not tear a frame whose bytes straddle a tick. So: while waiting
-/// for a frame's first byte, every timeout is an idle tick (return
-/// `Ok(None)` if shutdown was requested — nothing is in flight). Once the
-/// first byte has arrived the frame is in flight and timeouts merely
-/// retry, preserving progress; if shutdown is requested mid-frame the peer
-/// gets one grace interval to finish sending before the read gives up
-/// (the request never fully arrived, so abandoning it loses no acked
-/// work).
-fn read_frame_polled(r: &mut impl Read, shared: &Shared) -> Result<Option<Vec<u8>>, Error> {
-    let mut len_buf = [0u8; 4];
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return Ok(None); // idle at a frame boundary: drained
-        }
-        match r.read(&mut len_buf[..1]) {
-            Ok(0) => return Ok(None), // clean close between frames
-            Ok(_) => break,
-            Err(e) if is_poll_tick(&e) => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    read_full(r, &mut len_buf[1..], shared)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(Error::FrameTooLarge { len, max: MAX_FRAME_LEN });
-    }
-    let mut payload = vec![0u8; len];
-    read_full(r, &mut payload, shared)?;
-    Ok(Some(payload))
-}
-
-/// `read_exact` that survives timeout ticks without losing progress. Once
-/// shutdown is requested, allows one further grace tick before giving up
-/// on a peer stalled mid-frame.
-fn read_full(r: &mut impl Read, mut buf: &mut [u8], shared: &Shared) -> std::io::Result<()> {
-    let mut graced = false;
-    while !buf.is_empty() {
-        match r.read(buf) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => buf = &mut std::mem::take(&mut buf)[n..],
-            Err(e) if is_poll_tick(&e) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    if graced {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "shutdown drain abandoned a frame stalled mid-transfer",
-                        ));
-                    }
-                    graced = true;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// A read-timeout tick (platform-dependent kind) rather than a real error.
-fn is_poll_tick(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
 /// Decode and execute one request. Returns the response plus whether the

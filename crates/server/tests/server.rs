@@ -320,8 +320,9 @@ fn shutdown_verb_drains_and_stops_the_server() {
     c.shutdown().unwrap(); // acked before the drain begins
     server.wait(); // observes the flag set by the verb
 
-    // Wait for the drain to finish (drop joins everything), then the
-    // listener must be gone.
+    // The verb stops the acceptor and closes its own connection; any
+    // other stays open until the drop below drains it. Then the listener
+    // must be gone.
     drop(server);
     assert!(
         TcpStream::connect(addr).is_err() || {
@@ -337,6 +338,32 @@ fn shutdown_verb_drains_and_stops_the_server() {
     let server = start_server(dir.path(), 2);
     let mut c = Client::connect(server.local_addr()).unwrap();
     assert_eq!(c.get(&key(42)).unwrap(), Some(b"v".to_vec()));
+}
+
+#[test]
+fn shutdown_closes_idle_and_stalled_connections_at_once() {
+    let dir = tempdir();
+    let mut server = start_server(dir.path(), 2);
+    let addr = server.local_addr();
+    let mut idle = Client::connect(addr).unwrap();
+    idle.ping().unwrap();
+    // A peer that stalls mid-frame: served once, then only the length
+    // prefix of a frame promising 100 bytes.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut stalled, &[proteus_server::protocol::VERB_PING]).unwrap();
+    assert_eq!(read_status(&mut stalled), 0);
+    stalled.write_all(&100u32.to_le_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(20)); // let the server read it
+
+    let start = std::time::Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+
+    let mut byte = [0u8; 1];
+    assert_eq!(stalled.read(&mut byte).unwrap(), 0, "the stalled peer must read EOF");
+    assert!(matches!(idle.ping(), Err(ClientError::Io(_))), "the idle peer must be closed");
 }
 
 #[test]

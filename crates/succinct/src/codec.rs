@@ -2,10 +2,15 @@
 //!
 //! Every persistent structure in the workspace serializes through the
 //! helpers here: little-endian fixed-width integers, length-prefixed byte
-//! runs, and a CRC-32 integrity check. Decoding is *total*: corrupt or
-//! truncated input yields a typed [`CodecError`], never a panic, and every
-//! length field is validated against the remaining buffer before any
-//! allocation so fuzzed inputs cannot trigger huge reservations.
+//! runs, and a CRC-32 integrity check. The one exception is the store's
+//! data block decoder (`proteus_lsm::block`), which keeps its own reads on
+//! purpose: moving its per-entry loop onto [`ByteReader`] measured 10–28 %
+//! slower per block, and it runs on every false-positive Seek.
+//!
+//! Decoding is *total*: corrupt or truncated input yields a typed
+//! [`CodecError`], never a panic, and every length field is validated
+//! against the remaining buffer before any allocation so fuzzed inputs
+//! cannot trigger huge reservations.
 
 use std::fmt;
 
