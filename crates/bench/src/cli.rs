@@ -76,12 +76,6 @@ impl Args {
                  --immediate       fig7: hard switch at the midpoint (the paper's Figure 8)\n\
                  --width W         fig9: canonical string width in bytes\n\
                  --len-bits L      fig9: prefix length for the string workloads\n\
-                 --smoke           fig_ycsb: tiny CI run with built-in correctness asserts\n\
-                 \n\
-                 fig_ycsb runs the YCSB core mixes A-F over zipfian/latest/hotspot\n\
-                 request distributions and u64/url key spaces against the embedded\n\
-                 store (--keys records, --queries ops per cell, --value-len bytes);\n\
-                 emits BENCH_ycsb.json.\n\
                  \n\
                  Performance over time is tracked by the benchmark/ package, not by\n\
                  these binaries: `cargo run --release --manifest-path benchmark/Cargo.toml\n\

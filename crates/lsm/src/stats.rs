@@ -169,7 +169,7 @@ stats! {
         /// `fdatasync` calls issued against WAL segments that covered at least
         /// one unsynced commit (group-commit leader syncs, interval syncs, and
         /// non-empty rotation seals). The denominator of
-        /// [`Stats::mean_group_commit`]; syncs that covered nothing are
+        /// [`StatsSnapshot::mean_group_commit`]; syncs that covered nothing are
         /// counted in [`Stats::wal_empty_seals`] instead so the mean is not
         /// deflated by empty rotations.
         wal_syncs,
@@ -180,7 +180,7 @@ stats! {
         wal_bytes,
         /// Total commits covered across all WAL syncs; the mean group-commit
         /// size is `group_commit_sizes / wal_syncs` (see
-        /// [`Stats::mean_group_commit`]).
+        /// [`StatsSnapshot::mean_group_commit`]).
         group_commit_sizes,
         /// Commit records replayed from surviving WAL segments by
         /// [`crate::Db::open`] (zero on a clean reopen).
@@ -192,42 +192,22 @@ stats! {
     }
 }
 
-impl Stats {
-    /// Observed false positive rate of the per-SST filters so far.
-    pub fn filter_fpr(&self) -> f64 {
-        let fp = self.filter_false_positives.get();
-        ratio(fp, fp + self.filter_negatives.get())
-    }
-
+impl StatsSnapshot {
     /// Mean commits per WAL sync — the group-commit amortization factor
     /// (`1.0` means every commit paid its own `fdatasync`; `0` before any
     /// sync).
     pub fn mean_group_commit(&self) -> f64 {
-        ratio(self.group_commit_sizes.get(), self.wal_syncs.get())
+        ratio(self.group_commit_sizes, self.wal_syncs)
     }
 
     /// Observed empirical FPR of real filter probes (the adaptive
     /// lifecycle's database-wide signal): `observed_fp / (observed_fp +
     /// filter_negatives)`, `0` before any probe.
     pub fn observed_fpr(&self) -> f64 {
-        let fp = self.observed_fp.get();
-        ratio(fp, fp + self.filter_negatives.get())
-    }
-}
-
-impl StatsSnapshot {
-    /// Mean commits per WAL sync in this snapshot (see
-    /// [`Stats::mean_group_commit`]).
-    pub fn mean_group_commit(&self) -> f64 {
-        ratio(self.group_commit_sizes, self.wal_syncs)
-    }
-
-    /// Observed empirical FPR of real filter probes in this snapshot.
-    pub fn observed_fpr(&self) -> f64 {
         ratio(self.observed_fp, self.observed_fp + self.filter_negatives)
     }
 
-    /// Observed filter FPR in this snapshot.
+    /// Observed false positive rate of the per-SST filters.
     pub fn filter_fpr(&self) -> f64 {
         ratio(self.filter_false_positives, self.filter_false_positives + self.filter_negatives)
     }
@@ -248,19 +228,18 @@ mod tests {
     #[test]
     fn fpr_computation() {
         let s = Stats::default();
-        assert_eq!(s.filter_fpr(), 0.0);
+        assert_eq!(s.snapshot().filter_fpr(), 0.0);
         s.filter_false_positives.add(1);
         s.filter_negatives.add(9);
-        assert!((s.filter_fpr() - 0.1).abs() < 1e-12);
+        assert!((s.snapshot().filter_fpr() - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn mean_group_commit_amortization() {
         let s = Stats::default();
-        assert_eq!(s.mean_group_commit(), 0.0);
+        assert_eq!(s.snapshot().mean_group_commit(), 0.0);
         s.wal_syncs.add(2);
         s.group_commit_sizes.add(10);
-        assert!((s.mean_group_commit() - 5.0).abs() < 1e-12);
         assert!((s.snapshot().mean_group_commit() - 5.0).abs() < 1e-12);
     }
 

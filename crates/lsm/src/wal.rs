@@ -693,7 +693,7 @@ mod tests {
         }
         assert_eq!(stats.wal_syncs.get(), 4);
         assert_eq!(stats.group_commit_sizes.get(), 4);
-        assert!((stats.mean_group_commit() - 1.0).abs() < 1e-12);
+        assert!((stats.snapshot().mean_group_commit() - 1.0).abs() < 1e-12);
         // Two rotations with nothing unsynced (everything was group-synced
         // at commit time). Before the fix each bumped `wal_syncs` without
         // touching `group_commit_sizes`, deflating the mean to 4/6 ≈ 0.67.
@@ -701,14 +701,14 @@ mod tests {
         wal.rotate(22, &stats).unwrap();
         assert_eq!(stats.wal_syncs.get(), 4, "empty seals are not commit-covering syncs");
         assert_eq!(stats.wal_empty_seals.get(), 2);
-        assert!((stats.mean_group_commit() - 1.0).abs() < 1e-12);
+        assert!((stats.snapshot().mean_group_commit() - 1.0).abs() < 1e-12);
         // A rotation that *does* seal unsynced commits still counts.
         wal.append_commit(&[(k(9), None)], &stats).unwrap();
         wal.rotate(23, &stats).unwrap();
         assert_eq!(stats.wal_syncs.get(), 5);
         assert_eq!(stats.group_commit_sizes.get(), 5);
         assert_eq!(stats.wal_empty_seals.get(), 2);
-        assert!((stats.mean_group_commit() - 1.0).abs() < 1e-12);
+        assert!((stats.snapshot().mean_group_commit() - 1.0).abs() < 1e-12);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -350,6 +350,8 @@ enum VOp {
     Delete(Vec<u8>),
     Seek(Vec<u8>, Vec<u8>),
     Range(Vec<u8>, Vec<u8>),
+    /// Open-ended scan `lo..`, cut after the first `n` entries.
+    Scan(Vec<u8>, usize),
     /// Atomic batch of (key, is_delete) ops.
     Batch(Vec<(Vec<u8>, bool)>),
     Flush,
@@ -367,7 +369,7 @@ fn vscript(seed: u64, n_ops: usize) -> Vec<VOp> {
         }
     };
     (0..n_ops)
-        .map(|_| match rng.next() % 16 {
+        .map(|_| match rng.next() % 17 {
             0..=4 => VOp::Put(vkey(&mut rng)),
             5..=6 => VOp::Delete(vkey(&mut rng)),
             7..=8 => VOp::Get(vkey(&mut rng)),
@@ -379,11 +381,12 @@ fn vscript(seed: u64, n_ops: usize) -> Vec<VOp> {
                 let (lo, hi) = pair(&mut rng);
                 VOp::Range(lo, hi)
             }
-            13 => {
+            13 => VOp::Scan(vkey(&mut rng), 1 + rng.next() as usize % 100),
+            14 => {
                 let n = 1 + rng.next() as usize % 8;
                 VOp::Batch((0..n).map(|_| (vkey(&mut rng), rng.next().is_multiple_of(3))).collect())
             }
-            14 => VOp::Flush,
+            15 => VOp::Flush,
             _ => VOp::Settle,
         })
         .collect()
@@ -461,6 +464,20 @@ fn run_var_script(seed: u64, n_ops: usize, proteus: bool) {
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect();
                 assert_eq!(got, want, "step {step}: range [{lo:?},{hi:?}] (seed {seed:#x})");
+            }
+            VOp::Scan(lo, n) => {
+                let got: Vec<(Vec<u8>, Vec<u8>)> = db
+                    .range::<&[u8], _>(lo.as_slice()..)
+                    .unwrap()
+                    .take(*n)
+                    .collect::<proteus_lsm::Result<Vec<_>>>()
+                    .unwrap();
+                let want: Vec<(Vec<u8>, Vec<u8>)> = oracle
+                    .range::<Vec<u8>, _>(lo..)
+                    .take(*n)
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                assert_eq!(got, want, "step {step}: scan [{lo:?}..) take {n} (seed {seed:#x})");
             }
             VOp::Batch(ops) => {
                 let mut batch = WriteBatch::with_capacity(ops.len());

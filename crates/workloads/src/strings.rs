@@ -127,8 +127,8 @@ pub fn generate_domains(n: usize, seed: u64) -> Vec<Vec<u8>> {
 /// Every key shares the `https://` scheme prefix and reuses a small
 /// domain pool and path-segment dictionary, giving the long common
 /// prefixes real crawled URL sets have — the shape that stresses prefix
-/// compression in SST blocks and prefix-based filter training. Used by
-/// [`crate::ycsb`]'s [`crate::ycsb::KeySpace::Url`] key space.
+/// compression in SST blocks and prefix-based filter training. The
+/// benchmark harness's `scan_short` workload loads these keys.
 pub fn generate_urls(n: usize, seed: u64) -> Vec<Vec<u8>> {
     const SEGMENTS: &[&str] = &[
         "about", "api", "archive", "blog", "cart", "docs", "faq", "feed", "help", "img", "index",

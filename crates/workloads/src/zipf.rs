@@ -1,4 +1,4 @@
-//! Zipfian key-popularity sampling for skewed load generation.
+//! Scrambled zipfian key popularity for skewed load generation.
 //!
 //! Skewed load models "millions of users hammering a hot key set": item
 //! popularity follows a Zipf distribution with exponent `theta`, the shape
@@ -12,18 +12,15 @@
 //!
 //! Raw Zipf ranks cluster the hottest items at the smallest indices, which
 //! under a *range-sharded* router would land the entire hot set on shard
-//! 0. [`Zipfian::scrambled`] therefore spreads ranks over the item space
-//! with an FNV-1a hash (YCSB's `ScrambledZipfianGenerator` does the same),
-//! so every shard sees traffic while the global popularity histogram stays
-//! zipfian. Use [`Zipfian::next_rank`] directly when hot-spot *locality*
-//! is the point of the experiment.
+//! 0. [`Zipfian::next`] therefore spreads ranks over the item space with an
+//! FNV-1a hash (YCSB's `ScrambledZipfianGenerator` does the same), so every
+//! shard sees traffic while the global popularity histogram stays zipfian.
+//! The benchmark harness's `scan_short`, `rw_mixed` and `server_mixed`
+//! workloads pick their keys this way.
 
 use rand::{Rng, RngCore};
 
-/// Default skew exponent; YCSB's canonical `zipfian` constant.
-pub const DEFAULT_THETA: f64 = 0.99;
-
-/// A Zipf(`n`, `theta`) sampler over ranks `0..n` (rank 0 hottest).
+/// A scrambled Zipf(`n`, `theta`) sampler over items `0..n`.
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
@@ -31,8 +28,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    /// Spread ranks across the item space by hashing (see module docs).
-    scramble: bool,
 }
 
 /// `zeta(n, theta) = Σ_{i=1..n} 1/i^theta` (the generalized harmonic
@@ -46,13 +41,15 @@ fn zeta(n: u64, theta: f64) -> f64 {
 }
 
 impl Zipfian {
-    /// Sampler over `n` items with exponent `theta`.
+    /// Sampler over `n` items with exponent `theta`, each drawn rank
+    /// scrambled across `0..n` so hot items spread over the whole key
+    /// space (and therefore over every range shard).
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `theta` is outside `(0, 1)` (the YCSB
     /// algorithm's validity range; `theta = 1` diverges).
-    pub fn new(n: u64, theta: f64) -> Zipfian {
+    pub fn scrambled(n: u64, theta: f64) -> Zipfian {
         assert!(n > 0, "zipfian over an empty item set");
         assert!(theta > 0.0 && theta < 1.0, "theta must be in (0, 1), got {theta}");
         let zetan = zeta(n, theta);
@@ -63,25 +60,11 @@ impl Zipfian {
             alpha: 1.0 / (1.0 - theta),
             zetan,
             eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
-            scramble: false,
         }
     }
 
-    /// Like [`Zipfian::new`], but each drawn rank is scrambled across
-    /// `0..n` with an FNV-1a hash so hot items spread over the whole key
-    /// space (and therefore over every range shard).
-    pub fn scrambled(n: u64, theta: f64) -> Zipfian {
-        Zipfian { scramble: true, ..Zipfian::new(n, theta) }
-    }
-
-    /// Number of items.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Draw a popularity *rank* in `0..n`: rank 0 is the most popular item
-    /// regardless of the `scrambled` setting.
-    pub fn next_rank<R: RngCore>(&self, rng: &mut R) -> u64 {
+    /// Draw a popularity *rank* in `0..n`: rank 0 is the most popular item.
+    fn next_rank<R: RngCore>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
         let uz = u * self.zetan;
         if uz < 1.0 {
@@ -94,15 +77,9 @@ impl Zipfian {
         rank.min(self.n - 1)
     }
 
-    /// Draw an item index in `0..n`, scrambled if this sampler was built
-    /// with [`Zipfian::scrambled`].
+    /// Draw an item index in `0..n`: a zipfian rank, scrambled.
     pub fn next<R: RngCore>(&self, rng: &mut R) -> u64 {
-        let rank = self.next_rank(rng);
-        if self.scramble {
-            fnv1a(rank) % self.n
-        } else {
-            rank
-        }
+        fnv1a(self.next_rank(rng)) % self.n
     }
 }
 
@@ -126,7 +103,7 @@ mod tests {
 
     #[test]
     fn ranks_stay_in_bounds_and_zero_is_hottest() {
-        let z = Zipfian::new(1000, DEFAULT_THETA);
+        let z = Zipfian::scrambled(1000, 0.99);
         let mut rng = StdRng::seed_from_u64(7);
         let mut counts = vec![0u64; 1000];
         for _ in 0..200_000 {
@@ -146,7 +123,7 @@ mod tests {
 
     #[test]
     fn popularity_is_monotone_in_aggregate() {
-        let z = Zipfian::new(64, 0.9);
+        let z = Zipfian::scrambled(64, 0.9);
         let mut rng = StdRng::seed_from_u64(11);
         let mut counts = vec![0u64; 64];
         for _ in 0..400_000 {
@@ -160,7 +137,7 @@ mod tests {
     #[test]
     fn scrambling_spreads_the_hot_set_across_the_key_space() {
         let n = 1_000_000u64;
-        let z = Zipfian::scrambled(n, DEFAULT_THETA);
+        let z = Zipfian::scrambled(n, 0.99);
         let mut rng = StdRng::seed_from_u64(3);
         // Bucket draws into 4 contiguous quarters — the shape a 4-way
         // range-sharded router sees. Unscrambled, the hot head would land
@@ -186,9 +163,27 @@ mod tests {
         }
     }
 
+    /// The benchmark harness draws its keys through `next`, so a changed
+    /// draw would silently change every skewed workload's key stream.
+    #[test]
+    fn scrambled_draws_match_the_golden_stream() {
+        const GOLDEN: [u64; 64] = [
+            903731, 519781, 92734, 703458, 437203, 227772, 174405, 353223, 981077, 816769, 68578,
+            645926, 45564, 774543, 808283, 310149, 322899, 849555, 816769, 763814, 995587, 611293,
+            72680, 930372, 910394, 763814, 174405, 426949, 995587, 420900, 584996, 763814, 155423,
+            623005, 852561, 242302, 418438, 28340, 604575, 503579, 872194, 980425, 940685, 995587,
+            64717, 174405, 153472, 587624, 606187, 445175, 847940, 880181, 254782, 712414, 817234,
+            15577, 353223, 920134, 84648, 577398, 353223, 434310, 292949, 18736,
+        ];
+        let z = Zipfian::scrambled(1_000_000, 0.99);
+        let mut rng = StdRng::seed_from_u64(7);
+        let drawn: Vec<u64> = (0..64).map(|_| z.next(&mut rng)).collect();
+        assert_eq!(drawn, GOLDEN);
+    }
+
     #[test]
     #[should_panic(expected = "theta")]
     fn rejects_theta_of_one() {
-        let _ = Zipfian::new(10, 1.0);
+        let _ = Zipfian::scrambled(10, 1.0);
     }
 }
