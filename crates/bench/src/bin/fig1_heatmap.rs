@@ -21,7 +21,7 @@ fn main() {
     let range_exps: Vec<u32> = vec![1, 4, 7, 10, 13, 16, 19];
     let corr_exps: Vec<Option<u32>> = vec![None, Some(24), Some(16), Some(10), Some(4)];
     let kinds =
-        [FilterKind::OnePbf, FilterKind::SurfBest, FilterKind::Rosetta, FilterKind::Proteus];
+        [FilterKind::BloomOnly, FilterKind::SurfBest, FilterKind::Rosetta, FilterKind::Proteus];
 
     let mut t = Table::new(
         &format!("Figure 1: FPR heatmap at {bpk} BPK ({} keys)", args.keys),

@@ -1,9 +1,9 @@
 //! Figure 4: "The CPFPR model accurately predicts the FPR for all possible
 //! designs of different Protean Range Filters."
 //!
-//! * part a — 1PBF: expected vs observed FPR across prefix lengths, (1)
-//!   varying RMAX on Uniform-Uniform, (2) varying CORRDEGREE on
-//!   Uniform-Correlated (RMAX fixed at 2^7);
+//! * part a — 1PBF (Proteus at trie depth 0): expected vs observed FPR
+//!   across prefix lengths, (1) varying RMAX on Uniform-Uniform, (2)
+//!   varying CORRDEGREE on Uniform-Correlated (RMAX fixed at 2^7);
 //! * part b — 2PBF: expected vs observed over the (l1, l2) design matrix on
 //!   Normal-Split (short correlated + long uniform queries);
 //! * part c — Proteus: the same matrix over (trie depth, Bloom prefix).
@@ -16,7 +16,7 @@ use proteus_bench::report::Table;
 use proteus_bench::scenario;
 use proteus_core::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOptions};
 use proteus_core::model::two_pbf::{TwoPbfDesign, TwoPbfModel, TwoPbfOptions};
-use proteus_core::{OnePbf, OnePbfOptions, Proteus, ProteusOptions, TwoPbf, TwoPbfFilterOptions};
+use proteus_core::{Proteus, ProteusOptions, TwoPbf, TwoPbfFilterOptions};
 use proteus_workloads::{Dataset, Workload};
 
 fn main() {
@@ -67,11 +67,11 @@ fn part_a(args: &Args) {
                                 let expected = model
                                     .expected_fpr(&sc.keyset, 0, l, m_bits)
                                     .expect("l in 1..=bits");
-                                let f = OnePbf::build_with_prefix_len(
+                                let f = Proteus::build_with_design(
                                     &sc.keyset,
                                     ProteusDesign::bloom_only(l, expected),
                                     m_bits,
-                                    &OnePbfOptions::default(),
+                                    &ProteusOptions::default(),
                                 );
                                 (l, expected, measure_fpr(&f, &sc.eval))
                             })

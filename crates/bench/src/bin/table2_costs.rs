@@ -15,7 +15,7 @@ use proteus_bench::report::{ms, Table};
 use proteus_core::model::proteus::{ProteusModel, ProteusModelOptions};
 use proteus_core::model::two_pbf::{TwoPbfModel, TwoPbfOptions};
 use proteus_core::{KeySet, SampleQueries};
-use proteus_core::{OnePbf, OnePbfOptions, Proteus, ProteusOptions, TwoPbf, TwoPbfFilterOptions};
+use proteus_core::{Proteus, ProteusOptions, TwoPbf, TwoPbfFilterOptions};
 use proteus_filters::{Rosetta, RosettaOptions, Surf, SurfSuffix};
 use proteus_workloads::{Dataset, QueryGen, Workload};
 
@@ -56,11 +56,11 @@ fn main() {
         ],
     );
 
-    // --- 1PBF ---
+    // --- 1PBF --- (Proteus at trie depth 0)
     let m1 = Timed::run(|| ProteusModel::bloom_only(&ks, &samples));
     let d1 = Timed::run(|| m1.value.best_design(&ks, m_bits));
     let b1 = Timed::run(|| {
-        OnePbf::build_with_prefix_len(&ks, d1.value, m_bits, &OnePbfOptions::default())
+        Proteus::build_with_design(&ks, d1.value, m_bits, &ProteusOptions::default())
     });
     t.row(vec![
         "1PBF".into(),

@@ -1,8 +1,8 @@
 //! Filter construction helpers shared by the experiment binaries.
 
+use proteus_core::model::proteus::ProteusModel;
 use proteus_core::{
-    KeySet, OnePbf, OnePbfOptions, Proteus, ProteusOptions, RangeFilter, SampleQueries, TwoPbf,
-    TwoPbfFilterOptions,
+    KeySet, Proteus, ProteusOptions, RangeFilter, SampleQueries, TwoPbf, TwoPbfFilterOptions,
 };
 use proteus_filters::{Rosetta, RosettaOptions, Surf, SurfSuffix};
 
@@ -10,7 +10,8 @@ use proteus_filters::{Rosetta, RosettaOptions, Surf, SurfSuffix};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterKind {
     Proteus,
-    OnePbf,
+    /// 1PBF: Proteus at trie depth 0, the design the Eq. 1 model picks.
+    BloomOnly,
     TwoPbf,
     SurfBest,
     Rosetta,
@@ -20,7 +21,7 @@ impl FilterKind {
     pub fn name(self) -> &'static str {
         match self {
             FilterKind::Proteus => "proteus",
-            FilterKind::OnePbf => "1pbf",
+            FilterKind::BloomOnly => "1pbf",
             FilterKind::TwoPbf => "2pbf",
             FilterKind::SurfBest => "surf",
             FilterKind::Rosetta => "rosetta",
@@ -44,8 +45,10 @@ pub fn build_filter(
         FilterKind::Proteus => {
             Some(Box::new(Proteus::train(keys, samples, m_bits, &ProteusOptions::default())))
         }
-        FilterKind::OnePbf => {
-            Some(Box::new(OnePbf::train(keys, samples, m_bits, &OnePbfOptions::default())))
+        FilterKind::BloomOnly => {
+            let design = ProteusModel::bloom_only(keys, samples).best_design(keys, m_bits);
+            let opts = ProteusOptions::default();
+            Some(Box::new(Proteus::build_with_design(keys, design, m_bits, &opts)))
         }
         FilterKind::TwoPbf => {
             let opts = TwoPbfFilterOptions {

@@ -62,7 +62,8 @@ pub enum FilterKind {
     NoFilter = 0,
     /// Proteus (trie + prefix Bloom + design).
     Proteus = 1,
-    /// Single self-designing prefix Bloom filter.
+    /// 1PBF's own tag from before it was a trie-less Proteus: still decoded
+    /// (as a [`crate::Proteus`]), never written.
     OnePbf = 2,
     /// Two stacked prefix Bloom filters.
     TwoPbf = 3,

@@ -174,8 +174,9 @@ pub enum Walk {
 
 /// The probes one query may still spend (the per-query probe cap). Shared
 /// by reference so the walks a query nests — 2PBF's fine walk inside its
-/// coarse one, one fine walk per trie leaf — draw on the same allowance;
-/// [`Run::draw`] is the only spender.
+/// coarse one, one fine walk per trie leaf, Rosetta's walk of each level
+/// inside a positive region of the level above — draw on the same
+/// allowance; [`Run::draw`] is the only spender.
 #[derive(Debug)]
 pub struct ProbeBudget(std::cell::Cell<u64>);
 
@@ -201,7 +202,8 @@ impl ProbeBudget {
 /// The one enumeration of the `l`-bit regions of a query window, and the
 /// one clamp of the query to a coarser region — what every Protean filter
 /// does between its coarse stage (nothing, a Bloom filter, a trie) and its
-/// fine Bloom probes. Holds the query bounds, the shared [`ProbeBudget`]
+/// fine Bloom probes, and what Rosetta's chain of per-level Bloom filters
+/// does at each level. Holds the query bounds, the shared [`ProbeBudget`]
 /// and the cursor scratch, so a query sets its scratch up once however many
 /// regions or trie leaves it walks — on the stack for keys up to
 /// [`INLINE_KEY_BYTES`], which covers every width the store accepts.

@@ -33,17 +33,18 @@
 //!
 //! * [`key`] — canonical keys, bit-level prefix arithmetic, and
 //!   [`key::RegionWalk`], the one walk over a query's prefix regions that
-//!   every filter below probes through;
+//!   every prefix filter in the workspace probes through;
 //! * [`keyset`] — sorted key set + the statistics Algorithm 1 extracts;
 //! * [`sample`] — sample queries and Chernoff-bound sizing (Table 1);
 //! * [`model`] — the CPFPR model: [`model::proteus`] for Proteus (Eq. 5 /
 //!   Algorithm 1) and, as its trie-depth-0 slice, 1PBF (Eq. 1);
 //!   [`model::two_pbf`] for 2PBF (Eq. 4);
 //! * [`prefix_bf`] / [`trie`] — the two structural components;
-//! * [`proteus`], [`one_pbf`], [`two_pbf`] — the three Protean Range
-//!   Filters evaluated in the paper: a coarse stage (a trie, nothing, a
-//!   Bloom filter) in front of one prefix Bloom filter. [`one_pbf::OnePbf`]
-//!   is a trie-less [`Proteus`];
+//! * [`proteus`], [`two_pbf`] — the three Protean Range Filters evaluated
+//!   in the paper: a coarse stage (a trie, nothing, a Bloom filter) in
+//!   front of one prefix Bloom filter. 1PBF is a [`Proteus`] without a
+//!   coarse stage: the design [`model::proteus::ProteusModel::bloom_only`]
+//!   picks, built by [`Proteus::build_with_design`];
 //! * [`counting`] — the §4.1 range-count extension (a counting Bloom
 //!   filter behind the same coarse stage and walk).
 
@@ -54,7 +55,6 @@ pub mod counting;
 pub mod key;
 pub mod keyset;
 pub mod model;
-pub mod one_pbf;
 pub mod prefix_bf;
 pub mod proteus;
 pub mod sample;
@@ -65,15 +65,15 @@ pub mod two_pbf;
 pub use codec::{CodecError, FilterKind};
 pub use counting::{CountingProteus, CountingProteusOptions};
 pub use keyset::KeySet;
-pub use one_pbf::{OnePbf, OnePbfOptions};
 pub use proteus::{Proteus, ProteusOptions, DEFAULT_PROBE_CAP};
 pub use sample::SampleQueries;
 pub use trie::{CoarseEncoding, ProteusTrie};
 pub use two_pbf::{TwoPbf, TwoPbfFilterOptions};
 
 /// The common interface all range filters in this workspace implement —
-/// Proteus, 1PBF, 2PBF here; SuRF and Rosetta in `proteus-filters`. The LSM
-/// harness plugs any of them into its SST files through this trait.
+/// Proteus (1PBF included) and 2PBF here; SuRF and Rosetta in
+/// `proteus-filters`. The LSM harness plugs any of them into its SST files
+/// through this trait.
 pub trait RangeFilter: Send + Sync {
     /// May the closed range `[lo, hi]` contain a key? `false` is exact
     /// (guaranteed empty); `true` may be a false positive. Bounds are
@@ -187,9 +187,11 @@ mod trait_tests {
     fn trait_objects_dispatch() {
         let keys = KeySet::from_u64(&[10, 20, 30]);
         let samples = SampleQueries::from_u64(&[(12, 14), (40, 50)]);
+        let one_pbf =
+            model::proteus::ProteusModel::bloom_only(&keys, &samples).best_design(&keys, 512);
         let filters: Vec<Box<dyn RangeFilter>> = vec![
             Box::new(Proteus::train(&keys, &samples, 512, &ProteusOptions::default())),
-            Box::new(OnePbf::train(&keys, &samples, 512, &OnePbfOptions::default())),
+            Box::new(Proteus::build_with_design(&keys, one_pbf, 512, &ProteusOptions::default())),
             Box::new(TwoPbf::train(&keys, &samples, 512, &TwoPbfFilterOptions::default())),
         ];
         for f in &filters {

@@ -30,7 +30,7 @@ pub struct ProteusOptions {
     pub hash_family: HashFamily,
     /// Per-query probe budget.
     pub probe_cap: u64,
-    /// CPFPR search options (coarse l2 grid, threads).
+    /// CPFPR search options (the coarse l2 grid).
     pub model: ProteusModelOptions,
     /// Hash seed (fixed for reproducibility).
     pub seed: u32,
@@ -193,6 +193,17 @@ impl Proteus {
             .transpose()?;
         Ok(Proteus { trie, bloom, design, width, probe_cap })
     }
+
+    /// Decode a payload under [`FilterKind::OnePbf`], the tag 1PBF was
+    /// written under before it became a trie-less Proteus: the header, the
+    /// design's prefix length and FPR, then the Bloom filter. Nothing writes
+    /// the tag any more; this keeps such filter blocks readable.
+    pub fn decode_one_pbf_from(r: &mut ByteReader<'_>) -> Result<Proteus, CodecError> {
+        let (width, probe_cap) = read_header(r)?;
+        let design = ProteusDesign::bloom_only(r.u64()? as usize, r.f64()?);
+        let bloom = PrefixBloom::decode_for(r, width, design.bloom_prefix_len)?;
+        Ok(Proteus { trie: None, bloom: Some(bloom), design, width, probe_cap })
+    }
 }
 
 /// The component-flags byte of the Proteus payload: which of the coarse
@@ -260,7 +271,7 @@ impl RangeFilter for Proteus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{empty_ranges, uniform_setup};
+    use crate::testutil::{empty_ranges, splitmix, uniform_setup};
 
     fn uniform_keys(n: usize, seed: u64) -> Vec<u64> {
         uniform_setup(n, 0, 1, seed).0
@@ -268,6 +279,59 @@ mod tests {
 
     fn empty_queries(ks: &KeySet, n: usize, rmax: u64, mut seed: u64) -> SampleQueries {
         empty_ranges(ks, n, rmax, &mut seed)
+    }
+
+    /// 1PBF: the trie-less design the Eq. 1 model picks.
+    fn one_pbf(ks: &KeySet, samples: &SampleQueries, m: u64) -> Proteus {
+        let design = ProteusModel::bloom_only(ks, samples).best_design(ks, m);
+        Proteus::build_with_design(ks, design, m, &ProteusOptions::default())
+    }
+
+    #[test]
+    fn depth_zero_has_no_false_negatives() {
+        let (keys, ks, samples) = uniform_setup(2000, 400, 1 << 10, 11);
+        let f = one_pbf(&ks, &samples, 2000 * 12);
+        assert_eq!(f.design().trie_depth_bits, 0);
+        for &k in keys.iter().step_by(13) {
+            assert!(f.query_u64(k, k));
+            assert!(f.query_u64(k.saturating_sub(5), k.saturating_add(5)));
+        }
+    }
+
+    #[test]
+    fn depth_zero_prefix_respects_range_size() {
+        let (_, ks, samples) = uniform_setup(3000, 400, 1 << 16, 11);
+        let f = one_pbf(&ks, &samples, 3000 * 12);
+        // For RMAX = 2^16 the optimum sits at or below 64 - 16 = 48 bits
+        // (Fig. 4a): longer prefixes multiply probes per query.
+        assert!(f.design().bloom_prefix_len <= 49, "{:?}", f.design());
+    }
+
+    #[test]
+    fn depth_zero_observed_fpr_near_model() {
+        let (_, ks, samples) = uniform_setup(3000, 400, 1 << 8, 11);
+        let f = one_pbf(&ks, &samples, 3000 * 14);
+        let mut s = 999u64;
+        let mut fps = 0usize;
+        let trials = 3000usize;
+        let mut done = 0usize;
+        while done < trials {
+            let lo = splitmix(&mut s) % (u64::MAX - (1 << 8) - 2);
+            let hi = lo + 2 + splitmix(&mut s) % (1 << 8);
+            if ks.range_overlaps(&u64_key(lo), &u64_key(hi)) {
+                continue;
+            }
+            done += 1;
+            if f.query_u64(lo, hi) {
+                fps += 1;
+            }
+        }
+        let observed = fps as f64 / trials as f64;
+        let predicted = f.design().expected_fpr;
+        assert!(
+            (observed - predicted).abs() < 0.05 + predicted,
+            "observed {observed} predicted {predicted}"
+        );
     }
 
     #[test]

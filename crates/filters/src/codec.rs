@@ -16,13 +16,14 @@
 //!   (every Seek just pays the I/O for that SST).
 //!
 //! This module lives in `proteus-filters` because it is the lowest crate
-//! that can see every serializable filter type (Proteus/1PBF/2PBF from
-//! `proteus-core` plus SuRF and Rosetta defined here).
+//! that can see every serializable filter type (Proteus and 2PBF from
+//! `proteus-core` plus SuRF and Rosetta defined here). 1PBF is a trie-less
+//! Proteus and encodes as one; its former kind tag still decodes.
 
 use crate::rosetta::Rosetta;
 use crate::surf::Surf;
 use proteus_core::codec::{seal, unseal, ByteReader, CodecError, FilterKind};
-use proteus_core::{NoFilter, OnePbf, Proteus, RangeFilter, TwoPbf};
+use proteus_core::{NoFilter, Proteus, RangeFilter, TwoPbf};
 
 /// Outcome of a successful decode.
 pub struct DecodedFilter {
@@ -83,7 +84,7 @@ impl FilterCodec {
         let filter: Box<dyn RangeFilter> = match kind {
             FilterKind::NoFilter => Box::new(NoFilter),
             FilterKind::Proteus => Box::new(Proteus::decode_from(&mut r)?),
-            FilterKind::OnePbf => Box::new(OnePbf::decode_from(&mut r)?),
+            FilterKind::OnePbf => Box::new(Proteus::decode_one_pbf_from(&mut r)?),
             FilterKind::TwoPbf => Box::new(TwoPbf::decode_from(&mut r)?),
             FilterKind::Surf => Box::new(Surf::decode_from(&mut r)?),
             FilterKind::Rosetta => Box::new(Rosetta::decode_from(&mut r)?),
@@ -98,7 +99,8 @@ mod tests {
     use super::*;
     use crate::surf::SurfSuffix;
     use proteus_core::key::u64_key;
-    use proteus_core::{KeySet, OnePbfOptions, ProteusOptions, SampleQueries, TwoPbfFilterOptions};
+    use proteus_core::model::proteus::ProteusModel;
+    use proteus_core::{KeySet, ProteusOptions, SampleQueries, TwoPbfFilterOptions};
 
     fn fixture_keys() -> (Vec<u64>, KeySet, SampleQueries) {
         let keys: Vec<u64> = (0..800u64).map(|i| i.wrapping_mul(0x9E37_79B9) << 16).collect();
@@ -113,10 +115,11 @@ mod tests {
     fn workspace_filters() -> Vec<Box<dyn RangeFilter>> {
         let (_, ks, samples) = fixture_keys();
         let m = 800 * 12;
+        let one_pbf = ProteusModel::bloom_only(&ks, &samples).best_design(&ks, m);
         vec![
             Box::new(NoFilter),
             Box::new(Proteus::train(&ks, &samples, m, &ProteusOptions::default())),
-            Box::new(OnePbf::train(&ks, &samples, m, &OnePbfOptions::default())),
+            Box::new(Proteus::build_with_design(&ks, one_pbf, m, &ProteusOptions::default())),
             Box::new(TwoPbf::train(&ks, &samples, m, &TwoPbfFilterOptions::default())),
             Box::new(Surf::build(&ks, SurfSuffix::Base)),
             Box::new(Surf::build(&ks, SurfSuffix::Hash(8))),

@@ -5,7 +5,9 @@
 //! Rosetta conceptually encodes every level of a binary trie over the key
 //! space into per-level Bloom filters. A range query decomposes into dyadic
 //! intervals; each positive probe is "doubted" by probing its two children
-//! until the deepest level confirms or everything resolves negative. In
+//! until the deepest level confirms or everything resolves negative — one
+//! [`RegionWalk`] per level, each nested in a positive region of the one
+//! above, all drawing on one [`ProbeBudget`]. In
 //! practice only the last few levels are instantiated and they receive the
 //! whole memory budget (§2.1); our constructor tunes the level count and
 //! the bottom-level memory fraction with the same sampled empty queries
@@ -14,7 +16,7 @@
 use proteus_amq::hash::HashFamily;
 use proteus_amq::standard_bloom_fpr;
 use proteus_core::codec::{ByteReader, CodecError, FilterKind, WireWrite};
-use proteus_core::key::{get_bit, set_tail_ones, u64_key};
+use proteus_core::key::{get_bit, u64_key, ProbeBudget, RegionWalk, Walk};
 use proteus_core::model::{extract_contexts, BitScan};
 use proteus_core::prefix_bf::PrefixBloom;
 use proteus_core::{KeySet, RangeFilter, SampleQueries};
@@ -239,12 +241,13 @@ impl Rosetta {
         Ok(Rosetta { filters, top_len, bits, width, probe_cap })
     }
 
-    /// Closed-range emptiness query: dyadic descent with doubting.
+    /// Closed-range emptiness query: dyadic descent with doubting. The
+    /// levels above `top_len` hold no filter, so the descent starts with
+    /// the query's `top_len`-bit regions; every level draws on one budget,
+    /// and running out of it is the safe positive.
     pub fn query(&self, lo: &[u8], hi: &[u8]) -> bool {
-        debug_assert!(lo <= hi);
-        let mut budget = self.probe_cap;
-        let mut prefix = vec![0u8; self.width];
-        self.descend(&mut prefix, 0, lo, hi, &mut budget)
+        let budget = ProbeBudget::new(self.probe_cap);
+        self.walk_level(0, &[], 0, lo, hi, &budget) != Walk::Clear
     }
 
     /// [`Rosetta::query`] over `u64` keys (closed range).
@@ -252,50 +255,30 @@ impl Rosetta {
         self.query(&u64_key(lo), &u64_key(hi))
     }
 
-    /// Recursive binary descent over prefix regions. `prefix` holds the
-    /// current `level`-bit prefix (trailing bits zero).
-    fn descend(
+    /// Probe `filters[i]` at each `(top_len + i)`-bit region of `[lo, hi]`
+    /// inside the `within`-bit `region`, one at a time, and walk the
+    /// children of each positive one a level down; the bottom level has no
+    /// children to doubt with, so it probes its regions a chunk at a time.
+    fn walk_level(
         &self,
-        prefix: &mut [u8],
-        level: usize,
+        i: usize,
+        region: &[u8],
+        within: usize,
         lo: &[u8],
         hi: &[u8],
-        budget: &mut u64,
-    ) -> bool {
-        // Region bounds at this level: [prefix·00.., prefix·11..].
-        // Disjoint from the query -> resolved negative.
-        {
-            let mut end = prefix.to_vec();
-            set_tail_ones(&mut end, level);
-            if end.as_slice() < lo || prefix[..] > hi[..] {
-                return false;
-            }
+        budget: &ProbeBudget,
+    ) -> Walk {
+        let (filter, l) = (&self.filters[i], self.top_len + i);
+        let mut walk = RegionWalk::new(lo, hi, budget);
+        if l == self.bits {
+            return walk.walk(region, within, l, |run| filter.probe_run(run));
         }
-        if level >= self.top_len {
-            let f = &self.filters[level - self.top_len];
-            if *budget == 0 {
-                return true;
+        walk.walk(region, within, l, |run| match run.draw() {
+            Some(child) if filter.probe(child) == Walk::Hit => {
+                self.walk_level(i + 1, child, l, lo, hi, budget)
             }
-            *budget -= 1;
-            if !f.contains_prefix_of(prefix) {
-                return false;
-            }
-            if level == self.bits {
-                return true; // deepest level positive: report non-empty
-            }
-        } else if level == self.bits {
-            return true;
-        }
-        // Descend into both children (bit `level` = 0, then 1).
-        if self.descend(prefix, level + 1, lo, hi, budget) {
-            return true;
-        }
-        let byte = level / 8;
-        let mask = 0x80u8 >> (level % 8);
-        prefix[byte] |= mask;
-        let r = self.descend(prefix, level + 1, lo, hi, budget);
-        prefix[byte] &= !mask;
-        r
+            _ => Walk::Clear,
+        })
     }
 }
 
@@ -472,6 +455,125 @@ mod tests {
                     // Bottom-heavy allocations keep the deepest filter
                     // largest (the paper's "last few prefix lengths" note).
                     assert!(alloc[levels - 1] >= alloc[0]);
+                }
+            }
+        }
+    }
+
+    /// The recursive descent `Rosetta::query` ran before it walked through
+    /// `RegionWalk`: `prefix` holds the current `level`-bit prefix
+    /// (trailing bits zero). Kept as the reference the walk must answer
+    /// like.
+    fn descend(
+        f: &Rosetta,
+        prefix: &mut [u8],
+        level: usize,
+        lo: &[u8],
+        hi: &[u8],
+        budget: &mut u64,
+    ) -> bool {
+        // Region bounds at this level: [prefix·00.., prefix·11..].
+        // Disjoint from the query -> resolved negative.
+        {
+            let mut end = prefix.to_vec();
+            proteus_core::key::set_tail_ones(&mut end, level);
+            if end.as_slice() < lo || prefix[..] > hi[..] {
+                return false;
+            }
+        }
+        if level >= f.top_len {
+            let filter = &f.filters[level - f.top_len];
+            if *budget == 0 {
+                return true;
+            }
+            *budget -= 1;
+            if !filter.contains_prefix_of(prefix) {
+                return false;
+            }
+            if level == f.bits {
+                return true; // deepest level positive: report non-empty
+            }
+        } else if level == f.bits {
+            return true;
+        }
+        // Descend into both children (bit `level` = 0, then 1).
+        if descend(f, prefix, level + 1, lo, hi, budget) {
+            return true;
+        }
+        let byte = level / 8;
+        let mask = 0x80u8 >> (level % 8);
+        prefix[byte] |= mask;
+        let r = descend(f, prefix, level + 1, lo, hi, budget);
+        prefix[byte] &= !mask;
+        r
+    }
+
+    fn reference_query(f: &Rosetta, lo: &[u8], hi: &[u8]) -> bool {
+        let mut budget = f.probe_cap;
+        descend(f, &mut vec![0u8; f.width], 0, lo, hi, &mut budget)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The nested region walks answer every window exactly like the
+        /// recursive descent, exhaustion included: 8- and 16-byte keys in
+        /// clusters or uniform, every level count the tuner may pick and
+        /// each bottom fraction, under a small probe cap and the default;
+        /// point, short, key-correlated and very wide windows.
+        #[test]
+        fn region_walks_answer_like_the_recursive_descent(
+            seed: u64,
+            wide_keys: bool,
+            clustered: bool,
+            levels in 1usize..=24,
+            frac_pick in 0usize..3,
+            small_cap in 1u64..=64,
+            bits_per_key in 2u64..=20,
+        ) {
+            let width = if wide_keys { 16 } else { 8 };
+            let top = u128::MAX >> (128 - 8 * width);
+            let mut s = seed;
+            let mut draw = || (u128::from(splitmix(&mut s)) << 64 | u128::from(splitmix(&mut s))) & top;
+            let add = |v: u128, d: u128| v.saturating_add(d).min(top);
+            let key = |v: u128| v.to_be_bytes()[16 - width..].to_vec();
+            let centers: Vec<u128> = (0..4).map(|_| draw()).collect();
+            let n_keys = 16 + (draw() % 600) as usize;
+            let raw: Vec<u128> = (0..n_keys)
+                .map(|_| {
+                    let r = draw();
+                    if clustered { add(centers[(r % 4) as usize], r % (1 << 20)) } else { r }
+                })
+                .collect();
+            let ks = KeySet::new(raw.iter().map(|&v| key(v)).collect(), width);
+            let frac = [0.5, 0.7, 0.9][frac_pick];
+            let opts = RosettaOptions { probe_cap: small_cap, ..Default::default() };
+            let mut f = Rosetta::build_with_levels(&ks, n_keys as u64 * bits_per_key, levels, frac, &opts);
+
+            let mut windows: Vec<(u128, u128)> = Vec::new();
+            for _ in 0..8 {
+                let (k, r) = (raw[(draw() % n_keys as u128) as usize], draw());
+                windows.push((k, k));
+                windows.push((r, r));
+                windows.push((r, add(r, r % 64)));
+                let lo = add(k, 1 + r % (1 << 12));
+                windows.push((lo, add(lo, draw() % (1 << 12))));
+                windows.push((k.saturating_sub(r % 64), add(k, draw() % 64)));
+            }
+            for _ in 0..2 {
+                let r = draw();
+                windows.push((r >> (r % 8), add(r, top >> (r % 16))));
+            }
+            windows.push((0, top));
+            for cap in [small_cap, proteus_core::DEFAULT_PROBE_CAP] {
+                f.probe_cap = cap;
+                for &(lo, hi) in &windows {
+                    let (lo, hi) = (key(lo), key(hi));
+                    proptest::prop_assert_eq!(
+                        f.query(&lo, &hi),
+                        reference_query(&f, &lo, &hi),
+                        "{} cap {} [{:x?}, {:x?}]", f.name(), cap, lo, hi
+                    );
                 }
             }
         }

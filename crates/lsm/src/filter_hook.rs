@@ -18,29 +18,33 @@ pub use proteus_core::NoFilter;
 ///
 /// # Example
 ///
-/// A custom factory plugging a fixed-design filter into the store:
+/// A custom factory plugging a fixed-design filter into the store — a
+/// trie-less Proteus whose Bloom filter always hashes 48-bit prefixes,
+/// whatever the sample says:
 ///
 /// ```
-/// use proteus_core::{KeySet, OnePbf, OnePbfOptions, RangeFilter, SampleQueries};
+/// use proteus_core::model::proteus::ProteusDesign;
+/// use proteus_core::{KeySet, Proteus, ProteusOptions, RangeFilter, SampleQueries};
 /// use proteus_lsm::FilterFactory;
 ///
-/// struct OnePbfFactory;
+/// struct Prefix48Factory;
 ///
-/// impl FilterFactory for OnePbfFactory {
-///     fn build(&self, keys: &KeySet, samples: &SampleQueries, m_bits: u64)
+/// impl FilterFactory for Prefix48Factory {
+///     fn build(&self, keys: &KeySet, _samples: &SampleQueries, m_bits: u64)
 ///         -> Box<dyn RangeFilter>
 ///     {
-///         Box::new(OnePbf::train(keys, samples, m_bits, &OnePbfOptions::default()))
+///         let design = ProteusDesign::bloom_only(48, 0.0);
+///         Box::new(Proteus::build_with_design(keys, design, m_bits, &ProteusOptions::default()))
 ///     }
 ///     fn name(&self) -> String {
-///         "1pbf".into()
+///         "prefix48".into()
 ///     }
 /// }
 ///
 /// let keys = KeySet::from_u64(&[100, 200, 300]);
 /// let mut samples = SampleQueries::from_u64(&[(400, 450)]);
 /// samples.retain_empty(&keys);
-/// let filter = OnePbfFactory.build(&keys, &samples, 3 * 1024);
+/// let filter = Prefix48Factory.build(&keys, &samples, 3 * 1024);
 /// assert!(filter.may_contain(&proteus_core::key::u64_key(200)));
 /// ```
 pub trait FilterFactory: Send + Sync {

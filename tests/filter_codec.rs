@@ -7,11 +7,14 @@
 //!   also bump `FORMAT_VERSION`), run:
 //!   `PROTEUS_REGEN_FIXTURES=1 cargo test --test filter_codec`.
 //!   `proteus_span_l9_l40.bin` pins the one addition since v2 was cut — the
-//!   Proteus payload's span-bitmap flag bit; every older fixture, and the
-//!   1PBF payload, is byte-identical to what it was before the bit existed.
+//!   Proteus payload's span-bitmap flag bit; every older fixture is
+//!   byte-identical to what it was before the bit existed.
 //!   `proteus_l16_l40_fp.bin` is frozen history, like `v1/`: the Proteus
 //!   fixture as builds that persisted a training fingerprint wrote it. It
 //!   must still decode, and re-encodes to `proteus_l16_l40.bin`.
+//!   `one_pbf_l32.bin` is frozen history too: a 1PBF under the kind tag it
+//!   had while it was a type of its own. It must decode, answer as it did,
+//!   and re-encodes as the trie-less Proteus it is.
 //! * **v1 rejection** — the PR-2 era fixtures under `tests/fixtures/v1/`
 //!   (never regenerated) carry the retired envelope version 1, which
 //!   could only ride in SST generations the store no longer opens: every
@@ -21,10 +24,11 @@
 //!   must return `Err(CodecError)`: never a panic, never a filter that
 //!   could produce a false negative.
 
+use proteus::core::codec::{seal, unseal};
 use proteus::core::model::proteus::ProteusDesign;
 use proteus::core::model::two_pbf::TwoPbfDesign;
 use proteus::core::{
-    NoFilter, OnePbf, OnePbfOptions, Proteus, ProteusOptions, RangeFilter, TwoPbf,
+    CodecError, FilterKind, NoFilter, Proteus, ProteusOptions, RangeFilter, TwoPbf,
     TwoPbfFilterOptions,
 };
 use proteus::filters::{FilterCodec, Rosetta, RosettaOptions, Surf, SurfSuffix};
@@ -72,15 +76,6 @@ fn fixtures() -> Vec<(&'static str, Box<dyn RangeFilter>)> {
             )),
         ),
         (
-            "one_pbf_l32.bin",
-            Box::new(OnePbf::build_with_prefix_len(
-                &ks,
-                ProteusDesign::bloom_only(32, 0.03125),
-                m,
-                &OnePbfOptions::default(),
-            )),
-        ),
-        (
             "two_pbf_l24_l48.bin",
             Box::new(TwoPbf::build_with_design(
                 &ks,
@@ -114,6 +109,10 @@ fn span_fixture() -> (&'static str, Box<dyn RangeFilter>) {
     assert_eq!(filter.coarse_encoding(), Some(proteus::core::CoarseEncoding::SpanBitmap));
     ("proteus_span_l9_l40.bin", Box::new(filter))
 }
+
+/// The 1PBF fixture, written under [`FilterKind::OnePbf`], which nothing
+/// writes any more: frozen in `v1/` and `v2/` alike.
+const ONE_PBF_FIXTURE: &str = "one_pbf_l32.bin";
 
 /// Every fixture of the current format.
 fn current_fixtures() -> Vec<(&'static str, Box<dyn RangeFilter>)> {
@@ -168,14 +167,67 @@ fn v2_fingerprinted_fixture_decodes_and_reencodes_without_it() {
 }
 
 #[test]
+fn v2_one_pbf_fixture_decodes_as_a_trieless_proteus() {
+    let golden = std::fs::read(fixture_dir("v2").join(ONE_PBF_FIXTURE)).unwrap();
+    assert_eq!(unseal(&golden).unwrap().tag, FilterKind::OnePbf.tag());
+    let decoded = FilterCodec::decode(&golden).unwrap();
+    assert!(!decoded.degraded);
+    let filter = decoded.filter;
+    // What wrote it: a 32-bit prefix Bloom filter over the fixture keys,
+    // hashed with the seed 1PBF had of its own.
+    let twin = Proteus::build_with_design(
+        &fixture_keys(),
+        ProteusDesign::bloom_only(32, 0.03125),
+        64 * 16,
+        &ProteusOptions { seed: 0x0B5E_55ED, ..Default::default() },
+    );
+    assert_eq!(filter.size_bits(), twin.size_bits());
+    // It answers as it did: every fixture key and the ranges around it, and
+    // off-key points and ranges, whose positives are the counts the 1PBF
+    // type answered these probes with.
+    let ks = fixture_keys();
+    for i in 0..ks.len() {
+        let k = u64::from_be_bytes(ks.key(i).try_into().unwrap());
+        assert!(filter.may_contain(ks.key(i)));
+        let (lo, hi) = (k.saturating_sub(1 << 20), k.saturating_add(1 << 20));
+        assert!(filter.may_contain_range(&lo.to_be_bytes(), &hi.to_be_bytes()));
+    }
+    let mut s = 0x1BBF_0000_0000_0001u64;
+    let (mut points, mut ranges) = (0, 0);
+    for _ in 0..2000 {
+        let lo = splitmix(&mut s);
+        let hi = lo.saturating_add(splitmix(&mut s) % (1 << 40));
+        let (lo, hi) = (lo.to_be_bytes(), hi.to_be_bytes());
+        assert_eq!(filter.may_contain(&lo), twin.may_contain(&lo));
+        assert_eq!(filter.may_contain_range(&lo, &hi), twin.may_contain_range(&lo, &hi));
+        points += filter.may_contain(&lo) as u32;
+        ranges += filter.may_contain_range(&lo, &hi) as u32;
+    }
+    assert_eq!((points, ranges), (2, 300));
+    // It re-encodes as what it is.
+    assert_eq!(filter.encode_payload().unwrap().0, FilterKind::Proteus);
+    assert_eq!(FilterCodec::encode(filter.as_ref()).unwrap(), FilterCodec::encode(&twin).unwrap());
+    // And no cut or single-byte corruption of it decodes.
+    for cut in 0..golden.len() {
+        assert!(FilterCodec::decode(&golden[..cut]).is_err(), "cut {cut}");
+    }
+    for i in 0..golden.len() {
+        for flip in [0x01u8, 0xFF] {
+            let mut bad = golden.clone();
+            bad[i] ^= flip;
+            assert!(FilterCodec::decode(&bad).is_err(), "corrupt byte {i} (xor {flip:#04x})");
+        }
+    }
+}
+
+#[test]
 fn golden_v1_fixtures_are_rejected_as_an_unsupported_version() {
     // The v1 fixtures are frozen history: bytes written by the PR-2 codec.
     // Envelope v1 is retired together with the SST generations that could
     // carry it; its bytes must be named as such, never misread or panicked
     // on — intact, truncated or corrupted.
-    use proteus::core::CodecError;
     let dir = fixture_dir("v1");
-    for (name, _) in fixtures() {
+    for name in fixtures().into_iter().map(|(name, _)| name).chain([ONE_PBF_FIXTURE]) {
         let golden = std::fs::read(dir.join(name))
             .unwrap_or_else(|e| panic!("missing frozen v1 fixture {name} ({e})"));
         assert!(
@@ -230,7 +282,7 @@ fn single_byte_corruption_anywhere_errors() {
 fn resealed(filter: &dyn RangeFilter, patch: impl FnOnce(&mut [u8])) -> Vec<u8> {
     let (kind, mut payload) = filter.encode_payload().unwrap();
     patch(&mut payload);
-    proteus::core::codec::seal(kind, &payload)
+    seal(kind, &payload)
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
@@ -239,9 +291,8 @@ fn u32_at(bytes: &[u8], at: usize) -> u32 {
 
 #[test]
 fn embedded_bloom_geometry_must_match_the_filter_header() {
-    use proteus::core::CodecError;
     let ks = fixture_keys();
-    let mut by_name: std::collections::HashMap<_, _> = fixtures().into_iter().collect();
+    let by_name: std::collections::HashMap<_, _> = fixtures().into_iter().collect();
     let trieless = Proteus::build_with_design(
         &ks,
         ProteusDesign {
@@ -253,27 +304,31 @@ fn embedded_bloom_geometry_must_match_the_filter_header() {
         64 * 16,
         &ProteusOptions::default(),
     );
-    // Per kind: the filter, the payload offset of its first embedded prefix
-    // Bloom filter (which opens with its own `prefix_len`, `width` u32s),
-    // and the prefix length the enclosing header gives that stage.
-    let cases: Vec<(Box<dyn RangeFilter>, usize, u32)> = vec![
-        (Box::new(trieless), 45, 40),
-        (by_name.remove("one_pbf_l32.bin").unwrap(), 28, 32),
-        (by_name.remove("two_pbf_l24_l48.bin").unwrap(), 44, 24),
-        (by_name.remove("rosetta_4l.bin").unwrap(), 24, 61),
+    let payload = |filter: &dyn RangeFilter| {
+        let (kind, payload) = filter.encode_payload().unwrap();
+        (filter.name(), kind, payload)
+    };
+    let golden = std::fs::read(fixture_dir("v2").join(ONE_PBF_FIXTURE)).unwrap();
+    let one_pbf = unseal(&golden).unwrap().payload.to_vec();
+    // Per payload: its kind, the offset of its first embedded prefix Bloom
+    // filter (which opens with its own `prefix_len`, `width` u32s), and the
+    // prefix length the enclosing header gives that stage.
+    let cases = [
+        (payload(&trieless), 45, 40),
+        ((ONE_PBF_FIXTURE.to_string(), FilterKind::OnePbf, one_pbf.clone()), 28, 32),
+        (payload(by_name["two_pbf_l24_l48.bin"].as_ref()), 44, 24),
+        (payload(by_name["rosetta_4l.bin"].as_ref()), 24, 61),
     ];
-    for (filter, at, prefix_len) in cases {
-        let name = filter.name();
-        let (_, payload) = filter.encode_payload().unwrap();
+    for ((name, kind, payload), at, prefix_len) in cases {
+        assert!(matches!(FilterCodec::decode(&seal(kind, &payload)), Ok(d) if !d.degraded));
         assert_eq!((u32_at(&payload, at), u32_at(&payload, at + 4)), (prefix_len, 8), "{name}");
         // A stage hashing a different prefix length than the header walks
         // (false negatives), or keyed wider than the header's keys.
         for (field, value) in [(at, prefix_len - 8), (at + 4, 16)] {
-            let bad = resealed(filter.as_ref(), |p| {
-                p[field..field + 4].copy_from_slice(&value.to_le_bytes());
-            });
+            let mut bad = payload.clone();
+            bad[field..field + 4].copy_from_slice(&value.to_le_bytes());
             assert!(
-                matches!(FilterCodec::decode(&bad), Err(CodecError::Invalid(_))),
+                matches!(FilterCodec::decode(&seal(kind, &bad)), Err(CodecError::Invalid(_))),
                 "{name}: embedded field at {field} := {value} must be rejected"
             );
         }
@@ -281,14 +336,20 @@ fn embedded_bloom_geometry_must_match_the_filter_header() {
 
     // The release-mode panic this guards against: a 1PBF over 16-byte keys
     // relabelled as a filter over 8-byte keys — with a prefix past 64 bits
-    // its first probe would index past the end of the query key.
+    // its first probe would index past the end of the query key. Once as a
+    // trie-less Proteus, once as the golden's tag-2 payload carrying such a
+    // stage (design and stage at 100 bits, the stage 16 bytes wide).
     let wide: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 16]).collect();
-    let wide_refs: Vec<&[u8]> = wide.iter().map(Vec::as_slice).collect();
-    let wide_ks = proteus::core::KeySet::from_strings(&wide_refs, 16);
-    let mut samples = proteus::core::SampleQueries::new(16);
-    samples.push(&[0xF0; 16], &[0xF1; 16]);
-    let one = OnePbf::train(&wide_ks, &samples, 64 * 16, &OnePbfOptions::default());
+    let wide_ks = proteus::core::KeySet::new(wide, 16);
+    let design = ProteusDesign::bloom_only(100, 0.0);
+    let one = Proteus::build_with_design(&wide_ks, design, 64 * 16, &ProteusOptions::default());
     let relabelled = resealed(&one, |p| p[..4].copy_from_slice(&8u32.to_le_bytes()));
+    assert!(matches!(FilterCodec::decode(&relabelled), Err(CodecError::Invalid(_))));
+    let mut relabelled = one_pbf;
+    relabelled[12..20].copy_from_slice(&100u64.to_le_bytes());
+    relabelled[28..32].copy_from_slice(&100u32.to_le_bytes());
+    relabelled[32..36].copy_from_slice(&16u32.to_le_bytes());
+    let relabelled = seal(FilterKind::OnePbf, &relabelled);
     assert!(matches!(FilterCodec::decode(&relabelled), Err(CodecError::Invalid(_))));
 }
 
@@ -303,7 +364,6 @@ const SPAN_WORDS_AT: usize = 65;
 
 #[test]
 fn a_span_bitmap_payload_is_validated_field_by_field() {
-    use proteus::core::CodecError;
     let (_, filter) = span_fixture();
     let (_, payload) = filter.encode_payload().unwrap();
     // The layout the offsets above claim: span flag + Bloom flag, depth 9,
@@ -358,8 +418,7 @@ fn a_span_bitmap_payload_is_validated_field_by_field() {
     // panic. (A flipped bitmap or Bloom bit is a different filter, not a
     // malformed one; the envelope's CRC is what catches those.)
     for cut in 0..payload.len() {
-        let sealed =
-            proteus::core::codec::seal(proteus::core::FilterKind::Proteus, &payload[..cut]);
+        let sealed = seal(FilterKind::Proteus, &payload[..cut]);
         assert!(FilterCodec::decode(&sealed).is_err(), "payload cut to {cut}");
     }
     let probe = |sealed: &[u8]| {
@@ -378,15 +437,15 @@ fn a_span_bitmap_payload_is_validated_field_by_field() {
         let tail = (splitmix(&mut s) % 200) as usize;
         let mut bad = payload[..=FLAGS_AT].to_vec();
         bad.extend((0..tail).map(|_| splitmix(&mut s) as u8));
-        probe(&proteus::core::codec::seal(proteus::core::FilterKind::Proteus, &bad));
+        probe(&seal(FilterKind::Proteus, &bad));
     }
 }
 
 #[test]
 fn payloads_from_before_the_span_flag_decode_unchanged() {
     // The FST-bearing fixture and the trie-less one still carry flags 0b11
-    // and 0b10, and the 1PBF payload — "Proteus at depth 0" with its own
-    // kind tag — has no flags byte to grow.
+    // and 0b10. (The tag-2 1PBF payload has no flags byte to grow; see
+    // `v2_one_pbf_fixture_decodes_as_a_trieless_proteus`.)
     let by_name: std::collections::HashMap<_, _> = fixtures().into_iter().collect();
     let (_, fst) = by_name["proteus_l16_l40.bin"].encode_payload().unwrap();
     assert_eq!(fst[FLAGS_AT], 0b011);
@@ -397,13 +456,11 @@ fn payloads_from_before_the_span_flag_decode_unchanged() {
         &ProteusOptions::default(),
     );
     assert_eq!(trieless.encode_payload().unwrap().1[FLAGS_AT], 0b010);
-    for name in ["proteus_l16_l40.bin", "one_pbf_l32.bin"] {
-        let golden = std::fs::read(fixture_dir("v2").join(name)).unwrap();
-        let decoded = FilterCodec::decode(&golden).unwrap();
-        assert!(!decoded.degraded, "{name}");
-        // Re-encoding what was decoded gives the committed bytes back.
-        assert_eq!(FilterCodec::encode(decoded.filter.as_ref()).unwrap(), golden, "{name}");
-    }
+    let golden = std::fs::read(fixture_dir("v2").join("proteus_l16_l40.bin")).unwrap();
+    let decoded = FilterCodec::decode(&golden).unwrap();
+    assert!(!decoded.degraded);
+    // Re-encoding what was decoded gives the committed bytes back.
+    assert_eq!(FilterCodec::encode(decoded.filter.as_ref()).unwrap(), golden);
 }
 
 #[test]

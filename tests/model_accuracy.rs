@@ -3,9 +3,7 @@
 //! and the self-selected design is near-optimal among evaluated designs.
 
 use proteus::core::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOptions};
-use proteus::core::{
-    KeySet, OnePbf, OnePbfOptions, Proteus, ProteusOptions, RangeFilter, SampleQueries,
-};
+use proteus::core::{KeySet, Proteus, ProteusOptions, RangeFilter, SampleQueries};
 use proteus::lsm::{FilterFactory, ProteusFactory};
 use proteus::workloads::{Dataset, QueryGen, Workload};
 use proteus::{Db, DbConfig};
@@ -28,11 +26,11 @@ fn one_pbf_model_tracks_reality_across_designs() {
     let m = 20_000 * 10;
     for l in (24..=64usize).step_by(8) {
         let expected = model.expected_fpr(&keys, 0, l, m).unwrap();
-        let filter = OnePbf::build_with_prefix_len(
+        let filter = Proteus::build_with_design(
             &keys,
             ProteusDesign::bloom_only(l, expected),
             m,
-            &OnePbfOptions::default(),
+            &ProteusOptions::default(),
         );
         let obs = observed(&filter, &eval);
         assert!(

@@ -11,9 +11,7 @@
 //! un-ignored when a widening closes it.
 
 use proteus::core::model::proteus::{ProteusDesign, ProteusModel, ProteusModelOptions};
-use proteus::core::{
-    KeySet, OnePbf, OnePbfOptions, Proteus, ProteusOptions, RangeFilter, SampleQueries,
-};
+use proteus::core::{KeySet, Proteus, ProteusOptions, RangeFilter, SampleQueries};
 use proteus::filters::{Surf, SurfSuffix};
 use proteus::workloads::{Dataset, QueryGen, Workload};
 
@@ -93,7 +91,8 @@ fn widened_proteus_loses_to_no_subset_of_its_own_space() {
             let proteus = Proteus::build_with_design(&keys, model.best_design(&keys, m), m, &opts);
             let byte_only =
                 Proteus::build_with_design(&keys, byte_only_design(&model, &keys, m), m, &opts);
-            let one_pbf = OnePbf::train(&keys, &samples, m, &OnePbfOptions::default());
+            let one_pbf_design = ProteusModel::bloom_only(&keys, &samples).best_design(&keys, m);
+            let one_pbf = Proteus::build_with_design(&keys, one_pbf_design, m, &opts);
 
             // Equal measured bits: nobody wins by spending more.
             for filter in [&proteus as &dyn RangeFilter, &byte_only, &one_pbf] {
