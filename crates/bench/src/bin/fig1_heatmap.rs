@@ -8,7 +8,7 @@
 use proteus_bench::build::{build_filter, FilterKind};
 use proteus_bench::cli::Args;
 use proteus_bench::report::{fpr, Table};
-use proteus_bench::{measure_fpr_dyn, scenario};
+use proteus_bench::{measure_fpr, scenario};
 use proteus_workloads::{Dataset, Workload};
 
 fn main() {
@@ -52,7 +52,7 @@ fn main() {
                     args.seed ^ (re as u64) << 8,
                 );
                 let value = match build_filter(kind, &sc.keyset, &sc.samples, &sc.eval, m_bits) {
-                    Some(f) => measure_fpr_dyn(f.as_ref(), &sc.eval),
+                    Some(f) => measure_fpr(f.as_ref(), &sc.eval),
                     None => f64::NAN,
                 };
                 print!("  {:>6}", fpr(value));

@@ -36,13 +36,12 @@ fn main() {
 /// 1PBF accuracy across the prefix-length design space.
 fn part_a(args: &Args) {
     let m_bits = args.keys as u64 * args.get_u64("fig4-bpk", 10);
-    let threads = proteus_bench::build::available_threads();
     let mut t = Table::new(
         "Fig 4a: 1PBF expected vs observed FPR",
         &["experiment", "param_log2", "prefix_len", "expected", "observed"],
     );
 
-    let lens: Vec<usize> = (20..=64).step_by(args.get_usize("step", 2)).collect();
+    let step = args.get_usize("step", 2);
     let run = |t: &mut Table, experiment: &str, param: u32, workload: Workload, seed: u64| {
         let sc = scenario::setup(
             Dataset::Uniform,
@@ -53,35 +52,15 @@ fn part_a(args: &Args) {
             seed,
         );
         let model = ProteusModel::bloom_only(&sc.keyset, &sc.samples);
-        // Observed FPR per design, evaluated in parallel across lengths.
-        let results: Vec<(usize, f64, f64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = lens
-                .chunks(lens.len().div_ceil(threads))
-                .map(|chunk| {
-                    let sc = &sc;
-                    let model = &model;
-                    s.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&l| {
-                                let expected = model
-                                    .expected_fpr(&sc.keyset, 0, l, m_bits)
-                                    .expect("l in 1..=bits");
-                                let f = Proteus::build_with_design(
-                                    &sc.keyset,
-                                    ProteusDesign::bloom_only(l, expected),
-                                    m_bits,
-                                    &ProteusOptions::default(),
-                                );
-                                (l, expected, measure_fpr(&f, &sc.eval))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        for (l, e, o) in results {
+        for l in (20..=64usize).step_by(step) {
+            let e = model.expected_fpr(&sc.keyset, 0, l, m_bits).expect("l in 1..=bits");
+            let f = Proteus::build_with_design(
+                &sc.keyset,
+                ProteusDesign::bloom_only(l, e),
+                m_bits,
+                &ProteusOptions::default(),
+            );
+            let o = measure_fpr(&f, &sc.eval);
             t.row(vec![
                 experiment.to_string(),
                 param.to_string(),
@@ -119,7 +98,6 @@ fn normal_split(rmax_large: u64) -> Workload {
 /// 2PBF design matrix.
 fn part_b(args: &Args) {
     let m_bits = args.keys as u64 * args.get_u64("fig4-bpk", 10);
-    let threads = proteus_bench::build::available_threads();
     let sc = scenario::setup(
         Dataset::Normal,
         &normal_split(1 << 15),
@@ -129,8 +107,7 @@ fn part_b(args: &Args) {
         args.seed,
     );
     let step = args.get_usize("step", 4);
-    let opts = TwoPbfOptions { threads, ..Default::default() };
-    let model = TwoPbfModel::build(&sc.keyset, &sc.samples, m_bits, &opts);
+    let model = TwoPbfModel::build(&sc.keyset, &sc.samples, m_bits, &TwoPbfOptions::default());
 
     let mut t = Table::new(
         "Fig 4b: 2PBF expected vs observed FPR over (l1, l2), 50-50 split",

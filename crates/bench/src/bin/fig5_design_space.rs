@@ -10,7 +10,7 @@
 use proteus_bench::build::{build_filter, FilterKind};
 use proteus_bench::cli::Args;
 use proteus_bench::report::{fpr, Table};
-use proteus_bench::{measure_fpr_dyn, scenario};
+use proteus_bench::{measure_fpr, scenario};
 use proteus_workloads::Workload;
 
 /// The four query-type columns of Fig. 5, parameterized like §5.2.
@@ -86,7 +86,7 @@ fn main() {
                     let (value, actual) =
                         match build_filter(kind, &sc.keyset, &sc.samples, &sc.eval, m_bits) {
                             Some(f) => (
-                                measure_fpr_dyn(f.as_ref(), &sc.eval),
+                                measure_fpr(f.as_ref(), &sc.eval),
                                 f.size_bits() as f64 / args.keys as f64,
                             ),
                             None => (f64::NAN, f64::NAN),

@@ -1,9 +1,7 @@
 //! Figure 6: "Proteus improves end-to-end RocksDB performance on low memory
 //! budgets across diverse workloads" — workload execution latency, Seek
 //! FPR and block I/O in the LSM store for Proteus / SuRF / Rosetta across
-//! BPK budgets and four workloads (6a). Part 6c adds what only this
-//! binary measures: the same Seek workload fanned across N reader threads
-//! on one embedded `Db`.
+//! BPK budgets and four workloads (6a).
 //!
 //! Run: `cargo run -p proteus-bench --release --bin fig6_lsm_e2e`
 
@@ -97,57 +95,4 @@ fn main() {
         }
     }
     t.finish(args.out.as_deref(), "fig6_lsm_e2e");
-
-    // 6c runs on the first case at the middle budget.
-    let keys = cases[0].0.generate(args.keys, args.seed);
-    let seed_q = QueryGen::new(cases[0].1.clone(), &keys, &[], args.seed ^ 0xA)
-        .empty_ranges(args.samples.min(20_000));
-    let bpk = args.bpk[args.bpk.len() / 2] as f64;
-
-    // Concurrent-read scaling (`--threads N` sets the max thread count):
-    // the same Seek workload fanned across reader threads against one
-    // shared Db. Reads are lock-free against the manifest snapshot, so
-    // aggregate throughput should scale until the hardware runs out.
-    let max_threads = args
-        .get_usize("threads", std::thread::available_parallelism().map_or(4, |n| n.get()).min(8))
-        .max(1);
-    let mut c = Table::new(
-        &format!("Figure 6c: concurrent Seek throughput scaling (up to {max_threads} threads)"),
-        &["filter", "threads", "latency_s", "kops_s", "speedup", "fpr", "e2e_fps"],
-    );
-    let eval: Vec<(u64, u64)> =
-        QueryGen::new(cases[0].1.clone(), &keys, &[], args.seed ^ 0xC).empty_ranges(args.queries);
-    for (fname, factory) in factories() {
-        let run =
-            LsmRun::load(&format!("fig6-threads-{fname}"), bpk, &keys, value_len, &seed_q, factory);
-        // Warm the block cache and force every lazy filter decode before
-        // measuring (§6.2 warms caches), so the speedup column isolates
-        // thread scaling instead of mixing in first-pass cache misses.
-        let _ = run.run_batch(&eval);
-        let mut base_ops = 0.0f64;
-        let mut threads = 1;
-        while threads <= max_threads {
-            let r = run.run_batch_threads(&eval, threads);
-            if threads == 1 {
-                base_ops = r.ops_per_sec();
-            }
-            let speedup = r.ops_per_sec() / base_ops.max(1e-9);
-            println!(
-                "{fname:<8} threads={threads:<2} latency={:.3}s {:>8.1} kops/s speedup={speedup:.2}x",
-                r.elapsed_s,
-                r.ops_per_sec() / 1e3,
-            );
-            c.row(vec![
-                fname.to_string(),
-                threads.to_string(),
-                format!("{:.3}", r.elapsed_s),
-                format!("{:.1}", r.ops_per_sec() / 1e3),
-                format!("{speedup:.2}"),
-                format!("{:.5}", r.stats.filter_fpr()),
-                r.fps.to_string(),
-            ]);
-            threads *= 2;
-        }
-    }
-    c.finish(args.out.as_deref(), "fig6c_thread_scaling");
 }

@@ -14,8 +14,9 @@ fn main() {
         "Table 1: bounds for e^(-Nδ²/2p) + e^(-Nδ²/3p), p ≤ 0.1",
         &["Ndelta2", "bound", "paper"],
     );
-    // Paper-printed values; the Nδ²=1 row appears to have dropped a factor
-    // of ten (rows 2-5 match the formula exactly; see EXPERIMENTS.md).
+    // Paper-printed values. Rows 2-5 match the formula exactly; the Nδ²=1
+    // row prints 0.00425 where e^(-5) + e^(-10/3) = 0.0425, so the paper
+    // appears to have dropped a factor of ten there.
     let paper = ["0.00425 (0.0425?)", "0.00132", "0.00005", "0.000002", "0.0000001"];
     for (i, &p) in paper.iter().enumerate() {
         let nd2 = (i + 1) as f64;

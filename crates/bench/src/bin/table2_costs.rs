@@ -21,9 +21,8 @@ use proteus_workloads::{Dataset, QueryGen, Workload};
 
 fn main() {
     let args = Args::parse(1_000_000, 0, 20_000);
-    let threads = proteus_bench::build::available_threads();
     println!(
-        "Table 2 reproduction: {} normal keys, {} correlated samples, 10 BPK, {threads} threads",
+        "Table 2 reproduction: {} normal keys, {} correlated samples, 10 BPK",
         args.keys, args.samples
     );
 
@@ -73,8 +72,7 @@ fn main() {
     ]);
 
     // --- 2PBF --- (the paper's expensive case; closed-form Eq. 4)
-    let opts2 = TwoPbfOptions { threads, ..Default::default() };
-    let m2 = Timed::run(|| TwoPbfModel::build(&ks, &samples, m_bits, &opts2));
+    let m2 = Timed::run(|| TwoPbfModel::build(&ks, &samples, m_bits, &TwoPbfOptions::default()));
     let d2 = Timed::run(|| m2.value.best_design());
     let b2 = Timed::run(|| {
         TwoPbf::build_with_design(&ks, d2.value, m_bits, &TwoPbfFilterOptions::default())
@@ -88,6 +86,10 @@ fn main() {
         ms(b2.millis),
         ms(keyset.millis + m2.millis + d2.millis + b2.millis),
     ]);
+    println!(
+        "  2PBF design: l1={} l2={} split={} (expected FPR {:.4})",
+        d2.value.l1, d2.value.l2, d2.value.split, d2.value.expected_fpr
+    );
 
     // --- Proteus ---
     let optsp = ProteusModelOptions::default();

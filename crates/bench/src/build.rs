@@ -1,9 +1,7 @@
 //! Filter construction helpers shared by the experiment binaries.
 
 use proteus_core::model::proteus::ProteusModel;
-use proteus_core::{
-    KeySet, Proteus, ProteusOptions, RangeFilter, SampleQueries, TwoPbf, TwoPbfFilterOptions,
-};
+use proteus_core::{KeySet, Proteus, ProteusOptions, RangeFilter, SampleQueries};
 use proteus_filters::{Rosetta, RosettaOptions, Surf, SurfSuffix};
 
 /// The filters the paper evaluates.
@@ -12,7 +10,6 @@ pub enum FilterKind {
     Proteus,
     /// 1PBF: Proteus at trie depth 0, the design the Eq. 1 model picks.
     BloomOnly,
-    TwoPbf,
     SurfBest,
     Rosetta,
 }
@@ -22,7 +19,6 @@ impl FilterKind {
         match self {
             FilterKind::Proteus => "proteus",
             FilterKind::BloomOnly => "1pbf",
-            FilterKind::TwoPbf => "2pbf",
             FilterKind::SurfBest => "surf",
             FilterKind::Rosetta => "rosetta",
         }
@@ -49,16 +45,6 @@ pub fn build_filter(
             let design = ProteusModel::bloom_only(keys, samples).best_design(keys, m_bits);
             let opts = ProteusOptions::default();
             Some(Box::new(Proteus::build_with_design(keys, design, m_bits, &opts)))
-        }
-        FilterKind::TwoPbf => {
-            let opts = TwoPbfFilterOptions {
-                model: proteus_core::model::two_pbf::TwoPbfOptions {
-                    threads: available_threads(),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            Some(Box::new(TwoPbf::train(keys, samples, m_bits, &opts)))
         }
         FilterKind::SurfBest => surf_best_under_budget(keys, eval, m_bits)
             .map(|(s, _)| Box::new(s) as Box<dyn RangeFilter>),
@@ -93,10 +79,4 @@ pub fn surf_best_under_budget(
         }
     }
     best
-}
-
-/// Number of worker threads for parallel evaluation (the 2PBF model, the
-/// Fig. 4a sweep).
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get()).min(16)
 }

@@ -9,9 +9,8 @@
 //! --samples N    sample queries fed to the models
 //! --seed N       RNG seed
 //! --bpk LIST     comma-separated bits-per-key budgets (e.g. 8,10,12)
-//! --out PATH     CSV output path (default results/<binary>.csv)
+//! --out DIR      CSV directory: each table goes to DIR/<table>.csv (default results)
 //! --part X       sub-experiment selector (figure-specific)
-//! --threads N    fig6: max reader threads for the concurrent Seek sweep
 //! ```
 //!
 //! These binaries reproduce the paper's figures and tables. Performance
@@ -61,10 +60,8 @@ impl Args {
                  --samples N    sample queries fed to the models\n\
                  --seed N       RNG seed                (default 42)\n\
                  --bpk LIST     comma-separated bits-per-key budgets (default 8,10,12,14,16,18)\n\
-                 --out PATH     CSV output path         (default results/<binary>.csv)\n\
+                 --out DIR      CSV directory, one DIR/<table>.csv per table (default results)\n\
                  --part X       sub-experiment selector (figure-specific, default 'all')\n\
-                 --threads N    max reader threads for concurrent LSM scenarios\n\
-                 \x20              (default min(cores, 8); fig6 scales 1,2,4,… up to N)\n\
                  \n\
                  Binary-specific flags:\n\
                  --heatmap-bpk B   fig1: bits per key for the heatmap (default 12)\n\

@@ -1,7 +1,7 @@
 //! # proteus-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md §3 for the index). This library crate holds the shared
+//! The experiment harness: one binary per table/figure of the paper (the
+//! README's experiment table is the index). This library crate holds the shared
 //! plumbing — CLI parsing, filter construction (including the SuRF
 //! configuration sweep and the LSM filter factories), FPR measurement and
 //! table/CSV reporting.
@@ -16,5 +16,5 @@ pub mod scenario;
 
 pub use build::{surf_best_under_budget, FilterKind};
 pub use cli::Args;
-pub use measure::{measure_fpr, measure_fpr_dyn, Timed};
+pub use measure::{measure_fpr, Timed};
 pub use report::Table;

@@ -1,6 +1,8 @@
 //! Shared machinery for the end-to-end LSM experiments (§6): database
 //! setup, loading, and instrumented Seek execution with ground-truth
-//! tracking.
+//! tracking. Seeks run on the calling thread: concurrent reads are checked
+//! by the lsm crate's `lsm_concurrent` tests and measured by the
+//! `benchmark/` package's `server_mixed` workload.
 
 use proteus_core::key::u64_key;
 use proteus_lsm::{Db, DbConfig, FilterFactory, StatsSnapshot};
@@ -100,8 +102,7 @@ impl LsmRun {
 
     /// Execute a Seek, verifying against ground truth. Returns
     /// `(reported, truly_non_empty)`; a `(true, false)` outcome is an
-    /// end-to-end false positive. Takes `&self`: any number of reader
-    /// threads may call this concurrently.
+    /// end-to-end false positive.
     pub fn seek(&self, lo: u64, hi: u64) -> (bool, bool) {
         let truth = self.mirror.range(lo..=hi).next().is_some();
         let got = self.db.seek_u64(lo, hi).expect("seek");
@@ -121,54 +122,6 @@ impl LsmRun {
         let after = self.db.stats().snapshot();
         BatchResult { elapsed_s: elapsed, stats: after.delta(&before) }
     }
-
-    /// The `--threads N` concurrent scenario: split `queries` across `n`
-    /// reader threads hammering the shared `Db` (every answer still
-    /// verified against the ground-truth mirror) and report aggregate
-    /// throughput. With `n == 1` this degenerates to [`LsmRun::run_batch`]
-    /// plus thread-spawn overhead, so speedups are directly comparable.
-    pub fn run_batch_threads(&self, queries: &[(u64, u64)], n: usize) -> ThreadedBatchResult {
-        // Never more threads than queries (and at least one), so the
-        // reported thread count is the number actually spawned.
-        let n = n.max(1).min(queries.len().max(1));
-        let before = self.db.stats().snapshot();
-        let chunk = queries.len().div_ceil(n).max(1); // chunks(0) panics on empty input
-        let t0 = Instant::now();
-        let per_thread: Vec<(u64, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut fps = 0u64;
-                        let mut empties = 0u64;
-                        for &(lo, hi) in part {
-                            let (got, truth) = self.seek(lo, hi);
-                            if !truth {
-                                empties += 1;
-                                if got {
-                                    fps += 1;
-                                }
-                            }
-                        }
-                        (fps, empties)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("reader thread")).collect()
-        });
-        let elapsed = t0.elapsed().as_secs_f64();
-        let after = self.db.stats().snapshot();
-        ThreadedBatchResult {
-            // chunks() may produce fewer pieces than requested threads;
-            // report what actually ran.
-            threads: per_thread.len(),
-            ops: queries.len() as u64,
-            elapsed_s: elapsed,
-            fps: per_thread.iter().map(|r| r.0).sum(),
-            empties: per_thread.iter().map(|r| r.1).sum(),
-            stats: after.delta(&before),
-        }
-    }
 }
 
 impl Drop for LsmRun {
@@ -176,26 +129,6 @@ impl Drop for LsmRun {
         if !self.persist {
             let _ = std::fs::remove_dir_all(&self.dir);
         }
-    }
-}
-
-/// Metrics for one multi-threaded batch of seeks.
-#[derive(Debug, Clone)]
-pub struct ThreadedBatchResult {
-    pub threads: usize,
-    /// Total seeks executed across all threads.
-    pub ops: u64,
-    pub elapsed_s: f64,
-    /// End-to-end false positives (Seek reported non-empty, truth empty).
-    pub fps: u64,
-    pub empties: u64,
-    pub stats: StatsSnapshot,
-}
-
-impl ThreadedBatchResult {
-    /// Aggregate throughput across all reader threads.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed_s.max(1e-9)
     }
 }
 

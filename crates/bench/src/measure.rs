@@ -14,11 +14,6 @@ pub fn measure_fpr<F: RangeFilter + ?Sized>(filter: &F, empty_queries: &SampleQu
     fps as f64 / empty_queries.len() as f64
 }
 
-/// Trait-object convenience.
-pub fn measure_fpr_dyn(filter: &dyn RangeFilter, empty_queries: &SampleQueries) -> f64 {
-    measure_fpr(filter, empty_queries)
-}
-
 /// Time a closure, returning its result and elapsed milliseconds.
 pub struct Timed<T> {
     pub value: T,

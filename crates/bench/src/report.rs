@@ -1,5 +1,5 @@
-//! Experiment output: aligned console tables plus CSV files under
-//! `results/` so EXPERIMENTS.md can reference stable artifacts.
+//! Experiment output: aligned console tables plus one CSV file per table,
+//! `<out dir>/<table name>.csv` (the directory defaults to `results/`).
 
 use std::fs;
 use std::io::Write;
@@ -57,8 +57,8 @@ impl Table {
     }
 
     /// Write CSV to `path` (creating parent directories).
-    pub fn write_csv(&self, path: &str) -> std::io::Result<()> {
-        if let Some(parent) = Path::new(path).parent() {
+    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
+        if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
         let mut f = fs::File::create(path)?;
@@ -69,13 +69,14 @@ impl Table {
         Ok(())
     }
 
-    /// Print and write to the default results path for `name`.
-    pub fn finish(&self, out_override: Option<&str>, name: &str) {
+    /// Print, then write the CSV to `<out_dir>/<name>.csv`, with
+    /// `out_dir` defaulting to `results`. A binary that finishes several
+    /// tables into one `--out` directory leaves one file per table.
+    pub fn finish(&self, out_dir: Option<&str>, name: &str) {
         self.print();
-        let path =
-            out_override.map(|s| s.to_string()).unwrap_or_else(|| format!("results/{name}.csv"));
+        let path = Path::new(out_dir.unwrap_or("results")).join(format!("{name}.csv"));
         match self.write_csv(&path) {
-            Ok(()) => println!("  -> {path}"),
+            Ok(()) => println!("  -> {}", path.display()),
             Err(e) => eprintln!("  (csv write failed: {e})"),
         }
     }
@@ -97,4 +98,25 @@ pub fn fpr(v: f64) -> String {
 /// Format milliseconds.
 pub fn ms(v: f64) -> String {
     format!("{v:.1}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tables_finished_into_one_out_dir_leave_one_file_each() {
+        let dir = std::env::temp_dir().join(format!("proteus-report-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let out = dir.to_str().expect("utf-8 temp dir");
+        for (name, v) in [("first", "1"), ("second", "2")] {
+            let mut t = Table::new(name, &["v"]);
+            t.row(vec![v.to_string()]);
+            t.finish(Some(out), name);
+        }
+        let first = fs::read_to_string(dir.join("first.csv")).expect("first table kept");
+        let second = fs::read_to_string(dir.join("second.csv")).expect("second table written");
+        assert_eq!((first.as_str(), second.as_str()), ("v\n1\n", "v\n2\n"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

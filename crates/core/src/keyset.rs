@@ -148,11 +148,6 @@ impl KeySet {
         self.k_l[l.min(self.bits())]
     }
 
-    /// Number of keys whose branch becomes unique within `d` bytes.
-    pub fn unique_by_depth(&self, d: usize) -> u64 {
-        self.u_d[d.min(self.width)]
-    }
-
     /// Index of the first key ≥ `probe` (a canonical-width key). Searches on
     /// each key's first 8 bytes, read in place as one integer; only keys
     /// whose head equals the probe's are compared as slices.
@@ -299,9 +294,7 @@ mod tests {
         // 0x00AB, 0x00CD share byte 0; 0x7F00 is unique from byte 1.
         let keys = vec![vec![0x00, 0xAB], vec![0x00, 0xCD], vec![0x7F, 0x00]];
         let ks = KeySet::new(keys, 2);
-        assert_eq!(ks.unique_by_depth(0), 0);
-        assert_eq!(ks.unique_by_depth(1), 1); // 0x7F00
-        assert_eq!(ks.unique_by_depth(2), 3);
+        assert_eq!(ks.u_d, vec![0, 1, 3]);
         // Trie shape at depth 2: root (2 edges), one shared node (2 edges).
         assert_eq!(ks.trie_levels(2), vec![(1, 2), (1, 2)]);
         assert_eq!(ks.trie_branch_count(2), 3);
@@ -414,7 +407,7 @@ mod tests {
         let ks = KeySet::from_u64(&[42]);
         assert_eq!(ks.unique_prefixes(0), 1);
         assert_eq!(ks.unique_prefixes(64), 1);
-        assert_eq!(ks.unique_by_depth(1), 1);
+        assert_eq!(ks.u_d[1], 1);
         assert_eq!(ks.trie_branch_count(8), 1);
         assert!(ks.trie_mem_bits(8) > 0);
     }

@@ -173,42 +173,6 @@ impl ProbeBins {
     }
 }
 
-/// Evaluate `work(0)..work(n - 1)` and return the results in index order,
-/// fanned out over up to `threads` scoped workers that claim indices from a
-/// shared counter (the 2PBF model parallelizes across its first-filter
-/// prefix lengths, whose costs are uneven).
-pub(crate) fn fan_out<T: Send + Default>(
-    n: usize,
-    threads: usize,
-    work: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(work).collect();
-    }
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots = crate::sync::Mutex::new(crate::sync::rank::SCRATCH, &mut results);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = work(i);
-                // A worker panic propagates out of the scope, so a
-                // poisoned scratch lock is unreachable here; recover
-                // rather than panic to keep this path panic-free.
-                slots.lock().unwrap_or_else(std::sync::PoisonError::into_inner)[i] = Some(r);
-            });
-        }
-    });
-    // Every index was claimed by exactly one worker and the scope joined
-    // them all, so each slot is filled; `unwrap_or_default` keeps
-    // positional alignment without a panic path.
-    results.into_iter().map(Option::unwrap_or_default).collect()
-}
-
 /// Incremental per-bit scan state for one query: maintains, as the prefix
 /// length grows one bit at a time, the saturating values of
 /// `hi_l - lo_l` (region-count numerator), the query offset within an

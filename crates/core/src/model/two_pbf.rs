@@ -2,7 +2,8 @@
 //!
 //! The arXiv rendering of Eq. 4 subtracts the end-region and middle-region
 //! "all-negative" terms; independence of the per-region probes makes the
-//! consistent form a product (DESIGN.md §2.3). With `p1`/`p2` the two
+//! consistent form a product, since the chance that no region's probe fires
+//! is the product of each region's chance. With `p1`/`p2` the two
 //! filters' point FPRs, `w = l2 - l1`, `q1 = |Q_l1|`:
 //!
 //! ```text
@@ -42,13 +43,11 @@ pub struct TwoPbfOptions {
     pub splits: Vec<f64>,
     /// Evaluate at most this many l2 values per l1 (0 = all).
     pub max_l2_values: usize,
-    /// Parallelize accumulation across l1 candidates.
-    pub threads: usize,
 }
 
 impl Default for TwoPbfOptions {
     fn default() -> Self {
-        TwoPbfOptions { splits: vec![0.4, 0.5, 0.6], max_l2_values: 0, threads: 1 }
+        TwoPbfOptions { splits: vec![0.4, 0.5, 0.6], max_l2_values: 0 }
     }
 }
 
@@ -132,8 +131,11 @@ impl TwoPbfModel {
             })
             .collect();
 
-        let eval_l1 = |l1: usize| -> Vec<f64> {
-            let mut sums = vec![0.0f64; n_l2 * n_s];
+        // One row of `n_l2 * n_s` sums per l1 candidate, in candidate order.
+        let row = n_l2 * n_s;
+        let mut fp_sums = vec![0.0f64; l1_values.len() * row];
+        for (c, &l1) in l1_values.iter().enumerate() {
+            let sums = &mut fp_sums[c * row..(c + 1) * row];
             for (i, (lo, hi)) in samples.iter().enumerate() {
                 let ctx = ctxs[i];
                 let mut scan = BitScan::seed(lo, hi, l1);
@@ -163,14 +165,6 @@ impl TwoPbfModel {
                     }
                 }
             }
-            sums
-        };
-
-        let per_l1 = super::fan_out(l1_values.len(), opts.threads, |c| eval_l1(l1_values[c]));
-
-        let mut fp_sums = Vec::with_capacity(l1_values.len() * n_l2 * n_s);
-        for sums in per_l1 {
-            fp_sums.extend(sums);
         }
         TwoPbfModel { fp_sums, l1_values, l2_values, splits: opts.splits.clone(), bits, n_samples }
     }
@@ -356,30 +350,5 @@ mod tests {
         // (both prefixes at maximum length).
         let bad = model.expected_fpr(63, 64, 1).unwrap();
         assert!(design.expected_fpr <= bad + 1e-12);
-    }
-
-    #[test]
-    fn threading_is_deterministic() {
-        let (keys, samples) = setup(500, 100, 256);
-        let m = 500u64 * 10;
-        let opts = TwoPbfOptions { max_l2_values: 8, ..Default::default() };
-        let a = TwoPbfModel::build(&keys, &samples, m, &opts);
-        let b = TwoPbfModel::build(&keys, &samples, m, &TwoPbfOptions { threads: 4, ..opts });
-        for l1 in [5usize, 20, 40] {
-            for &l2 in b.l2_values.clone().iter() {
-                if l2 <= l1 {
-                    continue;
-                }
-                for si in 0..3 {
-                    let fa = a.expected_fpr(l1, l2, si);
-                    let fb = b.expected_fpr(l1, l2, si);
-                    match (fa, fb) {
-                        (Some(x), Some(y)) => assert!((x - y).abs() < 1e-12),
-                        (None, None) => {}
-                        other => panic!("mismatch {other:?}"),
-                    }
-                }
-            }
-        }
     }
 }

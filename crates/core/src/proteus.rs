@@ -18,8 +18,10 @@ use crate::trie::{coarse_stage, CoarseEncoding, ProteusTrie};
 use crate::RangeFilter;
 use proteus_amq::hash::HashFamily;
 
-/// Default per-query Bloom probe cap (see DESIGN.md: past this the modeled
-/// FPR is ≈ 1 anyway, so the safe positive is indistinguishable).
+/// Default per-query Bloom probe cap. A query needing more probes than this
+/// has a modeled FPR `1 - (1 - p)^n` of ≈ 1 at any point FPR `p` a budget
+/// yields (at `p = 0.001`, `1 - e^-65`), so answering "maybe" without
+/// probing is indistinguishable from probing.
 pub const DEFAULT_PROBE_CAP: u64 = 65_536;
 
 /// Construction options for [`Proteus`].

@@ -153,8 +153,8 @@ mod tests {
         // Table 1 of the paper: bounds for Nδ² ∈ {1,...,5}, p ≤ 0.1. Rows
         // 2-5 match e^(-Nδ²/(2p)) + e^(-Nδ²/(3p)) at p = 0.1 exactly; the
         // printed row 1 (0.00425) computes to 0.0425 — the paper appears to
-        // have dropped a factor of ten there (see EXPERIMENTS.md), so we
-        // assert the formula's value.
+        // have dropped a factor of ten there, so we assert the formula's
+        // value.
         let expected =
             [(1.0, 0.0425), (2.0, 0.00132), (3.0, 0.00005), (4.0, 0.000002), (5.0, 0.0000001)];
         for (nd2, bound) in expected {

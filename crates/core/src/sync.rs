@@ -89,9 +89,6 @@ pub mod rank {
     pub const QUERY_QUEUE: Rank = Rank::new(20, "query-queue");
     /// The server's connection-handle registry.
     pub const SERVER_CONNS: Rank = Rank::new(15, "server-conns");
-    /// Leaf-level scratch state (e.g. the CPFPR trainers' result-slot
-    /// collectors). Never nests over anything.
-    pub const SCRATCH: Rank = Rank::new(10, "scratch");
 }
 
 /// True when lock-doctor instrumentation is compiled in (debug build or
@@ -557,14 +554,14 @@ mod tests {
 
     #[test]
     fn lock_and_mutate() {
-        let m = Mutex::new(rank::SCRATCH, 1u32);
+        let m = Mutex::new(rank::SERVER_CONNS, 1u32);
         *m.lock().unwrap() += 1;
         assert_eq!(*m.lock().unwrap(), 2);
     }
 
     #[test]
     fn rwlock_read_write() {
-        let l = RwLock::new(rank::SCRATCH, vec![1, 2, 3]);
+        let l = RwLock::new(rank::SERVER_CONNS, vec![1, 2, 3]);
         assert_eq!(l.read().unwrap().len(), 3);
         l.write().unwrap().push(4);
         assert_eq!(l.read().unwrap().len(), 4);
@@ -614,7 +611,7 @@ mod tests {
 
     #[test]
     fn poisoned_lock_returns_guard_in_error() {
-        let m = Arc::new(Mutex::new(rank::SCRATCH, 7u32));
+        let m = Arc::new(Mutex::new(rank::SERVER_CONNS, 7u32));
         let m2 = m.clone();
         let _ = std::thread::spawn(move || {
             let _g = m2.lock().unwrap();

@@ -25,7 +25,8 @@ pub struct TwoPbfFilterOptions {
     pub probe_cap: u64,
     /// Hash seed (the second filter derives its own from it).
     pub seed: u32,
-    /// Model search options (memory splits, coarse l2 grid, threads).
+    /// Model search options (memory splits, coarse l2 grid). The search
+    /// runs on the calling thread.
     pub model: TwoPbfOptions,
 }
 
@@ -175,7 +176,7 @@ mod tests {
 
     fn fast_opts() -> TwoPbfFilterOptions {
         TwoPbfFilterOptions {
-            model: TwoPbfOptions { max_l2_values: 16, threads: 2, ..Default::default() },
+            model: TwoPbfOptions { max_l2_values: 16, ..Default::default() },
             ..Default::default()
         }
     }

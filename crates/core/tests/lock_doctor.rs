@@ -160,7 +160,7 @@ mod no_overhead {
         // A deliberately generous bound (~1µs/op uncontended would be two
         // orders of magnitude above a healthy parking-lot-free mutex):
         // catches an accidentally instrumented release build, not noise.
-        let m = Mutex::new(rank::SCRATCH, 0u64);
+        let m = Mutex::new(rank::SERVER_CONNS, 0u64);
         let start = std::time::Instant::now();
         for _ in 0..100_000 {
             *m.lock().unwrap() += 1;

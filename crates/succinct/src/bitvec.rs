@@ -49,34 +49,6 @@ impl BitVec {
         self.len += 1;
     }
 
-    /// Append `n` copies of `bit`, whole words at a time.
-    pub fn push_n(&mut self, bit: bool, n: usize) {
-        // Cheap path for zeros: just extend the length.
-        if !bit {
-            self.len += n;
-            self.words.resize(self.len.div_ceil(64), 0);
-            return;
-        }
-        // Ones: fill the partial head word with one mask, then whole
-        // words, then the partial tail — no per-bit loop.
-        let end = self.len + n;
-        self.words.resize(end.div_ceil(64), 0);
-        let mut start = self.len;
-        if !start.is_multiple_of(64) {
-            let take = (64 - start % 64).min(end - start); // 1..=63
-            self.words[start / 64] |= ((1u64 << take) - 1) << (start % 64);
-            start += take;
-        }
-        while start + 64 <= end {
-            self.words[start / 64] = u64::MAX;
-            start += 64;
-        }
-        if start < end {
-            self.words[start / 64] |= (1u64 << (end - start)) - 1;
-        }
-        self.len = end;
-    }
-
     /// Read bit `i`. Panics if out of range in debug builds.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -108,27 +80,6 @@ impl BitVec {
             if w >= self.words.len() {
                 return None;
             }
-            word = self.words[w];
-        }
-    }
-
-    /// Position of the last set bit strictly before `before`, if any.
-    pub fn prev_set_bit(&self, before: usize) -> Option<usize> {
-        if before == 0 || self.len == 0 {
-            return None;
-        }
-        let before = before.min(self.len);
-        let mut w = (before - 1) / 64;
-        let used = (before - 1) % 64 + 1;
-        let mut word = self.words[w] & (u64::MAX >> (64 - used));
-        loop {
-            if word != 0 {
-                return Some(w * 64 + 63 - word.leading_zeros() as usize);
-            }
-            if w == 0 {
-                return None;
-            }
-            w -= 1;
             word = self.words[w];
         }
     }
@@ -212,51 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn push_n_zeros_then_set() {
-        let mut bv = BitVec::new();
-        bv.push_n(false, 130);
-        assert_eq!(bv.len(), 130);
-        assert_eq!(bv.count_ones(), 0);
-        bv.set(129);
-        assert!(bv.get(129));
-        assert_eq!(bv.count_ones(), 1);
-    }
-
-    #[test]
-    fn push_n_ones() {
-        let mut bv = BitVec::new();
-        bv.push_n(true, 70);
-        assert_eq!(bv.count_ones(), 70);
-    }
-
-    #[test]
-    fn push_n_matches_per_bit_pushes_at_any_alignment() {
-        // The word-at-a-time fill must agree with bit-by-bit pushes for
-        // every head offset and assorted run lengths.
-        for lead in 0..67 {
-            for run in [0usize, 1, 5, 63, 64, 65, 128, 200] {
-                let mut fast = BitVec::new();
-                let mut slow = BitVec::new();
-                for i in 0..lead {
-                    fast.push(i % 3 == 0);
-                    slow.push(i % 3 == 0);
-                }
-                fast.push_n(true, run);
-                for _ in 0..run {
-                    slow.push(true);
-                }
-                fast.push(false);
-                slow.push(false);
-                fast.push_n(true, 3);
-                for _ in 0..3 {
-                    slow.push(true);
-                }
-                assert_eq!(fast, slow, "lead={lead} run={run}");
-            }
-        }
-    }
-
-    #[test]
     fn next_set_bit_walks_all_ones() {
         let bits: Vec<bool> = (0..500).map(|i| i % 7 == 3).collect();
         let bv: BitVec = bits.iter().copied().collect();
@@ -278,18 +184,6 @@ mod tests {
         assert_eq!(bv.next_set_bit(3), None);
         let empty = BitVec::new();
         assert_eq!(empty.next_set_bit(0), None);
-    }
-
-    #[test]
-    fn prev_set_bit_mirrors_next() {
-        let bits: Vec<bool> = (0..300).map(|i| i % 11 == 0).collect();
-        let bv: BitVec = bits.iter().copied().collect();
-        assert_eq!(bv.prev_set_bit(0), None);
-        assert_eq!(bv.prev_set_bit(1), Some(0));
-        assert_eq!(bv.prev_set_bit(11), Some(0));
-        assert_eq!(bv.prev_set_bit(12), Some(11));
-        assert_eq!(bv.prev_set_bit(300), Some(297));
-        assert_eq!(bv.prev_set_bit(10_000), Some(297));
     }
 
     #[test]

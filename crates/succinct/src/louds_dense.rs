@@ -87,14 +87,6 @@ impl LoudsDense {
         (pos < base + 256).then(|| (pos - base) as u8)
     }
 
-    /// Largest existing edge label ≤ `upto` in `node`.
-    #[inline]
-    pub fn prev_label(&self, node: usize, upto: u8) -> Option<u8> {
-        let base = node * 256;
-        let pos = self.labels.prev_set_bit(base + upto as usize + 1)?;
-        (pos >= base).then(|| (pos - base) as u8)
-    }
-
     /// Value slot of the prefix-key terminal of `node`.
     ///
     /// Slots are assigned node-major: within a node the prefix key precedes
@@ -201,9 +193,6 @@ mod tests {
         assert_eq!(d.next_label(0, b'a' as u16 + 1), Some(b'b'));
         assert_eq!(d.next_label(0, b'b' as u16 + 1), None);
         assert_eq!(d.next_label(1, b'c' as u16), Some(b'x'));
-        assert_eq!(d.prev_label(0, 255), Some(b'b'));
-        assert_eq!(d.prev_label(0, b'a'), Some(b'a'));
-        assert_eq!(d.prev_label(1, b'a'), None);
     }
 
     #[test]

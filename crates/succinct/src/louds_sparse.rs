@@ -104,13 +104,6 @@ impl LoudsSparse {
         (start + idx < end).then_some(start + idx)
     }
 
-    /// The largest edge position in `s` with label ≤ `upto`.
-    pub fn upper_bound_label(&self, s: usize, upto: u8) -> Option<usize> {
-        let (start, end) = self.edge_range(s);
-        let idx = self.labels[start..end].partition_point(|&l| l <= upto);
-        (idx > 0).then(|| start + idx - 1)
-    }
-
     /// Exact-match edge position for `label` in node `s`.
     pub fn find_label(&self, s: usize, label: u8) -> Option<usize> {
         let pos = self.lower_bound_label(s, label)?;
@@ -223,9 +216,6 @@ mod tests {
         assert_eq!(s.lower_bound_label(1, b'a'), Some(2));
         assert_eq!(s.lower_bound_label(1, b'c'), Some(3));
         assert_eq!(s.lower_bound_label(1, b'y'), None);
-        assert_eq!(s.upper_bound_label(1, b'w'), Some(2));
-        assert_eq!(s.upper_bound_label(1, b'x'), Some(3));
-        assert_eq!(s.upper_bound_label(1, b'a'), None);
     }
 
     #[test]

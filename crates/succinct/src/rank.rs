@@ -101,11 +101,6 @@ impl RankedBits {
         self.bits.next_set_bit(from)
     }
 
-    /// Position of the last set bit strictly before `before`, if any.
-    pub fn prev_set_bit(&self, before: usize) -> Option<usize> {
-        self.bits.prev_set_bit(before)
-    }
-
     /// The underlying bit vector.
     pub fn bits(&self) -> &BitVec {
         &self.bits

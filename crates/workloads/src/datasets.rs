@@ -2,10 +2,11 @@
 //! evaluation data (§5 "Datasets").
 //!
 //! `Uniform` and `Normal` follow the paper's definitions exactly. The two
-//! real-world SOSD datasets are proprietary downloads, so we generate
-//! distribution-matched synthetics (see DESIGN.md §2.6): `Books` — heavy
-//! low-value skew like Amazon popularity counts; `Facebook` — dense ids
-//! covering a narrow range with uniformly distributed gaps.
+//! real-world SOSD datasets are external downloads, so to keep the
+//! workspace self-contained we generate distribution-matched synthetics:
+//! `Books` — heavy low-value skew like Amazon popularity counts;
+//! `Facebook` — dense ids covering a narrow range with uniformly
+//! distributed gaps.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

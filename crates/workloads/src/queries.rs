@@ -144,17 +144,6 @@ impl<'a> QueryGen<'a> {
         }
         out
     }
-
-    /// Generate `count` raw queries (may overlap keys), plus whether each
-    /// is empty — the end-to-end benchmarks issue both kinds.
-    pub fn ranges_labeled(&mut self, count: usize) -> Vec<(u64, u64, bool)> {
-        (0..count)
-            .map(|_| {
-                let (lo, hi) = self.next_range();
-                (lo, hi, !range_overlaps_sorted(self.keys, lo, hi))
-            })
-            .collect()
-    }
 }
 
 /// Binary-search overlap test against a sorted key slice.
@@ -250,10 +239,10 @@ mod tests {
     #[test]
     fn determinism_per_seed() {
         let keys = Dataset::Uniform.generate(100, 11);
-        let a: Vec<_> =
-            QueryGen::new(Workload::Uniform { rmax: 64 }, &keys, &[], 1).ranges_labeled(50);
-        let b: Vec<_> =
-            QueryGen::new(Workload::Uniform { rmax: 64 }, &keys, &[], 1).ranges_labeled(50);
-        assert_eq!(a, b);
+        let ranges = || {
+            let mut g = QueryGen::new(Workload::Uniform { rmax: 64 }, &keys, &[], 1);
+            (0..50).map(|_| g.next_range()).collect::<Vec<_>>()
+        };
+        assert_eq!(ranges(), ranges());
     }
 }

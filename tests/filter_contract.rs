@@ -18,7 +18,6 @@ fn all_filters(keys: &KeySet, samples: &SampleQueries, m_bits: u64) -> Vec<Box<d
     let two_opts = TwoPbfFilterOptions {
         model: proteus::core::model::two_pbf::TwoPbfOptions {
             max_l2_values: 16,
-            threads: 2,
             ..Default::default()
         },
         ..Default::default()
