@@ -136,27 +136,32 @@ fn wire_u32(n: usize, what: &str) -> Result<u32> {
     u32::try_from(n).map_err(|_| Error::corruption(format!("{what} {n} exceeds u32::MAX")))
 }
 
-/// Encode one commit record (length prefix + CRC-32 + payload) for `ops`.
+/// Encode one commit record (length prefix + CRC-32 + payload) for `ops`,
+/// in one buffer sized exactly: the 8-byte header is reserved, the
+/// payload appended behind it, and the header patched last.
 fn encode_record(ops: &[WalOp]) -> Result<Vec<u8>> {
-    let mut payload = Vec::with_capacity(16 * ops.len());
-    payload.put_u32(wire_u32(ops.len(), "op count")?);
+    // Per op: the tag, then each u64-length-prefixed run.
+    let op_len =
+        |(key, value): &WalOp| 1 + 8 + key.len() + value.as_ref().map_or(0, |v| 8 + v.len());
+    let mut record = Vec::with_capacity(8 + 4 + ops.iter().map(op_len).sum::<usize>());
+    record.extend_from_slice(&[0; 8]);
+    record.put_u32(wire_u32(ops.len(), "op count")?);
     for (key, value) in ops {
         match value {
             Some(v) => {
-                payload.put_u8(WAL_TAG_PUT);
-                payload.put_bytes(key);
-                payload.put_bytes(v);
+                record.put_u8(WAL_TAG_PUT);
+                record.put_bytes(key);
+                record.put_bytes(v);
             }
             None => {
-                payload.put_u8(WAL_TAG_DELETE);
-                payload.put_bytes(key);
+                record.put_u8(WAL_TAG_DELETE);
+                record.put_bytes(key);
             }
         }
     }
-    let mut record = Vec::with_capacity(payload.len() + 8);
-    record.put_u32(wire_u32(payload.len(), "record payload length")?);
-    record.put_u32(crc32(&payload));
-    record.extend_from_slice(&payload);
+    let (header, payload) = record.split_at_mut(8);
+    header[..4].copy_from_slice(&wire_u32(payload.len(), "record payload length")?.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     Ok(record)
 }
 

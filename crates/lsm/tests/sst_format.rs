@@ -610,3 +610,26 @@ fn golden_fixtures_end_with_pinned_magics() {
     assert_eq!(SST_FORMAT_VERSION, 3);
     assert_eq!(u16::from_le_bytes([v3[v3.len() - 16], v3[v3.len() - 15]]), SST_FORMAT_VERSION);
 }
+
+/// A value whose block literal runs into the zero-RLE codec's 65 535-byte
+/// cap just as a 2-byte zero run starts must still read back after a
+/// flush. The encoder used to let the short run grow the literal to
+/// 65 536 bytes, whose `u16` length wrapped to 0: the flushed block
+/// failed every read with "corrupt compressed payload". The key length
+/// shifts the value within the block, so each length puts the run at a
+/// different distance from the cap.
+#[test]
+fn a_short_zero_run_at_the_literal_cap_survives_flush() {
+    let value = [vec![1u8; 65_526], vec![0, 0], vec![1; 10], vec![0; 1_000]].concat();
+    for key_len in 1..=4 {
+        let dir = tmpdir(&format!("literal-cap-{key_len}"));
+        let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+        let key = vec![b'k'; key_len];
+        db.put(&key, &value).unwrap();
+        assert_eq!(db.get(&key).unwrap().as_deref(), Some(&value[..]));
+        db.flush().unwrap();
+        assert_eq!(db.get(&key).unwrap().as_deref(), Some(&value[..]), "key length {key_len}");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
