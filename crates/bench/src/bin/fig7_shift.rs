@@ -68,13 +68,12 @@ pub fn run_transition(args: &Args, tag: &str, dataset: Dataset, reverse: bool) {
         let seed_q = QueryGen::new(start_w.clone(), &initial_keys, &[], args.seed ^ 0xA)
             .empty_ranges(args.samples.min(20_000));
         // Scaled-down write path: the paper's 40M Puts over 60M Seeks force
-        // ~15-20 compactions per batch; shrinking the MemTable and SSTs
-        // reproduces that filter-rebuild cadence at laptop scale.
+        // ~15-20 compactions per batch; shrinking the MemTable (and with it
+        // the SSTs and L1) reproduces that filter-rebuild cadence at laptop
+        // scale.
         let cfg = proteus_bench::lsm_harness::lsm_config(args.get_u64("lsm-bpk", 12) as f64, 8)
             .to_builder()
             .memtable_bytes(256 << 10)
-            .sst_target_bytes(256 << 10)
-            .level_base_bytes(1 << 20)
             .sample_every(5)
             .build()
             .expect("fig7 config");

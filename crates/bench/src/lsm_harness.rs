@@ -13,14 +13,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The §6.2 RocksDB tuning at a quarter of `DbConfig::default()`'s write
-/// path (ratios preserved), so a laptop-scale load still builds a
-/// multi-level tree; every other knob is the store's default.
+/// path, so a laptop-scale load still builds a multi-level tree. The SST
+/// and L1 sizes follow from `memtable_bytes`, so the ratios hold by
+/// construction; every other knob is the store's default.
 pub fn lsm_config(bits_per_key: f64, key_width: usize) -> DbConfig {
     DbConfig::builder()
         .key_width(key_width)
         .memtable_bytes(1 << 20)
-        .sst_target_bytes(1 << 20)
-        .level_base_bytes(4 << 20)
         .bits_per_key(bits_per_key)
         .build()
         .expect("bench config is valid")
@@ -146,5 +145,15 @@ impl BatchResult {
     /// end-to-end observable is `filter_false_positives / probes`.)
     pub fn fpr(&self) -> f64 {
         self.stats.filter_fpr()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn lsm_config_scales_the_default_tree_down_by_four() {
+        let cfg = super::lsm_config(10.0, 8);
+        let sizes = (cfg.memtable_bytes(), cfg.sst_target_bytes(), cfg.level_base_bytes());
+        assert_eq!(sizes, (1 << 20, 1 << 20, 4 << 20));
     }
 }

@@ -2,10 +2,11 @@
 //! function of a manifest snapshot) and the fold itself — the read path's
 //! [`Merge`] over uncached cursors, plus the two decisions that are
 //! compaction's own: tombstones are dropped once the output lands at the
-//! bottom of the tree, and the output is split into files of
-//! `sst_target_bytes`. When to compact — once no frozen table is left to
-//! flush, in settle mode for `flush_and_settle` — is the worker's turn in
-//! [`crate::db`].
+//! bottom of the tree, and the output is split into files of one MemTable
+//! (`sst_target_bytes`). L0 compacts past [`L0_COMPACTION_TRIGGER`] files,
+//! level n past 4 MemTables × [`LEVEL_SIZE_RATIO`]^(n-1). When to compact —
+//! once no frozen table is left to flush, in settle mode for
+//! `flush_and_settle` — is the worker's turn in [`crate::db`].
 
 use crate::config::DbConfig;
 use crate::db::{DbInner, Version};
@@ -30,6 +31,9 @@ pub(crate) struct CompactionJob {
 /// default).
 const LEVEL_SIZE_RATIO: u64 = 10;
 
+/// L0 file count over which L0 compacts into L1 (RocksDB's default).
+pub(crate) const L0_COMPACTION_TRIGGER: usize = 4;
+
 /// Size target of `level` (≥ 1): `level_base_bytes` at L1, growing by
 /// [`LEVEL_SIZE_RATIO`] per level.
 fn level_target(cfg: &DbConfig, level: usize) -> u64 {
@@ -45,11 +49,11 @@ fn collect_overlapping(level: &[Arc<SstReader>], lo: &[u8], hi: &[u8]) -> Vec<Ar
 
 /// Decide the next compaction from a manifest snapshot. In settle mode
 /// any non-empty L0 compacts (the §6.2 clean initial state); otherwise
-/// only the configured triggers fire.
+/// only the size triggers fire.
 pub(crate) fn pick(v: &Version, cfg: &DbConfig, settle: bool) -> Option<CompactionJob> {
     let next_level = |level: usize| v.levels.get(level + 1).map_or(&[][..], Vec::as_slice);
     let l0 = v.levels.first()?;
-    if l0.len() > cfg.l0_compaction_trigger() || (settle && !l0.is_empty()) {
+    if l0.len() > L0_COMPACTION_TRIGGER || (settle && !l0.is_empty()) {
         // Newest-first rank order for the merge.
         let newer: Vec<Arc<SstReader>> = l0.iter().rev().cloned().collect();
         // Both triggers above imply at least one L0 input.
@@ -177,7 +181,7 @@ mod tests {
         for i in 0..64 {
             w.add(&u64_key(lo + (hi - lo) * i / 63), &[0xA5u8; 32]).unwrap();
         }
-        let queue = QueryQueue::new(0, 1);
+        let queue = QueryQueue::new(1, 1);
         Arc::new(w.finish(&NoFilterFactory, &queue, 0.0, &Stats::default()).unwrap())
     }
 
@@ -185,9 +189,9 @@ mod tests {
         files.iter().map(|s| s.id).collect()
     }
 
-    /// L0 trigger 2; L1 holds 4 KiB, L2 40 KiB.
+    /// 1 KiB MemTables: L1 holds 4 KiB, L2 40 KiB.
     fn cfg() -> DbConfig {
-        DbConfig::builder().l0_compaction_trigger(2).level_base_bytes(4 << 10).build().unwrap()
+        DbConfig::builder().memtable_bytes(1 << 10).build().unwrap()
     }
 
     #[test]
@@ -196,12 +200,8 @@ mod tests {
         assert!(pick(&Version { levels: vec![Vec::new()] }, &cfg(), false).is_none());
         assert!(pick(&Version { levels: vec![Vec::new()] }, &cfg(), true).is_none());
         // L0 at (not over) its trigger, L1 under its size target.
-        let v = Version {
-            levels: vec![
-                vec![file(&dir, 1, 0, 500), file(&dir, 2, 100, 900)],
-                vec![file(&dir, 3, 0, 1_000)],
-            ],
-        };
+        let l0 = (1..=L0_COMPACTION_TRIGGER as u64).map(|id| file(&dir, id, id * 100, 900));
+        let v = Version { levels: vec![l0.collect(), vec![file(&dir, 9, 0, 1_000)]] };
         assert!(pick(&v, &cfg(), false).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -212,20 +212,26 @@ mod tests {
         let v = Version {
             levels: vec![
                 // Flush order (oldest first); together they span [200, 900].
-                vec![file(&dir, 1, 200, 500), file(&dir, 2, 400, 900), file(&dir, 3, 300, 600)],
                 vec![
-                    file(&dir, 4, 0, 100),       // left of the span
-                    file(&dir, 5, 150, 250),     // overlaps its low end
-                    file(&dir, 6, 900, 1_200),   // touches its high end
-                    file(&dir, 7, 1_300, 1_500), // right of the span
+                    file(&dir, 1, 200, 500),
+                    file(&dir, 2, 400, 900),
+                    file(&dir, 3, 300, 600),
+                    file(&dir, 4, 250, 350),
+                    file(&dir, 5, 700, 800),
+                ],
+                vec![
+                    file(&dir, 6, 0, 100),       // left of the span
+                    file(&dir, 7, 150, 250),     // overlaps its low end
+                    file(&dir, 8, 900, 1_200),   // touches its high end
+                    file(&dir, 9, 1_300, 1_500), // right of the span
                 ],
             ],
         };
         let Some(CompactionJob { level: 0, newer, older }) = pick(&v, &cfg(), false) else {
-            panic!("three L0 files are over a trigger of two");
+            panic!("five L0 files are over a trigger of four");
         };
-        assert_eq!(ids(&newer), [3, 2, 1], "newest first: the merge's rank order");
-        assert_eq!(ids(&older), [5, 6]);
+        assert_eq!(ids(&newer), [5, 4, 3, 2, 1], "newest first: the merge's rank order");
+        assert_eq!(ids(&older), [7, 8]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

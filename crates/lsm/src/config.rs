@@ -65,10 +65,21 @@ macro_rules! knobs {
     };
 }
 
+/// Data block size in bytes (RocksDB's default 4 KiB).
+pub const BLOCK_BYTES: usize = 4096;
+
+/// Largest accepted key length in bytes; every WAL segment header records it.
+pub const MAX_KEY_BYTES: usize = 1024;
+
 knobs! {
     /// Tuning knobs, defaulting to a laptop-scale version of the paper's §6.2
     /// RocksDB configuration (the paper uses 256 MB SSTs and a 1 GB cache on a
     /// 50M-key database; ratios are preserved).
+    ///
+    /// Only what a caller sets is a knob: SST and L1 sizes follow from
+    /// `memtable_bytes` ([`DbConfig::sst_target_bytes`],
+    /// [`DbConfig::level_base_bytes`]); the block size, key cap, 8 MiB cache,
+    /// two frozen MemTables and L0 trigger of four are constants.
     ///
     /// Build one with [`DbConfig::builder`]:
     ///
@@ -79,6 +90,7 @@ knobs! {
     ///     .memtable_bytes(1 << 20)
     ///     .bits_per_key(12.0)
     ///     .build()?;
+    /// assert_eq!(cfg.level_base_bytes(), 4 << 20);
     /// # Ok::<(), proteus_lsm::Error>(())
     /// ```
     ///
@@ -89,32 +101,15 @@ knobs! {
         /// Canonical filter-training width in bytes (1..=64): keys are
         /// NUL-padded (or truncated) to this width before feeding a range
         /// filter (§7.1's string canonicalization). Not a key length
-        /// constraint — keys are variable-length; see
-        /// [`DbConfig::max_key_bytes`].
+        /// constraint — keys are variable-length, up to [`MAX_KEY_BYTES`].
         key_width: usize = 8,
-        /// Largest accepted key length in bytes (1..=4096; keys are
-        /// arbitrary non-empty byte strings up to this limit).
-        max_key_bytes: usize = 1024,
         /// MemTable rotation threshold (write_buffer_size), in logical bytes;
         /// at most `u32::MAX / 8`. A table also rotates once its arena holds
         /// 8× this (see [`crate::memtable::MemTable::is_full`]).
         memtable_bytes: usize = 4 << 20,
-        /// Immutable MemTables allowed to queue before writers stall
-        /// (max_write_buffer_number - 1).
-        max_immutable_memtables: usize = 2,
-        /// Data block size in bytes (RocksDB default 4 KiB).
-        block_bytes: usize = 4096,
-        /// Target SST file size when splitting compaction output.
-        sst_target_bytes: u64 = 4 << 20,
-        /// L0 file count triggering compaction into L1.
-        l0_compaction_trigger: usize = 4,
-        /// Total size target of L1 (max_bytes_for_level_base).
-        level_base_bytes: u64 = 16 << 20,
         /// Filter memory budget per key.
         bits_per_key: f64 = 10.0,
-        /// Block cache capacity in bytes (0 turns caching off).
-        block_cache_bytes: usize = 8 << 20,
-        /// Sample query queue capacity (§6.1: 20K).
+        /// Sample query queue capacity (§6.1: 20K; at most 2^20).
         queue_capacity: usize = 20_000,
         /// Record every n-th executed empty query (§6.1: 100).
         sample_every: u64 = 100,
@@ -131,11 +126,32 @@ knobs! {
         /// Minimum filter probes against a file before its observed FPR is
         /// trusted (Chernoff-style: too few probes is noise).
         adapt_min_probes: u64 = 512,
-        /// How often a periodic adaptive pass scans for flagged files.
+        /// How often a periodic adaptive pass scans for flagged files (at
+        /// most a day).
         adapt_interval: Duration = Duration::from_millis(100),
         /// When the write-ahead log syncs (durability vs latency; see
         /// [`SyncMode`]).
         sync_mode: SyncMode = SyncMode::Off,
+    }
+}
+
+/// The sizes that are not knobs: fixed, or derived from `memtable_bytes`.
+impl DbConfig {
+    /// Data block size in bytes: [`BLOCK_BYTES`].
+    pub fn block_bytes(&self) -> usize {
+        BLOCK_BYTES
+    }
+    /// Largest accepted key length in bytes: [`MAX_KEY_BYTES`].
+    pub fn max_key_bytes(&self) -> usize {
+        MAX_KEY_BYTES
+    }
+    /// Target SST file size when splitting compaction output: `memtable_bytes`.
+    pub fn sst_target_bytes(&self) -> u64 {
+        self.memtable_bytes as u64
+    }
+    /// Total size target of L1 (max_bytes_for_level_base): 4 × `memtable_bytes`.
+    pub fn level_base_bytes(&self) -> u64 {
+        4 * self.memtable_bytes as u64
     }
 }
 
@@ -169,9 +185,6 @@ impl DbConfig {
         if self.key_width == 0 || self.key_width > 64 {
             return bad("key_width must be in 1..=64 bytes");
         }
-        if self.max_key_bytes == 0 || self.max_key_bytes > 4096 {
-            return bad("max_key_bytes must be in 1..=4096 bytes");
-        }
         if self.memtable_bytes == 0 {
             return bad("memtable_bytes must be > 0");
         }
@@ -180,28 +193,12 @@ impl DbConfig {
             // threshold before it rotates, and is addressed by u32 offsets.
             return bad("memtable_bytes must be <= u32::MAX / 8 (512 MiB)");
         }
-        if self.max_immutable_memtables == 0 {
-            return bad("max_immutable_memtables must be >= 1");
-        }
-        if self.block_bytes == 0 {
-            return bad("block_bytes must be > 0");
-        }
-        if self.block_cache_bytes > 0 && self.block_cache_bytes < self.block_bytes {
-            // A cache that cannot hold even one data block degrades into
-            // silent all-bypass; demand an explicit 0 to turn caching off.
-            return bad("block_cache_bytes must be 0 (caching off) or >= block_bytes");
-        }
-        if self.sst_target_bytes == 0 {
-            return bad("sst_target_bytes must be > 0");
-        }
-        if self.l0_compaction_trigger == 0 {
-            return bad("l0_compaction_trigger must be >= 1");
-        }
-        if self.level_base_bytes == 0 {
-            return bad("level_base_bytes must be > 0");
-        }
         if !self.bits_per_key.is_finite() || self.bits_per_key < 0.0 {
             return bad("bits_per_key must be finite and >= 0");
+        }
+        if self.queue_capacity == 0 || self.queue_capacity > 1 << 20 {
+            // 50× §6.1's 20K; the queue is allocated whole at open.
+            return bad("queue_capacity must be in 1..=2^20");
         }
         if self.sample_every == 0 {
             return bad("sample_every must be >= 1");
@@ -215,8 +212,9 @@ impl DbConfig {
         if self.adapt_min_probes == 0 {
             return bad("adapt_min_probes must be >= 1");
         }
-        if self.adapt_interval.is_zero() {
-            return bad("adapt_interval must be > 0");
+        if self.adapt_interval.is_zero() || self.adapt_interval > Duration::from_secs(86_400) {
+            // The background thread adds the interval to `Instant::now()`.
+            return bad("adapt_interval must be in (0, 1 day]");
         }
         if let SyncMode::Interval(period) = self.sync_mode {
             if period.is_zero() {
@@ -263,24 +261,13 @@ mod tests {
         for (tag, res) in [
             ("width0", DbConfig::builder().key_width(0).build()),
             ("width65", DbConfig::builder().key_width(65).build()),
-            ("maxkey0", DbConfig::builder().max_key_bytes(0).build()),
-            ("maxkey4097", DbConfig::builder().max_key_bytes(4097).build()),
             ("memtable", DbConfig::builder().memtable_bytes(0).build()),
             (
                 "memtable_u32",
                 DbConfig::builder().memtable_bytes((u32::MAX as usize / 8) + 1).build(),
             ),
-            ("imms", DbConfig::builder().max_immutable_memtables(0).build()),
-            ("block", DbConfig::builder().block_bytes(0).build()),
-            ("cache_lt_block", DbConfig::builder().block_cache_bytes(15).build()),
-            (
-                "cache_lt_block2",
-                DbConfig::builder().block_bytes(4096).block_cache_bytes(4095).build(),
-            ),
-            ("sst", DbConfig::builder().sst_target_bytes(0).build()),
-            ("l0", DbConfig::builder().l0_compaction_trigger(0).build()),
-            ("base", DbConfig::builder().level_base_bytes(0).build()),
             ("bpk", DbConfig::builder().bits_per_key(f64::NAN).build()),
+            ("queue0", DbConfig::builder().queue_capacity(0).build()),
             ("every", DbConfig::builder().sample_every(0).build()),
             ("fpr", DbConfig::builder().adapt_fpr_threshold(0.0).build()),
             ("probes", DbConfig::builder().adapt_min_probes(0).build()),
@@ -292,14 +279,49 @@ mod tests {
     }
 
     #[test]
+    fn an_adapt_interval_over_a_day_is_rejected() {
+        // The background thread schedules its next pass at
+        // `Instant::now() + adapt_interval`; `Duration::MAX` overflowed that
+        // sum, which killed the thread without a sticky error.
+        let over = DbConfig::builder().adapt_enabled(true).adapt_interval(Duration::MAX).build();
+        assert!(matches!(over, Err(Error::Config(_))));
+        let day = Duration::from_secs(86_400);
+        let just_over = DbConfig::builder().adapt_interval(day + Duration::from_nanos(1)).build();
+        assert!(matches!(just_over, Err(Error::Config(_))));
+        assert_eq!(DbConfig::builder().adapt_interval(day).build().unwrap().adapt_interval(), day);
+    }
+
+    #[test]
+    fn a_queue_capacity_over_2_pow_20_is_rejected() {
+        // The queue is allocated whole at open: `usize::MAX` built, then
+        // panicked `Db::open` with "capacity overflow".
+        let over = DbConfig::builder().queue_capacity(usize::MAX).build();
+        assert!(matches!(over, Err(Error::Config(_))));
+        let just_over = DbConfig::builder().queue_capacity((1 << 20) + 1).build();
+        assert!(matches!(just_over, Err(Error::Config(_))));
+        for ok in [1, 1 << 20] {
+            assert_eq!(
+                DbConfig::builder().queue_capacity(ok).build().unwrap().queue_capacity(),
+                ok
+            );
+        }
+    }
+
+    #[test]
     fn open_revalidates_a_config_that_bypassed_the_builder() {
         // Only this module can build a `DbConfig` without `build()`; the
         // boundary check inside `Db::open` must still catch it.
-        let broken = DbConfig { l0_compaction_trigger: 0, ..Default::default() };
-        let dir = std::env::temp_dir().join(format!("proteus-cfg-bad-{}", std::process::id()));
-        let opened = crate::Db::open(&dir, broken, std::sync::Arc::new(crate::NoFilterFactory));
-        assert!(matches!(opened, Err(Error::Config(_))));
-        assert!(!dir.exists(), "a rejected open must not create the directory");
+        for (tag, broken) in [
+            ("width", DbConfig { key_width: 0, ..Default::default() }),
+            ("queue", DbConfig { queue_capacity: usize::MAX, ..Default::default() }),
+        ] {
+            let dir =
+                std::env::temp_dir().join(format!("proteus-cfg-bad-{tag}-{}", std::process::id()));
+            let factory = std::sync::Arc::new(crate::NoFilterFactory);
+            let opened = crate::Db::open(&dir, broken, factory);
+            assert!(matches!(opened, Err(Error::Config(_))), "{tag}");
+            assert!(!dir.exists(), "a rejected open must not create the directory");
+        }
     }
 
     #[test]
@@ -308,19 +330,15 @@ mod tests {
     }
 
     #[test]
-    fn max_key_bytes_roundtrips_and_bounds_are_inclusive() {
-        let cfg = DbConfig::builder().max_key_bytes(1).build().unwrap();
-        assert_eq!(cfg.max_key_bytes(), 1);
-        let cfg = DbConfig::builder().max_key_bytes(4096).build().unwrap();
-        assert_eq!(cfg.max_key_bytes(), 4096);
-        assert_eq!(DbConfig::default().max_key_bytes(), 1024);
-    }
-
-    #[test]
-    fn zero_cache_capacity_stays_legal() {
-        // 0 is the explicit "caching off" spelling and must keep working.
-        assert!(DbConfig::builder().block_cache_bytes(0).build().is_ok());
-        // Exactly one block's worth is the smallest useful cache.
-        assert!(DbConfig::builder().block_bytes(4096).block_cache_bytes(4096).build().is_ok());
+    fn the_default_store_has_the_shape_the_benchmark_runs() {
+        let cfg = DbConfig::default();
+        assert_eq!(cfg.memtable_bytes(), 4 << 20);
+        assert_eq!(cfg.sst_target_bytes(), 4 << 20);
+        assert_eq!(cfg.level_base_bytes(), 16 << 20);
+        assert_eq!(cfg.block_bytes(), 4096);
+        assert_eq!(crate::db::BLOCK_CACHE_BYTES, 8 << 20);
+        assert_eq!(crate::db::MAX_IMMUTABLE_MEMTABLES, 2);
+        assert_eq!(crate::compact::L0_COMPACTION_TRIGGER, 4);
+        assert_eq!(cfg.max_key_bytes(), 1024);
     }
 }

@@ -55,7 +55,7 @@
 //!   table reaches `memtable_bytes` it *rotates*: the active WAL segment
 //!   is sealed (synced), the full table is frozen onto an
 //!   immutable-memtable FIFO and a fresh active table + segment take its
-//!   place. A writer that then finds more than `max_immutable_memtables`
+//!   place. A writer that then finds more than `MAX_IMMUTABLE_MEMTABLES`
 //!   frozen tables takes the worker lock and, if the queue is still over,
 //!   flushes the oldest one itself (RocksDB's write-stall backpressure).
 //! * **One worker lock** (LevelDB's one unit of background work at a
@@ -137,6 +137,12 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 pub use crate::config::{DbConfig, DbConfigBuilder};
+use crate::config::{BLOCK_BYTES, MAX_KEY_BYTES};
+
+/// Block cache capacity in bytes.
+pub(crate) const BLOCK_CACHE_BYTES: usize = 8 << 20;
+/// Frozen MemTables allowed before a writer stalls (max_write_buffer_number - 1).
+pub(crate) const MAX_IMMUTABLE_MEMTABLES: usize = 2;
 
 /// An immutable snapshot of the SST level manifest. `levels[0]` holds
 /// overlapping flush outputs (newest last); deeper levels are sorted and
@@ -331,7 +337,7 @@ impl Db {
         cfg.validate()?;
         std::fs::create_dir_all(&dir)?;
         let queue = QueryQueue::new(cfg.queue_capacity(), cfg.sample_every());
-        let cache = ShardedBlockCache::new(cfg.block_cache_bytes());
+        let cache = ShardedBlockCache::new(BLOCK_CACHE_BYTES);
         let stats = Arc::new(Stats::default());
         let (levels, mut next_id) = manifest::recover(&dir, &stats)?;
         // Each surviving segment comes back as the table it held, in id
@@ -344,7 +350,7 @@ impl Db {
         let mut newest = None;
         for (id, path) in wal::list_segments(&dir)? {
             next_id = next_id.max(id + 1);
-            let replay = wal::replay_segment(&path, cfg.max_key_bytes())?;
+            let replay = wal::replay_segment(&path, MAX_KEY_BYTES)?;
             if replay.commits.is_empty() {
                 std::fs::remove_file(&path)?;
                 continue;
@@ -363,7 +369,7 @@ impl Db {
             Some((mem, id, len)) => (mem, id, Some(len)),
             None => (shared_table(MemTable::new()), next_id, None),
         };
-        let wal = Wal::open(&dir, id, resume_at, cfg.max_key_bytes(), cfg.sync_mode())?;
+        let wal = Wal::open(&dir, id, resume_at, MAX_KEY_BYTES, cfg.sync_mode())?;
         let inner = Arc::new(DbInner {
             cfg,
             dir,
@@ -416,9 +422,9 @@ impl Db {
     }
 
     /// Insert a key-value pair. May rotate the MemTable onto the
-    /// background flush queue; stalls only when `max_immutable_memtables`
+    /// background flush queue; stalls only when `MAX_IMMUTABLE_MEMTABLES`
     /// rotations are already pending. Keys are arbitrary non-empty byte
-    /// strings of at most `max_key_bytes` bytes ([`Error::Config`]
+    /// strings of at most [`MAX_KEY_BYTES`] bytes ([`Error::Config`]
     /// otherwise).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         self.inner.check_key(key)?;
@@ -493,7 +499,7 @@ impl Db {
     ///
     /// Bounds follow `std::ops` conventions (`lo..=hi`, `lo..hi`, `..`,
     /// …); named bound keys must be non-empty and at most
-    /// `max_key_bytes` bytes ([`Error::Config`]). An inverted range
+    /// [`MAX_KEY_BYTES`] bytes ([`Error::Config`]). An inverted range
     /// (`lo > hi` after normalization) yields an empty iterator, not an
     /// error.
     ///
@@ -765,16 +771,15 @@ impl DbInner {
     }
 
     /// Reject keys the store cannot represent: zero-length keys and any
-    /// key longer than the configured `max_key_bytes` limit.
+    /// key longer than [`MAX_KEY_BYTES`].
     pub(crate) fn check_key(&self, key: &[u8]) -> Result<()> {
         if key.is_empty() {
             return Err(Error::config("zero-length keys are not valid"));
         }
-        if key.len() > self.cfg.max_key_bytes() {
+        if key.len() > MAX_KEY_BYTES {
             return Err(Error::config(format!(
-                "key length {} exceeds configured max_key_bytes {}",
-                key.len(),
-                self.cfg.max_key_bytes()
+                "key length {} exceeds the {MAX_KEY_BYTES}-byte key limit",
+                key.len()
             )));
         }
         Ok(())
@@ -844,8 +849,8 @@ impl DbInner {
             // Backpressure: a writer that finds too many frozen tables
             // queued flushes the oldest one itself, unless the flush it
             // waited out on the worker lock brought the queue back down.
-            let cap = self.cfg.max_immutable_memtables().max(1);
-            let over = || -> Result<bool> { Ok(self.mem_read()?.imms.len() > cap) };
+            let over =
+                || -> Result<bool> { Ok(self.mem_read()?.imms.len() > MAX_IMMUTABLE_MEMTABLES) };
             if over()? {
                 let t0 = Instant::now();
                 let flushed = self.exclusive(|| Ok(over()? && self.flush_oldest()?));
@@ -967,8 +972,7 @@ impl DbInner {
 
     /// Start a new SST under a freshly allocated id.
     pub(crate) fn sst_writer(&self) -> Result<SstWriter> {
-        let (width, block_bytes) = (self.cfg.key_width(), self.cfg.block_bytes());
-        SstWriter::create(&self.dir, self.alloc_id(), width, block_bytes)
+        SstWriter::create(&self.dir, self.alloc_id(), self.cfg.key_width(), BLOCK_BYTES)
     }
 
     /// Seal an SST, training its filter on the current sample queue.

@@ -77,14 +77,7 @@ mod db_tests {
     }
 
     fn small_cfg() -> DbConfig {
-        DbConfig::builder()
-            .memtable_bytes(64 << 10)
-            .sst_target_bytes(64 << 10)
-            .level_base_bytes(256 << 10)
-            .block_cache_bytes(256 << 10)
-            .bits_per_key(12.0)
-            .build()
-            .unwrap()
+        DbConfig::builder().memtable_bytes(64 << 10).bits_per_key(12.0).build().unwrap()
     }
 
     fn value(i: u64) -> Vec<u8> {
@@ -128,13 +121,7 @@ mod db_tests {
     #[test]
     fn compaction_moves_data_down_and_preserves_it() {
         let dir = tmpdir("compaction");
-        let cfg = small_cfg()
-            .to_builder()
-            .memtable_bytes(16 << 10)
-            .l0_compaction_trigger(2)
-            .level_base_bytes(64 << 10)
-            .build()
-            .unwrap();
+        let cfg = small_cfg().to_builder().memtable_bytes(16 << 10).build().unwrap();
         let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
         for i in 0..20_000u64 {
             db.put_u64((i * 2_654_435_761) % (1 << 40), &value(i)).unwrap();
@@ -155,12 +142,7 @@ mod db_tests {
     #[test]
     fn overwrites_keep_newest_value_through_compaction() {
         let dir = tmpdir("overwrite");
-        let cfg = small_cfg()
-            .to_builder()
-            .memtable_bytes(8 << 10)
-            .l0_compaction_trigger(1)
-            .build()
-            .unwrap();
+        let cfg = small_cfg().to_builder().memtable_bytes(8 << 10).build().unwrap();
         let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
         for round in 0..4u64 {
             for i in 0..500u64 {
@@ -276,13 +258,8 @@ mod db_tests {
     #[test]
     fn reopen_recovers_levels_and_filters_without_retraining() {
         let dir = tmpdir("reopen");
-        let cfg = small_cfg()
-            .to_builder()
-            .memtable_bytes(16 << 10)
-            .l0_compaction_trigger(2)
-            .sample_every(1)
-            .build()
-            .unwrap();
+        let cfg =
+            small_cfg().to_builder().memtable_bytes(16 << 10).sample_every(1).build().unwrap();
         let keys: Vec<u64> = (0..8_000u64).map(|i| (i * 2_654_435_761) % (1 << 44)).collect();
         let (counts, filter_bits, sst_count) = {
             let db = Db::open(&dir, cfg.clone(), Arc::new(ProteusFactory::default())).unwrap();
@@ -487,7 +464,7 @@ mod db_tests {
         let dir = tmpdir("badkeys");
         let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
         let is_config = |r: crate::Result<()>| matches!(r, Err(crate::Error::Config(_)));
-        let oversized = vec![7u8; 2000]; // default max_key_bytes is 1024
+        let oversized = vec![7u8; 2000]; // the key cap is 1024 bytes
         assert!(is_config(db.put(b"", b"v")), "empty key put");
         assert!(is_config(db.put(&oversized, b"v")), "oversized put");
         assert!(is_config(db.delete(b"")), "empty key delete");
@@ -521,8 +498,6 @@ mod db_tests {
         // An invalid configuration is rejected at open, same error type.
         let bad = DbConfig::builder().key_width(0).build();
         assert!(matches!(bad, Err(crate::Error::Config(_))));
-        let bad = DbConfig::builder().max_key_bytes(0).build();
-        assert!(matches!(bad, Err(crate::Error::Config(_))));
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -530,12 +505,9 @@ mod db_tests {
     #[test]
     fn tombstones_shadow_until_bottom_then_drop() {
         let dir = tmpdir("tombstone-drop");
-        let cfg = small_cfg()
-            .to_builder()
-            .memtable_bytes(8 << 10)
-            .l0_compaction_trigger(1)
-            .build()
-            .unwrap();
+        // L1 (four 128 KiB MemTables) holds the whole load, so it is the
+        // bottom level the tombstones are compacted into.
+        let cfg = small_cfg().to_builder().memtable_bytes(128 << 10).build().unwrap();
         let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
         for i in 0..2_000u64 {
             db.put_u64(i * 2, &value(i)).unwrap();
@@ -652,13 +624,7 @@ mod db_tests {
         // last starts after the final put, so nothing can land in L0
         // between its completion and the checks below.
         let dir = tmpdir("settle-writers");
-        let cfg = small_cfg()
-            .to_builder()
-            .memtable_bytes(8 << 10)
-            .l0_compaction_trigger(2)
-            .level_base_bytes(64 << 10)
-            .build()
-            .unwrap();
+        let cfg = small_cfg().to_builder().memtable_bytes(8 << 10).build().unwrap();
         let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
         let key = |w: u64, i: u64| (i << 8) | w;
         let writing = AtomicUsize::new(4);
@@ -731,8 +697,6 @@ mod db_tests {
         let cfg = small_cfg()
             .to_builder()
             .memtable_bytes(16 << 10)
-            .l0_compaction_trigger(2)
-            .level_base_bytes(64 << 10)
             .bits_per_key(6.0)
             .sample_every(1)
             .queue_capacity(256)
@@ -873,11 +837,6 @@ mod sim {
             let sync = if seed.is_multiple_of(2) { SyncMode::Always } else { SyncMode::Off };
             let cfg = DbConfig::builder()
                 .memtable_bytes(512)
-                .max_immutable_memtables(2)
-                .sst_target_bytes(2 << 10)
-                .l0_compaction_trigger(2)
-                .level_base_bytes(4 << 10)
-                .block_cache_bytes(16 << 10)
                 .bits_per_key(12.0)
                 .sample_every(3)
                 .queue_capacity(256)

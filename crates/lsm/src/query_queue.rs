@@ -98,8 +98,9 @@ impl FileView {
 
 impl QueryQueue {
     /// A queue holding at most `capacity` queries, recording every
-    /// `every`-th offer (§6.1 uses 20 000 and 100).
+    /// `every`-th offer (§6.1 uses 20 000 and 100); a 0 for either counts as 1.
     pub fn new(capacity: usize, every: u64) -> Self {
+        let capacity = capacity.max(1);
         QueryQueue {
             inner: Mutex::new(rank::QUERY_QUEUE, VecDeque::with_capacity(capacity)),
             capacity,
@@ -109,13 +110,8 @@ impl QueryQueue {
         }
     }
 
-    /// Seed with an initial sample (recorded unconditionally). A no-op on a
-    /// capacity-0 queue — like [`QueryQueue::offer`], so sampling-disabled
-    /// configurations can never accumulate samples through either path.
+    /// Seed with an initial sample (recorded unconditionally).
     pub fn seed(&self, queries: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut q = self.lock_queue();
         for (lo, hi) in queries {
             self.push(&mut q, lo, hi);
@@ -123,12 +119,10 @@ impl QueryQueue {
     }
 
     /// Offer an executed empty query; records every `every`-th one.
-    /// Returns `true` if the query was recorded. A capacity-0 queue drops
-    /// everything (and never claims to have recorded): it still counts the
-    /// offer, but takes no lock and stores nothing.
+    /// Returns `true` if the query was recorded.
     pub fn offer(&self, lo: &[u8], hi: &[u8]) -> bool {
         let n = self.offered.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.capacity == 0 || !n.is_multiple_of(self.every) {
+        if !n.is_multiple_of(self.every) {
             return false;
         }
         let mut q = self.lock_queue();
@@ -155,7 +149,6 @@ impl QueryQueue {
     }
 
     fn push(&self, q: &mut VecDeque<(Vec<u8>, Vec<u8>)>, lo: Vec<u8>, hi: Vec<u8>) {
-        debug_assert!(self.capacity > 0, "capacity-0 queues are handled before push");
         if q.len() == self.capacity {
             q.pop_front();
         }
@@ -272,22 +265,19 @@ mod tests {
     }
 
     #[test]
-    fn capacity_zero_queue_is_a_consistent_no_op() {
-        // Both paths into a capacity-0 queue must drop: `seed` and `offer`
-        // previously disagreed, letting "sampling disabled" configurations
-        // accumulate seeded samples that `offer` would never add to.
-        let q = QueryQueue::new(0, 1);
+    fn capacity_one_queue_keeps_the_newest_query_from_either_path() {
+        // `seed` and `offer` evict the same way: the smallest queue holds
+        // whichever query came last, and every recorded query turns it over.
+        let q = QueryQueue::new(1, 1);
         q.seed((0..10u64).map(|i| (u64_key(i).to_vec(), u64_key(i + 1).to_vec())));
-        assert_eq!(q.len(), 0, "seed must not store into a capacity-0 queue");
-        for i in 0..10u64 {
-            assert!(!q.offer(&u64_key(i), &u64_key(i + 1)), "offer must not claim to record");
+        assert_eq!(q.len(), 1);
+        assert_eq!(proteus_core::key::key_u64(q.snapshot(8).lo(0)), 9);
+        assert!(q.turned_over_since(9) && !q.turned_over_since(10));
+        for i in 20..30u64 {
+            assert!(q.offer(&u64_key(i), &u64_key(i + 1)), "every offer is recorded");
         }
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.offered(), 10, "offers are still counted");
-        assert_eq!(q.recorded(), 0);
-        assert!(!q.turned_over_since(0), "a queue that records nothing never turns over");
-        assert!(q.is_empty());
-        assert_eq!(q.snapshot(8).len(), 0);
+        assert_eq!((q.len(), q.offered(), q.recorded()), (1, 10, 20));
+        assert_eq!(proteus_core::key::key_u64(q.snapshot(8).lo(0)), 29);
     }
 
     #[test]

@@ -74,6 +74,7 @@
 //! and the error surfaces on the following `next()` call.
 
 use crate::block::Block;
+use crate::config::MAX_KEY_BYTES;
 use crate::db::{read_table, DbInner, SharedTable, Version};
 use crate::error::{Error, Result};
 use crate::memtable::{Cursor, MemTable};
@@ -155,13 +156,13 @@ impl Probe {
 
 /// Smallest valid key strictly greater than `key` in the
 /// variable-length byte-string order, if one exists within
-/// `max_key_bytes` (used to normalize `Bound::Excluded` lower bounds).
+/// [`MAX_KEY_BYTES`] (used to normalize `Bound::Excluded` lower bounds).
 /// Below the length cap the successor is simply `key ++ 0x00`; at the
 /// cap it is the big-endian increment, and an all-`0xFF` key at the cap
 /// has no successor.
-fn key_successor(key: &[u8], max_key_bytes: usize) -> Option<Vec<u8>> {
+fn key_successor(key: &[u8]) -> Option<Vec<u8>> {
     let mut k = key.to_vec();
-    if k.len() < max_key_bytes {
+    if k.len() < MAX_KEY_BYTES {
         k.push(0x00);
         return Some(k);
     }
@@ -181,7 +182,7 @@ fn key_successor(key: &[u8], max_key_bytes: usize) -> Option<Vec<u8>> {
 /// its prefix; otherwise the last byte decrements and the key extends
 /// with `0xFF` to the length cap. The single-byte key `[0x00]` has no
 /// valid (non-empty) predecessor.
-fn key_predecessor(key: &[u8], max_key_bytes: usize) -> Option<Vec<u8>> {
+fn key_predecessor(key: &[u8]) -> Option<Vec<u8>> {
     let mut k = key.to_vec();
     if k.last() == Some(&0x00) {
         k.pop();
@@ -193,7 +194,7 @@ fn key_predecessor(key: &[u8], max_key_bytes: usize) -> Option<Vec<u8>> {
     if let Some(b) = k.last_mut() {
         *b -= 1;
     }
-    k.resize(max_key_bytes, 0xFF);
+    k.resize(MAX_KEY_BYTES, 0xFF);
     Some(k)
 }
 
@@ -205,7 +206,6 @@ impl DbInner {
         &self,
         range: impl RangeBounds<K>,
     ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        let max = self.cfg.max_key_bytes();
         let lo = match range.start_bound() {
             Bound::Unbounded => vec![0x00],
             Bound::Included(k) => {
@@ -214,21 +214,21 @@ impl DbInner {
             }
             Bound::Excluded(k) => {
                 self.check_key(k.as_ref())?;
-                match key_successor(k.as_ref(), max) {
+                match key_successor(k.as_ref()) {
                     Some(s) => s,
                     None => return Ok(None),
                 }
             }
         };
         let hi = match range.end_bound() {
-            Bound::Unbounded => vec![0xFFu8; max],
+            Bound::Unbounded => vec![0xFFu8; MAX_KEY_BYTES],
             Bound::Included(k) => {
                 self.check_key(k.as_ref())?;
                 k.as_ref().to_vec()
             }
             Bound::Excluded(k) => {
                 self.check_key(k.as_ref())?;
-                match key_predecessor(k.as_ref(), max) {
+                match key_predecessor(k.as_ref()) {
                     Some(p) => p,
                     None => return Ok(None),
                 }
@@ -747,8 +747,10 @@ mod tests {
     use std::sync::Arc;
 
     /// Everything a filter probe can move, plus the I/O it can cause:
-    /// the four store-wide ledgers and `blocks_read`, then every SST's own
-    /// probe window (file order is stable: nothing compacts mid-test).
+    /// the four store-wide ledgers and the block fetches (a read from disk
+    /// or a cache hit, whichever an earlier probe left behind), then every
+    /// SST's own probe window (file order is stable: nothing compacts
+    /// mid-test).
     fn ledger(db: &Db) -> Vec<u64> {
         let s = db.stats().snapshot();
         let mut ledger = vec![
@@ -756,7 +758,7 @@ mod tests {
             s.filter_false_positives,
             s.filter_true_positives,
             s.observed_fp,
-            s.blocks_read,
+            s.blocks_read + s.cache_hits,
         ];
         ledger.extend(db.inner.version().levels.iter().flatten().map(|f| f.observed_probes()));
         ledger
@@ -770,15 +772,7 @@ mod tests {
     fn get_seek_and_range_settle_an_absent_key_identically() {
         let dir = std::env::temp_dir().join(format!("proteus-probe-ledger-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // No block cache: every admitted probe pays its block read, so
-        // `blocks_read` is comparable across the three operations.
-        let cfg = DbConfig::builder()
-            .memtable_bytes(16 << 10)
-            .sst_target_bytes(32 << 10)
-            .level_base_bytes(64 << 10)
-            .block_cache_bytes(0)
-            .build()
-            .unwrap();
+        let cfg = DbConfig::builder().memtable_bytes(16 << 10).build().unwrap();
         let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
         let key = |i: u64| (i * 2_654_435_761 % (1 << 24)) << 20;
         for i in 0..12_000u64 {

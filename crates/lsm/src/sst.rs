@@ -23,7 +23,7 @@
 //! ```
 //!
 //! Keys are arbitrary non-empty byte strings up to the store's
-//! `max_key_bytes`. The footer's width field does not constrain them: it
+//! [`crate::config::MAX_KEY_BYTES`]. The footer's width field does not constrain them: it
 //! records the *canonical filter-training width* — every key is
 //! NUL-padded (or truncated) to this width before feeding the filter,
 //! which keeps probes monotone and false-negative-free (§7.1's string

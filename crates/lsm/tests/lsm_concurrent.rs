@@ -32,11 +32,6 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 fn stress_cfg() -> DbConfig {
     DbConfig::builder()
         .memtable_bytes(32 << 10)
-        .max_immutable_memtables(2)
-        .sst_target_bytes(64 << 10)
-        .l0_compaction_trigger(3)
-        .level_base_bytes(256 << 10)
-        .block_cache_bytes(512 << 10)
         .bits_per_key(10.0)
         .sample_every(10)
         .build()

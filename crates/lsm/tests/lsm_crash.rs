@@ -45,16 +45,7 @@ fn nofilter() -> Arc<dyn FilterFactory> {
 /// boundary: rotation, sealed segments, flush + segment deletion,
 /// compaction.
 fn crash_cfg(mode: SyncMode) -> DbConfig {
-    DbConfig::builder()
-        .memtable_bytes(4 << 10)
-        .max_immutable_memtables(2)
-        .sst_target_bytes(16 << 10)
-        .l0_compaction_trigger(2)
-        .level_base_bytes(64 << 10)
-        .block_cache_bytes(64 << 10)
-        .sync_mode(mode)
-        .build()
-        .unwrap()
+    DbConfig::builder().memtable_bytes(4 << 10).sync_mode(mode).build().unwrap()
 }
 
 /// Large MemTable (no rotation) so every write lives only in the WAL —

@@ -13,7 +13,7 @@
 //!
 //! The suite runs over two key universes: fixed-width big-endian u64 keys
 //! and arbitrary-length byte strings (NUL runs adjacent to the empty key,
-//! heavy shared prefixes, 1-byte through `max_key_bytes`-byte keys).
+//! heavy shared prefixes, 1-byte through 1024-byte keys, the store's cap).
 
 use proptest::prelude::*;
 use proteus_lsm::{Db, DbConfig, NoFilterFactory, ProteusFactory, SyncMode, WriteBatch};
@@ -33,17 +33,7 @@ fn tmpdir(tag: u64) -> std::path::PathBuf {
 /// Tiny thresholds so a ~200-op script crosses every boundary: rotation,
 /// L0 trigger, level overflow.
 fn oracle_cfg() -> DbConfig {
-    DbConfig::builder()
-        .memtable_bytes(1 << 10)
-        .max_immutable_memtables(1)
-        .sst_target_bytes(2 << 10)
-        .l0_compaction_trigger(2)
-        .level_base_bytes(4 << 10)
-        .block_cache_bytes(16 << 10)
-        .bits_per_key(12.0)
-        .sample_every(3)
-        .build()
-        .unwrap()
+    DbConfig::builder().memtable_bytes(1 << 10).bits_per_key(12.0).sample_every(3).build().unwrap()
 }
 
 #[derive(Debug)]
@@ -325,7 +315,7 @@ proptest! {
 /// Variable-length key generator, drawn from narrow pools so puts, deletes
 /// and reads collide: NUL runs adjacent to the (invalid) empty key,
 /// arbitrary single bytes, URL-style keys with heavy shared prefixes,
-/// 512–1024-byte keys up to the configured `max_key_bytes`, and raw
+/// 512–1024-byte keys up to the store's `MAX_KEY_BYTES`, and raw
 /// big-endian u64 keys mixed into the same ordered space.
 fn vkey(r: &mut Rng) -> Vec<u8> {
     match r.next() % 8 {

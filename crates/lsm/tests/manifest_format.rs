@@ -136,13 +136,7 @@ fn every_truncation_and_bit_flip_of_the_golden_fails_open_with_corruption() {
 #[test]
 fn a_store_writes_the_layout_it_reads() {
     let dir = tmpdir("writer");
-    let cfg = DbConfig::builder()
-        .memtable_bytes(16 << 10)
-        .sst_target_bytes(16 << 10)
-        .l0_compaction_trigger(2)
-        .level_base_bytes(64 << 10)
-        .build()
-        .unwrap();
+    let cfg = DbConfig::builder().memtable_bytes(16 << 10).build().unwrap();
     let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
     for i in 0..6_000u64 {
         db.put_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), &[7u8; 64]).unwrap();

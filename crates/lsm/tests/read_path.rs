@@ -20,12 +20,7 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 }
 
 fn small_cfg() -> DbConfig {
-    DbConfig::builder()
-        .memtable_bytes(16 << 10)
-        .sst_target_bytes(32 << 10)
-        .level_base_bytes(64 << 10)
-        .build()
-        .unwrap()
+    DbConfig::builder().memtable_bytes(16 << 10).build().unwrap()
 }
 
 /// Filter probes settled between two snapshots: `(true positives, false
@@ -190,9 +185,9 @@ fn shadowing_is_the_same_layered_and_settled() {
     // scan) and fully settled (compaction's merge resolved them once).
     // Both must show exactly the oracle's live rows.
     let (dir_a, dir_b) = (tmpdir("shadow-layered"), tmpdir("shadow-settled"));
-    // Everything fits under L1's size target, so the settled store ends
-    // with all of its data in the bottom level.
-    let cfg = small_cfg().to_builder().level_base_bytes(4 << 20).build().unwrap();
+    // Everything fits under L1's size target (four 64 KiB MemTables), so
+    // the settled store ends with all of its data in the bottom level.
+    let cfg = small_cfg().to_builder().memtable_bytes(64 << 10).build().unwrap();
     let layered = Db::open(&dir_a, cfg.clone(), Arc::new(ProteusFactory::default())).unwrap();
     let settled = Db::open(&dir_b, cfg, Arc::new(ProteusFactory::default())).unwrap();
     let mut rng = Rng(0x5AD0);

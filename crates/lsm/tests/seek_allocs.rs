@@ -100,12 +100,7 @@ fn filter_negative_seeks_allocate_nothing(
     let dir =
         std::env::temp_dir().join(format!("proteus-seek-allocs-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = DbConfig::builder()
-        .memtable_bytes(256 << 10)
-        .sst_target_bytes(256 << 10)
-        .level_base_bytes(512 << 10)
-        .build()
-        .unwrap();
+    let cfg = DbConfig::builder().memtable_bytes(256 << 10).build().unwrap();
     let factory = Arc::new(Recording::default());
     let db = Db::open(&dir, cfg, Arc::clone(&factory) as Arc<dyn FilterFactory>).unwrap();
     let mut sorted: Vec<u64> = (0..KEYS).map(key).collect();

@@ -294,8 +294,8 @@ fn structural_damage_inside_a_crc_valid_record_is_corruption() {
 
 // ---- variable-length records ----------------------------------------------
 
-/// Key-length limit frozen into the var-len golden segment (the default
-/// `DbConfig::max_key_bytes`).
+/// Key-length limit frozen into the var-len golden segment (the store's
+/// `MAX_KEY_BYTES`).
 const VARLEN_MAX: usize = 1024;
 
 const VARLEN_GOLDEN: &str = "tests/fixtures/wal/golden_varlen.wal";

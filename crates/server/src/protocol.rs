@@ -31,8 +31,8 @@
 //! | `SHUTDOWN` | `0x07` | — |
 //!
 //! Keys are opaque length-prefixed bytes on the wire — arbitrary byte
-//! strings; the *server* enforces its configured key-length limit
-//! (non-empty, at most `max_key_bytes`) and answers [`ErrorCode::BadKey`]
+//! strings; the *server* enforces the store's key-length limit
+//! (non-empty, at most [`proteus_lsm::config::MAX_KEY_BYTES`]) and answers [`ErrorCode::BadKey`]
 //! outside it, mirroring [`proteus_lsm::Error::Config`] at the Db API.
 //!
 //! ## Responses

@@ -41,6 +41,7 @@ use crate::protocol::{
 };
 use crate::router::Router;
 use proteus_core::sync::{rank, Mutex};
+use proteus_lsm::config::MAX_KEY_BYTES;
 use proteus_lsm::{Db, DbConfig, Error as DbError, FilterFactory};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -65,9 +66,6 @@ pub struct Server {
 struct Shared {
     shards: Vec<Db>,
     router: Router,
-    /// Longest key the shards accept (uniform across shards); validated
-    /// up front so a malformed key never reaches a store.
-    max_key_bytes: usize,
     /// The listener's bound address — the self-connect target that wakes
     /// the blocking accept loop during shutdown.
     listen_addr: SocketAddr,
@@ -103,7 +101,6 @@ impl Server {
             return Err(Error::ShardCount { found, requested: n_shards });
         }
         let router = Router::new(n_shards);
-        let max_key_bytes = cfg.max_key_bytes();
         // Every shard directory exists before any store opens, so an open
         // that fails cannot leave a count the next start would refuse.
         let shard_dirs: Vec<PathBuf> =
@@ -122,7 +119,6 @@ impl Server {
         let shared = Arc::new(Shared {
             shards,
             router,
-            max_key_bytes,
             listen_addr: local_addr,
             shutting_down: AtomicBool::new(false),
             conns: Mutex::new(rank::SERVER_CONNS, Vec::new()),
@@ -332,22 +328,21 @@ fn store_error(e: DbError) -> Response {
 }
 
 impl Shared {
-    /// Validate the key length up front (uniform across shards), then
-    /// route. Keys are arbitrary byte strings of 1..=`max_key_bytes`
-    /// bytes.
+    /// Validate the key length up front, so a malformed key never reaches
+    /// a store, then route. Keys are arbitrary byte strings of
+    /// 1..=[`MAX_KEY_BYTES`] bytes.
     fn shard_for(&self, key: &[u8]) -> Result<&Db, Response> {
         self.check_key("key", key)?;
         Ok(&self.shards[self.router.shard_of(key)])
     }
 
     fn check_key(&self, name: &str, key: &[u8]) -> Result<(), Response> {
-        if key.is_empty() || key.len() > self.max_key_bytes {
+        if key.is_empty() || key.len() > MAX_KEY_BYTES {
             return Err(Response::Error {
                 code: ErrorCode::BadKey,
                 message: format!(
-                    "{name} is {} bytes; this server stores keys of 1..={} bytes",
-                    key.len(),
-                    self.max_key_bytes
+                    "{name} is {} bytes; this server stores keys of 1..={MAX_KEY_BYTES} bytes",
+                    key.len()
                 ),
             });
         }

@@ -19,7 +19,7 @@ fn test_config() -> DbConfig {
     // Small MemTables so tests exercise flushes/SSTs, not just the
     // in-memory path; sync Off keeps the filesystem traffic cheap (process
     // exit loses nothing — the recovery test relies on exactly that).
-    DbConfig::builder().memtable_bytes(64 << 10).block_cache_bytes(1 << 20).build().unwrap()
+    DbConfig::builder().memtable_bytes(64 << 10).build().unwrap()
 }
 
 fn start_server(dir: &std::path::Path, n_shards: usize) -> Server {
@@ -148,7 +148,7 @@ fn malformed_frames_get_typed_errors_not_panics_or_hangs() {
 
     // Out-of-bounds key lengths → BadKey, and the connection stays
     // usable. Keys are arbitrary byte strings now, so only the empty key
-    // and keys over the configured `max_key_bytes` are rejected.
+    // and keys over the store's 1024-byte limit are rejected.
     let mut c = Client::connect(addr).unwrap();
     match c.get(b"") {
         Err(ClientError::Remote { code: ErrorCode::BadKey, .. }) => {}
@@ -444,7 +444,7 @@ fn malformed_var_len_key_frames_get_typed_errors() {
     raw.flush().unwrap();
     assert_eq!(read_status(&mut raw), ErrorCode::BadKey.as_byte());
 
-    // A well-formed frame carrying a key over `max_key_bytes` → BadKey.
+    // A well-formed frame carrying a key over the 1024-byte limit → BadKey.
     let mut payload = vec![VERB_PUT];
     payload.extend_from_slice(&1025u64.to_le_bytes());
     payload.extend_from_slice(&[7u8; 1025]);

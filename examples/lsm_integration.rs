@@ -13,11 +13,7 @@ fn main() -> proteus::lsm::Result<()> {
     let dir = std::env::temp_dir().join(format!("proteus-example-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let cfg = DbConfig::builder()
-        .memtable_bytes(512 << 10)
-        .sst_target_bytes(512 << 10)
-        .bits_per_key(12.0)
-        .build()?;
+    let cfg = DbConfig::builder().memtable_bytes(512 << 10).bits_per_key(12.0).build()?;
     let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default()))?;
 
     // Load clustered keys (every 2^20) with 128-byte values.

@@ -15,14 +15,7 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 }
 
 fn small_cfg(bpk: f64) -> DbConfig {
-    DbConfig::builder()
-        .memtable_bytes(128 << 10)
-        .sst_target_bytes(128 << 10)
-        .level_base_bytes(512 << 10)
-        .bits_per_key(bpk)
-        .sample_every(1)
-        .build()
-        .unwrap()
+    DbConfig::builder().memtable_bytes(128 << 10).bits_per_key(bpk).sample_every(1).build().unwrap()
 }
 
 struct SurfFactoryLocal;

@@ -153,12 +153,7 @@ fn the_store_observes_the_fpr_its_filters_were_designed_for() {
         Workload::Split { uniform_rmax: 1 << 15, correlated_rmax: 32, corr_degree: 1 << 10 };
     let canonical = |(lo, hi): (u64, u64)| (lo.to_be_bytes().to_vec(), hi.to_be_bytes().to_vec());
     let factory = Arc::new(RecordingFactory::default());
-    let cfg = DbConfig::builder()
-        .memtable_bytes(1 << 20)
-        .sst_target_bytes(1 << 20)
-        .level_base_bytes(2 << 20)
-        .build()
-        .unwrap();
+    let cfg = DbConfig::builder().memtable_bytes(1 << 20).build().unwrap();
     let db = Db::open(&dir, cfg, Arc::clone(&factory) as Arc<dyn FilterFactory>).unwrap();
     db.seed_queries(
         QueryGen::new(workload.clone(), &raw, &[], 5)
