@@ -3,10 +3,14 @@
 //! [`Merge`] over uncached cursors, plus the two decisions that are
 //! compaction's own: tombstones are dropped once the output lands at the
 //! bottom of the tree, and the output is split into files of one MemTable
-//! (`sst_target_bytes`). L0 compacts past [`L0_COMPACTION_TRIGGER`] files,
-//! level n past 4 MemTables × [`LEVEL_SIZE_RATIO`]^(n-1). When to compact —
-//! once no frozen table is left to flush, in settle mode for
-//! `flush_and_settle` — is the worker's turn in [`crate::db`].
+//! (`sst_target_bytes`). A job whose one input overlaps nothing in the
+//! target level skips the fold (LevelDB's and RocksDB's trivial move): the
+//! same file, filter and all, is re-listed a level down in one `MANIFEST`
+//! edit — unless it carries tombstones to the bottom, which only a merge
+//! drops. L0 compacts past [`L0_COMPACTION_TRIGGER`] files, level n past
+//! 4 MemTables × [`LEVEL_SIZE_RATIO`]^(n-1). When to compact — once no
+//! frozen table is left to flush, in settle mode for `flush_and_settle` —
+//! is the worker's turn in [`crate::db`].
 
 use crate::config::DbConfig;
 use crate::db::{DbInner, Version};
@@ -76,11 +80,21 @@ pub(crate) fn pick(v: &Version, cfg: &DbConfig, settle: bool) -> Option<Compacti
 }
 
 /// Run `job`: merge its inputs into the target level, publish the edit
-/// and retire the inputs.
+/// and retire the inputs — or, when its one input overlaps nothing in the
+/// target level, move that file down as it is (a trivial move).
 pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
     let (source_level, target_level) = (job.level, job.level + 1);
-    let outputs = merge_inputs(db, &job.newer, &job.older, target_level)?;
+    // Every manifest edit runs under the worker lock, which this turn
+    // holds, so one snapshot decides the whole job.
+    let bottom =
+        db.version().levels.get(target_level + 1..).is_none_or(|d| d.iter().all(Vec::is_empty));
     let inputs: Vec<&Arc<SstReader>> = job.newer.iter().chain(&job.older).collect();
+    // A move lists the same reader a level down: id, bytes, filter, probe
+    // window and cached blocks carry over. Tombstones bound for the bottom
+    // still go through the merge, which drops them.
+    let moved = matches!(inputs[..], [file] if !(bottom && file.n_tombstones > 0));
+    let outputs =
+        if moved { job.newer.clone() } else { merge_inputs(db, &job.newer, &job.older, bottom)? };
     let removed: Vec<u64> = inputs.iter().map(|s| s.id).collect();
     // Publish: drop the inputs from the manifest (files flushed into
     // L0 meanwhile are untouched) and install the outputs sorted.
@@ -94,6 +108,10 @@ pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
         v.levels[target_level].extend(outputs.iter().cloned());
         v.levels[target_level].sort_by(|a, b| a.min_key.cmp(&b.min_key));
     })?;
+    if moved {
+        db.stats.trivial_moves.inc();
+        return Ok(());
+    }
     // Retire the inputs, in any order: the `MANIFEST` no longer lists them,
     // so a crash midway leaves orphans the next open deletes. Readers of an
     // older version keep their open descriptors. Mark-before-purge: once
@@ -108,7 +126,7 @@ pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
 }
 
 /// Merge `newer` (rank order = recency) and `older` files, writing
-/// size-split SSTs for `target_level` and building a fresh filter per
+/// size-split SSTs for the target level and building a fresh filter per
 /// output (§6.1: compaction "triggers the construction of new filters on
 /// the merged data"). Inputs are read straight from their files, one
 /// read per block, and each surviving record goes into the writer as
@@ -116,19 +134,15 @@ pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
 ///
 /// The merge yields only the newest record per key. A surviving
 /// tombstone is carried into the output — it may still shadow versions
-/// of its key in deeper levels — *unless* the output lands at the bottom
-/// of the tree (no non-empty level below the target), where nothing
-/// older can exist and the tombstone is dropped for good. Every manifest
-/// edit runs under the worker lock, which this merge's turn holds, so one
-/// snapshot decides the whole merge.
+/// of its key in deeper levels — *unless* the output lands at the
+/// `bottom` of the tree (no non-empty level below the target), where
+/// nothing older can exist and the tombstone is dropped for good.
 fn merge_inputs(
     db: &DbInner,
     newer: &[Arc<SstReader>],
     older: &[Arc<SstReader>],
-    target_level: usize,
+    bottom: bool,
 ) -> Result<Vec<Arc<SstReader>>> {
-    let drop_tombstones =
-        db.version().levels.get(target_level + 1..).is_none_or(|d| d.iter().all(Vec::is_empty));
     let mut merge = Merge::new(db, DbInner::uncached_block);
     for sst in newer.iter().chain(older) {
         merge.push_sst(SstCursor::new(Arc::clone(sst)), None, sst.min_key.clone());
@@ -138,7 +152,7 @@ fn merge_inputs(
     for record in merge {
         let (_, pos) = record?;
         let (key, value) = pos.entry();
-        if value.is_none() && drop_tombstones {
+        if value.is_none() && bottom {
             db.stats.tombstones_dropped.inc();
             continue;
         }
@@ -162,8 +176,10 @@ fn merge_inputs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter_hook::NoFilterFactory;
+    use crate::db::{Db, Turn};
+    use crate::filter_hook::{NoFilterFactory, ProteusFactory};
     use crate::query_queue::QueryQueue;
+    use crate::sst::SstDescription;
     use crate::stats::Stats;
     use proteus_core::key::u64_key;
     use std::path::{Path, PathBuf};
@@ -272,6 +288,144 @@ mod tests {
             assert_eq!((level, ids(&newer)), (1, vec![1]), "the file with the smallest min key");
             assert_eq!(ids(&older), [4, 5], "exactly the L2 files [100, 400] touches");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store with no background thread (so only the test takes turns),
+    /// training Proteus filters on `memtable_bytes` MemTables. Empty Seeks
+    /// seed the queue, so each file designs a real filter.
+    fn store_with(dir: &Path, memtable_bytes: usize) -> Db {
+        let cfg = DbConfig::builder().memtable_bytes(memtable_bytes).build().unwrap();
+        let db = Db::recover(dir.to_path_buf(), cfg, Arc::new(ProteusFactory::default())).unwrap();
+        db.seed_queries(
+            (0..512u64).map(|i| (u64_key(i * 1_000 + 1).to_vec(), u64_key(i * 1_000 + 9).to_vec())),
+        );
+        db
+    }
+
+    /// [`store_with`] 64 KiB MemTables, which the tests' writes never fill.
+    fn store(dir: &Path) -> Db {
+        store_with(dir, 64 << 10)
+    }
+
+    /// Put keys `lo, lo + 1000, …` below `hi`, delete every `tomb`-th of
+    /// them (0 = none) and flush them into one L0 file.
+    fn flush_keys(db: &Db, lo: u64, hi: u64, tomb: u64) {
+        for k in (lo..hi).step_by(1_000) {
+            db.put_u64(k, &[7u8; 24]).unwrap();
+            if tomb > 0 && (k / 1_000).is_multiple_of(tomb) {
+                db.delete_u64(k).unwrap();
+            }
+        }
+        db.flush().unwrap();
+    }
+
+    fn ssts_on_disk(dir: &Path) -> Vec<String> {
+        let names = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name());
+        let mut ssts: Vec<String> =
+            names.filter_map(|n| n.into_string().ok()).filter(|n| n.ends_with(".sst")).collect();
+        ssts.sort();
+        ssts
+    }
+
+    fn level(db: &Db, level: usize) -> Vec<SstDescription> {
+        db.describe().get(level).cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn a_file_nothing_below_overlaps_moves_down_as_it_is() {
+        let dir = tmpdir("move");
+        let db = store(&dir);
+        flush_keys(&db, 0, 200_000, 0);
+        let [flushed] = &level(&db, 0)[..] else { panic!("one flush, one L0 file") };
+        assert!(flushed.filter.is_some(), "a Proteus file carries its design");
+        let (bytes, on_disk, built) = (db.sst_bytes(), ssts_on_disk(&dir), db.stats().snapshot());
+        assert_eq!(db.inner.turn(true).unwrap(), Turn::Compacted);
+        assert!(level(&db, 0).is_empty());
+        assert_eq!(level(&db, 1), std::slice::from_ref(flushed), "same id, filter, probe window");
+        assert_eq!(db.sst_bytes(), bytes);
+        assert_eq!(ssts_on_disk(&dir), on_disk, "no file written, none deleted");
+        let moved = db.stats().snapshot().delta(&built);
+        assert_eq!((moved.trivial_moves, moved.compactions, moved.filters_built), (1, 0, 0));
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tombstones_bound_for_the_bottom_still_go_through_the_merge() {
+        let dir = tmpdir("tomb-bottom");
+        let db = store(&dir);
+        flush_keys(&db, 0, 100_000, 10);
+        let [flushed] = &level(&db, 0)[..] else { panic!("one L0 file") };
+        assert_eq!(flushed.tombstones, 10);
+        assert_eq!(db.inner.turn(true).unwrap(), Turn::Compacted);
+        let [merged] = &level(&db, 1)[..] else { panic!("one L1 file") };
+        assert_ne!(merged.id, flushed.id, "rewritten, not moved");
+        assert_eq!((merged.entries, merged.tombstones), (90, 0));
+        let s = db.stats().snapshot();
+        assert_eq!((s.compactions, s.trivial_moves, s.tombstones_dropped), (1, 0, 10));
+        assert_eq!(ssts_on_disk(&dir), [format!("{:08}.sst", merged.id)], "the input is gone");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tombstones_above_the_bottom_move_with_their_file() {
+        let dir = tmpdir("tomb-above");
+        let db = store(&dir);
+        // A file two levels down, far right of the one that will move.
+        let deep = file(&dir, 1_000, 10_000_000, 20_000_000);
+        db.inner.edit_manifest(|v| v.levels = vec![Vec::new(), Vec::new(), vec![deep]]).unwrap();
+        flush_keys(&db, 0, 100_000, 10);
+        let [flushed] = &level(&db, 0)[..] else { panic!("one L0 file") };
+        assert_eq!(db.inner.turn(true).unwrap(), Turn::Compacted);
+        assert_eq!(
+            level(&db, 1),
+            std::slice::from_ref(flushed),
+            "L2 is not empty: the tombstones stay"
+        );
+        let s = db.stats().snapshot();
+        assert_eq!((s.compactions, s.trivial_moves, s.tombstones_dropped), (0, 1, 0));
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_file_with_overlap_is_merged() {
+        let dir = tmpdir("overlap");
+        let db = store(&dir);
+        flush_keys(&db, 0, 100_000, 0);
+        assert_eq!(db.inner.turn(true).unwrap(), Turn::Compacted);
+        flush_keys(&db, 50_000, 150_000, 0);
+        let [old] = &level(&db, 1)[..] else { panic!("the first file moved to L1") };
+        let [new] = &level(&db, 0)[..] else { panic!("the second file is in L0") };
+        assert_eq!(db.inner.turn(true).unwrap(), Turn::Compacted);
+        let l1 = level(&db, 1);
+        assert!(l1.iter().all(|s| s.id != old.id && s.id != new.id), "{l1:?}");
+        assert_eq!(l1.iter().map(|s| s.entries).sum::<u64>(), 150);
+        let s = db.stats().snapshot();
+        assert_eq!((s.compactions, s.trivial_moves), (1, 1));
+        assert_eq!(ssts_on_disk(&dir).len(), l1.len(), "both inputs retired");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_level_over_target_moves_its_first_file_into_an_empty_range_below() {
+        let dir = tmpdir("move-l2");
+        let db = store_with(&dir, 1 << 10);
+        // Two ~3 KiB files: over L1's 4 KiB target, with L2 empty.
+        let l1 = vec![file(&dir, 1_000, 100, 400), file(&dir, 1_001, 500, 900)];
+        db.inner.edit_manifest(|v| v.levels = vec![Vec::new(), l1]).unwrap();
+        let (first, on_disk) = (level(&db, 1)[0].clone(), ssts_on_disk(&dir));
+        assert_eq!(db.inner.turn(false).unwrap(), Turn::Compacted);
+        assert_eq!(db.inner.turn(false).unwrap(), Turn::Idle, "L1 is back under its target");
+        assert_eq!(level(&db, 2), [first]);
+        assert_eq!(level(&db, 1).iter().map(|s| s.id).collect::<Vec<_>>(), [1_001]);
+        assert_eq!(ssts_on_disk(&dir), on_disk);
+        let s = db.stats().snapshot();
+        assert_eq!((s.compactions, s.trivial_moves), (0, 1));
+        drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

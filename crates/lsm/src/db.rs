@@ -121,7 +121,7 @@ use crate::filter_hook::FilterFactory;
 use crate::memtable::MemTable;
 use crate::query_queue::QueryQueue;
 use crate::read::RangeIter;
-use crate::sst::{SstReader, SstWriter};
+use crate::sst::{SstDescription, SstReader, SstWriter};
 use crate::stats::Stats;
 use crate::wal::{self, Wal};
 use crate::{adapt, compact, manifest};
@@ -625,6 +625,14 @@ impl Db {
     /// Total bytes of all SST files.
     pub fn sst_bytes(&self) -> u64 {
         self.inner.version().levels.iter().flatten().map(|s| s.file_bytes).sum()
+    }
+
+    /// Every live SST of one manifest version, level by level (L0 oldest
+    /// first, deeper levels in key order). Read-only: nothing is probed,
+    /// read from disk or reset.
+    pub fn describe(&self) -> Vec<Vec<SstDescription>> {
+        let v = self.inner.version();
+        v.levels.iter().map(|level| level.iter().map(|s| s.describe()).collect()).collect()
     }
 
     /// Total memory held by the per-SST filters, in bits.

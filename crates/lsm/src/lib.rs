@@ -61,6 +61,7 @@ pub use error::{Error, Result};
 pub use filter_hook::{FilterFactory, NoFilter, NoFilterFactory, ProteusFactory};
 pub use query_queue::QueryQueue;
 pub use read::RangeIter;
+pub use sst::SstDescription;
 pub use stats::{Stats, StatsSnapshot};
 
 #[cfg(test)]
@@ -753,7 +754,10 @@ mod sim {
     //! power loss, then a reopen). Every read is checked against a `BTreeMap`
     //! oracle, and under `ProteusFactory` every Seek also checks each file it
     //! overlaps for a filter false negative. Nothing else runs, so a failing
-    //! seed replays exactly, with no sleeps.
+    //! seed replays exactly, with no sleeps. Scripts with bursts also put
+    //! runs of 48 fresh keys in order, above all others, one per step: several
+    //! MemTables' worth, flushed into files nothing below them overlaps,
+    //! which compaction moves down a level instead of merging.
     //!
     //! A turn is atomic to the script, so the crash windows inside a
     //! compaction are reached by putting files back: before each turn the
@@ -823,10 +827,18 @@ mod sim {
         windows: [u64; 2],
         /// Counts the simulator's own block reads, kept off the store's.
         io: Stats,
+        /// Whether the script writes sorted bursts, the puts left in the
+        /// current one, and the key it writes next above (every key any
+        /// step has written is at or below it).
+        bursts: bool,
+        burst_left: usize,
+        top: u64,
+        /// Trivial moves made by the stores crashed so far.
+        moves: u64,
     }
 
     impl Sim {
-        fn new(seed: u64, proteus: bool) -> Sim {
+        fn new(seed: u64, proteus: bool, bursts: bool) -> Sim {
             let dir =
                 std::env::temp_dir().join(format!("proteus-sim-{seed:x}-{}", std::process::id()));
             let side = dir.with_extension("side");
@@ -866,6 +878,10 @@ mod sim {
                 side,
                 windows: [0; 2],
                 io: Stats::default(),
+                bursts,
+                burst_left: 0,
+                top: 512 * 7,
+                moves: 0,
             }
         }
 
@@ -892,8 +908,12 @@ mod sim {
             self.crash(false);
             self.check_all("reopened");
             let [flushed, compacted, _] = self.turns;
-            let (seed, windows) = (self.seed, self.windows);
-            eprintln!("seed {seed:#x}: turns {:?}, crash windows A/B {windows:?}", self.turns);
+            let (seed, windows, moves) = (self.seed, self.windows, self.moves);
+            eprintln!(
+                "seed {seed:#x}: turns {:?}, crash windows A/B {windows:?}, moves {moves}",
+                self.turns
+            );
+            assert!(!self.bursts || moves > 0, "seed {seed:#x}: bursts made no trivial move");
             assert!(
                 flushed > 0 && compacted > 0 && self.crashes > 0,
                 "seed {seed:#x}: {:?}",
@@ -903,6 +923,19 @@ mod sim {
         }
 
         fn step(&mut self, step: usize) {
+            if self.bursts && self.burst_left == 0 && self.rng.below(48) == 0 {
+                self.burst_left = 48;
+            }
+            if self.burst_left > 0 {
+                // One put per step, so a power loss keeps what the last
+                // rotation sealed, as for any other put.
+                self.burst_left -= 1;
+                self.top += 7;
+                let (k, v) = (self.top, value_of(self.top, step));
+                self.db().put_u64(k, &v).unwrap();
+                self.oracle.insert(k, v);
+                return;
+            }
             let at = format!("seed {:#x} step {step}", self.seed);
             match self.rng.below(128) {
                 0..=39 => {
@@ -978,13 +1011,20 @@ mod sim {
             }
         }
 
+        /// Take the store out for a crash point, keeping its move count.
+        fn take_db(&mut self) -> Db {
+            let db = self.db.take().expect("a store to crash");
+            self.moves += db.stats().trivial_moves.get();
+            db
+        }
+
         /// A crash point: kill the store without a flush or a final sync (and
         /// with `power_loss`, drop the active segment's unsynced tail), then
         /// recover it. A process kill loses nothing in any sync mode; a power
         /// loss loses nothing under `Always` and returns to `durable` under
         /// `Off`.
         fn crash(&mut self, power_loss: bool) {
-            let db = self.db.take().expect("a store to crash");
+            let db = self.take_db();
             if power_loss {
                 db.crash_power_loss();
                 if self.cfg.sync_mode() == SyncMode::Off {
@@ -1022,7 +1062,7 @@ mod sim {
         fn crash_in_compaction(&mut self, at: &str) {
             let before_edit = self.windows[0] > self.windows[1];
             self.windows[before_edit as usize] += 1;
-            self.db.take().expect("a store to crash").crash();
+            self.take_db().crash();
             for entry in std::fs::read_dir(&self.side).unwrap() {
                 let kept = entry.unwrap().path();
                 let name = kept.file_name().unwrap();
@@ -1121,14 +1161,21 @@ mod sim {
     #[test]
     fn simulated_stores_without_filters_match_the_oracle() {
         for seed in [0x5EED_0001, 0x5EED_0002, 0x5EED_0003, 0x5EED_0004] {
-            Sim::new(seed, false).run();
+            Sim::new(seed, false, false).run();
         }
     }
 
     #[test]
     fn simulated_stores_under_proteus_filters_match_the_oracle_with_no_false_negative() {
         for seed in [0x5EED_0101, 0x5EED_0102, 0x5EED_0103, 0x5EED_0104] {
-            Sim::new(seed, true).run();
+            Sim::new(seed, true, false).run();
+        }
+    }
+
+    #[test]
+    fn simulated_stores_with_sorted_bursts_move_files_and_match_the_oracle() {
+        for (seed, proteus) in [(0x5EED_0201, false), (0x5EED_0202, true)] {
+            Sim::new(seed, proteus, true).run();
         }
     }
 }

@@ -248,6 +248,35 @@ pub struct BlockMeta {
     pub len: u32,
 }
 
+/// One live SST as [`crate::Db::describe`] reports it: what the file holds,
+/// the design its filter was given and how that filter has done since.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SstDescription {
+    /// File id.
+    pub id: u64,
+    /// Entries, tombstones included.
+    pub entries: u64,
+    /// Tombstones among `entries`.
+    pub tombstones: u64,
+    /// Bytes of the data section.
+    pub bytes: u64,
+    /// Smallest key.
+    pub min_key: Vec<u8>,
+    /// Largest key.
+    pub max_key: Vec<u8>,
+    /// The filter's [`RangeFilter::name`], which carries its design
+    /// (`l1`, how the coarse stage is stored, `l2`); `None` = no filter.
+    pub filter: Option<String>,
+    /// The FPR the filter's design predicted on its training sample.
+    pub expected_fpr: Option<f64>,
+    /// Probes in the current window that passed a range holding no key.
+    pub false_positives: u64,
+    /// Probes in the current window that answered negative.
+    pub true_negatives: u64,
+    /// Times the filter was re-trained in place.
+    pub retrains: u32,
+}
+
 /// An immutable SST file handle.
 pub struct SstReader {
     /// File id (the `NNNNNNNN` of `NNNNNNNN.sst`; allocated monotonically).
@@ -494,6 +523,23 @@ impl SstReader {
     pub fn observed_fpr(&self) -> f64 {
         let fp = self.probe_fp.load(Ordering::Relaxed);
         ratio(fp, fp + self.probe_tn.load(Ordering::Relaxed))
+    }
+
+    /// What this file holds and how its filter has done, as one value.
+    pub(crate) fn describe(&self) -> SstDescription {
+        SstDescription {
+            id: self.id,
+            entries: self.n_entries,
+            tombstones: self.n_tombstones,
+            bytes: self.file_bytes,
+            min_key: self.min_key.clone(),
+            max_key: self.max_key.clone(),
+            filter: self.filter().map(|f| f.name()),
+            expected_fpr: self.filter().and_then(|f| f.expected_fpr()),
+            false_positives: self.probe_fp.load(Ordering::Relaxed),
+            true_negatives: self.probe_tn.load(Ordering::Relaxed),
+            retrains: self.retrain_count,
+        }
     }
 
     /// The key set a re-trained filter must cover: every entry key, read

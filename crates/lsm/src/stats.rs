@@ -131,8 +131,12 @@ stats! {
         cache_hits,
         /// MemTable flushes.
         flushes,
-        /// Compactions run.
+        /// Compactions that merged their inputs into new files.
         compactions,
+        /// Compactions that moved their one input file a level down as it
+        /// was — a `MANIFEST` edit, with nothing written, trained or retired
+        /// — because nothing in the target level overlapped it.
+        trivial_moves,
         /// SST filters constructed (includes modeling).
         filters_built,
         /// Total nanoseconds spent building filters (modeling + construction).

@@ -16,6 +16,9 @@
 //! - a deleted key never resurrects through a crash;
 //! - unlisted SST stragglers next to a live WAL are deleted, and the WAL
 //!   replays exactly once;
+//! - a file compaction moved down a level reopens at the level the
+//!   `MANIFEST` lists — the old one if the crash beat the edit's rename —
+//!   with the filter it was trained with;
 //! - concurrent writers are amortized by group commit without losing a
 //!   single write.
 
@@ -270,6 +273,61 @@ fn straggler_sst_tmp_next_to_live_wal_replays_exactly_once() {
     let db = Db::open(&dir, cfg, nofilter()).unwrap();
     assert_eq!(db.stats().wal_replayed_records.get(), 0);
     assert_eq!(db.get_u64(57).unwrap().as_deref(), Some(&57u64.to_le_bytes()[..]));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_moved_file_reopens_at_the_level_the_manifest_lists() {
+    let dir = tmpdir("moved");
+    let cfg = wal_only_cfg(SyncMode::Always);
+    let factory: Arc<dyn FilterFactory> = Arc::new(ProteusFactory::default());
+    let db = Db::open(&dir, cfg.clone(), Arc::clone(&factory)).unwrap();
+    db.seed_queries(
+        (0..256u64).map(|i| (u64_key(i * 64 + 1).to_vec(), u64_key(i * 64 + 40).to_vec())),
+    );
+    for k in 0..1_000u64 {
+        db.put_u64(k * 64, &k.to_le_bytes()).unwrap();
+    }
+    // One L0 file is under the L0 trigger, so only a settle compacts it:
+    // into an empty L1, which nothing overlaps — a move.
+    db.flush().unwrap();
+    let listed_in_l0 = std::fs::read(dir.join("MANIFEST")).unwrap();
+    let [flushed] = &db.describe()[0][..] else { panic!("one flush, one L0 file") };
+    let flushed = flushed.clone();
+    assert!(flushed.filter.is_some());
+    db.flush_and_settle().unwrap();
+    assert_eq!(db.stats().trivial_moves.get(), 1);
+    assert_eq!(db.describe(), [vec![], vec![flushed.clone()]]);
+    let every_key = |db: &Db| (0..1_000u64).all(|k| db.get_u64(k * 64).unwrap().is_some());
+
+    // Killed after writing `MANIFEST.tmp` and before renaming it: the old
+    // `MANIFEST` still lists the file in L0, where it reopens.
+    db.crash();
+    std::fs::copy(dir.join("MANIFEST"), dir.join("MANIFEST.tmp")).unwrap();
+    std::fs::write(dir.join("MANIFEST"), &listed_in_l0).unwrap();
+    let reopened = |db: &Db, level: usize| {
+        let levels = db.describe();
+        let [sst] = &levels[level][..] else { panic!("{levels:?}") };
+        assert_eq!(levels.iter().map(Vec::len).sum::<usize>(), 1, "{levels:?}");
+        assert_eq!(
+            (sst.id, &sst.filter, sst.expected_fpr),
+            (flushed.id, &flushed.filter, flushed.expected_fpr)
+        );
+        assert_eq!(db.stats().filters_loaded.get(), 1, "decoded, not retrained");
+    };
+    let db = Db::open(&dir, cfg.clone(), Arc::clone(&factory)).unwrap();
+    reopened(&db, 0);
+    assert!(every_key(&db));
+
+    // Moved again and closed: it reopens in L1 with the same filter.
+    db.flush_and_settle().unwrap();
+    assert_eq!(db.stats().trivial_moves.get(), 1);
+    drop(db);
+    let db = Db::open(&dir, cfg, factory).unwrap();
+    reopened(&db, 1);
+    assert_eq!(db.stats().filters_built.get(), 0);
+    assert!(every_key(&db));
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

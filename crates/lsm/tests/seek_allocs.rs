@@ -11,11 +11,10 @@
 //! test so no concurrently running test adds to the count.
 
 use proteus_core::key::u64_key;
-use proteus_core::{CoarseEncoding, KeySet, Proteus, RangeFilter, SampleQueries};
-use proteus_lsm::{Db, DbConfig, FilterFactory};
+use proteus_lsm::{Db, DbConfig, ProteusFactory};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The system allocator plus one relaxed counter of `alloc` + `realloc`
 /// calls (every request that may obtain new memory).
@@ -50,22 +49,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const KEYS: u64 = 40_000;
 const SEEKS: usize = 10_000;
 
-/// The default Proteus factory, keeping how each filter it trained stores
-/// its coarse stage.
-#[derive(Default)]
-struct Recording(Mutex<Vec<Option<CoarseEncoding>>>);
-
-impl FilterFactory for Recording {
-    fn build(&self, keys: &KeySet, samples: &SampleQueries, m_bits: u64) -> Box<dyn RangeFilter> {
-        let filter = Proteus::train(keys, samples, m_bits, &Default::default());
-        self.0.lock().unwrap().push(filter.coarse_encoding());
-        Box::new(filter)
-    }
-    fn name(&self) -> String {
-        "proteus".to_string()
-    }
-}
-
 /// Keys scattered over the whole u64 space, none with any of its low 16 bits
 /// set.
 fn key(i: u64) -> u64 {
@@ -91,18 +74,17 @@ fn split(i: u64, salt: u64) -> (u64, u64) {
 }
 
 /// Load a store trained on `query`, find [`SEEKS`] Seeks every file's filter
-/// rejects, and count what running them again allocates. Returns how the
-/// store's filters store their coarse stages.
+/// rejects, and count what running them again allocates. Returns the
+/// designs of the live files those Seeks probed (each filter's `name()`).
 fn filter_negative_seeks_allocate_nothing(
     tag: &str,
     query: fn(u64, u64) -> (u64, u64),
-) -> Vec<Option<CoarseEncoding>> {
+) -> Vec<String> {
     let dir =
         std::env::temp_dir().join(format!("proteus-seek-allocs-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = DbConfig::builder().memtable_bytes(256 << 10).build().unwrap();
-    let factory = Arc::new(Recording::default());
-    let db = Db::open(&dir, cfg, Arc::clone(&factory) as Arc<dyn FilterFactory>).unwrap();
+    let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
     let mut sorted: Vec<u64> = (0..KEYS).map(key).collect();
     sorted.sort_unstable();
     let empty = |&(lo, hi): &(u64, u64)| {
@@ -156,30 +138,33 @@ fn filter_negative_seeks_allocate_nothing(
          the {recorded} queries the sample queue recorded account for {}",
         2 * recorded
     );
+    let live = db.describe().into_iter().flatten();
+    let designs = live.map(|sst| sst.filter.expect("every file has a filter")).collect();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
-    let built = factory.0.lock().unwrap().clone();
-    built
+    designs
 }
 
 #[test]
 fn filter_negative_seek_allocates_only_what_the_queue_records() {
-    let spans = |coarse: &[Option<CoarseEncoding>]| {
+    // A design names its coarse stage's encoding: `Proteus(l1=19 span,
+    // l2=57)`, `l1=16 fst`, or plain `l1=0`.
+    let spans = |designs: &[String]| {
         // An FST stage still owns two scratch vectors per probe; neither
         // workload gives it a file to win.
-        assert!(!coarse.contains(&Some(CoarseEncoding::Fst)), "{coarse:?}");
-        coarse.iter().filter(|c| **c == Some(CoarseEncoding::SpanBitmap)).count()
+        assert!(!designs.iter().any(|d| d.contains(" fst,")), "{designs:?}");
+        designs.iter().filter(|d| d.contains(" span,")).count()
     };
     // Every query a short range just above a stored key, as is the seeded
     // sample: files design themselves a Bloom filter alone (but for the odd
     // small one that trains on the whole queue).
-    let coarse = filter_negative_seeks_allocate_nothing("bloom", near_a_key);
-    assert!(spans(&coarse) * 10 < coarse.len(), "{coarse:?}");
+    let designs = filter_negative_seeks_allocate_nothing("bloom", near_a_key);
+    assert!(spans(&designs) * 10 < designs.len(), "{designs:?}");
     // Half the queries long ranges: the files compaction writes, an eighth
     // of the key space each, put a span bitmap in front of the Bloom filter
     // (a flushed file, spread over all of it, cannot afford one), and a Seek
     // through it — its leaf cursor on the stack — allocates no more than one
     // without.
-    let coarse = filter_negative_seeks_allocate_nothing("span", split);
-    assert!(spans(&coarse) * 3 > coarse.len(), "{coarse:?}");
+    let designs = filter_negative_seeks_allocate_nothing("span", split);
+    assert!(spans(&designs) * 3 > designs.len(), "{designs:?}");
 }
