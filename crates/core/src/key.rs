@@ -30,7 +30,7 @@ pub fn key_u64(k: &[u8]) -> u64 {
 /// shorter key is zero-filled on the right. Two keys' heads compare as their
 /// first 8 bytes do, and for keys of at most 8 bytes they are the keys.
 #[inline]
-pub(crate) fn key_head(k: &[u8]) -> u64 {
+pub fn key_head(k: &[u8]) -> u64 {
     match k.first_chunk::<8>() {
         Some(head) => u64::from_be_bytes(*head),
         None => {

@@ -73,6 +73,11 @@ fn put_len_u16(buf: &mut Vec<u8>, len: usize) {
 /// Entry flag bit marking a tombstone.
 pub const FLAG_TOMBSTONE: u8 = 1;
 
+/// The fewest payload bytes one entry occupies: its 9-byte header and at
+/// least one key byte (only a key longer than its predecessor's shared
+/// prefix can sort after it, and the first key is non-empty).
+const MIN_ENTRY_BYTES: usize = 10;
+
 /// Every this-many entries, the builder emits a full key
 /// (`shared = 0`) and the decoder enforces it.
 pub const RESTART_INTERVAL: usize = 16;
@@ -235,8 +240,11 @@ impl Block {
             return Err(corrupt("missing entry count"));
         }
         let n = le_u32_at(&data, 0).ok_or_else(|| corrupt("missing entry count"))? as usize;
+        // Every reservation is capped by what the payload can hold: an entry
+        // takes at least `MIN_ENTRY_BYTES`, so a corrupt count cannot ask
+        // for more than the block could ever decode to.
+        let mut entries = Vec::with_capacity(n.min((data.len() - 4) / MIN_ENTRY_BYTES));
         let mut keybuf: Vec<u8> = Vec::new();
-        let mut entries = Vec::with_capacity(n.min(data.len()));
         let mut pos = 4usize;
         let mut prev_off = 0usize;
         let mut prev_len = 0usize;
@@ -269,6 +277,11 @@ impl Block {
             if pos + non_shared + vlen > data.len() {
                 return Err(corrupt("entry overruns the block"));
             }
+            if i == 0 {
+                // Sized from the first (full) key: exact when every key has
+                // its length, as every `u64` workload's does.
+                keybuf.reserve_exact(n.saturating_mul(non_shared).min(data.len()));
+            }
             let key_off = keybuf.len();
             keybuf.extend_from_within(prev_off..prev_off + shared);
             keybuf.extend_from_slice(&data[pos..pos + non_shared]);
@@ -293,6 +306,10 @@ impl Block {
         if pos != data.len() {
             return Err(corrupt("trailing bytes after the last entry"));
         }
+        // The cache budgets a block by its capacities: give back whatever
+        // the first-key estimate over-reserved, or doubling over-grew, when
+        // keys vary in length.
+        keybuf.shrink_to_fit();
         Ok(Block { data, keybuf, entries })
     }
 
@@ -346,9 +363,12 @@ impl Block {
         lo
     }
 
-    /// Approximate decoded memory footprint (for the block cache budget).
+    /// Decoded memory footprint (for the block cache budget): what the
+    /// block's buffers hold allocated, not just what they use.
     pub fn mem_bytes(&self) -> usize {
-        self.data.len() + self.keybuf.len() + self.entries.len() * std::mem::size_of::<VarEntry>()
+        self.data.capacity()
+            + self.keybuf.capacity()
+            + self.entries.capacity() * std::mem::size_of::<VarEntry>()
     }
 }
 

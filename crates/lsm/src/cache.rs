@@ -15,28 +15,60 @@ use std::sync::{Arc, PoisonError};
 /// Cache key: (SST id, block index).
 pub type BlockId = (u64, u32);
 
+/// End-of-list marker for [`Slot::prev`] / [`Slot::next`].
+const NIL: u32 = u32::MAX;
+
+/// One resident block and its neighbours in the recency list (indices
+/// into [`BlockCache::slots`]).
+#[derive(Debug)]
+struct Slot {
+    id: BlockId,
+    block: Option<Arc<Block>>,
+    /// Next more recently used slot (`NIL` at the head).
+    prev: u32,
+    /// Next less recently used slot (`NIL` at the tail).
+    next: u32,
+}
+
 /// A byte-budgeted LRU cache of decoded blocks.
+///
+/// Recency is a doubly linked list threaded through `slots` by index:
+/// most recently used at `head`, the eviction victim at `tail`. A hit
+/// unlinks its slot and relinks it at the head, an eviction pops the tail,
+/// and a freed slot is reused by the next insert, so no operation scans
+/// the shard and a hit never allocates.
 #[derive(Debug)]
 pub struct BlockCache {
     capacity_bytes: usize,
     used_bytes: usize,
-    /// Map to (block, recency stamp).
-    map: HashMap<BlockId, (Arc<Block>, u64)>,
-    clock: u64,
+    /// Resident id → its slot.
+    map: HashMap<BlockId, u32>,
+    slots: Vec<Slot>,
+    /// Slots whose block was dropped, ready for reuse.
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
 }
 
 impl BlockCache {
     /// Create a cache bounded to `capacity_bytes` of block payload.
     pub fn new(capacity_bytes: usize) -> Self {
-        BlockCache { capacity_bytes, used_bytes: 0, map: HashMap::new(), clock: 0 }
+        BlockCache {
+            capacity_bytes,
+            used_bytes: 0,
+            map: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
     }
 
     /// Look up a block, refreshing its recency on a hit.
     pub fn get(&mut self, id: BlockId) -> Option<Arc<Block>> {
-        self.clock += 1;
-        let (block, stamp) = self.map.get_mut(&id)?;
-        *stamp = self.clock;
-        Some(Arc::clone(block))
+        let s = *self.map.get(&id)?;
+        self.touch(s);
+        self.slots[s as usize].block.clone()
     }
 
     /// Insert a block, evicting least-recently-used entries to fit.
@@ -50,46 +82,99 @@ impl BlockCache {
         if bytes > self.capacity_bytes {
             return;
         }
-        self.clock += 1;
-        if let Some((old, _)) = self.map.insert(id, (block, self.clock)) {
-            self.used_bytes -= old.mem_bytes();
-        }
+        let s = match self.map.get(&id) {
+            Some(&s) => {
+                self.touch(s);
+                let old = self.slots[s as usize].block.replace(block);
+                self.used_bytes -= old.map_or(0, |b| b.mem_bytes());
+                s
+            }
+            None => {
+                let slot = Slot { id, block: Some(block), prev: NIL, next: NIL };
+                let s = match self.free.pop() {
+                    Some(s) => {
+                        self.slots[s as usize] = slot;
+                        s
+                    }
+                    None => {
+                        // A shard holds far fewer than `NIL` blocks.
+                        self.slots.push(slot);
+                        (self.slots.len() - 1) as u32
+                    }
+                };
+                self.map.insert(id, s);
+                self.push_front(s);
+                s
+            }
+        };
         self.used_bytes += bytes;
-        // Evict least-recently-used entries until within budget. The loop
-        // terminates because the new block fits the budget on its own and
-        // carries the freshest stamp (so it is never the LRU victim while
-        // anything else remains). Linear scan per eviction is fine at the
-        // block counts we cache.
-        while self.used_bytes > self.capacity_bytes {
-            let victim = self.map.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(&id, _)| id);
-            let Some((old, _)) = victim.and_then(|v| self.map.remove(&v)) else {
-                // Unreachable: used_bytes > 0 implies a resident entry. Kept
-                // as a defensive exit so an accounting bug degrades to an
-                // over-budget cache instead of a panic in the read path.
-                debug_assert!(self.map.is_empty());
-                break;
-            };
-            self.used_bytes -= old.mem_bytes();
+        // Evict from the tail until within budget. The loop terminates
+        // because the new block fits the budget on its own and sits at the
+        // head (so it is never the victim while anything else remains).
+        while self.used_bytes > self.capacity_bytes && self.tail != s {
+            self.drop_slot(self.tail);
         }
     }
 
     /// Drop a single entry if present.
     pub fn remove(&mut self, id: BlockId) {
-        if let Some((old, _)) = self.map.remove(&id) {
-            self.used_bytes -= old.mem_bytes();
+        if let Some(&s) = self.map.get(&id) {
+            self.drop_slot(s);
         }
     }
 
     /// Drop every cached block belonging to `sst_id` (file deleted by
     /// compaction).
     pub fn purge_sst(&mut self, sst_id: u64) {
-        let victims: Vec<BlockId> =
-            self.map.keys().filter(|(id, _)| *id == sst_id).copied().collect();
-        for v in victims {
-            if let Some((old, _)) = self.map.remove(&v) {
-                self.used_bytes -= old.mem_bytes();
-            }
+        let victims: Vec<u32> =
+            self.map.iter().filter(|((id, _), _)| *id == sst_id).map(|(_, &s)| s).collect();
+        for s in victims {
+            self.drop_slot(s);
         }
+    }
+
+    /// Unlink slot `s`, forget its id, release its block and budget, and
+    /// put the slot on the free list.
+    fn drop_slot(&mut self, s: u32) {
+        self.unlink(s);
+        let slot = &mut self.slots[s as usize];
+        self.map.remove(&slot.id);
+        self.used_bytes -= slot.block.take().map_or(0, |b| b.mem_bytes());
+        self.free.push(s);
+    }
+
+    /// Make linked slot `s` the most recently used.
+    fn touch(&mut self, s: u32) {
+        if self.head != s {
+            self.unlink(s);
+            self.push_front(s);
+        }
+    }
+
+    /// Take slot `s` out of the recency list.
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Link slot `s` in as the most recently used.
+    fn push_front(&mut self, s: u32) {
+        let old_head = self.head;
+        let slot = &mut self.slots[s as usize];
+        slot.prev = NIL;
+        slot.next = old_head;
+        match old_head {
+            NIL => self.tail = s,
+            h => self.slots[h as usize].prev = s,
+        }
+        self.head = s;
     }
 
     /// Bytes of cached block payload currently held.
@@ -283,12 +368,72 @@ mod tests {
         assert!(c.used_bytes() <= capacity, "{} > {capacity}", c.used_bytes());
     }
 
+    /// The cache as it was before the recency list: every entry carries a
+    /// stamp from a clock that ticks on each `get` and `insert`, and an
+    /// eviction removes the entry with the smallest stamp by a linear scan
+    /// over a plain `Vec`. [`BlockCache`] must evict exactly what this
+    /// model evicts.
+    struct StampLru {
+        capacity: usize,
+        used: usize,
+        entries: Vec<(BlockId, Arc<Block>, u64)>,
+        clock: u64,
+    }
+
+    impl StampLru {
+        fn get(&mut self, id: BlockId) {
+            self.clock += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == id) {
+                e.2 = self.clock;
+            }
+        }
+
+        fn insert(&mut self, id: BlockId, block: Arc<Block>) {
+            let bytes = block.mem_bytes();
+            if bytes > self.capacity {
+                return;
+            }
+            self.clock += 1;
+            self.remove(id);
+            self.entries.push((id, block, self.clock));
+            self.used += bytes;
+            while self.used > self.capacity {
+                let lru = (0..self.entries.len()).min_by_key(|&i| self.entries[i].2).unwrap();
+                self.used -= self.entries.swap_remove(lru).1.mem_bytes();
+            }
+        }
+
+        fn remove(&mut self, id: BlockId) {
+            self.purge(|e| e == id);
+        }
+
+        fn purge(&mut self, doomed: impl Fn(BlockId) -> bool) {
+            let used = &mut self.used;
+            self.entries.retain(|e| {
+                let keep = !doomed(e.0);
+                if !keep {
+                    *used -= e.1.mem_bytes();
+                }
+                keep
+            });
+        }
+
+        fn resident(&self) -> Vec<BlockId> {
+            let mut ids: Vec<BlockId> = self.entries.iter().map(|e| e.0).collect();
+            ids.sort_unstable();
+            ids
+        }
+    }
+
     proptest::proptest! {
         /// The LRU budget invariant: `used_bytes <= capacity` after
         /// *every* operation of any insert/get/remove/purge interleaving,
         /// oversized inserts included (block sizes span well past any
-        /// sampled capacity). The script is derived from the sampled seed
-        /// with a local xorshift, the same idiom as the oracle tests.
+        /// sampled capacity). After every step the cache also holds
+        /// exactly the blocks, and exactly the bytes, the stamp-scan
+        /// reference [`StampLru`] holds. The script is derived from the
+        /// sampled seed with a local xorshift, the same idiom as the
+        /// oracle tests.
         #[test]
         fn lru_budget_invariant_under_arbitrary_interleavings(
             seed in 1u64..5000,
@@ -298,6 +443,8 @@ mod tests {
             // Deliberately misaligned capacity (never a block multiple).
             let capacity = cap_units * one + cap_units * 7;
             let mut c = BlockCache::new(capacity);
+            let mut reference =
+                StampLru { capacity, used: 0, entries: Vec::new(), clock: 0 };
             let mut x = seed;
             let mut rng = move || {
                 x ^= x << 13;
@@ -310,12 +457,26 @@ mod tests {
                 match rng() % 5 {
                     // Entry counts 1..40: mem_bytes from far below to far
                     // above every sampled capacity.
-                    0 | 1 => c.insert(id, make_block(id.0, 1 + rng() as usize % 40)),
-                    2 => {
-                        c.get(id);
+                    0 | 1 => {
+                        let block = make_block(id.0, 1 + rng() as usize % 40);
+                        c.insert(id, Arc::clone(&block));
+                        reference.insert(id, block);
                     }
-                    3 => c.remove(id),
-                    _ => c.purge_sst(id.0),
+                    2 => {
+                        proptest::prop_assert_eq!(
+                            c.get(id).is_some(),
+                            reference.entries.iter().any(|e| e.0 == id)
+                        );
+                        reference.get(id);
+                    }
+                    3 => {
+                        c.remove(id);
+                        reference.remove(id);
+                    }
+                    _ => {
+                        c.purge_sst(id.0);
+                        reference.purge(|(sst, _)| sst == id.0);
+                    }
                 }
                 proptest::prop_assert!(
                     c.used_bytes() <= capacity,
@@ -324,6 +485,10 @@ mod tests {
                     c.used_bytes(),
                     capacity,
                 );
+                let mut resident: Vec<BlockId> = c.map.keys().copied().collect();
+                resident.sort_unstable();
+                proptest::prop_assert_eq!(resident, reference.resident(), "step {}", step);
+                proptest::prop_assert_eq!(c.used_bytes(), reference.used, "step {}", step);
             }
         }
     }

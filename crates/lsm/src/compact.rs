@@ -145,7 +145,7 @@ fn merge_inputs(
 ) -> Result<Vec<Arc<SstReader>>> {
     let mut merge = Merge::new(db, DbInner::uncached_block);
     for sst in newer.iter().chain(older) {
-        merge.push_sst(SstCursor::new(Arc::clone(sst)), None, sst.min_key.clone());
+        merge.push_sst(SstCursor::new(Arc::clone(sst)), None);
     }
     let mut outputs: Vec<Arc<SstReader>> = Vec::new();
     let mut writer: Option<SstWriter> = None;

@@ -98,28 +98,41 @@ fn word_at(data: &[u8], i: usize) -> Option<u64> {
     Some(u64::from_le_bytes(*data.get(i..)?.first_chunk::<8>()?))
 }
 
+/// Walk a token stream, handing each `(literal, zero_run_len)` to `f`.
+/// Returns `None` when a token is cut short.
+fn for_each_token(data: &[u8], mut f: impl FnMut(&[u8], usize)) -> Option<()> {
+    let mut i = 0usize;
+    while i < data.len() {
+        let lit_len = u16::from_le_bytes(*data.get(i..)?.first_chunk::<2>()?) as usize;
+        let lit = data.get(i + 2..i + 2 + lit_len)?;
+        i += 2 + lit_len;
+        let zlen = u16::from_le_bytes(*data.get(i..)?.first_chunk::<2>()?) as usize;
+        i += 2;
+        f(lit, zlen);
+    }
+    Some(())
+}
+
 /// Decompress into a buffer of exactly `raw_len` bytes. Returns `None`
 /// when the token stream is malformed or does not decode to `raw_len`
 /// bytes (corrupt block): decoding arbitrary bytes must never panic.
+///
+/// `raw_len` comes from the block header, which nothing checksums, so the
+/// stream is measured before anything is reserved: the output is
+/// allocated only once the tokens are known to decode to exactly
+/// `raw_len` bytes.
 pub fn decompress(data: &[u8], raw_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(raw_len);
-    let mut i = 0usize;
-    while i + 2 <= data.len() {
-        let lit_len = u16::from_le_bytes([data[i], data[i + 1]]) as usize;
-        i += 2;
-        if i + lit_len + 2 > data.len() {
-            return None;
-        }
-        out.extend_from_slice(&data[i..i + lit_len]);
-        i += lit_len;
-        let zlen = u16::from_le_bytes([data[i], data[i + 1]]) as usize;
-        i += 2;
-        out.resize(out.len() + zlen, 0);
-        if out.len() > raw_len {
-            return None;
-        }
+    let mut decoded = 0usize;
+    for_each_token(data, |lit, zlen| decoded += lit.len() + zlen)?;
+    if decoded != raw_len {
+        return None;
     }
-    (i == data.len() && out.len() == raw_len).then_some(out)
+    let mut out = Vec::with_capacity(raw_len);
+    for_each_token(data, |lit, zlen| {
+        out.extend_from_slice(lit);
+        out.resize(out.len() + zlen, 0);
+    })?;
+    Some(out)
 }
 
 #[cfg(test)]

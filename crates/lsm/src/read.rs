@@ -79,7 +79,7 @@ use crate::db::{read_table, DbInner, SharedTable, Version};
 use crate::error::{Error, Result};
 use crate::memtable::{Cursor, MemTable};
 use crate::query_queue::clamp_to_file;
-use crate::sst::{SstCursor, SstReader};
+use crate::sst::{KeyRange, SstCursor, SstReader};
 use crate::stats::Stats;
 use proteus_core::key::{pad_key_into, INLINE_KEY_BYTES};
 use std::cmp::Ordering;
@@ -434,9 +434,11 @@ impl Pos {
 
 /// The head of one merge source as it sits in the heap.
 enum Head {
-    /// An SST source whose first block has not been read yet; the key is
-    /// a lower bound on whatever the file will contribute.
-    Unread(Vec<u8>),
+    /// An SST source whose first block has not been read yet, with its
+    /// cursor's clamp. It sorts at its floor, `max(min_key, lo)`: every
+    /// key the file can contribute sits at or above it, so the file is
+    /// read exactly when the merge could need it — and never sooner.
+    Unread(Arc<SstReader>, Option<KeyRange>),
     /// The source's current record.
     At(Pos),
 }
@@ -451,7 +453,10 @@ struct HeapItem {
 impl HeapItem {
     fn key(&self) -> &[u8] {
         match &self.head {
-            Head::Unread(k) => k,
+            Head::Unread(sst, range) => {
+                let min = sst.min_key.as_slice();
+                range.as_ref().map_or(min, |r| min.max(r.lo()))
+            }
             Head::At(pos) => pos.key(),
         }
     }
@@ -486,8 +491,8 @@ impl Ord for HeapItem {
 struct MemCursor {
     table: SharedTable,
     cur: Cursor,
-    /// Inclusive upper clamp.
-    hi: Vec<u8>,
+    /// The read's bounds; the upper one clamps the view.
+    range: KeyRange,
 }
 
 /// Copy the next row of `cur`'s view out of `table` (`None` = exhausted).
@@ -546,8 +551,14 @@ impl<'a> Merge<'a> {
     /// store's MemTable lock, so no batch is half applied: note the
     /// table's stamp, seek to `lo` and read the first row in one hold of
     /// the table's lock, and keep a cursor (and the table) only if the
-    /// view holds anything in `[lo, hi]`.
-    fn push_mem(&mut self, table: &SharedTable, lo: &[u8], hi: &[u8]) -> Result<()> {
+    /// view holds anything in `[lo, hi]`. `range` is the read's one
+    /// shared copy of the bounds, made by the first source that keeps it.
+    fn push_mem(
+        &mut self,
+        table: &SharedTable,
+        (lo, hi): (&[u8], &[u8]),
+        range: &mut Option<KeyRange>,
+    ) -> Result<()> {
         let (cur, head) = {
             let t = read_table(table)?;
             let mut cur = t.cursor(lo, t.stamp());
@@ -556,25 +567,27 @@ impl<'a> Merge<'a> {
         };
         if let Some(pos) = head {
             self.heap.push(HeapItem { rank: self.len(), head: Head::At(pos) });
-            let cursor = MemCursor { table: Arc::clone(table), cur, hi: hi.to_vec() };
+            let range = range.get_or_insert_with(|| KeyRange::new(lo, hi)).clone();
+            let cursor = MemCursor { table: Arc::clone(table), cur, range };
             self.sources.push(Source::Mem(cursor));
         }
         Ok(())
     }
 
     /// Add an SST run. Nothing is read yet: the file enters the heap at
-    /// `floor`, a lower bound on every key the cursor can yield, and pays
-    /// its first block read only when the merge reaches that position.
-    pub(crate) fn push_sst(&mut self, cursor: SstCursor, probe: Option<Probe>, floor: Vec<u8>) {
-        self.heap.push(HeapItem { rank: self.len(), head: Head::Unread(floor) });
+    /// its floor ([`Head::Unread`]) and pays its first block read only
+    /// when the merge reaches that position.
+    pub(crate) fn push_sst(&mut self, cursor: SstCursor, probe: Option<Probe>) {
+        let head = Head::Unread(Arc::clone(cursor.sst()), cursor.range().cloned());
+        self.heap.push(HeapItem { rank: self.len(), head });
         self.sources.push(Source::Sst(cursor, probe));
     }
 
     /// Advance source `rank` and return its next record.
     fn advance(&mut self, rank: usize) -> Result<Option<Pos>> {
         match &mut self.sources[rank] {
-            Source::Mem(MemCursor { table, cur, hi }) => {
-                Ok(next_row(&*read_table(table)?, cur, hi, &self.db.stats))
+            Source::Mem(MemCursor { table, cur, range }) => {
+                Ok(next_row(&*read_table(table)?, cur, range.hi(), &self.db.stats))
             }
             Source::Sst(cursor, _) => {
                 let (db, fetch) = (self.db, self.fetch);
@@ -613,7 +626,7 @@ impl Iterator for Merge<'_> {
             let HeapItem { rank, head } = self.heap.pop()?;
             let pos = match head {
                 Head::At(pos) => pos,
-                Head::Unread(_) => {
+                Head::Unread(..) => {
                     // First touch of this SST: read its head. No record
                     // has been determined yet, so an error surfaces
                     // directly.
@@ -688,6 +701,10 @@ impl<'a> RangeIter<'a> {
         debug_assert!(lo <= hi);
         let mut it = RangeIter::empty(db);
         let merge = &mut it.merge;
+        // One copy of the bounds, shared by every source that keeps them
+        // and made only once one does: a Seek every filter rejects copies
+        // nothing.
+        let mut range = None;
 
         // 1. The view, fixed under one short hold of the store's MemTable
         // lock: a cursor into each table, newest first, at the stamp the
@@ -698,7 +715,7 @@ impl<'a> RangeIter<'a> {
         let version = {
             let mem = db.mem_read()?;
             for table in mem.tables() {
-                merge.push_mem(table, lo, hi)?;
+                merge.push_mem(table, (lo, hi), &mut range)?;
             }
             db.version()
         };
@@ -709,12 +726,8 @@ impl<'a> RangeIter<'a> {
             let Some(probe) = db.admit(sst, lo, hi) else {
                 continue; // proven empty
             };
-            // The smallest key this file could contribute: its entries in
-            // range all sit at or above max(lo, min_key), so an unread
-            // heap entry at that key materializes exactly when the merge
-            // could need the file — and never sooner.
-            let floor = sst.min_key.as_slice().max(lo).to_vec();
-            merge.push_sst(SstCursor::bounded(Arc::clone(sst), lo, hi), Some(probe), floor);
+            let range = range.get_or_insert_with(|| KeyRange::new(lo, hi)).clone();
+            merge.push_sst(SstCursor::bounded(Arc::clone(sst), range), Some(probe));
         }
         it.io_paid = merge.len() > it.n_mem;
         Ok(it)

@@ -62,10 +62,11 @@ use crate::filter_hook::FilterFactory;
 use crate::query_queue::QueryQueue;
 use crate::stats::{ratio, Stats};
 use proteus_core::codec::{crc32, ByteReader, CodecError};
-use proteus_core::key::pad_key;
+use proteus_core::key::{key_head, pad_key};
 use proteus_core::keyset::KeySet;
 use proteus_core::RangeFilter;
 use proteus_filters::FilterCodec;
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
@@ -235,6 +236,10 @@ impl FilterKeys {
     }
 }
 
+/// The largest read buffer a thread keeps between [`SstReader::read_block`]
+/// calls: sixteen blocks' worth.
+const READ_BUF_KEEP_BYTES: usize = 16 * crate::config::BLOCK_BYTES;
+
 /// Index entry for one block.
 #[derive(Debug, Clone)]
 pub struct BlockMeta {
@@ -285,6 +290,10 @@ pub struct SstReader {
     file: File,
     width: usize,
     index: Vec<BlockMeta>,
+    /// `key_head` of each block's `last_key`, beside `index`: the fences
+    /// [`SstReader::first_candidate_block`] searches without leaving this
+    /// one flat array unless two heads tie.
+    last_heads: Vec<u64>,
     /// Size of the persisted index block including its CRC (needed to
     /// rewrite the filter block without re-encoding the index).
     index_len: u64,
@@ -434,6 +443,7 @@ impl SstReader {
             path,
             file,
             width,
+            last_heads: index.iter().map(|m| key_head(&m.last_key)).collect(),
             index,
             index_len,
             filter_block_len: filter_len as usize,
@@ -617,22 +627,58 @@ impl SstReader {
         !(self.max_key.as_slice() < lo || self.min_key.as_slice() > hi)
     }
 
-    /// Index of the first block that could contain a key ≥ `lo`.
+    /// Index of the first block that could contain a key ≥ `lo`: the
+    /// first whose last key is ≥ `lo`. Searches on each last key's first 8
+    /// bytes as one integer; only a block whose head equals `lo`'s compares
+    /// its full last key.
     pub fn first_candidate_block(&self, lo: &[u8]) -> usize {
-        self.index.partition_point(|m| m.last_key.as_slice() < lo)
+        let head = key_head(lo);
+        let (mut a, mut b) = (0usize, self.last_heads.len());
+        while a < b {
+            let mid = (a + b) / 2;
+            let below = match self.last_heads[mid].cmp(&head) {
+                std::cmp::Ordering::Equal => self.index[mid].last_key.as_slice() < lo,
+                order => order.is_lt(),
+            };
+            if below {
+                a = mid + 1;
+            } else {
+                b = mid;
+            }
+        }
+        a
     }
 
     /// Read and decode block `i` from disk (no caching here; the DB layer
     /// caches). Updates I/O statistics. A block that fails validation —
     /// bad codec, reserved flag bits, lengths escaping the buffer —
     /// surfaces as [`Error::Corruption`] with the file path attached.
+    ///
+    /// The bytes land in a buffer the calling thread reuses for every read,
+    /// so a fetch allocates only what the decoded block keeps. A block over
+    /// sixteen blocks' worth (one holding a huge value) is read the same
+    /// way, but the thread does not hold on to a buffer that large.
     pub fn read_block(&self, i: usize, stats: &Stats) -> Result<Block> {
+        thread_local! {
+            static READ_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        }
         let meta = &self.index[i];
-        let mut buf = vec![0u8; meta.len as usize];
-        self.file.read_exact_at(&mut buf, meta.offset)?;
-        stats.blocks_read.inc();
-        stats.bytes_read.add(meta.len as u64);
-        Block::decode_v3(&buf).map_err(|e| match e {
+        let len = meta.len as usize;
+        let decoded = READ_BUF.with_borrow_mut(|buf| {
+            if buf.len() < len {
+                buf.resize(len, 0);
+            }
+            let disk = &mut buf[..len];
+            self.file.read_exact_at(disk, meta.offset)?;
+            stats.blocks_read.inc();
+            stats.bytes_read.add(meta.len as u64);
+            let decoded = Block::decode_v3(disk);
+            if buf.len() > READ_BUF_KEEP_BYTES {
+                *buf = Vec::new();
+            }
+            decoded
+        });
+        decoded.map_err(|e| match e {
             Error::Corruption(d) => {
                 Error::corruption(format!("{}: block {i}: {d}", self.path.display()))
             }
@@ -828,6 +874,40 @@ impl SstWriter {
     }
 }
 
+/// A closed key range `[lo, hi]` in one shared allocation: every source of
+/// one read clones the handle, not the bytes.
+#[derive(Debug, Clone)]
+pub struct KeyRange {
+    /// `lo` followed by `hi`.
+    bytes: Arc<[u8]>,
+    /// Where `hi` starts in `bytes`.
+    split: usize,
+}
+
+impl KeyRange {
+    /// Copy `[lo, hi]` into one allocation. The bytes go in by two
+    /// `memcpy`s, not one at a time: an unbounded range's upper bound is
+    /// [`crate::config::MAX_KEY_BYTES`] long.
+    pub fn new(lo: &[u8], hi: &[u8]) -> Self {
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, lo.len() + hi.len()).collect();
+        // lint: allow(no-panic): a freshly collected `Arc` has no other owner
+        let (l, h) = Arc::get_mut(&mut bytes).unwrap().split_at_mut(lo.len());
+        l.copy_from_slice(lo);
+        h.copy_from_slice(hi);
+        KeyRange { bytes, split: lo.len() }
+    }
+
+    /// The inclusive lower bound.
+    pub fn lo(&self) -> &[u8] {
+        &self.bytes[..self.split]
+    }
+
+    /// The inclusive upper bound.
+    pub fn hi(&self) -> &[u8] {
+        &self.bytes[self.split..]
+    }
+}
+
 /// The one way to walk a file's entries: a forward cursor yielding
 /// un-materialized `(block, index)` positions, optionally clamped to a
 /// closed key range. The caller supplies the block fetch — the block cache
@@ -835,10 +915,11 @@ impl SstWriter {
 /// and each block visited is fetched exactly once.
 pub struct SstCursor {
     sst: Arc<SstReader>,
-    /// Inclusive upper clamp (`None` = to the end of the file).
-    hi: Option<Vec<u8>>,
-    /// Lower clamp still to be applied to the first block fetched.
-    pending_lo: Option<Vec<u8>>,
+    /// The closed clamp (`None` = the whole file).
+    range: Option<KeyRange>,
+    /// Is `range`'s lower bound still to be applied to the first block
+    /// fetched?
+    pending_lo: bool,
     block_idx: usize,
     entry_idx: usize,
     block: Option<Arc<Block>>,
@@ -847,16 +928,16 @@ pub struct SstCursor {
 impl SstCursor {
     /// A cursor over every entry of `sst`, tombstones included.
     pub fn new(sst: Arc<SstReader>) -> Self {
-        SstCursor { sst, hi: None, pending_lo: None, block_idx: 0, entry_idx: 0, block: None }
+        SstCursor { sst, range: None, pending_lo: false, block_idx: 0, entry_idx: 0, block: None }
     }
 
-    /// A cursor over the entries of `sst` with keys in `[lo, hi]`.
-    pub fn bounded(sst: Arc<SstReader>, lo: &[u8], hi: &[u8]) -> Self {
-        let block_idx = sst.first_candidate_block(lo);
+    /// A cursor over the entries of `sst` with keys in `range`.
+    pub fn bounded(sst: Arc<SstReader>, range: KeyRange) -> Self {
+        let block_idx = sst.first_candidate_block(range.lo());
         SstCursor {
             sst,
-            hi: Some(hi.to_vec()),
-            pending_lo: Some(lo.to_vec()),
+            range: Some(range),
+            pending_lo: true,
             block_idx,
             entry_idx: 0,
             block: None,
@@ -868,6 +949,11 @@ impl SstCursor {
         &self.sst
     }
 
+    /// The clamp this cursor walks under (`None` = the whole file).
+    pub fn range(&self) -> Option<&KeyRange> {
+        self.range.as_ref()
+    }
+
     /// The next in-range entry's position, no bytes copied; `Ok(None)` at
     /// the end. The returned `Arc` keeps the block alive independently of
     /// the cursor moving on.
@@ -875,29 +961,30 @@ impl SstCursor {
         &mut self,
         mut fetch: impl FnMut(&Arc<SstReader>, usize) -> Result<Arc<Block>>,
     ) -> Result<Option<(Arc<Block>, u32)>> {
+        let hi = self.range.as_ref().map(KeyRange::hi);
         loop {
             let block = match &self.block {
                 Some(block) => block,
                 None => {
                     if self.block_idx >= self.sst.n_blocks()
-                        || self
-                            .hi
-                            .as_ref()
-                            .is_some_and(|hi| self.sst.block_meta(self.block_idx).first_key > *hi)
+                        || hi.is_some_and(|hi| {
+                            self.sst.block_meta(self.block_idx).first_key.as_slice() > hi
+                        })
                     {
                         return Ok(None);
                     }
                     let block = fetch(&self.sst, self.block_idx)?;
-                    self.entry_idx = match self.pending_lo.take() {
-                        Some(lo) => block.lower_bound(&lo),
+                    self.entry_idx = match self.range.as_ref().filter(|_| self.pending_lo) {
+                        Some(range) => block.lower_bound(range.lo()),
                         None => 0,
                     };
+                    self.pending_lo = false;
                     self.block.insert(block)
                 }
             };
             if self.entry_idx < block.len() {
                 let i = self.entry_idx;
-                if self.hi.as_ref().is_some_and(|hi| block.key(i) > hi.as_slice()) {
+                if hi.is_some_and(|hi| block.key(i) > hi) {
                     return Ok(None);
                 }
                 self.entry_idx += 1;

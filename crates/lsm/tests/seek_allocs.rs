@@ -1,10 +1,16 @@
-//! Allocation guard for the filter-negative Seek: a Seek every candidate
-//! file's filter rejects reads no block, builds no cursor and — on keys
-//! already as wide as the filter's training width, which is every `u64`
-//! workload — pads nothing, so it has no reason to touch the heap. A copied
-//! bound or a padded probe key sneaking back in would fail no functional
-//! test; it shows up only as allocator traffic under every Seek, so it is
-//! pinned here with a counting allocator.
+//! Allocation guard for the Seek: a Seek every candidate file's filter
+//! rejects reads no block, builds no cursor and — on keys already as wide
+//! as the filter's training width, which is every `u64` workload — pads
+//! nothing, so it has no reason to touch the heap. A copied bound or a
+//! padded probe key sneaking back in would fail no functional test; it
+//! shows up only as allocator traffic under every Seek, so it is pinned
+//! here with a counting allocator.
+//!
+//! The false-positive Seek — one file's filter lets it through and its
+//! block comes from disk — is pinned the same way, on the same store
+//! reopened with a cold cache: one shared copy of the bounds, the merge's
+//! two vectors and the decoded block, nothing per admitted file, per read
+//! buffer or per key.
 //!
 //! This file is its own test binary on purpose: the `#[global_allocator]`
 //! below must not be shared with any other suite, and it holds exactly one
@@ -48,6 +54,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const KEYS: u64 = 40_000;
 const SEEKS: usize = 10_000;
+/// False-positive Seeks counted on the reopened store.
+const FALSE_POSITIVES: usize = 500;
+/// The most allocations one false-positive Seek that reads its block from
+/// disk may make: the seven it keeps until it returns (the shared bounds,
+/// the merge's heap and sources, the block's payload, keys, entries and
+/// `Arc`), plus one growth each of the cache shard's map and slot array and
+/// of the thread's read buffer. Most such Seeks make exactly seven.
+const MAX_FALSE_POSITIVE_ALLOCS: u64 = 10;
 
 /// Keys scattered over the whole u64 space, none with any of its low 16 bits
 /// set.
@@ -74,17 +88,16 @@ fn split(i: u64, salt: u64) -> (u64, u64) {
 }
 
 /// Load a store trained on `query`, find [`SEEKS`] Seeks every file's filter
-/// rejects, and count what running them again allocates. Returns the
-/// designs of the live files those Seeks probed (each filter's `name()`).
-fn filter_negative_seeks_allocate_nothing(
-    tag: &str,
-    query: fn(u64, u64) -> (u64, u64),
-) -> Vec<String> {
+/// rejects, and count what running them again allocates; then reopen the
+/// store and count what each of [`FALSE_POSITIVES`] Seeks one filter lets
+/// through allocates. Returns the designs of the live files those Seeks
+/// probed (each filter's `name()`).
+fn seeks_allocate_only_what_they_keep(tag: &str, query: fn(u64, u64) -> (u64, u64)) -> Vec<String> {
     let dir =
         std::env::temp_dir().join(format!("proteus-seek-allocs-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = DbConfig::builder().memtable_bytes(256 << 10).build().unwrap();
-    let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
+    let db = Db::open(&dir, cfg.clone(), Arc::new(ProteusFactory::default())).unwrap();
     let mut sorted: Vec<u64> = (0..KEYS).map(key).collect();
     sorted.sort_unstable();
     let empty = |&(lo, hi): &(u64, u64)| {
@@ -141,6 +154,46 @@ fn filter_negative_seeks_allocate_nothing(
     let live = db.describe().into_iter().flatten();
     let designs = live.map(|sst| sst.filter.expect("every file has a filter")).collect();
     drop(db);
+
+    // Reopened, the block cache is cold: a Seek one filter lets through
+    // pays a block read from disk. Only Seeks that did exactly that — one
+    // false positive, one block read, no cache hit — and whose offer the
+    // sample queue did not record are counted.
+    let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
+    let every = db.config().sample_every();
+    let (mut counted, mut total, mut worst) = (0usize, 0u64, 0u64);
+    for i in 0.. {
+        if counted == FALSE_POSITIVES {
+            break;
+        }
+        let Some((lo, hi)) = Some(query(i, 3)).filter(empty) else { continue };
+        let (lo, hi) = (u64_key(lo), u64_key(hi));
+        let before = db.stats().snapshot();
+        let allocs_before = ALLOCS.load(Ordering::Relaxed);
+        assert!(!db.seek(&lo, &hi).unwrap(), "the range holds no key");
+        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+        let d = db.stats().snapshot().delta(&before);
+        if d.filter_false_positives == 1
+            && d.blocks_read == 1
+            && d.cache_hits == 0
+            && !(before.sample_offers + 1).is_multiple_of(every)
+        {
+            counted += 1;
+            total += allocs;
+            worst = worst.max(allocs);
+        }
+    }
+    assert!(
+        worst <= MAX_FALSE_POSITIVE_ALLOCS,
+        "{tag}: a false-positive Seek that read its block from disk made {worst} allocations \
+         (mean {:.2} over {FALSE_POSITIVES}); at most {MAX_FALSE_POSITIVE_ALLOCS} allowed",
+        total as f64 / FALSE_POSITIVES as f64
+    );
+    eprintln!(
+        "{tag}: false-positive Seek allocations: mean {:.2}, max {worst}",
+        total as f64 / FALSE_POSITIVES as f64
+    );
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     designs
 }
@@ -158,13 +211,13 @@ fn filter_negative_seek_allocates_only_what_the_queue_records() {
     // Every query a short range just above a stored key, as is the seeded
     // sample: files design themselves a Bloom filter alone (but for the odd
     // small one that trains on the whole queue).
-    let designs = filter_negative_seeks_allocate_nothing("bloom", near_a_key);
+    let designs = seeks_allocate_only_what_they_keep("bloom", near_a_key);
     assert!(spans(&designs) * 10 < designs.len(), "{designs:?}");
     // Half the queries long ranges: the files compaction writes, an eighth
     // of the key space each, put a span bitmap in front of the Bloom filter
     // (a flushed file, spread over all of it, cannot afford one), and a Seek
     // through it — its leaf cursor on the stack — allocates no more than one
     // without.
-    let designs = filter_negative_seeks_allocate_nothing("span", split);
+    let designs = seeks_allocate_only_what_they_keep("span", split);
     assert!(spans(&designs) * 3 > designs.len(), "{designs:?}");
 }
