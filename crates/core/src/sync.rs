@@ -65,17 +65,14 @@ pub mod rank {
     pub const WORKER: Rank = Rank::new(90, "worker");
     /// The MemTable state (`RwLock<MemState>`): which tables exist.
     /// Writers serialize on it and it nests over one table's data, the
-    /// WAL (append/rotate) and the gate (rotation publish).
+    /// WAL (append/rotate) and the manifest (a scan's `Version`).
     pub const MEMTABLE: Rank = Rank::new(80, "memtable");
     /// One MemTable's content (`Arc<RwLock<MemTable>>`, active or
     /// frozen): written under `MEMTABLE`, read by point lookups under it
     /// and by scan cursors on their own, one table at a time. Guards
-    /// in-memory work only — never held across a WAL append, a gate wait
-    /// or a block fetch.
+    /// in-memory work only — never held across a WAL append or a block
+    /// fetch.
     pub const MEMTABLE_DATA: Rank = Rank::new(75, "memtable-data");
-    /// The background thread's coordination gate (`Mutex<Coord>` plus
-    /// its one condvar).
-    pub const GATE: Rank = Rank::new(70, "gate");
     /// The write-ahead-log interior (segment writer + group-commit
     /// state).
     pub const WAL: Rank = Rank::new(60, "wal");
@@ -105,8 +102,7 @@ mod imp {
     use std::mem::ManuallyDrop;
     use std::ops::{Deref, DerefMut};
     use std::panic::Location;
-    use std::sync::{LockResult, PoisonError, WaitTimeoutResult};
-    use std::time::Duration;
+    use std::sync::{LockResult, PoisonError};
 
     #[derive(Clone, Copy)]
     struct Held {
@@ -311,29 +307,6 @@ mod imp {
                 Ok(g) => Ok(MutexGuard::resume(g, rank, site)),
                 Err(p) => Err(PoisonError::new(MutexGuard::resume(p.into_inner(), rank, site))),
             }
-        }
-
-        /// Mirror of [`std::sync::Condvar::wait_timeout`].
-        #[track_caller]
-        pub fn wait_timeout<'a, T>(
-            &self,
-            guard: MutexGuard<'a, T>,
-            dur: Duration,
-        ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-            let site = Location::caller();
-            let (inner, rank) = guard.suspend();
-            match self.inner.wait_timeout(inner, dur) {
-                Ok((g, t)) => Ok((MutexGuard::resume(g, rank, site), t)),
-                Err(p) => {
-                    let (g, t) = p.into_inner();
-                    Err(PoisonError::new((MutexGuard::resume(g, rank, site), t)))
-                }
-            }
-        }
-
-        /// Wake one waiter.
-        pub fn notify_one(&self) {
-            self.inner.notify_one();
         }
 
         /// Wake all waiters.
@@ -586,10 +559,10 @@ mod tests {
         if !doctor_enabled() {
             return;
         }
-        let m = Mutex::new(rank::GATE, ());
+        let m = Mutex::new(rank::WAL, ());
         {
             let _g = m.lock().unwrap();
-            assert_eq!(held_ranks(), vec![(rank::GATE.level(), "gate")]);
+            assert_eq!(held_ranks(), vec![(rank::WAL.level(), "wal")]);
         }
         assert!(held_ranks().is_empty());
     }

@@ -49,8 +49,8 @@ fn same_rank_reentry_panics() {
         return;
     }
     let result = std::thread::spawn(|| {
-        let a = Mutex::new(rank::GATE, ());
-        let b = Mutex::new(rank::GATE, ());
+        let a = Mutex::new(rank::CACHE_SHARD, ());
+        let b = Mutex::new(rank::CACHE_SHARD, ());
         let _first = a.lock().unwrap();
         let _second = b.lock(); // would deadlock if it were the same lock
     })
@@ -63,7 +63,7 @@ fn same_rank_reentry_panics() {
 /// take the lock) and restore it when the wait returns.
 #[test]
 fn condvar_wait_releases_and_reacquires_the_held_entry() {
-    let pair = Arc::new((Mutex::new(rank::GATE, false), Condvar::new()));
+    let pair = Arc::new((Mutex::new(rank::WAL, false), Condvar::new()));
     let observed_free = Arc::new(AtomicBool::new(false));
 
     let waiter = {
@@ -78,7 +78,7 @@ fn condvar_wait_releases_and_reacquires_the_held_entry() {
             // builds, the held stack shows the lock again.
             if doctor_enabled() {
                 let held = proteus_core::sync::held_ranks();
-                assert_eq!(held, vec![(rank::GATE.level(), "gate")], "stack restored after wait");
+                assert_eq!(held, vec![(rank::WAL.level(), "wal")], "stack restored after wait");
             }
             *g = false;
         })
@@ -118,20 +118,30 @@ fn condvar_wait_keeps_outer_locks_on_the_stack() {
         return;
     }
     let outer = Mutex::new(rank::MEMTABLE, ());
-    let pair = (Mutex::new(rank::GATE, ()), Condvar::new());
+    let pair = Arc::new((Mutex::new(rank::WAL, false), Condvar::new()));
     let _o = outer.lock().unwrap();
-    let g = pair.0.lock().unwrap();
-    let (g, timeout) = pair.1.wait_timeout(g, Duration::from_millis(5)).unwrap();
-    assert!(timeout.timed_out());
+    let mut g = pair.0.lock().unwrap();
+    let notifier = {
+        let pair = Arc::clone(&pair);
+        std::thread::spawn(move || {
+            let (m, cv) = &*pair;
+            *m.lock().unwrap() = true;
+            cv.notify_all();
+        })
+    };
+    while !*g {
+        g = pair.1.wait(g).unwrap();
+    }
     let held = proteus_core::sync::held_ranks();
     assert_eq!(
         held,
-        vec![(rank::MEMTABLE.level(), "memtable"), (rank::GATE.level(), "gate")],
+        vec![(rank::MEMTABLE.level(), "memtable"), (rank::WAL.level(), "wal")],
         "outer lock survives the wait; inner entry is restored in order"
     );
     drop(g);
+    notifier.join().expect("notifier must not panic");
     // Descending acquisition still fine after the resume.
-    let lo = Mutex::new(rank::WAL, ());
+    let lo = Mutex::new(rank::MANIFEST, ());
     let _l = lo.lock().unwrap();
 }
 

@@ -167,7 +167,7 @@ pub(crate) fn pass(db: &DbInner) -> Result<usize> {
         // Re-training every flagged file can take a while right after a
         // shift (every live SST flags at once); re-check shutdown between
         // files so dropping the Db joins within one retrain.
-        if db.shutting_down()? {
+        if db.shutting_down() {
             break;
         }
         let new = Arc::new(retrain(

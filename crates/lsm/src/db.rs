@@ -86,33 +86,28 @@
 //! decreasing rank order (the full hierarchy table lives in
 //! `ARCHITECTURE.md`). The ranks used here: `WORKER` (90, one unit of
 //! background work) > `MEMTABLE` (80, the table set) > `MEMTABLE_DATA`
-//! (75, one table's content) > `GATE` (70, worker coordination) > `WAL`
-//! (60) > `MANIFEST` (50) > `CACHE_SHARD` (30) > `QUERY_QUEUE` (20).
-//! `WORKER` is taken with nothing else held; the other nestings all
-//! descend (so no acquisition cycle can form across threads): MemTable →
-//! table data (a write applies, a `get` looks up and a scan seeks under
-//! the store-wide lock; a table lock guards in-memory work only and is
-//! released before the WAL, the gate or a block is touched — the one
-//! long hold is a flush's read lock on a frozen table, which has no writer
-//! to keep waiting), MemTable → WAL (appends and seals happen under the
-//! MemTable write lock), MemTable → gate (a rotation counts itself for the
-//! background thread before releasing the MemTable lock), and MemTable →
-//! manifest (a scan takes its `Version` in the same hold as its tables).
+//! (75, one table's content) > `WAL` (60) > `MANIFEST` (50) >
+//! `CACHE_SHARD` (30) > `QUERY_QUEUE` (20). `WORKER` is taken with
+//! nothing else held; the other nestings all descend (so no acquisition
+//! cycle can form across threads): MemTable → table data (a write
+//! applies, a `get` looks up and a scan seeks under the store-wide lock;
+//! a table lock guards in-memory work only and is released before the WAL
+//! or a block is touched — the one long hold is a flush's read lock on a
+//! frozen table, which has no writer to keep waiting), MemTable → WAL
+//! (appends and seals happen under the MemTable write lock), and MemTable
+//! → manifest (a scan takes its `Version` in the same hold as its tables).
 //! Debug builds (and release builds with the `lock-doctor` feature)
 //! verify the ordering at runtime and panic, naming both acquisition
-//! sites, on any inversion.
+//! sites, on any inversion. No lock coordinates the background thread: a
+//! rotation `unpark`s it, shutdown is a flag, and the sticky error is
+//! set once.
 //! An error raised under the worker lock is sticky: it is returned, and
 //! so by every later turn, pass, barrier and rotating write. A poisoned
 //! foreground lock (another thread panicked) surfaces as
-//! [`Error::Poisoned`]; the background thread treats a poisoned lock the
-//! same way — it records the sticky error and exits rather than panicking
-//! (a worker panic would poison the coordination gate in turn). Shutdown
-//! ([`Db::drop`], crash injection) and error recording *recover* a
-//! poisoned gate guard instead of propagating it, so dropping a `Db` whose
-//! worker crashed always completes instead of double-panicking into a
-//! process abort. A poisoned manifest lock is recovered too: its content
-//! is an `Arc` swapped in a single assignment, so a panic under the lock
-//! can never expose a half-edited version.
+//! [`Error::Poisoned`]; the background thread records it as the sticky
+//! error and exits rather than panicking. A poisoned manifest lock is
+//! recovered: its content is an `Arc` swapped in a single assignment, so
+//! a panic under the lock can never expose a half-edited version.
 
 use crate::batch::WriteBatch;
 use crate::cache::ShardedBlockCache;
@@ -126,14 +121,12 @@ use crate::stats::Stats;
 use crate::wal::{self, Wal};
 use crate::{adapt, compact, manifest};
 use proteus_core::key::u64_key;
-use proteus_core::sync::{
-    rank, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use proteus_core::sync::{rank, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::ops::{Bound, RangeBounds};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError};
+use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
 pub use crate::config::{DbConfig, DbConfigBuilder};
@@ -190,21 +183,6 @@ impl MemState {
     }
 }
 
-/// Background-thread coordination state.
-#[derive(Debug, Default)]
-struct Coord {
-    shutdown: bool,
-    /// Crash injection (test support): the background thread exits and
-    /// the final flush and shutdown sync are skipped.
-    crash: bool,
-    /// MemTables rotated onto the immutable queue (monotonic): the
-    /// background thread sleeps only if none arrived since it last looked.
-    rotated: u64,
-    /// First error raised under the worker lock; every later turn, pass
-    /// and barrier returns it.
-    error: Option<String>,
-}
-
 /// What one [`DbInner::turn`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Turn {
@@ -229,9 +207,15 @@ pub(crate) struct DbInner {
     /// Held around every turn, adaptive pass and manifest edit, whichever
     /// thread runs it (see [`DbInner::exclusive`]).
     worker: Mutex<()>,
-    gate: Mutex<Coord>,
-    /// Wakes the background thread (rotation, shutdown).
-    work_cv: Condvar,
+    /// Set when the `Db` shuts down: the background thread exits at its
+    /// next check.
+    shutdown: AtomicBool,
+    /// First error raised under the worker lock; every later turn, pass,
+    /// barrier and rotating write returns it.
+    error: OnceLock<String>,
+    /// The background thread, which a rotation `unpark`s. Unset on a
+    /// store built by [`Db::recover`].
+    bg: OnceLock<Thread>,
 }
 
 /// A single-process, multi-threaded LSM-tree database with pluggable
@@ -271,15 +255,13 @@ pub(crate) struct DbInner {
 pub struct Db {
     pub(crate) inner: Arc<DbInner>,
     thread: Option<JoinHandle<()>>,
+    /// Crash injection (test support): `Drop` skips the final flush and
+    /// sync.
+    crash: bool,
 }
 
 fn bg_error(msg: &str) -> Error {
     Error::Io(std::io::Error::other(format!("background work failed: {msg}")))
-}
-
-/// The gate (or a wait on its condvar) came back poisoned.
-fn gate_poisoned<T>(_: PoisonError<T>) -> Error {
-    Error::Poisoned("coordination lock")
 }
 
 impl Db {
@@ -313,15 +295,16 @@ impl Db {
     ) -> Result<Db> {
         let mut db = Db::recover(dir.into(), cfg, factory)?;
         // An `Err` from the loop — a failed flush, a poisoned lock —
-        // becomes the sticky error and the thread exits: a panic would
-        // poison the gate too and turn `Db::drop` into a process abort.
+        // becomes the sticky error and the thread exits.
         let bg = Arc::clone(&db.inner);
         let body = move || {
             if let Err(e) = bg.worker_loop() {
                 bg.record_error(&e);
             }
         };
-        db.thread = Some(std::thread::Builder::new().name("proteus-lsm-bg".into()).spawn(body)?);
+        let handle = std::thread::Builder::new().name("proteus-lsm-bg".into()).spawn(body)?;
+        let _ = db.inner.bg.set(handle.thread().clone());
+        db.thread = Some(handle);
         Ok(db)
     }
 
@@ -382,27 +365,20 @@ impl Db {
             cache,
             stats,
             worker: Mutex::new(rank::WORKER, ()),
-            gate: Mutex::new(rank::GATE, Coord::default()),
-            work_cv: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            error: OnceLock::new(),
+            bg: OnceLock::new(),
         });
-        Ok(Db { inner, thread: None })
+        Ok(Db { inner, thread: None, crash: false })
     }
 
     /// Tell the background thread (if any) to exit, wake it and join it.
-    /// Returns whether crash injection was ever requested. Recovers a
-    /// poisoned gate — see `Drop` for why this must not panic.
-    fn stop_worker(&mut self, crash: bool) -> bool {
-        let crashed = {
-            let mut g = self.inner.gate_lock_recover();
-            g.shutdown = true;
-            g.crash |= crash;
-            g.crash
-        };
-        self.inner.work_cv.notify_all();
+    fn stop_worker(&mut self) {
+        self.inner.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.thread.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
-        crashed
     }
 
     /// The configuration this database was opened with.
@@ -667,7 +643,8 @@ impl Db {
     }
 
     fn crash_impl(mut self, power_loss: bool) {
-        self.stop_worker(true);
+        self.crash = true;
+        self.stop_worker();
         if power_loss {
             let _ = self.inner.wal.truncate_unsynced();
         }
@@ -682,15 +659,9 @@ impl Drop for Db {
     /// segment, which the next [`Db::open`] replays, and the drop ends
     /// with a final segment sync so even a power loss right after it
     /// loses nothing.
-    ///
-    /// A poisoned coordination lock (a thread panicked while holding it)
-    /// is *recovered* here, never propagated: panicking out of `drop`
-    /// while the caller is already unwinding would be a double panic and
-    /// abort the process, turning one crashed worker into a lost WAL sync
-    /// for every shard still shutting down. `Coord` is plain bookkeeping
-    /// data, so the recovered guard is safe to use.
     fn drop(&mut self) {
-        if !self.stop_worker(false) {
+        self.stop_worker();
+        if !self.crash {
             // Graceful shutdown. Skipped on crash injection — a killed
             // process gets no parting flush or fsync. A failed flush keeps
             // its tables' sealed segments, which the next open replays.
@@ -734,29 +705,15 @@ impl DbInner {
         self.mem.write().map_err(|_| Error::Poisoned("memtable lock"))
     }
 
-    fn gate_lock(&self) -> Result<MutexGuard<'_, Coord>> {
-        self.gate.lock().map_err(gate_poisoned)
-    }
-
     /// Has shutdown been requested? Lets long background passes stop
     /// between units of work.
-    pub(crate) fn shutting_down(&self) -> Result<bool> {
-        Ok(self.gate_lock()?.shutdown)
-    }
-
-    /// Coordination lock for paths that must *always* complete — shutdown,
-    /// crash injection and sticky-error recording. A poisoned guard is
-    /// recovered ([`std::sync::PoisonError::into_inner`]): `Coord` is plain
-    /// counters and flags whose invariants hold after any partial update,
-    /// and refusing to shut down (or worse, double-panicking in `Drop`)
-    /// because a worker died would abort the whole process.
-    fn gate_lock_recover(&self) -> MutexGuard<'_, Coord> {
-        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
+    pub(crate) fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
     }
 
     /// The sticky error, if one was recorded.
     fn check_error(&self) -> Result<()> {
-        match &self.gate_lock()?.error {
+        match self.error.get() {
             Some(e) => Err(bg_error(e)),
             None => Ok(()),
         }
@@ -810,8 +767,9 @@ impl DbInner {
         let frozen = std::mem::replace(&mut mem.active, shared_table(MemTable::new()));
         mem.imms.push(Imm { mem: frozen, wal_id });
         self.stats.memtable_rotations.inc();
-        self.gate_lock()?.rotated += 1;
-        self.work_cv.notify_one();
+        if let Some(bg) = self.bg.get() {
+            bg.unpark();
+        }
         Ok(true)
     }
 
@@ -869,14 +827,9 @@ impl DbInner {
         Ok(())
     }
 
-    /// Record the sticky error. Recovers a poisoned gate: this is the one
-    /// path that must succeed precisely *because* another thread panicked,
-    /// so it can never be allowed to panic itself.
+    /// Record the sticky error; the first one recorded wins.
     fn record_error(&self, e: &Error) {
-        let mut g = self.gate_lock_recover();
-        if g.error.is_none() {
-            g.error = Some(e.to_string());
-        }
+        let _ = self.error.set(e.to_string());
     }
 
     // ---- the worker's turn and the background thread -------------------
@@ -908,32 +861,30 @@ impl DbInner {
 
     /// The background thread: take turns until there is nothing to do,
     /// run an adaptive pass if `adapt_enabled` and `adapt_interval` has
-    /// passed since the last one, then sleep on `work_cv` until a rotation,
-    /// shutdown or the next pass. It never waits holding the worker lock,
-    /// so barriers and stalled writers take turns of their own meanwhile.
+    /// passed since the last one, then park until a rotation, shutdown or
+    /// the next pass. It never waits holding the worker lock, so barriers
+    /// and stalled writers take turns of their own meanwhile.
+    ///
+    /// No wake-up is lost: an `unpark` that lands while the turns run
+    /// leaves a token behind, and the next `park` consumes it and returns
+    /// at once, so the loop looks again. Spurious returns only cost one
+    /// idle look.
     fn worker_loop(&self) -> Result<()> {
         let mut next_pass = Instant::now();
-        loop {
-            let seen = self.gate_lock()?.rotated;
-            while !self.shutting_down()? && self.turn(false)? != Turn::Idle {}
+        // On shutdown `Drop` flushes what is still frozen.
+        while !self.shutting_down() {
+            while !self.shutting_down() && self.turn(false)? != Turn::Idle {}
             if self.cfg.adapt_enabled() && Instant::now() >= next_pass {
                 self.exclusive(|| adapt::pass(self))?;
                 next_pass = Instant::now() + self.cfg.adapt_interval();
             }
-            let g = self.gate_lock()?;
-            if g.shutdown {
-                return Ok(()); // `Drop` flushes what is still frozen
-            }
-            if g.rotated != seen {
-                continue; // a rotation since the turns looked: no wake-up missed
-            }
             if self.cfg.adapt_enabled() {
-                let due = next_pass.saturating_duration_since(Instant::now());
-                drop(self.work_cv.wait_timeout(g, due).map_err(gate_poisoned)?);
+                std::thread::park_timeout(next_pass.saturating_duration_since(Instant::now()));
             } else {
-                drop(self.work_cv.wait(g).map_err(gate_poisoned)?);
+                std::thread::park();
             }
         }
+        Ok(())
     }
 
     /// Flush the oldest frozen MemTable, if there is one, and delete its
@@ -991,11 +942,11 @@ impl DbInner {
 
 #[cfg(test)]
 mod poison_tests {
-    //! Regression tests for the panic-safety sweep: a poisoned
-    //! coordination gate must surface as [`Error::Poisoned`] on the
-    //! foreground, stop the background thread via the sticky-error path
-    //! (no worker panics), and never turn `Db::drop` into a panic (which,
-    //! during an unwind, would be a double panic and abort the process).
+    //! Regression tests for the panic-safety sweep: a poisoned worker lock
+    //! must surface as [`Error::Poisoned`] on the foreground, stop the
+    //! background thread via the sticky-error path (no worker panics), and
+    //! never turn `Db::drop` into a panic (which, during an unwind, would
+    //! be a double panic and abort the process).
 
     use super::*;
     use crate::NoFilterFactory;
@@ -1030,30 +981,50 @@ mod poison_tests {
         })
     }
 
-    /// Poison the coordination gate the way a crashed worker would: panic
-    /// on a helper thread while holding the lock.
-    fn poison_gate(db: &Db) {
+    /// Poison the worker lock the way a crashed turn would: panic on a
+    /// helper thread while holding it.
+    fn poison_worker(db: &Db) {
         let inner = Arc::clone(&db.inner);
         let _ = std::thread::spawn(move || {
-            let _g = inner.gate.lock().unwrap();
-            panic!("deliberate gate poisoning (test)");
+            let _g = inner.worker.lock().unwrap();
+            panic!("deliberate worker-lock poisoning (test)");
         })
         .join();
-        assert!(db.inner.gate.lock().is_err(), "gate must now be poisoned");
+        assert!(db.inner.worker.lock().is_err(), "worker lock must now be poisoned");
+    }
+
+    /// A store whose background thread wakes every millisecond and has
+    /// met a poisoned worker lock: it has recorded the sticky error and
+    /// exited by the time this returns.
+    fn store_after_background_error(dir: &std::path::Path) -> Db {
+        let cfg = DbConfig::builder()
+            .adapt_enabled(true)
+            .adapt_interval(Duration::from_millis(1))
+            .memtable_bytes(1)
+            .build()
+            .unwrap();
+        let db = Db::open(dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        poison_worker(&db);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !db.thread.as_ref().unwrap().is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(db.thread.as_ref().unwrap().is_finished(), "the background thread exits");
+        db
     }
 
     #[test]
-    fn drop_with_poisoned_gate_never_panics() {
+    fn drop_with_poisoned_worker_never_panics() {
         worker_panics();
         let dir = tmpdir("drop");
         let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
         db.put_u64(7, b"survives").unwrap();
-        poison_gate(&db);
-        // Before the fix `Drop` did `gate.lock().unwrap()` and panicked
-        // here — which, had the caller already been unwinding, would have
-        // aborted the process.
+        poison_worker(&db);
+        // The final flush meets the poisoned lock; `Drop` swallows the
+        // error instead of panicking, which would abort a caller that is
+        // already unwinding.
         let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(db)));
-        assert!(dropped.is_ok(), "Db::drop must complete with a poisoned gate");
+        assert!(dropped.is_ok(), "Db::drop must complete with a poisoned worker lock");
         // The final WAL sync still ran: the acked write survives a reopen.
         let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
         assert_eq!(db.get_u64(7).unwrap().as_deref(), Some(&b"survives"[..]));
@@ -1062,12 +1033,12 @@ mod poison_tests {
     }
 
     #[test]
-    fn poisoned_gate_surfaces_typed_error_on_barriers() {
+    fn poisoned_worker_surfaces_typed_error_on_barriers() {
         worker_panics();
         let dir = tmpdir("typed");
         let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
         db.put_u64(1, b"v").unwrap();
-        poison_gate(&db);
+        poison_worker(&db);
         assert!(matches!(db.flush(), Err(Error::Poisoned(_))));
         assert!(matches!(db.flush_and_settle(), Err(Error::Poisoned(_))));
         assert!(matches!(db.adapt_now(), Err(Error::Poisoned(_))));
@@ -1076,23 +1047,14 @@ mod poison_tests {
     }
 
     #[test]
-    fn workers_exit_sticky_not_panicking_on_poisoned_gate() {
+    fn background_thread_exits_sticky_not_panicking_on_poisoned_worker() {
         let panics = worker_panics();
         let before = panics.load(Ordering::SeqCst);
         let dir = tmpdir("workers");
-        // Periodic passes every 1 ms, so the worker's timed sleep on
-        // `work_cv` — the original bug's `wait_timeout` path — runs within
-        // the test's lifetime.
-        let cfg = DbConfig::builder()
-            .adapt_enabled(true)
-            .adapt_interval(Duration::from_millis(1))
-            .build()
-            .unwrap();
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
-        db.put_u64(2, b"v").unwrap();
-        poison_gate(&db);
-        // Dropping the Db joins the thread: it has met the poisoned gate,
-        // taken the sticky-error path and exited by the time this returns.
+        // Periodic passes every 1 ms: the thread's timed park returns and
+        // it takes a turn within the test's lifetime.
+        let db = store_after_background_error(&dir);
+        assert!(db.inner.error.get().is_some(), "the thread recorded the sticky error");
         let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(db)));
         assert!(dropped.is_ok());
         let after = panics.load(Ordering::SeqCst);
@@ -1101,6 +1063,18 @@ mod poison_tests {
             0,
             "the background thread must take the sticky-error path, not panic"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rotating_write_returns_the_background_error() {
+        worker_panics();
+        let dir = tmpdir("rotating");
+        let db = store_after_background_error(&dir);
+        // With a 1-byte MemTable budget every write rotates.
+        let err = db.put_u64(3, b"v").unwrap_err();
+        assert!(err.to_string().contains("background work failed"), "{err}");
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(db)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

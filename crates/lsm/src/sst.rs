@@ -272,6 +272,8 @@ pub struct SstDescription {
     /// The filter's [`RangeFilter::name`], which carries its design
     /// (`l1`, how the coarse stage is stored, `l2`); `None` = no filter.
     pub filter: Option<String>,
+    /// The filter's size over `entries`: its `size_bits()` per entry.
+    pub bits_per_key: Option<f64>,
     /// The FPR the filter's design predicted on its training sample.
     pub expected_fpr: Option<f64>,
     /// Probes in the current window that passed a range holding no key.
@@ -545,6 +547,7 @@ impl SstReader {
             min_key: self.min_key.clone(),
             max_key: self.max_key.clone(),
             filter: self.filter().map(|f| f.name()),
+            bits_per_key: self.filter().map(|f| f.size_bits() as f64 / self.n_entries as f64),
             expected_fpr: self.filter().and_then(|f| f.expected_fpr()),
             false_positives: self.probe_fp.load(Ordering::Relaxed),
             true_negatives: self.probe_tn.load(Ordering::Relaxed),

@@ -296,6 +296,8 @@ fn a_moved_file_reopens_at_the_level_the_manifest_lists() {
     let [flushed] = &db.describe()[0][..] else { panic!("one flush, one L0 file") };
     let flushed = flushed.clone();
     assert!(flushed.filter.is_some());
+    let bits_per_key = flushed.bits_per_key.expect("a filter has a size");
+    assert_eq!(bits_per_key, db.filter_bits() as f64 / flushed.entries as f64);
     db.flush_and_settle().unwrap();
     assert_eq!(db.stats().trivial_moves.get(), 1);
     assert_eq!(db.describe(), [vec![], vec![flushed.clone()]]);
@@ -311,8 +313,8 @@ fn a_moved_file_reopens_at_the_level_the_manifest_lists() {
         let [sst] = &levels[level][..] else { panic!("{levels:?}") };
         assert_eq!(levels.iter().map(Vec::len).sum::<usize>(), 1, "{levels:?}");
         assert_eq!(
-            (sst.id, &sst.filter, sst.expected_fpr),
-            (flushed.id, &flushed.filter, flushed.expected_fpr)
+            (sst.id, &sst.filter, sst.bits_per_key, sst.expected_fpr),
+            (flushed.id, &flushed.filter, flushed.bits_per_key, flushed.expected_fpr)
         );
         assert_eq!(db.stats().filters_loaded.get(), 1, "decoded, not retrained");
     };
