@@ -165,10 +165,9 @@ impl VarBlockBuilder {
 /// when it pays.
 fn to_disk(raw: Vec<u8>) -> Vec<u8> {
     let raw_len = raw.len();
-    let (codec, payload) = match compress::compress(&raw) {
-        Some(c) => (1u8, c),
-        None => (0u8, raw),
-    };
+    let mut stored = Vec::new();
+    let (codec, payload) =
+        if compress::compress(&raw, &mut stored) { (1u8, stored) } else { (0u8, raw) };
     let mut disk = Vec::with_capacity(payload.len() + 9);
     disk.push(codec);
     put_len_u32(&mut disk, raw_len);

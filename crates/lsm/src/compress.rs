@@ -25,17 +25,21 @@ const MIN_ZERO_RUN: usize = 4;
 const LOW_BITS: u64 = 0x0101_0101_0101_0101;
 const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
 
-/// Compress `data`. Returns `None` when compression would not shrink it
-/// (the caller then stores the block raw, like RocksDB does).
-pub fn compress(data: &[u8]) -> Option<Vec<u8>> {
+/// Compress `data`, appending the token stream to `out`. Returns `false`,
+/// with `out` as it was, when compression would not shrink `data` (the
+/// caller then stores it raw, like RocksDB does). A caller that reuses
+/// `out` compresses without allocating once it has grown.
+pub fn compress(data: &[u8], out: &mut Vec<u8>) -> bool {
     let n = data.len();
-    let mut out = Vec::with_capacity(n / 2 + 16);
+    let start = out.len();
+    out.reserve(n / 2 + 16);
     let mut i = 0;
     while i < n {
         let lit_end = literal_end(data, i, n.min(i + MAX_RUN));
         let run_end = zero_run_end(data, lit_end, n.min(lit_end + MAX_RUN));
-        if out.len() + 4 + (lit_end - i) >= n {
-            return None;
+        if out.len() - start + 4 + (lit_end - i) >= n {
+            out.truncate(start);
+            return false;
         }
         // Both lengths are at most MAX_RUN, so the casts are exact.
         out.extend_from_slice(&((lit_end - i) as u16).to_le_bytes());
@@ -43,7 +47,8 @@ pub fn compress(data: &[u8]) -> Option<Vec<u8>> {
         out.extend_from_slice(&((run_end - lit_end) as u16).to_le_bytes());
         i = run_end;
     }
-    (out.len() < n).then_some(out)
+    // Only an empty input, which appended nothing, gets here unshrunk.
+    out.len() - start < n
 }
 
 /// Where the literal starting at `i` ends: at the first run of at least
@@ -138,6 +143,12 @@ pub fn decompress(data: &[u8], raw_len: usize) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`compress`] into a fresh buffer, `None` when it stores raw.
+    fn compressed(data: &[u8]) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        compress(data, &mut out).then_some(out)
+    }
 
     /// The byte-at-a-time encoder [`compress`] replaced, kept as the
     /// reference its output must equal. Above 64 KiB it is not one: a 2–3
@@ -246,7 +257,7 @@ mod tests {
         for (i, b) in data[256..].iter_mut().enumerate() {
             *b = (i * 37 + 11) as u8;
         }
-        let c = compress(&data).expect("half-zero data must compress");
+        let c = compressed(&data).expect("half-zero data must compress");
         assert!(c.len() < 300, "ratio ~0.5 expected, got {} bytes", c.len());
         assert_eq!(decompress(&c, 512).unwrap(), data);
     }
@@ -254,7 +265,21 @@ mod tests {
     #[test]
     fn incompressible_data_returns_none() {
         let data: Vec<u8> = (0..512).map(|i| (i * 197 + 3) as u8 | 1).collect();
-        assert!(compress(&data).is_none());
+        assert!(compressed(&data).is_none());
+    }
+
+    #[test]
+    fn compress_appends_behind_what_the_buffer_holds() {
+        let data = [vec![5u8; 10], vec![0; 100]].concat();
+        let mut out = b"head".to_vec();
+        assert!(compress(&data, &mut out));
+        assert_eq!(&out[..4], b"head");
+        assert_eq!(decompress(&out[4..], data.len()).unwrap(), data);
+        // Data that does not shrink leaves the buffer as it was.
+        let before = out.clone();
+        assert!(!compress(&[7u8; 10], &mut out));
+        assert!(!compress(&[], &mut out));
+        assert_eq!(out, before);
     }
 
     #[test]
@@ -266,7 +291,7 @@ mod tests {
             [vec![1, 2, 3], vec![0; 100], vec![4, 5], vec![0; 7], vec![9]].concat(),
         ] {
             // None = stored raw, nothing to verify.
-            if let Some(c) = compress(&data) {
+            if let Some(c) = compressed(&data) {
                 assert_eq!(decompress(&c, data.len()).unwrap(), data);
             }
         }
@@ -275,7 +300,7 @@ mod tests {
     #[test]
     fn long_runs_split_at_u16_limit() {
         let data = vec![0u8; 200_000];
-        let c = compress(&data).unwrap();
+        let c = compressed(&data).unwrap();
         assert!(c.len() < 100);
         assert_eq!(decompress(&c, 200_000).unwrap(), data);
     }
@@ -287,7 +312,7 @@ mod tests {
             data.push(i as u8 + 1);
             data.extend_from_slice(&[0u8; 5]);
         }
-        let c = compress(&data).unwrap();
+        let c = compressed(&data).unwrap();
         assert_eq!(decompress(&c, data.len()).unwrap(), data);
     }
 
@@ -296,7 +321,7 @@ mod tests {
         // Truncations and bit flips of a valid stream must be rejected.
         let mut data = vec![0u8; 64];
         data[0] = 3;
-        let c = compress(&data).unwrap();
+        let c = compressed(&data).unwrap();
         for cut in 0..c.len() {
             let _ = decompress(&c[..cut], 64); // must not panic
         }
@@ -314,7 +339,7 @@ mod tests {
         for zeros in 1..=3 {
             for start in MAX_RUN - 4..=MAX_RUN + 1 {
                 let data = [vec![1u8; start], vec![0; zeros], vec![1; 10], vec![0; 1000]].concat();
-                let c = compress(&data).expect("the 1000-zero tail must compress");
+                let c = compressed(&data).expect("the 1000-zero tail must compress");
                 let lens = literal_lens(&c);
                 // The first literal is cut at the cap exactly, as the
                 // bytewise encoder cut it whenever it did not overshoot.
@@ -342,7 +367,7 @@ mod tests {
             // Half the cases stay near one 4 KiB block, the store's size.
             let len = if seed % 2 == 0 { len % 4200 } else { len };
             let data = shaped_input(shape, len, seed);
-            let got = compress(&data);
+            let got = compressed(&data);
             proptest::prop_assert_eq!(&got, &compress_bytewise(&data), "shape {} len {}", shape, len);
             if let Some(c) = got {
                 proptest::prop_assert_eq!(decompress(&c, len), Some(data));
@@ -365,7 +390,7 @@ mod tests {
             data.resize(lead + zeros, 0);
             data.extend(shaped_input(shape, len, seed));
             let len = data.len();
-            if let Some(c) = compress(&data) {
+            if let Some(c) = compressed(&data) {
                 proptest::prop_assert!(literal_lens(&c).iter().all(|&l| l <= MAX_RUN));
                 proptest::prop_assert_eq!(decompress(&c, len), Some(data));
             }

@@ -404,7 +404,7 @@ impl Db {
     /// otherwise).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         self.inner.check_key(key)?;
-        self.inner.apply_writes(vec![(key.to_vec(), Some(value.to_vec()))])
+        self.inner.apply_writes(&[(key, Some(value))])
     }
 
     /// Insert with a `u64` key.
@@ -433,7 +433,7 @@ impl Db {
     pub fn delete(&self, key: &[u8]) -> Result<()> {
         self.inner.check_key(key)?;
         self.inner.stats.deletes.inc();
-        self.inner.apply_writes(vec![(key.to_vec(), None)])
+        self.inner.apply_writes(&[(key, None::<&[u8]>)])
     }
 
     /// [`Db::delete`] with a `u64` key.
@@ -456,7 +456,7 @@ impl Db {
         }
         let deletes = ops.iter().filter(|(_, v)| v.is_none()).count() as u64;
         self.inner.stats.deletes.add(deletes);
-        self.inner.apply_writes(ops)
+        self.inner.apply_writes(&ops)
     }
 
     /// Ordered scan: an iterator over the live `(key, value)` entries in
@@ -781,25 +781,25 @@ impl DbInner {
 
     /// Apply pre-validated write operations (`None` value = tombstone)
     /// under one MemTable lock acquisition, then pay rotation backpressure
-    /// outside the lock.
-    fn apply_writes(&self, ops: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> Result<()> {
+    /// outside the lock. The ops are borrowed all the way down: the WAL
+    /// encodes them into its own buffers and the arena MemTable copies
+    /// them, so a put allocates nothing.
+    fn apply_writes<K: AsRef<[u8]>, V: AsRef<[u8]>>(&self, ops: &[(K, Option<V>)]) -> Result<()> {
         let (seq, rotated) = {
             let mut mem = self.mem_write()?;
             // WAL first, under the MemTable write lock: log order equals
             // apply order, and a failed append leaves the table untouched
             // (nothing unlogged is ever visible).
-            let seq = self.wal.append_commit(&ops, &self.stats)?;
-            // Borrowed apply: the op buffers were only needed owned for
-            // the WAL encode; the arena MemTable copies from slices and
-            // allocates nothing per entry. One stamp for the whole batch
-            // is what keeps it atomic for scans already under way: their
-            // cursors read the table as of an earlier stamp.
+            let seq = self.wal.append_commit(ops, &self.stats)?;
+            // One stamp for the whole batch is what keeps it atomic for
+            // scans already under way: their cursors read the table as of
+            // an earlier stamp.
             let full = {
                 let mut active =
                     mem.active.write().map_err(|_| Error::Poisoned("memtable lock"))?;
                 active.new_batch();
-                for (k, v) in &ops {
-                    active.apply_ref(k, v.as_deref());
+                for (k, v) in ops {
+                    active.apply_ref(k.as_ref(), v.as_ref().map(AsRef::as_ref));
                 }
                 active.is_full(self.cfg.memtable_bytes())
             };

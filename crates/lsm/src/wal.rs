@@ -29,16 +29,20 @@
 //! park on a condvar and are released in one wakeup. Thousands of writers
 //! amortize one sync — the classic group commit.
 //!
-//! ## On-disk format (magic `PRWALv1\0`)
+//! ## On-disk format (magic `PRWALv2\0`)
 //!
 //! ```text
 //! [segment header: 16 bytes]
-//!    0  8×u8 magic "PRWALv1\0"
+//!    0  8×u8 magic "PRWALv2\0"
 //!    8  u32  max key bytes (the opener's key-length limit)
 //!   12  u32  CRC-32 of bytes 0..12
 //! [commit record]*
-//!    u32 payload_len
-//!    u32 CRC-32(payload)
+//!    u32 stored_len
+//!    u32 CRC-32(stored)
+//!    stored:
+//!      u8 codec
+//!      codec 0 (raw):      payload
+//!      codec 1 (zero-RLE): u32 raw_len, token stream of the payload
 //!    payload:
 //!      u32 n_ops
 //!      n_ops × ( u8 tag: 0 = put, 1 = delete;
@@ -46,10 +50,24 @@
 //!                length-prefixed value   — puts only )
 //! ```
 //!
-//! Integers are little-endian. Replay reads the header, the record
-//! framing and the payloads through the `proteus-succinct` codec's
-//! [`ByteReader`]; keys and values are its length-prefixed runs
-//! ([`WireWrite::put_bytes`] / [`ByteReader::bytes`]).
+//! Integers are little-endian. The token stream is the SST blocks' zero-RLE
+//! codec ([`crate::compress`]), as RocksDB's `wal_compression` runs its WAL
+//! through the block compressor. A record is stored with codec 1 only when
+//! that is shorter (`4 + stream < payload`): the §6.2 values, half zeros,
+//! and the zero bytes of every length prefix make a put about half as long,
+//! while a delete or a record of zero-free bytes stays raw. Each record is
+//! still one `write`, so a process crash loses nothing under
+//! [`SyncMode::Off`]. The encode buffers live under the WAL lock and are
+//! reused, so an append allocates nothing once they have grown.
+//!
+//! Replay reads the header, the record framing and the payloads through
+//! the `proteus-succinct` codec's [`ByteReader`]; keys and values are its
+//! length-prefixed runs ([`WireWrite::put_bytes`] / [`ByteReader::bytes`]).
+//! The CRC, which covers the codec byte and `raw_len`, is checked before
+//! either is read, and [`crate::compress::decompress`] measures a stream
+//! before it allocates, so a `raw_len` nothing wrote cannot size a buffer.
+//! A `PRWALv1` segment (the raw records of earlier builds) is refused with
+//! [`Error::Corruption`] naming the file.
 //!
 //! ## Replay semantics
 //!
@@ -57,14 +75,16 @@
 //! bytes. A **torn tail** — the file ends mid-record, or the final
 //! record's checksum fails — is expected after a crash and recovers the
 //! longest valid prefix of commits. Damage strictly *before* the last
-//! record (a checksum mismatch with further bytes following, a bad tag or
-//! trailing garbage inside a CRC-valid payload, a damaged header) is
-//! mid-log corruption and fails the open with
+//! record (a checksum mismatch with further bytes following, a damaged
+//! header) is mid-log corruption, and so is any CRC-valid record that does
+//! not decode (an unknown codec, a token stream that does not decode to
+//! its `raw_len`, a bad tag, trailing garbage): either fails the open with
 //! [`Error::Corruption`]: the prefix can no
 //! longer be trusted. A corrupted length field cannot be distinguished
 //! from a torn write when it points past end-of-file; that case truncates,
 //! like every append-only log.
 
+use crate::compress;
 use crate::config::SyncMode;
 use crate::error::{Error, Result};
 use proteus_core::codec::{crc32, ByteReader, CodecError, WireWrite};
@@ -76,7 +96,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Leading magic of every WAL segment.
-pub const WAL_MAGIC: [u8; 8] = *b"PRWALv1\0";
+pub const WAL_MAGIC: [u8; 8] = *b"PRWALv2\0";
 
 /// Fixed segment header size in bytes (magic + max key bytes + CRC-32).
 pub const WAL_HEADER_LEN: u64 = 16;
@@ -86,6 +106,19 @@ pub const WAL_TAG_PUT: u8 = 0;
 
 /// Commit-record op tag: a tombstone (key follows).
 pub const WAL_TAG_DELETE: u8 = 1;
+
+/// Record codec: the payload follows as it is.
+pub const WAL_CODEC_RAW: u8 = 0;
+
+/// Record codec: `u32 raw_len`, then the payload's zero-RLE token stream.
+pub const WAL_CODEC_ZERO_RLE: u8 = 1;
+
+/// Bytes of a record before its stored bytes: `stored_len` and the CRC.
+const RECORD_HEADER_LEN: usize = 8;
+
+/// An encode buffer that grew past this is dropped after its append, so
+/// one huge batch does not pin its size for the life of the store.
+const RETAINED_BUFFER_BYTES: usize = 1 << 20;
 
 /// One logged operation: `Some(value)` = put, `None` = delete, exactly the
 /// shape the MemTable applies.
@@ -136,33 +169,44 @@ fn wire_u32(n: usize, what: &str) -> Result<u32> {
     u32::try_from(n).map_err(|_| Error::corruption(format!("{what} {n} exceeds u32::MAX")))
 }
 
-/// Encode one commit record (length prefix + CRC-32 + payload) for `ops`,
-/// in one buffer sized exactly: the 8-byte header is reserved, the
-/// payload appended behind it, and the header patched last.
-fn encode_record(ops: &[WalOp]) -> Result<Vec<u8>> {
-    // Per op: the tag, then each u64-length-prefixed run.
-    let op_len =
-        |(key, value): &WalOp| 1 + 8 + key.len() + value.as_ref().map_or(0, |v| 8 + v.len());
-    let mut record = Vec::with_capacity(8 + 4 + ops.iter().map(op_len).sum::<usize>());
-    record.extend_from_slice(&[0; 8]);
-    record.put_u32(wire_u32(ops.len(), "op count")?);
+/// Encode one commit record for `ops` into `record` (length prefix, CRC-32,
+/// stored bytes), with `payload` as scratch. Both buffers are cleared, not
+/// replaced, so an append allocates nothing once they have grown.
+fn encode_record<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+    ops: &[(K, Option<V>)],
+    payload: &mut Vec<u8>,
+    record: &mut Vec<u8>,
+) -> Result<()> {
+    payload.clear();
+    payload.put_u32(wire_u32(ops.len(), "op count")?);
     for (key, value) in ops {
         match value {
             Some(v) => {
-                record.put_u8(WAL_TAG_PUT);
-                record.put_bytes(key);
-                record.put_bytes(v);
+                payload.put_u8(WAL_TAG_PUT);
+                payload.put_bytes(key.as_ref());
+                payload.put_bytes(v.as_ref());
             }
             None => {
-                record.put_u8(WAL_TAG_DELETE);
-                record.put_bytes(key);
+                payload.put_u8(WAL_TAG_DELETE);
+                payload.put_bytes(key.as_ref());
             }
         }
     }
-    let (header, payload) = record.split_at_mut(8);
-    header[..4].copy_from_slice(&wire_u32(payload.len(), "record payload length")?.to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    Ok(record)
+    record.clear();
+    record.resize(RECORD_HEADER_LEN, 0);
+    record.put_u8(WAL_CODEC_ZERO_RLE);
+    record.put_u32(wire_u32(payload.len(), "record payload length")?);
+    let stream_at = record.len();
+    // Codec 1 only when the stream and its `raw_len` beat the payload.
+    if !compress::compress(payload, record) || record.len() - stream_at + 4 >= payload.len() {
+        record.truncate(RECORD_HEADER_LEN);
+        record.put_u8(WAL_CODEC_RAW);
+        record.extend_from_slice(payload);
+    }
+    let (header, stored) = record.split_at_mut(RECORD_HEADER_LEN);
+    header[..4].copy_from_slice(&wire_u32(stored.len(), "record length")?.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(stored).to_le_bytes());
+    Ok(())
 }
 
 /// The result of replaying one segment.
@@ -195,7 +239,17 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
     }
     let codec = |e: CodecError| bad(path, e);
     let mut r = ByteReader::new(&bytes);
-    if r.take(WAL_MAGIC.len()).map_err(codec)? != WAL_MAGIC {
+    let magic = r.take(WAL_MAGIC.len()).map_err(codec)?;
+    if magic != WAL_MAGIC {
+        // Another generation is named (`PRWALv1` held raw records), so the
+        // operator learns it is an old file, not bit rot.
+        if magic.starts_with(&WAL_MAGIC[..6]) {
+            let name = String::from_utf8_lossy(&magic[..7]);
+            return Err(bad(
+                path,
+                format!("{name} segment, written by an earlier build (only PRWALv2)"),
+            ));
+        }
         return Err(bad(path, "bad WAL magic"));
     }
     let max = r.u32().map_err(codec)? as usize;
@@ -212,8 +266,8 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
         // write cut mid-record (or an unrecognizably corrupted length —
         // indistinguishable).
         let (Ok(len), Ok(crc)) = (r.u32(), r.u32()) else { return torn(commits, pos) };
-        let Ok(payload) = r.take(len as usize) else { return torn(commits, pos) };
-        if crc32(payload) != crc {
+        let Ok(stored) = r.take(len as usize) else { return torn(commits, pos) };
+        if crc32(stored) != crc {
             if r.is_empty() {
                 // Checksum failure in the final record = partially written
                 // payload: the classic torn tail. Drop it.
@@ -222,16 +276,33 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
             return Err(bad(path, format!("mid-log checksum mismatch at byte {pos}")));
         }
         commits.push(
-            decode_payload(payload, expected_max)
+            decode_stored(stored, expected_max)
                 .map_err(|e| bad(path, format!("commit {} at byte {pos}: {e}", commits.len())))?,
         );
     }
     Ok(SegmentReplay { commits, torn_tail: false, valid_len: bytes.len() as u64 })
 }
 
-/// Decode a CRC-valid commit payload. Any failure here is corruption: the
-/// checksum proved the bytes are exactly what was written, so a structural
-/// error cannot be a torn write.
+/// Decode a CRC-valid record's stored bytes. Any failure here is
+/// corruption: the checksum proved the bytes are exactly what was written,
+/// so a structural error cannot be a torn write.
+fn decode_stored(stored: &[u8], max: usize) -> std::result::Result<Vec<WalOp>, String> {
+    let mut r = ByteReader::new(stored);
+    let err = |e: CodecError| e.to_string();
+    match r.u8().map_err(err)? {
+        WAL_CODEC_RAW => decode_payload(r.take(r.remaining()).map_err(err)?, max),
+        WAL_CODEC_ZERO_RLE => {
+            let raw_len = r.u32().map_err(err)? as usize;
+            let stream = r.take(r.remaining()).map_err(err)?;
+            let payload = compress::decompress(stream, raw_len)
+                .ok_or_else(|| format!("zero-RLE stream does not decode to {raw_len} bytes"))?;
+            decode_payload(&payload, max)
+        }
+        c => Err(format!("unknown record codec {c:#04x}")),
+    }
+}
+
+/// Decode a commit payload (the ops, uncompressed).
 fn decode_payload(payload: &[u8], max: usize) -> std::result::Result<Vec<WalOp>, String> {
     let mut r = ByteReader::new(payload);
     let err = |e: CodecError| e.to_string();
@@ -282,6 +353,11 @@ struct WalInner {
     syncing: bool,
     /// When the last sync completed (drives [`SyncMode::Interval`]).
     last_sync: Instant,
+    /// Encode scratch: the uncompressed payload of the record being
+    /// appended.
+    payload: Vec<u8>,
+    /// The record being appended, framed and ready to write.
+    record: Vec<u8>,
 }
 
 /// The write-ahead log of one open [`crate::Db`]: an active segment plus
@@ -363,6 +439,8 @@ impl Wal {
                     synced_bytes: len,
                     syncing: false,
                     last_sync: Instant::now(),
+                    payload: Vec::new(),
+                    record: Vec::new(),
                 },
             ),
             sync_cv: Condvar::new(),
@@ -377,18 +455,30 @@ impl Wal {
     /// (to pass to [`Wal::commit`]). The bytes reach the OS before this
     /// returns; durability is [`Wal::commit`]'s job. The caller must hold
     /// its MemTable write lock so WAL order equals apply order. An empty
-    /// `ops` appends nothing.
-    pub fn append_commit(&self, ops: &[WalOp], stats: &crate::Stats) -> Result<u64> {
-        let mut g = self.lock()?;
+    /// `ops` appends nothing. Keys and values are borrowed: the record is
+    /// encoded into buffers the WAL keeps, so this allocates nothing once
+    /// they have grown.
+    pub fn append_commit<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &self,
+        ops: &[(K, Option<V>)],
+        stats: &crate::Stats,
+    ) -> Result<u64> {
+        let mut guard = self.lock()?;
+        let g = &mut *guard;
         if ops.is_empty() {
             return Ok(g.appended_seq);
         }
-        let record = encode_record(ops)?;
-        (&*g.file).write_all(&record)?;
+        encode_record(ops, &mut g.payload, &mut g.record)?;
+        (&*g.file).write_all(&g.record)?;
+        let len = g.record.len() as u64;
         g.appended_seq += 1;
-        g.appended_bytes += record.len() as u64;
+        g.appended_bytes += len;
         stats.wal_appends.inc();
-        stats.wal_bytes.add(record.len() as u64);
+        stats.wal_bytes.add(len);
+        if g.payload.capacity() > RETAINED_BUFFER_BYTES {
+            g.payload = Vec::new();
+            g.record = Vec::new();
+        }
         Ok(g.appended_seq)
     }
 
@@ -520,6 +610,10 @@ mod tests {
         i.to_be_bytes().to_vec()
     }
 
+    fn del(i: u64) -> WalOp {
+        (k(i), None)
+    }
+
     #[test]
     fn roundtrip_commits_across_modes() {
         for mode in [
@@ -614,7 +708,7 @@ mod tests {
         let dir = tmpdir("header");
         let stats = Stats::default();
         let wal = Wal::create(&dir, 3, 8, SyncMode::Off).unwrap();
-        wal.append_commit(&[(k(9), None)], &stats).unwrap();
+        wal.append_commit(&[del(9)], &stats).unwrap();
         wal.sync(&stats).unwrap();
         drop(wal);
         let path = segment_path(&dir, 3);
@@ -655,7 +749,7 @@ mod tests {
         assert!(rep.torn_tail && rep.commits.len() == 2);
         // Appending after the torn bytes would make them mid-log damage.
         let wal = Wal::open(&dir, 5, Some(rep.valid_len), 8, SyncMode::Off).unwrap();
-        wal.append_commit(&[(k(9), None)], &stats).unwrap();
+        wal.append_commit(&[del(9)], &stats).unwrap();
         drop(wal);
         let rep = replay_segment(&path, 8).unwrap();
         assert!(!rep.torn_tail);
@@ -708,7 +802,7 @@ mod tests {
         assert_eq!(stats.wal_empty_seals.get(), 2);
         assert!((stats.snapshot().mean_group_commit() - 1.0).abs() < 1e-12);
         // A rotation that *does* seal unsynced commits still counts.
-        wal.append_commit(&[(k(9), None)], &stats).unwrap();
+        wal.append_commit(&[del(9)], &stats).unwrap();
         wal.rotate(23, &stats).unwrap();
         assert_eq!(stats.wal_syncs.get(), 5);
         assert_eq!(stats.group_commit_sizes.get(), 5);

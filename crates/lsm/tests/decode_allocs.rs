@@ -5,12 +5,18 @@
 //! to come back as `Error::Corruption`, not as a 4 GiB request that aborts
 //! the process when the allocator refuses it.
 //!
+//! A WAL commit record's `raw_len` is covered by its CRC, but a writer bug
+//! or a crafted file can still claim 4 GiB behind a valid checksum; replay
+//! decodes through the same codec and must reserve no more either.
+//!
 //! This file is its own test binary on purpose: the `#[global_allocator]`
 //! below must not be shared with any other suite, and it holds exactly one
 //! test so no concurrently running test raises the recorded maximum.
 
+use proteus_core::codec::crc32;
 use proteus_lsm::block::{Block, VarBlockBuilder};
-use proteus_lsm::{compress, Error};
+use proteus_lsm::wal::{self, Wal, WAL_CODEC_ZERO_RLE, WAL_TAG_PUT};
+use proteus_lsm::{compress, Error, SyncMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -47,7 +53,8 @@ static GLOBAL: MaxRequestAlloc = MaxRequestAlloc;
 /// Wrap a raw block payload in the on-disk codec header, zero-RLE
 /// compressed, claiming `raw_len` decoded bytes.
 fn compressed(payload: &[u8], raw_len: u32) -> Vec<u8> {
-    let stored = compress::compress(payload).expect("half-zero values compress");
+    let mut stored = Vec::new();
+    assert!(compress::compress(payload, &mut stored), "half-zero values compress");
     let mut disk = vec![1u8];
     disk.extend_from_slice(&raw_len.to_le_bytes());
     disk.extend_from_slice(&(stored.len() as u32).to_le_bytes());
@@ -103,4 +110,34 @@ fn corrupt_block_headers_reserve_no_more_than_the_payload_holds() {
     raw.extend_from_slice(&payload);
     let largest = largest_request_rejecting(&raw);
     assert!(largest <= cap, "a raw block's u32::MAX count reserved {largest} bytes (cap {cap})");
+
+    // A CRC-valid WAL record whose zero-RLE stream claims u32::MAX bytes:
+    // one put of an 8-byte key and a half-zero value.
+    let mut payload = 1u32.to_le_bytes().to_vec();
+    payload.push(WAL_TAG_PUT);
+    payload.extend_from_slice(&8u64.to_le_bytes());
+    payload.extend_from_slice(&0x0102_0304_0506_0708u64.to_be_bytes());
+    payload.extend_from_slice(&128u64.to_le_bytes());
+    payload.resize(payload.len() + 64, 0);
+    payload.resize(payload.len() + 64, 0xA5);
+    let mut stored = vec![WAL_CODEC_ZERO_RLE];
+    stored.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(compress::compress(&payload, &mut stored));
+    let dir = std::env::temp_dir().join(format!("proteus-decode-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    drop(Wal::create(&dir, 1, 8, SyncMode::Off).unwrap());
+    let path = wal::segment_path(&dir, 1);
+    let mut segment = std::fs::read(&path).unwrap();
+    segment.extend_from_slice(&(stored.len() as u32).to_le_bytes());
+    segment.extend_from_slice(&crc32(&stored).to_le_bytes());
+    segment.extend_from_slice(&stored);
+    std::fs::write(&path, &segment).unwrap();
+    LARGEST.store(0, Ordering::Relaxed);
+    let replayed = wal::replay_segment(&path, 8);
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(matches!(replayed, Err(Error::Corruption(_))), "{replayed:?}");
+    // The file read, its path and the error message: a page at most.
+    assert!(largest <= 4096, "a u32::MAX WAL raw_len reserved {largest} bytes");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -182,9 +182,20 @@ fn power_loss_with_interval_sync_keeps_writes_past_the_deadline() {
 
 #[test]
 fn torn_mid_batch_commit_is_all_or_nothing_at_every_cut() {
-    // Build a segment by hand: one synced single-put commit, then a
-    // three-op batch commit. Truncating anywhere inside the batch record
-    // must recover the first commit and *none* of the batch.
+    // Both batch records are stored zero-RLE — the zero bytes of the
+    // length prefixes alone make short values compress — so a cut can land
+    // in the codec byte, `raw_len` or anywhere in the token stream. The
+    // 128-byte half-zero values (§6.2's shape) put a long zero run and a
+    // long literal in the stream.
+    let half_zero = |tag: u8| [vec![0u8; 64], vec![tag; 64]].concat();
+    torn_batch_at_every_cut(&[b"pre".to_vec(), b"b20".to_vec(), b"b30".to_vec()]);
+    torn_batch_at_every_cut(&[half_zero(1), half_zero(20), half_zero(30)]);
+}
+
+/// Build a segment by hand: one synced single-put commit, then a three-op
+/// batch commit. Truncating anywhere inside the batch
+/// record must recover the first commit and *none* of the batch.
+fn torn_batch_at_every_cut([pre, b20, b30]: &[Vec<u8>; 3]) {
     let src = tmpdir("torn-batch-src");
     std::fs::create_dir_all(&src).unwrap();
     let stats = proteus_lsm::Stats::default();
@@ -192,14 +203,14 @@ fn torn_mid_batch_commit_is_all_or_nothing_at_every_cut() {
     // match the config the probe dirs are opened with below.
     let max_key_bytes = wal_only_cfg(SyncMode::Off).max_key_bytes();
     let w = Wal::create(&src, 1, max_key_bytes, SyncMode::Always).unwrap();
-    w.append_commit(&[(u64_key(10).to_vec(), Some(b"pre".to_vec()))], &stats).unwrap();
+    w.append_commit(&[(u64_key(10), Some(pre))], &stats).unwrap();
     w.sync(&stats).unwrap();
     let boundary = std::fs::metadata(wal::segment_path(&src, 1)).unwrap().len() as usize;
     w.append_commit(
         &[
-            (u64_key(10).to_vec(), None), // the batch deletes key 10...
-            (u64_key(20).to_vec(), Some(b"b20".to_vec())),
-            (u64_key(30).to_vec(), Some(b"b30".to_vec())),
+            (u64_key(10), None), // the batch deletes key 10...
+            (u64_key(20), Some(b20)),
+            (u64_key(30), Some(b30)),
         ],
         &stats,
     )
@@ -208,6 +219,8 @@ fn torn_mid_batch_commit_is_all_or_nothing_at_every_cut() {
     drop(w);
     let full = std::fs::read(wal::segment_path(&src, 1)).unwrap();
     let _ = std::fs::remove_dir_all(&src);
+    // The batch record's codec byte follows its length and CRC.
+    assert_eq!(full[boundary + 8], wal::WAL_CODEC_ZERO_RLE, "the batch record's codec");
 
     let cfg = wal_only_cfg(SyncMode::Off);
     for cut in boundary..=full.len() {
@@ -219,8 +232,8 @@ fn torn_mid_batch_commit_is_all_or_nothing_at_every_cut() {
         if cut < full.len() {
             // Torn batch: not a single one of its ops may be visible.
             assert_eq!(
-                db.get_u64(10).unwrap().as_deref(),
-                Some(&b"pre"[..]),
+                db.get_u64(10).unwrap().as_ref(),
+                Some(pre),
                 "cut {cut}: torn batch applied its delete"
             );
             assert_eq!(db.get_u64(20).unwrap(), None, "cut {cut}: partial batch put leaked");
@@ -228,8 +241,8 @@ fn torn_mid_batch_commit_is_all_or_nothing_at_every_cut() {
         } else {
             // The intact record: all three ops, atomically.
             assert_eq!(db.get_u64(10).unwrap(), None, "full: batch delete missing");
-            assert_eq!(db.get_u64(20).unwrap().as_deref(), Some(&b"b20"[..]));
-            assert_eq!(db.get_u64(30).unwrap().as_deref(), Some(&b"b30"[..]));
+            assert_eq!(db.get_u64(20).unwrap().as_ref(), Some(b20));
+            assert_eq!(db.get_u64(30).unwrap().as_ref(), Some(b30));
         }
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);

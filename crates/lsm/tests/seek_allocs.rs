@@ -14,25 +14,41 @@
 //!
 //! This file is its own test binary on purpose: the `#[global_allocator]`
 //! below must not be shared with any other suite, and it holds exactly one
-//! test so no concurrently running test adds to the count.
+//! test so no concurrently running test adds to the count. The count is
+//! per thread: the store's background thread may flush, compact or retrain
+//! while a Seek runs, and what it allocates is not the Seek's.
 
 use proteus_core::key::u64_key;
 use proteus_lsm::{Db, DbConfig, ProteusFactory};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// The system allocator plus one relaxed counter of `alloc` + `realloc`
+/// The system allocator plus a per-thread counter of `alloc` + `realloc`
 /// calls (every request that may obtain new memory).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one request on the calling thread. A thread being torn down no
+/// longer has its counter; nothing counted runs there.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is an atomic add.
+// upholds the `GlobalAlloc` contract; the only addition is a thread-local
+// add, which allocates nothing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `layout` is the caller's, passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -43,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -131,11 +147,11 @@ fn seeks_allocate_only_what_they_keep(tag: &str, query: fn(u64, u64) -> (u64, u6
     }
 
     let stats = db.stats().snapshot();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     for (lo, hi) in &negative {
         assert!(!db.seek(lo, hi).unwrap());
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = thread_allocs() - before;
     let after = db.stats().snapshot();
 
     assert_eq!(after.seeks_filtered - stats.seeks_filtered, SEEKS as u64, "all filter-negative");
@@ -169,9 +185,9 @@ fn seeks_allocate_only_what_they_keep(tag: &str, query: fn(u64, u64) -> (u64, u6
         let Some((lo, hi)) = Some(query(i, 3)).filter(empty) else { continue };
         let (lo, hi) = (u64_key(lo), u64_key(hi));
         let before = db.stats().snapshot();
-        let allocs_before = ALLOCS.load(Ordering::Relaxed);
+        let allocs_before = thread_allocs();
         assert!(!db.seek(&lo, &hi).unwrap(), "the range holds no key");
-        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+        let allocs = thread_allocs() - allocs_before;
         let d = db.stats().snapshot().delta(&before);
         if d.filter_false_positives == 1
             && d.blocks_read == 1
