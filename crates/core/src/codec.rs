@@ -31,9 +31,10 @@
 //! [`CodecError`], never a panic.
 //! Dispatch over the kind tag lives one crate up, in
 //! `proteus_filters::codec::FilterCodec`, which can see every filter type
-//! in the workspace; *unknown* kind tags inside a valid envelope are not an
-//! error there — they degrade to [`crate::NoFilter`] so newer files stay
-//! readable (queries just lose their filter).
+//! in the workspace. A kind tag it does not know — one from a newer build,
+//! or the retired tag 0 — is [`CodecError::UnknownTag`] there, like any
+//! other undecodable block; the SST reader opens such a file without a
+//! filter.
 
 pub use proteus_succinct::codec::{crc32, ByteReader, CodecError, WireWrite};
 
@@ -54,12 +55,12 @@ pub const fn envelope_len(payload_len: usize) -> usize {
 
 /// Stable wire tags for every serializable filter kind in the workspace.
 ///
-/// Tags are part of the on-disk format: never renumber, only append.
+/// Tags are part of the on-disk format: never renumber, only append. Tag 0
+/// is reserved: it once marked a pass-through "no filter" with an empty
+/// payload, is never written, and decodes as an unknown tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FilterKind {
-    /// The pass-through no-filter baseline (empty payload).
-    NoFilter = 0,
     /// Proteus (trie + prefix Bloom + design).
     Proteus = 1,
     /// 1PBF's own tag from before it was a trie-less Proteus: still decoded
@@ -81,10 +82,10 @@ impl FilterKind {
     }
 
     /// Map a raw wire tag back to its kind; `None` for tags this build
-    /// does not know (a filter written by a newer version).
+    /// does not know (a filter written by a newer version, or the reserved
+    /// tag 0).
     pub fn from_tag(tag: u8) -> Option<FilterKind> {
         match tag {
-            0 => Some(FilterKind::NoFilter),
             1 => Some(FilterKind::Proteus),
             2 => Some(FilterKind::OnePbf),
             3 => Some(FilterKind::TwoPbf),
@@ -95,9 +96,9 @@ impl FilterKind {
     }
 }
 
-/// A verified envelope: the raw kind tag (not [`FilterKind`], so callers
-/// can treat unknown tags as graceful degradation rather than corruption),
-/// and the kind-specific payload.
+/// A verified envelope: the raw kind tag (not [`FilterKind`], so an
+/// unknown tag still unseals and the caller can name it), and the
+/// kind-specific payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unsealed<'a> {
     /// Raw filter-kind tag.
@@ -111,8 +112,8 @@ pub fn seal(kind: FilterKind, payload: &[u8]) -> Vec<u8> {
     seal_raw(kind.tag(), payload)
 }
 
-/// [`seal`] with an arbitrary kind tag — used by forward-compatibility
-/// tests that fabricate envelopes from "future" filter kinds.
+/// [`seal`] with an arbitrary kind tag — used by tests that fabricate
+/// envelopes from retired or "future" filter kinds.
 pub fn seal_raw(tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(envelope_len(payload.len()));
     out.extend_from_slice(&FILTER_MAGIC);
@@ -162,7 +163,7 @@ mod tests {
     /// expectation.
     #[test]
     fn envelope_header_golden_bytes() {
-        let sealed = seal(FilterKind::NoFilter, &[]);
+        let sealed = seal(FilterKind::Proteus, &[]);
         assert_eq!(&sealed[..4], b"PRFC");
         assert_eq!(sealed[..4], FILTER_MAGIC);
         assert_eq!(u16::from_le_bytes([sealed[4], sealed[5]]), FORMAT_VERSION);
@@ -181,7 +182,7 @@ mod tests {
 
     #[test]
     fn empty_payload_is_valid() {
-        let sealed = seal(FilterKind::NoFilter, &[]);
+        let sealed = seal_raw(0, &[]);
         let u = unseal(&sealed).unwrap();
         assert_eq!(u.tag, 0);
         assert!(u.payload.is_empty());
@@ -209,13 +210,13 @@ mod tests {
 
     #[test]
     fn version_and_magic_are_enforced() {
-        let mut sealed = seal(FilterKind::NoFilter, &[]);
+        let mut sealed = seal(FilterKind::Proteus, &[]);
         sealed[0] = b'X';
         assert_eq!(unseal(&sealed).unwrap_err(), CodecError::BadMagic);
         // Every other version — the retired v1 included — is rejected
         // before the checksum so the error names the real problem.
         for bad_version in [0u8, 1, FORMAT_VERSION as u8 + 1] {
-            let mut sealed = seal(FilterKind::NoFilter, &[]);
+            let mut sealed = seal(FilterKind::Proteus, &[]);
             sealed[4] = bad_version;
             assert_eq!(
                 unseal(&sealed).unwrap_err(),
@@ -226,24 +227,27 @@ mod tests {
 
     #[test]
     fn unknown_kind_tag_survives_unseal() {
-        // A future filter kind: the envelope is valid, the tag unknown.
-        let raw = seal_raw(250, &[]);
-        let u = unseal(&raw).unwrap();
-        assert_eq!(u.tag, 250);
-        assert!(FilterKind::from_tag(u.tag).is_none());
+        // A future filter kind, and the reserved tag 0: the envelope is
+        // valid, the tag unknown.
+        for tag in [250, 0] {
+            let raw = seal_raw(tag, &[]);
+            let u = unseal(&raw).unwrap();
+            assert_eq!(u.tag, tag);
+            assert!(FilterKind::from_tag(u.tag).is_none());
+        }
     }
 
     #[test]
     fn kind_tags_are_stable() {
-        // Wire contract: these numbers are frozen.
-        assert_eq!(FilterKind::NoFilter as u8, 0);
+        // Wire contract: these numbers are frozen, and 0 stays reserved.
         assert_eq!(FilterKind::Proteus as u8, 1);
         assert_eq!(FilterKind::OnePbf as u8, 2);
         assert_eq!(FilterKind::TwoPbf as u8, 3);
         assert_eq!(FilterKind::Surf as u8, 4);
         assert_eq!(FilterKind::Rosetta as u8, 5);
-        for t in 0..=5u8 {
+        for t in 1..=5u8 {
             assert_eq!(FilterKind::from_tag(t).map(|k| k as u8), Some(t));
         }
+        assert_eq!(FilterKind::from_tag(0), None);
     }
 }

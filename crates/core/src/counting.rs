@@ -130,18 +130,6 @@ impl CountingProteus {
     }
 }
 
-impl crate::RangeFilter for CountingProteus {
-    fn may_contain_range(&self, lo: &[u8], hi: &[u8]) -> bool {
-        self.query(lo, hi)
-    }
-    fn size_bits(&self) -> u64 {
-        self.size_bits()
-    }
-    fn name(&self) -> String {
-        format!("CountingProteus(l1={}, l2={})", self.l1, self.l2)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

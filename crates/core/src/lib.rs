@@ -73,7 +73,8 @@ pub use two_pbf::{TwoPbf, TwoPbfFilterOptions};
 /// The common interface all range filters in this workspace implement —
 /// Proteus (1PBF included) and 2PBF here; SuRF and Rosetta in
 /// `proteus-filters`. The LSM harness plugs any of them into its SST files
-/// through this trait.
+/// through this trait, and every one of them persists (an SST without a
+/// filter holds `None`).
 pub trait RangeFilter: Send + Sync {
     /// May the closed range `[lo, hi]` contain a key? `false` is exact
     /// (guaranteed empty); `true` may be a false positive. Bounds are
@@ -94,42 +95,14 @@ pub trait RangeFilter: Send + Sync {
     /// Serialize this filter for the persistent SST filter block: the
     /// stable wire tag plus the kind-specific payload (no envelope — the
     /// caller seals it with magic, version and checksum; see
-    /// [`codec::seal`]). `None` means the filter has no persistent form
-    /// (e.g. [`CountingProteus`]): its SST gets no filter block, and after
-    /// a reopen that file serves unfiltered probes (recovery never
-    /// retrains filters).
-    fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
-        None
-    }
+    /// [`codec::seal`]).
+    fn encode_payload(&self) -> (FilterKind, Vec<u8>);
 
     /// The FPR the filter's design was chosen to have on the sample it was
     /// trained on (the CPFPR model's estimate, persisted with the design).
-    /// `None` for filters that are not designed by a model (SuRF, Rosetta,
-    /// [`NoFilter`]).
+    /// `None` for filters that are not designed by a model (SuRF, Rosetta).
     fn expected_fpr(&self) -> Option<f64> {
         None
-    }
-}
-
-/// A pass-through filter: every query may contain keys — the no-filter
-/// baseline in which every Seek pays the I/O. Lives in `proteus-core` so
-/// the persistent filter codec can decode unknown future filter kinds into
-/// it as the safe degradation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFilter;
-
-impl RangeFilter for NoFilter {
-    fn may_contain_range(&self, _lo: &[u8], _hi: &[u8]) -> bool {
-        true
-    }
-    fn size_bits(&self) -> u64 {
-        0
-    }
-    fn name(&self) -> String {
-        "NoFilter".to_string()
-    }
-    fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
-        Some((FilterKind::NoFilter, Vec::new()))
     }
 }
 

@@ -260,10 +260,10 @@ impl RangeFilter for Proteus {
             None => format!("Proteus(l1={l1}, l2={l2})"),
         }
     }
-    fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
+    fn encode_payload(&self) -> (FilterKind, Vec<u8>) {
         let mut out = Vec::new();
         self.encode_into(&mut out);
-        Some((FilterKind::Proteus, out))
+        (FilterKind::Proteus, out)
     }
     fn expected_fpr(&self) -> Option<f64> {
         Some(self.design.expected_fpr)

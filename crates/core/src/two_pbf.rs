@@ -155,10 +155,10 @@ impl RangeFilter for TwoPbf {
             self.design.l1, self.design.l2, self.design.split
         )
     }
-    fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
+    fn encode_payload(&self) -> (FilterKind, Vec<u8>) {
         let mut out = Vec::new();
         self.encode_into(&mut out);
-        Some((FilterKind::TwoPbf, out))
+        (FilterKind::TwoPbf, out)
     }
     fn expected_fpr(&self) -> Option<f64> {
         Some(self.design.expected_fpr)

@@ -10,10 +10,11 @@
 //!
 //! * corrupt, truncated or version-mismatched bytes → `Err(CodecError)`,
 //!   never a panic;
-//! * a *valid* envelope carrying an unknown kind tag (a filter from a
-//!   newer build) → `Ok` with a [`NoFilter`] stand-in and
-//!   [`DecodedFilter::degraded`] set, so old binaries keep serving reads
-//!   (every Seek just pays the I/O for that SST).
+//! * a *valid* envelope carrying a kind tag this build does not know (a
+//!   filter from a newer build, or the retired tag 0) →
+//!   `Err(CodecError::UnknownTag)`. The SST reader treats it like any other
+//!   undecodable block: the file opens and serves without a filter (every
+//!   Seek just pays the I/O for it).
 //!
 //! This module lives in `proteus-filters` because it is the lowest crate
 //! that can see every serializable filter type (Proteus and 2PBF from
@@ -23,16 +24,12 @@
 use crate::rosetta::Rosetta;
 use crate::surf::Surf;
 use proteus_core::codec::{seal, unseal, ByteReader, CodecError, FilterKind};
-use proteus_core::{NoFilter, Proteus, RangeFilter, TwoPbf};
+use proteus_core::{Proteus, RangeFilter, TwoPbf};
 
 /// Outcome of a successful decode.
 pub struct DecodedFilter {
     /// The reconstructed filter, ready to serve queries.
     pub filter: Box<dyn RangeFilter>,
-    /// True when the envelope was valid but the kind tag unknown and the
-    /// filter was replaced by [`NoFilter`] (callers surface this through a
-    /// stats counter).
-    pub degraded: bool,
 }
 
 /// Versioned binary serialization for every range filter in the workspace.
@@ -52,7 +49,6 @@ pub struct DecodedFilter {
 ///
 /// let bytes = FilterCodec::encode(&filter)?;
 /// let decoded = FilterCodec::decode(&bytes)?;
-/// assert!(!decoded.degraded);
 /// assert_eq!(decoded.filter.name(), filter.name());
 /// assert!(decoded.filter.may_contain(&u64_key(2_000))); // never a false negative
 /// # Ok::<(), proteus_core::CodecError>(())
@@ -62,27 +58,20 @@ pub struct FilterCodec;
 impl FilterCodec {
     /// Encode `filter` into a self-describing envelope.
     ///
-    /// Filters without a persistent form (e.g. `CountingProteus`) yield
-    /// [`CodecError::Unsupported`]; the SST writer treats that as "no
-    /// filter block" rather than an I/O failure.
+    /// Never fails: every [`RangeFilter`] has a persistent form. The
+    /// `Result` stays so callers' error handling keeps compiling.
     pub fn encode(filter: &dyn RangeFilter) -> Result<Vec<u8>, CodecError> {
-        let (kind, payload) =
-            filter.encode_payload().ok_or(CodecError::Unsupported("filter kind"))?;
+        let (kind, payload) = filter.encode_payload();
         Ok(seal(kind, &payload))
     }
 
     /// Decode an envelope produced by [`FilterCodec::encode`].
     pub fn decode(bytes: &[u8]) -> Result<DecodedFilter, CodecError> {
         let u = unseal(bytes)?;
-        let Some(kind) = FilterKind::from_tag(u.tag) else {
-            // Forward-compatible degradation: the bytes are intact (the
-            // checksum proved it) but this build cannot reconstruct the
-            // filter. NoFilter preserves the no-false-negative contract.
-            return Ok(DecodedFilter { filter: Box::new(NoFilter), degraded: true });
-        };
+        let kind = FilterKind::from_tag(u.tag)
+            .ok_or(CodecError::UnknownTag { what: "filter kind", tag: u.tag })?;
         let mut r = ByteReader::new(u.payload);
         let filter: Box<dyn RangeFilter> = match kind {
-            FilterKind::NoFilter => Box::new(NoFilter),
             FilterKind::Proteus => Box::new(Proteus::decode_from(&mut r)?),
             FilterKind::OnePbf => Box::new(Proteus::decode_one_pbf_from(&mut r)?),
             FilterKind::TwoPbf => Box::new(TwoPbf::decode_from(&mut r)?),
@@ -90,7 +79,7 @@ impl FilterCodec {
             FilterKind::Rosetta => Box::new(Rosetta::decode_from(&mut r)?),
         };
         r.finish()?;
-        Ok(DecodedFilter { filter, degraded: false })
+        Ok(DecodedFilter { filter })
     }
 }
 
@@ -117,7 +106,6 @@ mod tests {
         let m = 800 * 12;
         let one_pbf = ProteusModel::bloom_only(&ks, &samples).best_design(&ks, m);
         vec![
-            Box::new(NoFilter),
             Box::new(Proteus::train(&ks, &samples, m, &ProteusOptions::default())),
             Box::new(Proteus::build_with_design(&ks, one_pbf, m, &ProteusOptions::default())),
             Box::new(TwoPbf::train(&ks, &samples, m, &TwoPbfFilterOptions::default())),
@@ -133,9 +121,7 @@ mod tests {
         let (keys, _, _) = fixture_keys();
         for f in workspace_filters() {
             let bytes = FilterCodec::encode(f.as_ref()).unwrap();
-            let back = FilterCodec::decode(&bytes).unwrap();
-            assert!(!back.degraded, "{}", f.name());
-            let g = back.filter;
+            let g = FilterCodec::decode(&bytes).unwrap().filter;
             assert_eq!(g.name(), f.name());
             assert_eq!(g.size_bits(), f.size_bits(), "{}", f.name());
             for &k in keys.iter().step_by(17) {
@@ -159,12 +145,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_kind_degrades_to_nofilter() {
-        let sealed = proteus_core::codec::seal_raw(200, b"future payload");
-        let d = FilterCodec::decode(&sealed).unwrap();
-        assert!(d.degraded);
-        assert_eq!(d.filter.name(), "NoFilter");
-        assert!(d.filter.may_contain_range(&u64_key(0), &u64_key(1)));
+    fn unknown_kind_is_an_unknown_tag() {
+        // A future kind, and the reserved tag 0, with and without a payload.
+        for (tag, payload) in [(200, &b"future payload"[..]), (0, &[][..])] {
+            let sealed = proteus_core::codec::seal_raw(tag, payload);
+            let err = FilterCodec::decode(&sealed).err();
+            assert_eq!(err, Some(CodecError::UnknownTag { what: "filter kind", tag }));
+        }
     }
 
     #[test]

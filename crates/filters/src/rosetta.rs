@@ -292,10 +292,10 @@ impl RangeFilter for Rosetta {
     fn name(&self) -> String {
         format!("Rosetta(levels={}, top={})", self.filters.len(), self.top_len)
     }
-    fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
+    fn encode_payload(&self) -> (FilterKind, Vec<u8>) {
         let mut out = Vec::new();
         self.encode_into(&mut out);
-        Some((FilterKind::Rosetta, out))
+        (FilterKind::Rosetta, out)
     }
 }
 

@@ -234,10 +234,10 @@ impl RangeFilter for Surf {
             SurfSuffix::Real(b) => format!("SuRF-Real({b})"),
         }
     }
-    fn encode_payload(&self) -> Option<(FilterKind, Vec<u8>)> {
+    fn encode_payload(&self) -> (FilterKind, Vec<u8>) {
         let mut out = Vec::new();
         self.encode_into(&mut out);
-        Some((FilterKind::Surf, out))
+        (FilterKind::Surf, out)
     }
 }
 

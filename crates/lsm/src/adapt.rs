@@ -100,11 +100,12 @@ impl std::fmt::Display for FlagReason {
 }
 
 /// Decide whether `sst`'s filter should be re-trained, given the live sample
-/// queue. Returns `None` for files without a live filter (nothing to
-/// adapt), under-observed files, and files that observe what their
-/// threshold and their design allow.
+/// queue. Returns `None` for files without a filter (nothing to adapt),
+/// under-observed files, and files that observe what their threshold and
+/// their design allow.
 pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, queue: &QueryQueue) -> Option<FlagReason> {
-    // Absent or degraded: nothing to compare and nothing worth rewriting.
+    // No filter (zero budget, or a block that would not decode): nothing to
+    // compare and nothing worth rewriting.
     let filter = sst.filter()?;
     let (n, observed) = (sst.observed_probes(), sst.observed_fpr());
     // The threshold backs off exponentially in the file's retrain count:
@@ -143,7 +144,7 @@ pub fn retrain(
     let t0 = Instant::now();
     let keys = sst.filter_keys(stats)?;
     let (filter, trained_at) = keys.train(&sst.min_key, &sst.max_key, factory, queue, bits_per_key);
-    let new_reader = sst.with_new_filter(filter, trained_at, stats)?;
+    let new_reader = sst.with_new_filter(filter, trained_at)?;
     stats.retrain_ns.add(t0.elapsed().as_nanos() as u64);
     stats.filters_retrained.inc();
     Ok(new_reader)

@@ -177,7 +177,7 @@ fn merge_inputs(
 mod tests {
     use super::*;
     use crate::db::{Db, Turn};
-    use crate::filter_hook::{NoFilterFactory, ProteusFactory};
+    use crate::filter_hook::ProteusFactory;
     use crate::query_queue::QueryQueue;
     use crate::sst::SstDescription;
     use crate::stats::Stats;
@@ -198,7 +198,7 @@ mod tests {
             w.add(&u64_key(lo + (hi - lo) * i / 63), &[0xA5u8; 32]).unwrap();
         }
         let queue = QueryQueue::new(1, 1);
-        Arc::new(w.finish(&NoFilterFactory, &queue, 0.0, &Stats::default()).unwrap())
+        Arc::new(w.finish(&ProteusFactory::default(), &queue, 0.0, &Stats::default()).unwrap())
     }
 
     fn ids(files: &[Arc<SstReader>]) -> Vec<u64> {

@@ -317,7 +317,7 @@ mod tests {
         ] {
             let dir =
                 std::env::temp_dir().join(format!("proteus-cfg-bad-{tag}-{}", std::process::id()));
-            let factory = std::sync::Arc::new(crate::NoFilterFactory);
+            let factory = std::sync::Arc::new(crate::ProteusFactory::default());
             let opened = crate::Db::open(&dir, broken, factory);
             assert!(matches!(opened, Err(Error::Config(_))), "{tag}");
             assert!(!dir.exists(), "a rejected open must not create the directory");

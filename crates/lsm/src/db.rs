@@ -482,10 +482,10 @@ impl Db {
     /// # Example
     ///
     /// ```
-    /// # use proteus_lsm::{Db, DbConfig, NoFilterFactory};
+    /// # use proteus_lsm::{Db, DbConfig, ProteusFactory};
     /// # use std::sync::Arc;
     /// # let dir = std::env::temp_dir().join(format!("proteus-doc-range-{}", std::process::id()));
-    /// # let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory))?;
+    /// # let db = Db::open(&dir, DbConfig::default(), Arc::new(ProteusFactory::default()))?;
     /// for i in 0..10u64 {
     ///     db.put_u64(i, &i.to_le_bytes())?;
     /// }
@@ -949,7 +949,7 @@ mod poison_tests {
     //! be a double panic and abort the process).
 
     use super::*;
-    use crate::NoFilterFactory;
+    use crate::db_tests::open_unfiltered;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::OnceLock;
     use std::time::Duration;
@@ -1003,7 +1003,7 @@ mod poison_tests {
             .memtable_bytes(1)
             .build()
             .unwrap();
-        let db = Db::open(dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(dir, cfg).unwrap();
         poison_worker(&db);
         let deadline = Instant::now() + Duration::from_secs(5);
         while !db.thread.as_ref().unwrap().is_finished() && Instant::now() < deadline {
@@ -1017,7 +1017,7 @@ mod poison_tests {
     fn drop_with_poisoned_worker_never_panics() {
         worker_panics();
         let dir = tmpdir("drop");
-        let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, DbConfig::default()).unwrap();
         db.put_u64(7, b"survives").unwrap();
         poison_worker(&db);
         // The final flush meets the poisoned lock; `Drop` swallows the
@@ -1026,7 +1026,7 @@ mod poison_tests {
         let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(db)));
         assert!(dropped.is_ok(), "Db::drop must complete with a poisoned worker lock");
         // The final WAL sync still ran: the acked write survives a reopen.
-        let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, DbConfig::default()).unwrap();
         assert_eq!(db.get_u64(7).unwrap().as_deref(), Some(&b"survives"[..]));
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1036,7 +1036,7 @@ mod poison_tests {
     fn poisoned_worker_surfaces_typed_error_on_barriers() {
         worker_panics();
         let dir = tmpdir("typed");
-        let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, DbConfig::default()).unwrap();
         db.put_u64(1, b"v").unwrap();
         poison_worker(&db);
         assert!(matches!(db.flush(), Err(Error::Poisoned(_))));

@@ -1,14 +1,11 @@
 //! The filter integration point (§6.1): every SST file gets a range filter
-//! built from its keys plus the current sample-query queue. Factories for
-//! Proteus, SuRF and Rosetta live with the benchmarks; this crate only
-//! defines the hook and trivial built-ins.
+//! built from its keys plus the current sample-query queue, through a
+//! [`FilterFactory`]. This module defines the hook and [`ProteusFactory`],
+//! the self-designing filter the paper evaluates. A store without filters
+//! is a zero-budget one (`DbConfig::bits_per_key(0.0)`): its files never
+//! call the factory and hold no filter.
 
 use proteus_core::{KeySet, RangeFilter, SampleQueries};
-
-// The pass-through baseline now lives in `proteus-core` (so the filter
-// codec can decode unknown kinds into it); re-exported here for all the
-// existing `proteus_lsm::NoFilter` users.
-pub use proteus_core::NoFilter;
 
 /// Builds a range filter for one SST file.
 ///
@@ -50,29 +47,12 @@ pub use proteus_core::NoFilter;
 pub trait FilterFactory: Send + Sync {
     /// `keys` — the file's key set; `samples` — recent empty queries,
     /// already certified empty w.r.t. `keys`; `m_bits` — the memory budget
-    /// for this filter.
+    /// for this filter, never 0 (a file whose budget rounds to zero bits
+    /// gets no filter, and the factory is not called).
     fn build(&self, keys: &KeySet, samples: &SampleQueries, m_bits: u64) -> Box<dyn RangeFilter>;
 
     /// Display name for experiment output.
     fn name(&self) -> String;
-}
-
-/// Factory for [`NoFilter`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFilterFactory;
-
-impl FilterFactory for NoFilterFactory {
-    fn build(
-        &self,
-        _keys: &KeySet,
-        _samples: &SampleQueries,
-        _m_bits: u64,
-    ) -> Box<dyn RangeFilter> {
-        Box::new(NoFilter)
-    }
-    fn name(&self) -> String {
-        "none".to_string()
-    }
 }
 
 /// Factory producing self-designing Proteus filters (the default
@@ -95,13 +75,6 @@ impl FilterFactory for ProteusFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn no_filter_always_positive() {
-        let f = NoFilter;
-        assert!(f.may_contain_range(&[0; 8], &[1; 8]));
-        assert_eq!(f.size_bits(), 0);
-    }
 
     #[test]
     fn proteus_factory_builds_working_filters() {

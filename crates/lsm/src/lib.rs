@@ -58,7 +58,7 @@ pub use cache::{BlockCache, ShardedBlockCache};
 pub use config::{DbConfig, DbConfigBuilder, SyncMode};
 pub use db::Db;
 pub use error::{Error, Result};
-pub use filter_hook::{FilterFactory, NoFilter, NoFilterFactory, ProteusFactory};
+pub use filter_hook::{FilterFactory, ProteusFactory};
 pub use query_queue::QueryQueue;
 pub use read::RangeIter;
 pub use sst::SstDescription;
@@ -81,6 +81,13 @@ mod db_tests {
         DbConfig::builder().memtable_bytes(64 << 10).bits_per_key(12.0).build().unwrap()
     }
 
+    /// A store without filters: `cfg` with a zero filter budget, so no file
+    /// calls the factory and every file's filter is `None`.
+    pub(crate) fn open_unfiltered(dir: &std::path::Path, cfg: DbConfig) -> Result<Db> {
+        let cfg = cfg.to_builder().bits_per_key(0.0).build()?;
+        Db::open(dir, cfg, Arc::new(ProteusFactory::default()))
+    }
+
     fn value(i: u64) -> Vec<u8> {
         let mut v = vec![0u8; 128];
         v[64..72].copy_from_slice(&i.to_le_bytes());
@@ -90,7 +97,7 @@ mod db_tests {
     #[test]
     fn put_flush_seek_roundtrip() {
         let dir = tmpdir("roundtrip");
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, small_cfg()).unwrap();
         for i in 0..5000u64 {
             db.put_u64(i * 1000, &value(i)).unwrap();
         }
@@ -111,7 +118,7 @@ mod db_tests {
     #[test]
     fn memtable_answers_before_flush() {
         let dir = tmpdir("memtable");
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, small_cfg()).unwrap();
         db.put_u64(42, b"v").unwrap();
         assert!(db.seek_u64(40, 44).unwrap());
         assert!(!db.seek_u64(43, 100).unwrap());
@@ -123,7 +130,7 @@ mod db_tests {
     fn compaction_moves_data_down_and_preserves_it() {
         let dir = tmpdir("compaction");
         let cfg = small_cfg().to_builder().memtable_bytes(16 << 10).build().unwrap();
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, cfg).unwrap();
         for i in 0..20_000u64 {
             db.put_u64((i * 2_654_435_761) % (1 << 40), &value(i)).unwrap();
         }
@@ -144,7 +151,7 @@ mod db_tests {
     fn overwrites_keep_newest_value_through_compaction() {
         let dir = tmpdir("overwrite");
         let cfg = small_cfg().to_builder().memtable_bytes(8 << 10).build().unwrap();
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, cfg).unwrap();
         for round in 0..4u64 {
             for i in 0..500u64 {
                 let mut v = value(i);
@@ -210,7 +217,7 @@ mod db_tests {
     #[test]
     fn no_filter_baseline_pays_io_for_every_overlap() {
         let dir = tmpdir("nofilter-io");
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, small_cfg()).unwrap();
         for i in 0..5000u64 {
             db.put_u64(i << 24, &value(i)).unwrap();
         }
@@ -237,7 +244,7 @@ mod db_tests {
     #[test]
     fn reopen_discards_unfinished_tmp_files_from_a_crash() {
         let dir = tmpdir("crash-tmp");
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, small_cfg()).unwrap();
         for i in 0..2_000u64 {
             db.put_u64(i * 11, &value(i)).unwrap();
         }
@@ -248,7 +255,7 @@ mod db_tests {
         // MANIFEST never listed, and a filter rewrite never renamed.
         std::fs::write(dir.join("00000099.sst"), b"partial garbage, no footer").unwrap();
         std::fs::write(dir.join("00000098.sst.tmp"), b"partial garbage, no footer").unwrap();
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, small_cfg()).unwrap();
         assert_eq!(db.sst_count(), ssts, "stragglers must not poison recovery");
         assert!(!dir.join("00000099.sst").exists(), "unlisted SST cleaned up");
         assert!(!dir.join("00000098.sst.tmp").exists(), "straggler cleaned up");
@@ -334,7 +341,7 @@ mod db_tests {
     #[test]
     fn stats_track_seek_outcomes() {
         let dir = tmpdir("stats");
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, small_cfg()).unwrap();
         for i in 0..100u64 {
             db.put_u64(i * 100, &value(i)).unwrap();
         }
@@ -356,7 +363,7 @@ mod db_tests {
         // Seek the store executed and found empty must.
         let dir = tmpdir("sampling");
         let cfg = small_cfg().to_builder().sample_every(1).build().unwrap();
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, cfg).unwrap();
         db.put_u64(500, b"v").unwrap();
 
         // Answered by the active MemTable: not an empty query, no offer.
@@ -390,7 +397,7 @@ mod db_tests {
     #[test]
     fn get_delete_batch_range_roundtrip() {
         let dir = tmpdir("v2-roundtrip");
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, small_cfg()).unwrap();
         for i in 0..2_000u64 {
             db.put_u64(i * 3, &value(i)).unwrap();
         }
@@ -434,7 +441,7 @@ mod db_tests {
     #[test]
     fn inverted_ranges_are_empty_not_errors() {
         let dir = tmpdir("inverted");
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, small_cfg()).unwrap();
         db.put_u64(100, b"v").unwrap();
         // seek with lo > hi: defined as empty, not an assert or an error.
         assert!(!db.seek_u64(200, 100).unwrap());
@@ -463,7 +470,7 @@ mod db_tests {
     #[test]
     fn zero_length_and_oversized_keys_are_config_errors() {
         let dir = tmpdir("badkeys");
-        let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, small_cfg()).unwrap();
         let is_config = |r: crate::Result<()>| matches!(r, Err(crate::Error::Config(_)));
         let oversized = vec![7u8; 2000]; // the key cap is 1024 bytes
         assert!(is_config(db.put(b"", b"v")), "empty key put");
@@ -509,7 +516,7 @@ mod db_tests {
         // L1 (four 128 KiB MemTables) holds the whole load, so it is the
         // bottom level the tombstones are compacted into.
         let cfg = small_cfg().to_builder().memtable_bytes(128 << 10).build().unwrap();
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, cfg).unwrap();
         for i in 0..2_000u64 {
             db.put_u64(i * 2, &value(i)).unwrap();
         }
@@ -544,7 +551,7 @@ mod db_tests {
         let dir = tmpdir("hot-key");
         let limit = 64 << 10;
         let cfg = DbConfig::builder().memtable_bytes(limit).build().unwrap();
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, cfg).unwrap();
         let arena_cap = memtable::ARENA_LIMIT_FACTOR * limit;
         let value = |i: u32| [&i.to_le_bytes()[..], &[0xAB; 1020]].concat();
         for i in 0..20_000u32 {
@@ -572,7 +579,7 @@ mod db_tests {
         // write is its own batch), which must count towards rotation.
         let dir = tmpdir("hot-tombstone");
         let cfg = DbConfig::builder().memtable_bytes(8 << 10).build().unwrap();
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, cfg).unwrap();
         for i in 0..12_000u32 {
             if i % 2 == 0 {
                 db.delete(b"hot").unwrap();
@@ -601,7 +608,7 @@ mod db_tests {
         let dir = tmpdir("bg-visibility");
         // rotate every ~30 entries
         let cfg = small_cfg().to_builder().memtable_bytes(4 << 10).build().unwrap();
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, cfg).unwrap();
         for i in 0..2_000u64 {
             db.put_u64(i * 3, &value(i)).unwrap();
             if i % 17 == 0 {
@@ -626,7 +633,7 @@ mod db_tests {
         // between its completion and the checks below.
         let dir = tmpdir("settle-writers");
         let cfg = small_cfg().to_builder().memtable_bytes(8 << 10).build().unwrap();
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, cfg).unwrap();
         let key = |w: u64, i: u64| (i << 8) | w;
         let writing = AtomicUsize::new(4);
         let half_done = std::sync::Barrier::new(5);
@@ -769,7 +776,7 @@ mod sim {
     //! the oracle and leave no SST the `MANIFEST` does not list.
 
     use crate::db::{Db, Turn};
-    use crate::filter_hook::{FilterFactory, NoFilterFactory, ProteusFactory};
+    use crate::filter_hook::{FilterFactory, ProteusFactory};
     use crate::query_queue::clamp_to_file;
     use crate::stats::Stats;
     use crate::{DbConfig, SyncMode, WriteBatch};
@@ -846,10 +853,11 @@ mod sim {
             // Tiny thresholds, so a few dozen writes rotate, flush, trigger L0
             // compaction and overflow L1 into L2; a small queue keeps filter
             // training cheap, and a low threshold makes passes re-train.
+            // Without `proteus` the budget is zero: a store without filters.
             let sync = if seed.is_multiple_of(2) { SyncMode::Always } else { SyncMode::Off };
             let cfg = DbConfig::builder()
                 .memtable_bytes(512)
-                .bits_per_key(12.0)
+                .bits_per_key(if proteus { 12.0 } else { 0.0 })
                 .sample_every(3)
                 .queue_capacity(256)
                 .adapt_min_probes(8)
@@ -857,11 +865,7 @@ mod sim {
                 .sync_mode(sync)
                 .build()
                 .unwrap();
-            let factory: Arc<dyn FilterFactory> = if proteus {
-                Arc::new(ProteusFactory::default())
-            } else {
-                Arc::new(NoFilterFactory)
-            };
+            let factory: Arc<dyn FilterFactory> = Arc::new(ProteusFactory::default());
             let db = Db::recover(dir.clone(), cfg.clone(), Arc::clone(&factory)).unwrap();
             Sim {
                 seed,

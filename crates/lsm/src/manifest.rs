@@ -96,7 +96,7 @@ pub(crate) fn recover(dir: &Path, stats: &Stats) -> Result<(Vec<Vec<Arc<SstReade
     let mut levels: Vec<Vec<Arc<SstReader>>> = vec![Vec::new()];
     for &(id, level) in &listed {
         let (sst, load_time) = SstReader::open_timed(sst::sst_path(dir, id), id)?;
-        if sst.has_live_filter() {
+        if sst.filter().is_some() {
             stats.filters_loaded.inc();
             stats.filter_load_ns.add(load_time.as_nanos() as u64);
         } else if sst.filter_block_len() > 0 {

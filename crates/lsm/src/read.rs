@@ -117,8 +117,8 @@ impl Version {
 pub(crate) struct Probe {
     /// Did the filter (or the absence of one) let the read through?
     passed: bool,
-    /// Did an actual filter answer? False for filterless/degraded files,
-    /// whose "positives" say nothing about any filter's quality.
+    /// Does the file have a filter? False for a file whose filter is
+    /// `None`, whose "positives" say nothing about any filter's quality.
     real: bool,
 }
 

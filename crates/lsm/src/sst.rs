@@ -154,28 +154,15 @@ fn encode_footer(
     Ok(f)
 }
 
-/// Encode a filter block. A filter without a persistent form leaves the
-/// block empty; after a reopen that file simply has no filter (recovery
-/// never retrains).
-fn encode_filter_block(filter: Option<&dyn RangeFilter>, stats: &Stats) -> Vec<u8> {
-    let Some(filter) = filter else { return Vec::new() };
-    FilterCodec::encode(filter).unwrap_or_else(|_| {
-        stats.filters_unpersisted.inc();
-        Vec::new()
-    })
+/// Encode a filter block: the filter's envelope, or nothing for a file
+/// without a filter.
+fn encode_filter_block(filter: Option<&dyn RangeFilter>) -> Vec<u8> {
+    filter.map_or_else(Vec::new, |f| FilterCodec::encode(f).unwrap_or_default())
 }
 
 /// Path of SST `id` inside `dir` (`NNNNNNNN.sst`).
 pub(crate) fn sst_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("{id:08}.sst"))
-}
-
-/// Sync the directory holding `path`, so its entry survives a power loss.
-fn sync_parent(path: &Path) -> Result<()> {
-    if let Some(dir) = path.parent() {
-        File::open(dir)?.sync_all()?;
-    }
-    Ok(())
 }
 
 /// Make a completely written `tmp_path` durable under its real name,
@@ -184,7 +171,14 @@ fn sync_parent(path: &Path) -> Result<()> {
 pub(crate) fn publish(tmp: &File, tmp_path: &Path, path: &Path) -> Result<()> {
     tmp.sync_all()?;
     std::fs::rename(tmp_path, path)?;
-    sync_parent(path)
+    sync_dir(path.parent().unwrap_or(Path::new(".")))
+}
+
+/// Sync directory `dir`, so the entries just created or renamed in it
+/// survive a power loss. SSTs, the `MANIFEST` and WAL segments all go
+/// through this one helper.
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
+    Ok(File::open(dir)?.sync_all()?)
 }
 
 /// The filter-key feed: the one place a file's entry keys — tombstones
@@ -215,9 +209,9 @@ impl FilterKeys {
     /// sample queue (§6.1: "used in conjunction with the keys in each SST
     /// file to determine the optimal filter design for each SST file") —
     /// the queries that will actually reach this file, see
-    /// [`QueryQueue::view`]; `None` when the budget rounds to zero bits.
-    /// Also returns the queue's [`QueryQueue::recorded`] mark the view was
-    /// taken at.
+    /// [`QueryQueue::view`]; `None` when the budget rounds to zero bits,
+    /// decided before any key set or view is built. Also returns the
+    /// queue's [`QueryQueue::recorded`] mark the view was taken at.
     pub(crate) fn train(
         self,
         min_key: &[u8],
@@ -226,13 +220,16 @@ impl FilterKeys {
         queue: &QueryQueue,
         bits_per_key: f64,
     ) -> (Option<Box<dyn RangeFilter>>, u64) {
-        let keyset = KeySet::from_sorted_canonical(self.flat, self.width);
         let trained_at = queue.recorded();
+        let n_keys = self.flat.len().checked_div(self.width).unwrap_or(0);
+        let m_bits = (bits_per_key * n_keys as f64) as u64;
+        if m_bits == 0 {
+            return (None, trained_at);
+        }
+        let keyset = KeySet::from_sorted_canonical(self.flat, self.width);
         let mut view = queue.view(self.width, min_key, max_key);
         view.retain_empty(&keyset);
-        let m_bits = (bits_per_key * keyset.len() as f64) as u64;
-        let filter = (m_bits > 0).then(|| factory.build(&keyset, view.training(), m_bits));
-        (filter, trained_at)
+        (Some(factory.build(&keyset, view.training(), m_bits)), trained_at)
     }
 }
 
@@ -352,7 +349,8 @@ impl SstReader {
     /// Reopen a persisted SST: read the footer, validate magic/version/
     /// geometry, and load the block index and the filter. Corrupt filter
     /// bytes or an unknown kind tag never fail the open: that file serves
-    /// without a filter (see [`SstReader::has_live_filter`]).
+    /// without a filter ([`SstReader::filter`] is `None` while
+    /// [`SstReader::filter_block_len`] is not 0).
     pub fn open(path: impl Into<PathBuf>, id: u64) -> Result<SstReader> {
         Ok(Self::open_timed(path, id)?.0)
     }
@@ -367,11 +365,9 @@ impl SstReader {
         let mut bytes = vec![0u8; reader.filter_block_len];
         reader.file.read_exact_at(&mut bytes, reader.file_bytes + reader.index_len)?;
         let t0 = Instant::now();
-        // A valid envelope from a newer build (unknown kind tag) is no
+        // An unknown kind tag (a newer build's, or the retired tag 0) is no
         // more usable than corrupt bytes.
-        if let Some(decoded) = FilterCodec::decode(&bytes).ok().filter(|d| !d.degraded) {
-            reader.filter = Some(decoded.filter);
-        }
+        reader.filter = FilterCodec::decode(&bytes).ok().map(|d| d.filter);
         Ok((reader, t0.elapsed()))
     }
 
@@ -585,9 +581,8 @@ impl SstReader {
         &self,
         filter: Option<Box<dyn RangeFilter>>,
         trained_at: u64,
-        stats: &Stats,
     ) -> Result<SstReader> {
-        let filter_bytes = encode_filter_block(filter.as_deref(), stats);
+        let filter_bytes = encode_filter_block(filter.as_deref());
         // Data section + index block, byte-identical from the live inode.
         let mut head = vec![0u8; (self.file_bytes + self.index_len) as usize];
         self.file.read_exact_at(&mut head, 0)?;
@@ -612,12 +607,6 @@ impl SstReader {
             trained_at,
             self.retrain_count + 1,
         )
-    }
-
-    /// Does this file have a filter? `false` with a non-zero
-    /// [`SstReader::filter_block_len`] means the block would not decode.
-    pub fn has_live_filter(&self) -> bool {
-        self.filter.is_some()
     }
 
     /// Size of the persisted filter block in bytes (0 = none).
@@ -856,9 +845,11 @@ impl SstWriter {
 
         let t0 = Instant::now();
         let (filter, trained_at) = self.keys.train(min_key, max_key, factory, queue, bits_per_key);
-        stats.filter_build_ns.add(t0.elapsed().as_nanos() as u64);
-        stats.filters_built.inc();
-        let filter_bytes = encode_filter_block(filter.as_deref(), stats);
+        if filter.is_some() {
+            stats.filter_build_ns.add(t0.elapsed().as_nanos() as u64);
+            stats.filters_built.inc();
+        }
+        let filter_bytes = encode_filter_block(filter.as_deref());
 
         self.file.write_all(&index_bytes)?;
         self.file.write_all(&filter_bytes)?;
@@ -872,7 +863,7 @@ impl SstWriter {
         )?;
         self.file.write_all(&footer)?;
         self.file.sync_all()?;
-        sync_parent(&self.path)?;
+        sync_dir(self.path.parent().unwrap_or(Path::new(".")))?;
         SstReader::open_trained(self.path, self.id, filter, trained_at, 0)
     }
 }
@@ -1205,21 +1196,48 @@ mod tests {
 
     #[test]
     fn corrupt_filter_block_degrades_without_panicking() {
-        let dir = tmpdir("corrupt-filter");
-        let written = write_sample(&dir, 1, 2_000);
-        drop(written);
-        let path = dir.join("00000001.sst");
-        // Flip one byte inside the filter block.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let flen = bytes.len();
-        let filter_off =
-            u64::from_le_bytes(bytes[flen - 48..flen - 40].try_into().unwrap()) as usize;
-        bytes[filter_off + 20] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let reopened = SstReader::open(&path, 1).unwrap();
-        assert!(reopened.filter().is_none(), "corrupt filter must degrade");
-        assert!(reopened.filter_block_len() > 0 && !reopened.has_live_filter());
-        let _ = std::fs::remove_dir_all(&dir);
+        let written = write_sample(&tmpdir("corrupt-filter"), 1, 2_000);
+        let block_at = (written.file_bytes + written.index_len) as usize;
+        let original = std::fs::read(&written.path).unwrap();
+        // One byte flipped inside the filter block, and intact envelopes
+        // under kind tags this build does not know: the retired tag 0 and a
+        // future tag 42.
+        let mut corrupt = original[block_at..block_at + written.filter_block_len].to_vec();
+        corrupt[20] ^= 0xFF;
+        let seal_raw = proteus_core::codec::seal_raw;
+        for (what, block) in
+            [("corrupt", corrupt), ("tag-0", seal_raw(0, &[])), ("tag-42", seal_raw(42, &[1, 2]))]
+        {
+            let dir = tmpdir(&format!("degraded-{what}"));
+            let path = sst_path(&dir, 1);
+            let mut bytes = original[..block_at].to_vec();
+            bytes.extend_from_slice(&block);
+            let (file_bytes, index_len) = (written.file_bytes, written.index_len);
+            let (entries, tombstones) = (written.n_entries, written.n_tombstones);
+            let footer =
+                encode_footer(file_bytes, index_len, block.len() as u64, entries, tombstones, 8);
+            bytes.extend_from_slice(&footer.unwrap());
+            std::fs::write(&path, &bytes).unwrap();
+            let reopened = SstReader::open(&path, 1).unwrap();
+            assert!(reopened.filter().is_none(), "{what}: the file opens without a filter");
+            assert_eq!(reopened.filter_block_len(), block.len(), "{what}");
+            // The store opens it as well, counts it degraded, and lets every
+            // probe through to the file's blocks.
+            let levels = vec![vec![Arc::new(reopened)]];
+            crate::manifest::store(&dir, &crate::db::Version { levels }).unwrap();
+            let factory = Arc::new(ProteusFactory::default());
+            let db = crate::Db::open(&dir, crate::DbConfig::default(), factory).unwrap();
+            assert_eq!(db.stats().filters_degraded.get(), 1, "{what}");
+            // Keys are the multiples of 7: these windows hold none.
+            for i in 0..100u64 {
+                assert!(!db.seek_u64(i * 70 + 1, i * 70 + 6).unwrap(), "{what}");
+            }
+            let s = db.stats().snapshot();
+            assert_eq!((s.filter_false_positives, s.filter_negatives), (100, 0), "{what}");
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(written.path.parent().unwrap());
     }
 
     #[test]

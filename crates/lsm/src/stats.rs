@@ -137,9 +137,12 @@ stats! {
         /// was — a `MANIFEST` edit, with nothing written, trained or retired
         /// — because nothing in the target level overlapped it.
         trivial_moves,
-        /// SST filters constructed (includes modeling).
+        /// SST filters constructed at flush and compaction (includes
+        /// modeling). A file whose budget rounds to zero bits gets no filter
+        /// and is not counted.
         filters_built,
-        /// Total nanoseconds spent building filters (modeling + construction).
+        /// Total nanoseconds spent building those filters (modeling +
+        /// construction).
         filter_build_ns,
         /// SST files recovered from disk by `Db::open`.
         ssts_recovered,
@@ -147,13 +150,10 @@ stats! {
         filters_loaded,
         /// Total nanoseconds spent decoding persisted filters.
         filter_load_ns,
-        /// Persisted filters that could not be reconstructed (unknown kind tag
-        /// or corrupt bytes) and degraded to no-filter for that SST.
+        /// Persisted filter blocks that would not decode — corrupt bytes, or
+        /// a kind tag this build does not know (a newer build's, or the
+        /// retired tag 0) — so their SSTs open without a filter.
         filters_degraded,
-        /// Built filters with no persistent form (encode unsupported); their
-        /// SSTs carry no filter block, so after a reopen those files serve
-        /// unfiltered probes (recovery never retrains).
-        filters_unpersisted,
         /// Filter probes (real filters only) that answered positive for an SST
         /// with no key in range — the adaptive lifecycle's per-probe false
         /// positive evidence (also accumulated per SST), over the true

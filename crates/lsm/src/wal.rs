@@ -87,6 +87,7 @@
 use crate::compress;
 use crate::config::SyncMode;
 use crate::error::{Error, Result};
+use crate::sst::sync_dir;
 use proteus_core::codec::{crc32, ByteReader, CodecError, WireWrite};
 use proteus_core::sync::{rank, Condvar, Mutex, MutexGuard};
 use std::fs::File;
@@ -153,10 +154,6 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     }
     segments.sort_by_key(|(id, _)| *id);
     Ok(segments)
-}
-
-fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
 }
 
 fn bad(path: &Path, what: impl std::fmt::Display) -> Error {

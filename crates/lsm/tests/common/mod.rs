@@ -1,7 +1,7 @@
 //! Helpers shared by the lsm integration-test binaries.
 #![allow(dead_code)] // compiled once per test binary; not every binary uses every helper
 
-use proteus_lsm::{Db, DbConfig, FilterFactory};
+use proteus_lsm::{Db, DbConfig, FilterFactory, ProteusFactory};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -16,6 +16,17 @@ impl Rng {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
+}
+
+/// `cfg` with a zero filter budget: the configuration of a store without
+/// filters, whose files never call the factory and hold no filter.
+pub fn unfiltered(cfg: DbConfig) -> DbConfig {
+    cfg.to_builder().bits_per_key(0.0).build().unwrap()
+}
+
+/// Open a store without filters (see [`unfiltered`]).
+pub fn open_unfiltered(dir: &Path, cfg: DbConfig) -> proteus_lsm::Result<Db> {
+    Db::open(dir, unfiltered(cfg), Arc::new(ProteusFactory::default()))
 }
 
 /// A `MANIFEST` listing `entries` (`(file id, level)`, L0 oldest first),

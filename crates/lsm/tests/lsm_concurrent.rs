@@ -12,14 +12,14 @@
 //!   ≥100k-op stress).
 
 use proteus_lsm::db::{Db, DbConfig};
-use proteus_lsm::filter_hook::{FilterFactory, NoFilterFactory, ProteusFactory};
+use proteus_lsm::filter_hook::{FilterFactory, ProteusFactory};
 use proteus_lsm::sst::SstReader;
 use proteus_lsm::WriteBatch;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod common;
-use common::Rng;
+use common::{open_unfiltered, Rng};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("proteus-conc-{tag}-{}", std::process::id()));
@@ -163,7 +163,7 @@ fn stress_disjoint_ranges_zero_false_negatives() {
 #[test]
 fn stress_overlapping_ranges_zero_false_negatives() {
     let dir = tmpdir("overlap");
-    let db = Db::open(&dir, stress_cfg(), Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, stress_cfg()).unwrap();
     let n_writers = writers();
     let n_readers = readers();
     let ops = ops_per_thread();
@@ -223,7 +223,7 @@ fn stress_overlapping_ranges_zero_false_negatives() {
 #[test]
 fn stress_concurrent_barriers() {
     let dir = tmpdir("barriers");
-    let db = Db::open(&dir, stress_cfg(), Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, stress_cfg()).unwrap();
     let ops = (ops_per_thread() / 4).max(500) as u64;
     std::thread::scope(|s| {
         for w in 0..2usize {
@@ -266,7 +266,7 @@ fn stress_concurrent_barriers() {
 #[test]
 fn write_batches_are_atomic_under_concurrent_scans() {
     let dir = tmpdir("batch-atomic");
-    let db = Db::open(&dir, stress_cfg(), Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, stress_cfg()).unwrap();
     let keys: Vec<u64> = (0..8u64).map(|i| (i + 1) << 20).collect();
     let (lo, hi) = (keys[0], *keys.last().unwrap());
     let rounds = (ops_per_thread() / 8).max(250) as u64;
@@ -341,7 +341,6 @@ fn lsm_types_are_send_and_sync() {
     assert_send_sync::<proteus_lsm::QueryQueue>();
     assert_send_sync::<proteus_lsm::ShardedBlockCache>();
     assert_send_sync::<SstReader>();
-    assert_send_sync::<NoFilterFactory>();
     assert_send_sync::<ProteusFactory>();
     assert_send_sync::<Arc<dyn FilterFactory>>();
     assert_send_sync::<Box<dyn proteus_core::RangeFilter>>();

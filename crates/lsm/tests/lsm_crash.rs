@@ -24,7 +24,7 @@
 
 use proteus_core::key::{key_u64, u64_key};
 use proteus_lsm::wal::{self, Wal};
-use proteus_lsm::{Db, DbConfig, FilterFactory, NoFilterFactory, ProteusFactory, SyncMode};
+use proteus_lsm::{Db, DbConfig, FilterFactory, ProteusFactory, SyncMode};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 mod common;
-use common::{crash_and_reopen, snapshot_live_dir, CrashKind, Rng};
+use common::{crash_and_reopen, snapshot_live_dir, unfiltered, CrashKind, Rng};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("proteus-crash-{tag}-{}", std::process::id()));
@@ -40,8 +40,10 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
+/// The factory of a store without filters: an [`unfiltered`] configuration
+/// never calls it.
 fn nofilter() -> Arc<dyn FilterFactory> {
-    Arc::new(NoFilterFactory)
+    Arc::new(ProteusFactory::default())
 }
 
 /// Tiny thresholds so a few hundred writes cross every lifecycle
@@ -65,7 +67,7 @@ fn acked_writes_survive_process_kill_in_every_sync_mode() {
         ("off", SyncMode::Off),
     ] {
         let dir = tmpdir(&format!("kill-{tag}"));
-        let cfg = crash_cfg(mode);
+        let cfg = unfiltered(crash_cfg(mode));
         let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
         let mut mirror: BTreeMap<u64, Option<Vec<u8>>> = BTreeMap::new();
         let mut rng = Rng(0xC4A5_0000 ^ mode_bits(mode));
@@ -113,7 +115,7 @@ fn mode_bits(mode: SyncMode) -> u64 {
 #[test]
 fn power_loss_with_sync_always_keeps_every_acked_write() {
     let dir = tmpdir("power-always");
-    let cfg = wal_only_cfg(SyncMode::Always);
+    let cfg = unfiltered(wal_only_cfg(SyncMode::Always));
     let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
     for k in 0..60u64 {
         db.put_u64(k, format!("v{k}").as_bytes()).unwrap();
@@ -134,7 +136,7 @@ fn power_loss_with_sync_always_keeps_every_acked_write() {
 #[test]
 fn power_loss_with_sync_off_loses_only_the_unsynced_tail() {
     let dir = tmpdir("power-off");
-    let cfg = crash_cfg(SyncMode::Off);
+    let cfg = unfiltered(crash_cfg(SyncMode::Off));
     let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
     for k in 0..40u64 {
         db.put_u64(k, b"durable").unwrap();
@@ -164,7 +166,7 @@ fn power_loss_with_sync_off_loses_only_the_unsynced_tail() {
 #[test]
 fn power_loss_with_interval_sync_keeps_writes_past_the_deadline() {
     let dir = tmpdir("power-interval");
-    let cfg = wal_only_cfg(SyncMode::Interval(Duration::from_millis(1)));
+    let cfg = unfiltered(wal_only_cfg(SyncMode::Interval(Duration::from_millis(1))));
     let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
     db.put_u64(1, b"one").unwrap();
     std::thread::sleep(Duration::from_millis(5));
@@ -222,7 +224,7 @@ fn torn_batch_at_every_cut([pre, b20, b30]: &[Vec<u8>; 3]) {
     // The batch record's codec byte follows its length and CRC.
     assert_eq!(full[boundary + 8], wal::WAL_CODEC_ZERO_RLE, "the batch record's codec");
 
-    let cfg = wal_only_cfg(SyncMode::Off);
+    let cfg = unfiltered(wal_only_cfg(SyncMode::Off));
     for cut in boundary..=full.len() {
         let dir = tmpdir("torn-batch-probe");
         std::fs::create_dir_all(&dir).unwrap();
@@ -252,7 +254,7 @@ fn torn_batch_at_every_cut([pre, b20, b30]: &[Vec<u8>; 3]) {
 #[test]
 fn straggler_sst_tmp_next_to_live_wal_replays_exactly_once() {
     let dir = tmpdir("straggler");
-    let cfg = wal_only_cfg(SyncMode::Always);
+    let cfg = unfiltered(wal_only_cfg(SyncMode::Always));
     let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
     for k in 0..100u64 {
         db.put_u64(k, &k.to_le_bytes()).unwrap();
@@ -350,7 +352,7 @@ fn a_moved_file_reopens_at_the_level_the_manifest_lists() {
 #[test]
 fn torn_wal_tail_never_fails_open_and_recovers_the_replayable_prefix() {
     let dir = tmpdir("torn-tail-src");
-    let cfg = wal_only_cfg(SyncMode::Always);
+    let cfg = unfiltered(wal_only_cfg(SyncMode::Always));
     let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
     for k in 0..12u64 {
         db.put_u64(k, format!("val-{k}").as_bytes()).unwrap();
@@ -428,7 +430,7 @@ fn deleted_key_never_resurrects_across_crashes() {
 #[test]
 fn concurrent_writers_are_group_committed_and_fully_durable() {
     let dir = tmpdir("group-commit");
-    let cfg = wal_only_cfg(SyncMode::Always);
+    let cfg = unfiltered(wal_only_cfg(SyncMode::Always));
     let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
     const THREADS: u64 = 4;
     const PER: u64 = 300;
@@ -538,7 +540,7 @@ fn clean_drop_preserves_the_active_memtable_through_the_wal() {
     // Graceful shutdown does a final WAL sync, so buffered writes that
     // never saw a flush still survive — even in SyncMode::Off.
     let dir = tmpdir("clean-drop");
-    let cfg = wal_only_cfg(SyncMode::Off);
+    let cfg = unfiltered(wal_only_cfg(SyncMode::Off));
     let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
     for k in 0..50u64 {
         db.put_u64(k, b"buffered").unwrap();
@@ -561,7 +563,7 @@ fn live_dir_snapshot_mid_write_opens_with_every_prior_acked_write() {
     // that instant. Everything acked (and synced — SyncMode::Always)
     // before the copy began must be in it.
     let dir = tmpdir("live-snap");
-    let cfg = wal_only_cfg(SyncMode::Always); // no rotation mid-copy
+    let cfg = unfiltered(wal_only_cfg(SyncMode::Always)); // no rotation mid-copy
     let db = Db::open(&dir, cfg.clone(), nofilter()).unwrap();
     let progress = AtomicU64::new(0);
     let stop = AtomicBool::new(false);

@@ -16,7 +16,7 @@
 //! heavy shared prefixes, 1-byte through 1024-byte keys, the store's cap).
 
 use proptest::prelude::*;
-use proteus_lsm::{Db, DbConfig, NoFilterFactory, ProteusFactory, SyncMode, WriteBatch};
+use proteus_lsm::{Db, DbConfig, ProteusFactory, SyncMode, WriteBatch};
 
 mod common;
 use common::{crash_and_reopen, CrashKind, Rng};
@@ -31,9 +31,16 @@ fn tmpdir(tag: u64) -> std::path::PathBuf {
 }
 
 /// Tiny thresholds so a ~200-op script crosses every boundary: rotation,
-/// L0 trigger, level overflow.
-fn oracle_cfg() -> DbConfig {
-    DbConfig::builder().memtable_bytes(1 << 10).bits_per_key(12.0).sample_every(3).build().unwrap()
+/// L0 trigger, level overflow. Without `proteus` the filter budget is zero:
+/// a store without filters.
+fn oracle_cfg(proteus: bool) -> DbConfig {
+    let bits_per_key = if proteus { 12.0 } else { 0.0 };
+    DbConfig::builder()
+        .memtable_bytes(1 << 10)
+        .bits_per_key(bits_per_key)
+        .sample_every(3)
+        .build()
+        .unwrap()
 }
 
 #[derive(Debug)]
@@ -124,9 +131,8 @@ fn check_everything(db: &Db, oracle: &BTreeMap<u64, Vec<u8>>, touched: &BTreeSet
 
 fn run_script(seed: u64, n_ops: usize, proteus: bool) {
     let dir = tmpdir(seed ^ (proteus as u64) << 63 ^ n_ops as u64);
-    let factory: Arc<dyn proteus_lsm::FilterFactory> =
-        if proteus { Arc::new(ProteusFactory::default()) } else { Arc::new(NoFilterFactory) };
-    let db = Db::open(&dir, oracle_cfg(), Arc::clone(&factory)).unwrap();
+    let factory: Arc<dyn proteus_lsm::FilterFactory> = Arc::new(ProteusFactory::default());
+    let db = Db::open(&dir, oracle_cfg(proteus), Arc::clone(&factory)).unwrap();
     let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     // Every key ever written or deleted (deleted keys must stay dead).
     let mut touched: BTreeSet<u64> = BTreeSet::new();
@@ -193,7 +199,7 @@ fn run_script(seed: u64, n_ops: usize, proteus: bool) {
     // deleted key or lose/corrupt a live one.
     db.flush().unwrap();
     drop(db);
-    let db = Db::open(&dir, oracle_cfg(), factory).unwrap();
+    let db = Db::open(&dir, oracle_cfg(proteus), factory).unwrap();
     check_everything(&db, &oracle, &touched, "reopened");
 
     drop(db);
@@ -202,8 +208,8 @@ fn run_script(seed: u64, n_ops: usize, proteus: bool) {
 
 /// `oracle_cfg` with `SyncMode::Always`: every acked write is synced, so
 /// a crash point may not lose a single oracle entry.
-fn crash_oracle_cfg() -> DbConfig {
-    oracle_cfg().to_builder().sync_mode(SyncMode::Always).build().unwrap()
+fn crash_oracle_cfg(proteus: bool) -> DbConfig {
+    oracle_cfg(proteus).to_builder().sync_mode(SyncMode::Always).build().unwrap()
 }
 
 /// Like [`run_script`], but with crash points spliced into the
@@ -214,9 +220,8 @@ fn crash_oracle_cfg() -> DbConfig {
 /// compaction half done).
 fn run_crash_script(seed: u64, n_ops: usize, proteus: bool) {
     let dir = tmpdir(seed ^ 0xDEAD << 32 ^ (proteus as u64) << 63 ^ n_ops as u64);
-    let cfg = crash_oracle_cfg();
-    let factory: Arc<dyn proteus_lsm::FilterFactory> =
-        if proteus { Arc::new(ProteusFactory::default()) } else { Arc::new(NoFilterFactory) };
+    let cfg = crash_oracle_cfg(proteus);
+    let factory: Arc<dyn proteus_lsm::FilterFactory> = Arc::new(ProteusFactory::default());
     let mut db = Db::open(&dir, cfg.clone(), Arc::clone(&factory)).unwrap();
     let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let mut touched: BTreeSet<u64> = BTreeSet::new();
@@ -412,9 +417,8 @@ fn vcheck_everything(db: &Db, oracle: &ByteOracle, touched: &BTreeSet<Vec<u8>>, 
 
 fn run_var_script(seed: u64, n_ops: usize, proteus: bool) {
     let dir = tmpdir(seed ^ 0xBA5E << 40 ^ (proteus as u64) << 62 ^ n_ops as u64);
-    let factory: Arc<dyn proteus_lsm::FilterFactory> =
-        if proteus { Arc::new(ProteusFactory::default()) } else { Arc::new(NoFilterFactory) };
-    let db = Db::open(&dir, oracle_cfg(), Arc::clone(&factory)).unwrap();
+    let factory: Arc<dyn proteus_lsm::FilterFactory> = Arc::new(ProteusFactory::default());
+    let db = Db::open(&dir, oracle_cfg(proteus), Arc::clone(&factory)).unwrap();
     let mut oracle: ByteOracle = BTreeMap::new();
     let mut touched: BTreeSet<Vec<u8>> = BTreeSet::new();
     for (step, op) in vscript(seed, n_ops).iter().enumerate() {
@@ -495,7 +499,7 @@ fn run_var_script(seed: u64, n_ops: usize, proteus: bool) {
     vcheck_everything(&db, &oracle, &touched, "settled");
     db.flush().unwrap();
     drop(db);
-    let db = Db::open(&dir, oracle_cfg(), factory).unwrap();
+    let db = Db::open(&dir, oracle_cfg(proteus), factory).unwrap();
     vcheck_everything(&db, &oracle, &touched, "reopened");
 
     drop(db);

@@ -13,12 +13,11 @@ use proteus_core::codec::crc32;
 use proteus_core::key::u64_key;
 use proteus_lsm::manifest::MANIFEST_MAGIC;
 use proteus_lsm::sst::SstWriter;
-use proteus_lsm::{Db, DbConfig, Error, NoFilterFactory, QueryQueue, Stats};
+use proteus_lsm::{DbConfig, Error, ProteusFactory, QueryQueue, Stats};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 mod common;
-use common::{dir_contents, manifest_bytes};
+use common::{dir_contents, manifest_bytes, open_unfiltered};
 
 const GOLDEN: &str = "tests/fixtures/manifest/golden_v1.MANIFEST";
 
@@ -63,7 +62,7 @@ fn write_sst(dir: &Path, id: u64) {
         w.add(&u64_key(k), value).unwrap();
     }
     let queue = QueryQueue::new(4, 1);
-    drop(w.finish(&NoFilterFactory, &queue, 0.0, &Stats::default()).unwrap());
+    drop(w.finish(&ProteusFactory::default(), &queue, 0.0, &Stats::default()).unwrap());
 }
 
 /// A directory holding every file the golden lists, plus `extra` unlisted
@@ -93,7 +92,7 @@ fn open_recovers_exactly_the_listed_files_at_their_levels() {
     // listed it, 3 an input retired by an edit before the crash.
     let dir = store_dir("recover", &[3, 11]);
     std::fs::write(dir.join("MANIFEST"), golden()).unwrap();
-    let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, DbConfig::default()).unwrap();
     assert_eq!(db.level_file_counts(), [2, 2, 1]);
     assert_eq!(db.stats().ssts_recovered.get(), 5);
     for gone in ["00000003.sst", "00000011.sst"] {
@@ -123,7 +122,7 @@ fn every_truncation_and_bit_flip_of_the_golden_fails_open_with_corruption() {
     for (what, variant) in variants.chain(flips) {
         std::fs::write(dir.join("MANIFEST"), &variant).unwrap();
         let before = dir_contents(&dir);
-        match Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)) {
+        match open_unfiltered(&dir, DbConfig::default()) {
             Err(Error::Corruption(_)) => {}
             Err(other) => panic!("{what}: expected Corruption, got {other:?}"),
             Ok(_) => panic!("{what}: a damaged MANIFEST opened"),
@@ -137,7 +136,7 @@ fn every_truncation_and_bit_flip_of_the_golden_fails_open_with_corruption() {
 fn a_store_writes_the_layout_it_reads() {
     let dir = tmpdir("writer");
     let cfg = DbConfig::builder().memtable_bytes(16 << 10).build().unwrap();
-    let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, cfg).unwrap();
     for i in 0..6_000u64 {
         db.put_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), &[7u8; 64]).unwrap();
     }

@@ -4,10 +4,13 @@
 //! while it counts them.
 
 #[cfg(target_os = "linux")]
+mod common;
+
+#[cfg(target_os = "linux")]
 #[test]
 fn a_store_runs_exactly_one_background_thread() {
-    use proteus_lsm::{Db, DbConfig, NoFilterFactory};
-    use std::sync::Arc;
+    use common::open_unfiltered;
+    use proteus_lsm::DbConfig;
     use std::time::{Duration, Instant};
 
     /// Threads of this process named like the store's worker, once the
@@ -34,7 +37,7 @@ fn a_store_runs_exactly_one_background_thread() {
     assert_eq!(bg_threads(0), 0);
     // Periodic adaptive passes on: the same worker serves them.
     let cfg = DbConfig::builder().adapt_enabled(true).memtable_bytes(4 << 10).build().unwrap();
-    let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, cfg).unwrap();
     assert_eq!(bg_threads(1), 1, "Db::open starts exactly one worker");
     // Flushes run on it; a settle and a requested pass run on this thread
     // and start no thread of their own.

@@ -13,10 +13,12 @@
 //! test so no concurrently running test adds to the count. The count is
 //! per thread, so the store's background thread is not charged to a write.
 
-use proteus_lsm::{Db, DbConfig, NoFilterFactory, SyncMode, WriteBatch};
+use proteus_lsm::{DbConfig, SyncMode, WriteBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+
+mod common;
+use common::open_unfiltered;
 
 /// The system allocator plus a per-thread counter of `alloc` + `realloc`
 /// calls (every request that may obtain new memory).
@@ -93,7 +95,7 @@ fn steady_state_writes_do_not_allocate() {
     // flush is charged to a write.
     let cfg =
         DbConfig::builder().memtable_bytes(64 << 20).sync_mode(SyncMode::Off).build().unwrap();
-    let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, cfg).unwrap();
     // The §6.2 value: half zeros, so every put's record is stored zero-RLE.
     let value: Vec<u8> = (0..128u8).map(|i| if i < 64 { 0 } else { i }).collect();
     for i in 0..WARM_UP {

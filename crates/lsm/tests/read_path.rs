@@ -6,12 +6,12 @@
 //! pays for the rows it consumes, not for the tail behind them.
 
 use proteus_core::key::{key_u64, u64_key};
-use proteus_lsm::{Db, DbConfig, NoFilterFactory, ProteusFactory, StatsSnapshot, WriteBatch};
+use proteus_lsm::{Db, DbConfig, ProteusFactory, StatsSnapshot, WriteBatch};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 mod common;
-use common::Rng;
+use common::{open_unfiltered, Rng};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("proteus-readpath-{tag}-{}", std::process::id()));
@@ -33,7 +33,7 @@ fn probes(before: &StatsSnapshot, after: &StatsSnapshot) -> (u64, u64, u64) {
 #[test]
 fn newest_layer_wins_and_get_never_probes_the_layers_behind_it() {
     let dir = tmpdir("recency");
-    let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, small_cfg()).unwrap();
     // Three generations of key 500: settled deep, then two L0 files.
     for i in 0..3_000u64 {
         db.put_u64(i, b"gen-0").unwrap();
@@ -65,7 +65,7 @@ fn newest_layer_wins_and_get_never_probes_the_layers_behind_it() {
 #[test]
 fn seek_merges_the_memtable_overlay_instead_of_forking_around_it() {
     let dir = tmpdir("overlay");
-    let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, small_cfg()).unwrap();
     for i in 0..2_000u64 {
         db.put_u64(i * 10, b"settled").unwrap();
     }
@@ -132,7 +132,7 @@ fn seek_is_the_first_step_of_range_on_every_layer_mix() {
 #[test]
 fn a_seek_satisfied_early_never_reads_or_blames_the_files_behind_its_first_hit() {
     let dir = tmpdir("lazy");
-    let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, small_cfg()).unwrap();
     for i in 100..2_000u64 {
         db.put_u64(i, b"deep").unwrap();
     }
@@ -156,9 +156,10 @@ fn a_seek_satisfied_early_never_reads_or_blames_the_files_behind_its_first_hit()
 #[test]
 fn filterless_files_never_feed_the_observed_fpr_evidence() {
     let dir = tmpdir("filterless");
-    // A zero filter budget writes files with no filter block at all.
-    let cfg = small_cfg().to_builder().bits_per_key(0.0).build().unwrap();
-    let db = Db::open(&dir, cfg, Arc::new(ProteusFactory::default())).unwrap();
+    // A zero filter budget writes files with no filter block at all. The
+    // adaptive loop would act on the 400 probes below, were they evidence.
+    let cfg = small_cfg().to_builder().adapt_min_probes(50).build().unwrap();
+    let db = open_unfiltered(&dir, cfg).unwrap();
     for i in 0..2_000u64 {
         db.put_u64(i * 10, b"v").unwrap();
     }
@@ -174,6 +175,16 @@ fn filterless_files_never_feed_the_observed_fpr_evidence() {
     let d = db.stats().snapshot().delta(&before);
     assert_eq!(d.filter_false_positives, 400);
     assert_eq!((d.filter_negatives, d.observed_fp), (0, 0));
+    // Nothing to flag or re-train, every file describes as filterless, and
+    // no filter was ever built.
+    assert_eq!(db.adapt_now().unwrap(), 0);
+    let s = db.stats().snapshot();
+    assert_eq!((s.filters_flagged, s.filters_retrained, s.filters_built), (0, 0, 0));
+    let files: Vec<_> = db.describe().into_iter().flatten().collect();
+    assert!(!files.is_empty());
+    for file in files {
+        assert_eq!((file.filter, file.bits_per_key), (None, None), "file {}", file.id);
+    }
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -242,7 +253,7 @@ fn a_scan_reads_the_store_as_of_its_construction() {
     // lock while parked (the lock-doctor suites run this too: a write
     // under a live cursor must be neither an inversion nor a self-deadlock).
     let dir = tmpdir("view");
-    let db = Db::open(&dir, small_cfg(), Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, small_cfg()).unwrap();
     let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     // Settled files below, an unflushed table on top, the two interleaved.
     for i in 0..1_500u64 {
@@ -312,7 +323,7 @@ fn a_scan_pays_for_the_memtable_rows_it_consumes() {
     let dir = tmpdir("rows-read");
     // One MemTable layer — the active table, never rotated — over no SST.
     let cfg = DbConfig::builder().memtable_bytes(8 << 20).build().unwrap();
-    let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, cfg).unwrap();
     for i in 0..10_000u64 {
         db.put_u64(i * 2, &[7u8; 32]).unwrap();
     }

@@ -18,12 +18,12 @@
 use proteus_core::codec::crc32;
 use proteus_core::key::u64_key;
 use proteus_lsm::sst::{Entry, SstCursor, SstReader, SstWriter, SST_FORMAT_VERSION, SST_MAGIC_V3};
-use proteus_lsm::{Db, DbConfig, Error, NoFilterFactory, QueryQueue, Stats};
+use proteus_lsm::{DbConfig, Error, ProteusFactory, QueryQueue, Stats};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 mod common;
-use common::{dir_contents, manifest_bytes};
+use common::{dir_contents, manifest_bytes, open_unfiltered};
 
 const GOLDEN_V1: &str = "tests/fixtures/v1/golden_v1.sst";
 const GOLDEN_V2: &str = "tests/fixtures/v2/golden_v2.sst";
@@ -203,7 +203,7 @@ fn db_open_refuses_a_directory_holding_a_legacy_file_and_deletes_nothing() {
         let dir = tmpdir(&format!("legacy-db-{i}"));
         // A real store lists one file, which is then replaced by a file of
         // a retired generation.
-        let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, DbConfig::default()).unwrap();
         db.put(b"key", b"value").unwrap();
         db.flush().unwrap();
         drop(db);
@@ -221,7 +221,7 @@ fn db_open_refuses_a_directory_holding_a_legacy_file_and_deletes_nothing() {
         std::fs::write(dir.join("00000077.sst.tmp"), b"unfinished").unwrap();
         std::fs::write(dir.join("notes.txt"), b"not ours").unwrap();
         let before = dir_contents(&dir);
-        match Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)) {
+        match open_unfiltered(&dir, DbConfig::default()) {
             Err(Error::Corruption(msg)) => {
                 assert!(msg.contains(&format!("unsupported SST format {format}")), "{msg}")
             }
@@ -241,7 +241,7 @@ fn db_open_refuses_ssts_without_a_manifest_and_deletes_nothing() {
     write_v3_with_writer(&dir);
     std::fs::write(dir.join("00000077.sst.tmp"), b"unfinished").unwrap();
     let before = dir_contents(&dir);
-    match Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)) {
+    match open_unfiltered(&dir, DbConfig::default()) {
         Err(Error::Corruption(msg)) => assert!(msg.contains("no MANIFEST"), "{msg}"),
         Err(other) => panic!("expected Corruption, got {other:?}"),
         Ok(_) => panic!("Db::open must refuse SSTs without a MANIFEST"),
@@ -508,7 +508,7 @@ fn v3_entry_corruption_is_typed_not_silent() {
     // a MANIFEST lists the file.
     std::fs::write(dir.join("MANIFEST"), manifest_bytes(&[(3, 1)])).unwrap();
     let first_key = entries[0].0.clone();
-    let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+    let db = open_unfiltered(&dir, DbConfig::default()).unwrap();
     assert!(matches!(db.get(&first_key), Err(Error::Corruption(_))));
     assert!(matches!(db.seek(&first_key, &entries[5].0), Err(Error::Corruption(_))));
     drop(db);
@@ -575,7 +575,7 @@ fn write_v3_with_writer(dir: &Path) -> PathBuf {
             None => w.delete(&key).unwrap(),
         }
     }
-    drop(w.finish(&NoFilterFactory, &queue, 0.0, &stats).unwrap());
+    drop(w.finish(&ProteusFactory::default(), &queue, 0.0, &stats).unwrap());
     dir.join("00000009.sst")
 }
 
@@ -623,7 +623,7 @@ fn a_short_zero_run_at_the_literal_cap_survives_flush() {
     let value = [vec![1u8; 65_526], vec![0, 0], vec![1; 10], vec![0; 1_000]].concat();
     for key_len in 1..=4 {
         let dir = tmpdir(&format!("literal-cap-{key_len}"));
-        let db = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory)).unwrap();
+        let db = open_unfiltered(&dir, DbConfig::default()).unwrap();
         let key = vec![b'k'; key_len];
         db.put(&key, &value).unwrap();
         assert_eq!(db.get(&key).unwrap().as_deref(), Some(&value[..]));

@@ -18,9 +18,11 @@ use proteus_lsm::wal::{
     self, replay_segment, segment_path, Wal, WalOp, WAL_CODEC_RAW, WAL_CODEC_ZERO_RLE,
     WAL_HEADER_LEN, WAL_MAGIC, WAL_TAG_DELETE, WAL_TAG_PUT,
 };
-use proteus_lsm::{compress, Db, DbConfig, Error, NoFilterFactory, Stats, SyncMode};
+use proteus_lsm::{compress, DbConfig, Error, Stats, SyncMode};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+
+mod common;
+use common::open_unfiltered;
 
 const GOLDEN: &str = "tests/fixtures/wal/golden_v2.wal";
 const GOLDEN_V1: &str = "tests/fixtures/wal/golden_v1.wal";
@@ -238,7 +240,7 @@ fn a_prwalv1_segment_is_refused_by_name() {
         other => panic!("{what}: a PRWALv1 segment must be Corruption, got {other:?}"),
     };
     expect_named(replay_segment(&path, KEY_WIDTH).map(drop), "replay");
-    let opened = Db::open(&dir, DbConfig::default(), Arc::new(NoFilterFactory));
+    let opened = open_unfiltered(&dir, DbConfig::default());
     expect_named(opened.map(drop), "Db::open");
     let _ = std::fs::remove_dir_all(&dir);
 }

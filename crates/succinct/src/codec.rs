@@ -40,9 +40,6 @@ pub enum CodecError {
     },
     /// A structural invariant failed (lengths disagree, bits out of range).
     Invalid(&'static str),
-    /// The filter type does not support serialization (a filter keeping
-    /// the default `encode_payload`, e.g. `CountingProteus`).
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for CodecError {
@@ -56,7 +53,6 @@ impl fmt::Display for CodecError {
             CodecError::ChecksumMismatch => write!(f, "checksum mismatch"),
             CodecError::UnknownTag { what, tag } => write!(f, "unknown {what} tag {tag:#04x}"),
             CodecError::Invalid(what) => write!(f, "invalid encoding: {what}"),
-            CodecError::Unsupported(what) => write!(f, "serialization unsupported for {what}"),
         }
     }
 }

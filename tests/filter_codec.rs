@@ -14,7 +14,10 @@
 //!   must still decode, and re-encodes to `proteus_l16_l40.bin`.
 //!   `one_pbf_l32.bin` is frozen history too: a 1PBF under the kind tag it
 //!   had while it was a type of its own. It must decode, answer as it did,
-//!   and re-encodes as the trie-less Proteus it is.
+//!   and re-encodes as the trie-less Proteus it is. `nofilter.bin` is the
+//!   pass-through "no filter" under tag 0, which is retired and never
+//!   written: it must decode as `CodecError::UnknownTag`, and regeneration
+//!   neither rewrites nor deletes it.
 //! * **v1 rejection** — the PR-2 era fixtures under `tests/fixtures/v1/`
 //!   (never regenerated) carry the retired envelope version 1, which
 //!   could only ride in SST generations the store no longer opens: every
@@ -28,8 +31,7 @@ use proteus::core::codec::{seal, unseal};
 use proteus::core::model::proteus::ProteusDesign;
 use proteus::core::model::two_pbf::TwoPbfDesign;
 use proteus::core::{
-    CodecError, FilterKind, NoFilter, Proteus, ProteusOptions, RangeFilter, TwoPbf,
-    TwoPbfFilterOptions,
+    CodecError, FilterKind, Proteus, ProteusOptions, RangeFilter, TwoPbf, TwoPbfFilterOptions,
 };
 use proteus::filters::{FilterCodec, Rosetta, RosettaOptions, Surf, SurfSuffix};
 use std::path::PathBuf;
@@ -60,7 +62,6 @@ fn fixtures() -> Vec<(&'static str, Box<dyn RangeFilter>)> {
     let ks = fixture_keys();
     let m = 64 * 16;
     vec![
-        ("nofilter.bin", Box::new(NoFilter) as Box<dyn RangeFilter>),
         (
             "proteus_l16_l40.bin",
             Box::new(Proteus::build_with_design(
@@ -114,6 +115,10 @@ fn span_fixture() -> (&'static str, Box<dyn RangeFilter>) {
 /// writes any more: frozen in `v1/` and `v2/` alike.
 const ONE_PBF_FIXTURE: &str = "one_pbf_l32.bin";
 
+/// The retired tag-0 "no filter" (an empty payload), which nothing writes
+/// any more: frozen in `v1/` and `v2/` alike.
+const NO_FILTER_FIXTURE: &str = "nofilter.bin";
+
 /// Every fixture of the current format.
 fn current_fixtures() -> Vec<(&'static str, Box<dyn RangeFilter>)> {
     fixtures().into_iter().chain([span_fixture()]).collect()
@@ -147,8 +152,7 @@ fn golden_fixtures_pin_the_v2_wire_format() {
              regenerate the fixtures"
         );
         // The committed bytes must also decode into a working filter.
-        let decoded = FilterCodec::decode(&golden).unwrap();
-        assert!(!decoded.degraded, "{name}");
+        assert!(FilterCodec::decode(&golden).is_ok(), "{name}");
     }
 }
 
@@ -162,7 +166,6 @@ fn v2_fingerprinted_fixture_decodes_and_reencodes_without_it() {
     let (fingerprinted, plain) = (read("proteus_l16_l40_fp.bin"), read("proteus_l16_l40.bin"));
     assert!(fingerprinted.len() > plain.len());
     let decoded = FilterCodec::decode(&fingerprinted).unwrap();
-    assert!(!decoded.degraded);
     assert_eq!(FilterCodec::encode(decoded.filter.as_ref()).unwrap(), plain);
 }
 
@@ -170,9 +173,7 @@ fn v2_fingerprinted_fixture_decodes_and_reencodes_without_it() {
 fn v2_one_pbf_fixture_decodes_as_a_trieless_proteus() {
     let golden = std::fs::read(fixture_dir("v2").join(ONE_PBF_FIXTURE)).unwrap();
     assert_eq!(unseal(&golden).unwrap().tag, FilterKind::OnePbf.tag());
-    let decoded = FilterCodec::decode(&golden).unwrap();
-    assert!(!decoded.degraded);
-    let filter = decoded.filter;
+    let filter = FilterCodec::decode(&golden).unwrap().filter;
     // What wrote it: a 32-bit prefix Bloom filter over the fixture keys,
     // hashed with the seed 1PBF had of its own.
     let twin = Proteus::build_with_design(
@@ -205,7 +206,7 @@ fn v2_one_pbf_fixture_decodes_as_a_trieless_proteus() {
     }
     assert_eq!((points, ranges), (2, 300));
     // It re-encodes as what it is.
-    assert_eq!(filter.encode_payload().unwrap().0, FilterKind::Proteus);
+    assert_eq!(filter.encode_payload().0, FilterKind::Proteus);
     assert_eq!(FilterCodec::encode(filter.as_ref()).unwrap(), FilterCodec::encode(&twin).unwrap());
     // And no cut or single-byte corruption of it decodes.
     for cut in 0..golden.len() {
@@ -227,7 +228,8 @@ fn golden_v1_fixtures_are_rejected_as_an_unsupported_version() {
     // carry it; its bytes must be named as such, never misread or panicked
     // on — intact, truncated or corrupted.
     let dir = fixture_dir("v1");
-    for name in fixtures().into_iter().map(|(name, _)| name).chain([ONE_PBF_FIXTURE]) {
+    let frozen = [ONE_PBF_FIXTURE, NO_FILTER_FIXTURE];
+    for name in fixtures().into_iter().map(|(name, _)| name).chain(frozen) {
         let golden = std::fs::read(dir.join(name))
             .unwrap_or_else(|e| panic!("missing frozen v1 fixture {name} ({e})"));
         assert!(
@@ -280,7 +282,7 @@ fn single_byte_corruption_anywhere_errors() {
 /// are valid, so only the kind's own validation stands between the bytes
 /// and a live filter.
 fn resealed(filter: &dyn RangeFilter, patch: impl FnOnce(&mut [u8])) -> Vec<u8> {
-    let (kind, mut payload) = filter.encode_payload().unwrap();
+    let (kind, mut payload) = filter.encode_payload();
     patch(&mut payload);
     seal(kind, &payload)
 }
@@ -305,7 +307,7 @@ fn embedded_bloom_geometry_must_match_the_filter_header() {
         &ProteusOptions::default(),
     );
     let payload = |filter: &dyn RangeFilter| {
-        let (kind, payload) = filter.encode_payload().unwrap();
+        let (kind, payload) = filter.encode_payload();
         (filter.name(), kind, payload)
     };
     let golden = std::fs::read(fixture_dir("v2").join(ONE_PBF_FIXTURE)).unwrap();
@@ -320,7 +322,7 @@ fn embedded_bloom_geometry_must_match_the_filter_header() {
         (payload(by_name["rosetta_4l.bin"].as_ref()), 24, 61),
     ];
     for ((name, kind, payload), at, prefix_len) in cases {
-        assert!(matches!(FilterCodec::decode(&seal(kind, &payload)), Ok(d) if !d.degraded));
+        assert!(FilterCodec::decode(&seal(kind, &payload)).is_ok(), "{name}");
         assert_eq!((u32_at(&payload, at), u32_at(&payload, at + 4)), (prefix_len, 8), "{name}");
         // A stage hashing a different prefix length than the header walks
         // (false negatives), or keyed wider than the header's keys.
@@ -365,7 +367,7 @@ const SPAN_WORDS_AT: usize = 65;
 #[test]
 fn a_span_bitmap_payload_is_validated_field_by_field() {
     let (_, filter) = span_fixture();
-    let (_, payload) = filter.encode_payload().unwrap();
+    let (_, payload) = filter.encode_payload();
     // The layout the offsets above claim: span flag + Bloom flag, depth 9,
     // a base with nothing past its 9th bit, and the slots its words hold.
     assert_eq!(payload[FLAGS_AT], 0b110);
@@ -375,9 +377,7 @@ fn a_span_bitmap_payload_is_validated_field_by_field() {
     let slots = u64::from_le_bytes(payload[SPAN_SLOTS_AT..SPAN_SLOTS_AT + 8].try_into().unwrap());
     assert!((2..=512).contains(&slots) && slots % 64 != 0, "{slots} slots");
     let last_word = SPAN_WORDS_AT + (slots as usize).div_ceil(64) * 8 - 8;
-    assert!(
-        matches!(FilterCodec::decode(&resealed(filter.as_ref(), |_| ())), Ok(d) if !d.degraded)
-    );
+    assert!(FilterCodec::decode(&resealed(filter.as_ref(), |_| ())).is_ok());
 
     let put_u64 = |p: &mut [u8], at: usize, v: u64| p[at..at + 8].copy_from_slice(&v.to_le_bytes());
     type Patch<'a> = Box<dyn Fn(&mut [u8]) + 'a>;
@@ -447,7 +447,7 @@ fn payloads_from_before_the_span_flag_decode_unchanged() {
     // and 0b10. (The tag-2 1PBF payload has no flags byte to grow; see
     // `v2_one_pbf_fixture_decodes_as_a_trieless_proteus`.)
     let by_name: std::collections::HashMap<_, _> = fixtures().into_iter().collect();
-    let (_, fst) = by_name["proteus_l16_l40.bin"].encode_payload().unwrap();
+    let (_, fst) = by_name["proteus_l16_l40.bin"].encode_payload();
     assert_eq!(fst[FLAGS_AT], 0b011);
     let trieless = Proteus::build_with_design(
         &fixture_keys(),
@@ -455,10 +455,9 @@ fn payloads_from_before_the_span_flag_decode_unchanged() {
         64 * 16,
         &ProteusOptions::default(),
     );
-    assert_eq!(trieless.encode_payload().unwrap().1[FLAGS_AT], 0b010);
+    assert_eq!(trieless.encode_payload().1[FLAGS_AT], 0b010);
     let golden = std::fs::read(fixture_dir("v2").join("proteus_l16_l40.bin")).unwrap();
     let decoded = FilterCodec::decode(&golden).unwrap();
-    assert!(!decoded.degraded);
     // Re-encoding what was decoded gives the committed bytes back.
     assert_eq!(FilterCodec::encode(decoded.filter.as_ref()).unwrap(), golden);
 }
@@ -481,11 +480,21 @@ fn arbitrary_bytes_error_without_panicking() {
 }
 
 #[test]
-fn future_filter_kind_degrades_to_nofilter_not_error() {
-    // Forward compatibility: a valid envelope from a newer build with an
-    // unknown kind tag keeps serving (degraded) instead of failing the DB.
+fn future_filter_kind_is_an_unknown_tag() {
+    // A valid envelope from a newer build with a kind tag this one does not
+    // know is a typed error, like any other block it cannot decode (the SST
+    // reader opens that file without a filter).
     let sealed = proteus::core::codec::seal_raw(42, &[1, 2, 3]);
-    let decoded = FilterCodec::decode(&sealed).unwrap();
-    assert!(decoded.degraded);
-    assert_eq!(decoded.filter.name(), "NoFilter");
+    let err = FilterCodec::decode(&sealed).err();
+    assert_eq!(err, Some(CodecError::UnknownTag { what: "filter kind", tag: 42 }));
+}
+
+#[test]
+fn v2_nofilter_fixture_is_an_unknown_tag() {
+    // Tag 0, the retired pass-through, in an intact v2 envelope.
+    let golden = std::fs::read(fixture_dir("v2").join(NO_FILTER_FIXTURE)).unwrap();
+    let u = unseal(&golden).unwrap();
+    assert_eq!((u.tag, u.payload.len()), (0, 0));
+    let err = FilterCodec::decode(&golden).err();
+    assert_eq!(err, Some(CodecError::UnknownTag { what: "filter kind", tag: 0 }));
 }

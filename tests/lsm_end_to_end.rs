@@ -3,7 +3,7 @@
 //! range Seeks (the §6 claim at test scale).
 
 use proteus::core::key::u64_key;
-use proteus::lsm::{Db, DbConfig, FilterFactory, NoFilterFactory, ProteusFactory, WriteBatch};
+use proteus::lsm::{Db, DbConfig, FilterFactory, ProteusFactory, WriteBatch};
 use proteus::workloads::{Dataset, QueryGen, Workload};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -53,10 +53,11 @@ impl FilterFactory for RosettaFactoryLocal {
     }
 }
 
-fn run_correctness(factory: Arc<dyn FilterFactory>, tag: &str) {
+/// `bpk` 0 is a store without filters: no file calls `factory`.
+fn run_correctness(factory: Arc<dyn FilterFactory>, bpk: f64, tag: &str) {
     let dir = tmpdir(tag);
     let raw = Dataset::Uniform.generate(15_000, 11);
-    let db = Db::open(&dir, small_cfg(12.0), factory).unwrap();
+    let db = Db::open(&dir, small_cfg(bpk), factory).unwrap();
     let mut mirror = BTreeSet::new();
     for (i, &k) in raw.iter().enumerate() {
         let mut v = vec![0u8; 96];
@@ -88,22 +89,22 @@ fn run_correctness(factory: Arc<dyn FilterFactory>, tag: &str) {
 
 #[test]
 fn lsm_correct_with_proteus_filters() {
-    run_correctness(Arc::new(ProteusFactory::default()), "proteus");
+    run_correctness(Arc::new(ProteusFactory::default()), 12.0, "proteus");
 }
 
 #[test]
 fn lsm_correct_with_surf_filters() {
-    run_correctness(Arc::new(SurfFactoryLocal), "surf");
+    run_correctness(Arc::new(SurfFactoryLocal), 12.0, "surf");
 }
 
 #[test]
 fn lsm_correct_with_rosetta_filters() {
-    run_correctness(Arc::new(RosettaFactoryLocal), "rosetta");
+    run_correctness(Arc::new(RosettaFactoryLocal), 12.0, "rosetta");
 }
 
 #[test]
 fn lsm_correct_without_filters() {
-    run_correctness(Arc::new(NoFilterFactory), "nofilter");
+    run_correctness(Arc::new(ProteusFactory::default()), 0.0, "nofilter");
 }
 
 #[test]
@@ -265,9 +266,10 @@ fn proteus_filters_reduce_io_versus_no_filter() {
         .map(|&(lo, hi)| (u64_key(lo).to_vec(), u64_key(hi).to_vec()))
         .collect();
 
-    let run = |factory: Arc<dyn FilterFactory>, tag: &str| -> (u64, u64) {
+    // A zero budget is the no-filter baseline.
+    let run = |bpk: f64, tag: &str| -> (u64, u64) {
         let dir = tmpdir(tag);
-        let db = Db::open(&dir, small_cfg(14.0), factory).unwrap();
+        let db = Db::open(&dir, small_cfg(bpk), Arc::new(ProteusFactory::default())).unwrap();
         db.seed_queries(seed.clone());
         for &k in &raw {
             db.put_u64(k, &[7u8; 64]).unwrap();
@@ -282,8 +284,8 @@ fn proteus_filters_reduce_io_versus_no_filter() {
         (delta.blocks_read + delta.cache_hits, delta.filter_negatives)
     };
 
-    let (io_proteus, negs) = run(Arc::new(ProteusFactory::default()), "io-proteus");
-    let (io_none, _) = run(Arc::new(NoFilterFactory), "io-none");
+    let (io_proteus, negs) = run(14.0, "io-proteus");
+    let (io_none, _) = run(0.0, "io-none");
     assert!(negs > 3_000, "filters should screen most probes: {negs}");
     assert!(
         io_proteus * 5 < io_none.max(5),
