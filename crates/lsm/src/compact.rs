@@ -132,7 +132,7 @@ pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
 /// read per block, and each surviving record goes into the writer as
 /// slices borrowed from its decoded block.
 ///
-/// The merge yields only the newest record per key. A surviving
+/// The merge stands only on the newest record per key. A surviving
 /// tombstone is carried into the output — it may still shadow versions
 /// of its key in deeper levels — *unless* the output lands at the
 /// `bottom` of the tree (no non-empty level below the target), where
@@ -149,9 +149,8 @@ fn merge_inputs(
     }
     let mut outputs: Vec<Arc<SstReader>> = Vec::new();
     let mut writer: Option<SstWriter> = None;
-    for record in merge {
-        let (_, pos) = record?;
-        let (key, value) = pos.entry();
+    while merge.advance()? {
+        let (_, key, value) = merge.current();
         if value.is_none() && bottom {
             db.stats.tombstones_dropped.inc();
             continue;

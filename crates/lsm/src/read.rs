@@ -23,12 +23,12 @@
 //! layer with any record of the key — live or tombstone — settles the
 //! answer, so older layers are never probed. [`RangeIter`] is the *cursor*
 //! consumer: the k-way `Merge` over all layers with tombstones
-//! suppressed, and `seek` is its first `next()` plus the §6.1
+//! suppressed, and `seek` is its first live entry plus the §6.1
 //! sample-queue offer.
 //!
 //! `Merge` is the store's only merge of sorted runs. It owns the heap, the
-//! `(key, rank)` order and the shadowing rule, and yields the newest
-//! record per key — tombstone or not — as an un-materialized position.
+//! `(key, rank)` order and the shadowing rule, and stands on the newest
+//! record per key — tombstone or not — which its consumer borrows.
 //! Compaction is the same merge over the same [`SstCursor`]s, fetching
 //! blocks straight from the files instead of through the cache, with its
 //! own tombstone policy on top.
@@ -40,50 +40,55 @@
 //! of that instant. Each table with anything in range becomes a
 //! `MemCursor`: the table's `Arc` plus a node id in the table as of the
 //! noted stamp (see [`crate::memtable`]), which from then on materializes
-//! one row per refill under a table read lock held just for that row (an
+//! one row per step under a table read lock held just for that row (an
 //! empty table costs one uncontended lock and nothing else). Writes that
 //! land later carry later stamps and are invisible to it — a whole batch
 //! at a time — and since the iterator owns the tables and the files it
 //! reads, a rotation, flush or compaction mid-scan hides nothing from it.
 //! Between `next()` calls a scan holds no lock at all.
 //!
-//! Admitted SSTs are read *lazily*: each starts as an unread heap entry
-//! keyed by the smallest key it could contribute (`max(lo, min_key)`)
-//! and only pays its first block read when the merge actually reaches
-//! that position. A `seek` that is satisfied early therefore never
+//! Admitted SSTs are read *lazily*: each enters the heap unread, standing
+//! at the smallest key it could contribute (`max(lo, min_key)`), and pays
+//! its first block read only when the merge reaches that position — or
+//! when that floor equals a key being stepped past, which happens on the
+//! next `advance`. A `seek` that is satisfied early therefore never
 //! touches the files behind its first hit — and those files accumulate
 //! no false-positive evidence for a probe whose I/O was never paid.
 //!
-//! SST positions flow through the merge *zero-copy*: a heap item holds
-//! an `(Arc<Block>, index)` position and compares by the key slice
-//! borrowed from the decoded block. Bytes are materialized only for the
-//! entry a consumer keeps — shadowed duplicates and suppressed tombstones
-//! cost no allocation at all, and compaction hands the borrowed slices
-//! straight to the SST writer. When a single source survives
-//! admission the merge skips the shadow-key bookkeeping (one source never
-//! yields duplicates).
+//! Records are compared *where they stand*: the sources stay in one
+//! vector, and the heap holds only their ranks, ordered by the key each
+//! source currently stands on — an SST cursor's borrowed from the block
+//! it holds, a MemTable cursor's from the two buffers it copies each row
+//! into and reuses. Moving to the next key steps the winning source and
+//! sifts its rank down from the top: no record, block handle or key
+//! changes hands, and with two sources a row costs one key comparison
+//! while the same source keeps winning. Bytes are materialized only for
+//! the entry a consumer keeps — shadowed duplicates and suppressed
+//! tombstones cost no allocation at all, and compaction hands the
+//! borrowed slices straight to the SST writer.
 //!
 //! Shadowing: for equal keys the source with the lower rank (newer layer)
-//! wins; older duplicates are skipped. In a [`RangeIter`] a winning
-//! tombstone suppresses the key entirely — it yields *live* entries
-//! only, sorted and deduplicated.
+//! wins. The older versions of the current key sit at the top's children,
+//! and the next `advance` steps them past before the winner moves, so the
+//! shadowing key is borrowed from the winner, never copied.
+//! In a [`RangeIter`] a winning tombstone suppresses the key entirely — it
+//! yields *live* entries only, sorted and deduplicated.
 //!
 //! Errors: an I/O or corruption failure is reported once and ends the
-//! iteration. A failure while *refilling* a source never discards an
-//! entry the merge had already determined — the entry is yielded first
-//! and the error surfaces on the following `next()` call.
+//! iteration. A source moves only on the `advance` after the one that
+//! reached its record, so a failure can never discard an entry already
+//! determined: the entry is yielded, and the error surfaces on the
+//! following `next()` call.
 
 use crate::block::Block;
 use crate::config::MAX_KEY_BYTES;
 use crate::db::{read_table, DbInner, SharedTable, Version};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::memtable::{Cursor, MemTable};
 use crate::query_queue::clamp_to_file;
 use crate::sst::{KeyRange, SstCursor, SstReader};
 use crate::stats::Stats;
 use proteus_core::key::{pad_key_into, INLINE_KEY_BYTES};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -360,30 +365,25 @@ impl DbInner {
             return Ok(false);
         }
         let mut it = RangeIter::new(self, lo, hi)?;
-        match it.next() {
-            Some(Ok(_)) => {
-                self.stats.seeks_found.inc();
-                if it.first_from_memtable == Some(true) {
-                    self.stats.seeks_memtable.inc();
-                }
-                Ok(true)
+        if it.advance_live()? {
+            self.stats.seeks_found.inc();
+            if it.first_from_memtable == Some(true) {
+                self.stats.seeks_memtable.inc();
             }
-            Some(Err(e)) => Err(e),
-            None => {
-                if !it.io_paid {
-                    self.stats.seeks_filtered.inc();
-                }
-                // Truly-executed empty query: feed the sample queue
-                // (§6.1). The gauge is only refreshed when the queue
-                // recorded the query, so the 1-in-`sample_every` common
-                // case stays mutex-free for readers.
-                self.stats.sample_offers.inc();
-                if self.queue.offer(lo, hi) {
-                    self.stats.sampled_queries.set(self.queue.len() as u64);
-                }
-                Ok(false)
-            }
+            return Ok(true);
         }
+        if !it.io_paid {
+            self.stats.seeks_filtered.inc();
+        }
+        // Truly-executed empty query: feed the sample queue (§6.1). The
+        // gauge is only refreshed when the queue recorded the query, so
+        // the 1-in-`sample_every` common case stays mutex-free for
+        // readers.
+        self.stats.sample_offers.inc();
+        if self.queue.offer(lo, hi) {
+            self.stats.sampled_queries.set(self.queue.len() as u64);
+        }
+        Ok(false)
     }
 }
 
@@ -392,100 +392,9 @@ impl DbInner {
 /// file ([`DbInner::uncached_block`], compaction).
 pub(crate) type BlockFetch = fn(&DbInner, &Arc<SstReader>, usize) -> Result<Arc<Block>>;
 
-/// Where a merged record lives. Only `Mem` owns its bytes (its cursor
-/// copied the row out under the table's lock); an SST record stays a
-/// borrowed position inside its decoded block, held alive by the `Arc`.
-pub(crate) enum Pos {
-    /// A MemTable row its cursor materialized.
-    Mem(Vec<u8>, Option<Vec<u8>>),
-    /// An entry of a decoded SST block.
-    Block(Arc<Block>, u32),
-}
-
-impl Pos {
-    /// The record's key, borrowed (what the heap compares by).
-    fn key(&self) -> &[u8] {
-        match self {
-            Pos::Mem(k, _) => k,
-            Pos::Block(b, i) => b.key(*i as usize),
-        }
-    }
-
-    /// The record's key and value (`None` = tombstone), borrowed.
-    pub(crate) fn entry(&self) -> (&[u8], Option<&[u8]>) {
-        match self {
-            Pos::Mem(k, v) => (k, v.as_deref()),
-            Pos::Block(b, i) => b.entry(*i as usize),
-        }
-    }
-
-    /// Materialize a live record's bytes; `None` for a tombstone, which
-    /// costs no copy at all.
-    fn into_live(self) -> Option<(Vec<u8>, Vec<u8>)> {
-        match self {
-            Pos::Mem(k, v) => Some((k, v?)),
-            Pos::Block(b, i) => {
-                let (k, v) = b.entry(i as usize);
-                Some((k.to_vec(), v?.to_vec()))
-            }
-        }
-    }
-}
-
-/// The head of one merge source as it sits in the heap.
-enum Head {
-    /// An SST source whose first block has not been read yet, with its
-    /// cursor's clamp. It sorts at its floor, `max(min_key, lo)`: every
-    /// key the file can contribute sits at or above it, so the file is
-    /// read exactly when the merge could need it — and never sooner.
-    Unread(Arc<SstReader>, Option<KeyRange>),
-    /// The source's current record.
-    At(Pos),
-}
-
-/// One heap entry: the source's rank (recency; lower = newer) plus its
-/// head.
-struct HeapItem {
-    rank: usize,
-    head: Head,
-}
-
-impl HeapItem {
-    fn key(&self) -> &[u8] {
-        match &self.head {
-            Head::Unread(sst, range) => {
-                let min = sst.min_key.as_slice();
-                range.as_ref().map_or(min, |r| min.max(r.lo()))
-            }
-            Head::At(pos) => pos.key(),
-        }
-    }
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    /// Inverted so `BinaryHeap` (a max-heap) pops the smallest
-    /// `(key, rank)` first: ascending keys, newest layer on ties.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(self.key()).then_with(|| other.rank.cmp(&self.rank))
-    }
-}
-
 /// One MemTable as a merge source: a position in the shared table as of
-/// the stamp the scan was built at. It owns the table (`Arc`), so the
+/// the stamp the scan was built at, and the row it stands on, copied out
+/// into two buffers the cursor reuses. It owns the table (`Arc`), so the
 /// view outlives the table's rotation and flush, and takes the table's
 /// read lock only for the length of one row copy.
 struct MemCursor {
@@ -493,39 +402,75 @@ struct MemCursor {
     cur: Cursor,
     /// The read's bounds; the upper one clamps the view.
     range: KeyRange,
+    row: Row,
 }
 
-/// Copy the next row of `cur`'s view out of `table` (`None` = exhausted).
-fn next_row(table: &MemTable, cur: &mut Cursor, hi: &[u8], stats: &Stats) -> Option<Pos> {
-    let (k, v) = table.advance(cur, Some(hi))?;
-    stats.memtable_rows_read.inc();
-    Some(Pos::Mem(k.to_vec(), v.map(<[u8]>::to_vec)))
+/// A MemTable row copied out of its table.
+#[derive(Default)]
+struct Row {
+    key: Vec<u8>,
+    value: Vec<u8>,
+    /// `false` = a tombstone (`value` is then empty).
+    live: bool,
+}
+
+impl Row {
+    /// Copy the next row of `cur`'s view out of `table` into this one,
+    /// reusing its buffers; `false` = the view is exhausted.
+    fn read(&mut self, table: &MemTable, cur: &mut Cursor, hi: &[u8], stats: &Stats) -> bool {
+        let Some((k, v)) = table.advance(cur, Some(hi)) else { return false };
+        stats.memtable_rows_read.inc();
+        self.key.clear();
+        self.key.extend_from_slice(k);
+        self.value.clear();
+        self.value.extend_from_slice(v.unwrap_or_default());
+        self.live = v.is_some();
+        true
+    }
 }
 
 enum Source {
     Mem(MemCursor),
     /// An SST cursor plus, on the read path, the filter probe that
-    /// admitted the file — settled when the cursor's head is first read.
+    /// admitted the file — settled by the cursor's first step.
     Sst(SstCursor, Option<Probe>),
 }
 
-/// The one k-way merge over sorted runs: owns the heap, the `(key, rank)`
-/// order and the shadowing rule. Sources are pushed newest first (push
-/// order = rank); iteration yields, per distinct key in ascending order,
-/// the newest record — a tombstone included — as an un-materialized
-/// [`Pos`] together with the rank of the source that supplied it. What to
-/// do with a tombstone is the consumer's policy: [`RangeIter`] suppresses
-/// it, compaction carries it or drops it at the bottom of the tree.
+impl Source {
+    /// The key the source stands on — an unread SST stands at its floor —
+    /// borrowed where it lies.
+    fn key(&self) -> &[u8] {
+        match self {
+            Source::Mem(m) => &m.row.key,
+            Source::Sst(cursor, _) => cursor.key(),
+        }
+    }
+}
+
+/// The one k-way merge over sorted runs: owns the `(key, rank)` order and
+/// the shadowing rule. Sources are pushed newest first (push order =
+/// rank); each [`Merge::advance`] moves to the next distinct key in
+/// ascending order, and [`Merge::current`] borrows its newest record — a
+/// tombstone included — from the source that holds it, with that source's
+/// rank. What to do with a tombstone is the consumer's policy:
+/// [`RangeIter`] suppresses it, compaction carries it or drops it at the
+/// bottom of the tree.
+///
+/// The sources stay where they are; `heap` is a binary min-heap of their
+/// ranks, ordered by the keys the sources stand on, and holds every source
+/// with an entry left. Its top is the current record.
 pub(crate) struct Merge<'a> {
     db: &'a DbInner,
     fetch: BlockFetch,
-    heap: BinaryHeap<HeapItem>,
     sources: Vec<Source>,
-    /// The last key yielded, to recognise its older versions.
-    last_key: Option<Vec<u8>>,
-    /// A refill failure held back so the already-determined record could
-    /// be yielded first; surfaced by the next `next()` call.
-    deferred_error: Option<Error>,
+    heap: Vec<u32>,
+    /// Does the top of the heap stand on the record the last `advance`
+    /// returned (to be stepped past by the next one)?
+    at_record: bool,
+    /// May a child of the top stand on the top's key? `false` only when
+    /// the last sift from the top found its smaller child's key strictly
+    /// greater — then no older version is there to step past.
+    top_repeats: bool,
     failed: bool,
 }
 
@@ -534,10 +479,10 @@ impl<'a> Merge<'a> {
         Merge {
             db,
             fetch,
-            heap: BinaryHeap::new(),
             sources: Vec::new(),
-            last_key: None,
-            deferred_error: None,
+            heap: Vec::new(),
+            at_record: false,
+            top_repeats: true,
             failed: false,
         }
     }
@@ -545,6 +490,14 @@ impl<'a> Merge<'a> {
     /// Sources pushed so far (= the rank the next one gets).
     fn len(&self) -> usize {
         self.sources.len()
+    }
+
+    /// Add a source (the next rank) and order it into the heap.
+    fn push(&mut self, source: Source) {
+        self.heap.push(self.len() as u32);
+        self.sources.push(source);
+        self.sift_up(self.heap.len() - 1);
+        self.top_repeats = true;
     }
 
     /// Add a MemTable run as the table stands now — the caller holds the
@@ -559,113 +512,156 @@ impl<'a> Merge<'a> {
         (lo, hi): (&[u8], &[u8]),
         range: &mut Option<KeyRange>,
     ) -> Result<()> {
-        let (cur, head) = {
+        let mut row = Row::default();
+        let cur = {
             let t = read_table(table)?;
             let mut cur = t.cursor(lo, t.stamp());
-            let head = next_row(&t, &mut cur, hi, &self.db.stats);
-            (cur, head)
+            if !row.read(&t, &mut cur, hi, &self.db.stats) {
+                return Ok(());
+            }
+            cur
         };
-        if let Some(pos) = head {
-            self.heap.push(HeapItem { rank: self.len(), head: Head::At(pos) });
-            let range = range.get_or_insert_with(|| KeyRange::new(lo, hi)).clone();
-            let cursor = MemCursor { table: Arc::clone(table), cur, range };
-            self.sources.push(Source::Mem(cursor));
-        }
+        let range = range.get_or_insert_with(|| KeyRange::new(lo, hi)).clone();
+        self.push(Source::Mem(MemCursor { table: Arc::clone(table), cur, range, row }));
         Ok(())
     }
 
     /// Add an SST run. Nothing is read yet: the file enters the heap at
-    /// its floor ([`Head::Unread`]) and pays its first block read only
-    /// when the merge reaches that position.
+    /// its floor (see [`SstCursor::key`]) and pays its first block read
+    /// only when the merge reaches that position.
     pub(crate) fn push_sst(&mut self, cursor: SstCursor, probe: Option<Probe>) {
-        let head = Head::Unread(Arc::clone(cursor.sst()), cursor.range().cloned());
-        self.heap.push(HeapItem { rank: self.len(), head });
-        self.sources.push(Source::Sst(cursor, probe));
+        self.push(Source::Sst(cursor, probe));
     }
 
-    /// Advance source `rank` and return its next record.
-    fn advance(&mut self, rank: usize) -> Result<Option<Pos>> {
-        match &mut self.sources[rank] {
-            Source::Mem(MemCursor { table, cur, range }) => {
-                Ok(next_row(&*read_table(table)?, cur, range.hi(), &self.db.stats))
+    /// The key of the source at heap position `pos`.
+    fn key_at(&self, pos: usize) -> &[u8] {
+        self.sources[self.heap[pos] as usize].key()
+    }
+
+    /// Does heap position `a` sort before `b`: smaller key, or the same
+    /// key from a newer source?
+    fn before(&self, a: usize, b: usize) -> bool {
+        self.key_at(a).cmp(self.key_at(b)).then(self.heap[a].cmp(&self.heap[b])).is_lt()
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !self.before(pos, parent) {
+                break;
             }
-            Source::Sst(cursor, _) => {
-                let (db, fetch) = (self.db, self.fetch);
-                Ok(cursor.next_pos(|sst, b| fetch(db, sst, b))?.map(|(b, i)| Pos::Block(b, i)))
-            }
+            self.heap.swap(pos, parent);
+            pos = parent;
         }
     }
 
-    /// Read an unread SST source's head — its first block I/O — and
-    /// settle the probe that admitted it: contributing anything in range
+    /// Restore the heap below `start`. Returns whether a child of `start`
+    /// may now stand on the same key as `start` itself: `false` only if
+    /// `start` kept its source and its smaller child's key is strictly
+    /// greater, learned from the comparison the sift makes anyway.
+    fn sift_down(&mut self, start: usize) -> bool {
+        let mut pos = start;
+        loop {
+            let left = 2 * pos + 1;
+            if left >= self.heap.len() {
+                return pos != start;
+            }
+            let child = if left + 1 < self.heap.len() && self.before(left + 1, left) {
+                left + 1
+            } else {
+                left
+            };
+            let keys = self.key_at(child).cmp(self.key_at(pos));
+            if keys.then(self.heap[child].cmp(&self.heap[pos])).is_gt() {
+                return pos != start || keys.is_eq();
+            }
+            self.heap.swap(pos, child);
+            pos = child;
+        }
+    }
+
+    /// Step the source at heap position `pos` to its next entry and
+    /// restore the heap below `pos` — dropping the source if it has none.
+    /// Only the top and its two children are ever stepped; every other
+    /// entry sorts after them, so what moves into `pos` never needs to
+    /// rise. An unread SST's first step is its first block read, and
+    /// settles the probe that admitted it: contributing anything in range
     /// is a true positive, nothing a false positive.
-    fn materialize(&mut self, rank: usize) -> Result<()> {
-        let head = self.advance(rank)?;
-        if let Source::Sst(cursor, Some(probe)) = &self.sources[rank] {
-            probe.settle(&self.db.stats, cursor.sst(), head.is_some());
+    fn step(&mut self, pos: usize) -> Result<()> {
+        let more = match &mut self.sources[self.heap[pos] as usize] {
+            Source::Mem(MemCursor { table, cur, range, row }) => {
+                row.read(&*read_table(table)?, cur, range.hi(), &self.db.stats)
+            }
+            Source::Sst(cursor, probe) => {
+                let (db, fetch) = (self.db, self.fetch);
+                let more = cursor.step(|sst, b| fetch(db, sst, b))?;
+                if let Some(probe) = probe.take() {
+                    probe.settle(&db.stats, cursor.sst(), more);
+                }
+                more
+            }
+        };
+        if !more {
+            self.heap.swap_remove(pos);
         }
-        if let Some(pos) = head {
-            self.heap.push(HeapItem { rank, head: Head::At(pos) });
+        let repeats = pos < self.heap.len() && self.sift_down(pos);
+        if pos == 0 {
+            self.top_repeats = repeats;
         }
         Ok(())
     }
-}
 
-impl Iterator for Merge<'_> {
-    type Item = Result<(usize, Pos)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Move to the next distinct key; `Ok(false)` once there is none. An
+    /// I/O or corruption failure is returned once, and the merge then
+    /// reports the end.
+    pub(crate) fn advance(&mut self) -> Result<bool> {
         if self.failed {
-            return None;
+            return Ok(false);
         }
-        loop {
-            if let Some(e) = self.deferred_error.take() {
-                self.failed = true;
-                return Some(Err(e));
-            }
-            let HeapItem { rank, head } = self.heap.pop()?;
-            let pos = match head {
-                Head::At(pos) => pos,
-                Head::Unread(..) => {
-                    // First touch of this SST: read its head. No record
-                    // has been determined yet, so an error surfaces
-                    // directly.
-                    if let Err(e) = self.materialize(rank) {
-                        self.failed = true;
-                        return Some(Err(e));
+        let moved = self.step_to_next();
+        self.failed = moved.is_err();
+        moved
+    }
+
+    fn step_to_next(&mut self) -> Result<bool> {
+        if std::mem::take(&mut self.at_record) {
+            // Shadowing — the only site. The records equal to the current
+            // key sit at the top's children (a key equal to the top's has
+            // only such keys above it): each is an older version, or the
+            // floor of a file that may hold one, and is stepped past while
+            // the shadowing key is still borrowed from the top. Then the
+            // top itself moves.
+            if self.top_repeats {
+                for child in [1, 2] {
+                    while child < self.heap.len() && self.key_at(child) == self.key_at(0) {
+                        self.step(child)?;
                     }
-                    continue;
-                }
-            };
-            // Refill the heap from the source that just advanced. A
-            // failure here must not discard the record we already hold:
-            // defer it and let this iteration finish first.
-            match self.advance(rank) {
-                Ok(Some(pos)) => self.heap.push(HeapItem { rank, head: Head::At(pos) }),
-                Ok(None) => {}
-                Err(e) => self.deferred_error = Some(e),
-            }
-            // Shadowing — the only site: a key equal to the last one
-            // yielded is an older version (the newest popped first by
-            // rank) and is skipped without copying anything. A single
-            // source never repeats a key, so it skips the bookkeeping
-            // (and its per-key copy) entirely.
-            if self.sources.len() > 1 {
-                let key = pos.key();
-                if self.last_key.as_deref() == Some(key) {
-                    continue;
-                }
-                match &mut self.last_key {
-                    // Reuse the allocation when the buffer fits.
-                    Some(buf) => {
-                        buf.clear();
-                        buf.extend_from_slice(key);
-                    }
-                    none => *none = Some(key.to_vec()),
                 }
             }
-            return Some(Ok((rank, pos)));
+            self.step(0)?;
         }
+        // A file at the top that is still unread stands at its floor, not
+        // on a record: read it, and let the heap reorder.
+        while let Some(&top) = self.heap.first() {
+            if !matches!(&self.sources[top as usize], Source::Sst(c, _) if c.is_unread()) {
+                self.at_record = true;
+                return Ok(true);
+            }
+            self.step(0)?;
+        }
+        Ok(false)
+    }
+
+    /// The record the last [`Merge::advance`] that returned `true` moved
+    /// to: the rank of its source, its key and its value (`None` = a
+    /// tombstone), borrowed from the source.
+    pub(crate) fn current(&self) -> (usize, &[u8], Option<&[u8]>) {
+        let Some(&top) = self.heap.first() else { return (0, &[], None) };
+        let (key, value) = match &self.sources[top as usize] {
+            Source::Mem(m) => (&m.row.key[..], m.row.live.then_some(&m.row.value[..])),
+            Source::Sst(cursor, _) => cursor.current(),
+        };
+        (top as usize, key, value)
     }
 }
 
@@ -681,7 +677,7 @@ pub struct RangeIter<'a> {
     /// Did any SST get past its filter (i.e. could block I/O be paid)?
     io_paid: bool,
     /// Was the first *live* entry supplied by a MemTable? `None` until
-    /// one is yielded.
+    /// one is reached.
     first_from_memtable: Option<bool>,
 }
 
@@ -732,23 +728,33 @@ impl<'a> RangeIter<'a> {
         it.io_paid = merge.len() > it.n_mem;
         Ok(it)
     }
+
+    /// Move the merge to the next live entry; `Ok(false)` at the end. A
+    /// winning tombstone suppresses its key.
+    fn advance_live(&mut self) -> Result<bool> {
+        while self.merge.advance()? {
+            let (rank, _, value) = self.merge.current();
+            if value.is_some() {
+                self.first_from_memtable.get_or_insert(rank < self.n_mem);
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 }
 
 impl Iterator for RangeIter<'_> {
     type Item = Result<(Vec<u8>, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let (rank, pos) = match self.merge.next()? {
-                Ok(record) => record,
-                Err(e) => return Some(Err(e)),
-            };
-            // A winning tombstone suppresses its key; only what is
-            // actually yielded is materialized.
-            if let Some(live) = pos.into_live() {
-                self.first_from_memtable.get_or_insert(rank < self.n_mem);
-                return Some(Ok(live));
+        match self.advance_live() {
+            // Only what is actually yielded is copied.
+            Ok(true) => {
+                let (_, key, value) = self.merge.current();
+                Some(Ok((key.to_vec(), value.unwrap_or_default().to_vec())))
             }
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 }

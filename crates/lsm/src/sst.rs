@@ -62,7 +62,7 @@ use crate::filter_hook::FilterFactory;
 use crate::query_queue::QueryQueue;
 use crate::stats::{ratio, Stats};
 use proteus_core::codec::{crc32, ByteReader, CodecError};
-use proteus_core::key::{key_head, pad_key};
+use proteus_core::key::{key_head, pad_key_into, INLINE_KEY_BYTES};
 use proteus_core::keyset::KeySet;
 use proteus_core::RangeFilter;
 use proteus_filters::FilterCodec;
@@ -196,12 +196,16 @@ impl FilterKeys {
         FilterKeys { width, flat: Vec::new() }
     }
 
-    /// Feed the next entry key (ascending raw order).
+    /// Feed the next entry key (ascending raw order). The key is
+    /// canonicalized on the stack: a filter width never exceeds
+    /// `INLINE_KEY_BYTES`.
     fn push(&mut self, key: &[u8]) {
-        let canonical = pad_key(key, self.width);
+        let mut buf = [0u8; INLINE_KEY_BYTES];
+        let canonical = &mut buf[..self.width];
+        pad_key_into(key, canonical);
         let n = self.flat.len();
-        if n < self.width || self.flat[n - self.width..] != canonical[..] {
-            self.flat.extend_from_slice(&canonical);
+        if n < self.width || self.flat[n - self.width..] != *canonical {
+            self.flat.extend_from_slice(canonical);
         }
     }
 
@@ -556,10 +560,8 @@ impl SstReader {
     pub(crate) fn filter_keys(self: &Arc<Self>, stats: &Stats) -> Result<FilterKeys> {
         let mut keys = FilterKeys::new(self.width);
         let mut cursor = SstCursor::new(Arc::clone(self));
-        while let Some((block, i)) =
-            cursor.next_pos(|sst, b| sst.read_block(b, stats).map(Arc::new))?
-        {
-            keys.push(block.key(i as usize));
+        while cursor.step(|sst, b| sst.read_block(b, stats).map(Arc::new))? {
+            keys.push(cursor.key());
         }
         Ok(keys)
     }
@@ -723,8 +725,12 @@ pub struct SstWriter {
 }
 
 impl SstWriter {
-    /// Start a new SST `NNNNNNNN.sst` in `dir`.
+    /// Start a new SST `NNNNNNNN.sst` in `dir`. `width` must be in
+    /// `1..=64`, the widths a reader accepts.
     pub fn create(dir: &Path, id: u64, width: usize, block_size: usize) -> Result<Self> {
+        if width == 0 || width > INLINE_KEY_BYTES {
+            return Err(Error::config("filter key width must be in 1..=64 bytes"));
+        }
         let path = sst_path(dir, id);
         let file = File::create(&path)?;
         Ok(SstWriter {
@@ -902,40 +908,38 @@ impl KeyRange {
     }
 }
 
-/// The one way to walk a file's entries: a forward cursor yielding
-/// un-materialized `(block, index)` positions, optionally clamped to a
-/// closed key range. The caller supplies the block fetch — the block cache
-/// for foreground reads, the file itself for compaction and re-training —
-/// and each block visited is fetched exactly once.
+/// The one way to walk a file's entries: a forward cursor that stands on
+/// one entry at a time, optionally clamped to a closed key range.
+/// [`SstCursor::step`] moves it to the next in-range entry and
+/// [`SstCursor::current`] borrows that entry from the block the cursor
+/// holds, so nothing is copied and no block handle changes hands per
+/// entry. The caller supplies the block fetch — the block cache for
+/// foreground reads, the file itself for compaction and re-training — and
+/// each block visited is fetched exactly once.
 pub struct SstCursor {
     sst: Arc<SstReader>,
     /// The closed clamp (`None` = the whole file).
     range: Option<KeyRange>,
-    /// Is `range`'s lower bound still to be applied to the first block
-    /// fetched?
-    pending_lo: bool,
+    /// Has the cursor not been stepped yet? It then stands at its floor,
+    /// and its first fetch applies `range`'s lower bound.
+    unread: bool,
     block_idx: usize,
     entry_idx: usize,
+    /// The block holding the current entry (`None` before the first step
+    /// and after the last).
     block: Option<Arc<Block>>,
 }
 
 impl SstCursor {
     /// A cursor over every entry of `sst`, tombstones included.
     pub fn new(sst: Arc<SstReader>) -> Self {
-        SstCursor { sst, range: None, pending_lo: false, block_idx: 0, entry_idx: 0, block: None }
+        SstCursor { sst, range: None, unread: true, block_idx: 0, entry_idx: 0, block: None }
     }
 
     /// A cursor over the entries of `sst` with keys in `range`.
     pub fn bounded(sst: Arc<SstReader>, range: KeyRange) -> Self {
         let block_idx = sst.first_candidate_block(range.lo());
-        SstCursor {
-            sst,
-            range: Some(range),
-            pending_lo: true,
-            block_idx,
-            entry_idx: 0,
-            block: None,
-        }
+        SstCursor { sst, range: Some(range), unread: true, block_idx, entry_idx: 0, block: None }
     }
 
     /// The file this cursor walks.
@@ -943,19 +947,49 @@ impl SstCursor {
         &self.sst
     }
 
-    /// The clamp this cursor walks under (`None` = the whole file).
-    pub fn range(&self) -> Option<&KeyRange> {
-        self.range.as_ref()
+    /// Has the cursor not been stepped yet? No block has been read.
+    pub fn is_unread(&self) -> bool {
+        self.unread
     }
 
-    /// The next in-range entry's position, no bytes copied; `Ok(None)` at
-    /// the end. The returned `Arc` keeps the block alive independently of
-    /// the cursor moving on.
-    pub fn next_pos(
+    /// The current entry's key. Before the first step that is the
+    /// cursor's floor, `max(min_key, lo)`: no key it can yield sorts
+    /// below it, so a merge can order an unread file without reading it.
+    pub fn key(&self) -> &[u8] {
+        match &self.block {
+            Some(block) => block.key(self.entry_idx),
+            None => self.floor(),
+        }
+    }
+
+    /// The current entry as `(key, Some(value) | None)`, `None` marking a
+    /// tombstone, borrowed from the cursor's block. A cursor standing on
+    /// no entry (before the first step, after the last) reports its floor
+    /// and no value.
+    pub fn current(&self) -> (&[u8], Option<&[u8]>) {
+        match &self.block {
+            Some(block) => block.entry(self.entry_idx),
+            None => (self.floor(), None),
+        }
+    }
+
+    fn floor(&self) -> &[u8] {
+        let min = self.sst.min_key.as_slice();
+        self.range.as_ref().map_or(min, |r| min.max(r.lo()))
+    }
+
+    /// Move to the next in-range entry; `Ok(false)` once there is none.
+    /// The first step reads the cursor's first block.
+    pub fn step(
         &mut self,
         mut fetch: impl FnMut(&Arc<SstReader>, usize) -> Result<Arc<Block>>,
-    ) -> Result<Option<(Arc<Block>, u32)>> {
+    ) -> Result<bool> {
         let hi = self.range.as_ref().map(KeyRange::hi);
+        if self.block.is_some() {
+            self.entry_idx += 1;
+        } else if !self.unread {
+            return Ok(false);
+        }
         loop {
             let block = match &self.block {
                 Some(block) => block,
@@ -965,24 +999,24 @@ impl SstCursor {
                             self.sst.block_meta(self.block_idx).first_key.as_slice() > hi
                         })
                     {
-                        return Ok(None);
+                        self.unread = false;
+                        return Ok(false);
                     }
                     let block = fetch(&self.sst, self.block_idx)?;
-                    self.entry_idx = match self.range.as_ref().filter(|_| self.pending_lo) {
+                    self.entry_idx = match self.range.as_ref().filter(|_| self.unread) {
                         Some(range) => block.lower_bound(range.lo()),
                         None => 0,
                     };
-                    self.pending_lo = false;
+                    self.unread = false;
                     self.block.insert(block)
                 }
             };
             if self.entry_idx < block.len() {
-                let i = self.entry_idx;
-                if hi.is_some_and(|hi| block.key(i) > hi) {
-                    return Ok(None);
+                if hi.is_some_and(|hi| block.key(self.entry_idx) > hi) {
+                    self.block = None;
+                    return Ok(false);
                 }
-                self.entry_idx += 1;
-                return Ok(Some((Arc::clone(block), i as u32)));
+                return Ok(true);
             }
             self.block = None;
             self.block_idx += 1;
@@ -994,6 +1028,7 @@ impl SstCursor {
 mod tests {
     use super::*;
     use crate::filter_hook::ProteusFactory;
+    use proteus_core::key::pad_key;
     use proteus_core::SampleQueries;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1121,6 +1156,16 @@ mod tests {
     }
 
     #[test]
+    fn a_writer_refuses_a_filter_width_no_reader_accepts() {
+        let dir = tmpdir("width");
+        for width in [0, INLINE_KEY_BYTES + 1] {
+            assert!(matches!(SstWriter::create(&dir, 1, width, 4096), Err(Error::Config(_))));
+        }
+        assert!(SstWriter::create(&dir, 1, INLINE_KEY_BYTES, 4096).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn write_reopen_roundtrip_preserves_index_and_filter() {
         let dir = tmpdir("roundtrip");
         let written = write_sample(&dir, 3, 5_000);
@@ -1179,10 +1224,8 @@ mod tests {
         let fresh = Stats::default();
         let mut scan = SstCursor::new(Arc::new(reopened));
         let mut i = 0u64;
-        while let Some((block, j)) =
-            scan.next_pos(|sst, b| sst.read_block(b, &fresh).map(Arc::new)).unwrap()
-        {
-            let (k, v) = block.entry(j as usize);
+        while scan.step(|sst, b| sst.read_block(b, &fresh).map(Arc::new)).unwrap() {
+            let (k, v) = scan.current();
             assert_eq!(k, (i * 9).to_be_bytes());
             assert_eq!(v.is_none(), i.is_multiple_of(3), "entry {i}");
             i += 1;
@@ -1314,10 +1357,8 @@ mod tests {
         let fresh = Stats::default();
         let mut scan = SstCursor::new(Arc::new(reopened));
         let mut i = 0usize;
-        while let Some((block, j)) =
-            scan.next_pos(|sst, b| sst.read_block(b, &fresh).map(Arc::new)).unwrap()
-        {
-            let (k, v) = block.entry(j as usize);
+        while scan.step(|sst, b| sst.read_block(b, &fresh).map(Arc::new)).unwrap() {
+            let (k, v) = scan.current();
             assert_eq!(k, keys[i], "entry {i}");
             assert_eq!(v.is_none(), i % 7 == 2, "entry {i}");
             i += 1;

@@ -8,11 +8,18 @@
 //! allocator traffic under every write, so it is pinned here with a
 //! counting allocator.
 //!
+//! Flushes and compactions write through the same kind of buffers: an
+//! `SstWriter` keeps its block builder and its filter's key set, and
+//! canonicalizes each key for the filter on the stack, so an entry costs
+//! no allocation of its own either — only each block's and each growing
+//! buffer's, spread over the entries.
+//!
 //! This file is its own test binary on purpose: the `#[global_allocator]`
-//! below must not be shared with any other suite, and it holds exactly one
-//! test so no concurrently running test adds to the count. The count is
-//! per thread, so the store's background thread is not charged to a write.
+//! below must not be shared with any other suite. The count is per
+//! thread, so neither the store's background thread nor the other test is
+//! charged to a write.
 
+use proteus_lsm::sst::SstWriter;
 use proteus_lsm::{DbConfig, SyncMode, WriteBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -128,5 +135,38 @@ fn steady_state_writes_do_not_allocate() {
     }
     eprintln!("allocations per put {puts:.4}, delete {deletes:.4}, 3-op batch {writes:.4}");
     drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Entries one `SstWriter` takes in the writer case.
+const ENTRIES: u64 = 20_000;
+/// Ceiling per entry pushed into an `SstWriter`. A 4 KiB block holds
+/// about sixty of these entries and costs its own handful of allocations
+/// (the builder's buffer growing to the block, its first key, its encoded
+/// bytes), so the expected figure is a few tenths; a per-entry copy of the
+/// key, padded for the filter or not, adds a whole one.
+const MAX_ALLOCS_PER_ENTRY: f64 = 0.5;
+
+#[test]
+fn an_sst_writer_allocates_per_block_not_per_entry() {
+    let dir = std::env::temp_dir().join(format!("proteus-writer-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // Keys longer than the 8-byte filter width, so every one is truncated
+    // for the filter, and values of the §6.2 shape.
+    let keys: Vec<Vec<u8>> = (0..ENTRIES)
+        .map(|i| format!("https://example.org/{:012}", key(i) >> 24).into_bytes())
+        .collect();
+    let mut keys = keys;
+    keys.sort();
+    let value: Vec<u8> = (0..40u8).map(|i| if i < 20 { 0 } else { i }).collect();
+    let mut w = SstWriter::create(&dir, 1, 8, 4096).unwrap();
+    let per = per_write(ENTRIES, |i| w.push(&keys[i as usize], Some(&value)).unwrap());
+    assert!(
+        per <= MAX_ALLOCS_PER_ENTRY,
+        "an SstWriter push made {per:.4} allocations (ceiling {MAX_ALLOCS_PER_ENTRY})"
+    );
+    eprintln!("allocations per SstWriter push {per:.4}");
+    drop(w);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -56,10 +56,8 @@ fn scan_all(sst: SstReader) -> proteus_lsm::Result<Vec<Entry>> {
     let stats = Stats::default();
     let mut cursor = SstCursor::new(Arc::new(sst));
     let mut entries = Vec::new();
-    while let Some((block, i)) =
-        cursor.next_pos(|sst, b| sst.read_block(b, &stats).map(Arc::new))?
-    {
-        let (k, v) = block.entry(i as usize);
+    while cursor.step(|sst, b| sst.read_block(b, &stats).map(Arc::new))? {
+        let (k, v) = cursor.current();
         entries.push((k.to_vec(), v.map(<[u8]>::to_vec)));
     }
     Ok(entries)
