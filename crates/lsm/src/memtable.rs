@@ -25,25 +25,43 @@
 //!
 //! The table is a skiplist over a bump arena rather than a
 //! `BTreeMap<Vec<u8>, Option<Vec<u8>>>`. All key and value bytes live in
-//! one append-only `Vec<u8>` arena; a node is a handful of integer
-//! offsets into it, and the tower (forward) pointers for all nodes live
-//! in a single shared pool. A `put` therefore costs zero per-entry heap
-//! allocations in the steady state — the arena, node pool and tower pool
-//! all grow amortized — where the `BTreeMap` paid one allocation for the
-//! key and one for the value on every insert. Overwrites append the new
-//! value bytes and repoint the node; the superseded bytes stay in the
-//! arena until the whole table is dropped at flush, which is the right
-//! trade for a buffer whose lifetime is bounded by `memtable_bytes` — and,
-//! for a table that is overwritten far more than it grows, by
+//! one append-only `Vec<u8>` arena. Each node is one *record* in a single
+//! `u32` pool, `recs`, and is named by the record's offset there:
+//!
+//! | slot | holds |
+//! |---|---|
+//! | 0, 1 | the key's head: its first 8 bytes, big-endian and zero-padded ([`key_head`]), high word first |
+//! | 2, 3 | the key's arena offset and length |
+//! | 4 | the node's index into `vals`, its newest version |
+//! | 5 .. 5 + height | forward pointers (level 0 first), record offsets |
+//!
+//! A search step therefore reads one record and decides on its head: a
+//! strictly smaller head means a strictly smaller key. Only when two heads
+//! tie does the key's length matter, and the arena is read only when both
+//! keys are longer than 8 bytes. Tied heads agree on the first 8 bytes, and
+//! a key of at most 8 bytes is zero-padded into its head. So a key of at
+//! most 8 bytes is the tied longer key's prefix, and the lengths order the
+//! two; equal lengths mean equal keys. Only between two longer keys does
+//! the tail past byte 8 decide, and that tail lives in the arena. A `u64`
+//! key's put or get thus never touches the arena before its value.
+//!
+//! A `put` costs zero per-entry heap allocations in the steady state — the
+//! arena, `recs` and `vals` all grow amortized — where the `BTreeMap` paid
+//! one allocation for the key and one for the value on every insert.
+//! Overwrites append the new value bytes and repoint the node's version;
+//! the superseded bytes stay in the arena until the whole table is dropped
+//! at flush, which is the right trade for a buffer whose lifetime is
+//! bounded by `memtable_bytes` — and, for a table that is overwritten far
+//! more than it grows or holds many tiny entries, by
 //! [`ARENA_LIMIT_FACTOR`] times that in physical bytes
 //! ([`MemTable::is_full`]). [`MemTable::bytes`] still reports *logical*
 //! bytes (keys + live values + tombstone overhead), not arena bytes, so
 //! rotation thresholds behave exactly as they did with the map on any
-//! load that is not dominated by overwrites.
+//! load that is not dominated by overwrites or by per-node bookkeeping.
 //!
 //! ## Batch stamps and views
 //!
-//! Nothing is ever removed from a table: nodes keep their ids, the
+//! Nothing is ever removed from a table: records keep their offsets, the
 //! level-0 chain only gains links, and the arena only grows. What an
 //! overwrite *would* destroy — which value a key had before — is kept
 //! too: every entry carries the **stamp** of the write batch that produced
@@ -57,30 +75,44 @@
 //! "The table as of stamp `S`" is therefore an immutable view, however
 //! many batches follow: a key's value at `S` is the newest version with
 //! stamp ≤ `S`, and a key first written after `S` does not exist. A
-//! [`Cursor`] is a position in that view — a node id plus `S` — that
+//! [`Cursor`] is a position in that view — a record offset plus `S` — that
 //! [`MemTable::advance`] moves one visible entry at a time, so a scan can
 //! drop the table's lock between rows and pick up exactly where it was.
 //! [`MemTable::get`], [`MemTable::iter`] and [`MemTable::len`] read the
 //! newest version straight off the node, as before.
 
+use proteus_core::key::key_head;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Tallest tower a node can get. With branching factor 4 this covers
 /// far more entries than any rotation threshold lets a table hold.
 const MAX_HEIGHT: usize = 12;
 
-/// Sentinel "null pointer" in the tower pools.
+/// Sentinel "null pointer" in the forward pointers.
 const NIL: u32 = u32::MAX;
+
+/// A record's slots before its forward pointers (see the module docs).
+const HEAD_HI: usize = 0;
+const HEAD_LO: usize = 1;
+const KEY_OFF: usize = 2;
+const KEY_LEN: usize = 3;
+const VAL: usize = 4;
+const TOWER: usize = 5;
+
+/// The head pseudo-node: the record at offset 0, with a full-height tower
+/// and no key. Every search starts here and never compares against it.
+const HEAD: u32 = 0;
 
 /// Approximate bookkeeping bytes charged per tombstone (a deleted entry
 /// stores no value but still occupies the table).
 const TOMBSTONE_BYTES: usize = 8;
 
-/// A table rotates once its arena and version records hold this many
-/// times its logical-byte threshold ([`MemTable::is_full`]). Not a knob: update-heavy loads peak
-/// around 3× at rotation, so 8× only fires on overwrite loops, and
-/// `DbConfig::validate` keeps `8 × memtable_bytes` inside the arena's
-/// `u32` offsets.
+/// A table rotates once its arena, records and versions hold this many
+/// times its logical-byte threshold ([`MemTable::is_full`]). Not a knob:
+/// update-heavy loads peak around 3× at rotation, so 8× only fires on
+/// overwrite loops and tables of tiny entries, and `DbConfig::validate`
+/// keeps `8 × memtable_bytes` inside the arena's `u32` offsets.
 pub const ARENA_LIMIT_FACTOR: usize = 8;
 
 fn entry_bytes(value: Option<&[u8]>) -> usize {
@@ -88,9 +120,9 @@ fn entry_bytes(value: Option<&[u8]>) -> usize {
 }
 
 /// One version of an entry's value: where its bytes sit in the arena and
-/// which batch wrote it. Node `n`'s newest version is `MemTable::vals[n]`;
-/// the ones it superseded sit in `MemTable::versions`, chained newest
-/// first.
+/// which batch wrote it. A node's newest version is `MemTable::vals[i]`,
+/// `i` its record's `VAL` slot; the ones it superseded sit in
+/// `MemTable::versions`, chained newest first.
 #[derive(Debug, Clone, Copy)]
 struct Version {
     off: u32,
@@ -113,17 +145,6 @@ impl Version {
     }
 }
 
-/// One skiplist node — just what a search touches: where the key sits in
-/// the arena and where the node's tower sits in the shared pointer pool.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    key_off: u32,
-    key_len: u32,
-    /// First slot of this node's forward pointers in `tower`.
-    tower_off: u32,
-    height: u8,
-}
-
 /// A resumable position in one table's key order, reading the table as of
 /// a batch stamp (see the [module docs](self)). Made by
 /// [`MemTable::cursor`], moved by [`MemTable::advance`]; it borrows
@@ -131,7 +152,7 @@ struct Node {
 /// table it came from (and means nothing to any other table).
 #[derive(Debug, Clone, Copy)]
 pub struct Cursor {
-    /// The next node to look at (`NIL` = exhausted).
+    /// The next record to look at (`NIL` = exhausted).
     next: u32,
     stamp: u32,
 }
@@ -140,17 +161,13 @@ pub struct Cursor {
 pub struct MemTable {
     /// Bump-allocated key and value bytes (append-only).
     arena: Vec<u8>,
-    nodes: Vec<Node>,
-    /// Newest version of each node, parallel to `nodes` (kept apart so a
-    /// search strides over 16-byte nodes).
+    /// One record per node, the head pseudo-node's first (see the module
+    /// docs); append-only.
+    recs: Vec<u32>,
+    /// Newest version of each node, in insertion order.
     vals: Vec<Version>,
     /// Superseded versions, chained from `vals`.
     versions: Vec<Version>,
-    /// Forward-pointer pool; node `n` owns
-    /// `tower[n.tower_off .. n.tower_off + n.height]` (level 0 first).
-    tower: Vec<u32>,
-    /// Forward pointers out of the head pseudo-node.
-    head: [u32; MAX_HEIGHT],
     /// Tallest tower currently in use (bounds the search).
     height: usize,
     /// xorshift64 state for tower heights. Seeded deterministically:
@@ -164,13 +181,13 @@ pub struct MemTable {
 
 impl Default for MemTable {
     fn default() -> Self {
+        let mut recs = vec![0; TOWER + MAX_HEIGHT];
+        recs[TOWER..].fill(NIL);
         MemTable {
             arena: Vec::new(),
-            nodes: Vec::new(),
+            recs,
             vals: Vec::new(),
             versions: Vec::new(),
-            tower: Vec::new(),
-            head: [NIL; MAX_HEIGHT],
             height: 1,
             rng: 0x9E37_79B9_7F4A_7C15,
             bytes: 0,
@@ -182,7 +199,7 @@ impl Default for MemTable {
 impl fmt::Debug for MemTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemTable")
-            .field("entries", &self.nodes.len())
+            .field("entries", &self.vals.len())
             .field("bytes", &self.bytes)
             .field("arena_bytes", &self.arena.len())
             .field("versions", &self.versions.len())
@@ -235,29 +252,17 @@ impl MemTable {
     /// WAL), and the table performs no heap allocation beyond amortized
     /// arena/pool growth.
     pub fn apply_ref(&mut self, key: &[u8], value: Option<&[u8]>) {
-        // Record the search path: `update[lvl]` is the last node (NIL =
-        // head) strictly before `key` at that level.
-        let mut update = [NIL; MAX_HEIGHT];
-        let mut cur = NIL; // NIL means "the head"
-        for lvl in (0..self.height).rev() {
-            loop {
-                let next = self.next_at(cur, lvl);
-                if next != NIL && self.node_key(next) < key {
-                    cur = next;
-                } else {
-                    break;
-                }
-            }
-            update[lvl] = cur;
-        }
-        let at = self.next_at(cur, 0);
-        if at != NIL && self.node_key(at) == key {
+        let head = key_head(key);
+        let mut update = [HEAD; MAX_HEIGHT];
+        let (at, found) = self.search(key, head, &mut update);
+        if found {
             // Overwrite: append the new value, repoint the node. The key
             // bytes were already charged; swap the value charge. A version
             // written by an earlier batch is still what views at that
             // batch's stamp must see, so it moves onto the chain; one
             // written by this batch is simply replaced.
-            let old = self.vals[at as usize];
+            let i = self.recs[at as usize + VAL] as usize;
+            let old = self.vals[i];
             let mut val = self.push_value(value);
             val.older = if old.stamp == self.stamp {
                 old.older
@@ -265,33 +270,32 @@ impl MemTable {
                 self.versions.push(old);
                 (self.versions.len() - 1) as u32
             };
-            self.vals[at as usize] = val;
+            self.vals[i] = val;
             self.bytes = self.bytes - old.logical_bytes() + entry_bytes(value);
             return;
         }
-        // New key: arena-allocate key + value, then splice a node in.
+        // New key: arena-allocate key + value, then splice a record in.
+        // Levels above the current height start from the head, which is
+        // what `update` already holds there.
         let key_off = self.arena.len() as u32;
         self.arena.extend_from_slice(key);
         let val = self.push_value(value);
         let height = self.random_height();
-        let tower_off = self.tower.len() as u32;
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node {
+        let rec = self.recs.len() as u32;
+        self.recs.extend_from_slice(&[
+            (head >> 32) as u32,
+            head as u32,
             key_off,
-            key_len: key.len() as u32,
-            tower_off,
-            height: height as u8,
-        });
+            key.len() as u32,
+            self.vals.len() as u32,
+        ]);
         self.vals.push(val);
-        for (lvl, &upd) in update.iter().enumerate().take(height) {
-            let prev = if lvl < self.height { upd } else { NIL };
-            let next = self.next_at(prev, lvl);
-            self.tower.push(next);
-            self.set_next_at(prev, lvl, id);
+        for (lvl, &prev) in update.iter().enumerate().take(height) {
+            let slot = prev as usize + TOWER + lvl;
+            self.recs.push(self.recs[slot]);
+            self.recs[slot] = rec;
         }
-        if height > self.height {
-            self.height = height;
-        }
+        self.height = self.height.max(height);
         self.bytes += key.len() + entry_bytes(value);
     }
 
@@ -300,18 +304,18 @@ impl MemTable {
     /// from a tombstone (`None`). A `None` outer result means the caller
     /// must keep searching older layers.
     pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
-        let n = self.seek_node(key)?;
-        (self.node_key(n) == key).then(|| self.value_bytes(&self.vals[n as usize]))
+        let (at, found) = self.search(key, key_head(key), &mut [HEAD; MAX_HEIGHT]);
+        found.then(|| self.value_bytes(&self.vals[self.recs[at as usize + VAL] as usize]))
     }
 
     /// Number of buffered entries (tombstones included).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.vals.len()
     }
 
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.vals.is_empty()
     }
 
     /// Approximate buffered bytes (keys + values + tombstone overhead).
@@ -328,20 +332,27 @@ impl MemTable {
     }
 
     /// Should a table with a rotation threshold of `limit` bytes rotate?
-    /// On logical bytes — or on physical ones, the arena plus the version
-    /// records: an overwrite adds no logical bytes, yet it appends its
-    /// value to the arena and (from a new batch) chains a version record —
-    /// the latter even when the value is empty or a tombstone — so a
-    /// hot-key update loop would otherwise grow one table without bound.
+    /// On logical bytes — or on physical ones: the arena, the records and
+    /// every version, newest or superseded. An overwrite adds no logical
+    /// bytes, yet it appends its value to the arena and (from a new batch)
+    /// chains a version record — the latter even when the value is empty
+    /// or a tombstone — so a hot-key update loop would otherwise grow one
+    /// table without bound; and a tiny entry costs far more in its record
+    /// and newest version than the logical bytes it is charged.
     pub fn is_full(&self, limit: usize) -> bool {
-        let physical = self.arena.len() + self.versions.len() * std::mem::size_of::<Version>();
-        self.bytes >= limit || physical >= ARENA_LIMIT_FACTOR.saturating_mul(limit)
+        self.bytes >= limit || self.physical_bytes() >= ARENA_LIMIT_FACTOR.saturating_mul(limit)
+    }
+
+    fn physical_bytes(&self) -> usize {
+        self.arena.len()
+            + self.recs.len() * std::mem::size_of::<u32>()
+            + (self.vals.len() + self.versions.len()) * std::mem::size_of::<Version>()
     }
 
     /// Iterate all entries in ascending key order without consuming the
     /// table (a flush writes a frozen table to disk through this). Tombstones are yielded as `None` values.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
-        self.walk(Cursor { next: self.head[0], stamp: self.stamp }, None)
+        self.walk(Cursor { next: self.next_at(HEAD, 0), stamp: self.stamp }, None)
     }
 
     /// `cur` driven to its end while the table stays borrowed.
@@ -356,7 +367,7 @@ impl MemTable {
     /// A cursor over the table as of `stamp`, positioned at the first key
     /// ≥ `lo`.
     pub fn cursor(&self, lo: &[u8], stamp: u32) -> Cursor {
-        Cursor { next: self.seek_node(lo).unwrap_or(NIL), stamp }
+        Cursor { next: self.search(lo, key_head(lo), &mut [HEAD; MAX_HEIGHT]).0, stamp }
     }
 
     /// The next entry of `cur`'s view with a key ≤ `hi` (`None` = no upper
@@ -371,13 +382,13 @@ impl MemTable {
     ) -> Option<(&'a [u8], Option<&'a [u8]>)> {
         while cur.next != NIL {
             let n = cur.next;
-            let k = self.node_key(n);
+            let k = self.rec_key(n);
             if hi.is_some_and(|hi| k > hi) {
                 cur.next = NIL;
                 break;
             }
             cur.next = self.next_at(n, 0);
-            if let Some(version) = self.version_at(n, cur.stamp) {
+            if let Some(version) = self.version_at(self.recs[n as usize + VAL], cur.stamp) {
                 return Some((k, self.value_bytes(version)));
             }
         }
@@ -409,11 +420,12 @@ impl MemTable {
         Version { off, len, stamp: self.stamp, older: NIL, tombstone: value.is_none() }
     }
 
-    /// The version of `node` a view at `stamp` sees: the newest one not
-    /// written after it. `None` when the key did not exist yet.
+    /// The version of node `val` (its index into `vals`) a view at `stamp`
+    /// sees: the newest one not written after it. `None` when the key did
+    /// not exist yet.
     #[inline]
-    fn version_at(&self, node: u32, stamp: u32) -> Option<&Version> {
-        let mut v = &self.vals[node as usize];
+    fn version_at(&self, val: u32, stamp: u32) -> Option<&Version> {
+        let mut v = &self.vals[val as usize];
         while v.stamp > stamp {
             if v.older == NIL {
                 return None;
@@ -423,32 +435,16 @@ impl MemTable {
         Some(v)
     }
 
-    /// Forward pointer of `node` (NIL = head) at `lvl`.
+    /// Forward pointer of record `rec` at `lvl`.
     #[inline]
-    fn next_at(&self, node: u32, lvl: usize) -> u32 {
-        if node == NIL {
-            self.head[lvl]
-        } else {
-            let n = &self.nodes[node as usize];
-            debug_assert!(lvl < n.height as usize);
-            self.tower[n.tower_off as usize + lvl]
-        }
+    fn next_at(&self, rec: u32, lvl: usize) -> u32 {
+        self.recs[rec as usize + TOWER + lvl]
     }
 
     #[inline]
-    fn set_next_at(&mut self, node: u32, lvl: usize, to: u32) {
-        if node == NIL {
-            self.head[lvl] = to;
-        } else {
-            let off = self.nodes[node as usize].tower_off as usize + lvl;
-            self.tower[off] = to;
-        }
-    }
-
-    #[inline]
-    fn node_key(&self, node: u32) -> &[u8] {
-        let n = &self.nodes[node as usize];
-        &self.arena[n.key_off as usize..n.key_off as usize + n.key_len as usize]
+    fn rec_key(&self, rec: u32) -> &[u8] {
+        let r = &self.recs[rec as usize..rec as usize + TOWER];
+        &self.arena[r[KEY_OFF] as usize..r[KEY_OFF] as usize + r[KEY_LEN] as usize]
     }
 
     #[inline]
@@ -460,21 +456,49 @@ impl MemTable {
         }
     }
 
-    /// First node with key ≥ `key`, or `None` when every key is smaller.
-    fn seek_node(&self, key: &[u8]) -> Option<u32> {
-        let mut cur = NIL;
+    /// Record `rec`'s key against `key`, whose head is `head`: by heads,
+    /// then on a tie by length if either key fits its head, and only then
+    /// by the arena bytes past the head (see the module docs).
+    #[inline]
+    fn cmp_rec(&self, rec: u32, key: &[u8], head: u64) -> Ordering {
+        let r = &self.recs[rec as usize..rec as usize + TOWER];
+        let rec_head = u64::from(r[HEAD_HI]) << 32 | u64::from(r[HEAD_LO]);
+        rec_head.cmp(&head).then_with(|| {
+            let len = r[KEY_LEN] as usize;
+            if len <= 8 || key.len() <= 8 {
+                len.cmp(&key.len())
+            } else {
+                self.rec_key(rec)[8..].cmp(&key[8..])
+            }
+        })
+    }
+
+    /// The first record with a key ≥ `key` (`NIL` when every key is
+    /// smaller), and whether its key is `key`. Fills `update[lvl]` with
+    /// the last record (`HEAD` included) strictly before `key` at each
+    /// level in use.
+    fn search(&self, key: &[u8], head: u64, update: &mut [u32; MAX_HEIGHT]) -> (u32, bool) {
+        let mut cur = HEAD;
+        let mut found = false;
+        let mut next = NIL;
         for lvl in (0..self.height).rev() {
             loop {
-                let next = self.next_at(cur, lvl);
-                if next != NIL && self.node_key(next) < key {
-                    cur = next;
-                } else {
+                next = self.next_at(cur, lvl);
+                if next == NIL {
+                    found = false;
                     break;
                 }
+                match self.cmp_rec(next, key, head) {
+                    Ordering::Less => cur = next,
+                    ord => {
+                        found = ord == Ordering::Equal;
+                        break;
+                    }
+                }
             }
+            update[lvl] = cur;
         }
-        let n = self.next_at(cur, 0);
-        (n != NIL).then_some(n)
+        (next, found)
     }
 
     /// Geometric tower height with branching factor 4 (p = 1/4 per
@@ -604,7 +628,11 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let key = (x % 257).to_be_bytes().to_vec();
+            let key = if x.is_multiple_of(3) {
+                tied_key(x >> 8)
+            } else {
+                (x % 257).to_be_bytes().to_vec()
+            };
             if x.is_multiple_of(5) {
                 model.insert(key.clone(), None);
                 m.delete(key);
@@ -624,10 +652,18 @@ mod tests {
             assert_eq!(m.get(k), Some(v.as_deref()), "key {k:?}");
         }
         assert_eq!(m.get(&300u64.to_be_bytes()), None);
-        // Range queries agree with the model on assorted windows.
-        for (lo, hi) in [(0u64, 256u64), (10, 20), (100, 100), (200, 9999)] {
-            let lo = lo.to_be_bytes();
-            let hi = hi.to_be_bytes();
+        assert_eq!(m.get(&[2, 0, 0, 0, 0, 0, 0, 0, 9]), None, "a tied head, an absent tail");
+        // Range queries agree with the model on assorted windows, some of
+        // them bounded by keys that tie on their head.
+        let u64_windows = [(0u64, 256u64), (10, 20), (100, 100), (200, 9999)]
+            .map(|(lo, hi)| (lo.to_be_bytes().to_vec(), hi.to_be_bytes().to_vec()));
+        let tied_windows = [
+            (vec![1], vec![1, 0, 0, 0, 0, 0, 0, 0, 1, 1]),
+            (vec![2, 0, 0], vec![2, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (vec![2, 0, 0, 0, 0, 0, 0, 0, 1], vec![3, 0]),
+            (vec![3, 0, 0, 0, 0, 0, 0, 0, 0, 0], vec![3, 0, 0, 0, 0, 0, 0, 0, 2]),
+        ];
+        for (lo, hi) in u64_windows.into_iter().chain(tied_windows) {
             let got = m.range_entries(&lo, &hi);
             let want: Vec<(Vec<u8>, Option<Vec<u8>>)> = model
                 .range::<[u8], _>((
@@ -690,7 +726,16 @@ mod tests {
         }
         assert_eq!(m.arena_bytes(), 1, "the key, once");
         assert!(m.bytes() <= 1 + TOMBSTONE_BYTES);
-        assert!(writes * std::mem::size_of::<Version>() >= ARENA_LIMIT_FACTOR * 1_000);
+        // Beside the version records the table holds the key, the head's
+        // and the key's records and the key's newest version: the records
+        // and that one node's bookkeeping together reach the limit.
+        assert_eq!(m.versions.len(), writes - 1, "one record per write after the first");
+        let node = m.recs.len() * std::mem::size_of::<u32>() + std::mem::size_of::<Version>();
+        assert!(node < 200, "the one node's bookkeeping is {node} B");
+        assert!(
+            m.versions.len() * std::mem::size_of::<Version>() + node + 1
+                >= ARENA_LIMIT_FACTOR * 1_000
+        );
         // The same loop inside one batch replaces in place and chains
         // nothing: the table stays as small as it looks.
         let mut m = MemTable::new();
@@ -731,6 +776,48 @@ mod tests {
         // Newest-version reads are unaffected by the chains.
         assert_eq!(m.get(&[4]), Some(Some(&b"z"[..])));
         assert_eq!(m.len(), 4);
+    }
+
+    /// A key from a domain built to tie on the 8-byte head: `[b]` followed
+    /// by 0 to 8 zero bytes (one head for each `b`, keys apart only by
+    /// length, some of them longer than 8 bytes), or `[b, 0 × 7]` followed
+    /// by a 1- to 3-byte tail (longer than 8 bytes, the same head, ordered
+    /// only by the arena bytes past it).
+    fn tied_key(r: u64) -> Vec<u8> {
+        let mut k = vec![(r % 3) as u8 + 1];
+        if (r >> 2).is_multiple_of(2) {
+            k.resize(1 + (r >> 3) as usize % 9, 0);
+        } else {
+            k.resize(8, 0);
+            k.extend_from_slice(&vec![((r >> 3) % 3) as u8; 1 + (r >> 5) as usize % 3]);
+        }
+        k
+    }
+
+    #[test]
+    fn tiny_entries_fill_the_table_on_their_records() {
+        // 3-byte keys with empty values are charged 3 logical bytes each,
+        // but each holds a record and a newest version as well: about 16x
+        // that in heap. The table must stop growing once arena, records
+        // and versions reach 8x its limit, well before its logical bytes
+        // do.
+        let limit = 1_000;
+        let heap = |m: &MemTable| {
+            m.arena.len()
+                + m.recs.len() * std::mem::size_of::<u32>()
+                + (m.vals.len() + m.versions.len()) * std::mem::size_of::<Version>()
+        };
+        let mut m = MemTable::new();
+        let mut i = 0u32;
+        while !m.is_full(limit) {
+            m.put(i.to_be_bytes()[1..].to_vec(), vec![]);
+            i += 1;
+        }
+        assert!(m.bytes() < limit, "rotated on {} logical bytes", m.bytes());
+        // The entry that crossed the cap is the last: one key, one newest
+        // version and one record of the tallest tower at most.
+        let entry = 3 + std::mem::size_of::<Version>() + (TOWER + MAX_HEIGHT) * 4;
+        assert!(heap(&m) < ARENA_LIMIT_FACTOR * limit + entry);
     }
 
     type Rows = Vec<(Vec<u8>, Option<Vec<u8>>)>;
@@ -774,7 +861,10 @@ mod tests {
                 x ^= x << 17;
                 x
             };
-            let key = |r: u64| vec![(r % 24) as u8 + 1; 1 + (r >> 8) as usize % 2];
+            let key = |r: u64| match r % 3 {
+                0 => tied_key(r >> 2),
+                _ => vec![(r % 24) as u8 + 1; 1 + (r >> 8) as usize % 2],
+            };
             let mut m = MemTable::new();
             let mut model = Model::new();
             // `snapshots[s]` = the model when stamp `s` stopped changing.
