@@ -78,10 +78,10 @@ pub mod rank {
     pub const WAL: Rank = Rank::new(60, "wal");
     /// The manifest (`RwLock<Arc<Version>>` of live levels).
     pub const MANIFEST: Rank = Rank::new(50, "manifest");
-    /// One shard of the sharded block cache. Shards are never nested
-    /// with each other (guards are dropped between shards), so a single
-    /// rank covers all sixteen.
-    pub const CACHE_SHARD: Rank = Rank::new(30, "cache-shard");
+    /// An LSM store's block cache (`Mutex<BlockCache>`), locked only
+    /// around one lookup or one insert while a foreground read fetches a
+    /// block, never across file I/O.
+    pub const BLOCK_CACHE: Rank = Rank::new(30, "block-cache");
     /// The sample-query queue.
     pub const QUERY_QUEUE: Rank = Rank::new(20, "query-queue");
     /// The server's connection-handle registry.

@@ -49,8 +49,8 @@ fn same_rank_reentry_panics() {
         return;
     }
     let result = std::thread::spawn(|| {
-        let a = Mutex::new(rank::CACHE_SHARD, ());
-        let b = Mutex::new(rank::CACHE_SHARD, ());
+        let a = Mutex::new(rank::BLOCK_CACHE, ());
+        let b = Mutex::new(rank::BLOCK_CACHE, ());
         let _first = a.lock().unwrap();
         let _second = b.lock(); // would deadlock if it were the same lock
     })

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 /// One scanned source file: the original text plus the derived masks the
 /// rules run on.
 pub struct SourceFile {
-    /// Repo-relative path (used in diagnostics and the baseline).
+    /// Repo-relative path (used in diagnostics).
     pub path: PathBuf,
     /// Original text, used only for waiver-comment lookup.
     pub text: String,

@@ -16,15 +16,11 @@
 //! * **`truncating-cast`** — no truncating `as` casts in the
 //!   `codec.rs`/`wal.rs`/`block.rs`/`protocol.rs` wire paths.
 //!
-//! Grandfathered sites live in `lint-baseline.txt` at the repo root
-//! (`rule path count` lines). A baseline entry whose count no longer
-//! matches reality fails the run in *both* directions: new violations
-//! are rejected, and a fixed site must be deleted from the baseline so
-//! it can never regress silently. Individual intentional sites carry a
-//! `// lint: allow(<rule>): reason` waiver instead.
+//! Every finding fails the run. An intentional site carries an in-place
+//! `// lint: allow(<rule>): reason` waiver, the one way to excuse it.
 //!
 //! Run it as `cargo run -p proteus-lint` (exit code 1 on any finding) or
-//! via the `workspace_is_clean` integration test.
+//! via the `workspace_is_lint_clean` integration test.
 
 pub mod lexer;
 pub mod rules;
@@ -32,22 +28,15 @@ pub mod rules;
 pub use lexer::SourceFile;
 pub use rules::Violation;
 
-use std::collections::BTreeMap;
 use std::path::Path;
-
-/// Name of the committed baseline file at the repo root.
-pub const BASELINE_FILE: &str = "lint-baseline.txt";
 
 /// Directories never scanned: third-party sources, build output, VCS.
 const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", ".claude", "related"];
 
 /// The outcome of a full run: what to print and how to exit.
 pub struct Report {
-    /// Findings not covered by the baseline.
+    /// Every finding; the tree is clean when there are none.
     pub violations: Vec<Violation>,
-    /// Baseline entries that no longer match reality (fixed or moved
-    /// sites whose entry must be deleted).
-    pub stale: Vec<String>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
@@ -55,7 +44,7 @@ pub struct Report {
 impl Report {
     /// Did the tree pass?
     pub fn clean(&self) -> bool {
-        self.violations.is_empty() && self.stale.is_empty()
+        self.violations.is_empty()
     }
 }
 
@@ -75,7 +64,7 @@ fn collect_files(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> std::io:
         } else if name.ends_with(".rs") {
             let text = std::fs::read_to_string(&path)?;
             let rel = path.strip_prefix(root).unwrap_or(&path);
-            // Normalize to `/` so baselines are portable.
+            // Normalize to `/` so reported paths are portable.
             let rel = rel.to_string_lossy().replace('\\', "/");
             out.push(SourceFile::parse(rel, text));
         }
@@ -83,129 +72,9 @@ fn collect_files(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> std::io:
     Ok(())
 }
 
-/// Parse `lint-baseline.txt`: `rule path count` per line, `#` comments.
-fn parse_baseline(text: &str) -> Result<BTreeMap<(String, String), usize>, String> {
-    let mut map = BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(rule), Some(path), Some(count), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!("baseline line {}: expected `rule path count`", i + 1));
-        };
-        let count: usize =
-            count.parse().map_err(|_| format!("baseline line {}: bad count `{count}`", i + 1))?;
-        if map.insert((rule.to_string(), path.to_string()), count).is_some() {
-            return Err(format!("baseline line {}: duplicate entry", i + 1));
-        }
-    }
-    Ok(map)
-}
-
-/// Apply the baseline to raw findings: exact matches are suppressed,
-/// excesses are reported in full, and shortfalls become stale entries.
-fn apply_baseline(
-    raw: Vec<Violation>,
-    baseline: &BTreeMap<(String, String), usize>,
-) -> (Vec<Violation>, Vec<String>) {
-    let mut by_key: BTreeMap<(String, String), Vec<Violation>> = BTreeMap::new();
-    for v in raw {
-        by_key.entry((v.rule.to_string(), v.path.clone())).or_default().push(v);
-    }
-    let mut violations = Vec::new();
-    let mut stale = Vec::new();
-    for ((rule, path), found) in &by_key {
-        let allowed = baseline.get(&(rule.clone(), path.clone())).copied().unwrap_or(0);
-        if found.len() > allowed {
-            violations.extend(found.iter().cloned().map(|mut v| {
-                if allowed > 0 {
-                    v.msg = format!(
-                        "{} ({} found, {allowed} grandfathered in {BASELINE_FILE})",
-                        v.msg,
-                        found.len()
-                    );
-                }
-                v
-            }));
-        } else if found.len() < allowed {
-            stale.push(format!(
-                "stale baseline entry `{rule} {path} {allowed}`: only {} site(s) remain — \
-                 update or delete it in {BASELINE_FILE}",
-                found.len()
-            ));
-        }
-    }
-    for ((rule, path), &allowed) in baseline {
-        if !by_key.contains_key(&(rule.clone(), path.clone())) {
-            stale.push(format!(
-                "stale baseline entry `{rule} {path} {allowed}`: no sites remain — \
-                 delete it from {BASELINE_FILE}"
-            ));
-        }
-    }
-    (violations, stale)
-}
-
-/// Scan the workspace at `root` and check it against the committed
-/// baseline.
+/// Scan the workspace at `root`.
 pub fn run(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     collect_files(root, root, &mut files)?;
-    let raw = rules::run_all(&files);
-    let baseline_text = match std::fs::read_to_string(root.join(BASELINE_FILE)) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let baseline = parse_baseline(&baseline_text).map_err(std::io::Error::other)?;
-    let (violations, stale) = apply_baseline(raw, &baseline);
-    Ok(Report { violations, stale, files_scanned: files.len() })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_parses_and_rejects_garbage() {
-        let b = parse_baseline("# comment\n\nno-panic crates/lsm/src/db.rs 3\n").unwrap();
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[&("no-panic".into(), "crates/lsm/src/db.rs".into())], 3);
-        assert!(parse_baseline("just-two fields\n").is_err());
-        assert!(parse_baseline("a b not-a-number\n").is_err());
-        assert!(parse_baseline("a b 1\na b 1\n").is_err(), "duplicates rejected");
-    }
-
-    fn v(rule: &'static str, path: &str, line: usize) -> Violation {
-        Violation { rule, path: path.into(), line, msg: "m".into() }
-    }
-
-    #[test]
-    fn baseline_suppresses_exact_reports_excess_flags_shortfall() {
-        let mut base = BTreeMap::new();
-        base.insert(("no-panic".to_string(), "a.rs".to_string()), 2);
-        // Exact: suppressed.
-        let (viol, stale) =
-            apply_baseline(vec![v("no-panic", "a.rs", 1), v("no-panic", "a.rs", 2)], &base);
-        assert!(viol.is_empty() && stale.is_empty());
-        // Excess: everything reported.
-        let (viol, stale) = apply_baseline(
-            vec![v("no-panic", "a.rs", 1), v("no-panic", "a.rs", 2), v("no-panic", "a.rs", 3)],
-            &base,
-        );
-        assert_eq!(viol.len(), 3);
-        assert!(stale.is_empty());
-        // Shortfall: stale entry.
-        let (viol, stale) = apply_baseline(vec![v("no-panic", "a.rs", 1)], &base);
-        assert!(viol.is_empty());
-        assert_eq!(stale.len(), 1);
-        // Zero remaining: stale too.
-        let (viol, stale) = apply_baseline(Vec::new(), &base);
-        assert!(viol.is_empty());
-        assert_eq!(stale.len(), 1, "fully fixed entries must be deleted: {stale:?}");
-    }
+    Ok(Report { violations: rules::run_all(&files), files_scanned: files.len() })
 }

@@ -1,5 +1,5 @@
 //! `cargo run -p proteus-lint`: scan the workspace, print findings,
-//! exit 1 on any non-baseline violation or stale baseline entry.
+//! exit 1 on any violation.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,17 +21,13 @@ fn main() -> ExitCode {
     for v in &report.violations {
         println!("{v}");
     }
-    for s in &report.stale {
-        println!("{s}");
-    }
     if report.clean() {
         println!("proteus-lint: {} files clean", report.files_scanned);
         ExitCode::SUCCESS
     } else {
         println!(
-            "proteus-lint: {} violation(s), {} stale baseline entr(ies) across {} files",
+            "proteus-lint: {} violation(s) across {} files",
             report.violations.len(),
-            report.stale.len(),
             report.files_scanned
         );
         ExitCode::FAILURE

@@ -7,10 +7,10 @@
 
 use crate::lexer::SourceFile;
 
-/// One rule finding, keyed for baseline matching by `(rule, path)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One rule finding.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule slug (the name waivers and the baseline refer to).
+    /// Stable rule slug (the name waivers refer to).
     pub rule: &'static str,
     /// Repo-relative path, `/`-separated.
     pub path: String,
@@ -333,8 +333,7 @@ pub fn truncating_cast(f: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// Run every rule over `files`, returning all findings (not yet
-/// baseline-filtered).
+/// Run every rule over `files`, returning all findings.
 pub fn run_all(files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut consts = Vec::new();

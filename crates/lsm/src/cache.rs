@@ -2,15 +2,17 @@
 //! before measuring; §6.3 discusses thrashing when a filter forces too many
 //! distinct blocks through it).
 //!
-//! [`BlockCache`] is the single-threaded LRU core; the concurrent `Db`
-//! wraps it in a [`ShardedBlockCache`] — 16 independently locked shards
-//! selected by block-id hash, so parallel readers rarely contend on the
-//! same mutex (the RocksDB `LRUCache` sharding scheme).
+//! [`BlockCache`] is single-threaded; a store holds one behind one ranked
+//! mutex, taken only where a foreground read fetches a block. Nothing
+//! removes a block when compaction deletes its file: the dead file's
+//! blocks age out of the LRU like any cold block. They can never be
+//! served for another file, because a store allocates SST ids from one
+//! monotonic counter, so no id names two files in one process, and the
+//! cache starts empty at every open.
 
 use crate::block::Block;
-use proteus_core::sync::{rank, Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 
 /// Cache key: (SST id, block index).
 pub type BlockId = (u64, u32);
@@ -36,7 +38,7 @@ struct Slot {
 /// most recently used at `head`, the eviction victim at `tail`. A hit
 /// unlinks its slot and relinks it at the head, an eviction pops the tail,
 /// and a freed slot is reused by the next insert, so no operation scans
-/// the shard and a hit never allocates.
+/// the cache and a hit never allocates.
 #[derive(Debug)]
 pub struct BlockCache {
     capacity_bytes: usize,
@@ -97,7 +99,7 @@ impl BlockCache {
                         s
                     }
                     None => {
-                        // A shard holds far fewer than `NIL` blocks.
+                        // A cache holds far fewer than `NIL` blocks.
                         self.slots.push(slot);
                         (self.slots.len() - 1) as u32
                     }
@@ -113,23 +115,6 @@ impl BlockCache {
         // head (so it is never the victim while anything else remains).
         while self.used_bytes > self.capacity_bytes && self.tail != s {
             self.drop_slot(self.tail);
-        }
-    }
-
-    /// Drop a single entry if present.
-    pub fn remove(&mut self, id: BlockId) {
-        if let Some(&s) = self.map.get(&id) {
-            self.drop_slot(s);
-        }
-    }
-
-    /// Drop every cached block belonging to `sst_id` (file deleted by
-    /// compaction).
-    pub fn purge_sst(&mut self, sst_id: u64) {
-        let victims: Vec<u32> =
-            self.map.iter().filter(|((id, _), _)| *id == sst_id).map(|(_, &s)| s).collect();
-        for s in victims {
-            self.drop_slot(s);
         }
     }
 
@@ -193,93 +178,6 @@ impl BlockCache {
     }
 }
 
-/// Number of independently locked shards (power of two).
-const CACHE_SHARDS: usize = 16;
-
-/// A concurrent block cache: `CACHE_SHARDS` byte-budgeted LRU shards, each
-/// behind its own mutex. A block lives in exactly one shard (chosen by a
-/// hash of its id), so two readers touching different blocks almost always
-/// take different locks; the capacity is split evenly across shards.
-#[derive(Debug)]
-pub struct ShardedBlockCache {
-    shards: Vec<Mutex<BlockCache>>,
-}
-
-impl ShardedBlockCache {
-    /// Create a sharded cache; `capacity_bytes` is split across the
-    /// shards with the division remainder distributed one byte at a time
-    /// (plain `capacity / 16` would silently zero every shard for tiny
-    /// capacities and always drop up to 15 bytes of budget).
-    pub fn new(capacity_bytes: usize) -> Self {
-        let per_shard = capacity_bytes / CACHE_SHARDS;
-        let remainder = capacity_bytes % CACHE_SHARDS;
-        ShardedBlockCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|i| {
-                    Mutex::new(
-                        rank::CACHE_SHARD,
-                        BlockCache::new(per_shard + usize::from(i < remainder)),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    fn shard(&self, id: BlockId) -> MutexGuard<'_, BlockCache> {
-        // Fibonacci-hash the (sst, block) pair so consecutive blocks of one
-        // file spread across shards.
-        let h = (id.0 ^ ((id.1 as u64) << 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Self::locked(&self.shards[(h >> 60) as usize & (CACHE_SHARDS - 1)])
-    }
-
-    /// Take one shard's lock, recovering from poison: every cache op
-    /// restores the LRU invariants before returning, and the cache is an
-    /// optimization layer — a panicked reader must not take block caching
-    /// (or compaction's purges) down with it.
-    fn locked(shard: &Mutex<BlockCache>) -> MutexGuard<'_, BlockCache> {
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Look up a block in its shard, refreshing recency on a hit.
-    pub fn get(&self, id: BlockId) -> Option<Arc<Block>> {
-        self.shard(id).get(id)
-    }
-
-    /// Insert a block into its shard, evicting LRU entries to fit.
-    pub fn insert(&self, id: BlockId, block: Arc<Block>) {
-        self.shard(id).insert(id, block);
-    }
-
-    /// Drop a single entry if present (used to undo an insert that raced
-    /// with a purge).
-    pub fn remove(&self, id: BlockId) {
-        self.shard(id).remove(id);
-    }
-
-    /// Drop every cached block belonging to `sst_id` (file deleted by
-    /// compaction). Touches all shards.
-    pub fn purge_sst(&self, sst_id: u64) {
-        for shard in &self.shards {
-            Self::locked(shard).purge_sst(sst_id);
-        }
-    }
-
-    /// Bytes of cached payload across all shards.
-    pub fn used_bytes(&self) -> usize {
-        self.shards.iter().map(|s| Self::locked(s).used_bytes()).sum()
-    }
-
-    /// Cached blocks across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| Self::locked(s).len()).sum()
-    }
-
-    /// True when nothing is cached in any shard.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,18 +219,6 @@ mod tests {
         c.insert((1, 2), make_block(1, 10));
         assert!(c.get((1, 0)).is_some());
         assert!(c.get((1, 1)).is_none());
-    }
-
-    #[test]
-    fn purge_removes_all_of_an_sst() {
-        let mut c = BlockCache::new(1 << 20);
-        c.insert((1, 0), make_block(1, 5));
-        c.insert((1, 1), make_block(1, 5));
-        c.insert((2, 0), make_block(2, 5));
-        c.purge_sst(1);
-        assert!(c.get((1, 0)).is_none());
-        assert!(c.get((1, 1)).is_none());
-        assert!(c.get((2, 0)).is_some());
     }
 
     #[test]
@@ -394,28 +280,15 @@ mod tests {
                 return;
             }
             self.clock += 1;
-            self.remove(id);
+            if let Some(i) = self.entries.iter().position(|e| e.0 == id) {
+                self.used -= self.entries.swap_remove(i).1.mem_bytes();
+            }
             self.entries.push((id, block, self.clock));
             self.used += bytes;
             while self.used > self.capacity {
                 let lru = (0..self.entries.len()).min_by_key(|&i| self.entries[i].2).unwrap();
                 self.used -= self.entries.swap_remove(lru).1.mem_bytes();
             }
-        }
-
-        fn remove(&mut self, id: BlockId) {
-            self.purge(|e| e == id);
-        }
-
-        fn purge(&mut self, doomed: impl Fn(BlockId) -> bool) {
-            let used = &mut self.used;
-            self.entries.retain(|e| {
-                let keep = !doomed(e.0);
-                if !keep {
-                    *used -= e.1.mem_bytes();
-                }
-                keep
-            });
         }
 
         fn resident(&self) -> Vec<BlockId> {
@@ -427,7 +300,7 @@ mod tests {
 
     proptest::proptest! {
         /// The LRU budget invariant: `used_bytes <= capacity` after
-        /// *every* operation of any insert/get/remove/purge interleaving,
+        /// *every* operation of any insert/get interleaving,
         /// oversized inserts included (block sizes span well past any
         /// sampled capacity). After every step the cache also holds
         /// exactly the blocks, and exactly the bytes, the stamp-scan
@@ -454,7 +327,7 @@ mod tests {
             };
             for step in 0..120 {
                 let id = (rng() % 4, (rng() % 8) as u32);
-                match rng() % 5 {
+                match rng() % 3 {
                     // Entry counts 1..40: mem_bytes from far below to far
                     // above every sampled capacity.
                     0 | 1 => {
@@ -462,20 +335,12 @@ mod tests {
                         c.insert(id, Arc::clone(&block));
                         reference.insert(id, block);
                     }
-                    2 => {
+                    _ => {
                         proptest::prop_assert_eq!(
                             c.get(id).is_some(),
                             reference.entries.iter().any(|e| e.0 == id)
                         );
                         reference.get(id);
-                    }
-                    3 => {
-                        c.remove(id);
-                        reference.remove(id);
-                    }
-                    _ => {
-                        c.purge_sst(id.0);
-                        reference.purge(|(sst, _)| sst == id.0);
                     }
                 }
                 proptest::prop_assert!(
@@ -491,104 +356,5 @@ mod tests {
                 proptest::prop_assert_eq!(c.used_bytes(), reference.used, "step {}", step);
             }
         }
-    }
-
-    #[test]
-    fn sharded_cache_basic_ops() {
-        let c = ShardedBlockCache::new(4 << 20);
-        for i in 0..64u32 {
-            c.insert((i as u64, i), make_block(i as u64, 5));
-        }
-        for i in 0..64u32 {
-            assert!(c.get((i as u64, i)).is_some(), "block {i}");
-        }
-        assert!(c.get((99, 0)).is_none());
-        assert_eq!(c.len(), 64);
-        c.purge_sst(3);
-        assert!(c.get((3, 3)).is_none());
-        assert!(c.get((4, 4)).is_some());
-    }
-
-    #[test]
-    fn sharded_cache_concurrent_mixed_load() {
-        let c = std::sync::Arc::new(ShardedBlockCache::new(1 << 20));
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let c = std::sync::Arc::clone(&c);
-                s.spawn(move || {
-                    for i in 0..500u32 {
-                        let id = (t % 4, i % 64);
-                        if c.get(id).is_none() {
-                            c.insert(id, make_block(id.0, 5));
-                        }
-                        if i.is_multiple_of(97) {
-                            c.purge_sst(t % 4);
-                        }
-                    }
-                });
-            }
-        });
-        // Budget respected after the storm.
-        assert!(c.used_bytes() <= (1 << 20) + (1 << 16));
-    }
-
-    #[test]
-    fn sharded_capacity_distributes_the_division_remainder() {
-        let one = make_block(0, 3).mem_bytes();
-        // One shard's worth of budget plus a remainder smaller than the
-        // shard count: before the fix `capacity / 16` discarded the
-        // remainder, and anything under 16 bytes zeroed every shard.
-        let c = ShardedBlockCache::new(CACHE_SHARDS * one + 5);
-        let totals: usize = c.shards.iter().map(|s| s.lock().unwrap().capacity_bytes).sum();
-        assert_eq!(totals, CACHE_SHARDS * one + 5, "no capacity may be dropped");
-        // Every shard can hold the one-block working set it is offered.
-        for i in 0..64u32 {
-            c.insert((7, i), make_block(7, 3));
-        }
-        assert!(!c.is_empty(), "tiny remainders must not disable caching");
-    }
-
-    /// The undo path [`ShardedBlockCache::remove`] exists for: a reader's
-    /// insert racing a compaction retire+purge (see `DbInner::
-    /// cached_block`). The reader re-checks the retired flag after its
-    /// insert and removes; whichever side loses the race, no block of the
-    /// retired file may survive.
-    #[test]
-    fn insert_vs_purge_race_undoes_the_losing_insert() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let c = std::sync::Arc::new(ShardedBlockCache::new(1 << 20));
-        let retired = std::sync::Arc::new(AtomicBool::new(false));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = std::sync::Arc::clone(&c);
-                let retired = std::sync::Arc::clone(&retired);
-                s.spawn(move || {
-                    for i in 0..4000u32 {
-                        let id = (1u64, i % 32);
-                        // The cached_block protocol: insert only while
-                        // not retired, then double-check and undo.
-                        if !retired.load(Ordering::SeqCst) {
-                            c.insert(id, make_block(1, 5));
-                            if retired.load(Ordering::SeqCst) {
-                                c.remove(id);
-                            }
-                        }
-                        // Unrelated files keep churning throughout.
-                        c.insert((2, i % 16), make_block(2, 5));
-                    }
-                });
-            }
-            let c = std::sync::Arc::clone(&c);
-            let retired = std::sync::Arc::clone(&retired);
-            s.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(3));
-                retired.store(true, Ordering::SeqCst);
-                c.purge_sst(1);
-            });
-        });
-        for i in 0..32u32 {
-            assert!(c.get((1, i)).is_none(), "zombie block {i} survived retire + purge");
-        }
-        assert!(c.get((2, 0)).is_some(), "unrelated file must keep its cache entries");
     }
 }

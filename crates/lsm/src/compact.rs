@@ -114,11 +114,9 @@ pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
     }
     // Retire the inputs, in any order: the `MANIFEST` no longer lists them,
     // so a crash midway leaves orphans the next open deletes. Readers of an
-    // older version keep their open descriptors. Mark-before-purge: once
-    // the flag is visible no reader re-caches a dead block.
+    // older version keep their open descriptors. Their cached blocks age
+    // out of the LRU (see `cache`).
     for sst in inputs {
-        sst.mark_retired();
-        db.cache.purge_sst(sst.id);
         sst.delete_file();
     }
     db.stats.compactions.inc();

@@ -41,7 +41,7 @@
 //!   stamp, the `Version` — and then read each table *in place* through a
 //!   cursor that owns the table's `Arc` and takes its read lock per row
 //!   (see [`crate::read`]); between rows they hold nothing. Block I/O
-//!   goes through a sharded cache.
+//!   goes through one LRU block cache ([`crate::cache`]).
 //! * **Writes** hold the store-wide write lock for the whole commit: the
 //!   batch is appended to the write-ahead log as one record (see
 //!   [`crate::wal`]), so log order equals apply order, then applied to
@@ -87,7 +87,7 @@
 //! `ARCHITECTURE.md`). The ranks used here: `WORKER` (90, one unit of
 //! background work) > `MEMTABLE` (80, the table set) > `MEMTABLE_DATA`
 //! (75, one table's content) > `WAL` (60) > `MANIFEST` (50) >
-//! `CACHE_SHARD` (30) > `QUERY_QUEUE` (20). `WORKER` is taken with
+//! `BLOCK_CACHE` (30) > `QUERY_QUEUE` (20). `WORKER` is taken with
 //! nothing else held; the other nestings all descend (so no acquisition
 //! cycle can form across threads): MemTable → table data (a write
 //! applies, a `get` looks up and a scan seeks under the store-wide lock;
@@ -110,7 +110,7 @@
 //! a panic under the lock can never expose a half-edited version.
 
 use crate::batch::WriteBatch;
-use crate::cache::ShardedBlockCache;
+use crate::cache::BlockCache;
 use crate::error::{Error, Result};
 use crate::filter_hook::FilterFactory;
 use crate::memtable::MemTable;
@@ -202,7 +202,7 @@ pub(crate) struct DbInner {
     next_sst_id: AtomicU64,
     pub(crate) factory: Arc<dyn FilterFactory>,
     pub(crate) queue: QueryQueue,
-    pub(crate) cache: ShardedBlockCache,
+    pub(crate) cache: Mutex<BlockCache>,
     pub(crate) stats: Arc<Stats>,
     /// Held around every turn, adaptive pass and manifest edit, whichever
     /// thread runs it (see [`DbInner::exclusive`]).
@@ -320,7 +320,7 @@ impl Db {
         cfg.validate()?;
         std::fs::create_dir_all(&dir)?;
         let queue = QueryQueue::new(cfg.queue_capacity(), cfg.sample_every());
-        let cache = ShardedBlockCache::new(BLOCK_CACHE_BYTES);
+        let cache = Mutex::new(rank::BLOCK_CACHE, BlockCache::new(BLOCK_CACHE_BYTES));
         let stats = Arc::new(Stats::default());
         let (levels, mut next_id) = manifest::recover(&dir, &stats)?;
         // Each surviving segment comes back as the table it held, in id

@@ -27,7 +27,7 @@
 //!   overlapping file's filter is probed first and only positive files
 //!   pay index + block I/O — `seek` itself is a thin emptiness wrapper
 //!   over the range merge;
-//! * a sharded LRU block cache and full (atomic) I/O statistics.
+//! * one LRU block cache and full (atomic) I/O statistics.
 //!
 //! Documented substitutions versus real RocksDB: one background thread
 //! (LevelDB's arrangement) instead of a pool, zero-RLE instead of
@@ -54,7 +54,7 @@ pub mod stats;
 pub mod wal;
 
 pub use batch::WriteBatch;
-pub use cache::{BlockCache, ShardedBlockCache};
+pub use cache::BlockCache;
 pub use config::{DbConfig, DbConfigBuilder, SyncMode};
 pub use db::Db;
 pub use error::{Error, Result};

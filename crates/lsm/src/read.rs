@@ -90,7 +90,7 @@ use crate::sst::{KeyRange, SstCursor, SstReader};
 use crate::stats::Stats;
 use proteus_core::key::{pad_key_into, INLINE_KEY_BYTES};
 use std::ops::{Bound, RangeBounds};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 impl Version {
     /// Every SST that can hold a key in `[lo, hi]`, newest layer first:
@@ -289,24 +289,21 @@ impl DbInner {
         sst.read_block(b, &self.stats).map(Arc::new)
     }
 
-    /// Read block `b` of `sst` through the sharded cache.
+    /// Read block `b` of `sst` through the block cache, the one place the
+    /// cache is locked. The lock is held for the lookup and for the insert,
+    /// never across the file read. A poisoned lock is recovered: every
+    /// cache operation restores the LRU invariants before it returns, and
+    /// a panicked reader must not take block caching down with it.
     fn cached_block(&self, sst: &Arc<SstReader>, b: usize) -> Result<Arc<Block>> {
+        let cache = || self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         let id = (sst.id, b as u32);
-        if let Some(block) = self.cache.get(id) {
+        let hit = cache().get(id);
+        if let Some(block) = hit {
             self.stats.cache_hits.inc();
             return Ok(block);
         }
         let block = Arc::new(sst.read_block(b, &self.stats)?);
-        // Don't cache blocks of a compaction-retired file (we may be
-        // reading it through an older snapshot): dead entries would squat
-        // on cache budget forever since SST ids are never reused. The
-        // double-check undoes an insert that raced with the retire+purge.
-        if !sst.is_retired() {
-            self.cache.insert(id, Arc::clone(&block));
-            if sst.is_retired() {
-                self.cache.remove(id);
-            }
-        }
+        cache().insert(id, Arc::clone(&block));
         Ok(block)
     }
 

@@ -71,7 +71,7 @@ use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -321,10 +321,6 @@ pub struct SstReader {
     /// cannot beat the threshold at its memory budget stops being
     /// re-trained over and over; the off-prediction trigger is unaffected.
     retrain_count: u32,
-    /// Set when compaction retires this file from the manifest: readers
-    /// holding an older version snapshot may still probe it, but must not
-    /// (re-)populate the block cache for it (see `Db`'s read path).
-    retired: AtomicBool,
     /// Smallest key in the file.
     pub min_key: Vec<u8>,
     /// Largest key in the file.
@@ -454,7 +450,6 @@ impl SstReader {
             probe_fp: AtomicU64::new(0),
             probe_tn: AtomicU64::new(0),
             retrain_count: 0,
-            retired: AtomicBool::new(false),
             min_key,
             max_key,
             n_entries,
@@ -678,18 +673,6 @@ impl SstReader {
             }
             other => other,
         })
-    }
-
-    /// Mark this file as retired from the version set (compaction consumed
-    /// it). Readers on older snapshots keep working; the flag only stops
-    /// them from re-populating the block cache for a dead file.
-    pub fn mark_retired(&self) {
-        self.retired.store(true, Ordering::Release);
-    }
-
-    /// Has compaction retired this file from the version set?
-    pub fn is_retired(&self) -> bool {
-        self.retired.load(Ordering::Acquire)
     }
 
     /// Delete the backing file (called when the SST leaves the version set).

@@ -339,7 +339,7 @@ fn lsm_types_are_send_and_sync() {
     assert_send_sync::<Db>();
     assert_send_sync::<proteus_lsm::Stats>();
     assert_send_sync::<proteus_lsm::QueryQueue>();
-    assert_send_sync::<proteus_lsm::ShardedBlockCache>();
+    assert_send_sync::<proteus_lsm::BlockCache>();
     assert_send_sync::<SstReader>();
     assert_send_sync::<ProteusFactory>();
     assert_send_sync::<Arc<dyn FilterFactory>>();

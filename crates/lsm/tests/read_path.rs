@@ -400,3 +400,58 @@ fn a_scan_yields_what_precedes_a_corrupt_block_then_one_error_then_nothing() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The store's block cache budget (`db::BLOCK_CACHE_BYTES`, pinned by a
+/// unit test in `config`).
+const BLOCK_CACHE_BYTES: usize = 8 << 20;
+
+#[test]
+fn one_cache_budget_holds_a_working_set_just_under_it() {
+    const KEYS: u64 = 47_500;
+    let dir = tmpdir("cache-budget");
+    // 1 MiB tables settle into several files. A budget split into 16
+    // hash-selected 512 KiB LRUs overflows its fullest shards on such a
+    // layout (one or two large files spread almost evenly), so the second
+    // scan below would miss.
+    let cfg = DbConfig::builder().memtable_bytes(1 << 20).build().unwrap();
+    let db = open_unfiltered(&dir, cfg).unwrap();
+    // Incompressible values, so a block's decoded size is its disk size.
+    let mut rng = Rng(7);
+    let mut value = [0u8; 120];
+    for i in 0..KEYS {
+        for chunk in value.chunks_mut(8) {
+            chunk.copy_from_slice(&rng.next().to_le_bytes()[..chunk.len()]);
+        }
+        db.put_u64(i, &value).unwrap();
+    }
+    db.flush_and_settle().unwrap();
+
+    // What the settled files' data blocks cost the cache, decoded.
+    let (mut blocks, mut bytes) = (0u64, 0usize);
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|x| x != "sst") {
+            continue;
+        }
+        let id = path.file_stem().unwrap().to_str().unwrap().parse().unwrap();
+        let sst = SstReader::open(&path, id).unwrap();
+        for b in 0..sst.n_blocks() {
+            bytes += sst.read_block(b, &Default::default()).unwrap().mem_bytes();
+        }
+        blocks += sst.n_blocks() as u64;
+    }
+    let fill = bytes as f64 / BLOCK_CACHE_BYTES as f64;
+    assert!((0.85..0.95).contains(&fill), "working set fills {fill:.3} of the cache");
+
+    let scan = || db.range_u64(..).unwrap().map(Result::unwrap).count() as u64;
+    let before = db.stats().snapshot();
+    assert_eq!(scan(), KEYS);
+    let cold = db.stats().snapshot();
+    assert_eq!(cold.delta(&before).blocks_read, blocks, "the first scan reads every block");
+    assert_eq!(scan(), KEYS);
+    let warm = db.stats().snapshot().delta(&cold);
+    assert_eq!(warm.blocks_read, 0, "the second scan is served from the cache");
+    assert_eq!(warm.cache_hits, blocks, "one hit per block");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}

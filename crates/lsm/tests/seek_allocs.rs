@@ -75,8 +75,8 @@ const FALSE_POSITIVES: usize = 500;
 /// The most allocations one false-positive Seek that reads its block from
 /// disk may make: the seven it keeps until it returns (the shared bounds,
 /// the merge's heap and sources, the block's payload, keys, entries and
-/// `Arc`), plus one growth each of the cache shard's map and slot array and
-/// of the thread's read buffer. Most such Seeks make exactly seven.
+/// `Arc`), plus one growth each of the cache's map and slot array and of
+/// the thread's read buffer. Most such Seeks make exactly seven.
 const MAX_FALSE_POSITIVE_ALLOCS: u64 = 10;
 
 /// Keys scattered over the whole u64 space, none with any of its low 16 bits

@@ -149,9 +149,9 @@ impl Server {
     }
 
     /// Block until shutdown is requested — by [`Server::shutdown`] from
-    /// another thread or by a client's `SHUTDOWN` verb. The standalone
-    /// server binary parks here; drop the `Server` afterwards to complete
-    /// the drain.
+    /// another thread or by a client's `SHUTDOWN` verb. It lets the thread
+    /// that owns the `Server` serve until a client asks it to stop; drop
+    /// the `Server` afterwards to complete the drain.
     pub fn wait(&self) {
         while !self.is_shutting_down() {
             std::thread::sleep(POLL_INTERVAL);
