@@ -195,6 +195,7 @@ pub(crate) fn pass(db: &DbInner) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
     use crate::filter_hook::ProteusFactory;
     use crate::sst::SstWriter;
     use proteus_core::key::u64_key;
@@ -358,14 +359,10 @@ mod tests {
         assert_eq!(reopened.trained_at(), 0);
         let fresh = Stats::default();
         // Data blocks byte-identical to the original.
+        let (mut x, mut y) = (Block::default(), Block::default());
         for b in 0..sst.n_blocks() {
-            let x = sst.read_block(b, &stats).unwrap();
-            let y = reopened.read_block(b, &fresh).unwrap();
-            assert_eq!(x.len(), y.len(), "block {b}");
-            for i in 0..x.len() {
-                assert_eq!(x.key(i), y.key(i));
-                assert_eq!(x.value(i), y.value(i));
-            }
+            let stored = sst.read_block(b, &stats, &mut x).unwrap();
+            assert_eq!(stored, reopened.read_block(b, &fresh, &mut y).unwrap(), "block {b}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -13,8 +13,8 @@
 //! (`shared`) and stores only the remaining `non_shared` suffix. Every
 //! [`RESTART_INTERVAL`]-th entry is a *restart point* and must encode
 //! `shared = 0` (a full key), bounding how far a corrupt prefix chain
-//! can propagate. The decoder materializes every full key eagerly, so
-//! lookups are a plain binary search over decoded spans.
+//! can propagate. A [`Block`] is walked in place, one key at a time; a
+//! lookup binary-searches the restart points' whole keys, then walks.
 //!
 //! The `flags` byte currently defines bit 0: `1` marks the entry as a
 //! *tombstone* (a persisted delete; it must carry a zero-length value).
@@ -24,59 +24,25 @@
 //! corruption, never decoded loosely.
 //!
 //! On disk a block is prefixed by `[u8 codec][u32 raw_len][u32 stored_len]`
-//! where codec 0 = raw, 1 = zero-RLE ([`crate::compress`]). Decoding
-//! arbitrary bytes returns [`crate::Error::Corruption`]; it never panics.
+//! where codec 0 = raw, 1 = zero-RLE ([`crate::compress`]): the bytes the
+//! block cache keeps, checked in full ([`Block::load`]) before first use.
+//! Decoding any bytes returns [`crate::Error::Corruption`], never panics.
 
 use crate::compress;
 use crate::error::{Error, Result};
+use std::cell::{Ref, RefCell};
 
-/// Total little-endian `u16` read: `None` when the slice is too short.
+/// Append `len` as an `N`-byte little-endian wire field: 2 for key spans,
+/// 4 for value and block lengths. The writer's block-size budget and key
+/// cap keep lengths far below either; debug builds assert it.
 #[inline]
-fn le_u16_at(b: &[u8], off: usize) -> Option<u16> {
-    let s = b.get(off..off.checked_add(2)?)?;
-    Some(u16::from_le_bytes(s.try_into().ok()?))
-}
-
-/// Total little-endian `u32` read: `None` when the slice is too short.
-#[inline]
-fn le_u32_at(b: &[u8], off: usize) -> Option<u32> {
-    let s = b.get(off..off.checked_add(4)?)?;
-    Some(u32::from_le_bytes(s.try_into().ok()?))
-}
-
-/// Checked narrowing for decoder-side offsets; a block whose spans escape
-/// `u32` is reported as corruption, never truncated silently.
-#[inline]
-fn to_u32(v: usize, what: &'static str) -> Result<u32> {
-    u32::try_from(v).map_err(|_| corrupt(what))
-}
-
-/// Append a length as a little-endian `u32` wire field. Builder payloads
-/// are bounded by the writer's block-size budget, far below 4 GiB; debug
-/// builds assert the invariant.
-#[inline]
-fn put_len_u32(buf: &mut Vec<u8>, len: usize) {
-    debug_assert!(u32::try_from(len).is_ok(), "length {len} overflows the u32 wire field");
-    // lint: allow(truncating-cast): asserted to fit above
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-}
-
-/// Append a length as a little-endian `u16` wire field (key spans).
-/// Key lengths are bounded well below 64 KiB; debug builds assert.
-#[inline]
-fn put_len_u16(buf: &mut Vec<u8>, len: usize) {
-    debug_assert!(u16::try_from(len).is_ok(), "length {len} overflows the u16 wire field");
-    // lint: allow(truncating-cast): asserted to fit above
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
+fn put_len<const N: usize>(buf: &mut Vec<u8>, len: usize) {
+    debug_assert!(len >> (8 * N) == 0, "length {len} overflows a {N}-byte wire field");
+    buf.extend_from_slice(&len.to_le_bytes()[..N]);
 }
 
 /// Entry flag bit marking a tombstone.
 pub const FLAG_TOMBSTONE: u8 = 1;
-
-/// The fewest payload bytes one entry occupies: its 9-byte header and at
-/// least one key byte (only a key longer than its predecessor's shared
-/// prefix can sort after it, and the first key is non-empty).
-const MIN_ENTRY_BYTES: usize = 10;
 
 /// Every this-many entries, the builder emits a full key
 /// (`shared = 0`) and the decoder enforces it.
@@ -88,7 +54,7 @@ pub const RESTART_INTERVAL: usize = 16;
 pub struct VarBlockBuilder {
     buf: Vec<u8>,
     n: u32,
-    first_key: Option<Vec<u8>>,
+    first_key: Vec<u8>,
     last_key: Vec<u8>,
 }
 
@@ -101,7 +67,7 @@ impl Default for VarBlockBuilder {
 impl VarBlockBuilder {
     /// Start an empty v3 block.
     pub fn new() -> Self {
-        VarBlockBuilder { buf: vec![0u8; 4], n: 0, first_key: None, last_key: Vec::new() }
+        VarBlockBuilder { buf: vec![0u8; 4], n: 0, first_key: Vec::new(), last_key: Vec::new() }
     }
 
     /// Append an entry. Keys must be non-empty and strictly ascending;
@@ -110,7 +76,7 @@ impl VarBlockBuilder {
     pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) {
         debug_assert!(!key.is_empty(), "v3 keys are non-empty");
         debug_assert!(
-            self.first_key.is_none() || self.last_key.as_slice() < key,
+            self.n == 0 || self.last_key.as_slice() < key,
             "keys must be strictly ascending"
         );
         let shared = if (self.n as usize).is_multiple_of(RESTART_INTERVAL) {
@@ -119,23 +85,16 @@ impl VarBlockBuilder {
             self.last_key.iter().zip(key).take_while(|(a, b)| a == b).count()
         };
         let non_shared = key.len() - shared;
-        put_len_u16(&mut self.buf, shared);
-        put_len_u16(&mut self.buf, non_shared);
-        match value {
-            Some(v) => {
-                self.buf.push(0);
-                put_len_u32(&mut self.buf, v.len());
-                self.buf.extend_from_slice(&key[shared..]);
-                self.buf.extend_from_slice(v);
-            }
-            None => {
-                self.buf.push(FLAG_TOMBSTONE);
-                self.buf.extend_from_slice(&0u32.to_le_bytes());
-                self.buf.extend_from_slice(&key[shared..]);
-            }
-        }
-        if self.first_key.is_none() {
-            self.first_key = Some(key.to_vec());
+        put_len::<2>(&mut self.buf, shared);
+        put_len::<2>(&mut self.buf, non_shared);
+        // A tombstone is flagged and carries an empty value.
+        self.buf.push(if value.is_some() { 0 } else { FLAG_TOMBSTONE });
+        let value = value.unwrap_or_default();
+        put_len::<4>(&mut self.buf, value.len());
+        self.buf.extend_from_slice(&key[shared..]);
+        self.buf.extend_from_slice(value);
+        if self.n == 0 {
+            self.first_key = key.to_vec();
         }
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
@@ -156,8 +115,7 @@ impl VarBlockBuilder {
     pub fn finish(mut self) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
         assert!(self.n > 0, "empty block");
         self.buf[..4].copy_from_slice(&self.n.to_le_bytes());
-        // lint: allow(no-panic): the assert above guarantees at least one entry
-        (to_disk(self.buf), self.first_key.unwrap(), self.last_key)
+        (to_disk(self.buf), self.first_key, self.last_key)
     }
 }
 
@@ -170,205 +128,245 @@ fn to_disk(raw: Vec<u8>) -> Vec<u8> {
         if compress::compress(&raw, &mut stored) { (1u8, stored) } else { (0u8, raw) };
     let mut disk = Vec::with_capacity(payload.len() + 9);
     disk.push(codec);
-    put_len_u32(&mut disk, raw_len);
-    put_len_u32(&mut disk, payload.len());
+    put_len::<4>(&mut disk, raw_len);
+    put_len::<4>(&mut disk, payload.len());
     disk.extend_from_slice(&payload);
     disk
-}
-
-/// One materialized entry: spans into `Block::keybuf` / `Block::data`.
-#[derive(Debug, Clone, Copy)]
-struct VarEntry {
-    key_off: u32,
-    key_len: u32,
-    val_off: u32,
-    val_len: u32,
-    tombstone: bool,
-}
-
-/// A decoded, searchable block.
-#[derive(Debug, Clone)]
-pub struct Block {
-    /// Decoded payload (values are served from here).
-    data: Vec<u8>,
-    /// Every full key, materialized by resolving the prefix chain.
-    keybuf: Vec<u8>,
-    entries: Vec<VarEntry>,
 }
 
 fn corrupt(what: &str) -> Error {
     Error::corruption(format!("data block: {what}"))
 }
 
-/// Strip and validate the codec header, returning the decompressed
-/// payload.
-fn decode_disk(disk: &[u8]) -> Result<Vec<u8>> {
-    if disk.len() < 9 {
-        return Err(corrupt("shorter than its header"));
-    }
-    let codec = disk[0];
-    let raw_len = le_u32_at(disk, 1).ok_or_else(|| corrupt("shorter than its header"))? as usize;
-    let stored_len = le_u32_at(disk, 5).ok_or_else(|| corrupt("shorter than its header"))? as usize;
+/// The entry at `pos`: its shared length and flags, and where its key
+/// suffix, value and successor start; `None` if any runs past `data`.
+#[inline]
+fn entry_at(data: &[u8], pos: usize) -> Option<(usize, u8, usize, usize, usize)> {
+    let h: &[u8; 9] = data.get(pos..)?.first_chunk()?;
+    let shared = usize::from(u16::from_le_bytes([h[0], h[1]]));
+    let suffix = pos + 9;
+    let value = suffix + usize::from(u16::from_le_bytes([h[2], h[3]]));
+    let value_len = u32::from_le_bytes([h[5], h[6], h[7], h[8]]) as usize;
+    let end = value.checked_add(value_len).filter(|&end| end <= data.len())?;
+    Some((shared, h[4], suffix, value, end))
+}
+
+/// Strip and validate the codec header; decompress the payload into `out`.
+fn decode_disk(disk: &[u8], out: &mut Vec<u8>) -> Result<()> {
+    let h: &[u8; 9] = disk.first_chunk().ok_or_else(|| corrupt("shorter than its header"))?;
+    let codec = h[0];
+    let raw_len = u32::from_le_bytes([h[1], h[2], h[3], h[4]]) as usize;
+    let stored_len = u32::from_le_bytes([h[5], h[6], h[7], h[8]]) as usize;
     if disk.len() < 9 + stored_len {
         return Err(corrupt("stored length overruns the block"));
     }
     let payload = &disk[9..9 + stored_len];
     match codec {
+        0 if stored_len != raw_len => Err(corrupt("raw block with stored_len != raw_len")),
         0 => {
-            if stored_len != raw_len {
-                return Err(corrupt("raw block with stored_len != raw_len"));
-            }
-            Ok(payload.to_vec())
+            out.clear();
+            out.extend_from_slice(payload);
+            Ok(())
         }
-        1 => compress::decompress(payload, raw_len)
-            .ok_or_else(|| corrupt("corrupt compressed payload")),
+        1 if compress::decompress(payload, raw_len, out) => Ok(()),
+        1 => Err(corrupt("corrupt compressed payload")),
         c => Err(corrupt(&format!("unknown codec {c}"))),
     }
 }
 
+/// A position in a payload: index and offset of the entry the next step
+/// reads, and the current entry's key (resolved from the prefix chain) and
+/// value span (`None` for a tombstone).
+#[derive(Debug, Default, Clone)]
+struct Walk {
+    idx: usize,
+    pos: usize,
+    key: Vec<u8>,
+    value: Option<(usize, usize)>,
+}
+
+impl Walk {
+    /// Stand in front of entry `idx`, the restart point at offset `pos`.
+    fn restart(&mut self, idx: usize, pos: usize) {
+        (self.idx, self.pos, self.value) = (idx, pos, None);
+        self.key.clear();
+    }
+
+    /// Step onto the next entry of `data`; fails only off a loaded block,
+    /// whose entries lie inside it and share no more than the key before.
+    #[inline]
+    fn step(&mut self, data: &[u8]) -> bool {
+        let Some((shared, flags, suffix, value, end)) = entry_at(data, self.pos) else {
+            return false;
+        };
+        self.key.truncate(shared);
+        self.key.extend_from_slice(&data[suffix..value]);
+        self.value = (flags & FLAG_TOMBSTONE == 0).then_some((value, end));
+        (self.idx, self.pos) = (self.idx + 1, end);
+        true
+    }
+}
+
+/// A data block walked in place, LevelDB-style: its payload decompressed
+/// into a buffer it keeps, walked one entry at a time. Loading another
+/// block reuses the buffers, so a kept `Block` decodes without allocating.
+#[derive(Debug, Default, Clone)]
+pub struct Block {
+    data: Vec<u8>,
+    /// Payload offset of every [`RESTART_INTERVAL`]-th entry.
+    restarts: Vec<usize>,
+    /// Entries in the block (0 until a load succeeds).
+    n: usize,
+    walk: Walk,
+    /// The walk [`Block::entry`] continues from.
+    entry_walk: RefCell<Walk>,
+}
+
 impl Block {
-    /// Decode a block from disk bytes (including the codec header). Every
-    /// full key is materialized eagerly by resolving the prefix chain;
-    /// a `shared` run longer than the previous key, a non-restart chain
-    /// crossing a restart point, a zero-length key, out-of-order keys,
-    /// reserved flag bits, a tombstone with a value, or any overrun
-    /// yield [`Error::Corruption`] — never a panic.
+    /// A new block holding stored block `disk`, checked; see [`Block::load`].
     pub fn decode_v3(disk: &[u8]) -> Result<Block> {
-        let data = decode_disk(disk)?;
-        if data.len() < 4 {
-            return Err(corrupt("missing entry count"));
-        }
-        let n = le_u32_at(&data, 0).ok_or_else(|| corrupt("missing entry count"))? as usize;
-        // Every reservation is capped by what the payload can hold: an entry
-        // takes at least `MIN_ENTRY_BYTES`, so a corrupt count cannot ask
-        // for more than the block could ever decode to.
-        let mut entries = Vec::with_capacity(n.min((data.len() - 4) / MIN_ENTRY_BYTES));
-        let mut keybuf: Vec<u8> = Vec::new();
-        let mut pos = 4usize;
-        let mut prev_off = 0usize;
-        let mut prev_len = 0usize;
+        let mut block = Block::default();
+        block.load(disk).map(|()| block)
+    }
+
+    /// Replace this block with stored block `disk`, checked in full: bad
+    /// codec, lengths, headers, flags, restart points, prefixes or key
+    /// order, a zero-length key or trailing bytes yield
+    /// [`Error::Corruption`], never a panic. It then stands before entry 0.
+    pub fn load(&mut self, disk: &[u8]) -> Result<()> {
+        self.fill(disk, true)
+    }
+
+    /// [`Block::load`] for bytes that passed it once (the block cache's):
+    /// all but the key order is checked again, so it stays total.
+    pub(crate) fn load_cached(&mut self, disk: &[u8]) -> Result<()> {
+        self.fill(disk, false)
+    }
+
+    fn fill(&mut self, disk: &[u8], check_order: bool) -> Result<()> {
+        self.n = 0;
+        self.restarts.clear();
+        decode_disk(disk, &mut self.data)?;
+        let n = self.data.first_chunk().ok_or_else(|| corrupt("missing entry count"))?;
+        let n = u32::from_le_bytes(*n) as usize;
+        let key = &mut self.walk.key;
+        let (mut pos, mut prev_len) = (4, 0);
         for i in 0..n {
-            if pos + 9 > data.len() {
-                return Err(corrupt("entry header overruns the block"));
+            let (shared, flags, suffix, value, end) =
+                entry_at(&self.data, pos).ok_or_else(|| corrupt("entry overruns the block"))?;
+            let suffix = &self.data[suffix..value];
+            let restart = i.is_multiple_of(RESTART_INTERVAL);
+            // A key shares its first `shared` bytes with the one before it,
+            // so their suffixes alone decide the order.
+            let unordered = || i > 0 && key.get(shared..).is_none_or(|prev| suffix <= prev);
+            let broken = [
+                (flags & !FLAG_TOMBSTONE != 0, "reserved entry flag bits set"),
+                (flags & FLAG_TOMBSTONE != 0 && end != value, "tombstone carries a value"),
+                (restart && shared != 0, "restart point shares a prefix"),
+                (shared > prev_len, "shared prefix longer than the previous key"),
+                (shared + suffix.len() == 0, "zero-length key"),
+                (check_order && unordered(), "keys out of order"),
+            ];
+            if let Some((_, what)) = broken.into_iter().find(|&(broken, _)| broken) {
+                return Err(corrupt(what));
             }
-            let short = || corrupt("entry header overruns the block");
-            let shared = le_u16_at(&data, pos).ok_or_else(short)? as usize;
-            let non_shared = le_u16_at(&data, pos + 2).ok_or_else(short)? as usize;
-            let flags = data[pos + 4];
-            if flags & !FLAG_TOMBSTONE != 0 {
-                return Err(corrupt(&format!("reserved entry flag bits set ({flags:#04x})")));
+            if restart {
+                self.restarts.push(pos);
             }
-            let tombstone = flags & FLAG_TOMBSTONE != 0;
-            let vlen = le_u32_at(&data, pos + 5).ok_or_else(short)? as usize;
-            if tombstone && vlen != 0 {
-                return Err(corrupt("tombstone entry carries a value"));
+            if check_order {
+                // The order check resolves each key into the walk's buffer.
+                key.truncate(shared);
+                key.extend_from_slice(suffix);
             }
-            if i.is_multiple_of(RESTART_INTERVAL) && shared != 0 {
-                return Err(corrupt("restart point shares a prefix"));
-            }
-            if shared > prev_len {
-                return Err(corrupt("shared prefix longer than the previous key"));
-            }
-            if shared + non_shared == 0 {
-                return Err(corrupt("zero-length key"));
-            }
-            pos += 9;
-            if pos + non_shared + vlen > data.len() {
-                return Err(corrupt("entry overruns the block"));
-            }
-            if i == 0 {
-                // Sized from the first (full) key: exact when every key has
-                // its length, as every `u64` workload's does.
-                keybuf.reserve_exact(n.saturating_mul(non_shared).min(data.len()));
-            }
-            let key_off = keybuf.len();
-            keybuf.extend_from_within(prev_off..prev_off + shared);
-            keybuf.extend_from_slice(&data[pos..pos + non_shared]);
-            if i > 0 {
-                let (older, this) = keybuf.split_at(key_off);
-                if &older[prev_off..prev_off + prev_len] >= this {
-                    return Err(corrupt("keys out of order"));
-                }
-            }
-            let val_off = pos + non_shared;
-            entries.push(VarEntry {
-                key_off: to_u32(key_off, "key area exceeds u32")?,
-                key_len: to_u32(shared + non_shared, "key length exceeds u32")?,
-                val_off: to_u32(val_off, "value offset exceeds u32")?,
-                val_len: to_u32(vlen, "value length exceeds u32")?,
-                tombstone,
-            });
-            pos = val_off + vlen;
-            prev_off = key_off;
-            prev_len = shared + non_shared;
+            (pos, prev_len) = (end, shared + suffix.len());
         }
-        if pos != data.len() {
+        if pos != self.data.len() {
             return Err(corrupt("trailing bytes after the last entry"));
         }
-        // The cache budgets a block by its capacities: give back whatever
-        // the first-key estimate over-reserved, or doubling over-grew, when
-        // keys vary in length.
-        keybuf.shrink_to_fit();
-        Ok(Block { data, keybuf, entries })
+        self.n = n;
+        self.walk.restart(0, 4);
+        self.entry_walk.get_mut().restart(0, 4);
+        Ok(())
     }
 
     /// Number of entries in the block.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.n
     }
 
     /// True for a block with no entries (never written by the builder).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.n == 0
     }
 
-    /// The `i`-th key (entries are sorted ascending).
-    pub fn key(&self, i: usize) -> &[u8] {
-        let e = self.entries[i];
-        &self.keybuf[e.key_off as usize..(e.key_off + e.key_len) as usize]
+    /// Step onto the next entry; `false` once past the last.
+    pub fn step(&mut self) -> bool {
+        self.walk.idx < self.n && self.walk.step(&self.data)
     }
 
-    /// Is the `i`-th entry a tombstone?
-    pub fn is_tombstone(&self, i: usize) -> bool {
-        self.entries[i].tombstone
-    }
-
-    /// The `i`-th value (empty for a tombstone; use [`Block::entry`] to
-    /// tell an empty value from a delete).
-    pub fn value(&self, i: usize) -> &[u8] {
-        let e = self.entries[i];
-        &self.data[e.val_off as usize..(e.val_off + e.val_len) as usize]
-    }
-
-    /// The `i`-th entry as `(key, Some(value) | None)` where `None` marks
-    /// a tombstone.
-    pub fn entry(&self, i: usize) -> (&[u8], Option<&[u8]>) {
-        let v = if self.is_tombstone(i) { None } else { Some(self.value(i)) };
-        (self.key(i), v)
-    }
-
-    /// Index of the first entry with key ≥ `probe`.
-    pub fn lower_bound(&self, probe: &[u8]) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.key(mid) < probe {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+    /// Stand on the first entry with key ≥ `probe`; `false` when there is
+    /// none. At most [`RESTART_INTERVAL`] steps past a binary search.
+    pub fn seek(&mut self, probe: &[u8]) -> bool {
+        let data = &self.data;
+        let below = self.restarts.partition_point(|&pos| {
+            entry_at(data, pos).is_some_and(|(_, _, suffix, value, _)| &data[suffix..value] < probe)
+        });
+        let r = below.saturating_sub(1);
+        self.walk.restart(r * RESTART_INTERVAL, self.restarts.get(r).map_or(4, |&pos| pos));
+        let mut found = self.step();
+        while found && self.key() < probe {
+            found = self.step();
         }
-        lo
+        found
     }
 
-    /// Decoded memory footprint (for the block cache budget): what the
-    /// block's buffers hold allocated, not just what they use.
-    pub fn mem_bytes(&self) -> usize {
-        self.data.capacity()
-            + self.keybuf.capacity()
-            + self.entries.capacity() * std::mem::size_of::<VarEntry>()
+    /// The current entry's key.
+    pub fn key(&self) -> &[u8] {
+        &self.walk.key
     }
+
+    /// The current entry's value; `None` marks a tombstone.
+    pub fn value(&self) -> Option<&[u8]> {
+        self.walk.value.map(|(from, to)| &self.data[from..to])
+    }
+
+    /// The `i`-th entry as `(key, Some(value) | None)`, `None` marking a
+    /// tombstone: at most [`RESTART_INTERVAL`] steps from the restart point
+    /// before it, one from the entry asked for last. The key borrows a buffer
+    /// kept for this, so a call while it is held panics, as does `i >= len()`.
+    pub fn entry(&self, i: usize) -> (Ref<'_, [u8]>, Option<&[u8]>) {
+        assert!(i < self.n, "entry {i} of a block of {}", self.n);
+        let mut walk = self.entry_walk.borrow_mut();
+        let r = i / RESTART_INTERVAL;
+        if walk.idx > i || walk.idx < r * RESTART_INTERVAL {
+            walk.restart(r * RESTART_INTERVAL, self.restarts[r]);
+        }
+        while walk.idx <= i && walk.step(&self.data) {}
+        let value = walk.value.map(|(from, to)| &self.data[from..to]);
+        drop(walk);
+        (Ref::map(self.entry_walk.borrow(), |walk| &walk.key[..]), value)
+    }
+
+    /// A block from the calling thread's spares, or a new one: a reader
+    /// built per read decodes into buffers an earlier read grew.
+    pub(crate) fn spare() -> Block {
+        SPARES.try_with(|spares| spares.borrow_mut().pop()).ok().flatten().unwrap_or_default()
+    }
+
+    /// Give this block to the calling thread's next reader. A thread keeps
+    /// eight at most, and none whose payload outgrew sixteen blocks' worth.
+    pub(crate) fn recycle(self) {
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.len() < 8 && self.data.capacity() <= 16 * crate::config::BLOCK_BYTES {
+                spares.push(self);
+            }
+        });
+    }
+}
+
+thread_local! {
+    static SPARES: RefCell<Vec<Block>> = const { RefCell::new(Vec::new()) };
 }
 
 #[cfg(test)]
@@ -397,14 +395,17 @@ mod tests {
     #[test]
     fn roundtrip() {
         let (disk, keys, vals) = sample_block();
-        let block = Block::decode_v3(&disk).unwrap();
+        let mut block = Block::decode_v3(&disk).unwrap();
         assert_eq!(block.len(), 50);
-        for i in 0..50 {
-            assert_eq!(block.key(i), &keys[i][..]);
-            assert_eq!(block.value(i), &vals[i][..]);
-            assert!(!block.is_tombstone(i));
-            assert_eq!(block.entry(i), (&keys[i][..], Some(&vals[i][..])));
+        for i in (0..50).chain([49, 3, 17, 16, 0]) {
+            let (key, value) = block.entry(i);
+            assert_eq!((&*key, value), (&keys[i][..], Some(&vals[i][..])), "entry {i}");
         }
+        for i in 0..50 {
+            assert!(block.step(), "entry {i}");
+            assert_eq!((block.key(), block.value()), (&keys[i][..], Some(&vals[i][..])));
+        }
+        assert!(!block.step());
     }
 
     #[test]
@@ -415,12 +416,14 @@ mod tests {
         b.add(&[0, 0, 0, 3], Some(b""));
         let (disk, _, _) = b.finish();
         let block = Block::decode_v3(&disk).unwrap();
-        assert_eq!(block.entry(0), (&[0, 0, 0, 1][..], Some(&b"alive"[..])));
-        assert_eq!(block.entry(1), (&[0, 0, 0, 2][..], None));
-        assert!(block.is_tombstone(1));
+        let entry = |i| {
+            let (key, value) = block.entry(i);
+            (key.to_vec(), value)
+        };
+        assert_eq!(entry(0), (vec![0, 0, 0, 1], Some(&b"alive"[..])));
+        assert_eq!(entry(1), (vec![0, 0, 0, 2], None));
         // An empty value is alive: distinguishable from a tombstone.
-        assert_eq!(block.entry(2), (&[0, 0, 0, 3][..], Some(&b""[..])));
-        assert!(!block.is_tombstone(2));
+        assert_eq!(entry(2), (vec![0, 0, 0, 3], Some(&b""[..])));
     }
 
     #[test]
@@ -436,12 +439,12 @@ mod tests {
     #[test]
     fn lower_bound_search() {
         let (disk, _, _) = sample_block();
-        let block = Block::decode_v3(&disk).unwrap();
-        assert_eq!(block.lower_bound(&0u64.to_be_bytes()), 0);
-        assert_eq!(block.lower_bound(&7u64.to_be_bytes()), 1);
-        assert_eq!(block.lower_bound(&8u64.to_be_bytes()), 2);
-        assert_eq!(block.lower_bound(&343u64.to_be_bytes()), 49);
-        assert_eq!(block.lower_bound(&344u64.to_be_bytes()), 50);
+        let mut block = Block::decode_v3(&disk).unwrap();
+        for (probe, found) in [(0u64, 0u64), (7, 7), (8, 14), (120, 126), (343, 343)] {
+            assert!(block.seek(&probe.to_be_bytes()), "probe {probe}");
+            assert_eq!(block.key(), found.to_be_bytes(), "probe {probe}");
+        }
+        assert!(!block.seek(&344u64.to_be_bytes()));
     }
 
     /// Shared-prefix string keys of wildly different lengths, exercising
@@ -476,24 +479,42 @@ mod tests {
     fn v3_var_keys_roundtrip_with_prefix_compression() {
         let entries = var_entries();
         let disk = build_var(&entries);
-        let block = Block::decode_v3(&disk).unwrap();
+        let mut block = Block::decode_v3(&disk).unwrap();
         assert_eq!(block.len(), entries.len());
-        for (i, (k, v)) in entries.iter().enumerate() {
-            assert_eq!(block.key(i), &k[..], "key {i}");
-            assert_eq!(block.entry(i), (&k[..], v.as_deref()), "entry {i}");
-            assert_eq!(block.is_tombstone(i), v.is_none(), "tombstone {i}");
+        // In order, backwards, and one restart interval apart.
+        let n = entries.len();
+        for i in (0..n).chain((0..n).rev()).chain((0..n).step_by(RESTART_INTERVAL - 1)) {
+            let (key, value) = block.entry(i);
+            assert_eq!((&*key, value), (&entries[i].0[..], entries[i].1.as_deref()), "entry {i}");
         }
-        // lower_bound agrees with a linear scan for assorted probes.
-        for probe in [
+        // Bytes that passed the check decode the same without it.
+        let mut cached = Block::default();
+        cached.load_cached(&disk).unwrap();
+        for (i, (k, v)) in entries.iter().enumerate() {
+            assert!(cached.step(), "entry {i}");
+            assert_eq!((cached.key(), cached.value()), (&k[..], v.as_deref()), "entry {i}");
+        }
+        assert!(!cached.step());
+        // seek agrees with a linear scan for every key, its neighbours and
+        // assorted probes.
+        let mut probes: Vec<Vec<u8>> = [
             &b"http://site-000"[..],
             &b"http://site-007.example.com/path/"[..],
             &b"zzz"[..],
             &[0x00][..],
             &[0xFF][..],
-        ] {
-            let want = entries.iter().position(|(k, _)| k.as_slice() >= probe);
-            let got = block.lower_bound(probe);
-            assert_eq!(got, want.unwrap_or(entries.len()), "probe {probe:?}");
+        ]
+        .map(<[u8]>::to_vec)
+        .to_vec();
+        for (k, _) in &entries {
+            probes.push(k.clone());
+            probes.push([&k[..], &[0]].concat());
+            probes.push(k[..k.len() - 1].to_vec());
+        }
+        for probe in &probes {
+            let want = entries.iter().find(|(k, _)| k >= probe);
+            let got = block.seek(probe).then(|| (block.key().to_vec(), block.value()));
+            assert_eq!(got, want.map(|(k, v)| (k.clone(), v.as_deref())), "probe {probe:?}");
         }
         // Prefix compression must actually shrink the payload vs full keys.
         let full: usize = entries.iter().map(|(k, _)| k.len()).sum();
@@ -511,7 +532,8 @@ mod tests {
         assert_eq!(last, key);
         let block = Block::decode_v3(&disk).unwrap();
         assert_eq!(block.len(), 1);
-        assert_eq!(block.entry(0), (&key[..], Some(&b"v"[..])));
+        let (k, v) = block.entry(0);
+        assert_eq!((&*k, v), (&key[..], Some(&b"v"[..])));
     }
 
     #[test]
@@ -596,7 +618,59 @@ mod tests {
         let (disk, _, _) = b.finish();
         let block = Block::decode_v3(&disk).unwrap();
         for (i, k) in keys.iter().enumerate() {
-            assert_eq!(block.key(i), &k[..]);
+            assert_eq!(*block.entry(i).0, k[..]);
         }
+        assert_eq!(block.restarts.len(), 3);
+    }
+
+    #[test]
+    fn a_cached_decode_of_any_bytes_errs_or_walks_without_panicking() {
+        // Every single-bit flip and every truncation of a checked block:
+        // loaded without the order check, each is an error or a block
+        // whose every step, seek and entry stays inside its payload.
+        let disk = build_var(&var_entries());
+        let mut block = Block::default();
+        let mut variants: Vec<Vec<u8>> = (0..disk.len()).map(|cut| disk[..cut].to_vec()).collect();
+        for i in 0..disk.len() * 8 {
+            let mut bad = disk.clone();
+            bad[i / 8] ^= 1 << (i % 8);
+            variants.push(bad);
+        }
+        let mut walked = 0;
+        for bytes in &variants {
+            if block.load_cached(bytes).is_err() {
+                assert_eq!(block.len(), 0);
+                assert!(!block.step());
+                continue;
+            }
+            walked += 1;
+            let mut n = 0;
+            while block.step() {
+                n += 1;
+            }
+            assert_eq!(n, block.len());
+            for i in 0..block.len() {
+                let _ = block.entry(i);
+            }
+            let _ = block.seek(b"http://site-007");
+        }
+        assert!(walked > 0);
+    }
+
+    #[test]
+    fn a_reused_block_forgets_what_it_held() {
+        let mut block = Block::decode_v3(&build_var(&var_entries())).unwrap();
+        assert!(block.step());
+        let mut b = VarBlockBuilder::new();
+        b.add(b"only", None);
+        let (disk, _, _) = b.finish();
+        block.load(&disk).unwrap();
+        assert!(block.step());
+        assert_eq!((block.key(), block.value()), (&b"only"[..], None));
+        assert!(!block.step());
+        // A failed load leaves an empty block, not the previous one.
+        assert!(block.load(&disk[..disk.len() - 1]).is_err());
+        assert_eq!(block.len(), 0);
+        assert!(!block.step());
     }
 }

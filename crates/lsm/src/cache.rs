@@ -2,6 +2,15 @@
 //! before measuring; §6.3 discusses thrashing when a filter forces too many
 //! distinct blocks through it).
 //!
+//! The cache holds each block's *stored* bytes — codec header and payload,
+//! exactly as read from the file, like RocksDB's compressed block cache —
+//! and budgets a block by their length. A block is checked in full once,
+//! when it is read from the file and before it is cached
+//! ([`crate::block::Block::load`]); cached bytes never change, so a reader
+//! decodes them again into a buffer of its own without repeating the
+//! check. Stored bytes are about half a decoded block's size on the
+//! harness's half-zero values, so one budget holds about twice the blocks.
+//!
 //! [`BlockCache`] is single-threaded; a store holds one behind one ranked
 //! mutex, taken only where a foreground read fetches a block. Nothing
 //! removes a block when compaction deletes its file: the dead file's
@@ -10,7 +19,6 @@
 //! monotonic counter, so no id names two files in one process, and the
 //! cache starts empty at every open.
 
-use crate::block::Block;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,14 +33,14 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug)]
 struct Slot {
     id: BlockId,
-    block: Option<Arc<Block>>,
+    block: Option<Arc<[u8]>>,
     /// Next more recently used slot (`NIL` at the head).
     prev: u32,
     /// Next less recently used slot (`NIL` at the tail).
     next: u32,
 }
 
-/// A byte-budgeted LRU cache of decoded blocks.
+/// A byte-budgeted LRU cache of stored blocks.
 ///
 /// Recency is a doubly linked list threaded through `slots` by index:
 /// most recently used at `head`, the eviction victim at `tail`. A hit
@@ -53,7 +61,7 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// Create a cache bounded to `capacity_bytes` of block payload.
+    /// Create a cache bounded to `capacity_bytes` of stored block bytes.
     pub fn new(capacity_bytes: usize) -> Self {
         BlockCache {
             capacity_bytes,
@@ -67,7 +75,7 @@ impl BlockCache {
     }
 
     /// Look up a block, refreshing its recency on a hit.
-    pub fn get(&mut self, id: BlockId) -> Option<Arc<Block>> {
+    pub fn get(&mut self, id: BlockId) -> Option<Arc<[u8]>> {
         let s = *self.map.get(&id)?;
         self.touch(s);
         self.slots[s as usize].block.clone()
@@ -79,8 +87,8 @@ impl BlockCache {
     /// uncached), never inserted: caching it would evict everything else
     /// and still sit over budget forever, turning every later insert
     /// into an eviction storm against an unevictable resident.
-    pub fn insert(&mut self, id: BlockId, block: Arc<Block>) {
-        let bytes = block.mem_bytes();
+    pub fn insert(&mut self, id: BlockId, block: Arc<[u8]>) {
+        let bytes = block.len();
         if bytes > self.capacity_bytes {
             return;
         }
@@ -88,7 +96,7 @@ impl BlockCache {
             Some(&s) => {
                 self.touch(s);
                 let old = self.slots[s as usize].block.replace(block);
-                self.used_bytes -= old.map_or(0, |b| b.mem_bytes());
+                self.used_bytes -= old.map_or(0, |b| b.len());
                 s
             }
             None => {
@@ -124,7 +132,7 @@ impl BlockCache {
         self.unlink(s);
         let slot = &mut self.slots[s as usize];
         self.map.remove(&slot.id);
-        self.used_bytes -= slot.block.take().map_or(0, |b| b.mem_bytes());
+        self.used_bytes -= slot.block.take().map_or(0, |b| b.len());
         self.free.push(s);
     }
 
@@ -162,19 +170,10 @@ impl BlockCache {
         self.head = s;
     }
 
-    /// Bytes of cached block payload currently held.
-    pub fn used_bytes(&self) -> usize {
+    /// Stored bytes currently held.
+    #[cfg(test)]
+    fn used_bytes(&self) -> usize {
         self.used_bytes
-    }
-
-    /// Number of cached blocks.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -183,25 +182,30 @@ mod tests {
     use super::*;
     use crate::block::VarBlockBuilder;
 
-    fn make_block(tag: u64, entries: usize) -> Arc<Block> {
+    /// The stored bytes of a block of `entries` entries. No run of zero
+    /// bytes in its keys or values, so every block is stored raw and its
+    /// size does not depend on `tag`.
+    fn make_block(tag: u64, entries: usize) -> Arc<[u8]> {
         let mut b = VarBlockBuilder::new();
         for i in 0..entries {
-            b.add(&((tag << 32) + i as u64).to_be_bytes(), Some(&[1u8; 64]));
+            let key = (tag << 32) + i as u64 + 0x0101_0101_0101_0101;
+            b.add(&key.to_be_bytes(), Some(&[1u8; 64]));
         }
         let (disk, _, _) = b.finish();
-        Arc::new(Block::decode_v3(&disk).unwrap())
+        assert_eq!(disk[0], 0, "stored raw");
+        disk.into()
     }
 
     #[test]
     fn lru_eviction_respects_budget() {
         let block = make_block(0, 10);
-        let one = block.mem_bytes();
+        let one = block.len();
         let mut c = BlockCache::new(one * 3 + one / 2);
         for i in 0..10u32 {
             c.insert((7, i), make_block(7, 10));
         }
         assert!(c.used_bytes() <= one * 4, "{} > {}", c.used_bytes(), one * 4);
-        assert!(c.len() <= 4);
+        assert!(c.map.len() <= 4);
         // The most recent block survives.
         assert!(c.get((7, 9)).is_some());
         assert!(c.get((7, 0)).is_none());
@@ -210,7 +214,7 @@ mod tests {
     #[test]
     fn recency_updates_on_get() {
         let block = make_block(0, 10);
-        let one = block.mem_bytes();
+        let one = block.len();
         let mut c = BlockCache::new(one * 2 + one / 2);
         c.insert((1, 0), make_block(1, 10));
         c.insert((1, 1), make_block(1, 10));
@@ -230,16 +234,16 @@ mod tests {
 
     #[test]
     fn oversized_block_is_bypassed_not_pinned() {
-        let one = make_block(0, 10).mem_bytes();
+        let one = make_block(0, 10).len();
         let capacity = one * 4;
         let mut c = BlockCache::new(capacity);
         // A block bigger than the whole budget must be refused outright —
         // before the fix it was cached, could never be evicted, and kept
         // `used_bytes` over budget forever.
         let huge = make_block(99, 1000);
-        assert!(huge.mem_bytes() > capacity);
+        assert!(huge.len() > capacity);
         c.insert((9, 0), huge);
-        assert_eq!(c.len(), 0, "oversized block must not be cached");
+        assert!(c.map.is_empty(), "oversized block must not be cached");
         assert_eq!(c.used_bytes(), 0);
         assert!(c.get((9, 0)).is_none());
         // Many small blocks behave normally around a repeated bypass:
@@ -262,7 +266,7 @@ mod tests {
     struct StampLru {
         capacity: usize,
         used: usize,
-        entries: Vec<(BlockId, Arc<Block>, u64)>,
+        entries: Vec<(BlockId, Arc<[u8]>, u64)>,
         clock: u64,
     }
 
@@ -274,20 +278,20 @@ mod tests {
             }
         }
 
-        fn insert(&mut self, id: BlockId, block: Arc<Block>) {
-            let bytes = block.mem_bytes();
+        fn insert(&mut self, id: BlockId, block: Arc<[u8]>) {
+            let bytes = block.len();
             if bytes > self.capacity {
                 return;
             }
             self.clock += 1;
             if let Some(i) = self.entries.iter().position(|e| e.0 == id) {
-                self.used -= self.entries.swap_remove(i).1.mem_bytes();
+                self.used -= self.entries.swap_remove(i).1.len();
             }
             self.entries.push((id, block, self.clock));
             self.used += bytes;
             while self.used > self.capacity {
                 let lru = (0..self.entries.len()).min_by_key(|&i| self.entries[i].2).unwrap();
-                self.used -= self.entries.swap_remove(lru).1.mem_bytes();
+                self.used -= self.entries.swap_remove(lru).1.len();
             }
         }
 
@@ -312,7 +316,7 @@ mod tests {
             seed in 1u64..5000,
             cap_units in 0usize..6,
         ) {
-            let one = make_block(0, 10).mem_bytes();
+            let one = make_block(0, 10).len();
             // Deliberately misaligned capacity (never a block multiple).
             let capacity = cap_units * one + cap_units * 7;
             let mut c = BlockCache::new(capacity);
@@ -328,7 +332,7 @@ mod tests {
             for step in 0..120 {
                 let id = (rng() % 4, (rng() % 8) as u32);
                 match rng() % 3 {
-                    // Entry counts 1..40: mem_bytes from far below to far
+                    // Entry counts 1..40: stored sizes from far below to far
                     // above every sampled capacity.
                     0 | 1 => {
                         let block = make_block(id.0, 1 + rng() as usize % 40);

@@ -118,31 +118,42 @@ fn for_each_token(data: &[u8], mut f: impl FnMut(&[u8], usize)) -> Option<()> {
     Some(())
 }
 
-/// Decompress into a buffer of exactly `raw_len` bytes. Returns `None`
-/// when the token stream is malformed or does not decode to `raw_len`
-/// bytes (corrupt block): decoding arbitrary bytes must never panic.
+/// Decompress into `out`, replacing what it held, and return whether the
+/// token stream decoded to exactly `raw_len` bytes: `false` for a
+/// malformed stream or another length (corrupt bytes). Decoding arbitrary
+/// bytes must never panic.
 ///
-/// `raw_len` comes from the block header, which nothing checksums, so the
-/// stream is measured before anything is reserved: the output is
-/// allocated only once the tokens are known to decode to exactly
-/// `raw_len` bytes.
-pub fn decompress(data: &[u8], raw_len: usize) -> Option<Vec<u8>> {
+/// `raw_len` comes from a header nothing may have checked, so the stream
+/// is measured before anything is reserved: `out` grows only once the
+/// tokens are known to decode to exactly `raw_len` bytes. A caller that
+/// reuses `out` decompresses without allocating once it has grown.
+pub fn decompress(data: &[u8], raw_len: usize, out: &mut Vec<u8>) -> bool {
     let mut decoded = 0usize;
-    for_each_token(data, |lit, zlen| decoded += lit.len() + zlen)?;
-    if decoded != raw_len {
-        return None;
+    if for_each_token(data, |lit, zlen| decoded += lit.len() + zlen).is_none() || decoded != raw_len
+    {
+        return false;
     }
-    let mut out = Vec::with_capacity(raw_len);
+    // Zero the whole output once, then copy each literal into place: the
+    // zero runs are already there.
+    out.clear();
+    out.resize(raw_len, 0);
+    let mut at = 0;
     for_each_token(data, |lit, zlen| {
-        out.extend_from_slice(lit);
-        out.resize(out.len() + zlen, 0);
-    })?;
-    Some(out)
+        out[at..at + lit.len()].copy_from_slice(lit);
+        at += lit.len() + zlen;
+    })
+    .is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`super::decompress`] into a fresh buffer.
+    fn decompress(data: &[u8], raw_len: usize) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        super::decompress(data, raw_len, &mut out).then_some(out)
+    }
 
     /// [`compress`] into a fresh buffer, `None` when it stores raw.
     fn compressed(data: &[u8]) -> Option<Vec<u8>> {

@@ -1140,9 +1140,9 @@ mod sim {
                     continue;
                 }
                 // The first key ≥ `flo` is in the first block that can hold it.
-                let block = sst.read_block(sst.first_candidate_block(flo), &self.io).unwrap();
-                let i = block.lower_bound(flo);
-                let holds = i < block.len() && block.key(i) <= fhi;
+                let mut block = crate::block::Block::default();
+                sst.read_block(sst.first_candidate_block(flo), &self.io, &mut block).unwrap();
+                let holds = block.seek(flo) && block.key() <= fhi;
                 assert!(!holds, "{at}: the filter of SST {} rejects a range it holds", sst.id);
             }
         }

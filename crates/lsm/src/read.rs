@@ -282,29 +282,38 @@ impl DbInner {
         }
     }
 
-    /// Read block `b` of `sst` straight from the file, bypassing the block
-    /// cache: background work (compaction) touches every input block
-    /// exactly once and must not evict what foreground reads keep warm.
-    pub(crate) fn uncached_block(&self, sst: &Arc<SstReader>, b: usize) -> Result<Arc<Block>> {
-        sst.read_block(b, &self.stats).map(Arc::new)
+    /// Read block `b` of `sst` straight from the file into `block`,
+    /// bypassing the block cache: background work (compaction) touches
+    /// every input block exactly once and must not evict what foreground
+    /// reads keep warm.
+    pub(crate) fn uncached_block(
+        &self,
+        sst: &Arc<SstReader>,
+        b: usize,
+        block: &mut Block,
+    ) -> Result<()> {
+        sst.read_block(b, &self.stats, block).map(drop)
     }
 
-    /// Read block `b` of `sst` through the block cache, the one place the
-    /// cache is locked. The lock is held for the lookup and for the insert,
-    /// never across the file read. A poisoned lock is recovered: every
-    /// cache operation restores the LRU invariants before it returns, and
-    /// a panicked reader must not take block caching down with it.
-    fn cached_block(&self, sst: &Arc<SstReader>, b: usize) -> Result<Arc<Block>> {
+    /// Decode block `b` of `sst` into `block` through the block cache, the
+    /// one place the cache is locked. A hit decodes the cached stored
+    /// bytes; a miss reads, checks and decodes them, and caches them only
+    /// once they pass. The lock is held for the lookup and for the insert,
+    /// never across the file read or a decode. A poisoned lock is
+    /// recovered: every cache operation restores the LRU invariants before
+    /// it returns, and a panicked reader must not take block caching down
+    /// with it.
+    fn cached_block(&self, sst: &Arc<SstReader>, b: usize, block: &mut Block) -> Result<()> {
         let cache = || self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         let id = (sst.id, b as u32);
         let hit = cache().get(id);
-        if let Some(block) = hit {
+        if let Some(stored) = hit {
             self.stats.cache_hits.inc();
-            return Ok(block);
+            return sst.load_cached(b, &stored, block);
         }
-        let block = Arc::new(sst.read_block(b, &self.stats)?);
-        cache().insert(id, Arc::clone(&block));
-        Ok(block)
+        let stored = sst.read_block(b, &self.stats, block)?;
+        cache().insert(id, stored);
+        Ok(())
     }
 
     /// Exact-key read; see [`crate::Db::get`]. The point consumer of the
@@ -339,11 +348,12 @@ impl DbInner {
     fn find_in_sst(&self, sst: &Arc<SstReader>, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
         let b = sst.first_candidate_block(key);
         if b < sst.n_blocks() && sst.block_meta(b).first_key.as_slice() <= key {
-            let block = self.cached_block(sst, b)?;
-            let i = block.lower_bound(key);
-            if i < block.len() && block.key(i) == key {
-                return Ok(Some(block.entry(i).1.map(<[u8]>::to_vec)));
-            }
+            let mut block = Block::spare();
+            self.cached_block(sst, b, &mut block)?;
+            let found = block.seek(key) && block.key() == key;
+            let record = found.then(|| block.value().map(<[u8]>::to_vec));
+            block.recycle();
+            return Ok(record);
         }
         Ok(None)
     }
@@ -387,7 +397,7 @@ impl DbInner {
 /// How a merge's SST cursors obtain their blocks: through the block cache
 /// ([`DbInner::cached_block`], foreground reads) or straight from the
 /// file ([`DbInner::uncached_block`], compaction).
-pub(crate) type BlockFetch = fn(&DbInner, &Arc<SstReader>, usize) -> Result<Arc<Block>>;
+pub(crate) type BlockFetch = fn(&DbInner, &Arc<SstReader>, usize, &mut Block) -> Result<()>;
 
 /// One MemTable as a merge source: a position in the shared table as of
 /// the stamp the scan was built at, and the row it stands on, copied out
@@ -591,7 +601,7 @@ impl<'a> Merge<'a> {
             }
             Source::Sst(cursor, probe) => {
                 let (db, fetch) = (self.db, self.fetch);
-                let more = cursor.step(|sst, b| fetch(db, sst, b))?;
+                let more = cursor.step(|sst, b, block| fetch(db, sst, b, block))?;
                 if let Some(probe) = probe.take() {
                     probe.settle(&db.stats, cursor.sst(), more);
                 }

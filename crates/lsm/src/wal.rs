@@ -291,8 +291,10 @@ fn decode_stored(stored: &[u8], max: usize) -> std::result::Result<Vec<WalOp>, S
         WAL_CODEC_ZERO_RLE => {
             let raw_len = r.u32().map_err(err)? as usize;
             let stream = r.take(r.remaining()).map_err(err)?;
-            let payload = compress::decompress(stream, raw_len)
-                .ok_or_else(|| format!("zero-RLE stream does not decode to {raw_len} bytes"))?;
+            let mut payload = Vec::new();
+            if !compress::decompress(stream, raw_len, &mut payload) {
+                return Err(format!("zero-RLE stream does not decode to {raw_len} bytes"));
+            }
             decode_payload(&payload, max)
         }
         c => Err(format!("unknown record codec {c:#04x}")),

@@ -405,9 +405,48 @@ fn a_scan_yields_what_precedes_a_corrupt_block_then_one_error_then_nothing() {
 /// unit test in `config`).
 const BLOCK_CACHE_BYTES: usize = 8 << 20;
 
+/// The data blocks of every SST in `dir`: how many, their stored bytes
+/// (what the block cache budgets) and their decoded payload bytes.
+fn data_blocks(dir: &std::path::Path) -> (u64, usize, usize) {
+    let (mut blocks, mut stored, mut decoded) = (0u64, 0usize, 0usize);
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|x| x != "sst") {
+            continue;
+        }
+        let id = path.file_stem().unwrap().to_str().unwrap().parse().unwrap();
+        let sst = SstReader::open(&path, id).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        for b in 0..sst.n_blocks() {
+            let meta = sst.block_meta(b);
+            let at = meta.offset as usize;
+            stored += meta.len as usize;
+            // The codec header's `raw_len`.
+            decoded += u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+        }
+        blocks += sst.n_blocks() as u64;
+    }
+    (blocks, stored, decoded)
+}
+
+/// Scan the whole store twice: the first scan reads every one of its
+/// `blocks` data blocks, and the second, with `stored` bytes of them
+/// cached, must read none.
+fn second_scan_is_served_from_the_cache(db: &Db, keys: u64, blocks: u64) {
+    let scan = || db.range_u64(..).unwrap().map(Result::unwrap).count() as u64;
+    let before = db.stats().snapshot();
+    assert_eq!(scan(), keys);
+    let cold = db.stats().snapshot();
+    assert_eq!(cold.delta(&before).blocks_read, blocks, "the first scan reads every block");
+    assert_eq!(scan(), keys);
+    let warm = db.stats().snapshot().delta(&cold);
+    assert_eq!(warm.blocks_read, 0, "the second scan is served from the cache");
+    assert_eq!(warm.cache_hits, blocks, "one hit per block");
+}
+
 #[test]
 fn one_cache_budget_holds_a_working_set_just_under_it() {
-    const KEYS: u64 = 47_500;
+    const KEYS: u64 = 57_500;
     let dir = tmpdir("cache-budget");
     // 1 MiB tables settle into several files. A budget split into 16
     // hash-selected 512 KiB LRUs overflows its fullest shards on such a
@@ -415,7 +454,7 @@ fn one_cache_budget_holds_a_working_set_just_under_it() {
     // scan below would miss.
     let cfg = DbConfig::builder().memtable_bytes(1 << 20).build().unwrap();
     let db = open_unfiltered(&dir, cfg).unwrap();
-    // Incompressible values, so a block's decoded size is its disk size.
+    // Incompressible values, so a block's stored size is its decoded size.
     let mut rng = Rng(7);
     let mut value = [0u8; 120];
     for i in 0..KEYS {
@@ -426,32 +465,89 @@ fn one_cache_budget_holds_a_working_set_just_under_it() {
     }
     db.flush_and_settle().unwrap();
 
-    // What the settled files' data blocks cost the cache, decoded.
-    let (mut blocks, mut bytes) = (0u64, 0usize);
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_none_or(|x| x != "sst") {
-            continue;
-        }
-        let id = path.file_stem().unwrap().to_str().unwrap().parse().unwrap();
-        let sst = SstReader::open(&path, id).unwrap();
-        for b in 0..sst.n_blocks() {
-            bytes += sst.read_block(b, &Default::default()).unwrap().mem_bytes();
-        }
-        blocks += sst.n_blocks() as u64;
-    }
-    let fill = bytes as f64 / BLOCK_CACHE_BYTES as f64;
+    let (blocks, stored, _) = data_blocks(&dir);
+    let fill = stored as f64 / BLOCK_CACHE_BYTES as f64;
     assert!((0.85..0.95).contains(&fill), "working set fills {fill:.3} of the cache");
+    second_scan_is_served_from_the_cache(&db, KEYS, blocks);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let scan = || db.range_u64(..).unwrap().map(Result::unwrap).count() as u64;
+#[test]
+fn the_cache_budgets_blocks_as_stored_so_compressed_blocks_fit_twice() {
+    const KEYS: u64 = 96_000;
+    let dir = tmpdir("cache-stored");
+    let cfg = DbConfig::builder().memtable_bytes(1 << 20).build().unwrap();
+    let db = open_unfiltered(&dir, cfg).unwrap();
+    // Half-zero values, as the benchmark harness writes them: the zero half
+    // compresses away, so a block is stored in about half its bytes.
+    let mut rng = Rng(11);
+    let mut value = [0u8; 128];
+    for i in 0..KEYS {
+        for chunk in value[64..].chunks_mut(8) {
+            chunk.copy_from_slice(&rng.next().to_le_bytes());
+        }
+        db.put_u64(i, &value).unwrap();
+    }
+    db.flush_and_settle().unwrap();
+
+    let (blocks, stored, decoded) = data_blocks(&dir);
+    let fill = stored as f64 / BLOCK_CACHE_BYTES as f64;
+    assert!((0.85..0.95).contains(&fill), "stored blocks fill {fill:.3} of the cache");
+    assert!(decoded > BLOCK_CACHE_BYTES, "decoded blocks take {decoded} bytes");
+    second_scan_is_served_from_the_cache(&db, KEYS, blocks);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_block_that_fails_its_check_is_never_cached() {
+    let dir = tmpdir("uncached-corrupt");
+    let cfg = DbConfig::builder().memtable_bytes(8 << 20).build().unwrap();
+    {
+        let db = open_unfiltered(&dir, cfg.clone()).unwrap();
+        // Keys and values without a zero byte, so no block compresses.
+        let mut rng = Rng(3);
+        for i in 0..3_000u64 {
+            let key = 0x5A5A_5A5A_5A5A_0000 | ((i >> 7) + 1) << 8 | ((i & 127) + 1);
+            let value: Vec<u8> = (0..32).map(|_| rng.next() as u8 | 1).collect();
+            db.put_u64(key, &value).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    let ssts: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+        .collect();
+    let [path] = &ssts[..] else { panic!("one SST: {ssts:?}") };
+    let id = path.file_stem().unwrap().to_str().unwrap().parse().unwrap();
+    let sst = SstReader::open(path, id).unwrap();
+    let meta = sst.block_meta(1);
+    let (at, key) = (meta.offset as usize, key_u64(&meta.first_key));
+    let first = key_u64(&sst.block_meta(0).first_key);
+    drop(sst);
+    // Block 1 is stored raw: its first entry's flags byte sits behind the
+    // 9-byte codec header, the entry count and the entry's two lengths.
+    // Setting a reserved bit there fails the check and nothing else.
+    let mut bytes = std::fs::read(path).unwrap();
+    assert_eq!(bytes[at], 0, "incompressible values are stored raw");
+    bytes[at + 9 + 4 + 4] = 0x40;
+    std::fs::write(path, bytes).unwrap();
+
+    let db = open_unfiltered(&dir, cfg).unwrap();
+    let name = path.file_name().unwrap().to_str().unwrap();
     let before = db.stats().snapshot();
-    assert_eq!(scan(), KEYS);
-    let cold = db.stats().snapshot();
-    assert_eq!(cold.delta(&before).blocks_read, blocks, "the first scan reads every block");
-    assert_eq!(scan(), KEYS);
-    let warm = db.stats().snapshot().delta(&cold);
-    assert_eq!(warm.blocks_read, 0, "the second scan is served from the cache");
-    assert_eq!(warm.cache_hits, blocks, "one hit per block");
+    for read in 0..2 {
+        let err = db.get_u64(key).unwrap_err();
+        assert!(matches!(&err, Error::Corruption(d) if d.contains(name)), "read {read}: {err:?}");
+    }
+    let d = db.stats().snapshot().delta(&before);
+    assert_eq!((d.blocks_read, d.cache_hits), (2, 0), "each read checks the block from disk");
+    // The blocks around it are served, and cached, as ever.
+    assert!(db.get_u64(first).unwrap().is_some());
+    assert!(db.get_u64(first).unwrap().is_some());
+    assert_eq!(db.stats().snapshot().delta(&before).cache_hits, 1);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

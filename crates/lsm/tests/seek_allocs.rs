@@ -9,8 +9,9 @@
 //! The false-positive Seek — one file's filter lets it through and its
 //! block comes from disk — is pinned the same way, on the same store
 //! reopened with a cold cache: one shared copy of the bounds, the merge's
-//! two vectors and the decoded block, nothing per admitted file, per read
-//! buffer or per key.
+//! two vectors and the block's stored bytes, which the cache keeps. The
+//! block is decoded into a buffer the thread's earlier reads grew, so
+//! nothing is allocated per admitted file, per decode or per key.
 //!
 //! This file is its own test binary on purpose: the `#[global_allocator]`
 //! below must not be shared with any other suite, and it holds exactly one
@@ -73,11 +74,11 @@ const SEEKS: usize = 10_000;
 /// False-positive Seeks counted on the reopened store.
 const FALSE_POSITIVES: usize = 500;
 /// The most allocations one false-positive Seek that reads its block from
-/// disk may make: the seven it keeps until it returns (the shared bounds,
-/// the merge's heap and sources, the block's payload, keys, entries and
-/// `Arc`), plus one growth each of the cache's map and slot array and of
-/// the thread's read buffer. Most such Seeks make exactly seven.
-const MAX_FALSE_POSITIVE_ALLOCS: u64 = 10;
+/// disk may make: the four it makes every time (the shared bounds, the
+/// merge's heap and sources, and the block's stored bytes, read into the
+/// `Arc` the cache keeps), plus one growth each of the cache's map and
+/// slot array. Most such Seeks make exactly four.
+const MAX_FALSE_POSITIVE_ALLOCS: u64 = 6;
 
 /// Keys scattered over the whole u64 space, none with any of its low 16 bits
 /// set.

@@ -56,7 +56,7 @@ fn scan_all(sst: SstReader) -> proteus_lsm::Result<Vec<Entry>> {
     let stats = Stats::default();
     let mut cursor = SstCursor::new(Arc::new(sst));
     let mut entries = Vec::new();
-    while cursor.step(|sst, b| sst.read_block(b, &stats).map(Arc::new))? {
+    while cursor.step(|sst, b, block| sst.read_block(b, &stats, block).map(drop))? {
         let (k, v) = cursor.current();
         entries.push((k.to_vec(), v.map(<[u8]>::to_vec)));
     }
@@ -480,7 +480,7 @@ fn v3_entry_corruption_is_typed_not_silent() {
         mutate(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         let sst = SstReader::open(&path, 3).unwrap(); // footer is fine
-        let err = sst.read_block(0, &Stats::default());
+        let err = sst.read_block(0, &Stats::default(), &mut Default::default());
         assert!(matches!(err, Err(Error::Corruption(_))), "{what}: got {err:?}");
     };
 
