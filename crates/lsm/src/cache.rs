@@ -6,13 +6,17 @@
 //! exactly as read from the file, like RocksDB's compressed block cache —
 //! and budgets a block by their length. A block is checked in full once,
 //! when it is read from the file and before it is cached
-//! ([`crate::block::Block::load`]); cached bytes never change, so a reader
-//! decodes them again into a buffer of its own without repeating the
-//! check. Stored bytes are about half a decoded block's size on the
-//! harness's half-zero values, so one budget holds about twice the blocks.
+//! ([`crate::block::Block::load`]: its check word, then a walk over every
+//! entry). Cached bytes never change, so a hit (`Block::load_cached`)
+//! decompresses them into a buffer of its own and reads their restart
+//! trailer, checking only that its offsets lie inside the entries; it
+//! neither verifies the check word nor walks the entries. Stored bytes are
+//! about half a decoded block's size on the harness's half-zero values, so
+//! one budget holds about twice the blocks.
 //!
 //! [`BlockCache`] is single-threaded; a store holds one behind one ranked
-//! mutex, taken only where a foreground read fetches a block. Nothing
+//! mutex, taken where a read fetches a block: a foreground read looks up
+//! and inserts, compaction only [`BlockCache::peek`]s. Nothing
 //! removes a block when compaction deletes its file: the dead file's
 //! blocks age out of the LRU like any cold block. They can never be
 //! served for another file, because a store allocates SST ids from one
@@ -79,6 +83,12 @@ impl BlockCache {
         let s = *self.map.get(&id)?;
         self.touch(s);
         self.slots[s as usize].block.clone()
+    }
+
+    /// Look up a block without refreshing its recency: a reader that
+    /// visits each block once (compaction) must not keep it warm.
+    pub fn peek(&self, id: BlockId) -> Option<Arc<[u8]>> {
+        self.slots[*self.map.get(&id)? as usize].block.clone()
     }
 
     /// Insert a block, evicting least-recently-used entries to fit.
@@ -223,6 +233,20 @@ mod tests {
         c.insert((1, 2), make_block(1, 10));
         assert!(c.get((1, 0)).is_some());
         assert!(c.get((1, 1)).is_none());
+    }
+
+    #[test]
+    fn peek_leaves_recency_alone() {
+        let one = make_block(0, 10).len();
+        let mut c = BlockCache::new(one * 2 + one / 2);
+        c.insert((1, 0), make_block(1, 10));
+        c.insert((1, 1), make_block(1, 10));
+        // A peek at block 0 leaves it the LRU victim.
+        assert!(c.peek((1, 0)).is_some());
+        assert!(c.peek((1, 9)).is_none());
+        c.insert((1, 2), make_block(1, 10));
+        assert!(c.peek((1, 0)).is_none());
+        assert!(c.peek((1, 1)).is_some());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Compaction: which files to fold next (the picking policy, a pure
 //! function of a manifest snapshot) and the fold itself — the read path's
-//! [`Merge`] over uncached cursors, plus the two decisions that are
+//! [`Merge`] over cursors that never fill the cache, plus the two decisions that are
 //! compaction's own: tombstones are dropped once the output lands at the
 //! bottom of the tree, and the output is split into files of one MemTable
 //! (`sst_target_bytes`). A job whose one input overlaps nothing in the
@@ -126,9 +126,9 @@ pub(crate) fn run(db: &DbInner, job: CompactionJob) -> Result<()> {
 /// Merge `newer` (rank order = recency) and `older` files, writing
 /// size-split SSTs for the target level and building a fresh filter per
 /// output (§6.1: compaction "triggers the construction of new filters on
-/// the merged data"). Inputs are read straight from their files, one
-/// read per block, and each surviving record goes into the writer as
-/// slices borrowed from its decoded block.
+/// the merged data"). Each input block is fetched once, from the block
+/// cache if it holds it and else from its file, and each surviving record
+/// goes into the writer as slices borrowed from its decoded block.
 ///
 /// The merge stands only on the newest record per key. A surviving
 /// tombstone is carried into the output — it may still shadow versions
@@ -141,7 +141,7 @@ fn merge_inputs(
     older: &[Arc<SstReader>],
     bottom: bool,
 ) -> Result<Vec<Arc<SstReader>>> {
-    let mut merge = Merge::new(db, DbInner::uncached_block);
+    let mut merge = Merge::new(db, DbInner::compaction_block);
     for sst in newer.iter().chain(older) {
         merge.push_sst(SstCursor::new(Arc::clone(sst)), None);
     }

@@ -4,13 +4,16 @@
 //! half-zero values engineered for a 0.5 compression ratio (§6.2). Neither
 //! codec is available offline, so blocks are compressed with a simple
 //! zero-RLE scheme that achieves the same ratio on the same value format:
-//! alternating `(literal_len, literal bytes, zero_run_len)` tokens with
-//! varint-free u16 lengths.
+//! alternating `(literal_len, literal bytes, zero_run_len)` tokens whose
+//! two lengths are LEB128 varints (`put_varint`): one byte each below
+//! 128, so a token costs two bytes of framing where two `u16`s cost four.
 //!
 //! A literal ends where the first run of four or more zero bytes starts,
 //! or after exactly 65 535 bytes (`u16::MAX`), whichever comes first; the
 //! zero run after it takes every zero byte that follows, up to 65 535, so
-//! a 1–3 byte run a capped literal stops in front of is still encoded.
+//! a 1–3 byte run a capped literal stops in front of is still encoded. A
+//! decoder refuses a length above that cap, so no token is longer than
+//! three varint bytes.
 //! The encoder reads the input a `u64` at a time: a word with no zero byte
 //! (the SWAR has-zero-byte test) is skipped whole, the first zero byte of
 //! a word that has one is confirmed as a run of four bytewise, and a zero
@@ -25,6 +28,37 @@ const MIN_ZERO_RUN: usize = 4;
 const LOW_BITS: u64 = 0x0101_0101_0101_0101;
 const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
 
+/// Append `v` as an LEB128 varint: seven bits a byte, low first, the high
+/// bit set on every byte but the last.
+pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: usize) {
+    while v >= 0x80 {
+        buf.push(0x80 | (v & 0x7F).to_le_bytes()[0]);
+        v >>= 7;
+    }
+    buf.push(v.to_le_bytes()[0]);
+}
+
+/// The varint at `data[pos..]` and the offset after it; `None` if it runs
+/// past `data` or past five bytes (a `u32`'s worth).
+#[inline]
+pub(crate) fn get_varint(data: &[u8], mut pos: usize) -> Option<(usize, usize)> {
+    let mut value = 0;
+    for shift in [0, 7, 14, 21, 28] {
+        let byte = *data.get(pos)?;
+        pos += 1;
+        value |= usize::from(byte & 0x7F) << shift;
+        if byte < 0x80 {
+            return Some((value, pos));
+        }
+    }
+    None
+}
+
+/// Bytes [`put_varint`] spends on `v`.
+fn varint_len(v: usize) -> usize {
+    (usize::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// Compress `data`, appending the token stream to `out`. Returns `false`,
 /// with `out` as it was, when compression would not shrink `data` (the
 /// caller then stores it raw, like RocksDB does). A caller that reuses
@@ -37,14 +71,14 @@ pub fn compress(data: &[u8], out: &mut Vec<u8>) -> bool {
     while i < n {
         let lit_end = literal_end(data, i, n.min(i + MAX_RUN));
         let run_end = zero_run_end(data, lit_end, n.min(lit_end + MAX_RUN));
-        if out.len() - start + 4 + (lit_end - i) >= n {
+        let (lit, run) = (lit_end - i, run_end - lit_end);
+        if out.len() - start + varint_len(lit) + lit + varint_len(run) >= n {
             out.truncate(start);
             return false;
         }
-        // Both lengths are at most MAX_RUN, so the casts are exact.
-        out.extend_from_slice(&((lit_end - i) as u16).to_le_bytes());
+        put_varint(out, lit);
         out.extend_from_slice(&data[i..lit_end]);
-        out.extend_from_slice(&((run_end - lit_end) as u16).to_le_bytes());
+        put_varint(out, run);
         i = run_end;
     }
     // Only an empty input, which appended nothing, gets here unshrunk.
@@ -103,16 +137,22 @@ fn word_at(data: &[u8], i: usize) -> Option<u64> {
     Some(u64::from_le_bytes(*data.get(i..)?.first_chunk::<8>()?))
 }
 
+/// The token length at `data[pos..]` and the offset after it; `None` for
+/// a cut-short varint or one above [`MAX_RUN`].
+#[inline]
+fn token_len(data: &[u8], pos: usize) -> Option<(usize, usize)> {
+    get_varint(data, pos).filter(|&(len, _)| len <= MAX_RUN)
+}
+
 /// Walk a token stream, handing each `(literal, zero_run_len)` to `f`.
-/// Returns `None` when a token is cut short.
+/// Returns `None` when a token is cut short or a length is out of range.
 fn for_each_token(data: &[u8], mut f: impl FnMut(&[u8], usize)) -> Option<()> {
     let mut i = 0usize;
     while i < data.len() {
-        let lit_len = u16::from_le_bytes(*data.get(i..)?.first_chunk::<2>()?) as usize;
-        let lit = data.get(i + 2..i + 2 + lit_len)?;
-        i += 2 + lit_len;
-        let zlen = u16::from_le_bytes(*data.get(i..)?.first_chunk::<2>()?) as usize;
-        i += 2;
+        let (lit_len, at) = token_len(data, i)?;
+        let lit = data.get(at..at + lit_len)?;
+        let (zlen, next) = token_len(data, at + lit_len)?;
+        i = next;
         f(lit, zlen);
     }
     Some(())
@@ -164,7 +204,7 @@ mod tests {
     /// The byte-at-a-time encoder [`compress`] replaced, kept as the
     /// reference its output must equal. Above 64 KiB it is not one: a 2–3
     /// byte zero run that crosses the 65 535-byte cap grows its literal to
-    /// 65 536 or 65 537 bytes, whose `u16` length wraps.
+    /// 65 536 or 65 537 bytes, past the cap a decoder accepts.
     fn compress_bytewise(data: &[u8]) -> Option<Vec<u8>> {
         let mut out = Vec::with_capacity(data.len() / 2 + 16);
         let mut i = 0usize;
@@ -196,9 +236,9 @@ mod tests {
                 k += 1;
                 zlen += 1;
             }
-            out.extend_from_slice(&(lit.len() as u16).to_le_bytes());
+            put_varint(&mut out, lit.len());
             out.extend_from_slice(lit);
-            out.extend_from_slice(&(zlen as u16).to_le_bytes());
+            put_varint(&mut out, zlen);
             i = k;
         }
         (out.len() < data.len()).then_some(out)
@@ -208,10 +248,10 @@ mod tests {
     fn literal_lens(stream: &[u8]) -> Vec<usize> {
         let mut lens = Vec::new();
         let mut i = 0;
-        while i + 2 <= stream.len() {
-            let lit = u16::from_le_bytes([stream[i], stream[i + 1]]) as usize;
+        while let Some((lit, at)) = get_varint(stream, i) {
             lens.push(lit);
-            i += 2 + lit + 2;
+            let Some((_, next)) = get_varint(stream, at + lit) else { break };
+            i = next;
         }
         lens
     }
@@ -386,7 +426,7 @@ mod tests {
         }
 
         /// Above 64 KiB the reference is the bug, so only the contract is
-        /// checked: every literal fits its `u16` and the stream decodes.
+        /// checked: no literal passes the cap and the stream decodes.
         /// Each input leads with a zero-free literal whose 1–3 byte zero
         /// run lands within a few bytes of the cap, then takes any shape.
         #[test]

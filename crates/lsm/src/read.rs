@@ -29,9 +29,9 @@
 //! `Merge` is the store's only merge of sorted runs. It owns the heap, the
 //! `(key, rank)` order and the shadowing rule, and stands on the newest
 //! record per key — tombstone or not — which its consumer borrows.
-//! Compaction is the same merge over the same [`SstCursor`]s, fetching
-//! blocks straight from the files instead of through the cache, with its
-//! own tombstone policy on top.
+//! Compaction is the same merge over the same [`SstCursor`]s, taking a
+//! block from the cache only if it is there and otherwise from the file,
+//! without caching it, with its own tombstone policy on top.
 //!
 //! A scan reads the MemTables *in place*. Under one short hold of the
 //! store's MemTable lock, construction visits every table (active and
@@ -81,6 +81,7 @@
 //! following `next()` call.
 
 use crate::block::Block;
+use crate::cache::BlockCache;
 use crate::config::MAX_KEY_BYTES;
 use crate::db::{read_table, DbInner, SharedTable, Version};
 use crate::error::Result;
@@ -89,6 +90,7 @@ use crate::query_queue::clamp_to_file;
 use crate::sst::{KeyRange, SstCursor, SstReader};
 use crate::stats::Stats;
 use proteus_core::key::{pad_key_into, INLINE_KEY_BYTES};
+use proteus_core::sync::MutexGuard;
 use std::ops::{Bound, RangeBounds};
 use std::sync::{Arc, PoisonError};
 
@@ -282,37 +284,46 @@ impl DbInner {
         }
     }
 
-    /// Read block `b` of `sst` straight from the file into `block`,
-    /// bypassing the block cache: background work (compaction) touches
-    /// every input block exactly once and must not evict what foreground
-    /// reads keep warm.
-    pub(crate) fn uncached_block(
+    /// The block cache, locked: the one place it is, for the lookup or
+    /// the insert of one fetch, never across a file read or a decode. A
+    /// poisoned lock is recovered: every cache operation restores the LRU
+    /// invariants before it returns, and a panicked reader must not take
+    /// block caching down with it.
+    fn cache(&self) -> MutexGuard<'_, BlockCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Decode block `b` of `sst` into `block` for compaction, which reads
+    /// every input block once: from the block cache if it holds the block,
+    /// whose bytes passed their check when they were read, with no recency
+    /// change; else straight from the file, uncached, so background work
+    /// never evicts what foreground reads keep warm.
+    pub(crate) fn compaction_block(
         &self,
         sst: &Arc<SstReader>,
         b: usize,
         block: &mut Block,
     ) -> Result<()> {
-        sst.read_block(b, &self.stats, block).map(drop)
+        // Bound first, so the lock is released before the decode.
+        let cached = self.cache().peek((sst.id, b as u32));
+        match cached {
+            Some(stored) => sst.load_cached(b, &stored, block),
+            None => sst.read_block(b, &self.stats, block).map(drop),
+        }
     }
 
-    /// Decode block `b` of `sst` into `block` through the block cache, the
-    /// one place the cache is locked. A hit decodes the cached stored
-    /// bytes; a miss reads, checks and decodes them, and caches them only
-    /// once they pass. The lock is held for the lookup and for the insert,
-    /// never across the file read or a decode. A poisoned lock is
-    /// recovered: every cache operation restores the LRU invariants before
-    /// it returns, and a panicked reader must not take block caching down
-    /// with it.
+    /// Decode block `b` of `sst` into `block` through the block cache. A
+    /// hit decodes the cached stored bytes; a miss reads, checks and
+    /// decodes them, and caches them only once they pass.
     fn cached_block(&self, sst: &Arc<SstReader>, b: usize, block: &mut Block) -> Result<()> {
-        let cache = || self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         let id = (sst.id, b as u32);
-        let hit = cache().get(id);
+        let hit = self.cache().get(id);
         if let Some(stored) = hit {
             self.stats.cache_hits.inc();
             return sst.load_cached(b, &stored, block);
         }
         let stored = sst.read_block(b, &self.stats, block)?;
-        cache().insert(id, stored);
+        self.cache().insert(id, stored);
         Ok(())
     }
 
@@ -395,8 +406,9 @@ impl DbInner {
 }
 
 /// How a merge's SST cursors obtain their blocks: through the block cache
-/// ([`DbInner::cached_block`], foreground reads) or straight from the
-/// file ([`DbInner::uncached_block`], compaction).
+/// ([`DbInner::cached_block`], foreground reads) or, for compaction, from
+/// the cache if it holds them and else from the file
+/// ([`DbInner::compaction_block`]).
 pub(crate) type BlockFetch = fn(&DbInner, &Arc<SstReader>, usize, &mut Block) -> Result<()>;
 
 /// One MemTable as a merge source: a position in the shared table as of

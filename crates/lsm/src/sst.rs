@@ -3,24 +3,31 @@
 //! integration point: "Static filters … are built on every SST file") and
 //! a fixed-size footer that makes each file self-describing.
 //!
-//! ## On-disk layout (format v3, magic `PRSSTv3`)
+//! ## On-disk layout (format v4, magic `PRSSTv4`)
 //!
 //! ```text
-//! [data block]*                      (crate::block layout: var-len keys,
-//!                                    restart-point prefix compression)
+//! [data block]*                      (crate::block layout: varint entry
+//!                                    headers, restart-point prefix
+//!                                    compression, restart trailer)
 //! [index block]                      u32 n, then n × (u16 first_len, first,
 //!                                    u16 last_len, last, u64 offset,
-//!                                    u32 len), then u32 CRC-32
+//!                                    u32 len, u64 check), then u32 CRC-32
 //! [filter block]                     FilterCodec envelope (may be absent)
 //! [footer: 64 bytes]
 //!    0  u64 index_off    32 u64 n_entries
-//!    8  u64 index_len    40 u32 reserved (written 0, ignored on read)
+//!    8  u64 index_len    40 u32 CRC-32 of the footer, this field zeroed
 //!   16  u64 filter_off   44 u32 filter key width
-//!   24  u64 filter_len   48 u16 format version (3)
+//!   24  u64 filter_len   48 u16 format version (4)
 //!                        50 u32 n_tombstones
 //!                        54 2×u8 zero padding
-//!                        56 8×u8 magic "PRSSTv3\0"
+//!                        56 8×u8 magic "PRSSTv4\0"
 //! ```
+//!
+//! Every persisted byte is checked. A data block's `check` is its
+//! [`check_word`] over the stored bytes, verified once, when the block is
+//! read from the file ([`SstReader::read_block`]); the block cache keeps
+//! bytes that passed it. The index and the footer carry a CRC-32 each, and
+//! the filter envelope its own.
 //!
 //! Keys are arbitrary non-empty byte strings up to the store's
 //! [`crate::config::MAX_KEY_BYTES`]. The footer's width field does not constrain them: it
@@ -30,19 +37,19 @@
 //! canonicalization). Files are therefore self-describing. The index
 //! block length-prefixes its boundary keys.
 //!
-//! `PRSSTv3` is the only generation this build reads or writes. A file
-//! carrying the magic of the fixed-width `PRSSTv1`/`PRSSTv2` layouts that
-//! preceded it (or any other) fails [`SstReader::open`] with
-//! [`Error::Corruption`] naming the unsupported format, and `Db::open` of
-//! a store whose `MANIFEST` lists one fails with it, touching nothing.
+//! `PRSSTv4` is the only generation this build reads or writes. A file
+//! carrying any other magic fails [`SstReader::open`] with
+//! [`Error::Corruption`], which names the format for an earlier generation
+//! — the fixed-width `PRSSTv1`/`PRSSTv2`, or `PRSSTv3`, whose blocks had
+//! fixed-width entry headers and no check — and `Db::open` of a store
+//! whose `MANIFEST` lists one fails with it, touching nothing.
 //!
 //! Which files are live, and at which level, is not a file's business: the
-//! store's `MANIFEST` (`crate::manifest`) records it. Offset 40 once held a
-//! level tag; earlier `PRSSTv3` files may still carry one there, and it is
-//! ignored. The filter block is the [`FilterCodec`] envelope (self-describing,
-//! checksummed); [`SstReader::open`] decodes it, so a reader is plain data
-//! from the moment it exists. A block that will not decode costs that file
-//! its filter, never the open.
+//! store's `MANIFEST` (`crate::manifest`) records it. The filter block is
+//! the [`FilterCodec`] envelope (self-describing, checksummed);
+//! [`SstReader::open`] decodes it, so a reader is plain data from the
+//! moment it exists. A block that will not decode costs that file its
+//! filter, never the open.
 //!
 //! Walking a file's entries is [`SstCursor`]'s job and nobody else's; what
 //! a file's filter is trained on is `FilterKeys`' — the writer and the
@@ -56,7 +63,7 @@
 //! miss the delete, and resurrect an older version of the key from a
 //! deeper level.
 
-use crate::block::{Block, VarBlockBuilder};
+use crate::block::{check_word, Block, VarBlockBuilder};
 use crate::error::{Error, Result};
 use crate::filter_hook::FilterFactory;
 use crate::query_queue::QueryQueue;
@@ -76,13 +83,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The one SST format version this build writes and reads.
-pub const SST_FORMAT_VERSION: u16 = 3;
+pub const SST_FORMAT_VERSION: u16 = 4;
 
 /// Trailing magic of every SST file.
-pub const SST_MAGIC_V3: [u8; 8] = *b"PRSSTv3\0";
+pub const SST_MAGIC_V4: [u8; 8] = *b"PRSSTv4\0";
 
 /// Fixed footer size in bytes.
 pub const SST_FOOTER_LEN: u64 = 64;
+
+/// Footer offset of the footer's own CRC-32.
+const FOOTER_CRC_AT: usize = 40;
 
 /// One decoded SST entry: canonical key plus `Some(value)` for a live put
 /// or `None` for a tombstone.
@@ -93,19 +103,25 @@ fn bad(path: &Path, what: &str) -> Error {
 }
 
 /// The footer's fields in file order: index offset and length, filter
-/// offset and length, entry count, then (past the reserved word) filter
-/// key width, format version and tombstone count.
-fn decode_footer(footer: &[u8]) -> std::result::Result<([u64; 5], u32, u16, u32), CodecError> {
+/// offset and length, entry count, then the footer's CRC-32, filter key
+/// width, format version and tombstone count.
+fn decode_footer(footer: &[u8]) -> std::result::Result<([u64; 5], [u32; 2], u16, u32), CodecError> {
     let mut r = ByteReader::new(footer);
     let words = [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    r.take(4)?;
-    Ok((words, r.u32()?, r.u16()?, r.u32()?))
+    Ok((words, [r.u32()?, r.u32()?], r.u16()?, r.u32()?))
+}
+
+/// The CRC-32 of a footer, taken with its own field zeroed.
+fn footer_crc(footer: &[u8; SST_FOOTER_LEN as usize]) -> u32 {
+    let mut f = *footer;
+    f[FOOTER_CRC_AT..FOOTER_CRC_AT + 4].fill(0);
+    crc32(&f)
 }
 
 /// Decode a CRC-checked index block body: a count, then per block two
 /// non-empty, ordered, `u16`-length-prefixed boundary keys, its offset and
-/// its length — inside the `data_len`-byte data section — and nothing after
-/// the last entry.
+/// its length — inside the `data_len`-byte data section — and its check
+/// word, and nothing after the last entry.
 fn decode_index(body: &[u8], data_len: u64) -> std::result::Result<Vec<BlockMeta>, CodecError> {
     let mut r = ByteReader::new(body);
     let n = r.u32()? as usize;
@@ -116,11 +132,11 @@ fn decode_index(body: &[u8], data_len: u64) -> std::result::Result<Vec<BlockMeta
     let mut index = Vec::with_capacity(n.min(body.len()));
     for _ in 0..n {
         let (first_key, last_key) = (key(&mut r)?, key(&mut r)?);
-        let (offset, len) = (r.u64()?, r.u32()?);
+        let (offset, len, check) = (r.u64()?, r.u32()?, r.u64()?);
         if first_key > last_key || offset.checked_add(len.into()).is_none_or(|e| e > data_len) {
             return Err(CodecError::Invalid("index entry out of bounds"));
         }
-        index.push(BlockMeta { first_key, last_key, offset, len });
+        index.push(BlockMeta { first_key, last_key, offset, len, check });
     }
     r.finish()?;
     Ok(index)
@@ -150,7 +166,9 @@ fn encode_footer(
     let n = u32::try_from(n_tombstones)
         .map_err(|_| Error::corruption("more than u32::MAX tombstones in one SST"))?;
     f[50..54].copy_from_slice(&n.to_le_bytes());
-    f[56..64].copy_from_slice(&SST_MAGIC_V3);
+    f[56..64].copy_from_slice(&SST_MAGIC_V4);
+    let crc = footer_crc(&f);
+    f[FOOTER_CRC_AT..FOOTER_CRC_AT + 4].copy_from_slice(&crc.to_le_bytes());
     Ok(f)
 }
 
@@ -248,6 +266,9 @@ pub struct BlockMeta {
     pub offset: u64,
     /// Encoded block length in bytes.
     pub len: u32,
+    /// The block's [`check_word`], verified whenever it is read from the
+    /// file.
+    pub check: u64,
 }
 
 /// One live SST as [`crate::Db::describe`] reports it: what the file holds,
@@ -379,24 +400,27 @@ impl SstReader {
         let mut footer = [0u8; SST_FOOTER_LEN as usize];
         file.read_exact_at(&mut footer, file_len - SST_FOOTER_LEN)?;
         let magic = &footer[56..64];
-        if magic != SST_MAGIC_V3 {
+        if magic != SST_MAGIC_V4 {
             // Another generation of this format family is named, so the
             // operator learns it is an unsupported file, not bit rot.
-            if magic.starts_with(&SST_MAGIC_V3[..6]) {
+            if magic.starts_with(&SST_MAGIC_V4[..6]) {
                 let name = String::from_utf8_lossy(&magic[..7]);
-                return Err(bad(&path, &format!("unsupported SST format {name} (only PRSSTv3)")));
+                return Err(bad(&path, &format!("unsupported SST format {name} (only PRSSTv4)")));
             }
             return Err(bad(&path, "bad SST magic"));
         }
         let codec = |e: CodecError| bad(&path, &format!("meta section: {e}"));
         let (
             [index_off, index_len, filter_off, filter_len, n_entries],
-            width,
+            [crc, width],
             version,
             n_tombstones,
         ) = decode_footer(&footer).map_err(codec)?;
+        if crc != footer_crc(&footer) {
+            return Err(bad(&path, "footer checksum mismatch"));
+        }
         if version != SST_FORMAT_VERSION {
-            return Err(bad(&path, "v3 magic with a non-3 format version"));
+            return Err(bad(&path, "v4 magic with a non-4 format version"));
         }
         let (width, n_tombstones) = (width as usize, u64::from(n_tombstones));
         if width == 0 || width > 64 {
@@ -637,8 +661,8 @@ impl SstReader {
     /// Read block `i` from disk, check it in full and decode it into
     /// `block` (no caching here; the DB layer caches), returning its stored
     /// bytes: what the block cache keeps. Updates I/O statistics. A block
-    /// that fails the check — bad codec, reserved flag bits, lengths
-    /// escaping the buffer, keys out of order — surfaces as
+    /// that fails the check — a check word other than the index's, a bad
+    /// codec, lengths escaping the buffer, keys out of order — surfaces as
     /// [`Error::Corruption`] with the file path attached.
     ///
     /// The file is read into a buffer the calling thread reuses, then copied
@@ -660,12 +684,15 @@ impl SstReader {
         })?;
         stats.blocks_read.inc();
         stats.bytes_read.add(meta.len.into());
-        block.load(&stored).map_err(|e| self.block_error(i, e))?;
+        block.load(&stored, meta.check).map_err(|e| self.block_error(i, e))?;
         Ok(stored)
     }
 
     /// Decode block `i`'s `stored` bytes, which [`SstReader::read_block`]
-    /// checked and returned, into `block` without checking them again.
+    /// checked and returned, into `block`: decompress them and read the
+    /// restart trailer, whose offsets must lie inside the entries. The
+    /// check word is not verified and the entries are not walked again
+    /// ([`Block::load_cached`]).
     pub(crate) fn load_cached(&self, i: usize, stored: &[u8], block: &mut Block) -> Result<()> {
         block.load_cached(stored).map_err(|e| self.block_error(i, e))
     }
@@ -687,8 +714,8 @@ impl SstReader {
 }
 
 /// Streaming SST writer: feed sorted entries, get a reader back (format
-/// v3: variable-length keys, entry flags, tombstone support). `width` is the canonical filter-training width, not a key
-/// length constraint: keys of any non-zero length are accepted, and each
+/// v4: variable-length keys, tombstones, a check word per block). `width`
+/// is the canonical filter-training width, not a key length constraint: keys of any non-zero length are accepted, and each
 /// is NUL-padded/truncated to `width` bytes before feeding the filter.
 ///
 /// Writes stream straight into `NNNNNNNN.sst`, and [`SstWriter::finish`]
@@ -785,6 +812,7 @@ impl SstWriter {
             last_key: last,
             offset: self.offset,
             len: disk.len() as u32,
+            check: check_word(&disk),
         });
         self.offset += disk.len() as u64;
         Ok(())
@@ -796,10 +824,10 @@ impl SstWriter {
         self.offset + self.builder.raw_len() as u64
     }
 
-    /// Serialize the v3 block index: count, entries with length-prefixed
-    /// boundary keys, trailing CRC-32.
+    /// Serialize the block index: count, entries with length-prefixed
+    /// boundary keys and check words, trailing CRC-32.
     fn encode_index(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.index.len() * 48 + 4);
+        let mut out = Vec::with_capacity(4 + self.index.len() * 56 + 4);
         out.extend_from_slice(&(self.index.len() as u32).to_le_bytes());
         for m in &self.index {
             out.extend_from_slice(&(m.first_key.len() as u16).to_le_bytes());
@@ -808,6 +836,7 @@ impl SstWriter {
             out.extend_from_slice(&m.last_key);
             out.extend_from_slice(&m.offset.to_le_bytes());
             out.extend_from_slice(&m.len.to_le_bytes());
+            out.extend_from_slice(&m.check.to_le_bytes());
         }
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());

@@ -29,11 +29,11 @@
 //! park on a condvar and are released in one wakeup. Thousands of writers
 //! amortize one sync — the classic group commit.
 //!
-//! ## On-disk format (magic `PRWALv2\0`)
+//! ## On-disk format (magic `PRWALv3\0`)
 //!
 //! ```text
 //! [segment header: 16 bytes]
-//!    0  8×u8 magic "PRWALv2\0"
+//!    0  8×u8 magic "PRWALv3\0"
 //!    8  u32  max key bytes (the opener's key-length limit)
 //!   12  u32  CRC-32 of bytes 0..12
 //! [commit record]*
@@ -51,9 +51,10 @@
 //! ```
 //!
 //! Integers are little-endian. The token stream is the SST blocks' zero-RLE
-//! codec ([`crate::compress`]), as RocksDB's `wal_compression` runs its WAL
-//! through the block compressor. A record is stored with codec 1 only when
-//! that is shorter (`4 + stream < payload`): the §6.2 values, half zeros,
+//! codec ([`crate::compress`], varint token lengths), as RocksDB's
+//! `wal_compression` runs its WAL through the block compressor. A record is
+//! stored with codec 1 only when that is shorter (`4 + stream < payload`):
+//! the §6.2 values, half zeros,
 //! and the zero bytes of every length prefix make a put about half as long,
 //! while a delete or a record of zero-free bytes stays raw. Each record is
 //! still one `write`, so a process crash loses nothing under
@@ -66,8 +67,9 @@
 //! The CRC, which covers the codec byte and `raw_len`, is checked before
 //! either is read, and [`crate::compress::decompress`] measures a stream
 //! before it allocates, so a `raw_len` nothing wrote cannot size a buffer.
-//! A `PRWALv1` segment (the raw records of earlier builds) is refused with
-//! [`Error::Corruption`] naming the file.
+//! A segment of an earlier generation — `PRWALv1` (raw records) or
+//! `PRWALv2` (`u16` token lengths) — is refused with [`Error::Corruption`]
+//! naming the file and the generation.
 //!
 //! ## Replay semantics
 //!
@@ -97,7 +99,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Leading magic of every WAL segment.
-pub const WAL_MAGIC: [u8; 8] = *b"PRWALv2\0";
+pub const WAL_MAGIC: [u8; 8] = *b"PRWALv3\0";
 
 /// Fixed segment header size in bytes (magic + max key bytes + CRC-32).
 pub const WAL_HEADER_LEN: u64 = 16;
@@ -238,13 +240,13 @@ pub fn replay_segment(path: &Path, expected_max: usize) -> Result<SegmentReplay>
     let mut r = ByteReader::new(&bytes);
     let magic = r.take(WAL_MAGIC.len()).map_err(codec)?;
     if magic != WAL_MAGIC {
-        // Another generation is named (`PRWALv1` held raw records), so the
-        // operator learns it is an old file, not bit rot.
+        // Another generation is named, so the operator learns it is an old
+        // file, not bit rot.
         if magic.starts_with(&WAL_MAGIC[..6]) {
             let name = String::from_utf8_lossy(&magic[..7]);
             return Err(bad(
                 path,
-                format!("{name} segment, written by an earlier build (only PRWALv2)"),
+                format!("{name} segment, written by an earlier build (only PRWALv3)"),
             ));
         }
         return Err(bad(path, "bad WAL magic"));

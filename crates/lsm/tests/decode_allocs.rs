@@ -1,9 +1,10 @@
-//! Reservation guard for the data-block decoder: nothing checksums a
-//! block's codec header or its entry count yet, so a corrupt `raw_len` or
-//! count must not size an allocation. Every up-front reservation is capped
-//! by what the stored payload can decode to; a header claiming 4 GiB has
-//! to come back as `Error::Corruption`, not as a 4 GiB request that aborts
-//! the process when the allocator refuses it.
+//! Reservation guard for the data-block decoder: a block's check word
+//! guards only the bytes read from its file, so a corrupt `raw_len` or
+//! entry count that reaches the decoder any other way must not size an
+//! allocation. Every up-front reservation is capped by what the stored
+//! payload can decode to; a header claiming 4 GiB has to come back as
+//! `Error::Corruption`, not as a 4 GiB request that aborts the process
+//! when the allocator refuses it.
 //!
 //! A WAL commit record's `raw_len` is covered by its CRC, but a writer bug
 //! or a crafted file can still claim 4 GiB behind a valid checksum; replay
@@ -95,8 +96,10 @@ fn corrupt_block_headers_reserve_no_more_than_the_payload_holds() {
     let largest = largest_request_rejecting(&compressed(&payload, u32::MAX));
     assert!(largest <= cap, "a u32::MAX raw_len reserved {largest} bytes (cap {cap})");
 
-    // The entry count claims 4 Gi entries, behind an honest header.
-    payload[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    // The entry count, the trailer's last word, claims 4 Gi entries (and
+    // so 2^28 restart offsets), behind an honest header.
+    let count_at = payload.len() - 4;
+    payload[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
     let largest = largest_request_rejecting(&compressed(&payload, raw_len));
     assert!(largest <= cap, "a u32::MAX entry count reserved {largest} bytes (cap {cap})");
 

@@ -475,7 +475,7 @@ fn one_cache_budget_holds_a_working_set_just_under_it() {
 
 #[test]
 fn the_cache_budgets_blocks_as_stored_so_compressed_blocks_fit_twice() {
-    const KEYS: u64 = 96_000;
+    const KEYS: u64 = 105_000;
     let dir = tmpdir("cache-stored");
     let cfg = DbConfig::builder().memtable_bytes(1 << 20).build().unwrap();
     let db = open_unfiltered(&dir, cfg).unwrap();
@@ -527,12 +527,11 @@ fn a_block_that_fails_its_check_is_never_cached() {
     let (at, key) = (meta.offset as usize, key_u64(&meta.first_key));
     let first = key_u64(&sst.block_meta(0).first_key);
     drop(sst);
-    // Block 1 is stored raw: its first entry's flags byte sits behind the
-    // 9-byte codec header, the entry count and the entry's two lengths.
-    // Setting a reserved bit there fails the check and nothing else.
+    // Block 1 is stored raw. One bit flipped in its first entry's key
+    // fails its check word and nothing else.
     let mut bytes = std::fs::read(path).unwrap();
     assert_eq!(bytes[at], 0, "incompressible values are stored raw");
-    bytes[at + 9 + 4 + 4] = 0x40;
+    bytes[at + 9 + 3] ^= 0x40;
     std::fs::write(path, bytes).unwrap();
 
     let db = open_unfiltered(&dir, cfg).unwrap();

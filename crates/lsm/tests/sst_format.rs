@@ -1,15 +1,16 @@
-//! On-disk format contract: the one `PRSSTv3` layout — length-prefixed
-//! keys with restart-point prefix compression — is pinned by a byte-exact
+//! On-disk format contract: the one `PRSSTv4` layout — varint entry
+//! headers, restart-point prefix compression, a restart trailer per block
+//! and a check word per block in the index — is pinned by a byte-exact
 //! golden plus truncation/bit-flip sweeps that must fail *loudly* (typed
-//! corruption, never a panic or a silent misread). The committed
-//! `PRSSTv1` and `PRSSTv2` goldens (the fixed-width generations no build
-//! reads any more) must be *rejected* the same way: a typed
-//! `Error::Corruption` naming the unsupported format, from `SstReader`
-//! and from `Db::open` of a store whose `MANIFEST` lists one, which must
-//! leave the directory untouched — as must an open that finds SSTs and no
-//! `MANIFEST`.
+//! corruption, never a panic or a silent misread: no flipped bit reads
+//! back). The committed `PRSSTv1`, `PRSSTv2` and `PRSSTv3` goldens (the
+//! generations no build reads any more) must be *rejected* the same way: a
+//! typed `Error::Corruption` naming the unsupported format, from
+//! `SstReader` and from `Db::open` of a store whose `MANIFEST` lists one,
+//! which must leave the directory untouched — as must an open that finds
+//! SSTs and no `MANIFEST`.
 //!
-//! The golden fixtures are committed under `tests/fixtures/{v1,v2,v3}/`
+//! The golden fixtures are committed under `tests/fixtures/{v1,v2,v3,v4}/`
 //! and are byte-exact: each pins its format forever, hand-encoded
 //! independently of the writer. Regenerate
 //! deliberately with
@@ -17,7 +18,8 @@
 
 use proteus_core::codec::crc32;
 use proteus_core::key::u64_key;
-use proteus_lsm::sst::{Entry, SstCursor, SstReader, SstWriter, SST_FORMAT_VERSION, SST_MAGIC_V3};
+use proteus_lsm::block::check_word;
+use proteus_lsm::sst::{Entry, SstCursor, SstReader, SstWriter, SST_FORMAT_VERSION, SST_MAGIC_V4};
 use proteus_lsm::{DbConfig, Error, ProteusFactory, QueryQueue, Stats};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -28,6 +30,7 @@ use common::{dir_contents, manifest_bytes, open_unfiltered};
 const GOLDEN_V1: &str = "tests/fixtures/v1/golden_v1.sst";
 const GOLDEN_V2: &str = "tests/fixtures/v2/golden_v2.sst";
 const GOLDEN_V3: &str = "tests/fixtures/v3/golden_v3.sst";
+const GOLDEN_V4: &str = "tests/fixtures/v4/golden_v4.sst";
 const N_KEYS: u64 = 500;
 
 fn fixture_path(rel: &str) -> PathBuf {
@@ -75,8 +78,8 @@ fn raw_disk_block(body: &[u8]) -> Vec<u8> {
 
 /// Serialize the 64-byte footer shared by every format version (the
 /// version selects the magic and whether `n_tombstones` is meaningful).
-/// Offset 40 held a level tag up to the first `PRSSTv3` writers; it is
-/// reserved now, and the v3 golden keeps its old tag to show it is ignored.
+/// Offset 40 held a level tag up to the first `PRSSTv3` writers, which the
+/// v1 and v3 goldens keep; from `PRSSTv4` on it holds the footer's CRC-32.
 #[allow(clippy::too_many_arguments)]
 fn encode_footer(
     index_off: u64,
@@ -163,13 +166,15 @@ fn committed_golden_bytes_match_the_generator() {
     assert_eq!(load_fixture(GOLDEN_V1, encode_v1_golden), encode_v1_golden(), "v1 drifted");
     assert_eq!(load_fixture(GOLDEN_V2, encode_v2_golden), encode_v2_golden(), "v2 drifted");
     assert_eq!(load_fixture(GOLDEN_V3, encode_v3_golden), encode_v3_golden(), "v3 drifted");
+    assert_eq!(load_fixture(GOLDEN_V4, encode_v4_golden), encode_v4_golden(), "v4 drifted");
 }
 
 /// Every legacy golden, with the file name `Db::open` would recover it by.
-fn legacy_goldens() -> [(&'static str, Vec<u8>, &'static str); 2] {
+fn legacy_goldens() -> [(&'static str, Vec<u8>, &'static str); 3] {
     [
         ("PRSSTv1", load_fixture(GOLDEN_V1, encode_v1_golden), "00000001.sst"),
         ("PRSSTv2", load_fixture(GOLDEN_V2, encode_v2_golden), "00000002.sst"),
+        ("PRSSTv3", load_fixture(GOLDEN_V3, encode_v3_golden), "00000003.sst"),
     ]
 }
 
@@ -215,7 +220,7 @@ fn db_open_refuses_a_directory_holding_a_legacy_file_and_deletes_nothing() {
         // An unlisted current-format file, a crash straggler (both of which
         // a successful open would discard) and a foreign file ride along:
         // the failed open must leave every byte as it was.
-        write_v3_with_writer(&dir);
+        write_with_writer(&dir);
         std::fs::write(dir.join("00000077.sst.tmp"), b"unfinished").unwrap();
         std::fs::write(dir.join("notes.txt"), b"not ours").unwrap();
         let before = dir_contents(&dir);
@@ -236,7 +241,7 @@ fn db_open_refuses_ssts_without_a_manifest_and_deletes_nothing() {
     // What an earlier build left: SSTs whose levels only their footers
     // knew. The open refuses to guess, and adds no MANIFEST.
     let dir = tmpdir("no-manifest");
-    write_v3_with_writer(&dir);
+    write_with_writer(&dir);
     std::fs::write(dir.join("00000077.sst.tmp"), b"unfinished").unwrap();
     let before = dir_contents(&dir);
     match open_unfiltered(&dir, DbConfig::default()) {
@@ -323,13 +328,14 @@ fn encode_v2_golden() -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// PRSSTv3 golden: length-prefixed keys, restart-point prefix compression.
+// PRSSTv3 golden: length-prefixed keys, restart-point prefix compression,
+// fixed-width entry headers, no check: refused by name.
 // ---------------------------------------------------------------------------
 
-/// The v3 golden key set: a 1-byte key, URL-style keys with heavy shared
+/// The v3 and v4 golden key set: a 1-byte key, URL-style keys with heavy shared
 /// prefixes (several per restart interval), and a 300-byte key — sorted,
 /// strictly ascending, wildly different lengths.
-fn v3_entries() -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+fn golden_entries() -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
     let mut keys: Vec<Vec<u8>> = vec![vec![0x01]];
     for i in 0..40u32 {
         let page = "x".repeat((i % 5) as usize);
@@ -356,14 +362,11 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 /// Encode one v3 block body's entry section (everything after the `u32 n`
 /// count): `[u16 shared][u16 non_shared][u8 flags][u32 value_len]
 /// [key_suffix][value]` per entry, with `shared = 0` at every 16-entry
-/// restart point. Returns the bytes plus each entry's offset within them
-/// (for targeted corruption).
-fn encode_v3_entries(entries: &[(Vec<u8>, Option<Vec<u8>>)]) -> (Vec<u8>, Vec<usize>) {
+/// restart point.
+fn encode_v3_entries(entries: &[(Vec<u8>, Option<Vec<u8>>)]) -> Vec<u8> {
     let mut payload = Vec::new();
-    let mut offsets = Vec::new();
     let mut prev: &[u8] = &[];
     for (idx, (key, value)) in entries.iter().enumerate() {
-        offsets.push(payload.len());
         let shared = if idx % 16 == 0 { 0 } else { common_prefix(prev, key) };
         payload.extend_from_slice(&(shared as u16).to_le_bytes());
         payload.extend_from_slice(&((key.len() - shared) as u16).to_le_bytes());
@@ -382,24 +385,25 @@ fn encode_v3_entries(entries: &[(Vec<u8>, Option<Vec<u8>>)]) -> (Vec<u8>, Vec<us
         }
         prev = key;
     }
-    (payload, offsets)
+    payload
 }
 
-/// Entries per data block in the v3 golden: 18 puts a second restart point
-/// (entry 16) inside each full block, with compressed entries after it.
-const V3_BLOCK_ENTRIES: usize = 18;
+/// Entries per data block in the v3 and v4 goldens: 18 puts a second
+/// restart point (entry 16) inside each full block, with compressed
+/// entries after it.
+const GOLDEN_BLOCK_ENTRIES: usize = 18;
 
 /// Emit the v3 SST layout byte-for-byte: raw (codec 0) data blocks of
 /// prefix-compressed entries, the length-prefixed CRC'd index, no filter
 /// block, and the `PRSSTv3` footer (the width field is only the canonical
 /// filter-training width — it does not constrain key lengths).
 fn encode_v3_golden() -> Vec<u8> {
-    let entries = v3_entries();
+    let entries = golden_entries();
     let mut file = Vec::new();
     let mut index: Vec<(Vec<u8>, Vec<u8>, u64, u32)> = Vec::new();
-    for chunk in entries.chunks(V3_BLOCK_ENTRIES) {
+    for chunk in entries.chunks(GOLDEN_BLOCK_ENTRIES) {
         let mut body = (chunk.len() as u32).to_le_bytes().to_vec();
-        body.extend_from_slice(&encode_v3_entries(chunk).0);
+        body.extend_from_slice(&encode_v3_entries(chunk));
         let disk = raw_disk_block(&body);
         index.push((
             chunk[0].0.clone(),
@@ -437,20 +441,126 @@ fn encode_v3_golden() -> Vec<u8> {
     file
 }
 
-#[test]
-fn v3_golden_decodes_byte_exactly_and_is_self_describing() {
-    let bytes = load_fixture(GOLDEN_V3, encode_v3_golden);
-    let dir = tmpdir("v3-open");
-    let path = dir.join("00000003.sst");
-    std::fs::write(&path, &bytes).unwrap();
-    let entries = v3_entries();
+// ---------------------------------------------------------------------------
+// PRSSTv4 golden: varint entry headers, a restart trailer per block, a check
+// word per block in the index, a CRC'd footer.
+// ---------------------------------------------------------------------------
 
-    let sst = SstReader::open(&path, 3).unwrap();
+/// Append `v` as an LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: usize) {
+    while v >= 0x80 {
+        out.push(0x80 | (v & 0x7F) as u8);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Encode one v4 block payload: per entry `[varint shared][varint
+/// non_shared][varint value_len << 1 | tombstone][key_suffix][value]`, with
+/// `shared = 0` at every 16-entry restart point, then the offset of every
+/// restart point but the first as a `u32`, then the entry count. Returns
+/// the bytes plus each entry's offset within them (for targeted
+/// corruption).
+fn encode_v4_payload(entries: &[(Vec<u8>, Option<Vec<u8>>)]) -> (Vec<u8>, Vec<usize>) {
+    let mut payload = Vec::new();
+    let mut offsets = Vec::new();
+    let mut prev: &[u8] = &[];
+    for (idx, (key, value)) in entries.iter().enumerate() {
+        offsets.push(payload.len());
+        let shared = if idx % 16 == 0 { 0 } else { common_prefix(prev, key) };
+        put_varint(&mut payload, shared);
+        put_varint(&mut payload, key.len() - shared);
+        let value_len = value.as_ref().map_or(0, Vec::len);
+        put_varint(&mut payload, value_len << 1 | usize::from(value.is_none()));
+        payload.extend_from_slice(&key[shared..]);
+        payload.extend_from_slice(value.as_deref().unwrap_or_default());
+        prev = key;
+    }
+    for restart in offsets.iter().step_by(16).skip(1) {
+        payload.extend_from_slice(&(*restart as u32).to_le_bytes());
+    }
+    payload.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    (payload, offsets)
+}
+
+/// Fill footer bytes 40..44 with the CRC-32 of the footer, taken with that
+/// field zeroed.
+fn seal_footer(mut footer: [u8; 64]) -> [u8; 64] {
+    footer[40..44].fill(0);
+    let crc = crc32(&footer);
+    footer[40..44].copy_from_slice(&crc.to_le_bytes());
+    footer
+}
+
+/// Emit a v4 SST of the golden entries byte-for-byte: raw (codec 0) data
+/// blocks of `GOLDEN_BLOCK_ENTRIES` entries, the length-prefixed CRC'd index
+/// whose entries end in each block's check word, no filter block, and the
+/// CRC'd `PRSSTv4` footer. `damage` edits block 0's payload before it is
+/// framed and checked, so the file stays consistent around a block the
+/// decoder itself must refuse.
+fn encode_v4_file(damage: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let entries = golden_entries();
+    let mut file = Vec::new();
+    let mut ib = Vec::new();
+    for (b, chunk) in entries.chunks(GOLDEN_BLOCK_ENTRIES).enumerate() {
+        let mut payload = encode_v4_payload(chunk).0;
+        if b == 0 {
+            damage(&mut payload);
+        }
+        let disk = raw_disk_block(&payload);
+        for key in [&chunk[0].0, &chunk.last().unwrap().0] {
+            ib.extend_from_slice(&(key.len() as u16).to_le_bytes());
+            ib.extend_from_slice(key);
+        }
+        ib.extend_from_slice(&(file.len() as u64).to_le_bytes());
+        ib.extend_from_slice(&(disk.len() as u32).to_le_bytes());
+        ib.extend_from_slice(&check_word(&disk).to_le_bytes());
+        file.extend_from_slice(&disk);
+    }
+    let n_blocks = entries.len().div_ceil(GOLDEN_BLOCK_ENTRIES) as u32;
+    let mut ib = [&n_blocks.to_le_bytes()[..], &ib].concat();
+    let crc = crc32(&ib);
+    ib.extend_from_slice(&crc.to_le_bytes());
+    let index_off = file.len() as u64;
+    file.extend_from_slice(&ib);
+    let n_tomb = entries.iter().filter(|(_, v)| v.is_none()).count() as u32;
+    let footer = encode_footer(
+        index_off,
+        ib.len() as u64,
+        entries.len() as u64,
+        n_tomb,
+        0,
+        8,
+        4,
+        b"PRSSTv4\0",
+    );
+    file.extend_from_slice(&seal_footer(footer));
+    file
+}
+
+fn encode_v4_golden() -> Vec<u8> {
+    encode_v4_file(|_| {})
+}
+
+#[test]
+fn v4_golden_decodes_byte_exactly_and_is_self_describing() {
+    let bytes = load_fixture(GOLDEN_V4, encode_v4_golden);
+    let dir = tmpdir("v4-open");
+    let path = dir.join("00000004.sst");
+    std::fs::write(&path, &bytes).unwrap();
+    let entries = golden_entries();
+
+    let sst = SstReader::open(&path, 4).unwrap();
     assert_eq!(sst.n_entries, entries.len() as u64);
     assert_eq!(sst.n_tombstones, entries.iter().filter(|(_, v)| v.is_none()).count() as u64);
     assert_eq!(sst.min_key, entries[0].0);
     assert_eq!(sst.max_key, entries.last().unwrap().0);
     assert_eq!(sst.filter_width(), 8);
+    for b in 0..sst.n_blocks() {
+        let meta = sst.block_meta(b);
+        let start = meta.offset as usize;
+        assert_eq!(meta.check, check_word(&bytes[start..start + meta.len as usize]), "block {b}");
+    }
 
     // Every prefix-compressed entry reconstructs its raw key byte-exactly,
     // tombstones included, in order.
@@ -464,47 +574,56 @@ fn v3_golden_decodes_byte_exactly_and_is_self_describing() {
 }
 
 #[test]
-fn v3_entry_corruption_is_typed_not_silent() {
-    let dir = tmpdir("v3-corrupt");
-    let path = dir.join("00000003.sst");
-    let orig = encode_v3_golden();
-    assert_eq!(orig[0], 0, "first block must be stored raw for this sweep");
-    let entries = v3_entries();
-    let (_, offsets) = encode_v3_entries(&entries[..V3_BLOCK_ENTRIES]);
-
-    // Entry j of block 0 starts at [9B block header][4B n] + offsets[j];
-    // its fields: [u16 shared][u16 non_shared][u8 flags][u32 value_len].
-    let entry = |j: usize| 9 + 4 + offsets[j];
-    let corrupt = |mutate: &dyn Fn(&mut Vec<u8>), what: &str| {
-        let mut bytes = orig.clone();
-        mutate(&mut bytes);
-        std::fs::write(&path, &bytes).unwrap();
-        let sst = SstReader::open(&path, 3).unwrap(); // footer is fine
-        let err = sst.read_block(0, &Stats::default(), &mut Default::default());
-        assert!(matches!(err, Err(Error::Corruption(_))), "{what}: got {err:?}");
+fn v4_entry_corruption_is_typed_not_silent() {
+    let dir = tmpdir("v4-corrupt");
+    let path = dir.join("00000004.sst");
+    let entries = golden_entries();
+    let (payload, offsets) = encode_v4_payload(&entries[..GOLDEN_BLOCK_ENTRIES]);
+    // 18 entries: one stored restart offset (entry 16's), then the count.
+    let (restart_at, count_at) = (payload.len() - 8, payload.len() - 4);
+    let read_block_0 = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        let sst = SstReader::open(&path, 4).unwrap(); // footer and index are fine
+        sst.read_block(0, &Stats::default(), &mut Default::default()).map(drop)
+    };
+    let refused = |what: &str, result: proteus_lsm::Result<()>, why: &str| match result {
+        Err(Error::Corruption(msg)) => {
+            assert!(msg.contains(&path.display().to_string()), "{what}: file not named: {msg}");
+            assert!(msg.contains(why), "{what}: {msg}");
+        }
+        other => panic!("{what}: expected Corruption, got {other:?}"),
     };
 
-    // A restart entry with a nonzero shared count.
-    corrupt(&|b| b[entry(0)] = 1, "nonzero shared at restart");
-    // A non-restart entry sharing more bytes than the previous key has.
-    corrupt(
-        &|b| b[entry(1)..entry(1) + 2].copy_from_slice(&u16::MAX.to_le_bytes()),
-        "shared exceeds previous key length",
+    // Any byte of a stored block that changes fails its check word.
+    let mut bytes = encode_v4_golden();
+    bytes[9 + offsets[3] + 4] ^= 0x10;
+    refused("flipped key byte", read_block_0(&bytes), "check word mismatch");
+
+    // Structural damage under a matching check word: the decoder's own
+    // checks, entry by entry. Entry j's header is three one-byte varints
+    // at payload offset offsets[j] (the 300-byte key is in another block).
+    let damaged = |edit: &dyn Fn(&mut Vec<u8>), what: &str, why: &str| {
+        refused(what, read_block_0(&encode_v4_file(edit)), why);
+    };
+    damaged(&|p| p[offsets[0]] = 1, "nonzero shared at restart", "restart point shares");
+    damaged(&|p| p[offsets[1]] = 0x7F, "shared beyond the previous key", "shared prefix longer");
+    damaged(&|p| p[offsets[0] + 2] |= 1, "tombstone with a value", "tombstone carries a value");
+    damaged(
+        &|p| p[restart_at..restart_at + 4].copy_from_slice(&(offsets[15] as u32).to_le_bytes()),
+        "restart offset at the wrong entry",
+        "restart offset is not where its entry starts",
     );
-    // A zero-length key (shared = 0 at the restart, non_shared forced 0).
-    corrupt(
-        &|b| b[entry(0) + 2..entry(0) + 4].copy_from_slice(&0u16.to_le_bytes()),
-        "zero-length key",
+    damaged(
+        &|p| p[count_at..count_at + 4].copy_from_slice(&17u32.to_le_bytes()),
+        "entry count one short",
+        "trailing bytes",
     );
-    // Reserved flag bits, and the tombstone flag on an entry with a value.
-    for bad_flag in [0x02u8, 0x80, 0xFF, 0x01] {
-        corrupt(&|b| b[entry(0) + 4] = bad_flag, "bad flag byte");
-    }
 
     // The same corruption surfaces through the Db as a typed error on the
     // affected read path (never a panic, never a silent wrong answer), once
     // a MANIFEST lists the file.
-    std::fs::write(dir.join("MANIFEST"), manifest_bytes(&[(3, 1)])).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
+    std::fs::write(dir.join("MANIFEST"), manifest_bytes(&[(4, 1)])).unwrap();
     let first_key = entries[0].0.clone();
     let db = open_unfiltered(&dir, DbConfig::default()).unwrap();
     assert!(matches!(db.get(&first_key), Err(Error::Corruption(_))));
@@ -514,60 +633,64 @@ fn v3_entry_corruption_is_typed_not_silent() {
 }
 
 #[test]
-fn v3_golden_truncation_sweep_never_panics() {
-    let orig = encode_v3_golden();
-    let dir = tmpdir("v3-truncate");
-    let path = dir.join("00000003.sst");
-    // Any truncation either fails the open (footer/index damage) or, for
-    // cuts inside the data section of an already-open reader, fails the
-    // block read — always typed, never a panic.
-    for cut in (0..orig.len()).step_by(3) {
+fn v4_golden_truncation_sweep_never_panics() {
+    let orig = encode_v4_golden();
+    let dir = tmpdir("v4-truncate");
+    let path = dir.join("00000004.sst");
+    // Any truncation fails the open: the footer is gone or moved, and a
+    // footer that moved fails its magic or its CRC. Always typed, never a
+    // panic.
+    for cut in 0..orig.len() {
         std::fs::write(&path, &orig[..cut]).unwrap();
-        if let Ok(sst) = SstReader::open(&path, 3) {
-            let _ = scan_all(sst);
+        match SstReader::open(&path, 4) {
+            Err(Error::Corruption(_)) => {}
+            Err(other) => panic!("cut {cut}: open failed with {other:?}"),
+            Ok(sst) => panic!("cut {cut}: a truncated file opened with {} blocks", sst.n_blocks()),
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn v3_golden_bit_flip_sweep_fails_typed_or_reads_back() {
-    let orig = encode_v3_golden();
-    let dir = tmpdir("v3-flip");
-    let path = dir.join("00000003.sst");
+fn v4_golden_bit_flip_sweep_is_refused_or_fails_the_scan() {
+    let orig = encode_v4_golden();
+    let dir = tmpdir("v4-flip");
+    let path = dir.join("00000004.sst");
+    let named = |msg: &str| msg.contains(&path.display().to_string());
     // Flip bit `i % 8` of every byte `i`. Footer and index damage must fail
-    // the open; data-block damage must fail the scan or read back. Every
-    // failure is `Corruption` — any other error, or a panic, fails here.
-    let (mut refused, mut scan_failed, mut read_back) = (0, 0, 0);
+    // the open; data-block damage must fail the scan. Every failure is
+    // `Corruption` naming the file — any other error, a read back, or a
+    // panic fails here.
+    let (mut refused, mut scan_failed) = (0, 0);
     for i in 0..orig.len() {
         let mut bytes = orig.clone();
         bytes[i] ^= 1 << (i % 8);
         std::fs::write(&path, &bytes).unwrap();
-        match SstReader::open(&path, 3) {
-            Err(Error::Corruption(_)) => refused += 1,
+        match SstReader::open(&path, 4) {
+            Err(Error::Corruption(msg)) if named(&msg) => refused += 1,
             Err(other) => panic!("flip at byte {i}: open failed with {other:?}"),
             Ok(sst) => match scan_all(sst) {
-                Ok(_) => read_back += 1,
-                Err(Error::Corruption(_)) => scan_failed += 1,
+                Err(Error::Corruption(msg)) if named(&msg) => scan_failed += 1,
+                Ok(_) => panic!("flip at byte {i} read back without an error"),
                 Err(other) => panic!("flip at byte {i}: scan failed with {other:?}"),
             },
         }
     }
-    // Data blocks carry no checksum, so most flips that read back return
-    // changed keys or values. The counts pin that no check was lost.
-    assert_eq!(orig.len(), 1_977);
-    assert_eq!((refused, scan_failed, read_back), (527, 476, 974));
+    // Every byte before the index is a data block's.
+    let index_off = u64::from_le_bytes(orig[orig.len() - 64..][..8].try_into().unwrap());
+    assert_eq!(orig.len(), 1_758);
+    assert_eq!((refused, scan_failed), (orig.len() - index_off as usize, index_off as usize));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Write a v3 file through the real writer (variable-length string keys),
+/// Write a file through the real writer (variable-length string keys),
 /// for sweeps over writer-produced bytes (which may use the compressed
 /// block codec, unlike the hand-encoded golden).
-fn write_v3_with_writer(dir: &Path) -> PathBuf {
+fn write_with_writer(dir: &Path) -> PathBuf {
     let stats = Stats::default();
     let queue = QueryQueue::new(4, 1);
     let mut w = SstWriter::create(dir, 9, 8, 1 << 12).unwrap();
-    for (key, value) in v3_entries() {
+    for (key, value) in golden_entries() {
         match value {
             Some(v) => w.add(&key, &v).unwrap(),
             None => w.delete(&key).unwrap(),
@@ -580,7 +703,7 @@ fn write_v3_with_writer(dir: &Path) -> PathBuf {
 #[test]
 fn writer_output_truncation_sweep_never_panics() {
     let dir = tmpdir("truncate");
-    let path = write_v3_with_writer(&dir);
+    let path = write_with_writer(&dir);
     let orig = std::fs::read(&path).unwrap();
     for cut in (0..orig.len()).step_by(7) {
         std::fs::write(&path, &orig[..cut]).unwrap();
@@ -601,12 +724,14 @@ fn golden_fixtures_end_with_pinned_magics() {
     let v1 = load_fixture(GOLDEN_V1, encode_v1_golden);
     let v2 = load_fixture(GOLDEN_V2, encode_v2_golden);
     let v3 = load_fixture(GOLDEN_V3, encode_v3_golden);
+    let v4 = load_fixture(GOLDEN_V4, encode_v4_golden);
     assert_eq!(&v1[v1.len() - 8..], b"PRSSTv1\0", "v1 fixture drifted");
     assert_eq!(&v2[v2.len() - 8..], b"PRSSTv2\0", "v2 fixture drifted");
-    assert_eq!(&v3[v3.len() - 8..], &SST_MAGIC_V3, "v3 magic drifted");
-    assert_eq!(SST_MAGIC_V3, *b"PRSSTv3\0");
-    assert_eq!(SST_FORMAT_VERSION, 3);
-    assert_eq!(u16::from_le_bytes([v3[v3.len() - 16], v3[v3.len() - 15]]), SST_FORMAT_VERSION);
+    assert_eq!(&v3[v3.len() - 8..], b"PRSSTv3\0", "v3 fixture drifted");
+    assert_eq!(&v4[v4.len() - 8..], &SST_MAGIC_V4, "v4 magic drifted");
+    assert_eq!(SST_MAGIC_V4, *b"PRSSTv4\0");
+    assert_eq!(SST_FORMAT_VERSION, 4);
+    assert_eq!(u16::from_le_bytes([v4[v4.len() - 16], v4[v4.len() - 15]]), SST_FORMAT_VERSION);
 }
 
 /// A value whose block literal runs into the zero-RLE codec's 65 535-byte

@@ -1,14 +1,16 @@
-//! WAL on-disk format compatibility: a committed `PRWALv2` golden segment
+//! WAL on-disk format compatibility: a committed `PRWALv3` golden segment
 //! pins the record layout byte-for-byte — framing, codec byte and the
-//! zero-RLE stream of the records that compress — the live writer must
+//! zero-RLE stream (varint token lengths) of the records that compress —
+//! the live writer must
 //! still emit exactly those bytes, and replay must be *total* — a torn tail
 //! recovers the longest valid prefix of commits, every other kind of damage
 //! is a typed [`Error::Corruption`], and no malformed input ever panics.
 //!
 //! The golden fixtures are committed under `tests/fixtures/wal/` and are
-//! byte-exact, independent of the current writer. `golden_v1.wal`, a
-//! segment of the raw `PRWALv1` records earlier builds wrote, is kept only
-//! to prove it is refused by name. Regenerate the v2 fixtures deliberately
+//! byte-exact, independent of the current writer. `golden_v1.wal` (raw
+//! `PRWALv1` records) and `golden_v2.wal` (`PRWALv2`, whose token streams
+//! had `u16` lengths), segments earlier builds wrote, are kept only to
+//! prove they are refused by name. Regenerate the v3 fixtures deliberately
 //! with
 //! `PROTEUS_REGEN_FIXTURES=1 cargo test -p proteus-lsm --test wal_format`.
 
@@ -24,8 +26,9 @@ use std::path::{Path, PathBuf};
 mod common;
 use common::open_unfiltered;
 
-const GOLDEN: &str = "tests/fixtures/wal/golden_v2.wal";
+const GOLDEN: &str = "tests/fixtures/wal/golden_v3.wal";
 const GOLDEN_V1: &str = "tests/fixtures/wal/golden_v1.wal";
+const GOLDEN_V2: &str = "tests/fixtures/wal/golden_v2.wal";
 const KEY_WIDTH: usize = 8;
 
 fn fixture_path(rel: &str) -> PathBuf {
@@ -52,10 +55,11 @@ fn half_zero(len: usize) -> Vec<u8> {
 }
 
 /// The four commits frozen into the golden segment: a put of a half-zero
-/// 128-byte value (stored zero-RLE), a put of zero-free bytes (its stream
-/// would save too little, so stored raw), a delete, and a multi-op
-/// `WriteBatch` (put + delete + put) that pins batch-as-one-record
-/// atomicity into the format.
+/// 128-byte value (stored zero-RLE), a put of a zero-free key and value
+/// (stored zero-RLE too: the zeros of its two length prefixes pay for
+/// one-byte token lengths), a delete (its stream would save too little, so
+/// stored raw), and a multi-op `WriteBatch` (put + delete + put) that pins
+/// batch-as-one-record atomicity into the format.
 fn golden_commits() -> Vec<Vec<WalOp>> {
     vec![
         vec![(k(1), Some(half_zero(128)))],
@@ -67,7 +71,7 @@ fn golden_commits() -> Vec<Vec<WalOp>> {
 
 /// The codec each golden record is stored with.
 const GOLDEN_CODECS: [u8; 4] =
-    [WAL_CODEC_ZERO_RLE, WAL_CODEC_RAW, WAL_CODEC_RAW, WAL_CODEC_ZERO_RLE];
+    [WAL_CODEC_ZERO_RLE, WAL_CODEC_ZERO_RLE, WAL_CODEC_RAW, WAL_CODEC_ZERO_RLE];
 
 /// The uncompressed payload of a commit, by hand (independent of the
 /// writer): `u32 n_ops` then per op `u8 tag, u64 key_len, key[, u64
@@ -145,7 +149,7 @@ fn encode_segment(max_key_bytes: usize, commits: &[Vec<WalOp>]) -> (Vec<u8>, Vec
 }
 
 /// Emit the golden segment byte-for-byte, plus its record boundaries.
-fn encode_v2_golden() -> (Vec<u8>, Vec<usize>) {
+fn encode_golden() -> (Vec<u8>, Vec<usize>) {
     let (file, boundaries, codecs) = encode_segment(KEY_WIDTH, &golden_commits());
     assert_eq!(codecs, GOLDEN_CODECS, "the golden must hold both codecs");
     (file, boundaries)
@@ -161,7 +165,7 @@ fn load_fixture(rel: &str, encode: fn() -> Vec<u8>) -> Vec<u8> {
 }
 
 fn load_golden() -> Vec<u8> {
-    load_fixture(GOLDEN, || encode_v2_golden().0)
+    load_fixture(GOLDEN, || encode_golden().0)
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -190,8 +194,8 @@ fn committed_golden_bytes_match_the_generator() {
     // The committed fixture must stay byte-identical to the documented
     // layout; if this fails, someone changed either the fixture or the
     // generator — both are format-freezing mistakes.
-    assert_eq!(load_golden(), encode_v2_golden().0, "golden WAL fixture drifted");
-    assert_eq!(WAL_MAGIC, *b"PRWALv2\0");
+    assert_eq!(load_golden(), encode_golden().0, "golden WAL fixture drifted");
+    assert_eq!(WAL_MAGIC, *b"PRWALv3\0");
 }
 
 #[test]
@@ -222,22 +226,23 @@ fn replay_decodes_the_golden_segment() {
     assert!(matches!(replay_segment(&golden_path(), 16), Err(Error::Corruption(_))));
 }
 
-#[test]
-fn a_prwalv1_segment_is_refused_by_name() {
-    // The committed v1 golden is a segment of raw records an earlier build
-    // wrote. Its literal magic is pinned here, the only place it appears
-    // outside the refusal itself, so the test provably runs on a v1 file.
-    let v1 = std::fs::read(fixture_path(GOLDEN_V1)).unwrap();
-    assert_eq!(&v1[..8], b"PRWALv1\0", "v1 fixture drifted");
-    let dir = tmpdir("v1-refused");
+/// The committed golden of an earlier generation, `rel`, must be refused
+/// by replay and by `Db::open` with `Corruption` naming the file and
+/// `generation`. Its literal magic is pinned here, the only place it
+/// appears outside the refusal itself, so the test provably runs on a file
+/// of that generation.
+fn assert_refused_by_name(rel: &str, generation: &str) {
+    let bytes = std::fs::read(fixture_path(rel)).unwrap();
+    assert_eq!(&bytes[..8], format!("{generation}\0").as_bytes(), "{generation} fixture drifted");
+    let dir = tmpdir(&format!("{generation}-refused"));
     let path = segment_path(&dir, 1);
-    std::fs::write(&path, &v1).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
     let expect_named = |result: proteus_lsm::Result<()>, what: &str| match result {
         Err(Error::Corruption(msg)) => {
             assert!(msg.contains(&path.display().to_string()), "{what}: file not named: {msg}");
-            assert!(msg.contains("PRWALv1") && msg.contains("earlier build"), "{what}: {msg}");
+            assert!(msg.contains(generation) && msg.contains("earlier build"), "{what}: {msg}");
         }
-        other => panic!("{what}: a PRWALv1 segment must be Corruption, got {other:?}"),
+        other => panic!("{what}: a {generation} segment must be Corruption, got {other:?}"),
     };
     expect_named(replay_segment(&path, KEY_WIDTH).map(drop), "replay");
     let opened = open_unfiltered(&dir, DbConfig::default());
@@ -246,8 +251,20 @@ fn a_prwalv1_segment_is_refused_by_name() {
 }
 
 #[test]
+fn a_prwalv1_segment_is_refused_by_name() {
+    // Raw records, as builds before the zero-RLE codec wrote them.
+    assert_refused_by_name(GOLDEN_V1, "PRWALv1");
+}
+
+#[test]
+fn a_prwalv2_segment_is_refused_by_name() {
+    // Zero-RLE records whose token streams had `u16` lengths.
+    assert_refused_by_name(GOLDEN_V2, "PRWALv2");
+}
+
+#[test]
 fn torn_tail_truncation_sweep_recovers_the_prefix_at_every_cut() {
-    let (full, boundaries) = encode_v2_golden();
+    let (full, boundaries) = encode_golden();
     let want = golden_commits();
     let dir = tmpdir("torn-sweep");
     for cut in 0..=full.len() {
@@ -269,7 +286,7 @@ fn flipped_byte_sweep_never_panics_and_types_every_error() {
     // Every flip — in the header, a length, a CRC, a codec byte, a
     // `raw_len`, a token stream or a raw payload — either replays a prefix
     // of the golden commits or is typed corruption.
-    let (full, boundaries) = encode_v2_golden();
+    let (full, boundaries) = encode_golden();
     let want = golden_commits();
     let last_record_start = boundaries[boundaries.len() - 2];
     let dir = tmpdir("flip-sweep");
@@ -394,10 +411,13 @@ fn crc_valid_records_with_a_bad_token_stream_are_corruption() {
     let mut stream = Vec::new();
     assert!(compress::compress(&payload, &mut stream));
     let raw_len = payload.len() as u32;
+    assert!(stream[0] < 0x80, "the first literal length is a one-byte varint");
     let dir = tmpdir("bad-stream");
     let cases = [
         // A literal length running past the end of the stream.
-        ("malformed", rle_stored(raw_len, &[&[0xFF, 0x00], &stream[2..]].concat())),
+        ("malformed", rle_stored(raw_len, &[&[0xFF, 0xFF, 0x03], &stream[1..]].concat())),
+        // A zero run longer than any token may hold.
+        ("over the cap", rle_stored(raw_len, &[&[0x00, 0x80, 0x80, 0x04], &stream[..]].concat())),
         // A stream cut inside its last token.
         ("truncated", rle_stored(raw_len, &stream[..stream.len() - 1])),
         // A `raw_len` of 4 GiB, which nothing decodes to.
