@@ -195,23 +195,10 @@ impl Proteus {
             .transpose()?;
         Ok(Proteus { trie, bloom, design, width, probe_cap })
     }
-
-    /// Decode a payload under [`FilterKind::OnePbf`], the tag 1PBF was
-    /// written under before it became a trie-less Proteus: the header, the
-    /// design's prefix length and FPR, then the Bloom filter. Nothing writes
-    /// the tag any more; this keeps such filter blocks readable.
-    pub fn decode_one_pbf_from(r: &mut ByteReader<'_>) -> Result<Proteus, CodecError> {
-        let (width, probe_cap) = read_header(r)?;
-        let design = ProteusDesign::bloom_only(r.u64()? as usize, r.f64()?);
-        let bloom = PrefixBloom::decode_for(r, width, design.bloom_prefix_len)?;
-        Ok(Proteus { trie: None, bloom: Some(bloom), design, width, probe_cap })
-    }
 }
 
-/// The component-flags byte of the Proteus payload: which of the coarse
-/// stage's two encodings follows (at most one), then whether a Bloom filter
-/// does. `FLAG_SPAN` is the one bit added since format version 2 was cut;
-/// payloads without it decode as they always did.
+/// The Proteus payload's component flags: which of the coarse stage's two
+/// encodings follows (at most one), then whether a Bloom filter does.
 const FLAG_FST: u8 = 1;
 const FLAG_BLOOM: u8 = 1 << 1;
 const FLAG_SPAN: u8 = 1 << 2;

@@ -145,6 +145,14 @@ fn condvar_wait_keeps_outer_locks_on_the_stack() {
     let _l = lo.lock().unwrap();
 }
 
+/// The `lock-doctor` feature alone compiles the doctor in: in a release
+/// build this is what fails if the feature's cfg is misspelled.
+#[cfg(feature = "lock-doctor")]
+#[test]
+fn the_feature_compiles_the_doctor_in() {
+    assert!(doctor_enabled());
+}
+
 /// Uninstrumented builds must be zero-cost: the wrappers are the std
 /// types plus nothing, and guards are literally the std guards.
 #[cfg(not(any(debug_assertions, feature = "lock-doctor")))]

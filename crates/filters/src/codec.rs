@@ -4,14 +4,13 @@
 //! Encoding asks the filter for its `(kind, payload)` via
 //! [`RangeFilter::encode_payload`] and seals it in the versioned envelope
 //! (`proteus_core::codec`: magic, format version, kind tag, length,
-//! CRC-32; the section older builds filled with a training fingerprint is
-//! written empty and skipped on read). Decoding verifies the envelope and
-//! dispatches on the kind tag to the concrete decoder:
+//! CRC-32). Decoding verifies the envelope and dispatches on the kind tag
+//! to the concrete decoder:
 //!
 //! * corrupt, truncated or version-mismatched bytes → `Err(CodecError)`,
 //!   never a panic;
 //! * a *valid* envelope carrying a kind tag this build does not know (a
-//!   filter from a newer build, or the retired tag 0) →
+//!   filter from a newer build, or the retired tag 0 or 2) →
 //!   `Err(CodecError::UnknownTag)`. The SST reader treats it like any other
 //!   undecodable block: the file opens and serves without a filter (every
 //!   Seek just pays the I/O for it).
@@ -19,7 +18,7 @@
 //! This module lives in `proteus-filters` because it is the lowest crate
 //! that can see every serializable filter type (Proteus and 2PBF from
 //! `proteus-core` plus SuRF and Rosetta defined here). 1PBF is a trie-less
-//! Proteus and encodes as one; its former kind tag still decodes.
+//! Proteus and encodes as one.
 
 use crate::rosetta::Rosetta;
 use crate::surf::Surf;
@@ -73,7 +72,6 @@ impl FilterCodec {
         let mut r = ByteReader::new(u.payload);
         let filter: Box<dyn RangeFilter> = match kind {
             FilterKind::Proteus => Box::new(Proteus::decode_from(&mut r)?),
-            FilterKind::OnePbf => Box::new(Proteus::decode_one_pbf_from(&mut r)?),
             FilterKind::TwoPbf => Box::new(TwoPbf::decode_from(&mut r)?),
             FilterKind::Surf => Box::new(Surf::decode_from(&mut r)?),
             FilterKind::Rosetta => Box::new(Rosetta::decode_from(&mut r)?),
@@ -146,8 +144,9 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_an_unknown_tag() {
-        // A future kind, and the reserved tag 0, with and without a payload.
-        for (tag, payload) in [(200, &b"future payload"[..]), (0, &[][..])] {
+        // A future kind, and the retired tags 0 and 2, with and without a
+        // payload.
+        for (tag, payload) in [(200, &b"future payload"[..]), (0, &[][..]), (2, &[][..])] {
             let sealed = proteus_core::codec::seal_raw(tag, payload);
             let err = FilterCodec::decode(&sealed).err();
             assert_eq!(err, Some(CodecError::UnknownTag { what: "filter kind", tag }));

@@ -42,6 +42,7 @@
 //! is left to flush or compact; `Db::adapt_now` runs one on the calling
 //! thread, which makes tests and experiments deterministic.
 
+use crate::block::Block;
 use crate::db::{DbConfig, DbInner};
 use crate::error::Result;
 use crate::query_queue::QueryQueue;
@@ -129,20 +130,21 @@ pub fn flag_reason(sst: &SstReader, cfg: &DbConfig, queue: &QueryQueue) -> Optio
     off.then_some(FlagReason::OffPrediction { observed, probes: n, predicted })
 }
 
-/// Re-train one SST's filter: collect the file's filter keys, re-run the
-/// factory's design search over a fresh snapshot of the sample queue, and
-/// atomically rewrite the filter block. Returns the replacement reader
-/// (same id, new filter, fresh observation window) for the caller to swap
-/// into the manifest.
+/// Re-train one SST's filter: collect the file's filter keys, each block
+/// decoded once by `fetch`, re-run the factory's design search over a fresh
+/// snapshot of the sample queue, and atomically rewrite the filter block.
+/// Returns the replacement reader (same id, new filter, fresh observation
+/// window) for the caller to swap into the manifest.
 pub fn retrain(
     sst: &Arc<SstReader>,
     factory: &dyn FilterFactory,
     queue: &QueryQueue,
     bits_per_key: f64,
     stats: &Stats,
+    fetch: impl FnMut(&Arc<SstReader>, usize, &mut Block) -> Result<()>,
 ) -> Result<SstReader> {
     let t0 = Instant::now();
-    let keys = sst.filter_keys(stats)?;
+    let keys = sst.filter_keys(fetch)?;
     let (filter, trained_at) = keys.train(&sst.min_key, &sst.max_key, factory, queue, bits_per_key);
     let new_reader = sst.with_new_filter(filter, trained_at)?;
     stats.retrain_ns.add(t0.elapsed().as_nanos() as u64);
@@ -177,6 +179,7 @@ pub(crate) fn pass(db: &DbInner) -> Result<usize> {
             &db.queue,
             db.cfg.bits_per_key(),
             &db.stats,
+            |sst, b, block| db.background_block(sst, b, block),
         )?);
         // Publish: swap the replacement reader into the file's level.
         // Readers holding older versions keep the old reader (same data;
@@ -195,7 +198,6 @@ pub(crate) fn pass(db: &DbInner) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
     use crate::filter_hook::ProteusFactory;
     use crate::sst::SstWriter;
     use proteus_core::key::u64_key;
@@ -228,6 +230,15 @@ mod tests {
     /// One SST over clustered keys, filter trained on `train` queries.
     fn build_sst(dir: &std::path::Path, train: &[(u64, u64)]) -> (Arc<SstReader>, Arc<Stats>) {
         (Arc::new(build_sst_on(dir, &queue_of(train))), Arc::new(Stats::default()))
+    }
+
+    /// [`retrain`] with the default factory at 12 bits per key, reading
+    /// `sst`'s blocks straight from the file.
+    fn retrain_direct(sst: &Arc<SstReader>, queue: &QueryQueue, stats: &Stats) -> SstReader {
+        retrain(sst, &ProteusFactory::default(), queue, 12.0, stats, |sst, b, block| {
+            sst.read_block(b, stats, block).map(drop)
+        })
+        .unwrap()
     }
 
     /// `n` empty queries, one in each of the gaps after keys `from..from + n`.
@@ -279,8 +290,7 @@ mod tests {
         // probes, more than this test records.
         let mut sst = Arc::new(build_sst_on(&dir, &queue));
         for _ in 0..5 {
-            sst =
-                Arc::new(retrain(&sst, &ProteusFactory::default(), &queue, 12.0, &stats).unwrap());
+            sst = Arc::new(retrain_direct(&sst, &queue, &stats));
         }
         assert_eq!(sst.trained_at(), queue.recorded());
         let cfg = DbConfig::builder().adapt_min_probes(1_000).build().unwrap();
@@ -337,7 +347,7 @@ mod tests {
         let (sst, stats) = build_sst(&dir, &queries(0, 300));
         // The workload moves to the other end of the file.
         let shifted = queue_of(&queries(3_500, 300));
-        let new_reader = retrain(&sst, &ProteusFactory::default(), &shifted, 12.0, &stats).unwrap();
+        let new_reader = retrain_direct(&sst, &shifted, &stats);
         assert_eq!(stats.filters_retrained.get(), 1);
         assert!(stats.retrain_ns.get() > 0);
         assert_eq!(new_reader.id, sst.id);
@@ -374,7 +384,7 @@ mod tests {
         // Every queued query lies past the file's last key: its view is
         // empty, so the re-train falls back to the whole queue.
         let outside = queue_of(&queries(10_000, 300));
-        let new_reader = retrain(&sst, &ProteusFactory::default(), &outside, 12.0, &stats).unwrap();
+        let new_reader = retrain_direct(&sst, &outside, &stats);
         let f = new_reader.filter().expect("retrained filter present");
         for i in (0..4_000u64).step_by(61) {
             assert!(f.may_contain(&u64_key(i << 24)), "key {i}");

@@ -141,7 +141,7 @@ fn merge_inputs(
     older: &[Arc<SstReader>],
     bottom: bool,
 ) -> Result<Vec<Arc<SstReader>>> {
-    let mut merge = Merge::new(db, DbInner::compaction_block);
+    let mut merge = Merge::new(db, DbInner::background_block);
     for sst in newer.iter().chain(older) {
         merge.push_sst(SstCursor::new(Arc::clone(sst)), None);
     }

@@ -697,6 +697,34 @@ mod db_tests {
     }
 
     #[test]
+    fn retraining_a_warm_file_takes_its_blocks_from_the_cache() {
+        // A scan leaves every block of every file in the block cache; the
+        // re-train's key walk then reads none of them from disk.
+        let dir = tmpdir("retrain-warm");
+        let cfg = small_cfg().to_builder().adapt_min_probes(4).adapt_fpr_threshold(0.5).build();
+        let db = Db::open(&dir, cfg.unwrap(), Arc::new(ProteusFactory::default())).unwrap();
+        for i in 0..2_000u64 {
+            db.put_u64(i << 20, &value(i)).unwrap();
+        }
+        db.flush_and_settle().unwrap();
+        let cold = db.stats().blocks_read.get();
+        assert_eq!(db.range_u64(..).unwrap().count(), 2_000);
+        let warm = db.stats().blocks_read.get();
+        let version = db.inner.version();
+        let ssts: Vec<_> = version.levels.iter().flatten().collect();
+        assert_eq!(warm - cold, ssts.iter().map(|sst| sst.n_blocks() as u64).sum::<u64>());
+        // Every probe a false positive: each file flags over the threshold.
+        for sst in &ssts {
+            (0..8).for_each(|_| sst.record_probe(true));
+        }
+        assert_eq!(db.adapt_now().unwrap(), ssts.len());
+        assert_eq!(db.stats().filters_retrained.get(), ssts.len() as u64);
+        assert_eq!(db.stats().blocks_read.get(), warm, "a re-train read a cached block");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn adapt_now_amid_flushes_and_compactions_leaves_exactly_the_manifest_on_disk() {
         // Passes interleave with the flushes and compactions a writer
         // drives: no re-trained file may outlive its compaction on disk,

@@ -31,7 +31,8 @@
 //! record per key — tombstone or not — which its consumer borrows.
 //! Compaction is the same merge over the same [`SstCursor`]s, taking a
 //! block from the cache only if it is there and otherwise from the file,
-//! without caching it, with its own tombstone policy on top.
+//! without caching it, with its own tombstone policy on top. Re-training
+//! walks a file's keys through that same background fetch.
 //!
 //! A scan reads the MemTables *in place*. Under one short hold of the
 //! store's MemTable lock, construction visits every table (active and
@@ -293,12 +294,13 @@ impl DbInner {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Decode block `b` of `sst` into `block` for compaction, which reads
-    /// every input block once: from the block cache if it holds the block,
-    /// whose bytes passed their check when they were read, with no recency
-    /// change; else straight from the file, uncached, so background work
-    /// never evicts what foreground reads keep warm.
-    pub(crate) fn compaction_block(
+    /// Decode block `b` of `sst` into `block` for background work —
+    /// compaction and re-training, which read every block of a file once:
+    /// from the block cache if it holds the block, whose bytes passed their
+    /// check when they were read, with no recency change; else straight
+    /// from the file, uncached, so background work never evicts what
+    /// foreground reads keep warm.
+    pub(crate) fn background_block(
         &self,
         sst: &Arc<SstReader>,
         b: usize,
@@ -408,7 +410,7 @@ impl DbInner {
 /// How a merge's SST cursors obtain their blocks: through the block cache
 /// ([`DbInner::cached_block`], foreground reads) or, for compaction, from
 /// the cache if it holds them and else from the file
-/// ([`DbInner::compaction_block`]).
+/// ([`DbInner::background_block`], which re-training's key walk uses too).
 pub(crate) type BlockFetch = fn(&DbInner, &Arc<SstReader>, usize, &mut Block) -> Result<()>;
 
 /// One MemTable as a merge source: a position in the shared table as of

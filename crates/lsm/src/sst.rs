@@ -570,12 +570,15 @@ impl SstReader {
         }
     }
 
-    /// The key set a re-trained filter must cover: every entry key, read
-    /// straight from disk (no block cache; each block once).
-    pub(crate) fn filter_keys(self: &Arc<Self>, stats: &Stats) -> Result<FilterKeys> {
+    /// The key set a re-trained filter must cover: every entry key, each
+    /// block fetched once through `fetch`.
+    pub(crate) fn filter_keys(
+        self: &Arc<Self>,
+        mut fetch: impl FnMut(&Arc<SstReader>, usize, &mut Block) -> Result<()>,
+    ) -> Result<FilterKeys> {
         let mut keys = FilterKeys::new(self.width);
         let mut cursor = SstCursor::new(Arc::clone(self));
-        while cursor.step(|sst, b, block| sst.read_block(b, stats, block).map(drop))? {
+        while cursor.step(&mut fetch)? {
             keys.push(cursor.key());
         }
         Ok(keys)
@@ -930,10 +933,10 @@ impl KeyRange {
 /// [`SstCursor::step`] moves it to the next in-range entry and
 /// [`SstCursor::current`] borrows that entry from the block the cursor
 /// walks, so nothing is copied per entry. The caller supplies the block
-/// fetch — the block cache for foreground reads, the file itself for
-/// compaction and re-training — which decodes into the cursor's one
-/// [`Block`], reused for every block it visits; each block visited is
-/// fetched exactly once.
+/// fetch — the block cache for foreground reads; for compaction and
+/// re-training, the cache if it holds the block and else the file,
+/// uncached — which decodes into the cursor's one [`Block`], reused for
+/// every block it visits; each block visited is fetched exactly once.
 pub struct SstCursor {
     sst: Arc<SstReader>,
     /// The closed clamp (`None` = the whole file).
@@ -1268,15 +1271,26 @@ mod tests {
         let written = write_sample(&tmpdir("corrupt-filter"), 1, 2_000);
         let block_at = (written.file_bytes + written.index_len) as usize;
         let original = std::fs::read(&written.path).unwrap();
-        // One byte flipped inside the filter block, and intact envelopes
-        // under kind tags this build does not know: the retired tag 0 and a
-        // future tag 42.
-        let mut corrupt = original[block_at..block_at + written.filter_block_len].to_vec();
+        // One byte flipped inside the filter block; the same block marked
+        // with the retired envelope version 2, which is refused before
+        // anything past the version is read, as an older build's block is;
+        // and intact envelopes under kind tags this build does not know:
+        // the retired tags 0 and 2 (1PBF's) and a future tag 42.
+        let own = &original[block_at..block_at + written.filter_block_len];
+        let mut corrupt = own.to_vec();
         corrupt[20] ^= 0xFF;
+        let mut v2 = own.to_vec();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let refused = FilterCodec::decode(&v2).err();
+        assert_eq!(refused, Some(proteus_core::CodecError::UnsupportedVersion(2)));
         let seal_raw = proteus_core::codec::seal_raw;
-        for (what, block) in
-            [("corrupt", corrupt), ("tag-0", seal_raw(0, &[])), ("tag-42", seal_raw(42, &[1, 2]))]
-        {
+        for (what, block) in [
+            ("corrupt", corrupt),
+            ("version-2", v2),
+            ("tag-0", seal_raw(0, &[])),
+            ("tag-2", seal_raw(2, &[])),
+            ("tag-42", seal_raw(42, &[1, 2])),
+        ] {
             let dir = tmpdir(&format!("degraded-{what}"));
             let path = sst_path(&dir, 1);
             let mut bytes = original[..block_at].to_vec();

@@ -1,33 +1,20 @@
 //! The persistent filter format, pinned and abused.
 //!
 //! * **Golden fixtures** — small encoded filters committed under
-//!   `tests/fixtures/v2/` assert byte-exact encode output and successful
-//!   decode, freezing the current (v2) wire format against accidental
+//!   `tests/fixtures/v3/` assert byte-exact encode output and successful
+//!   decode, freezing the current (v3) wire format against accidental
 //!   drift. To regenerate after an *intentional* format change (which must
-//!   also bump `FORMAT_VERSION`), run:
+//!   also bump `FORMAT_VERSION` and move the fixtures to a directory named
+//!   after the new version), run:
 //!   `PROTEUS_REGEN_FIXTURES=1 cargo test --test filter_codec`.
-//!   `proteus_span_l9_l40.bin` pins the one addition since v2 was cut — the
-//!   Proteus payload's span-bitmap flag bit; every older fixture is
-//!   byte-identical to what it was before the bit existed.
-//!   `proteus_l16_l40_fp.bin` is frozen history, like `v1/`: the Proteus
-//!   fixture as builds that persisted a training fingerprint wrote it. It
-//!   must still decode, and re-encodes to `proteus_l16_l40.bin`.
-//!   `one_pbf_l32.bin` is frozen history too: a 1PBF under the kind tag it
-//!   had while it was a type of its own. It must decode, answer as it did,
-//!   and re-encodes as the trie-less Proteus it is. `nofilter.bin` is the
-//!   pass-through "no filter" under tag 0, which is retired and never
-//!   written: it must decode as `CodecError::UnknownTag`, and regeneration
-//!   neither rewrites nor deletes it.
-//! * **v1 rejection** — the PR-2 era fixtures under `tests/fixtures/v1/`
-//!   (never regenerated) carry the retired envelope version 1, which
-//!   could only ride in SST generations the store no longer opens: every
-//!   one must fail decode with `CodecError::UnsupportedVersion(1)`.
+//!   Envelopes of any other version are refused by `proteus_core::codec`'s
+//!   own unit tests.
 //! * **Fuzz-style robustness** — decoding arbitrary bytes, truncations at
 //!   every prefix length, and single-byte corruptions of valid encodings
 //!   must return `Err(CodecError)`: never a panic, never a filter that
 //!   could produce a false negative.
 
-use proteus::core::codec::{seal, unseal};
+use proteus::core::codec::seal;
 use proteus::core::model::proteus::ProteusDesign;
 use proteus::core::model::two_pbf::TwoPbfDesign;
 use proteus::core::{
@@ -53,7 +40,8 @@ fn fixture_keys() -> proteus::core::KeySet {
     proteus::core::KeySet::from_u64(&keys)
 }
 
-/// Every fixture: (file name, deterministically constructed filter).
+/// Every fixture of the current format: (file name, deterministically
+/// constructed filter).
 ///
 /// All constructions use *fixed* designs — never the trained model — so
 /// future model improvements cannot shift fixture bytes; only a wire-format
@@ -92,12 +80,12 @@ fn fixtures() -> Vec<(&'static str, Box<dyn RangeFilter>)> {
             "rosetta_4l.bin",
             Box::new(Rosetta::build_with_levels(&ks, m, 4, 0.7, &RosettaOptions::default())),
         ),
+        span_fixture(),
     ]
 }
 
-/// The v2-only fixture: a Proteus whose coarse stage is a span bitmap (a
-/// 9-bit depth has no other encoding). Not in [`fixtures`], which doubles as
-/// the list of frozen v1 files.
+/// A Proteus whose coarse stage is a span bitmap (a 9-bit depth has no
+/// other encoding).
 fn span_fixture() -> (&'static str, Box<dyn RangeFilter>) {
     let design = ProteusDesign {
         trie_depth_bits: 9,
@@ -111,31 +99,19 @@ fn span_fixture() -> (&'static str, Box<dyn RangeFilter>) {
     ("proteus_span_l9_l40.bin", Box::new(filter))
 }
 
-/// The 1PBF fixture, written under [`FilterKind::OnePbf`], which nothing
-/// writes any more: frozen in `v1/` and `v2/` alike.
-const ONE_PBF_FIXTURE: &str = "one_pbf_l32.bin";
-
-/// The retired tag-0 "no filter" (an empty payload), which nothing writes
-/// any more: frozen in `v1/` and `v2/` alike.
-const NO_FILTER_FIXTURE: &str = "nofilter.bin";
-
-/// Every fixture of the current format.
-fn current_fixtures() -> Vec<(&'static str, Box<dyn RangeFilter>)> {
-    fixtures().into_iter().chain([span_fixture()]).collect()
-}
-
-fn fixture_dir(version: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(version)
+/// Where the committed fixtures of the current format live.
+fn fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3")
 }
 
 #[test]
-fn golden_fixtures_pin_the_v2_wire_format() {
-    let dir = fixture_dir("v2");
+fn golden_fixtures_pin_the_wire_format() {
+    let dir = fixture_dir();
     let regen = std::env::var_os("PROTEUS_REGEN_FIXTURES").is_some();
     if regen {
         std::fs::create_dir_all(&dir).unwrap();
     }
-    for (name, filter) in current_fixtures() {
+    for (name, filter) in fixtures() {
         let encoded = FilterCodec::encode(filter.as_ref()).unwrap();
         let path = dir.join(name);
         if regen {
@@ -147,7 +123,7 @@ fn golden_fixtures_pin_the_v2_wire_format() {
         });
         assert_eq!(
             encoded, golden,
-            "{name}: encode output drifted from the committed v2 fixture — \
+            "{name}: encode output drifted from the committed v3 fixture — \
              if the format change is intentional, bump FORMAT_VERSION and \
              regenerate the fixtures"
         );
@@ -157,99 +133,8 @@ fn golden_fixtures_pin_the_v2_wire_format() {
 }
 
 #[test]
-fn v2_fingerprinted_fixture_decodes_and_reencodes_without_it() {
-    // The envelope's fingerprint section is stepped over on read (the CRC
-    // still covers it), so a filter block written with one still opens,
-    // and what it decodes to encodes as the plain fixture.
-    let dir = fixture_dir("v2");
-    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
-    let (fingerprinted, plain) = (read("proteus_l16_l40_fp.bin"), read("proteus_l16_l40.bin"));
-    assert!(fingerprinted.len() > plain.len());
-    let decoded = FilterCodec::decode(&fingerprinted).unwrap();
-    assert_eq!(FilterCodec::encode(decoded.filter.as_ref()).unwrap(), plain);
-}
-
-#[test]
-fn v2_one_pbf_fixture_decodes_as_a_trieless_proteus() {
-    let golden = std::fs::read(fixture_dir("v2").join(ONE_PBF_FIXTURE)).unwrap();
-    assert_eq!(unseal(&golden).unwrap().tag, FilterKind::OnePbf.tag());
-    let filter = FilterCodec::decode(&golden).unwrap().filter;
-    // What wrote it: a 32-bit prefix Bloom filter over the fixture keys,
-    // hashed with the seed 1PBF had of its own.
-    let twin = Proteus::build_with_design(
-        &fixture_keys(),
-        ProteusDesign::bloom_only(32, 0.03125),
-        64 * 16,
-        &ProteusOptions { seed: 0x0B5E_55ED, ..Default::default() },
-    );
-    assert_eq!(filter.size_bits(), twin.size_bits());
-    // It answers as it did: every fixture key and the ranges around it, and
-    // off-key points and ranges, whose positives are the counts the 1PBF
-    // type answered these probes with.
-    let ks = fixture_keys();
-    for i in 0..ks.len() {
-        let k = u64::from_be_bytes(ks.key(i).try_into().unwrap());
-        assert!(filter.may_contain(ks.key(i)));
-        let (lo, hi) = (k.saturating_sub(1 << 20), k.saturating_add(1 << 20));
-        assert!(filter.may_contain_range(&lo.to_be_bytes(), &hi.to_be_bytes()));
-    }
-    let mut s = 0x1BBF_0000_0000_0001u64;
-    let (mut points, mut ranges) = (0, 0);
-    for _ in 0..2000 {
-        let lo = splitmix(&mut s);
-        let hi = lo.saturating_add(splitmix(&mut s) % (1 << 40));
-        let (lo, hi) = (lo.to_be_bytes(), hi.to_be_bytes());
-        assert_eq!(filter.may_contain(&lo), twin.may_contain(&lo));
-        assert_eq!(filter.may_contain_range(&lo, &hi), twin.may_contain_range(&lo, &hi));
-        points += filter.may_contain(&lo) as u32;
-        ranges += filter.may_contain_range(&lo, &hi) as u32;
-    }
-    assert_eq!((points, ranges), (2, 300));
-    // It re-encodes as what it is.
-    assert_eq!(filter.encode_payload().0, FilterKind::Proteus);
-    assert_eq!(FilterCodec::encode(filter.as_ref()).unwrap(), FilterCodec::encode(&twin).unwrap());
-    // And no cut or single-byte corruption of it decodes.
-    for cut in 0..golden.len() {
-        assert!(FilterCodec::decode(&golden[..cut]).is_err(), "cut {cut}");
-    }
-    for i in 0..golden.len() {
-        for flip in [0x01u8, 0xFF] {
-            let mut bad = golden.clone();
-            bad[i] ^= flip;
-            assert!(FilterCodec::decode(&bad).is_err(), "corrupt byte {i} (xor {flip:#04x})");
-        }
-    }
-}
-
-#[test]
-fn golden_v1_fixtures_are_rejected_as_an_unsupported_version() {
-    // The v1 fixtures are frozen history: bytes written by the PR-2 codec.
-    // Envelope v1 is retired together with the SST generations that could
-    // carry it; its bytes must be named as such, never misread or panicked
-    // on — intact, truncated or corrupted.
-    let dir = fixture_dir("v1");
-    let frozen = [ONE_PBF_FIXTURE, NO_FILTER_FIXTURE];
-    for name in fixtures().into_iter().map(|(name, _)| name).chain(frozen) {
-        let golden = std::fs::read(dir.join(name))
-            .unwrap_or_else(|e| panic!("missing frozen v1 fixture {name} ({e})"));
-        assert!(
-            matches!(FilterCodec::decode(&golden), Err(CodecError::UnsupportedVersion(1))),
-            "{name}: a v1 envelope must be rejected by version"
-        );
-        for cut in 0..golden.len() {
-            assert!(FilterCodec::decode(&golden[..cut]).is_err(), "{name} cut {cut}");
-        }
-        for i in 0..golden.len() {
-            let mut bad = golden.clone();
-            bad[i] ^= 0x01;
-            assert!(FilterCodec::decode(&bad).is_err(), "{name} corrupt byte {i}");
-        }
-    }
-}
-
-#[test]
 fn truncation_at_every_prefix_length_errors() {
-    for (name, filter) in current_fixtures() {
+    for (name, filter) in fixtures() {
         let encoded = FilterCodec::encode(filter.as_ref()).unwrap();
         for cut in 0..encoded.len() {
             assert!(
@@ -263,7 +148,7 @@ fn truncation_at_every_prefix_length_errors() {
 
 #[test]
 fn single_byte_corruption_anywhere_errors() {
-    for (name, filter) in current_fixtures() {
+    for (name, filter) in fixtures() {
         let encoded = FilterCodec::encode(filter.as_ref()).unwrap();
         for i in 0..encoded.len() {
             for flip in [0x01u8, 0xFF] {
@@ -310,14 +195,11 @@ fn embedded_bloom_geometry_must_match_the_filter_header() {
         let (kind, payload) = filter.encode_payload();
         (filter.name(), kind, payload)
     };
-    let golden = std::fs::read(fixture_dir("v2").join(ONE_PBF_FIXTURE)).unwrap();
-    let one_pbf = unseal(&golden).unwrap().payload.to_vec();
     // Per payload: its kind, the offset of its first embedded prefix Bloom
     // filter (which opens with its own `prefix_len`, `width` u32s), and the
     // prefix length the enclosing header gives that stage.
     let cases = [
         (payload(&trieless), 45, 40),
-        ((ONE_PBF_FIXTURE.to_string(), FilterKind::OnePbf, one_pbf.clone()), 28, 32),
         (payload(by_name["two_pbf_l24_l48.bin"].as_ref()), 44, 24),
         (payload(by_name["rosetta_4l.bin"].as_ref()), 24, 61),
     ];
@@ -336,22 +218,15 @@ fn embedded_bloom_geometry_must_match_the_filter_header() {
         }
     }
 
-    // The release-mode panic this guards against: a 1PBF over 16-byte keys
-    // relabelled as a filter over 8-byte keys — with a prefix past 64 bits
-    // its first probe would index past the end of the query key. Once as a
-    // trie-less Proteus, once as the golden's tag-2 payload carrying such a
-    // stage (design and stage at 100 bits, the stage 16 bytes wide).
+    // The release-mode panic this guards against: a 1PBF (a trie-less
+    // Proteus) over 16-byte keys relabelled as a filter over 8-byte keys —
+    // with a prefix past 64 bits its first probe would index past the end
+    // of the query key.
     let wide: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 16]).collect();
     let wide_ks = proteus::core::KeySet::new(wide, 16);
     let design = ProteusDesign::bloom_only(100, 0.0);
     let one = Proteus::build_with_design(&wide_ks, design, 64 * 16, &ProteusOptions::default());
     let relabelled = resealed(&one, |p| p[..4].copy_from_slice(&8u32.to_le_bytes()));
-    assert!(matches!(FilterCodec::decode(&relabelled), Err(CodecError::Invalid(_))));
-    let mut relabelled = one_pbf;
-    relabelled[12..20].copy_from_slice(&100u64.to_le_bytes());
-    relabelled[28..32].copy_from_slice(&100u32.to_le_bytes());
-    relabelled[32..36].copy_from_slice(&16u32.to_le_bytes());
-    let relabelled = seal(FilterKind::OnePbf, &relabelled);
     assert!(matches!(FilterCodec::decode(&relabelled), Err(CodecError::Invalid(_))));
 }
 
@@ -444,8 +319,7 @@ fn a_span_bitmap_payload_is_validated_field_by_field() {
 #[test]
 fn payloads_from_before_the_span_flag_decode_unchanged() {
     // The FST-bearing fixture and the trie-less one still carry flags 0b11
-    // and 0b10. (The tag-2 1PBF payload has no flags byte to grow; see
-    // `v2_one_pbf_fixture_decodes_as_a_trieless_proteus`.)
+    // and 0b10.
     let by_name: std::collections::HashMap<_, _> = fixtures().into_iter().collect();
     let (_, fst) = by_name["proteus_l16_l40.bin"].encode_payload();
     assert_eq!(fst[FLAGS_AT], 0b011);
@@ -456,7 +330,7 @@ fn payloads_from_before_the_span_flag_decode_unchanged() {
         &ProteusOptions::default(),
     );
     assert_eq!(trieless.encode_payload().1[FLAGS_AT], 0b010);
-    let golden = std::fs::read(fixture_dir("v2").join("proteus_l16_l40.bin")).unwrap();
+    let golden = std::fs::read(fixture_dir().join("proteus_l16_l40.bin")).unwrap();
     let decoded = FilterCodec::decode(&golden).unwrap();
     // Re-encoding what was decoded gives the committed bytes back.
     assert_eq!(FilterCodec::encode(decoded.filter.as_ref()).unwrap(), golden);
@@ -487,14 +361,4 @@ fn future_filter_kind_is_an_unknown_tag() {
     let sealed = proteus::core::codec::seal_raw(42, &[1, 2, 3]);
     let err = FilterCodec::decode(&sealed).err();
     assert_eq!(err, Some(CodecError::UnknownTag { what: "filter kind", tag: 42 }));
-}
-
-#[test]
-fn v2_nofilter_fixture_is_an_unknown_tag() {
-    // Tag 0, the retired pass-through, in an intact v2 envelope.
-    let golden = std::fs::read(fixture_dir("v2").join(NO_FILTER_FIXTURE)).unwrap();
-    let u = unseal(&golden).unwrap();
-    assert_eq!((u.tag, u.payload.len()), (0, 0));
-    let err = FilterCodec::decode(&golden).err();
-    assert_eq!(err, Some(CodecError::UnknownTag { what: "filter kind", tag: 0 }));
 }
